@@ -56,13 +56,25 @@ echo "==> hash-engine collision smoke (RHEEM_KERNEL_THREADS=1 vs default)"
 RHEEM_KERNEL_THREADS=1 cargo test -q --release --test hash_semantics
 cargo test -q --release --test hash_semantics
 
-# The committed kernel-ablation numbers must carry the columnar join
-# entries and the timer-resolution honesty flag (sub-resolution timings
-# are flagged, never reported as inflated speedups).
+# SQL-lowering determinism smoke: the semantic-trap table, the generated
+# queries x dirty tables proptest (derived closures, every platform, both
+# schedule modes, plan cache cold and hit, the wire codec) and the
+# non-associative Float sums must hold with the morsel layer pinned off
+# and at the ambient default.
+echo "==> SQL lowering smoke (RHEEM_KERNEL_THREADS=1 vs default)"
+RHEEM_KERNEL_THREADS=1 cargo test -q --release --test sql_lowering
+cargo test -q --release --test sql_lowering
+
+# The committed kernel-ablation numbers must carry the columnar join and
+# hash-aggregate entries and the timer-resolution honesty flag
+# (sub-resolution timings are flagged, never reported as inflated
+# speedups).
 echo "==> BENCH_kernels.json schema check"
 for key in '"bench": "ablation_kernels"' '"timer_resolution_ms"' \
     '"below_timer_resolution"' '"kernel":"hash_join"' \
-    '"kernel":"sort_merge_join"' '"kernel":"hash_group"'; do
+    '"kernel":"sort_merge_join"' '"kernel":"hash_group"' \
+    '"kernel":"hash_aggregate_int_key"' '"kernel":"hash_aggregate_dict_key"' \
+    '"kernel":"hash_aggregate_global"'; do
   grep -qF "$key" BENCH_kernels.json \
     || { echo "BENCH_kernels.json missing $key"; exit 1; }
 done
@@ -113,5 +125,12 @@ for key in '"bench": "ablation_server"' '"tenants": 2' '"throughput_rps"' \
   grep -qF "$key" BENCH_server.json \
     || { echo "BENCH_server.json missing $key"; exit 1; }
 done
+
+# The end-to-end benchmark is a package of its own (benchmark/Cargo.toml)
+# compiled against this workspace's public API: its tests include a 3 s
+# traced smoke run that takes its kernel arguments out of the SQL plans, so
+# this is what holds the plan shapes and signatures it relies on in place.
+echo "==> benchmark package tests (plan shapes + public API it compiles against)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "OK: all tier-1 checks passed"

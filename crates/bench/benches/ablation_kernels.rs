@@ -6,10 +6,11 @@
 //! 2. **columnar** — row (pre) vs. chunk (post) kernels on the same row
 //!    counts: each entry carries both timings side by side. Per-kernel
 //!    entries compare representation-native runs (records in/out vs.
-//!    chunk in/out); the `pipeline` entry is the full production path —
-//!    records in, one `Chunk::from_records`, the fused stage chain, and
-//!    `to_records` back out — against the equivalent row operator chain,
-//!    so conversion costs are charged where the executor pays them.
+//!    chunk in/out); the `hash_aggregate_*` entries are what a SQL
+//!    GROUP BY runs (member lists + closure vs. typed accumulator lanes);
+//!    the `pipeline` entry is the path of a caller holding rows — records
+//!    in, one `Chunk::from_records`, the fused stage chain, and
+//!    `to_records` back out — against the equivalent row operator chain.
 //!
 //! Determinism is asserted inline: every morsel or chunk run must be
 //! byte-equal to the row run it is compared against, so the numbers can
@@ -23,7 +24,9 @@ use rheem_core::expr::Expr;
 use rheem_core::kernels::{self, chunked, parallel};
 use rheem_core::physical::{PipelineStage, StageKind};
 use rheem_core::rec;
-use rheem_core::udf::{FieldReduce, FilterUdf, KeyUdf, MapUdf, ReduceUdf};
+use rheem_core::udf::{
+    AggFunc, Aggregate, FieldReduce, FilterUdf, GroupMapUdf, GroupOutput, KeyUdf, MapUdf, ReduceUdf,
+};
 use rheem_core::KernelParallelism;
 
 const ITERS: u32 = 3;
@@ -309,6 +312,62 @@ fn columnar_experiment(entries: &mut Vec<ColEntry>, resolution_ms: f64, rows: us
             chunked::hash_group(&group_chunk, &key);
         },
     );
+
+    // Hash aggregate: what a SQL GROUP BY runs. The row side builds every
+    // group's member list (`hash_group`) and folds it through the group
+    // map's derived closure (`apply_group_map`); the chunk side routes each
+    // row's inputs straight into typed accumulator lanes and never builds a
+    // member list. Three key shapes: a clean Int lane (direct-address
+    // slots), the dictionary lane, and no key at all (a global aggregate).
+    let outputs = vec![
+        GroupOutput::First(0),
+        GroupOutput::Agg(Aggregate {
+            func: AggFunc::Count,
+            arg: None,
+        }),
+        GroupOutput::Agg(Aggregate {
+            func: AggFunc::Sum,
+            arg: Some(Expr::field(1)),
+        }),
+        GroupOutput::Agg(Aggregate {
+            func: AggFunc::Min,
+            arg: Some(Expr::field(1)),
+        }),
+        GroupOutput::Agg(Aggregate {
+            func: AggFunc::Avg,
+            arg: Some(Expr::field(1)),
+        }),
+    ];
+    let group = GroupMapUdf::from_aggs("aggregate", outputs.clone());
+    for (kernel, rows_in, chunk_in, fields) in [
+        ("hash_aggregate_int_key", &data, &chunk, vec![0usize]),
+        (
+            "hash_aggregate_dict_key",
+            &group_data,
+            &group_chunk,
+            vec![0],
+        ),
+        ("hash_aggregate_global", &data, &chunk, vec![]),
+    ] {
+        let key = KeyUdf::fields(fields.clone());
+        let by_rows = || kernels::apply_group_map(&kernels::hash_group(rows_in, &key), &group);
+        assert_eq!(
+            chunked::hash_aggregate(chunk_in, &fields, &outputs).to_records(),
+            by_rows()
+        );
+        col_sweep(
+            entries,
+            resolution_ms,
+            kernel,
+            rows,
+            &mut || {
+                by_rows();
+            },
+            &mut || {
+                chunked::hash_aggregate(chunk_in, &fields, &outputs);
+            },
+        );
+    }
 
     // Joins: engine build+probe with selection-vector output vs. the row
     // kernels' HashMap build / record-concat probe. Dimension-style right

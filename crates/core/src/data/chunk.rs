@@ -123,6 +123,27 @@ impl ColumnData {
     }
 }
 
+/// Interns strings into a dictionary of distinct entries, in
+/// first-appearance order.
+#[derive(Default)]
+struct DictBuilder {
+    entries: Vec<Arc<str>>,
+    codes: HashMap<Arc<str>, u32>,
+}
+
+impl DictBuilder {
+    /// The code of `s`, appending it to the dictionary if it is new.
+    fn code(&mut self, s: &Arc<str>) -> u32 {
+        if let Some(&code) = self.codes.get(s) {
+            return code;
+        }
+        let code = self.entries.len() as u32;
+        self.entries.push(s.clone());
+        self.codes.insert(s.clone(), code);
+        code
+    }
+}
+
 /// A column *view*: shared storage plus an `(offset, len)` window.
 ///
 /// Cloning and slicing are O(1) — they bump the [`Arc`]s and adjust the
@@ -143,6 +164,12 @@ impl Column {
     /// when no value is null); anything else falls back to
     /// [`ColumnData::Mixed`].
     pub fn from_values(values: &[Value]) -> Column {
+        Column::from_value_refs(values.iter())
+    }
+
+    /// [`Column::from_values`] over borrowed values in place (e.g. one field
+    /// of every record of a batch), so callers need no scratch copy.
+    pub fn from_value_refs<'a>(values: impl ExactSizeIterator<Item = &'a Value> + Clone) -> Column {
         #[derive(PartialEq, Clone, Copy)]
         enum Kind {
             Unknown,
@@ -152,9 +179,10 @@ impl Column {
             Str,
             Mixed,
         }
+        let len = values.len();
         let mut kind = Kind::Unknown;
         let mut has_null = false;
-        for v in values {
+        for v in values.clone() {
             let k = match v {
                 Value::Null => {
                     has_null = true;
@@ -174,15 +202,15 @@ impl Column {
         }
         if kind == Kind::Mixed {
             return Column {
-                len: values.len(),
-                data: Arc::new(ColumnData::Mixed(values.to_vec())),
+                len,
+                data: Arc::new(ColumnData::Mixed(values.cloned().collect())),
                 validity: None,
                 offset: 0,
             };
         }
         let validity = if has_null {
             let mut bm = Bitmap::new();
-            for v in values {
+            for v in values.clone() {
                 bm.push(!v.is_null());
             }
             Some(Arc::new(bm))
@@ -192,45 +220,35 @@ impl Column {
         let data = match kind {
             Kind::Float => ColumnData::Float(
                 values
-                    .iter()
                     .map(|v| if let Value::Float(x) = v { *x } else { 0.0 })
                     .collect(),
             ),
-            Kind::Bool => ColumnData::Bool(
-                values
-                    .iter()
-                    .map(|v| matches!(v, Value::Bool(true)))
-                    .collect(),
-            ),
+            Kind::Bool => {
+                ColumnData::Bool(values.map(|v| matches!(v, Value::Bool(true))).collect())
+            }
             Kind::Str => {
-                let mut dict: Vec<Arc<str>> = Vec::new();
-                let mut seen: HashMap<Arc<str>, u32> = HashMap::new();
-                let mut codes = Vec::with_capacity(values.len());
-                for v in values {
-                    match v {
-                        Value::Str(s) => {
-                            let code = *seen.entry(s.clone()).or_insert_with(|| {
-                                dict.push(s.clone());
-                                (dict.len() - 1) as u32
-                            });
-                            codes.push(code);
-                        }
-                        _ => codes.push(0),
-                    }
+                let mut dict = DictBuilder::default();
+                let codes = values
+                    .map(|v| match v {
+                        Value::Str(s) => dict.code(s),
+                        _ => 0,
+                    })
+                    .collect();
+                ColumnData::Str {
+                    dict: dict.entries,
+                    codes,
                 }
-                ColumnData::Str { dict, codes }
             }
             // `Unknown` means every value was null: store zeros under an
             // all-null bitmap.
             _ => ColumnData::Int(
                 values
-                    .iter()
                     .map(|v| if let Value::Int(i) = v { *i } else { 0 })
                     .collect(),
             ),
         };
         Column {
-            len: values.len(),
+            len,
             data: Arc::new(data),
             validity,
             offset: 0,
@@ -410,6 +428,100 @@ impl Column {
             len: indices.len(),
         }
     }
+
+    /// Append this view's values to `rows[i]`, row by row — the column
+    /// step of [`Chunk::to_records`], dispatching on the layout once per
+    /// column instead of once per value.
+    fn append_to_rows(&self, rows: &mut [Vec<Value>]) {
+        debug_assert_eq!(rows.len(), self.len);
+        let valid = |i: usize| {
+            self.validity
+                .as_ref()
+                .is_none_or(|bm| bm.get(self.offset + i))
+        };
+        macro_rules! typed {
+            ($lane:expr, $wrap:expr) => {
+                for (i, (row, x)) in rows.iter_mut().zip($lane).enumerate() {
+                    row.push(if valid(i) { $wrap(x) } else { Value::Null });
+                }
+            };
+        }
+        let window = self.offset..self.offset + self.len;
+        match self.data.as_ref() {
+            ColumnData::Int(v) => typed!(&v[window], |x: &i64| Value::Int(*x)),
+            ColumnData::Float(v) => typed!(&v[window], |x: &f64| Value::Float(*x)),
+            ColumnData::Bool(v) => typed!(&v[window], |x: &bool| Value::Bool(*x)),
+            ColumnData::Str { dict, codes } => {
+                typed!(&codes[window], |c: &u32| Value::Str(
+                    dict[*c as usize].clone()
+                ))
+            }
+            ColumnData::Mixed(v) => {
+                for (row, x) in rows.iter_mut().zip(&v[window]) {
+                    row.push(x.clone());
+                }
+            }
+        }
+    }
+
+    /// Concatenate column views. Parts sharing one typed layout append
+    /// lane to lane (dictionaries are merged, keeping entries distinct);
+    /// anything else re-infers the layout from the values.
+    fn concat(parts: &[&Column]) -> Column {
+        let len = parts.iter().map(|p| p.len).sum();
+        let validity = parts.iter().any(|p| p.validity.is_some()).then(|| {
+            let mut bm = Bitmap::new();
+            for p in parts {
+                for i in 0..p.len {
+                    bm.push(p.is_valid(i));
+                }
+            }
+            Arc::new(bm)
+        });
+        macro_rules! lanes {
+            ($get:ident, $variant:ident) => {
+                parts
+                    .iter()
+                    .map(|p| p.$get())
+                    .collect::<Option<Vec<_>>>()
+                    .map(|lanes| ColumnData::$variant(lanes.concat()))
+            };
+        }
+        let data = lanes!(ints, Int)
+            .or_else(|| lanes!(floats, Float))
+            .or_else(|| lanes!(bools, Bool))
+            .or_else(|| {
+                let lanes: Vec<_> = parts
+                    .iter()
+                    .map(|p| p.dict_codes())
+                    .collect::<Option<_>>()?;
+                let mut dict = DictBuilder::default();
+                let mut codes = Vec::with_capacity(len);
+                for (part_dict, part_codes) in lanes {
+                    let remap: Vec<u32> = part_dict.iter().map(|s| dict.code(s)).collect();
+                    codes.extend(part_codes.iter().map(|&c| remap[c as usize]));
+                }
+                Some(ColumnData::Str {
+                    dict: dict.entries,
+                    codes,
+                })
+            });
+        match data {
+            Some(data) => Column {
+                data: Arc::new(data),
+                validity,
+                offset: 0,
+                len,
+            },
+            None => {
+                let values: Vec<Value> = parts
+                    .iter()
+                    .flat_map(|p| (0..p.len).map(|i| p.value(i)))
+                    .collect();
+                Column::from_values(&values)
+            }
+        }
+    }
 }
 
 /// A batch of rows in columnar layout.
@@ -443,26 +555,20 @@ impl Chunk {
         if records.iter().any(|r| r.width() != width) {
             return None;
         }
-        let mut columns = Vec::with_capacity(width);
-        let mut scratch: Vec<Value> = Vec::with_capacity(records.len());
-        for c in 0..width {
-            scratch.clear();
-            for r in records {
-                scratch.push(r.fields()[c].clone());
-            }
-            columns.push(Column::from_values(&scratch));
-        }
+        let columns = (0..width)
+            .map(|c| Column::from_value_refs(records.iter().map(|r| &r.fields()[c])))
+            .collect();
         Some(Chunk::new(columns, records.len()))
     }
 
     /// Convert back to rows; exact inverse of [`Chunk::from_records`].
     pub fn to_records(&self) -> Vec<Record> {
-        let mut out = Vec::with_capacity(self.rows);
-        for i in 0..self.rows {
-            let fields: Vec<Value> = self.columns.iter().map(|c| c.value(i)).collect();
-            out.push(Record::new(fields));
+        let width = self.columns.len();
+        let mut rows: Vec<Vec<Value>> = (0..self.rows).map(|_| Vec::with_capacity(width)).collect();
+        for column in &self.columns {
+            column.append_to_rows(&mut rows);
         }
-        out
+        rows.into_iter().map(Record::new).collect()
     }
 
     /// Number of rows.
@@ -517,7 +623,8 @@ impl Chunk {
         }
     }
 
-    /// Concatenate row-compatible chunks (same width) by materializing.
+    /// Concatenate row-compatible chunks (same width), typed lane to typed
+    /// lane where the parts agree on a column's layout.
     ///
     /// Used to merge per-morsel outputs; returns `None` on width mismatch.
     pub fn concat(chunks: &[Chunk]) -> Option<Chunk> {
@@ -531,17 +638,12 @@ impl Chunk {
             return None;
         }
         let rows = non_empty.iter().map(|c| c.rows).sum();
-        let mut columns = Vec::with_capacity(width);
-        let mut scratch: Vec<Value> = Vec::with_capacity(rows);
-        for c in 0..width {
-            scratch.clear();
-            for ch in &non_empty {
-                for i in 0..ch.rows {
-                    scratch.push(ch.columns[c].value(i));
-                }
-            }
-            columns.push(Column::from_values(&scratch));
-        }
+        let columns = (0..width)
+            .map(|c| {
+                let parts: Vec<&Column> = non_empty.iter().map(|ch| &ch.columns[c]).collect();
+                Column::concat(&parts)
+            })
+            .collect();
         Some(Chunk::new(columns, rows))
     }
 }
@@ -647,6 +749,46 @@ mod tests {
         let merged = Chunk::concat(&[chunk.slice(0, 4), chunk.slice(4, 6)]).unwrap();
         assert_eq!(merged.to_records(), records);
         assert!(Chunk::concat(&[]).unwrap().to_records().is_empty());
+    }
+
+    #[test]
+    fn concat_keeps_typed_layouts_and_merges_dictionaries() {
+        let records = vec![
+            Record::new(vec![Value::Int(1), Value::str("x"), Value::Float(0.5)]),
+            Record::new(vec![Value::Null, Value::str("y"), Value::Float(-0.0)]),
+            Record::new(vec![Value::Int(3), Value::Null, Value::Float(f64::NAN)]),
+            Record::new(vec![Value::Int(4), Value::str("x"), Value::Float(1.5)]),
+            Record::new(vec![Value::Int(5), Value::str("z"), Value::Float(2.5)]),
+        ];
+        // Parts with their own dictionaries (separately built) and views
+        // with offsets (slices) both concatenate lane to lane.
+        let whole = Chunk::from_records(&records).unwrap();
+        let parts = [
+            Chunk::from_records(&records[..2]).unwrap(),
+            whole.slice(2, 1),
+            Chunk::from_records(&records[3..]).unwrap(),
+        ];
+        let merged = Chunk::concat(&parts).unwrap();
+        assert_eq!(merged.to_records(), records);
+        assert!(merged.column(0).unwrap().ints().is_some());
+        assert!(merged.column(2).unwrap().floats().is_some());
+        let (dict, codes) = merged
+            .column(1)
+            .unwrap()
+            .dict_codes()
+            .expect("still a dictionary");
+        assert_eq!(dict.len(), 3, "x, y, z — entries stay distinct");
+        assert_eq!(codes[0], codes[3]);
+        // Parts that disagree on a column's layout re-infer it.
+        let mixed = [
+            Chunk::from_records(&[rec![1i64]]).unwrap(),
+            Chunk::from_records(&[rec!["s"]]).unwrap(),
+        ];
+        assert_eq!(
+            Chunk::concat(&mixed).unwrap().to_records(),
+            vec![rec![1i64], rec!["s"]]
+        );
+        assert!(Chunk::concat(&[parts[0].clone(), mixed[0].clone()]).is_none());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::error::{Result, RheemError};
 
@@ -315,20 +315,83 @@ macro_rules! rec {
     };
 }
 
-/// An immutable batch of records with cheap (`Arc`) cloning.
+/// An immutable batch of data quanta with cheap (`Arc`) cloning, held in
+/// two lazily materialized views: rows ([`Dataset::records`]) and columns
+/// ([`Dataset::chunk`]).
 ///
-/// Datasets are what flows across task-atom boundaries; inside a platform,
-/// execution operators work on `&[Record]` slices or owned vectors.
-#[derive(Clone, Debug, Default)]
+/// A dataset is built from either view and computes the other on first
+/// use, caching it for every clone — so a registered table is converted to
+/// columnar layout once, adjacent columnar operators hand chunks to each
+/// other without ever building records, and rows are only materialized
+/// where something needs them (an opaque UDF, a sink, a ragged batch).
+/// Datasets are what flows across task-atom boundaries, and — as windows
+/// ([`Dataset::slice`]) — what a partitioned platform's tasks work on.
+#[derive(Clone, Debug)]
 pub struct Dataset {
-    records: Arc<Vec<Record>>,
+    views: Arc<Views>,
+}
+
+/// Invariant: at least one of `records`, `chunk`, `window_of` is set at
+/// construction, so either view can always be derived.
+#[derive(Debug)]
+struct Views {
+    len: usize,
+    records: OnceLock<Vec<Record>>,
+    /// `None` once computed means the records are ragged (differing
+    /// widths) and have no columnar layout.
+    chunk: OnceLock<Option<Chunk>>,
+    /// For a window: the dataset it is a row range of, and the range's
+    /// start. Each view is derived from the parent's matching view.
+    window_of: Option<(Dataset, usize)>,
+}
+
+impl Default for Dataset {
+    fn default() -> Self {
+        Dataset::new(Vec::new())
+    }
 }
 
 impl Dataset {
     /// Wrap a vector of records.
     pub fn new(records: Vec<Record>) -> Self {
         Dataset {
-            records: Arc::new(records),
+            views: Arc::new(Views {
+                len: records.len(),
+                records: OnceLock::from(records),
+                chunk: OnceLock::new(),
+                window_of: None,
+            }),
+        }
+    }
+
+    /// Wrap a columnar chunk; records are materialized only if asked for.
+    pub fn from_chunk(chunk: Chunk) -> Self {
+        Dataset {
+            views: Arc::new(Views {
+                len: chunk.rows(),
+                records: OnceLock::new(),
+                chunk: OnceLock::from(Some(chunk)),
+                window_of: None,
+            }),
+        }
+    }
+
+    /// The row window `[offset, offset + len)` as a dataset of its own.
+    ///
+    /// Nothing is copied or converted now. Asked for rows, the window
+    /// copies its range of the parent's rows; asked for a chunk, it takes a
+    /// zero-copy slice of the parent's chunk — converting the parent once,
+    /// for all of its windows and everyone else holding it. So a platform
+    /// can partition a table without deciding which view its tasks want.
+    pub fn slice(&self, offset: usize, len: usize) -> Dataset {
+        assert!(offset + len <= self.len(), "dataset slice out of range");
+        Dataset {
+            views: Arc::new(Views {
+                len,
+                records: OnceLock::new(),
+                chunk: OnceLock::new(),
+                window_of: Some((self.clone(), offset)),
+            }),
         }
     }
 
@@ -339,27 +402,81 @@ impl Dataset {
 
     /// Number of records (the dataset's cardinality).
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.views.len
     }
 
     /// True iff the dataset holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.views.len == 0
     }
 
-    /// Borrow the records.
+    /// The row view, materialized on first use: from this dataset's chunk,
+    /// or — for a window — from the parent's rows (its chunk, if the
+    /// parent has no rows yet).
     pub fn records(&self) -> &[Record] {
-        &self.records
+        self.views.records.get_or_init(|| {
+            let views = &self.views;
+            if let Some(chunk) = views.chunk.get().and_then(Option::as_ref) {
+                return chunk.to_records();
+            }
+            let (parent, offset) = views.window_of.as_ref().expect("one view is always set");
+            match parent.views.chunk.get().and_then(Option::as_ref) {
+                Some(chunk) if parent.views.records.get().is_none() => {
+                    chunk.slice(*offset, views.len).to_records()
+                }
+                _ => parent.records()[*offset..*offset + views.len].to_vec(),
+            }
+        })
     }
 
-    /// Obtain an owned vector, avoiding a copy when uniquely referenced.
+    /// The columnar view, materialized on first use; `None` when the
+    /// records are ragged (differing widths). A window slices its parent's
+    /// chunk; anything else converts its own rows.
+    pub fn chunk(&self) -> Option<&Chunk> {
+        self.views
+            .chunk
+            .get_or_init(|| match &self.views.window_of {
+                Some((parent, offset)) => parent
+                    .chunk()
+                    .map(|chunk| chunk.slice(*offset, self.views.len)),
+                None => Chunk::from_records(self.records()),
+            })
+            .as_ref()
+    }
+
+    /// True iff the columnar view costs nothing more to get: it is already
+    /// materialized (the dataset was built from a chunk, or
+    /// [`Dataset::chunk`] already converted it), or this is a window of
+    /// such a dataset — for operators that are cheap on either view and
+    /// should simply use the one that exists.
+    pub fn has_chunk(&self) -> bool {
+        match (self.views.chunk.get(), &self.views.window_of) {
+            (Some(chunk), _) => chunk.is_some(),
+            (None, Some((parent, _))) => parent.has_chunk(),
+            (None, None) => false,
+        }
+    }
+
+    /// Obtain an owned vector: a move when this is the only handle, a copy
+    /// when the dataset is shared; either way the rows are materialized
+    /// first if they have not been.
     pub fn into_records(self) -> Vec<Record> {
-        Arc::try_unwrap(self.records).unwrap_or_else(|arc| arc.as_ref().clone())
+        self.records();
+        match Arc::try_unwrap(self.views) {
+            Ok(views) => views.records.into_inner().expect("just materialized"),
+            Err(views) => views.records.get().expect("just materialized").clone(),
+        }
     }
 
     /// Iterate over the records.
     pub fn iter(&self) -> std::slice::Iter<'_, Record> {
-        self.records.iter()
+        self.records().iter()
+    }
+
+    /// True iff both handles share one allocation (and therefore one set
+    /// of cached views) — identity, not content equality.
+    pub fn ptr_eq(&self, other: &Dataset) -> bool {
+        Arc::ptr_eq(&self.views, &other.views)
     }
 }
 
@@ -569,6 +686,76 @@ mod tests {
         // behaviour: it still yields the records).
         let unique = Dataset::new(vec![rec![3i64]]);
         assert_eq!(unique.into_records(), vec![rec![3i64]]);
+    }
+
+    #[test]
+    fn dataset_views_are_lazy_cached_and_shared_by_clones() {
+        let records = vec![rec![1i64, "a"], rec![2i64, "b"]];
+        // Built from rows: the chunk appears on first use, once, for every
+        // clone.
+        let rows = Dataset::new(records.clone());
+        let clone = rows.clone();
+        assert!(!rows.has_chunk() && rows.ptr_eq(&clone));
+        let chunk = rows.chunk().expect("rectangular") as *const Chunk;
+        assert!(clone.has_chunk());
+        assert_eq!(clone.chunk().unwrap() as *const Chunk, chunk);
+        // Built from a chunk: rows appear on first use, and `len` never
+        // needs them.
+        let columnar = Dataset::from_chunk(Chunk::from_records(&records).unwrap());
+        assert_eq!(columnar.len(), 2);
+        assert!(columnar.has_chunk());
+        assert_eq!(columnar.records(), &records[..]);
+        assert_eq!(columnar, rows);
+        assert!(!columnar.ptr_eq(&rows));
+        // Ragged rows have no columnar view, and say so every time.
+        let ragged = Dataset::new(vec![rec![1i64], rec![1i64, 2i64]]);
+        assert!(ragged.chunk().is_none() && ragged.chunk().is_none());
+        assert!(!ragged.has_chunk());
+        // `into_records` materializes a chunk-only dataset, moves a unique
+        // row vector, and copies a shared one.
+        assert_eq!(columnar.into_records(), records);
+        let shared = rows.clone();
+        assert_eq!(rows.into_records(), records);
+        assert_eq!(shared.len(), 2);
+        assert_eq!(Dataset::empty().chunk().map(Chunk::rows), Some(0));
+    }
+
+    #[test]
+    fn dataset_windows_derive_each_view_from_the_parents() {
+        let records: Vec<Record> = (0..10i64).map(|i| rec![i, i * 2]).collect();
+        // Over a row-built parent: rows are a copy of the range; the chunk
+        // is a slice of the parent's chunk, converted once for everyone.
+        let table = Dataset::new(records.clone());
+        let (head, tail) = (table.slice(0, 4), table.slice(4, 6));
+        assert_eq!((head.len(), tail.len()), (4, 6));
+        assert!(!head.has_chunk() && !table.has_chunk());
+        assert_eq!(tail.records(), &records[4..]);
+        assert!(
+            !table.has_chunk(),
+            "asking a window for rows converts nothing"
+        );
+        assert_eq!(head.chunk().unwrap().to_records(), &records[..4]);
+        assert!(table.has_chunk() && tail.has_chunk());
+        let lane = |d: &Dataset| {
+            d.chunk()
+                .unwrap()
+                .column(0)
+                .unwrap()
+                .ints()
+                .unwrap()
+                .as_ptr()
+        };
+        assert_eq!(lane(&tail), lane(&table).wrapping_add(4), "zero-copy slice");
+        // Over a chunk-built parent: rows come from the window's slice only.
+        let columnar = Dataset::from_chunk(Chunk::from_records(&records).unwrap());
+        let window = columnar.slice(2, 3);
+        assert!(window.has_chunk());
+        assert_eq!(window.clone().into_records(), &records[2..5]);
+        assert_eq!(window.slice(1, 2).records(), &records[3..5]);
+        // A window of ragged rows has no columnar view either.
+        let ragged = Dataset::new(vec![rec![1i64], rec![1i64, 2i64], rec![3i64]]);
+        assert!(ragged.slice(0, 1).chunk().is_none());
+        assert_eq!(ragged.slice(2, 1).into_records(), vec![rec![3i64]]);
     }
 
     #[test]

@@ -700,9 +700,9 @@ impl Executor {
         let store = node_outputs.lock();
         let outputs = plan
             .physical
-            .sinks()
+            .output_ids()
             .into_iter()
-            .filter_map(|s| store.get(&s).map(|d| (s, d.clone())))
+            .filter_map(|(sink, reported)| store.get(&sink).map(|d| (reported, d.clone())))
             .collect();
         Ok(JobResult {
             outputs,

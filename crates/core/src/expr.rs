@@ -23,6 +23,17 @@
 //!   unknown (`Null`);
 //! * `Not`/`Neg` on an unsupported operand → `Null`.
 //!
+//! SQL lowers onto the same IR through a handful of SQL-flavoured
+//! operators whose semantics differ from the total-order ones above:
+//!
+//! * the `Sql*` comparisons are numeric-aware (`Int` and `Float` compare
+//!   by value, floats by `total_cmp`) and null-propagating: a `Null`
+//!   operand or a non-numeric variant mismatch yields `Null`;
+//! * `SqlDiv` is always `Float`, with a zero divisor → `Null`;
+//! * `IsTrue` maps `Bool(true)` to `true` and *everything else* (including
+//!   `Null`) to `false` — SQL `AND`/`OR`/`NOT` lower to the Kleene
+//!   connectives over `IsTrue` operands, which makes them two-valued.
+//!
 //! The row evaluator ([`Expr::eval`]) and the vectorized evaluator
 //! ([`Expr::eval_chunk`]) share the same scalar functions, so they agree by
 //! construction; the proptest suite additionally checks byte identity.
@@ -61,6 +72,21 @@ pub enum BinOp {
     And,
     /// Kleene logical or.
     Or,
+    /// SQL division: always `Float`; a zero divisor or a non-numeric
+    /// operand → `Null`.
+    SqlDiv,
+    /// SQL `=`: numeric-aware, `Null` on a `Null` or mismatched operand.
+    SqlEq,
+    /// SQL `<>` (same operand rules as [`BinOp::SqlEq`]).
+    SqlNe,
+    /// SQL `<` (same operand rules as [`BinOp::SqlEq`]).
+    SqlLt,
+    /// SQL `<=` (same operand rules as [`BinOp::SqlEq`]).
+    SqlLe,
+    /// SQL `>` (same operand rules as [`BinOp::SqlEq`]).
+    SqlGt,
+    /// SQL `>=` (same operand rules as [`BinOp::SqlEq`]).
+    SqlGe,
 }
 
 impl BinOp {
@@ -79,6 +105,16 @@ impl BinOp {
             BinOp::Ge => ">=",
             BinOp::And => "&&",
             BinOp::Or => "||",
+            // The `?` marks the null-propagating SQL family, so the display
+            // form (which plan fingerprints hash) never collides with the
+            // total-order operators.
+            BinOp::SqlDiv => "/?",
+            BinOp::SqlEq => "=?",
+            BinOp::SqlNe => "<>?",
+            BinOp::SqlLt => "<?",
+            BinOp::SqlLe => "<=?",
+            BinOp::SqlGt => ">?",
+            BinOp::SqlGe => ">=?",
         }
     }
 
@@ -86,6 +122,13 @@ impl BinOp {
         matches!(
             self,
             BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
+        )
+    }
+
+    fn is_sql_comparison(self) -> bool {
+        matches!(
+            self,
+            BinOp::SqlEq | BinOp::SqlNe | BinOp::SqlLt | BinOp::SqlLe | BinOp::SqlGt | BinOp::SqlGe
         )
     }
 }
@@ -103,6 +146,8 @@ pub enum Expr {
     Neg(Arc<Expr>),
     /// True iff the operand is `Null`.
     IsNull(Arc<Expr>),
+    /// True iff the operand is `Bool(true)`; never `Null`.
+    IsTrue(Arc<Expr>),
     /// A binary operation.
     Bin(BinOp, Arc<Expr>, Arc<Expr>),
 }
@@ -207,6 +252,11 @@ impl Expr {
         Expr::IsNull(Arc::new(self))
     }
 
+    /// `self IS TRUE`: `Bool(true)` → `true`, anything else → `false`.
+    pub fn is_true(self) -> Expr {
+        Expr::IsTrue(Arc::new(self))
+    }
+
     /// Rewrite every `Field(i)` through `map` (used when fusing through a
     /// projection); returns `None` when a referenced field is dropped.
     pub fn remap_fields(&self, map: &dyn Fn(usize) -> Option<usize>) -> Option<Expr> {
@@ -216,6 +266,7 @@ impl Expr {
             Expr::Not(e) => Expr::Not(Arc::new(e.remap_fields(map)?)),
             Expr::Neg(e) => Expr::Neg(Arc::new(e.remap_fields(map)?)),
             Expr::IsNull(e) => Expr::IsNull(Arc::new(e.remap_fields(map)?)),
+            Expr::IsTrue(e) => Expr::IsTrue(Arc::new(e.remap_fields(map)?)),
             Expr::Bin(op, a, b) => Expr::Bin(
                 *op,
                 Arc::new(a.remap_fields(map)?),
@@ -233,6 +284,7 @@ impl Expr {
             Expr::Not(e) => Expr::Not(Arc::new(e.substitute(exprs))),
             Expr::Neg(e) => Expr::Neg(Arc::new(e.substitute(exprs))),
             Expr::IsNull(e) => Expr::IsNull(Arc::new(e.substitute(exprs))),
+            Expr::IsTrue(e) => Expr::IsTrue(Arc::new(e.substitute(exprs))),
             Expr::Bin(op, a, b) => Expr::Bin(
                 *op,
                 Arc::new(a.substitute(exprs)),
@@ -249,6 +301,7 @@ impl Expr {
             Expr::Not(e) => scalar_not(&e.eval(r)),
             Expr::Neg(e) => scalar_neg(&e.eval(r)),
             Expr::IsNull(e) => Value::Bool(e.eval(r).is_null()),
+            Expr::IsTrue(e) => scalar_is_true(&e.eval(r)),
             Expr::Bin(op, a, b) => scalar_bin(*op, &a.eval(r), &b.eval(r)),
         }
     }
@@ -280,6 +333,11 @@ impl Expr {
             Expr::IsNull(e) => unary_vec(&e.eval_vec(chunk), chunk.rows(), |v| {
                 Value::Bool(v.is_null())
             }),
+            Expr::IsTrue(e) => match e.eval_vec(chunk) {
+                // A clean Bool lane is its own truth lane.
+                Ev::Col(c) if c.bools().is_some() && c.no_nulls() => Ev::Col(c),
+                other => unary_vec(&other, chunk.rows(), scalar_is_true),
+            },
             Expr::Bin(op, a, b) => bin_vec(*op, &a.eval_vec(chunk), &b.eval_vec(chunk), chunk),
         }
     }
@@ -291,11 +349,15 @@ impl fmt::Display for Expr {
             Expr::Field(i) => write!(f, "#{i}"),
             Expr::Lit(v) => match v {
                 Value::Str(s) => write!(f, "{s:?}"),
+                // Debug keeps `1.0` apart from the `Int` literal `1`: plan
+                // fingerprints hash this form.
+                Value::Float(x) => write!(f, "{x:?}"),
                 other => write!(f, "{other}"),
             },
             Expr::Not(e) => write!(f, "!({e})"),
             Expr::Neg(e) => write!(f, "-({e})"),
             Expr::IsNull(e) => write!(f, "({e}) is null"),
+            Expr::IsTrue(e) => write!(f, "({e}) is true"),
             Expr::Bin(op, a, b) => write!(f, "({a} {} {b})", op.symbol()),
         }
     }
@@ -318,11 +380,29 @@ pub fn scalar_neg(v: &Value) -> Value {
     }
 }
 
+/// `v IS TRUE`: only `Bool(true)` is true; `Null` and every other value
+/// are false.
+pub fn scalar_is_true(v: &Value) -> Value {
+    Value::Bool(matches!(v, Value::Bool(true)))
+}
+
 /// Apply a binary operator to two scalars — the single source of truth for
 /// both the row and the vectorized evaluation path.
 pub fn scalar_bin(op: BinOp, a: &Value, b: &Value) -> Value {
     match op {
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => scalar_arith(op, a, b),
+        BinOp::SqlDiv => match (a, b) {
+            (Value::Int(_) | Value::Float(_), Value::Int(_) | Value::Float(_)) => {
+                sql_div(to_f64(a), to_f64(b)).map_or(Value::Null, Value::Float)
+            }
+            _ => Value::Null,
+        },
+        BinOp::SqlEq | BinOp::SqlNe | BinOp::SqlLt | BinOp::SqlLe | BinOp::SqlGt | BinOp::SqlGe => {
+            match sql_ordering(a, b) {
+                Some(ord) => Value::Bool(cmp_holds(op, ord)),
+                None => Value::Null,
+            }
+        }
         BinOp::Eq => Value::Bool(a == b),
         BinOp::Ne => Value::Bool(a != b),
         BinOp::Lt => Value::Bool(a < b),
@@ -340,6 +420,28 @@ pub fn scalar_bin(op: BinOp, a: &Value, b: &Value) -> Value {
             _ => Value::Null,
         },
     }
+}
+
+/// SQL division on widened operands: `None` (→ `Null`) on a zero divisor
+/// of either sign.
+#[inline]
+fn sql_div(x: f64, y: f64) -> Option<f64> {
+    (y != 0.0).then(|| x / y)
+}
+
+/// The ordering SQL comparisons see: `Int` and `Float` compare numerically
+/// (mixed pairs widen, floats by `total_cmp`), other same-variant pairs by
+/// value; `None` when either side is `Null` or the variants do not mix.
+pub fn sql_ordering(a: &Value, b: &Value) -> Option<std::cmp::Ordering> {
+    Some(match (a, b) {
+        (Value::Int(x), Value::Int(y)) => x.cmp(y),
+        (Value::Float(_) | Value::Int(_), Value::Float(_) | Value::Int(_)) => {
+            to_f64(a).total_cmp(&to_f64(b))
+        }
+        (Value::Str(x), Value::Str(y)) => x.as_ref().cmp(y.as_ref()),
+        (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
+        _ => return None,
+    })
 }
 
 fn as_kleene(v: &Value) -> Option<bool> {
@@ -582,6 +684,37 @@ fn bin_vec(op: BinOp, a: &Ev, b: &Ev, chunk: &Chunk) -> Ev {
                 }
             }
         }
+        // SQL comparisons on clean numeric lanes can never yield Null: two
+        // Int sides compare as integers, anything involving a Float widens
+        // (exactly `sql_ordering`).
+        _ if op.is_sql_comparison() => {
+            if !involves_float(a) && !involves_float(b) {
+                if let (Some(x), Some(y)) = (int_src(a), int_src(b)) {
+                    let mut lane = Vec::with_capacity(rows);
+                    for i in 0..rows {
+                        lane.push(cmp_holds(op, x.get(i).cmp(&y.get(i))));
+                    }
+                    return Ev::Col(bool_column(lane));
+                }
+            } else if let (Some(x), Some(y)) = (float_src(a), float_src(b)) {
+                let mut lane = Vec::with_capacity(rows);
+                for i in 0..rows {
+                    lane.push(cmp_holds(op, x.get(i).total_cmp(&y.get(i))));
+                }
+                return Ev::Col(bool_column(lane));
+            }
+        }
+        // A zero divisor maps to Null, so the typed lane is only safe when
+        // the divisor lane holds none.
+        BinOp::SqlDiv => {
+            if let (Some(x), Some(y)) = (float_src(a), float_src(b)) {
+                let lane: Option<Vec<f64>> =
+                    (0..rows).map(|i| sql_div(x.get(i), y.get(i))).collect();
+                if let Some(lane) = lane {
+                    return Ev::Col(float_column(lane));
+                }
+            }
+        }
         BinOp::And | BinOp::Or => {
             if let (Some(x), Some(y)) = (bool_src(a), bool_src(b)) {
                 let mut lane = Vec::with_capacity(rows);
@@ -604,12 +737,12 @@ fn bin_vec(op: BinOp, a: &Ev, b: &Ev, chunk: &Chunk) -> Ev {
 
 fn cmp_holds(op: BinOp, ord: std::cmp::Ordering) -> bool {
     match op {
-        BinOp::Eq => ord.is_eq(),
-        BinOp::Ne => ord.is_ne(),
-        BinOp::Lt => ord.is_lt(),
-        BinOp::Le => ord.is_le(),
-        BinOp::Gt => ord.is_gt(),
-        BinOp::Ge => ord.is_ge(),
+        BinOp::Eq | BinOp::SqlEq => ord.is_eq(),
+        BinOp::Ne | BinOp::SqlNe => ord.is_ne(),
+        BinOp::Lt | BinOp::SqlLt => ord.is_lt(),
+        BinOp::Le | BinOp::SqlLe => ord.is_le(),
+        BinOp::Gt | BinOp::SqlGt => ord.is_gt(),
+        BinOp::Ge | BinOp::SqlGe => ord.is_ge(),
         _ => unreachable!("cmp_holds called with non-comparison op"),
     }
 }
@@ -712,6 +845,106 @@ mod tests {
     }
 
     #[test]
+    fn sql_operators_agree_on_both_paths_and_propagate_null() {
+        let typed: Vec<Record> = (0..40i64).map(|i| rec![i - 5, i as f64 * 0.5]).collect();
+        let dirty = vec![
+            rec![1i64, 2.5],
+            Record::new(vec![Value::Null, Value::Float(f64::NAN)]),
+            Record::new(vec![Value::str("x"), Value::Float(-0.0)]),
+            Record::new(vec![Value::Bool(true), Value::Null]),
+            rec![0i64, 0.0],
+        ];
+        let sql_ops = [
+            BinOp::SqlEq,
+            BinOp::SqlNe,
+            BinOp::SqlLt,
+            BinOp::SqlLe,
+            BinOp::SqlGt,
+            BinOp::SqlGe,
+            BinOp::SqlDiv,
+        ];
+        for records in [&typed, &dirty] {
+            for op in sql_ops {
+                for e in [
+                    Expr::field(0).bin(op, Expr::lit(3i64)),
+                    Expr::field(1).bin(op, Expr::lit(3i64)),
+                    Expr::field(0).bin(op, Expr::field(1)),
+                    Expr::field(1).bin(op, Expr::lit(0.0)),
+                    Expr::field(0).bin(op, Expr::lit(Value::Null)),
+                    Expr::field(0)
+                        .bin(op, Expr::lit(1i64))
+                        .is_true()
+                        .and(Expr::field(1).bin(op, Expr::lit(2.0)).is_true())
+                        .not(),
+                ] {
+                    let (row, vec) = both(&e, records);
+                    assert_eq!(row, vec, "paths disagree for {e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sql_comparisons_are_numeric_aware_and_null_propagating() {
+        let r = Record::empty();
+        let cmp = |a: Value, op: BinOp, b: Value| Expr::Lit(a).bin(op, Expr::Lit(b)).eval(&r);
+        // Int vs Float compares by value, unlike the total-order `<`.
+        assert_eq!(
+            cmp(499i64.into(), BinOp::SqlLt, 499.5.into()),
+            Value::Bool(true)
+        );
+        assert_eq!(
+            cmp(5i64.into(), BinOp::SqlEq, 5.0.into()),
+            Value::Bool(true)
+        );
+        assert_eq!(
+            Expr::lit(499i64).lt(Expr::lit(0.5)).eval(&r),
+            Value::Bool(true)
+        );
+        // Floats compare by total_cmp: -0.0 < 0.0, NaN above everything.
+        assert_eq!(
+            cmp((-0.0).into(), BinOp::SqlEq, 0.0.into()),
+            Value::Bool(false)
+        );
+        assert_eq!(
+            cmp(f64::NAN.into(), BinOp::SqlGt, f64::INFINITY.into()),
+            Value::Bool(true)
+        );
+        // Null and cross-type operands are unknown.
+        assert_eq!(cmp(Value::Null, BinOp::SqlEq, Value::Null), Value::Null);
+        assert_eq!(cmp(1i64.into(), BinOp::SqlNe, "1".into()), Value::Null);
+        assert_eq!(cmp(true.into(), BinOp::SqlLt, 1i64.into()), Value::Null);
+        assert_eq!(cmp("a".into(), BinOp::SqlLt, "b".into()), Value::Bool(true));
+        // Division is Float, and NULL on a zero divisor of either sign.
+        assert_eq!(
+            cmp(7i64.into(), BinOp::SqlDiv, 2i64.into()),
+            Value::Float(3.5)
+        );
+        assert_eq!(cmp(7i64.into(), BinOp::SqlDiv, 0i64.into()), Value::Null);
+        assert_eq!(cmp(7.0.into(), BinOp::SqlDiv, (-0.0).into()), Value::Null);
+        assert_eq!(cmp("7".into(), BinOp::SqlDiv, 1i64.into()), Value::Null);
+    }
+
+    #[test]
+    fn is_true_is_two_valued() {
+        let r = Record::empty();
+        assert_eq!(Expr::lit(true).is_true().eval(&r), Value::Bool(true));
+        for v in [
+            Value::Bool(false),
+            Value::Null,
+            Value::Int(1),
+            Value::str("true"),
+        ] {
+            assert_eq!(Expr::Lit(v).is_true().eval(&r), Value::Bool(false));
+        }
+        // NOT over an unknown comparison is true — SQL's NOT here is
+        // two-valued, unlike the Kleene `not`.
+        let unknown = Expr::lit(Value::Null).bin(BinOp::SqlGt, Expr::lit(1i64));
+        assert_eq!(unknown.clone().not().eval(&r), Value::Null);
+        assert_eq!(unknown.is_true().not().eval(&r), Value::Bool(true));
+    }
+
+    #[test]
     fn kleene_logic() {
         let null = Expr::lit(Value::Null);
         let t = Expr::lit(true);
@@ -747,5 +980,16 @@ mod tests {
             .lt(Expr::lit(10i64))
             .and(Expr::field(1).eq(Expr::lit("x")));
         assert_eq!(e.to_string(), "((#0 < 10) && (#1 == \"x\"))");
+        // Plan fingerprints hash this form: operators of different
+        // semantics and literals of different types must print apart.
+        let total = Expr::field(0).lt(Expr::lit(1i64)).to_string();
+        let sql = Expr::field(0)
+            .bin(BinOp::SqlLt, Expr::lit(1i64))
+            .to_string();
+        let sql_float = Expr::field(0).bin(BinOp::SqlLt, Expr::lit(1.0)).to_string();
+        assert_eq!(sql, "(#0 <? 1)");
+        assert_eq!(sql_float, "(#0 <? 1.0)");
+        assert_ne!(total, sql);
+        assert_eq!(Expr::field(2).is_true().to_string(), "(#2) is true");
     }
 }

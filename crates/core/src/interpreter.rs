@@ -10,8 +10,8 @@ use std::collections::HashMap;
 
 use crate::data::Dataset;
 use crate::error::{Result, RheemError};
-use crate::kernels;
 use crate::kernels::parallel::{self, KernelParallelism};
+use crate::kernels::{self, chunked};
 use crate::physical::PhysicalOp;
 use crate::plan::{NodeId, PhysicalPlan};
 use crate::platform::{AtomInputs, ExecutionContext};
@@ -65,14 +65,15 @@ pub fn run_fragment(
         }
         // Two clock reads per operator, outside any kernel hot loop.
         let kernel_started = std::time::Instant::now();
-        let out = execute_op(&node.op, &inputs, ctx, loop_state)?;
+        let (out, columnar) = execute_op(&node.op, &inputs, ctx, loop_state)?;
         if loop_state.is_none() {
             run.observations.push(crate::observe::NodeObservation {
                 node: id,
                 op: node.op.name(),
                 records_out: out.len() as u64,
                 elapsed_ms: kernel_started.elapsed().as_secs_f64() * 1e3,
-                morsels: op_morsels(&node.op, &inputs, &ctx.kernel_parallelism),
+                morsels: op_morsels(&node.op, &inputs, &ctx.kernel_parallelism, columnar),
+                columnar,
             });
         }
         run.records_processed += out.len() as u64;
@@ -83,9 +84,25 @@ pub fn run_fragment(
 
 /// Parallel work units the interpreter's kernel dispatch uses for `op`
 /// under knob `p`: morsel count for embarrassingly-parallel kernels,
-/// chunk count for two-phase kernels, 1 for everything sequential.
-pub fn op_morsels(op: &PhysicalOp, inputs: &[Dataset], p: &KernelParallelism) -> u64 {
+/// chunk count for two-phase kernels, 1 for everything sequential. On the
+/// `columnar` path only pipelines split into morsels; the keyed chunk
+/// kernels run as one unit.
+pub fn op_morsels(
+    op: &PhysicalOp,
+    inputs: &[Dataset],
+    p: &KernelParallelism,
+    columnar: bool,
+) -> u64 {
     let len0 = inputs.first().map(|d| d.len()).unwrap_or(0);
+    if columnar {
+        return match op {
+            PhysicalOp::Map(_)
+            | PhysicalOp::Filter(_)
+            | PhysicalOp::Project { .. }
+            | PhysicalOp::ChunkPipeline { .. } => p.morsels(len0),
+            _ => 1,
+        };
+    }
     match op {
         PhysicalOp::Map(_) | PhysicalOp::FlatMap(_) | PhysicalOp::Filter(_) => p.morsels(len0),
         PhysicalOp::Project { .. } | PhysicalOp::ChunkPipeline { .. } => p.morsels(len0),
@@ -101,13 +118,47 @@ pub fn op_morsels(op: &PhysicalOp, inputs: &[Dataset], p: &KernelParallelism) ->
     }
 }
 
-/// Execute a single physical operator on gathered inputs.
+/// Execute a single physical operator on gathered inputs, reporting
+/// whether it ran without touching rows (`true`: a columnar kernel, or a
+/// source/sink that only passes its dataset along).
 ///
-/// Kernels with a morsel-parallel twin dispatch through
-/// [`crate::kernels::parallel`] under the context's
-/// [`KernelParallelism`] knob; outputs are byte-identical to the
-/// sequential kernels at any thread count.
+/// Operators with a columnar kernel ([`chunked::execute`]: declarative
+/// keys, aggregates and expressions over inputs that have a columnar view)
+/// take it, chunk in and chunk out. Everything else runs row-at-a-time;
+/// kernels with a morsel-parallel twin dispatch through
+/// [`crate::kernels::parallel`] under the context's [`KernelParallelism`]
+/// knob. Outputs are byte-identical on either path and at any thread count.
 pub fn execute_op(
+    op: &PhysicalOp,
+    inputs: &[Dataset],
+    ctx: &ExecutionContext,
+    loop_state: Option<&Dataset>,
+) -> Result<(Dataset, bool)> {
+    let (out, columnar) = match chunked::execute(op, inputs, &ctx.kernel_parallelism) {
+        Some(out) => (out?, true),
+        None => {
+            let passes_through = matches!(
+                op,
+                PhysicalOp::CollectionSource { .. }
+                    | PhysicalOp::LoopInput
+                    | PhysicalOp::CollectSink
+                    | PhysicalOp::CountSink
+            );
+            (execute_rows(op, inputs, ctx, loop_state)?, passes_through)
+        }
+    };
+    // A cancel that fires *inside* a morsel-parallel kernel truncates the
+    // kernel's output (run_ranges collapses the remaining morsels to
+    // empty). The pre-node checkpoint in `run_fragment` only covers nodes
+    // that have a successor, so re-check here: a truncated result must
+    // never be returned as this operator's (and possibly the job's) output.
+    ctx.check_cancelled()?;
+    Ok((out, columnar))
+}
+
+/// The row path of [`execute_op`]: sources, sinks, and every operator whose
+/// columnar kernel declined.
+fn execute_rows(
     op: &PhysicalOp,
     inputs: &[Dataset],
     ctx: &ExecutionContext,
@@ -115,7 +166,7 @@ pub fn execute_op(
 ) -> Result<Dataset> {
     let in0 = || inputs[0].records();
     let par = &ctx.kernel_parallelism;
-    let out = match op {
+    Ok(match op {
         PhysicalOp::CollectionSource { data, .. } => data.clone(),
         PhysicalOp::StorageSource { dataset_id } => ctx.storage()?.read(dataset_id)?,
         PhysicalOp::LoopInput => loop_state
@@ -125,8 +176,9 @@ pub fn execute_op(
         PhysicalOp::FlatMap(u) => Dataset::new(parallel::flat_map(in0(), u, par)),
         PhysicalOp::Filter(u) => Dataset::new(parallel::filter(in0(), u, par)),
         PhysicalOp::Project { indices } => Dataset::new(parallel::project(in0(), indices, par)?),
+        // Only a ragged batch gets here: the row-at-a-time reference.
         PhysicalOp::ChunkPipeline { stages } => {
-            Dataset::new(parallel::run_pipeline(in0(), stages, par)?)
+            Dataset::new(chunked::run_stages_rows(in0(), stages)?)
         }
         PhysicalOp::SortGroupBy { key, group } => {
             let groups = parallel::sort_group(in0(), key, par);
@@ -192,14 +244,7 @@ pub fn execute_op(
             ctx.storage()?.write(dataset_id, &inputs[0])?;
             inputs[0].clone()
         }
-    };
-    // A cancel that fires *inside* a morsel-parallel kernel truncates the
-    // kernel's output (run_ranges collapses the remaining morsels to
-    // empty). The pre-node checkpoint in `run_fragment` only covers nodes
-    // that have a successor, so re-check here: a truncated result must
-    // never be returned as this operator's (and possibly the job's) output.
-    ctx.check_cancelled()?;
-    Ok(out)
+    })
 }
 
 /// Drive a [`PhysicalOp::Loop`]: evaluate the condition before each

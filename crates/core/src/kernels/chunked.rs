@@ -8,8 +8,13 @@
 //! output order. The property-test suite (`tests/columnar_kernels.rs`)
 //! enforces this over random data.
 //!
+//! [`execute`] is the door: the interpreter and the partitioned platforms
+//! hand it an operator and its input datasets, and it runs the chunk kernel
+//! whenever every payload is declarative — which is everything SQL lowers
+//! to — or declines, leaving the caller its row path.
+//!
 //! Where the operator carries a declarative form (an [`Expr`] predicate, a
-//! [`FieldReduce`] spec, a [`KeyUdf::field`] index), kernels run fully
+//! [`FieldReduce`] or aggregate spec, [`KeyUdf::fields`]), kernels run fully
 //! columnar: predicates evaluate vectorized and the keyed kernels run on
 //! the vectorized hash engine ([`super::hash`]) — the key column hashes
 //! once into a hash lane (`i64` fast lane, dict-code lane hashing each
@@ -24,13 +29,14 @@
 
 use std::sync::Arc;
 
-use crate::data::{Chunk, Column, Record, Value};
+use crate::data::{Chunk, Column, Dataset, Record, Value};
 use crate::error::{Result, RheemError};
 use crate::expr::Expr;
-use crate::physical::{PipelineStage, StageKind};
-use crate::udf::{FieldReduce, KeyUdf, ReduceUdf};
+use crate::physical::{PhysicalOp, PipelineStage, StageKind};
+use crate::udf::{AggFunc, AggState, FieldReduce, GroupOutput, KeyUdf, ReduceUdf};
 
 use super::hash;
+use super::parallel::{self, KernelParallelism};
 
 /// Keep rows whose predicate evaluates to `Bool(true)`.
 pub fn filter(chunk: &Chunk, expr: &Expr) -> Chunk {
@@ -94,25 +100,31 @@ enum Keys<'a> {
 }
 
 fn extract_keys<'a>(chunk: &'a Chunk, key: &KeyUdf) -> Keys<'a> {
-    if let Some(idx) = key.field_index {
-        match chunk.column(idx) {
-            Some(col) => {
-                if col.no_nulls() {
-                    if let Some(lane) = col.ints() {
-                        return Keys::Ints(lane);
-                    }
-                    if let Some((dict, codes)) = col.dict_codes() {
-                        return Keys::Dict { dict, codes };
-                    }
-                }
-                Keys::Values((0..chunk.rows()).map(|i| col.value(i)).collect())
-            }
-            // Out-of-bounds field reads as Null for every row.
-            None => Keys::Values(vec![Value::Null; chunk.rows()]),
+    match key.field_index() {
+        Some(idx) => field_keys(chunk, idx),
+        None => {
+            let records = chunk.to_records();
+            Keys::Values(records.iter().map(|r| (key.f)(r)).collect())
         }
-    } else {
-        let records = chunk.to_records();
-        Keys::Values(records.iter().map(|r| (key.f)(r)).collect())
+    }
+}
+
+/// The key lane of a plain field read.
+fn field_keys(chunk: &Chunk, idx: usize) -> Keys<'_> {
+    match chunk.column(idx) {
+        Some(col) => {
+            if col.no_nulls() {
+                if let Some(lane) = col.ints() {
+                    return Keys::Ints(lane);
+                }
+                if let Some((dict, codes)) = col.dict_codes() {
+                    return Keys::Dict { dict, codes };
+                }
+            }
+            Keys::Values((0..chunk.rows()).map(|i| col.value(i)).collect())
+        }
+        // Out-of-bounds field reads as Null for every row.
+        None => Keys::Values(vec![Value::Null; chunk.rows()]),
     }
 }
 
@@ -143,6 +155,22 @@ fn key_hashes(keys: &Keys<'_>) -> Vec<u64> {
     }
 }
 
+/// One hash per row of the key tuple `key_fields`: per-field engine hashes
+/// (typed lanes, each dictionary string hashed once) folded
+/// with [`hash::combine`] — equal to folding [`hash::hash_value`] over the
+/// same fields of the same row. Partitioned platforms route rows by it, so
+/// equal keys meet in one partition whichever view a side was routed on.
+pub fn key_tuple_hashes(chunk: &Chunk, key_fields: &[usize]) -> Vec<u64> {
+    let mut hashes = vec![0u64; chunk.rows()];
+    for &field in key_fields {
+        let field_hashes = key_hashes(&field_keys(chunk, field));
+        for (acc, h) in hashes.iter_mut().zip(field_hashes) {
+            *acc = hash::combine(*acc, h);
+        }
+    }
+    hashes
+}
+
 /// Dense group slots for a chunk's key column plus each slot's
 /// materialized key (the engine-level core of `hash_group` /
 /// `reduce_by_key`).
@@ -152,19 +180,25 @@ struct GroupedKeys {
     keys: Vec<Value>,
 }
 
+/// Dense group slots of an `i64` lane. Small-range lanes skip hashing
+/// entirely: the key is its own perfect hash (direct-address slots). Wide
+/// ranges fall back to the engine's hash tables. Both number slots in
+/// first-encounter order, so the choice is invisible downstream.
+fn int_lane_groups(lane: &[i64]) -> hash::DenseGroups {
+    hash::dense_groups_i64(lane).unwrap_or_else(|| {
+        let hashes: Vec<u64> = lane.iter().map(|&k| hash::hash_i64(k)).collect();
+        hash::build_index(&hashes, |a, b| lane[a as usize] == lane[b as usize]).into_groups()
+    })
+}
+
 fn group_slots(chunk: &Chunk, key: &KeyUdf) -> GroupedKeys {
-    let keys = extract_keys(chunk, key);
+    grouped_keys(extract_keys(chunk, key))
+}
+
+fn grouped_keys(keys: Keys<'_>) -> GroupedKeys {
     match keys {
-        // Small-range `i64` lanes skip hashing entirely: the key is its
-        // own perfect hash (direct-address slots). Wide ranges fall back
-        // to the engine's hash tables. Both number slots in
-        // first-encounter order, so the choice is invisible downstream.
         Keys::Ints(lane) => {
-            let groups = hash::dense_groups_i64(lane).unwrap_or_else(|| {
-                let hashes: Vec<u64> = lane.iter().map(|&k| hash::hash_i64(k)).collect();
-                hash::build_index(&hashes, |a, b| lane[a as usize] == lane[b as usize])
-                    .into_groups()
-            });
+            let groups = int_lane_groups(lane);
             let keys = groups
                 .first_row
                 .iter()
@@ -443,6 +477,206 @@ pub fn reduce_by_key(chunk: &Chunk, key: &KeyUdf, reduce: &ReduceUdf) -> Vec<Rec
     }
 }
 
+/// Dense group slots of a key *tuple*, and each slot's key values.
+///
+/// One field is the single-lane case. More fold left to right: the slot
+/// pair `(slot so far, slot of the next field)` is itself a small integer
+/// key — `so_far * n_next + next`, below `2^64` because both factors are
+/// row-bounded `u32`s — which the `i64` lane grouping densifies again. No
+/// tuple is ever hashed or compared as a tuple. No field at all is the
+/// global group: one slot holding every row (and still one slot over no
+/// rows, whose key reads `Null`s).
+struct GroupedTuples {
+    groups: hash::DenseGroups,
+    /// Per key field, the slot-indexed key values.
+    keys: Vec<Vec<Value>>,
+}
+
+fn group_tuples(chunk: &Chunk, key_fields: &[usize]) -> GroupedTuples {
+    let mut fields = key_fields.iter();
+    let Some(&first) = fields.next() else {
+        return GroupedTuples {
+            groups: hash::DenseGroups {
+                slot_of_row: vec![0; chunk.rows()],
+                first_row: vec![0],
+            },
+            keys: Vec::new(),
+        };
+    };
+    let mut groups = grouped_keys(field_keys(chunk, first)).groups;
+    for &field in fields {
+        let next = grouped_keys(field_keys(chunk, field)).groups;
+        let n_next = next.n_groups() as u64;
+        let pairs: Vec<i64> = groups
+            .slot_of_row
+            .iter()
+            .zip(&next.slot_of_row)
+            .map(|(&a, &b)| (u64::from(a) * n_next + u64::from(b)) as i64)
+            .collect();
+        groups = int_lane_groups(&pairs);
+    }
+    let keys = key_fields
+        .iter()
+        .map(|&field| {
+            let column = chunk.column(field);
+            groups
+                .first_row
+                .iter()
+                .map(|&r| column.map_or(Value::Null, |c| c.value(r as usize)))
+                .collect()
+        })
+        .collect();
+    GroupedTuples { groups, keys }
+}
+
+/// One aggregate folded over every group at once: `slot_of_row` routes each
+/// row's input to its group's accumulator, in row order — so each group
+/// folds exactly as [`AggState`] would over its member list, which is never
+/// built. `Int` and `Float` lanes (nulls allowed) fold in typed accumulator
+/// arrays ([`fold_typed_lane`]); any other layout folds one [`AggState`]
+/// per slot.
+fn aggregate_lane(
+    func: AggFunc,
+    arg: Option<&Column>,
+    slot_of_row: &[u32],
+    n_groups: usize,
+) -> Vec<Value> {
+    let slots = || slot_of_row.iter().map(|&s| s as usize);
+    let generic = |input: &dyn Fn(usize) -> Value| -> Vec<Value> {
+        let mut state = vec![AggState::new(func); n_groups];
+        for (row, s) in slots().enumerate() {
+            state[s].accumulate(&input(row));
+        }
+        state.into_iter().map(AggState::finalize).collect()
+    };
+    let Some(col) = arg else {
+        // `COUNT(*)`-style: every row's input is the constant `true`,
+        // exactly what the derived row closure feeds its `AggState`.
+        return generic(&|_| Value::Bool(true));
+    };
+    if func == AggFunc::Count {
+        let mut counts = vec![0i64; n_groups];
+        for (row, s) in slots().enumerate() {
+            counts[s] += i64::from(col.is_valid(row));
+        }
+        return counts.into_iter().map(Value::Int).collect();
+    }
+    // Valid `(slot, row)` pairs in row order.
+    let valid = || slots().enumerate().filter(|(row, _)| col.is_valid(*row));
+    if let Some(lane) = col.ints() {
+        let widen = |x: i64| x as f64;
+        fold_typed_lane(
+            func,
+            lane,
+            valid(),
+            n_groups,
+            Value::Int,
+            widen,
+            i64::wrapping_add,
+            i64::cmp,
+        )
+    } else if let Some(lane) = col.floats() {
+        let add = |a: f64, x: f64| a + x;
+        fold_typed_lane(
+            func,
+            lane,
+            valid(),
+            n_groups,
+            Value::Float,
+            |x| x,
+            add,
+            f64::total_cmp,
+        )
+    } else {
+        generic(&|row| col.value(row))
+    }
+}
+
+/// SUM / AVG / MIN / MAX of one typed lane per group, as [`AggState`]
+/// computes them on values of one numeric type: SUM adds in row order from
+/// the type's zero (`add`), AVG adds the widened values, MIN replaces on
+/// strictly-less and MAX on not-less under the SQL ordering (`cmp`); a
+/// group without a valid input is `Null`.
+#[allow(clippy::too_many_arguments)]
+fn fold_typed_lane<T: Copy + Default>(
+    func: AggFunc,
+    lane: &[T],
+    valid_rows: impl Iterator<Item = (usize, usize)>,
+    n_groups: usize,
+    wrap: impl Fn(T) -> Value,
+    widen: impl Fn(T) -> f64,
+    add: impl Fn(T, T) -> T,
+    cmp: impl Fn(&T, &T) -> std::cmp::Ordering,
+) -> Vec<Value> {
+    let mut seen = vec![false; n_groups];
+    let mut acc = vec![T::default(); n_groups];
+    let mut mean = vec![(0.0f64, 0u64); if func == AggFunc::Avg { n_groups } else { 0 }];
+    // One loop per function, so the per-row work carries no dispatch.
+    macro_rules! each_valid_row {
+        (|$s:ident, $x:ident| $step:expr) => {
+            for (row, $s) in valid_rows {
+                let $x = lane[row];
+                $step;
+                seen[$s] = true;
+            }
+        };
+    }
+    match func {
+        AggFunc::Sum => each_valid_row!(|s, x| acc[s] = add(acc[s], x)),
+        AggFunc::Avg => each_valid_row!(|s, x| mean[s] = (mean[s].0 + widen(x), mean[s].1 + 1)),
+        AggFunc::Min => each_valid_row!(|s, x| if !seen[s] || cmp(&x, &acc[s]).is_lt() {
+            acc[s] = x
+        }),
+        AggFunc::Max => each_valid_row!(|s, x| if !seen[s] || cmp(&x, &acc[s]).is_ge() {
+            acc[s] = x
+        }),
+        AggFunc::Count => unreachable!("COUNT never reads its input's payload"),
+    }
+    (0..n_groups)
+        .map(|s| match func {
+            _ if !seen[s] => Value::Null,
+            AggFunc::Avg => Value::Float(mean[s].0 / mean[s].1 as f64),
+            _ => wrap(acc[s]),
+        })
+        .collect()
+}
+
+/// Hash aggregate: group by the `key_fields` tuple and emit one row per
+/// group with one column per [`GroupOutput`] — the columnar twin of
+/// `hash_group` + `apply_group_map` for a declarative key and a
+/// [`crate::udf::GroupMapUdf::from_aggs`] group map, byte-identical to it:
+/// groups ascend by key tuple under [`Value`]'s order (the order the row
+/// key's encoding sorts in), every aggregate folds its group's inputs in
+/// row order, and a key-less (global) aggregate emits its one row even
+/// over an empty chunk. Member lists are never materialized.
+pub fn hash_aggregate(chunk: &Chunk, key_fields: &[usize], outputs: &[GroupOutput]) -> Chunk {
+    let GroupedTuples { groups, keys } = group_tuples(chunk, key_fields);
+    let n = groups.n_groups();
+    let first_rows: Vec<usize> = groups.first_row.iter().map(|&r| r as usize).collect();
+    let columns: Vec<Column> = outputs
+        .iter()
+        .map(|output| match output {
+            GroupOutput::First(i) => match chunk.column(*i) {
+                Some(col) if chunk.rows() > 0 => col.gather(&first_rows),
+                _ => Column::from_values(&vec![Value::Null; n]),
+            },
+            GroupOutput::Agg(agg) => {
+                let arg = agg.arg.as_ref().map(|e| e.eval_chunk(chunk));
+                let values = aggregate_lane(agg.func, arg.as_ref(), &groups.slot_of_row, n);
+                Column::from_values(&values)
+            }
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| {
+        keys.iter()
+            .map(|field| field[a].cmp(&field[b]))
+            .find(|ord| ord.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    Chunk::new(columns, n).gather(&order)
+}
+
 /// Stable sort by key (same direction semantics as the row kernel).
 pub fn sort(chunk: &Chunk, key: &KeyUdf, descending: bool) -> Chunk {
     let mut indices: Vec<usize> = (0..chunk.rows()).collect();
@@ -702,12 +936,67 @@ pub fn run_stages_rows(records: &[Record], stages: &[PipelineStage]) -> Result<V
     Ok(rows)
 }
 
+/// Run `op` on its columnar kernel, if it has one — the single entry the
+/// interpreter and the partitioned platforms (per partition) share.
+///
+/// `None` means "take the row path": the operator carries an opaque
+/// closure, has no chunk kernel, or an input is ragged and has no columnar
+/// view. The capability check comes first, so inputs are only converted
+/// for operators that will use the conversion. The output dataset is built
+/// from a chunk; rows are materialized when (and if) someone asks.
+pub fn execute(
+    op: &PhysicalOp,
+    inputs: &[Dataset],
+    p: &KernelParallelism,
+) -> Option<Result<Dataset>> {
+    let out = match op {
+        PhysicalOp::SortGroupBy { key, group } | PhysicalOp::HashGroupBy { key, group } => {
+            Ok(hash_aggregate(
+                inputs[0].chunk()?,
+                key.fields.as_deref()?,
+                group.aggs.as_deref()?,
+            ))
+        }
+        PhysicalOp::Sort { key, descending } => {
+            key.field_index()?;
+            Ok(sort(inputs[0].chunk()?, key, *descending))
+        }
+        PhysicalOp::HashJoin {
+            left_key,
+            right_key,
+        } => {
+            left_key.field_index().and(right_key.field_index())?;
+            let (left, right) = (inputs[0].chunk()?, inputs[1].chunk()?);
+            Ok(hash_join(left, right, left_key, right_key))
+        }
+        PhysicalOp::SortMergeJoin {
+            left_key,
+            right_key,
+        } => {
+            left_key.field_index().and(right_key.field_index())?;
+            let (left, right) = (inputs[0].chunk()?, inputs[1].chunk()?);
+            Ok(sort_merge_join(left, right, left_key, right_key))
+        }
+        // A prefix is cheap on either view: slice the chunk when it
+        // exists, but never convert a whole batch to keep `n` rows of it.
+        PhysicalOp::Limit { n } if inputs[0].has_chunk() => {
+            let chunk = inputs[0].chunk()?;
+            Ok(chunk.slice(0, chunk.rows().min(*n)))
+        }
+        _ => {
+            let stages = op.pipeline_stages()?;
+            parallel::run_pipeline_chunk(inputs[0].chunk()?, &stages, p)
+        }
+    };
+    Some(out.map(Dataset::from_chunk))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernels;
     use crate::rec;
-    use crate::udf::{FieldReduce, FilterUdf, MapUdf};
+    use crate::udf::{Aggregate, FieldReduce, FilterUdf, GroupMapUdf, MapUdf};
     use std::sync::Arc;
 
     fn mixed_rows() -> Vec<Record> {
@@ -805,6 +1094,162 @@ mod tests {
         let out = reduce_by_key(&chunk, &key, &spec);
         assert_eq!(out, kernels::reduce_by_key(&rows, &key, &spec));
         assert_eq!(out[0].width(), 3);
+    }
+
+    /// The row twin of `hash_aggregate`: group through the key's closure,
+    /// then apply the group map's derived closure to each member list.
+    fn aggregate_by_rows(rows: &[Record], key: &KeyUdf, group: &GroupMapUdf) -> Vec<Record> {
+        kernels::apply_group_map(&kernels::hash_group(rows, key), group)
+    }
+
+    fn all_aggregates(fields: &[usize]) -> Vec<GroupOutput> {
+        let mut outputs = vec![GroupOutput::First(fields.first().copied().unwrap_or(9))];
+        for func in [
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Min,
+            AggFunc::Max,
+            AggFunc::Avg,
+        ] {
+            outputs.push(GroupOutput::Agg(Aggregate { func, arg: None }));
+            for arg in [
+                Expr::field(0),
+                Expr::field(1),
+                Expr::field(2),
+                Expr::field(1).mul(Expr::lit(2i64)),
+                Expr::field(7),
+            ] {
+                outputs.push(GroupOutput::Agg(Aggregate {
+                    func,
+                    arg: Some(arg),
+                }));
+            }
+        }
+        outputs
+    }
+
+    #[test]
+    fn hash_aggregate_matches_row_twin_on_every_key_shape() {
+        let mut rows = mixed_rows();
+        rows.extend([
+            Record::new(vec![Value::Float(3.0), Value::Null, Value::str("a")]),
+            Record::new(vec![Value::Int(3), Value::Float(f64::NAN), Value::Null]),
+            rec![3i64, 0.0, "c"],
+        ]);
+        let chunk = Chunk::from_records(&rows).unwrap();
+        for fields in [
+            vec![0],
+            vec![2],
+            vec![1],
+            vec![2, 0],
+            vec![0, 1, 2],
+            vec![5],
+            vec![],
+        ] {
+            let key = KeyUdf::fields(fields.clone());
+            let outputs = all_aggregates(&fields);
+            let group = GroupMapUdf::from_aggs("aggs", outputs.clone());
+            assert_eq!(
+                hash_aggregate(&chunk, &fields, &outputs).to_records(),
+                aggregate_by_rows(&rows, &key, &group),
+                "key fields {fields:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn hash_aggregate_folds_typed_lanes_like_the_closure() {
+        // Clean Int and Float lanes (the typed accumulators), wrapping
+        // sums, 0.1-step float sums in row order, many groups.
+        let rows: Vec<Record> = (0..5_000i64)
+            .map(|i| {
+                rec![
+                    i % 37,
+                    i64::MAX - i,
+                    (i % 97) as f64 * 0.1,
+                    format!("s{}", i % 11)
+                ]
+            })
+            .collect();
+        let chunk = Chunk::from_records(&rows).unwrap();
+        for fields in [vec![0], vec![3], vec![3, 0], vec![]] {
+            let outputs = all_aggregates(&fields);
+            let group = GroupMapUdf::from_aggs("aggs", outputs.clone());
+            assert_eq!(
+                hash_aggregate(&chunk, &fields, &outputs).to_records(),
+                aggregate_by_rows(&rows, &KeyUdf::fields(fields.clone()), &group),
+                "key fields {fields:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_global_aggregate_answers_one_row_over_no_input() {
+        let outputs = vec![
+            GroupOutput::First(0),
+            GroupOutput::Agg(Aggregate {
+                func: AggFunc::Count,
+                arg: None,
+            }),
+            GroupOutput::Agg(Aggregate {
+                func: AggFunc::Sum,
+                arg: Some(Expr::field(0)),
+            }),
+        ];
+        let empty = Chunk::from_records(&[]).unwrap();
+        assert_eq!(
+            hash_aggregate(&empty, &[], &outputs).to_records(),
+            vec![Record::new(vec![Value::Null, Value::Int(0), Value::Null])]
+        );
+        // With a key there is no group, so there is no row.
+        assert!(hash_aggregate(&empty, &[0], &outputs)
+            .to_records()
+            .is_empty());
+    }
+
+    #[test]
+    fn execute_takes_declarative_operators_only() {
+        let rows: Vec<Record> = (0..50i64).map(|i| rec![i % 5, i]).collect();
+        let input = [Dataset::new(rows.clone())];
+        let seq = KernelParallelism::sequential();
+        let declarative = PhysicalOp::HashGroupBy {
+            key: KeyUdf::field(0),
+            group: GroupMapUdf::from_aggs(
+                "sum",
+                vec![
+                    GroupOutput::First(0),
+                    GroupOutput::Agg(Aggregate {
+                        func: AggFunc::Sum,
+                        arg: Some(Expr::field(1)),
+                    }),
+                ],
+            ),
+        };
+        let out = execute(&declarative, &input, &seq)
+            .expect("columnar")
+            .unwrap();
+        assert!(out.has_chunk());
+        assert_eq!(out.len(), 5);
+        assert_eq!(out.records()[0], rec![0i64, 225i64]);
+        // An opaque key, an opaque group map, an operator without a chunk
+        // kernel, and a ragged input all decline.
+        let opaque_key = PhysicalOp::Sort {
+            key: KeyUdf::new("k", |r| r.fields()[0].clone()),
+            descending: false,
+        };
+        let opaque_group = PhysicalOp::HashGroupBy {
+            key: KeyUdf::field(0),
+            group: GroupMapUdf::identity(),
+        };
+        assert!(execute(&opaque_key, &input, &seq).is_none());
+        assert!(execute(&opaque_group, &input, &seq).is_none());
+        assert!(execute(&PhysicalOp::Distinct, &input, &seq).is_none());
+        let ragged = [Dataset::new(vec![rec![1i64], rec![1i64, 2i64]])];
+        assert!(execute(&declarative, &ragged, &seq).is_none());
+        // A prefix slices an existing chunk but never converts for one.
+        let limit = PhysicalOp::Limit { n: 3 };
+        assert!(execute(&limit, &[Dataset::new(rows)], &seq).is_none());
+        assert_eq!(execute(&limit, &[out], &seq).unwrap().unwrap().len(), 3);
     }
 
     #[test]

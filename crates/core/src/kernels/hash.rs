@@ -2,7 +2,7 @@
 //! open-addressing slot tables shared by the keyed chunk kernels
 //! ([`super::chunked`]) and the morsel layer ([`super::parallel`]).
 //!
-//! Three pieces compose (see `DESIGN.md` §15):
+//! Three pieces compose (see `DESIGN.md` §11):
 //!
 //! 1. **Hashing** — a hand-rolled non-cryptographic hasher (FNV-1a over
 //!    string bytes, a splitmix64-style finalizer over scalar payloads; no
@@ -122,6 +122,15 @@ pub fn hash_value(v: &Value) -> u64 {
         Value::Float(x) => hash_f64(*x),
         Value::Str(s) => hash_str(s),
     }
+}
+
+/// Fold one key field's hash into a key tuple's: `combine(acc, h)` over
+/// the fields left to right, starting from 0, is the tuple's hash. A typed
+/// lane folding [`hash_i64`] per row and a row loop folding [`hash_value`]
+/// per field therefore agree on every tuple.
+#[inline]
+pub fn combine(acc: u64, field_hash: u64) -> u64 {
+    mix(acc.rotate_left(21) ^ field_hash)
 }
 
 /// The radix bucket of a hash: its top [`RADIX_BITS`] bits.

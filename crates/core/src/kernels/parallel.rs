@@ -818,43 +818,48 @@ pub fn sort_merge_join(
 }
 
 /// Morsel-parallel fused-pipeline runner for
-/// [`crate::physical::PhysicalOp::ChunkPipeline`].
+/// [`crate::physical::PhysicalOp::ChunkPipeline`], chunk in and chunk out.
 ///
-/// The record batch is converted to a [`Chunk`] **once**; each morsel is a
-/// zero-copy [`Chunk::slice`] view that runs the whole stage chain
-/// ([`chunked::run_stages`]) before the per-morsel results are converted
-/// back and concatenated in morsel (= input) order. Every stage is
-/// order-preserving within a morsel, so the output is byte-identical to
-/// the sequential row-at-a-time reference
-/// ([`chunked::run_stages_rows`]) at any thread count.
-///
-/// Ragged batches (records of differing widths) cannot be put in columnar
-/// form and fall back to the row-at-a-time reference semantics.
+/// Each morsel is a zero-copy [`Chunk::slice`] view that runs the whole
+/// stage chain ([`chunked::run_stages`]); the per-morsel results are
+/// concatenated in morsel (= input) order, typed lane to typed lane. Every
+/// stage is order-preserving within a morsel, so the output is
+/// byte-identical to the sequential row-at-a-time reference
+/// ([`chunked::run_stages_rows`]) at any thread count. One thread runs the
+/// chain over the whole chunk in one go: stages evaluate expressions, not
+/// user code, so the caller's per-operator cancellation checkpoints bound
+/// the latency without morsel-sized steps.
+pub fn run_pipeline_chunk(
+    chunk: &Chunk,
+    stages: &[PipelineStage],
+    p: &KernelParallelism,
+) -> Result<Chunk> {
+    ambient_check()?;
+    let t = p.effective_threads(chunk.rows());
+    if t <= 1 {
+        return chunked::run_stages(chunk.clone(), stages);
+    }
+    let parts = run_ranges(&p.morsel_ranges(chunk.rows()), t, |r| {
+        chunked::run_stages(chunk.slice(r.start, r.len()), stages)
+    });
+    ambient_check()?;
+    let parts = parts.into_iter().collect::<Result<Vec<Chunk>>>()?;
+    Ok(Chunk::concat(&parts).expect("one stage chain gives every morsel the same width"))
+}
+
+/// [`run_pipeline_chunk`] for callers holding rows (one partition of a
+/// partitioned platform): one conversion in, one out. Ragged batches
+/// (records of differing widths) cannot be put in columnar form and fall
+/// back to the row-at-a-time reference semantics.
 pub fn run_pipeline(
     records: &[Record],
     stages: &[PipelineStage],
     p: &KernelParallelism,
 ) -> Result<Vec<Record>> {
-    if records.is_empty() {
-        return Ok(Vec::new());
+    match Chunk::from_records(records) {
+        Some(chunk) => Ok(run_pipeline_chunk(&chunk, stages, p)?.to_records()),
+        None => chunked::run_stages_rows(records, stages),
     }
-    ambient_check()?;
-    let Some(chunk) = Chunk::from_records(records) else {
-        return chunked::run_stages_rows(records, stages);
-    };
-    let t = p.effective_threads(records.len());
-    if t <= 1 && ambient_cancel().is_none() {
-        return Ok(chunked::run_stages(chunk, stages)?.to_records());
-    }
-    let parts = run_ranges(&p.morsel_ranges(records.len()), t, |r| {
-        chunked::run_stages(chunk.slice(r.start, r.len()), stages)
-    });
-    ambient_check()?;
-    let mut out = Vec::with_capacity(records.len());
-    for part in parts {
-        out.extend(part?.to_records());
-    }
-    Ok(out)
 }
 
 /// Parallel [`super::sort`]: partition sort + stable k-way merge, then a

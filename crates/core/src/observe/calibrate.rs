@@ -427,6 +427,7 @@ mod tests {
                     records_out: 100,
                     elapsed_ms: *ms,
                     morsels: 1,
+                    columnar: false,
                 })
                 .collect(),
         });

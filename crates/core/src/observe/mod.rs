@@ -59,6 +59,11 @@ pub struct NodeObservation {
     /// [`crate::KernelParallelism`] setting, and excluded from
     /// [`canonical_tree`], so traces stay schedule-independent.
     pub morsels: u64,
+    /// The kernel never touched rows: it ran on the columnar view (or only
+    /// passed its dataset along, as sources and sinks do). `false` means a
+    /// row-at-a-time kernel ran — an opaque UDF, an operator without a
+    /// chunk kernel, or a ragged input.
+    pub columnar: bool,
 }
 
 /// Upper bounds (microseconds) for the per-atom runtime histogram.
@@ -90,6 +95,8 @@ struct ExecutorMetrics {
     kernel_parallel_invocations: Arc<Counter>,
     kernel_parallel_morsels: Arc<Counter>,
     kernel_sequential: Arc<Counter>,
+    kernel_path_columnar: Arc<Counter>,
+    kernel_path_row: Arc<Counter>,
     cancelled: Arc<Counter>,
     panics_caught: Arc<Counter>,
 }
@@ -112,6 +119,8 @@ impl ExecutorMetrics {
             kernel_parallel_invocations: registry.counter("kernel.parallel.invocations"),
             kernel_parallel_morsels: registry.counter("kernel.parallel.morsels"),
             kernel_sequential: registry.counter("kernel.parallel.sequential"),
+            kernel_path_columnar: registry.counter("kernel.path.columnar"),
+            kernel_path_row: registry.counter("kernel.path.row"),
             cancelled: registry.counter("executor.cancelled"),
             panics_caught: registry.counter("executor.panics_caught"),
         }
@@ -262,6 +271,11 @@ impl ProgressListener for Observability {
                 self.exec.kernel_parallel_morsels.add(obs.morsels);
             } else {
                 self.exec.kernel_sequential.inc();
+            }
+            if obs.columnar {
+                self.exec.kernel_path_columnar.inc();
+            } else {
+                self.exec.kernel_path_row.inc();
             }
         }
 
@@ -476,6 +490,7 @@ mod tests {
                 records_out: 20,
                 elapsed_ms: 2.0,
                 morsels: 4,
+                columnar: false,
             }],
         }
     }

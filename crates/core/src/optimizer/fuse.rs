@@ -70,45 +70,6 @@ pub fn contract_chains(plan: &PhysicalPlan) -> Vec<Vec<NodeId>> {
     chains
 }
 
-/// Stages `op` contributes to a chunk pipeline, or `None` when `op` cannot
-/// be fused (opaque UDF or non-pipeline operator).
-fn stages_of(op: &PhysicalOp) -> Option<Vec<PipelineStage>> {
-    match op {
-        PhysicalOp::Filter(u) => u.expr.as_ref().map(|expr| {
-            vec![PipelineStage {
-                name: u.name.clone(),
-                kind: StageKind::Filter {
-                    expr: expr.clone(),
-                    selectivity: u.selectivity,
-                },
-            }]
-        }),
-        PhysicalOp::Map(u) => u.exprs.as_ref().map(|exprs| {
-            vec![PipelineStage {
-                name: u.name.clone(),
-                kind: StageKind::Map {
-                    exprs: exprs.clone(),
-                },
-            }]
-        }),
-        PhysicalOp::Project { indices } => Some(vec![PipelineStage {
-            name: format!(
-                "π[{}]",
-                indices
-                    .iter()
-                    .map(|i| i.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ),
-            kind: StageKind::Project {
-                indices: indices.clone().into(),
-            },
-        }]),
-        PhysicalOp::ChunkPipeline { stages } => Some(stages.to_vec()),
-        _ => None,
-    }
-}
-
 /// Whether any stage actually evaluates expressions (the requirement for a
 /// pipeline to exist at all).
 fn has_expr_stage(stages: &[PipelineStage]) -> bool {
@@ -124,14 +85,14 @@ fn has_expr_stage(stages: &[PipelineStage]) -> bool {
 pub fn fuse_pipelines(plan: PhysicalPlan) -> Result<PhysicalPlan> {
     let counts = consumer_counts(&plan);
     for n in plan.nodes() {
-        let Some(consumer_stages) = stages_of(&n.op) else {
+        let Some(consumer_stages) = n.op.pipeline_stages() else {
             continue;
         };
         let producer = plan.node(n.inputs[0]);
         if counts[producer.id.0] != 1 {
             continue;
         }
-        let Some(mut stages) = stages_of(&producer.op) else {
+        let Some(mut stages) = producer.op.pipeline_stages() else {
             continue;
         };
         stages.extend(consumer_stages);

@@ -26,7 +26,12 @@ use crate::plan::{NodeId, PhysicalNode, PhysicalPlan};
 use crate::udf::{FilterUdf, MapUdf};
 
 /// Apply all rewrite rules to a fixpoint (bounded by plan size).
+///
+/// Rewrites renumber nodes but never add, drop or reorder sinks, so the
+/// rewritten plan reports each sink's output under the id that sink had in
+/// the incoming plan ([`PhysicalPlan::output_ids`]).
 pub fn apply_rewrites(plan: PhysicalPlan) -> Result<PhysicalPlan> {
+    let reported = plan.output_ids().into_iter().map(|(_, id)| id).collect();
     let mut plan = shared_scans(plan)?;
     // Each pass strictly reduces node count or leaves the plan unchanged,
     // so plan.len() passes suffice for a fixpoint.
@@ -44,7 +49,7 @@ pub fn apply_rewrites(plan: PhysicalPlan) -> Result<PhysicalPlan> {
             break;
         }
     }
-    Ok(plan)
+    Ok(plan.reporting_sinks_as(reported))
 }
 
 /// **Shared scans** (§4.2's "traditional physical optimizations. Examples
@@ -60,7 +65,7 @@ fn shared_scans(plan: PhysicalPlan) -> Result<PhysicalPlan> {
     // Map each source node to its canonical representative.
     let mut canon: HashMap<NodeId, NodeId> = HashMap::new();
     let mut storage_seen: HashMap<String, NodeId> = HashMap::new();
-    let mut collection_seen: Vec<(*const (), NodeId)> = Vec::new();
+    let mut collection_seen: Vec<(&crate::data::Dataset, NodeId)> = Vec::new();
     for n in plan.nodes() {
         match &n.op {
             PhysicalOp::StorageSource { dataset_id } => match storage_seen.get(dataset_id) {
@@ -72,12 +77,11 @@ fn shared_scans(plan: PhysicalPlan) -> Result<PhysicalPlan> {
                 }
             },
             PhysicalOp::CollectionSource { data, .. } => {
-                let ptr = data.records().as_ptr() as *const ();
-                match collection_seen.iter().find(|(p, _)| *p == ptr) {
+                match collection_seen.iter().find(|(seen, _)| seen.ptr_eq(data)) {
                     Some((_, rep)) => {
                         canon.insert(n.id, *rep);
                     }
-                    None => collection_seen.push((ptr, n.id)),
+                    None => collection_seen.push((data, n.id)),
                 }
             }
             _ => {}

@@ -336,6 +336,47 @@ impl PhysicalOp {
         }
     }
 
+    /// The stages this operator contributes to a chunk pipeline, or `None`
+    /// when it cannot run as one (opaque UDF or non-pipeline operator).
+    /// Pipeline fusion concatenates these; the columnar executor runs a
+    /// lone transparent filter/map/project as a one-stage pipeline.
+    pub fn pipeline_stages(&self) -> Option<Vec<PipelineStage>> {
+        match self {
+            PhysicalOp::Filter(u) => u.expr.as_ref().map(|expr| {
+                vec![PipelineStage {
+                    name: u.name.clone(),
+                    kind: StageKind::Filter {
+                        expr: expr.clone(),
+                        selectivity: u.selectivity,
+                    },
+                }]
+            }),
+            PhysicalOp::Map(u) => u.exprs.as_ref().map(|exprs| {
+                vec![PipelineStage {
+                    name: u.name.clone(),
+                    kind: StageKind::Map {
+                        exprs: exprs.clone(),
+                    },
+                }]
+            }),
+            PhysicalOp::Project { indices } => Some(vec![PipelineStage {
+                name: format!(
+                    "π[{}]",
+                    indices
+                        .iter()
+                        .map(|i| i.to_string())
+                        .collect::<Vec<_>>()
+                        .join(",")
+                ),
+                kind: StageKind::Project {
+                    indices: indices.clone().into(),
+                },
+            }]),
+            PhysicalOp::ChunkPipeline { stages } => Some(stages.to_vec()),
+            _ => None,
+        }
+    }
+
     /// A coarse operator-kind tag used by mappings and cost models.
     pub fn kind(&self) -> OpKind {
         match self {

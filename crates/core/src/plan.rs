@@ -46,12 +46,40 @@ pub struct PhysicalNode {
 #[derive(Clone, Debug, Default)]
 pub struct PhysicalPlan {
     nodes: Vec<PhysicalNode>,
+    /// The ids this plan's sinks report their outputs under, in sink
+    /// order; empty means their own ids. Rewrites renumber nodes when they
+    /// fuse operators away, and record here the ids the sinks had in the
+    /// plan the application built — so a job's outputs stay addressable by
+    /// the handles the application holds.
+    reported_sinks: Vec<NodeId>,
 }
 
 impl PhysicalPlan {
     /// Assemble a plan from pre-built nodes (rewrite framework only).
     pub(crate) fn from_nodes(nodes: Vec<PhysicalNode>) -> Self {
-        PhysicalPlan { nodes }
+        PhysicalPlan {
+            nodes,
+            reported_sinks: Vec::new(),
+        }
+    }
+
+    /// Report the sinks' outputs under `ids` (one per sink, in sink order).
+    pub(crate) fn reporting_sinks_as(mut self, ids: Vec<NodeId>) -> Self {
+        debug_assert_eq!(ids.len(), self.sinks().len());
+        self.reported_sinks = ids;
+        self
+    }
+
+    /// Every sink with the id its output is reported under in a
+    /// [`crate::JobResult`]: the sink's own id, unless a rewrite renumbered
+    /// the plan — then the id the sink had before.
+    pub fn output_ids(&self) -> Vec<(NodeId, NodeId)> {
+        let sinks = self.sinks();
+        if self.reported_sinks.len() == sinks.len() {
+            sinks.into_iter().zip(self.reported_sinks.clone()).collect()
+        } else {
+            sinks.into_iter().map(|s| (s, s)).collect()
+        }
     }
 
     /// All nodes in topological (construction) order.
@@ -158,7 +186,8 @@ impl PhysicalPlan {
     ///
     /// The fingerprint covers every node in topological order: the operator
     /// tag, its declarative payload (expression trees via their canonical
-    /// `Display` form, `FieldReduce` specs, projection indices, cost hints
+    /// `Display` form, key field lists, `FieldReduce` and aggregate specs,
+    /// projection indices, cost hints
     /// as exact `f64` bit patterns, source names and cardinalities), and the
     /// input wiring. UDFs that carry no declarative payload — arbitrary
     /// closures, [`CustomPhysicalOp`]s, loop conditions — are fingerprinted
@@ -301,10 +330,13 @@ fn fingerprint_key(fp: &mut FpHasher, u: &KeyUdf) {
         }
         None => fp.tag(0),
     }
-    match u.field_index {
-        Some(i) => {
+    match &u.fields {
+        Some(fields) => {
             fp.tag(1);
-            fp.usize(i);
+            fp.usize(fields.len());
+            for i in fields.iter() {
+                fp.usize(*i);
+            }
         }
         None => {
             fp.tag(0);
@@ -337,9 +369,44 @@ fn fingerprint_reduce(fp: &mut FpHasher, u: &ReduceUdf) {
 }
 
 fn fingerprint_group(fp: &mut FpHasher, u: &GroupMapUdf) {
+    use crate::udf::{AggFunc, GroupOutput};
     fp.str(&u.name);
     fp.f64(u.per_group_output);
-    fp.ptr(Arc::as_ptr(&u.f));
+    match &u.aggs {
+        Some(outputs) => {
+            fp.tag(1);
+            fp.usize(outputs.len());
+            for output in outputs.iter() {
+                match output {
+                    GroupOutput::First(i) => {
+                        fp.tag(0);
+                        fp.usize(*i);
+                    }
+                    GroupOutput::Agg(agg) => {
+                        fp.tag(1);
+                        fp.tag(match agg.func {
+                            AggFunc::Count => 0,
+                            AggFunc::Sum => 1,
+                            AggFunc::Min => 2,
+                            AggFunc::Max => 3,
+                            AggFunc::Avg => 4,
+                        });
+                        match &agg.arg {
+                            Some(e) => {
+                                fp.tag(1);
+                                fp.str(&e.to_string());
+                            }
+                            None => fp.tag(0),
+                        }
+                    }
+                }
+            }
+        }
+        None => {
+            fp.tag(0);
+            fp.ptr(Arc::as_ptr(&u.f));
+        }
+    }
 }
 
 fn fingerprint_op(fp: &mut FpHasher, op: &PhysicalOp) {
@@ -775,14 +842,12 @@ impl PlanBuilder {
 
     /// Finish and validate the plan.
     pub fn build(self) -> Result<PhysicalPlan> {
-        let plan = PhysicalPlan { nodes: self.nodes };
-        plan.validate()?;
-        Ok(plan)
+        self.build_fragment()
     }
 
     /// Finish without requiring sinks (used for loop bodies).
     pub fn build_fragment(self) -> Result<PhysicalPlan> {
-        let plan = PhysicalPlan { nodes: self.nodes };
+        let plan = PhysicalPlan::from_nodes(self.nodes);
         plan.validate()?;
         Ok(plan)
     }
@@ -1269,6 +1334,70 @@ mod tests {
     }
 
     #[test]
+    fn key_fields_and_aggregate_specs_are_fingerprinted() {
+        use crate::expr::Expr;
+        use crate::udf::{AggFunc, Aggregate, GroupMapUdf, GroupOutput, KeyUdf};
+        let build = |key_fields: Vec<usize>, func: AggFunc, arg: Option<Expr>| {
+            let mut b = PlanBuilder::new();
+            let src = b.collection("s", vec![rec![1i64, 2i64]]);
+            let g = b.group_by(
+                src,
+                KeyUdf::fields(key_fields),
+                GroupMapUdf::from_aggs(
+                    "aggregate",
+                    vec![
+                        GroupOutput::First(0),
+                        GroupOutput::Agg(Aggregate { func, arg }),
+                    ],
+                ),
+            );
+            b.collect(g);
+            b.build().unwrap().fingerprint()
+        };
+        let base = build(vec![0, 1], AggFunc::Sum, Some(Expr::field(1)));
+        assert!(!base.opaque, "a declarative group-by hashes no closure");
+        assert_eq!(base, build(vec![0, 1], AggFunc::Sum, Some(Expr::field(1))));
+        // Every declarative detail separates two statements' plans.
+        for other in [
+            build(vec![1, 0], AggFunc::Sum, Some(Expr::field(1))),
+            build(vec![0], AggFunc::Sum, Some(Expr::field(1))),
+            build(vec![], AggFunc::Sum, Some(Expr::field(1))),
+            build(vec![0, 1], AggFunc::Avg, Some(Expr::field(1))),
+            build(vec![0, 1], AggFunc::Sum, Some(Expr::field(0))),
+            build(vec![0, 1], AggFunc::Sum, None),
+        ] {
+            assert_ne!(base.hash, other.hash);
+        }
+    }
+
+    #[test]
+    fn rewritten_plans_report_sinks_under_their_original_ids() {
+        use crate::expr::Expr;
+        let mut b = PlanBuilder::new();
+        let src = b.collection("s", (0..10i64).map(|i| rec![i]).collect());
+        let f = b.filter(
+            src,
+            FilterUdf::from_expr("small", Expr::field(0).lt(Expr::lit(5i64))),
+        );
+        let m = b.map(
+            f,
+            MapUdf::from_exprs("twice", vec![Expr::field(0).mul(Expr::lit(2i64))]),
+        );
+        let first = b.collect(m);
+        let second = b.count(src);
+        let plan = b.build().unwrap();
+        assert_eq!(plan.output_ids(), vec![(first, first), (second, second)]);
+        let rewritten = crate::optimizer::rewrites::apply_rewrites(plan).unwrap();
+        // Filter and map fused into one pipeline: every later node moved
+        // down by one, but the outputs keep the handles the builder gave.
+        assert_eq!(rewritten.len(), 4);
+        assert_eq!(
+            rewritten.output_ids(),
+            vec![(NodeId(2), first), (NodeId(3), second)]
+        );
+    }
+
+    #[test]
     fn loop_bodies_contribute_to_the_fingerprint() {
         let build = |iters: u64| {
             let mut body = PlanBuilder::new();
@@ -1307,35 +1436,31 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_arity() {
-        let plan = PhysicalPlan {
-            nodes: vec![PhysicalNode {
-                id: NodeId(0),
-                op: PhysicalOp::Distinct,
-                inputs: vec![],
-            }],
-        };
+        let plan = PhysicalPlan::from_nodes(vec![PhysicalNode {
+            id: NodeId(0),
+            op: PhysicalOp::Distinct,
+            inputs: vec![],
+        }]);
         assert!(matches!(plan.validate(), Err(RheemError::InvalidPlan(_))));
     }
 
     #[test]
     fn validate_rejects_forward_edges() {
-        let plan = PhysicalPlan {
-            nodes: vec![
-                PhysicalNode {
-                    id: NodeId(0),
-                    op: PhysicalOp::Distinct,
-                    inputs: vec![NodeId(1)],
+        let plan = PhysicalPlan::from_nodes(vec![
+            PhysicalNode {
+                id: NodeId(0),
+                op: PhysicalOp::Distinct,
+                inputs: vec![NodeId(1)],
+            },
+            PhysicalNode {
+                id: NodeId(1),
+                op: PhysicalOp::CollectionSource {
+                    data: Dataset::empty(),
+                    name: "x".into(),
                 },
-                PhysicalNode {
-                    id: NodeId(1),
-                    op: PhysicalOp::CollectionSource {
-                        data: Dataset::empty(),
-                        name: "x".into(),
-                    },
-                    inputs: vec![],
-                },
-            ],
-        };
+                inputs: vec![],
+            },
+        ]);
         assert!(plan.validate().is_err());
     }
 
@@ -1361,7 +1486,7 @@ mod tests {
         // Invalid body: no LoopInput.
         let mut b = PlanBuilder::new();
         b.collection("s", vec![rec![0i64]]);
-        let bad_body = PhysicalPlan { nodes: b.nodes };
+        let bad_body = PhysicalPlan::from_nodes(b.nodes);
         let mut outer = PlanBuilder::new();
         let src = outer.collection("s", vec![rec![0i64]]);
         let l = outer.repeat(src, bad_body, LoopCondUdf::fixed_iterations(2), 2);
@@ -1372,7 +1497,7 @@ mod tests {
         let mut b = PlanBuilder::new();
         let li = b.loop_input();
         b.collect(li);
-        let sink_body = PhysicalPlan { nodes: b.nodes };
+        let sink_body = PhysicalPlan::from_nodes(b.nodes);
         let mut outer = PlanBuilder::new();
         let src = outer.collection("s", vec![rec![0i64]]);
         let l = outer.repeat(src, sink_body, LoopCondUdf::fixed_iterations(2), 2);

@@ -4,19 +4,22 @@
 //! The planner needs *schemas*, which execution does not: a
 //! [`QueryCatalog`] registers each queryable dataset with its
 //! [`Schema`], and resolution turns qualified column names into field
-//! indices before any UDF is built. Expressions compile to closures over
-//! records (three-valued-ish semantics: any operation on `Null`, a type
-//! mismatch, or an out-of-range access yields `Null`, and `Null` is not
-//! truthy).
+//! indices before any UDF is built. Everything lowers to the core's
+//! declarative forms — WHERE / HAVING / SELECT to [`crate::expr::Expr`]
+//! trees, GROUP BY to a field-tuple key plus an aggregate spec — so the
+//! optimizer can fuse, fingerprint and vectorize what SQL hands it; no
+//! opaque closure is built here. SQL's semantics (any comparison with
+//! `Null` or across a type mismatch is `Null`, `Null` is not truthy, `/` is
+//! `Float` with `/0 → Null`) live in the `Sql*` operators of the IR.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use crate::data::{DataType, Dataset, Record, Schema, Value};
 use crate::error::{Result, RheemError};
+use crate::expr::{self, BinOp};
 use crate::logical::{LogicalPayload, LogicalPlan, LogicalPlanBuilder};
 use crate::plan::NodeId;
-use crate::udf::{FilterUdf, GroupMapUdf, KeyUdf, MapUdf};
+use crate::udf::{self, Aggregate, FilterUdf, GroupMapUdf, GroupOutput, KeyUdf, MapUdf};
 use crate::{JobResult, RheemContext};
 
 use super::ast::*;
@@ -224,126 +227,51 @@ fn render_col(col: &ColumnRef) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Expression compilation
+// Expression lowering
 // ---------------------------------------------------------------------------
 
-/// A compiled scalar expression.
-type Compiled = Arc<dyn Fn(&Record) -> Value + Send + Sync>;
-
-fn compile(expr: &Expr, binding: &RowBinding) -> Result<Compiled> {
-    Ok(match expr {
-        Expr::Column(c) => {
-            let idx = binding.resolve(c)?;
-            Arc::new(move |r: &Record| r.get(idx).cloned().unwrap_or(Value::Null))
-        }
-        Expr::Literal(lit) => {
-            let v = match lit {
-                Literal::Int(i) => Value::Int(*i),
-                Literal::Float(x) => Value::Float(*x),
-                Literal::Str(s) => Value::str(s),
-                Literal::Bool(b) => Value::Bool(*b),
-                Literal::Null => Value::Null,
-            };
-            Arc::new(move |_| v.clone())
-        }
+/// Lower a SQL scalar expression to the core expression IR, resolving
+/// columns against `binding`. `AND` / `OR` / `NOT` are two-valued over
+/// truthiness (only `Bool(true)` is true), hence the `is_true` operands.
+fn lower_expr(e: &Expr, binding: &RowBinding) -> Result<expr::Expr> {
+    let bin = |l: &Expr, op: BinOp, r: &Expr| -> Result<expr::Expr> {
+        Ok(lower_expr(l, binding)?.bin(op, lower_expr(r, binding)?))
+    };
+    let truth = |e: &Expr| -> Result<expr::Expr> { Ok(lower_expr(e, binding)?.is_true()) };
+    Ok(match e {
+        Expr::Column(c) => expr::Expr::field(binding.resolve(c)?),
+        Expr::Literal(lit) => expr::Expr::Lit(match lit {
+            Literal::Int(i) => Value::Int(*i),
+            Literal::Float(x) => Value::Float(*x),
+            Literal::Str(s) => Value::str(s),
+            Literal::Bool(b) => Value::Bool(*b),
+            Literal::Null => Value::Null,
+        }),
         Expr::Cmp(l, op, r) => {
-            let (l, r) = (compile(l, binding)?, compile(r, binding)?);
-            let op = *op;
-            Arc::new(move |rec: &Record| eval_cmp(&l(rec), op, &r(rec)))
+            let op = match op {
+                CmpOp::Eq => BinOp::SqlEq,
+                CmpOp::Neq => BinOp::SqlNe,
+                CmpOp::Lt => BinOp::SqlLt,
+                CmpOp::Lte => BinOp::SqlLe,
+                CmpOp::Gt => BinOp::SqlGt,
+                CmpOp::Gte => BinOp::SqlGe,
+            };
+            bin(l, op, r)?
         }
         Expr::Arith(l, op, r) => {
-            let (l, r) = (compile(l, binding)?, compile(r, binding)?);
-            let op = *op;
-            Arc::new(move |rec: &Record| eval_arith(&l(rec), op, &r(rec)))
+            let op = match op {
+                ArithOp::Add => BinOp::Add,
+                ArithOp::Sub => BinOp::Sub,
+                ArithOp::Mul => BinOp::Mul,
+                ArithOp::Div => BinOp::SqlDiv,
+            };
+            bin(l, op, r)?
         }
-        Expr::And(l, r) => {
-            let (l, r) = (compile(l, binding)?, compile(r, binding)?);
-            Arc::new(move |rec: &Record| Value::Bool(truthy(&l(rec)) && truthy(&r(rec))))
-        }
-        Expr::Or(l, r) => {
-            let (l, r) = (compile(l, binding)?, compile(r, binding)?);
-            Arc::new(move |rec: &Record| Value::Bool(truthy(&l(rec)) || truthy(&r(rec))))
-        }
-        Expr::Not(e) => {
-            let e = compile(e, binding)?;
-            Arc::new(move |rec: &Record| Value::Bool(!truthy(&e(rec))))
-        }
-        Expr::Neg(e) => {
-            let e = compile(e, binding)?;
-            Arc::new(move |rec: &Record| match e(rec) {
-                Value::Int(i) => Value::Int(i.wrapping_neg()),
-                Value::Float(x) => Value::Float(-x),
-                _ => Value::Null,
-            })
-        }
+        Expr::And(l, r) => truth(l)?.and(truth(r)?),
+        Expr::Or(l, r) => truth(l)?.or(truth(r)?),
+        Expr::Not(e) => truth(e)?.not(),
+        Expr::Neg(e) => lower_expr(e, binding)?.neg(),
     })
-}
-
-/// Truthiness: only `Bool(true)` is true.
-fn truthy(v: &Value) -> bool {
-    matches!(v, Value::Bool(true))
-}
-
-/// Numeric-aware comparison: `Int` and `Float` compare numerically; other
-/// same-variant pairs compare by value; `Null` or mixed variants → `Null`
-/// (→ not truthy).
-fn eval_cmp(a: &Value, op: CmpOp, b: &Value) -> Value {
-    use std::cmp::Ordering;
-    let ord = match (a, b) {
-        (Value::Null, _) | (_, Value::Null) => return Value::Null,
-        (Value::Int(x), Value::Int(y)) => x.cmp(y),
-        (Value::Float(_) | Value::Int(_), Value::Float(_) | Value::Int(_)) => {
-            let (x, y) = (
-                a.as_float().expect("numeric"),
-                b.as_float().expect("numeric"),
-            );
-            x.total_cmp(&y)
-        }
-        (Value::Str(x), Value::Str(y)) => x.as_ref().cmp(y.as_ref()),
-        (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
-        _ => return Value::Null,
-    };
-    let out = match op {
-        CmpOp::Eq => ord == Ordering::Equal,
-        CmpOp::Neq => ord != Ordering::Equal,
-        CmpOp::Lt => ord == Ordering::Less,
-        CmpOp::Lte => ord != Ordering::Greater,
-        CmpOp::Gt => ord == Ordering::Greater,
-        CmpOp::Gte => ord != Ordering::Less,
-    };
-    Value::Bool(out)
-}
-
-/// Numeric arithmetic; `Int ∘ Int` stays `Int` except division, which is
-/// always `Float` (with `/0 → Null`).
-fn eval_arith(a: &Value, op: ArithOp, b: &Value) -> Value {
-    match (a, b) {
-        (Value::Int(x), Value::Int(y)) if op != ArithOp::Div => Value::Int(match op {
-            ArithOp::Add => x.wrapping_add(*y),
-            ArithOp::Sub => x.wrapping_sub(*y),
-            ArithOp::Mul => x.wrapping_mul(*y),
-            ArithOp::Div => unreachable!(),
-        }),
-        (Value::Int(_) | Value::Float(_), Value::Int(_) | Value::Float(_)) => {
-            let (x, y) = (
-                a.as_float().expect("numeric"),
-                b.as_float().expect("numeric"),
-            );
-            match op {
-                ArithOp::Add => Value::Float(x + y),
-                ArithOp::Sub => Value::Float(x - y),
-                ArithOp::Mul => Value::Float(x * y),
-                ArithOp::Div => {
-                    if y == 0.0 {
-                        Value::Null
-                    } else {
-                        Value::Float(x / y)
-                    }
-                }
-            }
-        }
-        _ => Value::Null,
-    }
 }
 
 /// Best-effort output type of an expression (advisory only).
@@ -374,134 +302,8 @@ fn infer_type(expr: &Expr, binding: &RowBinding) -> DataType {
 }
 
 // ---------------------------------------------------------------------------
-// Aggregates
-// ---------------------------------------------------------------------------
-
-fn eval_agg(func: AggFunc, arg: Option<&Compiled>, members: &[Record]) -> Value {
-    match func {
-        AggFunc::Count => {
-            let n = match arg {
-                None => members.len(),
-                Some(e) => members.iter().filter(|r| !e(r).is_null()).count(),
-            };
-            Value::Int(n as i64)
-        }
-        AggFunc::Sum => {
-            let e = arg.expect("SUM has an argument");
-            let mut int_sum = 0i64;
-            let mut float_sum = 0.0f64;
-            let mut any_float = false;
-            let mut any = false;
-            for r in members {
-                match e(r) {
-                    Value::Int(i) => {
-                        any = true;
-                        int_sum = int_sum.wrapping_add(i);
-                        float_sum += i as f64;
-                    }
-                    Value::Float(x) => {
-                        any = true;
-                        any_float = true;
-                        float_sum += x;
-                    }
-                    _ => {}
-                }
-            }
-            if !any {
-                Value::Null
-            } else if any_float {
-                Value::Float(float_sum)
-            } else {
-                Value::Int(int_sum)
-            }
-        }
-        AggFunc::Min | AggFunc::Max => {
-            let e = arg.expect("MIN/MAX has an argument");
-            let mut best: Option<Value> = None;
-            for r in members {
-                let v = e(r);
-                if v.is_null() {
-                    continue;
-                }
-                best = Some(match best {
-                    None => v,
-                    Some(b) => {
-                        let keep_new = match eval_cmp(&v, CmpOp::Lt, &b) {
-                            Value::Bool(lt) => {
-                                if func == AggFunc::Min {
-                                    lt
-                                } else {
-                                    !lt
-                                }
-                            }
-                            _ => false,
-                        };
-                        if keep_new {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            best.unwrap_or(Value::Null)
-        }
-        AggFunc::Avg => {
-            let e = arg.expect("AVG has an argument");
-            let (mut sum, mut n) = (0.0f64, 0usize);
-            for r in members {
-                match e(r) {
-                    Value::Int(i) => {
-                        sum += i as f64;
-                        n += 1;
-                    }
-                    Value::Float(x) => {
-                        sum += x;
-                        n += 1;
-                    }
-                    _ => {}
-                }
-            }
-            if n == 0 {
-                Value::Null
-            } else {
-                Value::Float(sum / n as f64)
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Planning
 // ---------------------------------------------------------------------------
-
-/// Injective scalar encoding of a composite grouping key.
-fn composite_key(r: &Record, indices: &[usize]) -> Value {
-    let mut s = String::new();
-    for &i in indices {
-        match r.get(i) {
-            Ok(Value::Null) => s.push('N'),
-            Ok(Value::Bool(b)) => s.push_str(if *b { "B1" } else { "B0" }),
-            Ok(Value::Int(v)) => {
-                s.push('I');
-                s.push_str(&v.to_string());
-            }
-            Ok(Value::Float(x)) => {
-                s.push('F');
-                s.push_str(&format!("{:016x}", x.to_bits()));
-            }
-            Ok(Value::Str(v)) => {
-                s.push('S');
-                s.push_str(&v.len().to_string());
-                s.push(':');
-                s.push_str(v);
-            }
-            Err(_) => s.push('?'),
-        }
-        s.push('\u{1f}');
-    }
-    Value::str(s)
-}
 
 fn plan_query(catalog: &QueryCatalog, query: &Query) -> Result<PlannedQuery> {
     let from_def = catalog.table(&query.from)?;
@@ -568,10 +370,9 @@ fn plan_query(catalog: &QueryCatalog, query: &Query) -> Result<PlannedQuery> {
 
     // WHERE.
     if let Some(filter) = &query.filter {
-        let pred = compile(filter, &binding)?;
         node = b.add_simple(
             "where",
-            LogicalPayload::Filter(FilterUdf::new("where", move |r: &Record| truthy(&pred(r)))),
+            LogicalPayload::Filter(FilterUdf::from_expr("where", lower_expr(filter, &binding)?)),
             vec![node],
         );
     }
@@ -593,10 +394,12 @@ fn plan_query(catalog: &QueryCatalog, query: &Query) -> Result<PlannedQuery> {
                 "HAVING requires GROUP BY or aggregates".into(),
             ));
         }
-        let pred = compile(having, &out_binding)?;
         node = b.add_simple(
             "having",
-            LogicalPayload::Filter(FilterUdf::new("having", move |r: &Record| truthy(&pred(r)))),
+            LogicalPayload::Filter(FilterUdf::from_expr(
+                "having",
+                lower_expr(having, &out_binding)?,
+            )),
             vec![node],
         );
     }
@@ -689,19 +492,11 @@ fn plan_plain_select(
         return Ok((input, schema));
     }
 
-    let mut cells: Vec<Compiled> = Vec::new();
-    let mut star_spans: Vec<(usize, usize)> = Vec::new(); // (cell position, width)
+    let mut cells: Vec<expr::Expr> = Vec::new();
     for item in &query.select {
         match &item.expr {
-            SelectExpr::Star => {
-                star_spans.push((cells.len(), binding.fields.len()));
-                for i in 0..binding.fields.len() {
-                    cells.push(Arc::new(move |r: &Record| {
-                        r.get(i).cloned().unwrap_or(Value::Null)
-                    }));
-                }
-            }
-            SelectExpr::Expr(e) => cells.push(compile(e, binding)?),
+            SelectExpr::Star => cells.extend((0..binding.fields.len()).map(expr::Expr::field)),
+            SelectExpr::Expr(e) => cells.push(lower_expr(e, binding)?),
             SelectExpr::Agg(f, _) => {
                 return Err(RheemError::Query(format!(
                     "aggregate {}() without GROUP BY must not be mixed with plain columns \
@@ -713,9 +508,7 @@ fn plan_plain_select(
     }
     let projected = b.add_simple(
         "select",
-        LogicalPayload::Map(MapUdf::new("select", move |r: &Record| {
-            Record::new(cells.iter().map(|c| c(r)).collect())
-        })),
+        LogicalPayload::Map(MapUdf::from_exprs("select", cells)),
         vec![input],
     );
     Ok((projected, schema))
@@ -734,12 +527,8 @@ fn plan_grouped_select(
         .map(|c| binding.resolve(c))
         .collect::<Result<_>>()?;
 
-    // Validate and compile select items.
-    enum Cell {
-        GroupCol(usize),
-        Agg(AggFunc, Option<Compiled>),
-    }
-    let mut cells: Vec<Cell> = Vec::new();
+    // Validate and lower select items.
+    let mut cells: Vec<GroupOutput> = Vec::new();
     for item in &query.select {
         match &item.expr {
             SelectExpr::Star => {
@@ -755,38 +544,31 @@ fn plan_grouped_select(
                         render_col(c)
                     )));
                 }
-                cells.push(Cell::GroupCol(idx));
+                cells.push(GroupOutput::First(idx));
             }
             SelectExpr::Expr(_) => {
                 return Err(RheemError::Query(
                     "grouped SELECT items must be plain group columns or aggregates".into(),
                 ))
             }
-            SelectExpr::Agg(f, arg) => {
-                let compiled = arg.as_ref().map(|e| compile(e, binding)).transpose()?;
-                cells.push(Cell::Agg(*f, compiled));
-            }
+            SelectExpr::Agg(f, arg) => cells.push(GroupOutput::Agg(Aggregate {
+                func: match f {
+                    AggFunc::Count => udf::AggFunc::Count,
+                    AggFunc::Sum => udf::AggFunc::Sum,
+                    AggFunc::Min => udf::AggFunc::Min,
+                    AggFunc::Max => udf::AggFunc::Max,
+                    AggFunc::Avg => udf::AggFunc::Avg,
+                },
+                arg: arg.as_ref().map(|e| lower_expr(e, binding)).transpose()?,
+            })),
         }
     }
 
     let names = output_names(query, binding);
     let schema = Schema::new(names.into_iter().collect::<Vec<_>>());
 
-    let key_indices = group_indices.clone();
-    let key = KeyUdf::new("group-key", move |r: &Record| {
-        composite_key(r, &key_indices)
-    });
-    let group = GroupMapUdf::new("aggregate", move |_key: &Value, members: &[Record]| {
-        let first = &members[0];
-        let fields: Vec<Value> = cells
-            .iter()
-            .map(|cell| match cell {
-                Cell::GroupCol(i) => first.get(*i).cloned().unwrap_or(Value::Null),
-                Cell::Agg(f, arg) => eval_agg(*f, arg.as_ref(), members),
-            })
-            .collect();
-        vec![Record::new(fields)]
-    });
+    let key = KeyUdf::fields(group_indices);
+    let group = GroupMapUdf::from_aggs("aggregate", cells);
     let node = b.add_simple(
         "group-by",
         LogicalPayload::Group { key, group },

@@ -11,10 +11,11 @@
 //! fan-out) feed the cardinality estimator (§4.2).
 
 use std::fmt;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use crate::data::{Record, Value};
-use crate::expr::Expr;
+use crate::expr::{sql_ordering, Expr};
 
 /// Sanitize a user-supplied cardinality hint: non-finite values fall back
 /// to `default`, negative values clamp to zero.
@@ -196,10 +197,12 @@ pub struct KeyUdf {
     pub f: KeyFn,
     /// Expected number of distinct keys, if known (cardinality hint).
     pub distinct_keys: Option<f64>,
-    /// When the key is a plain field read ([`KeyUdf::field`]), its index.
-    /// Lets chunked kernels hash the key column directly instead of
-    /// materializing a [`Value`] per row.
-    pub field_index: Option<usize>,
+    /// The field indices the key reads, when the key is declarative
+    /// ([`KeyUdf::field`] / [`KeyUdf::fields`]). Lets chunked kernels hash
+    /// the key columns directly instead of materializing a [`Value`] per
+    /// row. `f` and `fields` always agree: the constructors derive the
+    /// closure from the indices.
+    pub fields: Option<Arc<[usize]>>,
 }
 
 impl KeyUdf {
@@ -212,7 +215,7 @@ impl KeyUdf {
             name: name.into(),
             f: Arc::new(f),
             distinct_keys: None,
-            field_index: None,
+            fields: None,
         }
     }
 
@@ -222,7 +225,47 @@ impl KeyUdf {
             name: format!("field#{index}"),
             f: Arc::new(move |r: &Record| r.get(index).cloned().unwrap_or(Value::Null)),
             distinct_keys: None,
-            field_index: Some(index),
+            fields: Some(Arc::from([index])),
+        }
+    }
+
+    /// Key over a tuple of fields (a composite grouping key).
+    ///
+    /// One index is exactly [`KeyUdf::field`]; no index is the constant key
+    /// (every record in one group — a global aggregate). For two or more
+    /// the row closure returns an injective, *order-preserving* string
+    /// encoding of the tuple: two records get equal encodings iff their key
+    /// fields are pairwise equal, and encodings sort like the tuples do
+    /// under [`Value`]'s total order — so kernels that group and order on
+    /// the key columns directly agree with kernels that call the closure.
+    pub fn fields(indices: Vec<usize>) -> Self {
+        if let [index] = indices[..] {
+            return KeyUdf::field(index);
+        }
+        let fields: Arc<[usize]> = indices.into();
+        let for_closure = fields.clone();
+        KeyUdf {
+            name: format!("fields#{fields:?}"),
+            f: Arc::new(move |r: &Record| {
+                if for_closure.is_empty() {
+                    return Value::Null;
+                }
+                let mut s = String::new();
+                for &i in for_closure.iter() {
+                    encode_key_field(&mut s, r.fields().get(i).unwrap_or(&Value::Null));
+                }
+                Value::Str(s.into())
+            }),
+            distinct_keys: None,
+            fields: Some(fields),
+        }
+    }
+
+    /// The single field a declarative key reads, if it reads exactly one.
+    pub fn field_index(&self) -> Option<usize> {
+        match self.fields.as_deref() {
+            Some([index]) => Some(*index),
+            _ => None,
         }
     }
 
@@ -235,6 +278,38 @@ impl KeyUdf {
             self.distinct_keys = Some(n.max(0.0));
         }
         self
+    }
+}
+
+/// Append one key field to a composite-key encoding (see
+/// [`KeyUdf::fields`]): a variant tag in [`Value`] rank order, then a
+/// fixed-width big-endian payload (sign-biased `Int`, `total_cmp`-ordered
+/// `Float` bits) or the string with `\0` escaped and a `\0\0` terminator —
+/// each field encoding is prefix-free and sorts like the value it encodes.
+fn encode_key_field(s: &mut String, v: &Value) {
+    const SIGN: u64 = 1 << 63;
+    match v {
+        Value::Null => s.push('0'),
+        Value::Bool(b) => s.push_str(if *b { "11" } else { "10" }),
+        Value::Int(i) => {
+            let _ = write!(s, "2{:016x}", (*i as u64) ^ SIGN);
+        }
+        Value::Float(x) => {
+            let bits = x.to_bits();
+            let ordered = if bits & SIGN != 0 { !bits } else { bits ^ SIGN };
+            let _ = write!(s, "3{ordered:016x}");
+        }
+        Value::Str(v) => {
+            s.push('4');
+            for c in v.chars() {
+                if c == '\0' {
+                    s.push_str("\0\u{1}");
+                } else {
+                    s.push(c);
+                }
+            }
+            s.push_str("\0\0");
+        }
     }
 }
 
@@ -339,6 +414,162 @@ impl ReduceUdf {
     }
 }
 
+/// Aggregate functions of a declarative group map
+/// ([`GroupMapUdf::from_aggs`]), with SQL semantics.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AggFunc {
+    /// Number of non-`Null` inputs (`COUNT(*)` counts every row).
+    Count,
+    /// Sum of the numeric inputs: `Int` (wrapping) while every input is
+    /// `Int`, `Float` once any is; `Null` over no numeric input.
+    Sum,
+    /// Least non-`Null` input under the SQL ordering; ties keep the first.
+    Min,
+    /// Greatest non-`Null` input under the SQL ordering; ties keep the last.
+    Max,
+    /// `Float` mean of the numeric inputs; `Null` over none.
+    Avg,
+}
+
+/// One aggregate of a declarative group map.
+#[derive(Clone, Debug)]
+pub struct Aggregate {
+    /// The function.
+    pub func: AggFunc,
+    /// The per-row input; `None` is `COUNT(*)`-style "every row counts".
+    pub arg: Option<Expr>,
+}
+
+/// One output field of a declarative group map.
+#[derive(Clone, Debug)]
+pub enum GroupOutput {
+    /// Field `i` of the group's first member in input order (a grouping
+    /// column: every member carries the same value).
+    First(usize),
+    /// An aggregate over the group's members.
+    Agg(Aggregate),
+}
+
+/// Running state of one [`Aggregate`] over one group: accumulate every
+/// member's input in input order, then finalize.
+///
+/// This is the scalar reference the vectorized hash aggregate
+/// ([`crate::kernels::chunked::hash_aggregate`]) is byte-identical to; its
+/// typed accumulator lanes are these folds specialized to one value type.
+#[derive(Clone, Debug)]
+pub enum AggState {
+    /// Inputs counted so far.
+    Count(i64),
+    /// Both running sums, and which kinds of input were seen.
+    Sum {
+        /// Wrapping sum of the `Int` inputs.
+        int: i64,
+        /// Sum of every numeric input, widened, in input order.
+        float: f64,
+        /// Any numeric input seen.
+        seen: bool,
+        /// Any `Float` input seen.
+        seen_float: bool,
+    },
+    /// Best input so far; `max` picks the direction.
+    Extreme {
+        /// `true` for MAX, `false` for MIN.
+        max: bool,
+        /// The current extreme.
+        best: Option<Value>,
+    },
+    /// Widened sum and count of the numeric inputs.
+    Avg {
+        /// Sum in input order.
+        sum: f64,
+        /// Numeric inputs seen.
+        n: u64,
+    },
+}
+
+impl AggState {
+    /// The empty state of `func`.
+    pub fn new(func: AggFunc) -> Self {
+        match func {
+            AggFunc::Count => AggState::Count(0),
+            AggFunc::Sum => AggState::Sum {
+                int: 0,
+                float: 0.0,
+                seen: false,
+                seen_float: false,
+            },
+            AggFunc::Min | AggFunc::Max => AggState::Extreme {
+                max: func == AggFunc::Max,
+                best: None,
+            },
+            AggFunc::Avg => AggState::Avg { sum: 0.0, n: 0 },
+        }
+    }
+
+    /// Fold in one member's input. `Null` (and, for the numeric
+    /// aggregates, any non-numeric value) is skipped.
+    pub fn accumulate(&mut self, v: &Value) {
+        match self {
+            AggState::Count(n) => *n += i64::from(!v.is_null()),
+            AggState::Sum {
+                int,
+                float,
+                seen,
+                seen_float,
+            } => match v {
+                Value::Int(i) => {
+                    *seen = true;
+                    *int = int.wrapping_add(*i);
+                    *float += *i as f64;
+                }
+                Value::Float(x) => {
+                    *seen = true;
+                    *seen_float = true;
+                    *float += x;
+                }
+                _ => {}
+            },
+            AggState::Extreme { max, best } => {
+                if v.is_null() {
+                    return;
+                }
+                // MIN replaces on strictly-less, MAX on not-less; values the
+                // SQL ordering cannot compare never replace.
+                let replace = match best {
+                    None => true,
+                    Some(b) => sql_ordering(v, b).is_some_and(|ord| ord.is_lt() != *max),
+                };
+                if replace {
+                    *best = Some(v.clone());
+                }
+            }
+            AggState::Avg { sum, n } => {
+                if let Value::Int(_) | Value::Float(_) = v {
+                    *sum += v.as_float().expect("numeric");
+                    *n += 1;
+                }
+            }
+        }
+    }
+
+    /// The aggregate's value over everything accumulated.
+    pub fn finalize(self) -> Value {
+        match self {
+            AggState::Count(n) => Value::Int(n),
+            AggState::Sum { seen: false, .. } => Value::Null,
+            AggState::Sum {
+                float,
+                seen_float: true,
+                ..
+            } => Value::Float(float),
+            AggState::Sum { int, .. } => Value::Int(int),
+            AggState::Extreme { best, .. } => best.unwrap_or(Value::Null),
+            AggState::Avg { n: 0, .. } => Value::Null,
+            AggState::Avg { sum, n } => Value::Float(sum / n as f64),
+        }
+    }
+}
+
 /// A named per-group transformation UDF.
 #[derive(Clone)]
 pub struct GroupMapUdf {
@@ -348,6 +579,10 @@ pub struct GroupMapUdf {
     pub f: GroupMapFn,
     /// Expected output quanta per group (default 1.0).
     pub per_group_output: f64,
+    /// Declarative output fields, when the group map is transparent: one
+    /// output record per group. `f` and `aggs` always agree:
+    /// [`GroupMapUdf::from_aggs`] derives the closure from the spec.
+    pub aggs: Option<Arc<[GroupOutput]>>,
 }
 
 impl GroupMapUdf {
@@ -360,6 +595,50 @@ impl GroupMapUdf {
             name: name.into(),
             f: Arc::new(f),
             per_group_output: 1.0,
+            aggs: None,
+        }
+    }
+
+    /// Build a transparent group map emitting one record per group, one
+    /// field per [`GroupOutput`].
+    ///
+    /// The row closure is derived from the spec (each aggregate folds the
+    /// members through an [`AggState`] in input order), so the opaque and
+    /// declarative views cannot drift apart; the hash aggregate kernel uses
+    /// the spec to accumulate in typed lanes without ever materializing a
+    /// member list. Over *no* members (a global aggregate of empty input)
+    /// the closure still emits its one record: `First` fields read `Null`
+    /// and every aggregate finalizes its empty state.
+    pub fn from_aggs(name: impl Into<String>, outputs: Vec<GroupOutput>) -> Self {
+        let aggs: Arc<[GroupOutput]> = outputs.into();
+        let for_closure = aggs.clone();
+        GroupMapUdf {
+            name: name.into(),
+            f: Arc::new(move |_key: &Value, members: &[Record]| {
+                let fields = for_closure
+                    .iter()
+                    .map(|output| match output {
+                        GroupOutput::First(i) => members
+                            .first()
+                            .and_then(|r| r.fields().get(*i))
+                            .cloned()
+                            .unwrap_or(Value::Null),
+                        GroupOutput::Agg(agg) => {
+                            let mut state = AggState::new(agg.func);
+                            for r in members {
+                                match &agg.arg {
+                                    Some(arg) => state.accumulate(&arg.eval(r)),
+                                    None => state.accumulate(&Value::Bool(true)),
+                                }
+                            }
+                            state.finalize()
+                        }
+                    })
+                    .collect();
+                vec![Record::new(fields)]
+            }),
+            per_group_output: 1.0,
+            aggs: Some(aggs),
         }
     }
 
@@ -557,8 +836,113 @@ mod tests {
     }
 
     #[test]
+    fn composite_key_encoding_is_injective_and_order_preserving() {
+        // Every pair of these tuples must compare under the encoding
+        // exactly as the tuples themselves compare under Value's order.
+        let values = [
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(i64::MIN),
+            Value::Int(-1),
+            Value::Int(0),
+            Value::Int(10),
+            Value::Int(i64::MAX),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(-1.5),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Float(2.5),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NAN),
+            Value::str(""),
+            Value::str("\0"),
+            Value::str("\u{1}"),
+            Value::str("a"),
+            Value::str("a\0"),
+            Value::str("a\0b"),
+            Value::str("a\u{1}"),
+            Value::str("ab"),
+            Value::str("b"),
+        ];
+        let key = KeyUdf::fields(vec![0, 1]);
+        let tuples: Vec<Record> = values
+            .iter()
+            .flat_map(|a| {
+                values
+                    .iter()
+                    .map(|b| Record::new(vec![a.clone(), b.clone()]))
+            })
+            .collect();
+        for a in &tuples {
+            for b in &tuples {
+                assert_eq!(
+                    (key.f)(a).cmp(&(key.f)(b)),
+                    a.cmp(b),
+                    "encoding misorders {a} and {b}"
+                );
+            }
+        }
+        // Missing fields read as Null; no field at all is the constant key.
+        assert_eq!(
+            (key.f)(&rec![1i64]),
+            (key.f)(&Record::new(vec![Value::Int(1), Value::Null]))
+        );
+        assert_eq!((KeyUdf::fields(vec![]).f)(&rec![1i64]), Value::Null);
+        assert_eq!(KeyUdf::fields(vec![]).fields.as_deref(), Some(&[][..]));
+    }
+
+    #[test]
+    fn aggregate_closure_follows_sql_semantics() {
+        let agg = |func, arg: Option<Expr>| GroupOutput::Agg(Aggregate { func, arg });
+        let udf = GroupMapUdf::from_aggs(
+            "aggs",
+            vec![
+                GroupOutput::First(0),
+                agg(AggFunc::Count, None),
+                agg(AggFunc::Count, Some(Expr::field(1))),
+                agg(AggFunc::Sum, Some(Expr::field(1))),
+                agg(AggFunc::Avg, Some(Expr::field(1))),
+                agg(AggFunc::Min, Some(Expr::field(2))),
+                agg(AggFunc::Max, Some(Expr::field(2))),
+                agg(AggFunc::Sum, Some(Expr::field(2))),
+            ],
+        );
+        let members = vec![
+            rec!["k", 10i64, 5i64],
+            Record::new(vec![Value::str("k"), Value::Null, Value::Float(5.0)]),
+            rec!["k", 30i64, "text"],
+            rec!["k", 2i64, 0.5],
+        ];
+        let out = (udf.f)(&Value::Null, &members);
+        assert_eq!(
+            out,
+            vec![Record::new(vec![
+                Value::str("k"),
+                Value::Int(4),      // COUNT(*) counts rows
+                Value::Int(3),      // COUNT(x) skips NULL
+                Value::Int(42),     // SUM over Ints stays Int
+                Value::Float(14.0), // AVG is Float
+                Value::Float(0.5),  // MIN is numeric-aware, skips Str
+                Value::Float(5.0),  // MAX keeps the last of Int 5 = Float 5.0
+                Value::Float(10.5), // SUM turns Float once any input is
+            ])]
+        );
+        // Over no members: First reads Null, aggregates finalize empty.
+        let empty = (udf.f)(&Value::Null, &[]);
+        let mut expected = vec![Value::Null; 8];
+        expected[1] = Value::Int(0);
+        expected[2] = Value::Int(0);
+        assert_eq!(empty, vec![Record::new(expected)]);
+        assert_eq!(udf.per_group_output, 1.0);
+        assert!(udf.aggs.is_some() && GroupMapUdf::identity().aggs.is_none());
+    }
+
+    #[test]
     fn key_field_records_its_index() {
-        assert_eq!(KeyUdf::field(2).field_index, Some(2));
-        assert_eq!(KeyUdf::new("k", |_| Value::Null).field_index, None);
+        assert_eq!(KeyUdf::field(2).field_index(), Some(2));
+        assert_eq!(KeyUdf::new("k", |_| Value::Null).field_index(), None);
+        assert_eq!(KeyUdf::fields(vec![2]).field_index(), Some(2));
+        assert_eq!(KeyUdf::fields(vec![0, 2]).field_index(), None);
     }
 }

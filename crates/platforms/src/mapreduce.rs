@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,7 +30,7 @@ use rheem_core::rec;
 use rheem_storage::codec;
 
 use crate::config::OverheadConfig;
-use crate::partition::{chunk, gather, hash_partition, run_partitions_timed};
+use crate::partition::{chunk, columnar_or_rows, gather, hash_partition, run_partitions_timed};
 
 static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -129,6 +129,7 @@ impl Platform for MapReduceLikePlatform {
             elapsed_ms: startup,
             records_processed: 0,
             observations: Vec::new(),
+            took_columnar: false,
         };
         // Channel-aware boundary ingest: a boundary dataset arriving on a
         // non-memory channel pays its simulated materialization cost (for
@@ -170,6 +171,9 @@ struct MrRun<'a> {
     /// Per-kernel observations (top-level nodes only; loop bodies are
     /// charged to their `Loop` node).
     observations: Vec<rheem_core::observe::NodeObservation>,
+    /// Whether the operator being executed ran on the columnar kernels
+    /// (reset per node, reported on its observation).
+    took_columnar: bool,
 }
 
 impl MrRun<'_> {
@@ -232,6 +236,7 @@ impl MrRun<'_> {
                 inputs.push(recs);
             }
             let before_ms = self.elapsed_ms;
+            self.took_columnar = false;
             let out = self.exec_op(&node.op, inputs, loop_state)?;
             self.records_processed += out.len() as u64;
             // Observe only top-level nodes: loop-body node ids belong to the
@@ -247,6 +252,7 @@ impl MrRun<'_> {
                         // parallel unit; per-partition kernels stay
                         // sequential.
                         morsels: 1,
+                        columnar: self.took_columnar,
                     });
             }
             results.insert(id, out);
@@ -260,10 +266,7 @@ impl MrRun<'_> {
     where
         F: Fn(Vec<Record>) -> Result<Vec<Record>> + Send + Sync,
     {
-        let parts = chunk(&records, self.platform.workers);
-        let (out, max_ms) = run_partitions_timed(parts, |_, p| f(p))?;
-        self.elapsed_ms += max_ms;
-        Ok(gather(out))
+        self.reducers(chunk(&records, self.platform.workers), f)
     }
 
     /// Run reducer tasks over already-shuffled partitions.
@@ -274,6 +277,27 @@ impl MrRun<'_> {
         let (out, max_ms) = run_partitions_timed(parts, |_, p| f(p))?;
         self.elapsed_ms += max_ms;
         Ok(gather(out))
+    }
+
+    /// [`MrRun::reducers`] through [`columnar_or_rows`]: `op`'s columnar
+    /// kernel per task where it has one, `rows` otherwise.
+    fn columnar_tasks<F>(
+        &mut self,
+        op: &PhysicalOp,
+        parts: Vec<Vec<Record>>,
+        rows: F,
+    ) -> Result<Vec<Record>>
+    where
+        F: Fn(Vec<Record>) -> Result<Vec<Record>> + Send + Sync,
+    {
+        let took = AtomicBool::new(false);
+        let out = self.reducers(parts, |p| {
+            let (out, columnar) = columnar_or_rows(op, Dataset::new(p), None, &rows)?;
+            took.fetch_or(columnar, Ordering::Relaxed);
+            Ok(out.into_records())
+        })?;
+        self.took_columnar = took.into_inner();
+        Ok(out)
     }
 
     fn exec_op(
@@ -294,31 +318,28 @@ impl MrRun<'_> {
 
             // Map phase: parallel mappers, no disk.
             PhysicalOp::Map(u) => {
-                let u = u.clone();
-                self.mappers(take0(&mut inputs), move |p| Ok(kernels::map(&p, &u)))?
+                let splits = chunk(&take0(&mut inputs), self.platform.workers);
+                self.columnar_tasks(op, splits, |p| Ok(kernels::map(&p, u)))?
             }
             PhysicalOp::FlatMap(u) => {
                 let u = u.clone();
                 self.mappers(take0(&mut inputs), move |p| Ok(kernels::flat_map(&p, &u)))?
             }
             PhysicalOp::Filter(u) => {
-                let u = u.clone();
                 // Mappers own their split: retain in place, no clone.
-                self.mappers(take0(&mut inputs), move |p| {
-                    Ok(kernels::filter_owned(p, &u))
-                })?
+                let splits = chunk(&take0(&mut inputs), self.platform.workers);
+                self.columnar_tasks(op, splits, |p| Ok(kernels::filter_owned(p, u)))?
             }
             PhysicalOp::Project { indices } => {
                 let indices = indices.clone();
                 self.mappers(take0(&mut inputs), move |p| kernels::project(&p, &indices))?
             }
             PhysicalOp::ChunkPipeline { stages } => {
-                // Narrow: each mapper split becomes one columnar chunk and
-                // runs the fused stage chain sequentially.
-                let stages = stages.clone();
-                let seq = kernels::parallel::KernelParallelism::sequential();
-                self.mappers(take0(&mut inputs), move |p| {
-                    kernels::parallel::run_pipeline(&p, &stages, &seq)
+                // Narrow: each mapper split runs the fused stage chain
+                // sequentially; a ragged split takes the row reference.
+                let splits = chunk(&take0(&mut inputs), self.platform.workers);
+                self.columnar_tasks(op, splits, |p| {
+                    kernels::chunked::run_stages_rows(&p, stages)
                 })?
             }
             PhysicalOp::Sample { fraction, seed } => {
@@ -334,15 +355,21 @@ impl MrRun<'_> {
             PhysicalOp::SortGroupBy { key, group } | PhysicalOp::HashGroupBy { key, group } => {
                 let sort_based = matches!(op, PhysicalOp::SortGroupBy { .. });
                 let spilled = self.phase(take0(&mut inputs))?;
-                let parts = hash_partition(&spilled, key, self.platform.workers);
-                let (key, group) = (key.clone(), group.clone());
-                self.reducers(parts, move |p| {
+                // A key over no fields is one global group: it must stay
+                // in one reducer, which emits its one row even over no
+                // input.
+                let n_parts = match key.fields.as_deref() {
+                    Some([]) => 1,
+                    _ => self.platform.workers,
+                };
+                let parts = hash_partition(&spilled, key, n_parts);
+                self.columnar_tasks(op, parts, |p| {
                     let groups = if sort_based {
-                        kernels::sort_group(&p, &key)
+                        kernels::sort_group(&p, key)
                     } else {
-                        kernels::hash_group(&p, &key)
+                        kernels::hash_group(&p, key)
                     };
-                    Ok(kernels::apply_group_map(&groups, &group))
+                    Ok(kernels::apply_group_map(&groups, group))
                 })?
             }
             PhysicalOp::ReduceByKey { key, reduce } => {
@@ -366,7 +393,11 @@ impl MrRun<'_> {
             }
             PhysicalOp::Sort { key, descending } => {
                 let spilled = self.phase(take0(&mut inputs))?;
-                kernels::sort(&spilled, key, *descending)
+                let (sorted, columnar) = columnar_or_rows(op, Dataset::new(spilled), None, |p| {
+                    Ok(kernels::sort(&p, key, *descending))
+                })?;
+                self.took_columnar = columnar;
+                sorted.into_records()
             }
             PhysicalOp::Distinct => {
                 let spilled = self.phase(take0(&mut inputs))?;
@@ -375,18 +406,23 @@ impl MrRun<'_> {
             PhysicalOp::HashJoin {
                 left_key,
                 right_key,
-            } => {
-                let l = self.phase(std::mem::take(&mut inputs[0]))?;
-                let r = self.phase(std::mem::take(&mut inputs[1]))?;
-                kernels::hash_join(&l, &r, left_key, right_key)
             }
-            PhysicalOp::SortMergeJoin {
+            | PhysicalOp::SortMergeJoin {
                 left_key,
                 right_key,
             } => {
+                let sort_based = matches!(op, PhysicalOp::SortMergeJoin { .. });
                 let l = self.phase(std::mem::take(&mut inputs[0]))?;
-                let r = self.phase(std::mem::take(&mut inputs[1]))?;
-                kernels::sort_merge_join(&l, &r, left_key, right_key)
+                let r = Dataset::new(self.phase(std::mem::take(&mut inputs[1]))?);
+                let (joined, columnar) = columnar_or_rows(op, Dataset::new(l), Some(&r), |l| {
+                    Ok(if sort_based {
+                        kernels::sort_merge_join(&l, r.records(), left_key, right_key)
+                    } else {
+                        kernels::hash_join(&l, r.records(), left_key, right_key)
+                    })
+                })?;
+                self.took_columnar = columnar;
+                joined.into_records()
             }
             PhysicalOp::NestedLoopJoin { predicate, .. } => {
                 let l = self.phase(std::mem::take(&mut inputs[0]))?;

@@ -1,49 +1,107 @@
 //! Partitioning utilities for the parallel platforms.
+//!
+//! Two granularities: the Spark-like engine partitions [`Dataset`]s —
+//! lazy windows and chunk-built pieces, so columnar operators hand chunks
+//! from stage to stage and rows appear only where a task needs them — while
+//! the MapReduce engine, whose phase boundaries spill rows to disk anyway,
+//! keeps plain row partitions ([`Partitions`]). Both route keys with one
+//! hash ([`key_hash`]), whichever view a batch is routed on.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use crossbeam::thread;
-use rheem_core::data::Record;
+use rheem_core::data::{Chunk, Dataset, Record, Value};
 use rheem_core::error::{Result, RheemError};
+use rheem_core::kernels::{chunked, hash};
+use rheem_core::physical::PhysicalOp;
 use rheem_core::udf::KeyUdf;
+use rheem_core::KernelParallelism;
 
-/// A dataset split into partitions.
+/// A batch of rows split into partitions.
 pub type Partitions = Vec<Vec<Record>>;
+
+/// Balanced contiguous `(offset, len)` ranges covering `0..n` (the first
+/// `n % parts` ranges get one extra row).
+fn ranges(n: usize, parts: usize) -> impl Iterator<Item = (usize, usize)> {
+    let parts = parts.max(1);
+    let (base, extra) = (n / parts, n % parts);
+    (0..parts).scan(0, move |start, p| {
+        let len = base + usize::from(p < extra);
+        *start += len;
+        Some((*start - len, len))
+    })
+}
 
 /// Split into `parts` contiguous, order-preserving chunks (narrow input
 /// partitioning: concatenating the chunks reproduces the input order).
 pub fn chunk(records: &[Record], parts: usize) -> Partitions {
-    let parts = parts.max(1);
-    let n = records.len();
-    let base = n / parts;
-    let extra = n % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for p in 0..parts {
-        let len = base + usize::from(p < extra);
-        out.push(records[start..start + len].to_vec());
-        start += len;
-    }
-    out
+    ranges(records.len(), parts)
+        .map(|(start, len)| records[start..start + len].to_vec())
+        .collect()
 }
 
-fn hash_of<T: Hash>(t: &T) -> u64 {
-    let mut h = DefaultHasher::new();
-    t.hash(&mut h);
-    h.finish()
+/// [`chunk`] for a [`Dataset`]: `parts` contiguous windows, nothing copied
+/// or converted until a task asks a window for one of its views.
+pub fn split(data: &Dataset, parts: usize) -> Vec<Dataset> {
+    ranges(data.len(), parts)
+        .map(|(start, len)| data.slice(start, len))
+        .collect()
+}
+
+/// The routing hash of a record's key: for a declarative key, its fields'
+/// engine hashes folded with [`hash::combine`] — what
+/// [`chunked::key_tuple_hashes`] computes column-wise — and for an opaque
+/// key the engine hash of the closure's value.
+pub fn key_hash(key: &KeyUdf, r: &Record) -> u64 {
+    match key.fields.as_deref() {
+        Some(fields) => fields.iter().fold(0, |acc, &i| {
+            hash::combine(
+                acc,
+                hash::hash_value(r.fields().get(i).unwrap_or(&Value::Null)),
+            )
+        }),
+        None => hash::hash_value(&(key.f)(r)),
+    }
 }
 
 /// Shuffle records into `parts` partitions by key hash (co-partitioning:
-/// equal keys always land in the same partition index).
+/// equal keys always land in the same partition index), keeping input
+/// order within each partition.
 pub fn hash_partition(records: &[Record], key: &KeyUdf, parts: usize) -> Partitions {
     let parts = parts.max(1);
     let mut out = vec![Vec::new(); parts];
     for r in records {
-        let k = (key.f)(r);
-        out[(hash_of(&k) % parts as u64) as usize].push(r.clone());
+        out[(key_hash(key, r) % parts as u64) as usize].push(r.clone());
     }
     out
+}
+
+/// [`hash_partition`] for a [`Dataset`]: a batch that has a columnar view
+/// is routed on its key columns and gathered into chunk-built partitions;
+/// otherwise its rows are. Both ways send a key to the same partition.
+pub fn partition_by_key(data: &Dataset, key: &KeyUdf, parts: usize) -> Vec<Dataset> {
+    let parts = parts.max(1);
+    let columnar = match (key.fields.as_deref(), data.has_chunk()) {
+        (Some(fields), true) => data.chunk().map(|chunk| (chunk, fields)),
+        _ => None,
+    };
+    let Some((chunk, fields)) = columnar else {
+        return hash_partition(data.records(), key, parts)
+            .into_iter()
+            .map(Dataset::new)
+            .collect();
+    };
+    let mut rows: Vec<Vec<usize>> = vec![Vec::new(); parts];
+    for (row, h) in chunked::key_tuple_hashes(chunk, fields)
+        .into_iter()
+        .enumerate()
+    {
+        rows[(h % parts as u64) as usize].push(row);
+    }
+    rows.iter()
+        .map(|rows| Dataset::from_chunk(chunk.gather(rows)))
+        .collect()
 }
 
 /// Shuffle records by whole-record hash (used by `Distinct`).
@@ -51,9 +109,35 @@ pub fn hash_partition_records(records: &[Record], parts: usize) -> Partitions {
     let parts = parts.max(1);
     let mut out = vec![Vec::new(); parts];
     for r in records {
-        out[(hash_of(r) % parts as u64) as usize].push(r.clone());
+        let mut h = DefaultHasher::new();
+        r.hash(&mut h);
+        out[(h.finish() % parts as u64) as usize].push(r.clone());
     }
     out
+}
+
+/// Run `op` over one partition on its columnar kernel when it has one —
+/// the entry shared with the interpreter, [`chunked::execute`] — chunk in,
+/// chunk out, sequentially (the partition is the parallel unit). `side` is
+/// the operator's second input, if it has one (the co-partitioned right
+/// side of a join). A partition without a columnar view (ragged rows) and
+/// any operator without a chunk kernel run `rows` on the partition's rows
+/// instead. Also reports whether the columnar kernel ran.
+pub fn columnar_or_rows(
+    op: &PhysicalOp,
+    part: Dataset,
+    side: Option<&Dataset>,
+    rows: impl FnOnce(Vec<Record>) -> Result<Vec<Record>>,
+) -> Result<(Dataset, bool)> {
+    let mut inputs = vec![part];
+    inputs.extend(side.cloned());
+    match chunked::execute(op, &inputs, &KernelParallelism::sequential()) {
+        Some(out) => Ok((out?, true)),
+        None => {
+            let out = rows(inputs.swap_remove(0).into_records())?;
+            Ok((Dataset::new(out), false))
+        }
+    }
 }
 
 /// Concatenate partitions back into one batch.
@@ -66,9 +150,26 @@ pub fn gather(parts: Partitions) -> Vec<Record> {
     out
 }
 
+/// [`gather`] for [`Dataset`] partitions: chunk to chunk when every
+/// partition has a columnar view at hand, row to row otherwise.
+pub fn concat(mut parts: Vec<Dataset>) -> Dataset {
+    if parts.len() == 1 {
+        return parts.swap_remove(0);
+    }
+    if parts.iter().all(Dataset::has_chunk) {
+        let chunks: Option<Vec<Chunk>> = parts.iter().map(|p| p.chunk().cloned()).collect();
+        if let Some(merged) = chunks.and_then(|chunks| Chunk::concat(&chunks)) {
+            return Dataset::from_chunk(merged);
+        }
+    }
+    Dataset::new(gather(
+        parts.into_iter().map(Dataset::into_records).collect(),
+    ))
+}
+
 /// Prefix-sum offsets of each partition (for globally unique ids and
 /// position-indexed sampling).
-pub fn offsets(parts: &Partitions) -> Vec<usize> {
+pub fn offsets(parts: &[Dataset]) -> Vec<usize> {
     let mut out = Vec::with_capacity(parts.len());
     let mut acc = 0usize;
     for p in parts {
@@ -89,9 +190,9 @@ pub fn offsets(parts: &Partitions) -> Vec<usize> {
 /// execution gives exact per-task costs on any machine; the platform then
 /// *simulates* the cluster by charging only the critical path. See
 /// DESIGN.md's substitution table.
-pub fn run_partitions_timed<F>(parts: Partitions, f: F) -> Result<(Partitions, f64)>
+pub fn run_partitions_timed<T, F>(parts: Vec<T>, f: F) -> Result<(Vec<T>, f64)>
 where
-    F: Fn(usize, Vec<Record>) -> Result<Vec<Record>> + Send + Sync,
+    F: Fn(usize, T) -> Result<T> + Send + Sync,
 {
     let mut out = Vec::with_capacity(parts.len());
     let mut max_ms = 0.0f64;
@@ -184,8 +285,51 @@ mod tests {
     }
 
     #[test]
+    fn a_key_meets_itself_whichever_view_was_routed() {
+        // One side routed on its columns, the other on its rows: every key
+        // still lands in the same partition index on both.
+        let left: Vec<Record> = (0..200i64)
+            .map(|i| rec![i % 23, format!("k{}", i % 5), i])
+            .collect();
+        for key in [
+            KeyUdf::field(0),
+            KeyUdf::field(1),
+            KeyUdf::fields(vec![1, 0]),
+        ] {
+            let columnar = Dataset::new(left.clone());
+            columnar.chunk().expect("rectangular");
+            let by_columns = partition_by_key(&columnar, &key, 4);
+            let by_rows = partition_by_key(&Dataset::new(left.clone()), &key, 4);
+            assert!(by_columns.iter().all(Dataset::has_chunk));
+            assert!(!by_rows.iter().any(Dataset::has_chunk));
+            for (c, r) in by_columns.iter().zip(&by_rows) {
+                assert_eq!(c.records(), r.records(), "key {}", key.name);
+            }
+        }
+    }
+
+    #[test]
+    fn split_and_concat_round_trip_on_either_view() {
+        let data = nums(10);
+        for table in [
+            Dataset::new(data.clone()),
+            Dataset::from_chunk(Chunk::from_records(&data).unwrap()),
+        ] {
+            let parts = split(&table, 3);
+            assert_eq!(
+                parts.iter().map(Dataset::len).collect::<Vec<_>>(),
+                [4, 3, 3]
+            );
+            let columnar = table.has_chunk();
+            let merged = concat(parts);
+            assert_eq!(merged.has_chunk(), columnar);
+            assert_eq!(merged.records(), &data[..]);
+        }
+    }
+
+    #[test]
     fn offsets_are_prefix_sums() {
-        let parts = vec![nums(3), nums(0), nums(5)];
+        let parts = [nums(3), nums(0), nums(5)].map(Dataset::new);
         assert_eq!(offsets(&parts), vec![0, 3, 3]);
     }
 

@@ -26,11 +26,12 @@
 //! deterministic and host-independent (see DESIGN.md's substitution table).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rheem_core::cost::{LinearCostModel, PlatformCostModel};
-use rheem_core::data::Dataset;
+use rheem_core::data::{Dataset, Record};
 use rheem_core::error::{Result, RheemError};
 use rheem_core::kernels;
 use rheem_core::physical::PhysicalOp;
@@ -40,8 +41,8 @@ use rheem_core::rec;
 
 use crate::config::OverheadConfig;
 use crate::partition::{
-    chunk, gather, hash_partition, hash_partition_records, offsets, run_partitions_timed,
-    Partitions,
+    columnar_or_rows, concat, hash_partition_records, offsets, partition_by_key,
+    run_partitions_timed, split,
 };
 
 /// Partitioned parallel (simulated) in-memory execution engine.
@@ -140,6 +141,7 @@ impl Platform for SparkLikePlatform {
             elapsed_ms: startup,
             records_processed: 0,
             observations: Vec::new(),
+            took_columnar: false,
         };
         // Channel-aware boundary ingest: datasets arriving on a non-memory
         // channel (the optimizer's chosen conversion route) pay a simulated
@@ -161,7 +163,7 @@ impl Platform for SparkLikePlatform {
                     platform: "sparklike".into(),
                     message: format!("atom output node {n} was not produced"),
                 })?;
-            outputs.insert(*n, Dataset::new(gather(parts)));
+            outputs.insert(*n, concat(parts));
         }
         Ok(AtomResult {
             outputs,
@@ -172,6 +174,12 @@ impl Platform for SparkLikePlatform {
         })
     }
 }
+
+/// A dataset in flight inside an atom: one [`Dataset`] per partition. A
+/// partition is a lazy window of a source, a chunk a columnar task
+/// produced, or the rows a row task produced — whichever it is, the next
+/// task asks it for the view it needs.
+type Parts = Vec<Dataset>;
 
 /// One atom execution in flight.
 struct SparkRun<'a> {
@@ -187,6 +195,9 @@ struct SparkRun<'a> {
     /// Per-kernel observations (top-level nodes only; loop bodies are
     /// charged to their `Loop` node).
     observations: Vec<rheem_core::observe::NodeObservation>,
+    /// Whether the operator being executed ran its tasks on the columnar
+    /// kernels (reset per node, reported on its observation).
+    took_columnar: bool,
 }
 
 impl SparkRun<'_> {
@@ -204,15 +215,30 @@ impl SparkRun<'_> {
         self.elapsed_ms += ms;
     }
 
-    /// Run a stage's tasks, charging the per-partition critical path.
-    fn tasks<F>(&mut self, parts: Partitions, f: F) -> Result<Partitions>
+    /// Run a stage's tasks, charging the per-partition critical path. Each
+    /// task runs `op`'s columnar kernel on its partition where it has one
+    /// ([`columnar_or_rows`], the entry shared with the interpreter) and
+    /// `rows` on the partition's rows otherwise. `side[i]`, when given, is
+    /// task `i`'s second input.
+    fn tasks<F>(
+        &mut self,
+        op: &PhysicalOp,
+        parts: Parts,
+        side: Option<&Parts>,
+        rows: F,
+    ) -> Result<Parts>
     where
-        F: Fn(usize, Vec<rheem_core::data::Record>) -> Result<Vec<rheem_core::data::Record>>
-            + Send
-            + Sync,
+        F: Fn(usize, Vec<Record>) -> Result<Vec<Record>> + Send + Sync,
     {
-        let (out, max_ms) = run_partitions_timed(parts, f)?;
+        let took = AtomicBool::new(false);
+        let (out, max_ms) = run_partitions_timed(parts, |i, p| {
+            let side = side.map(|side| &side[i]);
+            let (out, columnar) = columnar_or_rows(op, p, side, |p| rows(i, p))?;
+            took.fetch_or(columnar, Ordering::Relaxed);
+            Ok(out)
+        })?;
         self.elapsed_ms += max_ms;
+        self.took_columnar = took.into_inner();
         Ok(out)
     }
 
@@ -237,30 +263,30 @@ impl SparkRun<'_> {
     ///
     /// `keep` lists nodes whose partitions the caller reads from the
     /// returned map (atom outputs, the loop terminal); everything else is
-    /// *moved* into its last consumer instead of deep-cloned.
+    /// *moved* into its last consumer, so its rows can be too.
     fn run_nodes(
         &mut self,
         plan: &PhysicalPlan,
         nodes: &[NodeId],
         boundary: Option<&AtomInputs>,
-        loop_state: Option<&Partitions>,
+        loop_state: Option<&Parts>,
         keep: &[NodeId],
-    ) -> Result<HashMap<NodeId, Partitions>> {
+    ) -> Result<HashMap<NodeId, Parts>> {
         // Count in-fragment consumers so each intermediate's partitions
-        // can be moved (not cloned) into the consumer that uses them last.
+        // can be moved (not shared) into the consumer that uses them last.
         let mut remaining: HashMap<NodeId, usize> = HashMap::new();
         for &id in nodes {
             for producer in &plan.node(id).inputs {
                 *remaining.entry(*producer).or_insert(0) += 1;
             }
         }
-        let mut results: HashMap<NodeId, Partitions> = HashMap::new();
+        let mut results: HashMap<NodeId, Parts> = HashMap::new();
         for &id in nodes {
             // Cancellation checkpoint between stages: a cancelled job
             // stops without dispatching the next stage's tasks.
             self.ctx.check_cancelled()?;
             let node = plan.node(id);
-            let mut inputs: Vec<Partitions> = Vec::with_capacity(node.inputs.len());
+            let mut inputs: Vec<Parts> = Vec::with_capacity(node.inputs.len());
             for (slot, producer) in node.inputs.iter().enumerate() {
                 let parts = if results.contains_key(producer) {
                     let uses = remaining.get_mut(producer).expect("consumers counted");
@@ -271,8 +297,7 @@ impl SparkRun<'_> {
                         results[producer].clone()
                     }
                 } else if let Some(d) = boundary.and_then(|b| b.get(&(id, slot))) {
-                    let parts = self.partitions_for(d.len());
-                    self.plumbing(|| chunk(d.records(), parts))
+                    split(d, self.partitions_for(d.len()))
                 } else {
                     return Err(RheemError::InvalidPlan(format!(
                         "node {id} input slot {slot} is not available"
@@ -281,6 +306,7 @@ impl SparkRun<'_> {
                 inputs.push(parts);
             }
             let before_ms = self.elapsed_ms;
+            self.took_columnar = false;
             let out = self.exec_op(&node.op, inputs, loop_state)?;
             let out_records = out.iter().map(|p| p.len() as u64).sum::<u64>();
             self.records_processed += out_records;
@@ -296,6 +322,7 @@ impl SparkRun<'_> {
                         // Partitions are this platform's parallel unit;
                         // per-partition kernels stay sequential.
                         morsels: 1,
+                        columnar: self.took_columnar,
                     });
             }
             results.insert(id, out);
@@ -306,20 +333,21 @@ impl SparkRun<'_> {
     fn exec_op(
         &mut self,
         op: &PhysicalOp,
-        mut inputs: Vec<Partitions>,
-        loop_state: Option<&Partitions>,
-    ) -> Result<Partitions> {
+        mut inputs: Vec<Parts>,
+        loop_state: Option<&Parts>,
+    ) -> Result<Parts> {
         let workers = self.workers;
         let out = match op {
             // ------------------------------------------------------- sources
+            // Sources and sinks only hand partitions along: windows of the
+            // source dataset, materialized by whoever reads them.
             PhysicalOp::CollectionSource { data, .. } => {
-                let parts = self.partitions_for(data.len());
-                self.plumbing(|| chunk(data.records(), parts))
+                self.took_columnar = true;
+                split(data, self.partitions_for(data.len()))
             }
             PhysicalOp::StorageSource { dataset_id } => {
                 let data = self.ctx.storage()?.read(dataset_id)?;
-                let parts = self.partitions_for(data.len());
-                self.plumbing(|| chunk(data.records(), parts))
+                split(&data, self.partitions_for(data.len()))
             }
             PhysicalOp::LoopInput => loop_state
                 .cloned()
@@ -327,58 +355,62 @@ impl SparkRun<'_> {
 
             // -------------------------------------------------- narrow (1:1)
             PhysicalOp::Map(u) => {
-                let u = u.clone();
-                self.tasks(std::mem::take(&mut inputs[0]), move |_, p| {
-                    Ok(kernels::map(&p, &u))
+                self.tasks(op, std::mem::take(&mut inputs[0]), None, |_, p| {
+                    Ok(kernels::map(&p, u))
                 })?
             }
             PhysicalOp::FlatMap(u) => {
-                let u = u.clone();
-                self.tasks(std::mem::take(&mut inputs[0]), move |_, p| {
-                    Ok(kernels::flat_map(&p, &u))
+                self.tasks(op, std::mem::take(&mut inputs[0]), None, |_, p| {
+                    Ok(kernels::flat_map(&p, u))
                 })?
             }
+            // Tasks own their partition's rows, so surviving records are
+            // retained in place instead of cloned.
             PhysicalOp::Filter(u) => {
-                let u = u.clone();
-                // Tasks own their partition, so surviving records are
-                // retained in place instead of cloned.
-                self.tasks(std::mem::take(&mut inputs[0]), move |_, p| {
-                    Ok(kernels::filter_owned(p, &u))
+                self.tasks(op, std::mem::take(&mut inputs[0]), None, |_, p| {
+                    Ok(kernels::filter_owned(p, u))
                 })?
             }
             PhysicalOp::Project { indices } => {
-                let indices = indices.clone();
-                self.tasks(std::mem::take(&mut inputs[0]), move |_, p| {
-                    kernels::project(&p, &indices)
+                self.tasks(op, std::mem::take(&mut inputs[0]), None, |_, p| {
+                    kernels::project(&p, indices)
                 })?
             }
+            // A partition without a columnar view takes the row reference.
             PhysicalOp::ChunkPipeline { stages } => {
-                // Narrow: each partition is converted to a columnar chunk
-                // once and runs the fused stage chain sequentially (the
-                // partition is this platform's parallel unit).
-                let stages = stages.clone();
-                let seq = kernels::parallel::KernelParallelism::sequential();
-                self.tasks(std::mem::take(&mut inputs[0]), move |_, p| {
-                    kernels::parallel::run_pipeline(&p, &stages, &seq)
+                self.tasks(op, std::mem::take(&mut inputs[0]), None, |_, p| {
+                    kernels::chunked::run_stages_rows(&p, stages)
                 })?
             }
             PhysicalOp::Sample { fraction, seed } => {
                 let parts = std::mem::take(&mut inputs[0]);
                 let offs = offsets(&parts);
-                let (fraction, seed) = (*fraction, *seed);
-                self.tasks(parts, move |i, p| {
-                    kernels::sample(&p, fraction, seed, offs[i] as u64)
+                self.tasks(op, parts, None, |i, p| {
+                    kernels::sample(&p, *fraction, *seed, offs[i] as u64)
                 })?
             }
             PhysicalOp::ZipWithId => {
                 let parts = std::mem::take(&mut inputs[0]);
                 let offs = offsets(&parts);
-                self.tasks(parts, move |i, p| kernels::zip_with_id(&p, offs[i] as i64))?
+                self.tasks(op, parts, None, |i, p| {
+                    kernels::zip_with_id(&p, offs[i] as i64)
+                })?
             }
+            // Partitions are in order, so a prefix is a prefix of them:
+            // whole partitions, then a window of the one that crosses `n`.
             PhysicalOp::Limit { n } => {
-                let parts = std::mem::take(&mut inputs[0]);
-                let n = *n;
-                self.plumbing(|| chunk(&kernels::limit(&gather(parts), n), workers))
+                self.took_columnar = true;
+                let mut wanted = *n;
+                let mut out = Vec::new();
+                for p in std::mem::take(&mut inputs[0]) {
+                    if wanted == 0 {
+                        break;
+                    }
+                    let take = wanted.min(p.len());
+                    out.push(if take == p.len() { p } else { p.slice(0, take) });
+                    wanted -= take;
+                }
+                out
             }
 
             // ------------------------------------------------- wide (shuffle)
@@ -386,66 +418,69 @@ impl SparkRun<'_> {
                 self.stage();
                 let sort_based = matches!(op, PhysicalOp::SortGroupBy { .. });
                 let input = std::mem::take(&mut inputs[0]);
-                let gathered = self.plumbing(|| gather(input));
-                let n_parts = self.partitions_for(gathered.len());
-                let parts = self.plumbing(|| hash_partition(&gathered, key, n_parts));
-                let (key, group) = (key.clone(), group.clone());
-                self.tasks(parts, move |_, p| {
+                let gathered = self.plumbing(|| concat(input));
+                // A key over no fields is one global group: it must stay
+                // in one task, which emits its one row even over no input.
+                let n_parts = match key.fields.as_deref() {
+                    Some([]) => 1,
+                    _ => self.partitions_for(gathered.len()),
+                };
+                let parts = self.plumbing(|| partition_by_key(&gathered, key, n_parts));
+                self.tasks(op, parts, None, |_, p| {
                     let groups = if sort_based {
-                        kernels::sort_group(&p, &key)
+                        kernels::sort_group(&p, key)
                     } else {
-                        kernels::hash_group(&p, &key)
+                        kernels::hash_group(&p, key)
                     };
-                    Ok(kernels::apply_group_map(&groups, &group))
+                    Ok(kernels::apply_group_map(&groups, group))
                 })?
             }
             PhysicalOp::ReduceByKey { key, reduce } => {
                 // Map-side combine first (the classic Spark optimization),
                 // then shuffle the partial aggregates.
-                let local = {
-                    let (key, reduce) = (key.clone(), reduce.clone());
-                    self.tasks(std::mem::take(&mut inputs[0]), move |_, p| {
-                        Ok(kernels::reduce_by_key(&p, &key, &reduce))
-                    })?
-                };
+                let combine = |_, p: Vec<Record>| Ok(kernels::reduce_by_key(&p, key, reduce));
+                let local = self.tasks(op, std::mem::take(&mut inputs[0]), None, combine)?;
                 self.stage();
-                let gathered = self.plumbing(|| gather(local));
+                let gathered = self.plumbing(|| concat(local));
                 let n_parts = self.partitions_for(gathered.len());
-                let parts = self.plumbing(|| hash_partition(&gathered, key, n_parts));
-                let (key, reduce) = (key.clone(), reduce.clone());
-                self.tasks(parts, move |_, p| {
-                    Ok(kernels::reduce_by_key(&p, &key, &reduce))
-                })?
+                let parts = self.plumbing(|| partition_by_key(&gathered, key, n_parts));
+                self.tasks(op, parts, None, combine)?
             }
             PhysicalOp::GlobalReduce { reduce } => {
-                let local = {
-                    let reduce = reduce.clone();
-                    self.tasks(std::mem::take(&mut inputs[0]), move |_, p| {
-                        Ok(kernels::global_reduce(&p, &reduce))
-                    })?
-                };
+                let local = self.tasks(op, std::mem::take(&mut inputs[0]), None, |_, p| {
+                    Ok(kernels::global_reduce(&p, reduce))
+                })?;
                 self.stage();
-                let reduce = reduce.clone();
-                vec![self.serial(move || kernels::global_reduce(&gather(local), &reduce))]
+                let reduced =
+                    self.serial(|| kernels::global_reduce(concat(local).records(), reduce));
+                vec![Dataset::new(reduced)]
             }
             PhysicalOp::Sort { key, descending } => {
                 // Simplification documented in DESIGN.md: a range-partitioned
-                // distributed sort is modeled as gather + sort + re-chunk;
+                // distributed sort is modeled as gather + sort + re-split;
                 // the cost model prices it as a shuffle either way.
                 self.stage();
                 let input = std::mem::take(&mut inputs[0]);
-                let (key, descending) = (key.clone(), *descending);
-                self.plumbing(move || {
-                    chunk(&kernels::sort(&gather(input), &key, descending), workers)
-                })
+                let (sorted, columnar) = self.plumbing(|| {
+                    columnar_or_rows(op, concat(input), None, |p| {
+                        Ok(kernels::sort(&p, key, *descending))
+                    })
+                })?;
+                self.took_columnar = columnar;
+                split(&sorted, workers)
             }
             PhysicalOp::Distinct => {
                 self.stage();
                 let input = std::mem::take(&mut inputs[0]);
-                let gathered = self.plumbing(|| gather(input));
+                let gathered = self.plumbing(|| concat(input));
                 let n_parts = self.partitions_for(gathered.len());
-                let parts = self.plumbing(|| hash_partition_records(&gathered, n_parts));
-                self.tasks(parts, |_, p| Ok(kernels::distinct(&p)))?
+                let parts = self.plumbing(|| {
+                    hash_partition_records(gathered.records(), n_parts)
+                        .into_iter()
+                        .map(Dataset::new)
+                        .collect()
+                });
+                self.tasks(op, parts, None, |_, p| Ok(kernels::distinct(&p)))?
             }
 
             // ----------------------------------------------------- binary ops
@@ -462,17 +497,15 @@ impl SparkRun<'_> {
                 let mut it = inputs.drain(..);
                 let (l_in, r_in) = (it.next().expect("arity"), it.next().expect("arity"));
                 drop(it);
-                let l = self.plumbing(|| hash_partition(&gather(l_in), left_key, workers));
-                let r =
-                    Arc::new(self.plumbing(|| hash_partition(&gather(r_in), right_key, workers)));
-                let (lk, rk) = (left_key.clone(), right_key.clone());
+                let l = self.plumbing(|| partition_by_key(&concat(l_in), left_key, workers));
+                let r = self.plumbing(|| partition_by_key(&concat(r_in), right_key, workers));
                 // Co-partitioned join: pair up the partition indexes.
-                self.tasks(l, move |i, lp| {
-                    let rp = &r[i];
+                self.tasks(op, l, Some(&r), |i, lp| {
+                    let rp = r[i].records();
                     Ok(if sort_based {
-                        kernels::sort_merge_join(&lp, rp, &lk, &rk)
+                        kernels::sort_merge_join(&lp, rp, left_key, right_key)
                     } else {
-                        kernels::hash_join(&lp, rp, &lk, &rk)
+                        kernels::hash_join(&lp, rp, left_key, right_key)
                     })
                 })?
             }
@@ -483,10 +516,9 @@ impl SparkRun<'_> {
                 // Broadcast the (gathered) right side to every partition.
                 let r_in = it.next().expect("arity");
                 drop(it);
-                let r = Arc::new(self.plumbing(|| gather(r_in)));
-                let predicate = predicate.clone();
-                self.tasks(l, move |_, lp| {
-                    Ok(kernels::nested_loop_join(&lp, &r, &predicate))
+                let r = self.plumbing(|| concat(r_in));
+                self.tasks(op, l, None, |_, lp| {
+                    Ok(kernels::nested_loop_join(&lp, r.records(), predicate))
                 })?
             }
             PhysicalOp::CrossProduct => {
@@ -495,8 +527,10 @@ impl SparkRun<'_> {
                 let l = it.next().expect("arity");
                 let r_in = it.next().expect("arity");
                 drop(it);
-                let r = Arc::new(self.plumbing(|| gather(r_in)));
-                self.tasks(l, move |_, lp| Ok(kernels::cross_product(&lp, &r)))?
+                let r = self.plumbing(|| concat(r_in));
+                self.tasks(op, l, None, |_, lp| {
+                    Ok(kernels::cross_product(&lp, r.records()))
+                })?
             }
             PhysicalOp::Union => {
                 let mut it = inputs.drain(..);
@@ -504,7 +538,7 @@ impl SparkRun<'_> {
                 parts.extend(it.next().expect("arity"));
                 drop(it);
                 if parts.len() > workers {
-                    self.plumbing(|| chunk(&gather(parts), workers))
+                    self.plumbing(|| split(&concat(parts), workers))
                 } else {
                     parts
                 }
@@ -527,8 +561,9 @@ impl SparkRun<'_> {
                 loop {
                     // The continuation test sees the gathered state (a
                     // driver-side action in Spark terms).
-                    let gathered = self.plumbing(|| gather(state.clone()));
-                    if iteration >= *max_iterations || !(condition.f)(iteration, &gathered) {
+                    let gathered = self.plumbing(|| concat(state.clone()));
+                    if iteration >= *max_iterations || !(condition.f)(iteration, gathered.records())
+                    {
                         break;
                     }
                     // Each iteration is a re-dispatched job stage.
@@ -545,37 +580,38 @@ impl SparkRun<'_> {
 
             PhysicalOp::Custom(c) => {
                 if c.partitionable() && c.arity() == 1 {
-                    let c = c.clone();
-                    self.tasks(std::mem::take(&mut inputs[0]), move |_, p| {
-                        Ok(c.execute(&[Dataset::new(p)])?.into_records())
-                    })?
+                    let (out, max_ms) =
+                        run_partitions_timed(std::mem::take(&mut inputs[0]), |_, p| {
+                            c.execute(&[p])
+                        })?;
+                    self.elapsed_ms += max_ms;
+                    out
                 } else {
                     // Gather every input and run the operator as one
                     // indivisible task — serial by construction, which is
                     // exactly what makes coarse-grained UDFs slow on a
                     // distributed engine (Figure 3 left).
                     self.stage();
-                    let datasets: Vec<Dataset> = inputs
-                        .drain(..)
-                        .map(|parts| Dataset::new(gather(parts)))
-                        .collect();
-                    let c = c.clone();
-                    let result = self.serial(move || c.execute(&datasets))?;
-                    chunk(result.records(), workers)
+                    let datasets: Vec<Dataset> = inputs.drain(..).map(concat).collect();
+                    let result = self.serial(|| c.execute(&datasets))?;
+                    split(&result, workers)
                 }
             }
 
             // ----------------------------------------------------------- sinks
-            PhysicalOp::CollectSink => std::mem::take(&mut inputs[0]),
+            PhysicalOp::CollectSink => {
+                self.took_columnar = true;
+                std::mem::take(&mut inputs[0])
+            }
             PhysicalOp::CountSink => {
-                let n: usize = inputs[0].iter().map(Vec::len).sum();
-                vec![vec![rec![n as i64]]]
+                self.took_columnar = true;
+                let n: usize = inputs[0].iter().map(Dataset::len).sum();
+                vec![Dataset::new(vec![rec![n as i64]])]
             }
             PhysicalOp::StorageSink { dataset_id } => {
-                let parts = std::mem::take(&mut inputs[0]);
-                let data = Dataset::new(gather(parts.clone()));
+                let data = concat(std::mem::take(&mut inputs[0]));
                 self.ctx.storage()?.write(dataset_id, &data)?;
-                parts
+                vec![data]
             }
         };
         Ok(out)
@@ -800,6 +836,54 @@ mod tests {
         b.write_storage(m, "out");
         ctx.execute(b.build().unwrap()).unwrap();
         assert_eq!(storage.read("out").unwrap().len(), 50);
+    }
+
+    /// A declarative plan stays columnar from the source windows to the
+    /// sink: every stage's tasks take the chunk kernels and hand chunks on.
+    #[test]
+    fn declarative_plans_run_columnar_tasks_end_to_end() {
+        use rheem_core::expr::Expr;
+        use rheem_core::udf::{AggFunc, Aggregate, GroupOutput};
+        let mut b = PlanBuilder::new();
+        let l = b.collection("l", (0..400i64).map(|i| rec![i % 16, i]).collect());
+        let r = b.collection("r", (0..16i64).map(|i| rec![i, i % 3]).collect());
+        let kept = b.filter(
+            l,
+            FilterUdf::from_expr("big", Expr::field(1).ge(Expr::lit(100i64))),
+        );
+        let joined = b.hash_join(kept, r, KeyUdf::field(0), KeyUdf::field(0));
+        let grouped = b.group_by(
+            joined,
+            KeyUdf::fields(vec![3]),
+            GroupMapUdf::from_aggs(
+                "sum",
+                vec![
+                    GroupOutput::First(3),
+                    GroupOutput::Agg(Aggregate {
+                        func: AggFunc::Sum,
+                        arg: Some(Expr::field(1)),
+                    }),
+                ],
+            ),
+        );
+        let sorted = b.sort(grouped, KeyUdf::field(1), true);
+        let top = b.limit(sorted, 2);
+        let sink = b.collect(top);
+        let plan = b.build().unwrap();
+        let reference =
+            rheem_core::interpreter::run_plan(&plan, &rheem_core::ExecutionContext::new()).unwrap();
+        let result = ctx().execute(plan).unwrap();
+        assert_eq!(result.outputs[&sink], reference[&sink]);
+        assert!(result.outputs[&sink].has_chunk(), "the sink got a chunk");
+        let row_path: Vec<&str> = result
+            .stats
+            .atoms
+            .iter()
+            .flat_map(|a| &a.node_observations)
+            .filter(|o| !o.columnar)
+            .map(|o| o.op.as_str())
+            .collect();
+        assert!(row_path.is_empty(), "row-path operators: {row_path:?}");
     }
 
     #[test]

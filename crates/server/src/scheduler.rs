@@ -12,7 +12,7 @@
 //! Every grant is appended to a bounded log ([`WaveGrant`]) so tests and
 //! the load generator can verify the interleaving instead of trusting it.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -41,7 +41,17 @@ pub struct WaveGrant {
 
 struct Waiter {
     ticket: u64,
-    tenant: String,
+    tenant: Arc<str>,
+}
+
+/// A logged grant as the ring holds it: the tenant is a shared handle, so
+/// logging a grant under the scheduler mutex allocates nothing.
+struct LoggedGrant {
+    seq: u64,
+    tenant: Arc<str>,
+    gate_id: u64,
+    wave_index: usize,
+    atoms: usize,
 }
 
 struct SchedState {
@@ -52,9 +62,10 @@ struct SchedState {
     /// Gates currently blocked in `before_wave`.
     waiting: Vec<Waiter>,
     /// Total waves granted per tenant (the "service" fairness is over).
-    granted: HashMap<String, u64>,
-    /// Grant log, capped at `LOG_CAP` most recent entries.
-    log: Vec<WaveGrant>,
+    granted: HashMap<Arc<str>, u64>,
+    /// Grant log: a ring of the `LOG_CAP` most recent entries, allocated
+    /// once, so a grant costs the same whether the log is empty or full.
+    log: VecDeque<LoggedGrant>,
     /// Total grants ever (also the next grant's `seq`).
     grants: u64,
 }
@@ -84,7 +95,7 @@ impl FairShareScheduler {
                 next_ticket: 0,
                 waiting: Vec::new(),
                 granted: HashMap::new(),
-                log: Vec::new(),
+                log: VecDeque::with_capacity(LOG_CAP),
                 grants: 0,
             }),
             cv: Condvar::new(),
@@ -95,12 +106,13 @@ impl FairShareScheduler {
     /// A [`WaveGate`] for one session of `tenant`; install it on that
     /// session's context. All gates of one scheduler share its slots.
     pub fn gate(self: &Arc<Self>, tenant: impl Into<String>) -> Arc<JobGate> {
+        let tenant: Arc<str> = tenant.into().into();
         let gate_id = self
             .next_gate
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Arc::new(JobGate {
             scheduler: self.clone(),
-            tenant: tenant.into(),
+            tenant,
             gate_id,
             cancel: Mutex::new(None),
             engaged: AtomicBool::new(false),
@@ -109,12 +121,26 @@ impl FairShareScheduler {
 
     /// Waves granted so far, per tenant.
     pub fn granted_waves(&self) -> HashMap<String, u64> {
-        self.state.lock().granted.clone()
+        let st = self.state.lock();
+        st.granted
+            .iter()
+            .map(|(tenant, n)| (tenant.to_string(), *n))
+            .collect()
     }
 
     /// The most recent grants, oldest first (capped at an internal limit).
     pub fn grant_log(&self) -> Vec<WaveGrant> {
-        self.state.lock().log.clone()
+        let st = self.state.lock();
+        st.log
+            .iter()
+            .map(|g| WaveGrant {
+                seq: g.seq,
+                tenant: g.tenant.to_string(),
+                gate_id: g.gate_id,
+                wave_index: g.wave_index,
+                atoms: g.atoms,
+            })
+            .collect()
     }
 
     /// Total wave grants ever issued.
@@ -132,7 +158,7 @@ impl FairShareScheduler {
     /// queue without consuming a slot).
     fn acquire(
         &self,
-        tenant: &str,
+        tenant: &Arc<str>,
         gate_id: u64,
         wave_index: usize,
         atoms: usize,
@@ -146,7 +172,7 @@ impl FairShareScheduler {
         st.next_ticket += 1;
         st.waiting.push(Waiter {
             ticket,
-            tenant: tenant.to_string(),
+            tenant: tenant.clone(),
         });
         loop {
             if st.running < self.slots {
@@ -162,15 +188,15 @@ impl FairShareScheduler {
                 if best == ticket {
                     st.waiting.retain(|w| w.ticket != ticket);
                     st.running += 1;
-                    *st.granted.entry(tenant.to_string()).or_insert(0) += 1;
+                    *st.granted.entry(tenant.clone()).or_insert(0) += 1;
                     let seq = st.grants;
                     st.grants += 1;
                     if st.log.len() == LOG_CAP {
-                        st.log.remove(0);
+                        st.log.pop_front();
                     }
-                    st.log.push(WaveGrant {
+                    st.log.push_back(LoggedGrant {
                         seq,
-                        tenant: tenant.to_string(),
+                        tenant: tenant.clone(),
                         gate_id,
                         wave_index,
                         atoms,
@@ -214,7 +240,7 @@ impl FairShareScheduler {
 /// [`FairShareScheduler::gate`].
 pub struct JobGate {
     scheduler: Arc<FairShareScheduler>,
-    tenant: String,
+    tenant: Arc<str>,
     gate_id: u64,
     /// Cancel token of the job currently running under this gate. A
     /// session runs its jobs serially, so one slot suffices.

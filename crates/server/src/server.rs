@@ -9,15 +9,16 @@
 //!
 //! * its own `QueryCatalog` (tables registered by one client are invisible
 //!   to every other client);
-//! * a *statement cache* mapping SQL text to its planned query. Re-planning
-//!   the same SQL would mint fresh UDF closures with fresh `Arc` identities
-//!   and thus fresh opaque plan fingerprints; reusing the planned query is
-//!   what makes a repeated statement *hit* the shared plan cache. The
-//!   statement cache is cleared whenever the session re-registers a table,
-//!   since the old plans capture the old data;
+//! * a *statement cache* mapping SQL text to its planned query, so a
+//!   repeated statement skips parsing and planning. SQL lowers to fully
+//!   declarative plans (expressions, field keys, aggregate specs), so their
+//!   fingerprints are transparent and equal statements over equally sized
+//!   tables share one plan-cache entry server-wide (scope 0). The statement
+//!   cache is cleared whenever the session re-registers a table, since the
+//!   old plans capture the old data;
 //! * a unique cache scope, so opaque (closure-identity) plan-cache entries
-//!   are never shared across sessions — only fully declarative plans share
-//!   cache entries server-wide (scope 0);
+//!   — which only hand-built plans produce — are never shared across
+//!   sessions;
 //! * a [`scheduler::JobGate`](crate::scheduler::JobGate) tying every wave
 //!   of its jobs into the server-wide fair-share scheduler.
 //!
@@ -493,11 +494,13 @@ fn handle_query(
         if let Some(remaining) = run.remaining {
             job_ctx = job_ctx.with_timeout(remaining);
         }
-        let job = job_ctx.execute_logical(&job_planned.logical)?;
+        let mut job = job_ctx.execute_logical(&job_planned.logical)?;
+        // Take the sink dataset out of the job: uniquely owned rows move,
+        // and a chunk-built result is materialized here, once.
         let rows = job
             .outputs
-            .get(&job_planned.sink)
-            .map(|d| d.records().to_vec())
+            .remove(&job_planned.sink)
+            .map(|d| d.into_records())
             .unwrap_or_default();
         Ok::<_, rheem_core::RheemError>(rows)
     });

@@ -312,3 +312,70 @@ fn fused_plan_matches_reference_under_all_schedules() {
         }
     }
 }
+
+/// Every operator reports the path it took, and the hub counts them: a
+/// plan mixing declarative operators with one opaque closure runs
+/// columnar up to the closure and row-at-a-time only there.
+#[test]
+fn operators_report_the_path_they_took() {
+    use rheem_core::udf::{AggFunc, Aggregate, GroupOutput};
+    use rheem_core::Observability;
+
+    let mut b = PlanBuilder::new();
+    let src = b.collection("s", (0..200i64).map(|i| rheem::rec![i % 7, i]).collect());
+    let kept = b.filter(
+        src,
+        FilterUdf::from_expr("small", Expr::field(1).lt(Expr::lit(150i64))),
+    );
+    let grouped = b.group_by(
+        kept,
+        KeyUdf::field(0),
+        GroupMapUdf::from_aggs(
+            "sum",
+            vec![
+                GroupOutput::First(0),
+                GroupOutput::Agg(Aggregate {
+                    func: AggFunc::Sum,
+                    arg: Some(Expr::field(1)),
+                }),
+            ],
+        ),
+    );
+    let opaque = b.map(grouped, MapUdf::new("closure", |r| r.clone()));
+    let sorted = b.sort(opaque, KeyUdf::field(1), true);
+    let sink = b.collect(sorted);
+    let plan = b.build().unwrap();
+
+    let observe = Arc::new(Observability::new());
+    let ctx = RheemContext::new()
+        .with_platform(Arc::new(JavaPlatform::new()))
+        .with_observability(observe.clone());
+    let result = ctx.execute(plan).unwrap();
+    assert_eq!(result.outputs[&sink].len(), 7);
+
+    let paths: Vec<(String, bool)> = result
+        .stats
+        .atoms
+        .iter()
+        .flat_map(|a| &a.node_observations)
+        .map(|o| (o.op.split('(').next().unwrap().to_string(), o.columnar))
+        .collect();
+    assert_eq!(
+        paths,
+        [
+            ("CollectionSource", true),
+            ("Filter", true),
+            ("HashGroupBy", true),
+            // The closure needs rows...
+            ("Map", false),
+            // ... and the sort after it converts them back once.
+            ("Sort", true),
+            ("CollectSink", true),
+        ]
+        .map(|(op, columnar)| (op.to_string(), columnar))
+    );
+    let counters = observe.metrics().snapshot().counters;
+    let count = |name: &str| counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+    assert_eq!(count("kernel.path.columnar"), Some(5));
+    assert_eq!(count("kernel.path.row"), Some(1));
+}
