@@ -104,6 +104,17 @@ done
 echo "==> server smoke (2 concurrent sessions + clean shutdown)"
 cargo test -q --release -p rheem-server --test server_smoke
 
+# Result path: the session encodes a response from the sink's chunk, so
+# server.rs must not ask a dataset for its rows (the row walk for chunk-less
+# results lives in protocol.rs, next to the one value encoding), and the two
+# row sources must encode to the same bytes — generated dirty chunks against
+# the reference `Response::Rows{..}.encode()`, in release mode.
+echo "==> result path: no row view in server.rs + chunk/row byte identity"
+if grep -nE 'into_records\(|\.records\(\)' crates/server/src/server.rs; then
+  echo "crates/server/src/server.rs materializes a row view"; exit 1
+fi
+cargo test -q --release -p rheem-server --test result_encoding
+
 # Cancellation/panic chaos smoke: seeded random plans, cancel points, and
 # panicking UDFs against the shared job service (both schedule modes via
 # the proptest strategy; the vendored proptest stub seeds each case from

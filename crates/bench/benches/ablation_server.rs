@@ -203,6 +203,15 @@ fn main() {
             stop.store(true, std::sync::atomic::Ordering::SeqCst);
         });
 
+        // Inside the storm a zero-deadline request may be cancelled in the
+        // queue before a worker sheds it (both connections' requests leave
+        // on the same delayed-ACK timer tick, so the race is tight); with
+        // the canceller stopped, one more must be shed, every time.
+        let shed = client
+            .query_with_deadline(STATEMENTS[0], std::time::Duration::ZERO)
+            .expect_err("a zero deadline cannot be met");
+        assert!(shed.to_string().contains("deadline"), "{shed}");
+
         // The storm must not degrade the server: the storm tenant's own
         // session and a fresh tenant both get full service afterwards.
         for sql in STATEMENTS {

@@ -9,18 +9,26 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 use rheem_core::{Record, Schema};
 
-use crate::protocol::{read_frame, write_frame, Request, Response, WireError, WireResult};
+use crate::protocol::{
+    read_frame_into, write_frame, FrameRead, Request, Response, WireError, WireResult,
+};
 
 /// A blocking protocol client holding one session.
 pub struct Client {
     stream: TcpStream,
+    /// The last response's frame body, kept so that reading the next one
+    /// allocates nothing (it holds the largest response seen so far).
+    body: Vec<u8>,
 }
 
 impl Client {
     /// Connect and open a session as `tenant`.
     pub fn connect(addr: impl ToSocketAddrs, tenant: &str) -> WireResult<Self> {
         let stream = TcpStream::connect(addr)?;
-        let mut client = Client { stream };
+        let mut client = Client {
+            stream,
+            body: Vec::new(),
+        };
         match client.call(&Request::Hello {
             tenant: tenant.to_string(),
         })? {
@@ -35,9 +43,12 @@ impl Client {
     /// Send one request and read one response.
     pub fn call(&mut self, request: &Request) -> WireResult<Response> {
         write_frame(&mut self.stream, &request.encode())?;
-        let body = read_frame(&mut self.stream)?
-            .ok_or_else(|| WireError::Malformed("server closed the connection".into()))?;
-        Response::decode(&body)
+        match read_frame_into(&mut self.stream, None, &mut self.body)? {
+            FrameRead::Frame => Response::decode(&self.body),
+            FrameRead::Eof | FrameRead::Idle => {
+                Err(WireError::Malformed("server closed the connection".into()))
+            }
+        }
     }
 
     /// Register (or replace) an in-memory table.

@@ -9,7 +9,7 @@
 //!
 //! * [`protocol`] — framing and message codec (`u32` big-endian length
 //!   prefix, one opcode byte, flat payload encodings for schemas, rows, and
-//!   values);
+//!   values); one row writer, fed from a result's chunk or from rows;
 //! * [`scheduler`] — [`scheduler::FairShareScheduler`]: fair-share
 //!   scheduling of *waves* across concurrently running jobs. The executor's
 //!   wave boundary is the natural preemption point (no task is ever
@@ -20,11 +20,10 @@
 //!   the worker pool. Per-tenant in-flight quotas and a bounded global
 //!   queue; over-quota submissions are rejected immediately
 //!   (backpressure), never silently queued without bound;
-//! * [`server`] — the TCP server: per-session `QueryCatalog`, a statement
-//!   cache preserving UDF closure identity across executions of the same
-//!   SQL text (which is what makes opaque plan fingerprints hit the shared
-//!   [`rheem_core::PlanCache`]), and per-session cache scopes so
-//!   closure-identity cache entries are never shared across sessions;
+//! * [`server`] — the TCP server: per-session `QueryCatalog`, a bounded
+//!   statement cache (SQL text → planned query), per-session cache scopes so
+//!   closure-identity cache entries are never shared across sessions, and
+//!   responses encoded straight from the job's sink dataset;
 //! * [`client`] — a small blocking client used by the tests and the
 //!   closed-loop load generator in `crates/bench`.
 

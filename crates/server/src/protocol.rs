@@ -14,11 +14,15 @@
 //! Values are tagged: `0` null, `1` bool (+1 byte), `2` int (+8 bytes),
 //! `3` float (+8 bytes, IEEE bits), `4` string (+length-prefixed UTF-8).
 //! The encoding is canonical — equal rows encode to equal bytes — which the
-//! byte-identical plan-cache acceptance checks rely on.
+//! byte-identical plan-cache acceptance checks rely on. It does not depend
+//! on where the rows come from either: [`encode_result`] writes a result
+//! dataset's chunk view to exactly the bytes its row view encodes to.
 
 use std::io::{Read, Write};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use rheem_core::{DataType, Record, Schema, Value};
+use rheem_core::{Chunk, Column, DataType, Dataset, Record, Schema, Value};
 
 /// Largest frame body accepted (16 MiB): a malformed or malicious length
 /// prefix must not make the server attempt an unbounded allocation.
@@ -143,25 +147,32 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
+fn put_bool(buf: &mut Vec<u8>, b: bool) {
+    buf.extend_from_slice(&[1, u8::from(b)]);
+}
+
+fn put_int(buf: &mut Vec<u8>, i: i64) {
+    buf.push(2);
+    buf.extend_from_slice(&i.to_be_bytes());
+}
+
+fn put_float(buf: &mut Vec<u8>, x: f64) {
+    buf.push(3);
+    buf.extend_from_slice(&x.to_bits().to_be_bytes());
+}
+
+fn put_str_value(buf: &mut Vec<u8>, s: &str) {
+    buf.push(4);
+    put_str(buf, s);
+}
+
 fn put_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Null => buf.push(0),
-        Value::Bool(b) => {
-            buf.push(1);
-            buf.push(u8::from(*b));
-        }
-        Value::Int(i) => {
-            buf.push(2);
-            buf.extend_from_slice(&i.to_be_bytes());
-        }
-        Value::Float(x) => {
-            buf.push(3);
-            buf.extend_from_slice(&x.to_bits().to_be_bytes());
-        }
-        Value::Str(s) => {
-            buf.push(4);
-            put_str(buf, s);
-        }
+        Value::Bool(b) => put_bool(buf, *b),
+        Value::Int(i) => put_int(buf, *i),
+        Value::Float(x) => put_float(buf, *x),
+        Value::Str(s) => put_str_value(buf, s),
     }
 }
 
@@ -178,18 +189,129 @@ fn put_schema(buf: &mut Vec<u8>, schema: &Schema) {
     }
 }
 
+/// Where the rows of a frame come from: a row view or a chunk view. Both
+/// encode to the same bytes ([`put_rows`]).
+enum RowSource<'a> {
+    Records(&'a [Record]),
+    Chunk(&'a Chunk),
+}
+
+/// One column of a chunk as the row writer reads it: the typed lane when no
+/// row of the view is NULL, else the values one by one.
+enum Lane<'a> {
+    Int(&'a [i64]),
+    Float(&'a [f64]),
+    Bool(&'a [bool]),
+    Str(&'a [Arc<str>], &'a [u32]),
+    /// A column with NULLs or of mixed types.
+    Values(&'a Column),
+}
+
+impl<'a> Lane<'a> {
+    fn of(column: &'a Column) -> Self {
+        if !column.no_nulls() {
+            Lane::Values(column)
+        } else if let Some(lane) = column.ints() {
+            Lane::Int(lane)
+        } else if let Some(lane) = column.floats() {
+            Lane::Float(lane)
+        } else if let Some(lane) = column.bools() {
+            Lane::Bool(lane)
+        } else if let Some((dict, codes)) = column.dict_codes() {
+            Lane::Str(dict, codes)
+        } else {
+            Lane::Values(column)
+        }
+    }
+
+    /// Bytes this column's `rows` values encode to: exact for a typed lane
+    /// (strings summed through the dictionary), an estimate for the rest —
+    /// only the buffer's reservation depends on it.
+    fn encoded_bytes(&self, rows: usize) -> usize {
+        match self {
+            Lane::Bool(_) => 2 * rows,
+            Lane::Str(dict, codes) => {
+                5 * rows + codes.iter().map(|&c| dict[c as usize].len()).sum::<usize>()
+            }
+            _ => 9 * rows,
+        }
+    }
+}
+
+/// The one row writer: a `u32` row count, then per row a `u32` width and its
+/// tagged values, appended to the caller's buffer.
+fn put_rows(buf: &mut Vec<u8>, source: RowSource<'_>) {
+    match source {
+        RowSource::Records(rows) => {
+            put_u32(buf, rows.len() as u32);
+            for row in rows {
+                put_u32(buf, row.width() as u32);
+                for v in row.fields() {
+                    put_value(buf, v);
+                }
+            }
+        }
+        RowSource::Chunk(chunk) => {
+            let lanes: Vec<Lane<'_>> = chunk.columns().iter().map(Lane::of).collect();
+            let rows = chunk.rows();
+            put_u32(buf, rows as u32);
+            // Sized before the loop (a frame `write_frame` would refuse
+            // anyway is not reserved for): the buffer does not grow.
+            let values: usize = lanes.iter().map(|l| l.encoded_bytes(rows)).sum();
+            buf.reserve((4 * rows + values).min(MAX_FRAME));
+            for i in 0..rows {
+                put_u32(buf, lanes.len() as u32);
+                for lane in &lanes {
+                    match lane {
+                        Lane::Int(lane) => put_int(buf, lane[i]),
+                        Lane::Float(lane) => put_float(buf, lane[i]),
+                        Lane::Bool(lane) => put_bool(buf, lane[i]),
+                        Lane::Str(dict, codes) => put_str_value(buf, &dict[codes[i] as usize]),
+                        Lane::Values(column) => put_value(buf, &column.value(i)),
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Encode rows canonically (used both inside frames and by the bench's
 /// byte-identical output comparison).
 pub fn encode_rows(rows: &[Record]) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_u32(&mut buf, rows.len() as u32);
-    for row in rows {
-        put_u32(&mut buf, row.width() as u32);
-        for v in row.fields() {
-            put_value(&mut buf, v);
-        }
-    }
+    put_rows(&mut buf, RowSource::Records(rows));
     buf
+}
+
+fn put_rows_response(buf: &mut Vec<u8>, schema: &Schema, source: RowSource<'_>) {
+    buf.push(OP_ROWS);
+    put_schema(buf, schema);
+    put_rows(buf, source);
+}
+
+/// Which view of a result dataset [`encode_result`] wrote the rows from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ResultPath {
+    /// The chunk view: typed lanes walked row-major, no row built.
+    Columnar,
+    /// The row view: the dataset has no chunk (ragged rows, or an operator
+    /// that produced records, such as an opaque UDF).
+    Row,
+}
+
+/// The body of the `Rows` response for a job's sink, written straight from
+/// the view the dataset already has — the same bytes as
+/// `Response::Rows { schema, rows: data.records().to_vec() }.encode()`
+/// without building the other view.
+pub fn encode_result(schema: &Schema, data: &Dataset) -> (Vec<u8>, ResultPath) {
+    // `has_chunk` first: `chunk()` alone would convert a row-built result.
+    let (source, path) = match data.has_chunk().then(|| data.chunk()).flatten() {
+        Some(chunk) => (RowSource::Chunk(chunk), ResultPath::Columnar),
+        None => (RowSource::Records(data.records()), ResultPath::Row),
+    };
+    let mut buf = Vec::new();
+    put_rows_response(&mut buf, schema, source);
+    (buf, path)
 }
 
 impl Request {
@@ -205,7 +327,7 @@ impl Request {
                 buf.push(OP_REGISTER);
                 put_str(&mut buf, name);
                 put_schema(&mut buf, schema);
-                buf.extend_from_slice(&encode_rows(rows));
+                put_rows(&mut buf, RowSource::Records(rows));
             }
             Request::Query { sql, deadline_ms } => {
                 buf.push(OP_QUERY);
@@ -242,9 +364,7 @@ impl Response {
                 put_str(&mut buf, message);
             }
             Response::Rows { schema, rows } => {
-                buf.push(OP_ROWS);
-                put_schema(&mut buf, schema);
-                buf.extend_from_slice(&encode_rows(rows));
+                put_rows_response(&mut buf, schema, RowSource::Records(rows));
             }
             Response::Stats { text } => {
                 buf.push(OP_STATS_REPLY);
@@ -259,15 +379,31 @@ impl Response {
 // Decoding
 // ---------------------------------------------------------------------------
 
+/// Slots of a frame's string table ([`Cursor::str_value`]).
+const INTERN_SLOTS: usize = 256;
+
 /// A bounds-checked cursor over a frame body.
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// String values seen in this frame, direct-mapped by a hash of their
+    /// bytes; empty until the first string value.
+    interned: Vec<Option<Arc<str>>>,
 }
 
 impl<'a> Cursor<'a> {
     fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
+        Cursor {
+            buf,
+            pos: 0,
+            interned: Vec::new(),
+        }
+    }
+
+    /// A capacity for `declared` items of at least `min_bytes` each: what
+    /// the frame says, but never more than the bytes left in it can hold.
+    fn capacity_for(&self, declared: usize, min_bytes: usize) -> usize {
+        declared.min((self.buf.len() - self.pos) / min_bytes)
     }
 
     fn take(&mut self, n: usize) -> WireResult<&'a [u8]> {
@@ -300,13 +436,42 @@ impl<'a> Cursor<'a> {
             .map_err(|_| WireError::Malformed("string is not UTF-8".into()))
     }
 
+    /// A string value: one allocation per string, and none for one this
+    /// frame already carried (a 5-value column of 100 000 rows costs 5). The
+    /// table is direct-mapped, so it is bounded by construction: a string
+    /// whose slot holds another one replaces it.
+    fn str_value(&mut self) -> WireResult<Arc<str>> {
+        let len = self.u32()? as usize;
+        let bytes = self.take(len)?;
+        if self.interned.is_empty() {
+            self.interned.resize(INTERN_SLOTS, None);
+        }
+        // FNV-1a over the length and a prefix: a hit compares every byte.
+        let hash = bytes
+            .iter()
+            .take(16)
+            .fold(0xcbf2_9ce4_8422_2325 ^ len as u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        let slot = &mut self.interned[(hash >> 32) as usize % INTERN_SLOTS];
+        match slot {
+            // Equal to a string that was checked: no need to check again.
+            Some(seen) if seen.as_bytes() == bytes => Ok(seen.clone()),
+            _ => {
+                let s = std::str::from_utf8(bytes)
+                    .map_err(|_| WireError::Malformed("string is not UTF-8".into()))?;
+                Ok(slot.insert(Arc::from(s)).clone())
+            }
+        }
+    }
+
     fn value(&mut self) -> WireResult<Value> {
         Ok(match self.u8()? {
             0 => Value::Null,
             1 => Value::Bool(self.u8()? != 0),
             2 => Value::Int(self.u64()? as i64),
             3 => Value::Float(f64::from_bits(self.u64()?)),
-            4 => Value::str(self.str()?),
+            4 => Value::Str(self.str_value()?),
             tag => return Err(WireError::Malformed(format!("unknown value tag {tag}"))),
         })
     }
@@ -330,10 +495,11 @@ impl<'a> Cursor<'a> {
 
     fn rows(&mut self) -> WireResult<Vec<Record>> {
         let n = self.u32()? as usize;
-        let mut rows = Vec::with_capacity(n.min(1024));
+        // A row is at least its 4-byte width, a value at least its tag.
+        let mut rows = Vec::with_capacity(self.capacity_for(n, 4));
         for _ in 0..n {
             let width = self.u32()? as usize;
-            let mut fields = Vec::with_capacity(width.min(1024));
+            let mut fields = Vec::with_capacity(self.capacity_for(width, 1));
             for _ in 0..width {
                 fields.push(self.value()?);
             }
@@ -430,17 +596,60 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> WireResult<()> {
     Ok(())
 }
 
-/// Read one frame body from a stream. Returns `Ok(None)` on a clean EOF at
-/// a frame boundary (peer hung up between messages).
-pub fn read_frame(r: &mut impl Read) -> WireResult<Option<Vec<u8>>> {
+/// First reservation for a frame body. Past it the buffer grows only with
+/// the bytes that have arrived, so a length prefix alone
+/// pins at most this much per connection, whatever it declares.
+const BODY_RESERVE: usize = 64 << 10;
+
+/// Outcome of one frame read ([`read_frame_into`]).
+pub(crate) enum FrameRead {
+    /// A complete frame; its body is in the caller's buffer.
+    Frame,
+    /// Clean EOF at a frame boundary: the peer hung up between messages.
+    Eof,
+    /// No frame started within the idle timeout.
+    Idle,
+}
+
+/// `true` for the error kinds a timed-out socket read surfaces
+/// (`WouldBlock` on Unix, `TimedOut` on Windows).
+fn is_read_timeout(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
+/// Read one frame into `body` (cleared first; a caller that keeps the buffer
+/// between frames, as [`crate::Client`] does, reads the next one without
+/// allocating). `idle` says what a timed-out `read` means. `None`: the
+/// stream's error, passed on. `Some(idle)`: a tick of a stream whose read
+/// timeout the caller set to a short interval — waiting for a frame's
+/// *first byte* the ticks add up to [`FrameRead::Idle`] after `idle` (the
+/// peer is between requests), while once any byte of the frame has arrived
+/// a tick means a slow-but-active peer and the read just continues.
+pub(crate) fn read_frame_into(
+    r: &mut impl Read,
+    idle: Option<Duration>,
+    body: &mut Vec<u8>,
+) -> WireResult<FrameRead> {
+    body.clear();
+    let boundary = Instant::now();
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
     while filled < 4 {
         match r.read(&mut len_buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
+            Ok(0) if filled == 0 => return Ok(FrameRead::Eof),
             Ok(0) => return Err(WireError::Malformed("EOF inside length prefix".into())),
             Ok(n) => filled += n,
-            Err(e) => return Err(WireError::Io(e)),
+            Err(e) => match idle {
+                Some(idle) if is_read_timeout(&e) => {
+                    if filled == 0 && boundary.elapsed() >= idle {
+                        return Ok(FrameRead::Idle);
+                    }
+                }
+                _ => return Err(WireError::Io(e)),
+            },
         }
     }
     let len = u32::from_be_bytes(len_buf) as usize;
@@ -449,9 +658,37 @@ pub fn read_frame(r: &mut impl Read) -> WireResult<Option<Vec<u8>>> {
             "declared frame of {len} bytes exceeds MAX_FRAME"
         )));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    Ok(Some(body))
+    read_body(r, len, idle.is_some(), body)?;
+    Ok(FrameRead::Frame)
+}
+
+/// Append the `len` bytes of a frame body to `body`, growing it as they
+/// arrive (no zero-fill, no allocation sized by the prefix alone). With
+/// `ticking`, a read timeout is a mid-frame stall: slow, not idle.
+fn read_body(r: &mut impl Read, len: usize, ticking: bool, body: &mut Vec<u8>) -> WireResult<()> {
+    body.reserve_exact(len.min(BODY_RESERVE));
+    let mut rest = r.take(len as u64);
+    // `read_to_end` keeps what it read before an error, and `Take` counts
+    // it, so calling again after a tick resumes where the read stopped.
+    while let Err(e) = rest.read_to_end(body) {
+        if !(ticking && is_read_timeout(&e)) {
+            return Err(WireError::Io(e));
+        }
+    }
+    if body.len() < len {
+        return Err(WireError::Malformed("EOF inside frame body".into()));
+    }
+    Ok(())
+}
+
+/// Read one frame body from a stream. Returns `Ok(None)` on a clean EOF at
+/// a frame boundary (peer hung up between messages).
+pub fn read_frame(r: &mut impl Read) -> WireResult<Option<Vec<u8>>> {
+    let mut body = Vec::new();
+    Ok(match read_frame_into(r, None, &mut body)? {
+        FrameRead::Frame => Some(body),
+        FrameRead::Eof | FrameRead::Idle => None,
+    })
 }
 
 #[cfg(test)]
@@ -536,6 +773,96 @@ mod tests {
             read_frame(&mut hostile),
             Err(WireError::Malformed(_))
         ));
+    }
+
+    /// A peer that declares a frame, delivers `sent` and then stalls:
+    /// every later `read` pops the next outcome (`Ok(())` is EOF).
+    struct Stalling {
+        sent: std::io::Cursor<Vec<u8>>,
+        then: Vec<std::io::Result<()>>,
+    }
+
+    impl Read for Stalling {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.sent.read(buf)? {
+                0 if self.then.is_empty() => Ok(0),
+                0 => self.then.remove(0).map(|()| 0),
+                n => Ok(n),
+            }
+        }
+    }
+
+    fn timeout() -> std::io::Result<()> {
+        Err(std::io::ErrorKind::WouldBlock.into())
+    }
+
+    #[test]
+    fn a_length_prefix_alone_does_not_size_the_body_buffer() {
+        let stalling = |then| {
+            let mut sent = (MAX_FRAME as u32).to_be_bytes().to_vec();
+            sent.extend_from_slice(&[7; 10]);
+            Stalling {
+                sent: std::io::Cursor::new(sent),
+                then,
+            }
+        };
+        // The peer hangs up after 10 of 16 Mi bytes: malformed either way.
+        for idle in [None, Some(Duration::from_secs(60))] {
+            assert!(matches!(
+                read_frame_into(&mut stalling(vec![]), idle, &mut Vec::new()),
+                Err(WireError::Malformed(m)) if m.contains("EOF inside frame body")
+            ));
+        }
+        // A timeout is the stream's error to `read_frame`...
+        assert!(matches!(
+            read_frame(&mut stalling(vec![timeout()])),
+            Err(WireError::Io(_))
+        ));
+        // ... and a tick to a session, which keeps reading through it.
+        assert!(matches!(
+            read_frame_into(
+                &mut stalling(vec![timeout(), timeout()]),
+                Some(Duration::ZERO),
+                &mut Vec::new()
+            ),
+            Err(WireError::Malformed(_))
+        ));
+        // What the 4-byte prefix pinned: the first reservation, not 16 MiB.
+        let mut peer = stalling(vec![timeout()]);
+        peer.sent.set_position(4);
+        let mut body = Vec::new();
+        assert!(read_body(&mut peer, MAX_FRAME, true, &mut body).is_err());
+        assert_eq!(body, [7; 10]);
+        assert!(body.capacity() <= BODY_RESERVE);
+    }
+
+    #[test]
+    fn ticks_count_as_idle_only_before_a_frame_starts() {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &Request::Stats.encode()).unwrap();
+        // Nothing arrived and the idle timeout has passed: idle.
+        let mut quiet = Stalling {
+            sent: std::io::Cursor::new(Vec::new()),
+            then: vec![timeout()],
+        };
+        assert!(matches!(
+            read_frame_into(&mut quiet, Some(Duration::ZERO), &mut Vec::new()),
+            Ok(FrameRead::Idle)
+        ));
+        // One byte of the prefix arrived: a slow peer, however long it takes.
+        let (first, rest) = frame.split_at(1);
+        let mut slow = Stalling {
+            sent: std::io::Cursor::new(first.to_vec()),
+            then: vec![timeout(), timeout()],
+        }
+        .chain(rest);
+        // A kept buffer is cleared, not appended to.
+        let mut body = vec![9; 3];
+        assert!(matches!(
+            read_frame_into(&mut slow, Some(Duration::ZERO), &mut body),
+            Ok(FrameRead::Frame)
+        ));
+        assert_eq!(body, Request::Stats.encode());
     }
 
     #[test]

@@ -15,34 +15,49 @@
 //!   fingerprints are transparent and equal statements over equally sized
 //!   tables share one plan-cache entry server-wide (scope 0). The statement
 //!   cache is cleared whenever the session re-registers a table, since the
-//!   old plans capture the old data;
+//!   old plans capture the old data, and holds at most
+//!   `MAX_SESSION_STATEMENTS` plans (oldest out first), so a client that
+//!   inlines literals cannot grow it without limit;
 //! * a unique cache scope, so opaque (closure-identity) plan-cache entries
 //!   — which only hand-built plans produce — are never shared across
 //!   sessions;
 //! * a [`scheduler::JobGate`](crate::scheduler::JobGate) tying every wave
 //!   of its jobs into the server-wide fair-share scheduler.
 //!
+//! A query's result leaves as it was computed: the job hands the session its
+//! sink [`Dataset`], and [`encode_result`] writes the response body from the
+//! chunk the columnar kernels built — no row is materialized on the way out.
+//! `server.result.path.{columnar,row}` count which view each result left by.
+//!
 //! Sessions do not attach trace sinks: the core's `JobTrace` is per-job
 //! state on the shared hub, and the metrics path is atomics-only, which is
 //! what makes concurrent jobs on one hub safe (see DESIGN.md §13).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use rheem_core::observe::Counter;
 use rheem_core::query::{PlannedQuery, QueryCatalog};
-use rheem_core::{CancelReason, Observability, PlanCache, PlanCacheConfig, RheemContext};
+use rheem_core::{CancelReason, Dataset, Observability, PlanCache, PlanCacheConfig, RheemContext};
 
-use crate::protocol::{read_frame, write_frame, Request, Response, WireError, WireResult};
+use crate::protocol::{
+    encode_result, read_frame_into, write_frame, FrameRead, Request, Response, ResultPath,
+    WireError, WireResult,
+};
 use crate::scheduler::{FairShareScheduler, JobGate};
 use crate::service::{JobService, ServiceConfig};
 
 /// How often a session blocked on a job result re-checks the client
 /// socket for a hang-up (and the job for completion).
 const DISCONNECT_POLL: Duration = Duration::from_millis(25);
+
+/// Most planned statements one session keeps. Plans are small, but SQL texts
+/// are the client's to choose, so the cache must not grow with them.
+const MAX_SESSION_STATEMENTS: usize = 256;
 
 /// Per-read socket timeout for sessions with an idle timeout configured.
 /// Reads tick at this granularity so idleness can be judged at frame
@@ -88,6 +103,14 @@ struct ServerShared {
     plan_cache: Arc<PlanCache>,
     scheduler: Arc<FairShareScheduler>,
     service: JobService,
+    /// `server.result.path.columnar` / `.row`: results encoded from the
+    /// sink's chunk / from its rows (registered up front so `STATS` shows
+    /// a zero).
+    result_columnar: Arc<Counter>,
+    result_row: Arc<Counter>,
+    /// `server.session.statements_evicted`: plans dropped from session
+    /// statement caches at [`MAX_SESSION_STATEMENTS`].
+    statements_evicted: Arc<Counter>,
     /// Next session cache scope; 0 is reserved for transparent
     /// (fully declarative) fingerprints shared server-wide.
     next_scope: AtomicU64,
@@ -116,12 +139,19 @@ impl RheemServer {
         let scheduler = FairShareScheduler::new(config.wave_slots);
         let service = JobService::start(config.service.clone(), observability.metrics().clone());
         let base = rheem_platforms::full_context().with_observability(observability.clone());
+        let metrics = observability.metrics();
+        let result_columnar = metrics.counter("server.result.path.columnar");
+        let result_row = metrics.counter("server.result.path.row");
+        let statements_evicted = metrics.counter("server.session.statements_evicted");
         let shared = Arc::new(ServerShared {
             base,
             observability,
             plan_cache,
             scheduler,
             service,
+            result_columnar,
+            result_row,
+            statements_evicted,
             next_scope: AtomicU64::new(1),
             idle_timeout: config.idle_timeout,
             shutdown: AtomicBool::new(false),
@@ -223,7 +253,7 @@ fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
         .session_streams
         .lock()
         .push(stream.try_clone().map_err(WireError::Io)?);
-    // Reads tick at `READ_TICK` so [`read_frame_idle`] can tell "no
+    // Reads tick at `READ_TICK` so `read_frame_into` can tell "no
     // request started within the idle timeout" (idleness, judged at frame
     // boundaries) from "slow peer mid-frame" (activity — never evicted).
     // Without an idle timeout, reads block indefinitely.
@@ -234,14 +264,15 @@ fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
     }
 
     // First frame must be HELLO.
-    let body = match read_frame_idle(&mut stream, shared.idle_timeout)? {
-        SessionRead::Frame(body) => body,
-        SessionRead::Eof => return Ok(()),
-        SessionRead::Idle => {
+    let mut body = Vec::new();
+    match read_frame_into(&mut stream, shared.idle_timeout, &mut body)? {
+        FrameRead::Frame => {}
+        FrameRead::Eof => return Ok(()),
+        FrameRead::Idle => {
             evict_idle(shared, &mut stream);
             return Ok(());
         }
-    };
+    }
     let tenant = match Request::decode(&body)? {
         Request::Hello { tenant } if !tenant.is_empty() => tenant,
         _ => {
@@ -263,30 +294,36 @@ fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
         .with_cache_scope(scope)
         .with_wave_gate(gate.clone());
     let mut catalog = QueryCatalog::new();
-    let mut statements: HashMap<String, Arc<PlannedQuery>> = HashMap::new();
+    let mut statements = StatementCache::default();
 
     loop {
-        let body = match read_frame_idle(&mut stream, shared.idle_timeout)? {
-            SessionRead::Frame(body) => body,
-            SessionRead::Eof => break,
-            SessionRead::Idle => {
+        // A fresh buffer per request: a kept one would pin the session's
+        // largest REGISTER for as long as the session lives.
+        let mut body = Vec::new();
+        match read_frame_into(&mut stream, shared.idle_timeout, &mut body)? {
+            FrameRead::Frame => {}
+            FrameRead::Eof => break,
+            FrameRead::Idle => {
                 // Idle session: no request *started* within the timeout.
                 evict_idle(shared, &mut stream);
                 break;
             }
-        };
+        }
         if shared.shutdown.load(Ordering::Acquire) {
             break;
         }
-        let response = match Request::decode(&body)? {
+        // Every arm yields an encoded response body; a query's is written
+        // straight from the job's sink dataset, never built as a `Response`.
+        let reply = match Request::decode(&body)? {
             Request::Hello { .. } => Response::Err {
                 message: "session already open".into(),
-            },
+            }
+            .encode(),
             Request::Register { name, schema, rows } => {
                 catalog.register(name, schema, rows);
                 // Cached statements captured the replaced table's data.
                 statements.clear();
-                Response::Ok
+                Response::Ok.encode()
             }
             Request::Query { sql, deadline_ms } => handle_query(
                 shared,
@@ -312,90 +349,61 @@ fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
                         .service
                         .cancel_job(&tenant, job, CancelReason::Explicit);
                 }
-                Response::Ok
+                Response::Ok.encode()
             }
             Request::Stats => Response::Stats {
                 text: render_stats(shared, &tenant),
-            },
+            }
+            .encode(),
             Request::Goodbye => {
                 write_frame(&mut stream, &Response::Ok.encode())?;
                 break;
             }
         };
-        write_frame(&mut stream, &response.encode())?;
+        write_frame(&mut stream, &reply)?;
     }
     Ok(())
 }
 
-/// Outcome of one idle-aware frame read ([`read_frame_idle`]).
-enum SessionRead {
-    /// A complete frame body.
-    Frame(Vec<u8>),
-    /// Clean EOF at a frame boundary: the peer hung up between messages.
-    Eof,
-    /// No frame started within the session's idle timeout.
-    Idle,
+/// A session's planned statements by SQL text, at most
+/// [`MAX_SESSION_STATEMENTS`] of them: planning one more drops the oldest.
+/// A dropped statement is simply planned again when it comes back — SQL
+/// plans fingerprint transparently, so it still finds its plan-cache entry.
+#[derive(Default)]
+struct StatementCache {
+    plans: HashMap<Arc<str>, Arc<PlannedQuery>>,
+    /// The keys of `plans`, oldest first.
+    order: VecDeque<Arc<str>>,
 }
 
-/// `true` for the error kinds a timed-out socket read surfaces
-/// (`WouldBlock` on Unix, `TimedOut` on Windows).
-fn is_read_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Read one frame, attributing read timeouts correctly: a timeout while
-/// waiting for a frame's *first byte* counts toward `idle` (the session is
-/// between requests), while a timeout once any byte of the frame has
-/// arrived means a slow-but-active peer mid-request — the read just
-/// continues. The stream's per-read timeout must already be set to
-/// [`READ_TICK`] (see `run_session`); with `idle == None` reads block and
-/// this is plain [`read_frame`].
-fn read_frame_idle(stream: &mut TcpStream, idle: Option<Duration>) -> WireResult<SessionRead> {
-    use std::io::Read;
-
-    let Some(idle) = idle else {
-        return Ok(match read_frame(stream)? {
-            Some(body) => SessionRead::Frame(body),
-            None => SessionRead::Eof,
-        });
-    };
-    let boundary = std::time::Instant::now();
-    let mut len_buf = [0u8; 4];
-    let mut filled = 0usize;
-    while filled < 4 {
-        match stream.read(&mut len_buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(SessionRead::Eof),
-            Ok(0) => return Err(WireError::Malformed("EOF inside length prefix".into())),
-            Ok(n) => filled += n,
-            Err(e) if is_read_timeout(&e) => {
-                if filled == 0 && boundary.elapsed() >= idle {
-                    return Ok(SessionRead::Idle);
-                }
-                // Mid-frame (or boundary wait not yet over): keep reading.
-            }
-            Err(e) => return Err(WireError::Io(e)),
+impl StatementCache {
+    /// The plan of `sql`, planned against `catalog` on a miss; `evicted`
+    /// counts every statement dropped to make room.
+    fn get_or_plan(
+        &mut self,
+        catalog: &QueryCatalog,
+        sql: &str,
+        evicted: &Counter,
+    ) -> rheem_core::Result<Arc<PlannedQuery>> {
+        if let Some(planned) = self.plans.get(sql) {
+            return Ok(planned.clone());
         }
-    }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > crate::protocol::MAX_FRAME {
-        return Err(WireError::Malformed(format!(
-            "declared frame of {len} bytes exceeds MAX_FRAME"
-        )));
-    }
-    let mut body = vec![0u8; len];
-    let mut got = 0usize;
-    while got < len {
-        match stream.read(&mut body[got..]) {
-            Ok(0) => return Err(WireError::Malformed("EOF inside frame body".into())),
-            Ok(n) => got += n,
-            Err(e) if is_read_timeout(&e) => {} // mid-frame stall: slow, not idle
-            Err(e) => return Err(WireError::Io(e)),
+        let planned = Arc::new(catalog.plan(sql)?);
+        while self.plans.len() >= MAX_SESSION_STATEMENTS {
+            let oldest = self.order.pop_front().expect("one key per plan");
+            self.plans.remove(&oldest);
+            evicted.inc();
         }
+        let sql: Arc<str> = Arc::from(sql);
+        self.order.push_back(sql.clone());
+        self.plans.insert(sql, planned.clone());
+        Ok(planned)
     }
-    Ok(SessionRead::Frame(body))
+
+    fn clear(&mut self) {
+        self.plans.clear();
+        self.order.clear();
+    }
 }
 
 /// Count an idle eviction and tell the client why (best-effort: the
@@ -442,7 +450,8 @@ fn client_disconnected(stream: &TcpStream) -> bool {
     gone
 }
 
-/// Plan (or reuse) and execute one query through admission control.
+/// Plan (or reuse) and execute one query through admission control, and
+/// encode the response body.
 ///
 /// The session thread polls the job handle instead of blocking blindly:
 /// between polls it peeks the client socket, and on a hang-up cancels
@@ -456,24 +465,14 @@ fn handle_query(
     gate: &Arc<JobGate>,
     stream: &TcpStream,
     catalog: &QueryCatalog,
-    statements: &mut HashMap<String, Arc<PlannedQuery>>,
+    statements: &mut StatementCache,
     sql: &str,
     deadline_ms: Option<u64>,
-) -> Response {
-    let planned = match statements.get(sql) {
-        Some(p) => p.clone(),
-        None => match catalog.plan(sql) {
-            Ok(p) => {
-                let p = Arc::new(p);
-                statements.insert(sql.to_string(), p.clone());
-                p
-            }
-            Err(e) => {
-                return Response::Err {
-                    message: format!("planning failed: {e}"),
-                }
-            }
-        },
+) -> Vec<u8> {
+    let error = |message: String| Response::Err { message }.encode();
+    let planned = match statements.get_or_plan(catalog, sql, &shared.statements_evicted) {
+        Ok(planned) => planned,
+        Err(e) => return error(format!("planning failed: {e}")),
     };
     let job_ctx = ctx.clone();
     let job_planned = planned.clone();
@@ -495,22 +494,14 @@ fn handle_query(
             job_ctx = job_ctx.with_timeout(remaining);
         }
         let mut job = job_ctx.execute_logical(&job_planned.logical)?;
-        // Take the sink dataset out of the job: uniquely owned rows move,
-        // and a chunk-built result is materialized here, once.
-        let rows = job
-            .outputs
-            .remove(&job_planned.sink)
-            .map(|d| d.into_records())
-            .unwrap_or_default();
-        Ok::<_, rheem_core::RheemError>(rows)
+        // The sink dataset itself, in whichever view the last operator
+        // built: the session encodes from that view.
+        let sink: Dataset = job.outputs.remove(&job_planned.sink).unwrap_or_default();
+        Ok::<_, rheem_core::RheemError>(sink)
     });
     let handle = match submitted {
         Ok(handle) => handle,
-        Err(admission) => {
-            return Response::Err {
-                message: format!("rejected: {admission}"),
-            }
-        }
+        Err(admission) => return error(format!("rejected: {admission}")),
     };
     let mut hung_up = false;
     let result = loop {
@@ -528,16 +519,16 @@ fn handle_query(
         }
     };
     match result {
-        Err(admission) => Response::Err {
-            message: format!("rejected: {admission}"),
-        },
-        Ok(Err(exec)) => Response::Err {
-            message: format!("execution failed: {exec}"),
-        },
-        Ok(Ok(rows)) => Response::Rows {
-            schema: planned.schema.clone(),
-            rows,
-        },
+        Err(admission) => error(format!("rejected: {admission}")),
+        Ok(Err(exec)) => error(format!("execution failed: {exec}")),
+        Ok(Ok(sink)) => {
+            let (body, path) = encode_result(&planned.schema, &sink);
+            match path {
+                ResultPath::Columnar => shared.result_columnar.inc(),
+                ResultPath::Row => shared.result_row.inc(),
+            }
+            body
+        }
     }
 }
 
@@ -566,4 +557,43 @@ fn render_stats(shared: &ServerShared, tenant: &str) -> String {
         ids.join(",")
     ));
     text
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rheem_core::{DataType, Record, Schema, Value};
+
+    #[test]
+    fn the_statement_cache_stays_under_its_cap_and_keeps_answering() {
+        let mut catalog = QueryCatalog::new();
+        catalog.register(
+            "t",
+            Schema::new(vec![("a", DataType::Int)]),
+            (0..20).map(|a| Record::new(vec![Value::Int(a)])).collect(),
+        );
+        let ctx = rheem_platforms::full_context();
+        let evicted = Counter::new();
+        let mut cache = StatementCache::default();
+        // A client that inlines its literals: every text is new.
+        let statement = |i: usize| format!("SELECT a FROM t WHERE a < {i}");
+        for i in 0..10 * MAX_SESSION_STATEMENTS {
+            let planned = cache
+                .get_or_plan(&catalog, &statement(i), &evicted)
+                .expect("plans");
+            assert!(cache.plans.len() <= MAX_SESSION_STATEMENTS);
+            assert_eq!(cache.order.len(), cache.plans.len());
+            let job = ctx.execute_logical(&planned.logical).expect("runs");
+            assert_eq!(job.outputs[&planned.sink].len(), i.min(20));
+        }
+        assert_eq!(evicted.get(), 9 * MAX_SESSION_STATEMENTS as u64);
+        // The newest statements are the ones kept, and a kept one is reused.
+        let last = statement(10 * MAX_SESSION_STATEMENTS - 1);
+        let kept = cache.plans[last.as_str()].clone();
+        let again = cache.get_or_plan(&catalog, &last, &evicted).expect("hit");
+        assert!(Arc::ptr_eq(&kept, &again));
+        assert!(!cache.plans.contains_key(statement(0).as_str()));
+        cache.clear();
+        assert!(cache.plans.is_empty() && cache.order.is_empty());
+    }
 }

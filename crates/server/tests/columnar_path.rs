@@ -3,7 +3,10 @@
 //! five scan statements and two wide ones) lower without a single opaque
 //! closure, and executing them over the socket runs no row-at-a-time kernel
 //! — `kernel.path.row` in `STATS` stays 0 while `kernel.path.columnar`
-//! counts every operator.
+//! counts every operator — and every result leaves the server encoded from
+//! its chunk: `server.result.path.row` stays 0 too. A table with no columnar
+//! layout (ragged rows) shows the fallback: its result is counted under
+//! `.row` and is just as right.
 
 use rheem_core::mapping::MappingRegistry;
 use rheem_core::optimizer::application;
@@ -127,6 +130,37 @@ fn the_benchmark_statements_run_on_columnar_kernels_only() {
     assert_eq!(counter(&stats, "kernel.path.row"), 0, "{stats}");
     // 7 statements of at least scan + operator + sink each.
     assert!(counter(&stats, "kernel.path.columnar") >= 21, "{stats}");
+    // Nor was a row built to answer: each response body was written from
+    // the sink's chunk.
+    assert_eq!(counter(&stats, "server.result.path.row"), 0, "{stats}");
+    assert_eq!(
+        counter(&stats, "server.result.path.columnar"),
+        STATEMENTS.len() as u64,
+        "{stats}"
+    );
+    client.goodbye().expect("goodbye");
+    server.shutdown();
+}
+
+#[test]
+fn a_result_without_a_chunk_leaves_by_the_row_walk() {
+    let mut server = RheemServer::start(ServerConfig::default()).expect("server starts");
+    let mut client = Client::connect(server.addr(), "ragged").expect("connect");
+    // The second row is a field short of its schema: no columnar layout.
+    let rows = vec![
+        Record::new(vec![Value::Int(1), Value::str("x")]),
+        Record::new(vec![Value::Int(2)]),
+        Record::new(vec![Value::Int(3), Value::Null]),
+    ];
+    let schema = Schema::new(vec![("a", DataType::Int), ("s", DataType::Str)]);
+    client
+        .register("t", schema.clone(), rows.clone())
+        .expect("registers");
+    let (answered, answer) = client.query("SELECT * FROM t").expect("answers");
+    assert_eq!((answered, answer), (schema, rows));
+    let stats = client.stats().expect("stats");
+    assert_eq!(counter(&stats, "server.result.path.row"), 1, "{stats}");
+    assert_eq!(counter(&stats, "server.result.path.columnar"), 0, "{stats}");
     client.goodbye().expect("goodbye");
     server.shutdown();
 }
