@@ -15,6 +15,22 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+# One operator table: `kernels::execute` is the only place an operator
+# becomes a kernel call. The engines hold plumbing only (no kernel call, no
+# `PhysicalOp` variant named), and the interpreter calls no kernel but the
+# table.
+echo "==> one operator table: no kernel dispatch outside kernels::execute"
+nontest() { sed '/^#\[cfg(test)\]/,$d' "$1"; }
+for f in crates/platforms/src/sparklike.rs crates/platforms/src/mapreduce.rs; do
+  if nontest "$f" | grep -nE 'kernels::|PhysicalOp::'; then
+    echo "$f names a kernel or a PhysicalOp variant"; exit 1
+  fi
+done
+if nontest crates/core/src/interpreter.rs \
+    | grep -nE '(parallel|chunked|kernels)::[a-z_]+\(' | grep -v 'kernels::execute('; then
+  echo "crates/core/src/interpreter.rs calls a kernel directly"; exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -46,6 +62,17 @@ cargo test -q --release --test kernel_parallelism
 echo "==> chunk-vs-record determinism smoke (RHEEM_KERNEL_THREADS=1 vs default)"
 RHEEM_KERNEL_THREADS=1 cargo test -q --release --test columnar_kernels
 cargo test -q --release --test columnar_kernels
+
+# Engine-equivalence table: every operator in its transparent and its
+# opaque form, over clean, dirty, ragged and empty inputs, on java,
+# sparklike at 1/3/4 workers, mapreduce and relational against the
+# reference interpreter — with the morsel layer pinned off and at the
+# ambient default.
+echo "==> engine-equivalence table (RHEEM_KERNEL_THREADS=1 vs default)"
+RHEEM_KERNEL_THREADS=1 cargo test -q --release --test platform_independence \
+  every_operator_answers_the_same_on_every_engine
+cargo test -q --release --test platform_independence \
+  every_operator_answers_the_same_on_every_engine
 
 # Hash-engine collision smoke: seeded adversarial key sets (hundreds of
 # distinct keys crafted into one radix bucket) through grouping, typed

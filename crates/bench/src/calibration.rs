@@ -75,7 +75,6 @@ pub fn flip_context() -> (RheemContext, Arc<Observability>) {
             speedup: 1.0,
             startup: 0.0, // claims free job setup; reality charges 30 ms
             shuffle_surcharge: 0.0,
-            hash_engine_speedup: 1.0,
         });
     let ctx = RheemContext::new()
         .with_platform(Arc::new(JavaPlatform::new()))

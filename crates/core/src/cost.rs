@@ -241,12 +241,6 @@ pub struct LinearCostModel {
     pub startup: f64,
     /// Extra per-unit price for operators that force a shuffle/barrier.
     pub shuffle_surcharge: f64,
-    /// Extra speedup applied to the hash-engine kernels only
-    /// (`HashGroupBy` / `ReduceByKey` / `HashJoin`): platforms running on
-    /// the vectorized hash engine ([`crate::kernels::hash`]) price those
-    /// operators below the linear baseline. 1.0 (the default everywhere)
-    /// leaves the model linear; see [`LinearCostModel::with_hash_engine`].
-    pub hash_engine_speedup: f64,
 }
 
 impl LinearCostModel {
@@ -257,7 +251,6 @@ impl LinearCostModel {
             speedup: 1.0,
             startup: 0.0,
             shuffle_surcharge: 0.0,
-            hash_engine_speedup: 1.0,
         }
     }
 
@@ -270,45 +263,12 @@ impl LinearCostModel {
         self.speedup = self.speedup.max(threads.max(1) as f64);
         self
     }
-
-    /// Price in the vectorized hash engine: the key-based kernels
-    /// (`HashGroupBy` / `ReduceByKey` / `HashJoin`) run `speedup`× faster
-    /// than the per-unit baseline on platforms backed by
-    /// [`crate::kernels::hash`] (measured chunk-vs-row in
-    /// `BENCH_kernels.json`). Opt-in so existing explain snapshots and
-    /// calibration baselines are untouched; values below 1 clamp to 1.
-    pub fn with_hash_engine(mut self, speedup: f64) -> Self {
-        self.hash_engine_speedup = speedup.max(1.0);
-        self
-    }
-
-    /// True when `op` runs on the vectorized hash engine and gets the
-    /// [`hash_engine_speedup`](Self::hash_engine_speedup) discount.
-    fn hash_engine_op(op: &PhysicalOp) -> bool {
-        matches!(
-            op,
-            PhysicalOp::HashGroupBy { .. }
-                | PhysicalOp::ReduceByKey { .. }
-                | PhysicalOp::HashJoin { .. }
-        )
-    }
 }
 
-/// Whether an operator requires repartitioning on a partitioned platform.
+/// Whether an operator requires repartitioning on a partitioned platform
+/// (its [`Layout`](crate::physical::Layout) shuffles, gathers or broadcasts).
 pub fn requires_shuffle(op: &PhysicalOp) -> bool {
-    matches!(
-        op,
-        PhysicalOp::SortGroupBy { .. }
-            | PhysicalOp::HashGroupBy { .. }
-            | PhysicalOp::ReduceByKey { .. }
-            | PhysicalOp::GlobalReduce { .. }
-            | PhysicalOp::Sort { .. }
-            | PhysicalOp::Distinct
-            | PhysicalOp::HashJoin { .. }
-            | PhysicalOp::SortMergeJoin { .. }
-            | PhysicalOp::NestedLoopJoin { .. }
-            | PhysicalOp::CrossProduct
-    )
+    op.layout().repartitions()
 }
 
 /// A platform's static operator cost, corrected by the runtime-observed
@@ -336,11 +296,7 @@ impl PlatformCostModel for LinearCostModel {
         if requires_shuffle(op) {
             per_unit += self.shuffle_surcharge;
         }
-        let mut speedup = self.speedup.max(1.0);
-        if Self::hash_engine_op(op) {
-            speedup *= self.hash_engine_speedup.max(1.0);
-        }
-        work * per_unit / speedup
+        work * per_unit / self.speedup.max(1.0)
     }
 
     fn atom_startup_cost(&self) -> f64 {
@@ -912,7 +868,6 @@ mod tests {
             speedup: 8.0,
             startup: 100.0,
             shuffle_surcharge: 0.0,
-            hash_engine_speedup: 1.0,
         };
         let op = PhysicalOp::Map(MapUdf::new("id", |r| r.clone()));
         let c1 = single.op_cost(&op, &[1000.0], 1000.0);
@@ -929,7 +884,6 @@ mod tests {
             speedup: 1.0,
             startup: 0.0,
             shuffle_surcharge: 1.0,
-            hash_engine_speedup: 1.0,
         };
         let narrow = PhysicalOp::Map(MapUdf::new("id", |r| r.clone()));
         let wide = PhysicalOp::ReduceByKey {

@@ -3,16 +3,18 @@
 //! This is the core of the "plain Java program" execution style from the
 //! paper's Figure 2 experiment: no partitioning, no scheduling, no fixed
 //! overheads — just straight-line evaluation of operators over full batches.
-//! The `JavaPlatform` delegates to it wholesale; partitioned platforms reuse
-//! it for loop bodies and non-partitionable custom operators.
+//! Every kernel call goes through the operator table ([`kernels::execute`]);
+//! what is left here is the fragment loop and the operators bound to an
+//! execution context. The `JavaPlatform` delegates to it wholesale; the
+//! partitioned runner resolves its sources and sinks through [`execute_op`].
 
 use std::collections::HashMap;
 
 use crate::data::Dataset;
 use crate::error::{Result, RheemError};
-use crate::kernels::parallel::{self, KernelParallelism};
-use crate::kernels::{self, chunked};
-use crate::physical::PhysicalOp;
+use crate::kernels;
+use crate::kernels::parallel::KernelParallelism;
+use crate::physical::{Layout, PhysicalOp};
 use crate::plan::{NodeId, PhysicalPlan};
 use crate::platform::{AtomInputs, ExecutionContext};
 use crate::rec;
@@ -82,70 +84,60 @@ pub fn run_fragment(
     Ok(run)
 }
 
-/// Parallel work units the interpreter's kernel dispatch uses for `op`
-/// under knob `p`: morsel count for embarrassingly-parallel kernels,
-/// chunk count for two-phase kernels, 1 for everything sequential. On the
-/// `columnar` path only pipelines split into morsels; the keyed chunk
-/// kernels run as one unit.
+/// Parallel work units the operator table uses for `op` under knob `p`:
+/// morsel count for embarrassingly-parallel kernels, chunk count for
+/// two-phase kernels, 1 for everything sequential. On the `columnar` path
+/// only pipelines split into morsels; the keyed chunk kernels run as one
+/// unit.
 pub fn op_morsels(
     op: &PhysicalOp,
     inputs: &[Dataset],
     p: &KernelParallelism,
     columnar: bool,
 ) -> u64 {
-    let len0 = inputs.first().map(|d| d.len()).unwrap_or(0);
-    if columnar {
-        return match op {
-            PhysicalOp::Map(_)
-            | PhysicalOp::Filter(_)
-            | PhysicalOp::Project { .. }
-            | PhysicalOp::ChunkPipeline { .. } => p.morsels(len0),
-            _ => 1,
-        };
-    }
-    match op {
-        PhysicalOp::Map(_) | PhysicalOp::FlatMap(_) | PhysicalOp::Filter(_) => p.morsels(len0),
-        PhysicalOp::Project { .. } | PhysicalOp::ChunkPipeline { .. } => p.morsels(len0),
-        PhysicalOp::SortGroupBy { .. }
-        | PhysicalOp::HashGroupBy { .. }
-        | PhysicalOp::ReduceByKey { .. }
-        | PhysicalOp::Sort { .. } => p.chunks(len0),
-        PhysicalOp::HashJoin { .. } | PhysicalOp::SortMergeJoin { .. } => {
-            let len1 = inputs.get(1).map(|d| d.len()).unwrap_or(0);
-            p.chunks(len0.max(len1))
+    let len = |slot: usize| inputs.get(slot).map_or(0, Dataset::len);
+    match op.layout() {
+        Layout::Narrow => p.morsels(len(0)),
+        Layout::ByKey(_) | Layout::CombineByKey(_) | Layout::Gather if !columnar => {
+            p.chunks(len(0))
         }
+        Layout::CoPartition(..) if !columnar => p.chunks(len(0).max(len(1))),
         _ => 1,
     }
 }
 
 /// Execute a single physical operator on gathered inputs, reporting
-/// whether it ran without touching rows (`true`: a columnar kernel, or a
-/// source/sink that only passes its dataset along).
-///
-/// Operators with a columnar kernel ([`chunked::execute`]: declarative
-/// keys, aggregates and expressions over inputs that have a columnar view)
-/// take it, chunk in and chunk out. Everything else runs row-at-a-time;
-/// kernels with a morsel-parallel twin dispatch through
-/// [`crate::kernels::parallel`] under the context's [`KernelParallelism`]
-/// knob. Outputs are byte-identical on either path and at any thread count.
+/// whether it ran without touching rows (see [`kernels::execute`], the
+/// operator table every kernel call goes through). What the table cannot
+/// know is resolved here: the storage service, the loop state, and the
+/// driving of a loop body.
 pub fn execute_op(
     op: &PhysicalOp,
     inputs: &[Dataset],
     ctx: &ExecutionContext,
     loop_state: Option<&Dataset>,
 ) -> Result<(Dataset, bool)> {
-    let (out, columnar) = match chunked::execute(op, inputs, &ctx.kernel_parallelism) {
-        Some(out) => (out?, true),
-        None => {
-            let passes_through = matches!(
-                op,
-                PhysicalOp::CollectionSource { .. }
-                    | PhysicalOp::LoopInput
-                    | PhysicalOp::CollectSink
-                    | PhysicalOp::CountSink
-            );
-            (execute_rows(op, inputs, ctx, loop_state)?, passes_through)
+    let out = match op {
+        PhysicalOp::StorageSource { dataset_id } => (ctx.storage()?.read(dataset_id)?, false),
+        PhysicalOp::LoopInput => {
+            let state = loop_state
+                .ok_or_else(|| RheemError::InvalidPlan("LoopInput outside a loop body".into()))?;
+            (state.clone(), true)
         }
+        PhysicalOp::Loop {
+            body,
+            condition,
+            max_iterations,
+            ..
+        } => {
+            let state = run_loop(body, condition, *max_iterations, inputs[0].clone(), ctx)?;
+            (state, false)
+        }
+        PhysicalOp::StorageSink { dataset_id } => {
+            ctx.storage()?.write(dataset_id, &inputs[0])?;
+            (inputs[0].clone(), false)
+        }
+        _ => kernels::execute(op, inputs, 0, &ctx.kernel_parallelism)?,
     };
     // A cancel that fires *inside* a morsel-parallel kernel truncates the
     // kernel's output (run_ranges collapses the remaining morsels to
@@ -153,98 +145,7 @@ pub fn execute_op(
     // that have a successor, so re-check here: a truncated result must
     // never be returned as this operator's (and possibly the job's) output.
     ctx.check_cancelled()?;
-    Ok((out, columnar))
-}
-
-/// The row path of [`execute_op`]: sources, sinks, and every operator whose
-/// columnar kernel declined.
-fn execute_rows(
-    op: &PhysicalOp,
-    inputs: &[Dataset],
-    ctx: &ExecutionContext,
-    loop_state: Option<&Dataset>,
-) -> Result<Dataset> {
-    let in0 = || inputs[0].records();
-    let par = &ctx.kernel_parallelism;
-    Ok(match op {
-        PhysicalOp::CollectionSource { data, .. } => data.clone(),
-        PhysicalOp::StorageSource { dataset_id } => ctx.storage()?.read(dataset_id)?,
-        PhysicalOp::LoopInput => loop_state
-            .cloned()
-            .ok_or_else(|| RheemError::InvalidPlan("LoopInput outside a loop body".into()))?,
-        PhysicalOp::Map(u) => Dataset::new(parallel::map(in0(), u, par)),
-        PhysicalOp::FlatMap(u) => Dataset::new(parallel::flat_map(in0(), u, par)),
-        PhysicalOp::Filter(u) => Dataset::new(parallel::filter(in0(), u, par)),
-        PhysicalOp::Project { indices } => Dataset::new(parallel::project(in0(), indices, par)?),
-        // Only a ragged batch gets here: the row-at-a-time reference.
-        PhysicalOp::ChunkPipeline { stages } => {
-            Dataset::new(chunked::run_stages_rows(in0(), stages)?)
-        }
-        PhysicalOp::SortGroupBy { key, group } => {
-            let groups = parallel::sort_group(in0(), key, par);
-            Dataset::new(kernels::apply_group_map(&groups, group))
-        }
-        PhysicalOp::HashGroupBy { key, group } => {
-            let groups = parallel::hash_group(in0(), key, par);
-            Dataset::new(kernels::apply_group_map(&groups, group))
-        }
-        PhysicalOp::ReduceByKey { key, reduce } => {
-            Dataset::new(parallel::reduce_by_key(in0(), key, reduce, par))
-        }
-        PhysicalOp::GlobalReduce { reduce } => Dataset::new(kernels::global_reduce(in0(), reduce)),
-        PhysicalOp::Sort { key, descending } => {
-            Dataset::new(parallel::sort(in0(), key, *descending, par))
-        }
-        PhysicalOp::Distinct => Dataset::new(kernels::distinct(in0())),
-        PhysicalOp::Sample { fraction, seed } => {
-            Dataset::new(kernels::sample(in0(), *fraction, *seed, 0)?)
-        }
-        PhysicalOp::Limit { n } => Dataset::new(kernels::limit(in0(), *n)),
-        PhysicalOp::ZipWithId => Dataset::new(kernels::zip_with_id(in0(), 0)?),
-        PhysicalOp::HashJoin {
-            left_key,
-            right_key,
-        } => Dataset::new(parallel::hash_join(
-            inputs[0].records(),
-            inputs[1].records(),
-            left_key,
-            right_key,
-            par,
-        )),
-        PhysicalOp::SortMergeJoin {
-            left_key,
-            right_key,
-        } => Dataset::new(parallel::sort_merge_join(
-            inputs[0].records(),
-            inputs[1].records(),
-            left_key,
-            right_key,
-            par,
-        )),
-        PhysicalOp::NestedLoopJoin { predicate, .. } => Dataset::new(kernels::nested_loop_join(
-            inputs[0].records(),
-            inputs[1].records(),
-            predicate,
-        )),
-        PhysicalOp::CrossProduct => Dataset::new(kernels::cross_product(
-            inputs[0].records(),
-            inputs[1].records(),
-        )),
-        PhysicalOp::Union => Dataset::new(kernels::union(inputs[0].records(), inputs[1].records())),
-        PhysicalOp::Loop {
-            body,
-            condition,
-            max_iterations,
-            ..
-        } => run_loop(body, condition, *max_iterations, inputs[0].clone(), ctx)?,
-        PhysicalOp::Custom(c) => c.execute(inputs)?,
-        PhysicalOp::CollectSink => inputs[0].clone(),
-        PhysicalOp::CountSink => Dataset::new(vec![rec![inputs[0].len() as i64]]),
-        PhysicalOp::StorageSink { dataset_id } => {
-            ctx.storage()?.write(dataset_id, &inputs[0])?;
-            inputs[0].clone()
-        }
-    })
+    Ok(out)
 }
 
 /// Drive a [`PhysicalOp::Loop`]: evaluate the condition before each

@@ -13,9 +13,136 @@ pub mod parallel;
 
 use std::collections::HashMap;
 
-use crate::data::{Record, Value};
-use crate::error::Result;
+use crate::data::{Chunk, Dataset, Record, Value};
+use crate::error::{Result, RheemError};
+use crate::physical::PhysicalOp;
+use crate::rec;
 use crate::udf::{FilterUdf, FlatMapUdf, GroupMapUdf, KeyUdf, MapUdf, PairPredicateFn, ReduceUdf};
+
+use parallel::KernelParallelism;
+
+/// The operator table: the one place a [`PhysicalOp`] becomes a kernel call.
+///
+/// Every engine runs an operator through here — the interpreter on whole
+/// datasets, a partitioned engine on each partition once the operator's
+/// [`Layout`](crate::physical::Layout) is in place. `offset` is the global
+/// position of `inputs[0]`'s first row (0 for a whole dataset); `Sample`
+/// and `ZipWithId` decide by it, so partitions answer as the whole would.
+///
+/// A declarative operator (expressions, field keys, aggregate specs) whose
+/// inputs have a columnar view runs on its chunk kernel, chunk in and chunk
+/// out; everything else runs on the row kernels, morsel-parallel under `p`
+/// where a kernel has such a twin. Outputs are byte-identical on either
+/// path and at any thread count. The flag is the one definition of
+/// [`NodeObservation::columnar`](crate::observe::NodeObservation): `true`
+/// when no row was touched — a chunk kernel ran, or the operator only hands
+/// its dataset (or a window of it) along.
+///
+/// Operators bound to an execution context (storage, loop state) are the
+/// fragment runners' to resolve and are rejected here.
+pub fn execute(
+    op: &PhysicalOp,
+    inputs: &[Dataset],
+    offset: usize,
+    p: &KernelParallelism,
+) -> Result<(Dataset, bool)> {
+    if let Some(out) = execute_columnar(op, inputs, p) {
+        return Ok((Dataset::from_chunk(out?), true));
+    }
+    let in0 = || inputs[0].records();
+    let in1 = || inputs[1].records();
+    let rows = match op {
+        PhysicalOp::CollectionSource { data, .. } => return Ok((data.clone(), true)),
+        PhysicalOp::CollectSink => return Ok((inputs[0].clone(), true)),
+        PhysicalOp::CountSink => {
+            return Ok((Dataset::new(vec![rec![inputs[0].len() as i64]]), true))
+        }
+        // A prefix is a window on whichever view exists.
+        PhysicalOp::Limit { n } => return Ok((inputs[0].slice(0, inputs[0].len().min(*n)), true)),
+        PhysicalOp::Custom(c) => return Ok((c.execute(inputs)?, false)),
+        PhysicalOp::Map(u) => parallel::map(in0(), u, p),
+        PhysicalOp::FlatMap(u) => parallel::flat_map(in0(), u, p),
+        PhysicalOp::Filter(u) => parallel::filter(in0(), u, p),
+        PhysicalOp::Project { indices } => parallel::project(in0(), indices, p)?,
+        // Only a ragged batch gets here: the row-at-a-time reference.
+        PhysicalOp::ChunkPipeline { stages } => chunked::run_stages_rows(in0(), stages)?,
+        PhysicalOp::SortGroupBy { key, group } => {
+            apply_group_map(&parallel::sort_group(in0(), key, p), group)
+        }
+        PhysicalOp::HashGroupBy { key, group } => {
+            apply_group_map(&parallel::hash_group(in0(), key, p), group)
+        }
+        PhysicalOp::ReduceByKey { key, reduce } => parallel::reduce_by_key(in0(), key, reduce, p),
+        PhysicalOp::GlobalReduce { reduce } => global_reduce(in0(), reduce),
+        PhysicalOp::Sort { key, descending } => parallel::sort(in0(), key, *descending, p),
+        PhysicalOp::Distinct => distinct(in0()),
+        PhysicalOp::Sample { fraction, seed } => sample(in0(), *fraction, *seed, offset as u64)?,
+        // Lossless: a position in an in-memory batch is below `isize::MAX`.
+        PhysicalOp::ZipWithId => zip_with_id(in0(), offset as i64)?,
+        PhysicalOp::HashJoin {
+            left_key,
+            right_key,
+        } => parallel::hash_join(in0(), in1(), left_key, right_key, p),
+        PhysicalOp::SortMergeJoin {
+            left_key,
+            right_key,
+        } => parallel::sort_merge_join(in0(), in1(), left_key, right_key, p),
+        PhysicalOp::NestedLoopJoin { predicate, .. } => nested_loop_join(in0(), in1(), predicate),
+        PhysicalOp::CrossProduct => cross_product(in0(), in1()),
+        PhysicalOp::Union => union(in0(), in1()),
+        PhysicalOp::StorageSource { .. }
+        | PhysicalOp::LoopInput
+        | PhysicalOp::Loop { .. }
+        | PhysicalOp::StorageSink { .. } => {
+            return Err(RheemError::InvalidPlan(format!(
+                "{} is bound to an execution context and has no kernel",
+                op.name()
+            )))
+        }
+    };
+    Ok((Dataset::new(rows), false))
+}
+
+/// The chunk kernel of `op`, if it has one and its inputs have a columnar
+/// view; `None` sends the operator to the row kernels (an opaque closure,
+/// no chunk kernel, or a ragged input). The capability check comes first,
+/// so inputs are only converted for operators that will use the conversion.
+fn execute_columnar(
+    op: &PhysicalOp,
+    inputs: &[Dataset],
+    p: &KernelParallelism,
+) -> Option<Result<Chunk>> {
+    Some(match op {
+        PhysicalOp::SortGroupBy { key, group } | PhysicalOp::HashGroupBy { key, group } => {
+            let (fields, aggs) = (key.fields.as_deref()?, group.aggs.as_deref()?);
+            Ok(chunked::hash_aggregate(inputs[0].chunk()?, fields, aggs))
+        }
+        PhysicalOp::Sort { key, descending } => {
+            key.field_index()?;
+            Ok(chunked::sort(inputs[0].chunk()?, key, *descending))
+        }
+        PhysicalOp::HashJoin {
+            left_key,
+            right_key,
+        } => {
+            left_key.field_index().and(right_key.field_index())?;
+            let (left, right) = (inputs[0].chunk()?, inputs[1].chunk()?);
+            Ok(chunked::hash_join(left, right, left_key, right_key))
+        }
+        PhysicalOp::SortMergeJoin {
+            left_key,
+            right_key,
+        } => {
+            left_key.field_index().and(right_key.field_index())?;
+            let (left, right) = (inputs[0].chunk()?, inputs[1].chunk()?);
+            Ok(chunked::sort_merge_join(left, right, left_key, right_key))
+        }
+        _ => {
+            let stages = op.pipeline_stages()?;
+            parallel::run_pipeline_chunk(inputs[0].chunk()?, &stages, p)
+        }
+    })
+}
 
 /// Apply a map UDF to every record.
 pub fn map(records: &[Record], udf: &MapUdf) -> Vec<Record> {
@@ -34,15 +161,6 @@ pub fn flat_map(records: &[Record], udf: &FlatMapUdf) -> Vec<Record> {
 /// Keep records satisfying the predicate.
 pub fn filter(records: &[Record], udf: &FilterUdf) -> Vec<Record> {
     records.iter().filter(|r| (udf.f)(r)).cloned().collect()
-}
-
-/// Like [`filter`], but consumes the input batch: surviving records are
-/// retained in place instead of cloned. Platforms that own their partition
-/// buffers (task closures get the partition by value) use this to keep the
-/// kernel hot path allocation-free.
-pub fn filter_owned(mut records: Vec<Record>, udf: &FilterUdf) -> Vec<Record> {
-    records.retain(|r| (udf.f)(r));
-    records
 }
 
 /// Project every record onto the given field indices.
@@ -236,7 +354,7 @@ pub fn distinct(records: &[Record]) -> Vec<Record> {
 /// dependency-free so the core crate needs no RNG crate.
 ///
 /// A non-finite `fraction` (NaN, ±∞) is rejected as
-/// [`RheemError::InvalidPlan`](crate::error::RheemError::InvalidPlan): NaN in particular slips *both* range guards
+/// [`RheemError::InvalidPlan`]: NaN in particular slips *both* range guards
 /// (`NaN >= 1.0` and `NaN <= 0.0` are false) and would silently sample with
 /// `u < NaN` — which keeps nothing while looking like a valid fraction.
 pub fn sample(records: &[Record], fraction: f64, seed: u64, offset: u64) -> Result<Vec<Record>> {
@@ -265,17 +383,12 @@ pub fn sample(records: &[Record], fraction: f64, seed: u64, offset: u64) -> Resu
     Ok(out)
 }
 
-/// First `n` records.
-pub fn limit(records: &[Record], n: usize) -> Vec<Record> {
-    records.iter().take(n).cloned().collect()
-}
-
 /// Append a unique `Int` id to each record, starting at `offset`.
 ///
 /// Partitioned platforms pass disjoint offsets per partition so ids stay
 /// globally unique. Id arithmetic is checked: an `offset` close enough to
 /// `i64::MAX` that `offset + i` would wrap (silently producing negative,
-/// *colliding* ids) is reported as [`RheemError::InvalidPlan`](crate::error::RheemError::InvalidPlan) instead.
+/// *colliding* ids) is reported as [`RheemError::InvalidPlan`] instead.
 pub fn zip_with_id(records: &[Record], offset: i64) -> Result<Vec<Record>> {
     records
         .iter()
@@ -329,13 +442,6 @@ mod tests {
             &FlatMapUdf::new("dup", |r| vec![r.clone(), r.clone()]),
         );
         assert_eq!(dup.len(), 6);
-    }
-
-    #[test]
-    fn filter_owned_matches_filter() {
-        let data = nums(&[1, 2, 3, 4]);
-        let udf = FilterUdf::new("odd", |r| r.int(0).unwrap() % 2 == 1);
-        assert_eq!(filter_owned(data.clone(), &udf), filter(&data, &udf));
     }
 
     #[test]
@@ -446,10 +552,8 @@ mod tests {
     }
 
     #[test]
-    fn limit_and_zip_with_id() {
+    fn zip_with_id_numbers_from_the_offset() {
         let data = nums(&[5, 6, 7]);
-        assert_eq!(limit(&data, 2), nums(&[5, 6]));
-        assert_eq!(limit(&data, 99), data);
         let z = zip_with_id(&data, 100).unwrap();
         assert_eq!(z[0], rec![5i64, 100i64]);
         assert_eq!(z[2], rec![7i64, 102i64]);
@@ -469,5 +573,83 @@ mod tests {
     #[test]
     fn union_concatenates() {
         assert_eq!(union(&nums(&[1]), &nums(&[2, 3])), nums(&[1, 2, 3]));
+    }
+
+    #[test]
+    fn the_table_takes_the_chunk_kernel_for_declarative_operators_only() {
+        use crate::expr::Expr;
+        use crate::udf::{AggFunc, Aggregate, GroupOutput};
+        let rows: Vec<Record> = (0..50i64).map(|i| rec![i % 5, i]).collect();
+        let input = [Dataset::new(rows.clone())];
+        let seq = KernelParallelism::sequential();
+        let declarative = PhysicalOp::HashGroupBy {
+            key: KeyUdf::field(0),
+            group: GroupMapUdf::from_aggs(
+                "sum",
+                vec![
+                    GroupOutput::First(0),
+                    GroupOutput::Agg(Aggregate {
+                        func: AggFunc::Sum,
+                        arg: Some(Expr::field(1)),
+                    }),
+                ],
+            ),
+        };
+        let (out, columnar) = execute(&declarative, &input, 0, &seq).unwrap();
+        assert!(columnar && out.has_chunk());
+        assert_eq!(out.len(), 5);
+        assert_eq!(out.records()[0], rec![0i64, 225i64]);
+        // An opaque key, an opaque group map, an operator without a chunk
+        // kernel, and a ragged input all run on rows.
+        let opaque_key = PhysicalOp::Sort {
+            key: KeyUdf::new("k", |r| r.fields()[0].clone()),
+            descending: false,
+        };
+        let opaque_group = PhysicalOp::HashGroupBy {
+            key: KeyUdf::field(0),
+            group: GroupMapUdf::identity(),
+        };
+        for op in [&opaque_key, &opaque_group, &PhysicalOp::Distinct] {
+            assert!(!execute(op, &input, 0, &seq).unwrap().1, "{op:?}");
+        }
+        let ragged = [Dataset::new(vec![rec![1i64], rec![1i64, 2i64]])];
+        let (grouped, columnar) = execute(&declarative, &ragged, 0, &seq).unwrap();
+        assert!(!columnar);
+        assert_eq!(grouped.records(), &[rec![1i64, 2i64]]);
+        // A prefix is a window of whichever view exists: it touches no row
+        // and never converts a batch to keep `n` rows of it.
+        let limit = PhysicalOp::Limit { n: 3 };
+        let (prefix, passed) = execute(&limit, &[Dataset::new(rows.clone())], 0, &seq).unwrap();
+        assert!(passed && !prefix.has_chunk());
+        assert_eq!(prefix.records(), &rows[..3]);
+        let (prefix, passed) = execute(&limit, &[out], 0, &seq).unwrap();
+        assert!(passed && prefix.has_chunk() && prefix.len() == 3);
+        assert_eq!(execute(&limit, &ragged, 0, &seq).unwrap().0.len(), 2);
+    }
+
+    #[test]
+    fn the_table_feeds_the_offset_to_positional_operators() {
+        let data = nums(&(0..100).collect::<Vec<_>>());
+        let seq = KernelParallelism::sequential();
+        for op in [
+            PhysicalOp::Sample {
+                fraction: 0.5,
+                seed: 7,
+            },
+            PhysicalOp::ZipWithId,
+        ] {
+            let whole = execute(&op, &[Dataset::new(data.clone())], 0, &seq).unwrap();
+            let head = execute(&op, &[Dataset::new(data[..40].to_vec())], 0, &seq).unwrap();
+            let tail = execute(&op, &[Dataset::new(data[40..].to_vec())], 40, &seq).unwrap();
+            let pieces = [head.0.records(), tail.0.records()].concat();
+            assert_eq!(whole.0.records(), &pieces[..], "{op:?}");
+        }
+    }
+
+    #[test]
+    fn the_table_rejects_context_bound_operators() {
+        let seq = KernelParallelism::sequential();
+        let err = execute(&PhysicalOp::LoopInput, &[], 0, &seq).unwrap_err();
+        assert!(matches!(err, RheemError::InvalidPlan(_)), "{err:?}");
     }
 }

@@ -8,10 +8,9 @@
 //! output order. The property-test suite (`tests/columnar_kernels.rs`)
 //! enforces this over random data.
 //!
-//! [`execute`] is the door: the interpreter and the partitioned platforms
-//! hand it an operator and its input datasets, and it runs the chunk kernel
-//! whenever every payload is declarative — which is everything SQL lowers
-//! to — or declines, leaving the caller its row path.
+//! The operator table ([`super::execute`]) runs these kernels whenever
+//! every payload of an operator is declarative — which is everything SQL
+//! lowers to — and its inputs have a columnar view.
 //!
 //! Where the operator carries a declarative form (an [`Expr`] predicate, a
 //! [`FieldReduce`] or aggregate spec, [`KeyUdf::fields`]), kernels run fully
@@ -29,14 +28,13 @@
 
 use std::sync::Arc;
 
-use crate::data::{Chunk, Column, Dataset, Record, Value};
+use crate::data::{Chunk, Column, Record, Value};
 use crate::error::{Result, RheemError};
 use crate::expr::Expr;
-use crate::physical::{PhysicalOp, PipelineStage, StageKind};
+use crate::physical::{PipelineStage, StageKind};
 use crate::udf::{AggFunc, AggState, FieldReduce, GroupOutput, KeyUdf, ReduceUdf};
 
 use super::hash;
-use super::parallel::{self, KernelParallelism};
 
 /// Keep rows whose predicate evaluates to `Bool(true)`.
 pub fn filter(chunk: &Chunk, expr: &Expr) -> Chunk {
@@ -936,61 +934,6 @@ pub fn run_stages_rows(records: &[Record], stages: &[PipelineStage]) -> Result<V
     Ok(rows)
 }
 
-/// Run `op` on its columnar kernel, if it has one — the single entry the
-/// interpreter and the partitioned platforms (per partition) share.
-///
-/// `None` means "take the row path": the operator carries an opaque
-/// closure, has no chunk kernel, or an input is ragged and has no columnar
-/// view. The capability check comes first, so inputs are only converted
-/// for operators that will use the conversion. The output dataset is built
-/// from a chunk; rows are materialized when (and if) someone asks.
-pub fn execute(
-    op: &PhysicalOp,
-    inputs: &[Dataset],
-    p: &KernelParallelism,
-) -> Option<Result<Dataset>> {
-    let out = match op {
-        PhysicalOp::SortGroupBy { key, group } | PhysicalOp::HashGroupBy { key, group } => {
-            Ok(hash_aggregate(
-                inputs[0].chunk()?,
-                key.fields.as_deref()?,
-                group.aggs.as_deref()?,
-            ))
-        }
-        PhysicalOp::Sort { key, descending } => {
-            key.field_index()?;
-            Ok(sort(inputs[0].chunk()?, key, *descending))
-        }
-        PhysicalOp::HashJoin {
-            left_key,
-            right_key,
-        } => {
-            left_key.field_index().and(right_key.field_index())?;
-            let (left, right) = (inputs[0].chunk()?, inputs[1].chunk()?);
-            Ok(hash_join(left, right, left_key, right_key))
-        }
-        PhysicalOp::SortMergeJoin {
-            left_key,
-            right_key,
-        } => {
-            left_key.field_index().and(right_key.field_index())?;
-            let (left, right) = (inputs[0].chunk()?, inputs[1].chunk()?);
-            Ok(sort_merge_join(left, right, left_key, right_key))
-        }
-        // A prefix is cheap on either view: slice the chunk when it
-        // exists, but never convert a whole batch to keep `n` rows of it.
-        PhysicalOp::Limit { n } if inputs[0].has_chunk() => {
-            let chunk = inputs[0].chunk()?;
-            Ok(chunk.slice(0, chunk.rows().min(*n)))
-        }
-        _ => {
-            let stages = op.pipeline_stages()?;
-            parallel::run_pipeline_chunk(inputs[0].chunk()?, &stages, p)
-        }
-    };
-    Some(out.map(Dataset::from_chunk))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1205,51 +1148,6 @@ mod tests {
         assert!(hash_aggregate(&empty, &[0], &outputs)
             .to_records()
             .is_empty());
-    }
-
-    #[test]
-    fn execute_takes_declarative_operators_only() {
-        let rows: Vec<Record> = (0..50i64).map(|i| rec![i % 5, i]).collect();
-        let input = [Dataset::new(rows.clone())];
-        let seq = KernelParallelism::sequential();
-        let declarative = PhysicalOp::HashGroupBy {
-            key: KeyUdf::field(0),
-            group: GroupMapUdf::from_aggs(
-                "sum",
-                vec![
-                    GroupOutput::First(0),
-                    GroupOutput::Agg(Aggregate {
-                        func: AggFunc::Sum,
-                        arg: Some(Expr::field(1)),
-                    }),
-                ],
-            ),
-        };
-        let out = execute(&declarative, &input, &seq)
-            .expect("columnar")
-            .unwrap();
-        assert!(out.has_chunk());
-        assert_eq!(out.len(), 5);
-        assert_eq!(out.records()[0], rec![0i64, 225i64]);
-        // An opaque key, an opaque group map, an operator without a chunk
-        // kernel, and a ragged input all decline.
-        let opaque_key = PhysicalOp::Sort {
-            key: KeyUdf::new("k", |r| r.fields()[0].clone()),
-            descending: false,
-        };
-        let opaque_group = PhysicalOp::HashGroupBy {
-            key: KeyUdf::field(0),
-            group: GroupMapUdf::identity(),
-        };
-        assert!(execute(&opaque_key, &input, &seq).is_none());
-        assert!(execute(&opaque_group, &input, &seq).is_none());
-        assert!(execute(&PhysicalOp::Distinct, &input, &seq).is_none());
-        let ragged = [Dataset::new(vec![rec![1i64], rec![1i64, 2i64]])];
-        assert!(execute(&declarative, &ragged, &seq).is_none());
-        // A prefix slices an existing chunk but never converts for one.
-        let limit = PhysicalOp::Limit { n: 3 };
-        assert!(execute(&limit, &[Dataset::new(rows)], &seq).is_none());
-        assert_eq!(execute(&limit, &[out], &seq).unwrap().unwrap().len(), 3);
     }
 
     #[test]

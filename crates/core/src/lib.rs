@@ -71,7 +71,7 @@ pub use optimizer::{
     assignment_cost, enumerate_exhaustive, EnumerationConfig, EnumerationStrategy,
     MultiPlatformOptimizer, PlanCache, PlanCacheConfig, PlanCacheStats, ReplanPolicy, Replanner,
 };
-pub use physical::{CustomPhysicalOp, OpKind, PhysicalOp};
+pub use physical::{CustomPhysicalOp, Layout, OpKind, PhysicalOp};
 pub use plan::{
     ChannelConversion, EnumerationInfo, EnumerationPath, ExecutionPlan, NodeEstimate, NodeId,
     PhysicalPlan, PlanBuilder, PlanFingerprint, TaskAtom,

@@ -407,6 +407,136 @@ impl PhysicalOp {
     }
 }
 
+/// How an operator's input must be laid out across partitions before the
+/// kernel runs on each of them ([`crate::kernels::execute`]) — the one
+/// classification a partitioned engine's exchange step, the shuffle
+/// surcharge of the cost models and the interpreter's morsel accounting
+/// read. Variants carry what the exchange needs from the operator.
+#[derive(Clone, Copy)]
+pub enum Layout<'a> {
+    /// Arity 0: the operator brings its dataset (a collection, a stored
+    /// dataset), which the engine then partitions.
+    Source,
+    /// Arity 0: the enclosing loop's current state, partitioned as it is.
+    LoopState,
+    /// Every partition on its own.
+    Narrow,
+    /// Every partition on its own, told the global position of its first
+    /// row (`Sample` decides by position, `ZipWithId` numbers by it).
+    NarrowWithOffset,
+    /// The first `n` rows: leading partitions and a window of the one that
+    /// crosses `n`. No row is touched.
+    Prefix(usize),
+    /// Rows with equal keys meet in one partition.
+    ByKey(&'a KeyUdf),
+    /// Combine per partition, then [`Layout::ByKey`] over the partial
+    /// results, then combine again.
+    CombineByKey(&'a KeyUdf),
+    /// Equal rows meet in one partition.
+    ByRecord,
+    /// Everything in one partition, in order.
+    Gather,
+    /// Combine per partition, then [`Layout::Gather`] the partial results
+    /// and combine again.
+    CombineGather,
+    /// Two inputs partitioned by their keys into the same number of
+    /// partitions, so equal keys of either side meet at one index.
+    CoPartition(&'a KeyUdf, &'a KeyUdf),
+    /// The left input stays partitioned; every partition sees the whole
+    /// right input.
+    BroadcastRight,
+    /// The partitions of both inputs side by side; no kernel runs.
+    Concat,
+    /// Iterate `body` on the state while `condition` holds (at most
+    /// `max_iterations` times); each iteration crosses a stage boundary.
+    Loop {
+        /// The loop body.
+        body: &'a PhysicalPlan,
+        /// Continuation test, evaluated on the gathered state.
+        condition: &'a LoopCondUdf,
+        /// Hard iteration cap.
+        max_iterations: u64,
+    },
+    /// An application-defined operator: per partition when it says it is
+    /// partitionable and unary, on gathered inputs as one task otherwise.
+    Custom {
+        /// Whether each partition may be handed to it independently.
+        per_partition: bool,
+    },
+    /// The result leaves the engine: gathered, then handed over.
+    Sink,
+}
+
+impl Layout<'_> {
+    /// True when laying the input out repartitions it — a shuffle, a
+    /// gather or a broadcast, i.e. a stage boundary on a partitioned
+    /// engine.
+    pub fn repartitions(&self) -> bool {
+        matches!(
+            self,
+            Layout::ByKey(_)
+                | Layout::CombineByKey(_)
+                | Layout::ByRecord
+                | Layout::Gather
+                | Layout::CombineGather
+                | Layout::CoPartition(..)
+                | Layout::BroadcastRight
+        )
+    }
+}
+
+impl PhysicalOp {
+    /// How this operator's input must be laid out across partitions.
+    pub fn layout(&self) -> Layout<'_> {
+        match self {
+            PhysicalOp::CollectionSource { .. } | PhysicalOp::StorageSource { .. } => {
+                Layout::Source
+            }
+            PhysicalOp::LoopInput => Layout::LoopState,
+            PhysicalOp::Map(_)
+            | PhysicalOp::FlatMap(_)
+            | PhysicalOp::Filter(_)
+            | PhysicalOp::Project { .. }
+            | PhysicalOp::ChunkPipeline { .. } => Layout::Narrow,
+            PhysicalOp::Sample { .. } | PhysicalOp::ZipWithId => Layout::NarrowWithOffset,
+            PhysicalOp::Limit { n } => Layout::Prefix(*n),
+            PhysicalOp::SortGroupBy { key, .. } | PhysicalOp::HashGroupBy { key, .. } => {
+                Layout::ByKey(key)
+            }
+            PhysicalOp::ReduceByKey { key, .. } => Layout::CombineByKey(key),
+            PhysicalOp::Distinct => Layout::ByRecord,
+            PhysicalOp::Sort { .. } => Layout::Gather,
+            PhysicalOp::GlobalReduce { .. } => Layout::CombineGather,
+            PhysicalOp::HashJoin {
+                left_key,
+                right_key,
+            }
+            | PhysicalOp::SortMergeJoin {
+                left_key,
+                right_key,
+            } => Layout::CoPartition(left_key, right_key),
+            PhysicalOp::NestedLoopJoin { .. } | PhysicalOp::CrossProduct => Layout::BroadcastRight,
+            PhysicalOp::Union => Layout::Concat,
+            PhysicalOp::Loop {
+                body,
+                condition,
+                max_iterations,
+                ..
+            } => Layout::Loop {
+                body,
+                condition,
+                max_iterations: *max_iterations,
+            },
+            PhysicalOp::Custom(c) => Layout::Custom {
+                per_partition: c.partitionable() && c.arity() == 1,
+            },
+            PhysicalOp::CollectSink | PhysicalOp::CountSink | PhysicalOp::StorageSink { .. } => {
+                Layout::Sink
+            }
+        }
+    }
+}
+
 impl fmt::Debug for PhysicalOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.name())

@@ -47,7 +47,6 @@ impl JavaPlatform {
                 speedup: 1.0,
                 startup: 0.5,
                 shuffle_surcharge: 0.0,
-                hash_engine_speedup: 1.0,
             }),
             kernel_threads: 1,
         }
@@ -74,18 +73,6 @@ impl JavaPlatform {
     pub fn with_kernel_parallelism(mut self, threads: usize) -> Self {
         self.kernel_threads = threads.max(1);
         self.cost = Arc::new((*self.cost).clone().with_kernel_parallelism(threads));
-        self
-    }
-
-    /// Declare the measured vectorized-hash-engine speedup for the
-    /// key-based kernels (`HashGroupBy` / `ReduceByKey` / `HashJoin`), so
-    /// optimizer prices track the chunk-vs-row ratios recorded in
-    /// `BENCH_kernels.json`. Composes with
-    /// [`with_kernel_parallelism`](JavaPlatform::with_kernel_parallelism);
-    /// runtime cost calibration still corrects the estimate from observed
-    /// timings either way.
-    pub fn with_hash_engine(mut self, speedup: f64) -> Self {
-        self.cost = Arc::new((*self.cost).clone().with_hash_engine(speedup));
         self
     }
 }
@@ -204,34 +191,6 @@ mod tests {
         assert!(
             (fast - slow / 4.0).abs() < 1e-9,
             "4 declared threads should quarter the work cost ({slow} vs {fast})"
-        );
-    }
-
-    #[test]
-    fn hash_engine_speedup_prices_keyed_kernels_only() {
-        let base = JavaPlatform::new();
-        let fast = JavaPlatform::new().with_hash_engine(2.5);
-        let keyed = PhysicalOp::HashGroupBy {
-            key: KeyUdf::field(0),
-            group: rheem_core::udf::GroupMapUdf::identity(),
-        };
-        let scalar = PhysicalOp::Map(rheem_core::udf::MapUdf::new("id", |r| r.clone()));
-        let slow_keyed = base.cost_model().op_cost(&keyed, &[1000.0], 30.0);
-        let fast_keyed = fast.cost_model().op_cost(&keyed, &[1000.0], 30.0);
-        assert!(
-            (fast_keyed - slow_keyed / 2.5).abs() < 1e-9,
-            "hash-engine speedup should discount keyed ops ({slow_keyed} vs {fast_keyed})"
-        );
-        // Scalar kernels are not on the hash engine and keep their price.
-        assert_eq!(
-            base.cost_model().op_cost(&scalar, &[1000.0], 1000.0),
-            fast.cost_model().op_cost(&scalar, &[1000.0], 1000.0)
-        );
-        // Sub-1 values clamp: the engine never prices *slower*.
-        let clamped = JavaPlatform::new().with_hash_engine(0.1);
-        assert_eq!(
-            clamped.cost_model().op_cost(&keyed, &[1000.0], 30.0),
-            slow_keyed
         );
     }
 

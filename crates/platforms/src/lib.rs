@@ -24,6 +24,7 @@ pub mod java;
 pub mod mapreduce;
 pub mod partition;
 pub mod relational;
+mod runner;
 pub mod sparklike;
 
 pub use config::OverheadConfig;

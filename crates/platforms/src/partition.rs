@@ -1,25 +1,17 @@
-//! Partitioning utilities for the parallel platforms.
+//! Partitioning utilities for the partitioned fragment runner.
 //!
-//! Two granularities: the Spark-like engine partitions [`Dataset`]s —
-//! lazy windows and chunk-built pieces, so columnar operators hand chunks
-//! from stage to stage and rows appear only where a task needs them — while
-//! the MapReduce engine, whose phase boundaries spill rows to disk anyway,
-//! keeps plain row partitions ([`Partitions`]). Both route keys with one
-//! hash ([`key_hash`]), whichever view a batch is routed on.
+//! A dataset in flight is a list of [`Dataset`] partitions — lazy windows
+//! and chunk-built pieces, so columnar operators hand chunks from stage to
+//! stage and rows appear only where a task needs them. Keys are routed with
+//! one hash ([`key_hash`]), whichever view a batch is routed on.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use crossbeam::thread;
 use rheem_core::data::{Chunk, Dataset, Record, Value};
-use rheem_core::error::{Result, RheemError};
+use rheem_core::error::Result;
 use rheem_core::kernels::{chunked, hash};
-use rheem_core::physical::PhysicalOp;
 use rheem_core::udf::KeyUdf;
-use rheem_core::KernelParallelism;
-
-/// A batch of rows split into partitions.
-pub type Partitions = Vec<Vec<Record>>;
 
 /// Balanced contiguous `(offset, len)` ranges covering `0..n` (the first
 /// `n % parts` ranges get one extra row).
@@ -33,16 +25,9 @@ fn ranges(n: usize, parts: usize) -> impl Iterator<Item = (usize, usize)> {
     })
 }
 
-/// Split into `parts` contiguous, order-preserving chunks (narrow input
-/// partitioning: concatenating the chunks reproduces the input order).
-pub fn chunk(records: &[Record], parts: usize) -> Partitions {
-    ranges(records.len(), parts)
-        .map(|(start, len)| records[start..start + len].to_vec())
-        .collect()
-}
-
-/// [`chunk`] for a [`Dataset`]: `parts` contiguous windows, nothing copied
-/// or converted until a task asks a window for one of its views.
+/// Split into `parts` contiguous, order-preserving windows (narrow input
+/// partitioning: concatenating them reproduces the input order). Nothing
+/// is copied or converted until a task asks a window for one of its views.
 pub fn split(data: &Dataset, parts: usize) -> Vec<Dataset> {
     ranges(data.len(), parts)
         .map(|(start, len)| data.slice(start, len))
@@ -65,21 +50,21 @@ pub fn key_hash(key: &KeyUdf, r: &Record) -> u64 {
     }
 }
 
-/// Shuffle records into `parts` partitions by key hash (co-partitioning:
-/// equal keys always land in the same partition index), keeping input
+/// Route every row to the partition `hash(row) % parts`, keeping input
 /// order within each partition.
-pub fn hash_partition(records: &[Record], key: &KeyUdf, parts: usize) -> Partitions {
-    let parts = parts.max(1);
+fn route_rows(records: &[Record], parts: usize, hash: impl Fn(&Record) -> u64) -> Vec<Dataset> {
     let mut out = vec![Vec::new(); parts];
     for r in records {
-        out[(key_hash(key, r) % parts as u64) as usize].push(r.clone());
+        out[(hash(r) % parts as u64) as usize].push(r.clone());
     }
-    out
+    out.into_iter().map(Dataset::new).collect()
 }
 
-/// [`hash_partition`] for a [`Dataset`]: a batch that has a columnar view
-/// is routed on its key columns and gathered into chunk-built partitions;
-/// otherwise its rows are. Both ways send a key to the same partition.
+/// Shuffle into `parts` partitions by key hash (co-partitioning: equal
+/// keys always land in the same partition index), keeping input order
+/// within each partition. A batch that has a columnar view is routed on its
+/// key columns and gathered into chunk-built partitions; otherwise its rows
+/// are. Both ways send a key to the same partition.
 pub fn partition_by_key(data: &Dataset, key: &KeyUdf, parts: usize) -> Vec<Dataset> {
     let parts = parts.max(1);
     let columnar = match (key.fields.as_deref(), data.has_chunk()) {
@@ -87,10 +72,7 @@ pub fn partition_by_key(data: &Dataset, key: &KeyUdf, parts: usize) -> Vec<Datas
         _ => None,
     };
     let Some((chunk, fields)) = columnar else {
-        return hash_partition(data.records(), key, parts)
-            .into_iter()
-            .map(Dataset::new)
-            .collect();
+        return route_rows(data.records(), parts, |r| key_hash(key, r));
     };
     let mut rows: Vec<Vec<usize>> = vec![Vec::new(); parts];
     for (row, h) in chunked::key_tuple_hashes(chunk, fields)
@@ -104,53 +86,16 @@ pub fn partition_by_key(data: &Dataset, key: &KeyUdf, parts: usize) -> Vec<Datas
         .collect()
 }
 
-/// Shuffle records by whole-record hash (used by `Distinct`).
-pub fn hash_partition_records(records: &[Record], parts: usize) -> Partitions {
-    let parts = parts.max(1);
-    let mut out = vec![Vec::new(); parts];
-    for r in records {
+/// Shuffle by whole-record hash, so equal rows meet (`Distinct`).
+pub fn partition_by_record(data: &Dataset, parts: usize) -> Vec<Dataset> {
+    route_rows(data.records(), parts.max(1), |r| {
         let mut h = DefaultHasher::new();
         r.hash(&mut h);
-        out[(h.finish() % parts as u64) as usize].push(r.clone());
-    }
-    out
+        h.finish()
+    })
 }
 
-/// Run `op` over one partition on its columnar kernel when it has one —
-/// the entry shared with the interpreter, [`chunked::execute`] — chunk in,
-/// chunk out, sequentially (the partition is the parallel unit). `side` is
-/// the operator's second input, if it has one (the co-partitioned right
-/// side of a join). A partition without a columnar view (ragged rows) and
-/// any operator without a chunk kernel run `rows` on the partition's rows
-/// instead. Also reports whether the columnar kernel ran.
-pub fn columnar_or_rows(
-    op: &PhysicalOp,
-    part: Dataset,
-    side: Option<&Dataset>,
-    rows: impl FnOnce(Vec<Record>) -> Result<Vec<Record>>,
-) -> Result<(Dataset, bool)> {
-    let mut inputs = vec![part];
-    inputs.extend(side.cloned());
-    match chunked::execute(op, &inputs, &KernelParallelism::sequential()) {
-        Some(out) => Ok((out?, true)),
-        None => {
-            let out = rows(inputs.swap_remove(0).into_records())?;
-            Ok((Dataset::new(out), false))
-        }
-    }
-}
-
-/// Concatenate partitions back into one batch.
-pub fn gather(parts: Partitions) -> Vec<Record> {
-    let total = parts.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    for p in parts {
-        out.extend(p);
-    }
-    out
-}
-
-/// [`gather`] for [`Dataset`] partitions: chunk to chunk when every
+/// Concatenate partitions back into one batch: chunk to chunk when every
 /// partition has a columnar view at hand, row to row otherwise.
 pub fn concat(mut parts: Vec<Dataset>) -> Dataset {
     if parts.len() == 1 {
@@ -162,9 +107,11 @@ pub fn concat(mut parts: Vec<Dataset>) -> Dataset {
             return Dataset::from_chunk(merged);
         }
     }
-    Dataset::new(gather(
-        parts.into_iter().map(Dataset::into_records).collect(),
-    ))
+    let mut rows = Vec::with_capacity(parts.iter().map(Dataset::len).sum());
+    for p in parts {
+        rows.extend(p.into_records());
+    }
+    Dataset::new(rows)
 }
 
 /// Prefix-sum offsets of each partition (for globally unique ids and
@@ -190,10 +137,10 @@ pub fn offsets(parts: &[Dataset]) -> Vec<usize> {
 /// execution gives exact per-task costs on any machine; the platform then
 /// *simulates* the cluster by charging only the critical path. See
 /// DESIGN.md's substitution table.
-pub fn run_partitions_timed<T, F>(parts: Vec<T>, f: F) -> Result<(Vec<T>, f64)>
-where
-    F: Fn(usize, T) -> Result<T> + Send + Sync,
-{
+pub fn run_partitions_timed<T>(
+    parts: Vec<T>,
+    mut f: impl FnMut(usize, T) -> Result<T>,
+) -> Result<(Vec<T>, f64)> {
     let mut out = Vec::with_capacity(parts.len());
     let mut max_ms = 0.0f64;
     for (i, part) in parts.into_iter().enumerate() {
@@ -204,41 +151,10 @@ where
     Ok((out, max_ms))
 }
 
-/// Run `f` over every partition on its own worker thread ("task slots").
-///
-/// `f` receives `(partition index, partition)` and returns the transformed
-/// partition. The first error wins; all threads are joined either way.
-pub fn par_map_partitions<F>(parts: Partitions, f: F) -> Result<Partitions>
-where
-    F: Fn(usize, Vec<Record>) -> Result<Vec<Record>> + Send + Sync,
-{
-    let n = parts.len();
-    let mut results: Vec<Result<Vec<Record>>> = Vec::with_capacity(n);
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for (i, part) in parts.into_iter().enumerate() {
-            let f = &f;
-            handles.push(scope.spawn(move |_| f(i, part)));
-        }
-        for h in handles {
-            results.push(h.join().unwrap_or_else(|_| {
-                Err(RheemError::Execution {
-                    platform: "worker".into(),
-                    message: "worker thread panicked".into(),
-                })
-            }));
-        }
-    })
-    .map_err(|_| RheemError::Execution {
-        platform: "worker".into(),
-        message: "thread scope panicked".into(),
-    })?;
-    results.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rheem_core::error::RheemError;
     use rheem_core::rec;
 
     fn nums(n: i64) -> Vec<Record> {
@@ -246,34 +162,33 @@ mod tests {
     }
 
     #[test]
-    fn chunk_preserves_order_and_covers_all() {
-        let data = nums(10);
-        let parts = chunk(&data, 3);
+    fn split_preserves_order_and_covers_all() {
+        let data = Dataset::new(nums(10));
+        let parts = split(&data, 3);
         assert_eq!(parts.len(), 3);
         assert_eq!(parts[0].len(), 4); // 10 = 4 + 3 + 3
-        assert_eq!(gather(parts), data);
+        assert_eq!(concat(parts), data);
     }
 
     #[test]
-    fn chunk_handles_fewer_records_than_parts() {
-        let data = nums(2);
-        let parts = chunk(&data, 8);
+    fn split_handles_fewer_records_than_parts() {
+        let data = Dataset::new(nums(2));
+        let parts = split(&data, 8);
         assert_eq!(parts.len(), 8);
-        assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), 2);
-        assert_eq!(gather(parts), data);
+        assert_eq!(parts.iter().map(Dataset::len).sum::<usize>(), 2);
+        assert_eq!(concat(parts), data);
     }
 
     #[test]
-    fn chunk_zero_parts_clamps_to_one() {
-        let data = nums(3);
-        assert_eq!(chunk(&data, 0).len(), 1);
+    fn split_zero_parts_clamps_to_one() {
+        assert_eq!(split(&Dataset::new(nums(3)), 0).len(), 1);
     }
 
     #[test]
-    fn hash_partition_copartitions_equal_keys() {
-        let data: Vec<Record> = (0..100).map(|i| rec![i % 7, i]).collect();
-        let parts = hash_partition(&data, &KeyUdf::field(0), 4);
-        assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), 100);
+    fn partition_by_key_copartitions_equal_keys() {
+        let data: Dataset = (0..100).map(|i| rec![i % 7, i]).collect();
+        let parts = partition_by_key(&data, &KeyUdf::field(0), 4);
+        assert_eq!(parts.iter().map(Dataset::len).sum::<usize>(), 100);
         // Every key appears in exactly one partition.
         for k in 0..7i64 {
             let holders = parts
@@ -281,6 +196,20 @@ mod tests {
                 .filter(|p| p.iter().any(|r| r.int(0).unwrap() == k))
                 .count();
             assert_eq!(holders, 1, "key {k} split across partitions");
+        }
+    }
+
+    #[test]
+    fn partition_by_record_sends_equal_rows_to_one_partition() {
+        let data: Dataset = (0..60).map(|i| rec![i % 6, "x"]).collect();
+        let parts = partition_by_record(&data, 4);
+        assert_eq!(parts.iter().map(Dataset::len).sum::<usize>(), 60);
+        for k in 0..6i64 {
+            let holders = parts
+                .iter()
+                .filter(|p| p.iter().any(|r| r.int(0).unwrap() == k))
+                .count();
+            assert_eq!(holders, 1, "row {k} split across partitions");
         }
     }
 
@@ -334,18 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_partitions_applies_in_parallel() {
-        let parts = chunk(&nums(100), 8);
-        let out = par_map_partitions(parts, |_, p| {
-            Ok(p.iter().map(|r| rec![r.int(0).unwrap() * 2]).collect())
-        })
-        .unwrap();
-        let all = gather(out);
-        assert_eq!(all.len(), 100);
-        assert_eq!(all[99], rec![198i64]);
-    }
-
-    #[test]
     fn run_partitions_timed_reports_critical_path() {
         let parts = vec![nums(1), nums(2)];
         let (out, max_ms) = run_partitions_timed(parts, |i, p| {
@@ -362,7 +279,7 @@ mod tests {
 
     #[test]
     fn run_partitions_timed_propagates_errors() {
-        let parts = chunk(&nums(10), 4);
+        let parts = split(&Dataset::new(nums(10)), 4);
         assert!(run_partitions_timed(parts, |i, p| {
             if i == 2 {
                 Err(RheemError::Execution {
@@ -374,21 +291,5 @@ mod tests {
             }
         })
         .is_err());
-    }
-
-    #[test]
-    fn par_map_partitions_propagates_errors() {
-        let parts = chunk(&nums(10), 4);
-        let out = par_map_partitions(parts, |i, p| {
-            if i == 2 {
-                Err(RheemError::Execution {
-                    platform: "test".into(),
-                    message: "boom".into(),
-                })
-            } else {
-                Ok(p)
-            }
-        });
-        assert!(out.is_err());
     }
 }

@@ -134,11 +134,22 @@ pub struct ServerHandle {
 impl RheemServer {
     /// Bind `config.addr`, start the accept loop, and return a handle.
     pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
+        Self::start_with_context(config, rheem_platforms::full_context())
+    }
+
+    /// [`RheemServer::start`] over a caller-built context — its platforms,
+    /// and whether one of them is forced — instead of
+    /// [`rheem_platforms::full_context`]. The server attaches its own
+    /// observability hub to it.
+    pub fn start_with_context(
+        config: ServerConfig,
+        base: RheemContext,
+    ) -> std::io::Result<ServerHandle> {
         let observability = Arc::new(Observability::new());
         let plan_cache = Arc::new(PlanCache::new(config.cache));
         let scheduler = FairShareScheduler::new(config.wave_slots);
         let service = JobService::start(config.service.clone(), observability.metrics().clone());
-        let base = rheem_platforms::full_context().with_observability(observability.clone());
+        let base = base.with_observability(observability.clone());
         let metrics = observability.metrics();
         let result_columnar = metrics.counter("server.result.path.columnar");
         let result_row = metrics.counter("server.result.path.row");

@@ -6,7 +6,9 @@
 //! counts every operator — and every result leaves the server encoded from
 //! its chunk: `server.result.path.row` stays 0 too. A table with no columnar
 //! layout (ragged rows) shows the fallback: its result is counted under
-//! `.row` and is just as right.
+//! `.row` and is just as right. Which path an operator took is decided in
+//! one place (`kernels::execute`), so the counts are the same whichever
+//! engine is forced to run the statements.
 
 use rheem_core::mapping::MappingRegistry;
 use rheem_core::optimizer::application;
@@ -163,4 +165,66 @@ fn a_result_without_a_chunk_leaves_by_the_row_walk() {
     assert_eq!(counter(&stats, "server.result.path.columnar"), 0, "{stats}");
     client.goodbye().expect("goodbye");
     server.shutdown();
+}
+
+/// `(kernel.path.columnar, kernel.path.row)` after the seven statements,
+/// and what a `LIMIT` over a ragged table adds to each, with every atom
+/// forced onto `platform`.
+fn kernel_paths_on(platform: &str) -> [(u64, u64); 2] {
+    let ctx = rheem_platforms::test_context().force_platform(platform);
+    let mut server =
+        RheemServer::start_with_context(ServerConfig::default(), ctx).expect("server starts");
+    let mut client = Client::connect(server.addr(), "forced").expect("connect");
+    client
+        .register("orders", orders_schema(), orders())
+        .expect("orders registers");
+    client
+        .register("customers", customers_schema(), customers())
+        .expect("customers registers");
+    let paths = |client: &mut Client| {
+        let stats = client.stats().expect("stats");
+        (
+            counter(&stats, "kernel.path.columnar"),
+            counter(&stats, "kernel.path.row"),
+        )
+    };
+    for sql in STATEMENTS {
+        let (_, rows) = client.query(sql).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
+        assert!(!rows.is_empty(), "`{sql}` answered nothing on {platform}");
+    }
+    let seven = paths(&mut client);
+    // The second row is a field short of its schema: no columnar layout.
+    let ragged = vec![
+        Record::new(vec![Value::Int(1), Value::str("x")]),
+        Record::new(vec![Value::Int(2)]),
+        Record::new(vec![Value::Int(3), Value::Null]),
+    ];
+    let schema = Schema::new(vec![("a", DataType::Int), ("s", DataType::Str)]);
+    client.register("t", schema, ragged).expect("registers");
+    let (_, rows) = client.query("SELECT a FROM t LIMIT 2").expect("answers");
+    assert_eq!(
+        rows,
+        [Value::Int(1), Value::Int(2)].map(|a| Record::new(vec![a])),
+        "on {platform}"
+    );
+    let after = paths(&mut client);
+    client.goodbye().expect("goodbye");
+    server.shutdown();
+    [seven, (after.0 - seven.0, after.1 - seven.1)]
+}
+
+#[test]
+fn every_engine_reports_the_same_kernel_paths() {
+    let [seven, ragged] = kernel_paths_on("java");
+    assert_eq!(seven.1, 0, "a benchmark statement ran a row kernel");
+    assert!(
+        seven.0 >= 21,
+        "7 statements of at least scan + operator + sink"
+    );
+    // The projection of a ragged table runs on rows; the scan, the prefix
+    // and the sink only pass their dataset along.
+    assert_eq!(ragged, (3, 1));
+    for platform in ["sparklike", "mapreduce"] {
+        assert_eq!(kernel_paths_on(platform), [seven, ragged], "{platform}");
+    }
 }

@@ -264,3 +264,700 @@ proptest! {
         assert_platform_independent(&plan);
     }
 }
+
+// ---------------------------------------------------------------------------
+// The engine-equivalence table: every operator, in its transparent and its
+// opaque form, on every engine, over clean, dirty, ragged and empty inputs
+// ---------------------------------------------------------------------------
+
+use std::collections::HashMap;
+
+use rheem_core::expr::Expr;
+use rheem_core::physical::{CustomPhysicalOp, PhysicalOp};
+use rheem_core::plan::TaskAtom;
+use rheem_core::platform::{MemoryStorageService, StorageService};
+use rheem_core::udf::{AggFunc, Aggregate, FieldReduce, GroupOutput};
+use rheem_core::{ExecutionContext, KernelParallelism};
+
+const VARIANTS: usize = 27;
+
+/// One position per variant, without a wildcard: a new variant does not
+/// compile until it is given a position here, and
+/// `every_operator_answers_the_same_on_every_engine` then fails until the
+/// table holds a form of it.
+fn position(op: &PhysicalOp) -> usize {
+    match op {
+        PhysicalOp::CollectionSource { .. } => 0,
+        PhysicalOp::StorageSource { .. } => 1,
+        PhysicalOp::LoopInput => 2,
+        PhysicalOp::Map(_) => 3,
+        PhysicalOp::FlatMap(_) => 4,
+        PhysicalOp::Filter(_) => 5,
+        PhysicalOp::Project { .. } => 6,
+        PhysicalOp::SortGroupBy { .. } => 7,
+        PhysicalOp::HashGroupBy { .. } => 8,
+        PhysicalOp::ReduceByKey { .. } => 9,
+        PhysicalOp::GlobalReduce { .. } => 10,
+        PhysicalOp::Sort { .. } => 11,
+        PhysicalOp::Distinct => 12,
+        PhysicalOp::Sample { .. } => 13,
+        PhysicalOp::Limit { .. } => 14,
+        PhysicalOp::ZipWithId => 15,
+        PhysicalOp::ChunkPipeline { .. } => 16,
+        PhysicalOp::HashJoin { .. } => 17,
+        PhysicalOp::SortMergeJoin { .. } => 18,
+        PhysicalOp::NestedLoopJoin { .. } => 19,
+        PhysicalOp::CrossProduct => 20,
+        PhysicalOp::Union => 21,
+        PhysicalOp::Loop { .. } => 22,
+        PhysicalOp::Custom(_) => 23,
+        PhysicalOp::CollectSink => 24,
+        PhysicalOp::CountSink => 25,
+        PhysicalOp::StorageSink { .. } => 26,
+    }
+}
+
+/// What must hold about a form's answer beyond the bag of its rows.
+#[derive(Clone, Copy, PartialEq)]
+enum Order {
+    /// The operator defines no order: equal bags.
+    Bag,
+    /// The operator defines the order (a sort, a prefix, positional ids, a
+    /// positional selection): equal sequences.
+    Sequence,
+}
+
+/// One way of writing an operator: a chain whose first operator reads the
+/// table's inputs (none, the left one, or both, by its arity) and whose
+/// other operators each read their predecessor.
+struct Form {
+    label: &'static str,
+    chain: Vec<PhysicalOp>,
+    order: Order,
+}
+
+fn form(label: &'static str, op: PhysicalOp, order: Order) -> Form {
+    Form {
+        label,
+        chain: vec![op],
+        order,
+    }
+}
+
+/// Rows are `[key, int, float, tag]`.
+const KEY: usize = 0;
+const INT: usize = 1;
+const FLOAT: usize = 2;
+const TAG: usize = 3;
+
+fn field(r: &Record, i: usize) -> Value {
+    r.fields().get(i).cloned().unwrap_or(Value::Null)
+}
+
+fn clean_rows(n: i64) -> Vec<Record> {
+    (0..n)
+        .map(|i| rec![i % 12, i, (i % 17) as f64 * 0.5, format!("t{}", i % 5)])
+        .collect()
+}
+
+/// NULL keys and payloads, two NaN payloads, both zeros, empty strings, and
+/// a key that holds two thirds of the rows.
+fn dirty_rows(n: i64) -> Vec<Record> {
+    (0..n)
+        .map(|i| {
+            let key = match i % 9 {
+                0 => Value::Null,
+                1 | 2 => Value::Int(i % 7),
+                _ => Value::Int(3),
+            };
+            let int = if i % 11 == 0 {
+                Value::Null
+            } else {
+                Value::Int(i * 37 % 101 - 50)
+            };
+            let float = match i % 8 {
+                0 => Value::Float(f64::NAN),
+                1 => Value::Float(f64::from_bits(0x7ff8_0000_0000_beef)),
+                2 => Value::Float(0.0),
+                3 => Value::Float(-0.0),
+                4 => Value::Null,
+                _ => Value::Float(i as f64 * 0.25 - 20.0),
+            };
+            let tag = if i % 6 == 0 {
+                Value::str("")
+            } else {
+                Value::str(format!("d{}", i % 4))
+            };
+            Record::new(vec![key, int, float, tag])
+        })
+        .collect()
+}
+
+/// Clean rows, every seventh a field longer: no columnar layout.
+fn ragged_rows(n: i64) -> Vec<Record> {
+    let mut rows = clean_rows(n);
+    for r in rows.iter_mut().step_by(7) {
+        r.push(Value::Bool(true));
+    }
+    rows
+}
+
+/// The right-hand table of the binary operators: `[key, label]`.
+fn right_rows() -> Vec<Record> {
+    let mut rows: Vec<Record> = (0..9i64).map(|k| rec![k, format!("r{k}")]).collect();
+    rows.push(Record::new(vec![Value::Null, Value::str("null-key")]));
+    rows.push(rec![3i64, "r3-again"]);
+    rows
+}
+
+/// A partitionable custom operator (each row twice) and two that are not
+/// (the input's cardinality; both inputs' cardinalities).
+struct Twice;
+struct Cardinality(usize);
+
+impl CustomPhysicalOp for Twice {
+    fn name(&self) -> &str {
+        "Twice"
+    }
+    fn arity(&self) -> usize {
+        1
+    }
+    fn partitionable(&self) -> bool {
+        true
+    }
+    fn execute(&self, inputs: &[Dataset]) -> rheem_core::Result<Dataset> {
+        Ok(inputs[0]
+            .iter()
+            .flat_map(|r| [r.clone(), r.clone()])
+            .collect())
+    }
+}
+
+impl CustomPhysicalOp for Cardinality {
+    fn name(&self) -> &str {
+        "Cardinality"
+    }
+    fn arity(&self) -> usize {
+        self.0
+    }
+    fn execute(&self, inputs: &[Dataset]) -> rheem_core::Result<Dataset> {
+        let counts = inputs.iter().map(|d| Value::Int(d.len() as i64)).collect();
+        Ok(Dataset::new(vec![Record::new(counts)]))
+    }
+}
+
+fn agg(func: AggFunc, arg: Option<usize>) -> GroupOutput {
+    GroupOutput::Agg(Aggregate {
+        func,
+        arg: arg.map(Expr::field),
+    })
+}
+
+/// Both group-by operators in each form, built by `make(key, group)`.
+fn group_by_forms(
+    names: [&'static str; 4],
+    make: impl Fn(KeyUdf, GroupMapUdf) -> PhysicalOp,
+) -> Vec<Form> {
+    let aggregates = || {
+        GroupMapUdf::from_aggs(
+            "aggs",
+            vec![
+                GroupOutput::First(KEY),
+                agg(AggFunc::Count, None),
+                agg(AggFunc::Sum, Some(INT)),
+                agg(AggFunc::Sum, Some(FLOAT)),
+                agg(AggFunc::Min, Some(FLOAT)),
+                agg(AggFunc::Max, Some(TAG)),
+                agg(AggFunc::Avg, Some(INT)),
+            ],
+        )
+    };
+    let count_members = || {
+        GroupMapUdf::new("count", |k, members| {
+            vec![Record::new(vec![k.clone(), (members.len() as i64).into()])]
+        })
+    };
+    let [transparent, opaque, opaque_group, global] = names;
+    vec![
+        form(
+            transparent,
+            make(KeyUdf::field(KEY), aggregates()),
+            Order::Bag,
+        ),
+        form(
+            opaque,
+            make(KeyUdf::new("key", |r| field(r, KEY)), count_members()),
+            Order::Bag,
+        ),
+        form(
+            opaque_group,
+            make(KeyUdf::fields(vec![KEY, TAG]), count_members()),
+            Order::Bag,
+        ),
+        // A key over no fields is one global group: one row, also over no
+        // input.
+        form(
+            global,
+            make(
+                KeyUdf::fields(vec![]),
+                GroupMapUdf::from_aggs(
+                    "global",
+                    vec![agg(AggFunc::Count, None), agg(AggFunc::Sum, Some(INT))],
+                ),
+            ),
+            Order::Bag,
+        ),
+    ]
+}
+
+/// Both equi-joins in each form, built by `make(left_key, right_key)`.
+fn join_forms(names: [&'static str; 2], make: impl Fn(KeyUdf, KeyUdf) -> PhysicalOp) -> Vec<Form> {
+    let opaque = || KeyUdf::new("key", |r| field(r, KEY));
+    vec![
+        form(
+            names[0],
+            make(KeyUdf::field(KEY), KeyUdf::field(0)),
+            Order::Bag,
+        ),
+        form(names[1], make(opaque(), opaque()), Order::Bag),
+    ]
+}
+
+fn stages_of(ops: &[PhysicalOp]) -> PhysicalOp {
+    PhysicalOp::ChunkPipeline {
+        stages: ops
+            .iter()
+            .flat_map(|op| op.pipeline_stages().expect("a transparent operator"))
+            .collect(),
+    }
+}
+
+/// Every operator in every form it can be written in, over `left`.
+fn forms(left: &[Record]) -> Vec<Form> {
+    use Order::{Bag, Sequence};
+    let int_is_small = || Expr::field(INT).lt(Expr::lit(40i64));
+    let filter = || PhysicalOp::Filter(FilterUdf::from_expr("small", int_is_small()));
+    let map = || {
+        PhysicalOp::Map(MapUdf::from_exprs(
+            "shift",
+            vec![
+                Expr::field(KEY),
+                Expr::field(INT).add(Expr::lit(1i64)),
+                Expr::field(FLOAT).mul(Expr::lit(2.0)),
+                Expr::field(TAG),
+            ],
+        ))
+    };
+    let increment = || {
+        MapUdf::new("inc", |r| {
+            let mut fields = r.fields().to_vec();
+            if let Some(Value::Int(i)) = fields.get(INT) {
+                fields[INT] = Value::Int(i + 1);
+            }
+            Record::new(fields)
+        })
+    };
+    let sum_min_max = |r: Record, x: &Record| {
+        let int = match (field(&r, INT), field(x, INT)) {
+            (Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_add(b)),
+            _ => Value::Null,
+        };
+        Record::new(vec![
+            field(&r, KEY),
+            int,
+            field(&r, FLOAT).min(field(x, FLOAT)),
+            field(&r, TAG).max(field(x, TAG)),
+        ])
+    };
+    let spec = || {
+        vec![
+            FieldReduce::First,
+            FieldReduce::SumInt,
+            FieldReduce::Min,
+            FieldReduce::Max,
+        ]
+    };
+    let loop_over = |body_map: PhysicalOp| {
+        let mut body = PlanBuilder::new();
+        let state = body.loop_input();
+        body.add(body_map, vec![state]);
+        PhysicalOp::Loop {
+            body: Arc::new(body.build_fragment().expect("a loop body")),
+            condition: LoopCondUdf::fixed_iterations(3),
+            max_iterations: 3,
+            expected_iterations: 3.0,
+        }
+    };
+    let sort = |key: KeyUdf, descending| PhysicalOp::Sort { key, descending };
+
+    let mut table = vec![
+        // Sources (`LoopInput` is in the loops below).
+        form(
+            "collection source",
+            PhysicalOp::CollectionSource {
+                data: Dataset::new(left.to_vec()),
+                name: "left".into(),
+            },
+            Sequence,
+        ),
+        form(
+            "storage source",
+            PhysicalOp::StorageSource {
+                dataset_id: "stored".into(),
+            },
+            Sequence,
+        ),
+        // Narrow.
+        form("map, expressions", map(), Bag),
+        form("map, closure", PhysicalOp::Map(increment()), Bag),
+        form(
+            "flat map",
+            PhysicalOp::FlatMap(FlatMapUdf::new("by-parity", |r| match field(r, INT) {
+                Value::Int(i) if i % 2 == 0 => vec![r.clone(), r.clone()],
+                Value::Int(_) => vec![],
+                _ => vec![r.clone()],
+            })),
+            Bag,
+        ),
+        form("filter, expression", filter(), Bag),
+        form(
+            "filter, closure",
+            PhysicalOp::Filter(FilterUdf::new("small", |r| field(r, INT) < Value::Int(40))),
+            Bag,
+        ),
+        form(
+            "project",
+            PhysicalOp::Project {
+                indices: vec![TAG, KEY],
+            },
+            Bag,
+        ),
+        form(
+            "chunk pipeline",
+            stages_of(&[
+                filter(),
+                map(),
+                PhysicalOp::Project {
+                    indices: vec![INT, KEY],
+                },
+            ]),
+            Bag,
+        ),
+        // Positional: the selection, the ids and a prefix are defined by
+        // the input's order, which every engine keeps.
+        form(
+            "sample",
+            PhysicalOp::Sample {
+                fraction: 0.4,
+                seed: 11,
+            },
+            Sequence,
+        ),
+        form("zip with id", PhysicalOp::ZipWithId, Sequence),
+        form("limit", PhysicalOp::Limit { n: 17 }, Sequence),
+        form("limit 0", PhysicalOp::Limit { n: 0 }, Sequence),
+        // Keyed and global reductions (associative combiners: partitioned
+        // engines combine per partition first).
+        form(
+            "reduce by key, spec",
+            PhysicalOp::ReduceByKey {
+                key: KeyUdf::field(KEY),
+                reduce: ReduceUdf::from_spec("spec", spec()),
+            },
+            Bag,
+        ),
+        form(
+            "reduce by key, closures",
+            PhysicalOp::ReduceByKey {
+                key: KeyUdf::new("key", |r| field(r, KEY)),
+                reduce: ReduceUdf::new("sum-min-max", sum_min_max),
+            },
+            Bag,
+        ),
+        form(
+            "global reduce, spec",
+            PhysicalOp::GlobalReduce {
+                reduce: ReduceUdf::from_spec("spec", spec()),
+            },
+            Bag,
+        ),
+        form(
+            "global reduce, closure",
+            PhysicalOp::GlobalReduce {
+                reduce: ReduceUdf::new("sum-min-max", sum_min_max),
+            },
+            Bag,
+        ),
+        // Order-defining.
+        form(
+            "sort, field key",
+            sort(KeyUdf::field(FLOAT), false),
+            Sequence,
+        ),
+        form(
+            "sort, field key, descending",
+            sort(KeyUdf::field(KEY), true),
+            Sequence,
+        ),
+        form(
+            "sort, closure key",
+            sort(
+                KeyUdf::new("tag-then-int", |r| {
+                    Value::str(format!("{}|{}", field(r, TAG), field(r, INT)))
+                }),
+                false,
+            ),
+            Sequence,
+        ),
+        Form {
+            label: "limit after sort",
+            chain: vec![sort(KeyUdf::field(INT), true), PhysicalOp::Limit { n: 9 }],
+            order: Sequence,
+        },
+        form("distinct", PhysicalOp::Distinct, Bag),
+        Form {
+            label: "distinct over duplicates",
+            chain: vec![
+                PhysicalOp::Project {
+                    indices: vec![KEY, TAG],
+                },
+                PhysicalOp::Distinct,
+            ],
+            order: Bag,
+        },
+        // Binary (the joins follow).
+        form(
+            "theta join",
+            PhysicalOp::NestedLoopJoin {
+                predicate: Arc::new(|l: &Record, r: &Record| field(l, KEY) < field(r, 0)),
+                name: "key-below".into(),
+                selectivity: 0.5,
+            },
+            Bag,
+        ),
+        form("cross product", PhysicalOp::CrossProduct, Bag),
+        form("union", PhysicalOp::Union, Bag),
+        // Control.
+        form("loop, expressions in the body", loop_over(map()), Bag),
+        form(
+            "loop, closure in the body",
+            loop_over(PhysicalOp::Map(increment())),
+            Bag,
+        ),
+        form(
+            "custom, per partition",
+            PhysicalOp::Custom(Arc::new(Twice)),
+            Bag,
+        ),
+        form(
+            "custom, gathered",
+            PhysicalOp::Custom(Arc::new(Cardinality(1))),
+            Bag,
+        ),
+        form(
+            "custom, two gathered inputs",
+            PhysicalOp::Custom(Arc::new(Cardinality(2))),
+            Bag,
+        ),
+        // Sinks.
+        form("collect sink", PhysicalOp::CollectSink, Sequence),
+        form("count sink", PhysicalOp::CountSink, Sequence),
+        form(
+            "storage sink",
+            PhysicalOp::StorageSink {
+                dataset_id: "written".into(),
+            },
+            Sequence,
+        ),
+    ];
+    table.extend(group_by_forms(
+        [
+            "hash group by, field key and aggregates",
+            "hash group by, closures",
+            "hash group by, field keys and a closure",
+            "hash group by, global aggregate",
+        ],
+        |key, group| PhysicalOp::HashGroupBy { key, group },
+    ));
+    table.extend(group_by_forms(
+        [
+            "sort group by, field key and aggregates",
+            "sort group by, closures",
+            "sort group by, field keys and a closure",
+            "sort group by, global aggregate",
+        ],
+        |key, group| PhysicalOp::SortGroupBy { key, group },
+    ));
+    table.extend(join_forms(
+        ["hash join, field keys", "hash join, closure keys"],
+        |left_key, right_key| PhysicalOp::HashJoin {
+            left_key,
+            right_key,
+        },
+    ));
+    table.extend(join_forms(
+        [
+            "sort-merge join, field keys",
+            "sort-merge join, closure keys",
+        ],
+        |left_key, right_key| PhysicalOp::SortMergeJoin {
+            left_key,
+            right_key,
+        },
+    ));
+    table
+}
+
+/// The plan of one form over the table's inputs, its last operator
+/// collected unless it is a sink itself.
+fn plan_of(form: &Form, left: &[Record], right: &[Record]) -> PhysicalPlan {
+    let mut b = PlanBuilder::new();
+    let mut last = None;
+    for op in &form.chain {
+        let inputs = match (op.arity(), last) {
+            (0, _) => vec![],
+            (1, Some(previous)) => vec![previous],
+            (1, None) => vec![b.collection("left", left.to_vec())],
+            _ => vec![
+                b.collection("left", left.to_vec()),
+                b.collection("right", right.to_vec()),
+            ],
+        };
+        last = Some(b.add(op.clone(), inputs));
+    }
+    let last = last.expect("a form has an operator");
+    if !form.chain.last().is_some_and(PhysicalOp::is_sink) {
+        b.collect(last);
+    }
+    b.build().expect("the form is a valid plan")
+}
+
+/// A context whose storage holds `stored` and whose morsel layer engages on
+/// the table's small inputs (threads as the environment sets them).
+fn table_context(stored: &[Record]) -> (ExecutionContext, Arc<MemoryStorageService>) {
+    let storage = Arc::new(MemoryStorageService::new());
+    storage
+        .write("stored", &Dataset::new(stored.to_vec()))
+        .expect("stores");
+    let ctx = ExecutionContext::new()
+        .with_storage(storage.clone())
+        .with_kernel_parallelism(
+            KernelParallelism::from_env()
+                .with_morsel_size(16)
+                .with_min_rows(1),
+        );
+    (ctx, storage)
+}
+
+fn mark_positions(plan: &PhysicalPlan, seen: &mut [bool; VARIANTS]) {
+    for node in plan.nodes() {
+        seen[position(&node.op)] = true;
+        if let PhysicalOp::Loop { body, .. } = &node.op {
+            mark_positions(body, seen);
+        }
+    }
+}
+
+#[test]
+fn every_operator_answers_the_same_on_every_engine() {
+    let spill_dir = std::env::temp_dir().join(format!("rheem_table_{}", std::process::id()));
+    let engines: Vec<(&str, Arc<dyn Platform>)> = vec![
+        ("java", Arc::new(JavaPlatform::new())),
+        (
+            "sparklike, 1 worker",
+            Arc::new(SparkLikePlatform::new(1).with_overheads(OverheadConfig::none())),
+        ),
+        (
+            "sparklike, 3 workers",
+            Arc::new(SparkLikePlatform::new(3).with_overheads(OverheadConfig::none())),
+        ),
+        (
+            "sparklike, 4 workers",
+            Arc::new(SparkLikePlatform::new(4).with_overheads(OverheadConfig::none())),
+        ),
+        (
+            "mapreduce",
+            Arc::new(
+                MapReduceLikePlatform::new(4)
+                    .with_overheads(OverheadConfig::none())
+                    .with_spill_dir(&spill_dir),
+            ),
+        ),
+        (
+            "relational",
+            Arc::new(RelationalPlatform::new().with_overheads(OverheadConfig::none())),
+        ),
+    ];
+    let inputs = [
+        ("clean", clean_rows(230)),
+        ("dirty", dirty_rows(230)),
+        ("ragged", ragged_rows(230)),
+        ("empty", Vec::new()),
+    ];
+    let right = right_rows();
+    let mut seen = [false; VARIANTS];
+    for (kind, left) in &inputs {
+        for form in forms(left) {
+            let plan = plan_of(&form, left, &right);
+            mark_positions(&plan, &mut seen);
+            let context = format!("`{}` over {kind} input", form.label);
+            let (reference_ctx, reference_storage) = table_context(left);
+            let reference_ctx =
+                reference_ctx.with_kernel_parallelism(KernelParallelism::sequential());
+            let reference = interpreter::run_plan(&plan, &reference_ctx)
+                .unwrap_or_else(|e| panic!("{context}: the reference fails: {e}"));
+            if form.label.ends_with("global aggregate") {
+                let answer: Vec<usize> = reference.values().map(Dataset::len).collect();
+                assert_eq!(answer, [1], "{context}: a global aggregate is one row");
+            }
+            let atom = TaskAtom {
+                id: 0,
+                platform: String::new(),
+                nodes: plan.nodes().iter().map(|n| n.id).collect(),
+                inputs: Vec::new(),
+                outputs: plan.sinks(),
+            };
+            for (engine, platform) in &engines {
+                if !plan.nodes().iter().all(|n| platform.supports(&n.op)) {
+                    continue;
+                }
+                let (ctx, storage) = table_context(left);
+                let result = platform
+                    .execute_atom(&plan, &atom, &HashMap::new(), &ctx)
+                    .unwrap_or_else(|e| panic!("{context} on {engine}: {e}"));
+                assert_eq!(
+                    result.outputs.len(),
+                    reference.len(),
+                    "{context} on {engine}"
+                );
+                for (sink, expected) in &reference {
+                    let answered = result.outputs[sink].records().to_vec();
+                    let expected = expected.records().to_vec();
+                    if form.order == Order::Sequence {
+                        assert_eq!(answered, expected, "{context} on {engine}: sequence");
+                    } else {
+                        assert_eq!(
+                            sorted(answered),
+                            sorted(expected),
+                            "{context} on {engine}: bag"
+                        );
+                    }
+                }
+                assert_eq!(
+                    storage.read("written").ok(),
+                    reference_storage.read("written").ok(),
+                    "{context} on {engine}: what the storage sink wrote"
+                );
+            }
+        }
+    }
+    let missing: Vec<usize> = (0..VARIANTS).filter(|&p| !seen[p]).collect();
+    assert!(
+        missing.is_empty(),
+        "no form covers the variants at {missing:?}"
+    );
+    let leaked: Vec<_> = std::fs::read_dir(&spill_dir)
+        .map(|dir| dir.flatten().map(|e| e.file_name()).collect())
+        .unwrap_or_default();
+    assert!(leaked.is_empty(), "spill files left behind: {leaked:?}");
+}
