@@ -131,16 +131,23 @@ done
 echo "==> server smoke (2 concurrent sessions + clean shutdown)"
 cargo test -q --release -p rheem-server --test server_smoke
 
-# Result path: the session encodes a response from the sink's chunk, so
-# server.rs must not ask a dataset for its rows (the row walk for chunk-less
-# results lives in protocol.rs, next to the one value encoding), and the two
-# row sources must encode to the same bytes — generated dirty chunks against
-# the reference `Response::Rows{..}.encode()`, in release mode.
-echo "==> result path: no row view in server.rs + chunk/row byte identity"
-if grep -nE 'into_records\(|\.records\(\)' crates/server/src/server.rs; then
-  echo "crates/server/src/server.rs materializes a row view"; exit 1
+# Data path in and out of a session: it encodes a response from the sink's
+# chunk and decodes a REGISTER into the chunk the catalog holds, so server.rs
+# must not ask a dataset for its rows nor hand the catalog decoded rows (the
+# row walks for chunk-less results and ragged frames live in protocol.rs,
+# next to the one value encoding and the one row grammar). Both directions
+# are held to the row form byte for byte over generated dirty tables — chunk
+# vs rows on the way out, column sink vs row sink (and their verdicts on
+# truncated and corrupted frames) on the way in — and the footprint of a
+# registered table is counted with a counting allocator. Release mode.
+echo "==> session data path: no rows in server.rs + codec equivalence + footprint"
+if nontest crates/server/src/server.rs \
+    | grep -nE 'into_records\(|\.records\(\)|catalog\.register\('; then
+  echo "crates/server/src/server.rs materializes a row view or registers rows"; exit 1
 fi
 cargo test -q --release -p rheem-server --test result_encoding
+cargo test -q --release -p rheem-server --test register_decoding
+cargo test -q --release -p rheem-server --test register_footprint
 
 # Cancellation/panic chaos smoke: seeded random plans, cancel points, and
 # panicking UDFs against the shared job service (both schedule modes via

@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use super::{Record, Value};
+use super::{str_bytes, value_bytes, Record, Value};
 
 /// A validity bitmap: one bit per row, `1` = valid, `0` = null.
 ///
@@ -54,6 +54,18 @@ impl Bitmap {
             self.words[word] |= 1u64 << (self.len % 64);
         }
         self.len += 1;
+    }
+
+    /// `len` valid bits, with room for `capacity` (a builder's first NULL
+    /// arrives after `len` values that were not).
+    fn all_valid(len: usize, capacity: usize) -> Self {
+        let mut words = Vec::with_capacity(capacity.max(len + 1).div_ceil(64));
+        words.resize(len / 64, u64::MAX);
+        let tail = len % 64;
+        if tail > 0 {
+            words.push((1u64 << tail) - 1);
+        }
+        Bitmap { words, len }
     }
 
     /// Read bit `i`; out-of-range bits read as valid.
@@ -132,15 +144,204 @@ struct DictBuilder {
 }
 
 impl DictBuilder {
-    /// The code of `s`, appending it to the dictionary if it is new.
-    fn code(&mut self, s: &Arc<str>) -> u32 {
+    /// The code of `s`; a new string is appended to the dictionary as the
+    /// allocation `share` hands over (a clone of the caller's `Arc`, or a
+    /// fresh one when the caller only has bytes).
+    fn code(&mut self, s: &str, share: impl FnOnce() -> Arc<str>) -> u32 {
         if let Some(&code) = self.codes.get(s) {
             return code;
         }
         let code = self.entries.len() as u32;
-        self.entries.push(s.clone());
-        self.codes.insert(s.clone(), code);
+        let entry = share();
+        self.entries.push(entry.clone());
+        self.codes.insert(entry, code);
         code
+    }
+}
+
+/// The values a [`ColumnBuilder`] has taken so far, in the tightest layout
+/// that holds them.
+#[derive(Default)]
+enum Lane {
+    /// Nothing but NULLs yet: no payload to store, no type to commit to.
+    #[default]
+    Unknown,
+    Int(Vec<i64>),
+    Float(Vec<f64>),
+    Bool(Vec<bool>),
+    /// Codes into the builder's dictionary.
+    Str(Vec<u32>),
+    Mixed(Vec<Value>),
+}
+
+/// Builds one [`Column`] a value at a time — the one place a column's layout
+/// is inferred, whether the values come from records
+/// ([`Column::from_value_refs`]) or from bytes a decoder is walking.
+///
+/// Inference is value-driven: the first non-NULL value picks the typed lane
+/// (NULLs before it are backfilled with the neutral payload), a NULL starts
+/// the validity bitmap, and a value of a second scalar type degrades the
+/// column to [`ColumnData::Mixed`]. A column that only ever saw NULLs is
+/// `Int` zeros under an all-null bitmap.
+#[derive(Default)]
+pub struct ColumnBuilder {
+    lane: Lane,
+    /// Present from the first NULL on; a `Mixed` lane stores its NULLs
+    /// verbatim and has none.
+    validity: Option<Bitmap>,
+    /// Distinct strings so far, in first-appearance order.
+    dict: DictBuilder,
+    len: usize,
+    /// Rows the caller expects: a lane is allocated once, at this size.
+    capacity: usize,
+}
+
+impl ColumnBuilder {
+    /// A builder whose lane, once its type is known, is reserved for `rows`
+    /// values (nothing is allocated before the first value arrives).
+    pub fn with_capacity(rows: usize) -> Self {
+        ColumnBuilder {
+            capacity: rows,
+            ..ColumnBuilder::default()
+        }
+    }
+
+    /// Append a NULL.
+    pub fn push_null(&mut self) {
+        match &mut self.lane {
+            Lane::Mixed(values) => {
+                values.push(Value::Null);
+                self.len += 1;
+                return;
+            }
+            Lane::Unknown => {}
+            Lane::Int(lane) => lane.push(0),
+            Lane::Float(lane) => lane.push(0.0),
+            Lane::Bool(lane) => lane.push(false),
+            Lane::Str(codes) => codes.push(0),
+        }
+        let (len, capacity) = (self.len, self.capacity);
+        self.validity
+            .get_or_insert_with(|| Bitmap::all_valid(len, capacity))
+            .push(false);
+        self.len += 1;
+    }
+
+    /// Append an `Int`.
+    pub fn push_int(&mut self, i: i64) {
+        match &mut self.lane {
+            Lane::Int(lane) => lane.push(i),
+            Lane::Unknown => self.lane = Lane::Int(self.start_lane(i)),
+            _ => self.degrade().push(Value::Int(i)),
+        }
+        self.pushed_valid();
+    }
+
+    /// Append a `Float` (payload bits kept as they are).
+    pub fn push_float(&mut self, x: f64) {
+        match &mut self.lane {
+            Lane::Float(lane) => lane.push(x),
+            Lane::Unknown => self.lane = Lane::Float(self.start_lane(x)),
+            _ => self.degrade().push(Value::Float(x)),
+        }
+        self.pushed_valid();
+    }
+
+    /// Append a `Bool`.
+    pub fn push_bool(&mut self, b: bool) {
+        match &mut self.lane {
+            Lane::Bool(lane) => lane.push(b),
+            Lane::Unknown => self.lane = Lane::Bool(self.start_lane(b)),
+            _ => self.degrade().push(Value::Bool(b)),
+        }
+        self.pushed_valid();
+    }
+
+    /// Append a string by its characters: a string the column already holds
+    /// costs a dictionary lookup and no allocation.
+    pub fn push_str(&mut self, s: &str) {
+        self.push_shared_str(s, || Arc::from(s));
+    }
+
+    /// Append a borrowed [`Value`] (a string shares the value's allocation).
+    pub fn push_value(&mut self, value: &Value) {
+        match value {
+            Value::Null => self.push_null(),
+            Value::Bool(b) => self.push_bool(*b),
+            Value::Int(i) => self.push_int(*i),
+            Value::Float(x) => self.push_float(*x),
+            Value::Str(s) => self.push_shared_str(s, || s.clone()),
+        }
+    }
+
+    fn push_shared_str(&mut self, s: &str, share: impl FnOnce() -> Arc<str>) {
+        let code = self.dict.code(s, share);
+        match &mut self.lane {
+            Lane::Str(codes) => codes.push(code),
+            Lane::Unknown => self.lane = Lane::Str(self.start_lane(code)),
+            _ => {
+                let entry = self.dict.entries[code as usize].clone();
+                self.degrade().push(Value::Str(entry));
+            }
+        }
+        self.pushed_valid();
+    }
+
+    /// A lane of the expected size holding the neutral payload for the NULLs
+    /// seen so far, then `first`.
+    fn start_lane<T: Clone + Default>(&self, first: T) -> Vec<T> {
+        let mut lane = Vec::with_capacity(self.capacity.max(self.len + 1));
+        lane.resize(self.len, T::default());
+        lane.push(first);
+        lane
+    }
+
+    fn pushed_valid(&mut self) {
+        if let Some(validity) = &mut self.validity {
+            validity.push(true);
+        }
+        self.len += 1;
+    }
+
+    /// The `Mixed` lane, converting a typed one on a type conflict.
+    fn degrade(&mut self) -> &mut Vec<Value> {
+        if !matches!(self.lane, Lane::Mixed(_)) {
+            let capacity = self.capacity;
+            let typed = std::mem::take(self).finish();
+            let mut values = Vec::with_capacity(capacity.max(typed.len() + 1));
+            values.extend((0..typed.len()).map(|i| typed.value(i)));
+            *self = ColumnBuilder {
+                lane: Lane::Mixed(values),
+                len: typed.len(),
+                capacity,
+                ..ColumnBuilder::default()
+            };
+        }
+        match &mut self.lane {
+            Lane::Mixed(values) => values,
+            _ => unreachable!("the lane was just made Mixed"),
+        }
+    }
+
+    /// The column of everything pushed.
+    pub fn finish(self) -> Column {
+        let data = match self.lane {
+            Lane::Unknown => ColumnData::Int(vec![0; self.len]),
+            Lane::Int(lane) => ColumnData::Int(lane),
+            Lane::Float(lane) => ColumnData::Float(lane),
+            Lane::Bool(lane) => ColumnData::Bool(lane),
+            Lane::Str(codes) => ColumnData::Str {
+                dict: self.dict.entries,
+                codes,
+            },
+            Lane::Mixed(values) => ColumnData::Mixed(values),
+        };
+        Column {
+            len: self.len,
+            data: Arc::new(data),
+            validity: self.validity.map(Arc::new),
+            offset: 0,
+        }
     }
 }
 
@@ -169,90 +370,12 @@ impl Column {
 
     /// [`Column::from_values`] over borrowed values in place (e.g. one field
     /// of every record of a batch), so callers need no scratch copy.
-    pub fn from_value_refs<'a>(values: impl ExactSizeIterator<Item = &'a Value> + Clone) -> Column {
-        #[derive(PartialEq, Clone, Copy)]
-        enum Kind {
-            Unknown,
-            Int,
-            Float,
-            Bool,
-            Str,
-            Mixed,
+    pub fn from_value_refs<'a>(values: impl ExactSizeIterator<Item = &'a Value>) -> Column {
+        let mut builder = ColumnBuilder::with_capacity(values.len());
+        for value in values {
+            builder.push_value(value);
         }
-        let len = values.len();
-        let mut kind = Kind::Unknown;
-        let mut has_null = false;
-        for v in values.clone() {
-            let k = match v {
-                Value::Null => {
-                    has_null = true;
-                    continue;
-                }
-                Value::Int(_) => Kind::Int,
-                Value::Float(_) => Kind::Float,
-                Value::Bool(_) => Kind::Bool,
-                Value::Str(_) => Kind::Str,
-            };
-            if kind == Kind::Unknown {
-                kind = k;
-            } else if kind != k {
-                kind = Kind::Mixed;
-                break;
-            }
-        }
-        if kind == Kind::Mixed {
-            return Column {
-                len,
-                data: Arc::new(ColumnData::Mixed(values.cloned().collect())),
-                validity: None,
-                offset: 0,
-            };
-        }
-        let validity = if has_null {
-            let mut bm = Bitmap::new();
-            for v in values.clone() {
-                bm.push(!v.is_null());
-            }
-            Some(Arc::new(bm))
-        } else {
-            None
-        };
-        let data = match kind {
-            Kind::Float => ColumnData::Float(
-                values
-                    .map(|v| if let Value::Float(x) = v { *x } else { 0.0 })
-                    .collect(),
-            ),
-            Kind::Bool => {
-                ColumnData::Bool(values.map(|v| matches!(v, Value::Bool(true))).collect())
-            }
-            Kind::Str => {
-                let mut dict = DictBuilder::default();
-                let codes = values
-                    .map(|v| match v {
-                        Value::Str(s) => dict.code(s),
-                        _ => 0,
-                    })
-                    .collect();
-                ColumnData::Str {
-                    dict: dict.entries,
-                    codes,
-                }
-            }
-            // `Unknown` means every value was null: store zeros under an
-            // all-null bitmap.
-            _ => ColumnData::Int(
-                values
-                    .map(|v| if let Value::Int(i) = v { *i } else { 0 })
-                    .collect(),
-            ),
-        };
-        Column {
-            len,
-            data: Arc::new(data),
-            validity,
-            offset: 0,
-        }
+        builder.finish()
     }
 
     /// Wrap a ready-made `i64` lane with no nulls.
@@ -374,6 +497,25 @@ impl Column {
             }
             _ => None,
         }
+    }
+
+    /// Heap bytes the view holds: its rows' lane entries, its validity bits
+    /// and the whole dictionary (views share one). An estimate for `Mixed`
+    /// columns, whose strings may share allocations.
+    pub fn resident_bytes(&self) -> usize {
+        let lane = match self.data.as_ref() {
+            ColumnData::Int(_) | ColumnData::Float(_) => 8 * self.len,
+            ColumnData::Bool(_) => self.len,
+            ColumnData::Str { dict, .. } => {
+                let entry = |s| std::mem::size_of::<Arc<str>>() + str_bytes(s);
+                4 * self.len + dict.iter().map(entry).sum::<usize>()
+            }
+            ColumnData::Mixed(values) => values[self.offset..self.offset + self.len]
+                .iter()
+                .map(value_bytes)
+                .sum(),
+        };
+        lane + self.validity.as_ref().map_or(0, |_| self.len.div_ceil(8))
     }
 
     /// Zero-copy sub-view `[offset, offset + len)` of this view.
@@ -498,7 +640,10 @@ impl Column {
                 let mut dict = DictBuilder::default();
                 let mut codes = Vec::with_capacity(len);
                 for (part_dict, part_codes) in lanes {
-                    let remap: Vec<u32> = part_dict.iter().map(|s| dict.code(s)).collect();
+                    let remap: Vec<u32> = part_dict
+                        .iter()
+                        .map(|s| dict.code(s, || s.clone()))
+                        .collect();
                     codes.extend(part_codes.iter().map(|&c| remap[c as usize]));
                 }
                 Some(ColumnData::Str {
@@ -574,6 +719,11 @@ impl Chunk {
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
+    }
+
+    /// Heap bytes the chunk's columns hold ([`Column::resident_bytes`]).
+    pub fn resident_bytes(&self) -> usize {
+        self.columns.iter().map(Column::resident_bytes).sum()
     }
 
     /// Number of columns.
@@ -684,6 +834,82 @@ mod tests {
             }
             other => panic!("expected dictionary column, got {other:?}"),
         }
+    }
+
+    /// What a column is made of, as far as a reader can tell.
+    fn layout(c: &Column) -> (&ColumnData, Option<&Bitmap>) {
+        (c.data.as_ref(), c.validity.as_deref())
+    }
+
+    #[test]
+    fn the_builder_infers_a_layout_from_values_in_arrival_order() {
+        // Typed pushes (what a decoder has) and `Value` pushes (what a row
+        // has) build the same column.
+        let values = [
+            Value::Null,
+            Value::str("b"),
+            Value::str("a"),
+            Value::Null,
+            Value::str("b"),
+        ];
+        let mut typed = ColumnBuilder::with_capacity(values.len());
+        typed.push_null();
+        typed.push_str("b");
+        typed.push_str("a");
+        typed.push_null();
+        typed.push_str("b");
+        let typed = typed.finish();
+        match layout(&typed) {
+            // NULLs before the first string are backfilled with code 0, the
+            // dictionary is in first-appearance order, the bitmap covers
+            // the rows before the first NULL too.
+            (ColumnData::Str { dict, codes }, Some(validity)) => {
+                assert_eq!(dict.iter().map(|s| &**s).collect::<Vec<_>>(), ["b", "a"]);
+                assert_eq!(codes, &[0, 0, 1, 0, 0]);
+                assert_eq!(validity, &{
+                    let mut bm = Bitmap::new();
+                    [false, true, true, false, true]
+                        .into_iter()
+                        .for_each(|v| bm.push(v));
+                    bm
+                });
+            }
+            other => panic!("expected a dictionary under a bitmap, got {other:?}"),
+        }
+        let from_values = Column::from_values(&values);
+        assert_eq!(
+            format!("{:?}", layout(&typed)),
+            format!("{:?}", layout(&from_values))
+        );
+        // A first NULL after 70 values starts a bitmap of 70 valid bits.
+        let mut late = ColumnBuilder::with_capacity(71);
+        (0..70).for_each(|i| late.push_int(i));
+        late.push_null();
+        let late = late.finish();
+        assert_eq!(late.validity.as_ref().unwrap().count_valid(), 70);
+        assert!(late.is_valid(69) && !late.is_valid(70));
+        // A second scalar type degrades the lane, NULLs and all; a column
+        // of nothing but NULLs is `Int` zeros under an all-null bitmap.
+        let mut mixed = ColumnBuilder::default();
+        mixed.push_null();
+        mixed.push_float(f64::NAN);
+        mixed.push_str("s");
+        mixed.push_null();
+        let mixed = mixed.finish();
+        assert!(matches!(layout(&mixed), (ColumnData::Mixed(_), None)));
+        let expected = [
+            Value::Null,
+            Value::Float(f64::NAN),
+            Value::str("s"),
+            Value::Null,
+        ];
+        assert_eq!((0..4).map(|i| mixed.value(i)).collect::<Vec<_>>(), expected);
+        let mut nulls = ColumnBuilder::default();
+        nulls.push_null();
+        nulls.push_null();
+        let nulls = nulls.finish();
+        assert!(matches!(layout(&nulls), (ColumnData::Int(zeros), Some(_)) if zeros == &[0, 0]));
+        assert!(!nulls.is_valid(0) && !nulls.is_valid(1));
     }
 
     #[test]

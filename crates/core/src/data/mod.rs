@@ -16,7 +16,7 @@ use crate::error::{Result, RheemError};
 
 pub mod chunk;
 
-pub use chunk::{Bitmap, Chunk, Column, ColumnData};
+pub use chunk::{Bitmap, Chunk, Column, ColumnBuilder, ColumnData};
 
 /// A dynamically typed scalar value — one field of a data quantum.
 ///
@@ -196,6 +196,22 @@ impl From<String> for Value {
     }
 }
 
+/// Heap bytes of one string allocation: the characters and the `Arc`'s two
+/// counters (the pointer to it belongs to whatever holds it).
+fn str_bytes(s: &Arc<str>) -> usize {
+    s.len() + 2 * std::mem::size_of::<usize>()
+}
+
+/// Bytes one [`Value`] occupies in a row or a `Mixed` lane, counting a
+/// string's allocation as its own (it may be shared).
+fn value_bytes(value: &Value) -> usize {
+    std::mem::size_of::<Value>()
+        + match value {
+            Value::Str(s) => str_bytes(s),
+            _ => 0,
+        }
+}
+
 /// A *data quantum*: one tuple flowing through the system.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Record {
@@ -320,10 +336,11 @@ macro_rules! rec {
 /// ([`Dataset::chunk`]).
 ///
 /// A dataset is built from either view and computes the other on first
-/// use, caching it for every clone — so a registered table is converted to
-/// columnar layout once, adjacent columnar operators hand chunks to each
-/// other without ever building records, and rows are only materialized
-/// where something needs them (an opaque UDF, a sink, a ragged batch).
+/// use, caching it for every clone — so a table that arrives as a chunk (a
+/// `REGISTER` frame is decoded straight into column builders) is held once,
+/// as that chunk, adjacent columnar operators hand chunks to each other
+/// without ever building records, and rows are only materialized where
+/// something needs them (an opaque UDF, a row sink, a ragged batch).
 /// Datasets are what flows across task-atom boundaries, and — as windows
 /// ([`Dataset::slice`]) — what a partitioned platform's tasks work on.
 #[derive(Clone, Debug)]
@@ -455,6 +472,23 @@ impl Dataset {
             (None, Some((parent, _))) => parent.has_chunk(),
             (None, None) => false,
         }
+    }
+
+    /// Heap bytes of the views materialized so far (a window that has
+    /// derived neither view holds none of its own): what holding this
+    /// dataset costs, for quotas. Allocator overhead is not counted, and a
+    /// string shared between rows is counted once per row.
+    pub fn resident_bytes(&self) -> usize {
+        let rows = self.views.records.get().map_or(0, |rows| {
+            rows.iter()
+                .map(|row| {
+                    std::mem::size_of::<Record>()
+                        + row.fields().iter().map(value_bytes).sum::<usize>()
+                })
+                .sum()
+        });
+        let chunk = self.views.chunk.get().and_then(Option::as_ref);
+        rows + chunk.map_or(0, Chunk::resident_bytes)
     }
 
     /// Obtain an owned vector: a move when this is the only handle, a copy

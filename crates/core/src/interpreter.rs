@@ -17,7 +17,6 @@ use crate::kernels::parallel::KernelParallelism;
 use crate::physical::{Layout, PhysicalOp};
 use crate::plan::{NodeId, PhysicalPlan};
 use crate::platform::{AtomInputs, ExecutionContext};
-use crate::rec;
 
 /// The result of interpreting a plan fragment.
 #[derive(Clone, Debug, Default)]
@@ -178,11 +177,6 @@ pub fn run_loop(
     Ok(state)
 }
 
-/// Helper for `CountSink`-style outputs.
-pub fn count_record(n: usize) -> Dataset {
-    Dataset::new(vec![rec![n as i64]])
-}
-
 /// Helper: extract the single integer a `CountSink` produced.
 pub fn read_count(d: &Dataset) -> Result<i64> {
     match d.records() {
@@ -213,6 +207,7 @@ mod tests {
     use crate::data::Value;
     use crate::plan::PlanBuilder;
     use crate::platform::{MemoryStorageService, StorageService};
+    use crate::rec;
     use crate::udf::{FilterUdf, GroupMapUdf, KeyUdf, LoopCondUdf, MapUdf, ReduceUdf};
     use std::sync::Arc;
 

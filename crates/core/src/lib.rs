@@ -47,7 +47,8 @@ pub mod udf;
 pub use context::RheemContext;
 pub use cost::{ChannelConversionGraph, ChannelKind, ChannelRoute, ChannelSpec, MovementCostModel};
 pub use data::{
-    Bitmap, Chunk, Column, ColumnData, DataType, Dataset, Field, Record, Schema, Value,
+    Bitmap, Chunk, Column, ColumnBuilder, ColumnData, DataType, Dataset, Field, Record, Schema,
+    Value,
 };
 pub use error::{CancelReason, ErrorKind, Result, RheemError};
 pub use executor::{

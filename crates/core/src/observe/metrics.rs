@@ -48,7 +48,9 @@ impl Counter {
     }
 }
 
-/// A last-value-wins gauge.
+/// A gauge: a level that is overwritten ([`Gauge::set`], last value wins) or
+/// moved up and down by the holders that share it ([`Gauge::add`] /
+/// [`Gauge::sub`]).
 #[derive(Debug, Default)]
 pub struct Gauge {
     value: AtomicU64,
@@ -63,6 +65,24 @@ impl Gauge {
     /// Overwrite the gauge with `value`.
     pub fn set(&self, value: u64) {
         self.value.store(value, Ordering::Relaxed);
+    }
+
+    /// Raise the level by `delta`, saturating at `u64::MAX`.
+    pub fn add(&self, delta: u64) {
+        let _ = self
+            .value
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_add(delta))
+            });
+    }
+
+    /// Lower the level by `delta`, saturating at zero.
+    pub fn sub(&self, delta: u64) {
+        let _ = self
+            .value
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_sub(delta))
+            });
     }
 
     /// Current value.
@@ -303,6 +323,19 @@ mod tests {
         c.inc();
         c.add(usize::MAX as u64);
         assert_eq!(c.get(), u64::MAX);
+    }
+
+    #[test]
+    fn gauge_moves_both_ways_and_saturates() {
+        let g = Gauge::new();
+        g.add(10);
+        g.sub(4);
+        assert_eq!(g.get(), 6);
+        g.sub(7);
+        assert_eq!(g.get(), 0);
+        g.set(u64::MAX - 1);
+        g.add(5);
+        assert_eq!(g.get(), u64::MAX);
     }
 
     #[test]

@@ -86,18 +86,29 @@ impl QueryCatalog {
         QueryCatalog::default()
     }
 
-    /// Register an in-memory table.
+    /// Register an in-memory table given as rows.
     pub fn register(
         &mut self,
         name: impl Into<String>,
         schema: Schema,
         records: Vec<Record>,
     ) -> &mut Self {
+        self.register_dataset(name, schema, Dataset::new(records))
+    }
+
+    /// Register an in-memory table in whichever view it already has — a
+    /// chunk-built dataset is scanned as that chunk, and no row is built.
+    pub fn register_dataset(
+        &mut self,
+        name: impl Into<String>,
+        schema: Schema,
+        data: Dataset,
+    ) -> &mut Self {
         self.tables.insert(
             name.into(),
             TableDef {
                 schema,
-                source: TableSource::Collection(Dataset::new(records)),
+                source: TableSource::Collection(data),
             },
         );
         self

@@ -9,7 +9,9 @@
 //!
 //! * [`protocol`] — framing and message codec (`u32` big-endian length
 //!   prefix, one opcode byte, flat payload encodings for schemas, rows, and
-//!   values); one row writer, fed from a result's chunk or from rows;
+//!   values); one row writer, fed from a result's chunk or from rows, and
+//!   one row reader, feeding rows or — for a session's `REGISTER` — column
+//!   builders;
 //! * [`scheduler`] — [`scheduler::FairShareScheduler`]: fair-share
 //!   scheduling of *waves* across concurrently running jobs. The executor's
 //!   wave boundary is the natural preemption point (no task is ever
@@ -20,7 +22,8 @@
 //!   the worker pool. Per-tenant in-flight quotas and a bounded global
 //!   queue; over-quota submissions are rejected immediately
 //!   (backpressure), never silently queued without bound;
-//! * [`server`] — the TCP server: per-session `QueryCatalog`, a bounded
+//! * [`server`] — the TCP server: per-session `QueryCatalog` holding each
+//!   registered table once, as a chunk, under per-session quotas; a bounded
 //!   statement cache (SQL text → planned query), per-session cache scopes so
 //!   closure-identity cache entries are never shared across sessions, and
 //!   responses encoded straight from the job's sink dataset;

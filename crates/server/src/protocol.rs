@@ -5,7 +5,8 @@
 //! integers are big-endian, all strings are `u32`-length-prefixed UTF-8.
 //!
 //! Requests: [`Request::Hello`] (tenant name), [`Request::Register`]
-//! (table name + schema + rows), [`Request::Query`] (SQL text + optional
+//! (table name + schema + rows; a session decodes this one frame as a
+//! [`Registration`], its rows straight into a chunk), [`Request::Query`] (SQL text + optional
 //! deadline), [`Request::Stats`], [`Request::Cancel`] (in-flight job id),
 //! [`Request::Goodbye`]. Responses: [`Response::Ok`],
 //! [`Response::Err`] (message), [`Response::Rows`] (schema + rows),
@@ -22,7 +23,7 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rheem_core::{Chunk, Column, DataType, Dataset, Record, Schema, Value};
+use rheem_core::{Chunk, Column, ColumnBuilder, DataType, Dataset, Record, Schema, Value};
 
 /// Largest frame body accepted (16 MiB): a malformed or malicious length
 /// prefix must not make the server attempt an unbounded allocation.
@@ -196,22 +197,22 @@ enum RowSource<'a> {
     Chunk(&'a Chunk),
 }
 
-/// One column of a chunk as the row writer reads it: the typed lane when no
-/// row of the view is NULL, else the values one by one.
+/// One column of a chunk as the row writer reads it: its typed lane, or —
+/// for a column of mixed types only — its values one by one.
 enum Lane<'a> {
     Int(&'a [i64]),
     Float(&'a [f64]),
     Bool(&'a [bool]),
     Str(&'a [Arc<str>], &'a [u32]),
-    /// A column with NULLs or of mixed types.
     Values(&'a Column),
 }
 
 impl<'a> Lane<'a> {
-    fn of(column: &'a Column) -> Self {
-        if !column.no_nulls() {
-            Lane::Values(column)
-        } else if let Some(lane) = column.ints() {
+    /// The lane of `column`, and the column again when a row of the view is
+    /// NULL: the writer then asks it which rows are, and reads the lane for
+    /// the rest.
+    fn of(column: &'a Column) -> (Self, Option<&'a Column>) {
+        let lane = if let Some(lane) = column.ints() {
             Lane::Int(lane)
         } else if let Some(lane) = column.floats() {
             Lane::Float(lane)
@@ -220,13 +221,15 @@ impl<'a> Lane<'a> {
         } else if let Some((dict, codes)) = column.dict_codes() {
             Lane::Str(dict, codes)
         } else {
-            Lane::Values(column)
-        }
+            return (Lane::Values(column), None);
+        };
+        (lane, (!column.no_nulls()).then_some(column))
     }
 
-    /// Bytes this column's `rows` values encode to: exact for a typed lane
-    /// (strings summed through the dictionary), an estimate for the rest —
-    /// only the buffer's reservation depends on it.
+    /// Bytes this column's `rows` values encode to at most: exact for a
+    /// typed lane without NULLs (strings summed through the dictionary; a
+    /// NULL is one byte, less than any value), an estimate for a mixed one
+    /// — only the buffer's reservation depends on it.
     fn encoded_bytes(&self, rows: usize) -> usize {
         match self {
             Lane::Bool(_) => 2 * rows,
@@ -252,16 +255,20 @@ fn put_rows(buf: &mut Vec<u8>, source: RowSource<'_>) {
             }
         }
         RowSource::Chunk(chunk) => {
-            let lanes: Vec<Lane<'_>> = chunk.columns().iter().map(Lane::of).collect();
+            let lanes: Vec<_> = chunk.columns().iter().map(Lane::of).collect();
             let rows = chunk.rows();
             put_u32(buf, rows as u32);
             // Sized before the loop (a frame `write_frame` would refuse
             // anyway is not reserved for): the buffer does not grow.
-            let values: usize = lanes.iter().map(|l| l.encoded_bytes(rows)).sum();
+            let values: usize = lanes.iter().map(|(l, _)| l.encoded_bytes(rows)).sum();
             buf.reserve((4 * rows + values).min(MAX_FRAME));
             for i in 0..rows {
                 put_u32(buf, lanes.len() as u32);
-                for lane in &lanes {
+                for (lane, nulls) in &lanes {
+                    if nulls.is_some_and(|column| !column.is_valid(i)) {
+                        buf.push(0);
+                        continue;
+                    }
                     match lane {
                         Lane::Int(lane) => put_int(buf, lane[i]),
                         Lane::Float(lane) => put_float(buf, lane[i]),
@@ -379,31 +386,188 @@ impl Response {
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Slots of a frame's string table ([`Cursor::str_value`]).
+fn utf8(bytes: &[u8]) -> WireResult<&str> {
+    std::str::from_utf8(bytes).map_err(|_| WireError::Malformed("string is not UTF-8".into()))
+}
+
+/// Where the one walk over the row grammar ([`Cursor::rows`]) puts what it
+/// reads — the mirror image of [`RowSource`]: rows for a client and for
+/// [`Request::decode`], column builders for a session's `REGISTER`.
+trait RowSink {
+    /// `rows` rows follow: the declared count, capped by what the rest of
+    /// the frame can hold.
+    fn begin(&mut self, rows: usize);
+    /// A row of `width` values follows; `remaining` bytes of the frame are
+    /// left for it and every later row. `false` stops the walk: this sink
+    /// cannot take the frame.
+    fn begin_row(&mut self, width: usize, remaining: usize) -> bool;
+    fn null(&mut self);
+    fn bool(&mut self, b: bool);
+    fn int(&mut self, i: i64);
+    fn float(&mut self, x: f64);
+    /// A string value's bytes, not yet checked to be UTF-8.
+    fn str(&mut self, bytes: &[u8]) -> WireResult<()>;
+    fn end_row(&mut self);
+}
+
+/// Slots of a frame's string table ([`RecordSink::intern`]).
 const INTERN_SLOTS: usize = 256;
 
-/// A bounds-checked cursor over a frame body.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// The row sink: one [`Record`] per row.
+#[derive(Default)]
+struct RecordSink {
+    rows: Vec<Record>,
+    /// The row being read.
+    fields: Vec<Value>,
     /// String values seen in this frame, direct-mapped by a hash of their
     /// bytes; empty until the first string value.
     interned: Vec<Option<Arc<str>>>,
 }
 
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor {
-            buf,
-            pos: 0,
-            interned: Vec::new(),
+impl RecordSink {
+    /// A string value: one allocation per string, and none for one this
+    /// frame already carried (a 5-value column of 100 000 rows costs 5). The
+    /// table is direct-mapped, so it is bounded by construction: a string
+    /// whose slot holds another one replaces it.
+    fn intern(&mut self, bytes: &[u8]) -> WireResult<Arc<str>> {
+        if self.interned.is_empty() {
+            self.interned.resize(INTERN_SLOTS, None);
+        }
+        // FNV-1a over the length and a prefix: a hit compares every byte.
+        let hash = bytes
+            .iter()
+            .take(16)
+            .fold(0xcbf2_9ce4_8422_2325 ^ bytes.len() as u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        let slot = &mut self.interned[(hash >> 32) as usize % INTERN_SLOTS];
+        match slot {
+            // Equal to a string that was checked: no need to check again.
+            Some(seen) if seen.as_bytes() == bytes => Ok(seen.clone()),
+            _ => Ok(slot.insert(Arc::from(utf8(bytes)?)).clone()),
         }
     }
+}
 
-    /// A capacity for `declared` items of at least `min_bytes` each: what
-    /// the frame says, but never more than the bytes left in it can hold.
-    fn capacity_for(&self, declared: usize, min_bytes: usize) -> usize {
-        declared.min((self.buf.len() - self.pos) / min_bytes)
+impl RowSink for RecordSink {
+    fn begin(&mut self, rows: usize) {
+        self.rows = Vec::with_capacity(rows);
+    }
+    fn begin_row(&mut self, width: usize, remaining: usize) -> bool {
+        // A value is at least its tag.
+        self.fields = Vec::with_capacity(width.min(remaining));
+        true
+    }
+    fn null(&mut self) {
+        self.fields.push(Value::Null);
+    }
+    fn bool(&mut self, b: bool) {
+        self.fields.push(Value::Bool(b));
+    }
+    fn int(&mut self, i: i64) {
+        self.fields.push(Value::Int(i));
+    }
+    fn float(&mut self, x: f64) {
+        self.fields.push(Value::Float(x));
+    }
+    fn str(&mut self, bytes: &[u8]) -> WireResult<()> {
+        let s = self.intern(bytes)?;
+        self.fields.push(Value::Str(s));
+        Ok(())
+    }
+    fn end_row(&mut self) {
+        self.rows
+            .push(Record::new(std::mem::take(&mut self.fields)));
+    }
+}
+
+/// Widest frame the column sink takes. A column costs a fixed ≈ 300 bytes
+/// (its builder, its `Column`, its shared lane and bitmap) whatever it holds,
+/// where a row costs 24 per value: a frame of one row of millions of
+/// one-byte NULLs would cost ten times as columns what it costs as rows.
+/// Under this width the fixed part stays near 1 MiB per table.
+const MAX_COLUMNAR_WIDTH: usize = 4096;
+
+/// The column sink: one [`ColumnBuilder`] per column, which infers the
+/// column's layout from the values as [`Chunk::from_records`] would from
+/// the decoded rows. Takes rectangular frames only.
+#[derive(Default)]
+struct ColumnSink {
+    builders: Vec<ColumnBuilder>,
+    /// Rows the frame may hold ([`RowSink::begin`]).
+    declared: usize,
+    /// Rows read.
+    rows: usize,
+    /// The column the next value of the row belongs to.
+    column: usize,
+}
+
+impl ColumnSink {
+    fn builder(&mut self) -> &mut ColumnBuilder {
+        self.column += 1;
+        &mut self.builders[self.column - 1]
+    }
+
+    fn finish(self) -> Chunk {
+        let columns = self.builders.into_iter().map(ColumnBuilder::finish);
+        Chunk::new(columns.collect(), self.rows)
+    }
+}
+
+impl RowSink for ColumnSink {
+    fn begin(&mut self, rows: usize) {
+        self.declared = rows;
+    }
+    fn begin_row(&mut self, width: usize, remaining: usize) -> bool {
+        if self.rows == 0 {
+            if width > MAX_COLUMNAR_WIDTH {
+                return false;
+            }
+            // Lanes are sized once, for the rows a frame of this width can
+            // hold: this row's tags, then a 4-byte width and the tags of
+            // each later one.
+            let rows = self.declared.min(1 + remaining / (4 + width));
+            self.builders = (0..width)
+                .map(|_| ColumnBuilder::with_capacity(rows))
+                .collect();
+        }
+        self.column = 0;
+        width == self.builders.len()
+    }
+    fn null(&mut self) {
+        self.builder().push_null();
+    }
+    fn bool(&mut self, b: bool) {
+        self.builder().push_bool(b);
+    }
+    fn int(&mut self, i: i64) {
+        self.builder().push_int(i);
+    }
+    fn float(&mut self, x: f64) {
+        self.builder().push_float(x);
+    }
+    fn str(&mut self, bytes: &[u8]) -> WireResult<()> {
+        self.builder().push_str(utf8(bytes)?);
+        Ok(())
+    }
+    fn end_row(&mut self) {
+        self.rows += 1;
+    }
+}
+
+/// A bounds-checked cursor over a frame body.
+struct Cursor<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(buf: &'a [u8]) -> Self {
+        Cursor { buf, pos: 0 }
+    }
+
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     fn take(&mut self, n: usize) -> WireResult<&'a [u8]> {
@@ -431,49 +595,23 @@ impl<'a> Cursor<'a> {
 
     fn str(&mut self) -> WireResult<String> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| WireError::Malformed("string is not UTF-8".into()))
+        Ok(utf8(self.take(len)?)?.to_owned())
     }
 
-    /// A string value: one allocation per string, and none for one this
-    /// frame already carried (a 5-value column of 100 000 rows costs 5). The
-    /// table is direct-mapped, so it is bounded by construction: a string
-    /// whose slot holds another one replaces it.
-    fn str_value(&mut self) -> WireResult<Arc<str>> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        if self.interned.is_empty() {
-            self.interned.resize(INTERN_SLOTS, None);
-        }
-        // FNV-1a over the length and a prefix: a hit compares every byte.
-        let hash = bytes
-            .iter()
-            .take(16)
-            .fold(0xcbf2_9ce4_8422_2325 ^ len as u64, |h, &b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-            });
-        let slot = &mut self.interned[(hash >> 32) as usize % INTERN_SLOTS];
-        match slot {
-            // Equal to a string that was checked: no need to check again.
-            Some(seen) if seen.as_bytes() == bytes => Ok(seen.clone()),
-            _ => {
-                let s = std::str::from_utf8(bytes)
-                    .map_err(|_| WireError::Malformed("string is not UTF-8".into()))?;
-                Ok(slot.insert(Arc::from(s)).clone())
+    /// One tagged value, handed to `sink`.
+    fn value(&mut self, sink: &mut impl RowSink) -> WireResult<()> {
+        match self.u8()? {
+            0 => sink.null(),
+            1 => sink.bool(self.u8()? != 0),
+            2 => sink.int(self.u64()? as i64),
+            3 => sink.float(f64::from_bits(self.u64()?)),
+            4 => {
+                let len = self.u32()? as usize;
+                sink.str(self.take(len)?)?;
             }
-        }
-    }
-
-    fn value(&mut self) -> WireResult<Value> {
-        Ok(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Bool(self.u8()? != 0),
-            2 => Value::Int(self.u64()? as i64),
-            3 => Value::Float(f64::from_bits(self.u64()?)),
-            4 => Value::Str(self.str_value()?),
             tag => return Err(WireError::Malformed(format!("unknown value tag {tag}"))),
-        })
+        }
+        Ok(())
     }
 
     fn schema(&mut self) -> WireResult<Schema> {
@@ -493,19 +631,31 @@ impl<'a> Cursor<'a> {
         Ok(Schema::new(fields))
     }
 
-    fn rows(&mut self) -> WireResult<Vec<Record>> {
+    /// The one walk over the row grammar: a `u32` row count, then per row a
+    /// `u32` width and its tagged values, into `sink`. `Ok(false)`: the sink
+    /// stopped the walk ([`RowSink::begin_row`]).
+    fn rows(&mut self, sink: &mut impl RowSink) -> WireResult<bool> {
         let n = self.u32()? as usize;
-        // A row is at least its 4-byte width, a value at least its tag.
-        let mut rows = Vec::with_capacity(self.capacity_for(n, 4));
+        // What the frame says, but never more than the bytes left in it can
+        // hold: a row is at least its 4-byte width.
+        sink.begin(n.min(self.remaining() / 4));
         for _ in 0..n {
             let width = self.u32()? as usize;
-            let mut fields = Vec::with_capacity(self.capacity_for(width, 1));
-            for _ in 0..width {
-                fields.push(self.value()?);
+            if !sink.begin_row(width, self.remaining()) {
+                return Ok(false);
             }
-            rows.push(Record::new(fields));
+            for _ in 0..width {
+                self.value(sink)?;
+            }
+            sink.end_row();
         }
-        Ok(rows)
+        Ok(true)
+    }
+
+    fn records(&mut self) -> WireResult<Vec<Record>> {
+        let mut sink = RecordSink::default();
+        self.rows(&mut sink)?;
+        Ok(sink.rows)
     }
 
     fn finished(&self) -> WireResult<()> {
@@ -514,6 +664,47 @@ impl<'a> Cursor<'a> {
         } else {
             Err(WireError::Malformed("trailing bytes in frame".into()))
         }
+    }
+}
+
+/// A `REGISTER` frame as a session takes it: the table in the form the
+/// catalog holds it in. The rows of the frame are decoded straight into
+/// column builders, so `data` is a chunk laid out exactly as
+/// `Chunk::from_records` would lay out the rows [`Request::decode`] returns
+/// for the same frame, and no [`Record`] is built — unless the frame has no
+/// columnar layout (rows of differing widths) or is wider than a few
+/// thousand columns, in which case `data` holds those rows.
+pub struct Registration {
+    /// Table name as referenced from SQL.
+    pub name: String,
+    /// Column names and types.
+    pub schema: Schema,
+    /// The table.
+    pub data: Dataset,
+}
+
+impl Registration {
+    /// Decode a frame body; `None` when it is not a `REGISTER` frame (it is
+    /// then [`Request::decode`]'s). Malformed frames are refused exactly as
+    /// `Request::decode` refuses them.
+    pub fn decode(body: &[u8]) -> WireResult<Option<Self>> {
+        if body.first() != Some(&OP_REGISTER) {
+            return Ok(None);
+        }
+        let mut c = Cursor::new(&body[1..]);
+        let name = c.str()?;
+        let schema = c.schema()?;
+        let rows_at = c.pos;
+        let mut columns = ColumnSink::default();
+        let data = if c.rows(&mut columns)? {
+            Dataset::from_chunk(columns.finish())
+        } else {
+            drop(columns);
+            c.pos = rows_at;
+            Dataset::new(c.records()?)
+        };
+        c.finished()?;
+        Ok(Some(Registration { name, schema, data }))
     }
 }
 
@@ -526,7 +717,7 @@ impl Request {
             OP_REGISTER => Request::Register {
                 name: c.str()?,
                 schema: c.schema()?,
-                rows: c.rows()?,
+                rows: c.records()?,
             },
             OP_QUERY => {
                 let sql = c.str()?;
@@ -564,7 +755,7 @@ impl Response {
             OP_ERR => Response::Err { message: c.str()? },
             OP_ROWS => Response::Rows {
                 schema: c.schema()?,
-                rows: c.rows()?,
+                rows: c.records()?,
             },
             OP_STATS_REPLY => Response::Stats { text: c.str()? },
             op => {
@@ -756,6 +947,73 @@ mod tests {
         assert_eq!(encode_rows(&a), encode_rows(&b));
         let c = vec![Record::new(vec![Value::Int(8), Value::str("abc")])];
         assert_ne!(encode_rows(&a), encode_rows(&c));
+    }
+
+    #[test]
+    fn only_a_mixed_column_is_written_value_by_value() {
+        let rows = vec![
+            Record::new(vec![
+                Value::Int(1),
+                Value::str("x"),
+                Value::Float(0.5),
+                Value::Bool(true),
+                Value::Int(7),
+                Value::Int(1),
+            ]),
+            Record::new(vec![
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Int(8),
+                Value::str("s"),
+            ]),
+        ];
+        let chunk = Chunk::from_records(&rows).expect("rectangular");
+        let lanes: Vec<_> = chunk.columns().iter().map(Lane::of).collect();
+        // A NULL in view keeps the typed lane — no `Value`, and for strings
+        // no `Arc` clone, per cell — and names the column to ask about NULLs.
+        assert!(matches!(lanes[0], (Lane::Int(_), Some(_))));
+        assert!(matches!(lanes[1], (Lane::Str(..), Some(_))));
+        assert!(matches!(lanes[2], (Lane::Float(_), Some(_))));
+        assert!(matches!(lanes[3], (Lane::Bool(_), Some(_))));
+        assert!(matches!(lanes[4], (Lane::Int(_), None)));
+        assert!(matches!(lanes[5], (Lane::Values(_), None)));
+        // A window the NULLs are outside of has none to ask about.
+        let head = chunk.slice(0, 1);
+        assert!(matches!(
+            Lane::of(&head.columns()[1]),
+            (Lane::Str(..), None)
+        ));
+        let mut from_chunk = Vec::new();
+        put_rows(&mut from_chunk, RowSource::Chunk(&chunk));
+        assert_eq!(from_chunk, encode_rows(&rows));
+    }
+
+    #[test]
+    fn a_session_decodes_a_register_frame_into_a_chunk() {
+        let request = Request::Register {
+            name: "t".into(),
+            schema: Schema::new(vec![("a", DataType::Int), ("s", DataType::Str)]),
+            rows: vec![
+                Record::new(vec![Value::Int(1), Value::str("x")]),
+                Record::new(vec![Value::Null, Value::str("x")]),
+            ],
+        };
+        let Request::Register { name, schema, rows } = request.clone() else {
+            unreachable!()
+        };
+        let table = Registration::decode(&request.encode())
+            .expect("decodes")
+            .expect("a REGISTER");
+        assert_eq!((table.name, table.schema), (name, schema));
+        assert!(table.data.has_chunk());
+        assert_eq!(table.data.records(), &rows[..]);
+        // Any other frame is `Request::decode`'s, malformed ones included.
+        assert!(Registration::decode(&Request::Stats.encode())
+            .expect("not an error")
+            .is_none());
+        assert!(Registration::decode(&[]).expect("not an error").is_none());
     }
 
     #[test]

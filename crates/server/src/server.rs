@@ -24,6 +24,16 @@
 //! * a [`scheduler::JobGate`](crate::scheduler::JobGate) tying every wave
 //!   of its jobs into the server-wide fair-share scheduler.
 //!
+//! A table arrives as it will be computed on: the session decodes a
+//! `REGISTER` frame straight into column builders ([`Registration`]) and the
+//! catalog holds the resulting chunk — once, and never as rows, unless the
+//! frame has no columnar layout. `server.register.path.{columnar,row}` count
+//! which form each table was registered in. What a session may hold is
+//! bounded (`MAX_SESSION_TABLES`, `MAX_SESSION_TABLE_BYTES`); an
+//! over-quota `REGISTER` is refused with an error and the session goes on.
+//! `server.registered_bytes` is the server-wide total, and falls back when a
+//! session ends.
+//!
 //! A query's result leaves as it was computed: the job hands the session its
 //! sink [`Dataset`], and [`encode_result`] writes the response body from the
 //! chunk the columnar kernels built — no row is materialized on the way out.
@@ -40,13 +50,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use rheem_core::observe::Counter;
+use rheem_core::observe::{Counter, Gauge};
 use rheem_core::query::{PlannedQuery, QueryCatalog};
 use rheem_core::{CancelReason, Dataset, Observability, PlanCache, PlanCacheConfig, RheemContext};
 
 use crate::protocol::{
-    encode_result, read_frame_into, write_frame, FrameRead, Request, Response, ResultPath,
-    WireError, WireResult,
+    encode_result, read_frame_into, write_frame, FrameRead, Registration, Request, Response,
+    ResultPath, WireError, WireResult,
 };
 use crate::scheduler::{FairShareScheduler, JobGate};
 use crate::service::{JobService, ServiceConfig};
@@ -58,6 +68,16 @@ const DISCONNECT_POLL: Duration = Duration::from_millis(25);
 /// Most planned statements one session keeps. Plans are small, but SQL texts
 /// are the client's to choose, so the cache must not grow with them.
 const MAX_SESSION_STATEMENTS: usize = 256;
+
+/// Most tables one session may have registered at a time.
+const MAX_SESSION_TABLES: usize = 64;
+
+/// Most bytes one session's registered tables may hold
+/// ([`Dataset::resident_bytes`]): room for a dozen and more tables of the
+/// largest frame a client can send ([`crate::protocol::MAX_FRAME`], ≈ 13 MiB
+/// as a chunk of numbers), and a bound on what a frame of values that cost
+/// more in memory than on the wire can pin.
+const MAX_SESSION_TABLE_BYTES: usize = 256 << 20;
 
 /// Per-read socket timeout for sessions with an idle timeout configured.
 /// Reads tick at this granularity so idleness can be judged at frame
@@ -108,6 +128,14 @@ struct ServerShared {
     /// a zero).
     result_columnar: Arc<Counter>,
     result_row: Arc<Counter>,
+    /// `server.register.path.columnar` / `.row`: tables registered as the
+    /// chunk their frame was decoded into / as rows (a frame with no
+    /// columnar layout).
+    register_columnar: Arc<Counter>,
+    register_row: Arc<Counter>,
+    /// `server.registered_bytes`: what the registered tables of all live
+    /// sessions hold.
+    registered_bytes: Arc<Gauge>,
     /// `server.session.statements_evicted`: plans dropped from session
     /// statement caches at [`MAX_SESSION_STATEMENTS`].
     statements_evicted: Arc<Counter>,
@@ -153,6 +181,9 @@ impl RheemServer {
         let metrics = observability.metrics();
         let result_columnar = metrics.counter("server.result.path.columnar");
         let result_row = metrics.counter("server.result.path.row");
+        let register_columnar = metrics.counter("server.register.path.columnar");
+        let register_row = metrics.counter("server.register.path.row");
+        let registered_bytes = metrics.gauge("server.registered_bytes");
         let statements_evicted = metrics.counter("server.session.statements_evicted");
         let shared = Arc::new(ServerShared {
             base,
@@ -162,6 +193,9 @@ impl RheemServer {
             service,
             result_columnar,
             result_row,
+            register_columnar,
+            register_row,
+            registered_bytes,
             statements_evicted,
             next_scope: AtomicU64::new(1),
             idle_timeout: config.idle_timeout,
@@ -305,6 +339,7 @@ fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
         .with_cache_scope(scope)
         .with_wave_gate(gate.clone());
     let mut catalog = QueryCatalog::new();
+    let mut tables = SessionTables::new(&shared.registered_bytes);
     let mut statements = StatementCache::default();
 
     loop {
@@ -323,6 +358,12 @@ fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
         if shared.shutdown.load(Ordering::Acquire) {
             break;
         }
+        // A REGISTER is decoded apart from the rest: into a chunk, not rows.
+        if let Some(table) = Registration::decode(&body)? {
+            let reply = register_table(shared, &mut catalog, &mut tables, &mut statements, table);
+            write_frame(&mut stream, &reply)?;
+            continue;
+        }
         // Every arm yields an encoded response body; a query's is written
         // straight from the job's sink dataset, never built as a `Response`.
         let reply = match Request::decode(&body)? {
@@ -330,12 +371,7 @@ fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
                 message: "session already open".into(),
             }
             .encode(),
-            Request::Register { name, schema, rows } => {
-                catalog.register(name, schema, rows);
-                // Cached statements captured the replaced table's data.
-                statements.clear();
-                Response::Ok.encode()
-            }
+            Request::Register { .. } => unreachable!("`Registration::decode` takes every REGISTER"),
             Request::Query { sql, deadline_ms } => handle_query(
                 shared,
                 &tenant,
@@ -374,6 +410,82 @@ fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
         write_frame(&mut stream, &reply)?;
     }
     Ok(())
+}
+
+/// Put a decoded table into the session's catalog if the session's quotas
+/// allow it, and encode the response.
+fn register_table(
+    shared: &ServerShared,
+    catalog: &mut QueryCatalog,
+    tables: &mut SessionTables<'_>,
+    statements: &mut StatementCache,
+    table: Registration,
+) -> Vec<u8> {
+    if let Err(message) = tables.admit(&table.name, table.data.resident_bytes()) {
+        return Response::Err { message }.encode();
+    }
+    if table.data.has_chunk() {
+        shared.register_columnar.inc();
+    } else {
+        shared.register_row.inc();
+    }
+    catalog.register_dataset(table.name, table.schema, table.data);
+    // Cached statements captured the replaced table's data.
+    statements.clear();
+    Response::Ok.encode()
+}
+
+/// What a session's registered tables hold, kept under the two session
+/// quotas. The bytes are part of the server-wide gauge for as long as the
+/// session lives: dropping this takes them out again, however the session
+/// ends.
+struct SessionTables<'a> {
+    /// Resident bytes by table name.
+    tables: HashMap<String, usize>,
+    /// The sum of `tables`.
+    resident: usize,
+    server_wide: &'a Gauge,
+}
+
+impl<'a> SessionTables<'a> {
+    fn new(server_wide: &'a Gauge) -> Self {
+        SessionTables {
+            tables: HashMap::new(),
+            resident: 0,
+            server_wide,
+        }
+    }
+
+    /// Account for a table of `bytes` registered as `name`, or say which
+    /// quota refuses it. A table it replaces is released first, so a session
+    /// at its limit can still re-register what it has.
+    fn admit(&mut self, name: &str, bytes: usize) -> Result<(), String> {
+        let replaced = self.tables.get(name).copied();
+        if replaced.is_none() && self.tables.len() >= MAX_SESSION_TABLES {
+            return Err(format!(
+                "session table quota exceeded: {MAX_SESSION_TABLES} tables are registered"
+            ));
+        }
+        let held = self.resident - replaced.unwrap_or(0);
+        if bytes > MAX_SESSION_TABLE_BYTES - held {
+            return Err(format!(
+                "session byte quota exceeded: `{name}` holds {bytes} bytes and {} of \
+                 {MAX_SESSION_TABLE_BYTES} are free",
+                MAX_SESSION_TABLE_BYTES - held
+            ));
+        }
+        self.tables.insert(name.to_string(), bytes);
+        self.resident = held + bytes;
+        self.server_wide.sub(replaced.unwrap_or(0) as u64);
+        self.server_wide.add(bytes as u64);
+        Ok(())
+    }
+}
+
+impl Drop for SessionTables<'_> {
+    fn drop(&mut self) {
+        self.server_wide.sub(self.resident as u64);
+    }
 }
 
 /// A session's planned statements by SQL text, at most

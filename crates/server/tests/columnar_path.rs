@@ -6,7 +6,10 @@
 //! counts every operator — and every result leaves the server encoded from
 //! its chunk: `server.result.path.row` stays 0 too. A table with no columnar
 //! layout (ragged rows) shows the fallback: its result is counted under
-//! `.row` and is just as right. Which path an operator took is decided in
+//! `.row` and is just as right. The tables arrive the same way: a `REGISTER`
+//! frame is decoded into the chunk the catalog holds
+//! (`server.register.path.columnar`), and only a frame with no columnar
+//! layout registers rows (`.row`). Which path an operator took is decided in
 //! one place (`kernels::execute`), so the counts are the same whichever
 //! engine is forced to run the statements.
 
@@ -126,6 +129,14 @@ fn the_benchmark_statements_run_on_columnar_kernels_only() {
         assert!(!rows.is_empty(), "`{sql}` answered nothing");
     }
     let stats = client.stats().expect("stats");
+    // Both tables went into the catalog as the chunks their frames decoded
+    // to; no row was built to register them.
+    assert_eq!(
+        counter(&stats, "server.register.path.columnar"),
+        2,
+        "{stats}"
+    );
+    assert_eq!(counter(&stats, "server.register.path.row"), 0, "{stats}");
     // Every operator of every statement — scans, fused pipelines, hash
     // aggregates, the join, sorts, limits, sinks — stayed off the rows; an
     // opaque closure or a row-path keyed kernel would have counted here.
@@ -161,6 +172,12 @@ fn a_result_without_a_chunk_leaves_by_the_row_walk() {
     let (answered, answer) = client.query("SELECT * FROM t").expect("answers");
     assert_eq!((answered, answer), (schema, rows));
     let stats = client.stats().expect("stats");
+    assert_eq!(counter(&stats, "server.register.path.row"), 1, "{stats}");
+    assert_eq!(
+        counter(&stats, "server.register.path.columnar"),
+        0,
+        "{stats}"
+    );
     assert_eq!(counter(&stats, "server.result.path.row"), 1, "{stats}");
     assert_eq!(counter(&stats, "server.result.path.columnar"), 0, "{stats}");
     client.goodbye().expect("goodbye");
