@@ -6,6 +6,11 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# The committed BENCH_*.json are full-run numbers; nothing this gate runs
+# (quick benches write under target/bench-quick/) may touch them. Checked
+# again at the end.
+bench_sums=$(sha256sum BENCH_*.json)
+
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
@@ -29,6 +34,15 @@ done
 if nontest crates/core/src/interpreter.rs \
     | grep -nE '(parallel|chunked|kernels)::[a-z_]+\(' | grep -v 'kernels::execute('; then
   echo "crates/core/src/interpreter.rs calls a kernel directly"; exit 1
+fi
+
+# One enumerator: `optimizer::enumerate` is the only way a plan is
+# enumerated; no strategy switch, wall-clock budget or movement flag comes
+# back.
+echo "==> one enumerator: no strategy option, no second entry point"
+if grep -rnE 'EnumerationStrategy|with_enumeration_v2|enumerate_with_config|max_enumeration_ms|consider_movement_costs' \
+    crates src tests examples; then
+  echo "a deleted enumeration option or entry point is named again"; exit 1
 fi
 
 echo "==> cargo build --release"
@@ -106,23 +120,25 @@ for key in '"bench": "ablation_kernels"' '"timer_resolution_ms"' \
     || { echo "BENCH_kernels.json missing $key"; exit 1; }
 done
 
-# Enumeration-v2 oracle smoke: the lattice enumerator must match the
-# exhaustive optimum on every sampled plan (seeded vendored proptest —
-# reproducible), including under random calibration tables and config
-# variations.
-echo "==> enumeration v2 vs exhaustive oracle (PROPTEST_CASES=32)"
-PROPTEST_CASES=32 cargo test -q --release --test enumeration_v2
+# Enumeration oracle smoke: the enumerator must match the exhaustive
+# optimum on every sampled plan (seeded vendored proptest — reproducible),
+# including under random calibration tables and config variations.
+echo "==> enumeration vs exhaustive oracle (PROPTEST_CASES=32)"
+PROPTEST_CASES=32 cargo test -q --release --test enumeration
 
-# Enumeration ablation, quick mode: re-derives BENCH_enumeration.json and
-# asserts inline that v2 equals the oracle on the small sweep and that the
-# 120-op plan stays on the lattice path within the default budget; then
-# sanity-check the emitted schema.
+# Enumeration ablation, quick mode: asserts inline that the enumerator
+# equals the oracle on the small sweep and on the served path's join plan,
+# and that the 120-op plan stays on the lattice path within the default
+# budget; then sanity-check the schema of what it emitted and of the
+# committed full run.
 echo "==> ablation_enumeration (ENUM_BENCH_QUICK=1) + schema check"
 ENUM_BENCH_QUICK=1 cargo bench -q -p rheem-bench --bench ablation_enumeration
-for key in '"bench": "ablation_enumeration"' '"entries"' '"costs_match":true' \
-    '"shape":"large"' '"within_budget":true'; do
-  grep -qF "$key" BENCH_enumeration.json \
-    || { echo "BENCH_enumeration.json missing $key"; exit 1; }
+for f in target/bench-quick/BENCH_enumeration.json BENCH_enumeration.json; do
+  for key in '"bench": "ablation_enumeration"' '"entries"' '"costs_match":true' \
+      '"shape":"large"' '"within_budget":true' '"shape":"sql_join"' \
+      '"cold_optimize_us"'; do
+    grep -qF "$key" "$f" || { echo "$f missing $key"; exit 1; }
+  done
 done
 
 # Server smoke: start a real server, run two concurrent tenant sessions
@@ -167,8 +183,8 @@ SERVER_BENCH_QUICK=1 cargo bench -q -p rheem-bench --bench ablation_server
 for key in '"bench": "ablation_server"' '"tenants": 2' '"throughput_rps"' \
     '"p50"' '"p99"' '"per_tenant"' '"grant_switches"' '"hit_rate"' \
     '"cancel_storm"' '"shed_deadline"' '"outputs_match": true'; do
-  grep -qF "$key" BENCH_server.json \
-    || { echo "BENCH_server.json missing $key"; exit 1; }
+  grep -qF "$key" target/bench-quick/BENCH_server.json \
+    || { echo "target/bench-quick/BENCH_server.json missing $key"; exit 1; }
 done
 
 # The end-to-end benchmark is a package of its own (benchmark/Cargo.toml)
@@ -177,5 +193,12 @@ done
 # this is what holds the plan shapes and signatures it relies on in place.
 echo "==> benchmark package tests (plan shapes + public API it compiles against)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> committed BENCH_*.json untouched by this run"
+if [ "$bench_sums" != "$(sha256sum BENCH_*.json)" ]; then
+  echo "a committed BENCH_*.json changed during the gate:"
+  git status --short -- 'BENCH_*.json'
+  exit 1
+fi
 
 echo "OK: all tier-1 checks passed"

@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rheem_bench::ablations::{mixed_pipeline_plan, movement_context};
+use rheem_core::cost::MovementCostModel;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_movement_cost");
@@ -12,8 +13,7 @@ fn bench(c: &mut Criterion) {
     let aware = ctx.optimize(plan.clone()).unwrap();
     let oblivious_ctx = {
         let mut c2 = movement_context(20_000);
-        let opt = std::mem::take(c2.optimizer_mut());
-        *c2.optimizer_mut() = opt.ignore_movement_costs();
+        c2.optimizer_mut().movement = MovementCostModel::free();
         c2
     };
     let oblivious = oblivious_ctx.optimize(plan).unwrap();

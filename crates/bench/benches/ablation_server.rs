@@ -19,7 +19,8 @@
 //!    survivors' p99 are recorded, and the server must stay fully
 //!    serviceable afterwards.
 //!
-//! `SERVER_BENCH_QUICK=1` trims the request count for CI.
+//! `SERVER_BENCH_QUICK=1` trims the request count for CI and writes to
+//! `target/bench-quick/BENCH_server.json` instead.
 
 use std::time::Instant;
 
@@ -352,7 +353,7 @@ fn main() {
         storm.completed,
         storm.p99_ms,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_server.json");
-    std::fs::write(path, &json).expect("write BENCH_server.json");
-    eprintln!("wrote {path}");
+    let path = rheem_bench::bench_json_path("BENCH_server.json", quick);
+    std::fs::write(&path, &json).expect("write BENCH_server.json");
+    eprintln!("wrote {}", path.display());
 }

@@ -158,8 +158,7 @@ pub fn run_movement_cost(n: usize) -> MovementCostRow {
     let aware_run = aware_ctx.execute_plan(&aware_exec).expect("runs");
 
     let mut oblivious_ctx = movement_context(n);
-    let optimizer = std::mem::take(oblivious_ctx.optimizer_mut());
-    *oblivious_ctx.optimizer_mut() = optimizer.ignore_movement_costs();
+    oblivious_ctx.optimizer_mut().movement = MovementCostModel::free();
     let obl_exec = oblivious_ctx.optimize(plan).expect("optimizes");
     // Execute with the *true* movement model to see what obliviousness costs.
     let obl_run = aware_ctx.execute_plan(&obl_exec).expect("runs");

@@ -29,3 +29,16 @@ pub mod failover;
 pub mod fig2;
 pub mod fig3;
 pub mod replanning;
+
+/// Where a self-timed bench writes `<name>.json`: the repo root for a full
+/// run (the committed numbers), `target/bench-quick/` for a `*_QUICK` run,
+/// so a CI smoke never overwrites what a full run measured.
+pub fn bench_json_path(name: &str, quick: bool) -> std::path::PathBuf {
+    let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    if !quick {
+        return root.join(name);
+    }
+    let dir = root.join("target/bench-quick");
+    std::fs::create_dir_all(&dir).expect("create target/bench-quick");
+    dir.join(name)
+}

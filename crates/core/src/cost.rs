@@ -555,7 +555,8 @@ pub struct MovementCostModel {
     pub fixed: f64,
     /// Fallback per-record transfer price.
     pub default_per_record: f64,
-    per_record: HashMap<(String, String), f64>,
+    /// `from -> to -> price`; nested so a lookup borrows both names.
+    per_record: HashMap<String, HashMap<String, f64>>,
     /// Channel conversion prices (consulted only for platforms with
     /// declared channels).
     pub conversions: ChannelConversionGraph,
@@ -594,7 +595,9 @@ impl MovementCostModel {
     /// Set the per-record price of moving data `from -> to`.
     pub fn set_per_record(&mut self, from: &str, to: &str, price: f64) {
         self.per_record
-            .insert((from.to_string(), to.to_string()), price);
+            .entry(from.to_string())
+            .or_default()
+            .insert(to.to_string(), price);
     }
 
     /// Declare the channel kinds `platform` produces and consumes. From
@@ -637,7 +640,8 @@ impl MovementCostModel {
         }
         let per = self
             .per_record
-            .get(&(from.to_string(), to.to_string()))
+            .get(from)
+            .and_then(|prices| prices.get(to))
             .copied()
             .unwrap_or(self.default_per_record);
         let transport_ms = self.fixed + per * records;

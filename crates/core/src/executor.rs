@@ -181,9 +181,9 @@ pub struct ExecutionStats {
     /// times the unexecuted suffix was re-routed around a failed
     /// platform. `0` unless failover triggered.
     pub failovers: usize,
-    /// Which enumeration algorithm produced the executed plan (copied from
-    /// [`crate::plan::ExecutionPlan::enumeration`]). `Greedy` for plans
-    /// built by the classic DP.
+    /// How the executed plan was enumerated (copied from
+    /// [`crate::plan::ExecutionPlan::enumeration`]); rendered only when
+    /// the budget fallback ran.
     pub enumeration_path: crate::plan::EnumerationPath,
 }
 
@@ -240,7 +240,7 @@ impl ExecutionStats {
             self.replans,
             self.failovers,
         ));
-        if self.enumeration_path != crate::plan::EnumerationPath::Greedy {
+        if self.enumeration_path == crate::plan::EnumerationPath::GreedyFallback {
             s.push_str(&format!("enumeration: {}\n", self.enumeration_path));
         }
         s

@@ -69,8 +69,8 @@ pub use observe::{
     RingBufferSink, SpanKind, SpanRecord, TraceSink,
 };
 pub use optimizer::{
-    assignment_cost, enumerate_exhaustive, EnumerationConfig, EnumerationStrategy,
-    MultiPlatformOptimizer, PlanCache, PlanCacheConfig, PlanCacheStats, ReplanPolicy, Replanner,
+    assignment_cost, enumerate_exhaustive, EnumerationConfig, MultiPlatformOptimizer, PlanCache,
+    PlanCacheConfig, PlanCacheStats, ReplanPolicy, Replanner,
 };
 pub use physical::{CustomPhysicalOp, Layout, OpKind, PhysicalOp};
 pub use plan::{

@@ -439,10 +439,9 @@ impl ProgressListener for Observability {
                 morsels: 0,
             });
         }
-        // Record non-default enumeration paths (lattice v2 / its greedy
-        // fallback) as a span, so traces show *how* the executed plan was
-        // found. Skipped by `canonical_tree`, like replan/failover spans.
-        if stats.enumeration_path != crate::plan::EnumerationPath::Greedy {
+        // A plan found by the enumerator's budget fallback says so in the
+        // trace. Skipped by `canonical_tree`, like replan/failover spans.
+        if stats.enumeration_path == crate::plan::EnumerationPath::GreedyFallback {
             self.emit(SpanRecord {
                 id: self.alloc_span(),
                 parent: Some(job_id),

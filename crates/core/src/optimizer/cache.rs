@@ -302,8 +302,8 @@ fn relative_change(old: f64, new: f64) -> f64 {
 /// Hash of everything besides the plan that determines an enumeration
 /// result: the registered platform set, the enumeration configuration, and
 /// whether rewrites run. Mixed into the plan fingerprint to form the cache
-/// key, so e.g. adding a platform or switching enumeration strategy can
-/// never serve stale assignments.
+/// key, so e.g. adding a platform or excluding one can never serve stale
+/// assignments.
 pub(crate) fn config_fingerprint(config: &OptimizerConfig, platforms: &PlatformRegistry) -> u64 {
     let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
     let mut names: Vec<&str> = platforms.names();
@@ -316,15 +316,12 @@ pub(crate) fn config_fingerprint(config: &OptimizerConfig, platforms: &PlatformR
     if let Some(p) = &e.forced_platform {
         h = splitmix64(h ^ fnv1a(p));
     }
-    h = splitmix64(h ^ e.consider_movement_costs as u64);
     let mut excluded: Vec<&str> = e.excluded_platforms.iter().map(|s| s.as_str()).collect();
     excluded.sort_unstable();
     for x in excluded {
         h = splitmix64(h ^ fnv1a(x).wrapping_add(1));
     }
-    h = splitmix64(h ^ matches!(e.strategy, super::EnumerationStrategy::LatticeV2) as u64);
     h = splitmix64(h ^ e.max_expansions as u64);
-    h = splitmix64(h ^ e.max_enumeration_ms.map_or(0, |ms| ms.wrapping_add(1)));
     h
 }
 

@@ -35,7 +35,7 @@ use crate::plan::{NodeId, PhysicalPlan};
 use super::rewrites::{consumer_counts, rebuild};
 
 /// Partition the plan into maximal linear chains, the graph contraction
-/// the lattice enumerator (`optimizer::enumerate_v2`) searches over.
+/// the lattice enumerator ([`super::enumerate()`]) searches over.
 ///
 /// Every node lands in exactly one chain (a singleton when it cannot
 /// extend); a node joins its producer's chain iff it has exactly one input

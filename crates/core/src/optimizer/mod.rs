@@ -4,8 +4,9 @@
 //!   mappings (§4.1);
 //! * [`rewrites`] — sound UDF-algebra rewrites (§4.1/§4.2 "traditional
 //!   physical optimizations");
-//! * [`enumerate`] — platform assignment by DP with pluggable cost models
-//!   and inter-platform movement costs, plus task-atom splitting (§4.2);
+//! * [`enumerate`](mod@enumerate) — platform assignment over a subplan
+//!   lattice with pluggable cost models and channel-aware inter-platform
+//!   movement costs, plus task-atom splitting (§4.2);
 //! * [`replan`] — adaptive mid-job re-optimization: the executor's hook
 //!   for re-enumerating the unexecuted suffix of a running job when
 //!   observed cardinalities drift from the estimates.
@@ -16,7 +17,6 @@
 pub mod application;
 pub mod cache;
 pub mod enumerate;
-pub mod enumerate_v2;
 pub mod fuse;
 pub mod replan;
 pub mod rewrites;
@@ -32,10 +32,7 @@ use crate::plan::{ExecutionPlan, PhysicalPlan};
 use crate::platform::PlatformRegistry;
 
 pub use cache::{PlanCache, PlanCacheConfig, PlanCacheStats};
-pub use enumerate::{EnumerationConfig, EnumerationStrategy};
-pub use enumerate_v2::{
-    assignment_cost, enumerate_exhaustive, enumerate_v2, enumerate_with_config,
-};
+pub use enumerate::{assignment_cost, enumerate, enumerate_exhaustive, EnumerationConfig};
 pub use replan::{ReplanPolicy, Replanner};
 
 /// The multi-platform task optimizer (core layer, §4.2).
@@ -96,23 +93,9 @@ impl MultiPlatformOptimizer {
         self
     }
 
-    /// Ignore data movement costs during enumeration (ablation B).
-    pub fn ignore_movement_costs(mut self) -> Self {
-        self.config.enumeration.consider_movement_costs = false;
-        self
-    }
-
     /// Disable algebraic rewrites.
     pub fn without_rewrites(mut self) -> Self {
         self.config.apply_rewrites = false;
-        self
-    }
-
-    /// Opt into the subplan-lattice enumerator (`enumerate_v2`): chain
-    /// contraction, channel-aware movement pricing, lossless frontier
-    /// pruning, and a budget that degrades to the greedy DP.
-    pub fn with_enumeration_v2(mut self) -> Self {
-        self.config.enumeration.strategy = enumerate::EnumerationStrategy::LatticeV2;
         self
     }
 
@@ -178,15 +161,15 @@ impl MultiPlatformOptimizer {
                             estimates: parts.estimates,
                             enumeration: parts.enumeration,
                         };
-                        self.report_metrics(&exec, true, false);
+                        self.report_metrics(&exec, true);
                         return Ok(exec);
                     }
                     cache.record_miss();
-                    self.report_cache_counters(false, false);
+                    self.report_cache_miss(false);
                 }
                 cache::CacheLookup::Miss { invalidated } => {
                     cache.record_miss();
-                    self.report_cache_counters(false, invalidated);
+                    self.report_cache_miss(invalidated);
                 }
             }
         }
@@ -194,7 +177,7 @@ impl MultiPlatformOptimizer {
         // model so cross-platform edges are priced through the conversion
         // graph (a model with no declared channels keeps legacy flat pricing).
         let movement = self.movement.channelized(platforms);
-        let result = enumerate_v2::enumerate_with_config(
+        let result = enumerate(
             Arc::new(plan),
             platforms,
             &self.estimator,
@@ -206,14 +189,14 @@ impl MultiPlatformOptimizer {
             if let Some((cache, key, scope)) = &probe {
                 cache.insert(*key, *scope, rewritten_hash, exec, &self.calibration);
             }
-            self.report_metrics(exec, false, false);
+            self.report_metrics(exec, false);
         }
         result
     }
 
     /// Report per-optimization counters (and, on cache-enabled runs, the
     /// hit counter — misses were already reported at probe time).
-    fn report_metrics(&self, exec: &ExecutionPlan, cache_hit: bool, invalidated: bool) {
+    fn report_metrics(&self, exec: &ExecutionPlan, cache_hit: bool) {
         let Some(metrics) = &self.metrics else {
             return;
         };
@@ -227,21 +210,14 @@ impl MultiPlatformOptimizer {
         if self.plan_cache.is_some() && cache_hit {
             metrics.counter("optimizer.plan_cache.hits").inc();
         }
-        if invalidated {
-            metrics.counter("optimizer.plan_cache.invalidations").inc();
-        }
     }
 
     /// Report a cache miss (and optional drift invalidation) into metrics.
-    fn report_cache_counters(&self, hit: bool, invalidated: bool) {
+    fn report_cache_miss(&self, invalidated: bool) {
         let Some(metrics) = &self.metrics else {
             return;
         };
-        if hit {
-            metrics.counter("optimizer.plan_cache.hits").inc();
-        } else {
-            metrics.counter("optimizer.plan_cache.misses").inc();
-        }
+        metrics.counter("optimizer.plan_cache.misses").inc();
         if invalidated {
             metrics.counter("optimizer.plan_cache.invalidations").inc();
         }

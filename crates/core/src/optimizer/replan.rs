@@ -14,7 +14,7 @@
 //!    a fixed-cardinality `CollectionSource` *pseudo-node* (named
 //!    `replan:nX`), so the enumerator sees its true size;
 //! 2. the pending nodes are copied into a temporary suffix plan wired to
-//!    those pseudo-sources, and [`enumerate`](super::enumerate)
+//!    those pseudo-sources, and [`enumerate`](super::enumerate())
 //!    re-runs over it with the live [`CostCalibration`] factors;
 //! 3. the result is translated back into the original node-id space: the
 //!    physical plan and the assignments/estimates of executed nodes are
@@ -39,8 +39,7 @@ use crate::physical::PhysicalOp;
 use crate::plan::{AtomInput, ExecutionPlan, NodeId, PhysicalNode, PhysicalPlan, TaskAtom};
 use crate::platform::PlatformRegistry;
 
-use super::enumerate::EnumerationConfig;
-use super::enumerate_v2::enumerate_with_config;
+use super::enumerate::{enumerate, EnumerationConfig};
 
 /// When and how often the executor may re-optimize a running job.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -76,7 +75,7 @@ pub struct Replanner {
     pub estimator: CardinalityEstimator,
     /// Inter-platform movement prices.
     pub movement: MovementCostModel,
-    /// Enumeration knobs (forced platform, movement-blindness ablations).
+    /// Enumeration knobs (forced / excluded platforms, expansion budget).
     pub enumeration: EnumerationConfig,
     /// Shared calibration table; re-plans see factors learned earlier in
     /// the same process.
@@ -224,11 +223,11 @@ impl Replanner {
         }
         let temp = PhysicalPlan::from_nodes(temp_nodes);
         temp.validate()?;
-        // Same strategy dispatch (and channel-aware movement pricing) as
-        // the original optimization pass, so a re-plan explores the suffix
-        // exactly the way the first enumeration explored the whole plan.
+        // Same channel-aware movement pricing as the original optimization
+        // pass, so a re-plan explores the suffix exactly the way the first
+        // enumeration explored the whole plan.
         let movement = self.movement.channelized(registry);
-        let suffix = enumerate_with_config(
+        let suffix = enumerate(
             Arc::new(temp),
             registry,
             &self.estimator,

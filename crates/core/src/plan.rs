@@ -899,17 +899,15 @@ pub struct NodeEstimate {
     pub card: f64,
 }
 
-/// Which enumeration algorithm produced an [`ExecutionPlan`].
+/// How the enumerator arrived at an [`ExecutionPlan`]'s assignment.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EnumerationPath {
-    /// The greedy DP enumerator (the historical default, and what
-    /// hand-built plans report).
+    /// The subplan-lattice search with lossless pruning ran to the end
+    /// (also what hand-built plans report).
     #[default]
-    Greedy,
-    /// The v2 subplan-lattice enumerator with lossless pruning.
     LatticeV2,
-    /// The v2 enumerator exhausted its budget and degraded gracefully to
-    /// the greedy DP.
+    /// The search exhausted its expansion budget and the per-node DP
+    /// assigned the platforms instead.
     GreedyFallback,
 }
 
@@ -917,7 +915,6 @@ impl EnumerationPath {
     /// Stable display name (used in stats, traces, and explains).
     pub fn as_str(&self) -> &'static str {
         match self {
-            EnumerationPath::Greedy => "greedy-dp",
             EnumerationPath::LatticeV2 => "lattice-v2",
             EnumerationPath::GreedyFallback => "greedy-fallback",
         }
@@ -930,8 +927,8 @@ impl fmt::Display for EnumerationPath {
     }
 }
 
-/// A chosen channel conversion route for one cross-platform boundary edge
-/// (recorded by the v2 enumerator for explain rendering and runner-side
+/// The channel conversion route of one cross-platform boundary edge
+/// (recorded by the enumerator for explain rendering and runner-side
 /// channel accounting).
 #[derive(Clone, Debug)]
 pub struct ChannelConversion {
@@ -952,17 +949,17 @@ pub struct ChannelConversion {
     pub cost_ms: f64,
 }
 
-/// How an [`ExecutionPlan`] was enumerated: which algorithm ran, how much
-/// search it did, and what structure it exploited. Defaults describe the
-/// greedy DP (no contraction, no recorded conversions).
+/// How an [`ExecutionPlan`] was enumerated: whether the search finished,
+/// how much of it ran, and what structure it exploited.
 #[derive(Clone, Debug, Default)]
 pub struct EnumerationInfo {
-    /// The algorithm that produced the plan.
+    /// Whether the lattice search finished or fell back.
     pub path: EnumerationPath,
-    /// Lattice state expansions performed (0 for the greedy DP).
+    /// Lattice state expansions performed.
     pub expansions: usize,
     /// Maximal linear chains contracted into super-nodes before the
-    /// search (only chains of ≥ 2 nodes are recorded).
+    /// search (only chains of ≥ 2 nodes are recorded; none on the
+    /// fallback path).
     pub groups: Vec<Vec<NodeId>>,
     /// Channel conversion routes chosen for cross-platform edges.
     pub conversions: Vec<ChannelConversion>,

@@ -1,34 +1,51 @@
-//! The lattice enumerator (`optimizer::enumerate_v2`) verified against an
-//! exhaustive oracle, plus its configuration interplay: forced/excluded
-//! platforms, movement-blind enumeration, calibration tables, budget
-//! exhaustion (deterministic greedy fallback), and stranded operators
-//! surfacing as `NoPlatformFor`.
+//! The enumerator (`optimizer::enumerate`) verified against an exhaustive
+//! oracle, plus its configuration interplay: forced/excluded platforms,
+//! free movement, calibration tables, budget exhaustion (deterministic
+//! fallback to the per-node DP), and stranded operators surfacing as
+//! `NoPlatformFor`.
 
 use proptest::prelude::*;
 use rheem::prelude::*;
 use rheem::rec;
 use rheem_core::plan::NodeId;
 use rheem_core::{
-    assignment_cost, enumerate_exhaustive, EnumerationConfig, EnumerationPath, EnumerationStrategy,
-    ExecutionPlan,
+    assignment_cost, enumerate_exhaustive, EnumerationConfig, EnumerationPath, ExecutionPlan,
 };
 use rheem_platforms::test_context;
 
-/// A context whose optimizer runs the lattice enumerator, with rewrites
-/// off so the enumerated plan shape matches what the oracle sees.
+/// Rewrites off, so the enumerated plan shape matches what the oracle sees.
 fn v2_context() -> RheemContext {
-    let mut ctx = test_context();
-    let optimizer = std::mem::take(ctx.optimizer_mut());
-    *ctx.optimizer_mut() = optimizer.without_rewrites().with_enumeration_v2();
-    ctx
-}
-
-/// Same knobs, greedy strategy — the comparison baseline.
-fn greedy_context() -> RheemContext {
     let mut ctx = test_context();
     let optimizer = std::mem::take(ctx.optimizer_mut());
     *ctx.optimizer_mut() = optimizer.without_rewrites();
     ctx
+}
+
+/// The same context with the lattice budget set to `max_expansions`.
+fn budget_context(max_expansions: usize) -> RheemContext {
+    let mut ctx = v2_context();
+    ctx.optimizer_mut().config.enumeration.max_expansions = max_expansions;
+    ctx
+}
+
+/// The default budget, and one the first lattice state already exceeds —
+/// every configuration error must read the same on both paths.
+fn both_budgets() -> [usize; 2] {
+    [EnumerationConfig::default().max_expansions, 0]
+}
+
+/// Every sink's rows, each sorted, as a sorted list of bags.
+fn bags(outputs: std::collections::HashMap<NodeId, Dataset>) -> Vec<Vec<Record>> {
+    let mut bags: Vec<Vec<Record>> = outputs
+        .into_values()
+        .map(|d| {
+            let mut rows = d.records().to_vec();
+            rows.sort();
+            rows
+        })
+        .collect();
+    bags.sort();
+    bags
 }
 
 /// Run the exhaustive oracle with the context's own models (and the same
@@ -161,7 +178,7 @@ fn gen_calibration() -> impl Strategy<Value = Vec<(&'static str, &'static str, f
 /// EnumerationConfig variations the oracle comparison sweeps over.
 fn gen_config() -> impl Strategy<Value = (bool, Option<&'static str>, Vec<&'static str>)> {
     (
-        any::<bool>(), // consider_movement_costs
+        any::<bool>(), // priced movement, or `MovementCostModel::free()`
         prop_oneof![Just(None), Just(Some("java")), Just(Some("sparklike"))],
         prop_oneof![
             Just(Vec::new()),
@@ -195,9 +212,11 @@ proptest! {
             // estimated 1.0 / observed `factor` ⇒ cost_factor == factor.
             ctx.optimizer().calibration.observe(op, platform, 1.0, *factor, 1.0, 1.0);
         }
+        if !movement_on {
+            ctx.optimizer_mut().movement = rheem_core::MovementCostModel::free();
+        }
         {
             let e = &mut ctx.optimizer_mut().config.enumeration;
-            e.consider_movement_costs = movement_on;
             e.forced_platform = forced.map(String::from);
             e.excluded_platforms = excluded.iter().map(|s| s.to_string()).collect();
         }
@@ -206,13 +225,11 @@ proptest! {
         prop_assert_eq!(exec.enumeration.path, EnumerationPath::LatticeV2);
         let (_, oracle) = oracle_cost(&ctx, &plan);
         assert_close(exec.estimated_cost, oracle, "v2 vs oracle");
-        if movement_on {
-            assert_close(
-                canonical_assignment_cost(&ctx, &exec),
-                exec.estimated_cost,
-                "v2 reported vs canonical",
-            );
-        }
+        assert_close(
+            canonical_assignment_cost(&ctx, &exec),
+            exec.estimated_cost,
+            "v2 reported vs canonical",
+        );
     }
 
     /// v2-optimized plans execute to the same bag of records as the
@@ -231,15 +248,7 @@ proptest! {
             &plan,
             &rheem_core::ExecutionContext::new(),
         ).expect("reference runs");
-        let norm = |outs: std::collections::HashMap<NodeId, Dataset>| {
-            let mut bags: Vec<Vec<Record>> = outs
-                .into_values()
-                .map(|d| { let mut v = d.records().to_vec(); v.sort(); v })
-                .collect();
-            bags.sort();
-            bags
-        };
-        prop_assert_eq!(norm(result.outputs), norm(reference));
+        prop_assert_eq!(bags(result.outputs), bags(reference));
     }
 }
 
@@ -325,32 +334,45 @@ fn v2_contracts_chains_and_records_conversions() {
 
 #[test]
 fn budget_exhaustion_degrades_to_greedy_deterministically() {
-    let plan = mixed_plan();
-    let greedy = greedy_context().optimize(plan.clone()).unwrap();
-
-    let mut ctx = v2_context();
-    ctx.optimizer_mut().config.enumeration.max_expansions = 1;
-    let fallback = ctx.optimize(plan).unwrap();
+    let ctx = budget_context(1);
+    let fallback = ctx.optimize(mixed_plan()).unwrap();
     assert_eq!(fallback.enumeration.path, EnumerationPath::GreedyFallback);
-    // The fallback IS the greedy plan: same assignments, atoms, and cost.
-    assert_eq!(fallback.assignments, greedy.assignments);
-    assert_eq!(fallback.atoms.len(), greedy.atoms.len());
-    for (a, b) in fallback.atoms.iter().zip(&greedy.atoms) {
+    assert!(fallback.enumeration.groups.is_empty());
+    // A second run under the same budget is identical (determinism).
+    let again = budget_context(1).optimize(mixed_plan()).unwrap();
+    assert_eq!(again.enumeration.path, EnumerationPath::GreedyFallback);
+    assert_eq!(again.assignments, fallback.assignments);
+    assert_eq!(again.atoms.len(), fallback.atoms.len());
+    for (a, b) in again.atoms.iter().zip(&fallback.atoms) {
         assert_eq!((a.id, &a.platform, &a.nodes), (b.id, &b.platform, &b.nodes));
     }
-    assert_eq!(fallback.estimated_cost, greedy.estimated_cost);
-    // And a second run under the same budget is identical (determinism).
-    let mut ctx2 = v2_context();
-    ctx2.optimizer_mut().config.enumeration.max_expansions = 1;
-    let again = ctx2.optimize(mixed_plan()).unwrap();
-    assert_eq!(again.assignments, fallback.assignments);
-    assert_eq!(again.enumeration.path, EnumerationPath::GreedyFallback);
+    assert_eq!(again.estimated_cost, fallback.estimated_cost);
+
+    // The fallback reports the same objective the lattice minimizes, so it
+    // can only tie or lose — and it runs to the same rows.
+    let lattice_ctx = v2_context();
+    let lattice = lattice_ctx.optimize(mixed_plan()).unwrap();
+    assert_eq!(lattice.enumeration.path, EnumerationPath::LatticeV2);
+    assert_close(
+        canonical_assignment_cost(&ctx, &fallback),
+        fallback.estimated_cost,
+        "fallback reported vs canonical",
+    );
+    assert!(
+        fallback.estimated_cost >= lattice.estimated_cost - 1e-9,
+        "fallback {} beat the lattice {}",
+        fallback.estimated_cost,
+        lattice.estimated_cost
+    );
+    assert_eq!(
+        bags(ctx.execute_plan(&fallback).unwrap().outputs),
+        bags(lattice_ctx.execute_plan(&lattice).unwrap().outputs)
+    );
 }
 
 #[test]
 fn fallback_path_reaches_execution_stats() {
-    let mut ctx = v2_context();
-    ctx.optimizer_mut().config.enumeration.max_expansions = 1;
+    let ctx = budget_context(1);
     let exec = ctx.optimize(mixed_plan()).unwrap();
     let result = ctx.execute_plan(&exec).unwrap();
     assert_eq!(
@@ -369,38 +391,34 @@ fn fallback_path_reaches_execution_stats() {
 
 #[test]
 fn excluding_every_platform_is_a_clean_error() {
-    for strategy in [EnumerationStrategy::Greedy, EnumerationStrategy::LatticeV2] {
-        let mut ctx = greedy_context();
-        {
-            let e = &mut ctx.optimizer_mut().config.enumeration;
-            e.strategy = strategy;
-            e.excluded_platforms = ["java", "sparklike", "mapreduce", "relational"]
+    for budget in both_budgets() {
+        let mut ctx = budget_context(budget);
+        ctx.optimizer_mut().config.enumeration.excluded_platforms =
+            ["java", "sparklike", "mapreduce", "relational"]
                 .iter()
                 .map(|s| s.to_string())
                 .collect();
-        }
         let err = ctx.optimize(mixed_plan()).unwrap_err();
         assert!(
             matches!(err, RheemError::Optimizer(ref m) if m.contains("excluded")),
-            "{strategy:?}: {err}"
+            "budget {budget}: {err}"
         );
     }
 }
 
 #[test]
 fn forcing_an_excluded_platform_is_a_clean_error() {
-    for strategy in [EnumerationStrategy::Greedy, EnumerationStrategy::LatticeV2] {
-        let mut ctx = greedy_context();
+    for budget in both_budgets() {
+        let mut ctx = budget_context(budget);
         {
             let e = &mut ctx.optimizer_mut().config.enumeration;
-            e.strategy = strategy;
             e.forced_platform = Some("java".into());
             e.excluded_platforms = vec!["java".into()];
         }
         let err = ctx.optimize(mixed_plan()).unwrap_err();
         assert!(
             matches!(err, RheemError::Optimizer(_)),
-            "{strategy:?}: {err}"
+            "budget {budget}: {err}"
         );
     }
 }
@@ -408,8 +426,8 @@ fn forcing_an_excluded_platform_is_a_clean_error() {
 #[test]
 fn stranded_operator_surfaces_no_platform_for() {
     // A loop is unsupported on the relational platform; excluding all
-    // others strands it. Both strategies must surface NoPlatformFor — not
-    // panic, not silently drop the node.
+    // others strands it. Within budget or past it, that must surface
+    // NoPlatformFor — not panic, not silently drop the node.
     let mut body = PlanBuilder::new();
     let li = body.loop_input();
     body.map(li, MapUdf::new("inc", |r| rec![r.int(0).unwrap() + 1]));
@@ -420,20 +438,17 @@ fn stranded_operator_surfaces_no_platform_for() {
     b.collect(l);
     let plan = b.build().unwrap();
 
-    for strategy in [EnumerationStrategy::Greedy, EnumerationStrategy::LatticeV2] {
-        let mut ctx = greedy_context();
-        {
-            let e = &mut ctx.optimizer_mut().config.enumeration;
-            e.strategy = strategy;
-            e.excluded_platforms = ["java", "sparklike", "mapreduce"]
+    for budget in both_budgets() {
+        let mut ctx = budget_context(budget);
+        ctx.optimizer_mut().config.enumeration.excluded_platforms =
+            ["java", "sparklike", "mapreduce"]
                 .iter()
                 .map(|s| s.to_string())
                 .collect();
-        }
         let err = ctx.optimize(plan.clone()).unwrap_err();
         assert!(
             matches!(err, RheemError::NoPlatformFor { .. }),
-            "{strategy:?}: {err}"
+            "budget {budget}: {err}"
         );
     }
 }
@@ -496,7 +511,7 @@ fn oracle_rejects_oversized_plans() {
     }
     b.collect(cur);
     let plan = b.build().unwrap();
-    let ctx = greedy_context();
+    let ctx = v2_context();
     let opt = ctx.optimizer();
     let err = enumerate_exhaustive(
         &plan,

@@ -174,7 +174,7 @@ fn golden_explain_enumeration() {
 
     let mut ctx = test_context();
     let optimizer = std::mem::take(ctx.optimizer_mut());
-    *ctx.optimizer_mut() = optimizer.without_rewrites().with_enumeration_v2();
+    *ctx.optimizer_mut() = optimizer.without_rewrites();
     // Deterministic calibration pressure: make the group-by ruinous on
     // every platform except mapreduce (relational, whose group-by is too
     // cheap for the clamped factor to deter, is excluded outright), so the

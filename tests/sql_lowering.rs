@@ -15,7 +15,8 @@
 //!   result however they run: row-at-a-time through the UDFs' derived
 //!   closures, on each platform forced, through the full optimizer in both
 //!   schedule modes, at kernel parallelism 1 and N, with the plan cache
-//!   cold and hit, and through the wire codec;
+//!   cold and hit, within and past the enumerator's budget, and through
+//!   the wire codec;
 //! * **(c)** `Float` `SUM` / `AVG` over 0.1-step data — where addition is
 //!   not associative — are bit-identical across all of those, because every
 //!   group folds in row order wherever it runs.
@@ -764,6 +765,23 @@ fn assert_one_result(catalog: &QueryCatalog, statement: &Generated) {
             statement.sql
         );
     }
+
+    // Past the enumerator's budget (0: not one lattice state fits) the
+    // per-node DP assigns the platforms instead; the rows do not change.
+    let mut past_budget = rheem_platforms::test_context();
+    past_budget
+        .optimizer_mut()
+        .config
+        .enumeration
+        .max_expansions = 0;
+    let rows = run(catalog, &past_budget, &statement.sql);
+    assert_ordered(&rows, statement.order, &statement.sql);
+    assert_eq!(
+        sorted(rows),
+        sorted(unlimited),
+        "the enumeration fallback disagrees on `{}`",
+        statement.sql
+    );
 
     // The wire codec keeps every bit (NaN payloads, -0.0, NULLs).
     let schema = catalog.plan(&sql).expect("plans").schema;
