@@ -165,6 +165,24 @@ cargo test -q --release -p rheem-server --test result_encoding
 cargo test -q --release -p rheem-server --test register_decoding
 cargo test -q --release -p rheem-server --test register_footprint
 
+# What the server owes a client at the socket: TCP_NODELAY on every accepted
+# stream (a response never waits out the peer's delayed ACK), a session's
+# stream clone released when the session ends, and the session's own clock
+# (server.request_us + server.stage.*_us) accounting for every request.
+# Nothing here pins the client's two writes per request — that half goes as
+# soon as the harness allows (ROADMAP item 1).
+echo "==> transport: NODELAY on accept, stream clone released, stage clocks"
+# (`> /dev/null`, not `-q`: under pipefail a grep that stops at its first
+# match fails the pipeline when `sed` is cut off mid-write.)
+nontest crates/server/src/server.rs | grep -F 'set_nodelay(true)' > /dev/null \
+  || { echo "crates/server/src/server.rs no longer sets TCP_NODELAY on accepted streams"; exit 1; }
+if nontest crates/server/src/server.rs | grep -nE 'session_streams[^;]*\.push\('; then
+  echo "session_streams is pushed to again: a stream clone needs a slot its session releases"; exit 1
+fi
+nontest crates/server/src/server.rs | grep -E 'session_streams\.lock\(\)\.remove\(' > /dev/null \
+  || { echo "nothing releases a session's stream clone from session_streams"; exit 1; }
+cargo test -q --release -p rheem-server --test transport
+
 # Cancellation/panic chaos smoke: seeded random plans, cancel points, and
 # panicking UDFs against the shared job service (both schedule modes via
 # the proptest strategy; the vendored proptest stub seeds each case from
@@ -181,7 +199,8 @@ PROPTEST_CASES=16 cargo test -q --release -p rheem-server --test cancellation
 echo "==> ablation_server (SERVER_BENCH_QUICK=1) + schema check"
 SERVER_BENCH_QUICK=1 cargo bench -q -p rheem-bench --bench ablation_server
 for key in '"bench": "ablation_server"' '"tenants": 2' '"throughput_rps"' \
-    '"p50"' '"p99"' '"per_tenant"' '"grant_switches"' '"hit_rate"' \
+    '"p50"' '"p99"' '"per_tenant"' '"server_request_us_p50_le"' '"server_side_us"' \
+    '"stage_sums"' '"grant_switches"' '"hit_rate"' \
     '"cancel_storm"' '"shed_deadline"' '"outputs_match": true'; do
   grep -qF "$key" target/bench-quick/BENCH_server.json \
     || { echo "target/bench-quick/BENCH_server.json missing $key"; exit 1; }

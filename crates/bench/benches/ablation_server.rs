@@ -19,11 +19,21 @@
 //!    survivors' p99 are recorded, and the server must stay fully
 //!    serviceable afterwards.
 //!
+//! Latency is reported in two columns that are never added up: what the
+//! client measured over the wire (`p50_ms`, `p99_ms`, `latency_ms`) and what
+//! the server clocked for the same tenant's requests, frame complete to
+//! response written (`server_request_us_*`, from the tenant's
+//! `server.tenant.<t>.request_us` histogram; `server_side_us` is the whole
+//! run's `server.request_us` and its six `server.stage.*_us` sums). The
+//! difference is the transport: `Client` sends a request as two segments with
+//! Nagle on, so each one waits out the server's delayed ACK (DESIGN.md §13).
+//!
 //! `SERVER_BENCH_QUICK=1` trims the request count for CI and writes to
 //! `target/bench-quick/BENCH_server.json` instead.
 
 use std::time::Instant;
 
+use rheem_core::observe::HistogramSnapshot;
 use rheem_core::{DataType, PlanCacheConfig, Record, Schema, Value};
 use rheem_server::protocol::encode_rows;
 use rheem_server::{Client, RheemServer, ServerConfig};
@@ -73,8 +83,14 @@ struct TenantReport {
     requests: usize,
     p50_ms: f64,
     p99_ms: f64,
+    /// Server-side time of the tenant's requests: the bound of the bucket the
+    /// median falls in, and the mean.
+    server_request_us_p50_le: u64,
+    server_request_us_mean: f64,
     granted_waves: u64,
 }
+
+const STAGES: [&str; 6] = ["decode", "plan", "queue_wait", "run", "encode", "write"];
 
 struct StormReport {
     requests: usize,
@@ -249,7 +265,13 @@ fn main() {
         .count();
     let total_grants = handle.scheduler().total_grants();
     let cache = handle.plan_cache().stats();
+    let histograms = handle.observability().metrics().snapshot().histograms;
     handle.shutdown();
+    let histogram = |name: &str| -> &HistogramSnapshot {
+        let found = histograms.iter().find(|(n, _)| n == name);
+        &found.unwrap_or_else(|| panic!("no `{name}` histogram")).1
+    };
+    let p50_le = |h: &HistogramSnapshot| h.quantile_bound(0.5).unwrap_or(u64::MAX);
 
     // Assert the measured claims.
     for (tenant, _) in tenants {
@@ -265,17 +287,34 @@ fn main() {
         "repeated statements never hit the plan cache: {cache:?}"
     );
     assert!(outputs_match);
+    // The six stages tile a request, so their sums account for the server's
+    // whole share of it (every session has ended: no request is half recorded).
+    let served = histogram("server.request_us");
+    let stage_sums = STAGES.map(|stage| {
+        let h = histogram(&format!("server.stage.{stage}_us"));
+        assert_eq!(h.count, served.count, "server.stage.{stage}_us");
+        h.sum
+    });
+    let staged: u64 = stage_sums.iter().sum();
+    assert!(
+        staged.abs_diff(served.sum) * 10 <= served.sum,
+        "stages sum to {staged} us, requests to {} us",
+        served.sum
+    );
 
     let mut all: Vec<f64> = Vec::new();
     let mut reports: Vec<TenantReport> = Vec::new();
     for (tenant, latencies) in per_tenant_lat.iter_mut() {
         all.extend_from_slice(latencies);
         latencies.sort_by(|a, b| a.total_cmp(b));
+        let server_side = histogram(&format!("server.tenant.{tenant}.request_us"));
         reports.push(TenantReport {
             tenant,
             requests: latencies.len(),
             p50_ms: percentile(latencies, 0.50),
             p99_ms: percentile(latencies, 0.99),
+            server_request_us_p50_le: p50_le(server_side),
+            server_request_us_mean: server_side.sum as f64 / server_side.count.max(1) as f64,
             granted_waves: granted.get(*tenant).copied().unwrap_or(0),
         });
     }
@@ -289,8 +328,15 @@ fn main() {
 
     for r in &reports {
         eprintln!(
-            "{}: {} requests, p50 {:.2} ms, p99 {:.2} ms, {} waves granted",
-            r.tenant, r.requests, r.p50_ms, r.p99_ms, r.granted_waves
+            "{}: {} requests, wire p50 {:.2} ms, p99 {:.2} ms; server-side p50 <= {} us, \
+             mean {:.0} us; {} waves granted",
+            r.tenant,
+            r.requests,
+            r.p50_ms,
+            r.p99_ms,
+            r.server_request_us_p50_le,
+            r.server_request_us_mean,
+            r.granted_waves
         );
     }
     eprintln!(
@@ -316,10 +362,22 @@ fn main() {
         .map(|r| {
             format!(
                 "    {{\"tenant\":\"{}\",\"requests\":{},\"p50_ms\":{:.3},\
-                 \"p99_ms\":{:.3},\"granted_waves\":{}}}",
-                r.tenant, r.requests, r.p50_ms, r.p99_ms, r.granted_waves
+                 \"p99_ms\":{:.3},\"server_request_us_p50_le\":{},\
+                 \"server_request_us_mean\":{:.1},\"granted_waves\":{}}}",
+                r.tenant,
+                r.requests,
+                r.p50_ms,
+                r.p99_ms,
+                r.server_request_us_p50_le,
+                r.server_request_us_mean,
+                r.granted_waves
             )
         })
+        .collect();
+    let stage_json: Vec<String> = STAGES
+        .iter()
+        .zip(stage_sums)
+        .map(|(stage, sum)| format!("\"{stage}\": {sum}"))
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"ablation_server\",\n  \"unix_time\": {stamp},\n  \
@@ -329,11 +387,15 @@ fn main() {
          outputs_match asserts cached-plan rows are byte-identical to the cold run \
          on the canonical wire encoding; cancel_storm drives a zero-deadline plus \
          CANCEL-spam storm at a third tenant and records shed/cancelled counts and \
-         the survivors' p99\",\n  \
+         the survivors' p99; *_ms columns are wall time measured by the client over the \
+         wire, server_request_us_* and server_side_us are the server's own clock (request \
+         frame complete to response written) and the two are never summed\",\n  \
          \"tenants\": {},\n  \"requests_total\": {requests_total},\n  \
          \"wall_ms\": {wall_ms:.1},\n  \"throughput_rps\": {throughput_rps:.2},\n  \
          \"latency_ms\": {{\"p50\": {p50:.3}, \"p99\": {p99:.3}}},\n  \
          \"per_tenant\": [\n{}\n  ],\n  \
+         \"server_side_us\": {{\"requests\": {}, \"request_sum\": {}, \
+         \"request_p50_le\": {}, \"stage_sums\": {{{}}}}},\n  \
          \"fair_share\": {{\"grant_switches\": {grant_switches}, \"total_grants\": {}}},\n  \
          \"plan_cache\": {{\"hits\": {}, \"misses\": {}, \"invalidations\": {}, \
          \"hit_rate\": {hit_rate:.4}}},\n  \
@@ -343,6 +405,10 @@ fn main() {
         std::env::consts::ARCH,
         tenants.len(),
         tenant_json.join(",\n"),
+        served.count,
+        served.sum,
+        p50_le(served),
+        stage_json.join(", "),
         total_grants,
         cache.hits,
         cache.misses,

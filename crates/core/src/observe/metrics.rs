@@ -175,6 +175,27 @@ pub struct HistogramSnapshot {
     pub sum: u64,
 }
 
+impl HistogramSnapshot {
+    /// The upper bound of the bucket the `q`-quantile (`0.0..=1.0`) falls in:
+    /// that share of the observations are at or under it. `None` when nothing
+    /// was observed or the quantile lies in the overflow bucket, past the last
+    /// bound.
+    pub fn quantile_bound(&self, q: f64) -> Option<u64> {
+        if self.count == 0 {
+            return None;
+        }
+        let rank = ((self.count as f64 * q).ceil() as u64).clamp(1, self.count);
+        let mut seen = 0u64;
+        for (bucket, bound) in self.buckets.iter().zip(&self.bounds) {
+            seen = seen.saturating_add(*bucket);
+            if seen >= rank {
+                return Some(*bound);
+            }
+        }
+        None
+    }
+}
+
 /// Point-in-time copy of every instrument in a registry, sorted by name
 /// so two snapshots compare deterministically.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -188,8 +209,17 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Render the snapshot as deterministic `name value` lines.
+    /// Render the snapshot as deterministic `name value` lines. A histogram
+    /// line carries its median and 99th percentile as bucket bounds
+    /// ([`HistogramSnapshot::quantile_bound`]; `p50<=200` reads "half the
+    /// observations were at most 200", `>N` "past the last bound N", `-`
+    /// "nothing observed"), so it can be read without knowing the bounds.
     pub fn render(&self) -> String {
+        let bound = |h: &HistogramSnapshot, q: f64| match (h.quantile_bound(q), h.bounds.last()) {
+            (Some(bound), _) => format!("<={bound}"),
+            (None, Some(last)) if h.count > 0 => format!(">{last}"),
+            _ => "-".to_string(),
+        };
         let mut out = String::new();
         for (name, v) in &self.counters {
             out.push_str(&format!("counter {name} {v}\n"));
@@ -199,8 +229,12 @@ impl MetricsSnapshot {
         }
         for (name, h) in &self.histograms {
             out.push_str(&format!(
-                "histogram {name} count={} sum={} buckets={:?}\n",
-                h.count, h.sum, h.buckets
+                "histogram {name} count={} sum={} p50{} p99{} buckets={:?}\n",
+                h.count,
+                h.sum,
+                bound(h, 0.50),
+                bound(h, 0.99),
+                h.buckets
             ));
         }
         out
@@ -358,6 +392,25 @@ mod tests {
         assert_eq!(h.bucket_counts(), vec![2, 2, 1, 1]);
         assert_eq!(h.count(), 6);
         assert_eq!(h.sum(), 5621);
+    }
+
+    #[test]
+    fn quantile_bounds_name_the_bucket_a_rank_falls_in() {
+        let reg = MetricsRegistry::new();
+        let h = reg.histogram("h", &[10, 100, 1000]);
+        assert!(reg
+            .render()
+            .contains("histogram h count=0 sum=0 p50- p99- "));
+        for v in [1, 2, 3, 50, 60, 70, 80, 500, 600, 5000] {
+            h.record(v);
+        }
+        let snap = reg.snapshot().histograms.remove(0).1;
+        assert_eq!(snap.quantile_bound(0.0), Some(10));
+        assert_eq!(snap.quantile_bound(0.3), Some(10));
+        assert_eq!(snap.quantile_bound(0.5), Some(100));
+        assert_eq!(snap.quantile_bound(0.9), Some(1000));
+        assert_eq!(snap.quantile_bound(0.99), None);
+        assert!(reg.render().contains(" p50<=100 p99>1000 "));
     }
 
     #[test]

@@ -2,8 +2,14 @@
 //!
 //! One [`Client`] is one session: connect, `hello`, then any number of
 //! `register`/`query`/`stats` calls, then `goodbye`. Used by the
-//! integration tests and by the closed-loop load generator in
-//! `crates/bench`.
+//! integration tests, by `ablation_server` and by the end-to-end benchmark in
+//! `benchmark/`.
+//!
+//! A request leaves as two segments (`write_frame`: length prefix, then body)
+//! on a socket with Nagle on, so its body waits ≈ 40 ms for the server's
+//! delayed ACK of the prefix — the half of the transport stall that the
+//! server's `TCP_NODELAY` on accepted sockets cannot remove, tracked in
+//! ROADMAP item 1.
 
 use std::net::{TcpStream, ToSocketAddrs};
 

@@ -39,6 +39,16 @@
 //! chunk the columnar kernels built — no row is materialized on the way out.
 //! `server.result.path.{columnar,row}` count which view each result left by.
 //!
+//! Every accepted socket has `TCP_NODELAY` set before its first frame is read:
+//! a response is two writes ([`write_frame`]: length prefix, then body), and
+//! with Nagle on the body would wait for the peer's delayed ACK of the prefix
+//! (≈ 40 ms on Linux). What a request costs *inside* the server is clocked by
+//! the session itself, from the moment its frame is complete to the moment
+//! its response is written: `server.request_us`, and beside it the six stages
+//! that tile that interval, `server.stage.{decode, plan, queue_wait, run,
+//! encode, write}_us` (the `Stage` enum). `STATS` renders them, so wire
+//! latency a client measures can be set against the server's own share of it.
+//!
 //! Sessions do not attach trace sinks: the core's `JobTrace` is per-job
 //! state on the shared hub, and the metrics path is atomics-only, which is
 //! what makes concurrent jobs on one hub safe (see DESIGN.md §13).
@@ -47,10 +57,10 @@ use std::collections::{HashMap, VecDeque};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use rheem_core::observe::{Counter, Gauge};
+use rheem_core::observe::{Counter, Gauge, Histogram, MetricsRegistry};
 use rheem_core::query::{PlannedQuery, QueryCatalog};
 use rheem_core::{CancelReason, Dataset, Observability, PlanCache, PlanCacheConfig, RheemContext};
 
@@ -142,10 +152,16 @@ struct ServerShared {
     /// Next session cache scope; 0 is reserved for transparent
     /// (fully declarative) fingerprints shared server-wide.
     next_scope: AtomicU64,
+    /// `server.request_us` and `server.stage.*_us`.
+    request_clocks: RequestHistograms,
     idle_timeout: Option<Duration>,
     shutdown: AtomicBool,
-    /// Clones of live session streams, so shutdown can unblock their reads.
-    session_streams: Mutex<Vec<TcpStream>>,
+    /// A clone of every live session's stream by session id, so shutdown can
+    /// unblock their reads. The accept loop puts a clone in before it spawns
+    /// the session's thread; [`ReleaseStream`] takes it out when the session
+    /// ends, however it ends — a clone left here would keep the socket open,
+    /// and the peer would never see a FIN.
+    session_streams: Mutex<HashMap<u64, TcpStream>>,
 }
 
 /// The long-running multi-tenant job server.
@@ -185,6 +201,7 @@ impl RheemServer {
         let register_row = metrics.counter("server.register.path.row");
         let registered_bytes = metrics.gauge("server.registered_bytes");
         let statements_evicted = metrics.counter("server.session.statements_evicted");
+        let request_clocks = RequestHistograms::new(metrics);
         let shared = Arc::new(ServerShared {
             base,
             observability,
@@ -198,9 +215,10 @@ impl RheemServer {
             registered_bytes,
             statements_evicted,
             next_scope: AtomicU64::new(1),
+            request_clocks,
             idle_timeout: config.idle_timeout,
             shutdown: AtomicBool::new(false),
-            session_streams: Mutex::new(Vec::new()),
+            session_streams: Mutex::new(HashMap::new()),
         });
 
         let listener = TcpListener::bind(&config.addr)?;
@@ -211,19 +229,31 @@ impl RheemServer {
         let accept_thread = std::thread::Builder::new()
             .name("rheem-accept".to_string())
             .spawn(move || {
-                for stream in listener.incoming() {
+                for (session, stream) in (0u64..).zip(listener.incoming()) {
                     if accept_shared.shutdown.load(Ordering::Acquire) {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
+                    // No clone (out of descriptors), no session: shutdown
+                    // could not unblock its reads.
+                    let Ok(clone) = stream.try_clone() else {
+                        continue;
+                    };
+                    accept_shared.session_streams.lock().insert(session, clone);
                     let shared = accept_shared.clone();
                     let handle = std::thread::Builder::new()
                         .name("rheem-session".to_string())
                         .spawn(move || {
+                            let _release = ReleaseStream {
+                                shared: &shared,
+                                session,
+                            };
                             let _ = run_session(&shared, stream);
                         })
                         .expect("spawn session thread");
-                    accept_sessions.lock().push(handle);
+                    let mut sessions = accept_sessions.lock();
+                    join_finished(&mut sessions);
+                    sessions.push(handle);
                 }
             })?;
 
@@ -273,8 +303,9 @@ impl ServerHandle {
         // joining them below is bounded instead of waiting out whatever
         // the jobs were doing.
         self.shared.service.cancel_all(CancelReason::Shutdown);
-        // Unblock session reads, then join the session threads.
-        for stream in self.shared.session_streams.lock().iter() {
+        // Unblock session reads and let go of the clones, then join the
+        // session threads.
+        for (_, stream) in self.shared.session_streams.lock().drain() {
             let _ = stream.shutdown(Shutdown::Both);
         }
         for t in self.session_threads.lock().drain(..) {
@@ -291,13 +322,149 @@ impl Drop for ServerHandle {
     }
 }
 
+/// Takes a session's stream clone out of [`ServerShared::session_streams`]
+/// when the session's thread ends — by GOODBYE, EOF, eviction, a wire error
+/// or a panic alike.
+struct ReleaseStream<'a> {
+    shared: &'a ServerShared,
+    session: u64,
+}
+
+impl Drop for ReleaseStream<'_> {
+    fn drop(&mut self) {
+        self.shared.session_streams.lock().remove(&self.session);
+    }
+}
+
+/// Join the session threads that have ended, so a long-running server holds
+/// handles of live sessions only (called per accepted connection; shutdown
+/// joins the rest).
+fn join_finished(sessions: &mut Vec<std::thread::JoinHandle<()>>) {
+    let mut i = 0;
+    while i < sessions.len() {
+        if sessions[i].is_finished() {
+            let _ = sessions.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+}
+
+/// The stages that tile a request's time in the session, in the order a
+/// query passes them. The time up to a [`RequestClock::lap`] belongs to the
+/// stage it names; a stage a request does not pass is recorded as 0, so all
+/// six histograms count every request and their sums add up to
+/// `server.request_us`'s.
+#[derive(Clone, Copy)]
+enum Stage {
+    /// Request frame complete → request decoded (a `REGISTER`: its table
+    /// decoded into the chunk the catalog will hold).
+    Decode,
+    /// Statement-cache lookup; on a miss, SQL parse, bind and logical plan.
+    Plan,
+    /// Admission, the queue, and a pool worker picking the job up.
+    QueueWait,
+    /// The job on its worker — optimize (cold, or a plan-cache hit) and
+    /// execute — and the session waking up to its result. For requests
+    /// without a job: the request's own work (catalog insert, stats render,
+    /// cancel).
+    Run,
+    /// Response body encoded.
+    Encode,
+    /// [`write_frame`] returned: the response is in the socket's send buffer.
+    Write,
+}
+
+const STAGE_NAMES: [&str; 6] = ["decode", "plan", "queue_wait", "run", "encode", "write"];
+
+/// Upper bounds (microseconds) of the request and stage histograms: 1-2-5
+/// steps from 10 µs to 10 s.
+const REQUEST_US_BOUNDS: [u64; 19] = [
+    10, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000, 200_000,
+    500_000, 1_000_000, 2_000_000, 5_000_000, 10_000_000,
+];
+
+/// `server.request_us` and `server.stage.<stage>_us`, resolved once.
+struct RequestHistograms {
+    request: Arc<Histogram>,
+    stages: [Arc<Histogram>; 6],
+}
+
+impl RequestHistograms {
+    fn new(metrics: &MetricsRegistry) -> Self {
+        RequestHistograms {
+            request: metrics.histogram("server.request_us", &REQUEST_US_BOUNDS),
+            stages: STAGE_NAMES.map(|stage| {
+                metrics.histogram(&format!("server.stage.{stage}_us"), &REQUEST_US_BOUNDS)
+            }),
+        }
+    }
+}
+
+/// One request's clock, started when its frame is complete. Stage times are
+/// differences of whole microseconds since the start, so they add up to the
+/// request's time exactly.
+struct RequestClock {
+    start: Instant,
+    /// Microseconds since `start` at the last lap.
+    lapped_us: u64,
+    stage_us: [u64; 6],
+}
+
+impl RequestClock {
+    fn start() -> Self {
+        RequestClock {
+            start: Instant::now(),
+            lapped_us: 0,
+            stage_us: [0; 6],
+        }
+    }
+
+    /// Give `stage` the time since the last lap.
+    fn lap(&mut self, stage: Stage) {
+        self.lap_at(stage, Instant::now());
+    }
+
+    /// [`RequestClock::lap`] at an instant read elsewhere (a pool worker
+    /// reads the one that ends a job's queue wait).
+    fn lap_at(&mut self, stage: Stage, at: Instant) {
+        let us = at.saturating_duration_since(self.start).as_micros() as u64;
+        let us = us.max(self.lapped_us);
+        self.stage_us[stage as usize] += us - self.lapped_us;
+        self.lapped_us = us;
+    }
+}
+
+/// Write a request's response and record the request: the time since the
+/// clock's last lap is the response's encoding, the write is clocked here.
+/// `tenant` is the session's `server.tenant.<t>.request_us`, once it has one.
+fn respond(
+    shared: &ServerShared,
+    stream: &mut TcpStream,
+    reply: &[u8],
+    mut clock: RequestClock,
+    tenant: Option<&Histogram>,
+) -> WireResult<()> {
+    clock.lap(Stage::Encode);
+    write_frame(stream, reply)?;
+    clock.lap(Stage::Write);
+    let clocks = &shared.request_clocks;
+    for (histogram, us) in clocks.stages.iter().zip(clock.stage_us) {
+        histogram.record(us);
+    }
+    clocks.request.record(clock.lapped_us);
+    if let Some(tenant) = tenant {
+        tenant.record(clock.lapped_us);
+    }
+    Ok(())
+}
+
 /// One session: HELLO, then a request/response loop until GOODBYE, EOF,
 /// or the idle timeout evicts it.
 fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
-    shared
-        .session_streams
-        .lock()
-        .push(stream.try_clone().map_err(WireError::Io)?);
+    // Before the first frame is read: no response of this session may sit in
+    // the kernel waiting for the peer's delayed ACK of its length prefix.
+    stream.set_nodelay(true).map_err(WireError::Io)?;
     // Reads tick at `READ_TICK` so `read_frame_into` can tell "no
     // request started within the idle timeout" (idleness, judged at frame
     // boundaries) from "slow peer mid-frame" (activity — never evicted).
@@ -318,17 +485,25 @@ fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
             return Ok(());
         }
     }
-    let tenant = match Request::decode(&body)? {
+    let mut clock = RequestClock::start();
+    let hello = Request::decode(&body)?;
+    clock.lap(Stage::Decode);
+    let tenant = match hello {
         Request::Hello { tenant } if !tenant.is_empty() => tenant,
         _ => {
             let resp = Response::Err {
                 message: "expected HELLO with a non-empty tenant".into(),
             };
-            write_frame(&mut stream, &resp.encode())?;
-            return Ok(());
+            return respond(shared, &mut stream, &resp.encode(), clock, None);
         }
     };
-    write_frame(&mut stream, &Response::Ok.encode())?;
+    let tenant_request_us = shared.observability.metrics().histogram(
+        &format!("server.tenant.{tenant}.request_us"),
+        &REQUEST_US_BOUNDS,
+    );
+    let tenant_request_us = Some(&*tenant_request_us);
+    let ok = Response::Ok.encode();
+    respond(shared, &mut stream, &ok, clock, tenant_request_us)?;
 
     let scope = shared.next_scope.fetch_add(1, Ordering::Relaxed);
     let gate = shared.scheduler.gate(&tenant);
@@ -355,59 +530,73 @@ fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
                 break;
             }
         }
+        let mut clock = RequestClock::start();
         if shared.shutdown.load(Ordering::Acquire) {
             break;
         }
-        // A REGISTER is decoded apart from the rest: into a chunk, not rows.
-        if let Some(table) = Registration::decode(&body)? {
-            let reply = register_table(shared, &mut catalog, &mut tables, &mut statements, table);
-            write_frame(&mut stream, &reply)?;
-            continue;
-        }
         // Every arm yields an encoded response body; a query's is written
         // straight from the job's sink dataset, never built as a `Response`.
-        let reply = match Request::decode(&body)? {
-            Request::Hello { .. } => Response::Err {
-                message: "session already open".into(),
-            }
-            .encode(),
-            Request::Register { .. } => unreachable!("`Registration::decode` takes every REGISTER"),
-            Request::Query { sql, deadline_ms } => handle_query(
-                shared,
-                &tenant,
-                &ctx,
-                &gate,
-                &stream,
-                &catalog,
-                &mut statements,
-                &sql,
-                deadline_ms,
-            ),
-            Request::Cancel { job } => {
-                // Cancels land from a *second* session of the same tenant
-                // (a session is blocked while its own query runs). Job 0
-                // means "everything of mine"; idempotent either way.
-                if job == 0 {
-                    shared
-                        .service
-                        .cancel_tenant(&tenant, CancelReason::Explicit);
-                } else {
-                    shared
-                        .service
-                        .cancel_job(&tenant, job, CancelReason::Explicit);
+        // A REGISTER is decoded apart from the rest: into a chunk, not rows.
+        let mut goodbye = false;
+        let reply = if let Some(table) = Registration::decode(&body)? {
+            clock.lap(Stage::Decode);
+            let reply = register_table(shared, &mut catalog, &mut tables, &mut statements, table);
+            clock.lap(Stage::Run);
+            reply
+        } else {
+            let request = Request::decode(&body)?;
+            clock.lap(Stage::Decode);
+            match request {
+                Request::Hello { .. } => Response::Err {
+                    message: "session already open".into(),
                 }
-                Response::Ok.encode()
-            }
-            Request::Stats => Response::Stats {
-                text: render_stats(shared, &tenant),
-            }
-            .encode(),
-            Request::Goodbye => {
-                write_frame(&mut stream, &Response::Ok.encode())?;
-                break;
+                .encode(),
+                Request::Register { .. } => {
+                    unreachable!("`Registration::decode` takes every REGISTER")
+                }
+                Request::Query { sql, deadline_ms } => handle_query(
+                    shared,
+                    &tenant,
+                    &ctx,
+                    &gate,
+                    &stream,
+                    &catalog,
+                    &mut statements,
+                    &sql,
+                    deadline_ms,
+                    &mut clock,
+                ),
+                Request::Cancel { job } => {
+                    // Cancels land from a *second* session of the same tenant
+                    // (a session is blocked while its own query runs). Job 0
+                    // means "everything of mine"; idempotent either way.
+                    if job == 0 {
+                        shared
+                            .service
+                            .cancel_tenant(&tenant, CancelReason::Explicit);
+                    } else {
+                        shared
+                            .service
+                            .cancel_job(&tenant, job, CancelReason::Explicit);
+                    }
+                    clock.lap(Stage::Run);
+                    Response::Ok.encode()
+                }
+                Request::Stats => {
+                    let text = render_stats(shared, &tenant);
+                    clock.lap(Stage::Run);
+                    Response::Stats { text }.encode()
+                }
+                Request::Goodbye => {
+                    goodbye = true;
+                    Response::Ok.encode()
+                }
             }
         };
-        write_frame(&mut stream, &reply)?;
+        respond(shared, &mut stream, &reply, clock, tenant_request_us)?;
+        if goodbye {
+            break;
+        }
     }
     Ok(())
 }
@@ -591,9 +780,12 @@ fn handle_query(
     statements: &mut StatementCache,
     sql: &str,
     deadline_ms: Option<u64>,
+    clock: &mut RequestClock,
 ) -> Vec<u8> {
     let error = |message: String| Response::Err { message }.encode();
-    let planned = match statements.get_or_plan(catalog, sql, &shared.statements_evicted) {
+    let planned = statements.get_or_plan(catalog, sql, &shared.statements_evicted);
+    clock.lap(Stage::Plan);
+    let planned = match planned {
         Ok(planned) => planned,
         Err(e) => return error(format!("planning failed: {e}")),
     };
@@ -602,6 +794,8 @@ fn handle_query(
     let job_gate = gate.clone();
     let deadline = deadline_ms.map(Duration::from_millis);
     let submitted = shared.service.submit_handle(tenant, deadline, move |run| {
+        // Where the job's queue wait ends and its run begins.
+        let picked_up = Instant::now();
         // Tie this job's token into the wave gate (so a cancelled job
         // stops waiting for wave slots) and the context (so the executor,
         // interpreter, and kernels all observe it). The remaining budget
@@ -616,15 +810,19 @@ fn handle_query(
         if let Some(remaining) = run.remaining {
             job_ctx = job_ctx.with_timeout(remaining);
         }
-        let mut job = job_ctx.execute_logical(&job_planned.logical)?;
         // The sink dataset itself, in whichever view the last operator
         // built: the session encodes from that view.
-        let sink: Dataset = job.outputs.remove(&job_planned.sink).unwrap_or_default();
-        Ok::<_, rheem_core::RheemError>(sink)
+        let sink: rheem_core::Result<Dataset> = job_ctx
+            .execute_logical(&job_planned.logical)
+            .map(|mut job| job.outputs.remove(&job_planned.sink).unwrap_or_default());
+        (picked_up, sink)
     });
     let handle = match submitted {
         Ok(handle) => handle,
-        Err(admission) => return error(format!("rejected: {admission}")),
+        Err(admission) => {
+            clock.lap(Stage::QueueWait);
+            return error(format!("rejected: {admission}"));
+        }
     };
     let mut hung_up = false;
     let result = loop {
@@ -641,10 +839,19 @@ fn handle_query(
             // return (the response write will fail harmlessly).
         }
     };
-    match result {
-        Err(admission) => error(format!("rejected: {admission}")),
-        Ok(Err(exec)) => error(format!("execution failed: {exec}")),
-        Ok(Ok(sink)) => {
+    // A job that never ran (shed on its deadline in the queue) only waited.
+    let (picked_up, sink) = match result {
+        Ok(ran) => ran,
+        Err(admission) => {
+            clock.lap(Stage::QueueWait);
+            return error(format!("rejected: {admission}"));
+        }
+    };
+    clock.lap_at(Stage::QueueWait, picked_up);
+    clock.lap(Stage::Run);
+    match sink {
+        Err(exec) => error(format!("execution failed: {exec}")),
+        Ok(sink) => {
             let (body, path) = encode_result(&planned.schema, &sink);
             match path {
                 ResultPath::Columnar => shared.result_columnar.inc(),
@@ -686,6 +893,41 @@ fn render_stats(shared: &ServerShared, tenant: &str) -> String {
 mod tests {
     use super::*;
     use rheem_core::{DataType, Record, Schema, Value};
+
+    #[test]
+    fn a_request_clock_gives_every_microsecond_to_exactly_one_stage() {
+        let mut clock = RequestClock::start();
+        let at = |us: u64| clock.start + Duration::from_micros(us);
+        let (decoded, picked_up, early, done) = (at(7), at(40), at(25), at(1_040));
+        clock.lap_at(Stage::Decode, decoded);
+        // Sub-microsecond remainders carry over to the next stage.
+        clock.lap_at(Stage::Plan, decoded + Duration::from_nanos(900));
+        clock.lap_at(Stage::QueueWait, picked_up);
+        // An instant from before the last lap (another thread's) takes nothing.
+        clock.lap_at(Stage::Encode, early);
+        clock.lap_at(Stage::Run, done);
+        assert_eq!(clock.stage_us, [7, 0, 33, 1_000, 0, 0]);
+        assert_eq!(clock.lapped_us, 1_040);
+        assert_eq!(clock.stage_us.iter().sum::<u64>(), clock.lapped_us);
+    }
+
+    #[test]
+    fn ended_session_threads_are_joined_and_live_ones_kept() {
+        let (release, blocked) = std::sync::mpsc::channel::<()>();
+        let mut sessions: Vec<std::thread::JoinHandle<()>> = (0..3)
+            .map(|_| std::thread::spawn(|| {}))
+            .chain([std::thread::spawn(move || {
+                let _ = blocked.recv();
+            })])
+            .collect();
+        while sessions.iter().filter(|t| t.is_finished()).count() < 3 {
+            std::thread::yield_now();
+        }
+        join_finished(&mut sessions);
+        assert_eq!(sessions.len(), 1);
+        drop(release);
+        sessions.pop().expect("the live one").join().expect("joins");
+    }
 
     #[test]
     fn the_statement_cache_stays_under_its_cap_and_keeps_answering() {
