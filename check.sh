@@ -45,11 +45,17 @@ if grep -rnE 'EnumerationStrategy|with_enumeration_v2|enumerate_with_config|max_
   echo "a deleted enumeration option or entry point is named again"; exit 1
 fi
 
+# One fusion pass, one declarative fold, one way to price a kernel: the
+# closure-composing map/filter fusion, the per-field reduce spec, the
+# declared kernel-thread speedup and the `observe-json` feature stay deleted.
+echo "==> closed forks: no second fusion, reduce spec, declared speedup or observe feature"
+if grep -rnE 'FieldReduce|ReduceUdf::from_spec|fn fuse_maps|fn fuse_filters|\bkernel_threads\b|observe-json' \
+    crates src tests examples; then
+  echo "a deleted fork is named again"; exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
-
-echo "==> cargo build -p rheem-core --no-default-features"
-cargo build -p rheem-core --no-default-features
 
 echo "==> cargo test --workspace"
 cargo test --workspace -q

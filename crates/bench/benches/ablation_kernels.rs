@@ -2,15 +2,16 @@
 //! `BENCH_kernels.json` at the repo root with host metadata:
 //!
 //! 1. **morsel** — sequential vs. morsel-parallel kernels on groupby and
-//!    join workloads at 10^5–10^6 rows across 1/2/4/8 kernel threads;
+//!    join workloads at 10^5–10^6 rows across 2/4/8 kernel threads (one
+//!    thread *is* the sequential kernel: `effective_threads` ≤ 1 returns
+//!    it before any morsel is cut, so there is no such row);
 //! 2. **columnar** — row (pre) vs. chunk (post) kernels on the same row
-//!    counts: each entry carries both timings side by side. Per-kernel
-//!    entries compare representation-native runs (records in/out vs.
-//!    chunk in/out); the `hash_aggregate_*` entries are what a SQL
-//!    GROUP BY runs (member lists + closure vs. typed accumulator lanes);
-//!    the `pipeline` entry is the path of a caller holding rows — records
-//!    in, one `Chunk::from_records`, the fused stage chain, and
-//!    `to_records` back out — against the equivalent row operator chain.
+//!    counts: each entry carries both timings side by side, both sides
+//!    representation-native (records in/out vs. chunk in/out). The
+//!    `hash_aggregate_*` entries are what a SQL GROUP BY runs (member
+//!    lists + closure vs. typed accumulator lanes); the `pipeline` entry
+//!    is the fused stage chain on the chunk against the equivalent row
+//!    operator chain.
 //!
 //! Determinism is asserted inline: every morsel or chunk run must be
 //! byte-equal to the row run it is compared against, so the numbers can
@@ -25,12 +26,12 @@ use rheem_core::kernels::{self, chunked, parallel};
 use rheem_core::physical::{PipelineStage, StageKind};
 use rheem_core::rec;
 use rheem_core::udf::{
-    AggFunc, Aggregate, FieldReduce, FilterUdf, GroupMapUdf, GroupOutput, KeyUdf, MapUdf, ReduceUdf,
+    AggFunc, Aggregate, FilterUdf, GroupMapUdf, GroupOutput, KeyUdf, MapUdf, ReduceUdf,
 };
 use rheem_core::KernelParallelism;
 
 const ITERS: u32 = 3;
-const THREADS: [usize; 4] = [1, 2, 4, 8];
+const THREADS: [usize; 3] = [2, 4, 8];
 
 /// Smallest nonzero interval the monotonic clock can report, in ms, with
 /// a 1 µs floor. Speedup denominators are clamped here: a timing below
@@ -257,24 +258,6 @@ fn columnar_experiment(entries: &mut Vec<ColEntry>, resolution_ms: f64, rows: us
         },
     );
 
-    // Reduce-by-key with a declarative spec: Value-hashed record folds vs.
-    // flat i64 accumulators.
-    let reduce = ReduceUdf::from_spec("sum", vec![FieldReduce::First, FieldReduce::SumInt]);
-    let expect = kernels::reduce_by_key(&data, &key, &reduce);
-    assert_eq!(chunked::reduce_by_key(&chunk, &key, &reduce), expect);
-    col_sweep(
-        entries,
-        resolution_ms,
-        "reduce_by_key",
-        rows,
-        &mut || {
-            kernels::reduce_by_key(&data, &key, &reduce);
-        },
-        &mut || {
-            chunked::reduce_by_key(&chunk, &key, &reduce);
-        },
-    );
-
     // Group-by on a string key (URL-style, 8k distinct): the row kernel
     // re-hashes and re-compares the full key bytes for every record, while
     // the chunk side groups by dictionary code — no string bytes are
@@ -411,9 +394,8 @@ fn columnar_experiment(entries: &mut Vec<ColEntry>, resolution_ms: f64, rows: us
         },
     );
 
-    // The production path: records → chunk → fused filter+map+project →
-    // records, vs. three row operator passes. Conversion is inside the
-    // timed region on the chunk side.
+    // The fused filter+map+project chain on the chunk vs. three row
+    // operator passes.
     let stages = vec![
         PipelineStage {
             name: "mod3".into(),
@@ -442,7 +424,9 @@ fn columnar_experiment(entries: &mut Vec<ColEntry>, resolution_ms: f64, rows: us
         kernels::project(&m, &[0]).unwrap()
     };
     assert_eq!(
-        parallel::run_pipeline(&data, &stages, &seq).unwrap(),
+        parallel::run_pipeline_chunk(&chunk, &stages, &seq)
+            .unwrap()
+            .to_records(),
         expect
     );
     col_sweep(
@@ -456,7 +440,7 @@ fn columnar_experiment(entries: &mut Vec<ColEntry>, resolution_ms: f64, rows: us
             kernels::project(&m, &[0]).unwrap();
         },
         &mut || {
-            parallel::run_pipeline(&data, &stages, &seq).unwrap();
+            parallel::run_pipeline_chunk(&chunk, &stages, &seq).unwrap();
         },
     );
 }
@@ -559,8 +543,8 @@ fn main() {
         "{{\n  \"bench\": \"ablation_kernels\",\n  \"unix_time\": {stamp},\n  \"iters\": {ITERS},\
          \n  \"host\": {{\"cpus\": {cpus}, \"os\": \"{}\", \"arch\": \"{}\", \
          \"timer_resolution_ms\": {resolution_ms:.6}}},\n  \"note\": \
-         \"columnar entries carry pre (row_ms) and post (chunk_ms) columns; per-kernel entries \
-         are representation-native, the pipeline entry includes record<->chunk conversion. \
+         \"columnar entries carry pre (row_ms) and post (chunk_ms) columns, both sides \
+         representation-native (records in/out vs. chunk in/out). \
          threads=0 rows are the sequential (non-morsel) baseline; morsel speedups are \
          physically bounded by host cpus. speedup denominators clamp to timer_resolution_ms; \
          entries with below_timer_resolution=true have untrustworthy ratios\",\

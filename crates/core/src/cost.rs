@@ -253,16 +253,6 @@ impl LinearCostModel {
             shuffle_surcharge: 0.0,
         }
     }
-
-    /// Price in a platform's declared intra-atom kernel parallelism (see
-    /// [`crate::platform::Platform::kernel_parallelism`]): `threads`
-    /// morsel workers raise the effective speedup floor to `threads`,
-    /// since the kernels scale near-linearly on embarrassingly-parallel
-    /// operators. A declaration of 1 leaves the model unchanged.
-    pub fn with_kernel_parallelism(mut self, threads: usize) -> Self {
-        self.speedup = self.speedup.max(threads.max(1) as f64);
-        self
-    }
 }
 
 /// Whether an operator requires repartitioning on a partitioned platform

@@ -257,42 +257,6 @@ impl Expr {
         Expr::IsTrue(Arc::new(self))
     }
 
-    /// Rewrite every `Field(i)` through `map` (used when fusing through a
-    /// projection); returns `None` when a referenced field is dropped.
-    pub fn remap_fields(&self, map: &dyn Fn(usize) -> Option<usize>) -> Option<Expr> {
-        Some(match self {
-            Expr::Field(i) => Expr::Field(map(*i)?),
-            Expr::Lit(v) => Expr::Lit(v.clone()),
-            Expr::Not(e) => Expr::Not(Arc::new(e.remap_fields(map)?)),
-            Expr::Neg(e) => Expr::Neg(Arc::new(e.remap_fields(map)?)),
-            Expr::IsNull(e) => Expr::IsNull(Arc::new(e.remap_fields(map)?)),
-            Expr::IsTrue(e) => Expr::IsTrue(Arc::new(e.remap_fields(map)?)),
-            Expr::Bin(op, a, b) => Expr::Bin(
-                *op,
-                Arc::new(a.remap_fields(map)?),
-                Arc::new(b.remap_fields(map)?),
-            ),
-        })
-    }
-
-    /// Substitute each `Field(i)` with `exprs[i]` (used when fusing a map
-    /// into a downstream expression); out-of-range fields become `Null`.
-    pub fn substitute(&self, exprs: &[Expr]) -> Expr {
-        match self {
-            Expr::Field(i) => exprs.get(*i).cloned().unwrap_or(Expr::Lit(Value::Null)),
-            Expr::Lit(v) => Expr::Lit(v.clone()),
-            Expr::Not(e) => Expr::Not(Arc::new(e.substitute(exprs))),
-            Expr::Neg(e) => Expr::Neg(Arc::new(e.substitute(exprs))),
-            Expr::IsNull(e) => Expr::IsNull(Arc::new(e.substitute(exprs))),
-            Expr::IsTrue(e) => Expr::IsTrue(Arc::new(e.substitute(exprs))),
-            Expr::Bin(op, a, b) => Expr::Bin(
-                *op,
-                Arc::new(a.substitute(exprs)),
-                Arc::new(b.substitute(exprs)),
-            ),
-        }
-    }
-
     /// Evaluate over one record (the row path).
     pub fn eval(&self, r: &Record) -> Value {
         match self {
@@ -962,16 +926,6 @@ mod tests {
     fn field_out_of_bounds_reads_null() {
         let e = Expr::field(3);
         assert_eq!(e.eval(&rec![1i64]), Value::Null);
-    }
-
-    #[test]
-    fn remap_and_substitute() {
-        let e = Expr::field(1).add(Expr::lit(1i64));
-        let remapped = e.remap_fields(&|i| (i == 1).then_some(0)).unwrap();
-        assert_eq!(remapped.eval(&rec![10i64]), Value::Int(11));
-        assert!(e.remap_fields(&|_| None).is_none());
-        let sub = e.substitute(&[Expr::lit(0i64), Expr::field(0).mul(Expr::lit(2i64))]);
-        assert_eq!(sub.eval(&rec![21i64]), Value::Int(43));
     }
 
     #[test]

@@ -63,8 +63,8 @@ pub fn execute(
         PhysicalOp::Map(u) => parallel::map(in0(), u, p),
         PhysicalOp::FlatMap(u) => parallel::flat_map(in0(), u, p),
         PhysicalOp::Filter(u) => parallel::filter(in0(), u, p),
-        PhysicalOp::Project { indices } => parallel::project(in0(), indices, p)?,
-        // Only a ragged batch gets here: the row-at-a-time reference.
+        // Only a ragged batch gets these two here: the row-at-a-time reference.
+        PhysicalOp::Project { indices } => project(in0(), indices)?,
         PhysicalOp::ChunkPipeline { stages } => chunked::run_stages_rows(in0(), stages)?,
         PhysicalOp::SortGroupBy { key, group } => {
             apply_group_map(&parallel::sort_group(in0(), key, p), group)

@@ -12,9 +12,9 @@
 //! every payload of an operator is declarative — which is everything SQL
 //! lowers to — and its inputs have a columnar view.
 //!
-//! Where the operator carries a declarative form (an [`Expr`] predicate, a
-//! [`FieldReduce`] or aggregate spec, [`KeyUdf::fields`]), kernels run fully
-//! columnar: predicates evaluate vectorized and the keyed kernels run on
+//! Where the operator carries a declarative form (an [`Expr`] predicate, an
+//! aggregate spec ([`crate::udf::GroupMapUdf::from_aggs`]),
+//! [`KeyUdf::fields`]), kernels run fully columnar: predicates evaluate vectorized and the keyed kernels run on
 //! the vectorized hash engine ([`super::hash`]) — the key column hashes
 //! once into a hash lane (`i64` fast lane, dict-code lane hashing each
 //! distinct string a single time, generic [`Value`] fallback), an
@@ -32,7 +32,7 @@ use crate::data::{Chunk, Column, Record, Value};
 use crate::error::{Result, RheemError};
 use crate::expr::Expr;
 use crate::physical::{PipelineStage, StageKind};
-use crate::udf::{AggFunc, AggState, FieldReduce, GroupOutput, KeyUdf, ReduceUdf};
+use crate::udf::{AggFunc, AggState, GroupOutput, KeyUdf};
 
 use super::hash;
 
@@ -170,8 +170,8 @@ pub fn key_tuple_hashes(chunk: &Chunk, key_fields: &[usize]) -> Vec<u64> {
 }
 
 /// Dense group slots for a chunk's key column plus each slot's
-/// materialized key (the engine-level core of `hash_group` /
-/// `reduce_by_key`).
+/// materialized key (the engine-level core of `hash_group` and the
+/// single-field `hash_aggregate`).
 struct GroupedKeys {
     groups: hash::DenseGroups,
     /// Slot-indexed group keys.
@@ -259,220 +259,6 @@ pub fn hash_group(chunk: &Chunk, key: &KeyUdf) -> Vec<(Value, Vec<Record>)> {
         .collect();
     out.sort_by(|a, b| a.0.cmp(&b.0));
     out
-}
-
-/// One typed accumulator lane of the vectorized reduce: the input lane and
-/// a flat slot-indexed accumulator array.
-enum AccLane<'a> {
-    /// `Int` lane folding to `i64` (`First`/`SumInt`/`Min`/`Max`).
-    Int { lane: &'a [i64], acc: Vec<i64> },
-    /// `Int` lane under `SumFloat`: the fold widens to `f64` on the first
-    /// combine (`Value::as_float`), so the accumulator is typed `f64` and
-    /// singleton groups emit the untouched `Int` seed.
-    IntToFloat { lane: &'a [i64], acc: Vec<f64> },
-    /// `Float` lane folding to `f64` (`First`/`SumFloat`/`Min`/`Max` under
-    /// `total_cmp`).
-    Float { lane: &'a [f64], acc: Vec<f64> },
-}
-
-/// Fully typed reduce: every column is a clean `i64` or `f64` lane, the
-/// chunk width equals the spec width, and every spec op is defined on its
-/// lane's type. Accumulators live in flat typed arrays indexed by the
-/// engine's group slots — no `Value` is built until the final emission.
-/// Returns `None` when any precondition fails (the caller falls back to
-/// the generic per-slot fold).
-///
-/// Byte-identity argument: rows fold in input order (the row kernel's
-/// order); per op, `FieldReduce::combine` on clean typed operands is
-/// exactly `wrapping_add` / `min` / `max` / keep-first on `i64`, and
-/// `a + b` / `total_cmp`-min/max / keep-first on `f64` (bits preserved by
-/// copy), with `SumFloat` over ints widening via `as_float` — which the
-/// `IntToFloat` lane replicates including the singleton case, where the
-/// row kernel emits the seed record verbatim (widths match by
-/// precondition).
-fn reduce_typed(chunk: &Chunk, grouped: &GroupedKeys, spec: &[FieldReduce]) -> Option<Vec<Record>> {
-    let width = chunk.width();
-    if width != spec.len() {
-        return None;
-    }
-    let n = grouped.groups.n_groups();
-    let mut lanes: Vec<AccLane> = Vec::with_capacity(width);
-    for (col, fr) in chunk.columns().iter().zip(spec.iter()) {
-        if !col.no_nulls() {
-            return None;
-        }
-        if let Some(lane) = col.ints() {
-            lanes.push(match fr {
-                FieldReduce::SumFloat => AccLane::IntToFloat {
-                    lane,
-                    acc: vec![0.0; n],
-                },
-                _ => AccLane::Int {
-                    lane,
-                    acc: vec![0; n],
-                },
-            });
-        } else if let Some(lane) = col.floats() {
-            // `SumInt` over floats folds to Null for every multi-member
-            // group; leave that rarity to the generic path.
-            if matches!(fr, FieldReduce::SumInt) {
-                return None;
-            }
-            lanes.push(AccLane::Float {
-                lane,
-                acc: vec![0.0; n],
-            });
-        } else {
-            return None;
-        }
-    }
-    let groups = &grouped.groups;
-    let mut counts = vec![0u32; n];
-    for (row, &s) in groups.slot_of_row.iter().enumerate() {
-        let s = s as usize;
-        counts[s] += 1;
-        let seed = groups.first_row[s] as usize == row;
-        for (l, fr) in lanes.iter_mut().zip(spec.iter()) {
-            match l {
-                AccLane::Int { lane, acc } => {
-                    let x = lane[row];
-                    if seed {
-                        acc[s] = x;
-                    } else {
-                        match fr {
-                            FieldReduce::First => {}
-                            FieldReduce::SumInt => acc[s] = acc[s].wrapping_add(x),
-                            FieldReduce::Min => acc[s] = acc[s].min(x),
-                            FieldReduce::Max => acc[s] = acc[s].max(x),
-                            FieldReduce::SumFloat => unreachable!("IntToFloat lane"),
-                        }
-                    }
-                }
-                AccLane::IntToFloat { lane, acc } => {
-                    let x = lane[row] as f64;
-                    if seed {
-                        acc[s] = x;
-                    } else {
-                        acc[s] += x;
-                    }
-                }
-                AccLane::Float { lane, acc } => {
-                    let x = lane[row];
-                    if seed {
-                        acc[s] = x;
-                    } else {
-                        match fr {
-                            FieldReduce::First => {}
-                            FieldReduce::SumFloat => acc[s] += x,
-                            FieldReduce::Min => {
-                                if x.total_cmp(&acc[s]).is_lt() {
-                                    acc[s] = x;
-                                }
-                            }
-                            FieldReduce::Max => {
-                                if x.total_cmp(&acc[s]).is_gt() {
-                                    acc[s] = x;
-                                }
-                            }
-                            FieldReduce::SumInt => unreachable!("rejected above"),
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| grouped.keys[a].cmp(&grouped.keys[b]));
-    Some(
-        order
-            .into_iter()
-            .map(|s| {
-                Record::new(
-                    lanes
-                        .iter()
-                        .map(|l| match l {
-                            AccLane::Int { acc, .. } => Value::Int(acc[s]),
-                            AccLane::IntToFloat { lane, acc } => {
-                                if counts[s] == 1 {
-                                    Value::Int(lane[groups.first_row[s] as usize])
-                                } else {
-                                    Value::Float(acc[s])
-                                }
-                            }
-                            AccLane::Float { acc, .. } => Value::Float(acc[s]),
-                        })
-                        .collect(),
-                )
-            })
-            .collect(),
-    )
-}
-
-/// Keyed incremental reduction; one output record per key, ordered by key.
-///
-/// Matches the row kernel's fold exactly: the first record of each key
-/// seeds the accumulator verbatim, subsequent records combine in input
-/// order. With a declarative [`crate::udf::FieldReduce`] spec over clean
-/// typed lanes the fold runs in flat typed accumulators (`reduce_typed`);
-/// a spec over other layouts folds per-slot `Value` accumulators; an
-/// opaque closure falls back to materialized records. All three share the
-/// engine's slot assignment, so grouping is hashed once either way.
-pub fn reduce_by_key(chunk: &Chunk, key: &KeyUdf, reduce: &ReduceUdf) -> Vec<Record> {
-    let grouped = group_slots(chunk, key);
-    let groups = &grouped.groups;
-    let n = groups.n_groups();
-    let mut order: Vec<usize> = (0..n).collect();
-    match &reduce.spec {
-        Some(spec) => {
-            if let Some(out) = reduce_typed(chunk, &grouped, spec) {
-                return out;
-            }
-            let cols: Vec<Option<&Column>> = (0..spec.len()).map(|f| chunk.column(f)).collect();
-            let mut accs: Vec<Option<Vec<Value>>> = vec![None; n];
-            for (row, &s) in groups.slot_of_row.iter().enumerate() {
-                match &mut accs[s as usize] {
-                    // Seed with the full first row, exactly like the row
-                    // kernel's `or_insert_with(|| r.clone())`.
-                    slot @ None => {
-                        *slot = Some(chunk.columns().iter().map(|c| c.value(row)).collect());
-                    }
-                    Some(acc) => {
-                        // The row closure emits exactly `spec.len()` fields
-                        // per fold, reading missing accumulator fields as
-                        // Null.
-                        acc.resize(spec.len(), Value::Null);
-                        for (f, fr) in spec.iter().enumerate() {
-                            let b = match cols[f] {
-                                Some(col) => col.value(row),
-                                None => Value::Null,
-                            };
-                            acc[f] = fr.combine(&acc[f], &b);
-                        }
-                    }
-                }
-            }
-            order.sort_by(|&a, &b| grouped.keys[a].cmp(&grouped.keys[b]));
-            order
-                .into_iter()
-                .map(|s| Record::new(accs[s].take().expect("every slot has rows")))
-                .collect()
-        }
-        None => {
-            let records = chunk.to_records();
-            let mut accs: Vec<Option<Record>> = vec![None; n];
-            for (row, &s) in groups.slot_of_row.iter().enumerate() {
-                match &mut accs[s as usize] {
-                    slot @ None => *slot = Some(records[row].clone()),
-                    Some(acc) => *acc = (reduce.f)(std::mem::take(acc), &records[row]),
-                }
-            }
-            order.sort_by(|&a, &b| grouped.keys[a].cmp(&grouped.keys[b]));
-            order
-                .into_iter()
-                .map(|s| accs[s].take().expect("every slot has rows"))
-                .collect()
-        }
-    }
 }
 
 /// Dense group slots of a key *tuple*, and each slot's key values.
@@ -939,7 +725,7 @@ mod tests {
     use super::*;
     use crate::kernels;
     use crate::rec;
-    use crate::udf::{Aggregate, FieldReduce, FilterUdf, GroupMapUdf, MapUdf};
+    use crate::udf::{Aggregate, FilterUdf, GroupMapUdf, MapUdf};
     use std::sync::Arc;
 
     fn mixed_rows() -> Vec<Record> {
@@ -1002,41 +788,6 @@ mod tests {
         // Opaque closure key.
         let key = KeyUdf::new("mod2", |r| Value::Int(r.int(0).unwrap_or(0) % 2));
         assert_eq!(hash_group(&chunk, &key), kernels::hash_group(&rows, &key));
-    }
-
-    #[test]
-    fn reduce_by_key_matches_row_twin_with_spec_and_closure() {
-        let rows: Vec<Record> = (0..100i64).map(|i| rec![i % 7, i, i as f64]).collect();
-        let chunk = Chunk::from_records(&rows).unwrap();
-        let key = KeyUdf::field(0);
-        let spec = ReduceUdf::from_spec(
-            "agg",
-            vec![FieldReduce::First, FieldReduce::SumInt, FieldReduce::Max],
-        );
-        assert_eq!(
-            reduce_by_key(&chunk, &key, &spec),
-            kernels::reduce_by_key(&rows, &key, &spec)
-        );
-        let opaque = ReduceUdf::new("sum", |a, x| {
-            rec![a.int(0).unwrap(), a.int(1).unwrap() + x.int(1).unwrap()]
-        });
-        assert_eq!(
-            reduce_by_key(&chunk, &key, &opaque),
-            kernels::reduce_by_key(&rows, &key, &opaque)
-        );
-    }
-
-    #[test]
-    fn singleton_groups_keep_original_width() {
-        // The row kernel emits the untouched first record for keys seen
-        // once, even when the spec would narrow the width.
-        let rows = vec![rec![1i64, 10i64, "extra"], rec![2i64, 5i64, "extra"]];
-        let chunk = Chunk::from_records(&rows).unwrap();
-        let spec = ReduceUdf::from_spec("agg", vec![FieldReduce::First, FieldReduce::SumInt]);
-        let key = KeyUdf::field(0);
-        let out = reduce_by_key(&chunk, &key, &spec);
-        assert_eq!(out, kernels::reduce_by_key(&rows, &key, &spec));
-        assert_eq!(out[0].width(), 3);
     }
 
     /// The row twin of `hash_aggregate`: group through the key's closure,

@@ -7,7 +7,7 @@
 //! twin of a sequential kernel in [`super`] (the parent `kernels` module)
 //! and produces **byte-identical output at any thread count**:
 //!
-//! - `map` / `flat_map` / `filter` / `project` are embarrassingly parallel:
+//! - `map` / `flat_map` / `filter` are embarrassingly parallel:
 //!   morsels are processed independently and concatenated in morsel order,
 //!   which is input order.
 //! - `hash_group` and `reduce_by_key` run on the vectorized hash engine
@@ -327,28 +327,6 @@ pub fn filter(records: &[Record], udf: &FilterUdf, p: &KernelParallelism) -> Vec
     concat(run_ranges(&p.morsel_ranges(records.len()), t, |r| {
         super::filter(&records[r], udf)
     }))
-}
-
-/// Morsel-parallel [`super::project`]. Morsel results are inspected in
-/// morsel order, so the reported error (if any) is the sequential one.
-pub fn project(
-    records: &[Record],
-    indices: &[usize],
-    p: &KernelParallelism,
-) -> Result<Vec<Record>> {
-    let t = p.effective_threads(records.len());
-    if t <= 1 && ambient_cancel().is_none() {
-        return super::project(records, indices);
-    }
-    let parts = run_ranges(&p.morsel_ranges(records.len()), t, |r| {
-        super::project(&records[r], indices)
-    });
-    ambient_check()?;
-    let mut out = Vec::with_capacity(records.len());
-    for part in parts {
-        out.extend(part?);
-    }
-    Ok(out)
 }
 
 /// Merge two key-sorted group lists; equal keys concatenate members with
@@ -847,21 +825,6 @@ pub fn run_pipeline_chunk(
     Ok(Chunk::concat(&parts).expect("one stage chain gives every morsel the same width"))
 }
 
-/// [`run_pipeline_chunk`] for callers holding rows (one partition of a
-/// partitioned platform): one conversion in, one out. Ragged batches
-/// (records of differing widths) cannot be put in columnar form and fall
-/// back to the row-at-a-time reference semantics.
-pub fn run_pipeline(
-    records: &[Record],
-    stages: &[PipelineStage],
-    p: &KernelParallelism,
-) -> Result<Vec<Record>> {
-    match Chunk::from_records(records) {
-        Some(chunk) => Ok(run_pipeline_chunk(&chunk, stages, p)?.to_records()),
-        None => chunked::run_stages_rows(records, stages),
-    }
-}
-
 /// Parallel [`super::sort`]: partition sort + stable k-way merge, then a
 /// single materialization pass.
 pub fn sort(
@@ -932,11 +895,6 @@ mod tests {
         assert_eq!(filter(&d, &f, &p), super::super::filter(&d, &f));
         let fm = FlatMapUdf::new("dup", |r| vec![r.clone(), r.clone()]);
         assert_eq!(flat_map(&d, &fm, &p), super::super::flat_map(&d, &fm));
-        assert_eq!(
-            project(&d, &[1], &p).unwrap(),
-            super::super::project(&d, &[1]).unwrap()
-        );
-        assert!(project(&d, &[9], &p).is_err());
     }
 
     #[test]
@@ -974,53 +932,12 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_matches_row_reference_at_any_thread_count() {
-        use crate::expr::Expr;
-        use crate::physical::{PipelineStage, StageKind};
-        use std::sync::Arc;
-        let d = data(1000);
-        let stages = vec![
-            PipelineStage {
-                name: "f".into(),
-                kind: StageKind::Filter {
-                    expr: Arc::new(Expr::field(0).lt(Expr::lit(5i64))),
-                    selectivity: 5.0 / 7.0,
-                },
-            },
-            PipelineStage {
-                name: "m".into(),
-                kind: StageKind::Map {
-                    exprs: vec![Expr::field(1).add(Expr::field(0)), Expr::field(0)].into(),
-                },
-            },
-            PipelineStage {
-                name: "p".into(),
-                kind: StageKind::Project {
-                    indices: vec![0].into(),
-                },
-            },
-        ];
-        let reference = chunked::run_stages_rows(&d, &stages).unwrap();
-        assert!(!reference.is_empty());
-        for p in [par(1, 64), par(4, 37), par(8, 16)] {
-            assert_eq!(run_pipeline(&d, &stages, &p).unwrap(), reference);
-        }
-        assert!(run_pipeline(&[], &stages, &par(4, 16)).unwrap().is_empty());
-        // Ragged input takes the row fallback instead of erroring.
-        let ragged = vec![rec![1, 2], rec![3]];
-        assert_eq!(
-            run_pipeline(&ragged, &stages, &par(4, 1)).unwrap(),
-            chunked::run_stages_rows(&ragged, &stages).unwrap()
-        );
-    }
-
-    #[test]
     fn cancel_scope_stops_morsel_work_within_one_morsel() {
         use crate::error::CancelReason;
         use std::sync::atomic::AtomicUsize;
 
         // A pre-cancelled token: every morsel collapses to its empty
-        // prefix, so the UDF never sees a record and run_pipeline errors.
+        // prefix, so the UDF never sees a record.
         let d = data(1000);
         let token = CancelToken::new();
         token.cancel(CancelReason::Explicit);
@@ -1066,7 +983,9 @@ mod tests {
         // Result-returning kernels surface the cancellation as an error.
         let token = CancelToken::new();
         token.cancel(CancelReason::DeadlineExceeded);
-        let err = with_cancel_scope(&token, || project(&d, &[0], &par(4, 16))).unwrap_err();
+        let chunk = Chunk::from_records(&d).unwrap();
+        let err =
+            with_cancel_scope(&token, || run_pipeline_chunk(&chunk, &[], &par(4, 16))).unwrap_err();
         assert!(matches!(
             err,
             crate::RheemError::Cancelled {

@@ -62,11 +62,9 @@ pub use fault::{
 };
 pub use kernels::parallel::KernelParallelism;
 pub use logical::{LogicalOperator, LogicalPayload, LogicalPlan, LogicalPlanBuilder};
-#[cfg(feature = "observe-json")]
-pub use observe::JsonLinesSink;
 pub use observe::{
-    canonical_tree, CostCalibration, MetricsRegistry, NodeObservation, Observability,
-    RingBufferSink, SpanKind, SpanRecord, TraceSink,
+    canonical_tree, CostCalibration, JsonLinesSink, MetricsRegistry, NodeObservation,
+    Observability, RingBufferSink, SpanKind, SpanRecord, TraceSink,
 };
 pub use optimizer::{
     assignment_cost, enumerate_exhaustive, EnumerationConfig, MultiPlatformOptimizer, PlanCache,

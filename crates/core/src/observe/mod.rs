@@ -7,8 +7,7 @@
 //!   hot buffer all report into one registry; hot paths only touch atomics.
 //! - [`trace`] — structured spans (job → wave → atom → operator kernel)
 //!   emitted through pluggable [`TraceSink`]s: an in-memory
-//!   [`RingBufferSink`] and (behind the default `observe-json` feature) a
-//!   [`JsonLinesSink`].
+//!   [`RingBufferSink`] and a [`JsonLinesSink`].
 //! - [`calibrate`] — a [`CostCalibration`] table folding observed kernel
 //!   runtimes and true cardinalities back into the optimizer's estimates
 //!   as an EMA per `(operator, platform)` pair.
@@ -24,9 +23,7 @@ pub mod trace;
 
 pub use calibrate::{CalibrationEntry, CostCalibration, DEFAULT_ALPHA};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-#[cfg(feature = "observe-json")]
-pub use trace::JsonLinesSink;
-pub use trace::{canonical_tree, RingBufferSink, SpanKind, SpanRecord, TraceSink};
+pub use trace::{canonical_tree, JsonLinesSink, RingBufferSink, SpanKind, SpanRecord, TraceSink};
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

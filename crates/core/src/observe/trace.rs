@@ -128,7 +128,6 @@ impl TraceSink for RingBufferSink {
 ///
 /// Hand-rolled because the workspace deliberately carries no serde; covers
 /// the JSON spec's mandatory escapes (quote, backslash, control chars).
-#[cfg(feature = "observe-json")]
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -146,16 +145,10 @@ fn json_escape(s: &str) -> String {
 }
 
 /// JSON-lines sink: one JSON object per span, one span per line.
-///
-/// Gated behind the `observe-json` cargo feature (on by default) so a
-/// `--no-default-features` build of the core stays free of file I/O in
-/// the observability path.
-#[cfg(feature = "observe-json")]
 pub struct JsonLinesSink {
     writer: Mutex<Box<dyn std::io::Write + Send>>,
 }
 
-#[cfg(feature = "observe-json")]
 impl JsonLinesSink {
     /// Wrap an arbitrary writer (e.g. a `Vec<u8>` in tests).
     pub fn new(writer: Box<dyn std::io::Write + Send>) -> Self {
@@ -195,7 +188,6 @@ impl JsonLinesSink {
     }
 }
 
-#[cfg(feature = "observe-json")]
 impl TraceSink for JsonLinesSink {
     fn record(&self, span: &SpanRecord) {
         let line = Self::to_json(span);
@@ -370,7 +362,6 @@ mod tests {
         assert!(!a.contains("wave"));
     }
 
-    #[cfg(feature = "observe-json")]
     #[test]
     fn json_lines_escapes_and_emits_one_line_per_span() {
         let s = SpanRecord {

@@ -78,40 +78,52 @@ fn has_expr_stage(stages: &[PipelineStage]) -> bool {
         .any(|s| matches!(s.kind, StageKind::Filter { .. } | StageKind::Map { .. }))
 }
 
-/// Fuse one adjacent pair of pipeline-able operators into a
-/// [`PhysicalOp::ChunkPipeline`], producer first. One pair per pass — the
-/// rewrite fixpoint loop grows maximal chains (each firing strictly reduces
-/// the node count, so the loop's bound holds).
+/// Fuse every maximal run of pipeline-able operators into one
+/// [`PhysicalOp::ChunkPipeline`], stages in dataflow order — the only fusion
+/// the optimizer has.
+///
+/// A run is a stretch of consecutive pipeline-able nodes inside one chain of
+/// [`contract_chains`], so every link in it is single-input and
+/// single-consumer. The pipeline takes the place of the run's last node and
+/// reads what the run's first node read; the nodes before the last are
+/// dropped. All runs are rewritten in one rebuild of the plan.
 pub fn fuse_pipelines(plan: PhysicalPlan) -> Result<PhysicalPlan> {
-    let counts = consumer_counts(&plan);
-    for n in plan.nodes() {
-        let Some(consumer_stages) = n.op.pipeline_stages() else {
-            continue;
-        };
-        let producer = plan.node(n.inputs[0]);
-        if counts[producer.id.0] != 1 {
-            continue;
+    let mut fused: Vec<Option<PhysicalOp>> = vec![None; plan.len()];
+    // Identity for every surviving node; a folded node points at its run's
+    // input.
+    let mut redirect: Vec<NodeId> = (0..plan.len()).map(NodeId).collect();
+    for chain in contract_chains(&plan) {
+        for run in chain.split(|&id| plan.node(id).op.pipeline_stages().is_none()) {
+            let [folded @ .., last] = run else { continue };
+            if folded.is_empty() {
+                continue; // a lone operator keeps its own kernel
+            }
+            let stages: Vec<PipelineStage> = run
+                .iter()
+                .filter_map(|&id| plan.node(id).op.pipeline_stages())
+                .flatten()
+                .collect();
+            if !has_expr_stage(&stages) {
+                continue; // e.g. Project over Project: nothing to compile
+            }
+            let input = plan.node(run[0]).inputs[0];
+            for id in folded {
+                redirect[id.0] = input;
+            }
+            fused[last.0] = Some(PhysicalOp::ChunkPipeline {
+                stages: Arc::from(stages),
+            });
         }
-        let Some(mut stages) = producer.op.pipeline_stages() else {
-            continue;
-        };
-        stages.extend(consumer_stages);
-        if !has_expr_stage(&stages) {
-            continue; // e.g. Project over Project: nothing to compile
-        }
-        let fused = PhysicalOp::ChunkPipeline {
-            stages: Arc::from(stages),
-        };
-        let (dead, fused_at) = (producer.id, n.id);
-        let dead_input = producer.inputs[0];
-        return rebuild(
-            &plan,
-            |id| id != dead,
-            |id| (id == fused_at).then(|| fused.clone()),
-            |id| if id == dead { dead_input } else { id },
-        );
     }
-    Ok(plan)
+    if fused.iter().all(Option::is_none) {
+        return Ok(plan);
+    }
+    rebuild(
+        &plan,
+        |id| redirect[id.0] == id,
+        |id| fused[id.0].take(),
+        |id| redirect[id.0],
+    )
 }
 
 #[cfg(test)]
@@ -129,61 +141,74 @@ mod tests {
         (0..n).map(|i| rec![i, i * 2]).collect()
     }
 
+    /// Chains of 2..=12 transparent stages in varying mixes: one pass leaves
+    /// one pipeline whose stages are the chain's operators in dataflow order.
     #[test]
-    fn expression_chain_fuses_into_one_pipeline() {
-        let mut b = PlanBuilder::new();
-        let src = b.collection("s", nums(100));
-        let f = b.filter(
-            src,
-            FilterUdf::from_expr("keep", Expr::field(0).lt(Expr::lit(50i64))).with_selectivity(0.5),
-        );
-        let m = b.map(
-            f,
-            MapUdf::from_exprs(
-                "sum",
-                vec![Expr::field(0).add(Expr::field(1)), Expr::field(0)],
-            ),
-        );
-        let p = b.project(m, vec![0]);
-        b.collect(p);
-        let plan = b.build().unwrap();
-        let before = run_plan(&plan, &ExecutionContext::new()).unwrap();
+    fn generated_transparent_chains_become_one_pipeline_in_order() {
+        for n in 2..=12usize {
+            let mut b = PlanBuilder::new();
+            let mut at = b.collection("s", nums(64));
+            let mut names = Vec::new();
+            for stage in 0..n {
+                // Never a projection first, so the chain bears an expression.
+                let kind = (n + stage * stage) % if stage == 0 { 2 } else { 3 };
+                let name = format!("s{stage}");
+                let bound = Expr::lit(60 - stage as i64);
+                at = match kind {
+                    0 => b.filter(at, FilterUdf::from_expr(&name, Expr::field(0).lt(bound))),
+                    1 => {
+                        let exprs = vec![Expr::field(0).add(Expr::lit(1i64)), Expr::field(1)];
+                        b.map(at, MapUdf::from_exprs(&name, exprs))
+                    }
+                    _ => b.project(at, vec![1, 0]),
+                };
+                names.push(if kind == 2 { "π[1,0]".into() } else { name });
+            }
+            b.collect(at);
+            let plan = b.build().unwrap();
+            let before = run_plan(&plan, &ExecutionContext::new()).unwrap();
 
-        let rewritten = apply_rewrites(plan).unwrap();
-        // src, fused pipeline, sink.
-        assert_eq!(rewritten.len(), 3, "{}", rewritten.explain());
-        let node = &rewritten.nodes()[1];
-        assert!(
-            node.op.name().starts_with("ChunkPipeline[keep→sum→π"),
-            "{}",
-            node.op.name()
-        );
-        if let PhysicalOp::ChunkPipeline { stages } = &node.op {
-            assert_eq!(stages.len(), 3);
-        } else {
-            panic!("expected a fused pipeline");
+            let rewritten = apply_rewrites(plan).unwrap();
+            assert_eq!(rewritten.len(), 3, "{}", rewritten.explain());
+            let PhysicalOp::ChunkPipeline { stages } = &rewritten.nodes()[1].op else {
+                panic!("expected one pipeline:\n{}", rewritten.explain());
+            };
+            let fused: Vec<&str> = stages.iter().map(|s| s.name.as_str()).collect();
+            assert_eq!(fused, names);
+            let after = run_plan(&rewritten, &ExecutionContext::new()).unwrap();
+            assert_eq!(
+                before.values().next().unwrap(),
+                after.values().next().unwrap()
+            );
         }
-        let after = run_plan(&rewritten, &ExecutionContext::new()).unwrap();
-        assert_eq!(
-            before.values().next().unwrap(),
-            after.values().next().unwrap()
-        );
     }
 
+    /// Opaque UDFs never fuse — not into a pipeline, and not with each
+    /// other: two adjacent opaque maps stay two operators.
     #[test]
     fn opaque_udfs_do_not_fuse() {
         let mut b = PlanBuilder::new();
         let src = b.collection("s", nums(10));
         let f = b.filter(src, FilterUdf::new("keep", |r| r.int(0).unwrap() < 5));
-        let p = b.project(f, vec![0]);
+        let m1 = b.map(f, MapUdf::new("inc", |r| rec![r.int(0).unwrap() + 1]));
+        let m2 = b.map(m1, MapUdf::new("dbl", |r| rec![r.int(0).unwrap() * 2]));
+        let p = b.project(m2, vec![0]);
         b.collect(p);
         let plan = b.build().unwrap();
+        let before = run_plan(&plan, &ExecutionContext::new()).unwrap();
+
         let rewritten = apply_rewrites(plan).unwrap();
-        assert_eq!(rewritten.len(), 4, "{}", rewritten.explain());
-        assert!(!rewritten
-            .nodes()
-            .iter()
-            .any(|n| matches!(n.op, PhysicalOp::ChunkPipeline { .. })));
+        let names: Vec<String> = rewritten.nodes().iter().map(|n| n.op.name()).collect();
+        assert_eq!(rewritten.len(), 6, "{names:?}");
+        assert!(
+            names[2].contains("inc") && names[3].contains("dbl"),
+            "{names:?}"
+        );
+        let after = run_plan(&rewritten, &ExecutionContext::new()).unwrap();
+        assert_eq!(
+            before.values().next().unwrap(),
+            after.values().next().unwrap()
+        );
     }
 
     #[test]

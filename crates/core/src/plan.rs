@@ -186,10 +186,9 @@ impl PhysicalPlan {
     ///
     /// The fingerprint covers every node in topological order: the operator
     /// tag, its declarative payload (expression trees via their canonical
-    /// `Display` form, key field lists, `FieldReduce` and aggregate specs,
-    /// projection indices, cost hints
-    /// as exact `f64` bit patterns, source names and cardinalities), and the
-    /// input wiring. UDFs that carry no declarative payload — arbitrary
+    /// `Display` form, key field lists, aggregate specs, projection indices,
+    /// cost hints as exact `f64` bit patterns, source names and
+    /// cardinalities), and the input wiring. UDFs that carry no declarative payload — arbitrary
     /// closures, [`CustomPhysicalOp`]s, loop conditions — are fingerprinted
     /// by `Arc` identity and flip [`PlanFingerprint::opaque`] on: two plans
     /// sharing such a fingerprint provably share the very same closure
@@ -347,25 +346,7 @@ fn fingerprint_key(fp: &mut FpHasher, u: &KeyUdf) {
 
 fn fingerprint_reduce(fp: &mut FpHasher, u: &ReduceUdf) {
     fp.str(&u.name);
-    match &u.spec {
-        Some(spec) => {
-            fp.tag(1);
-            fp.usize(spec.len());
-            for r in spec.iter() {
-                fp.tag(match r {
-                    crate::udf::FieldReduce::First => 0,
-                    crate::udf::FieldReduce::SumInt => 1,
-                    crate::udf::FieldReduce::SumFloat => 2,
-                    crate::udf::FieldReduce::Min => 3,
-                    crate::udf::FieldReduce::Max => 4,
-                });
-            }
-        }
-        None => {
-            fp.tag(0);
-            fp.ptr(Arc::as_ptr(&u.f));
-        }
-    }
+    fp.ptr(Arc::as_ptr(&u.f));
 }
 
 fn fingerprint_group(fp: &mut FpHasher, u: &GroupMapUdf) {

@@ -111,15 +111,6 @@ pub trait Platform: Send + Sync {
         ctx: &ExecutionContext,
     ) -> Result<AtomResult>;
 
-    /// Intra-atom worker threads this platform's kernels exploit (its
-    /// declared morsel parallelism). The optimizer's cost models may use
-    /// this to price the platform; `1` means kernels run sequentially
-    /// unless the ambient [`ExecutionContext::kernel_parallelism`] says
-    /// otherwise.
-    fn kernel_parallelism(&self) -> usize {
-        1
-    }
-
     /// The data channels this platform produces and consumes at atom
     /// boundaries. Defaults follow the platform's
     /// [`ProcessingProfile`]; platforms with richer connectivity may

@@ -313,52 +313,6 @@ fn encode_key_field(s: &mut String, v: &Value) {
     }
 }
 
-/// Per-field combiner of a declarative reduction ([`ReduceUdf::from_spec`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FieldReduce {
-    /// Keep the accumulator's value (typically the group key field).
-    First,
-    /// Wrapping integer sum; non-`Int` operands yield `Null`.
-    SumInt,
-    /// Float sum with `Int` widening; non-numeric operands yield `Null`.
-    SumFloat,
-    /// Minimum under [`Value`]'s total order.
-    Min,
-    /// Maximum under [`Value`]'s total order.
-    Max,
-}
-
-impl FieldReduce {
-    /// Combine an accumulator value with an incoming value.
-    pub fn combine(self, acc: &Value, incoming: &Value) -> Value {
-        match self {
-            FieldReduce::First => acc.clone(),
-            FieldReduce::SumInt => match (acc, incoming) {
-                (Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_add(*b)),
-                _ => Value::Null,
-            },
-            FieldReduce::SumFloat => match (acc.as_float(), incoming.as_float()) {
-                (Ok(a), Ok(b)) => Value::Float(a + b),
-                _ => Value::Null,
-            },
-            FieldReduce::Min => {
-                if incoming < acc {
-                    incoming.clone()
-                } else {
-                    acc.clone()
-                }
-            }
-            FieldReduce::Max => {
-                if incoming > acc {
-                    incoming.clone()
-                } else {
-                    acc.clone()
-                }
-            }
-        }
-    }
-}
-
 /// A named keyed/global reduction UDF.
 #[derive(Clone)]
 pub struct ReduceUdf {
@@ -366,10 +320,6 @@ pub struct ReduceUdf {
     pub name: String,
     /// The combiner; must be associative for partitioned execution.
     pub f: ReduceFn,
-    /// Declarative per-field combiners, when the reduction is transparent.
-    /// `f` and `spec` always agree: [`ReduceUdf::from_spec`] derives the
-    /// closure from the spec.
-    pub spec: Option<Arc<[FieldReduce]>>,
 }
 
 impl ReduceUdf {
@@ -381,35 +331,6 @@ impl ReduceUdf {
         ReduceUdf {
             name: name.into(),
             f: Arc::new(f),
-            spec: None,
-        }
-    }
-
-    /// Build a transparent reduction from per-field combiners.
-    ///
-    /// The output record has one field per combiner; field `i` of the
-    /// accumulator combines with field `i` of each incoming record (missing
-    /// fields read as `Null`). The row closure is derived from the spec, so
-    /// the opaque and declarative views cannot drift apart; chunked kernels
-    /// use the spec to accumulate without a per-row closure dispatch.
-    pub fn from_spec(name: impl Into<String>, spec: Vec<FieldReduce>) -> Self {
-        let spec: Arc<[FieldReduce]> = spec.into();
-        let for_closure = spec.clone();
-        ReduceUdf {
-            name: name.into(),
-            f: Arc::new(move |acc: Record, incoming: &Record| {
-                let fields = for_closure
-                    .iter()
-                    .enumerate()
-                    .map(|(i, fr)| {
-                        let a = acc.fields().get(i).unwrap_or(&Value::Null);
-                        let b = incoming.fields().get(i).unwrap_or(&Value::Null);
-                        fr.combine(a, b)
-                    })
-                    .collect();
-                Record::new(fields)
-            }),
-            spec: Some(spec),
         }
     }
 }
@@ -823,16 +744,6 @@ mod tests {
             vec![Expr::field(1), Expr::field(0).add(Expr::lit(1i64))],
         );
         assert_eq!((udf.f)(&rec![41i64, "x"]), rec!["x", 42i64]);
-    }
-
-    #[test]
-    fn spec_reduce_closure_matches_spec() {
-        let udf = ReduceUdf::from_spec("sum", vec![FieldReduce::First, FieldReduce::SumInt]);
-        let out = (udf.f)(rec![1i64, 10i64], &rec![1i64, 7i64]);
-        assert_eq!(out, rec![1i64, 17i64]);
-        let minmax = ReduceUdf::from_spec("mm", vec![FieldReduce::Min, FieldReduce::Max]);
-        let out = (minmax.f)(rec![3i64, 3i64], &rec![5i64, 5i64]);
-        assert_eq!(out, rec![3i64, 5i64]);
     }
 
     #[test]

@@ -20,14 +20,14 @@ use crate::config::OverheadConfig;
 /// Single-threaded in-process execution engine.
 ///
 /// "Single-threaded" describes the orchestration (one process, no
-/// partitioning, no shuffles): with
-/// [`with_kernel_parallelism`](JavaPlatform::with_kernel_parallelism) the
-/// platform declares morsel-driven intra-atom kernel threads, which the
-/// cost model prices as a speedup floor while outputs stay byte-identical.
+/// partitioning, no shuffles). Kernels inside an atom still run on the
+/// morsel threads of the ambient
+/// [`ExecutionContext::kernel_parallelism`]; what that gains reaches the
+/// optimizer as learned prices ([`rheem_core::CostCalibration`]), never as
+/// a declared speedup.
 pub struct JavaPlatform {
     overheads: OverheadConfig,
     cost: Arc<LinearCostModel>,
-    kernel_threads: usize,
 }
 
 impl Default for JavaPlatform {
@@ -48,7 +48,6 @@ impl JavaPlatform {
                 startup: 0.5,
                 shuffle_surcharge: 0.0,
             }),
-            kernel_threads: 1,
         }
     }
 
@@ -61,18 +60,6 @@ impl JavaPlatform {
     /// Override the cost model.
     pub fn with_cost_model(mut self, cost: LinearCostModel) -> Self {
         self.cost = Arc::new(cost);
-        self
-    }
-
-    /// Declare `threads` of intra-atom morsel parallelism. The declared
-    /// count flows into the optimizer through the cost model (a speedup
-    /// floor) and is reported via
-    /// [`Platform::kernel_parallelism`]; the *actual* thread budget at
-    /// execution time comes from the ambient
-    /// [`ExecutionContext::kernel_parallelism`] knob.
-    pub fn with_kernel_parallelism(mut self, threads: usize) -> Self {
-        self.kernel_threads = threads.max(1);
-        self.cost = Arc::new((*self.cost).clone().with_kernel_parallelism(threads));
         self
     }
 }
@@ -92,10 +79,6 @@ impl Platform for JavaPlatform {
 
     fn cost_model(&self) -> Arc<dyn PlatformCostModel> {
         self.cost.clone()
-    }
-
-    fn kernel_parallelism(&self) -> usize {
-        self.kernel_threads
     }
 
     fn execute_atom(
@@ -177,21 +160,6 @@ mod tests {
         assert_eq!(p.profile(), ProcessingProfile::SingleProcess);
         assert_eq!(p.name(), "java");
         let _ = PlatformRegistry::new();
-    }
-
-    #[test]
-    fn declared_kernel_parallelism_prices_as_speedup() {
-        let base = JavaPlatform::new();
-        let par = JavaPlatform::new().with_kernel_parallelism(4);
-        assert_eq!(base.kernel_parallelism(), 1);
-        assert_eq!(par.kernel_parallelism(), 4);
-        let op = PhysicalOp::Map(rheem_core::udf::MapUdf::new("id", |r| r.clone()));
-        let slow = base.cost_model().op_cost(&op, &[1000.0], 1000.0);
-        let fast = par.cost_model().op_cost(&op, &[1000.0], 1000.0);
-        assert!(
-            (fast - slow / 4.0).abs() < 1e-9,
-            "4 declared threads should quarter the work cost ({slow} vs {fast})"
-        );
     }
 
     #[test]

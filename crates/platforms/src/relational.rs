@@ -66,16 +66,17 @@ impl PlatformCostModel for RelationalCostModel {
 pub struct RelationalPlatform {
     overheads: OverheadConfig,
     cost: Arc<RelationalCostModel>,
-    /// Simulated engine-efficiency factor applied to measured work time.
-    ///
-    /// The reference interpreter executes relational operators with generic
-    /// record handling; a real DBMS executes them with decades of
-    /// engineering (vectorization, tuned joins, statistics). Like the
-    /// parallel platforms' critical-path accounting, this factor makes the
-    /// *simulated* elapsed time reflect the engine being modeled rather
-    /// than our substrate (see DESIGN.md).
-    efficiency: f64,
 }
+
+/// Simulated engine-efficiency factor applied to measured work time.
+///
+/// The reference interpreter executes relational operators with generic
+/// record handling; a real DBMS executes them with decades of
+/// engineering (vectorization, tuned joins, statistics). Like the
+/// parallel platforms' critical-path accounting, this factor makes the
+/// *simulated* elapsed time reflect the engine being modeled rather
+/// than our substrate (see DESIGN.md).
+const EFFICIENCY: f64 = 0.5;
 
 impl Default for RelationalPlatform {
     fn default() -> Self {
@@ -90,14 +91,7 @@ impl RelationalPlatform {
         RelationalPlatform {
             overheads: OverheadConfig::accounted_only(Duration::from_millis(5), Duration::ZERO),
             cost: Arc::new(RelationalCostModel::default()),
-            efficiency: 0.5,
         }
-    }
-
-    /// Override the simulated engine-efficiency factor.
-    pub fn with_efficiency(mut self, efficiency: f64) -> Self {
-        self.efficiency = efficiency.max(0.0);
-        self
     }
 
     /// Override the overhead configuration.
@@ -157,7 +151,7 @@ impl Platform for RelationalPlatform {
         let overhead = self.overheads.pay_startup();
         let started = std::time::Instant::now();
         let run = interpreter::run_fragment(plan, &atom.nodes, inputs, ctx, None)?;
-        let work_ms = started.elapsed().as_secs_f64() * 1e3 * self.efficiency;
+        let work_ms = started.elapsed().as_secs_f64() * 1e3 * EFFICIENCY;
         let outputs: HashMap<_, _> = atom
             .outputs
             .iter()
@@ -169,7 +163,7 @@ impl Platform for RelationalPlatform {
             .observations
             .into_iter()
             .map(|mut o| {
-                o.elapsed_ms *= self.efficiency;
+                o.elapsed_ms *= EFFICIENCY;
                 o
             })
             .collect();

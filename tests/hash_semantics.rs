@@ -15,9 +15,10 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rheem::prelude::*;
 use rheem_core::data::{Chunk, Value};
+use rheem_core::expr::Expr;
 use rheem_core::kernels::parallel::KernelParallelism;
 use rheem_core::kernels::{self, chunked, hash, parallel};
-use rheem_core::udf::FieldReduce;
+use rheem_core::udf::{AggFunc, Aggregate, GroupOutput};
 use rheem_core::{interpreter, ExecutionContext, ScheduleMode};
 
 /// One dirty value: every variant, with the float edge cases the hasher
@@ -68,6 +69,18 @@ fn adversarial_batch(rows: usize, distinct: usize) -> Vec<Record> {
             Record::new(vec![Value::Int(keys[i % distinct]), payload])
         })
         .collect()
+}
+
+/// Keep the key, sum the payload as `Float` (`Int` widens, anything else
+/// folds to `Null`).
+fn first_and_float_sum() -> ReduceUdf {
+    ReduceUdf::new("agg", |acc, x| {
+        let sum = match (acc.float(1), x.float(1)) {
+            (Ok(a), Ok(b)) => Value::Float(a + b),
+            _ => Value::Null,
+        };
+        Record::new(vec![acc.get(0).unwrap().clone(), sum])
+    })
 }
 
 fn chunk_of(records: &[Record]) -> Chunk {
@@ -206,7 +219,7 @@ fn auto_radix_path_above_threshold_matches_row_kernel() {
 }
 
 /// Collision pileup: hundreds of distinct keys all in radix bucket 0.
-/// Grouping, typed reduction, and both joins must remain byte-identical
+/// Grouping, typed aggregation, reduction, and both joins must remain byte-identical
 /// to the row kernels — sequentially and at every morsel setting.
 #[test]
 fn collision_heavy_kernels_match_row_twins() {
@@ -217,9 +230,20 @@ fn collision_heavy_kernels_match_row_twins() {
     let row_groups = kernels::hash_group(&records, &key);
     assert_eq!(chunked::hash_group(&chunk, &key), row_groups);
 
-    let reduce = ReduceUdf::from_spec("agg", vec![FieldReduce::First, FieldReduce::SumFloat]);
+    let outputs = vec![
+        GroupOutput::First(0),
+        GroupOutput::Agg(Aggregate {
+            func: AggFunc::Sum,
+            arg: Some(Expr::field(1)),
+        }),
+    ];
+    assert_eq!(
+        chunked::hash_aggregate(&chunk, &[0], &outputs).to_records(),
+        kernels::apply_group_map(&row_groups, &GroupMapUdf::from_aggs("agg", outputs.clone()))
+    );
+
+    let reduce = first_and_float_sum();
     let row_reduced = kernels::reduce_by_key(&records, &key, &reduce);
-    assert_eq!(chunked::reduce_by_key(&chunk, &key, &reduce), row_reduced);
 
     // Join against a probe side that hits and misses: half the build keys
     // plus keys from *other* buckets that must not false-match.
@@ -269,11 +293,7 @@ fn adversarial_keys_end_to_end_under_all_schedules() {
         let mut b = PlanBuilder::new();
         let f = b.collection("facts", facts.clone());
         let d = b.collection("dims", dims.clone());
-        let red = b.reduce_by_key(
-            f,
-            KeyUdf::field(0),
-            ReduceUdf::from_spec("agg", vec![FieldReduce::First, FieldReduce::SumFloat]),
-        );
+        let red = b.reduce_by_key(f, KeyUdf::field(0), first_and_float_sum());
         let j = b.hash_join(red, d, KeyUdf::field(0), KeyUdf::field(0));
         b.collect(j);
         b.build().unwrap()

@@ -94,15 +94,6 @@ proptest! {
                 parallel::filter(&batch, &filter_udf, &p),
                 kernels::filter(&batch, &filter_udf)
             );
-            prop_assert_eq!(
-                parallel::project(&batch, &[1, 0], &p).unwrap(),
-                kernels::project(&batch, &[1, 0]).unwrap()
-            );
-            // Error parity: the first failing morsel reports the same
-            // error the sequential scan would.
-            if !batch.is_empty() {
-                prop_assert!(parallel::project(&batch, &[7], &p).is_err());
-            }
         }
     }
 

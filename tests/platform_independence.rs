@@ -276,7 +276,7 @@ use rheem_core::expr::Expr;
 use rheem_core::physical::{CustomPhysicalOp, PhysicalOp};
 use rheem_core::plan::TaskAtom;
 use rheem_core::platform::{MemoryStorageService, StorageService};
-use rheem_core::udf::{AggFunc, Aggregate, FieldReduce, GroupOutput};
+use rheem_core::udf::{AggFunc, Aggregate, GroupOutput};
 use rheem_core::{ExecutionContext, KernelParallelism};
 
 const VARIANTS: usize = 27;
@@ -569,14 +569,6 @@ fn forms(left: &[Record]) -> Vec<Form> {
             field(&r, TAG).max(field(x, TAG)),
         ])
     };
-    let spec = || {
-        vec![
-            FieldReduce::First,
-            FieldReduce::SumInt,
-            FieldReduce::Min,
-            FieldReduce::Max,
-        ]
-    };
     let loop_over = |body_map: PhysicalOp| {
         let mut body = PlanBuilder::new();
         let state = body.loop_input();
@@ -659,10 +651,10 @@ fn forms(left: &[Record]) -> Vec<Form> {
         // Keyed and global reductions (associative combiners: partitioned
         // engines combine per partition first).
         form(
-            "reduce by key, spec",
+            "reduce by key, field key",
             PhysicalOp::ReduceByKey {
                 key: KeyUdf::field(KEY),
-                reduce: ReduceUdf::from_spec("spec", spec()),
+                reduce: ReduceUdf::new("sum-min-max", sum_min_max),
             },
             Bag,
         ),
@@ -675,14 +667,7 @@ fn forms(left: &[Record]) -> Vec<Form> {
             Bag,
         ),
         form(
-            "global reduce, spec",
-            PhysicalOp::GlobalReduce {
-                reduce: ReduceUdf::from_spec("spec", spec()),
-            },
-            Bag,
-        ),
-        form(
-            "global reduce, closure",
+            "global reduce",
             PhysicalOp::GlobalReduce {
                 reduce: ReduceUdf::new("sum-min-max", sum_min_max),
             },

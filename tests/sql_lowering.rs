@@ -25,6 +25,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use rheem::prelude::*;
+use rheem_core::data::Chunk;
 use rheem_core::mapping::MappingRegistry;
 use rheem_core::optimizer::application;
 use rheem_core::physical::PhysicalOp;
@@ -96,10 +97,28 @@ fn d_schema() -> Schema {
     Schema::new(vec![("k", DataType::Str), ("w", DataType::Int)])
 }
 
+/// `o(k, v)`: an `Int` column whose sum passes `i64::MAX`.
+fn trap_o() -> Vec<Record> {
+    [
+        vec![s("a"), i(i64::MAX)],
+        vec![s("a"), i(1)],
+        vec![s("b"), N],
+        vec![s("b"), i(5)],
+    ]
+    .into_iter()
+    .map(Record::new)
+    .collect()
+}
+
+fn o_schema() -> Schema {
+    Schema::new(vec![("k", DataType::Str), ("v", DataType::Int)])
+}
+
 fn catalog_of(t: Vec<Record>, d: Vec<Record>) -> QueryCatalog {
     let mut catalog = QueryCatalog::new();
     catalog.register("t", t_schema(), t);
     catalog.register("d", d_schema(), d);
+    catalog.register("o", o_schema(), trap_o());
     catalog
 }
 
@@ -368,6 +387,41 @@ fn traps() -> Vec<(&'static str, Vec<Vec<Value>>)> {
             "SELECT x FROM t WHERE -x < 0 AND x / 2 > 10",
             vec![vec![i(30)], vec![i(40)], vec![i(50)], vec![i(60)]],
         ),
+        // An Int SUM past i64::MAX wraps (typed lanes and the row fold
+        // alike); it does not turn Float, saturate or fail.
+        (
+            "SELECT SUM(v) AS s, COUNT(v) AS n FROM o",
+            vec![vec![i(i64::MIN + 5), i(3)]],
+        ),
+        (
+            "SELECT k, SUM(v) AS s FROM o GROUP BY k ORDER BY k",
+            vec![vec![s("a"), i(i64::MIN)], vec![s("b"), i(5)]],
+        ),
+        // The NULLs of a grouping column are one group, which sorts first
+        // ascending (the engine's own group order too) and last descending.
+        (
+            "SELECT g, COUNT(*) AS n, SUM(x) AS sx FROM t GROUP BY g",
+            vec![
+                vec![N, i(1), i(50)],
+                vec![i(1), i(3), i(35)],
+                vec![i(2), i(3), i(100)],
+            ],
+        ),
+        (
+            "SELECT g, COUNT(*) AS n FROM t GROUP BY g ORDER BY g DESC",
+            vec![vec![i(2), i(3)], vec![i(1), i(3)], vec![N, i(1)]],
+        ),
+        // ORDER BY is stable: rows that tie stay in input order, in either
+        // direction, so a LIMIT that cuts through a tie keeps its earliest
+        // rows.
+        (
+            "SELECT x, g FROM t ORDER BY g LIMIT 3",
+            vec![vec![i(50), N], vec![i(10), i(1)], vec![i(30), i(1)]],
+        ),
+        (
+            "SELECT x, g FROM t ORDER BY g DESC LIMIT 2",
+            vec![vec![N, i(2)], vec![i(40), i(2)]],
+        ),
     ]
 }
 
@@ -407,6 +461,9 @@ fn every_semantic_trap_answers_its_pinned_rows_over_the_wire() {
     client
         .register("d", d_schema(), trap_d())
         .expect("d registers");
+    client
+        .register("o", o_schema(), trap_o())
+        .expect("o registers");
     for (sql, expected) in traps() {
         let (_, rows) = client.query(sql).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
         // Only statements with a total order pin row order across
@@ -415,6 +472,55 @@ fn every_semantic_trap_answers_its_pinned_rows_over_the_wire() {
     }
     client.goodbye().expect("goodbye");
     server.shutdown();
+}
+
+/// The rows with every trailing NULL cut off. A row short of its schema has
+/// no columnar view, so every operator over it takes the row kernels — where
+/// a missing field reads as the NULL it replaced.
+fn ragged_twin(rows: Vec<Record>) -> Vec<Record> {
+    let twin: Vec<Record> = rows
+        .into_iter()
+        .map(|row| {
+            let mut fields = row.into_fields();
+            while fields.last() == Some(&N) {
+                fields.pop();
+            }
+            Record::new(fields)
+        })
+        .collect();
+    assert!(
+        Chunk::from_records(&twin).is_none(),
+        "the twin is not ragged"
+    );
+    twin
+}
+
+/// The same table on the row path (`t` and `o` ragged) and with each
+/// platform forced, over both the rectangular tables and their ragged twins.
+#[test]
+fn every_semantic_trap_answers_its_pinned_rows_on_the_row_path_and_every_platform() {
+    let rectangular = catalog_of(trap_t(), trap_d());
+    let mut ragged = catalog_of(ragged_twin(trap_t()), trap_d());
+    ragged.register("o", o_schema(), ragged_twin(trap_o()));
+    for (sql, expected) in traps() {
+        let expected = records(expected);
+        let mut catalogs = vec![(&rectangular, "rectangular")];
+        // A join concatenates its sides' rows, so a short left row would
+        // shift the right side's columns: joins keep the rectangular `t`.
+        if !sql.contains(" JOIN ") {
+            assert_eq!(run(&ragged, &java(), sql), expected, "row path, `{sql}`");
+            catalogs.push((&ragged, "ragged"));
+        }
+        for platform in ["java", "sparklike", "mapreduce", "relational"] {
+            for (catalog, form) in &catalogs {
+                assert_eq!(
+                    sorted(run(catalog, &forced(platform), sql)),
+                    sorted(expected.clone()),
+                    "{platform}, {form} tables, `{sql}`"
+                );
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
