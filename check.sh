@@ -54,6 +54,16 @@ if grep -rnE 'FieldReduce|ReduceUdf::from_spec|fn fuse_maps|fn fuse_filters|\bke
   echo "a deleted fork is named again"; exit 1
 fi
 
+# A job's settings are stated once: the context is the only owner (no
+# `Executor` builder, no schedule mode, no second width), the thread budget
+# is one number with no environment override, a platform's channels are asked
+# of the platform, and fault injection is a pure function of (atom, attempt).
+echo "==> one spelling per setting: no executor builder, mode, env override or channel table"
+if grep -rnE 'ScheduleMode|max_parallel_atoms|RHEEM_KERNEL_THREADS|ExecutorConfig|Executor::new|channelized|declare_channels|set_per_record|fail_next|RHEEM_WORKERS' \
+    crates src tests examples; then
+  echo "a deleted setting, builder or injection mode is named again"; exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -68,49 +78,6 @@ cargo test --workspace -q --release
 # count explores more injected outages while staying fully reproducible.
 echo "==> fault-injection stress pass (PROPTEST_CASES=64)"
 PROPTEST_CASES=64 cargo test -q --release --test fault_tolerance
-
-# Kernel-parallelism determinism smoke: the same suite must pass with the
-# morsel layer pinned off (threads=1) and at the ambient default — parallel
-# kernels are byte-identical to their sequential twins either way.
-echo "==> kernel determinism smoke (RHEEM_KERNEL_THREADS=1 vs default)"
-RHEEM_KERNEL_THREADS=1 cargo test -q --release --test kernel_parallelism
-cargo test -q --release --test kernel_parallelism
-
-# Columnar determinism smoke: the chunk kernels and the fused-pipeline
-# executor path must stay byte-identical to the record-at-a-time kernels,
-# again with the morsel layer pinned off and at the ambient default.
-echo "==> chunk-vs-record determinism smoke (RHEEM_KERNEL_THREADS=1 vs default)"
-RHEEM_KERNEL_THREADS=1 cargo test -q --release --test columnar_kernels
-cargo test -q --release --test columnar_kernels
-
-# Engine-equivalence table: every operator in its transparent and its
-# opaque form, over clean, dirty, ragged and empty inputs, on java,
-# sparklike at 1/3/4 workers, mapreduce and relational against the
-# reference interpreter — with the morsel layer pinned off and at the
-# ambient default.
-echo "==> engine-equivalence table (RHEEM_KERNEL_THREADS=1 vs default)"
-RHEEM_KERNEL_THREADS=1 cargo test -q --release --test platform_independence \
-  every_operator_answers_the_same_on_every_engine
-cargo test -q --release --test platform_independence \
-  every_operator_answers_the_same_on_every_engine
-
-# Hash-engine collision smoke: seeded adversarial key sets (hundreds of
-# distinct keys crafted into one radix bucket) through grouping, typed
-# reduction, and both joins — byte-identical to the row kernels with the
-# morsel layer pinned off and at the ambient default, plus the
-# end-to-end plan under both schedule modes.
-echo "==> hash-engine collision smoke (RHEEM_KERNEL_THREADS=1 vs default)"
-RHEEM_KERNEL_THREADS=1 cargo test -q --release --test hash_semantics
-cargo test -q --release --test hash_semantics
-
-# SQL-lowering determinism smoke: the semantic-trap table, the generated
-# queries x dirty tables proptest (derived closures, every platform, both
-# schedule modes, plan cache cold and hit, the wire codec) and the
-# non-associative Float sums must hold with the morsel layer pinned off
-# and at the ambient default.
-echo "==> SQL lowering smoke (RHEEM_KERNEL_THREADS=1 vs default)"
-RHEEM_KERNEL_THREADS=1 cargo test -q --release --test sql_lowering
-cargo test -q --release --test sql_lowering
 
 # The committed kernel-ablation numbers must carry the columnar join and
 # hash-aggregate entries and the timer-resolution honesty flag
@@ -190,7 +157,7 @@ nontest crates/server/src/server.rs | grep -E 'session_streams\.lock\(\)\.remove
 cargo test -q --release -p rheem-server --test transport
 
 # Cancellation/panic chaos smoke: seeded random plans, cancel points, and
-# panicking UDFs against the shared job service (both schedule modes via
+# panicking UDFs against the shared job service (thread budgets 1 and 4 via
 # the proptest strategy; the vendored proptest stub seeds each case from
 # the test name, so the sweep is reproducible), plus the deterministic
 # mid-morsel cancel, deadline-shed, idle-eviction, and bounded-shutdown

@@ -210,7 +210,6 @@ fn main() {
     let iters = if quick { 1 } else { 5 };
     let ctx = test_context();
     let opt = ctx.optimizer();
-    let movement = opt.movement.channelized(ctx.platforms());
     let config = EnumerationConfig::default();
 
     let mut entries: Vec<Entry> = Vec::new();
@@ -248,7 +247,7 @@ fn main() {
                 &plan,
                 ctx.platforms(),
                 &opt.estimator,
-                &movement,
+                &opt.movement,
                 &config,
                 &opt.calibration,
             )
@@ -260,7 +259,7 @@ fn main() {
                 arc.clone(),
                 ctx.platforms(),
                 &opt.estimator,
-                &movement,
+                &opt.movement,
                 &config,
                 &opt.calibration,
             )
@@ -304,7 +303,7 @@ fn main() {
             arc.clone(),
             ctx.platforms(),
             &opt.estimator,
-            &movement,
+            &opt.movement,
             &config,
             &opt.calibration,
         )

@@ -1,6 +1,7 @@
-//! Ablation (criterion): sequential vs. wave-parallel atom scheduling on a
-//! fan-out plan whose branches are pinned to distinct platforms and are
-//! mutually independent — the workload shape the wave scheduler exists for.
+//! Ablation (criterion): a thread budget of 1 (one atom at a time) vs. one
+//! wide enough for every branch of a wave to run at once, on a fan-out plan
+//! whose branches are pinned to distinct platforms and are mutually
+//! independent — the workload shape the wave scheduler exists for.
 
 use std::sync::Arc;
 
@@ -9,7 +10,7 @@ use rheem_core::optimizer::enumerate::split_into_atoms;
 use rheem_core::plan::PlanBuilder;
 use rheem_core::rec;
 use rheem_core::udf::{KeyUdf, MapUdf, ReduceUdf};
-use rheem_core::{ExecutionPlan, ScheduleMode};
+use rheem_core::{ExecutionPlan, KernelParallelism};
 use rheem_platforms::test_context;
 
 const PLATFORMS: [&str; 3] = ["sparklike", "mapreduce", "java"];
@@ -60,22 +61,21 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     for branches in [3usize, 6] {
         let exec = fanout_plan(20_000, branches);
-        let sequential = test_context().with_schedule_mode(ScheduleMode::Sequential);
-        let parallel = test_context()
-            .with_schedule_mode(ScheduleMode::Parallel)
-            .with_max_parallel_atoms(branches);
+        let at = |threads| {
+            test_context()
+                .with_kernel_parallelism(KernelParallelism::sequential().with_threads(threads))
+        };
+        let (sequential, parallel) = (at(1), at(branches));
         let stats = parallel.execute_plan(&exec).unwrap().stats;
         eprintln!(
-            "branches {branches}: {} atoms in {} waves (parallel)",
+            "branches {branches}: {} atoms in {} waves (threads = {branches})",
             stats.atoms.len(),
             stats.waves
         );
-        group.bench_with_input(
-            BenchmarkId::new("sequential", branches),
-            &exec,
-            |b, exec| b.iter(|| sequential.execute_plan(exec).unwrap()),
-        );
-        group.bench_with_input(BenchmarkId::new("parallel", branches), &exec, |b, exec| {
+        group.bench_with_input(BenchmarkId::new("threads_1", branches), &exec, |b, exec| {
+            b.iter(|| sequential.execute_plan(exec).unwrap())
+        });
+        group.bench_with_input(BenchmarkId::new("threads_n", branches), &exec, |b, exec| {
             b.iter(|| parallel.execute_plan(exec).unwrap())
         });
     }

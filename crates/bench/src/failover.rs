@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use rheem_core::data::Record;
-use rheem_core::{FailureInjector, FaultPolicy, JobResult, ScheduleMode};
+use rheem_core::{FailureInjector, FaultPolicy, JobResult, KernelParallelism, RheemContext};
 
 use crate::replanning::{misestimated_plan, replanning_context};
 
@@ -45,20 +45,23 @@ fn outputs(r: &JobResult) -> Vec<Vec<Record>> {
     out.into_iter().map(|(_, d)| d).collect()
 }
 
+/// The replanning context under a thread budget of `threads`.
+fn failover_context(threads: usize) -> RheemContext {
+    replanning_context()
+        .with_kernel_parallelism(KernelParallelism::sequential().with_threads(threads))
+}
+
 /// Optimize the workload once, then: (a) run it fault-free for reference
 /// outputs, (b) run it against a permanently-down cluster with failover
 /// disabled (must fail), and (c) run it against the same outage with
-/// failover enabled (must finish on the fallback platform).
-pub fn run_failover_ablation(n: i64, mode: ScheduleMode) -> FailoverReport {
+/// failover enabled (must finish on the fallback platform) — all under a
+/// thread budget of `threads`.
+pub fn run_failover_ablation(n: i64, threads: usize) -> FailoverReport {
     let exec = replanning_context().optimize(misestimated_plan(n)).unwrap();
-    let baseline = replanning_context()
-        .with_schedule_mode(mode)
-        .execute_plan(&exec)
-        .unwrap();
+    let baseline = failover_context(threads).execute_plan(&exec).unwrap();
 
     // Failover disabled: the outage is fatal once retries are exhausted.
-    let rigid = replanning_context()
-        .with_schedule_mode(mode)
+    let rigid = failover_context(threads)
         .with_max_retries(1)
         .with_fault_policy(FaultPolicy {
             failover: false,
@@ -68,8 +71,7 @@ pub fn run_failover_ablation(n: i64, mode: ScheduleMode) -> FailoverReport {
         .execute_plan(&exec);
 
     // Failover enabled: same outage, job must survive on the fallback.
-    let adaptive = replanning_context()
-        .with_schedule_mode(mode)
+    let adaptive = failover_context(threads)
         .with_max_retries(1)
         .with_fault_policy(FaultPolicy::instant())
         .with_failure_injector(Arc::new(FailureInjector::platform_down("cluster")))
@@ -99,31 +101,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn the_job_survives_a_cluster_outage_in_both_modes() {
-        for mode in [ScheduleMode::Sequential, ScheduleMode::Parallel] {
-            let report = run_failover_ablation(2_000, mode);
+    fn the_job_survives_a_cluster_outage_at_both_budgets() {
+        for threads in [1, 4] {
+            let report = run_failover_ablation(2_000, threads);
             assert!(
                 report.initial_assignments.iter().any(|p| p == "cluster"),
-                "{mode:?}: the optimizer should route the sort to the cluster: {:?}",
+                "budget {threads}: the optimizer should route the sort to the cluster: {:?}",
                 report.initial_assignments
             );
             assert!(
                 report.rigid_run_failed,
-                "{mode:?}: without failover the outage must be fatal"
+                "budget {threads}: without failover the outage must be fatal"
             );
-            assert!(report.failovers >= 1, "{mode:?}: at least one failover");
+            assert!(
+                report.failovers >= 1,
+                "budget {threads}: at least one failover"
+            );
             assert_eq!(
                 report.recommitted_atoms, 0,
-                "{mode:?}: failover must never re-execute committed atoms"
+                "budget {threads}: failover must never re-execute committed atoms"
             );
             assert!(
                 report.effective_assignments.iter().all(|p| p != "cluster"),
-                "{mode:?}: the effective plan must avoid the downed platform: {:?}",
+                "budget {threads}: the effective plan must avoid the downed platform: {:?}",
                 report.effective_assignments
             );
             assert!(
                 report.outputs_identical,
-                "{mode:?}: failover must not change outputs"
+                "budget {threads}: failover must not change outputs"
             );
         }
     }

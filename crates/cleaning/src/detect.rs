@@ -139,7 +139,7 @@ fn build_detection_branch(
             match rebased.blocking_column() {
                 Some(col) => {
                     // Block + Iterate + Detect.
-                    let rule = rebased.clone();
+                    let rule = rebased;
                     b.group_by(
                         scoped,
                         KeyUdf::field(col),
@@ -149,32 +149,8 @@ fn build_detection_branch(
                         .with_per_group_output(2.0),
                     )
                 }
-                None => {
-                    // No equality predicate: pairs via theta self-join.
-                    let rule_for_join = rebased.clone();
-                    let joined = b.theta_join(
-                        scoped,
-                        scoped,
-                        format!("violates-{}", rebased.name),
-                        0.25,
-                        Arc::new(move |t1: &Record, t2: &Record| {
-                            rule_for_join.violates(t1, t2).unwrap_or(false)
-                        }),
-                    );
-                    let rule = rebased.clone();
-                    let width = rule.scope_columns().len();
-                    b.map(
-                        joined,
-                        MapUdf::new("to-violation", move |pair: &Record| {
-                            Violation {
-                                rule: rule.name.clone(),
-                                t1: pair.int(rule.id_column).expect("id"),
-                                t2: pair.int(width + rule.id_column).expect("id"),
-                            }
-                            .to_record()
-                        }),
-                    )
-                }
+                // No equality predicate: pairs via theta self-join.
+                None => theta_pairs(b, scoped, rebased, 0.25),
             }
         }
         DetectionStrategy::SingleUdf => {
@@ -184,29 +160,7 @@ fn build_detection_branch(
             let scope = rule.scope_columns();
             let rebased = rule.rebased();
             let scoped = b.project(src, scope);
-            let rule_for_join = rebased.clone();
-            let joined = b.theta_join(
-                scoped,
-                scoped,
-                format!("violates-{}", rebased.name),
-                0.01,
-                Arc::new(move |t1: &Record, t2: &Record| {
-                    rule_for_join.violates(t1, t2).unwrap_or(false)
-                }),
-            );
-            let rule = rebased.clone();
-            let width = rule.scope_columns().len();
-            b.map(
-                joined,
-                MapUdf::new("to-violation", move |pair: &Record| {
-                    Violation {
-                        rule: rule.name.clone(),
-                        t1: pair.int(rule.id_column).expect("id"),
-                        t2: pair.int(width + rule.id_column).expect("id"),
-                    }
-                    .to_record()
-                }),
-            )
+            theta_pairs(b, scoped, rebased, 0.01)
         }
         DetectionStrategy::IeJoin => {
             let scope = rule.scope_columns();
@@ -216,6 +170,37 @@ fn build_detection_branch(
         }
     };
     Ok(violations)
+}
+
+/// Every violating pair of `scoped` (already projected to `rule`'s scope)
+/// by theta self-join, as violation records; `selectivity` is the
+/// optimizer's hint for the share of pairs that violate.
+fn theta_pairs(
+    b: &mut PlanBuilder,
+    scoped: NodeId,
+    rule: DenialConstraint,
+    selectivity: f64,
+) -> NodeId {
+    let rule_for_join = rule.clone();
+    let joined = b.theta_join(
+        scoped,
+        scoped,
+        format!("violates-{}", rule.name),
+        selectivity,
+        Arc::new(move |t1: &Record, t2: &Record| rule_for_join.violates(t1, t2).unwrap_or(false)),
+    );
+    let width = rule.scope_columns().len();
+    b.map(
+        joined,
+        MapUdf::new("to-violation", move |pair: &Record| {
+            Violation {
+                rule: rule.name.clone(),
+                t1: pair.int(rule.id_column).expect("id"),
+                t2: pair.int(width + rule.id_column).expect("id"),
+            }
+            .to_record()
+        }),
+    )
 }
 
 /// Run detection end to end; returns the (sorted, deduplicated) violations

@@ -1,8 +1,9 @@
 //! [`RheemContext`]: the user-facing entry point tying the three layers
 //! together.
 //!
-//! A context owns the platform registry, the multi-platform optimizer, the
-//! executor configuration, and the (optional) storage service. Typical use:
+//! A context owns the platform registry, the multi-platform optimizer, every
+//! job setting (the executor reads them here, see [`crate::executor`]), and
+//! the (optional) storage service. Typical use:
 //!
 //! ```ignore
 //! let ctx = RheemContext::new()
@@ -16,9 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::Result;
-use crate::executor::{
-    Executor, ExecutorConfig, JobResult, ProgressListener, ScheduleMode, WaveGate,
-};
+use crate::executor::{self, JobResult, ProgressListener, WaveGate};
 use crate::fault::{CancelToken, FaultPolicy, PlatformHealth, Sleeper};
 use crate::kernels::parallel::KernelParallelism;
 use crate::logical::LogicalPlan;
@@ -30,22 +29,46 @@ use crate::platform::{
 };
 
 /// The top-level RHEEM handle.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct RheemContext {
-    platforms: PlatformRegistry,
-    optimizer: MultiPlatformOptimizer,
-    executor_config: ExecutorConfig,
-    storage: Option<Arc<dyn StorageService>>,
-    failure_injector: Option<Arc<FailureInjector>>,
+    pub(crate) platforms: PlatformRegistry,
+    pub(crate) optimizer: MultiPlatformOptimizer,
+    /// Retry budget per task atom.
+    pub(crate) max_retries: usize,
+    /// Wall-clock budget for a whole job (the paper's baselines were
+    /// "stopped after 22 hours"; benchmarks use this to reproduce that).
+    /// Enforced as a deadline checked before every attempt of every atom,
+    /// so a retry storm cannot outlive the budget.
+    pub(crate) timeout: Option<Duration>,
+    /// What platforms see of a job: storage, failure injection, the thread
+    /// budget, and the cancel token (its only holder).
+    pub(crate) execution: ExecutionContext,
     listeners: Vec<Arc<dyn ProgressListener>>,
     observability: Option<Arc<Observability>>,
-    replan_policy: Option<ReplanPolicy>,
-    fault_policy: Option<FaultPolicy>,
-    platform_health: Option<Arc<PlatformHealth>>,
-    sleeper: Option<Arc<dyn Sleeper>>,
-    kernel_parallelism: Option<KernelParallelism>,
-    wave_gate: Option<Arc<dyn WaveGate>>,
-    cancel: Option<CancelToken>,
+    pub(crate) replan_policy: Option<ReplanPolicy>,
+    pub(crate) fault_policy: Option<FaultPolicy>,
+    pub(crate) platform_health: Option<Arc<PlatformHealth>>,
+    pub(crate) sleeper: Option<Arc<dyn Sleeper>>,
+    pub(crate) wave_gate: Option<Arc<dyn WaveGate>>,
+}
+
+impl Default for RheemContext {
+    fn default() -> Self {
+        RheemContext {
+            platforms: PlatformRegistry::default(),
+            optimizer: MultiPlatformOptimizer::default(),
+            max_retries: 2,
+            timeout: None,
+            execution: ExecutionContext::default(),
+            listeners: Vec::new(),
+            observability: None,
+            replan_policy: None,
+            fault_policy: None,
+            platform_health: None,
+            sleeper: None,
+            wave_gate: None,
+        }
+    }
 }
 
 impl RheemContext {
@@ -62,7 +85,7 @@ impl RheemContext {
 
     /// Attach a storage service (enables `StorageSource`/`StorageSink`).
     pub fn with_storage(mut self, storage: Arc<dyn StorageService>) -> Self {
-        self.storage = Some(storage);
+        self.execution.storage = Some(storage);
         self
     }
 
@@ -80,39 +103,24 @@ impl RheemContext {
 
     /// Set a wall-clock budget for executed jobs.
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.executor_config.timeout = Some(timeout);
+        self.timeout = Some(timeout);
         self
     }
 
     /// Set the retry budget per task atom.
     pub fn with_max_retries(mut self, retries: usize) -> Self {
-        self.executor_config.max_retries = retries;
+        self.max_retries = retries;
         self
     }
 
-    /// Cap how many task atoms may run concurrently within a scheduling
-    /// wave (defaults to the host's available parallelism).
-    pub fn with_max_parallel_atoms(mut self, atoms: usize) -> Self {
-        self.executor_config.max_parallel_atoms = atoms;
-        self
-    }
-
-    /// Choose wave-parallel (default) or sequential atom scheduling.
-    pub fn with_schedule_mode(mut self, mode: ScheduleMode) -> Self {
-        self.executor_config.mode = mode;
-        self
-    }
-
-    /// Set the intra-atom kernel parallelism knob (morsel-driven parallel
-    /// kernels; see `DESIGN.md` §10). Complements
-    /// [`with_max_parallel_atoms`](Self::with_max_parallel_atoms): that
-    /// caps how many atoms run concurrently, this caps how many threads
-    /// each atom's kernels may use — the executor divides the kernel
-    /// budget by the concurrent-atom count so the two never multiply.
-    /// Defaults to `RHEEM_KERNEL_THREADS` or the host's available
-    /// parallelism. Outputs are byte-identical at any setting.
+    /// Set a job's thread budget (defaults to the host's available
+    /// parallelism). A wave runs `min(threads, atoms in the wave)` atoms
+    /// at once and each atom's morsel-driven kernels (`DESIGN.md` §10) get
+    /// `threads / width`, so the two never multiply; `threads = 1` runs one
+    /// atom at a time on the sequential kernels. Outputs, stats and traces
+    /// are identical at any setting.
     pub fn with_kernel_parallelism(mut self, parallelism: KernelParallelism) -> Self {
-        self.kernel_parallelism = Some(parallelism);
+        self.execution.kernel_parallelism = parallelism;
         self
     }
 
@@ -155,7 +163,7 @@ impl RheemContext {
 
     /// Install a failure injector (tests / chaos experiments).
     pub fn with_failure_injector(mut self, injector: Arc<FailureInjector>) -> Self {
-        self.failure_injector = Some(injector);
+        self.execution.failure_injector = Some(injector);
         self
     }
 
@@ -221,13 +229,13 @@ impl RheemContext {
     /// parallel kernels (see `DESIGN.md` §14). Cancelling the token makes
     /// in-flight jobs fail with [`crate::RheemError::Cancelled`].
     pub fn with_cancel_token(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
+        self.execution.cancel = Some(cancel);
         self
     }
 
     /// The installed cancel token, if any.
     pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
+        self.execution.cancel.as_ref()
     }
 
     /// The registered platforms.
@@ -247,13 +255,18 @@ impl RheemContext {
     }
 
     /// The ambient execution context handed to platforms.
-    pub fn execution_context(&self) -> ExecutionContext {
-        ExecutionContext {
-            storage: self.storage.clone(),
-            failure_injector: self.failure_injector.clone(),
-            kernel_parallelism: self.kernel_parallelism.unwrap_or_default(),
-            cancel: self.cancel.clone(),
-        }
+    pub fn execution_context(&self) -> &ExecutionContext {
+        &self.execution
+    }
+
+    /// Everyone who hears about job progress: the attached listeners in
+    /// attachment order, then the observability hub.
+    pub(crate) fn listeners(&self) -> impl Iterator<Item = &dyn ProgressListener> {
+        let hub = self
+            .observability
+            .iter()
+            .map(|o| o.as_ref() as &dyn ProgressListener);
+        self.listeners.iter().map(|l| l.as_ref()).chain(hub)
     }
 
     /// Optimize a physical plan without running it.
@@ -268,45 +281,10 @@ impl RheemContext {
 
     /// Run an already-optimized execution plan.
     pub fn execute_plan(&self, plan: &ExecutionPlan) -> Result<JobResult> {
-        let mut executor = Executor::new(self.platforms.clone())
-            .with_movement(self.optimizer.movement.channelized(&self.platforms))
-            .with_config(self.executor_config.clone());
-        for listener in &self.listeners {
-            executor = executor.with_listener(listener.clone());
+        if let (Some(health), Some(observe)) = (&self.platform_health, &self.observability) {
+            health.mirror_to(observe.metrics().clone());
         }
-        if let Some(observe) = &self.observability {
-            executor = executor.with_listener(observe.clone() as Arc<dyn ProgressListener>);
-        }
-        if let Some(policy) = self.replan_policy {
-            executor = executor.with_replanner(self.optimizer.replanner(policy));
-        }
-        if let Some(fp) = &self.fault_policy {
-            executor = executor.with_backoff(fp.backoff);
-            if let Some(health) = &self.platform_health {
-                if let Some(observe) = &self.observability {
-                    health.mirror_to(observe.metrics().clone());
-                }
-                executor = executor.with_platform_health(health.clone());
-            }
-            if fp.failover {
-                // Failover shares the drift re-planner's machinery but
-                // not its budget: `max_failovers` is counted separately.
-                let replanner = self
-                    .optimizer
-                    .replanner(self.replan_policy.unwrap_or_default());
-                executor = executor.with_failover(replanner, fp.max_failovers);
-            }
-        }
-        if let Some(sleeper) = &self.sleeper {
-            executor = executor.with_sleeper(sleeper.clone());
-        }
-        if let Some(gate) = &self.wave_gate {
-            executor = executor.with_wave_gate(gate.clone());
-        }
-        if let Some(cancel) = &self.cancel {
-            executor = executor.with_cancel_token(cancel.clone());
-        }
-        let result = executor.execute(plan, &self.execution_context())?;
+        let result = executor::execute(self, plan)?;
         if self.observability.is_some() {
             // Close the feedback loop: fold this job's observed kernel
             // runtimes and true cardinalities into the calibration table
@@ -452,7 +430,7 @@ mod tests {
         use crate::platform::FailureInjector;
         let ctx = RheemContext::new()
             .with_platform(Arc::new(MockPlatform("m")))
-            .with_failure_injector(Arc::new(FailureInjector::fail_next("m", 1)))
+            .with_failure_injector(Arc::new(FailureInjector::platform_down("m")))
             .with_max_retries(0);
         assert!(ctx.execute(tiny_plan()).is_err());
     }
@@ -535,6 +513,8 @@ mod tests {
         use crate::fault::{BackoffPolicy, FaultPolicy, VirtualSleeper};
         use crate::platform::FailureInjector;
         let sleeper = Arc::new(VirtualSleeper::new());
+        let injector = FailureInjector::none();
+        injector.fail_atom(0, 1);
         let mut policy = FaultPolicy::instant();
         // A fixed 10 s backoff against a 50 ms deadline: unclamped, the
         // single retry nap alone would overshoot the budget 200-fold.
@@ -547,7 +527,7 @@ mod tests {
         };
         let ctx = RheemContext::new()
             .with_platform(Arc::new(MockPlatform("m")))
-            .with_failure_injector(Arc::new(FailureInjector::fail_next("m", 1)))
+            .with_failure_injector(Arc::new(injector))
             .with_fault_policy(policy)
             .with_sleeper(sleeper.clone())
             .with_timeout(Duration::from_millis(50));

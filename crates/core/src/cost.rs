@@ -531,26 +531,19 @@ impl ChannelRoute {
 /// Inter-platform data movement prices (the paper's §4.2 third aspect and
 /// §8 challenge 2's "inter-platform cost model").
 ///
-/// Two layers: a flat `fixed + per_record · records` transport price per
-/// platform pair (always charged on a switch), plus — once platform
-/// [`ChannelSpec`]s are declared via
-/// [`declare_channels`](MovementCostModel::declare_channels) — the cost of
-/// the cheapest conversion path through the [`ChannelConversionGraph`]
-/// connecting the producer's output channels to the consumer's input
-/// channels. A model with no declared channels prices exactly like the
-/// historical flat scalar.
+/// Two layers, both charged on every platform switch: a flat
+/// `fixed + default_per_record · records` transport price, plus the
+/// cheapest conversion path through the [`ChannelConversionGraph`] from the
+/// producer's output channels to the consumer's input channels — each
+/// platform's own [`Platform::channels`](crate::platform::Platform::channels).
 #[derive(Clone, Debug)]
 pub struct MovementCostModel {
     /// Fixed cost of any platform switch (channel setup).
     pub fixed: f64,
-    /// Fallback per-record transfer price.
+    /// Per-record transfer price.
     pub default_per_record: f64,
-    /// `from -> to -> price`; nested so a lookup borrows both names.
-    per_record: HashMap<String, HashMap<String, f64>>,
-    /// Channel conversion prices (consulted only for platforms with
-    /// declared channels).
+    /// Channel conversion prices.
     pub conversions: ChannelConversionGraph,
-    channels: HashMap<String, ChannelSpec>,
 }
 
 impl Default for MovementCostModel {
@@ -558,15 +551,13 @@ impl Default for MovementCostModel {
         MovementCostModel {
             fixed: 1.0,
             default_per_record: 0.001,
-            per_record: HashMap::new(),
             conversions: ChannelConversionGraph::default(),
-            channels: HashMap::new(),
         }
     }
 }
 
 impl MovementCostModel {
-    /// A model with the given fixed and default per-record prices.
+    /// A model with the given fixed and per-record prices.
     pub fn new(fixed: f64, default_per_record: f64) -> Self {
         MovementCostModel {
             fixed,
@@ -582,96 +573,22 @@ impl MovementCostModel {
         m
     }
 
-    /// Set the per-record price of moving data `from -> to`.
-    pub fn set_per_record(&mut self, from: &str, to: &str, price: f64) {
-        self.per_record
-            .entry(from.to_string())
-            .or_default()
-            .insert(to.to_string(), price);
-    }
-
-    /// Declare the channel kinds `platform` produces and consumes. From
-    /// then on, switches touching it are priced through the conversion
-    /// graph on top of the flat transport price.
-    pub fn declare_channels(&mut self, platform: impl Into<String>, spec: ChannelSpec) {
-        self.channels.insert(platform.into(), spec);
-    }
-
-    /// The declared channel spec of a platform, if any.
-    pub fn channel_spec(&self, platform: &str) -> Option<&ChannelSpec> {
-        self.channels.get(platform)
-    }
-
-    /// A copy of this model with every platform in `registry` declaring
-    /// its [`ChannelSpec`] — the form the optimizer and executor use so
-    /// enumeration, re-planning, and monitoring all price movement through
-    /// the same channel conversion graph.
-    pub fn channelized(&self, registry: &crate::platform::PlatformRegistry) -> MovementCostModel {
-        let mut out = self.clone();
-        for p in registry.all() {
-            out.declare_channels(p.name(), p.channels());
-        }
-        out
-    }
-
-    /// The channel route for moving `records` data quanta `from -> to`.
-    /// Same platform: a free single-hop route. Undeclared platforms fall
-    /// back to [`ChannelSpec::memory_only`]; unconnectable channel sets
-    /// fall back to the flat transport price with an empty path (priced as
-    /// if a bespoke copy operator existed), so enumeration never wedges on
-    /// an exotic platform pair.
-    pub fn route(&self, from: &str, to: &str, records: f64) -> ChannelRoute {
-        if from == to {
-            return ChannelRoute {
-                path: Vec::new(),
-                transport_ms: 0.0,
-                conversion_ms: 0.0,
-            };
-        }
-        let per = self
-            .per_record
-            .get(from)
-            .and_then(|prices| prices.get(to))
-            .copied()
-            .unwrap_or(self.default_per_record);
-        let transport_ms = self.fixed + per * records;
-        if self.channels.is_empty() {
-            // Legacy flat pricing: no platform declared channels.
-            return ChannelRoute {
-                path: Vec::new(),
-                transport_ms,
-                conversion_ms: 0.0,
-            };
-        }
-        let memory_only = ChannelSpec::memory_only();
-        let outs = self.channels.get(from).unwrap_or(&memory_only);
-        let ins = self.channels.get(to).unwrap_or(&memory_only);
-        match self
+    /// The priced route for moving `records` data quanta across a platform
+    /// switch, from a producer speaking `from` to a consumer speaking `to`
+    /// (callers price switches only; staying on a platform is free).
+    /// Unconnectable channel sets are charged the transport price alone,
+    /// with an empty path — as if a bespoke copy operator existed — so
+    /// enumeration never wedges on an exotic platform pair.
+    pub fn route(&self, from: &ChannelSpec, to: &ChannelSpec, records: f64) -> ChannelRoute {
+        let (path, conversion_ms) = self
             .conversions
-            .cheapest_path(&outs.outputs, &ins.inputs, records)
-        {
-            Some((path, conversion_ms)) => ChannelRoute {
-                path,
-                transport_ms,
-                conversion_ms,
-            },
-            None => ChannelRoute {
-                path: Vec::new(),
-                transport_ms,
-                conversion_ms: 0.0,
-            },
+            .cheapest_path(&from.outputs, &to.inputs, records)
+            .unwrap_or_default();
+        ChannelRoute {
+            path,
+            transport_ms: self.fixed + self.default_per_record * records,
+            conversion_ms,
         }
-    }
-
-    /// Cost of moving `records` data quanta `from -> to`; zero if same
-    /// platform. With declared channels this is the full
-    /// [`route`](MovementCostModel::route) price (transport + conversion);
-    /// without, the historical flat scalar.
-    pub fn cost(&self, from: &str, to: &str, records: f64) -> f64 {
-        if from == to {
-            return 0.0;
-        }
-        self.route(from, to, records).total_ms()
     }
 }
 
@@ -905,16 +822,6 @@ mod tests {
     }
 
     #[test]
-    fn movement_cost_zero_within_platform() {
-        let mut m = MovementCostModel::new(5.0, 0.01);
-        m.set_per_record("java", "spark", 0.1);
-        assert_eq!(m.cost("java", "java", 1e6), 0.0);
-        assert_eq!(m.cost("java", "spark", 100.0), 5.0 + 10.0);
-        assert_eq!(m.cost("spark", "java", 100.0), 5.0 + 1.0); // default price
-        assert_eq!(MovementCostModel::free().cost("a", "b", 1e9), 0.0);
-    }
-
-    #[test]
     fn conversion_graph_finds_multi_hop_paths() {
         let g = ChannelConversionGraph::default();
         // Direct hand-off: no conversion needed.
@@ -955,28 +862,26 @@ mod tests {
     }
 
     #[test]
-    fn declared_channels_add_conversion_prices_on_top_of_transport() {
-        let mut m = MovementCostModel::new(1.0, 0.001);
-        let flat = m.cost("java", "mapreduce", 1000.0);
-        assert!((flat - 2.0).abs() < 1e-9);
-        // Declare channels: java speaks memory, mapreduce only files.
-        m.declare_channels("java", ChannelSpec::memory_only());
-        m.declare_channels(
-            "mapreduce",
-            ChannelSpec::new(vec![ChannelKind::File], vec![ChannelKind::File]),
-        );
-        let route = m.route("java", "mapreduce", 1000.0);
+    fn route_prices_transport_plus_the_cheapest_conversion_between_two_specs() {
+        let m = MovementCostModel::new(1.0, 0.001);
+        let memory = ChannelSpec::memory_only();
+        let file = ChannelSpec::new(vec![ChannelKind::File], vec![ChannelKind::File]);
+        // Memory producer, file-only consumer: transport + one serialize.
+        let route = m.route(&memory, &file, 1000.0);
         assert_eq!(route.path, vec![ChannelKind::Memory, ChannelKind::File]);
-        assert!((route.transport_ms - flat).abs() < 1e-9);
+        assert!((route.transport_ms - 2.0).abs() < 1e-9);
         assert!((route.conversion_ms - 2.5).abs() < 1e-9);
-        assert!((m.cost("java", "mapreduce", 1000.0) - 4.5).abs() < 1e-9);
-        // Same platform stays free; memory-to-memory pairs pay no
-        // conversion, so their price is unchanged by the declarations.
-        assert_eq!(m.cost("mapreduce", "mapreduce", 1e6), 0.0);
-        m.declare_channels("spark", ChannelSpec::memory_only());
-        assert!((m.cost("java", "spark", 1000.0) - 2.0).abs() < 1e-9);
-        // An undeclared platform defaults to memory-only.
-        assert!((m.cost("java", "unknown", 1000.0) - 2.0).abs() < 1e-9);
+        assert!((route.total_ms() - 4.5).abs() < 1e-9);
+        // A shared channel kind pays transport only.
+        let route = m.route(&memory, &memory, 1000.0);
+        assert_eq!(route.path, vec![ChannelKind::Memory]);
+        assert!((route.total_ms() - 2.0).abs() < 1e-9);
+        // Unconnectable sets (no conversions registered) fall back to the
+        // transport price with an empty path; a free model charges nothing.
+        let free = MovementCostModel::free();
+        let route = free.route(&memory, &file, 1e9);
+        assert!(route.path.is_empty());
+        assert_eq!(route.total_ms(), 0.0);
     }
 
     #[test]

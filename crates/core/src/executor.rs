@@ -14,14 +14,17 @@
 //! from the plan's boundary edges ([`ExecutionPlan::atom_dependencies`])
 //! and partitions it into *waves*: wave 0 holds every atom with no
 //! cross-atom inputs, wave *k+1* every atom whose last dependency sits in
-//! wave *k*. Each wave runs on a pool of scoped worker threads (capped by
-//! [`ExecutorConfig::max_parallel_atoms`]); the next wave starts once the
-//! whole wave finished.
+//! wave *k*. A job has one thread budget
+//! ([`KernelParallelism::threads`](crate::KernelParallelism), set with
+//! [`RheemContext::with_kernel_parallelism`]): a wave runs
+//! `min(threads, atoms in the wave)` atoms at once on scoped worker
+//! threads, each atom's kernels get `threads / width` of the budget, and
+//! the next wave starts once the whole wave finished.
 //!
-//! Sequential mode runs exactly the same waves, one atom at a time, so
-//! wave numbering, per-atom wave attribution, and the `waves` stat are
-//! identical across schedule modes — the modes differ only in intra-wave
-//! concurrency.
+//! A budget of 1 runs exactly the same waves one atom at a time on the
+//! caller's thread, so wave numbering, per-atom wave attribution, and the
+//! `waves` stat are identical at every budget — budgets differ only in
+//! intra-wave concurrency.
 //!
 //! Intermediate datasets are reference counted: once every boundary
 //! consumer of a node's output has run, the dataset is dropped (sink
@@ -30,23 +33,23 @@
 //! Scheduling is deterministic where it can be: per-atom monitoring
 //! records are appended in ascending atom id within each wave regardless
 //! of completion order, and when several atoms of a wave fail, the error
-//! of the lowest-id atom that failed is reported (see
-//! [`Executor::execute`] internals for the attempt-set caveat).
+//! of the lowest-id atom that failed is reported.
 //!
 //! # Fault tolerance
 //!
 //! Failures are classified ([`RheemError::classify`]) before any retry
 //! budget is spent: only [`ErrorKind::Transient`](crate::ErrorKind)
-//! errors are retried (up to [`ExecutorConfig::max_retries`] times, with
-//! [`BackoffPolicy`] delays between attempts); permanent errors fail fast
-//! after exactly one attempt. With a [`PlatformHealth`] attached, every
-//! transient failure also feeds the platform's circuit breaker — an open
+//! errors are retried (up to [`RheemContext::with_max_retries`] times,
+//! with [`BackoffPolicy`] delays between attempts); permanent errors fail
+//! fast after exactly one attempt. Under a
+//! [fault policy](RheemContext::with_fault_policy), every transient
+//! failure also feeds the platform's circuit breaker — an open
 //! breaker rejects atoms up front with
 //! [`RheemError::PlatformUnavailable`], skipping their retry budget.
 //!
 //! When an atom gives up (retries exhausted, breaker opened, or breaker
-//! already open) and failover is enabled ([`Executor::with_failover`]),
-//! the executor does not fail the job immediately: it commits every atom
+//! already open) and the fault policy enables failover, the executor
+//! does not fail the job immediately: it commits every atom
 //! of the wave that *did* succeed, marks the failed platform down, and
 //! re-enumerates the unexecuted suffix with all failed platforms excluded
 //! — the same suffix-splicing machinery as adaptive re-planning, pointed
@@ -56,7 +59,8 @@
 //!
 //! # Adaptive re-optimization
 //!
-//! With a [`Replanner`] attached ([`Executor::with_replanner`]), the
+//! Under a [`ReplanPolicy`](crate::ReplanPolicy)
+//! ([`RheemContext::with_replan_policy`]), the
 //! executor revisits the optimizer's decisions *mid-job*: after each
 //! committed wave it compares the observed cardinality of every live
 //! boundary dataset against the plan's estimates and, past the policy
@@ -70,61 +74,17 @@
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::cost::MovementCostModel;
+use crate::context::RheemContext;
 use crate::data::Dataset;
 use crate::error::{CancelReason, Result, RheemError};
-use crate::fault::{BackoffPolicy, CancelToken, PlatformHealth, Sleeper, ThreadSleeper};
-use crate::optimizer::replan::{worst_drift, Replanner};
+use crate::fault::{BackoffPolicy, ThreadSleeper};
+use crate::optimizer::replan::worst_drift;
 use crate::plan::{ExecutionPlan, NodeId, TaskAtom};
-use crate::platform::{AtomInputs, ExecutionContext, FailureInjector, PlatformRegistry};
-
-/// How the executor orders atom execution.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScheduleMode {
-    /// Dependency-aware waves of concurrently running atoms (the default).
-    #[default]
-    Parallel,
-    /// One atom at a time, in wave order (the same waves parallel mode
-    /// computes, with identical wave numbering). Kept as the ablation
-    /// baseline (`ablation_scheduling` bench) and for debugging.
-    Sequential,
-}
-
-/// Executor tuning.
-#[derive(Clone, Debug)]
-pub struct ExecutorConfig {
-    /// How many times a failed atom is retried before the job fails.
-    pub max_retries: usize,
-    /// Wall-clock budget for the whole job (the paper's baselines were
-    /// "stopped after 22 hours"; benchmarks use this to reproduce that).
-    /// Enforced as a deadline checked before every attempt of every atom,
-    /// so a retry storm cannot outlive the budget.
-    pub timeout: Option<Duration>,
-    /// Upper bound on atoms running concurrently within a wave. Defaults
-    /// to the host's available parallelism; values ≤ 1 run each wave
-    /// inline on the caller's thread.
-    pub max_parallel_atoms: usize,
-    /// Wave-parallel or sequential scheduling.
-    pub mode: ScheduleMode,
-}
-
-impl Default for ExecutorConfig {
-    fn default() -> Self {
-        ExecutorConfig {
-            max_retries: 2,
-            timeout: None,
-            max_parallel_atoms: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            mode: ScheduleMode::default(),
-        }
-    }
-}
+use crate::platform::{AtomInputs, ExecutionContext, FailureInjector};
 
 /// Per-atom monitoring record.
 #[derive(Clone, Debug)]
@@ -133,9 +93,9 @@ pub struct AtomStats {
     pub atom_id: usize,
     /// Platform that executed it.
     pub platform: String,
-    /// Scheduling wave the atom ran in. Wave numbering is identical in
-    /// parallel and sequential modes and global across re-planning
-    /// phases (a re-plan continues the numbering, it never restarts it).
+    /// Scheduling wave the atom ran in. Wave numbering is identical at
+    /// every thread budget and global across re-planning phases (a
+    /// re-plan continues the numbering, it never restarts it).
     pub wave: usize,
     /// Attempts used (1 = no retry).
     pub attempts: usize,
@@ -160,11 +120,10 @@ pub struct AtomStats {
 #[derive(Clone, Debug, Default)]
 pub struct ExecutionStats {
     /// One record per executed atom: ascending atom id within each wave,
-    /// waves in execution order — the same order in both schedule modes.
+    /// waves in execution order — the same order at every thread budget.
     pub atoms: Vec<AtomStats>,
-    /// Number of scheduling waves the job ran in. Identical in parallel
-    /// and sequential modes (which differ only in intra-wave
-    /// concurrency), and strictly less than the atom count whenever the
+    /// Number of scheduling waves the job ran in. Identical at every
+    /// thread budget, and strictly less than the atom count whenever the
     /// plan had independent atoms to overlap.
     pub waves: usize,
     /// Total wall-clock time of the job.
@@ -175,9 +134,10 @@ pub struct ExecutionStats {
     /// retries; permanent errors fail fast after one attempt.
     pub retries: usize,
     /// Mid-job re-optimizations performed (see
-    /// [`Executor::with_replanner`]); `0` unless a re-planner triggered.
+    /// [`RheemContext::with_replan_policy`]); `0` unless drift triggered.
     pub replans: usize,
-    /// Failover re-plans performed (see [`Executor::with_failover`]):
+    /// Failover re-plans performed (see
+    /// [`RheemContext::with_fault_policy`]):
     /// times the unexecuted suffix was re-routed around a failed
     /// platform. `0` unless failover triggered.
     pub failovers: usize,
@@ -321,7 +281,7 @@ pub trait WaveGate: Send + Sync {
 }
 
 /// What one mid-job re-optimization did (see
-/// [`Executor::with_replanner`]).
+/// [`RheemContext::with_replan_policy`]).
 #[derive(Clone, Debug)]
 pub struct ReplanEvent {
     /// 0-based index of this re-plan within the job.
@@ -343,7 +303,8 @@ pub struct ReplanEvent {
     pub estimated_cost: f64,
 }
 
-/// What one failover re-plan did (see [`Executor::with_failover`]).
+/// What one failover re-plan did (see
+/// [`RheemContext::with_fault_policy`]).
 #[derive(Clone, Debug)]
 pub struct FailoverEvent {
     /// 0-based index of this failover within the job.
@@ -378,7 +339,7 @@ pub struct JobResult {
     /// physical plan, with the final merged platform assignments and
     /// estimates. Reporting-only (its atom ids match `stats.atoms` but
     /// are not dense, so it cannot be fed back into
-    /// [`Executor::execute`]); use it with
+    /// [`RheemContext::execute_plan`]); use it with
     /// [`ExecutionPlan::explain_observed`] and for calibration. `None`
     /// when the job ran the input plan unchanged.
     pub effective_plan: Option<ExecutionPlan>,
@@ -419,160 +380,48 @@ struct WaveOutcome {
     failure: Option<WaveFailure>,
 }
 
-/// Failover configuration: the re-planner used to route around failed
-/// platforms and the per-job failover budget.
-#[derive(Clone)]
-struct FailoverConfig {
-    replanner: Replanner,
-    max_failovers: usize,
+/// One job in flight: the context whose settings it runs under and the
+/// deadline its timeout implies.
+struct Job<'a> {
+    ctx: &'a RheemContext,
+    started: Instant,
+    deadline: Option<Instant>,
 }
 
-/// Schedules execution plans across registered platforms.
-#[derive(Clone)]
-pub struct Executor {
-    platforms: PlatformRegistry,
-    movement: MovementCostModel,
-    config: ExecutorConfig,
-    listeners: Vec<Arc<dyn ProgressListener>>,
-    replanner: Option<Replanner>,
-    backoff: BackoffPolicy,
-    sleeper: Arc<dyn Sleeper>,
-    health: Option<Arc<PlatformHealth>>,
-    failover: Option<FailoverConfig>,
-    wave_gate: Option<Arc<dyn WaveGate>>,
-    cancel: Option<CancelToken>,
+/// Run an execution plan to completion under `ctx`'s settings.
+///
+/// Every thread budget drives the same wave loop (a budget of 1 merely
+/// caps intra-wave concurrency at one), so wave numbering and stats are
+/// budget-consistent. Under a re-plan policy, execution proceeds in
+/// *phases*: after each committed wave the observed cardinalities of live
+/// boundary datasets are checked against the estimates, and on sufficient
+/// drift the unexecuted suffix is re-enumerated and spliced in (committed
+/// atoms are never re-run; wave numbering continues across the splice).
+pub(crate) fn execute(ctx: &RheemContext, plan: &ExecutionPlan) -> Result<JobResult> {
+    let started = Instant::now();
+    let job = Job {
+        ctx,
+        started,
+        deadline: ctx.timeout.and_then(|t| started.checked_add(t)),
+    };
+    let result = job.run(plan);
+    if let Err(RheemError::Cancelled { reason }) = &result {
+        for l in ctx.listeners() {
+            l.on_job_cancelled(*reason);
+        }
+    }
+    result
 }
 
-impl Executor {
-    /// Build an executor over the given platforms. Retries are immediate
-    /// (no backoff), no circuit breaker is attached, and failover is off
-    /// until the corresponding builders install them.
-    pub fn new(platforms: PlatformRegistry) -> Self {
-        Executor {
-            platforms,
-            movement: MovementCostModel::default(),
-            config: ExecutorConfig::default(),
-            listeners: Vec::new(),
-            replanner: None,
-            backoff: BackoffPolicy::none(),
-            sleeper: Arc::new(ThreadSleeper),
-            health: None,
-            failover: None,
-            wave_gate: None,
-            cancel: None,
-        }
-    }
+/// Atoms of an `atoms`-wide wave that run at once under a budget of
+/// `threads`; each then gets `threads / width` kernel threads
+/// ([`crate::KernelParallelism::share`]).
+fn wave_width(threads: usize, atoms: usize) -> usize {
+    threads.min(atoms).max(1)
+}
 
-    /// Enable adaptive mid-job re-optimization: between waves, compare
-    /// observed boundary cardinalities against the plan's estimates and
-    /// re-enumerate the unexecuted suffix when the re-planner's policy
-    /// triggers. Without estimates on the plan (hand-built plans) the
-    /// re-planner never fires.
-    pub fn with_replanner(mut self, replanner: Replanner) -> Self {
-        self.replanner = Some(replanner);
-        self
-    }
-
-    /// Sleep [`BackoffPolicy`] delays between retry attempts of an atom.
-    pub fn with_backoff(mut self, backoff: BackoffPolicy) -> Self {
-        self.backoff = backoff;
-        self
-    }
-
-    /// Replace how backoff delays are slept (tests install a
-    /// [`crate::fault::VirtualSleeper`] to observe delays without paying
-    /// wall-clock for them).
-    pub fn with_sleeper(mut self, sleeper: Arc<dyn Sleeper>) -> Self {
-        self.sleeper = sleeper;
-        self
-    }
-
-    /// Attach per-platform circuit breakers. Shared (`Arc`) so breaker
-    /// state persists across the jobs of a context.
-    pub fn with_platform_health(mut self, health: Arc<PlatformHealth>) -> Self {
-        self.health = Some(health);
-        self
-    }
-
-    /// Enable failover re-planning: when an atom gives up, re-enumerate
-    /// the unexecuted suffix through `replanner` with the failed
-    /// platform(s) excluded, at most `max_failovers` times per job.
-    pub fn with_failover(mut self, replanner: Replanner, max_failovers: usize) -> Self {
-        self.failover = Some(FailoverConfig {
-            replanner,
-            max_failovers,
-        });
-        self
-    }
-
-    /// Attach a progress listener. May be called repeatedly; every
-    /// listener receives every callback, in attachment order.
-    pub fn with_listener(mut self, listener: std::sync::Arc<dyn ProgressListener>) -> Self {
-        self.listeners.push(listener);
-        self
-    }
-
-    /// Replace the movement cost model used for monitoring.
-    pub fn with_movement(mut self, movement: MovementCostModel) -> Self {
-        self.movement = movement;
-        self
-    }
-
-    /// Replace the executor configuration.
-    pub fn with_config(mut self, config: ExecutorConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Install a [`WaveGate`] bracketing every scheduling wave (external
-    /// fair-share scheduling across concurrent jobs).
-    pub fn with_wave_gate(mut self, gate: Arc<dyn WaveGate>) -> Self {
-        self.wave_gate = Some(gate);
-        self
-    }
-
-    /// Install a cooperative [`CancelToken`]. Checked at every wave
-    /// boundary and before every retry attempt; made ambient for the
-    /// duration of each atom so interpreted operators and morsel loops
-    /// observe it too (see `DESIGN.md` §14). Once cancelled, the job
-    /// fails with [`RheemError::Cancelled`] — classified
-    /// [`ErrorKind::Cancelled`](crate::ErrorKind), which is neither
-    /// retryable nor failover-eligible.
-    pub fn with_cancel_token(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-
-    /// Run an execution plan to completion.
-    ///
-    /// Both schedule modes drive the same wave loop (sequential mode
-    /// merely caps intra-wave concurrency at one), so wave numbering and
-    /// stats are mode-consistent. With a re-planner attached, execution
-    /// proceeds in *phases*: after each committed wave the observed
-    /// cardinalities of live boundary datasets are checked against the
-    /// estimates, and on sufficient drift the unexecuted suffix is
-    /// re-enumerated and spliced in (committed atoms are never re-run;
-    /// wave numbering continues across the splice).
-    pub fn execute(&self, plan: &ExecutionPlan, ctx: &ExecutionContext) -> Result<JobResult> {
-        let result = self.execute_inner(plan, ctx);
-        if let Err(RheemError::Cancelled { reason }) = &result {
-            for l in &self.listeners {
-                l.on_job_cancelled(*reason);
-            }
-        }
-        result
-    }
-
-    fn execute_inner(&self, plan: &ExecutionPlan, ctx: &ExecutionContext) -> Result<JobResult> {
-        let started = Instant::now();
-        let deadline = self.config.timeout.and_then(|t| started.checked_add(t));
-        // An executor-level cancel token rides on the execution context so
-        // every layer below (platform runners, interpreter, morsel loops)
-        // observes the same token; a token already on the context wins.
-        let ctx = &match (&self.cancel, &ctx.cancel) {
-            (Some(token), None) => ctx.clone().with_cancel_token(token.clone()),
-            _ => ctx.clone(),
-        };
+impl Job<'_> {
+    fn run(&self, plan: &ExecutionPlan) -> Result<JobResult> {
         // Validates all cross-atom wiring (producer bounds, assignment
         // bounds, ownership) up front: scheduling never indexes blindly.
         plan.atom_dependencies()?;
@@ -614,25 +463,18 @@ impl Executor {
             for wave in &waves {
                 // Wave-boundary cancellation checkpoint: a cancelled job
                 // stops before acquiring a fair-share slot for the wave.
-                self.check_gates(ctx, deadline)?;
-                if let Some(gate) = &self.wave_gate {
+                self.check_gates()?;
+                if let Some(gate) = &self.ctx.wave_gate {
                     gate.before_wave(wave_idx, wave.len());
                 }
-                let outcome = self.run_wave(
-                    current.as_ref(),
-                    wave,
-                    wave_idx,
-                    deadline,
-                    &node_outputs,
-                    ctx,
-                );
-                if let Some(gate) = &self.wave_gate {
+                let outcome = self.run_wave(current.as_ref(), wave, wave_idx, &node_outputs);
+                if let Some(gate) = &self.ctx.wave_gate {
                     gate.after_wave(wave_idx);
                 }
                 wave_idx += 1;
                 for (pos, run) in outcome.runs {
                     let atom = &current.atoms[pos];
-                    self.commit_atom(atom, run, &mut stats, &node_outputs, &mut remaining, &sinks);
+                    commit_atom(atom, run, &mut stats, &node_outputs, &mut remaining, &sinks);
                     committed.push(atom.clone());
                     materialized.extend(atom.nodes.iter().copied());
                     executed.insert(pos);
@@ -645,7 +487,6 @@ impl Executor {
                         &executed,
                         &failure,
                         &node_outputs,
-                        deadline,
                         &mut next_atom_id,
                         &mut stats,
                         &mut excluded,
@@ -664,7 +505,6 @@ impl Executor {
                         &executed,
                         &node_outputs,
                         &remaining,
-                        deadline,
                         &mut next_atom_id,
                         &mut stats,
                     )? {
@@ -682,11 +522,11 @@ impl Executor {
         // (morsel loops collapse remaining morsels once the token fires)
         // after every earlier checkpoint already passed. Never commit a
         // cancelled job's sink datasets as a successful result.
-        ctx.check_cancelled()?;
+        self.ctx.execution.check_cancelled()?;
 
         stats.waves = wave_idx;
-        stats.total_wall = started.elapsed();
-        for l in &self.listeners {
+        stats.total_wall = self.started.elapsed();
+        for l in self.ctx.listeners() {
             l.on_job_complete(&stats);
         }
         let effective_plan = (stats.replans > 0 || stats.failovers > 0).then(|| ExecutionPlan {
@@ -712,32 +552,37 @@ impl Executor {
     }
 
     /// Between waves: check drift on live boundary datasets and, when the
-    /// re-planner's policy triggers, return the re-enumerated suffix plan.
-    #[allow(clippy::too_many_arguments)]
+    /// context's re-plan policy triggers, return the re-enumerated suffix
+    /// plan. Without estimates on the plan (hand-built plans) it never
+    /// fires.
     fn maybe_replan(
         &self,
         current: &ExecutionPlan,
         executed: &HashSet<usize>,
         node_outputs: &Mutex<HashMap<NodeId, Dataset>>,
         remaining: &HashMap<NodeId, usize>,
-        deadline: Option<Instant>,
         next_atom_id: &mut usize,
         stats: &mut ExecutionStats,
     ) -> Result<Option<ExecutionPlan>> {
-        let Some(rp) = &self.replanner else {
+        let Some(policy) = self.ctx.replan_policy else {
             return Ok(None);
         };
-        if stats.replans >= rp.policy.max_replans {
+        if stats.replans >= policy.max_replans {
             return Ok(None);
         }
         let live = node_outputs.lock().clone();
-        let Some((node, drift)) = worst_drift(current, &live, remaining, rp.policy.threshold)
-        else {
+        let Some((node, drift)) = worst_drift(current, &live, remaining, policy.threshold) else {
             return Ok(None);
         };
         // A re-plan is part of the job: it must respect the deadline.
-        check_deadline(deadline)?;
-        let new_plan = rp.replan(current, executed, &live, &self.platforms, next_atom_id)?;
+        check_deadline(self.deadline)?;
+        let new_plan = self.ctx.optimizer.replanner(policy).replan(
+            current,
+            executed,
+            &live,
+            &self.ctx.platforms,
+            next_atom_id,
+        )?;
         stats.replans += 1;
         let event = ReplanEvent {
             index: stats.replans - 1,
@@ -749,7 +594,7 @@ impl Executor {
             new_atoms: new_plan.atoms.len(),
             estimated_cost: new_plan.estimated_cost,
         };
-        for l in &self.listeners {
+        for l in self.ctx.listeners() {
             l.on_replan(&event);
         }
         Ok(Some(new_plan))
@@ -767,15 +612,14 @@ impl Executor {
         executed: &HashSet<usize>,
         failure: &WaveFailure,
         node_outputs: &Mutex<HashMap<NodeId, Dataset>>,
-        deadline: Option<Instant>,
         next_atom_id: &mut usize,
         stats: &mut ExecutionStats,
         excluded: &mut Vec<String>,
     ) -> Result<Option<ExecutionPlan>> {
-        let Some(fo) = &self.failover else {
+        let Some(fp) = self.ctx.fault_policy.filter(|fp| fp.failover) else {
             return Ok(None);
         };
-        if stats.failovers >= fo.max_failovers {
+        if stats.failovers >= fp.max_failovers {
             return Ok(None);
         }
         // Only errors that implicate the platform are worth failing over:
@@ -793,11 +637,11 @@ impl Executor {
         }
         // A failover re-plan is part of the job: it must respect the
         // deadline.
-        check_deadline(deadline)?;
+        check_deadline(self.deadline)?;
 
         let failed_atom = &current.atoms[failure.pos];
         let failed_platform = failed_atom.platform.clone();
-        if let Some(h) = &self.health {
+        if let Some(h) = &self.ctx.platform_health {
             // The abandoned platform is marked down so concurrent and
             // subsequent jobs sharing the breakers avoid it too, and any
             // *other* open breaker joins the exclusion set.
@@ -813,8 +657,15 @@ impl Executor {
         }
 
         let live = node_outputs.lock().clone();
-        let rp = fo.replanner.excluding(excluded);
-        let new_plan = match rp.replan(current, executed, &live, &self.platforms, next_atom_id) {
+        // Failover shares the drift re-planner's machinery but not its
+        // budget: `max_failovers` is counted separately.
+        let rp = self
+            .ctx
+            .optimizer
+            .replanner(self.ctx.replan_policy.unwrap_or_default())
+            .excluding(excluded);
+        let new_plan = match rp.replan(current, executed, &live, &self.ctx.platforms, next_atom_id)
+        {
             Ok(p) => p,
             // No alternative mapping for some pending operator: the job
             // fails with the original error.
@@ -831,13 +682,13 @@ impl Executor {
             new_atoms: new_plan.atoms.len(),
             estimated_cost: new_plan.estimated_cost,
         };
-        for l in &self.listeners {
+        for l in self.ctx.listeners() {
             l.on_failover(&event);
         }
         Ok(Some(new_plan))
     }
 
-    /// Run one wave of independent atoms, possibly concurrently.
+    /// Run one wave of independent atoms, [`wave_width`] of them at once.
     ///
     /// `wave` holds positions into `plan.atoms`, pre-sorted by atom id.
     /// The outcome's runs are `(atom position, run)` pairs in that same
@@ -847,55 +698,32 @@ impl Executor {
     ///
     /// On failure, the error of the lowest-id atom *that failed* is
     /// reported. Which atoms of the wave were attempted at all can differ
-    /// with concurrency: the inline path (sequential mode, or
-    /// `max_parallel_atoms <= 1`) stops scheduling at the first failure,
-    /// while the threaded path stops handing out new atoms but lets
-    /// atoms already in flight run to completion (their results are
-    /// committed). Both paths therefore agree on the reported atom
-    /// whenever per-atom failure outcomes are deterministic — true for
-    /// the atom-keyed, platform-down, and probabilistic injection modes,
-    /// whose decisions are pure functions of `(atom id, attempt)`; the
-    /// legacy stateful "fail the next N executions" mode can shift
-    /// *which* atom absorbs a failure between modes.
+    /// with the width: the inline path (width 1) stops scheduling at the
+    /// first failure, while the threaded path stops handing out new atoms
+    /// but lets atoms already in flight run to completion (their results
+    /// are committed). Both paths agree on the reported atom because
+    /// injected failures are pure functions of `(atom id, attempt)`.
     fn run_wave(
         &self,
         plan: &ExecutionPlan,
         wave: &[usize],
         wave_idx: usize,
-        deadline: Option<Instant>,
         node_outputs: &Mutex<HashMap<NodeId, Dataset>>,
-        ctx: &ExecutionContext,
     ) -> WaveOutcome {
         let n = wave.len();
-        let workers = match self.config.mode {
-            ScheduleMode::Sequential => 1,
-            ScheduleMode::Parallel => self.config.max_parallel_atoms.max(1).min(n),
-        };
-        // Share the intra-atom kernel thread budget with wave scheduling:
-        // concurrent atoms each get `threads / workers` (min 1) kernel
-        // threads, so atoms × kernel-threads never oversubscribes the
-        // host. The divisor is the *configured* wave width — not the
-        // mode-dependent worker count — so morsel counts and the
-        // `kernel.parallel.*` counters replay identically under
-        // `Sequential` and `Parallel` scheduling.
-        let budget_share = self.config.max_parallel_atoms.max(1).min(n.max(1));
-        let ctx = &ctx.share_kernel_threads(budget_share);
+        // One budget: `width` atoms at once, `threads / width` kernel
+        // threads each, so atoms × kernel-threads never oversubscribes it.
+        let width = wave_width(self.ctx.execution.kernel_parallelism.threads, n);
+        let exec = &self.ctx.execution.share_kernel_threads(width);
+        let run =
+            |i: usize| self.run_atom(plan, &plan.atoms[wave[i]], wave_idx, node_outputs, exec);
         let mut slots: Vec<Option<Result<AtomRun>>> = (0..n).map(|_| None).collect();
 
-        if workers <= 1 {
+        if width <= 1 {
             // Inline: no threads, exact sequential callback order.
-            for (i, &atom_idx) in wave.iter().enumerate() {
-                let run = self.run_atom(
-                    plan,
-                    &plan.atoms[atom_idx],
-                    wave_idx,
-                    deadline,
-                    node_outputs,
-                    ctx,
-                );
-                let failed = run.is_err();
-                slots[i] = Some(run);
-                if failed {
+            for (i, slot) in slots.iter_mut().enumerate() {
+                let outcome = slot.insert(run(i));
+                if outcome.is_err() {
                     break;
                 }
             }
@@ -905,7 +733,7 @@ impl Executor {
             let cells: Vec<Mutex<Option<Result<AtomRun>>>> =
                 (0..n).map(|_| Mutex::new(None)).collect();
             std::thread::scope(|scope| {
-                for _ in 0..workers {
+                for _ in 0..width {
                     scope.spawn(|| loop {
                         if abort.load(Ordering::Relaxed) {
                             return;
@@ -914,18 +742,11 @@ impl Executor {
                         if i >= n {
                             return;
                         }
-                        let run = self.run_atom(
-                            plan,
-                            &plan.atoms[wave[i]],
-                            wave_idx,
-                            deadline,
-                            node_outputs,
-                            ctx,
-                        );
-                        if run.is_err() {
+                        let outcome = run(i);
+                        if outcome.is_err() {
                             abort.store(true, Ordering::Relaxed);
                         }
-                        *cells[i].lock() = Some(run);
+                        *cells[i].lock() = Some(outcome);
                     });
                 }
             });
@@ -954,29 +775,30 @@ impl Executor {
     }
 
     /// Gather one atom's inputs, run it with classified, bounded retries
-    /// under the job deadline, and report progress.
+    /// under the job deadline, and report progress. `exec` is the job's
+    /// execution context with this wave's share of the thread budget.
     fn run_atom(
         &self,
         plan: &ExecutionPlan,
         atom: &TaskAtom,
         wave: usize,
-        deadline: Option<Instant>,
         node_outputs: &Mutex<HashMap<NodeId, Dataset>>,
-        ctx: &ExecutionContext,
+        exec: &ExecutionContext,
     ) -> Result<AtomRun> {
-        self.check_gates(ctx, deadline)?;
+        let ctx = self.ctx;
+        self.check_gates()?;
         // An open circuit breaker rejects the atom before any work: no
         // inputs gathered, no retry budget burned — straight to the
         // failover decision.
-        if let Some(h) = &self.health {
+        if let Some(h) = &ctx.platform_health {
             if let Err(e) = h.admit(&atom.platform) {
-                for l in &self.listeners {
-                    l.on_atom_failed(atom.id, &e, self.config.max_retries);
+                for l in ctx.listeners() {
+                    l.on_atom_failed(atom.id, &e, ctx.max_retries);
                 }
                 return Err(e);
             }
         }
-        let platform = self.platforms.get(&atom.platform)?;
+        let platform = ctx.platforms.get(&atom.platform)?;
 
         // Gather boundary inputs and account for data movement.
         let mut inputs: AtomInputs = HashMap::new();
@@ -998,12 +820,22 @@ impl Executor {
                         edge.producer
                     ))
                 })?;
-                movement_cost_ms += self.movement.cost(from, &atom.platform, data.len() as f64);
+                if *from != atom.platform {
+                    movement_cost_ms += ctx
+                        .optimizer
+                        .movement
+                        .route(
+                            &ctx.platforms.get(from)?.channels(),
+                            &platform.channels(),
+                            data.len() as f64,
+                        )
+                        .total_ms();
+                }
                 inputs.insert((edge.consumer, edge.slot), data.clone());
             }
         }
 
-        for l in &self.listeners {
+        for l in ctx.listeners() {
             l.on_atom_start(atom.id, &atom.platform);
         }
 
@@ -1013,22 +845,25 @@ impl Executor {
         // errors consume retry budget: permanent errors would
         // deterministically fail again, so they abort after one attempt
         // with the unspent budget reported as suppressed retries.
+        let backoff = ctx
+            .fault_policy
+            .map_or(BackoffPolicy::none(), |fp| fp.backoff);
         let atom_started = Instant::now();
         let mut attempts = 0usize;
         let result = loop {
-            self.check_gates(ctx, deadline)?;
+            self.check_gates()?;
             attempts += 1;
-            let injected = ctx
+            let injected = exec
                 .failure_injector
                 .as_ref()
                 .and_then(|inj| inj.inject(&atom.platform, atom.id, attempts));
             let outcome = match injected {
                 Some(kind) => Err(FailureInjector::error_for(kind, &atom.platform, atom.id)),
-                None => run_guarded(platform.as_ref(), &plan.physical, atom, &inputs, ctx),
+                None => run_guarded(platform.as_ref(), &plan.physical, atom, &inputs, exec),
             };
             match outcome {
                 Ok(r) => {
-                    if let Some(h) = &self.health {
+                    if let Some(h) = &ctx.platform_health {
                         h.record_success(&atom.platform);
                     }
                     break r;
@@ -1037,14 +872,11 @@ impl Executor {
                     // Only errors that implicate the platform feed its
                     // breaker; a permanent error is the plan's fault.
                     let opened = e.is_retryable()
-                        && self
-                            .health
+                        && ctx
+                            .platform_health
                             .as_ref()
                             .is_some_and(|h| h.record_failure(&atom.platform));
-                    let budget_left = self
-                        .config
-                        .max_retries
-                        .saturating_sub(attempts.saturating_sub(1));
+                    let budget_left = ctx.max_retries.saturating_sub(attempts.saturating_sub(1));
                     if !e.is_retryable() || opened || budget_left == 0 {
                         // Budget actually spent on transient retries
                         // counts as used; anything left when a
@@ -1055,26 +887,27 @@ impl Executor {
                         } else {
                             budget_left
                         };
-                        for l in &self.listeners {
+                        for l in ctx.listeners() {
                             l.on_atom_failed(atom.id, &e, suppressed);
                         }
                         return Err(e);
                     }
-                    for l in &self.listeners {
+                    for l in ctx.listeners() {
                         l.on_atom_retry(atom.id, attempts, &e);
                     }
                     // Clamp each nap to the remaining deadline budget so
                     // backoff can never sleep past the job deadline, and
                     // nap interruptibly when a cancel token is installed
                     // so cancellation cuts the backoff short.
-                    let delay = self.backoff.delay(atom.id, attempts);
-                    let nap = match deadline {
+                    let delay = backoff.delay(atom.id, attempts);
+                    let nap = match self.deadline {
                         Some(d) => delay.min(d.saturating_duration_since(Instant::now())),
                         None => delay,
                     };
-                    match &ctx.cancel {
-                        Some(token) => self.sleeper.sleep_cancellable(nap, token),
-                        None => self.sleeper.sleep(nap),
+                    let sleeper = ctx.sleeper.as_deref().unwrap_or(&ThreadSleeper);
+                    match &exec.cancel {
+                        Some(token) => sleeper.sleep_cancellable(nap, token),
+                        None => sleeper.sleep(nap),
                     }
                 }
             }
@@ -1093,7 +926,7 @@ impl Executor {
             movement_cost_ms,
             node_observations: result.node_observations,
         };
-        for l in &self.listeners {
+        for l in ctx.listeners() {
             l.on_atom_complete(&stats);
         }
         Ok(AtomRun {
@@ -1103,52 +936,46 @@ impl Executor {
     }
 
     /// The cancellation + deadline gate shared by wave boundaries and
-    /// retry attempts. An expired deadline also trips the ambient cancel
+    /// retry attempts. An expired deadline also trips the job's cancel
     /// token (reason [`CancelReason::DeadlineExceeded`]) so morsel loops
     /// inside in-flight sibling atoms stop promptly instead of running
     /// their fragments to completion.
-    fn check_gates(&self, ctx: &ExecutionContext, deadline: Option<Instant>) -> Result<()> {
-        ctx.check_cancelled()?;
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                if let Some(token) = &ctx.cancel {
-                    token.cancel(CancelReason::DeadlineExceeded);
-                }
-                return Err(RheemError::BudgetExceeded(
-                    "job exceeded its wall-clock budget".into(),
-                ));
+    fn check_gates(&self) -> Result<()> {
+        let exec = &self.ctx.execution;
+        exec.check_cancelled()?;
+        check_deadline(self.deadline).inspect_err(|_| {
+            if let Some(token) = &exec.cancel {
+                token.cancel(CancelReason::DeadlineExceeded);
             }
-        }
-        Ok(())
+        })
     }
+}
 
-    /// Fold one finished atom into the job state: record its stats,
-    /// publish its outputs, and release inputs it was the last consumer of.
-    fn commit_atom(
-        &self,
-        atom: &TaskAtom,
-        run: AtomRun,
-        stats: &mut ExecutionStats,
-        node_outputs: &Mutex<HashMap<NodeId, Dataset>>,
-        remaining: &mut HashMap<NodeId, usize>,
-        sinks: &HashSet<NodeId>,
-    ) {
-        stats.retries += run.stats.attempts.saturating_sub(1);
-        stats.total_movement_ms += run.stats.movement_cost_ms;
-        stats.atoms.push(run.stats);
+/// Fold one finished atom into the job state: record its stats, publish
+/// its outputs, and release inputs it was the last consumer of.
+fn commit_atom(
+    atom: &TaskAtom,
+    run: AtomRun,
+    stats: &mut ExecutionStats,
+    node_outputs: &Mutex<HashMap<NodeId, Dataset>>,
+    remaining: &mut HashMap<NodeId, usize>,
+    sinks: &HashSet<NodeId>,
+) {
+    stats.retries += run.stats.attempts.saturating_sub(1);
+    stats.total_movement_ms += run.stats.movement_cost_ms;
+    stats.atoms.push(run.stats);
 
-        let mut store = node_outputs.lock();
-        for (node, data) in run.outputs {
-            store.insert(node, data);
-        }
-        // Reference-counted intermediate lifetime: a dataset dies with its
-        // last boundary consumer unless it is a sink output.
-        for edge in &atom.inputs {
-            if let Some(n) = remaining.get_mut(&edge.producer) {
-                *n = n.saturating_sub(1);
-                if *n == 0 && !sinks.contains(&edge.producer) {
-                    store.remove(&edge.producer);
-                }
+    let mut store = node_outputs.lock();
+    for (node, data) in run.outputs {
+        store.insert(node, data);
+    }
+    // Reference-counted intermediate lifetime: a dataset dies with its
+    // last boundary consumer unless it is a sink output.
+    for edge in &atom.inputs {
+        if let Some(n) = remaining.get_mut(&edge.producer) {
+            *n = n.saturating_sub(1);
+            if *n == 0 && !sinks.contains(&edge.producer) {
+                store.remove(&edge.producer);
             }
         }
     }
@@ -1300,9 +1127,13 @@ mod tests {
     }
 
     #[test]
-    fn default_config_uses_available_parallelism() {
-        let cfg = ExecutorConfig::default();
-        assert!(cfg.max_parallel_atoms >= 1);
-        assert_eq!(cfg.mode, ScheduleMode::Parallel);
+    fn wave_width_and_kernel_threads_split_one_budget() {
+        use crate::KernelParallelism;
+        // A 3-atom wave at budgets 1 / 2 / 8: width, then threads per atom.
+        for (budget, width, per_atom) in [(1, 1, 1), (2, 2, 1), (8, 3, 2)] {
+            assert_eq!(wave_width(budget, 3), width, "budget {budget}");
+            let p = KernelParallelism::sequential().with_threads(budget);
+            assert_eq!(p.share(width).threads, per_atom, "budget {budget}");
+        }
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! - [`BackoffPolicy`] — deterministic seeded exponential backoff with
 //!   jitter between retry attempts. Delays are a pure function of
-//!   `(seed, atom id, attempt)`, so they are identical across schedule
-//!   modes and replayable run-to-run; a pluggable [`Sleeper`] lets tests
+//!   `(seed, atom id, attempt)`, so they are identical across thread
+//!   budgets and replayable run-to-run; a pluggable [`Sleeper`] lets tests
 //!   substitute a virtual clock and stay fast.
 //! - [`PlatformHealth`] — a per-platform circuit breaker. Consecutive
 //!   failures past [`BreakerPolicy::failure_threshold`] *open* the
@@ -247,7 +247,7 @@ impl Sleeper for VirtualSleeper {
 ///
 /// where `u ∈ [0, 1)` is drawn deterministically from
 /// `(seed, atom id, k)` — never from a shared mutable RNG — so the
-/// schedule of delays is identical across schedule modes and reruns.
+/// schedule of delays is identical across thread budgets and reruns.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BackoffPolicy {
     /// Delay before the first retry (attempt 2).
@@ -276,9 +276,8 @@ impl Default for BackoffPolicy {
 }
 
 impl BackoffPolicy {
-    /// No backoff at all: every delay is zero. The default for a bare
-    /// [`crate::Executor`] (retries stay immediate unless a fault policy
-    /// is installed).
+    /// No backoff at all: every delay is zero. What a context without a
+    /// fault policy retries under.
     pub fn none() -> Self {
         BackoffPolicy {
             base: Duration::ZERO,

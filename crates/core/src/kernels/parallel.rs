@@ -92,20 +92,18 @@ fn ambient_check() -> Result<()> {
     }
 }
 
-/// Environment variable overriding the default kernel thread count.
-pub const KERNEL_THREADS_ENV: &str = "RHEEM_KERNEL_THREADS";
-
-/// Per-context degree-of-parallelism knob for intra-atom kernels.
+/// The one thread budget of a job.
 ///
 /// Lives on [`crate::platform::ExecutionContext`] next to the storage
-/// service, and is documented alongside
-/// [`crate::RheemContext::with_max_parallel_atoms`]: the wave scheduler
-/// divides the kernel thread budget by the number of concurrently running
-/// atoms (see [`KernelParallelism::share`]), so `atoms × kernel-threads`
-/// never oversubscribes the host.
+/// service. The wave scheduler runs `min(threads, atoms in the wave)` atoms
+/// at once and hands each atom's kernels `threads / width` of the budget
+/// (see [`KernelParallelism::share`]), so `atoms × kernel-threads` never
+/// oversubscribes the host; `threads = 1` runs one atom at a time on the
+/// sequential kernels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KernelParallelism {
-    /// Maximum worker threads one kernel invocation may use.
+    /// Worker threads the job may use: across the atoms of a wave, and
+    /// inside one kernel invocation.
     pub threads: usize,
     /// Records per morsel for embarrassingly-parallel kernels.
     pub morsel_size: usize,
@@ -114,8 +112,13 @@ pub struct KernelParallelism {
 }
 
 impl Default for KernelParallelism {
+    /// The host's available parallelism.
     fn default() -> Self {
-        KernelParallelism::from_env()
+        KernelParallelism::sequential().with_threads(
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+        )
     }
 }
 
@@ -125,28 +128,10 @@ impl KernelParallelism {
     /// Default sequential-fallback threshold.
     pub const DEFAULT_MIN_ROWS: usize = 4096;
 
-    /// A knob that always uses the sequential kernels.
+    /// A budget of one thread: one atom at a time, sequential kernels.
     pub fn sequential() -> Self {
         KernelParallelism {
             threads: 1,
-            morsel_size: Self::DEFAULT_MORSEL_SIZE,
-            min_rows: Self::DEFAULT_MIN_ROWS,
-        }
-    }
-
-    /// The ambient default: thread count from [`KERNEL_THREADS_ENV`] when
-    /// set (and parseable), otherwise the host's available parallelism.
-    pub fn from_env() -> Self {
-        let threads = std::env::var(KERNEL_THREADS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        KernelParallelism {
-            threads: threads.max(1),
             morsel_size: Self::DEFAULT_MORSEL_SIZE,
             min_rows: Self::DEFAULT_MIN_ROWS,
         }

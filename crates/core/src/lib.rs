@@ -52,8 +52,7 @@ pub use data::{
 };
 pub use error::{CancelReason, ErrorKind, Result, RheemError};
 pub use executor::{
-    AtomStats, ExecutionStats, Executor, ExecutorConfig, FailoverEvent, JobResult,
-    ProgressListener, ReplanEvent, ScheduleMode, WaveGate,
+    AtomStats, ExecutionStats, FailoverEvent, JobResult, ProgressListener, ReplanEvent, WaveGate,
 };
 pub use expr::{BinOp, Expr};
 pub use fault::{

@@ -252,7 +252,7 @@ impl ProgressListener for Observability {
         self.exec.records_in.add(stats.records_in);
         self.exec.records_out.add(stats.records_out);
         // Movement cost is simulated (deterministic), so it is safe to
-        // keep as a counter compared across schedule modes.
+        // keep as a counter compared across thread budgets.
         self.exec
             .movement_us
             .add((stats.movement_cost_ms * 1_000.0).max(0.0) as u64);
@@ -261,7 +261,7 @@ impl ProgressListener for Observability {
             .record((stats.simulated_elapsed_ms * 1_000.0).max(0.0) as u64);
         // Morsel counts are pure functions of input sizes and the
         // KernelParallelism setting, so these counters replay identically
-        // across schedule modes (like the movement counter above).
+        // across thread budgets (like the movement counter above).
         for obs in &stats.node_observations {
             if obs.morsels > 1 {
                 self.exec.kernel_parallel_invocations.inc();

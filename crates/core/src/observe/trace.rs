@@ -214,7 +214,7 @@ impl TraceSink for JsonLinesSink {
 /// - sorts siblings by their rendered text, erasing emission order;
 /// - excludes timing fields, which legitimately differ between runs.
 ///
-/// The result is a stable string equal across schedule modes — and across
+/// The result is a stable string equal across thread budgets — and across
 /// re-planning on/off whenever the re-plan preserved the executed atoms —
 /// used by the deterministic-replay tests.
 pub fn canonical_tree(spans: &[SpanRecord]) -> String {

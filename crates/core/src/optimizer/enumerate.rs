@@ -18,11 +18,9 @@
 //!
 //! 1. **One price table** — every `(node, platform)` operator cost and
 //!    every `(producer, from, to)` edge cost is computed once, up front
-//!    (`Priced`); edges go through [`MovementCostModel::cost`], which
-//!    routes through the channel conversion graph when platform channel
-//!    specs are declared (see [`MovementCostModel::channelized`]). The
-//!    search, the fallback, plan assembly and the exhaustive oracle all
-//!    read that table.
+//!    (`Priced`); edges go through [`MovementCostModel::route`] over the
+//!    two platforms' own [`Platform::channels`]. The search, the fallback,
+//!    plan assembly and the exhaustive oracle all read that table.
 //! 2. **Chain contraction** — maximal linear operator chains (single
 //!    consumer feeding a single-input node) are contracted into
 //!    super-nodes before the search ([`super::fuse::contract_chains`]).
@@ -53,7 +51,7 @@
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
-use crate::cost::{calibrated_op_cost, CardinalityEstimator, MovementCostModel};
+use crate::cost::{calibrated_op_cost, CardinalityEstimator, ChannelSpec, MovementCostModel};
 use crate::error::{Result, RheemError};
 use crate::observe::CostCalibration;
 use crate::physical::PhysicalOp;
@@ -146,6 +144,8 @@ pub fn enumerate(
 /// the price of every operator and every edge on every platform (pair).
 struct Priced {
     platforms: Vec<Arc<dyn Platform>>,
+    /// [`Platform::channels`] per platform.
+    channels: Vec<ChannelSpec>,
     /// `atom_startup_cost` per platform.
     startup: Vec<f64>,
     cards: Vec<f64>,
@@ -219,19 +219,21 @@ impl Priced {
 
         // Route each producer's output once per platform pair; every
         // consumer edge of that producer reads the same entry.
+        let channels: Vec<ChannelSpec> = platforms.iter().map(|p| p.channels()).collect();
         let mut edge = vec![0.0; plan.len() * n_plats * n_plats];
         for (producer, _) in consumed.iter().enumerate().filter(|(_, c)| **c) {
-            for (q, from) in platforms.iter().enumerate() {
-                for (r, to) in platforms.iter().enumerate() {
+            for (q, from) in channels.iter().enumerate() {
+                for (r, to) in channels.iter().enumerate() {
                     if q != r {
                         edge[(producer * n_plats + q) * n_plats + r] =
-                            movement.cost(from.name(), to.name(), cards[producer]) + startup[r];
+                            movement.route(from, to, cards[producer]).total_ms() + startup[r];
                     }
                 }
             }
         }
         Ok(Priced {
             platforms,
+            channels,
             startup,
             cards,
             op,
@@ -754,7 +756,11 @@ fn assemble(
             estimated_cost += priced.edge(*input, q, p);
             if q != p {
                 let (from, to) = (&assignments[input.0], &assignments[node.id.0]);
-                let route = movement.route(from, to, priced.cards[input.0]);
+                let route = movement.route(
+                    &priced.channels[q],
+                    &priced.channels[p],
+                    priced.cards[input.0],
+                );
                 enumeration.conversions.push(ChannelConversion {
                     producer: *input,
                     consumer: node.id,
@@ -827,9 +833,12 @@ pub fn assignment_cost(
         }
         for input in &node.inputs {
             let q = &assignments[input.0];
-            total += movement.cost(q, p.name(), cards[input.0]);
             if q != p.name() {
-                total += p.cost_model().atom_startup_cost();
+                let from = registry.get(q)?.channels();
+                total += movement
+                    .route(&from, &p.channels(), cards[input.0])
+                    .total_ms()
+                    + p.cost_model().atom_startup_cost();
             }
         }
     }

@@ -173,15 +173,11 @@ impl MultiPlatformOptimizer {
                 }
             }
         }
-        // Declare every registered platform's channel specs on the movement
-        // model so cross-platform edges are priced through the conversion
-        // graph (a model with no declared channels keeps legacy flat pricing).
-        let movement = self.movement.channelized(platforms);
         let result = enumerate(
             Arc::new(plan),
             platforms,
             &self.estimator,
-            &movement,
+            &self.movement,
             &self.config.enumeration,
             &self.calibration,
         );

@@ -223,15 +223,11 @@ impl Replanner {
         }
         let temp = PhysicalPlan::from_nodes(temp_nodes);
         temp.validate()?;
-        // Same channel-aware movement pricing as the original optimization
-        // pass, so a re-plan explores the suffix exactly the way the first
-        // enumeration explored the whole plan.
-        let movement = self.movement.channelized(registry);
         let suffix = enumerate(
             Arc::new(temp),
             registry,
             &self.estimator,
-            &movement,
+            &self.movement,
             &self.enumeration,
             &self.calibration,
         )?;

@@ -238,14 +238,12 @@ struct AtomRule {
 /// Deterministic failure injection for exercising the executor's fault
 /// tolerance (§4.2: the executor must "cope with failures").
 ///
-/// Four scripted modes, checked in order by [`FailureInjector::inject`]:
+/// Three scripted modes, checked in order by [`FailureInjector::inject`].
+/// Each decision is a pure function of `(platform, atom id, attempt)`, so
+/// it lands on the same atom however wide the waves run:
 ///
 /// 1. **Atom-keyed** ([`fail_atom`](FailureInjector::fail_atom)): fail the
-///    first `n` attempts of one specific atom id. Because the decision is
-///    a pure function of `(atom id, attempt)`, it lands on the *same* atom
-///    in sequential and parallel schedules — unlike the legacy stateful
-///    mode, where concurrent waves race for the countdown and a different
-///    atom may absorb the failure per mode.
+///    first `n` attempts of one specific atom id.
 /// 2. **Platform down** ([`set_down`](FailureInjector::set_down)): every
 ///    attempt on the platform fails, modelling a hard outage that only
 ///    failover re-planning can route around.
@@ -253,14 +251,9 @@ struct AtomRule {
 ///    ([`probabilistic`](FailureInjector::probabilistic)): each
 ///    `(platform, atom, attempt)` fails with probability `p`, drawn
 ///    deterministically from a seed — chaos that replays identically
-///    across runs and schedule modes.
-/// 4. **Legacy stateful countdown**
-///    ([`fail_next`](FailureInjector::fail_next)): fail the next `n`
-///    attempts on a platform, in arrival order.
+///    across runs and thread budgets.
 #[derive(Debug, Default)]
 pub struct FailureInjector {
-    /// Remaining failures per platform name (legacy stateful mode).
-    remaining: Mutex<HashMap<String, usize>>,
     /// Platforms experiencing a hard outage.
     down: Mutex<HashSet<String>>,
     /// Atom-id-keyed rules.
@@ -275,28 +268,12 @@ impl FailureInjector {
         FailureInjector::default()
     }
 
-    /// Fail the next `count` atom executions on `platform` (stateful: the
-    /// countdown is consumed in attempt-arrival order, so under a parallel
-    /// schedule *which* atom absorbs a failure can differ from the
-    /// sequential schedule — prefer [`fail_atom`](Self::fail_atom) when
-    /// the target matters).
-    pub fn fail_next(platform: impl Into<String>, count: usize) -> Self {
-        let inj = FailureInjector::default();
-        inj.remaining.lock().insert(platform.into(), count);
-        inj
-    }
-
     /// A platform that is down from the start (every attempt fails with a
     /// transient error until [`restore`](Self::restore)).
     pub fn platform_down(platform: impl Into<String>) -> Self {
         let inj = FailureInjector::default();
         inj.set_down(platform);
         inj
-    }
-
-    /// Add stateful countdown failures for a platform.
-    pub fn add(&self, platform: impl Into<String>, count: usize) {
-        *self.remaining.lock().entry(platform.into()).or_insert(0) += count;
     }
 
     /// Mark `platform` as hard-down: every attempt on it fails.
@@ -310,7 +287,7 @@ impl FailureInjector {
     }
 
     /// Fail the first `attempts` attempts of atom `atom_id` with a
-    /// transient error, regardless of platform and schedule mode.
+    /// transient error, regardless of platform.
     pub fn fail_atom(&self, atom_id: usize, attempts: usize) {
         self.fail_atom_with(atom_id, attempts, InjectedKind::Transient);
     }
@@ -325,32 +302,18 @@ impl FailureInjector {
     /// Fail each `(atom, attempt)` on `platform` independently with
     /// probability `p`, drawn deterministically from `seed`. The draw is a
     /// pure function of `(seed, platform, atom id, attempt)` — identical
-    /// across schedule modes and reruns.
+    /// across thread budgets and reruns.
     pub fn probabilistic(&self, platform: impl Into<String>, p: f64, seed: u64) {
         self.chaos
             .lock()
             .insert(platform.into(), (p.clamp(0.0, 1.0), seed));
     }
 
-    /// Consume one legacy countdown failure for `platform` if any is
-    /// pending.
-    pub fn should_fail(&self, platform: &str) -> bool {
-        let mut map = self.remaining.lock();
-        match map.get_mut(platform) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// The executor's single entry point: should the `attempt`-th attempt
     /// (1-based) of atom `atom_id` on `platform` fail, and how?
     ///
-    /// Checks atom-keyed rules, hard outages, and seeded chaos — all pure
-    /// functions of structural ids — before falling back to the stateful
-    /// countdown.
+    /// Checks atom-keyed rules, hard outages, and seeded chaos, in that
+    /// order.
     pub fn inject(&self, platform: &str, atom_id: usize, attempt: usize) -> Option<InjectedKind> {
         if let Some(rule) = self.atoms.lock().get(&atom_id) {
             if attempt <= rule.attempts {
@@ -369,9 +332,6 @@ impl FailureInjector {
             if crate::fault::unit_f64(bits) < p {
                 return Some(InjectedKind::Transient);
             }
-        }
-        if self.should_fail(platform) {
-            return Some(InjectedKind::Transient);
         }
         None
     }
@@ -398,9 +358,8 @@ pub struct ExecutionContext {
     pub storage: Option<Arc<dyn StorageService>>,
     /// Failure injection used by the executor (None in production).
     pub failure_injector: Option<Arc<FailureInjector>>,
-    /// Intra-atom kernel parallelism knob (see
-    /// [`KernelParallelism`]). Defaults from `RHEEM_KERNEL_THREADS` /
-    /// the host's available parallelism; the wave scheduler divides it
+    /// The job's thread budget (see [`KernelParallelism`]; defaults to
+    /// the host's available parallelism). The wave scheduler divides it
     /// by the number of concurrently running atoms before handing the
     /// context to platforms.
     pub kernel_parallelism: KernelParallelism,
@@ -425,7 +384,7 @@ impl ExecutionContext {
         self
     }
 
-    /// Set the intra-atom kernel parallelism knob.
+    /// Set the thread budget.
     pub fn with_kernel_parallelism(mut self, parallelism: KernelParallelism) -> Self {
         self.kernel_parallelism = parallelism;
         self
@@ -478,18 +437,6 @@ mod tests {
         s.write("x", &d).unwrap();
         assert_eq!(s.read("x").unwrap(), d);
         assert_eq!(s.cardinality("x"), Some(2));
-    }
-
-    #[test]
-    fn failure_injector_counts_down() {
-        let inj = FailureInjector::fail_next("spark", 2);
-        assert!(inj.should_fail("spark"));
-        assert!(inj.should_fail("spark"));
-        assert!(!inj.should_fail("spark"));
-        assert!(!inj.should_fail("java"));
-        inj.add("java", 1);
-        assert!(inj.should_fail("java"));
-        assert!(!inj.should_fail("java"));
     }
 
     #[test]

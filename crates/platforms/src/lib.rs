@@ -69,14 +69,9 @@ pub fn test_context() -> RheemContext {
         ))
 }
 
-/// Default simulated cluster width: 8 task slots, independent of the
-/// host's core count (parallelism is *simulated* via critical-path time
-/// accounting, so the host hardware is irrelevant — see the crate docs).
-/// Override with the `RHEEM_WORKERS` environment variable.
-pub fn num_workers() -> usize {
-    std::env::var("RHEEM_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(8)
+/// Simulated cluster width: 8 task slots, independent of the host's core
+/// count (parallelism is *simulated* via critical-path time accounting, so
+/// the host hardware is irrelevant — see the crate docs).
+pub const fn num_workers() -> usize {
+    8
 }

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use rheem_core::udf::MapUdf;
 use rheem_core::{
     rec, CancelReason, KernelParallelism, MetricsRegistry, PhysicalPlan, PlanBuilder, Record,
-    RheemContext, RheemError, ScheduleMode,
+    RheemContext, RheemError,
 };
 use rheem_server::{AdmissionError, Client, JobService, RheemServer, ServerConfig, ServiceConfig};
 
@@ -103,10 +103,8 @@ proptest! {
         sequential in any::<bool>(),
     ) {
         let (svc, _metrics) = chaos_service(2);
-        let mut base = rheem_platforms::full_context();
-        if sequential {
-            base = base.with_schedule_mode(ScheduleMode::Sequential);
-        }
+        let threads = if sequential { 1 } else { 4 };
+        let base = rheem_platforms::full_context().with_kernel_parallelism(testkit::budget(threads));
         let expected = run_steady(&base);
 
         let outcomes = std::thread::scope(|s| {

@@ -18,19 +18,7 @@ use rheem_core::optimizer::application;
 use rheem_core::query::QueryCatalog;
 use rheem_core::{DataType, Record, Schema, Value};
 use rheem_server::{Client, RheemServer, ServerConfig};
-
-/// The statement lists of `benchmark/src/workload.rs`.
-const STATEMENTS: [&str; 7] = [
-    "SELECT region, SUM(amount) AS total, COUNT(*) AS n FROM orders \
-     GROUP BY region ORDER BY region",
-    "SELECT cust, SUM(price) AS spend FROM orders GROUP BY cust ORDER BY cust LIMIT 10",
-    "SELECT AVG(price) AS avg_price, COUNT(*) AS n FROM orders WHERE price < 500",
-    "SELECT seg, COUNT(*) AS n, SUM(amount) AS total FROM orders \
-     JOIN customers ON orders.cust = customers.id GROUP BY seg ORDER BY seg",
-    "SELECT region, amount, price FROM orders WHERE price > 900 ORDER BY amount LIMIT 25",
-    "SELECT region, amount, price FROM orders WHERE price > -1",
-    "SELECT amount, cust FROM orders",
-];
+use testkit::STATEMENTS;
 
 fn orders_schema() -> Schema {
     Schema::new(vec![

@@ -13,69 +13,7 @@
 use proptest::prelude::*;
 use rheem_core::{Chunk, Column, DataType, Record, Schema, Value};
 use rheem_server::protocol::{encode_rows, Registration, Request, WireError};
-
-/// splitmix64: everything a case generates derives from its one seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-/// One value of column kind `kind`: 0–3 are typed, 4 is `Int` with a stray
-/// `Float` now and then (what a dirty source puts in an `Int` column), 5 is
-/// anything, 6 is all NULL.
-fn value(rng: &mut Rng, kind: usize, null_one_in: usize) -> Value {
-    if kind == 6 || (null_one_in > 0 && rng.below(null_one_in) == 0) {
-        return Value::Null;
-    }
-    match kind {
-        0 => Value::Int([i64::MIN, -1, 0, 7, i64::MAX][rng.below(5)]),
-        1 => Value::Float(match rng.below(7) {
-            0 => -0.0,
-            1 => 0.0,
-            2 => f64::NEG_INFINITY,
-            // Quiet, signalling and negative NaNs with distinct payloads.
-            3 => f64::from_bits(0x7ff8_0000_0000_0000 | rng.next() >> 13),
-            4 => f64::from_bits(0x7ff0_0000_0000_0001),
-            5 => f64::from_bits(0xfff8_0000_0000_0000 | rng.next() >> 13),
-            _ => rng.below(1000) as f64 * 0.25,
-        }),
-        2 => Value::Bool(rng.below(2) == 0),
-        3 => Value::str(["", "east", "żółć", "日本語", "a\0b", "east "][rng.below(6)]),
-        4 if rng.below(8) == 0 => Value::Float(2.5),
-        4 => Value::Int(rng.below(100) as i64),
-        _ => {
-            let kind = rng.below(4);
-            value(rng, kind, 4)
-        }
-    }
-}
-
-/// A rectangular dirty table of `rows` × `width`.
-fn table(rng: &mut Rng, rows: usize, width: usize) -> Vec<Record> {
-    let kinds: Vec<(usize, usize)> = (0..width)
-        .map(|_| (rng.below(7), [0, 0, 2, 10][rng.below(4)]))
-        .collect();
-    (0..rows)
-        .map(|_| {
-            Record::new(
-                kinds
-                    .iter()
-                    .map(|&(kind, nulls)| value(rng, kind, nulls))
-                    .collect(),
-            )
-        })
-        .collect()
-}
+use testkit::{dirty_table, Rng};
 
 /// The `REGISTER` frame a client sends for `rows`; the schema says `Int`
 /// throughout, as no decoder reads it.
@@ -172,7 +110,7 @@ proptest! {
     fn the_column_sink_builds_the_chunk_of_the_row_sinks_rows(seed in any::<u64>()) {
         let mut rng = Rng(seed);
         let (rows, width) = (rng.below(40), rng.below(6));
-        let mut records = table(&mut rng, rows, width);
+        let mut records = dirty_table(&mut rng, rows, width);
         assert_registers_what_the_rows_convert_to(&register_frame(width, records.clone()));
         // Ragged: one row loses a field, or gains one.
         if rows > 1 {
@@ -193,7 +131,7 @@ proptest! {
     fn truncated_and_corrupted_frames_get_one_verdict_and_no_panic(seed in any::<u64>()) {
         let mut rng = Rng(seed);
         let (rows, width) = (rng.below(12), rng.below(5));
-        let records = table(&mut rng, rows, width);
+        let records = dirty_table(&mut rng, rows, width);
         // The frame ends in its rows, encoded as `encode_rows` encodes them.
         let rows_at = register_frame(width, vec![]).len() - 4;
         let frame = register_frame(width, records);

@@ -10,94 +10,19 @@
 //! thread: the server's sessions and workers run in this process) and the
 //! bytes one thread requests while it is being watched.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use rheem_core::{DataType, Record, Schema, Value};
 use rheem_server::protocol::{read_frame, write_frame, Registration, Request, Response};
 use rheem_server::{RheemServer, ServerConfig};
-
-/// Heap bytes currently allocated, by any thread.
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-/// Bytes requested by the watched thread ([`requested_during`]).
-static REQUESTED: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Set on the one thread whose requests are being summed (const
-    /// initialised, so reading it inside the allocator never allocates).
-    static WATCHED: Cell<bool> = const { Cell::new(false) };
-}
-
-struct CountingAllocator;
-
-impl CountingAllocator {
-    fn count(grown_by: isize, requested: usize) {
-        LIVE.fetch_add(grown_by, Ordering::Relaxed);
-        if WATCHED.with(Cell::get) {
-            REQUESTED.fetch_add(requested, Ordering::Relaxed);
-        }
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters are a side effect only.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::count(layout.size() as isize, layout.size());
-        // SAFETY: `layout` is the caller's, passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::count(layout.size() as isize, layout.size());
-        // SAFETY: `layout` is the caller's, passed through as is.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        Self::count(-(layout.size() as isize), 0);
-        // SAFETY: `ptr` was returned by `System` for this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::count(new_size as isize - layout.size() as isize, new_size);
-        // SAFETY: `ptr`, `layout` and `new_size` are the caller's, passed
-        // through as they are.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use testkit::{counted_during, live_bytes, CountingAllocator, STATEMENTS};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// `LIVE` is process-wide: the tests of this file take turns.
+/// `live_bytes` is process-wide: the tests of this file take turns.
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
-
-/// Bytes the calling thread requests from the allocator while `f` runs.
-fn requested_during<T>(f: impl FnOnce() -> T) -> (usize, T) {
-    let before = REQUESTED.load(Ordering::Relaxed);
-    WATCHED.with(|w| w.set(true));
-    let out = f();
-    WATCHED.with(|w| w.set(false));
-    (REQUESTED.load(Ordering::Relaxed) - before, out)
-}
-
-/// The statement lists of `benchmark/src/workload.rs`.
-const STATEMENTS: [&str; 7] = [
-    "SELECT region, SUM(amount) AS total, COUNT(*) AS n FROM orders \
-     GROUP BY region ORDER BY region",
-    "SELECT cust, SUM(price) AS spend FROM orders GROUP BY cust ORDER BY cust LIMIT 10",
-    "SELECT AVG(price) AS avg_price, COUNT(*) AS n FROM orders WHERE price < 500",
-    "SELECT seg, COUNT(*) AS n, SUM(amount) AS total FROM orders \
-     JOIN customers ON orders.cust = customers.id GROUP BY seg ORDER BY seg",
-    "SELECT region, amount, price FROM orders WHERE price > 900 ORDER BY amount LIMIT 25",
-    "SELECT region, amount, price FROM orders WHERE price > -1",
-    "SELECT amount, cust FROM orders",
-];
 
 const ROWS: usize = 50_000;
 
@@ -160,11 +85,11 @@ fn a_session_holds_its_table_once_as_a_chunk() {
     // The client's copies of the tables live through both measurements.
     let (orders, customers) = (orders(), customers());
 
-    let before = LIVE.load(Ordering::Relaxed);
+    let before = live_bytes();
     assert_eq!(call(&mut stream, &orders), Response::Ok);
     assert_eq!(call(&mut stream, &customers), Response::Ok);
     let per_row = |live: isize| (live - before) as f64 / ROWS as f64;
-    let registered = per_row(LIVE.load(Ordering::Relaxed));
+    let registered = per_row(live_bytes());
     // Two rounds: the second runs on cached plans, over whatever view of
     // the table the first one may have materialized.
     for sql in STATEMENTS.iter().chain(&STATEMENTS) {
@@ -177,7 +102,7 @@ fn a_session_holds_its_table_once_as_a_chunk() {
             other => panic!("`{sql}`: {other:?}"),
         }
     }
-    let queried = per_row(LIVE.load(Ordering::Relaxed));
+    let queried = per_row(live_bytes());
     // The chunk is 28 B/row (4 B of dictionary codes and three 8 B lanes);
     // the rows alone would be 24 B of `Record` and 4 x 24 B of `Value`.
     assert!(
@@ -209,8 +134,9 @@ fn a_row_of_nulls_costs_the_column_sink_no_more_than_the_row_sink() {
     // value is one byte on the wire.
     let width = 1 << 20;
     let frame = frame_of(width);
-    let (by_rows, _) = requested_during(|| Request::decode(&frame).expect("decodes"));
-    let (by_columns, table) = requested_during(|| Registration::decode(&frame).expect("decodes"));
+    let ((_, by_rows), _) = counted_during(|| Request::decode(&frame).expect("decodes"));
+    let ((_, by_columns), table) =
+        counted_during(|| Registration::decode(&frame).expect("decodes"));
     assert!(!table.expect("a REGISTER").data.has_chunk());
     // 24 B per value and some change, as before; the change includes the
     // `Dataset` the session's decoder wraps the rows in.
@@ -221,8 +147,8 @@ fn a_row_of_nulls_costs_the_column_sink_no_more_than_the_row_sink() {
     );
     // The widest frame that is built as columns: a few hundred bytes each.
     let width = 4_096;
-    let (by_columns, table) =
-        requested_during(|| Registration::decode(&frame_of(width)).expect("decodes"));
+    let ((_, by_columns), table) =
+        counted_during(|| Registration::decode(&frame_of(width)).expect("decodes"));
     assert!(table.expect("a REGISTER").data.has_chunk());
     assert!(by_columns < 512 * width, "{by_columns}");
 }

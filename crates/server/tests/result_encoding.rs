@@ -9,66 +9,7 @@
 use proptest::prelude::*;
 use rheem_core::{Chunk, DataType, Dataset, Record, Schema, Value};
 use rheem_server::protocol::{encode_result, Response, ResultPath, WireError};
-
-/// splitmix64: everything a case generates derives from its one seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-/// One value of column kind `kind`; kinds 0–3 are typed (and so get a typed
-/// lane plus, with NULLs, a validity bitmap), 4 is mixed, 5 is all NULL.
-fn value(rng: &mut Rng, kind: usize, null_one_in: usize) -> Value {
-    if kind == 5 || (null_one_in > 0 && rng.below(null_one_in) == 0) {
-        return Value::Null;
-    }
-    match kind {
-        0 => Value::Int([i64::MIN, -1, 0, 7, i64::MAX][rng.below(5)]),
-        1 => Value::Float(match rng.below(7) {
-            0 => -0.0,
-            1 => 0.0,
-            2 => f64::NEG_INFINITY,
-            // Quiet, signalling and negative NaNs with distinct payloads.
-            3 => f64::from_bits(0x7ff8_0000_0000_0000 | rng.next() >> 13),
-            4 => f64::from_bits(0x7ff0_0000_0000_0001),
-            5 => f64::from_bits(0xfff8_0000_0000_0000 | rng.next() >> 13),
-            _ => rng.below(1000) as f64 * 0.25,
-        }),
-        2 => Value::Bool(rng.below(2) == 0),
-        3 => Value::str(["", "east", "żółć", "日本語", "a\0b", "east "][rng.below(6)]),
-        _ => {
-            let kind = rng.below(4);
-            value(rng, kind, 4)
-        }
-    }
-}
-
-/// A rectangular dirty table of `rows` × `width`.
-fn table(rng: &mut Rng, rows: usize, width: usize) -> Vec<Record> {
-    let kinds: Vec<(usize, usize)> = (0..width)
-        .map(|_| (rng.below(6), [0, 0, 3, 10][rng.below(4)]))
-        .collect();
-    (0..rows)
-        .map(|_| {
-            Record::new(
-                kinds
-                    .iter()
-                    .map(|&(kind, nulls)| value(rng, kind, nulls))
-                    .collect(),
-            )
-        })
-        .collect()
-}
+use testkit::{dirty_table, Rng};
 
 fn schema(width: usize) -> Schema {
     Schema::new(
@@ -99,7 +40,7 @@ proptest! {
     fn a_chunk_encodes_to_the_bytes_of_its_rows(seed in any::<u64>()) {
         let mut rng = Rng(seed);
         let (rows, width) = (rng.below(40), rng.below(6));
-        let records = table(&mut rng, rows, width);
+        let records = dirty_table(&mut rng, rows, width);
         let chunk = Chunk::from_records(&records).expect("rectangular");
         // `from_records` of no rows has no columns either.
         let width = chunk.width();

@@ -10,60 +10,12 @@
 //! Cost is counted, not timed: a counting global allocator records every
 //! allocation made by the test thread while one grant runs.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use rheem_core::WaveGate;
 use rheem_server::FairShareScheduler;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Set on the one thread whose allocations are being counted (const
-    /// initialised, so reading it inside the allocator never allocates).
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-struct CountingAllocator;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a side effect only.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.with(Cell::get) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: `layout` is the caller's, passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.with(Cell::get) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: `ptr`, `layout` and `new_size` are the caller's, passed
-        // through as they are.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use testkit::{counted_during, CountingAllocator};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Allocations the calling thread makes while `f` runs.
-fn allocations_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    COUNTING.with(|c| c.set(true));
-    f();
-    COUNTING.with(|c| c.set(false));
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
 
 #[test]
 fn the_5000th_grant_costs_what_the_50th_does() {
@@ -76,7 +28,8 @@ fn the_5000th_grant_costs_what_the_50th_does() {
     let mut cost = Vec::new();
     for wave in 1..=5_000 {
         if wave == 50 || wave == 5_000 {
-            cost.push(allocations_during(|| grant(wave)));
+            let ((calls, _bytes), ()) = counted_during(|| grant(wave));
+            cost.push(calls);
         } else {
             grant(wave);
         }

@@ -7,8 +7,8 @@
 //! records, in the same order, with the same float bit patterns. This
 //! suite fuzzes that contract over dirty data (`Null`, `NaN`, `-0.0`,
 //! mixed-type columns, skewed keys) at several [`KernelParallelism`]
-//! settings, and drives a fused-pipeline plan through the executor under
-//! both [`ScheduleMode`]s.
+//! settings, and drives a fused-pipeline plan through the executor at each
+//! of them.
 
 use std::sync::Arc;
 
@@ -20,7 +20,7 @@ use rheem_core::kernels::parallel::KernelParallelism;
 use rheem_core::kernels::{self, chunked, parallel};
 use rheem_core::optimizer::rewrites::apply_rewrites;
 use rheem_core::physical::{PhysicalOp, PipelineStage, StageKind};
-use rheem_core::{interpreter, ExecutionContext, ScheduleMode};
+use rheem_core::{interpreter, ExecutionContext};
 
 /// One dirty value: every `Value` variant, with the float edge cases
 /// (`NaN`, `-0.0`, infinities) and a deliberately narrow Int range so keys
@@ -228,10 +228,9 @@ proptest! {
 
 /// End to end: a plan whose filter→map→project chain fuses into a
 /// `ChunkPipeline` produces the same records as the unfused reference
-/// interpreter run, under both schedule modes and several kernel
-/// parallelism settings.
+/// interpreter run at several thread budgets.
 #[test]
-fn fused_plan_matches_reference_under_all_schedules() {
+fn fused_plan_matches_reference_at_every_budget() {
     let data: Vec<Record> = (0..5000i64)
         .map(|i| {
             if i % 97 == 0 {
@@ -286,20 +285,17 @@ fn fused_plan_matches_reference_under_all_schedules() {
         fused.explain()
     );
 
-    for mode in [ScheduleMode::Sequential, ScheduleMode::Parallel] {
-        for p in parallelism_settings() {
-            let ctx = RheemContext::new()
-                .with_platform(Arc::new(JavaPlatform::new()))
-                .with_schedule_mode(mode)
-                .with_kernel_parallelism(p);
-            let result = ctx.execute(fused.clone()).unwrap();
-            let outputs: Vec<Vec<Record>> = result
-                .outputs
-                .into_values()
-                .map(|d| d.records().to_vec())
-                .collect();
-            assert_eq!(outputs, reference, "mode {mode:?} diverged");
-        }
+    for p in parallelism_settings() {
+        let ctx = RheemContext::new()
+            .with_platform(Arc::new(JavaPlatform::new()))
+            .with_kernel_parallelism(p);
+        let result = ctx.execute(fused.clone()).unwrap();
+        let outputs: Vec<Vec<Record>> = result
+            .outputs
+            .into_values()
+            .map(|d| d.records().to_vec())
+            .collect();
+        assert_eq!(outputs, reference, "{p:?} diverged");
     }
 }
 

@@ -48,16 +48,14 @@ fn bags(outputs: std::collections::HashMap<NodeId, Dataset>) -> Vec<Vec<Record>>
     bags
 }
 
-/// Run the exhaustive oracle with the context's own models (and the same
-/// channelized movement pricing `optimize` applies).
+/// Run the exhaustive oracle with the context's own models.
 fn oracle_cost(ctx: &RheemContext, plan: &rheem_core::PhysicalPlan) -> (Vec<String>, f64) {
     let opt = ctx.optimizer();
-    let movement = opt.movement.channelized(ctx.platforms());
     enumerate_exhaustive(
         plan,
         ctx.platforms(),
         &opt.estimator,
-        &movement,
+        &opt.movement,
         &opt.config.enumeration,
         &opt.calibration,
     )
@@ -66,13 +64,12 @@ fn oracle_cost(ctx: &RheemContext, plan: &rheem_core::PhysicalPlan) -> (Vec<Stri
 
 fn canonical_assignment_cost(ctx: &RheemContext, exec: &ExecutionPlan) -> f64 {
     let opt = ctx.optimizer();
-    let movement = opt.movement.channelized(ctx.platforms());
     assignment_cost(
         &exec.physical,
         &exec.assignments,
         ctx.platforms(),
         &opt.estimator,
-        &movement,
+        &opt.movement,
         &opt.calibration,
     )
     .expect("assignment prices")
@@ -286,13 +283,12 @@ fn v2_matches_oracle_on_fixed_plan() {
     assert_close(exec.estimated_cost, oracle, "fixed plan v2 vs oracle");
     // The oracle's own assignment prices to its reported optimum too.
     let opt = ctx.optimizer();
-    let movement = opt.movement.channelized(ctx.platforms());
     let oracle_priced = assignment_cost(
         &plan,
         &oracle_assign,
         ctx.platforms(),
         &opt.estimator,
-        &movement,
+        &opt.movement,
         &opt.calibration,
     )
     .unwrap();

@@ -5,7 +5,7 @@
 //! The headline contract: as long as at least one registered platform can
 //! run every pending operator (the java platform supports everything), a
 //! job survives any combination of injected outages with outputs
-//! *identical* to a fault-free run — in both schedule modes.
+//! *identical* to a fault-free run — at thread budgets 1 and 4.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -16,10 +16,16 @@ use rheem::rec;
 use rheem_core::optimizer::enumerate::split_into_atoms;
 use rheem_core::{
     BackoffPolicy, BreakerPolicy, ExecutionPlan, FailoverEvent, FailureInjector, FaultPolicy,
-    InjectedKind, JobResult, NodeId, Observability, ProgressListener, RheemError, ScheduleMode,
-    VirtualSleeper,
+    InjectedKind, JobResult, NodeId, Observability, ProgressListener, RheemError, VirtualSleeper,
 };
 use rheem_platforms::test_context;
+use testkit::budget;
+
+/// The test context under a thread budget of `threads`: that many atoms
+/// of a wave at once (1 = one at a time, inline).
+fn test_context_at(threads: usize) -> RheemContext {
+    test_context().with_kernel_parallelism(budget(threads))
+}
 
 /// A shared source fanning out to three hand-pinned branches across three
 /// platforms: the java atom (source + reduce branch) is wave 0, the
@@ -124,17 +130,15 @@ impl ProgressListener for FaultRecorder {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn downed_platform_fails_over_and_preserves_outputs_in_both_modes() {
+fn downed_platform_fails_over_and_preserves_outputs_at_both_budgets() {
     let exec = fanout_exec_plan();
     let baseline = test_context().execute_plan(&exec).unwrap();
 
-    for mode in [ScheduleMode::Sequential, ScheduleMode::Parallel] {
+    for threads in [1, 4] {
         let injector = Arc::new(FailureInjector::platform_down("sparklike"));
         let recorder = Arc::new(FaultRecorder::default());
         let observe = Arc::new(Observability::new());
-        let ctx = test_context()
-            .with_schedule_mode(mode)
-            .with_max_parallel_atoms(4)
+        let ctx = test_context_at(threads)
             .with_max_retries(1)
             .with_fault_policy(FaultPolicy::instant())
             .with_failure_injector(injector)
@@ -142,11 +146,11 @@ fn downed_platform_fails_over_and_preserves_outputs_in_both_modes() {
             .with_progress_listener(recorder.clone());
         let result = ctx.execute_plan(&exec).unwrap();
 
-        assert_eq!(result.stats.failovers, 1, "{mode:?}");
+        assert_eq!(result.stats.failovers, 1, "budget {threads}");
         assert_eq!(
             sorted_outputs(&result),
             sorted_outputs(&baseline),
-            "{mode:?}: failover must not change outputs"
+            "budget {threads}: failover must not change outputs"
         );
         // Committed atoms are never re-planned: every reported atom ran
         // exactly once, and nothing committed on the failed platform.
@@ -154,7 +158,7 @@ fn downed_platform_fails_over_and_preserves_outputs_in_both_modes() {
         ids.sort_unstable();
         let mut deduped = ids.clone();
         deduped.dedup();
-        assert_eq!(ids, deduped, "{mode:?}: an atom committed twice");
+        assert_eq!(ids, deduped, "budget {threads}: an atom committed twice");
         assert!(result.stats.atoms.iter().all(|a| a.platform != "sparklike"));
         let wave0 = result.stats.atoms.iter().find(|a| a.atom_id == 0).unwrap();
         assert_eq!((wave0.wave, wave0.platform.as_str()), (0, "java"));
@@ -165,7 +169,7 @@ fn downed_platform_fails_over_and_preserves_outputs_in_both_modes() {
         assert!(effective.atoms.iter().all(|a| a.platform != "sparklike"));
 
         let events = recorder.failovers.lock();
-        assert_eq!(events.len(), 1, "{mode:?}");
+        assert_eq!(events.len(), 1, "budget {threads}");
         assert_eq!(events[0].failed_platform, "sparklike");
         assert!(events[0].excluded.contains(&"sparklike".to_string()));
         assert!(events[0].new_atoms >= 1);
@@ -359,9 +363,9 @@ fn retry_backoff_is_seeded_exponential_on_the_virtual_clock() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn probabilistic_injection_yields_identical_runs_in_both_modes() {
+fn probabilistic_injection_yields_identical_runs_at_both_budgets() {
     let exec = fanout_exec_plan();
-    let run = |mode: ScheduleMode| {
+    let run = |threads: usize| {
         let injector = Arc::new(FailureInjector::none());
         injector.probabilistic("sparklike", 0.7, 11);
         injector.probabilistic("mapreduce", 0.7, 12);
@@ -375,17 +379,15 @@ fn probabilistic_injection_yields_identical_runs_in_both_modes() {
             failover: false,
             ..FaultPolicy::instant()
         };
-        test_context()
-            .with_schedule_mode(mode)
-            .with_max_parallel_atoms(4)
+        test_context_at(threads)
             .with_max_retries(20)
             .with_fault_policy(policy)
             .with_failure_injector(injector)
             .execute_plan(&exec)
             .unwrap()
     };
-    let seq = run(ScheduleMode::Sequential);
-    let par = run(ScheduleMode::Parallel);
+    let seq = run(1);
+    let par = run(4);
 
     assert_eq!(seq.stats.retries, par.stats.retries);
     assert!(
@@ -467,7 +469,7 @@ proptest::proptest! {
     /// Whenever at least one platform mapping per operator survives the
     /// injected outage (the java platform is never downed and supports
     /// every operator), a faulty run's outputs are identical to the
-    /// fault-free run — in both schedule modes.
+    /// fault-free run — at both thread budgets.
     #[test]
     fn injected_outages_never_change_outputs(
         shape in 0u8..3,
@@ -488,14 +490,12 @@ proptest::proptest! {
         let downed = ["sparklike", "mapreduce", "relational"][downed_idx];
         let chaotic = ["mapreduce", "relational", "sparklike"][downed_idx];
 
-        for mode in [ScheduleMode::Sequential, ScheduleMode::Parallel] {
+        for threads in [1, 4] {
             let injector = Arc::new(FailureInjector::platform_down(downed));
             if with_chaos {
                 injector.probabilistic(chaotic, 0.3, seed);
             }
-            let ctx = test_context()
-                .with_schedule_mode(mode)
-                .with_max_parallel_atoms(4)
+            let ctx = test_context_at(threads)
                 .with_max_retries(2)
                 .with_fault_policy(FaultPolicy {
                     max_failovers: 4,
@@ -505,8 +505,8 @@ proptest::proptest! {
             let result = ctx.execute_plan(&exec);
             proptest::prop_assert!(
                 result.is_ok(),
-                "{:?} with {} down must fail over, got {:?}",
-                mode,
+                "budget {} with {} down must fail over, got {:?}",
+                threads,
                 downed,
                 result.err()
             );
@@ -550,13 +550,12 @@ fn assert_golden(name: &str, actual: &str) {
 
 #[test]
 fn golden_failover_explain() {
-    // Sequential mode keeps the commit order fully deterministic, so the
+    // A budget of 1 keeps the commit order fully deterministic, so the
     // failover event and the effective plan can be pinned byte-for-byte.
     let exec = fanout_exec_plan();
     let injector = Arc::new(FailureInjector::platform_down("sparklike"));
     let recorder = Arc::new(FaultRecorder::default());
-    let ctx = test_context()
-        .with_schedule_mode(ScheduleMode::Sequential)
+    let ctx = test_context_at(1)
         .with_max_retries(1)
         .with_fault_policy(FaultPolicy::instant())
         .with_failure_injector(injector)

@@ -8,7 +8,7 @@
 //! to their row twins even on *adversarial* keys — whole key sets crafted
 //! to land in one radix bucket, so partitioning degenerates and every
 //! probe chain piles onto the same table region — at every parallelism
-//! setting and under both schedule modes.
+//! setting.
 
 use std::sync::Arc;
 
@@ -19,7 +19,7 @@ use rheem_core::expr::Expr;
 use rheem_core::kernels::parallel::KernelParallelism;
 use rheem_core::kernels::{self, chunked, hash, parallel};
 use rheem_core::udf::{AggFunc, Aggregate, GroupOutput};
-use rheem_core::{interpreter, ExecutionContext, ScheduleMode};
+use rheem_core::{interpreter, ExecutionContext};
 
 /// One dirty value: every variant, with the float edge cases the hasher
 /// must separate exactly as `Value` equality does.
@@ -278,10 +278,9 @@ fn collision_heavy_kernels_match_row_twins() {
 }
 
 /// End to end: an adversarial-keyed plan — group-by feeding a hash join —
-/// produces the reference interpreter's records under both schedule
-/// modes and every kernel parallelism setting.
+/// produces the reference interpreter's records at every thread budget.
 #[test]
-fn adversarial_keys_end_to_end_under_all_schedules() {
+fn adversarial_keys_end_to_end_at_every_budget() {
     let facts = adversarial_batch(2000, 120);
     let dims: Vec<Record> = bucket0_keys(120)
         .into_iter()
@@ -307,19 +306,16 @@ fn adversarial_keys_end_to_end_under_all_schedules() {
     assert_eq!(reference.len(), 1);
     assert!(!reference[0].is_empty());
 
-    for mode in [ScheduleMode::Sequential, ScheduleMode::Parallel] {
-        for p in parallelism_settings() {
-            let ctx = RheemContext::new()
-                .with_platform(Arc::new(JavaPlatform::new()))
-                .with_schedule_mode(mode)
-                .with_kernel_parallelism(p);
-            let result = ctx.execute(build()).unwrap();
-            let outputs: Vec<Vec<Record>> = result
-                .outputs
-                .into_values()
-                .map(|d| d.records().to_vec())
-                .collect();
-            assert_eq!(outputs, reference, "mode {mode:?} diverged");
-        }
+    for p in parallelism_settings() {
+        let ctx = RheemContext::new()
+            .with_platform(Arc::new(JavaPlatform::new()))
+            .with_kernel_parallelism(p);
+        let result = ctx.execute(build()).unwrap();
+        let outputs: Vec<Vec<Record>> = result
+            .outputs
+            .into_values()
+            .map(|d| d.records().to_vec())
+            .collect();
+        assert_eq!(outputs, reference, "{p:?} diverged");
     }
 }

@@ -9,8 +9,9 @@ use rheem::prelude::*;
 use rheem::rec;
 use rheem_core::optimizer::enumerate::split_into_atoms;
 use rheem_core::plan::NodeId;
-use rheem_core::{ExecutionPlan, FailureInjector, JobResult, RheemError, ScheduleMode};
+use rheem_core::{ExecutionPlan, FailureInjector, JobResult, RheemError};
 use rheem_platforms::test_context;
+use testkit::budget;
 
 /// A plan the relational engine *cannot* run end to end (it has a loop),
 /// while the loop-free prefix is cheap relational work. With a relational
@@ -104,7 +105,8 @@ fn movement_costs_steer_the_optimizer_away_from_switching() {
 
 #[test]
 fn executor_retries_injected_failures_and_records_them() {
-    let injector = Arc::new(FailureInjector::fail_next("java", 2));
+    let injector = Arc::new(FailureInjector::none());
+    injector.fail_atom(0, 2);
     let ctx = RheemContext::new()
         .with_platform(Arc::new(JavaPlatform::new()))
         .with_failure_injector(injector)
@@ -123,7 +125,7 @@ fn executor_retries_injected_failures_and_records_them() {
 
 #[test]
 fn executor_gives_up_when_retries_are_exhausted() {
-    let injector = Arc::new(FailureInjector::fail_next("java", 10));
+    let injector = Arc::new(FailureInjector::platform_down("java"));
     let ctx = RheemContext::new()
         .with_platform(Arc::new(JavaPlatform::new()))
         .with_failure_injector(injector)
@@ -218,7 +220,8 @@ fn progress_listener_observes_the_job_lifecycle() {
     }
 
     let recorder = Arc::new(Recorder::default());
-    let injector = Arc::new(FailureInjector::fail_next("java", 1));
+    let injector = Arc::new(FailureInjector::none());
+    injector.fail_atom(0, 1);
     let ctx = RheemContext::new()
         .with_platform(Arc::new(JavaPlatform::new()))
         .with_failure_injector(injector)
@@ -311,14 +314,13 @@ fn independent_atoms_share_a_wave_and_match_sequential_output() {
         "want 3 distinct platforms: {platforms:?}"
     );
 
-    let parallel = test_context()
-        .with_max_parallel_atoms(4)
-        .execute_plan(&exec)
-        .unwrap();
-    let sequential = test_context()
-        .with_schedule_mode(ScheduleMode::Sequential)
-        .execute_plan(&exec)
-        .unwrap();
+    let at = |threads| {
+        test_context()
+            .with_kernel_parallelism(budget(threads))
+            .execute_plan(&exec)
+            .unwrap()
+    };
+    let (parallel, sequential) = (at(4), at(1));
 
     // Fewer waves than atoms: the independent branch atoms overlapped.
     assert!(
@@ -327,12 +329,12 @@ fn independent_atoms_share_a_wave_and_match_sequential_output() {
         parallel.stats.waves,
         exec.atoms.len()
     );
-    // Wave accounting is mode-consistent: sequential mode walks the same
-    // waves parallel mode computes, one atom at a time.
+    // Wave accounting is budget-consistent: a budget of 1 walks the same
+    // waves, one atom at a time.
     assert_eq!(sequential.stats.waves, parallel.stats.waves);
     // The java atom (source + reduce branch) is wave 0; the two atoms
     // that consume the source across a boundary run together in wave 1 —
-    // in both modes.
+    // at both budgets.
     for run in [&parallel, &sequential] {
         let wave_of: std::collections::HashMap<usize, usize> = run
             .stats
@@ -346,14 +348,14 @@ fn independent_atoms_share_a_wave_and_match_sequential_output() {
         }
     }
 
-    // Identical sink outputs under both schedules.
+    // Identical sink outputs at both budgets.
     assert_eq!(sorted_outputs(&parallel), sorted_outputs(&sequential));
 }
 
 #[test]
-fn multi_failure_waves_report_the_lowest_id_failing_atom_in_both_modes() {
+fn multi_failure_waves_report_the_lowest_id_failing_atom_at_both_budgets() {
     // Both branch atoms of wave 1 fail deterministically on every attempt
-    // (persistent injection, no retries), so regardless of scheduling the
+    // (both platforms down, no retries), so regardless of wave width the
     // executor must surface the *lowest-id* failing atom's error. This
     // pins the contract documented on `run_wave`.
     let exec = fanout_exec_plan();
@@ -362,25 +364,24 @@ fn multi_failure_waves_report_the_lowest_id_failing_atom_in_both_modes() {
     assert!(failing.len() >= 2, "want a multi-atom failing wave");
     let lowest = failing.iter().map(|a| a.id).min().unwrap();
 
-    let run = |mode: ScheduleMode| {
-        let injector = Arc::new(FailureInjector::fail_next("sparklike", 1_000_000));
-        injector.add("mapreduce", 1_000_000);
+    let run = |threads: usize| {
+        let injector = Arc::new(FailureInjector::platform_down("sparklike"));
+        injector.set_down("mapreduce");
         test_context()
-            .with_schedule_mode(mode)
-            .with_max_parallel_atoms(4)
+            .with_kernel_parallelism(budget(threads))
             .with_max_retries(0)
             .with_failure_injector(injector)
             .execute_plan(&exec)
             .unwrap_err()
     };
-    for mode in [ScheduleMode::Sequential, ScheduleMode::Parallel] {
-        let err = run(mode);
+    for threads in [1, 4] {
+        let err = run(threads);
         match &err {
             RheemError::Execution { message, .. } => assert!(
                 message.contains(&format!("atom {lowest}")),
-                "{mode:?}: expected failure of atom {lowest}, got: {message}"
+                "budget {threads}: expected failure of atom {lowest}, got: {message}"
             ),
-            other => panic!("{mode:?}: unexpected error {other}"),
+            other => panic!("budget {threads}: unexpected error {other}"),
         }
     }
 }
@@ -391,7 +392,7 @@ fn execution_stats_are_deterministic_under_concurrency() {
     let runs: Vec<_> = (0..5)
         .map(|_| {
             test_context()
-                .with_max_parallel_atoms(4)
+                .with_kernel_parallelism(budget(4))
                 .execute_plan(&exec)
                 .unwrap()
                 .stats
@@ -438,11 +439,11 @@ fn malformed_execution_plans_error_instead_of_panicking() {
     let err = test_context().execute_plan(&exec).unwrap_err();
     assert!(matches!(err, RheemError::InvalidPlan(_)), "{err}");
 
-    // Sequential mode takes the same validation path.
+    // A budget of 1 takes the same validation path.
     let mut exec = fanout_exec_plan();
     exec.assignments.clear();
     let err = test_context()
-        .with_schedule_mode(ScheduleMode::Sequential)
+        .with_kernel_parallelism(budget(1))
         .execute_plan(&exec)
         .unwrap_err();
     assert!(matches!(err, RheemError::InvalidPlan(_)), "{err}");
@@ -453,7 +454,7 @@ fn timeout_budget_bounds_retry_storms() {
     // Endless injected failures with a huge retry budget: the deadline is
     // checked inside the retry loop, so the job still terminates with
     // BudgetExceeded instead of burning through a billion retries.
-    let injector = Arc::new(FailureInjector::fail_next("java", usize::MAX));
+    let injector = Arc::new(FailureInjector::platform_down("java"));
     let ctx = RheemContext::new()
         .with_platform(Arc::new(JavaPlatform::new()))
         .with_failure_injector(injector)
@@ -530,19 +531,18 @@ proptest::proptest! {
         ctx.optimizer_mut().movement = rheem_core::cost::MovementCostModel::free();
         let exec = ctx.optimize(build(shape)).unwrap();
 
-        let parallel = test_context()
-            .with_max_parallel_atoms(4)
-            .execute_plan(&exec)
-            .unwrap();
-        let sequential = test_context()
-            .with_schedule_mode(ScheduleMode::Sequential)
-            .execute_plan(&exec)
-            .unwrap();
+        let at = |threads| {
+            test_context()
+                .with_kernel_parallelism(budget(threads))
+                .execute_plan(&exec)
+                .unwrap()
+        };
+        let (parallel, sequential) = (at(4), at(1));
 
         proptest::prop_assert_eq!(sorted_outputs(&parallel), sorted_outputs(&sequential));
         proptest::prop_assert_eq!(parallel.stats.atoms.len(), sequential.stats.atoms.len());
-        // Mode-consistent wave accounting: both schedules report the same
-        // wave structure (sequential just runs one atom at a time).
+        // Budget-consistent wave accounting: both budgets report the same
+        // wave structure (a budget of 1 just runs one atom at a time).
         proptest::prop_assert_eq!(parallel.stats.waves, sequential.stats.waves);
         for (p, s) in parallel.stats.atoms.iter().zip(&sequential.stats.atoms) {
             proptest::prop_assert_eq!(p.atom_id, s.atom_id);

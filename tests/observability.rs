@@ -1,9 +1,9 @@
 //! The observability layer, end to end: deterministic trace replay across
-//! schedule modes, metrics under fault injection, calibration hygiene, and
+//! thread budgets, metrics under fault injection, calibration hygiene, and
 //! the JSON-lines trace dump.
 //!
-//! The replay contract: executing the same plan under `Sequential` and
-//! `Parallel` scheduling must produce the same *canonical* span tree (wave
+//! The replay contract: executing the same plan at thread budgets 1 and 4
+//! must produce the same *canonical* span tree (wave
 //! spans are scheduling artifacts and are skipped by
 //! [`rheem_core::canonical_tree`]) and identical deterministic counters —
 //! parallelism may interleave callbacks, but never change what happened.
@@ -14,14 +14,21 @@ use proptest::prelude::*;
 use rheem::prelude::*;
 use rheem::rec;
 use rheem_core::optimizer::enumerate::split_into_atoms;
-use rheem_core::{
-    canonical_tree, ExecutionPlan, FailureInjector, Observability, RingBufferSink, ScheduleMode,
-};
+use rheem_core::{canonical_tree, ExecutionPlan, FailureInjector, Observability, RingBufferSink};
 use rheem_platforms::test_context;
+use testkit::budget;
+
+/// An injector failing the first `attempts` attempts of atom 0 (the only
+/// atom of a one-platform plan).
+fn fail_atom_0(attempts: usize) -> FailureInjector {
+    let injector = FailureInjector::none();
+    injector.fail_atom(0, attempts);
+    injector
+}
 
 /// A shared source fanning out to three hand-pinned branches across three
-/// platforms — the shape where Sequential and Parallel wave structures
-/// differ the most (one wave per atom vs. one wave for all branches).
+/// platforms — the shape where wave width matters the most (both branch
+/// atoms share a wave).
 fn fanout_exec_plan() -> ExecutionPlan {
     let mut b = PlanBuilder::new();
     let src = b.collection("s", (0..200i64).map(|i| rec![i % 10, i]).collect());
@@ -66,7 +73,7 @@ fn fanout_exec_plan() -> ExecutionPlan {
 
 /// Total wave count plus sorted `(atom_id, wave)` pairs — the wave
 /// structure a run reported, which the replay contract requires to be
-/// mode-invariant.
+/// budget-invariant.
 type WaveAccounting = (usize, Vec<(usize, usize)>);
 
 fn wave_accounting(result: &rheem_core::executor::JobResult) -> WaveAccounting {
@@ -80,18 +87,17 @@ fn wave_accounting(result: &rheem_core::executor::JobResult) -> WaveAccounting {
     (result.stats.waves, atoms)
 }
 
-/// Execute `exec` under `mode` with a fresh observability hub; return the
-/// canonical span tree, the deterministic counter snapshot, and the wave
-/// accounting.
+/// Execute `exec` under a thread budget of `threads` with a fresh
+/// observability hub; return the canonical span tree, the deterministic
+/// counter snapshot, and the wave accounting.
 fn traced_run(
     exec: &ExecutionPlan,
-    mode: ScheduleMode,
+    threads: usize,
 ) -> (String, Vec<(String, u64)>, WaveAccounting) {
     let ring = Arc::new(RingBufferSink::new(4096));
     let observe = Arc::new(Observability::new().with_sink(ring.clone()));
     let ctx = test_context()
-        .with_schedule_mode(mode)
-        .with_max_parallel_atoms(4)
+        .with_kernel_parallelism(budget(threads))
         .with_observability(observe.clone());
     let result = ctx.execute_plan(exec).unwrap();
     let tree = canonical_tree(&ring.snapshot());
@@ -107,8 +113,8 @@ fn traced_run(
 #[test]
 fn sequential_and_parallel_runs_trace_the_same_job() {
     let exec = fanout_exec_plan();
-    let (seq_tree, seq_counters, seq_waves) = traced_run(&exec, ScheduleMode::Sequential);
-    let (par_tree, par_counters, par_waves) = traced_run(&exec, ScheduleMode::Parallel);
+    let (seq_tree, seq_counters, seq_waves) = traced_run(&exec, 1);
+    let (par_tree, par_counters, par_waves) = traced_run(&exec, 4);
     assert_eq!(
         seq_tree, par_tree,
         "canonical span trees must not depend on scheduling"
@@ -150,7 +156,7 @@ fn injected_failures_are_counted_exactly_attempts_minus_one() {
     let observe = Arc::new(Observability::new());
     let ctx = RheemContext::new()
         .with_platform(Arc::new(JavaPlatform::new()))
-        .with_failure_injector(Arc::new(FailureInjector::fail_next("java", 2)))
+        .with_failure_injector(Arc::new(fail_atom_0(2)))
         .with_max_retries(3)
         .with_observability(observe.clone());
     let mut b = PlanBuilder::new();
@@ -188,17 +194,18 @@ fn retry_callbacks_fire_in_attempt_order_under_parallelism() {
     let order = Arc::new(RetryOrder::default());
     let observe = Arc::new(Observability::new());
     let injector = Arc::new(FailureInjector::none());
-    // Four failures spread across the parallel branches' platforms.
-    injector.add("sparklike", 2);
-    injector.add("mapreduce", 2);
+    // Four failures spread across the two parallel branch atoms.
+    let exec = fanout_exec_plan();
+    for atom in exec.atoms.iter().filter(|a| a.platform != "java") {
+        injector.fail_atom(atom.id, 2);
+    }
     let ctx = test_context()
-        .with_schedule_mode(ScheduleMode::Parallel)
-        .with_max_parallel_atoms(4)
+        .with_kernel_parallelism(budget(4))
         .with_max_retries(3)
         .with_failure_injector(injector)
         .with_progress_listener(order.clone())
         .with_observability(observe.clone());
-    ctx.execute_plan(&fanout_exec_plan()).unwrap();
+    ctx.execute_plan(&exec).unwrap();
 
     let by_atom = order.by_atom.lock();
     let total_retries: usize = by_atom.values().map(Vec::len).sum();
@@ -238,7 +245,7 @@ fn failed_attempts_do_not_pollute_the_calibration_table() {
     };
 
     let (clean, clean_retries) = run(Arc::new(FailureInjector::none()));
-    let (faulty, faulty_retries) = run(Arc::new(FailureInjector::fail_next("java", 2)));
+    let (faulty, faulty_retries) = run(Arc::new(fail_atom_0(2)));
     assert_eq!(clean_retries, 0);
     assert_eq!(faulty_retries, 2);
     // Only the committed (successful) attempt feeds calibration: the same
@@ -370,8 +377,8 @@ proptest! {
     })]
 
     /// For random multi-platform plans, the optimizer picks the same plan
-    /// in both contexts (fresh calibration each) and the two schedule
-    /// modes replay to the same canonical span tree and counters.
+    /// in both contexts (fresh calibration each) and the two thread
+    /// budgets replay to the same canonical span tree and counters.
     #[test]
     fn prop_replay_is_schedule_independent(
         seed in 0u64..500,
@@ -393,12 +400,11 @@ proptest! {
         }
         let physical = b.build().unwrap();
 
-        let run = |mode: ScheduleMode| {
+        let run = |threads: usize| {
             let ring = Arc::new(RingBufferSink::new(8192));
             let observe = Arc::new(Observability::new().with_sink(ring.clone()));
             let ctx = test_context()
-                .with_schedule_mode(mode)
-                .with_max_parallel_atoms(4)
+                .with_kernel_parallelism(budget(threads))
                 .with_observability(observe.clone());
             let exec = ctx.optimize(physical.clone()).unwrap();
             let result = ctx.execute_plan(&exec).unwrap();
@@ -409,8 +415,8 @@ proptest! {
                 wave_accounting(&result),
             )
         };
-        let (seq_assign, seq_tree, seq_counters, seq_waves) = run(ScheduleMode::Sequential);
-        let (par_assign, par_tree, par_counters, par_waves) = run(ScheduleMode::Parallel);
+        let (seq_assign, seq_tree, seq_counters, seq_waves) = run(1);
+        let (par_assign, par_tree, par_counters, par_waves) = run(4);
         prop_assert_eq!(seq_assign, par_assign);
         prop_assert_eq!(seq_tree, par_tree);
         prop_assert_eq!(seq_counters, par_counters);

@@ -240,16 +240,15 @@ proptest! {
 use rheem_core::{assignment_cost, EnumerationPath};
 
 /// Canonical cost of an execution plan's own assignment, priced with the
-/// same channelized movement model `optimize` uses.
+/// movement model `optimize` uses.
 fn canonical_cost(ctx: &RheemContext, exec: &ExecutionPlan) -> f64 {
     let opt = ctx.optimizer();
-    let movement = opt.movement.channelized(ctx.platforms());
     assignment_cost(
         &exec.physical,
         &exec.assignments,
         ctx.platforms(),
         &opt.estimator,
-        &movement,
+        &opt.movement,
         &opt.calibration,
     )
     .expect("assignment prices")

@@ -817,9 +817,12 @@ fn plan_of(form: &Form, left: &[Record], right: &[Record]) -> PhysicalPlan {
     b.build().expect("the form is a valid plan")
 }
 
-/// A context whose storage holds `stored` and whose morsel layer engages on
-/// the table's small inputs (threads as the environment sets them).
-fn table_context(stored: &[Record]) -> (ExecutionContext, Arc<MemoryStorageService>) {
+/// A context whose storage holds `stored` and whose morsel layer, at a
+/// budget of `threads`, engages on the table's small inputs.
+fn table_context(
+    stored: &[Record],
+    threads: usize,
+) -> (ExecutionContext, Arc<MemoryStorageService>) {
     let storage = Arc::new(MemoryStorageService::new());
     storage
         .write("stored", &Dataset::new(stored.to_vec()))
@@ -827,7 +830,8 @@ fn table_context(stored: &[Record]) -> (ExecutionContext, Arc<MemoryStorageServi
     let ctx = ExecutionContext::new()
         .with_storage(storage.clone())
         .with_kernel_parallelism(
-            KernelParallelism::from_env()
+            KernelParallelism::sequential()
+                .with_threads(threads)
                 .with_morsel_size(16)
                 .with_min_rows(1),
         );
@@ -886,9 +890,7 @@ fn every_operator_answers_the_same_on_every_engine() {
             let plan = plan_of(&form, left, &right);
             mark_positions(&plan, &mut seen);
             let context = format!("`{}` over {kind} input", form.label);
-            let (reference_ctx, reference_storage) = table_context(left);
-            let reference_ctx =
-                reference_ctx.with_kernel_parallelism(KernelParallelism::sequential());
+            let (reference_ctx, reference_storage) = table_context(left, 1);
             let reference = interpreter::run_plan(&plan, &reference_ctx)
                 .unwrap_or_else(|e| panic!("{context}: the reference fails: {e}"));
             if form.label.ends_with("global aggregate") {
@@ -906,33 +908,28 @@ fn every_operator_answers_the_same_on_every_engine() {
                 if !plan.nodes().iter().all(|n| platform.supports(&n.op)) {
                     continue;
                 }
-                let (ctx, storage) = table_context(left);
-                let result = platform
-                    .execute_atom(&plan, &atom, &HashMap::new(), &ctx)
-                    .unwrap_or_else(|e| panic!("{context} on {engine}: {e}"));
-                assert_eq!(
-                    result.outputs.len(),
-                    reference.len(),
-                    "{context} on {engine}"
-                );
-                for (sink, expected) in &reference {
-                    let answered = result.outputs[sink].records().to_vec();
-                    let expected = expected.records().to_vec();
-                    if form.order == Order::Sequence {
-                        assert_eq!(answered, expected, "{context} on {engine}: sequence");
-                    } else {
-                        assert_eq!(
-                            sorted(answered),
-                            sorted(expected),
-                            "{context} on {engine}: bag"
-                        );
+                for threads in [1, 4] {
+                    let context = format!("{context} on {engine}, {threads} threads");
+                    let (ctx, storage) = table_context(left, threads);
+                    let result = platform
+                        .execute_atom(&plan, &atom, &HashMap::new(), &ctx)
+                        .unwrap_or_else(|e| panic!("{context}: {e}"));
+                    assert_eq!(result.outputs.len(), reference.len(), "{context}");
+                    for (sink, expected) in &reference {
+                        let answered = result.outputs[sink].records().to_vec();
+                        let expected = expected.records().to_vec();
+                        if form.order == Order::Sequence {
+                            assert_eq!(answered, expected, "{context}: sequence");
+                        } else {
+                            assert_eq!(sorted(answered), sorted(expected), "{context}: bag");
+                        }
                     }
+                    assert_eq!(
+                        storage.read("written").ok(),
+                        reference_storage.read("written").ok(),
+                        "{context}: what the storage sink wrote"
+                    );
                 }
-                assert_eq!(
-                    storage.read("written").ok(),
-                    reference_storage.read("written").ok(),
-                    "{context} on {engine}: what the storage sink wrote"
-                );
             }
         }
     }

@@ -19,7 +19,7 @@ use rheem_core::optimizer::enumerate::split_into_atoms;
 use rheem_core::plan::NodeId;
 use rheem_core::{
     canonical_tree, ExecutionPlan, JobResult, NodeEstimate, Observability, ReplanEvent,
-    ReplanPolicy, RingBufferSink, ScheduleMode, SpanKind,
+    ReplanPolicy, RingBufferSink, SpanKind,
 };
 use rheem_platforms::test_context;
 
@@ -357,7 +357,7 @@ proptest! {
 
     /// For random (often badly mis-estimated) plans, executing with an
     /// aggressive replan policy yields exactly the outputs of the plain
-    /// run, in both schedule modes; when nothing was re-planned the
+    /// run, at thread budgets 1 and 4; when nothing was re-planned the
     /// canonical trace tree also matches.
     #[test]
     fn prop_replanning_preserves_outputs(
@@ -380,13 +380,12 @@ proptest! {
         }
         let exec = test_context().optimize(b.build().unwrap()).unwrap();
 
-        for mode in [ScheduleMode::Sequential, ScheduleMode::Parallel] {
+        for threads in [1, 4] {
             let run = |policy: Option<ReplanPolicy>| {
                 let ring = Arc::new(RingBufferSink::new(8192));
                 let observe = Arc::new(Observability::new().with_sink(ring.clone()));
                 let mut ctx = test_context()
-                    .with_schedule_mode(mode)
-                    .with_max_parallel_atoms(4)
+                    .with_kernel_parallelism(testkit::budget(threads))
                     .with_observability(observe);
                 if let Some(p) = policy {
                     ctx = ctx.with_replan_policy(p);

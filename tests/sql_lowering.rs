@@ -13,8 +13,8 @@
 //!   real server socket;
 //! * **(b)** generated queries over generated dirty tables must give one
 //!   result however they run: row-at-a-time through the UDFs' derived
-//!   closures, on each platform forced, through the full optimizer in both
-//!   schedule modes, at kernel parallelism 1 and N, with the plan cache
+//!   closures, on each platform forced, through the full optimizer at
+//!   thread budgets 1 and 4, at kernel parallelism 1 and N, with the plan cache
 //!   cold and hit, within and past the enumerator's budget, and through
 //!   the wire codec;
 //! * **(c)** `Float` `SUM` / `AVG` over 0.1-step data — where addition is
@@ -29,9 +29,10 @@ use rheem_core::data::Chunk;
 use rheem_core::mapping::MappingRegistry;
 use rheem_core::optimizer::application;
 use rheem_core::physical::PhysicalOp;
-use rheem_core::{KernelParallelism, PlanCache, PlanCacheConfig, ScheduleMode};
+use rheem_core::{KernelParallelism, PlanCache, PlanCacheConfig};
 use rheem_server::protocol::Response;
 use rheem_server::{Client, RheemServer, ServerConfig};
+use testkit::{budget, Rng};
 
 // ---------------------------------------------------------------------------
 // Cell shorthands and the trap tables
@@ -532,28 +533,6 @@ fn sorted(mut rows: Vec<Record>) -> Vec<Record> {
     rows
 }
 
-/// splitmix64: everything a case generates derives from its one seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-    fn chance(&mut self, one_in: usize) -> bool {
-        self.below(one_in) == 0
-    }
-    fn pick<T: Clone>(&mut self, from: &[T]) -> T {
-        from[self.below(from.len())].clone()
-    }
-}
-
 /// A dirty `t`: NULLs everywhere, wrapping-sized ints, signed zeros, NaN,
 /// infinities, 0.1-steps, a genuinely mixed `m`; one table in eight is
 /// ragged (a row short of its schema), which has no columnar view at all.
@@ -830,7 +809,7 @@ fn assert_one_result(catalog: &QueryCatalog, statement: &Generated) {
         "4 kernel threads disagree on `{sql}`"
     );
 
-    // The full optimizer, both schedule modes, plan cache cold then hit.
+    // The full optimizer, plan cache cold then hit, thread budgets 1 and 4.
     let cache = Arc::new(PlanCache::new(PlanCacheConfig::default()));
     let optimized = rheem_platforms::test_context().with_plan_cache(cache.clone());
     let cold = run(catalog, &optimized, &sql);
@@ -840,14 +819,14 @@ fn assert_one_result(catalog: &QueryCatalog, statement: &Generated) {
         "`{sql}` did not hit the plan cache"
     );
     assert_eq!(cold, hit, "plan-cache hit disagrees on `{sql}`");
-    let sequential = optimized
-        .clone()
-        .with_schedule_mode(ScheduleMode::Sequential);
-    assert_eq!(
-        run(catalog, &sequential, &sql),
-        cold,
-        "schedule modes disagree on `{sql}`"
-    );
+    for threads in [1, 4] {
+        let at = optimized.clone().with_kernel_parallelism(budget(threads));
+        assert_eq!(
+            run(catalog, &at, &sql),
+            cold,
+            "thread budget {threads} disagrees on `{sql}`"
+        );
+    }
     assert_ordered(&cold, statement.order, &sql);
 
     // Each platform forced. Partitioned platforms emit groups partition by
