@@ -64,8 +64,25 @@ if grep -rnE 'ScheduleMode|max_parallel_atoms|RHEEM_KERNEL_THREADS|ExecutorConfi
   echo "a deleted setting, builder or injection mode is named again"; exit 1
 fi
 
+# One owner per operator choice: `LogicalPlan::lower` maps logical to
+# physical operators, `Platform::supports` + `kernels::execute` map physical
+# to execution operators; no hint table, triple store or batch driver comes
+# back.
+echo "==> one owner per operator choice: no mapping registry, triple store or batch driver"
+if grep -rnE 'MappingRegistry|TripleStore|MicroBatchDriver|micro_batches|SimpleLogicalOperator|load_spec|dump_spec|optimizer::application|rheem_core::(mapping|triples|streaming)' \
+    crates src tests examples; then
+  echo "a deleted operator-mapping mechanism is named again"; exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
+
+# Examples are compiled by clippy above; these five take under a second each
+# in release, so they also run and their inline assertions execute.
+echo "==> run the sub-second examples (release)"
+for ex in quickstart sql_analytics graph_analytics lambda_architecture oil_gas_pipeline; do
+  cargo run -q --release --example "$ex" > /dev/null
+done
 
 echo "==> cargo test --workspace"
 cargo test --workspace -q

@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use rheem_core::data::Record;
 use rheem_core::logical::LogicalPlan;
-use rheem_core::optimizer::{application, enumerate, rewrites};
+use rheem_core::optimizer::{enumerate, rewrites};
 use rheem_core::plan::{NodeId, PhysicalPlan, PlanBuilder};
 use rheem_core::query::QueryCatalog;
 use rheem_core::rec;
@@ -229,7 +229,7 @@ fn main() {
     // The physical plan the enumerator sees for the join statement, and
     // what a cold optimization of it costs end to end.
     let join = sql_join_plan();
-    let lowered = application::lower(&join, &opt.mappings).expect("the join statement lowers");
+    let lowered = join.lower().expect("the join statement lowers");
     let cold_optimize_us = median_us(if quick { 21 } else { 2001 }, || {
         ctx.optimize_logical(&join)
             .expect("the join statement optimizes")

@@ -10,7 +10,7 @@
 //! The row-oriented [`Record`] API remains the conversion boundary:
 //! [`Chunk::from_records`] / [`Chunk::to_records`] round-trip exactly
 //! (including `NaN` payload bits, `-0.0`, and `Null` via validity bits), so
-//! platforms, storage, and streaming keep working unchanged while kernels
+//! platforms and storage keep working unchanged while kernels
 //! migrate to the columnar path.
 
 use std::collections::HashMap;

@@ -10,10 +10,10 @@
 //! 1. **Application layer** — [`logical`] operators: application-specific
 //!    UDF templates over *data quanta* ([`data::Record`]).
 //! 2. **Core layer** — [`physical`] operators and [`plan::PhysicalPlan`]s;
-//!    the [`optimizer`] translates logical plans via declarative
-//!    [`mapping`]s, rewrites them, assigns a platform to every operator
-//!    using pluggable [`cost`] models (including inter-platform movement
-//!    costs), and splits the result into task atoms.
+//!    the [`optimizer`] lowers logical plans
+//!    ([`logical::LogicalPlan::lower`]), rewrites them, assigns a platform
+//!    to every operator using pluggable [`cost`] models (including
+//!    inter-platform movement costs), and splits the result into task atoms.
 //! 3. **Platform layer** — [`platform::Platform`] implementations (see the
 //!    `rheem-platforms` crate) run task atoms with their own execution
 //!    operators; the [`executor`] schedules atoms, monitors progress,
@@ -33,15 +33,12 @@ pub mod fault;
 pub mod interpreter;
 pub mod kernels;
 pub mod logical;
-pub mod mapping;
 pub mod observe;
 pub mod optimizer;
 pub mod physical;
 pub mod plan;
 pub mod platform;
 pub mod query;
-pub mod streaming;
-pub mod triples;
 pub mod udf;
 
 pub use context::RheemContext;

@@ -3,18 +3,18 @@
 //! "A logical operator is an abstract UDF that acts as an
 //! application-specific unit of data processing ... a template where users
 //! provide the logic of their tasks" (§3.1). Applications (the ML, cleaning,
-//! and graph crates) define their own operator types implementing
-//! [`LogicalOperator`]; the trait's only obligation is to expose a
-//! [`LogicalPayload`] — the UDFs plus enough structure for the application
-//! optimizer to translate the operator into physical operators via the
-//! declarative [`crate::mapping::MappingRegistry`].
+//! and graph crates) name their operators and hand over a
+//! [`LogicalPayload`] — the UDFs plus enough structure for
+//! [`LogicalPlan::lower`] to wrap each one in its physical operator (the
+//! "wrapper operator" of §3.2).
 
 use std::fmt;
 use std::sync::Arc;
 
 use crate::data::{Dataset, Record};
 use crate::error::{Result, RheemError};
-use crate::physical::CustomPhysicalOp;
+use crate::physical::{CustomPhysicalOp, PhysicalOp};
+use crate::plan::{NodeId, PhysicalPlan, PlanBuilder};
 use crate::udf::{
     FilterUdf, FlatMapUdf, GroupMapUdf, KeyUdf, LoopCondUdf, MapUdf, PairPredicateFn, ReduceUdf,
 };
@@ -22,9 +22,7 @@ use crate::udf::{
 /// The algorithmic-needs description a logical operator exposes.
 ///
 /// Crucially this expresses *what* must happen to the data quanta, never
-/// *how* or *where*: the mapping registry picks the algorithm
-/// (e.g. hash vs sort grouping) and the multi-platform optimizer picks the
-/// platform.
+/// *where*: the multi-platform optimizer picks the platform.
 #[derive(Clone)]
 pub enum LogicalPayload {
     /// In-memory data source.
@@ -143,7 +141,8 @@ impl LogicalPayload {
         }
     }
 
-    /// The kind key used for mapping-registry lookups (e.g. `"kind:Group"`).
+    /// The payload's kind (e.g. `"kind:Group"`), as [`LogicalPlan::explain`]
+    /// prints it.
     pub fn kind_key(&self) -> &'static str {
         match self {
             LogicalPayload::Source { .. } | LogicalPayload::StorageSource { .. } => "kind:Source",
@@ -169,6 +168,62 @@ impl LogicalPayload {
             | LogicalPayload::StorageSink { .. } => "kind:Sink",
         }
     }
+
+    /// The physical operator this payload lowers to. Grouping and equi-joins
+    /// take their hash variants; `SortGroupBy` and `SortMergeJoin` are built
+    /// with [`PlanBuilder`] directly.
+    fn lower(&self) -> Result<PhysicalOp> {
+        let op = match self.clone() {
+            LogicalPayload::Source { name, data } => PhysicalOp::CollectionSource { data, name },
+            LogicalPayload::StorageSource { dataset_id } => {
+                PhysicalOp::StorageSource { dataset_id }
+            }
+            LogicalPayload::LoopInput => PhysicalOp::LoopInput,
+            LogicalPayload::Map(u) => PhysicalOp::Map(u),
+            LogicalPayload::FlatMap(u) => PhysicalOp::FlatMap(u),
+            LogicalPayload::Filter(u) => PhysicalOp::Filter(u),
+            LogicalPayload::Project { indices } => PhysicalOp::Project { indices },
+            LogicalPayload::Group { key, group } => PhysicalOp::HashGroupBy { key, group },
+            LogicalPayload::Reduce { key, reduce } => PhysicalOp::ReduceByKey { key, reduce },
+            LogicalPayload::GlobalReduce { reduce } => PhysicalOp::GlobalReduce { reduce },
+            LogicalPayload::Join {
+                left_key,
+                right_key,
+            } => PhysicalOp::HashJoin {
+                left_key,
+                right_key,
+            },
+            LogicalPayload::ThetaJoin {
+                name,
+                predicate,
+                selectivity,
+            } => PhysicalOp::NestedLoopJoin {
+                predicate,
+                name,
+                selectivity,
+            },
+            LogicalPayload::CrossProduct => PhysicalOp::CrossProduct,
+            LogicalPayload::Union => PhysicalOp::Union,
+            LogicalPayload::Sort { key, descending } => PhysicalOp::Sort { key, descending },
+            LogicalPayload::Distinct => PhysicalOp::Distinct,
+            LogicalPayload::Limit { n } => PhysicalOp::Limit { n },
+            LogicalPayload::Loop {
+                body,
+                condition,
+                max_iterations,
+            } => PhysicalOp::Loop {
+                body: Arc::new(body.lower()?),
+                condition,
+                max_iterations,
+                expected_iterations: max_iterations as f64,
+            },
+            LogicalPayload::Custom(op) => PhysicalOp::Custom(op),
+            LogicalPayload::Collect => PhysicalOp::CollectSink,
+            LogicalPayload::Count => PhysicalOp::CountSink,
+            LogicalPayload::StorageSink { dataset_id } => PhysicalOp::StorageSink { dataset_id },
+        };
+        Ok(op)
+    }
 }
 
 impl fmt::Debug for LogicalPayload {
@@ -177,40 +232,26 @@ impl fmt::Debug for LogicalPayload {
     }
 }
 
-/// An application-specific logical operator.
+/// An application-specific logical operator: a name plus its payload.
 ///
 /// This is the Rust rendition of the paper's abstract `LogicalOperator` with
-/// its `applyOp` method: instead of a dynamically invoked method, operators
-/// surrender their UDF payload once, and RHEEM embeds it into physical plans.
-pub trait LogicalOperator: Send + Sync {
-    /// The operator's name; mapping-registry entries key on this.
-    fn name(&self) -> &str;
-
-    /// The operator's algorithmic needs.
-    fn payload(&self) -> LogicalPayload;
-}
-
-/// A plain named logical operator, for applications without custom types.
-pub struct SimpleLogicalOperator {
+/// its `applyOp` method: the payload's UDFs are built once, when the
+/// operator is added to a [`LogicalPlanBuilder`], so every lowering of the
+/// plan embeds the very same closures (and fingerprints the same).
+#[derive(Clone)]
+pub struct LogicalOperator {
     name: String,
     payload: LogicalPayload,
 }
 
-impl SimpleLogicalOperator {
-    /// Wrap a payload under a name.
-    pub fn new(name: impl Into<String>, payload: LogicalPayload) -> Self {
-        SimpleLogicalOperator {
-            name: name.into(),
-            payload,
-        }
-    }
-}
-
-impl LogicalOperator for SimpleLogicalOperator {
-    fn name(&self) -> &str {
+impl LogicalOperator {
+    /// The operator's name.
+    pub fn name(&self) -> &str {
         &self.name
     }
-    fn payload(&self) -> LogicalPayload {
+
+    /// The operator's algorithmic needs.
+    pub fn payload(&self) -> LogicalPayload {
         self.payload.clone()
     }
 }
@@ -225,7 +266,7 @@ pub struct LogicalNode {
     /// This node's id.
     pub id: LogicalNodeId,
     /// The operator.
-    pub op: Arc<dyn LogicalOperator>,
+    pub op: LogicalOperator,
     /// Producer nodes, one per input slot.
     pub inputs: Vec<LogicalNodeId>,
 }
@@ -263,12 +304,12 @@ impl LogicalPlan {
             return Err(RheemError::InvalidPlan("logical plan has no nodes".into()));
         }
         for n in &self.nodes {
-            let arity = n.op.payload().arity();
+            let arity = n.op.payload.arity();
             if n.inputs.len() != arity {
                 return Err(RheemError::InvalidPlan(format!(
                     "logical node {} ({}) has {} inputs but arity {}",
                     n.id.0,
-                    n.op.name(),
+                    n.op.name,
                     n.inputs.len(),
                     arity
                 )));
@@ -293,12 +334,27 @@ impl LogicalPlan {
             s.push_str(&format!(
                 "l{}: {} [{}] <- [{}]\n",
                 n.id.0,
-                n.op.name(),
-                n.op.payload().kind_key(),
+                n.op.name,
+                n.op.payload.kind_key(),
                 inputs.join(", ")
             ));
         }
         s
+    }
+
+    /// Translate into a physical plan, node for node (logical ids map 1:1
+    /// onto physical ids).
+    pub fn lower(&self) -> Result<PhysicalPlan> {
+        self.validate()?;
+        let mut b = PlanBuilder::new();
+        let mut physical_ids: Vec<NodeId> = Vec::with_capacity(self.len());
+        for node in &self.nodes {
+            let inputs = node.inputs.iter().map(|i| physical_ids[i.0]).collect();
+            physical_ids.push(b.add(node.op.payload.lower()?, inputs));
+        }
+        // `build_fragment` skips the sink requirement: loop bodies are also
+        // lowered through this path.
+        b.build_fragment()
     }
 }
 
@@ -320,31 +376,26 @@ impl LogicalPlanBuilder {
         LogicalPlanBuilder::default()
     }
 
-    /// Append an application-defined operator.
+    /// Append an operator named `name` with `payload`.
     pub fn add(
-        &mut self,
-        op: Arc<dyn LogicalOperator>,
-        inputs: Vec<LogicalNodeId>,
-    ) -> LogicalNodeId {
-        let id = LogicalNodeId(self.nodes.len());
-        self.nodes.push(LogicalNode { id, op, inputs });
-        id
-    }
-
-    /// Append a [`SimpleLogicalOperator`].
-    pub fn add_simple(
         &mut self,
         name: impl Into<String>,
         payload: LogicalPayload,
         inputs: Vec<LogicalNodeId>,
     ) -> LogicalNodeId {
-        self.add(Arc::new(SimpleLogicalOperator::new(name, payload)), inputs)
+        let id = LogicalNodeId(self.nodes.len());
+        let op = LogicalOperator {
+            name: name.into(),
+            payload,
+        };
+        self.nodes.push(LogicalNode { id, op, inputs });
+        id
     }
 
     /// In-memory source.
     pub fn source(&mut self, name: impl Into<String>, records: Vec<Record>) -> LogicalNodeId {
         let name = name.into();
-        self.add_simple(
+        self.add(
             name.clone(),
             LogicalPayload::Source {
                 name,
@@ -356,7 +407,7 @@ impl LogicalPlanBuilder {
 
     /// Materializing sink.
     pub fn collect(&mut self, input: LogicalNodeId) -> LogicalNodeId {
-        self.add_simple("collect", LogicalPayload::Collect, vec![input])
+        self.add("collect", LogicalPayload::Collect, vec![input])
     }
 
     /// Finish and validate.
@@ -372,21 +423,15 @@ mod tests {
     use super::*;
     use crate::rec;
 
-    struct Initialize;
-    impl LogicalOperator for Initialize {
-        fn name(&self) -> &str {
-            "Initialize"
-        }
-        fn payload(&self) -> LogicalPayload {
-            LogicalPayload::Map(MapUdf::new("init", |r| r.clone()))
-        }
-    }
-
     #[test]
-    fn custom_operator_types_plug_in() {
+    fn named_operators_plug_in() {
         let mut b = LogicalPlanBuilder::new();
         let src = b.source("pts", vec![rec![1.0f64]]);
-        let init = b.add(Arc::new(Initialize), vec![src]);
+        let init = b.add(
+            "Initialize",
+            LogicalPayload::Map(MapUdf::new("init", |r| r.clone())),
+            vec![src],
+        );
         b.collect(init);
         let plan = b.build().unwrap();
         assert_eq!(plan.len(), 3);
@@ -410,7 +455,7 @@ mod tests {
         let mut b = LogicalPlanBuilder::new();
         let src = b.source("s", vec![rec![1i64]]);
         // Union needs two inputs; give it one.
-        b.add_simple("u", LogicalPayload::Union, vec![src]);
+        b.add("u", LogicalPayload::Union, vec![src]);
         assert!(b.build().is_err());
     }
 
@@ -422,5 +467,59 @@ mod tests {
         let text = b.build().unwrap().explain();
         assert!(text.contains("kind:Source"));
         assert!(text.contains("kind:Sink"));
+    }
+
+    #[test]
+    fn default_mapping_picks_hash_group_by() {
+        let mut b = LogicalPlanBuilder::new();
+        let src = b.source("s", vec![rec![1i64], rec![1i64], rec![2i64]]);
+        let g = b.add(
+            "Process",
+            LogicalPayload::Group {
+                key: KeyUdf::field(0),
+                group: GroupMapUdf::identity(),
+            },
+            vec![src],
+        );
+        b.collect(g);
+        let physical = b.build().unwrap().lower().unwrap();
+        assert!(matches!(
+            physical.nodes()[1].op,
+            PhysicalOp::HashGroupBy { .. }
+        ));
+    }
+
+    #[test]
+    fn logical_loop_lowers_recursively() {
+        let mut body = LogicalPlanBuilder::new();
+        let li = body.add("state", LogicalPayload::LoopInput, vec![]);
+        body.add(
+            "step",
+            LogicalPayload::Map(MapUdf::new("inc", |r| rec![r.int(0).unwrap() + 1])),
+            vec![li],
+        );
+        let body = body.build().unwrap();
+
+        let mut b = LogicalPlanBuilder::new();
+        let src = b.source("s", vec![rec![0i64]]);
+        let l = b.add(
+            "train",
+            LogicalPayload::Loop {
+                body,
+                condition: LoopCondUdf::fixed_iterations(2),
+                max_iterations: 2,
+            },
+            vec![src],
+        );
+        b.collect(l);
+        let physical = b.build().unwrap().lower().unwrap();
+        physical.validate().unwrap();
+        assert!(matches!(physical.nodes()[1].op, PhysicalOp::Loop { .. }));
+
+        // And it runs end to end on the reference interpreter.
+        let out =
+            crate::interpreter::run_plan(&physical, &crate::platform::ExecutionContext::new())
+                .unwrap();
+        assert_eq!(out.values().next().unwrap().records(), &[rec![2i64]]);
     }
 }

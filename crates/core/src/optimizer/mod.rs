@@ -1,7 +1,6 @@
 //! Multi-layer optimization (§4).
 //!
-//! * [`application`] — logical → physical translation via declarative
-//!   mappings (§4.1);
+//! * [`LogicalPlan::lower`] — logical → physical translation (§4.1);
 //! * [`rewrites`] — sound UDF-algebra rewrites (§4.1/§4.2 "traditional
 //!   physical optimizations");
 //! * [`enumerate`](mod@enumerate) — platform assignment over a subplan
@@ -14,7 +13,6 @@
 //! [`MultiPlatformOptimizer`] wires them together: it is the component in
 //! the middle of the paper's Figure 1.
 
-pub mod application;
 pub mod cache;
 pub mod enumerate;
 pub mod fuse;
@@ -26,7 +24,6 @@ use std::sync::Arc;
 use crate::cost::{CardinalityEstimator, MovementCostModel};
 use crate::error::Result;
 use crate::logical::LogicalPlan;
-use crate::mapping::MappingRegistry;
 use crate::observe::{CostCalibration, MetricsRegistry};
 use crate::plan::{ExecutionPlan, PhysicalPlan};
 use crate::platform::PlatformRegistry;
@@ -42,8 +39,6 @@ pub struct MultiPlatformOptimizer {
     pub estimator: CardinalityEstimator,
     /// Inter-platform data movement prices.
     pub movement: MovementCostModel,
-    /// Logical-to-physical mappings for the application layer.
-    pub mappings: MappingRegistry,
     /// Enumeration knobs.
     pub config: OptimizerConfig,
     /// Runtime feedback: EMA correction factors per (operator, platform),
@@ -82,7 +77,7 @@ impl Default for OptimizerConfig {
 }
 
 impl MultiPlatformOptimizer {
-    /// An optimizer with default cost models, mappings, and configuration.
+    /// An optimizer with default cost models and configuration.
     pub fn new() -> Self {
         MultiPlatformOptimizer::default()
     }
@@ -239,7 +234,6 @@ impl MultiPlatformOptimizer {
         plan: &LogicalPlan,
         platforms: &PlatformRegistry,
     ) -> Result<ExecutionPlan> {
-        let physical = application::lower(plan, &self.mappings)?;
-        self.optimize(physical, platforms)
+        self.optimize(plan.lower()?, platforms)
     }
 }

@@ -40,8 +40,6 @@ mod tests {
     use super::*;
     use crate::data::{DataType, Record, Schema, Value};
     use crate::interpreter;
-    use crate::mapping::MappingRegistry;
-    use crate::optimizer::application;
     use crate::platform::ExecutionContext;
     use crate::rec;
 
@@ -89,8 +87,7 @@ mod tests {
     /// Plan and run a query on the reference interpreter.
     fn run(sql: &str) -> (Vec<Record>, Schema) {
         let planned = catalog().plan(sql).unwrap();
-        let physical =
-            application::lower(&planned.logical, &MappingRegistry::with_defaults()).unwrap();
+        let physical = planned.logical.lower().unwrap();
         let outputs = interpreter::run_plan(&physical, &ExecutionContext::new()).unwrap();
         let rows = outputs[&planned.sink].records().to_vec();
         (rows, planned.schema)
@@ -174,8 +171,7 @@ mod tests {
             vec![rec![1i64, 10i64], rec![1i64, 20i64]],
         );
         let planned = c.plan("SELECT k, SUM(v) AS s FROM t GROUP BY k").unwrap();
-        let physical =
-            application::lower(&planned.logical, &MappingRegistry::with_defaults()).unwrap();
+        let physical = planned.logical.lower().unwrap();
         let outputs = interpreter::run_plan(&physical, &ExecutionContext::new()).unwrap();
         let rows = outputs[&planned.sink].records();
         assert_eq!(rows[0].get(1).unwrap(), &Value::Int(30));
@@ -196,8 +192,7 @@ mod tests {
         let planned = c
             .plan("SELECT COUNT(*) AS all_rows, COUNT(x) AS non_null, SUM(x) AS s FROM t")
             .unwrap();
-        let physical =
-            application::lower(&planned.logical, &MappingRegistry::with_defaults()).unwrap();
+        let physical = planned.logical.lower().unwrap();
         let outputs = interpreter::run_plan(&physical, &ExecutionContext::new()).unwrap();
         let r = &outputs[&planned.sink].records()[0];
         assert_eq!(r.int(0).unwrap(), 3);
@@ -205,8 +200,7 @@ mod tests {
         assert_eq!(r.int(2).unwrap(), 4);
         // A NULL comparison is not truthy: the row vanishes from WHERE.
         let planned = c.plan("SELECT x FROM t WHERE x > 0").unwrap();
-        let physical =
-            application::lower(&planned.logical, &MappingRegistry::with_defaults()).unwrap();
+        let physical = planned.logical.lower().unwrap();
         let outputs = interpreter::run_plan(&physical, &ExecutionContext::new()).unwrap();
         assert_eq!(outputs[&planned.sink].len(), 2);
     }

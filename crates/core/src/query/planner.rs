@@ -330,7 +330,7 @@ fn plan_query(catalog: &QueryCatalog, query: &Query) -> Result<PlannedQuery> {
         },
     };
 
-    let from_node = b.add_simple(
+    let from_node = b.add(
         format!("scan-{}", query.from),
         source_payload(from_def, &query.from),
         vec![],
@@ -343,7 +343,7 @@ fn plan_query(catalog: &QueryCatalog, query: &Query) -> Result<PlannedQuery> {
         None => (from_node, from_binding),
         Some(join) => {
             let right_def = catalog.table(&join.table)?;
-            let right_node = b.add_simple(
+            let right_node = b.add(
                 format!("scan-{}", join.table),
                 source_payload(right_def, &join.table),
                 vec![],
@@ -367,7 +367,7 @@ fn plan_query(catalog: &QueryCatalog, query: &Query) -> Result<PlannedQuery> {
                     (l, r)
                 }
             };
-            let joined = b.add_simple(
+            let joined = b.add(
                 "join",
                 LogicalPayload::Join {
                     left_key: KeyUdf::field(lk),
@@ -381,7 +381,7 @@ fn plan_query(catalog: &QueryCatalog, query: &Query) -> Result<PlannedQuery> {
 
     // WHERE.
     if let Some(filter) = &query.filter {
-        node = b.add_simple(
+        node = b.add(
             "where",
             LogicalPayload::Filter(FilterUdf::from_expr("where", lower_expr(filter, &binding)?)),
             vec![node],
@@ -405,7 +405,7 @@ fn plan_query(catalog: &QueryCatalog, query: &Query) -> Result<PlannedQuery> {
                 "HAVING requires GROUP BY or aggregates".into(),
             ));
         }
-        node = b.add_simple(
+        node = b.add(
             "having",
             LogicalPayload::Filter(FilterUdf::from_expr(
                 "having",
@@ -421,7 +421,7 @@ fn plan_query(catalog: &QueryCatalog, query: &Query) -> Result<PlannedQuery> {
             table: None,
             column: order.column.clone(),
         })?;
-        node = b.add_simple(
+        node = b.add(
             "order-by",
             LogicalPayload::Sort {
                 key: KeyUdf::field(idx),
@@ -433,10 +433,10 @@ fn plan_query(catalog: &QueryCatalog, query: &Query) -> Result<PlannedQuery> {
 
     // LIMIT.
     if let Some(n) = query.limit {
-        node = b.add_simple("limit", LogicalPayload::Limit { n }, vec![node]);
+        node = b.add("limit", LogicalPayload::Limit { n }, vec![node]);
     }
 
-    let sink = b.add_simple("collect", LogicalPayload::Collect, vec![node]);
+    let sink = b.add("collect", LogicalPayload::Collect, vec![node]);
     let logical = b.build()?;
     Ok(PlannedQuery {
         logical,
@@ -517,7 +517,7 @@ fn plan_plain_select(
             }
         }
     }
-    let projected = b.add_simple(
+    let projected = b.add(
         "select",
         LogicalPayload::Map(MapUdf::from_exprs("select", cells)),
         vec![input],
@@ -580,7 +580,7 @@ fn plan_grouped_select(
 
     let key = KeyUdf::fields(group_indices);
     let group = GroupMapUdf::from_aggs("aggregate", cells);
-    let node = b.add_simple(
+    let node = b.add(
         "group-by",
         LogicalPayload::Group { key, group },
         vec![input],

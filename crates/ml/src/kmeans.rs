@@ -6,102 +6,72 @@
 //! `SetCentroids` (for computing the new centroids) logical operators ...
 //! the developer provides a `GroupBy` enhancer operator between
 //! GetCentroid and SetCentroid." That is exactly the structure below:
-//! custom [`LogicalOperator`] types (`ComputeDistances`, `GetCentroid`,
-//! `SetCentroids`) compose a logical loop body, the mapping registry picks
-//! the grouping algorithm for `SetCentroids` (`HashGroupBy` by default —
-//! Example 2's choice point), and the application optimizer lowers the
-//! whole thing to a physical plan.
+//! named logical operators (`ComputeDistances`, `GetCentroid`,
+//! `SetCentroids`) compose a logical loop body, `SetCentroids` groups with
+//! `HashGroupBy` (Example 2's choice point, taken in
+//! [`LogicalPlan::lower`]), and the whole thing lowers to a physical plan.
 //!
 //! Layouts: points `[pid(Int), x_0..x_{d-1}]`; centroids (the loop state)
 //! `[cid(Int), c_0..c_{d-1}]`.
 
-use std::sync::Arc;
-
 use rheem_core::data::{Dataset, Record, Value};
 use rheem_core::error::{Result, RheemError};
-use rheem_core::logical::{LogicalOperator, LogicalPayload, LogicalPlan, LogicalPlanBuilder};
+use rheem_core::logical::{LogicalPayload, LogicalPlan, LogicalPlanBuilder};
 use rheem_core::plan::NodeId;
 use rheem_core::udf::{GroupMapUdf, KeyUdf, LoopCondUdf, MapUdf, ReduceUdf};
 use rheem_core::{JobResult, RheemContext};
 
 /// Computes, for every (point, centroid) pair, the squared distance.
 /// Input: `[pid, x..., cid, c...]`; output: `[pid, cid, dist, x...]`.
-struct ComputeDistances {
-    dims: usize,
-}
-
-impl LogicalOperator for ComputeDistances {
-    fn name(&self) -> &str {
-        "ComputeDistances"
-    }
-    fn payload(&self) -> LogicalPayload {
-        let dims = self.dims;
-        LogicalPayload::Map(MapUdf::new("distance", move |r: &Record| {
-            let take = |i: usize| r.float(i).expect("pair layout");
-            let pid = r.int(0).expect("pid");
-            let cid = r.int(dims + 1).expect("cid");
-            let dist: f64 = (0..dims)
-                .map(|i| {
-                    let d = take(1 + i) - take(dims + 2 + i);
-                    d * d
-                })
-                .sum();
-            let mut fields = vec![Value::Int(pid), Value::Int(cid), Value::Float(dist)];
-            fields.extend((0..dims).map(|i| Value::Float(take(1 + i))));
-            Record::new(fields)
-        }))
-    }
+fn compute_distances(dims: usize) -> LogicalPayload {
+    LogicalPayload::Map(MapUdf::new("distance", move |r: &Record| {
+        let take = |i: usize| r.float(i).expect("pair layout");
+        let pid = r.int(0).expect("pid");
+        let cid = r.int(dims + 1).expect("cid");
+        let dist: f64 = (0..dims)
+            .map(|i| {
+                let d = take(1 + i) - take(dims + 2 + i);
+                d * d
+            })
+            .sum();
+        let mut fields = vec![Value::Int(pid), Value::Int(cid), Value::Float(dist)];
+        fields.extend((0..dims).map(|i| Value::Float(take(1 + i))));
+        Record::new(fields)
+    }))
 }
 
 /// Keeps, per point, the nearest centroid (the paper's `GetCentroid`).
-struct GetCentroid;
-
-impl LogicalOperator for GetCentroid {
-    fn name(&self) -> &str {
-        "GetCentroid"
-    }
-    fn payload(&self) -> LogicalPayload {
-        LogicalPayload::Reduce {
-            key: KeyUdf::field(0),
-            reduce: ReduceUdf::new("min-dist", |a: Record, b: &Record| {
-                let (da, db) = (a.float(2).expect("dist"), b.float(2).expect("dist"));
-                if db < da {
-                    b.clone()
-                } else {
-                    a
-                }
-            }),
-        }
+fn get_centroid() -> LogicalPayload {
+    LogicalPayload::Reduce {
+        key: KeyUdf::field(0),
+        reduce: ReduceUdf::new("min-dist", |a: Record, b: &Record| {
+            let (da, db) = (a.float(2).expect("dist"), b.float(2).expect("dist"));
+            if db < da {
+                b.clone()
+            } else {
+                a
+            }
+        }),
     }
 }
 
 /// Recomputes centroids as the mean of their assigned points (the paper's
 /// `SetCentroids`, fused with its `GroupBy` enhancer).
-struct SetCentroids {
-    dims: usize,
-}
-
-impl LogicalOperator for SetCentroids {
-    fn name(&self) -> &str {
-        "SetCentroids"
-    }
-    fn payload(&self) -> LogicalPayload {
-        let dims = self.dims;
-        LogicalPayload::Group {
-            key: KeyUdf::new("cid", |r: &Record| r.get(1).expect("cid field").clone()),
-            group: GroupMapUdf::new("mean", move |cid: &Value, members: &[Record]| {
-                let n = members.len().max(1) as f64;
-                let mut mean = vec![0.0f64; dims];
-                for m in members {
-                    for (i, acc) in mean.iter_mut().enumerate() {
-                        *acc += m.float(3 + i).expect("point coords");
-                    }
+fn set_centroids(dims: usize) -> LogicalPayload {
+    LogicalPayload::Group {
+        key: KeyUdf::new("cid", |r: &Record| r.get(1).expect("cid field").clone()),
+        group: GroupMapUdf::new("mean", move |cid: &Value, members: &[Record]| {
+            let n = members.len().max(1) as f64;
+            let mut mean = vec![0.0f64; dims];
+            for m in members {
+                for (i, acc) in mean.iter_mut().enumerate() {
+                    *acc += m.float(3 + i).expect("point coords");
                 }
-                let mut fields = vec![cid.clone()];
-                fields.extend(mean.into_iter().map(|s| Value::Float(s / n)));
-                vec![Record::new(fields)]
-            }),
-        }
+            }
+            let mut fields = vec![cid.clone()];
+            fields.extend(mean.into_iter().map(|s| Value::Float(s / n)));
+            vec![Record::new(fields)]
+        }),
     }
 }
 
@@ -204,18 +174,22 @@ impl KMeansTrainer {
 
         // Loop body, in logical operators.
         let mut body = LogicalPlanBuilder::new();
-        let state = body.add_simple("centroids", LogicalPayload::LoopInput, vec![]);
+        let state = body.add("centroids", LogicalPayload::LoopInput, vec![]);
         let pts = body.source("points", with_ids);
-        let pairs = body.add_simple("pair", LogicalPayload::CrossProduct, vec![pts, state]);
-        let dists = body.add(Arc::new(ComputeDistances { dims: self.dims }), vec![pairs]);
-        let assigned = body.add(Arc::new(GetCentroid), vec![dists]);
-        body.add(Arc::new(SetCentroids { dims: self.dims }), vec![assigned]);
+        let pairs = body.add("pair", LogicalPayload::CrossProduct, vec![pts, state]);
+        let dists = body.add(
+            "ComputeDistances",
+            compute_distances(self.dims),
+            vec![pairs],
+        );
+        let assigned = body.add("GetCentroid", get_centroid(), vec![dists]);
+        body.add("SetCentroids", set_centroids(self.dims), vec![assigned]);
         let body = body.build()?;
 
         // Outer plan.
         let mut b = LogicalPlanBuilder::new();
         let init = b.source("initial-centroids", centroids);
-        let looped = b.add_simple(
+        let looped = b.add(
             "Lloyd",
             LogicalPayload::Loop {
                 body,
@@ -240,11 +214,12 @@ impl KMeansTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use rheem_core::mapping::variants;
-    use rheem_core::physical::PhysicalOp;
     use rheem_core::rec;
+    use rheem_core::{PlanCache, PlanCacheConfig};
     use rheem_platforms::JavaPlatform;
 
     fn ctx() -> RheemContext {
@@ -305,30 +280,18 @@ mod tests {
     }
 
     #[test]
-    fn mapping_hint_switches_set_centroids_to_sort_group_by() {
-        let points = blobs(10, 1);
+    fn one_logical_plan_lowers_to_one_fingerprint_and_hits_the_plan_cache() {
         let trainer = KMeansTrainer::new(2, 2);
-        let (logical, _) = trainer.build_logical_plan(&points).unwrap();
+        let (logical, _) = trainer.build_logical_plan(&blobs(10, 1)).unwrap();
+        let fingerprint = || logical.lower().unwrap().fingerprint().hash;
+        assert_eq!(fingerprint(), fingerprint());
 
-        let mut registry = rheem_core::mapping::MappingRegistry::with_defaults();
-        let default_physical =
-            rheem_core::optimizer::application::lower(&logical, &registry).unwrap();
-        let uses = |plan: &rheem_core::PhysicalPlan, sort: bool| {
-            fn scan(plan: &rheem_core::PhysicalPlan, sort: bool) -> bool {
-                plan.nodes().iter().any(|n| match &n.op {
-                    PhysicalOp::SortGroupBy { .. } => sort,
-                    PhysicalOp::HashGroupBy { .. } => !sort,
-                    PhysicalOp::Loop { body, .. } => scan(body, sort),
-                    _ => false,
-                })
-            }
-            scan(plan, sort)
-        };
-        assert!(uses(&default_physical, false), "default is hash grouping");
-
-        registry.prefer("SetCentroids", variants::SORT_GROUP_BY);
-        let hinted = rheem_core::optimizer::application::lower(&logical, &registry).unwrap();
-        assert!(uses(&hinted, true), "hint selects sort grouping");
+        let cache = Arc::new(PlanCache::new(PlanCacheConfig::default()));
+        let ctx = ctx().with_plan_cache(cache.clone());
+        ctx.optimize_logical(&logical).unwrap();
+        ctx.optimize_logical(&logical).unwrap();
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   template;
 //! * [`kmeans`] — K-means built through the *logical* layer with
 //!   `GetCentroid`/`SetCentroids` operators and a grouping enhancer
-//!   (paper §3.2's example), lowered via the declarative mapping registry;
+//!   (paper §3.2's example), lowered by `LogicalPlan::lower`;
 //! * [`model`] — the shared linear-model representation;
 //! * [`eval`] — scoring plans, train/test splits, cross-validation.
 

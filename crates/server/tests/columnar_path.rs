@@ -13,8 +13,6 @@
 //! one place (`kernels::execute`), so the counts are the same whichever
 //! engine is forced to run the statements.
 
-use rheem_core::mapping::MappingRegistry;
-use rheem_core::optimizer::application;
 use rheem_core::query::QueryCatalog;
 use rheem_core::{DataType, Record, Schema, Value};
 use rheem_server::{Client, RheemServer, ServerConfig};
@@ -78,9 +76,7 @@ fn the_benchmark_statements_lower_without_opaque_closures() {
     catalog.register("customers", customers_schema(), customers());
     let fingerprint = |sql: &str| {
         let planned = catalog.plan(sql).expect("plans");
-        application::lower(&planned.logical, &MappingRegistry::with_defaults())
-            .expect("lowers")
-            .fingerprint()
+        planned.logical.lower().expect("lowers").fingerprint()
     };
     let mut hashes = Vec::new();
     for sql in STATEMENTS {

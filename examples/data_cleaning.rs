@@ -99,17 +99,5 @@ unary rules:"
         println!("  {}: {} violations", rule.name, violations.len());
     }
 
-    // Operator mappings are declarative: a spec file can re-route the
-    // grouping algorithm the cleaning pipeline's Block step uses, without
-    // touching any code (§8 challenge 1).
-    let mut ctx = ctx;
-    let loaded = ctx
-        .optimizer_mut()
-        .mappings
-        .load_spec("kind:Group prefers SortGroupBy  # cluster blocks on disk-friendly order")?;
-    println!(
-        "
-loaded {loaded} mapping fact(s); Block now lowers to SortGroupBy"
-    );
     Ok(())
 }

@@ -17,7 +17,6 @@ use std::sync::Arc;
 
 use rheem::prelude::*;
 use rheem::rec;
-use rheem_core::streaming::{micro_batches, MicroBatchDriver};
 use rheem_datagen::relational::sensor_readings;
 
 /// The shared aggregation template: per-sensor (count, sum of pressure).
@@ -82,17 +81,16 @@ fn main() -> Result<(), RheemError> {
     );
 
     // ---- speed layer ------------------------------------------------------
-    let mut driver = MicroBatchDriver::new(aggregate);
     let mut speed_platforms: Vec<String> = Vec::new();
-    serving = driver.run(
-        &ctx,
-        micro_batches(live, 100)?,
-        serving,
-        |state, outcome| {
-            speed_platforms.extend(outcome.stats.platforms_used().iter().map(|s| s.to_string()));
-            absorb(state, &outcome.output)
-        },
-    )?;
+    for (i, batch) in live.chunks(100).enumerate() {
+        let mut b = PlanBuilder::new();
+        let src = b.collection(format!("batch-{i}"), batch.to_vec());
+        let agg = aggregate(&mut b, src);
+        let sink = b.collect(agg);
+        let result = ctx.execute(b.build()?)?;
+        speed_platforms.extend(result.stats.platforms_used().iter().map(|s| s.to_string()));
+        absorb(&mut serving, &result.outputs[&sink])?;
+    }
     speed_platforms.sort();
     speed_platforms.dedup();
     println!("speed layer: 20 micro-batches of 100 readings each, all on {speed_platforms:?}");

@@ -1,8 +1,8 @@
 //! Platform-independent machine learning (paper §3.1 Example 1 and
 //! Figure 2): the same SVM training plan runs unchanged on the
 //! single-process engine and the Spark-like engine; K-means is built from
-//! `GetCentroid`/`SetCentroids` logical operators and lowered through the
-//! declarative mapping registry.
+//! `GetCentroid`/`SetCentroids` logical operators and lowered to physical
+//! operators.
 //!
 //! Run with: `cargo run --example ml_training --release`
 

@@ -26,8 +26,6 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rheem::prelude::*;
 use rheem_core::data::Chunk;
-use rheem_core::mapping::MappingRegistry;
-use rheem_core::optimizer::application;
 use rheem_core::physical::PhysicalOp;
 use rheem_core::{KernelParallelism, PlanCache, PlanCacheConfig};
 use rheem_server::protocol::Response;
@@ -742,8 +740,7 @@ fn closures_only(plan: &PhysicalPlan) -> PhysicalPlan {
 /// Rows of `sql` evaluated row-at-a-time through the derived closures.
 fn run_through_closures(catalog: &QueryCatalog, sql: &str) -> Vec<Record> {
     let planned = catalog.plan(sql).expect("plans");
-    let physical =
-        application::lower(&planned.logical, &MappingRegistry::with_defaults()).expect("lowers");
+    let physical = planned.logical.lower().expect("lowers");
     assert!(
         !physical.fingerprint().opaque,
         "`{sql}` lowered to an opaque closure"
