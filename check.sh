@@ -74,6 +74,15 @@ if grep -rnE 'MappingRegistry|TripleStore|MicroBatchDriver|micro_batches|SimpleL
   echo "a deleted operator-mapping mechanism is named again"; exit 1
 fi
 
+# One record per job: the `ExecutionStats` a job returns is what monitoring
+# renders (`explain_observed`) and what the replay tests compare
+# (`testkit::work`); no span tree, trace sink or operator-kind tag comes back.
+echo "==> one record per job: no trace spans, sinks or operator-kind tag"
+if grep -rnE 'TraceSink|RingBufferSink|JsonLinesSink|SpanRecord|SpanKind|canonical_tree|with_sink|JobTrace|OpKind' \
+    crates src tests examples; then
+  echo "a deleted trace or classification name is named again"; exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -144,8 +153,10 @@ cargo test -q --release -p rheem-server --test server_smoke
 # next to the one value encoding and the one row grammar). Both directions
 # are held to the row form byte for byte over generated dirty tables — chunk
 # vs rows on the way out, column sink vs row sink (and their verdicts on
-# truncated and corrupted frames) on the way in — and the footprint of a
-# registered table is counted with a counting allocator. Release mode.
+# truncated and corrupted frames) on the way in — every other frame gets a
+# typed verdict within bounded allocation however it is cut or corrupted, and
+# the footprint of a registered table is counted with a counting allocator.
+# Release mode.
 echo "==> session data path: no rows in server.rs + codec equivalence + footprint"
 if nontest crates/server/src/server.rs \
     | grep -nE 'into_records\(|\.records\(\)|catalog\.register\('; then
@@ -153,6 +164,7 @@ if nontest crates/server/src/server.rs \
 fi
 cargo test -q --release -p rheem-server --test result_encoding
 cargo test -q --release -p rheem-server --test register_decoding
+cargo test -q --release -p rheem-server --test frame_decoding
 cargo test -q --release -p rheem-server --test register_footprint
 
 # What the server owes a client at the socket: TCP_NODELAY on every accepted

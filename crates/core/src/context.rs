@@ -117,8 +117,8 @@ impl RheemContext {
     /// parallelism). A wave runs `min(threads, atoms in the wave)` atoms
     /// at once and each atom's morsel-driven kernels (`DESIGN.md` §10) get
     /// `threads / width`, so the two never multiply; `threads = 1` runs one
-    /// atom at a time on the sequential kernels. Outputs, stats and traces
-    /// are identical at any setting.
+    /// atom at a time on the sequential kernels. Outputs and the work stats
+    /// record are identical at any setting.
     pub fn with_kernel_parallelism(mut self, parallelism: KernelParallelism) -> Self {
         self.execution.kernel_parallelism = parallelism;
         self
@@ -174,8 +174,8 @@ impl RheemContext {
         self
     }
 
-    /// Attach an [`Observability`] hub: its metrics registry and trace
-    /// sinks receive every job this context runs, and — the calibration
+    /// Attach an [`Observability`] hub: its metrics registry counts every
+    /// job this context runs, and — the calibration
     /// feedback loop — observed per-operator runtimes and cardinalities
     /// are folded into the optimizer's [`crate::observe::CostCalibration`]
     /// table after each successful job, correcting cost estimates on the
@@ -248,8 +248,8 @@ impl RheemContext {
         &self.optimizer
     }
 
-    /// Mutable access to the optimizer (to hint cardinalities, adjust
-    /// mappings, or tweak movement prices).
+    /// Mutable access to the optimizer (to hint cardinalities, tweak
+    /// movement prices, or set enumeration knobs).
     pub fn optimizer_mut(&mut self) -> &mut MultiPlatformOptimizer {
         &mut self.optimizer
     }

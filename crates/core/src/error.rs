@@ -225,9 +225,7 @@ impl RheemError {
         self.classify() == ErrorKind::Transient
     }
 
-    /// The platform this error implicates, when it names one. Drives
-    /// failover re-planning: the implicated platform is excluded from the
-    /// re-enumeration of the unexecuted suffix.
+    /// The platform this error implicates, when it names one.
     pub fn platform(&self) -> Option<&str> {
         match self {
             RheemError::Execution { platform, .. }

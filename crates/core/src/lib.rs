@@ -58,15 +58,12 @@ pub use fault::{
 };
 pub use kernels::parallel::KernelParallelism;
 pub use logical::{LogicalOperator, LogicalPayload, LogicalPlan, LogicalPlanBuilder};
-pub use observe::{
-    canonical_tree, CostCalibration, JsonLinesSink, MetricsRegistry, NodeObservation,
-    Observability, RingBufferSink, SpanKind, SpanRecord, TraceSink,
-};
+pub use observe::{CostCalibration, MetricsRegistry, NodeObservation, Observability};
 pub use optimizer::{
     assignment_cost, enumerate_exhaustive, EnumerationConfig, MultiPlatformOptimizer, PlanCache,
     PlanCacheConfig, PlanCacheStats, ReplanPolicy, Replanner,
 };
-pub use physical::{CustomPhysicalOp, Layout, OpKind, PhysicalOp};
+pub use physical::{CustomPhysicalOp, Layout, PhysicalOp};
 pub use plan::{
     ChannelConversion, EnumerationInfo, EnumerationPath, ExecutionPlan, NodeEstimate, NodeId,
     PhysicalPlan, PlanBuilder, PlanFingerprint, TaskAtom,

@@ -1,35 +1,28 @@
-//! Observability: metrics, execution traces, and cost-model calibration.
+//! Observability: metrics and cost-model calibration.
 //!
-//! Three cooperating pieces (see `DESIGN.md` §7):
+//! A job's own record is the [`ExecutionStats`] returned with its
+//! `JobResult` — per atom, per operator kernel — which
+//! `ExecutionPlan::explain_observed` renders. Around it (see `DESIGN.md` §7):
 //!
 //! - [`metrics`] — a lock-cheap [`MetricsRegistry`] of counters, gauges,
 //!   and fixed-bound histograms. The executor, optimizer, and the storage
 //!   hot buffer all report into one registry; hot paths only touch atomics.
-//! - [`trace`] — structured spans (job → wave → atom → operator kernel)
-//!   emitted through pluggable [`TraceSink`]s: an in-memory
-//!   [`RingBufferSink`] and a [`JsonLinesSink`].
 //! - [`calibrate`] — a [`CostCalibration`] table folding observed kernel
 //!   runtimes and true cardinalities back into the optimizer's estimates
 //!   as an EMA per `(operator, platform)` pair.
 //!
 //! [`Observability`] ties them together: it implements the executor's
 //! [`ProgressListener`], so attaching one to a [`crate::RheemContext`]
-//! (via `with_observability`) instruments every job the context runs and
+//! (via `with_observability`) counts every job the context runs and
 //! enables the calibration feedback loop.
 
 pub mod calibrate;
 pub mod metrics;
-pub mod trace;
 
 pub use calibrate::{CalibrationEntry, CostCalibration, DEFAULT_ALPHA};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use trace::{canonical_tree, JsonLinesSink, RingBufferSink, SpanKind, SpanRecord, TraceSink};
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::error::{CancelReason, ErrorKind, RheemError};
 use crate::executor::{AtomStats, ExecutionStats, FailoverEvent, ProgressListener, ReplanEvent};
@@ -38,7 +31,7 @@ use crate::plan::NodeId;
 /// What one operator kernel actually did inside a committed atom.
 ///
 /// Platforms attach these to their `AtomResult`; the executor copies them
-/// onto the committed `AtomStats`, from where they feed kernel trace spans
+/// onto the committed `AtomStats`, from where they feed the kernel counters
 /// and the calibration table. Failed attempts are discarded wholesale by
 /// the retry loop, so their observations never escape.
 #[derive(Clone, Debug, PartialEq)]
@@ -53,8 +46,8 @@ pub struct NodeObservation {
     pub elapsed_ms: f64,
     /// Parallel work units (morsels or chunks) the kernel ran on; 1 for
     /// a sequential kernel. Deterministic for a fixed
-    /// [`crate::KernelParallelism`] setting, and excluded from
-    /// [`canonical_tree`], so traces stay schedule-independent.
+    /// [`crate::KernelParallelism`] setting but not across settings, so a
+    /// comparison of the work two runs did leaves it out, like timing.
     pub morsels: u64,
     /// The kernel never touched rows: it ran on the columnar view (or only
     /// passed its dataset along, as sources and sinks do). `false` means a
@@ -124,31 +117,16 @@ impl ExecutorMetrics {
     }
 }
 
-/// Per-job trace bookkeeping: span ids are allocated lazily as atoms
-/// complete, and the job/wave spans themselves are emitted at job end.
-#[derive(Default)]
-struct JobTrace {
-    job_span: Option<u64>,
-    /// wave index → wave span id.
-    waves: BTreeMap<usize, u64>,
-    jobs_done: u64,
-}
-
-/// The observability hub: one metrics registry, any number of trace
-/// sinks, and a calibration table, driven by executor listener callbacks.
+/// The observability hub: one metrics registry and a calibration table,
+/// driven by executor listener callbacks.
 ///
-/// Thread-safety: parallel atoms complete on worker threads; span ids and
-/// the wave table are guarded by a mutex taken once per atom, and every
-/// metric update is a single atomic operation. Span *records* are emitted
-/// outside the bookkeeping lock, so sinks may block without stalling
-/// other atoms' bookkeeping.
+/// Thread-safety: parallel atoms complete on worker threads, and every
+/// update is a single atomic operation on a pre-resolved handle — the hub
+/// holds no per-job state, so concurrent jobs may share one.
 pub struct Observability {
     registry: Arc<MetricsRegistry>,
     calibration: Arc<CostCalibration>,
-    sinks: Vec<Arc<dyn TraceSink>>,
     exec: ExecutorMetrics,
-    next_span: AtomicU64,
-    job: Mutex<JobTrace>,
 }
 
 impl Default for Observability {
@@ -158,25 +136,15 @@ impl Default for Observability {
 }
 
 impl Observability {
-    /// Create a hub with a fresh registry and calibration table and no
-    /// trace sinks.
+    /// Create a hub with a fresh registry and calibration table.
     pub fn new() -> Self {
         let registry = Arc::new(MetricsRegistry::new());
         let exec = ExecutorMetrics::new(&registry);
         Self {
             registry,
             calibration: Arc::new(CostCalibration::new()),
-            sinks: Vec::new(),
             exec,
-            next_span: AtomicU64::new(0),
-            job: Mutex::new(JobTrace::default()),
         }
-    }
-
-    /// Attach a trace sink (builder style).
-    pub fn with_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.sinks.push(sink);
-        self
     }
 
     /// The shared metrics registry.
@@ -187,16 +155,6 @@ impl Observability {
     /// The calibration table fed by this hub's jobs.
     pub fn calibration(&self) -> &Arc<CostCalibration> {
         &self.calibration
-    }
-
-    fn alloc_span(&self) -> u64 {
-        self.next_span.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn emit(&self, span: SpanRecord) {
-        for sink in &self.sinks {
-            sink.record(&span);
-        }
     }
 }
 
@@ -211,7 +169,7 @@ impl ProgressListener for Observability {
         self.exec.retries_transient.inc();
     }
 
-    fn on_atom_failed(&self, atom_id: usize, error: &RheemError, suppressed_retries: usize) {
+    fn on_atom_failed(&self, _atom_id: usize, error: &RheemError, suppressed_retries: usize) {
         // The final, un-retried failed attempt (0 attempts happened when
         // an open breaker rejected the atom up front, but the rejection
         // itself is the failure).
@@ -224,26 +182,6 @@ impl ProgressListener for Observability {
         // the worker thread survived, the job gets a clean error.
         if error.classify() == (ErrorKind::Permanent { panic: true }) {
             self.exec.panics_caught.inc();
-            if self.sinks.is_empty() {
-                return;
-            }
-            let (job_id, span_id) = {
-                let mut job = self.job.lock();
-                if job.job_span.is_none() {
-                    job.job_span = Some(self.alloc_span());
-                }
-                (job.job_span.expect("just set"), self.alloc_span())
-            };
-            self.emit(SpanRecord {
-                id: span_id,
-                parent: Some(job_id),
-                kind: SpanKind::Panic,
-                label: format!("panic atom-{atom_id} {error}"),
-                platform: error.platform().unwrap_or_default().to_string(),
-                elapsed_ms: 0.0,
-                records_out: 0,
-                morsels: 0,
-            });
         }
     }
 
@@ -275,191 +213,22 @@ impl ProgressListener for Observability {
                 self.exec.kernel_path_row.inc();
             }
         }
-
-        if self.sinks.is_empty() {
-            return;
-        }
-        let (wave_id, atom_id) = {
-            let mut job = self.job.lock();
-            if job.job_span.is_none() {
-                job.job_span = Some(self.alloc_span());
-            }
-            // Wave spans are emitted at job end; only the id is needed
-            // now so atom spans can point at their wave.
-            let wave_id = *job
-                .waves
-                .entry(stats.wave)
-                .or_insert_with(|| self.alloc_span());
-            (wave_id, self.alloc_span())
-        };
-        self.emit(SpanRecord {
-            id: atom_id,
-            parent: Some(wave_id),
-            kind: SpanKind::Atom,
-            label: format!("atom-{}", stats.atom_id),
-            platform: stats.platform.clone(),
-            elapsed_ms: stats.simulated_elapsed_ms,
-            records_out: stats.records_out,
-            morsels: stats.node_observations.iter().map(|o| o.morsels).sum(),
-        });
-        for obs in &stats.node_observations {
-            self.emit(SpanRecord {
-                id: self.alloc_span(),
-                parent: Some(atom_id),
-                kind: SpanKind::Kernel,
-                label: format!("n{} {}", obs.node.0, obs.op),
-                platform: stats.platform.clone(),
-                elapsed_ms: obs.elapsed_ms,
-                records_out: obs.records_out,
-                morsels: obs.morsels,
-            });
-        }
     }
 
-    fn on_replan(&self, event: &ReplanEvent) {
+    fn on_replan(&self, _event: &ReplanEvent) {
         self.exec.replans.inc();
-        if self.sinks.is_empty() {
-            return;
-        }
-        let (job_id, span_id) = {
-            let mut job = self.job.lock();
-            if job.job_span.is_none() {
-                job.job_span = Some(self.alloc_span());
-            }
-            (job.job_span.expect("just set"), self.alloc_span())
-        };
-        self.emit(SpanRecord {
-            id: span_id,
-            parent: Some(job_id),
-            kind: SpanKind::Replan,
-            label: format!(
-                "replan-{} n{} drift x{:.2}",
-                event.index, event.trigger_node.0, event.drift
-            ),
-            platform: String::new(),
-            elapsed_ms: 0.0,
-            records_out: event.observed_card,
-            morsels: 0,
-        });
     }
 
-    fn on_failover(&self, event: &FailoverEvent) {
+    fn on_failover(&self, _event: &FailoverEvent) {
         self.exec.failovers.inc();
-        if self.sinks.is_empty() {
-            return;
-        }
-        let (job_id, span_id) = {
-            let mut job = self.job.lock();
-            if job.job_span.is_none() {
-                job.job_span = Some(self.alloc_span());
-            }
-            (job.job_span.expect("just set"), self.alloc_span())
-        };
-        self.emit(SpanRecord {
-            id: span_id,
-            parent: Some(job_id),
-            kind: SpanKind::Failover,
-            label: format!(
-                "failover-{} atom-{} excluded [{}]",
-                event.index,
-                event.atom_id,
-                event.excluded.join(", ")
-            ),
-            platform: event.failed_platform.clone(),
-            elapsed_ms: 0.0,
-            records_out: 0,
-            morsels: 0,
-        });
     }
 
-    fn on_job_cancelled(&self, reason: CancelReason) {
+    fn on_job_cancelled(&self, _reason: CancelReason) {
         self.exec.cancelled.inc();
-        if self.sinks.is_empty() {
-            return;
-        }
-        // The job failed: close out its trace bookkeeping like
-        // `on_job_complete` does, emitting the cancel span and any wave
-        // spans under the job root so the next job starts fresh.
-        let (job_id, waves) = {
-            let mut job = self.job.lock();
-            let id = job.job_span.take().unwrap_or_else(|| self.alloc_span());
-            let waves = std::mem::take(&mut job.waves);
-            job.jobs_done += 1;
-            (id, waves)
-        };
-        for (wave_index, wave_id) in waves {
-            self.emit(SpanRecord {
-                id: wave_id,
-                parent: Some(job_id),
-                kind: SpanKind::Wave,
-                label: format!("wave-{wave_index}"),
-                platform: String::new(),
-                elapsed_ms: 0.0,
-                records_out: 0,
-                morsels: 0,
-            });
-        }
-        self.emit(SpanRecord {
-            id: self.alloc_span(),
-            parent: Some(job_id),
-            kind: SpanKind::Cancel,
-            label: format!("cancelled: {reason}"),
-            platform: String::new(),
-            elapsed_ms: 0.0,
-            records_out: 0,
-            morsels: 0,
-        });
     }
 
-    fn on_job_complete(&self, stats: &ExecutionStats) {
+    fn on_job_complete(&self, _stats: &ExecutionStats) {
         self.exec.jobs_completed.inc();
-        if self.sinks.is_empty() {
-            return;
-        }
-        let (job_id, waves, job_index) = {
-            let mut job = self.job.lock();
-            let id = job.job_span.take().unwrap_or_else(|| self.alloc_span());
-            let waves = std::mem::take(&mut job.waves);
-            let index = job.jobs_done;
-            job.jobs_done += 1;
-            (id, waves, index)
-        };
-        for (wave_index, wave_id) in waves {
-            self.emit(SpanRecord {
-                id: wave_id,
-                parent: Some(job_id),
-                kind: SpanKind::Wave,
-                label: format!("wave-{wave_index}"),
-                platform: String::new(),
-                elapsed_ms: 0.0,
-                records_out: 0,
-                morsels: 0,
-            });
-        }
-        // A plan found by the enumerator's budget fallback says so in the
-        // trace. Skipped by `canonical_tree`, like replan/failover spans.
-        if stats.enumeration_path == crate::plan::EnumerationPath::GreedyFallback {
-            self.emit(SpanRecord {
-                id: self.alloc_span(),
-                parent: Some(job_id),
-                kind: SpanKind::Enumeration,
-                label: stats.enumeration_path.as_str().to_string(),
-                platform: String::new(),
-                elapsed_ms: 0.0,
-                records_out: 0,
-                morsels: 0,
-            });
-        }
-        self.emit(SpanRecord {
-            id: job_id,
-            parent: None,
-            kind: SpanKind::Job,
-            label: format!("job-{job_index}"),
-            platform: String::new(),
-            elapsed_ms: stats.total_wall.as_secs_f64() * 1e3,
-            records_out: stats.atoms.iter().map(|a| a.records_out).sum(),
-            morsels: 0,
-        });
     }
 }
 
@@ -492,9 +261,8 @@ mod tests {
     }
 
     #[test]
-    fn listener_updates_metrics_and_emits_span_tree() {
-        let sink = Arc::new(RingBufferSink::new(64));
-        let obs = Observability::new().with_sink(sink.clone());
+    fn listener_updates_metrics() {
+        let obs = Observability::new();
         obs.on_atom_start(0, "java");
         let boom = RheemError::Execution {
             platform: "java".into(),
@@ -516,32 +284,21 @@ mod tests {
         assert_eq!(m.counter_value("executor.records_out"), 40);
         assert_eq!(m.counter_value("executor.movement_us"), 3000);
         assert_eq!(m.counter_value("executor.jobs_completed"), 1);
-
-        let spans = sink.snapshot();
-        // 2 atoms + 2 kernels + 2 waves + 1 job.
-        assert_eq!(spans.len(), 7);
-        let tree = canonical_tree(&spans);
-        assert!(tree.starts_with("job job-0"));
-        assert!(tree.contains("  atom atom-0 [java]"));
-        assert!(tree.contains("    kernel n0 Map(f) [java]"));
-        assert!(!tree.contains("wave"));
+        assert_eq!(m.counter_value("kernel.parallel.invocations"), 2);
+        assert_eq!(m.counter_value("kernel.parallel.morsels"), 8);
+        assert_eq!(m.counter_value("kernel.path.row"), 2);
     }
 
     #[test]
-    fn job_state_resets_between_jobs() {
-        let sink = Arc::new(RingBufferSink::new(64));
-        let obs = Observability::new().with_sink(sink.clone());
+    fn every_job_is_counted() {
+        let obs = Observability::new();
         for _ in 0..2 {
             obs.on_atom_complete(&atom_stats(0, 0));
             let mut stats = ExecutionStats::default();
             stats.atoms.push(atom_stats(0, 0));
             obs.on_job_complete(&stats);
         }
-        let spans = sink.snapshot();
-        let jobs: Vec<_> = spans.iter().filter(|s| s.kind == SpanKind::Job).collect();
-        assert_eq!(jobs.len(), 2);
-        assert_eq!(jobs[0].label, "job-0");
-        assert_eq!(jobs[1].label, "job-1");
         assert_eq!(obs.metrics().counter_value("executor.jobs_completed"), 2);
+        assert_eq!(obs.metrics().counter_value("executor.atoms_completed"), 2);
     }
 }

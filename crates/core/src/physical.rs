@@ -376,35 +376,6 @@ impl PhysicalOp {
             _ => None,
         }
     }
-
-    /// A coarse operator-kind tag used by mappings and cost models.
-    pub fn kind(&self) -> OpKind {
-        match self {
-            PhysicalOp::CollectionSource { .. }
-            | PhysicalOp::StorageSource { .. }
-            | PhysicalOp::LoopInput => OpKind::Source,
-            PhysicalOp::Map(_)
-            | PhysicalOp::Project { .. }
-            | PhysicalOp::ZipWithId
-            | PhysicalOp::ChunkPipeline { .. } => OpKind::Map,
-            PhysicalOp::FlatMap(_) => OpKind::FlatMap,
-            PhysicalOp::Filter(_) | PhysicalOp::Sample { .. } | PhysicalOp::Limit { .. } => {
-                OpKind::Filter
-            }
-            PhysicalOp::SortGroupBy { .. } | PhysicalOp::HashGroupBy { .. } => OpKind::GroupBy,
-            PhysicalOp::ReduceByKey { .. } | PhysicalOp::GlobalReduce { .. } => OpKind::Reduce,
-            PhysicalOp::Sort { .. } => OpKind::Sort,
-            PhysicalOp::Distinct => OpKind::Distinct,
-            PhysicalOp::HashJoin { .. } | PhysicalOp::SortMergeJoin { .. } => OpKind::EquiJoin,
-            PhysicalOp::NestedLoopJoin { .. } | PhysicalOp::CrossProduct => OpKind::ThetaJoin,
-            PhysicalOp::Union => OpKind::Union,
-            PhysicalOp::Loop { .. } => OpKind::Loop,
-            PhysicalOp::Custom(_) => OpKind::Custom,
-            PhysicalOp::CollectSink | PhysicalOp::CountSink | PhysicalOp::StorageSink { .. } => {
-                OpKind::Sink
-            }
-        }
-    }
 }
 
 /// How an operator's input must be laid out across partitions before the
@@ -543,43 +514,9 @@ impl fmt::Debug for PhysicalOp {
     }
 }
 
-/// Coarse classification of physical operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum OpKind {
-    /// Arity-0 data producers.
-    Source,
-    /// One-to-one record transforms.
-    Map,
-    /// One-to-many record transforms.
-    FlatMap,
-    /// Cardinality-reducing record selections.
-    Filter,
-    /// Full grouping (materializes groups).
-    GroupBy,
-    /// Incremental keyed/global reduction.
-    Reduce,
-    /// Sorting.
-    Sort,
-    /// Duplicate elimination.
-    Distinct,
-    /// Equality joins.
-    EquiJoin,
-    /// Theta joins / cross products.
-    ThetaJoin,
-    /// Bag union.
-    Union,
-    /// Iteration.
-    Loop,
-    /// Application-defined operators.
-    Custom,
-    /// Result-producing terminals.
-    Sink,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::Record;
     use crate::rec;
 
     struct Doubler;
@@ -599,24 +536,18 @@ mod tests {
     }
 
     #[test]
-    fn arity_and_kind_classification() {
+    fn arity_classification() {
         assert_eq!(PhysicalOp::CrossProduct.arity(), 2);
         assert_eq!(PhysicalOp::Distinct.arity(), 1);
         assert_eq!(PhysicalOp::LoopInput.arity(), 0);
         assert!(PhysicalOp::LoopInput.is_source());
         assert!(PhysicalOp::CollectSink.is_sink());
-        assert_eq!(PhysicalOp::CrossProduct.kind(), OpKind::ThetaJoin);
-        assert_eq!(
-            PhysicalOp::Map(MapUdf::new("id", |r: &Record| r.clone())).kind(),
-            OpKind::Map
-        );
     }
 
     #[test]
     fn custom_op_defaults_and_execution() {
         let op = PhysicalOp::Custom(Arc::new(Doubler));
         assert_eq!(op.arity(), 1);
-        assert_eq!(op.kind(), OpKind::Custom);
         assert_eq!(op.name(), "Custom(Doubler)");
         if let PhysicalOp::Custom(c) = &op {
             let out = c.execute(&[Dataset::new(vec![rec![3i64]])]).unwrap();

@@ -893,7 +893,7 @@ pub enum EnumerationPath {
 }
 
 impl EnumerationPath {
-    /// Stable display name (used in stats, traces, and explains).
+    /// Stable display name (used in stats and explains).
     pub fn as_str(&self) -> &'static str {
         match self {
             EnumerationPath::LatticeV2 => "lattice-v2",

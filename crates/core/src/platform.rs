@@ -80,8 +80,8 @@ pub struct AtomResult {
     /// including single-core CI machines (see DESIGN.md).
     pub simulated_elapsed_ms: f64,
     /// Per-operator-kernel observations (runtime and true output
-    /// cardinality) for the atom's top-level nodes. Feeds kernel trace
-    /// spans and the cost-calibration loop; platforms that cannot
+    /// cardinality) for the atom's top-level nodes. Feeds the job's
+    /// `ExecutionStats` and the cost-calibration loop; platforms that cannot
     /// attribute work per node may leave this empty.
     pub node_observations: Vec<crate::observe::NodeObservation>,
 }

@@ -10,12 +10,12 @@ use std::sync::Arc;
 
 use rheem_core::cost::{LinearCostModel, PlatformCostModel};
 use rheem_core::error::Result;
-use rheem_core::interpreter;
 use rheem_core::physical::PhysicalOp;
 use rheem_core::plan::{PhysicalPlan, TaskAtom};
 use rheem_core::platform::{AtomInputs, AtomResult, ExecutionContext, Platform, ProcessingProfile};
 
 use crate::config::OverheadConfig;
+use crate::runner::run_in_process;
 
 /// Single-threaded in-process execution engine.
 ///
@@ -88,22 +88,7 @@ impl Platform for JavaPlatform {
         inputs: &AtomInputs,
         ctx: &ExecutionContext,
     ) -> Result<AtomResult> {
-        let overhead = self.overheads.pay_startup();
-        let started = std::time::Instant::now();
-        let run = interpreter::run_fragment(plan, &atom.nodes, inputs, ctx, None)?;
-        let work_ms = started.elapsed().as_secs_f64() * 1e3;
-        let outputs = atom
-            .outputs
-            .iter()
-            .filter_map(|n| run.outputs.get(n).map(|d| (*n, d.clone())))
-            .collect();
-        Ok(AtomResult {
-            outputs,
-            records_processed: run.records_processed,
-            simulated_overhead_ms: overhead,
-            simulated_elapsed_ms: overhead + work_ms,
-            node_observations: run.observations,
-        })
+        run_in_process(&self.overheads, 1.0, plan, atom, inputs, ctx)
     }
 }
 

@@ -13,18 +13,17 @@
 //!   supported** — the multi-platform optimizer must place them elsewhere,
 //!   which is what creates genuinely mixed execution plans.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use rheem_core::cost::{op_work_units, PlatformCostModel};
 use rheem_core::error::{Result, RheemError};
-use rheem_core::interpreter;
-use rheem_core::physical::{OpKind, PhysicalOp};
+use rheem_core::physical::PhysicalOp;
 use rheem_core::plan::{PhysicalPlan, TaskAtom};
 use rheem_core::platform::{AtomInputs, AtomResult, ExecutionContext, Platform, ProcessingProfile};
 
 use crate::config::OverheadConfig;
+use crate::runner::run_in_process;
 
 /// Cost model with differentiated relational-vs-UDF prices.
 #[derive(Clone, Debug)]
@@ -50,8 +49,14 @@ impl Default for RelationalCostModel {
 impl PlatformCostModel for RelationalCostModel {
     fn op_cost(&self, op: &PhysicalOp, input_cards: &[f64], output_card: f64) -> f64 {
         let work = op_work_units(op, input_cards, output_card);
-        let per_unit = match op.kind() {
-            OpKind::Map | OpKind::FlatMap | OpKind::Custom | OpKind::Loop => self.udf_per_unit,
+        let per_unit = match op {
+            PhysicalOp::Map(_)
+            | PhysicalOp::Project { .. }
+            | PhysicalOp::ZipWithId
+            | PhysicalOp::ChunkPipeline { .. }
+            | PhysicalOp::FlatMap(_)
+            | PhysicalOp::Custom(_)
+            | PhysicalOp::Loop { .. } => self.udf_per_unit,
             _ => self.relational_per_unit,
         };
         work * per_unit
@@ -148,32 +153,9 @@ impl Platform for RelationalPlatform {
                 });
             }
         }
-        let overhead = self.overheads.pay_startup();
-        let started = std::time::Instant::now();
-        let run = interpreter::run_fragment(plan, &atom.nodes, inputs, ctx, None)?;
-        let work_ms = started.elapsed().as_secs_f64() * 1e3 * EFFICIENCY;
-        let outputs: HashMap<_, _> = atom
-            .outputs
-            .iter()
-            .filter_map(|n| run.outputs.get(n).map(|d| (*n, d.clone())))
-            .collect();
-        // Scale per-kernel observations by the same efficiency factor as
-        // the atom total, so calibration sees the modeled engine's speed.
-        let node_observations = run
-            .observations
-            .into_iter()
-            .map(|mut o| {
-                o.elapsed_ms *= EFFICIENCY;
-                o
-            })
-            .collect();
-        Ok(AtomResult {
-            outputs,
-            records_processed: run.records_processed,
-            simulated_overhead_ms: overhead,
-            simulated_elapsed_ms: overhead + work_ms,
-            node_observations,
-        })
+        // Kernels are scaled like the atom total, so calibration sees the
+        // modeled engine's speed.
+        run_in_process(&self.overheads, EFFICIENCY, plan, atom, inputs, ctx)
     }
 }
 
@@ -249,5 +231,12 @@ mod tests {
         let udf_cost = m.op_cost(&map, &[1000.0], 1000.0);
         let rel_cost = m.op_cost(&filter, &[1000.0], 1000.0);
         assert!(udf_cost > rel_cost * 5.0);
+        // Row-shaping operators outside the filter/join/group family pay
+        // the UDF price too.
+        let project = PhysicalOp::Project { indices: vec![0] };
+        for op in [project, PhysicalOp::ZipWithId] {
+            let work = op_work_units(&op, &[1000.0], 1000.0);
+            assert_eq!(m.op_cost(&op, &[1000.0], 1000.0), work * m.udf_per_unit);
+        }
     }
 }

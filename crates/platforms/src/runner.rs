@@ -1,5 +1,7 @@
-//! The partitioned fragment runner: the execution operators of every engine
-//! that keeps a dataset in partitions.
+//! The fragment runners: the execution operators of every engine that keeps
+//! a dataset in partitions ([`run_atom`]), and the in-process wrapper of the
+//! engines that hand a fragment to the core's interpreter
+//! ([`run_in_process`]).
 //!
 //! An operator runs in two steps. Its [`Layout`] says how the input must be
 //! spread over partitions — left as it is, shuffled by key, gathered,
@@ -112,6 +114,40 @@ pub(crate) fn run_atom<E: Engine>(
         simulated_overhead_ms: run.overhead_ms,
         simulated_elapsed_ms: run.elapsed_ms,
         node_observations: run.observations,
+    })
+}
+
+/// Execute `atom` in one process, through the core's interpreter: pay the
+/// job startup, run its nodes, hand back its outputs. `efficiency` scales
+/// the measured work — the atom's and every kernel's — to the modeled
+/// engine's speed (1.0: the interpreter's own).
+pub(crate) fn run_in_process(
+    overheads: &OverheadConfig,
+    efficiency: f64,
+    plan: &PhysicalPlan,
+    atom: &TaskAtom,
+    inputs: &AtomInputs,
+    ctx: &ExecutionContext,
+) -> Result<AtomResult> {
+    let overhead = overheads.pay_startup();
+    let started = Instant::now();
+    let run = interpreter::run_fragment(plan, &atom.nodes, inputs, ctx, None)?;
+    let work_ms = ms_since(started) * efficiency;
+    let outputs = atom
+        .outputs
+        .iter()
+        .filter_map(|n| run.outputs.get(n).map(|d| (*n, d.clone())))
+        .collect();
+    let mut node_observations = run.observations;
+    for o in &mut node_observations {
+        o.elapsed_ms *= efficiency;
+    }
+    Ok(AtomResult {
+        outputs,
+        records_processed: run.records_processed,
+        simulated_overhead_ms: overhead,
+        simulated_elapsed_ms: overhead + work_ms,
+        node_observations,
     })
 }
 

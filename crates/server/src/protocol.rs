@@ -616,7 +616,9 @@ impl<'a> Cursor<'a> {
 
     fn schema(&mut self) -> WireResult<Schema> {
         let n = self.u32()? as usize;
-        let mut fields = Vec::with_capacity(n.min(1024));
+        // Never more than the bytes left can hold: a field is at least its
+        // 4-byte name length and its type tag.
+        let mut fields = Vec::with_capacity(n.min(self.remaining() / 5));
         for _ in 0..n {
             let name = self.str()?;
             let dtype = match self.u8()? {

@@ -49,9 +49,10 @@
 //! encode, write}_us` (the `Stage` enum). `STATS` renders them, so wire
 //! latency a client measures can be set against the server's own share of it.
 //!
-//! Sessions do not attach trace sinks: the core's `JobTrace` is per-job
-//! state on the shared hub, and the metrics path is atomics-only, which is
-//! what makes concurrent jobs on one hub safe (see DESIGN.md §13).
+//! Every session's jobs report into one shared `Observability` hub. It holds
+//! no per-job state and its metrics path is atomics-only, which is what
+//! makes concurrent jobs on one hub safe; a job's own record is the
+//! `ExecutionStats` it returns (see DESIGN.md §13).
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{Shutdown, TcpListener, TcpStream};

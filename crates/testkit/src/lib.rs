@@ -1,18 +1,40 @@
 //! Dev-only plumbing the integration tests share: a seeded RNG and the
 //! dirty tables built on it, a counting global allocator, the benchmark's
-//! statement list, and the thread-budget shorthand. A `[dev-dependencies]`
-//! entry only — no shipped crate depends on this.
+//! statement list, the thread-budget shorthand and the replay projection of
+//! a job's stats. A `[dev-dependencies]` entry only — no shipped crate
+//! depends on this.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 
-use rheem_core::{KernelParallelism, Record, Value};
+use rheem_core::{ExecutionStats, KernelParallelism, NodeId, Record, Value};
 
 /// A job thread budget of `threads` (see `KernelParallelism`): suites run
 /// at 1 (one atom at a time, sequential kernels) and at 4.
 pub fn budget(threads: usize) -> KernelParallelism {
     KernelParallelism::sequential().with_threads(threads)
+}
+
+/// One atom's share of [`work`]: `(atom id, platform, records out,
+/// [(node, operator, records out)])`, one entry per operator kernel.
+pub type AtomWork = (usize, String, u64, Vec<(NodeId, String, u64)>);
+
+/// What a job did, and not when or how wide: per atom, by ascending atom
+/// id, where it ran and what it and each of its kernels produced. Waves,
+/// timings and morsel counts are left out, so runs of one plan at any
+/// thread budget — or with a re-plan that kept every assignment — must
+/// give equal values: the replay oracle.
+pub fn work(stats: &ExecutionStats) -> Vec<AtomWork> {
+    let mut atoms: Vec<AtomWork> = Vec::with_capacity(stats.atoms.len());
+    for a in &stats.atoms {
+        let kernels = a.node_observations.iter();
+        let kernels = kernels.map(|o| (o.node, o.op.clone(), o.records_out));
+        let kernels = kernels.collect();
+        atoms.push((a.atom_id, a.platform.clone(), a.records_out, kernels));
+    }
+    atoms.sort_unstable_by_key(|a| a.0);
+    atoms
 }
 
 /// The statement lists of `benchmark/src/workload.rs`.

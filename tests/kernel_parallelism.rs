@@ -1,8 +1,8 @@
 //! Morsel-driven kernel parallelism (DESIGN.md §10): every parallel
 //! kernel must be **byte-identical** to its sequential twin at any thread
 //! count and any morsel size, and whole jobs must replay identically —
-//! same outputs, same canonical span tree — across `KernelParallelism`
-//! settings.
+//! same outputs, same recorded work ([`testkit::work`]) — across
+//! `KernelParallelism` settings.
 //!
 //! The property tests sweep adversarial knobs (`threads ∈ {1,2,7,8}`,
 //! `morsel_size ∈ {1,3,huge}`) over random batches with Null keys, NaN
@@ -14,8 +14,9 @@ use proptest::prelude::*;
 use rheem::prelude::*;
 use rheem::rec;
 use rheem_core::kernels::{self, parallel};
-use rheem_core::{canonical_tree, KernelParallelism, Observability, RingBufferSink};
+use rheem_core::{KernelParallelism, Observability};
 use rheem_platforms::test_context;
+use testkit::{work, AtomWork};
 
 /// The knob sweep required by the determinism contract: thread counts
 /// around the powers of two plus an odd one, and morsel sizes that force
@@ -212,14 +213,13 @@ fn workload_plan() -> PhysicalPlan {
     b.build().unwrap()
 }
 
-type Replay = (Vec<(rheem_core::NodeId, Vec<Record>)>, String, u64);
+type Replay = (Vec<(rheem_core::NodeId, Vec<Record>)>, Vec<AtomWork>, u64);
 
 /// Run the workload under one thread budget; return its outputs (keyed,
-/// record order preserved), the canonical span tree, and the
+/// record order preserved), the work it recorded, and the
 /// `kernel.parallel.invocations` counter.
 fn replay(p: KernelParallelism) -> Replay {
-    let ring = Arc::new(RingBufferSink::new(4096));
-    let observe = Arc::new(Observability::new().with_sink(ring.clone()));
+    let observe = Arc::new(Observability::new());
     let ctx = test_context()
         .with_kernel_parallelism(p)
         .with_observability(observe.clone());
@@ -232,19 +232,14 @@ fn replay(p: KernelParallelism) -> Replay {
     outputs.sort_by_key(|(n, _)| *n);
     let invocations = observe
         .metrics()
-        .snapshot()
-        .counters
-        .iter()
-        .find(|(name, _)| name == "kernel.parallel.invocations")
-        .map(|(_, v)| *v)
-        .unwrap_or(0);
-    (outputs, canonical_tree(&ring.snapshot()), invocations)
+        .counter_value("kernel.parallel.invocations");
+    (outputs, work(&result.stats), invocations)
 }
 
-/// The replay contract: outputs and canonical traces are identical across
+/// The replay contract: outputs and recorded work are identical across
 /// every `KernelParallelism` setting (budgets 1, 2 and 8: wave width and
-/// kernel threads both move) — morsel execution is observable only through
-/// the (non-canonical) counters.
+/// kernel threads both move) — morsel execution shows only in the counters
+/// and in the `morsels` field `work` leaves out.
 #[test]
 fn job_outputs_and_traces_are_parallelism_invariant() {
     let settings = [
@@ -258,13 +253,13 @@ fn job_outputs_and_traces_are_parallelism_invariant() {
             .with_morsel_size(3)
             .with_min_rows(1),
     ];
-    let (base_out, base_tree, base_inv) = replay(settings[0]);
+    let (base_out, base_work, base_inv) = replay(settings[0]);
     assert_eq!(base_inv, 0, "threads=1 must never take the parallel path");
     let mut saw_parallel = false;
     for p in settings {
-        let (out, tree, inv) = replay(p);
+        let (out, recorded, inv) = replay(p);
         assert_eq!(out, base_out, "outputs drifted under {p:?}");
-        assert_eq!(tree, base_tree, "trace drifted under {p:?}");
+        assert_eq!(recorded, base_work, "recorded work drifted under {p:?}");
         saw_parallel |= inv > 0;
     }
     assert!(

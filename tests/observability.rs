@@ -1,12 +1,11 @@
-//! The observability layer, end to end: deterministic trace replay across
-//! thread budgets, metrics under fault injection, calibration hygiene, and
-//! the JSON-lines trace dump.
+//! The observability layer, end to end: deterministic replay across thread
+//! budgets, metrics under fault injection, and calibration hygiene.
 //!
 //! The replay contract: executing the same plan at thread budgets 1 and 4
-//! must produce the same *canonical* span tree (wave
-//! spans are scheduling artifacts and are skipped by
-//! [`rheem_core::canonical_tree`]) and identical deterministic counters —
-//! parallelism may interleave callbacks, but never change what happened.
+//! must record the same work in the job's `ExecutionStats`
+//! ([`testkit::work`] leaves out waves, timings and morsels, which are
+//! scheduling artifacts) and identical deterministic counters — parallelism
+//! may interleave callbacks, but never change what happened.
 
 use std::sync::Arc;
 
@@ -14,9 +13,9 @@ use proptest::prelude::*;
 use rheem::prelude::*;
 use rheem::rec;
 use rheem_core::optimizer::enumerate::split_into_atoms;
-use rheem_core::{canonical_tree, ExecutionPlan, FailureInjector, Observability, RingBufferSink};
+use rheem_core::{ExecutionPlan, FailureInjector, Observability};
 use rheem_platforms::test_context;
-use testkit::budget;
+use testkit::{budget, work, AtomWork};
 
 /// An injector failing the first `attempts` attempts of atom 0 (the only
 /// atom of a one-platform plan).
@@ -88,23 +87,21 @@ fn wave_accounting(result: &rheem_core::executor::JobResult) -> WaveAccounting {
 }
 
 /// Execute `exec` under a thread budget of `threads` with a fresh
-/// observability hub; return the canonical span tree, the deterministic
+/// observability hub; return the work the job recorded, the deterministic
 /// counter snapshot, and the wave accounting.
-fn traced_run(
+fn run_at_budget(
     exec: &ExecutionPlan,
     threads: usize,
-) -> (String, Vec<(String, u64)>, WaveAccounting) {
-    let ring = Arc::new(RingBufferSink::new(4096));
-    let observe = Arc::new(Observability::new().with_sink(ring.clone()));
+) -> (Vec<AtomWork>, Vec<(String, u64)>, WaveAccounting) {
+    let observe = Arc::new(Observability::new());
     let ctx = test_context()
         .with_kernel_parallelism(budget(threads))
         .with_observability(observe.clone());
     let result = ctx.execute_plan(exec).unwrap();
-    let tree = canonical_tree(&ring.snapshot());
     // Histograms are timing-derived (bucketed wall measurements) and are
     // deliberately excluded from the replay contract; counters are not.
     (
-        tree,
+        work(&result.stats),
         observe.metrics().snapshot().counters,
         wave_accounting(&result),
     )
@@ -113,11 +110,11 @@ fn traced_run(
 #[test]
 fn sequential_and_parallel_runs_trace_the_same_job() {
     let exec = fanout_exec_plan();
-    let (seq_tree, seq_counters, seq_waves) = traced_run(&exec, 1);
-    let (par_tree, par_counters, par_waves) = traced_run(&exec, 4);
+    let (seq_work, seq_counters, seq_waves) = run_at_budget(&exec, 1);
+    let (par_work, par_counters, par_waves) = run_at_budget(&exec, 4);
     assert_eq!(
-        seq_tree, par_tree,
-        "canonical span trees must not depend on scheduling"
+        seq_work, par_work,
+        "recorded work must not depend on scheduling"
     );
     assert_eq!(
         seq_counters, par_counters,
@@ -127,12 +124,11 @@ fn sequential_and_parallel_runs_trace_the_same_job() {
         seq_waves, par_waves,
         "wave accounting must not depend on scheduling"
     );
-    // The tree reflects the plan: one job, three atoms (the java source
-    // merges with the java reduce branch), kernels under them.
-    assert!(seq_tree.contains("job"), "{seq_tree}");
-    assert_eq!(seq_tree.matches("atom atom-").count(), 3, "{seq_tree}");
-    assert_eq!(seq_tree.matches("kernel n").count(), 7, "{seq_tree}");
-    assert!(!seq_tree.contains("wave"), "{seq_tree}");
+    // The record reflects the plan: three atoms (the java source merges
+    // with the java reduce branch), seven kernels under them.
+    assert_eq!(seq_work.len(), 3, "{seq_work:?}");
+    let kernels: usize = seq_work.iter().map(|(.., k)| k.len()).sum();
+    assert_eq!(kernels, 7, "{seq_work:?}");
     // And the counters carry the real totals.
     let get = |name: &str| {
         seq_counters
@@ -259,33 +255,6 @@ fn failed_attempts_do_not_pollute_the_calibration_table() {
 }
 
 // ---------------------------------------------------------------------------
-// JSON-lines trace dump
-// ---------------------------------------------------------------------------
-
-#[test]
-fn json_lines_sink_dumps_one_span_per_line() {
-    let path = std::env::temp_dir().join(format!("rheem_trace_{}.jsonl", std::process::id()));
-    let sink = Arc::new(rheem_core::JsonLinesSink::to_file(&path).unwrap());
-    let observe = Arc::new(Observability::new().with_sink(sink.clone()));
-    let ctx = test_context().with_observability(observe);
-    ctx.execute_plan(&fanout_exec_plan()).unwrap();
-    sink.flush().unwrap();
-
-    let text = std::fs::read_to_string(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    let lines: Vec<&str> = text.lines().collect();
-    // 1 job + 2 or 3 waves + 3 atoms + 7 kernels.
-    assert!(lines.len() >= 13, "{}", text);
-    for line in &lines {
-        assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        assert!(line.contains("\"kind\":"), "{line}");
-        assert!(line.contains("\"id\":"), "{line}");
-    }
-    assert!(text.contains("\"kind\":\"job\""));
-    assert!(text.contains("\"kind\":\"kernel\""));
-}
-
-// ---------------------------------------------------------------------------
 // Storage hot-buffer metrics share the same registry
 // ---------------------------------------------------------------------------
 
@@ -378,7 +347,7 @@ proptest! {
 
     /// For random multi-platform plans, the optimizer picks the same plan
     /// in both contexts (fresh calibration each) and the two thread
-    /// budgets replay to the same canonical span tree and counters.
+    /// budgets replay to the same recorded work and counters.
     #[test]
     fn prop_replay_is_schedule_independent(
         seed in 0u64..500,
@@ -401,8 +370,7 @@ proptest! {
         let physical = b.build().unwrap();
 
         let run = |threads: usize| {
-            let ring = Arc::new(RingBufferSink::new(8192));
-            let observe = Arc::new(Observability::new().with_sink(ring.clone()));
+            let observe = Arc::new(Observability::new());
             let ctx = test_context()
                 .with_kernel_parallelism(budget(threads))
                 .with_observability(observe.clone());
@@ -410,15 +378,15 @@ proptest! {
             let result = ctx.execute_plan(&exec).unwrap();
             (
                 exec.assignments.clone(),
-                canonical_tree(&ring.snapshot()),
+                work(&result.stats),
                 observe.metrics().snapshot().counters,
                 wave_accounting(&result),
             )
         };
-        let (seq_assign, seq_tree, seq_counters, seq_waves) = run(1);
-        let (par_assign, par_tree, par_counters, par_waves) = run(4);
+        let (seq_assign, seq_work, seq_counters, seq_waves) = run(1);
+        let (par_assign, par_work, par_counters, par_waves) = run(4);
         prop_assert_eq!(seq_assign, par_assign);
-        prop_assert_eq!(seq_tree, par_tree);
+        prop_assert_eq!(seq_work, par_work);
         prop_assert_eq!(seq_counters, par_counters);
         prop_assert_eq!(seq_waves, par_waves);
     }

@@ -5,7 +5,7 @@
 //! The contract under test: enabling a [`ReplanPolicy`] never changes a
 //! job's *outputs* — it may only change which platforms run the unexecuted
 //! suffix — and every re-plan is observable (the `replans` stat, the
-//! `optimizer.replans` counter, a `replan` trace span) and bounded (by
+//! `optimizer.replans` counter, an `on_replan` event) and bounded (by
 //! `max_replans` and by the job deadline).
 
 use std::sync::Arc;
@@ -18,10 +18,10 @@ use rheem::rec;
 use rheem_core::optimizer::enumerate::split_into_atoms;
 use rheem_core::plan::NodeId;
 use rheem_core::{
-    canonical_tree, ExecutionPlan, JobResult, NodeEstimate, Observability, ReplanEvent,
-    ReplanPolicy, RingBufferSink, SpanKind,
+    ExecutionPlan, JobResult, NodeEstimate, Observability, ReplanEvent, ReplanPolicy,
 };
 use rheem_platforms::test_context;
+use testkit::work;
 
 /// A two-atom plan whose estimates claim the source yields `declared`
 /// records while it actually yields `actual` — the mis-estimation that
@@ -139,63 +139,48 @@ fn drift_triggers_a_replan_that_flips_the_suffix_platform() {
 }
 
 #[test]
-fn replans_are_observable_as_counter_and_span() {
+fn replans_are_observable_as_counter_and_event() {
     let exec = misestimated_exec_plan(100, 1e6, "java", "sparklike");
-    let ring = Arc::new(RingBufferSink::new(1024));
-    let observe = Arc::new(Observability::new().with_sink(ring.clone()));
+    let observe = Arc::new(Observability::new());
+    let recorder = Arc::new(ReplanRecorder::default());
     let result = test_context()
         .with_observability(observe.clone())
+        .with_progress_listener(recorder.clone())
         .with_replan_policy(ReplanPolicy::default())
         .execute_plan(&exec)
         .unwrap();
     assert_eq!(result.stats.replans, 1);
     assert_eq!(observe.metrics().counter_value("optimizer.replans"), 1);
 
-    let spans = ring.snapshot();
-    let replan_spans: Vec<_> = spans
-        .iter()
-        .filter(|s| s.kind == SpanKind::Replan)
-        .collect();
-    assert_eq!(replan_spans.len(), 1);
-    let span = replan_spans[0];
-    assert!(span.label.starts_with("replan-0"), "{}", span.label);
-    assert_eq!(span.records_out, 100);
-    // The replan span hangs off the job root, like the waves it separates.
-    let job = spans.iter().find(|s| s.kind == SpanKind::Job).unwrap();
-    assert_eq!(span.parent, Some(job.id));
+    let events = recorder.events.lock();
+    assert_eq!(events.len(), 1);
+    assert_eq!(events[0].index, 0);
+    assert_eq!(events[0].observed_card, 100);
 }
 
 #[test]
-fn canonical_trace_is_identical_modulo_replan_spans_when_assignments_survive() {
+fn recorded_work_is_identical_when_assignments_survive() {
     // The suffix is already pinned where re-enumeration lands for 64
     // records (java), so the re-plan fires (the drift at the sparklike
     // source boundary is real) but re-picks the same assignments: the
-    // executed atoms are identical and the canonical tree must match the
-    // non-adaptive run's exactly (replan spans are skipped by the
-    // canonicalizer).
+    // executed atoms are identical and the work the job records must match
+    // the non-adaptive run's exactly.
     let exec = misestimated_exec_plan(64, 1e6, "sparklike", "java");
     let run = |policy: Option<ReplanPolicy>| {
-        let ring = Arc::new(RingBufferSink::new(1024));
-        let observe = Arc::new(Observability::new().with_sink(ring.clone()));
-        let mut ctx = test_context().with_observability(observe);
+        let mut ctx = test_context();
         if let Some(p) = policy {
             ctx = ctx.with_replan_policy(p);
         }
-        let result = ctx.execute_plan(&exec).unwrap();
-        (result, canonical_tree(&ring.snapshot()))
+        ctx.execute_plan(&exec).unwrap()
     };
-    let (plain, plain_tree) = run(None);
-    let (adaptive, adaptive_tree) = run(Some(ReplanPolicy {
+    let plain = run(None);
+    let adaptive = run(Some(ReplanPolicy {
         threshold: 2.0,
         max_replans: 2,
     }));
     assert_eq!(adaptive.stats.replans, 1);
     assert_eq!(sorted_outputs(&adaptive), sorted_outputs(&plain));
-    assert_eq!(
-        adaptive_tree, plain_tree,
-        "replan spans must be invisible to the canonical tree"
-    );
-    assert!(!adaptive_tree.contains("replan"));
+    assert_eq!(work(&adaptive.stats), work(&plain.stats));
 }
 
 #[test]
@@ -358,7 +343,7 @@ proptest! {
     /// For random (often badly mis-estimated) plans, executing with an
     /// aggressive replan policy yields exactly the outputs of the plain
     /// run, at thread budgets 1 and 4; when nothing was re-planned the
-    /// canonical trace tree also matches.
+    /// recorded work also matches.
     #[test]
     fn prop_replanning_preserves_outputs(
         seed in 0u64..500,
@@ -382,26 +367,21 @@ proptest! {
 
         for threads in [1, 4] {
             let run = |policy: Option<ReplanPolicy>| {
-                let ring = Arc::new(RingBufferSink::new(8192));
-                let observe = Arc::new(Observability::new().with_sink(ring.clone()));
-                let mut ctx = test_context()
-                    .with_kernel_parallelism(testkit::budget(threads))
-                    .with_observability(observe);
+                let mut ctx = test_context().with_kernel_parallelism(testkit::budget(threads));
                 if let Some(p) = policy {
                     ctx = ctx.with_replan_policy(p);
                 }
-                let result = ctx.execute_plan(&exec).unwrap();
-                (result, canonical_tree(&ring.snapshot()))
+                ctx.execute_plan(&exec).unwrap()
             };
-            let (plain, plain_tree) = run(None);
-            let (adaptive, adaptive_tree) = run(Some(ReplanPolicy {
+            let plain = run(None);
+            let adaptive = run(Some(ReplanPolicy {
                 threshold: 1.5,
                 max_replans: 3,
             }));
             prop_assert!(adaptive.stats.replans <= 3);
             prop_assert_eq!(sorted_outputs(&adaptive), sorted_outputs(&plain));
             if adaptive.stats.replans == 0 {
-                prop_assert_eq!(adaptive_tree, plain_tree);
+                prop_assert_eq!(work(&adaptive.stats), work(&plain.stats));
             }
         }
     }
