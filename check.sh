@@ -106,15 +106,16 @@ echo "==> fault-injection stress pass (PROPTEST_CASES=64)"
 PROPTEST_CASES=64 cargo test -q --release --test fault_tolerance
 
 # The committed kernel-ablation numbers must carry the columnar join and
-# hash-aggregate entries and the timer-resolution honesty flag
-# (sub-resolution timings are flagged, never reported as inflated
-# speedups).
+# hash-aggregate entries, the served filter and join shapes, and the
+# timer-resolution honesty flag (sub-resolution timings are flagged, never
+# reported as inflated speedups).
 echo "==> BENCH_kernels.json schema check"
 for key in '"bench": "ablation_kernels"' '"timer_resolution_ms"' \
     '"below_timer_resolution"' '"kernel":"hash_join"' \
     '"kernel":"sort_merge_join"' '"kernel":"hash_group"' \
     '"kernel":"hash_aggregate_int_key"' '"kernel":"hash_aggregate_dict_key"' \
-    '"kernel":"hash_aggregate_global"'; do
+    '"kernel":"hash_aggregate_global"' '"kernel":"filter_selective"' \
+    '"kernel":"filter_all_pass"' '"kernel":"hash_join_dense_key"'; do
   grep -qF "$key" BENCH_kernels.json \
     || { echo "BENCH_kernels.json missing $key"; exit 1; }
 done

@@ -11,7 +11,9 @@
 //!    `hash_aggregate_*` entries are what a SQL GROUP BY runs (member
 //!    lists + closure vs. typed accumulator lanes); the `pipeline` entry
 //!    is the fused stage chain on the chunk against the equivalent row
-//!    operator chain.
+//!    operator chain. `filter_selective` / `filter_all_pass` are the served
+//!    WHERE shape at 10 % and 100 % selectivity, and `hash_join_dense_key`
+//!    is the served join (200 000 orders × 1 000 customers on `cust = id`).
 //!
 //! Determinism is asserted inline: every morsel or chunk run must be
 //! byte-equal to the row run it is compared against, so the numbers can
@@ -21,7 +23,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rheem_core::data::Chunk;
-use rheem_core::expr::Expr;
+use rheem_core::expr::{BinOp, Expr};
 use rheem_core::kernels::{self, chunked, parallel};
 use rheem_core::physical::{PipelineStage, StageKind};
 use rheem_core::rec;
@@ -219,6 +221,36 @@ fn columnar_experiment(entries: &mut Vec<ColEntry>, resolution_ms: f64, rows: us
             chunked::filter(&chunk, &pred);
         },
     );
+
+    // The served WHERE shape — a SQL comparison of a Float lane with an Int
+    // literal — at 10 % and at 100 % selectivity.
+    let priced: Vec<_> = (0..rows as u64)
+        .map(|i| rec![i as i64, (spread(i) % 4000) as f64 * 0.25])
+        .collect();
+    let priced_chunk = Chunk::from_records(&priced).expect("rectangular");
+    for (kernel, bound, op) in [
+        ("filter_selective", 100i64, BinOp::SqlLt),
+        ("filter_all_pass", -1, BinOp::SqlGt),
+    ] {
+        let pred = Expr::field(1).bin(op, Expr::lit(bound)).is_true();
+        let udf = FilterUdf::from_expr(kernel, pred.clone());
+        assert_eq!(
+            chunked::filter(&priced_chunk, &pred).to_records(),
+            kernels::filter(&priced, &udf)
+        );
+        col_sweep(
+            entries,
+            resolution_ms,
+            kernel,
+            rows,
+            &mut || {
+                kernels::filter(&priced, &udf);
+            },
+            &mut || {
+                chunked::filter(&priced_chunk, &pred);
+            },
+        );
+    }
 
     // Map: arithmetic over both fields.
     let exprs = vec![Expr::field(0).add(Expr::field(1)), Expr::field(1)];
@@ -445,6 +477,55 @@ fn columnar_experiment(entries: &mut Vec<ColEntry>, resolution_ms: f64, rows: us
     );
 }
 
+/// A row index scattered over `u64`, so a column drawn from it follows no
+/// order a branch predictor could learn.
+fn spread(i: u64) -> u64 {
+    i.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29)
+}
+
+/// The served join: `orders JOIN customers ON orders.cust = customers.id`,
+/// 200 000 orders over 1 000 customers whose ids are `0..1000` — unique
+/// build keys of a small range, the direct-address probe's shape.
+fn served_join(entries: &mut Vec<ColEntry>, resolution_ms: f64) {
+    let rows = 200_000usize;
+    let customers = 1_000u64;
+    let regions = ["east", "north", "south", "west", "centre"];
+    let orders: Vec<_> = (0..rows as u64)
+        .map(|i| {
+            let h = spread(i);
+            rec![
+                regions[(h % 5) as usize],
+                i as i64,
+                (h % 4000) as f64 * 0.25,
+                (h % customers) as i64
+            ]
+        })
+        .collect();
+    let segments = ["consumer", "corporate", "public", "smb"];
+    let dims: Vec<_> = (0..customers as i64)
+        .map(|id| rec![id, segments[(id % 4) as usize]])
+        .collect();
+    let orders_chunk = Chunk::from_records(&orders).expect("rectangular");
+    let dims_chunk = Chunk::from_records(&dims).expect("rectangular");
+    let (cust, id) = (KeyUdf::field(3), KeyUdf::field(0));
+    assert_eq!(
+        chunked::hash_join(&orders_chunk, &dims_chunk, &cust, &id).to_records(),
+        kernels::hash_join(&orders, &dims, &cust, &id)
+    );
+    col_sweep(
+        entries,
+        resolution_ms,
+        "hash_join_dense_key",
+        rows,
+        &mut || {
+            kernels::hash_join(&orders, &dims, &cust, &id);
+        },
+        &mut || {
+            chunked::hash_join(&orders_chunk, &dims_chunk, &cust, &id);
+        },
+    );
+}
+
 fn main() {
     let mut entries: Vec<Entry> = Vec::new();
     let mut col_entries: Vec<ColEntry> = Vec::new();
@@ -453,6 +534,7 @@ fn main() {
     for rows in [100_000usize, 1_000_000] {
         columnar_experiment(&mut col_entries, resolution_ms, rows);
     }
+    served_join(&mut col_entries, resolution_ms);
     for rows in [100_000usize, 1_000_000] {
         let keys = 64i64;
         let data: Vec<_> = (0..rows as i64).map(|i| rec![i % keys, i]).collect();

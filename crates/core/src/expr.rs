@@ -486,214 +486,195 @@ fn unary_vec(e: &Ev, rows: usize, f: impl Fn(&Value) -> Value) -> Ev {
     }
 }
 
-/// A typed `i64` operand source: a column lane or a splatted scalar.
+/// One operand of a typed loop: a whole lane, or a scalar that stands for
+/// every row.
 #[derive(Clone, Copy)]
-enum IntSrc<'a> {
-    Slice(&'a [i64]),
-    Scalar(i64),
+enum Operand<'a, T> {
+    Lane(&'a [T]),
+    Scalar(T),
 }
 
-impl IntSrc<'_> {
-    #[inline]
-    fn get(&self, i: usize) -> i64 {
+impl<T: Copy> Operand<'_, T> {
+    /// True when `pred` holds for some row.
+    fn any(&self, pred: impl Fn(T) -> bool) -> bool {
         match self {
-            IntSrc::Slice(s) => s[i],
-            IntSrc::Scalar(x) => *x,
+            Operand::Lane(lane) => lane.iter().any(|&x| pred(x)),
+            Operand::Scalar(x) => pred(*x),
         }
     }
 }
 
-/// A typed `f64` operand source (integers widen).
+/// A numeric operand without NULLs, in its own type.
 #[derive(Clone, Copy)]
-enum FloatSrc<'a> {
-    Floats(&'a [f64]),
-    Ints(&'a [i64]),
-    Scalar(f64),
+enum Num<'a> {
+    Int(Operand<'a, i64>),
+    Float(Operand<'a, f64>),
 }
 
-impl FloatSrc<'_> {
-    #[inline]
-    fn get(&self, i: usize) -> f64 {
+impl Num<'_> {
+    fn is_float(&self) -> bool {
+        matches!(self, Num::Float(_))
+    }
+
+    /// True when some row is zero, of either sign.
+    fn has_zero(&self) -> bool {
         match self {
-            FloatSrc::Floats(s) => s[i],
-            FloatSrc::Ints(s) => s[i] as f64,
-            FloatSrc::Scalar(x) => *x,
+            Num::Int(x) => x.any(|v| v == 0),
+            Num::Float(x) => x.any(|v| v == 0.0),
         }
     }
 }
 
-fn int_src<'a>(e: &'a Ev) -> Option<IntSrc<'a>> {
-    match e {
-        Ev::Col(c) if c.no_nulls() => c.ints().map(IntSrc::Slice),
-        Ev::Lit(Value::Int(x)) => Some(IntSrc::Scalar(*x)),
-        _ => None,
-    }
-}
-
-fn float_src<'a>(e: &'a Ev) -> Option<FloatSrc<'a>> {
+fn num_operand(e: &Ev) -> Option<Num<'_>> {
     match e {
         Ev::Col(c) if c.no_nulls() => c
-            .floats()
-            .map(FloatSrc::Floats)
-            .or_else(|| c.ints().map(FloatSrc::Ints)),
-        Ev::Lit(Value::Float(x)) => Some(FloatSrc::Scalar(*x)),
-        Ev::Lit(Value::Int(x)) => Some(FloatSrc::Scalar(*x as f64)),
+            .ints()
+            .map(|lane| Num::Int(Operand::Lane(lane)))
+            .or_else(|| c.floats().map(|lane| Num::Float(Operand::Lane(lane)))),
+        Ev::Lit(Value::Int(x)) => Some(Num::Int(Operand::Scalar(*x))),
+        Ev::Lit(Value::Float(x)) => Some(Num::Float(Operand::Scalar(*x))),
         _ => None,
     }
 }
 
-/// True when either operand is `Float`-typed (forcing the widening path).
-fn involves_float(e: &Ev) -> bool {
+fn bool_operand(e: &Ev) -> Option<Operand<'_, bool>> {
     match e {
-        Ev::Col(c) => c.floats().is_some(),
-        Ev::Lit(Value::Float(_)) => true,
-        _ => false,
+        Ev::Col(c) if c.no_nulls() => c.bools().map(Operand::Lane),
+        Ev::Lit(Value::Bool(b)) => Some(Operand::Scalar(*b)),
+        _ => None,
     }
 }
 
-/// A typed `bool` operand source.
-#[derive(Clone, Copy)]
-enum BoolSrc<'a> {
-    Slice(&'a [bool]),
-    Scalar(bool),
-}
-
-impl BoolSrc<'_> {
-    #[inline]
-    fn get(&self, i: usize) -> bool {
-        match self {
-            BoolSrc::Slice(s) => s[i],
-            BoolSrc::Scalar(b) => *b,
+/// `f` over two operands, row by row. Their shapes are matched here, once,
+/// so each loop body is `f` alone.
+fn zip_with<A: Copy, B: Copy, T>(
+    a: Operand<'_, A>,
+    b: Operand<'_, B>,
+    f: impl Fn(A, B) -> T,
+) -> Vec<T> {
+    match (a, b) {
+        (Operand::Lane(x), Operand::Lane(y)) => x.iter().zip(y).map(|(&l, &r)| f(l, r)).collect(),
+        (Operand::Lane(x), Operand::Scalar(r)) => x.iter().map(|&l| f(l, r)).collect(),
+        (Operand::Scalar(l), Operand::Lane(y)) => y.iter().map(|&r| f(l, r)).collect(),
+        (Operand::Scalar(_), Operand::Scalar(_)) => {
+            unreachable!("two scalars fold before a typed loop")
         }
     }
 }
 
-fn bool_src<'a>(e: &'a Ev) -> Option<BoolSrc<'a>> {
-    match e {
-        Ev::Col(c) if c.no_nulls() => c.bools().map(BoolSrc::Slice),
-        Ev::Lit(Value::Bool(b)) => Some(BoolSrc::Scalar(*b)),
-        _ => None,
+/// A lane element that widens to `f64`.
+trait Widen: Copy {
+    fn widen(self) -> f64;
+}
+
+impl Widen for i64 {
+    #[inline]
+    fn widen(self) -> f64 {
+        self as f64
     }
+}
+
+impl Widen for f64 {
+    #[inline]
+    fn widen(self) -> f64 {
+        self
+    }
+}
+
+/// `f` over two numeric operands widened to `f64`: one loop per pair of
+/// operand types, an `Int` lane converting inside it.
+fn zip_f64<T>(a: Num<'_>, b: Num<'_>, f: impl Fn(f64, f64) -> T) -> Vec<T> {
+    fn widened<A: Widen, B: Widen, T>(
+        a: Operand<'_, A>,
+        b: Operand<'_, B>,
+        f: impl Fn(f64, f64) -> T,
+    ) -> Vec<T> {
+        zip_with(a, b, |l, r| f(l.widen(), r.widen()))
+    }
+    match (a, b) {
+        (Num::Int(x), Num::Int(y)) => widened(x, y, f),
+        (Num::Int(x), Num::Float(y)) => widened(x, y, f),
+        (Num::Float(x), Num::Int(y)) => widened(x, y, f),
+        (Num::Float(x), Num::Float(y)) => widened(x, y, f),
+    }
+}
+
+/// The comparison `$op` as one typed loop per operator: `$zip` walks the
+/// operands, handing its closure each row's pair, and `$ord` orders a pair.
+macro_rules! compare {
+    ($op:expr, $zip:ident($a:expr, $b:expr), $ord:expr) => {{
+        let ord = $ord;
+        match $op {
+            BinOp::Eq | BinOp::SqlEq => $zip($a, $b, |l, r| ord(l, r).is_eq()),
+            BinOp::Ne | BinOp::SqlNe => $zip($a, $b, |l, r| ord(l, r).is_ne()),
+            BinOp::Lt | BinOp::SqlLt => $zip($a, $b, |l, r| ord(l, r).is_lt()),
+            BinOp::Le | BinOp::SqlLe => $zip($a, $b, |l, r| ord(l, r).is_le()),
+            BinOp::Gt | BinOp::SqlGt => $zip($a, $b, |l, r| ord(l, r).is_gt()),
+            BinOp::Ge | BinOp::SqlGe => $zip($a, $b, |l, r| ord(l, r).is_ge()),
+            _ => unreachable!("compare! on a non-comparison operator"),
+        }
+    }};
+}
+
+/// `op` over two clean operands as a typed loop, or `None` where only the
+/// scalar semantics answer: a row can be `Null` (an integer or SQL division
+/// by zero), a total-order comparison crosses variants, or an operand is
+/// not a clean numeric or `Bool` one.
+fn typed_bin(op: BinOp, a: &Ev, b: &Ev) -> Option<Column> {
+    if let BinOp::And | BinOp::Or = op {
+        let (x, y) = (bool_operand(a)?, bool_operand(b)?);
+        let lane = if op == BinOp::And {
+            zip_with(x, y, |l, r| l & r)
+        } else {
+            zip_with(x, y, |l, r| l | r)
+        };
+        return Some(Column::from_typed_bool(lane));
+    }
+    let (x, y) = (num_operand(a)?, num_operand(b)?);
+    let comparison = op.is_comparison() || op.is_sql_comparison();
+    Some(match (x, y) {
+        (Num::Int(l), Num::Int(r)) if comparison => {
+            Column::from_typed_bool(compare!(op, zip_with(l, r), |l: i64, r: i64| l.cmp(&r)))
+        }
+        // A SQL comparison widens a mixed pair; a total-order one ranks it
+        // by variant, which the scalar loop answers.
+        _ if op.is_sql_comparison() || (op.is_comparison() && x.is_float() && y.is_float()) => {
+            Column::from_typed_bool(compare!(op, zip_f64(x, y), |l: f64, r: f64| {
+                l.total_cmp(&r)
+            }))
+        }
+        // SQL division is `Float`, `Null` only on a zero divisor.
+        _ if op == BinOp::SqlDiv && !y.has_zero() => {
+            Column::from_typed_float(zip_f64(x, y, |l, r| l / r))
+        }
+        (Num::Int(l), Num::Int(r)) => Column::from_typed_int(match op {
+            BinOp::Add => zip_with(l, r, i64::wrapping_add),
+            BinOp::Sub => zip_with(l, r, i64::wrapping_sub),
+            BinOp::Mul => zip_with(l, r, i64::wrapping_mul),
+            BinOp::Div if !y.has_zero() => zip_with(l, r, i64::wrapping_div),
+            BinOp::Mod if !y.has_zero() => zip_with(l, r, i64::wrapping_rem),
+            _ => return None,
+        }),
+        _ => Column::from_typed_float(match op {
+            BinOp::Add => zip_f64(x, y, |l, r| l + r),
+            BinOp::Sub => zip_f64(x, y, |l, r| l - r),
+            BinOp::Mul => zip_f64(x, y, |l, r| l * r),
+            BinOp::Div => zip_f64(x, y, |l, r| l / r),
+            BinOp::Mod => zip_f64(x, y, |l, r| l % r),
+            _ => return None,
+        }),
+    })
 }
 
 fn bin_vec(op: BinOp, a: &Ev, b: &Ev, chunk: &Chunk) -> Ev {
-    let rows = chunk.rows();
     if let (Ev::Lit(x), Ev::Lit(y)) = (a, b) {
         return Ev::Lit(scalar_bin(op, x, y));
     }
-
-    // ---- typed fast paths (no validity bitmaps, no Value boxing) --------
-    match op {
-        BinOp::Add | BinOp::Sub | BinOp::Mul => {
-            if !involves_float(a) && !involves_float(b) {
-                if let (Some(x), Some(y)) = (int_src(a), int_src(b)) {
-                    let mut lane = Vec::with_capacity(rows);
-                    for i in 0..rows {
-                        let (l, r) = (x.get(i), y.get(i));
-                        lane.push(match op {
-                            BinOp::Add => l.wrapping_add(r),
-                            BinOp::Sub => l.wrapping_sub(r),
-                            _ => l.wrapping_mul(r),
-                        });
-                    }
-                    return Ev::Col(int_column(lane));
-                }
-            }
-            if let (Some(x), Some(y)) = (float_src(a), float_src(b)) {
-                if involves_float(a) || involves_float(b) {
-                    let mut lane = Vec::with_capacity(rows);
-                    for i in 0..rows {
-                        let (l, r) = (x.get(i), y.get(i));
-                        lane.push(match op {
-                            BinOp::Add => l + r,
-                            BinOp::Sub => l - r,
-                            _ => l * r,
-                        });
-                    }
-                    return Ev::Col(float_column(lane));
-                }
-            }
-        }
-        // Int division-by-zero maps to Null, so only the float-typed
-        // combination (pure IEEE) is a safe typed fast path.
-        BinOp::Div | BinOp::Mod if involves_float(a) || involves_float(b) => {
-            if let (Some(x), Some(y)) = (float_src(a), float_src(b)) {
-                let mut lane = Vec::with_capacity(rows);
-                for i in 0..rows {
-                    let (l, r) = (x.get(i), y.get(i));
-                    lane.push(if op == BinOp::Div { l / r } else { l % r });
-                }
-                return Ev::Col(float_column(lane));
-            }
-        }
-        _ if op.is_comparison() => {
-            // Same-typed comparisons agree with Value::cmp; cross-variant
-            // comparisons rank by variant and go through the generic path.
-            if !involves_float(a) && !involves_float(b) {
-                if let (Some(x), Some(y)) = (int_src(a), int_src(b)) {
-                    let mut lane = Vec::with_capacity(rows);
-                    for i in 0..rows {
-                        lane.push(cmp_holds(op, x.get(i).cmp(&y.get(i))));
-                    }
-                    return Ev::Col(bool_column(lane));
-                }
-            }
-            if involves_float(a) && involves_float(b) {
-                if let (Some(x), Some(y)) = (float_src(a), float_src(b)) {
-                    let mut lane = Vec::with_capacity(rows);
-                    for i in 0..rows {
-                        lane.push(cmp_holds(op, x.get(i).total_cmp(&y.get(i))));
-                    }
-                    return Ev::Col(bool_column(lane));
-                }
-            }
-        }
-        // SQL comparisons on clean numeric lanes can never yield Null: two
-        // Int sides compare as integers, anything involving a Float widens
-        // (exactly `sql_ordering`).
-        _ if op.is_sql_comparison() => {
-            if !involves_float(a) && !involves_float(b) {
-                if let (Some(x), Some(y)) = (int_src(a), int_src(b)) {
-                    let mut lane = Vec::with_capacity(rows);
-                    for i in 0..rows {
-                        lane.push(cmp_holds(op, x.get(i).cmp(&y.get(i))));
-                    }
-                    return Ev::Col(bool_column(lane));
-                }
-            } else if let (Some(x), Some(y)) = (float_src(a), float_src(b)) {
-                let mut lane = Vec::with_capacity(rows);
-                for i in 0..rows {
-                    lane.push(cmp_holds(op, x.get(i).total_cmp(&y.get(i))));
-                }
-                return Ev::Col(bool_column(lane));
-            }
-        }
-        // A zero divisor maps to Null, so the typed lane is only safe when
-        // the divisor lane holds none.
-        BinOp::SqlDiv => {
-            if let (Some(x), Some(y)) = (float_src(a), float_src(b)) {
-                let lane: Option<Vec<f64>> =
-                    (0..rows).map(|i| sql_div(x.get(i), y.get(i))).collect();
-                if let Some(lane) = lane {
-                    return Ev::Col(float_column(lane));
-                }
-            }
-        }
-        BinOp::And | BinOp::Or => {
-            if let (Some(x), Some(y)) = (bool_src(a), bool_src(b)) {
-                let mut lane = Vec::with_capacity(rows);
-                for i in 0..rows {
-                    let (l, r) = (x.get(i), y.get(i));
-                    lane.push(if op == BinOp::And { l && r } else { l || r });
-                }
-                return Ev::Col(bool_column(lane));
-            }
-        }
-        _ => {}
+    if let Some(column) = typed_bin(op, a, b) {
+        return Ev::Col(column);
     }
-
     // ---- generic scalar loop (shared semantics with Expr::eval) ---------
-    let values: Vec<Value> = (0..rows)
+    let values: Vec<Value> = (0..chunk.rows())
         .map(|i| scalar_bin(op, &a.value(i), &b.value(i)))
         .collect();
     Ev::Col(Column::from_values(&values))
@@ -709,18 +690,6 @@ fn cmp_holds(op: BinOp, ord: std::cmp::Ordering) -> bool {
         BinOp::Ge | BinOp::SqlGe => ord.is_ge(),
         _ => unreachable!("cmp_holds called with non-comparison op"),
     }
-}
-
-fn int_column(lane: Vec<i64>) -> Column {
-    Column::from_typed_int(lane)
-}
-
-fn float_column(lane: Vec<f64>) -> Column {
-    Column::from_typed_float(lane)
-}
-
-fn bool_column(lane: Vec<bool>) -> Column {
-    Column::from_typed_bool(lane)
 }
 
 #[cfg(test)]

@@ -21,10 +21,12 @@
 //! open-addressing slot table assigns dense group slots, and aggregation
 //! folds into typed accumulator lanes (or per-slot accumulators) without
 //! gathering a `Vec<Record>` per group first. Joins drive the same engine:
-//! a pre-sized partitioned build over the right side, a hash-memoized
-//! probe, and selection-vector output gathered in one pass. Opaque
-//! closures fall back to materializing rows — correct, but without the
-//! columnar speedup.
+//! the right side is indexed once (direct-address slots for a small-range
+//! `i64` key, else pre-sized partitioned slot tables), the left side
+//! probes it, and each side is gathered once at the selection vectors.
+//! Filters build their selection without a branch per row, and one that
+//! keeps every row hands its input on uncopied. Opaque closures fall back
+//! to materializing rows — correct, but without the columnar speedup.
 
 use std::sync::Arc;
 
@@ -38,19 +40,49 @@ use super::hash;
 
 /// Keep rows whose predicate evaluates to `Bool(true)`.
 pub fn filter(chunk: &Chunk, expr: &Expr) -> Chunk {
-    chunk.gather(&filter_indices(chunk, expr))
+    gather_kept(chunk, &filter_indices(chunk, expr))
+}
+
+/// The rows at `kept`, an ascending selection of `chunk`'s rows: the chunk
+/// itself — `Arc` bumps, no copy — when the selection is every row.
+pub(crate) fn gather_kept(chunk: &Chunk, kept: &[usize]) -> Chunk {
+    if kept.len() == chunk.rows() {
+        chunk.clone()
+    } else {
+        chunk.gather(kept)
+    }
 }
 
 /// Row indices kept by a predicate (the mask form of [`filter`]).
 pub fn filter_indices(chunk: &Chunk, expr: &Expr) -> Vec<usize> {
     let mask = expr.eval_chunk(chunk);
-    // Fast path: a clean Bool lane needs no per-row Value construction.
-    if let (Some(lane), true) = (mask.bools(), mask.no_nulls()) {
-        return (0..chunk.rows()).filter(|&i| lane[i]).collect();
+    let rows = chunk.rows();
+    match mask.bools() {
+        Some(lane) if mask.no_nulls() => select_rows(rows, |i| lane[i]),
+        // A NULL row is not `Bool(true)`, whatever its lane entry holds.
+        Some(lane) => select_rows(rows, |i| lane[i] & mask.is_valid(i)),
+        // Another layout holds `Bool(true)` only as a `Mixed` value.
+        None => select_rows(rows, |i| matches!(mask.value(i), Value::Bool(true))),
     }
-    (0..chunk.rows())
-        .filter(|&i| matches!(mask.value(i), Value::Bool(true)))
-        .collect()
+}
+
+/// The rows `i < rows` for which `keep(i)` holds, ascending, without a
+/// branch per row. A first pass counts them, so the selection is allocated
+/// at its size; then each block of rows writes every index at a cursor
+/// that moves past the kept ones only, and appends the block's kept prefix.
+fn select_rows(rows: usize, keep: impl Fn(usize) -> bool) -> Vec<usize> {
+    const BLOCK: usize = 64;
+    let mut kept = Vec::with_capacity((0..rows).map(|i| usize::from(keep(i))).sum());
+    let mut block = [0usize; BLOCK];
+    for start in (0..rows).step_by(BLOCK) {
+        let mut n = 0;
+        for i in start..rows.min(start + BLOCK) {
+            block[n] = i;
+            n += usize::from(keep(i));
+        }
+        kept.extend_from_slice(&block[..n]);
+    }
+    kept
 }
 
 /// Evaluate one output column per expression (the vectorized map).
@@ -183,10 +215,16 @@ struct GroupedKeys {
 /// ranges fall back to the engine's hash tables. Both number slots in
 /// first-encounter order, so the choice is invisible downstream.
 fn int_lane_groups(lane: &[i64]) -> hash::DenseGroups {
-    hash::dense_groups_i64(lane).unwrap_or_else(|| {
-        let hashes: Vec<u64> = lane.iter().map(|&k| hash::hash_i64(k)).collect();
-        hash::build_index(&hashes, |a, b| lane[a as usize] == lane[b as usize]).into_groups()
-    })
+    match hash::dense_index_i64(lane) {
+        Some(index) => index.into_groups(),
+        None => int_lane_index(lane).into_groups(),
+    }
+}
+
+/// The engine's hash index over an `i64` lane (the wide-range path).
+fn int_lane_index(lane: &[i64]) -> hash::GroupIndex {
+    let hashes: Vec<u64> = lane.iter().map(|&k| hash::hash_i64(k)).collect();
+    hash::build_index(&hashes, |a, b| lane[a as usize] == lane[b as usize])
 }
 
 fn group_slots(chunk: &Chunk, key: &KeyUdf) -> GroupedKeys {
@@ -316,9 +354,10 @@ fn group_tuples(chunk: &Chunk, key_fields: &[usize]) -> GroupedTuples {
 /// One aggregate folded over every group at once: `slot_of_row` routes each
 /// row's input to its group's accumulator, in row order — so each group
 /// folds exactly as [`AggState`] would over its member list, which is never
-/// built. `Int` and `Float` lanes (nulls allowed) fold in typed accumulator
-/// arrays ([`fold_typed_lane`]); any other layout folds one [`AggState`]
-/// per slot.
+/// built. COUNT counts into an `i64` array, `Int` and `Float` lanes (nulls
+/// allowed) fold in typed accumulator arrays ([`fold_typed_lane`]), and any
+/// other layout folds one [`AggState`] per slot. A lane without NULLs asks
+/// no row whether it is valid.
 fn aggregate_lane(
     func: AggFunc,
     arg: Option<&Column>,
@@ -326,6 +365,20 @@ fn aggregate_lane(
     n_groups: usize,
 ) -> Vec<Value> {
     let slots = || slot_of_row.iter().map(|&s| s as usize);
+    if func == AggFunc::Count {
+        let mut counts = vec![0i64; n_groups];
+        match arg.filter(|col| !col.no_nulls()) {
+            // `COUNT(*)` counts every row: the derived row closure feeds its
+            // `AggState` the constant `true`, which is never NULL.
+            None => slots().for_each(|s| counts[s] += 1),
+            Some(col) => {
+                for (row, s) in slots().enumerate() {
+                    counts[s] += i64::from(col.is_valid(row));
+                }
+            }
+        }
+        return counts.into_iter().map(Value::Int).collect();
+    }
     let generic = |input: &dyn Fn(usize) -> Value| -> Vec<Value> {
         let mut state = vec![AggState::new(func); n_groups];
         for (row, s) in slots().enumerate() {
@@ -334,19 +387,17 @@ fn aggregate_lane(
         state.into_iter().map(AggState::finalize).collect()
     };
     let Some(col) = arg else {
-        // `COUNT(*)`-style: every row's input is the constant `true`,
-        // exactly what the derived row closure feeds its `AggState`.
+        // SUM / AVG / MIN / MAX of `*`: every row's input is the constant
+        // `true`, exactly what the derived row closure feeds its `AggState`.
         return generic(&|_| Value::Bool(true));
     };
-    if func == AggFunc::Count {
-        let mut counts = vec![0i64; n_groups];
-        for (row, s) in slots().enumerate() {
-            counts[s] += i64::from(col.is_valid(row));
-        }
-        return counts.into_iter().map(Value::Int).collect();
-    }
     // Valid `(slot, row)` pairs in row order.
-    let valid = || slots().enumerate().filter(|(row, _)| col.is_valid(*row));
+    let no_nulls = col.no_nulls();
+    let valid = || {
+        slots()
+            .enumerate()
+            .filter(move |(row, _)| no_nulls || col.is_valid(*row))
+    };
     if let Some(lane) = col.ints() {
         let widen = |x: i64| x as f64;
         fold_typed_lane(
@@ -497,11 +548,13 @@ pub fn sort(chunk: &Chunk, key: &KeyUdf, descending: bool) -> Chunk {
 /// row indices, in the row kernel's output order (left-major, right matches
 /// in right input order within a key).
 ///
-/// The right side builds a [`hash::GroupIndex`] (pre-sized, radix-
-/// partitioned when large) plus CSR member lists; the left side probes it
-/// hashing each key once. When both key lanes are dictionary-encoded the
-/// probe is memoized per distinct *left* dictionary entry, so string
-/// comparison happens at most once per distinct string rather than per row.
+/// The right side is indexed once — direct-address slots for an `i64` lane
+/// of small range ([`hash::dense_index_i64`]), else a [`hash::GroupIndex`]
+/// (pre-sized, radix-partitioned when large) — and the left side probes
+/// it: a subtraction and a load per row, or one hash per row. When both
+/// key lanes are dictionary-encoded the probe is memoized per distinct
+/// *left* dictionary entry, so string comparison happens at most once per
+/// distinct string rather than per row.
 fn equi_join_select(
     left: &Chunk,
     right: &Chunk,
@@ -510,28 +563,24 @@ fn equi_join_select(
 ) -> (Vec<usize>, Vec<usize>) {
     let lkeys = extract_keys(left, left_key);
     let rkeys = extract_keys(right, right_key);
-    let mut li: Vec<usize> = Vec::new();
-    let mut ri: Vec<usize> = Vec::new();
-    // Emit the full match rectangle row-by-row for one probe hit.
-    let mut emit = |i: usize, members: &[u32]| {
-        li.extend(std::iter::repeat_n(i, members.len()));
-        ri.extend(members.iter().map(|&r| r as usize));
-    };
     match (&lkeys, &rkeys) {
-        (Keys::Ints(ll), Keys::Ints(rl)) => {
-            let rhashes = key_hashes(&rkeys);
-            let index = hash::build_index(&rhashes, |a, b| rl[a as usize] == rl[b as usize]);
-            let (offsets, rows) = hash::member_lists(&index.slot_of_row, index.n_groups());
-            for (i, &k) in ll.iter().enumerate() {
-                let hit = index.lookup(hash::hash_i64(k), |s| {
-                    rl[index.first_row[s as usize] as usize] == k
-                });
-                if let Some(s) = hit {
-                    let s = s as usize;
-                    emit(i, &rows[offsets[s]..offsets[s + 1]]);
-                }
+        (Keys::Ints(ll), Keys::Ints(rl)) => match hash::dense_index_i64(rl) {
+            Some(index) => emit_matches(
+                ll.len(),
+                &index.groups.slot_of_row,
+                &index.groups.first_row,
+                |i| index.lookup(ll[i]),
+            ),
+            None => {
+                let index = int_lane_index(rl);
+                emit_matches(ll.len(), &index.slot_of_row, &index.first_row, |i| {
+                    let k = ll[i];
+                    index.lookup(hash::hash_i64(k), |s| {
+                        rl[index.first_row[s as usize] as usize] == k
+                    })
+                })
             }
-        }
+        },
         (
             Keys::Dict {
                 dict: ld,
@@ -544,26 +593,21 @@ fn equi_join_select(
         ) => {
             let rhashes = key_hashes(&rkeys);
             let index = hash::build_index(&rhashes, |a, b| rc[a as usize] == rc[b as usize]);
-            let (offsets, rows) = hash::member_lists(&index.slot_of_row, index.n_groups());
             let lhashes: Vec<u64> = ld.iter().map(|s| hash::hash_str(s)).collect();
             // Per-left-dictionary-entry probe memo: dictionary entries are
             // distinct, so one string-compared lookup per entry covers
             // every row carrying its code.
             let mut memo: Vec<Option<Option<u32>>> = vec![None; ld.len()];
-            for (i, &c) in lc.iter().enumerate() {
-                let c = c as usize;
-                let slot = *memo[c].get_or_insert_with(|| {
+            emit_matches(lc.len(), &index.slot_of_row, &index.first_row, |i| {
+                let c = lc[i] as usize;
+                *memo[c].get_or_insert_with(|| {
                     let key: &str = &ld[c];
                     index.lookup(lhashes[c], |s| {
                         let r = index.first_row[s as usize] as usize;
                         *rd[rc[r] as usize] == *key
                     })
-                });
-                if let Some(s) = slot {
-                    let s = s as usize;
-                    emit(i, &rows[offsets[s]..offsets[s + 1]]);
-                }
-            }
+                })
+            })
         }
         _ => {
             // Mixed or generic keys: compare as Values (Value::eq is
@@ -572,15 +616,47 @@ fn equi_join_select(
             let rv = into_values(rkeys);
             let rhashes: Vec<u64> = rv.iter().map(hash::hash_value).collect();
             let index = hash::build_index(&rhashes, |a, b| rv[a as usize] == rv[b as usize]);
-            let (offsets, rows) = hash::member_lists(&index.slot_of_row, index.n_groups());
             let lv = into_values(lkeys);
-            for (i, k) in lv.iter().enumerate() {
-                let hit = index.lookup(hash::hash_value(k), |s| {
-                    rv[index.first_row[s as usize] as usize] == *k
-                });
-                if let Some(s) = hit {
-                    let s = s as usize;
-                    emit(i, &rows[offsets[s]..offsets[s + 1]]);
+            emit_matches(lv.len(), &index.slot_of_row, &index.first_row, |i| {
+                index.lookup(hash::hash_value(&lv[i]), |s| {
+                    rv[index.first_row[s as usize] as usize] == lv[i]
+                })
+            })
+        }
+    }
+}
+
+/// The match rectangles of a probe, left-major with each key's right rows
+/// in input order: `probe(i)` is the build slot left row `i` hits, if any,
+/// and `slot_of_row` / `first_row` are the build side's grouping. Pairs are
+/// pushed one at a time. With unique build keys a left row meets at most
+/// one right row — its slot's first row — so no member list is built, and
+/// a non-empty build side reserves both vectors for the left side up front.
+fn emit_matches(
+    n_left: usize,
+    slot_of_row: &[u32],
+    first_row: &[u32],
+    mut probe: impl FnMut(usize) -> Option<u32>,
+) -> (Vec<usize>, Vec<usize>) {
+    let (mut li, mut ri) = (Vec::new(), Vec::new());
+    if first_row.len() == slot_of_row.len() {
+        if !first_row.is_empty() {
+            li.reserve(n_left);
+            ri.reserve(n_left);
+        }
+        for i in 0..n_left {
+            if let Some(s) = probe(i) {
+                li.push(i);
+                ri.push(first_row[s as usize] as usize);
+            }
+        }
+    } else {
+        let (offsets, rows) = hash::member_lists(slot_of_row, first_row.len());
+        for i in 0..n_left {
+            if let Some(s) = probe(i) {
+                for &r in &rows[offsets[s as usize]..offsets[s as usize + 1]] {
+                    li.push(i);
+                    ri.push(r as usize);
                 }
             }
         }
@@ -686,13 +762,38 @@ pub fn apply_stage(chunk: Chunk, stage: &StageKind) -> Result<Chunk> {
     }
 }
 
-/// Run a full stage chain over one chunk (one morsel of a `ChunkPipeline`).
-pub fn run_stages(chunk: Chunk, stages: &[PipelineStage]) -> Result<Chunk> {
+/// The rows of `chunk` that every filter of `stages` keeps, ascending.
+///
+/// Each stage before a filter runs on the rows that reach that filter;
+/// the stages after the last filter do not run, since none of them drops a
+/// row. No map or projection drops a row, and each computes an output row
+/// from its input row alone, so a chain equals its filter-free stages run
+/// over [`gather_kept`] of this selection — which is how
+/// [`super::parallel::run_pipeline_chunk`] gathers a chain's input once.
+pub(crate) fn stage_selection(chunk: Chunk, stages: &[PipelineStage]) -> Result<Vec<usize>> {
+    let last = stages.iter().rposition(is_filter).map_or(0, |i| i + 1);
     let mut chunk = chunk;
-    for stage in stages {
-        chunk = apply_stage(chunk, &stage.kind)?;
+    let mut kept: Option<Vec<usize>> = None;
+    for (i, stage) in stages[..last].iter().enumerate() {
+        let StageKind::Filter { expr, .. } = &stage.kind else {
+            chunk = apply_stage(chunk, &stage.kind)?;
+            continue;
+        };
+        let sel = filter_indices(&chunk, expr);
+        if i + 1 < last {
+            chunk = gather_kept(&chunk, &sel);
+        }
+        kept = Some(match kept {
+            None => sel,
+            Some(outer) => sel.iter().map(|&j| outer[j]).collect(),
+        });
     }
-    Ok(chunk)
+    Ok(kept.unwrap_or_else(|| (0..chunk.rows()).collect()))
+}
+
+/// True for a stage that may drop rows.
+pub(crate) fn is_filter(stage: &PipelineStage) -> bool {
+    matches!(stage.kind, StageKind::Filter { .. })
 }
 
 /// Row-at-a-time reference semantics of a stage chain.
@@ -977,7 +1078,10 @@ mod tests {
             },
         ];
         let chunk = Chunk::from_records(&rows).unwrap();
-        let chunked = run_stages(chunk, &stages).unwrap().to_records();
+        let sequential = kernels::parallel::KernelParallelism::sequential();
+        let chunked = kernels::parallel::run_pipeline_chunk(&chunk, &stages, &sequential)
+            .unwrap()
+            .to_records();
         let by_rows = run_stages_rows(&rows, &stages).unwrap();
         assert_eq!(chunked, by_rows);
         assert!(chunked.iter().all(|r| r.width() == 2));

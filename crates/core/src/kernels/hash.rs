@@ -28,7 +28,9 @@
 //!    ([`SlotTable`]) mapping hashes to dense `u32` group slots, pre-sized
 //!    from input lengths and compared through caller-supplied closures so
 //!    one table serves `i64` lanes, dict-code lanes, and generic `Value`
-//!    keys without boxing.
+//!    keys without boxing. An `i64` lane of small range skips hashing:
+//!    [`dense_index_i64`] addresses its slots by key, for grouping and join
+//!    probes alike.
 //!
 //! Determinism: hash values and bucket choices only ever decide *where a
 //! key's state lives*, never what is emitted. Group membership comes from
@@ -314,25 +316,49 @@ impl DenseGroups {
 /// the direct-address path (a `u32` table entry per possible key).
 const DENSE_MAX_RANGE: i128 = 1 << 16;
 
-/// Direct-address grouping for an integer key lane whose value range is
-/// small: one table entry per possible key, no hashing, no collisions —
-/// one pass after the min/max scan. Slots are assigned in first-encounter
-/// order, exactly as [`build_index`] numbers them, so the two paths are
-/// interchangeable for grouping. Returns `None` when the range exceeds
-/// `DENSE_MAX_RANGE` (the caller falls back to the hash path).
-pub fn dense_groups_i64(lane: &[i64]) -> Option<DenseGroups> {
-    if lane.is_empty() {
-        return Some(DenseGroups {
-            slot_of_row: Vec::new(),
-            first_row: Vec::new(),
-        });
+/// Direct-address slots of an integer key lane whose value range is small:
+/// one table entry per possible key, no hashing, no collisions. It groups
+/// the lane ([`DenseIndex::into_groups`]) and, kept whole, answers a join
+/// probe with one subtraction and one load ([`DenseIndex::lookup`]).
+#[derive(Debug)]
+pub struct DenseIndex {
+    /// The smallest key; key `k` lives at `slot_of_key[k - lo]`.
+    lo: i64,
+    slot_of_key: Vec<u32>,
+    /// The grouping of the lane the index was built over.
+    pub groups: DenseGroups,
+}
+
+impl DenseIndex {
+    /// The slot of key `k`, if the lane holds it.
+    #[inline]
+    pub fn lookup(&self, k: i64) -> Option<u32> {
+        // Outside `lo..=hi` the wrapped difference is at least the table
+        // length (the range is below 2^16), so `get` misses.
+        let s = *self
+            .slot_of_key
+            .get(k.wrapping_sub(self.lo) as u64 as usize)?;
+        (s != EMPTY).then_some(s)
     }
-    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
-    for &k in lane {
-        lo = lo.min(k);
-        hi = hi.max(k);
+
+    /// Drop the key table, keeping only the grouping.
+    pub fn into_groups(self) -> DenseGroups {
+        self.groups
     }
-    let range = i128::from(hi) - i128::from(lo) + 1;
+}
+
+/// Direct-address slots for an integer key lane whose value range is
+/// small — one pass after the min/max scan. Slots are assigned in
+/// first-encounter order, exactly as [`build_index`] numbers them, so the
+/// two paths are interchangeable for grouping and probing. Returns `None`
+/// when the range exceeds `DENSE_MAX_RANGE` (the caller falls back to the
+/// hash path).
+pub fn dense_index_i64(lane: &[i64]) -> Option<DenseIndex> {
+    let (lo, hi) = lane
+        .iter()
+        .fold((i64::MAX, i64::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+    // An empty lane spans no key (`hi < lo`).
+    let range = (i128::from(hi) - i128::from(lo) + 1).max(0);
     if range > DENSE_MAX_RANGE {
         return None;
     }
@@ -349,9 +375,13 @@ pub fn dense_groups_i64(lane: &[i64]) -> Option<DenseGroups> {
         }
         slot_of_row[row] = s;
     }
-    Some(DenseGroups {
-        slot_of_row,
-        first_row,
+    Some(DenseIndex {
+        lo,
+        slot_of_key,
+        groups: DenseGroups {
+            slot_of_row,
+            first_row,
+        },
     })
 }
 
@@ -630,7 +660,14 @@ mod tests {
         let keys: Vec<i64> = (0..500).map(|i| ((i * 37) % 90) - 45).collect();
         let hashes: Vec<u64> = keys.iter().map(|&k| hash_i64(k)).collect();
         let hashed = build_index(&hashes, |a, b| keys[a as usize] == keys[b as usize]);
-        let dense = dense_groups_i64(&keys).expect("small range");
+        let dense = dense_index_i64(&keys).expect("small range");
+        for k in -50..50 {
+            let probe = hashed.lookup(hash_i64(k), |s| {
+                keys[hashed.first_row[s as usize] as usize] == k
+            });
+            assert_eq!(dense.lookup(k), probe, "key {k}");
+        }
+        let dense = dense.into_groups();
         assert_eq!(dense.first_row, hashed.first_row);
         assert_eq!(dense.slot_of_row, hashed.slot_of_row);
         assert_eq!(dense.n_groups(), hashed.n_groups());
@@ -638,12 +675,25 @@ mod tests {
 
     #[test]
     fn dense_i64_rejects_wide_ranges_and_handles_edges() {
-        assert!(dense_groups_i64(&[i64::MIN, i64::MAX]).is_none());
-        assert!(dense_groups_i64(&[0, 1 << 20]).is_none());
-        assert_eq!(dense_groups_i64(&[]).unwrap().n_groups(), 0);
-        let single = dense_groups_i64(&[i64::MIN; 4]).unwrap();
-        assert_eq!(single.n_groups(), 1);
-        assert_eq!(single.slot_of_row, vec![0, 0, 0, 0]);
+        assert!(dense_index_i64(&[i64::MIN, i64::MAX]).is_none());
+        assert!(dense_index_i64(&[0, 1 << 16]).is_none());
+        assert!(dense_index_i64(&[0, (1 << 16) - 1]).is_some());
+        let empty = dense_index_i64(&[]).unwrap();
+        assert_eq!(empty.groups.n_groups(), 0);
+        assert_eq!(empty.lookup(0), None);
+        let single = dense_index_i64(&[i64::MIN; 4]).unwrap();
+        assert_eq!(single.groups.n_groups(), 1);
+        assert_eq!(single.groups.slot_of_row, vec![0, 0, 0, 0]);
+        // Probes outside the range miss, however far the difference wraps.
+        assert_eq!(single.lookup(i64::MIN), Some(0));
+        for k in [i64::MIN + 1, -1, 0, i64::MAX] {
+            assert_eq!(single.lookup(k), None, "key {k}");
+        }
+        let top = dense_index_i64(&[i64::MAX - 2, i64::MAX]).unwrap();
+        assert_eq!(top.lookup(i64::MAX), Some(1));
+        for k in [i64::MIN, i64::MIN + 2, i64::MAX - 1, i64::MAX - 3] {
+            assert_eq!(top.lookup(k), None, "key {k}");
+        }
     }
 
     #[test]

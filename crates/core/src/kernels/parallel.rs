@@ -33,6 +33,9 @@
 //! - `sort_merge_join` and `sort` sort contiguous chunks in parallel and
 //!   merge them stably (ties resolve to the lower chunk, i.e. earlier
 //!   input), reproducing the sequential stable sort byte for byte.
+//! - `run_pipeline_chunk` runs a fused stage chain over a chunk: morsels
+//!   yield the rows its filters keep, in morsel order, and the input is
+//!   gathered once.
 //!
 //! No `unsafe`: workers are `std::thread::scope` threads pulling morsel
 //! indices off an atomic cursor and parking results in per-slot mutexed
@@ -783,31 +786,56 @@ pub fn sort_merge_join(
 /// Morsel-parallel fused-pipeline runner for
 /// [`crate::physical::PhysicalOp::ChunkPipeline`], chunk in and chunk out.
 ///
-/// Each morsel is a zero-copy [`Chunk::slice`] view that runs the whole
-/// stage chain ([`chunked::run_stages`]); the per-morsel results are
-/// concatenated in morsel (= input) order, typed lane to typed lane. Every
-/// stage is order-preserving within a morsel, so the output is
-/// byte-identical to the sequential row-at-a-time reference
-/// ([`chunked::run_stages_rows`]) at any thread count. One thread runs the
-/// chain over the whole chunk in one go: stages evaluate expressions, not
-/// user code, so the caller's per-operator cancellation checkpoints bound
-/// the latency without morsel-sized steps.
+/// Filters select, then the rest computes. Each morsel, a zero-copy
+/// [`Chunk::slice`] view, yields the rows the chain's filters keep
+/// (`chunked::stage_selection`). The selections join in morsel (= input)
+/// order, the input is gathered at them once — not at all when every row
+/// is kept — and the chain's maps and projections run over the result.
+/// That equals running the chain, so the output is byte-identical to the
+/// row-at-a-time reference ([`chunked::run_stages_rows`]) at any thread
+/// count. One thread selects over the whole chunk in one go: stages
+/// evaluate expressions, not user code, so the caller's per-operator
+/// cancellation checkpoints bound the latency without morsel-sized steps.
+/// A map ahead of a filter runs twice: for the selection, and over the
+/// kept rows.
 pub fn run_pipeline_chunk(
     chunk: &Chunk,
     stages: &[PipelineStage],
     p: &KernelParallelism,
 ) -> Result<Chunk> {
     ambient_check()?;
-    let t = p.effective_threads(chunk.rows());
-    if t <= 1 {
-        return chunked::run_stages(chunk.clone(), stages);
+    let mut out = chunk.clone();
+    if stages.iter().any(chunked::is_filter) {
+        let t = p.effective_threads(chunk.rows());
+        let ranges = if t <= 1 {
+            p.chunk_ranges(chunk.rows(), 1)
+        } else {
+            p.morsel_ranges(chunk.rows())
+        };
+        let selections = run_ranges(&ranges, t, |r| {
+            chunked::stage_selection(chunk.slice(r.start, r.len()), stages)
+                .map(|kept| (r.start, kept))
+        });
+        ambient_check()?;
+        let mut selections = selections.into_iter().collect::<Result<Vec<_>>>()?;
+        let kept = match selections.as_mut_slice() {
+            // One selection over the whole chunk is already in its positions.
+            [(_, whole)] => std::mem::take(whole),
+            _ => {
+                let total = selections.iter().map(|(_, rows)| rows.len()).sum();
+                let mut kept = Vec::with_capacity(total);
+                for (start, rows) in selections {
+                    kept.extend(rows.into_iter().map(|i| start + i));
+                }
+                kept
+            }
+        };
+        out = chunked::gather_kept(chunk, &kept);
     }
-    let parts = run_ranges(&p.morsel_ranges(chunk.rows()), t, |r| {
-        chunked::run_stages(chunk.slice(r.start, r.len()), stages)
-    });
-    ambient_check()?;
-    let parts = parts.into_iter().collect::<Result<Vec<Chunk>>>()?;
-    Ok(Chunk::concat(&parts).expect("one stage chain gives every morsel the same width"))
+    for stage in stages.iter().filter(|s| !chunked::is_filter(s)) {
+        out = chunked::apply_stage(out, &stage.kind)?;
+    }
+    Ok(out)
 }
 
 /// Parallel [`super::sort`]: partition sort + stable k-way merge, then a

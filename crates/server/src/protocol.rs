@@ -1125,6 +1125,173 @@ mod tests {
         assert_eq!(body, Request::Stats.encode());
     }
 
+    /// A peer that hands out the first `cut` bytes of `stream` in pieces of
+    /// 1 to 9 bytes, answering some reads with a `WouldBlock` tick instead,
+    /// and after the cut ticks `then_ticks` more times before EOF. Its
+    /// choices come from a splitmix64 stream seeded per case.
+    struct Ticking<'a> {
+        stream: &'a [u8],
+        cut: usize,
+        delivered: usize,
+        then_ticks: usize,
+        rng: u64,
+    }
+
+    impl Ticking<'_> {
+        fn next(&mut self) -> u64 {
+            self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+    }
+
+    impl Read for Ticking<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.delivered == self.cut {
+                if self.then_ticks == 0 {
+                    return Ok(0);
+                }
+                self.then_ticks -= 1;
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            if self.next().is_multiple_of(4) {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let piece = 1 + (self.next() % 9) as usize;
+            let n = piece.min(self.cut - self.delivered).min(buf.len());
+            buf[..n].copy_from_slice(&self.stream[self.delivered..self.delivered + n]);
+            self.delivered += n;
+            Ok(n)
+        }
+    }
+
+    /// Byte streams a peer might send: a real frame with or without bytes
+    /// after it, a small declared length over arbitrary bytes, a length
+    /// past `MAX_FRAME`, or arbitrary bytes.
+    fn streams() -> impl proptest::strategy::Strategy<Value = Vec<u8>> {
+        use proptest::prelude::*;
+        (
+            0u8..4,
+            proptest::collection::vec(any::<u8>(), 0..48),
+            any::<u32>(),
+        )
+            .prop_map(|(shape, bytes, len)| match shape {
+                0 => {
+                    let mut out = Vec::new();
+                    let sql = String::from_utf8_lossy(&bytes).into_owned();
+                    let query = Request::Query {
+                        sql,
+                        deadline_ms: None,
+                    };
+                    write_frame(&mut out, &query.encode()).unwrap();
+                    out.extend_from_slice(&bytes[..bytes.len() % 5]);
+                    out
+                }
+                1 => {
+                    let mut out = (len % 64).to_be_bytes().to_vec();
+                    out.extend_from_slice(&bytes);
+                    out
+                }
+                2 => {
+                    let mut out = (MAX_FRAME as u32 + 1 + len % 64).to_be_bytes().to_vec();
+                    out.extend_from_slice(&bytes);
+                    out
+                }
+                _ => bytes,
+            })
+    }
+
+    /// Read one frame from a peer delivering `stream[..cut]`: whatever the
+    /// bytes, the cut and the ticks, the read ends in a frame, a clean EOF,
+    /// idleness or a typed error, and the body buffer holds no more than
+    /// its first reservation plus the bytes that arrived.
+    fn read_cut(stream: &[u8], cut: usize, idle: Option<Duration>, seed: u64) {
+        let mut peer = Ticking {
+            stream,
+            cut,
+            delivered: 0,
+            then_ticks: (seed % 3) as usize,
+            rng: seed,
+        };
+        let mut body = vec![0xAA; (seed % 7) as usize];
+        let outcome = read_frame_into(&mut peer, idle, &mut body);
+        let declared = stream
+            .get(..4)
+            .map(|p| u32::from_be_bytes(p.try_into().unwrap()) as usize);
+        match outcome {
+            Ok(FrameRead::Frame) => {
+                let len = declared.expect("a frame has a prefix");
+                assert_eq!(body, stream[4..4 + len], "cut {cut}");
+            }
+            Ok(FrameRead::Eof) => assert_eq!(peer.delivered, 0, "EOF after bytes, cut {cut}"),
+            Ok(FrameRead::Idle) => {
+                assert!(
+                    idle.is_some() && peer.delivered == 0,
+                    "idle mid-frame, cut {cut}"
+                )
+            }
+            Err(WireError::Malformed(_)) => {}
+            // Only a reader without an idle timeout passes a tick on.
+            Err(WireError::Io(e)) => {
+                assert!(idle.is_none() && is_read_timeout(&e), "{e} at cut {cut}")
+            }
+        }
+        assert!(
+            body.capacity() <= BODY_RESERVE + peer.delivered,
+            "{} bytes reserved after {} delivered (cut {cut})",
+            body.capacity(),
+            peer.delivered
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 64,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// `read_frame_into` over arbitrary streams cut at every offset,
+        /// with `WouldBlock` ticks before, inside and after the bytes, as
+        /// a session (ticking) and as a client (no idle timeout) reads.
+        #[test]
+        fn prop_read_frame_into_ends_typed_at_every_cut(
+            stream in streams(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            for cut in 0..=stream.len() {
+                for idle in [None, Some(Duration::ZERO)] {
+                    read_cut(&stream, cut, idle, seed ^ cut as u64);
+                }
+            }
+        }
+    }
+
+    /// A declared length past the first reservation, delivered in part or
+    /// whole: the buffer grows with the bytes, never ahead of them by more
+    /// than the first reservation.
+    #[test]
+    fn a_long_frame_grows_its_buffer_with_the_bytes() {
+        let len = 3 * BODY_RESERVE + 17;
+        let mut stream = (len as u32).to_be_bytes().to_vec();
+        stream.extend((0..len).map(|i| (i * 7) as u8));
+        for cut in [
+            0,
+            3,
+            4,
+            5,
+            BODY_RESERVE,
+            BODY_RESERVE + 5,
+            2 * BODY_RESERVE,
+            stream.len(),
+        ] {
+            for idle in [None, Some(Duration::ZERO)] {
+                read_cut(&stream, cut, idle, cut as u64);
+            }
+        }
+    }
+
     #[test]
     fn truncated_frames_are_malformed_not_panics() {
         let mut body = Request::Query {
