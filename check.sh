@@ -75,12 +75,14 @@ if grep -rnE 'MappingRegistry|TripleStore|MicroBatchDriver|micro_batches|SimpleL
 fi
 
 # One record per job: the `ExecutionStats` a job returns is what monitoring
-# renders (`explain_observed`) and what the replay tests compare
-# (`testkit::work`); no span tree, trace sink or operator-kind tag comes back.
-echo "==> one record per job: no trace spans, sinks or operator-kind tag"
-if grep -rnE 'TraceSink|RingBufferSink|JsonLinesSink|SpanRecord|SpanKind|canonical_tree|with_sink|JobTrace|OpKind' \
+# renders (`explain_observed`), what the replay tests compare
+# (`testkit::work`) and what `Observability` folds its counters from, once
+# when the job ends; no span tree, trace sink, operator-kind tag, progress
+# callback or mirrored breaker gauge comes back.
+echo "==> one record per job: no trace spans, sinks, operator-kind tag or progress callbacks"
+if grep -rnE 'TraceSink|RingBufferSink|JsonLinesSink|SpanRecord|SpanKind|canonical_tree|with_sink|JobTrace|OpKind|ProgressListener|with_progress_listener|on_atom_start|on_atom_retry|on_job_complete|mirror_to|breaker_open\b' \
     crates src tests examples; then
-  echo "a deleted trace or classification name is named again"; exit 1
+  echo "a deleted trace, classification or progress-callback name is named again"; exit 1
 fi
 
 echo "==> cargo build --release"

@@ -89,7 +89,7 @@ pub fn run_failover_ablation(n: i64, threads: usize) -> FailoverReport {
             .as_ref()
             .map(|p| p.assignments.clone())
             .unwrap_or_else(|| exec.assignments.clone()),
-        failovers: adaptive.stats.failovers,
+        failovers: adaptive.stats.failovers.len(),
         recommitted_atoms: recommitted,
         rigid_run_failed: rigid.is_err(),
         outputs_identical: outputs(&adaptive) == outputs(&baseline),

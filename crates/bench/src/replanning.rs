@@ -172,7 +172,7 @@ pub fn run_replanning_ablation(n: i64) -> ReplanningReport {
             .unwrap_or_else(|| exec.assignments.clone()),
         static_simulated_ms: static_run.stats.total_simulated_ms(),
         adaptive_simulated_ms: adaptive_run.stats.total_simulated_ms(),
-        replans: adaptive_run.stats.replans,
+        replans: adaptive_run.stats.replans.len(),
         outputs_identical: outputs(&static_run) == outputs(&adaptive_run),
     }
 }

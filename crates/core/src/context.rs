@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::Result;
-use crate::executor::{self, JobResult, ProgressListener, WaveGate};
+use crate::executor::{self, JobResult, WaveGate};
 use crate::fault::{CancelToken, FaultPolicy, PlatformHealth, Sleeper};
 use crate::kernels::parallel::KernelParallelism;
 use crate::logical::LogicalPlan;
@@ -43,8 +43,7 @@ pub struct RheemContext {
     /// What platforms see of a job: storage, failure injection, the thread
     /// budget, and the cancel token (its only holder).
     pub(crate) execution: ExecutionContext,
-    listeners: Vec<Arc<dyn ProgressListener>>,
-    observability: Option<Arc<Observability>>,
+    pub(crate) observability: Option<Arc<Observability>>,
     pub(crate) replan_policy: Option<ReplanPolicy>,
     pub(crate) fault_policy: Option<FaultPolicy>,
     pub(crate) platform_health: Option<Arc<PlatformHealth>>,
@@ -60,7 +59,6 @@ impl Default for RheemContext {
             max_retries: 2,
             timeout: None,
             execution: ExecutionContext::default(),
-            listeners: Vec::new(),
             observability: None,
             replan_policy: None,
             fault_policy: None,
@@ -167,19 +165,12 @@ impl RheemContext {
         self
     }
 
-    /// Observe job progress (per-atom start/retry/complete callbacks).
-    /// May be called repeatedly; all listeners receive all callbacks.
-    pub fn with_progress_listener(mut self, listener: Arc<dyn ProgressListener>) -> Self {
-        self.listeners.push(listener);
-        self
-    }
-
-    /// Attach an [`Observability`] hub: its metrics registry counts every
-    /// job this context runs, and — the calibration
-    /// feedback loop — observed per-operator runtimes and cardinalities
-    /// are folded into the optimizer's [`crate::observe::CostCalibration`]
-    /// table after each successful job, correcting cost estimates on the
-    /// next optimization pass.
+    /// Attach an [`Observability`] hub: every job this context runs is
+    /// reported to it once, when it ends, and it derives its counters from
+    /// the job's record. Observed per-operator runtimes and cardinalities
+    /// of each successful job are folded into the optimizer's
+    /// [`crate::observe::CostCalibration`] table (the calibration feedback
+    /// loop), correcting cost estimates on the next optimization pass.
     pub fn with_observability(mut self, observe: Arc<Observability>) -> Self {
         self.optimizer.metrics = Some(observe.metrics().clone());
         self.optimizer.calibration = observe.calibration().clone();
@@ -259,16 +250,6 @@ impl RheemContext {
         &self.execution
     }
 
-    /// Everyone who hears about job progress: the attached listeners in
-    /// attachment order, then the observability hub.
-    pub(crate) fn listeners(&self) -> impl Iterator<Item = &dyn ProgressListener> {
-        let hub = self
-            .observability
-            .iter()
-            .map(|o| o.as_ref() as &dyn ProgressListener);
-        self.listeners.iter().map(|l| l.as_ref()).chain(hub)
-    }
-
     /// Optimize a physical plan without running it.
     pub fn optimize(&self, plan: PhysicalPlan) -> Result<ExecutionPlan> {
         self.optimizer.optimize(plan, &self.platforms)
@@ -281,24 +262,7 @@ impl RheemContext {
 
     /// Run an already-optimized execution plan.
     pub fn execute_plan(&self, plan: &ExecutionPlan) -> Result<JobResult> {
-        if let (Some(health), Some(observe)) = (&self.platform_health, &self.observability) {
-            health.mirror_to(observe.metrics().clone());
-        }
-        let result = executor::execute(self, plan)?;
-        if self.observability.is_some() {
-            // Close the feedback loop: fold this job's observed kernel
-            // runtimes and true cardinalities into the calibration table
-            // the optimizer consults on its next pass. Only successful
-            // jobs get here, and only committed attempts carry
-            // observations, so failed attempts cannot pollute the table.
-            // When the job re-planned mid-flight, the effective plan
-            // carries the assignments the atoms actually ran under.
-            self.optimizer.calibration.absorb(
-                result.effective_plan.as_ref().unwrap_or(plan),
-                &result.stats,
-            );
-        }
-        Ok(result)
+        executor::execute(self, plan)
     }
 
     /// Optimize and run a physical plan.

@@ -35,6 +35,15 @@
 //! of completion order, and when several atoms of a wave fail, the error
 //! of the lowest-id atom that failed is reported.
 //!
+//! # Monitoring
+//!
+//! The [`ExecutionStats`] a job returns is its one record (§4.2 duty ii):
+//! atoms, waves, retries, re-plans, failovers and the atom that failed
+//! the job. A job is reported once, when it ends: the record (partial on
+//! failure) goes to the context's
+//! [`Observability`](crate::observe::Observability) hub, which derives
+//! every executor counter from it.
+//!
 //! # Fault tolerance
 //!
 //! Failures are classified ([`RheemError::classify`]) before any retry
@@ -49,8 +58,8 @@
 //!
 //! When an atom gives up (retries exhausted, breaker opened, or breaker
 //! already open) and the fault policy enables failover, the executor
-//! does not fail the job immediately: it commits every atom
-//! of the wave that *did* succeed, marks the failed platform down, and
+//! does not fail the job immediately: it commits the atoms of the wave
+//! that precede the failure in id order, marks the failed platform down, and
 //! re-enumerates the unexecuted suffix with all failed platforms excluded
 //! — the same suffix-splicing machinery as adaptive re-planning, pointed
 //! at outages instead of drift. Committed atoms are never re-run; the job
@@ -130,17 +139,23 @@ pub struct ExecutionStats {
     pub total_wall: Duration,
     /// Total simulated movement cost.
     pub total_movement_ms: f64,
-    /// Total retries across all atoms. Only transient failures consume
-    /// retries; permanent errors fail fast after one attempt.
+    /// Every retry the job spent, including those of an atom that later
+    /// gave up. Only transient failures consume retries; permanent errors
+    /// fail fast after one attempt. Wave siblings above a failed atom run
+    /// only when the wave runs threaded; their work, retries included, is
+    /// discarded, so the record is the same at every thread budget.
     pub retries: usize,
-    /// Mid-job re-optimizations performed (see
-    /// [`RheemContext::with_replan_policy`]); `0` unless drift triggered.
-    pub replans: usize,
-    /// Failover re-plans performed (see
-    /// [`RheemContext::with_fault_policy`]):
-    /// times the unexecuted suffix was re-routed around a failed
-    /// platform. `0` unless failover triggered.
-    pub failovers: usize,
+    /// Mid-job re-optimizations performed, in order (see
+    /// [`RheemContext::with_replan_policy`]); empty unless drift triggered.
+    pub replans: Vec<ReplanEvent>,
+    /// Failover re-plans performed, in order (see
+    /// [`RheemContext::with_fault_policy`]): each re-routed the
+    /// unexecuted suffix around a failed platform.
+    pub failovers: Vec<FailoverEvent>,
+    /// The atom whose failure ended the job. `None` on success, and when
+    /// the job stopped on a cancel, a deadline or a malformed plan rather
+    /// than on an atom's own error.
+    pub failed_atom: Option<AtomFailure>,
     /// How the executed plan was enumerated (copied from
     /// [`crate::plan::ExecutionPlan::enumeration`]); rendered only when
     /// the budget fallback ran.
@@ -154,6 +169,15 @@ impl ExecutionStats {
         names.sort_unstable();
         names.dedup();
         names
+    }
+
+    /// Every atom that gave up: each failover's trigger in order, then the
+    /// atom that failed the job.
+    pub fn failed_atoms(&self) -> impl Iterator<Item = &AtomFailure> {
+        self.failovers
+            .iter()
+            .map(|f| &f.failed_atom)
+            .chain(self.failed_atom.as_ref())
     }
 
     /// Total simulated overhead charged by platforms.
@@ -197,63 +221,14 @@ impl ExecutionStats {
             self.total_wall.as_secs_f64() * 1e3,
             self.retries,
             self.waves,
-            self.replans,
-            self.failovers,
+            self.replans.len(),
+            self.failovers.len(),
         ));
         if self.enumeration_path == crate::plan::EnumerationPath::GreedyFallback {
             s.push_str(&format!("enumeration: {}\n", self.enumeration_path));
         }
         s
     }
-}
-
-/// Observer of job progress (§4.2 duty ii: "monitoring the progress of
-/// plan execution"). All methods have empty defaults; implement only what
-/// you need.
-///
-/// # Threading and ordering guarantee
-///
-/// Callbacks run synchronously on whichever thread executes the atom —
-/// under wave scheduling that is a worker thread, and callbacks for
-/// *different* atoms of the same wave may interleave arbitrarily, so
-/// implementations must be thread-safe (the trait requires `Send + Sync`).
-/// Per atom, the order is always:
-///
-/// 1. `on_atom_start` (exactly once, after its inputs were gathered),
-/// 2. `on_atom_retry` (once per failed attempt, in attempt order),
-/// 3. `on_atom_complete` (exactly once, if the atom succeeded).
-///
-/// `on_job_complete` runs last, exactly once, on the caller's thread,
-/// strictly after every per-atom callback has returned.
-pub trait ProgressListener: Send + Sync {
-    /// An atom is about to run (after its inputs were gathered).
-    fn on_atom_start(&self, _atom_id: usize, _platform: &str) {}
-    /// An attempt failed and will be retried.
-    fn on_atom_retry(&self, _atom_id: usize, _attempt: usize, _error: &RheemError) {}
-    /// An atom gave up: its error was not retryable, its platform's
-    /// breaker opened, or its retry budget ran out. `suppressed_retries`
-    /// is the retry budget *not* spent because the final error was not
-    /// worth retrying (0 when the budget was exhausted on transient
-    /// failures). Depending on failover, the job may still survive.
-    fn on_atom_failed(&self, _atom_id: usize, _error: &RheemError, _suppressed_retries: usize) {}
-    /// An atom completed; its monitoring record is final.
-    fn on_atom_complete(&self, _stats: &AtomStats) {}
-    /// The executor re-optimized the unexecuted suffix of the job. Runs
-    /// between waves, on the thread driving the job, strictly after the
-    /// `on_atom_complete` of every atom committed so far.
-    fn on_replan(&self, _event: &ReplanEvent) {}
-    /// The executor re-routed the unexecuted suffix around a failed
-    /// platform. Same threading guarantees as
-    /// [`on_replan`](ProgressListener::on_replan).
-    fn on_failover(&self, _event: &FailoverEvent) {}
-    /// The whole job completed successfully.
-    fn on_job_complete(&self, _stats: &ExecutionStats) {}
-    /// The job failed with [`RheemError::Cancelled`]. Called exactly once
-    /// per cancelled job, on the thread driving the job, after every
-    /// per-atom callback has returned. Partial-wave progress committed
-    /// before the cancellation point stays committed (it was already
-    /// reported through `on_atom_complete`).
-    fn on_job_cancelled(&self, _reason: crate::error::CancelReason) {}
 }
 
 /// A hook bracketing every scheduling wave of a job.
@@ -280,12 +255,30 @@ pub trait WaveGate: Send + Sync {
     fn after_wave(&self, wave_index: usize);
 }
 
+/// An atom that gave up: its error was not retryable, its platform's
+/// breaker opened or was already open, or its retry budget ran out.
+#[derive(Clone, Debug)]
+pub struct AtomFailure {
+    /// Atom id within the plan it ran under.
+    pub atom_id: usize,
+    /// The platform it failed on.
+    pub platform: String,
+    /// Attempts made; 0 when an open breaker rejected the atom up front.
+    pub attempts: usize,
+    /// Retry budget left unspent because the final error was not worth
+    /// retrying (a permanent error, or a breaker that opened or was open);
+    /// 0 when the budget ran out on transient failures.
+    pub suppressed_retries: usize,
+    /// The final error was a caught panic.
+    pub panicked: bool,
+    /// Rendering of the final error.
+    pub error: String,
+}
+
 /// What one mid-job re-optimization did (see
 /// [`RheemContext::with_replan_policy`]).
 #[derive(Clone, Debug)]
 pub struct ReplanEvent {
-    /// 0-based index of this re-plan within the job.
-    pub index: usize,
     /// The live boundary dataset whose cardinality drifted the furthest
     /// from its estimate.
     pub trigger_node: NodeId,
@@ -307,14 +300,8 @@ pub struct ReplanEvent {
 /// [`RheemContext::with_fault_policy`]).
 #[derive(Clone, Debug)]
 pub struct FailoverEvent {
-    /// 0-based index of this failover within the job.
-    pub index: usize,
-    /// Id of the atom whose failure triggered the failover.
-    pub atom_id: usize,
-    /// The platform that atom failed on.
-    pub failed_platform: String,
-    /// Rendering of the error that exhausted the atom.
-    pub error: String,
+    /// The atom whose failure triggered the failover.
+    pub failed_atom: AtomFailure,
     /// Every platform excluded from the re-enumeration (the failed
     /// platform plus any other platform with an open breaker, and any
     /// platform excluded by an earlier failover of this job).
@@ -365,26 +352,61 @@ struct AtomRun {
     outputs: HashMap<NodeId, Dataset>,
 }
 
-/// The lowest-id atom of a wave that gave up, with its final error.
-struct WaveFailure {
-    /// Position into the current plan's `atoms`.
-    pos: usize,
+/// Why an atom did not commit: its final error, the retries it spent
+/// first, and — when it gave up on its own errors rather than stopping at
+/// a cancel, a deadline or a wiring error — what the record says about it.
+struct AtomError {
     error: RheemError,
+    retries: usize,
+    gave_up: Option<Box<AtomFailure>>,
 }
 
-/// Everything one wave produced: the runs of every atom that succeeded
-/// (committed even when a sibling failed — failover wants maximum
-/// progress) and the first failure by atom id, if any.
+/// An error met before the first attempt: nothing spent, nothing given up.
+impl From<RheemError> for AtomError {
+    fn from(error: RheemError) -> Self {
+        AtomError {
+            error,
+            retries: 0,
+            gave_up: None,
+        }
+    }
+}
+
+impl AtomError {
+    /// `atom` gave up with `error` after `attempts` attempts, leaving
+    /// `suppressed` retries unspent.
+    fn gave_up(atom: &TaskAtom, error: RheemError, attempts: usize, suppressed: usize) -> Self {
+        let gave_up = AtomFailure {
+            atom_id: atom.id,
+            platform: atom.platform.clone(),
+            attempts,
+            suppressed_retries: suppressed,
+            panicked: matches!(error, RheemError::Panic { .. }),
+            error: error.to_string(),
+        };
+        AtomError {
+            error,
+            retries: attempts.saturating_sub(1),
+            gave_up: Some(Box::new(gave_up)),
+        }
+    }
+}
+
+/// What one wave produced: the runs of the atoms that precede its first
+/// failure in id order, and that failure, if any.
 struct WaveOutcome {
     runs: Vec<(usize, AtomRun)>,
-    failure: Option<WaveFailure>,
+    failure: Option<AtomError>,
 }
+
+/// What a successful job hands back besides its record: the sink outputs
+/// and, when it re-planned, the effective plan.
+type JobOutputs = (HashMap<NodeId, Dataset>, Option<ExecutionPlan>);
 
 /// One job in flight: the context whose settings it runs under and the
 /// deadline its timeout implies.
 struct Job<'a> {
     ctx: &'a RheemContext,
-    started: Instant,
     deadline: Option<Instant>,
 }
 
@@ -397,20 +419,36 @@ struct Job<'a> {
 /// boundary datasets are checked against the estimates, and on sufficient
 /// drift the unexecuted suffix is re-enumerated and spliced in (committed
 /// atoms are never re-run; wave numbering continues across the splice).
+///
+/// A job is reported once, when it ends: its record — partial when it
+/// failed or was cancelled — and its outcome go to the context's
+/// [`Observability`](crate::observe::Observability) hub in one call.
 pub(crate) fn execute(ctx: &RheemContext, plan: &ExecutionPlan) -> Result<JobResult> {
     let started = Instant::now();
     let job = Job {
         ctx,
-        started,
         deadline: ctx.timeout.and_then(|t| started.checked_add(t)),
     };
-    let result = job.run(plan);
-    if let Err(RheemError::Cancelled { reason }) = &result {
-        for l in ctx.listeners() {
-            l.on_job_cancelled(*reason);
-        }
+    let mut stats = ExecutionStats {
+        enumeration_path: plan.enumeration.path,
+        ..ExecutionStats::default()
+    };
+    let run = job.run(plan, &mut stats);
+    stats.total_wall = started.elapsed();
+    if let Some(observe) = &ctx.observability {
+        // Calibration learns against the assignments the atoms actually
+        // ran under: the effective plan when the job re-planned.
+        let outcome = run
+            .as_ref()
+            .map(|(_, effective)| effective.as_ref().unwrap_or(plan));
+        observe.record_job(&stats, outcome);
     }
-    result
+    let (outputs, effective_plan) = run?;
+    Ok(JobResult {
+        outputs,
+        stats,
+        effective_plan,
+    })
 }
 
 /// Atoms of an `atoms`-wide wave that run at once under a budget of
@@ -421,16 +459,14 @@ fn wave_width(threads: usize, atoms: usize) -> usize {
 }
 
 impl Job<'_> {
-    fn run(&self, plan: &ExecutionPlan) -> Result<JobResult> {
+    /// Run `plan`, writing the job's record into `stats` as it goes — so a
+    /// failed job leaves the record of what it did before failing.
+    fn run(&self, plan: &ExecutionPlan, stats: &mut ExecutionStats) -> Result<JobOutputs> {
         // Validates all cross-atom wiring (producer bounds, assignment
         // bounds, ownership) up front: scheduling never indexes blindly.
         plan.atom_dependencies()?;
         let sinks: HashSet<NodeId> = plan.physical.sinks().into_iter().collect();
         let node_outputs: Mutex<HashMap<NodeId, Dataset>> = Mutex::new(HashMap::new());
-        let mut stats = ExecutionStats {
-            enumeration_path: plan.enumeration.path,
-            ..ExecutionStats::default()
-        };
 
         // The plan currently being executed; a re-plan replaces it with
         // one carrying only the (re-partitioned) pending atoms.
@@ -444,7 +480,6 @@ impl Job<'_> {
         // Fresh-id fountain for re-planned atoms whose node set changed:
         // ids stay globally unique across splices, but not dense.
         let mut next_atom_id = plan.atoms.iter().map(|a| a.id + 1).max().unwrap_or(0);
-        let mut wave_idx = 0usize;
         // Platforms excluded from failover re-enumerations, accumulated
         // across failovers of this job (a platform that failed once must
         // not re-enter through a later failover's enumeration).
@@ -464,6 +499,7 @@ impl Job<'_> {
                 // Wave-boundary cancellation checkpoint: a cancelled job
                 // stops before acquiring a fair-share slot for the wave.
                 self.check_gates()?;
+                let wave_idx = stats.waves;
                 if let Some(gate) = &self.ctx.wave_gate {
                     gate.before_wave(wave_idx, wave.len());
                 }
@@ -471,24 +507,26 @@ impl Job<'_> {
                 if let Some(gate) = &self.ctx.wave_gate {
                     gate.after_wave(wave_idx);
                 }
-                wave_idx += 1;
+                stats.waves += 1;
                 for (pos, run) in outcome.runs {
                     let atom = &current.atoms[pos];
-                    commit_atom(atom, run, &mut stats, &node_outputs, &mut remaining, &sinks);
+                    commit_atom(atom, run, stats, &node_outputs, &mut remaining, &sinks);
                     committed.push(atom.clone());
                     materialized.extend(atom.nodes.iter().copied());
                     executed.insert(pos);
                 }
                 if let Some(failure) = outcome.failure {
+                    stats.retries += failure.retries;
+                    stats.failed_atom = failure.gave_up.map(|f| *f);
                     // §4.2 duty iii: before giving up on the job, try to
                     // re-route the unexecuted suffix around the failure.
                     match self.try_failover(
                         current.as_ref(),
                         &executed,
-                        &failure,
+                        &failure.error,
                         &node_outputs,
                         &mut next_atom_id,
-                        &mut stats,
+                        stats,
                         &mut excluded,
                     )? {
                         Some(new_plan) => {
@@ -506,7 +544,7 @@ impl Job<'_> {
                         &node_outputs,
                         &remaining,
                         &mut next_atom_id,
-                        &mut stats,
+                        stats,
                     )? {
                         remaining = new_plan.boundary_consumer_counts();
                         current = Cow::Owned(new_plan);
@@ -524,12 +562,8 @@ impl Job<'_> {
         // cancelled job's sink datasets as a successful result.
         self.ctx.execution.check_cancelled()?;
 
-        stats.waves = wave_idx;
-        stats.total_wall = self.started.elapsed();
-        for l in self.ctx.listeners() {
-            l.on_job_complete(&stats);
-        }
-        let effective_plan = (stats.replans > 0 || stats.failovers > 0).then(|| ExecutionPlan {
+        let replanned = !stats.replans.is_empty() || !stats.failovers.is_empty();
+        let effective_plan = replanned.then(|| ExecutionPlan {
             physical: plan.physical.clone(),
             assignments: current.assignments.clone(),
             atoms: committed,
@@ -544,11 +578,7 @@ impl Job<'_> {
             .into_iter()
             .filter_map(|(sink, reported)| store.get(&sink).map(|d| (reported, d.clone())))
             .collect();
-        Ok(JobResult {
-            outputs,
-            stats,
-            effective_plan,
-        })
+        Ok((outputs, effective_plan))
     }
 
     /// Between waves: check drift on live boundary datasets and, when the
@@ -567,7 +597,7 @@ impl Job<'_> {
         let Some(policy) = self.ctx.replan_policy else {
             return Ok(None);
         };
-        if stats.replans >= policy.max_replans {
+        if stats.replans.len() >= policy.max_replans {
             return Ok(None);
         }
         let live = node_outputs.lock().clone();
@@ -583,9 +613,7 @@ impl Job<'_> {
             &self.ctx.platforms,
             next_atom_id,
         )?;
-        stats.replans += 1;
-        let event = ReplanEvent {
-            index: stats.replans - 1,
+        stats.replans.push(ReplanEvent {
             trigger_node: node,
             estimated_card: current.estimates[node.0].card,
             observed_card: live[&node].len() as u64,
@@ -593,24 +621,23 @@ impl Job<'_> {
             replaced_atoms: current.atoms.len() - executed.len(),
             new_atoms: new_plan.atoms.len(),
             estimated_cost: new_plan.estimated_cost,
-        };
-        for l in self.ctx.listeners() {
-            l.on_replan(&event);
-        }
+        });
         Ok(Some(new_plan))
     }
 
-    /// After a wave failure: re-enumerate the unexecuted suffix with the
-    /// failed platform(s) excluded and return the spliced plan, or `None`
-    /// when the job must fail with the original error (failover disabled
-    /// or budget spent, error not failover-eligible, or no alternative
-    /// mapping exists). A `BudgetExceeded` deadline error propagates.
+    /// After a wave failure, recorded in `stats.failed_atom`: re-enumerate
+    /// the unexecuted suffix with the failed platform(s) excluded and
+    /// return the spliced plan, moving the failed atom into a
+    /// [`FailoverEvent`]. `None` when the job must fail with the original
+    /// error (failover disabled or budget spent, error not
+    /// failover-eligible, or no alternative mapping exists). A
+    /// `BudgetExceeded` deadline error propagates.
     #[allow(clippy::too_many_arguments)]
     fn try_failover(
         &self,
         current: &ExecutionPlan,
         executed: &HashSet<usize>,
-        failure: &WaveFailure,
+        error: &RheemError,
         node_outputs: &Mutex<HashMap<NodeId, Dataset>>,
         next_atom_id: &mut usize,
         stats: &mut ExecutionStats,
@@ -619,14 +646,14 @@ impl Job<'_> {
         let Some(fp) = self.ctx.fault_policy.filter(|fp| fp.failover) else {
             return Ok(None);
         };
-        if stats.failovers >= fp.max_failovers {
+        if stats.failovers.len() >= fp.max_failovers {
             return Ok(None);
         }
         // Only errors that implicate the platform are worth failing over:
         // transient execution trouble and open breakers. Permanent errors
         // (a broken plan fails everywhere) and expired budgets abort.
         let eligible = matches!(
-            failure.error,
+            error,
             RheemError::Execution { .. }
                 | RheemError::Storage(_)
                 | RheemError::Io(_)
@@ -635,12 +662,13 @@ impl Job<'_> {
         if !eligible {
             return Ok(None);
         }
+        let Some(failed_platform) = stats.failed_atom.as_ref().map(|f| f.platform.clone()) else {
+            return Ok(None);
+        };
         // A failover re-plan is part of the job: it must respect the
         // deadline.
         check_deadline(self.deadline)?;
 
-        let failed_atom = &current.atoms[failure.pos];
-        let failed_platform = failed_atom.platform.clone();
         if let Some(h) = &self.ctx.platform_health {
             // The abandoned platform is marked down so concurrent and
             // subsequent jobs sharing the breakers avoid it too, and any
@@ -653,7 +681,7 @@ impl Job<'_> {
             }
         }
         if !excluded.contains(&failed_platform) {
-            excluded.push(failed_platform.clone());
+            excluded.push(failed_platform);
         }
 
         let live = node_outputs.lock().clone();
@@ -671,20 +699,13 @@ impl Job<'_> {
             // fails with the original error.
             Err(_) => return Ok(None),
         };
-        stats.failovers += 1;
-        let event = FailoverEvent {
-            index: stats.failovers - 1,
-            atom_id: failed_atom.id,
-            failed_platform,
-            error: failure.error.to_string(),
+        stats.failovers.push(FailoverEvent {
+            failed_atom: stats.failed_atom.take().expect("checked above"),
             excluded: excluded.clone(),
             replaced_atoms: current.atoms.len() - executed.len(),
             new_atoms: new_plan.atoms.len(),
             estimated_cost: new_plan.estimated_cost,
-        };
-        for l in self.ctx.listeners() {
-            l.on_failover(&event);
-        }
+        });
         Ok(Some(new_plan))
     }
 
@@ -692,17 +713,18 @@ impl Job<'_> {
     ///
     /// `wave` holds positions into `plan.atoms`, pre-sorted by atom id.
     /// The outcome's runs are `(atom position, run)` pairs in that same
-    /// id order, holding every atom of the wave that succeeded — kept
-    /// even when a sibling failed, so failover re-plans around the
-    /// failure from maximum committed progress.
+    /// id order: every atom up to the wave's lowest-id failure, or the
+    /// whole wave.
     ///
-    /// On failure, the error of the lowest-id atom *that failed* is
-    /// reported. Which atoms of the wave were attempted at all can differ
-    /// with the width: the inline path (width 1) stops scheduling at the
-    /// first failure, while the threaded path stops handing out new atoms
-    /// but lets atoms already in flight run to completion (their results
-    /// are committed). Both paths agree on the reported atom because
-    /// injected failures are pure functions of `(atom id, attempt)`.
+    /// Which atoms of the wave were attempted at all can differ with the
+    /// width: the inline path (width 1) stops scheduling at the first
+    /// failure, while the threaded path stops handing out new atoms but
+    /// lets atoms already in flight run to completion. Runs past the
+    /// lowest-id failure are dropped, so both paths commit and report the
+    /// same atoms — injected failures are pure functions of
+    /// `(atom id, attempt)` — and the job's record is the same at every
+    /// budget. The price is that a failover re-runs, in its re-planned
+    /// suffix, siblings the threaded path had already finished.
     fn run_wave(
         &self,
         plan: &ExecutionPlan,
@@ -717,21 +739,20 @@ impl Job<'_> {
         let exec = &self.ctx.execution.share_kernel_threads(width);
         let run =
             |i: usize| self.run_atom(plan, &plan.atoms[wave[i]], wave_idx, node_outputs, exec);
-        let mut slots: Vec<Option<Result<AtomRun>>> = (0..n).map(|_| None).collect();
+        type Slot = Option<std::result::Result<AtomRun, AtomError>>;
+        let mut slots: Vec<Slot> = (0..n).map(|_| None).collect();
 
         if width <= 1 {
-            // Inline: no threads, exact sequential callback order.
+            // Inline: no threads, one atom after the other.
             for (i, slot) in slots.iter_mut().enumerate() {
-                let outcome = slot.insert(run(i));
-                if outcome.is_err() {
+                if slot.insert(run(i)).is_err() {
                     break;
                 }
             }
         } else {
             let cursor = AtomicUsize::new(0);
             let abort = AtomicBool::new(false);
-            let cells: Vec<Mutex<Option<Result<AtomRun>>>> =
-                (0..n).map(|_| Mutex::new(None)).collect();
+            let cells: Vec<Mutex<Slot>> = (0..n).map(|_| Mutex::new(None)).collect();
             std::thread::scope(|scope| {
                 for _ in 0..width {
                     scope.spawn(|| loop {
@@ -755,28 +776,24 @@ impl Job<'_> {
 
         let mut runs = Vec::with_capacity(n);
         let mut failure = None;
+        // Slots are in ascending atom id, and every atom below a started
+        // one was started: the first error is the lowest-id failure.
         for (i, slot) in slots.into_iter().enumerate() {
             match slot {
                 Some(Ok(run)) => runs.push((wave[i], run)),
-                // Slots are in ascending atom id: the first error seen is
-                // the lowest-id failure.
-                Some(Err(e)) if failure.is_none() => {
-                    failure = Some(WaveFailure {
-                        pos: wave[i],
-                        error: e,
-                    });
+                Some(Err(e)) => {
+                    failure = Some(e);
+                    break;
                 }
-                Some(Err(_)) => {}
-                // Never started because a lower-id atom aborted the wave.
-                None => {}
+                None => break,
             }
         }
         WaveOutcome { runs, failure }
     }
 
-    /// Gather one atom's inputs, run it with classified, bounded retries
-    /// under the job deadline, and report progress. `exec` is the job's
-    /// execution context with this wave's share of the thread budget.
+    /// Gather one atom's inputs and run it with classified, bounded
+    /// retries under the job deadline. `exec` is the job's execution
+    /// context with this wave's share of the thread budget.
     fn run_atom(
         &self,
         plan: &ExecutionPlan,
@@ -784,7 +801,7 @@ impl Job<'_> {
         wave: usize,
         node_outputs: &Mutex<HashMap<NodeId, Dataset>>,
         exec: &ExecutionContext,
-    ) -> Result<AtomRun> {
+    ) -> std::result::Result<AtomRun, AtomError> {
         let ctx = self.ctx;
         self.check_gates()?;
         // An open circuit breaker rejects the atom before any work: no
@@ -792,15 +809,12 @@ impl Job<'_> {
         // failover decision.
         if let Some(h) = &ctx.platform_health {
             if let Err(e) = h.admit(&atom.platform) {
-                for l in ctx.listeners() {
-                    l.on_atom_failed(atom.id, &e, ctx.max_retries);
-                }
-                return Err(e);
+                return Err(AtomError::gave_up(atom, e, 0, ctx.max_retries));
             }
         }
-        let platform = ctx.platforms.get(&atom.platform)?;
 
         // Gather boundary inputs and account for data movement.
+        let platform = ctx.platforms.get(&atom.platform)?;
         let mut inputs: AtomInputs = HashMap::new();
         let mut records_in = 0u64;
         let mut movement_cost_ms = 0.0;
@@ -835,10 +849,6 @@ impl Job<'_> {
             }
         }
 
-        for l in ctx.listeners() {
-            l.on_atom_start(atom.id, &atom.platform);
-        }
-
         // Execute with classified, bounded retries (§4.2 duty iii). The
         // job deadline is re-checked before every attempt so exhausting
         // retries cannot blow through the timeout budget. Only transient
@@ -851,7 +861,11 @@ impl Job<'_> {
         let atom_started = Instant::now();
         let mut attempts = 0usize;
         let result = loop {
-            self.check_gates()?;
+            // Every failed attempt so far was followed by a retry.
+            self.check_gates().map_err(|e| AtomError {
+                retries: attempts,
+                ..e.into()
+            })?;
             attempts += 1;
             let injected = exec
                 .failure_injector
@@ -887,13 +901,7 @@ impl Job<'_> {
                         } else {
                             budget_left
                         };
-                        for l in ctx.listeners() {
-                            l.on_atom_failed(atom.id, &e, suppressed);
-                        }
-                        return Err(e);
-                    }
-                    for l in ctx.listeners() {
-                        l.on_atom_retry(atom.id, attempts, &e);
+                        return Err(AtomError::gave_up(atom, e, attempts, suppressed));
                     }
                     // Clamp each nap to the remaining deadline budget so
                     // backoff can never sleep past the job deadline, and
@@ -913,24 +921,20 @@ impl Job<'_> {
             }
         };
 
-        let stats = AtomStats {
-            atom_id: atom.id,
-            platform: atom.platform.clone(),
-            wave,
-            attempts,
-            wall: atom_started.elapsed(),
-            records_in,
-            records_out: result.records_processed,
-            simulated_overhead_ms: result.simulated_overhead_ms,
-            simulated_elapsed_ms: result.simulated_elapsed_ms,
-            movement_cost_ms,
-            node_observations: result.node_observations,
-        };
-        for l in ctx.listeners() {
-            l.on_atom_complete(&stats);
-        }
         Ok(AtomRun {
-            stats,
+            stats: AtomStats {
+                atom_id: atom.id,
+                platform: atom.platform.clone(),
+                wave,
+                attempts,
+                wall: atom_started.elapsed(),
+                records_in,
+                records_out: result.records_processed,
+                simulated_overhead_ms: result.simulated_overhead_ms,
+                simulated_elapsed_ms: result.simulated_elapsed_ms,
+                movement_cost_ms,
+                node_observations: result.node_observations,
+            },
             outputs: result.outputs,
         })
     }

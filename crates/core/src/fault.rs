@@ -20,7 +20,7 @@
 //!   `with_fault_policy`: backoff, breaker, and the failover re-planning
 //!   budget.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -28,7 +28,6 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::{CancelReason, Result, RheemError};
-use crate::observe::MetricsRegistry;
 
 /// SplitMix64: a tiny, high-quality 64-bit mixer. Used wherever the fault
 /// machinery needs a deterministic pseudo-random value keyed on structural
@@ -223,11 +222,6 @@ impl VirtualSleeper {
     pub fn naps(&self) -> Vec<Duration> {
         self.naps.lock().clone()
     }
-
-    /// Sum of all requested delays (the virtual clock's elapsed time).
-    pub fn total(&self) -> Duration {
-        self.naps.lock().iter().sum()
-    }
 }
 
 impl Sleeper for VirtualSleeper {
@@ -354,7 +348,6 @@ enum BreakerState {
 pub struct PlatformHealth {
     policy: BreakerPolicy,
     states: Mutex<HashMap<String, BreakerState>>,
-    metrics: Mutex<Option<Arc<MetricsRegistry>>>,
 }
 
 impl PlatformHealth {
@@ -363,26 +356,6 @@ impl PlatformHealth {
         PlatformHealth {
             policy,
             states: Mutex::new(HashMap::new()),
-            metrics: Mutex::new(None),
-        }
-    }
-
-    /// The policy breakers operate under.
-    pub fn policy(&self) -> BreakerPolicy {
-        self.policy
-    }
-
-    /// Mirror breaker state into `registry` as
-    /// `platform.<name>.breaker_open` gauges (1 open / half-open, 0
-    /// closed). Idempotent; gauges update on every subsequent transition.
-    pub fn mirror_to(&self, registry: Arc<MetricsRegistry>) {
-        *self.metrics.lock() = Some(registry);
-    }
-
-    fn set_gauge(&self, platform: &str, open: bool) {
-        if let Some(m) = self.metrics.lock().clone() {
-            m.gauge(&format!("platform.{platform}.breaker_open"))
-                .set(open as u64);
         }
     }
 
@@ -414,29 +387,9 @@ impl PlatformHealth {
     }
 
     /// Record a successful atom execution: closes the breaker and resets
-    /// the consecutive-failure run.
-    ///
-    /// The mirrored gauge is updated *inside* the state critical section
-    /// (here and in every other transition): publishing it after dropping
-    /// the lock let two jobs finishing concurrently reorder their gauge
-    /// writes against the actual state transitions, leaving the gauge
-    /// stuck on a stale value. The metrics handle is a separate mutex, so
-    /// nesting it is deadlock-free.
+    /// the consecutive-failure run (no entry is a closed breaker).
     pub fn record_success(&self, platform: &str) {
-        let mut states = self.states.lock();
-        let was_open = matches!(
-            states.get(platform),
-            Some(BreakerState::Open { .. } | BreakerState::HalfOpen)
-        );
-        states.insert(
-            platform.to_string(),
-            BreakerState::Closed {
-                consecutive_failures: 0,
-            },
-        );
-        if was_open {
-            self.set_gauge(platform, false);
-        }
+        self.states.lock().remove(platform);
     }
 
     /// Record a failed atom attempt. Returns `true` when this failure
@@ -448,54 +401,36 @@ impl PlatformHealth {
             .or_insert(BreakerState::Closed {
                 consecutive_failures: 0,
             });
-        let opened = match *state {
+        match *state {
             BreakerState::Closed {
                 consecutive_failures,
-            } => {
-                let n = consecutive_failures + 1;
-                if n >= self.policy.failure_threshold {
-                    *state = BreakerState::Open {
-                        since: Instant::now(),
-                    };
-                    true
-                } else {
-                    *state = BreakerState::Closed {
-                        consecutive_failures: n,
-                    };
-                    false
-                }
+            } if consecutive_failures + 1 < self.policy.failure_threshold => {
+                *state = BreakerState::Closed {
+                    consecutive_failures: consecutive_failures + 1,
+                };
+                false
             }
-            // The half-open probe failed: straight back to open.
-            BreakerState::HalfOpen => {
+            BreakerState::Open { .. } => false,
+            // The threshold is reached, or the half-open probe failed.
+            _ => {
                 *state = BreakerState::Open {
                     since: Instant::now(),
                 };
                 true
             }
-            BreakerState::Open { .. } => false,
-        };
-        // Gauge write stays under the states lock — see `record_success`.
-        if opened {
-            self.set_gauge(platform, true);
         }
-        drop(states);
-        opened
     }
 
     /// Force a platform's breaker open (failover marks the platform it
     /// abandoned as down, so subsequent jobs avoid it until the cooldown
     /// admits a probe).
     pub fn force_open(&self, platform: &str) {
-        let mut states = self.states.lock();
-        states.insert(
+        self.states.lock().insert(
             platform.to_string(),
             BreakerState::Open {
                 since: Instant::now(),
             },
         );
-        // Gauge write stays under the states lock — see `record_success`.
-        self.set_gauge(platform, true);
-        drop(states);
     }
 
     /// Whether `platform`'s breaker is currently open or half-open.
@@ -509,14 +444,15 @@ impl PlatformHealth {
     /// Names of all platforms with open or half-open breakers, sorted —
     /// the exclusion set failover re-planning hands the enumerator.
     pub fn unavailable(&self) -> Vec<String> {
-        let states = self.states.lock();
-        let mut out: BTreeMap<&String, ()> = BTreeMap::new();
-        for (name, state) in states.iter() {
-            if matches!(state, BreakerState::Open { .. } | BreakerState::HalfOpen) {
-                out.insert(name, ());
-            }
-        }
-        out.into_keys().cloned().collect()
+        let mut out: Vec<String> = self
+            .states
+            .lock()
+            .iter()
+            .filter(|(_, s)| matches!(s, BreakerState::Open { .. } | BreakerState::HalfOpen))
+            .map(|(p, _)| p.clone())
+            .collect();
+        out.sort_unstable();
+        out
     }
 }
 
@@ -570,37 +506,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn breaker_gauge_stays_consistent_under_concurrent_transitions() {
-        // Regression: gauge writes used to happen after dropping the
-        // states lock, so two jobs finishing concurrently could publish
-        // their gauge updates in the opposite order of the actual state
-        // transitions, leaving the mirrored gauge stale forever.
-        let health = PlatformHealth::new(BreakerPolicy {
-            failure_threshold: 1,
-            cooldown: Duration::from_secs(3600),
-        });
-        let registry = Arc::new(MetricsRegistry::new());
-        health.mirror_to(registry.clone());
-        for _ in 0..200 {
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    health.record_failure("p");
-                });
-                s.spawn(|| {
-                    health.record_success("p");
-                });
-            });
-            assert_eq!(
-                registry.gauge_value("platform.p.breaker_open"),
-                health.is_open("p") as u64,
-                "gauge diverged from breaker state"
-            );
-            health.record_success("p");
-        }
-        assert_eq!(registry.gauge_value("platform.p.breaker_open"), 0);
-    }
-
-    #[test]
     fn backoff_is_deterministic_and_bounded() {
         let p = BackoffPolicy::default();
         for atom in 0..4usize {
@@ -640,8 +545,7 @@ mod tests {
         s.sleep(Duration::from_secs(3600));
         s.sleep(Duration::from_secs(1800));
         assert!(started.elapsed() < Duration::from_secs(5));
-        assert_eq!(s.naps().len(), 2);
-        assert_eq!(s.total(), Duration::from_secs(5400));
+        assert_eq!(s.naps(), [3600, 1800].map(Duration::from_secs));
     }
 
     #[test]
@@ -703,15 +607,12 @@ mod tests {
     }
 
     #[test]
-    fn force_open_and_metric_mirror() {
-        let registry = Arc::new(MetricsRegistry::new());
+    fn force_open_marks_down_until_a_success() {
         let h = PlatformHealth::new(BreakerPolicy::default());
-        h.mirror_to(registry.clone());
         h.force_open("mapreduce");
         assert!(h.is_open("mapreduce"));
-        assert_eq!(registry.gauge_value("platform.mapreduce.breaker_open"), 1);
         h.record_success("mapreduce");
-        assert_eq!(registry.gauge_value("platform.mapreduce.breaker_open"), 0);
+        assert!(!h.is_open("mapreduce"));
     }
 
     #[test]

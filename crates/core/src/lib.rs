@@ -49,7 +49,7 @@ pub use data::{
 };
 pub use error::{CancelReason, ErrorKind, Result, RheemError};
 pub use executor::{
-    AtomStats, ExecutionStats, FailoverEvent, JobResult, ProgressListener, ReplanEvent, WaveGate,
+    AtomFailure, AtomStats, ExecutionStats, FailoverEvent, JobResult, ReplanEvent, WaveGate,
 };
 pub use expr::{BinOp, Expr};
 pub use fault::{

@@ -289,11 +289,6 @@ impl MetricsRegistry {
         self.counters.lock().get(name).map_or(0, |c| c.get())
     }
 
-    /// Current value of a gauge, or 0 when it was never created.
-    pub fn gauge_value(&self, name: &str) -> u64 {
-        self.gauges.lock().get(name).map_or(0, |g| g.get())
-    }
-
     /// Take a deterministic (name-sorted) snapshot of every instrument.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut counters: Vec<(String, u64)> = self

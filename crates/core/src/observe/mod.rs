@@ -11,10 +11,10 @@
 //!   runtimes and true cardinalities back into the optimizer's estimates
 //!   as an EMA per `(operator, platform)` pair.
 //!
-//! [`Observability`] ties them together: it implements the executor's
-//! [`ProgressListener`], so attaching one to a [`crate::RheemContext`]
-//! (via `with_observability`) counts every job the context runs and
-//! enables the calibration feedback loop.
+//! [`Observability`] ties them together: attached to a
+//! [`crate::RheemContext`] (via `with_observability`), it is handed each
+//! job's record once, when the job ends, derives every executor counter
+//! from it, and feeds the calibration table from successful jobs.
 
 pub mod calibrate;
 pub mod metrics;
@@ -24,9 +24,9 @@ pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
 
 use std::sync::Arc;
 
-use crate::error::{CancelReason, ErrorKind, RheemError};
-use crate::executor::{AtomStats, ExecutionStats, FailoverEvent, ProgressListener, ReplanEvent};
-use crate::plan::NodeId;
+use crate::error::RheemError;
+use crate::executor::{AtomStats, ExecutionStats};
+use crate::plan::{ExecutionPlan, NodeId};
 
 /// What one operator kernel actually did inside a committed atom.
 ///
@@ -67,66 +67,19 @@ const ATOM_US_BOUNDS: [u64; 7] = [
     100_000_000,
 ];
 
-/// Pre-resolved metric handles so listener callbacks never touch the
-/// registry's name table.
-struct ExecutorMetrics {
-    atoms_completed: Arc<Counter>,
-    atom_retries: Arc<Counter>,
-    atom_failures: Arc<Counter>,
-    retries_transient: Arc<Counter>,
-    retries_suppressed: Arc<Counter>,
-    failovers: Arc<Counter>,
-    records_in: Arc<Counter>,
-    records_out: Arc<Counter>,
-    movement_us: Arc<Counter>,
-    jobs_completed: Arc<Counter>,
-    replans: Arc<Counter>,
-    atom_simulated_us: Arc<Histogram>,
-    kernel_parallel_invocations: Arc<Counter>,
-    kernel_parallel_morsels: Arc<Counter>,
-    kernel_sequential: Arc<Counter>,
-    kernel_path_columnar: Arc<Counter>,
-    kernel_path_row: Arc<Counter>,
-    cancelled: Arc<Counter>,
-    panics_caught: Arc<Counter>,
-}
-
-impl ExecutorMetrics {
-    fn new(registry: &MetricsRegistry) -> Self {
-        Self {
-            atoms_completed: registry.counter("executor.atoms_completed"),
-            atom_retries: registry.counter("executor.atom_retries"),
-            atom_failures: registry.counter("executor.atom_failures"),
-            retries_transient: registry.counter("executor.retries_transient"),
-            retries_suppressed: registry.counter("executor.retries_suppressed"),
-            failovers: registry.counter("executor.failovers"),
-            records_in: registry.counter("executor.records_in"),
-            records_out: registry.counter("executor.records_out"),
-            movement_us: registry.counter("executor.movement_us"),
-            jobs_completed: registry.counter("executor.jobs_completed"),
-            replans: registry.counter("optimizer.replans"),
-            atom_simulated_us: registry.histogram("executor.atom_simulated_us", &ATOM_US_BOUNDS),
-            kernel_parallel_invocations: registry.counter("kernel.parallel.invocations"),
-            kernel_parallel_morsels: registry.counter("kernel.parallel.morsels"),
-            kernel_sequential: registry.counter("kernel.parallel.sequential"),
-            kernel_path_columnar: registry.counter("kernel.path.columnar"),
-            kernel_path_row: registry.counter("kernel.path.row"),
-            cancelled: registry.counter("executor.cancelled"),
-            panics_caught: registry.counter("executor.panics_caught"),
-        }
-    }
-}
-
 /// The observability hub: one metrics registry and a calibration table,
-/// driven by executor listener callbacks.
+/// fed one job record at a time.
 ///
-/// Thread-safety: parallel atoms complete on worker threads, and every
-/// update is a single atomic operation on a pre-resolved handle — the hub
-/// holds no per-job state, so concurrent jobs may share one.
+/// Thread-safety: every counter update is a single atomic operation and
+/// the calibration table folds a job under one lock — the hub holds no
+/// per-job state, so concurrent jobs may share one.
 pub struct Observability {
     registry: Arc<MetricsRegistry>,
     calibration: Arc<CostCalibration>,
-    exec: ExecutorMetrics,
+    /// Handles of [`job_counts`]' counters, in its order, resolved once so
+    /// a job's report touches only atomics.
+    job_counters: [Arc<Counter>; JOB_COUNTERS],
+    atom_us: Arc<Histogram>,
 }
 
 impl Default for Observability {
@@ -139,11 +92,14 @@ impl Observability {
     /// Create a hub with a fresh registry and calibration table.
     pub fn new() -> Self {
         let registry = Arc::new(MetricsRegistry::new());
-        let exec = ExecutorMetrics::new(&registry);
+        let job_counters =
+            job_counts(&ExecutionStats::default(), None).map(|(name, _)| registry.counter(name));
+        let atom_us = registry.histogram("executor.atom_simulated_us", &ATOM_US_BOUNDS);
         Self {
             registry,
             calibration: Arc::new(CostCalibration::new()),
-            exec,
+            job_counters,
+            atom_us,
         }
     }
 
@@ -156,85 +112,112 @@ impl Observability {
     pub fn calibration(&self) -> &Arc<CostCalibration> {
         &self.calibration
     }
+
+    /// Report one finished job: its record (partial when it failed) and
+    /// its outcome — `Ok` with the plan its atoms ran under, or the error
+    /// it ended with. The only writer of every `executor.*`, `kernel.*` and
+    /// `optimizer.replans` counter and of the atom histogram; a successful
+    /// job's kernel observations are also absorbed into calibration
+    /// against `plan` (failed attempts carry none, so they cannot pollute
+    /// the table).
+    pub(crate) fn record_job(
+        &self,
+        stats: &ExecutionStats,
+        outcome: std::result::Result<&ExecutionPlan, &RheemError>,
+    ) {
+        let counts = job_counts(stats, outcome.err());
+        for ((_, n), counter) in counts.iter().zip(&self.job_counters) {
+            counter.add(*n);
+        }
+        for atom in &stats.atoms {
+            self.atom_us
+                .record((atom.simulated_elapsed_ms * 1_000.0).max(0.0) as u64);
+        }
+        if let Ok(plan) = outcome {
+            self.calibration.absorb(plan, stats);
+        }
+    }
 }
 
-impl ProgressListener for Observability {
-    fn on_atom_retry(&self, _atom_id: usize, _attempt: usize, _error: &RheemError) {
-        // Each retry callback corresponds to exactly one failed attempt,
-        // so both metrics advance by `attempts - 1` per atom. The
-        // executor only retries transient errors, so every retry also
-        // counts toward the transient split.
-        self.exec.atom_retries.inc();
-        self.exec.atom_failures.inc();
-        self.exec.retries_transient.inc();
-    }
+/// Counters a job's report moves; the length of [`job_counts`].
+const JOB_COUNTERS: usize = 19;
 
-    fn on_atom_failed(&self, _atom_id: usize, error: &RheemError, suppressed_retries: usize) {
-        // The final, un-retried failed attempt (0 attempts happened when
-        // an open breaker rejected the atom up front, but the rejection
-        // itself is the failure).
-        self.exec.atom_failures.inc();
-        // Retry budget the classifier declined to spend: the pre-taxonomy
-        // executor would have burned these on errors that could not
-        // succeed.
-        self.exec.retries_suppressed.add(suppressed_retries as u64);
-        // A caught panic is a permanent failure with its own budget line:
-        // the worker thread survived, the job gets a clean error.
-        if error.classify() == (ErrorKind::Permanent { panic: true }) {
-            self.exec.panics_caught.inc();
-        }
-    }
-
-    fn on_atom_complete(&self, stats: &AtomStats) {
-        self.exec.atoms_completed.inc();
-        self.exec.records_in.add(stats.records_in);
-        self.exec.records_out.add(stats.records_out);
+/// Every executor, kernel and re-plan counter, and what one job adds to
+/// it: the fold of its record and of the error it ended with, if any.
+fn job_counts(
+    stats: &ExecutionStats,
+    error: Option<&RheemError>,
+) -> [(&'static str, u64); JOB_COUNTERS] {
+    let kernels = || stats.atoms.iter().flat_map(|a| &a.node_observations);
+    let sum = |f: fn(&AtomStats) -> u64| stats.atoms.iter().map(f).sum::<u64>();
+    let failed = || stats.failed_atoms();
+    let retries = stats.retries as u64;
+    let cancelled = matches!(error, Some(RheemError::Cancelled { .. }));
+    [
+        ("executor.atoms_completed", stats.atoms.len() as u64),
+        // Only transient failures are retried, and every retry follows
+        // one failed attempt; every atom that gave up failed once more
+        // (an open breaker's rejection is that failure).
+        ("executor.atom_retries", retries),
+        ("executor.retries_transient", retries),
+        ("executor.atom_failures", retries + failed().count() as u64),
+        // Retry budget the classifier declined to spend.
+        (
+            "executor.retries_suppressed",
+            failed().map(|f| f.suppressed_retries as u64).sum(),
+        ),
+        // A caught panic has its own budget line: the worker thread
+        // survived, the job got a clean error.
+        (
+            "executor.panics_caught",
+            failed().filter(|f| f.panicked).count() as u64,
+        ),
+        ("executor.failovers", stats.failovers.len() as u64),
+        ("optimizer.replans", stats.replans.len() as u64),
+        ("executor.records_in", sum(|a| a.records_in)),
+        ("executor.records_out", sum(|a| a.records_out)),
         // Movement cost is simulated (deterministic), so it is safe to
         // keep as a counter compared across thread budgets.
-        self.exec
-            .movement_us
-            .add((stats.movement_cost_ms * 1_000.0).max(0.0) as u64);
-        self.exec
-            .atom_simulated_us
-            .record((stats.simulated_elapsed_ms * 1_000.0).max(0.0) as u64);
+        (
+            "executor.movement_us",
+            sum(|a| (a.movement_cost_ms * 1_000.0).max(0.0) as u64),
+        ),
         // Morsel counts are pure functions of input sizes and the
-        // KernelParallelism setting, so these counters replay identically
-        // across thread budgets (like the movement counter above).
-        for obs in &stats.node_observations {
-            if obs.morsels > 1 {
-                self.exec.kernel_parallel_invocations.inc();
-                self.exec.kernel_parallel_morsels.add(obs.morsels);
-            } else {
-                self.exec.kernel_sequential.inc();
-            }
-            if obs.columnar {
-                self.exec.kernel_path_columnar.inc();
-            } else {
-                self.exec.kernel_path_row.inc();
-            }
-        }
-    }
-
-    fn on_replan(&self, _event: &ReplanEvent) {
-        self.exec.replans.inc();
-    }
-
-    fn on_failover(&self, _event: &FailoverEvent) {
-        self.exec.failovers.inc();
-    }
-
-    fn on_job_cancelled(&self, _reason: CancelReason) {
-        self.exec.cancelled.inc();
-    }
-
-    fn on_job_complete(&self, _stats: &ExecutionStats) {
-        self.exec.jobs_completed.inc();
-    }
+        // KernelParallelism setting, so these replay identically for a
+        // fixed setting.
+        (
+            "kernel.parallel.invocations",
+            kernels().filter(|k| k.morsels > 1).count() as u64,
+        ),
+        (
+            "kernel.parallel.morsels",
+            kernels().filter(|k| k.morsels > 1).map(|k| k.morsels).sum(),
+        ),
+        (
+            "kernel.parallel.sequential",
+            kernels().filter(|k| k.morsels <= 1).count() as u64,
+        ),
+        (
+            "kernel.path.columnar",
+            kernels().filter(|k| k.columnar).count() as u64,
+        ),
+        (
+            "kernel.path.row",
+            kernels().filter(|k| !k.columnar).count() as u64,
+        ),
+        ("executor.jobs_completed", error.is_none() as u64),
+        (
+            "executor.jobs_failed",
+            (error.is_some() && !cancelled) as u64,
+        ),
+        ("executor.cancelled", cancelled as u64),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::AtomFailure;
     use std::time::Duration;
 
     fn atom_stats(atom_id: usize, wave: usize) -> AtomStats {
@@ -261,20 +244,26 @@ mod tests {
     }
 
     #[test]
-    fn listener_updates_metrics() {
+    fn one_report_moves_every_counter() {
         let obs = Observability::new();
-        obs.on_atom_start(0, "java");
-        let boom = RheemError::Execution {
-            platform: "java".into(),
-            message: "boom".into(),
+        let mut stats = ExecutionStats {
+            atoms: vec![atom_stats(0, 0), atom_stats(1, 1)],
+            retries: 1,
+            ..ExecutionStats::default()
         };
-        obs.on_atom_retry(0, 1, &boom);
-        obs.on_atom_complete(&atom_stats(0, 0));
-        obs.on_atom_complete(&atom_stats(1, 1));
-        let mut stats = ExecutionStats::default();
-        stats.atoms.push(atom_stats(0, 0));
-        stats.atoms.push(atom_stats(1, 1));
-        obs.on_job_complete(&stats);
+        let mut b = crate::plan::PlanBuilder::new();
+        let src = b.collection("s", vec![]);
+        b.collect(src);
+        // No estimates: calibration skips the plan, the counters do not.
+        let plan = ExecutionPlan {
+            physical: Arc::new(b.build().unwrap()),
+            assignments: vec![],
+            atoms: vec![],
+            estimated_cost: 0.0,
+            estimates: vec![],
+            enumeration: Default::default(),
+        };
+        obs.record_job(&stats, Ok(&plan));
 
         let m = obs.metrics();
         assert_eq!(m.counter_value("executor.atoms_completed"), 2);
@@ -287,18 +276,28 @@ mod tests {
         assert_eq!(m.counter_value("kernel.parallel.invocations"), 2);
         assert_eq!(m.counter_value("kernel.parallel.morsels"), 8);
         assert_eq!(m.counter_value("kernel.path.row"), 2);
-    }
 
-    #[test]
-    fn every_job_is_counted() {
-        let obs = Observability::new();
-        for _ in 0..2 {
-            obs.on_atom_complete(&atom_stats(0, 0));
-            let mut stats = ExecutionStats::default();
-            stats.atoms.push(atom_stats(0, 0));
-            obs.on_job_complete(&stats);
-        }
-        assert_eq!(obs.metrics().counter_value("executor.jobs_completed"), 2);
-        assert_eq!(obs.metrics().counter_value("executor.atoms_completed"), 2);
+        // A failed job: its partial record counts, the job lands in
+        // `jobs_failed`, and the atom that gave up is one more failure.
+        stats.failed_atom = Some(AtomFailure {
+            atom_id: 1,
+            platform: "java".into(),
+            attempts: 1,
+            suppressed_retries: 3,
+            panicked: true,
+            error: "boom".into(),
+        });
+        let boom = RheemError::Panic {
+            platform: "java".into(),
+            message: "boom".into(),
+        };
+        obs.record_job(&stats, Err(&boom));
+        assert_eq!(m.counter_value("executor.atoms_completed"), 4);
+        assert_eq!(m.counter_value("executor.atom_failures"), 3);
+        assert_eq!(m.counter_value("executor.retries_suppressed"), 3);
+        assert_eq!(m.counter_value("executor.panics_caught"), 1);
+        assert_eq!(m.counter_value("executor.jobs_completed"), 1);
+        assert_eq!(m.counter_value("executor.jobs_failed"), 1);
+        assert_eq!(m.counter_value("executor.cancelled"), 0);
     }
 }

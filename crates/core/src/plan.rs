@@ -1184,12 +1184,16 @@ impl ExecutionPlan {
     /// Requires the plan to carry optimizer [`NodeEstimate`]s; hand-built
     /// plans without them get an explanatory note instead of a table.
     pub fn explain_observed(&self, stats: &crate::executor::ExecutionStats) -> String {
+        let fault = format!(
+            "fault: {} retries, {} replans, {} failovers\n",
+            stats.retries,
+            stats.replans.len(),
+            stats.failovers.len(),
+        );
         if self.estimates.len() != self.physical.len() {
             return format!(
                 "no optimizer estimates attached to this plan; \
-                 run it through the optimizer to compare estimated vs observed\n\
-                 fault: {} retries, {} replans, {} failovers\n",
-                stats.retries, stats.replans, stats.failovers,
+                 run it through the optimizer to compare estimated vs observed\n{fault}"
             );
         }
         let by_id: HashMap<usize, &crate::executor::AtomStats> =
@@ -1240,10 +1244,7 @@ impl ExecutionPlan {
             ratio(total_obs, total_est),
             stats.total_movement_ms,
         ));
-        s.push_str(&format!(
-            "fault: {} retries, {} replans, {} failovers\n",
-            stats.retries, stats.replans, stats.failovers,
-        ));
+        s.push_str(&fault);
         s
     }
 }

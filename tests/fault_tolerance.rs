@@ -7,16 +7,16 @@
 //! job survives any combination of injected outages with outputs
 //! *identical* to a fault-free run — at thread budgets 1 and 4.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use rheem::prelude::*;
 use rheem::rec;
 use rheem_core::optimizer::enumerate::split_into_atoms;
 use rheem_core::{
-    BackoffPolicy, BreakerPolicy, ExecutionPlan, FailoverEvent, FailureInjector, FaultPolicy,
-    InjectedKind, JobResult, NodeId, Observability, ProgressListener, RheemError, VirtualSleeper,
+    BackoffPolicy, BreakerPolicy, ExecutionPlan, FailureInjector, FaultPolicy, InjectedKind,
+    JobResult, MetricsRegistry, NodeId, Observability, RheemError, VirtualSleeper,
 };
 use rheem_platforms::test_context;
 use testkit::budget;
@@ -99,30 +99,15 @@ fn sorted_outputs(result: &JobResult) -> Vec<(NodeId, Vec<Record>)> {
     out
 }
 
-/// Records the failure-related listener callbacks a job emits.
-#[derive(Default)]
-struct FaultRecorder {
-    starts: Mutex<Vec<usize>>,
-    retries: Mutex<Vec<(usize, usize)>>,
-    failed: Mutex<Vec<(usize, String, usize)>>,
-    failovers: Mutex<Vec<FailoverEvent>>,
-}
-
-impl ProgressListener for FaultRecorder {
-    fn on_atom_start(&self, atom_id: usize, _platform: &str) {
-        self.starts.lock().push(atom_id);
-    }
-    fn on_atom_retry(&self, atom_id: usize, attempt: usize, _error: &RheemError) {
-        self.retries.lock().push((atom_id, attempt));
-    }
-    fn on_atom_failed(&self, atom_id: usize, error: &RheemError, suppressed_retries: usize) {
-        self.failed
-            .lock()
-            .push((atom_id, error.to_string(), suppressed_retries));
-    }
-    fn on_failover(&self, event: &FailoverEvent) {
-        self.failovers.lock().push(event.clone());
-    }
+/// The fault counters a job moves, read from `metrics`.
+fn fault_counters(metrics: &MetricsRegistry) -> [u64; 4] {
+    [
+        "executor.atom_retries",
+        "executor.atom_failures",
+        "executor.retries_suppressed",
+        "executor.failovers",
+    ]
+    .map(|name| metrics.counter_value(name))
 }
 
 // ---------------------------------------------------------------------------
@@ -136,17 +121,15 @@ fn downed_platform_fails_over_and_preserves_outputs_at_both_budgets() {
 
     for threads in [1, 4] {
         let injector = Arc::new(FailureInjector::platform_down("sparklike"));
-        let recorder = Arc::new(FaultRecorder::default());
         let observe = Arc::new(Observability::new());
         let ctx = test_context_at(threads)
             .with_max_retries(1)
             .with_fault_policy(FaultPolicy::instant())
             .with_failure_injector(injector)
-            .with_observability(observe.clone())
-            .with_progress_listener(recorder.clone());
+            .with_observability(observe.clone());
         let result = ctx.execute_plan(&exec).unwrap();
 
-        assert_eq!(result.stats.failovers, 1, "budget {threads}");
+        assert_eq!(result.stats.failovers.len(), 1, "budget {threads}");
         assert_eq!(
             sorted_outputs(&result),
             sorted_outputs(&baseline),
@@ -168,24 +151,57 @@ fn downed_platform_fails_over_and_preserves_outputs_at_both_budgets() {
             .expect("failover yields an effective plan");
         assert!(effective.atoms.iter().all(|a| a.platform != "sparklike"));
 
-        let events = recorder.failovers.lock();
-        assert_eq!(events.len(), 1, "budget {threads}");
-        assert_eq!(events[0].failed_platform, "sparklike");
-        assert!(events[0].excluded.contains(&"sparklike".to_string()));
-        assert!(events[0].new_atoms >= 1);
+        let event = &result.stats.failovers[0];
+        assert_eq!(event.failed_atom.platform, "sparklike");
+        assert!(event.excluded.contains(&"sparklike".to_string()));
+        assert!(event.new_atoms >= 1);
 
-        // The abandoned platform's breaker is forced open and mirrored.
+        // The abandoned platform's breaker is forced open.
         assert!(ctx.platform_health().unwrap().is_open("sparklike"));
         assert_eq!(observe.metrics().counter_value("executor.failovers"), 1);
-        assert_eq!(
-            observe
-                .metrics()
-                .gauge_value("platform.sparklike.breaker_open"),
-            1
-        );
         assert!(
             exec.explain_observed(&result.stats).contains("1 failovers"),
             "explain_observed must surface the failover"
+        );
+    }
+}
+
+/// The failed-over atom's retry is in the record, and the record and the
+/// counters say the same: 1 retry, 2 failed attempts, 1 failover.
+#[test]
+fn a_failed_over_job_records_the_retries_of_the_atom_that_gave_up() {
+    let exec = fanout_exec_plan();
+    for threads in [1, 4] {
+        let observe = Arc::new(Observability::new());
+        let ctx = test_context_at(threads)
+            .with_max_retries(1)
+            .with_fault_policy(FaultPolicy::instant())
+            .with_failure_injector(Arc::new(FailureInjector::platform_down("sparklike")))
+            .with_observability(observe.clone());
+        let result = ctx.execute_plan(&exec).unwrap();
+
+        let stats = &result.stats;
+        assert_eq!(stats.retries, 1, "budget {threads}");
+        let failed = &stats.failovers[0].failed_atom;
+        assert_eq!(
+            (
+                failed.platform.as_str(),
+                failed.attempts,
+                failed.suppressed_retries
+            ),
+            ("sparklike", 2, 0),
+            "budget {threads}"
+        );
+        assert_eq!(
+            fault_counters(observe.metrics()),
+            [1, 2, 0, 1],
+            "budget {threads}"
+        );
+        assert!(
+            exec.explain_observed(stats)
+                .contains("fault: 1 retries, 0 replans, 1 failovers"),
+            "budget {threads}: {}",
+            exec.explain_observed(stats)
         );
     }
 }
@@ -227,29 +243,21 @@ fn expired_deadlines_are_not_failover_eligible() {
 fn permanent_errors_fail_fast_with_exactly_one_attempt() {
     let injector = Arc::new(FailureInjector::none());
     injector.fail_atom_with(0, usize::MAX, InjectedKind::Permanent);
-    let recorder = Arc::new(FaultRecorder::default());
+    let observe = Arc::new(Observability::new());
     let ctx = RheemContext::new()
         .with_platform(Arc::new(JavaPlatform::new()))
         .with_max_retries(5)
         .with_fault_policy(FaultPolicy::instant())
         .with_failure_injector(injector)
-        .with_progress_listener(recorder.clone());
+        .with_observability(observe.clone());
     let err = ctx.execute(tiny_plan()).unwrap_err();
 
     assert!(matches!(err, RheemError::InvalidPlan(_)), "{err}");
     assert!(!err.is_retryable());
-    assert_eq!(recorder.starts.lock().len(), 1, "exactly one attempt");
-    assert!(
-        recorder.retries.lock().is_empty(),
-        "permanent errors must not burn retry budget"
-    );
-    let failed = recorder.failed.lock();
-    assert_eq!(failed.len(), 1);
-    assert_eq!(failed[0].2, 5, "the whole unused budget is suppressed");
-    assert!(
-        recorder.failovers.lock().is_empty(),
-        "permanent errors are not failover-eligible"
-    );
+    // One failed attempt, no retry burned, the whole unused budget
+    // suppressed, and no failover: permanent errors are not eligible.
+    assert_eq!(fault_counters(observe.metrics()), [0, 1, 5, 0]);
+    assert_eq!(observe.metrics().counter_value("executor.jobs_failed"), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -259,7 +267,7 @@ fn permanent_errors_fail_fast_with_exactly_one_attempt() {
 #[test]
 fn breaker_opens_after_consecutive_failures_and_fails_fast_across_jobs() {
     let injector = Arc::new(FailureInjector::platform_down("java"));
-    let recorder = Arc::new(FaultRecorder::default());
+    let observe = Arc::new(Observability::new());
     let policy = FaultPolicy {
         breaker: BreakerPolicy {
             failure_threshold: 3,
@@ -273,25 +281,26 @@ fn breaker_opens_after_consecutive_failures_and_fails_fast_across_jobs() {
         .with_max_retries(10)
         .with_fault_policy(policy)
         .with_failure_injector(injector)
-        .with_progress_listener(recorder.clone());
+        .with_observability(observe.clone());
 
     let err = ctx.execute(tiny_plan()).unwrap_err();
     assert!(matches!(err, RheemError::Execution { .. }), "{err}");
     // The third consecutive failure opened the breaker and cut the retry
-    // loop short: 2 transient retries spent, the remaining 8 suppressed.
-    assert_eq!(recorder.retries.lock().len(), 2);
-    assert_eq!(recorder.failed.lock().last().unwrap().2, 8);
+    // loop short: 2 transient retries spent, 3 failed attempts, the
+    // remaining 8 retries suppressed.
+    assert_eq!(fault_counters(observe.metrics()), [2, 3, 8, 0]);
     assert!(ctx.platform_health().unwrap().is_open("java"));
 
-    // The next job is rejected at the gate without any attempt.
-    let starts_before = recorder.starts.lock().len();
+    // The next job is rejected at the gate without any attempt: the
+    // rejection is its one failure, and its whole budget is suppressed.
     let err = ctx.execute(tiny_plan()).unwrap_err();
     assert!(
         matches!(err, RheemError::PlatformUnavailable { .. }),
         "{err}"
     );
     assert_eq!(err.platform(), Some("java"));
-    assert_eq!(recorder.starts.lock().len(), starts_before);
+    assert_eq!(fault_counters(observe.metrics()), [2, 4, 18, 0]);
+    assert_eq!(observe.metrics().counter_value("executor.jobs_failed"), 2);
 }
 
 #[test]
@@ -412,7 +421,11 @@ fn probabilistic_injection_yields_identical_runs_at_both_budgets() {
 // Property: random plans + random outages never change outputs
 // ---------------------------------------------------------------------------
 
-fn prop_plan(shape: u8, n: i64, modulus: i64) -> rheem_core::PhysicalPlan {
+/// A random plan of one of three shapes. With `poison`, the filter of
+/// shape 0 and the map of shape 2 panic on the record whose value is
+/// `poison` (the join of shape 1 has no closure to poison).
+fn prop_plan(shape: u8, n: i64, modulus: i64, poison: Option<i64>) -> rheem_core::PhysicalPlan {
+    let check = move |v: i64| assert_ne!(Some(v), poison, "poisoned udf");
     match shape % 3 {
         0 => {
             // Shared source fanning out into an aggregate and a filter.
@@ -426,7 +439,13 @@ fn prop_plan(shape: u8, n: i64, modulus: i64) -> rheem_core::PhysicalPlan {
                 }),
             );
             b.collect(agg);
-            let odd = b.filter(src, FilterUdf::new("odd", |r| r.int(1).unwrap() % 2 == 1));
+            let odd = b.filter(
+                src,
+                FilterUdf::new("odd", move |r| {
+                    check(r.int(1).unwrap());
+                    r.int(1).unwrap() % 2 == 1
+                }),
+            );
             b.collect(odd);
             b.build().unwrap()
         }
@@ -445,7 +464,10 @@ fn prop_plan(shape: u8, n: i64, modulus: i64) -> rheem_core::PhysicalPlan {
             let src = b.collection("s", (0..n).map(|i| rec![i % modulus, i]).collect());
             let mapped = b.map(
                 src,
-                MapUdf::new("x2", |r| rec![r.int(0).unwrap(), r.int(1).unwrap() * 2]),
+                MapUdf::new("x2", move |r| {
+                    check(r.int(1).unwrap());
+                    rec![r.int(0).unwrap(), r.int(1).unwrap() * 2]
+                }),
             );
             let agg = b.reduce_by_key(
                 mapped,
@@ -479,7 +501,7 @@ proptest::proptest! {
         with_chaos in proptest::strategy::Just(true),
         seed in 0u64..1_000,
     ) {
-        let plan = prop_plan(shape, n, modulus);
+        let plan = prop_plan(shape, n, modulus, None);
         let mut opt_ctx = test_context();
         opt_ctx.optimizer_mut().movement = rheem_core::cost::MovementCostModel::free();
         let exec = opt_ctx.optimize(plan).unwrap();
@@ -515,6 +537,151 @@ proptest::proptest! {
                 sorted_outputs(&baseline)
             );
         }
+    }
+}
+
+/// Every counter of `metrics` and the atom histogram's count.
+fn counters(metrics: &MetricsRegistry) -> BTreeMap<String, u64> {
+    let snapshot = metrics.snapshot();
+    let atoms = snapshot
+        .histograms
+        .iter()
+        .filter(|(name, _)| name == "executor.atom_simulated_us")
+        .map(|(name, h)| (format!("{name}.count"), h.count));
+    snapshot.counters.into_iter().chain(atoms).collect()
+}
+
+/// One job under `ctx`, checked against its record: on success the job,
+/// atom, retry, re-plan and failover counts match it; on failure (whose partial
+/// record only the hub sees) the job is counted failed, every failed
+/// attempt but the retried ones is an atom that gave up — one per failover
+/// plus the one that failed the job — and a panic is counted as such.
+/// Returns the deltas that do not depend on the thread budget.
+fn checked_job(
+    ctx: &RheemContext,
+    observe: &Observability,
+    exec: &ExecutionPlan,
+) -> std::result::Result<BTreeMap<String, u64>, proptest::test_runner::TestCaseError> {
+    let before = counters(observe.metrics());
+    let result = ctx.execute_plan(exec);
+    let delta: BTreeMap<String, u64> = counters(observe.metrics())
+        .into_iter()
+        .map(|(name, v)| (name.clone(), v - before.get(&name).copied().unwrap_or(0)))
+        .collect();
+    let get = |name: &str| delta.get(name).copied().unwrap_or(0);
+    match &result {
+        Ok(result) => {
+            let stats = &result.stats;
+            let jobs = (
+                get("executor.jobs_completed"),
+                get("executor.jobs_failed"),
+                get("executor.cancelled"),
+            );
+            proptest::prop_assert_eq!(jobs, (1, 0, 0));
+            proptest::prop_assert_eq!(get("executor.atoms_completed"), stats.atoms.len() as u64);
+            proptest::prop_assert_eq!(
+                get("executor.atom_simulated_us.count"),
+                stats.atoms.len() as u64
+            );
+            proptest::prop_assert_eq!(get("executor.atom_retries"), stats.retries as u64);
+            proptest::prop_assert_eq!(get("executor.failovers"), stats.failovers.len() as u64);
+            proptest::prop_assert_eq!(get("optimizer.replans"), stats.replans.len() as u64);
+            // A job that succeeded gave up on an atom only to fail over.
+            proptest::prop_assert_eq!(
+                get("executor.atom_failures") - get("executor.atom_retries"),
+                stats.failovers.len() as u64
+            );
+        }
+        Err(err) => {
+            proptest::prop_assert!(
+                (get("executor.jobs_failed"), get("executor.jobs_completed")) == (1, 0),
+                "{}",
+                err
+            );
+            proptest::prop_assert!(
+                get("executor.atom_failures") - get("executor.atom_retries")
+                    == get("executor.failovers") + 1,
+                "{}: {:?}",
+                err,
+                delta
+            );
+            proptest::prop_assert_eq!(
+                get("executor.retries_transient"),
+                get("executor.atom_retries")
+            );
+            proptest::prop_assert_eq!(
+                get("executor.panics_caught"),
+                matches!(err, RheemError::Panic { .. }) as u64
+            );
+        }
+    }
+    // Kernel morsel counts follow the thread budget; nothing else may.
+    Ok(delta
+        .into_iter()
+        .filter(|(name, _)| !name.starts_with("kernel.parallel."))
+        .collect())
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig {
+        cases: 6,
+        ..proptest::prelude::ProptestConfig::default()
+    })]
+
+    /// Random plans under one injected fault each — a transient outage of
+    /// one atom (recovered by retries, or past them by failover) plus
+    /// transient chaos on a non-java platform, a permanent error, or a
+    /// panicking UDF — run twice per context: the counters a job moves
+    /// agree with that job's record, and are the same at thread budgets 1
+    /// and 4.
+    #[test]
+    fn counters_are_folded_from_the_job_record(
+        shape in 0u8..3,
+        n in 1i64..120,
+        modulus in 1i64..10,
+        fault in 0u8..3,
+        target in 0usize..4,
+        failed_attempts in 1usize..4,
+        seed in 0u64..1_000,
+    ) {
+        let poison = (fault == 2).then_some(seed as i64 % n);
+        let plan = prop_plan(shape, n, modulus, poison);
+        let exec = test_context().optimize(plan).unwrap();
+        let target = exec.atoms[target % exec.atoms.len()].id;
+
+        let mut per_budget = Vec::new();
+        for threads in [1, 4] {
+            let injector = Arc::new(FailureInjector::none());
+            match fault {
+                0 => {
+                    injector.fail_atom(target, failed_attempts);
+                    injector.probabilistic(["sparklike", "mapreduce"][target % 2], 0.3, seed);
+                }
+                1 => injector.fail_atom_with(target, usize::MAX, InjectedKind::Permanent),
+                _ => {}
+            }
+            let observe = Arc::new(Observability::new());
+            // No breaker opens on its own count, so which platforms a
+            // failover excludes never depends on the order atoms failed.
+            let ctx = test_context_at(threads)
+                .with_max_retries(2)
+                .with_fault_policy(FaultPolicy {
+                    breaker: BreakerPolicy {
+                        failure_threshold: 1_000,
+                        cooldown: Duration::ZERO,
+                    },
+                    max_failovers: 4,
+                    ..FaultPolicy::instant()
+                })
+                .with_failure_injector(injector)
+                .with_observability(observe.clone());
+            let jobs = [
+                checked_job(&ctx, &observe, &exec)?,
+                checked_job(&ctx, &observe, &exec)?,
+            ];
+            per_budget.push(jobs);
+        }
+        proptest::prop_assert_eq!(&per_budget[0], &per_budget[1]);
     }
 }
 
@@ -554,22 +721,20 @@ fn golden_failover_explain() {
     // failover event and the effective plan can be pinned byte-for-byte.
     let exec = fanout_exec_plan();
     let injector = Arc::new(FailureInjector::platform_down("sparklike"));
-    let recorder = Arc::new(FaultRecorder::default());
     let ctx = test_context_at(1)
         .with_max_retries(1)
         .with_fault_policy(FaultPolicy::instant())
-        .with_failure_injector(injector)
-        .with_progress_listener(recorder.clone());
+        .with_failure_injector(injector);
     let result = ctx.execute_plan(&exec).unwrap();
-    assert_eq!(result.stats.failovers, 1);
+    assert_eq!(result.stats.failovers.len(), 1);
 
     let mut snapshot = String::new();
-    for ev in recorder.failovers.lock().iter() {
+    for (index, ev) in result.stats.failovers.iter().enumerate() {
         snapshot.push_str(&format!(
             "failover {}: atom {} on {} excluded [{}] replaced {} pending atoms with {}\n",
-            ev.index,
-            ev.atom_id,
-            ev.failed_platform,
+            index,
+            ev.failed_atom.atom_id,
+            ev.failed_atom.platform,
             ev.excluded.join(", "),
             ev.replaced_atoms,
             ev.new_atoms,

@@ -102,10 +102,7 @@ fn golden_explain_observed() {
         waves: exec.atoms.len(),
         total_wall: Duration::from_millis(1),
         total_movement_ms: 0.0,
-        retries: 0,
-        replans: 0,
-        failovers: 0,
-        enumeration_path: Default::default(),
+        ..ExecutionStats::default()
     };
     assert_golden("explain_observed.txt", &exec.explain_observed(&stats));
 }

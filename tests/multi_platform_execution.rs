@@ -188,60 +188,34 @@ fn no_platform_for_operator_is_a_clean_error() {
 }
 
 #[test]
-fn progress_listener_observes_the_job_lifecycle() {
-    use parking_lot::Mutex;
-    use rheem_core::{AtomStats, ExecutionStats, ProgressListener};
-
-    #[derive(Default)]
-    struct Recorder {
-        events: Mutex<Vec<String>>,
-    }
-    impl ProgressListener for Recorder {
-        fn on_atom_start(&self, atom_id: usize, platform: &str) {
-            self.events
-                .lock()
-                .push(format!("start:{atom_id}@{platform}"));
-        }
-        fn on_atom_retry(&self, atom_id: usize, attempt: usize, _error: &RheemError) {
-            self.events
-                .lock()
-                .push(format!("retry:{atom_id}#{attempt}"));
-        }
-        fn on_atom_complete(&self, stats: &AtomStats) {
-            self.events
-                .lock()
-                .push(format!("done:{}({} out)", stats.atom_id, stats.records_out));
-        }
-        fn on_job_complete(&self, stats: &ExecutionStats) {
-            self.events
-                .lock()
-                .push(format!("job:{} atoms", stats.atoms.len()));
-        }
-    }
-
-    let recorder = Arc::new(Recorder::default());
+fn the_job_record_reports_the_lifecycle() {
+    let observe = Arc::new(rheem_core::Observability::new());
     let injector = Arc::new(FailureInjector::none());
     injector.fail_atom(0, 1);
     let ctx = RheemContext::new()
         .with_platform(Arc::new(JavaPlatform::new()))
         .with_failure_injector(injector)
-        .with_progress_listener(recorder.clone());
+        .with_observability(observe.clone());
     let mut b = PlanBuilder::new();
     let src = b.collection("s", (0..5i64).map(|i| rec![i]).collect());
     b.collect(src);
-    ctx.execute(b.build().unwrap()).unwrap();
+    let result = ctx.execute(b.build().unwrap()).unwrap();
 
-    let events = recorder.events.lock().clone();
-    assert_eq!(
-        events,
-        vec![
-            "start:0@java".to_string(),
-            "retry:0#1".to_string(),
-            "done:0(10 out)".to_string(), // 5 source + 5 sink records
-            "job:1 atoms".to_string(),
-        ],
-        "unexpected event trace: {events:?}"
-    );
+    let stats = &result.stats;
+    let atoms: Vec<(usize, &str, usize, u64)> = stats
+        .atoms
+        .iter()
+        .map(|a| (a.atom_id, a.platform.as_str(), a.attempts, a.records_out))
+        .collect();
+    // One retry, then 5 source + 5 sink records.
+    assert_eq!(atoms, vec![(0, "java", 2, 10)]);
+    assert_eq!(stats.retries, 1);
+    assert!(stats.failed_atom.is_none());
+    // The job was reported once, when it ended.
+    let m = observe.metrics();
+    assert_eq!(m.counter_value("executor.jobs_completed"), 1);
+    assert_eq!(m.counter_value("executor.atoms_completed"), 1);
+    assert_eq!(m.counter_value("executor.atom_retries"), 1);
 }
 
 // ---------------------------------------------------------------------------

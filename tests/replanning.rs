@@ -4,22 +4,19 @@
 //!
 //! The contract under test: enabling a [`ReplanPolicy`] never changes a
 //! job's *outputs* — it may only change which platforms run the unexecuted
-//! suffix — and every re-plan is observable (the `replans` stat, the
-//! `optimizer.replans` counter, an `on_replan` event) and bounded (by
+//! suffix — and every re-plan is observable (a `ReplanEvent` in the job's
+//! `replans` record, the `optimizer.replans` counter) and bounded (by
 //! `max_replans` and by the job deadline).
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use rheem::prelude::*;
 use rheem::rec;
 use rheem_core::optimizer::enumerate::split_into_atoms;
 use rheem_core::plan::NodeId;
-use rheem_core::{
-    ExecutionPlan, JobResult, NodeEstimate, Observability, ReplanEvent, ReplanPolicy,
-};
+use rheem_core::{ExecutionPlan, JobResult, NodeEstimate, Observability, ReplanPolicy};
 use rheem_platforms::test_context;
 use testkit::work;
 
@@ -75,16 +72,6 @@ fn sorted_outputs(result: &JobResult) -> Vec<(NodeId, Vec<Record>)> {
     out
 }
 
-#[derive(Default)]
-struct ReplanRecorder {
-    events: Mutex<Vec<ReplanEvent>>,
-}
-impl rheem_core::ProgressListener for ReplanRecorder {
-    fn on_replan(&self, event: &ReplanEvent) {
-        self.events.lock().push(event.clone());
-    }
-}
-
 #[test]
 fn drift_triggers_a_replan_that_flips_the_suffix_platform() {
     // Estimates claim 1M records; the source actually yields 100. At 1M
@@ -101,19 +88,17 @@ fn drift_triggers_a_replan_that_flips_the_suffix_platform() {
     };
 
     let baseline = ctx().execute_plan(&exec).unwrap();
-    assert_eq!(baseline.stats.replans, 0);
+    assert!(baseline.stats.replans.is_empty());
     assert!(baseline.effective_plan.is_none());
     assert_eq!(baseline.stats.platforms_used(), vec!["java", "sparklike"]);
 
-    let recorder = Arc::new(ReplanRecorder::default());
     let adaptive = ctx()
         .with_replan_policy(ReplanPolicy::default())
-        .with_progress_listener(recorder.clone())
         .execute_plan(&exec)
         .unwrap();
 
     assert_eq!(sorted_outputs(&adaptive), sorted_outputs(&baseline));
-    assert_eq!(adaptive.stats.replans, 1);
+    assert_eq!(adaptive.stats.replans.len(), 1);
     assert_eq!(
         adaptive.stats.platforms_used(),
         vec!["java"],
@@ -127,11 +112,8 @@ fn drift_triggers_a_replan_that_flips_the_suffix_platform() {
     // True cardinality was folded back into the boundary estimate.
     assert_eq!(effective.estimates[0].card, 100.0);
 
-    // The listener saw the re-plan, with the drifted boundary named.
-    let events = recorder.events.lock();
-    assert_eq!(events.len(), 1);
-    let ev = &events[0];
-    assert_eq!(ev.index, 0);
+    // The record names the drifted boundary.
+    let ev = &adaptive.stats.replans[0];
     assert_eq!(ev.trigger_node, NodeId(0));
     assert_eq!(ev.observed_card, 100);
     assert!(ev.drift > 1_000.0, "drift {}", ev.drift);
@@ -142,20 +124,14 @@ fn drift_triggers_a_replan_that_flips_the_suffix_platform() {
 fn replans_are_observable_as_counter_and_event() {
     let exec = misestimated_exec_plan(100, 1e6, "java", "sparklike");
     let observe = Arc::new(Observability::new());
-    let recorder = Arc::new(ReplanRecorder::default());
     let result = test_context()
         .with_observability(observe.clone())
-        .with_progress_listener(recorder.clone())
         .with_replan_policy(ReplanPolicy::default())
         .execute_plan(&exec)
         .unwrap();
-    assert_eq!(result.stats.replans, 1);
+    assert_eq!(result.stats.replans.len(), 1);
+    assert_eq!(result.stats.replans[0].observed_card, 100);
     assert_eq!(observe.metrics().counter_value("optimizer.replans"), 1);
-
-    let events = recorder.events.lock();
-    assert_eq!(events.len(), 1);
-    assert_eq!(events[0].index, 0);
-    assert_eq!(events[0].observed_card, 100);
 }
 
 #[test]
@@ -178,7 +154,7 @@ fn recorded_work_is_identical_when_assignments_survive() {
         threshold: 2.0,
         max_replans: 2,
     }));
-    assert_eq!(adaptive.stats.replans, 1);
+    assert_eq!(adaptive.stats.replans.len(), 1);
     assert_eq!(sorted_outputs(&adaptive), sorted_outputs(&plain));
     assert_eq!(work(&adaptive.stats), work(&plain.stats));
 }
@@ -194,7 +170,7 @@ fn max_replans_zero_disables_replanning_despite_drift() {
         })
         .execute_plan(&exec)
         .unwrap();
-    assert_eq!(result.stats.replans, 0);
+    assert!(result.stats.replans.is_empty());
     assert!(result.effective_plan.is_none());
     assert_eq!(sorted_outputs(&result), sorted_outputs(&baseline));
 }
@@ -211,7 +187,7 @@ fn a_single_drift_replans_once_even_with_budget_to_spare() {
         })
         .execute_plan(&exec)
         .unwrap();
-    assert_eq!(result.stats.replans, 1);
+    assert_eq!(result.stats.replans.len(), 1);
 }
 
 /// A java clone that sleeps before every atom — long enough that a small
@@ -252,7 +228,7 @@ fn replans_respect_the_job_deadline() {
     // check must refuse it (and then fail the job) rather than spend
     // optimizer time a timed-out job no longer has.
     let exec = misestimated_exec_plan(100, 1e6, "java", "sparklike");
-    let recorder = Arc::new(ReplanRecorder::default());
+    let observe = Arc::new(Observability::new());
     let err = RheemContext::new()
         .with_platform(Arc::new(SluggishJava {
             inner: JavaPlatform::new(),
@@ -261,12 +237,16 @@ fn replans_respect_the_job_deadline() {
         .with_platform(Arc::new(SparkLikePlatform::new(4)))
         .with_timeout(Duration::from_millis(10))
         .with_replan_policy(ReplanPolicy::default())
-        .with_progress_listener(recorder.clone())
+        .with_observability(observe.clone())
         .execute_plan(&exec)
         .unwrap_err();
     assert!(matches!(err, RheemError::BudgetExceeded(_)), "{err}");
-    assert!(
-        recorder.events.lock().is_empty(),
+    // The failed job's record was still reported, and holds no re-plan.
+    let m = observe.metrics();
+    assert_eq!(m.counter_value("executor.jobs_failed"), 1);
+    assert_eq!(
+        m.counter_value("optimizer.replans"),
+        0,
         "no replan may start after the deadline"
     );
 }
@@ -378,9 +358,9 @@ proptest! {
                 threshold: 1.5,
                 max_replans: 3,
             }));
-            prop_assert!(adaptive.stats.replans <= 3);
+            prop_assert!(adaptive.stats.replans.len() <= 3);
             prop_assert_eq!(sorted_outputs(&adaptive), sorted_outputs(&plain));
-            if adaptive.stats.replans == 0 {
+            if adaptive.stats.replans.is_empty() {
                 prop_assert_eq!(work(&adaptive.stats), work(&plain.stats));
             }
         }
