@@ -85,6 +85,30 @@ if grep -rnE 'TraceSink|RingBufferSink|JsonLinesSink|SpanRecord|SpanKind|canonic
   echo "a deleted trace, classification or progress-callback name is named again"; exit 1
 fi
 
+# Storage keeps what its callers use: reads and writes by id (l-store), the
+# placement catalog (p-store), `MemStore` and `SimHdfsStore` behind `Store`
+# (x-store), the hot buffer, Cartilage plans and the native codec. No storage
+# optimizer, request/atom model, store kind, local-FS or relational store
+# comes back.
+echo "==> storage census: no storage optimizer, request model or extra stores"
+if grep -rnE 'AccessPattern|CostTable|StorageDecision|StorageRequest|StorageAtom|submit_all|StoreKind|LocalFsStore|RelationalStore|with_observed_hot_buffer|to_csv' \
+    crates src tests examples; then
+  echo "a deleted storage name is named again"; exit 1
+fi
+
+# Per-query paths resolve no metric by name: a registry lookup takes its
+# mutex, so handles are resolved once (per service, per tenant, or when an
+# optimizer's metrics are attached) and a served query touches atomics only.
+echo "==> per-query paths name no metric"
+for spec in 'crates/server/src/service.rs:pub fn submit_handle<:pub fn cancel_job(' \
+    'crates/core/src/optimizer/mod.rs:pub fn optimize(:pub fn replanner('; do
+  IFS=: read -r file from to <<< "$spec"
+  if awk -v from="$from" -v to="$to" 'index($0, from) { on = 1 } index($0, to) { on = 0 } on' "$file" \
+      | grep -nE '\.(counter|gauge|histogram)\('; then
+    echo "$file resolves a metric by name between '$from' and '$to'"; exit 1
+  fi
+done
+
 echo "==> cargo build --release"
 cargo build --release
 

@@ -22,7 +22,7 @@ use crate::fault::{CancelToken, FaultPolicy, PlatformHealth, Sleeper};
 use crate::kernels::parallel::KernelParallelism;
 use crate::logical::LogicalPlan;
 use crate::observe::Observability;
-use crate::optimizer::{MultiPlatformOptimizer, PlanCache, ReplanPolicy};
+use crate::optimizer::{MultiPlatformOptimizer, OptimizerMetrics, PlanCache, ReplanPolicy};
 use crate::plan::{ExecutionPlan, PhysicalPlan};
 use crate::platform::{
     ExecutionContext, FailureInjector, Platform, PlatformRegistry, StorageService,
@@ -172,7 +172,7 @@ impl RheemContext {
     /// [`crate::observe::CostCalibration`] table (the calibration feedback
     /// loop), correcting cost estimates on the next optimization pass.
     pub fn with_observability(mut self, observe: Arc<Observability>) -> Self {
-        self.optimizer.metrics = Some(observe.metrics().clone());
+        self.optimizer.metrics = Some(OptimizerMetrics::resolve(observe.metrics()));
         self.optimizer.calibration = observe.calibration().clone();
         self.observability = Some(observe);
         self

@@ -258,30 +258,22 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Get or create the counter named `name`.
+    /// Get or create the counter named `name`. A lookup takes the registry
+    /// lock: resolve a handle once, off any per-request path.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock();
-        map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(Counter::new()))
-            .clone()
+        get_or_insert(&self.counters, name, Counter::new)
     }
 
     /// Get or create the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock();
-        map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(Gauge::new()))
-            .clone()
+        get_or_insert(&self.gauges, name, Gauge::new)
     }
 
     /// Get or create the histogram named `name` with the given bounds.
     ///
     /// The bounds of the *first* creation win; later callers share it.
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Arc<Histogram> {
-        let mut map = self.histograms.lock();
-        map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(Histogram::new(bounds)))
-            .clone()
+        get_or_insert(&self.histograms, name, || Histogram::new(bounds))
     }
 
     /// Current value of a counter, or 0 when it was never created.
@@ -334,6 +326,22 @@ impl MetricsRegistry {
     pub fn render(&self) -> String {
         self.snapshot().render()
     }
+}
+
+/// The registry's one lookup: a hit clones the handle without allocating
+/// a key; only the first lookup of a name creates the instrument.
+fn get_or_insert<T>(
+    map: &Mutex<HashMap<String, Arc<T>>>,
+    name: &str,
+    create: impl FnOnce() -> T,
+) -> Arc<T> {
+    let mut map = map.lock();
+    if let Some(handle) = map.get(name) {
+        return handle.clone();
+    }
+    let handle = Arc::new(create());
+    map.insert(name.to_string(), handle.clone());
+    handle
 }
 
 #[cfg(test)]

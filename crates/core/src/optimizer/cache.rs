@@ -105,18 +105,6 @@ struct CachedEntry {
     last_used: u64,
 }
 
-/// Outcome of a cache probe.
-pub(crate) enum CacheLookup {
-    /// Reusable parts found (guards still pending in the optimizer).
-    Hit(CachedPlanParts),
-    /// Nothing reusable; `invalidated` reports whether an entry existed
-    /// but was dropped for calibration drift.
-    Miss {
-        /// The miss was caused by drift invalidation.
-        invalidated: bool,
-    },
-}
-
 /// A concurrent cache of enumeration results keyed by canonical plan
 /// fingerprints. See the module docs for the invalidation rules.
 pub struct PlanCache {
@@ -202,19 +190,17 @@ impl PlanCache {
         hash: u64,
         scope: u64,
         calibration: &CostCalibration,
-    ) -> CacheLookup {
+    ) -> Option<CachedPlanParts> {
         let key = CacheKey { hash, scope };
         let mut entries = self.entries.lock();
-        let Some(entry) = entries.get_mut(&key) else {
-            return CacheLookup::Miss { invalidated: false };
-        };
+        let entry = entries.get_mut(&key)?;
         let version = calibration.version();
         if entry.calib_version != version {
             let drift = max_cost_drift(&entry.calib_costs, calibration);
             if drift > self.config.drift_threshold {
                 entries.remove(&key);
                 self.invalidations.fetch_add(1, Ordering::Relaxed);
-                return CacheLookup::Miss { invalidated: true };
+                return None;
             }
             // Within tolerance: remember the version so the drift scan is
             // skipped until the table moves again. The reference factors
@@ -223,7 +209,7 @@ impl PlanCache {
             entry.calib_version = version;
         }
         entry.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-        CacheLookup::Hit(entry.parts.clone())
+        Some(entry.parts.clone())
     }
 
     /// Insert the reusable parts of a freshly enumerated plan.
@@ -347,12 +333,9 @@ mod tests {
         let cache = PlanCache::default();
         let cal = CostCalibration::new();
         cache.insert(7, 1, 99, &dummy_exec(5.0), &cal);
-        assert!(matches!(cache.lookup(7, 1, &cal), CacheLookup::Hit(_)));
+        assert!(cache.lookup(7, 1, &cal).is_some());
         // Same hash in another scope is invisible.
-        assert!(matches!(
-            cache.lookup(7, 2, &cal),
-            CacheLookup::Miss { invalidated: false }
-        ));
+        assert!(cache.lookup(7, 2, &cal).is_none());
         assert_eq!(cache.len(), 1);
     }
 
@@ -367,13 +350,10 @@ mod tests {
         cache.insert(7, 0, 99, &dummy_exec(5.0), &cal);
         // Small drift: 1.0 -> 1.2 (20% < 50%), still a hit.
         cal.observe("Map(f)", "java", 10.0, 12.0, 1.0, 1.0);
-        assert!(matches!(cache.lookup(7, 0, &cal), CacheLookup::Hit(_)));
+        assert!(cache.lookup(7, 0, &cal).is_some());
         // Large drift: 1.2 -> 4.0 vs reference 1.0 => 300% > 50%.
         cal.observe("Map(f)", "java", 10.0, 40.0, 1.0, 1.0);
-        assert!(matches!(
-            cache.lookup(7, 0, &cal),
-            CacheLookup::Miss { invalidated: true }
-        ));
+        assert!(cache.lookup(7, 0, &cal).is_none());
         assert_eq!(cache.stats().invalidations, 1);
         assert!(cache.is_empty());
     }
@@ -388,10 +368,8 @@ mod tests {
         cache.insert(7, 0, 99, &dummy_exec(5.0), &cal);
         // A pair first observed after the insert drifts from the implicit 1.0.
         cal.observe("Map(f)", "java", 10.0, 40.0, 1.0, 1.0);
-        assert!(matches!(
-            cache.lookup(7, 0, &cal),
-            CacheLookup::Miss { invalidated: true }
-        ));
+        assert!(cache.lookup(7, 0, &cal).is_none());
+        assert_eq!(cache.stats().invalidations, 1);
     }
 
     #[test]
@@ -404,14 +382,11 @@ mod tests {
         cache.insert(1, 0, 0, &dummy_exec(1.0), &cal);
         cache.insert(2, 0, 0, &dummy_exec(2.0), &cal);
         // Touch 1 so 2 becomes the LRU victim.
-        assert!(matches!(cache.lookup(1, 0, &cal), CacheLookup::Hit(_)));
+        assert!(cache.lookup(1, 0, &cal).is_some());
         cache.insert(3, 0, 0, &dummy_exec(3.0), &cal);
         assert_eq!(cache.len(), 2);
-        assert!(matches!(cache.lookup(1, 0, &cal), CacheLookup::Hit(_)));
-        assert!(matches!(
-            cache.lookup(2, 0, &cal),
-            CacheLookup::Miss { invalidated: false }
-        ));
-        assert!(matches!(cache.lookup(3, 0, &cal), CacheLookup::Hit(_)));
+        assert!(cache.lookup(1, 0, &cal).is_some());
+        assert!(cache.lookup(2, 0, &cal).is_none());
+        assert!(cache.lookup(3, 0, &cal).is_some());
     }
 }

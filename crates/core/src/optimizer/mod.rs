@@ -24,7 +24,7 @@ use std::sync::Arc;
 use crate::cost::{CardinalityEstimator, MovementCostModel};
 use crate::error::Result;
 use crate::logical::LogicalPlan;
-use crate::observe::{CostCalibration, MetricsRegistry};
+use crate::observe::{CostCalibration, Counter, Gauge, MetricsRegistry};
 use crate::plan::{ExecutionPlan, PhysicalPlan};
 use crate::platform::PlatformRegistry;
 
@@ -46,8 +46,9 @@ pub struct MultiPlatformOptimizer {
     /// [`crate::RheemContext`] after each observed job. Shared via `Arc`
     /// so cloning the optimizer keeps one table.
     pub calibration: Arc<CostCalibration>,
-    /// Optional metrics registry the optimizer reports into.
-    pub metrics: Option<Arc<MetricsRegistry>>,
+    /// Counter handles the optimizer reports into, resolved once when an
+    /// observability hub is attached ([`OptimizerMetrics::resolve`]).
+    pub(crate) metrics: Option<OptimizerMetrics>,
     /// Optional plan cache: reuse enumeration results for plans with equal
     /// canonical fingerprints (see [`cache`] for keying and invalidation).
     pub plan_cache: Option<Arc<PlanCache>>,
@@ -56,6 +57,28 @@ pub struct MultiPlatformOptimizer {
     /// fingerprints are never shared across sessions; `0` (the default)
     /// is the embedded single-tenant scope.
     pub cache_scope: u64,
+}
+
+/// The optimizer's instruments, resolved from a registry once so an
+/// optimization touches only atomics. Plan-cache hits, misses and
+/// invalidations are counted by the cache itself ([`PlanCache::stats`]).
+#[derive(Clone, Debug)]
+pub(crate) struct OptimizerMetrics {
+    runs: Arc<Counter>,
+    nodes_assigned: Arc<Counter>,
+    calibration_pairs: Arc<Gauge>,
+}
+
+impl OptimizerMetrics {
+    /// Resolve `optimizer.runs`, `optimizer.nodes_assigned` and
+    /// `optimizer.calibration_pairs` in `registry`.
+    pub(crate) fn resolve(registry: &MetricsRegistry) -> Self {
+        OptimizerMetrics {
+            runs: registry.counter("optimizer.runs"),
+            nodes_assigned: registry.counter("optimizer.nodes_assigned"),
+            calibration_pairs: registry.gauge("optimizer.calibration_pairs"),
+        }
+    }
 }
 
 /// Configuration of the whole optimization pipeline.
@@ -139,33 +162,27 @@ impl MultiPlatformOptimizer {
         let mut rewritten_hash = 0u64;
         if let Some((cache, key, scope)) = &probe {
             rewritten_hash = plan.fingerprint().hash;
-            match cache.lookup(*key, *scope, &self.calibration) {
-                cache::CacheLookup::Hit(parts) => {
-                    // Structural guards: a hash collision (or a rewrite
-                    // divergence) is demoted to a plain miss rather than
-                    // executing a mis-targeted schedule.
-                    if parts.rewritten_hash == rewritten_hash
-                        && parts.assignments.len() == plan.len()
-                    {
-                        cache.record_hit();
-                        let exec = ExecutionPlan {
-                            physical: Arc::new(plan),
-                            assignments: parts.assignments,
-                            atoms: parts.atoms,
-                            estimated_cost: parts.estimated_cost,
-                            estimates: parts.estimates,
-                            enumeration: parts.enumeration,
-                        };
-                        self.report_metrics(&exec, true);
-                        return Ok(exec);
-                    }
-                    cache.record_miss();
-                    self.report_cache_miss(false);
+            let hit = cache.lookup(*key, *scope, &self.calibration);
+            // Structural guards: a hash collision (or a rewrite divergence)
+            // is demoted to a plain miss rather than executing a
+            // mis-targeted schedule.
+            match hit.filter(|parts| {
+                parts.rewritten_hash == rewritten_hash && parts.assignments.len() == plan.len()
+            }) {
+                Some(parts) => {
+                    cache.record_hit();
+                    let exec = ExecutionPlan {
+                        physical: Arc::new(plan),
+                        assignments: parts.assignments,
+                        atoms: parts.atoms,
+                        estimated_cost: parts.estimated_cost,
+                        estimates: parts.estimates,
+                        enumeration: parts.enumeration,
+                    };
+                    self.report_metrics(&exec);
+                    return Ok(exec);
                 }
-                cache::CacheLookup::Miss { invalidated } => {
-                    cache.record_miss();
-                    self.report_cache_miss(invalidated);
-                }
+                None => cache.record_miss(),
             }
         }
         let result = enumerate(
@@ -180,38 +197,19 @@ impl MultiPlatformOptimizer {
             if let Some((cache, key, scope)) = &probe {
                 cache.insert(*key, *scope, rewritten_hash, exec, &self.calibration);
             }
-            self.report_metrics(exec, false);
+            self.report_metrics(exec);
         }
         result
     }
 
-    /// Report per-optimization counters (and, on cache-enabled runs, the
-    /// hit counter — misses were already reported at probe time).
-    fn report_metrics(&self, exec: &ExecutionPlan, cache_hit: bool) {
+    /// Count one optimization into the attached handles.
+    fn report_metrics(&self, exec: &ExecutionPlan) {
         let Some(metrics) = &self.metrics else {
             return;
         };
-        metrics.counter("optimizer.runs").inc();
-        metrics
-            .counter("optimizer.nodes_assigned")
-            .add(exec.assignments.len() as u64);
-        metrics
-            .gauge("optimizer.calibration_pairs")
-            .set(self.calibration.len() as u64);
-        if self.plan_cache.is_some() && cache_hit {
-            metrics.counter("optimizer.plan_cache.hits").inc();
-        }
-    }
-
-    /// Report a cache miss (and optional drift invalidation) into metrics.
-    fn report_cache_miss(&self, invalidated: bool) {
-        let Some(metrics) = &self.metrics else {
-            return;
-        };
-        metrics.counter("optimizer.plan_cache.misses").inc();
-        if invalidated {
-            metrics.counter("optimizer.plan_cache.invalidations").inc();
-        }
+        metrics.runs.inc();
+        metrics.nodes_assigned.add(exec.assignments.len() as u64);
+        metrics.calibration_pairs.set(self.calibration.len() as u64);
     }
 
     /// A [`Replanner`] sharing this optimizer's models, so mid-job

@@ -933,7 +933,7 @@ mod tests {
                 rows: vec![Record::new(vec![Value::Int(42)])],
             },
             Response::Stats {
-                text: "optimizer.plan_cache.hits=3\n".into(),
+                text: "plan_cache hits=3 misses=1\n".into(),
             },
         ];
         for resp in resps {

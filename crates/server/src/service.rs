@@ -40,6 +40,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
+use rheem_core::observe::Counter;
 use rheem_core::{CancelReason, CancelToken, MetricsRegistry};
 
 /// Why a submission was refused at the door (or shed before running).
@@ -197,12 +198,33 @@ struct LiveJob {
     cancel: CancelToken,
 }
 
+/// A tenant's admission counters (`server.tenant.<t>.{submitted,
+/// completed, rejected}`), resolved once, when the tenant first submits.
+struct TenantCounters {
+    submitted: Arc<Counter>,
+    completed: Arc<Counter>,
+    rejected: Arc<Counter>,
+}
+
+impl TenantCounters {
+    fn resolve(metrics: &MetricsRegistry, tenant: &str) -> Self {
+        let counter = |event: &str| metrics.counter(&format!("server.tenant.{tenant}.{event}"));
+        TenantCounters {
+            submitted: counter("submitted"),
+            completed: counter("completed"),
+            rejected: counter("rejected"),
+        }
+    }
+}
+
 struct QueueState {
     queue: VecDeque<QueuedJob>,
     /// Queued-plus-running jobs per tenant.
     inflight: HashMap<String, usize>,
     /// Every queued-or-running job by id (for `CANCEL` addressing).
     jobs: HashMap<u64, LiveJob>,
+    /// Every tenant seen so far, with its counters.
+    tenants: HashMap<String, Arc<TenantCounters>>,
     /// Id fountain; ids start at 1 because `CANCEL { job: 0 }` means
     /// "all of the tenant's jobs" on the wire.
     next_job: u64,
@@ -215,6 +237,8 @@ struct Shared {
     work_cv: Condvar,
     config: ServiceConfig,
     metrics: Arc<MetricsRegistry>,
+    shed_deadline: Arc<Counter>,
+    cancelled: Arc<Counter>,
 }
 
 /// The admission-controlled worker pool.
@@ -237,11 +261,14 @@ impl JobService {
                 queue: VecDeque::new(),
                 inflight: HashMap::new(),
                 jobs: HashMap::new(),
+                tenants: HashMap::new(),
                 next_job: 1,
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
             config,
+            shed_deadline: metrics.counter("server.jobs.shed_deadline"),
+            cancelled: metrics.counter("server.jobs.cancelled"),
             metrics,
         });
         let workers = (0..shared.config.workers)
@@ -305,7 +332,6 @@ impl JobService {
         R: Send + 'static,
         F: FnOnce(&JobRun) -> R + Send + 'static,
     {
-        let metrics = &self.shared.metrics;
         let deadline_at = deadline.and_then(|d| Instant::now().checked_add(d));
         let done: Slot<R>;
         let job_id;
@@ -314,13 +340,19 @@ impl JobService {
             if st.shutdown {
                 return Err(AdmissionError::ShuttingDown);
             }
+            let counters = match st.tenants.get(tenant) {
+                Some(counters) => counters.clone(),
+                None => {
+                    let counters = Arc::new(TenantCounters::resolve(&self.shared.metrics, tenant));
+                    st.tenants.insert(tenant.to_string(), counters.clone());
+                    counters
+                }
+            };
             let quota = self.shared.config.max_inflight_per_tenant;
             let inflight = st.inflight.get(tenant).copied().unwrap_or(0);
             if inflight >= quota {
                 drop(st);
-                metrics
-                    .counter(&format!("server.tenant.{tenant}.rejected"))
-                    .inc();
+                counters.rejected.inc();
                 return Err(AdmissionError::TenantOverQuota {
                     tenant: tenant.to_string(),
                     quota,
@@ -329,9 +361,7 @@ impl JobService {
             let capacity = self.shared.config.queue_capacity;
             if st.queue.len() >= capacity {
                 drop(st);
-                metrics
-                    .counter(&format!("server.tenant.{tenant}.rejected"))
-                    .inc();
+                counters.rejected.inc();
                 return Err(AdmissionError::QueueFull { capacity });
             }
             *st.inflight.entry(tenant.to_string()).or_insert(0) += 1;
@@ -355,10 +385,11 @@ impl JobService {
             let shared = self.shared.clone();
             let job_tenant = tenant.to_string();
             let job_cancel = cancel.clone();
+            let completed = counters.completed.clone();
             let task = Box::new(move |fate| {
                 let result = match fate {
                     Fate::Shed => {
-                        shared.metrics.counter("server.jobs.shed_deadline").inc();
+                        shared.shed_deadline.inc();
                         Err(AdmissionError::DeadlineExceeded)
                     }
                     Fate::Run => {
@@ -378,10 +409,7 @@ impl JobService {
                                     message: panic_message(payload.as_ref()),
                                 });
                         if result.is_ok() {
-                            shared
-                                .metrics
-                                .counter(&format!("server.tenant.{job_tenant}.completed"))
-                                .inc();
+                            completed.inc();
                         }
                         result
                     }
@@ -403,15 +431,13 @@ impl JobService {
                 *slot.lock() = Some(result);
                 cv.notify_all();
             });
+            counters.submitted.inc();
             st.queue.push_back(QueuedJob {
                 task,
                 deadline: deadline_at,
                 cancel,
             });
         }
-        metrics
-            .counter(&format!("server.tenant.{tenant}.submitted"))
-            .inc();
         self.shared.work_cv.notify_one();
         Ok(JobHandle { id: job_id, done })
     }
@@ -429,7 +455,7 @@ impl JobService {
         };
         match token {
             Some(token) if token.cancel(reason) => {
-                self.shared.metrics.counter("server.jobs.cancelled").inc();
+                self.shared.cancelled.inc();
                 true
             }
             _ => false,
@@ -448,10 +474,7 @@ impl JobService {
                 .collect()
         };
         let tripped = tokens.into_iter().filter(|t| t.cancel(reason)).count();
-        self.shared
-            .metrics
-            .counter("server.jobs.cancelled")
-            .add(tripped as u64);
+        self.shared.cancelled.add(tripped as u64);
         tripped
     }
 
@@ -463,10 +486,7 @@ impl JobService {
             st.jobs.values().map(|j| j.cancel.clone()).collect()
         };
         let tripped = tokens.into_iter().filter(|t| t.cancel(reason)).count();
-        self.shared
-            .metrics
-            .counter("server.jobs.cancelled")
-            .add(tripped as u64);
+        self.shared.cancelled.add(tripped as u64);
         tripped
     }
 

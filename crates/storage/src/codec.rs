@@ -1,13 +1,12 @@
 //! Record serialization codecs.
 //!
-//! Storage platforms need a durable representation of data quanta. Two
-//! codecs are provided:
+//! Storage platforms need a durable representation of data quanta:
 //!
 //! * the **native codec** — a loss-free, type-tagged, line-oriented text
-//!   format used by the local-FS store, the simulated HDFS store, and the
-//!   MapReduce-like platform's phase spills;
-//! * a **CSV codec** — for importing/exporting interoperable tabular data
-//!   (values are inferred as `Int`, then `Float`, then `Str`).
+//!   format used by the simulated HDFS store and the MapReduce-like
+//!   platform's phase spills;
+//! * a **CSV reader** — for Cartilage's `ParseCsv` step (values are
+//!   inferred as `Int`, then `Float`, then `Str`).
 
 use std::sync::Arc;
 
@@ -18,7 +17,7 @@ use rheem_core::error::{Result, RheemError};
 const FIELD_SEP: char = '\u{1f}';
 
 /// Encode one record into a single native-format line (no trailing newline).
-pub fn encode_record(record: &Record) -> String {
+fn encode_record(record: &Record) -> String {
     let mut out = String::new();
     for (i, v) in record.fields().iter().enumerate() {
         if i > 0 {
@@ -48,7 +47,7 @@ pub fn encode_record(record: &Record) -> String {
 }
 
 /// Decode one native-format line into a record.
-pub fn decode_record(line: &str) -> Result<Record> {
+fn decode_record(line: &str) -> Result<Record> {
     if line.is_empty() {
         return Ok(Record::empty());
     }
@@ -140,37 +139,9 @@ pub fn decode_batch(text: &str) -> Result<Vec<Record>> {
 // CSV
 // ---------------------------------------------------------------------------
 
-/// Render records as RFC-4180-ish CSV (quotes doubled, fields quoted when
-/// they contain separators). `Null` becomes the empty field.
-pub fn to_csv(records: &[Record]) -> String {
-    let mut out = String::new();
-    for r in records {
-        for (i, v) in r.fields().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match v {
-                Value::Null => {}
-                Value::Str(s) => out.push_str(&csv_quote(s)),
-                other => out.push_str(&other.to_string()),
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
-fn csv_quote(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
 /// Parse CSV text into records with type inference per field:
 /// empty → `Null`, else `Int`, else `Float`, else `Str`.
-pub fn from_csv(text: &str) -> Result<Vec<Record>> {
+pub(crate) fn from_csv(text: &str) -> Result<Vec<Record>> {
     let mut records = Vec::new();
     for line in text.lines() {
         records.push(Record::new(parse_csv_line(line)?));
@@ -303,17 +274,8 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trip_with_quoting() {
-        let records = vec![
-            rec![1i64, "alice", 3.5],
-            Record::new(vec![
-                Value::Null,
-                Value::str("a,b"),
-                Value::str("say \"hi\""),
-            ]),
-        ];
-        let csv = to_csv(&records);
-        let back = from_csv(&csv).unwrap();
+    fn csv_quoting() {
+        let back = from_csv("1,alice,3.5\n,\"a,b\",\"say \"\"hi\"\"\"\n").unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(back[0], rec![1i64, "alice", 3.5]);
         assert_eq!(back[1].get(0).unwrap(), &Value::Null);

@@ -2,36 +2,15 @@
 //!
 //! "We envision processing platforms or storage applications with
 //! specialized buffers for embracing frequently accessed data in their
-//! native format." A [`HotDataBuffer`] is an LRU cache keyed by
-//! `(dataset id, native format)` with a record-count capacity; the storage
-//! layer consults it before touching the backing store, so repeated access
-//! to hot datasets skips (simulated) I/O entirely.
+//! native format." A `HotDataBuffer` is an LRU cache of datasets keyed by
+//! id with a record-count capacity; the storage layer consults it before
+//! touching the backing store, so repeated access to hot datasets skips
+//! (simulated) I/O entirely.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rheem_core::data::Dataset;
-use rheem_core::observe::{Counter, MetricsRegistry};
-
-/// Cache key: which dataset, in which platform-native format.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct HotKey {
-    /// Dataset id.
-    pub dataset_id: String,
-    /// Native format tag (usually the consuming platform's name).
-    pub format: String,
-}
-
-impl HotKey {
-    /// Build a key.
-    pub fn new(dataset_id: impl Into<String>, format: impl Into<String>) -> Self {
-        HotKey {
-            dataset_id: dataset_id.into(),
-            format: format.into(),
-        }
-    }
-}
 
 /// Cache hit/miss counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -42,7 +21,7 @@ pub struct HotStats {
     pub misses: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
-    /// Entries dropped by [`HotDataBuffer::invalidate_dataset`].
+    /// Entries dropped because their dataset was written or re-placed.
     pub invalidations: u64,
 }
 
@@ -52,31 +31,21 @@ struct Entry {
 }
 
 struct Inner {
-    entries: HashMap<HotKey, Entry>,
+    entries: HashMap<String, Entry>,
     clock: u64,
     resident_records: usize,
     stats: HotStats,
 }
 
-/// Pre-resolved counter handles mirroring [`HotStats`] into a shared
-/// [`MetricsRegistry`] (no per-lookup name hashing).
-struct HotMetrics {
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    evictions: Arc<Counter>,
-    invalidations: Arc<Counter>,
-}
-
-/// An LRU cache of datasets in platform-native formats.
-pub struct HotDataBuffer {
+/// An LRU cache of datasets.
+pub(crate) struct HotDataBuffer {
     capacity_records: usize,
     inner: Mutex<Inner>,
-    metrics: Option<HotMetrics>,
 }
 
 impl HotDataBuffer {
     /// A buffer that holds at most `capacity_records` records in total.
-    pub fn new(capacity_records: usize) -> Self {
+    pub(crate) fn new(capacity_records: usize) -> Self {
         HotDataBuffer {
             capacity_records,
             inner: Mutex::new(Inner {
@@ -85,44 +54,23 @@ impl HotDataBuffer {
                 resident_records: 0,
                 stats: HotStats::default(),
             }),
-            metrics: None,
         }
     }
 
-    /// Mirror hit/miss/eviction/invalidation counts into `registry` as
-    /// the counters `storage.hot.hits`, `storage.hot.misses`,
-    /// `storage.hot.evictions`, and `storage.hot.invalidations` (in
-    /// addition to [`HotDataBuffer::stats`]).
-    pub fn with_metrics(mut self, registry: &MetricsRegistry) -> Self {
-        self.metrics = Some(HotMetrics {
-            hits: registry.counter("storage.hot.hits"),
-            misses: registry.counter("storage.hot.misses"),
-            evictions: registry.counter("storage.hot.evictions"),
-            invalidations: registry.counter("storage.hot.invalidations"),
-        });
-        self
-    }
-
     /// Look up a dataset, refreshing its recency on a hit.
-    pub fn get(&self, key: &HotKey) -> Option<Dataset> {
+    pub(crate) fn get(&self, dataset_id: &str) -> Option<Dataset> {
         let mut inner = self.inner.lock();
         inner.clock += 1;
         let clock = inner.clock;
-        match inner.entries.get_mut(key) {
+        match inner.entries.get_mut(dataset_id) {
             Some(e) => {
                 e.last_used = clock;
                 let data = e.data.clone();
                 inner.stats.hits += 1;
-                if let Some(m) = &self.metrics {
-                    m.hits.inc();
-                }
                 Some(data)
             }
             None => {
                 inner.stats.misses += 1;
-                if let Some(m) = &self.metrics {
-                    m.misses.inc();
-                }
                 None
             }
         }
@@ -135,7 +83,7 @@ impl HotDataBuffer {
     /// skipping, but its entry would still occupy a map slot and — worse —
     /// could serve a stale empty result for a dataset that has since been
     /// written (the old behavior; see the regression test).
-    pub fn put(&self, key: HotKey, data: Dataset) {
+    pub(crate) fn put(&self, dataset_id: &str, data: Dataset) {
         let len = data.len();
         if len == 0 || len > self.capacity_records {
             return;
@@ -143,7 +91,7 @@ impl HotDataBuffer {
         let mut inner = self.inner.lock();
         inner.clock += 1;
         let clock = inner.clock;
-        if let Some(old) = inner.entries.remove(&key) {
+        if let Some(old) = inner.entries.remove(dataset_id) {
             inner.resident_records -= old.data.len();
         }
         while inner.resident_records + len > self.capacity_records {
@@ -157,16 +105,13 @@ impl HotDataBuffer {
                     let e = inner.entries.remove(&k).expect("victim exists");
                     inner.resident_records -= e.data.len();
                     inner.stats.evictions += 1;
-                    if let Some(m) = &self.metrics {
-                        m.evictions.inc();
-                    }
                 }
                 None => break,
             }
         }
         inner.resident_records += len;
         inner.entries.insert(
-            key,
+            dataset_id.to_string(),
             Entry {
                 data,
                 last_used: clock,
@@ -174,39 +119,19 @@ impl HotDataBuffer {
         );
     }
 
-    /// Drop a dataset from the buffer in every format (called on writes so
+    /// Drop a dataset from the buffer (called on writes and placements so
     /// readers never see stale data).
-    pub fn invalidate_dataset(&self, dataset_id: &str) {
+    pub(crate) fn invalidate(&self, dataset_id: &str) {
         let mut inner = self.inner.lock();
-        let victims: Vec<HotKey> = inner
-            .entries
-            .keys()
-            .filter(|k| k.dataset_id == dataset_id)
-            .cloned()
-            .collect();
-        for k in victims {
-            let e = inner.entries.remove(&k).expect("victim exists");
+        if let Some(e) = inner.entries.remove(dataset_id) {
             inner.resident_records -= e.data.len();
             inner.stats.invalidations += 1;
-            if let Some(m) = &self.metrics {
-                m.invalidations.inc();
-            }
         }
     }
 
     /// Current counters.
-    pub fn stats(&self) -> HotStats {
+    pub(crate) fn stats(&self) -> HotStats {
         self.inner.lock().stats
-    }
-
-    /// Records currently cached.
-    pub fn resident_records(&self) -> usize {
-        self.inner.lock().resident_records
-    }
-
-    /// Number of cached entries (dataset × format pairs).
-    pub fn entries(&self) -> usize {
-        self.inner.lock().entries.len()
     }
 }
 
@@ -219,59 +144,54 @@ mod tests {
         Dataset::new((0..n).map(|i| rec![i]).collect())
     }
 
+    fn resident_records(buf: &HotDataBuffer) -> usize {
+        buf.inner.lock().resident_records
+    }
+
     #[test]
     fn hit_after_put() {
         let buf = HotDataBuffer::new(100);
-        let key = HotKey::new("a", "java");
-        assert!(buf.get(&key).is_none());
-        buf.put(key.clone(), ds(10));
-        assert_eq!(buf.get(&key).unwrap().len(), 10);
+        assert!(buf.get("a").is_none());
+        buf.put("a", ds(10));
+        assert_eq!(buf.get("a").unwrap().len(), 10);
         let s = buf.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
     }
 
     #[test]
-    fn formats_are_distinct_entries() {
-        let buf = HotDataBuffer::new(100);
-        buf.put(HotKey::new("a", "java"), ds(5));
-        assert!(buf.get(&HotKey::new("a", "spark")).is_none());
-        assert!(buf.get(&HotKey::new("a", "java")).is_some());
-    }
-
-    #[test]
     fn lru_eviction_prefers_cold_entries() {
         let buf = HotDataBuffer::new(20);
-        buf.put(HotKey::new("a", "f"), ds(10));
-        buf.put(HotKey::new("b", "f"), ds(10));
+        buf.put("a", ds(10));
+        buf.put("b", ds(10));
         // Touch `a` so `b` is the LRU victim.
-        buf.get(&HotKey::new("a", "f"));
-        buf.put(HotKey::new("c", "f"), ds(10));
-        assert!(buf.get(&HotKey::new("a", "f")).is_some());
-        assert!(buf.get(&HotKey::new("b", "f")).is_none());
-        assert!(buf.get(&HotKey::new("c", "f")).is_some());
+        buf.get("a");
+        buf.put("c", ds(10));
+        assert!(buf.get("a").is_some());
+        assert!(buf.get("b").is_none());
+        assert!(buf.get("c").is_some());
         assert_eq!(buf.stats().evictions, 1);
-        assert_eq!(buf.resident_records(), 20);
+        assert_eq!(resident_records(&buf), 20);
     }
 
     #[test]
     fn oversized_datasets_are_not_cached() {
         let buf = HotDataBuffer::new(5);
-        buf.put(HotKey::new("big", "f"), ds(100));
-        assert!(buf.get(&HotKey::new("big", "f")).is_none());
-        assert_eq!(buf.resident_records(), 0);
+        buf.put("big", ds(100));
+        assert!(buf.get("big").is_none());
+        assert_eq!(resident_records(&buf), 0);
     }
 
     #[test]
-    fn invalidation_clears_all_formats() {
+    fn invalidation_drops_only_the_written_dataset() {
         let buf = HotDataBuffer::new(100);
-        buf.put(HotKey::new("a", "java"), ds(5));
-        buf.put(HotKey::new("a", "spark"), ds(5));
-        buf.put(HotKey::new("b", "java"), ds(5));
-        buf.invalidate_dataset("a");
-        assert!(buf.get(&HotKey::new("a", "java")).is_none());
-        assert!(buf.get(&HotKey::new("a", "spark")).is_none());
-        assert!(buf.get(&HotKey::new("b", "java")).is_some());
-        assert_eq!(buf.resident_records(), 5);
+        buf.put("a", ds(5));
+        buf.put("b", ds(5));
+        buf.invalidate("a");
+        buf.invalidate("missing");
+        assert!(buf.get("a").is_none());
+        assert!(buf.get("b").is_some());
+        assert_eq!(buf.stats().invalidations, 1);
+        assert_eq!(resident_records(&buf), 5);
     }
 
     #[test]
@@ -279,39 +199,20 @@ mod tests {
         // Regression: an empty dataset used to occupy an entry and could
         // serve a stale empty result after the real dataset was written.
         let buf = HotDataBuffer::new(100);
-        let key = HotKey::new("a", "java");
-        buf.put(key.clone(), ds(0));
-        assert_eq!(buf.entries(), 0);
-        assert!(buf.get(&key).is_none());
+        buf.put("a", ds(0));
+        assert!(buf.inner.lock().entries.is_empty());
+        assert!(buf.get("a").is_none());
         // The backing store is consulted, sees the freshly written data,
         // and caches the non-empty version.
-        buf.put(key.clone(), ds(7));
-        assert_eq!(buf.get(&key).unwrap().len(), 7);
-    }
-
-    #[test]
-    fn invalidations_are_counted_per_entry_and_mirrored() {
-        let registry = MetricsRegistry::new();
-        let buf = HotDataBuffer::new(100).with_metrics(&registry);
-        buf.put(HotKey::new("a", "java"), ds(5));
-        buf.put(HotKey::new("a", "spark"), ds(5));
-        buf.put(HotKey::new("b", "java"), ds(5));
-        buf.invalidate_dataset("a");
-        buf.invalidate_dataset("missing");
-        assert_eq!(buf.stats().invalidations, 2);
-        assert_eq!(
-            registry.counter("storage.hot.invalidations").get(),
-            2,
-            "registry mirror must match HotStats"
-        );
-        assert_eq!(buf.entries(), 1);
+        buf.put("a", ds(7));
+        assert_eq!(buf.get("a").unwrap().len(), 7);
     }
 
     #[test]
     fn replacing_an_entry_updates_residency() {
         let buf = HotDataBuffer::new(100);
-        buf.put(HotKey::new("a", "f"), ds(10));
-        buf.put(HotKey::new("a", "f"), ds(3));
-        assert_eq!(buf.resident_records(), 3);
+        buf.put("a", ds(10));
+        buf.put("a", ds(3));
+        assert_eq!(resident_records(&buf), 3);
     }
 }

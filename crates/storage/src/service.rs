@@ -1,16 +1,16 @@
-//! The storage layer: RHEEM's three-level data storage abstraction (§6).
+//! The storage layer: RHEEM's three-level data storage abstraction (§6),
+//! each level in its simplest form.
 //!
-//! * **l-store** — [`StorageRequest`]s: what an application or processing
-//!   platform wants done with a dataset, with no placement decision;
-//! * **p-store** — [`StorageAtom`]s: requests bound to a concrete store and
-//!   transformation plan ("the minimum unit of data quanta transformation");
-//! * **x-store** — the [`crate::store::Store`] implementations that execute
-//!   atoms.
+//! * **l-store** — reads and writes by dataset id, through the processing
+//!   side's [`StorageService`] trait, with no placement decision;
+//! * **p-store** — the placement catalog ([`StorageLayer::place`],
+//!   [`StorageLayer::placement`]) binding an id to a store;
+//! * **x-store** — the [`crate::store::Store`] implementations holding the
+//!   data.
 //!
-//! [`StorageLayer`] owns the registered stores, a catalog mapping dataset
-//! ids to their placement, the hot-data buffer, and implements the
-//! processing side's [`StorageService`] trait so `StorageSource`/
-//! `StorageSink` operators work against it transparently.
+//! [`StorageLayer`] owns the registered stores, the catalog and an optional
+//! hot-data buffer, so `StorageSource`/`WriteStorage` operators work
+//! against it whichever store holds a dataset.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -21,69 +21,8 @@ use rheem_core::data::Dataset;
 use rheem_core::error::{Result, RheemError};
 use rheem_core::platform::StorageService;
 
-use crate::hot::{HotDataBuffer, HotKey};
-use crate::optimizer::{decide, AccessPattern};
-use crate::store::{Store, StoreKind};
-use crate::transform::TransformationPlan;
-
-/// An l-store request: placement-free intent.
-#[derive(Clone)]
-pub enum StorageRequest {
-    /// Ingest a dataset (the layer decides where/how unless pinned).
-    Ingest {
-        /// Dataset id to create.
-        dataset_id: String,
-        /// The data.
-        data: Dataset,
-        /// Expected workload, for the storage optimizer.
-        pattern: Option<AccessPattern>,
-    },
-    /// Re-materialize a dataset under a transformation.
-    Transform {
-        /// Source dataset.
-        source_id: String,
-        /// Target dataset id.
-        target_id: String,
-        /// The Cartilage transformation plan.
-        plan: TransformationPlan,
-    },
-    /// Move a dataset to a specific store.
-    Migrate {
-        /// Dataset to move.
-        dataset_id: String,
-        /// Destination store name.
-        to_store: String,
-    },
-    /// Drop a dataset.
-    Drop {
-        /// Dataset to drop.
-        dataset_id: String,
-    },
-}
-
-/// A p-store atom: a request bound to a concrete store.
-#[derive(Clone)]
-pub struct StorageAtom {
-    /// The bound request.
-    pub request: StorageRequest,
-    /// Store that executes it.
-    pub store: String,
-    /// Index to build after ingestion, when placed on a relational store.
-    pub index_column: Option<usize>,
-}
-
-/// Aggregated I/O accounting for the layer.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StorageMetrics {
-    /// Dataset reads served (including hot-buffer hits).
-    pub reads: u64,
-    /// Dataset writes.
-    pub writes: u64,
-    /// Serialized bytes moved by backing stores.
-    pub bytes: u64,
-    /// Simulated store latency charged.
-    pub simulated_ms: f64,
-}
+use crate::hot::{HotDataBuffer, HotStats};
+use crate::store::Store;
 
 /// The storage abstraction's core-layer component.
 pub struct StorageLayer {
@@ -91,7 +30,6 @@ pub struct StorageLayer {
     default_store: String,
     catalog: Mutex<HashMap<String, String>>,
     hot: Option<HotDataBuffer>,
-    metrics: Mutex<StorageMetrics>,
 }
 
 impl StorageLayer {
@@ -103,7 +41,6 @@ impl StorageLayer {
             default_store: name,
             catalog: Mutex::new(HashMap::new()),
             hot: None,
-            metrics: Mutex::new(StorageMetrics::default()),
         }
     }
 
@@ -119,29 +56,12 @@ impl StorageLayer {
         self
     }
 
-    /// Enable a hot-data buffer that also mirrors its hit/miss/eviction
-    /// counts into a shared observability registry (see
-    /// [`HotDataBuffer::with_metrics`]).
-    pub fn with_observed_hot_buffer(
-        mut self,
-        capacity_records: usize,
-        registry: &rheem_core::observe::MetricsRegistry,
-    ) -> Self {
-        self.hot = Some(HotDataBuffer::new(capacity_records).with_metrics(registry));
-        self
-    }
-
     /// Resolve a store by name.
     pub fn store(&self, name: &str) -> Result<&Arc<dyn Store>> {
         self.stores
             .iter()
             .find(|s| s.name() == name)
             .ok_or_else(|| RheemError::Storage(format!("unknown store: {name}")))
-    }
-
-    /// The first registered store of a given kind, if any.
-    pub fn store_of_kind(&self, kind: StoreKind) -> Option<&Arc<dyn Store>> {
-        self.stores.iter().find(|s| s.kind() == kind)
     }
 
     /// Which store holds a dataset (catalog lookup, default otherwise).
@@ -153,341 +73,75 @@ impl StorageLayer {
             .unwrap_or_else(|| self.default_store.clone())
     }
 
-    /// Pin a dataset id to a store (for data that already lives somewhere).
+    /// Pin a dataset id to a store: later reads and writes of the id go
+    /// there. Data already on that store becomes visible under the id.
     pub fn place(&self, dataset_id: impl Into<String>, store: impl Into<String>) {
-        self.catalog.lock().insert(dataset_id.into(), store.into());
-    }
-
-    /// Kinds of all registered stores.
-    pub fn available_kinds(&self) -> Vec<StoreKind> {
-        self.stores.iter().map(|s| s.kind()).collect()
-    }
-
-    /// Current accounting.
-    pub fn metrics(&self) -> StorageMetrics {
-        *self.metrics.lock()
+        let dataset_id = dataset_id.into();
+        if let Some(hot) = &self.hot {
+            hot.invalidate(&dataset_id);
+        }
+        self.catalog.lock().insert(dataset_id, store.into());
     }
 
     /// Hot buffer statistics, if a buffer is enabled.
-    pub fn hot_stats(&self) -> Option<crate::hot::HotStats> {
+    pub fn hot_stats(&self) -> Option<HotStats> {
         self.hot.as_ref().map(|h| h.stats())
     }
 
-    // -- planning ----------------------------------------------------------
-
-    /// Bind an l-store request to a store and transformation (p-store).
-    ///
-    /// `Ingest` without an explicit pattern lands on the default store with
-    /// the identity plan; with a pattern, the WWHow!-style optimizer picks
-    /// placement, layout, and indexing.
-    pub fn plan(&self, request: StorageRequest) -> Result<StorageAtom> {
-        match &request {
-            StorageRequest::Ingest { pattern, .. } => {
-                let (store, index_column) = match pattern {
-                    None => (self.default_store.clone(), None),
-                    Some(p) => {
-                        let decision = decide(p, &self.available_kinds())?;
-                        let store = self
-                            .store_of_kind(decision.kind)
-                            .ok_or_else(|| {
-                                RheemError::Storage(format!(
-                                    "optimizer chose {:?} but no such store is registered",
-                                    decision.kind
-                                ))
-                            })?
-                            .name()
-                            .to_string();
-                        (store, decision.index_column)
-                    }
-                };
-                Ok(StorageAtom {
-                    request,
-                    store,
-                    index_column,
-                })
-            }
-            StorageRequest::Transform { source_id, .. } => Ok(StorageAtom {
-                store: self.placement(source_id),
-                request,
-                index_column: None,
-            }),
-            StorageRequest::Migrate { to_store, .. } => {
-                // Validate the destination now, fail fast.
-                self.store(to_store)?;
-                Ok(StorageAtom {
-                    store: to_store.clone(),
-                    request,
-                    index_column: None,
-                })
-            }
-            StorageRequest::Drop { dataset_id } => Ok(StorageAtom {
-                store: self.placement(dataset_id),
-                request,
-                index_column: None,
-            }),
-        }
-    }
-
-    /// Execute a bound storage atom (x-store level).
-    pub fn execute(&self, atom: StorageAtom) -> Result<()> {
-        match atom.request {
-            StorageRequest::Ingest {
-                dataset_id,
-                data,
-                pattern,
-            } => {
-                let plan = match &pattern {
-                    Some(p) => decide(p, &self.available_kinds())?.plan,
-                    None => TransformationPlan::identity(),
-                };
-                let transformed = plan.apply(data)?;
-                let store = self.store(&atom.store)?;
-                let report = store.write(&dataset_id, &transformed)?;
-                self.account_write(report);
-                if let Some(col) = atom.index_column {
-                    if let Some(rel) = store
-                        .as_ref()
-                        .as_any()
-                        .downcast_ref::<crate::store::RelationalStore>()
-                    {
-                        rel.create_index(&dataset_id, col)?;
-                    }
-                }
-                self.place(&dataset_id, &atom.store);
-                self.invalidate(&dataset_id);
-                Ok(())
-            }
-            StorageRequest::Transform {
-                source_id,
-                target_id,
-                plan,
-            } => {
-                let data = self.read_internal(&source_id)?;
-                let transformed = plan.apply(data)?;
-                let store = self.store(&atom.store)?;
-                let report = store.write(&target_id, &transformed)?;
-                self.account_write(report);
-                self.place(&target_id, &atom.store);
-                self.invalidate(&target_id);
-                Ok(())
-            }
-            StorageRequest::Migrate {
-                dataset_id,
-                to_store,
-            } => {
-                let from = self.placement(&dataset_id);
-                if from == to_store {
-                    return Ok(());
-                }
-                let data = self.read_internal(&dataset_id)?;
-                let report = self.store(&to_store)?.write(&dataset_id, &data)?;
-                self.account_write(report);
-                self.store(&from)?.delete(&dataset_id)?;
-                self.place(&dataset_id, &to_store);
-                self.invalidate(&dataset_id);
-                Ok(())
-            }
-            StorageRequest::Drop { dataset_id } => {
-                self.store(&atom.store)?.delete(&dataset_id)?;
-                self.catalog.lock().remove(&dataset_id);
-                self.invalidate(&dataset_id);
-                Ok(())
-            }
-        }
-    }
-
-    /// Plan and execute a request in one step.
-    pub fn submit(&self, request: StorageRequest) -> Result<()> {
-        let atom = self.plan(request)?;
-        self.execute(atom)
-    }
-
-    /// Plan and execute a whole *storage plan* — an ordered sequence of
-    /// requests (the storage-side analogue of an execution plan's task
-    /// atoms, §6: "an execution storage plan is composed of storage
-    /// atoms"). Atoms are planned eagerly but executed in order, so later
-    /// requests see the placements earlier ones created. Fails fast on the
-    /// first error; earlier atoms remain applied (storage operations are
-    /// not transactional, as in the systems being modeled).
-    pub fn submit_all(&self, requests: Vec<StorageRequest>) -> Result<usize> {
-        let n = requests.len();
-        for request in requests {
-            self.submit(request)?;
-        }
-        Ok(n)
-    }
-
-    // -- internals ---------------------------------------------------------
-
-    fn invalidate(&self, dataset_id: &str) {
-        if let Some(hot) = &self.hot {
-            hot.invalidate_dataset(dataset_id);
-        }
-    }
-
-    fn account_write(&self, report: crate::store::StorageReport) {
-        let mut m = self.metrics.lock();
-        m.writes += 1;
-        m.bytes += report.bytes;
-        m.simulated_ms += report.simulated_ms;
-    }
-
-    fn read_internal(&self, dataset_id: &str) -> Result<Dataset> {
-        let store_name = self.placement(dataset_id);
-        if let Some(hot) = &self.hot {
-            let key = HotKey::new(dataset_id, "raw");
-            if let Some(data) = hot.get(&key) {
-                self.metrics.lock().reads += 1;
-                return Ok(data);
-            }
-            let (data, report) = self.store(&store_name)?.read(dataset_id)?;
-            {
-                let mut m = self.metrics.lock();
-                m.reads += 1;
-                m.bytes += report.bytes;
-                m.simulated_ms += report.simulated_ms;
-            }
-            hot.put(key, data.clone());
-            Ok(data)
-        } else {
-            let (data, report) = self.store(&store_name)?.read(dataset_id)?;
-            let mut m = self.metrics.lock();
-            m.reads += 1;
-            m.bytes += report.bytes;
-            m.simulated_ms += report.simulated_ms;
-            Ok(data)
-        }
+    fn placed_store(&self, dataset_id: &str) -> Result<&Arc<dyn Store>> {
+        self.store(&self.placement(dataset_id))
     }
 }
 
 impl StorageService for StorageLayer {
     fn read(&self, dataset_id: &str) -> Result<Dataset> {
-        self.read_internal(dataset_id)
+        let Some(hot) = &self.hot else {
+            return self.placed_store(dataset_id)?.read(dataset_id);
+        };
+        if let Some(data) = hot.get(dataset_id) {
+            return Ok(data);
+        }
+        let data = self.placed_store(dataset_id)?.read(dataset_id)?;
+        hot.put(dataset_id, data.clone());
+        Ok(data)
     }
 
+    /// Write to the store the id is placed on (the default store when it
+    /// is unplaced); the placement does not change.
     fn write(&self, dataset_id: &str, data: &Dataset) -> Result<()> {
-        self.submit(StorageRequest::Ingest {
-            dataset_id: dataset_id.to_string(),
-            data: data.clone(),
-            pattern: None,
-        })
+        self.placed_store(dataset_id)?.write(dataset_id, data)?;
+        if let Some(hot) = &self.hot {
+            hot.invalidate(dataset_id);
+        }
+        Ok(())
     }
 
     fn cardinality(&self, dataset_id: &str) -> Option<u64> {
-        let store_name = self.placement(dataset_id);
-        self.store(&store_name).ok()?.cardinality(dataset_id)
+        self.placed_store(dataset_id).ok()?.cardinality(dataset_id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{MemStore, RelationalStore, SimHdfsConfig, SimHdfsStore};
+    use crate::store::{MemStore, SimHdfsConfig, SimHdfsStore};
     use rheem_core::rec;
-
-    fn layer_all_stores() -> StorageLayer {
-        StorageLayer::new(Arc::new(MemStore::new("mem")))
-            .with_store(Arc::new(SimHdfsStore::new(
-                "hdfs",
-                SimHdfsConfig::default(),
-            )))
-            .with_store(Arc::new(RelationalStore::new("db")))
-    }
 
     fn nums(n: i64) -> Dataset {
         Dataset::new((0..n).map(|i| rec![i, i * 10]).collect())
     }
 
     #[test]
-    fn ingest_without_pattern_uses_default_store() {
-        let layer = layer_all_stores();
-        layer
-            .submit(StorageRequest::Ingest {
-                dataset_id: "d".into(),
-                data: nums(5),
-                pattern: None,
-            })
-            .unwrap();
+    fn unplaced_ids_use_the_default_store() {
+        let layer = StorageLayer::new(Arc::new(MemStore::new("mem"))).with_store(Arc::new(
+            SimHdfsStore::new("hdfs", SimHdfsConfig::default()),
+        ));
+        StorageService::write(&layer, "d", &nums(5)).unwrap();
         assert_eq!(layer.placement("d"), "mem");
         assert_eq!(StorageService::read(&layer, "d").unwrap().len(), 5);
-    }
-
-    #[test]
-    fn optimizer_places_scan_heavy_big_data_on_hdfs() {
-        let layer = layer_all_stores();
-        layer
-            .submit(StorageRequest::Ingest {
-                dataset_id: "big".into(),
-                data: nums(1000),
-                pattern: Some(AccessPattern::scan_heavy(1e8, 10.0)),
-            })
-            .unwrap();
-        assert_eq!(layer.placement("big"), "hdfs");
-    }
-
-    #[test]
-    fn optimizer_places_lookup_heavy_data_on_relational_with_index() {
-        let layer = layer_all_stores();
-        layer
-            .submit(StorageRequest::Ingest {
-                dataset_id: "ops".into(),
-                data: nums(100),
-                pattern: Some(AccessPattern::lookup_heavy(1e7, 1e5, 0)),
-            })
-            .unwrap();
-        assert_eq!(layer.placement("ops"), "db");
-        let db = layer.store("db").unwrap();
-        let rel = db
-            .as_ref()
-            .as_any()
-            .downcast_ref::<RelationalStore>()
-            .unwrap();
-        assert!(rel.has_index("ops", 0));
-    }
-
-    #[test]
-    fn migrate_moves_data_and_updates_catalog() {
-        let layer = layer_all_stores();
-        StorageService::write(&layer, "d", &nums(3)).unwrap();
-        layer
-            .submit(StorageRequest::Migrate {
-                dataset_id: "d".into(),
-                to_store: "hdfs".into(),
-            })
-            .unwrap();
-        assert_eq!(layer.placement("d"), "hdfs");
-        assert_eq!(StorageService::read(&layer, "d").unwrap().len(), 3);
-        // Gone from the old store.
-        assert!(layer.store("mem").unwrap().read("d").is_err());
-    }
-
-    #[test]
-    fn transform_materializes_derived_dataset() {
-        use crate::transform::TransformStep;
-        let layer = layer_all_stores();
-        StorageService::write(&layer, "src", &nums(4)).unwrap();
-        layer
-            .submit(StorageRequest::Transform {
-                source_id: "src".into(),
-                target_id: "proj".into(),
-                plan: TransformationPlan::named("p").then(TransformStep::Project(vec![1])),
-            })
-            .unwrap();
-        let out = StorageService::read(&layer, "proj").unwrap();
-        assert_eq!(out.records()[0], rec![0i64]);
-        assert_eq!(out.records()[3], rec![30i64]);
-    }
-
-    #[test]
-    fn drop_removes_dataset() {
-        let layer = layer_all_stores();
-        StorageService::write(&layer, "d", &nums(2)).unwrap();
-        layer
-            .submit(StorageRequest::Drop {
-                dataset_id: "d".into(),
-            })
-            .unwrap();
-        assert!(StorageService::read(&layer, "d").is_err());
+        assert_eq!(layer.cardinality("d"), Some(5));
+        assert!(layer.store("hdfs").unwrap().read("d").is_err());
+        assert!(layer.store("nope").is_err());
     }
 
     #[test]
@@ -501,87 +155,25 @@ mod tests {
         )))
         .with_hot_buffer(10_000);
         StorageService::write(&layer, "d", &nums(100)).unwrap();
-        let before = layer.metrics();
         for _ in 0..5 {
-            StorageService::read(&layer, "d").unwrap();
+            assert_eq!(StorageService::read(&layer, "d").unwrap().len(), 100);
         }
-        let after = layer.metrics();
         let hot = layer.hot_stats().unwrap();
-        assert_eq!(hot.hits, 4); // first read misses, rest hit
-        assert_eq!(hot.misses, 1);
-        // Only one read hit the backing store's simulated latency.
-        assert!(after.simulated_ms - before.simulated_ms > 0.0);
-        assert_eq!(after.reads - before.reads, 5);
+        assert_eq!((hot.hits, hot.misses), (4, 1)); // first read misses
     }
 
     #[test]
-    fn writes_invalidate_hot_entries() {
-        let layer = StorageLayer::new(Arc::new(MemStore::new("mem"))).with_hot_buffer(10_000);
+    fn writes_and_placements_invalidate_hot_entries() {
+        let other = Arc::new(MemStore::new("other"));
+        let layer = StorageLayer::new(Arc::new(MemStore::new("mem")))
+            .with_store(other.clone())
+            .with_hot_buffer(10_000);
         StorageService::write(&layer, "d", &nums(3)).unwrap();
         assert_eq!(StorageService::read(&layer, "d").unwrap().len(), 3);
         StorageService::write(&layer, "d", &nums(7)).unwrap();
         assert_eq!(StorageService::read(&layer, "d").unwrap().len(), 7);
-    }
-
-    #[test]
-    fn storage_plans_execute_in_order() {
-        use crate::transform::TransformStep;
-        let layer = layer_all_stores();
-        let n = layer
-            .submit_all(vec![
-                StorageRequest::Ingest {
-                    dataset_id: "raw".into(),
-                    data: nums(10),
-                    pattern: None,
-                },
-                StorageRequest::Transform {
-                    source_id: "raw".into(),
-                    target_id: "slim".into(),
-                    plan: TransformationPlan::named("p").then(TransformStep::Project(vec![0])),
-                },
-                StorageRequest::Migrate {
-                    dataset_id: "slim".into(),
-                    to_store: "hdfs".into(),
-                },
-                StorageRequest::Drop {
-                    dataset_id: "raw".into(),
-                },
-            ])
-            .unwrap();
-        assert_eq!(n, 4);
-        assert_eq!(layer.placement("slim"), "hdfs");
-        let slim = StorageService::read(&layer, "slim").unwrap();
-        assert_eq!(slim.records()[0].width(), 1);
-        assert!(StorageService::read(&layer, "raw").is_err());
-    }
-
-    #[test]
-    fn storage_plans_fail_fast_but_keep_earlier_effects() {
-        let layer = layer_all_stores();
-        let err = layer.submit_all(vec![
-            StorageRequest::Ingest {
-                dataset_id: "kept".into(),
-                data: nums(3),
-                pattern: None,
-            },
-            StorageRequest::Migrate {
-                dataset_id: "kept".into(),
-                to_store: "nonexistent".into(),
-            },
-        ]);
-        assert!(err.is_err());
-        assert_eq!(StorageService::read(&layer, "kept").unwrap().len(), 3);
-    }
-
-    #[test]
-    fn unknown_store_references_fail_fast() {
-        let layer = layer_all_stores();
-        StorageService::write(&layer, "d", &nums(1)).unwrap();
-        assert!(layer
-            .plan(StorageRequest::Migrate {
-                dataset_id: "d".into(),
-                to_store: "nope".into(),
-            })
-            .is_err());
+        other.write("d", &nums(2)).unwrap();
+        layer.place("d", "other");
+        assert_eq!(StorageService::read(&layer, "d").unwrap().len(), 2);
     }
 }

@@ -54,22 +54,13 @@ impl TransformStep {
 }
 
 /// A named sequence of transformation steps.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct TransformationPlan {
-    /// Plan name for catalogs and explanations.
-    pub name: String,
+    name: String,
     steps: Vec<TransformStep>,
 }
 
 impl TransformationPlan {
-    /// The identity plan (raw data stored as-is).
-    pub fn identity() -> Self {
-        TransformationPlan {
-            name: "identity".into(),
-            steps: Vec::new(),
-        }
-    }
-
     /// An empty plan with a name; chain steps with [`TransformationPlan::then`].
     pub fn named(name: impl Into<String>) -> Self {
         TransformationPlan {
@@ -82,11 +73,6 @@ impl TransformationPlan {
     pub fn then(mut self, step: TransformStep) -> Self {
         self.steps.push(step);
         self
-    }
-
-    /// The steps in application order.
-    pub fn steps(&self) -> &[TransformStep] {
-        &self.steps
     }
 
     /// Apply all steps to a dataset.
@@ -129,17 +115,13 @@ impl TransformationPlan {
         }
         Ok(Dataset::new(records))
     }
-
-    /// Human-readable rendering.
-    pub fn explain(&self) -> String {
-        let steps: Vec<String> = self.steps.iter().map(|s| s.name()).collect();
-        format!("{}: [{}]", self.name, steps.join(" -> "))
-    }
 }
 
+/// Renders `name: [step -> step ...]`.
 impl std::fmt::Debug for TransformationPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.explain())
+        let steps: Vec<String> = self.steps.iter().map(|s| s.name()).collect();
+        write!(f, "{}: [{}]", self.name, steps.join(" -> "))
     }
 }
 
@@ -149,9 +131,11 @@ mod tests {
     use rheem_core::rec;
 
     #[test]
-    fn identity_plan_is_a_no_op() {
+    fn empty_plan_is_a_no_op() {
         let data = Dataset::new(vec![rec![1i64, "a"]]);
-        let out = TransformationPlan::identity().apply(data.clone()).unwrap();
+        let out = TransformationPlan::named("raw")
+            .apply(data.clone())
+            .unwrap();
         assert_eq!(out, data);
     }
 
@@ -171,7 +155,7 @@ mod tests {
             });
         let out = plan.apply(raw).unwrap();
         assert_eq!(out.records(), &[rec![1i64, 10i64], rec![3i64, 30i64]]);
-        assert!(plan.explain().contains("ParseCsv"));
+        assert!(format!("{plan:?}").starts_with("ingest: [ParseCsv -> FilterRows(numeric)"));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! This example wires all of it together:
 //! 1. raw downhole sensor readings live in the simulated HDFS;
-//! 2. well metadata lives in the relational store;
+//! 2. well metadata lives in a second, in-memory store (`db`);
 //! 3. the plan cleans the readings (UDF filter), joins them with well
 //!    metadata (relational-friendly equi-join), aggregates per well, and
 //!    hands per-well features to a regression model trained with an
@@ -26,7 +26,7 @@ use rheem::rec;
 use rheem_core::platform::StorageService;
 use rheem_datagen::relational::{plausible_pressure, sensor_readings};
 use rheem_ml::LinRegTrainer;
-use rheem_storage::{MemStore, RelationalStore, SimHdfsConfig, SimHdfsStore};
+use rheem_storage::{MemStore, SimHdfsConfig, SimHdfsStore};
 
 fn main() -> Result<(), RheemError> {
     // ---------------------------------------------------------- storage side
@@ -35,21 +35,16 @@ fn main() -> Result<(), RheemError> {
             "hdfs",
             SimHdfsConfig::default(),
         )))
-        .with_store(Arc::new(RelationalStore::new("db")))
-        .with_store(Arc::new(MemStore::new("mem")))
+        .with_store(Arc::new(MemStore::new("db")))
         .with_hot_buffer(1_000_000),
     );
 
     // Sensor readings land on the distributed FS (400k readings, 24 wells).
     let readings = Dataset::new(sensor_readings(400_000, 24, 0.05, 42));
-    storage.write("sensor-readings", &readings)?;
     storage.place("sensor-readings", "hdfs");
-    storage
-        .store("hdfs")
-        .expect("registered")
-        .write("sensor-readings", &readings)?;
+    storage.write("sensor-readings", &readings)?;
 
-    // Well metadata sits in the relational store: [well_id, depth_km].
+    // Well metadata sits in the `db` store: [well_id, depth_km].
     let wells: Vec<Record> = (0..24i64)
         .map(|w| rec![w, 1.0 + (w % 7) as f64 * 0.35])
         .collect();

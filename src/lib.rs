@@ -44,5 +44,5 @@ pub mod prelude {
     pub use rheem_platforms::{
         JavaPlatform, MapReduceLikePlatform, OverheadConfig, RelationalPlatform, SparkLikePlatform,
     };
-    pub use rheem_storage::{StorageLayer, StorageRequest};
+    pub use rheem_storage::StorageLayer;
 }

@@ -243,33 +243,6 @@ fn failed_attempts_do_not_pollute_the_calibration_table() {
 }
 
 // ---------------------------------------------------------------------------
-// Storage hot-buffer metrics share the same registry
-// ---------------------------------------------------------------------------
-
-#[test]
-fn hot_buffer_counters_land_in_the_shared_registry() {
-    use rheem_core::platform::StorageService;
-    use rheem_storage::MemStore;
-
-    let observe = Arc::new(Observability::new());
-    let layer = Arc::new(
-        StorageLayer::new(Arc::new(MemStore::new("mem")))
-            .with_observed_hot_buffer(10_000, observe.metrics()),
-    );
-    layer
-        .write("d", &Dataset::new((0..50i64).map(|i| rec![i]).collect()))
-        .unwrap();
-    for _ in 0..3 {
-        StorageService::read(layer.as_ref(), "d").unwrap();
-    }
-    let m = observe.metrics();
-    assert_eq!(m.counter_value("storage.hot.misses"), 1);
-    assert_eq!(m.counter_value("storage.hot.hits"), 2);
-    // And the rendered registry carries them alongside executor metrics.
-    assert!(m.render().contains("counter storage.hot.hits 2"));
-}
-
-// ---------------------------------------------------------------------------
 // Property-based replay over random multi-platform plans
 // ---------------------------------------------------------------------------
 

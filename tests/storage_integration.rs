@@ -1,18 +1,15 @@
 //! Processing ↔ storage integration (paper §6): plans read and write
-//! through the storage abstraction, the WWHow!-style optimizer places
-//! datasets, Cartilage plans shape layouts, and hot buffers absorb
-//! repeated access — all through the same `StorageSource`/`StorageSink`
-//! operators regardless of which store holds the data.
+//! through the storage abstraction, the placement catalog decides which
+//! store serves an id, Cartilage plans shape layouts, and hot buffers
+//! absorb repeated access — all through the same `StorageSource`/
+//! `WriteStorage` operators regardless of which store holds the data.
 
 use std::sync::Arc;
 
 use rheem::prelude::*;
 use rheem::rec;
 use rheem_core::platform::StorageService;
-use rheem_storage::{
-    AccessPattern, LocalFsStore, MemStore, RelationalStore, SimHdfsConfig, SimHdfsStore,
-    StorageRequest, TransformStep, TransformationPlan,
-};
+use rheem_storage::{MemStore, SimHdfsConfig, SimHdfsStore, TransformStep, TransformationPlan};
 
 fn layer() -> Arc<StorageLayer> {
     Arc::new(
@@ -21,7 +18,6 @@ fn layer() -> Arc<StorageLayer> {
                 "hdfs",
                 SimHdfsConfig::default(),
             )))
-            .with_store(Arc::new(RelationalStore::new("db")))
             .with_hot_buffer(100_000),
     )
 }
@@ -35,6 +31,14 @@ fn ctx_with(storage: Arc<StorageLayer>) -> RheemContext {
         .with_storage(storage)
 }
 
+fn count_of(ctx: &RheemContext, dataset_id: &str) -> i64 {
+    let mut b = PlanBuilder::new();
+    let src = b.storage_source(dataset_id);
+    let sink = b.count(src);
+    let result = ctx.execute(b.build().unwrap()).unwrap();
+    rheem_core::interpreter::read_count(&result.outputs[&sink]).unwrap()
+}
+
 #[test]
 fn plans_read_and_write_across_stores() {
     let storage = layer();
@@ -42,59 +46,61 @@ fn plans_read_and_write_across_stores() {
 
     // Seed input on the simulated HDFS.
     let input: Vec<Record> = (0..500i64).map(|i| rec![i, i * 3]).collect();
+    storage.place("input", "hdfs");
     storage
-        .submit(StorageRequest::Ingest {
-            dataset_id: "input".into(),
-            data: Dataset::new(input),
-            pattern: Some(AccessPattern::scan_heavy(1e8, 10.0)), // → hdfs
-        })
+        .store("hdfs")
+        .unwrap()
+        .write("input", &Dataset::new(input))
         .unwrap();
-    assert_eq!(storage.placement("input"), "hdfs");
 
     // Process it and write the result back; the derived dataset lands on
-    // the default store (mem) unless placed explicitly.
+    // the default store (mem) because it is not placed.
     let mut b = PlanBuilder::new();
     let src = b.storage_source("input");
     let f = b.filter(src, FilterUdf::new("even", |r| r.int(0).unwrap() % 2 == 0));
     b.write_storage(f, "derived");
     ctx.execute(b.build().unwrap()).unwrap();
 
-    let derived = StorageService::read(storage.as_ref(), "derived").unwrap();
-    assert_eq!(derived.len(), 250);
-    // The result is readable by another plan.
-    let mut b = PlanBuilder::new();
-    let src = b.storage_source("derived");
-    let sink = b.count(src);
-    let result = ctx.execute(b.build().unwrap()).unwrap();
+    assert_eq!(storage.placement("derived"), "mem");
     assert_eq!(
-        rheem_core::interpreter::read_count(&result.outputs[&sink]).unwrap(),
-        250
+        storage.store("mem").unwrap().cardinality("derived"),
+        Some(250)
     );
+    // The result is readable by another plan.
+    assert_eq!(count_of(&ctx, "derived"), 250);
 }
 
 #[test]
-fn migration_is_transparent_to_plans() {
+fn placement_is_transparent_to_plans() {
     let storage = layer();
     let ctx = ctx_with(storage.clone());
-    let data: Vec<Record> = (0..100i64).map(|i| rec![i]).collect();
-    StorageService::write(storage.as_ref(), "d", &Dataset::new(data)).unwrap();
+    let data = Dataset::new((0..100i64).map(|i| rec![i]).collect());
+    StorageService::write(storage.as_ref(), "d", &data).unwrap();
+    assert_eq!(storage.placement("d"), "mem");
+    assert_eq!(count_of(&ctx, "d"), 100);
 
-    let run_count = || {
-        let mut b = PlanBuilder::new();
-        let src = b.storage_source("d");
-        let sink = b.count(src);
-        let result = ctx.execute(b.build().unwrap()).unwrap();
-        rheem_core::interpreter::read_count(&result.outputs[&sink]).unwrap()
-    };
-    assert_eq!(run_count(), 100);
-    storage
-        .submit(StorageRequest::Migrate {
-            dataset_id: "d".into(),
-            to_store: "db".into(),
-        })
-        .unwrap();
-    assert_eq!(storage.placement("d"), "db");
-    assert_eq!(run_count(), 100, "same plan, new store, same answer");
+    // The same id now lives on the simulated HDFS, with different contents
+    // so the plan cannot be answered from the old copy.
+    let moved = Dataset::new((0..40i64).map(|i| rec![i]).collect());
+    storage.store("hdfs").unwrap().write("d", &moved).unwrap();
+    storage.place("d", "hdfs");
+    assert_eq!(storage.placement("d"), "hdfs");
+    assert_eq!(count_of(&ctx, "d"), 40, "same plan, new store");
+}
+
+#[test]
+fn writes_go_where_the_id_is_placed() {
+    let storage = layer();
+    storage.place("d", "hdfs");
+    let v1 = Dataset::new((0..3i64).map(|i| rec![i]).collect());
+    let v2 = Dataset::new((0..5i64).map(|i| rec![i * 10]).collect());
+    StorageService::write(storage.as_ref(), "d", &v1).unwrap();
+    StorageService::write(storage.as_ref(), "d", &v2).unwrap();
+
+    assert_eq!(storage.placement("d"), "hdfs");
+    assert_eq!(storage.store("hdfs").unwrap().read("d").unwrap(), v2);
+    assert!(storage.store("mem").unwrap().read("d").is_err());
+    assert_eq!(StorageService::read(storage.as_ref(), "d").unwrap(), v2);
 }
 
 #[test]
@@ -110,22 +116,17 @@ fn cartilage_transformation_feeds_processing() {
         rec!["oops"],
         rec!["3,bob"],
     ];
-    StorageService::write(storage.as_ref(), "raw", &Dataset::new(raw)).unwrap();
-    storage
-        .submit(StorageRequest::Transform {
-            source_id: "raw".into(),
-            target_id: "people".into(),
-            plan: TransformationPlan::named("ingest")
-                .then(TransformStep::ParseCsv)
-                .then(TransformStep::FilterRows(FilterUdf::new("valid", |r| {
-                    r.width() == 2 && r.int(0).is_ok()
-                })))
-                .then(TransformStep::SortBy {
-                    column: 0,
-                    descending: false,
-                }),
-        })
-        .unwrap();
+    let ingest = TransformationPlan::named("ingest")
+        .then(TransformStep::ParseCsv)
+        .then(TransformStep::FilterRows(FilterUdf::new("valid", |r| {
+            r.width() == 2 && r.int(0).is_ok()
+        })))
+        .then(TransformStep::SortBy {
+            column: 0,
+            descending: false,
+        });
+    let people = ingest.apply(Dataset::new(raw)).unwrap();
+    StorageService::write(storage.as_ref(), "people", &people).unwrap();
 
     let mut b = PlanBuilder::new();
     let src = b.storage_source("people");
@@ -152,30 +153,6 @@ fn repeated_plan_runs_hit_the_hot_buffer() {
     }
     let stats = storage.hot_stats().unwrap();
     assert!(stats.hits >= 4, "expected buffer hits, got {stats:?}");
-}
-
-#[test]
-fn local_fs_store_backs_real_plans() {
-    let dir = std::env::temp_dir().join(format!("rheem_fs_int_{}", std::process::id()));
-    let storage = Arc::new(StorageLayer::new(Arc::new(
-        LocalFsStore::new("fs", &dir).unwrap(),
-    )));
-    let ctx = ctx_with(storage.clone());
-    let data: Vec<Record> = (0..50i64).map(|i| rec![i, format!("row-{i}")]).collect();
-    StorageService::write(storage.as_ref(), "disk", &Dataset::new(data)).unwrap();
-
-    let mut b = PlanBuilder::new();
-    let src = b.storage_source("disk");
-    let m = b.map(
-        src,
-        MapUdf::new("tag", |r| {
-            rec![r.int(0).unwrap(), format!("{}!", r.str(1).unwrap())]
-        }),
-    );
-    let sink = b.collect(m);
-    let result = ctx.execute(b.build().unwrap()).unwrap();
-    assert_eq!(result.outputs[&sink].records()[7].str(1).unwrap(), "row-7!");
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
