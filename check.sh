@@ -96,6 +96,15 @@ if grep -rnE 'AccessPattern|CostTable|StorageDecision|StorageRequest|StorageAtom
   echo "a deleted storage name is named again"; exit 1
 fi
 
+# The algebra and the apps keep what something builds: no physical
+# operator, logical payload, layout, kernel or app module that only its own
+# tests built or called comes back.
+echo "==> algebra census: no unbuilt operator, payload, layout or app module"
+if grep -rnE 'PhysicalOp::(Distinct|Sample|ZipWithId|SortMergeJoin)|LogicalPayload::(FlatMap|Project|GlobalReduce|ThetaJoin|Union|Distinct|Custom|Count|StorageSink)\b|NarrowWithOffset|ByRecord|partition_by_record|sort_merge_join|zip_with_id|ShortestPaths|LogRegTrainer|cross_validate|train_test_split|build_scoring_plan|detect_all|apply_fixes|erdos_renyi' \
+    crates src tests examples; then
+  echo "a deleted operator, payload, layout or app name is named again"; exit 1
+fi
+
 # Per-query paths resolve no metric by name: a registry lookup takes its
 # mutex, so handles are resolved once (per service, per tenant, or when an
 # optimizer's metrics are attached) and a served query touches atomics only.
@@ -137,8 +146,7 @@ PROPTEST_CASES=64 cargo test -q --release --test fault_tolerance
 # reported as inflated speedups).
 echo "==> BENCH_kernels.json schema check"
 for key in '"bench": "ablation_kernels"' '"timer_resolution_ms"' \
-    '"below_timer_resolution"' '"kernel":"hash_join"' \
-    '"kernel":"sort_merge_join"' '"kernel":"hash_group"' \
+    '"below_timer_resolution"' '"kernel":"hash_join"' '"kernel":"hash_group"' \
     '"kernel":"hash_aggregate_int_key"' '"kernel":"hash_aggregate_dict_key"' \
     '"kernel":"hash_aggregate_global"' '"kernel":"filter_selective"' \
     '"kernel":"filter_all_pass"' '"kernel":"hash_join_dense_key"'; do

@@ -409,22 +409,6 @@ fn columnar_experiment(entries: &mut Vec<ColEntry>, resolution_ms: f64, rows: us
             chunked::hash_join(&fact_chunk, &dims_chunk, &key, &key);
         },
     );
-    assert_eq!(
-        chunked::sort_merge_join(&fact_chunk, &dims_chunk, &key, &key).to_records(),
-        kernels::sort_merge_join(&fact, &dims, &key, &key)
-    );
-    col_sweep(
-        entries,
-        resolution_ms,
-        "sort_merge_join",
-        rows,
-        &mut || {
-            kernels::sort_merge_join(&fact, &dims, &key, &key);
-        },
-        &mut || {
-            chunked::sort_merge_join(&fact_chunk, &dims_chunk, &key, &key);
-        },
-    );
 
     // The fused filter+map+project chain on the chunk vs. three row
     // operator passes.
@@ -586,26 +570,6 @@ fn main() {
                 kernels::hash_join(&fact, &dims, &key, &key);
             },
             &mut |p| assert_eq!(parallel::hash_join(&fact, &dims, &key, &key, p), expect),
-        );
-        // Unique-key sides keep the sort-merge output linear in `rows`.
-        let left_u: Vec<_> = (0..rows as i64).map(|i| rec![i, i]).collect();
-        let right_u: Vec<_> = (0..rows as i64 / 2).map(|i| rec![i * 2, i]).collect();
-        let expect = kernels::sort_merge_join(&left_u, &right_u, &key, &key);
-        sweep(
-            &mut entries,
-            resolution_ms,
-            "join",
-            "sort_merge_join",
-            rows,
-            &mut || {
-                kernels::sort_merge_join(&left_u, &right_u, &key, &key);
-            },
-            &mut |p| {
-                assert_eq!(
-                    parallel::sort_merge_join(&left_u, &right_u, &key, &key, p),
-                    expect
-                )
-            },
         );
     }
 

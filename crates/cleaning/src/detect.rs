@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use rheem_core::data::{Dataset, Record};
-use rheem_core::error::{Result, RheemError};
+use rheem_core::error::Result;
 use rheem_core::physical::CustomPhysicalOp;
 use rheem_core::plan::{NodeId, PhysicalPlan, PlanBuilder};
 use rheem_core::udf::{GroupMapUdf, KeyUdf, MapUdf};
@@ -117,19 +117,6 @@ pub fn build_detection_plan(
 ) -> Result<(PhysicalPlan, NodeId)> {
     let mut b = PlanBuilder::new();
     let src = b.collection(format!("{}-input", rule.name), data);
-    let violations = build_detection_branch(&mut b, src, rule, strategy)?;
-    let sink = b.collect(violations);
-    Ok((b.build()?, sink))
-}
-
-/// Append one rule's detection operators to an existing builder, reading
-/// from `src`; returns the violations node.
-fn build_detection_branch(
-    b: &mut PlanBuilder,
-    src: NodeId,
-    rule: &DenialConstraint,
-    strategy: DetectionStrategy,
-) -> Result<NodeId> {
     let violations = match strategy {
         DetectionStrategy::OperatorPipeline => {
             // Scope: keep only the rule's columns.
@@ -150,7 +137,7 @@ fn build_detection_branch(
                     )
                 }
                 // No equality predicate: pairs via theta self-join.
-                None => theta_pairs(b, scoped, rebased, 0.25),
+                None => theta_pairs(&mut b, scoped, rebased, 0.25),
             }
         }
         DetectionStrategy::SingleUdf => {
@@ -160,7 +147,7 @@ fn build_detection_branch(
             let scope = rule.scope_columns();
             let rebased = rule.rebased();
             let scoped = b.project(src, scope);
-            theta_pairs(b, scoped, rebased, 0.01)
+            theta_pairs(&mut b, scoped, rebased, 0.01)
         }
         DetectionStrategy::IeJoin => {
             let scope = rule.scope_columns();
@@ -169,7 +156,8 @@ fn build_detection_branch(
             b.custom(Arc::new(IeJoinOp::new(rebased)?), vec![scoped])
         }
     };
-    Ok(violations)
+    let sink = b.collect(violations);
+    Ok((b.build()?, sink))
 }
 
 /// Every violating pair of `scoped` (already projected to `rule`'s scope)
@@ -220,42 +208,6 @@ pub fn detect(
     violations.sort();
     violations.dedup();
     Ok((violations, result))
-}
-
-/// Detect violations of *several* rules in one job over a **shared scan**
-/// (§4.2's shared-scan optimization fires because every branch reads the
-/// same source). Returns violations per rule name.
-pub fn detect_all(
-    ctx: &RheemContext,
-    data: Vec<Record>,
-    rules: &[DenialConstraint],
-    strategy: DetectionStrategy,
-) -> Result<(std::collections::HashMap<String, Vec<Violation>>, JobResult)> {
-    if rules.is_empty() {
-        return Err(RheemError::InvalidPlan(
-            "detect_all needs at least one rule".into(),
-        ));
-    }
-    let mut b = PlanBuilder::new();
-    let src = b.collection("multi-rule-input", data);
-    let mut sinks: Vec<(String, NodeId)> = Vec::new();
-    for rule in rules {
-        let branch = build_detection_branch(&mut b, src, rule, strategy)?;
-        sinks.push((rule.name.clone(), b.collect(branch)));
-    }
-    let plan = b.build()?;
-    let result = ctx.execute(plan)?;
-    let mut out = std::collections::HashMap::new();
-    for (name, sink) in sinks {
-        let mut violations: Vec<Violation> = result.outputs[&sink]
-            .iter()
-            .map(Violation::from_record)
-            .collect::<Result<_>>()?;
-        violations.sort();
-        violations.dedup();
-        out.insert(name, violations);
-    }
-    Ok((out, result))
 }
 
 /// Convenience: count violations of a rule (any strategy).
@@ -396,77 +348,5 @@ mod tests {
             dirty_involved.len(),
             injected.fd_dirty_records
         );
-    }
-}
-
-#[cfg(test)]
-mod multi_rule_tests {
-    use super::*;
-    use crate::rules::DenialConstraint;
-    use rheem_core::rec;
-    use rheem_platforms::JavaPlatform;
-
-    fn ctx() -> RheemContext {
-        RheemContext::new().with_platform(Arc::new(JavaPlatform::new()))
-    }
-
-    /// Layout: [id, zip, state, salary, rate].
-    fn dirty() -> Vec<Record> {
-        vec![
-            rec![0i64, 10i64, "CA", 50_000.0, 12.5],
-            rec![1i64, 10i64, "TX", 80_000.0, 14.0],
-            rec![2i64, 20i64, "NY", 90_000.0, 2.0],
-            rec![3i64, 20i64, "NY", 30_000.0, 11.0],
-        ]
-    }
-
-    #[test]
-    fn detect_all_matches_per_rule_detection() {
-        let fd = DenialConstraint::functional_dependency("fd", 0, 1, 2);
-        let ineq = DenialConstraint::inequality("ineq", 0, 3, 4);
-        let (batch, result) = detect_all(
-            &ctx(),
-            dirty(),
-            &[fd.clone(), ineq.clone()],
-            DetectionStrategy::OperatorPipeline,
-        )
-        .unwrap();
-        let (fd_solo, _) =
-            detect(&ctx(), dirty(), &fd, DetectionStrategy::OperatorPipeline).unwrap();
-        let (ineq_solo, _) =
-            detect(&ctx(), dirty(), &ineq, DetectionStrategy::OperatorPipeline).unwrap();
-        assert_eq!(batch["fd"], fd_solo);
-        assert_eq!(batch["ineq"], ineq_solo);
-        assert!(!batch["fd"].is_empty() && !batch["ineq"].is_empty());
-        // One job, one atom, one shared scan.
-        assert_eq!(result.stats.atoms.len(), 1);
-    }
-
-    #[test]
-    fn detect_all_shares_the_scan() {
-        let fd = DenialConstraint::functional_dependency("fd", 0, 1, 2);
-        let fd2 = DenialConstraint::functional_dependency("fd2", 0, 2, 1);
-        let ctx = ctx();
-        let mut b = PlanBuilder::new();
-        let src = b.collection("i", dirty());
-        let v1 =
-            build_detection_branch(&mut b, src, &fd, DetectionStrategy::OperatorPipeline).unwrap();
-        let v2 =
-            build_detection_branch(&mut b, src, &fd2, DetectionStrategy::OperatorPipeline).unwrap();
-        b.collect(v1);
-        b.collect(v2);
-        let exec = ctx.optimize(b.build().unwrap()).unwrap();
-        let scans = exec
-            .physical
-            .nodes()
-            .iter()
-            .filter(|n| matches!(n.op, rheem_core::PhysicalOp::CollectionSource { .. }))
-            .count();
-        assert_eq!(scans, 1);
-    }
-
-    #[test]
-    fn detect_all_rejects_empty_rule_sets() {
-        assert!(detect_all(&ctx(), dirty(), &[], DetectionStrategy::SingleUdf).is_err());
     }
 }

@@ -21,8 +21,8 @@ pub mod repair;
 pub mod rules;
 pub mod unary;
 
-pub use detect::{build_detection_plan, count_violations, detect, detect_all, DetectionStrategy};
+pub use detect::{build_detection_plan, count_violations, detect, DetectionStrategy};
 pub use iejoin::{ie_self_join, IeJoinOp};
-pub use repair::{apply_fixes, gen_fixes, repair_fd};
+pub use repair::{gen_fixes, repair_fd};
 pub use rules::{CompOp, DcPredicate, DenialConstraint, Fix, Violation};
 pub use unary::{not_null, range_check, UnaryConstraint, UnaryPredicate};

@@ -77,26 +77,6 @@ pub fn gen_fixes(
     Ok(fixes)
 }
 
-/// Apply a set of chosen fixes (later fixes win on the same cell).
-pub fn apply_fixes(data: &[Record], rule: &DenialConstraint, fixes: &[Fix]) -> Result<Vec<Record>> {
-    let mut chosen: HashMap<(i64, usize), Value> = HashMap::new();
-    for f in fixes {
-        chosen.insert((f.record_id, f.column), f.suggestion.clone());
-    }
-    data.iter()
-        .map(|r| {
-            let id = r.int(rule.id_column)?;
-            let fields: Vec<Value> = r
-                .fields()
-                .iter()
-                .enumerate()
-                .map(|(col, v)| chosen.get(&(id, col)).cloned().unwrap_or_else(|| v.clone()))
-                .collect();
-            Ok(Record::new(fields))
-        })
-        .collect()
-}
-
 /// Holistic repair for FD-shaped rules (`t1.k = t2.k ∧ t1.v ≠ t2.v`): every
 /// equivalence class (records sharing the key) adopts its most frequent
 /// right-hand-side value. The result provably has zero violations of the
@@ -239,29 +219,6 @@ mod tests {
         let after =
             count_violations(&ctx(), repaired, &rule, DetectionStrategy::OperatorPipeline).unwrap();
         assert_eq!(after, 0, "repair left violations ({before} before)");
-    }
-
-    #[test]
-    fn applying_all_inequality_fixes_reduces_violations() {
-        let rule = DenialConstraint::inequality("ineq", 0, 1, 2);
-        let records = vec![
-            rec![0i64, 100_000.0, 3.0],
-            rec![1i64, 50_000.0, 12.0],
-            rec![2i64, 20_000.0, 10.0],
-        ];
-        let (violations, _) = detect(
-            &ctx(),
-            records.clone(),
-            &rule,
-            DetectionStrategy::OperatorPipeline,
-        )
-        .unwrap();
-        assert_eq!(violations.len(), 2); // (0,1), (0,2)
-        let fixes = gen_fixes(&records, &rule, &violations).unwrap();
-        let repaired = apply_fixes(&records, &rule, &fixes).unwrap();
-        let after =
-            count_violations(&ctx(), repaired, &rule, DetectionStrategy::OperatorPipeline).unwrap();
-        assert!(after < violations.len());
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl CardinalityEstimator {
                 .copied()
                 .unwrap_or(self.default_source_card),
             PhysicalOp::LoopInput => loop_card,
-            PhysicalOp::Map(_) | PhysicalOp::ZipWithId | PhysicalOp::Project { .. } => in0,
+            PhysicalOp::Map(_) | PhysicalOp::Project { .. } => in0,
             PhysicalOp::ChunkPipeline { stages } => {
                 // The fused pipeline's cardinality is the fold of its
                 // stages: filters scale by selectivity, maps/projects are
@@ -105,20 +105,14 @@ impl CardinalityEstimator {
             }
             PhysicalOp::FlatMap(u) => in0 * u.fanout,
             PhysicalOp::Filter(u) => in0 * u.selectivity,
-            PhysicalOp::Sample { fraction, .. } => in0 * fraction,
             PhysicalOp::Limit { n } => in0.min(*n as f64),
             PhysicalOp::Sort { .. } => in0,
-            PhysicalOp::Distinct => in0 * 0.8,
             PhysicalOp::SortGroupBy { key, group } | PhysicalOp::HashGroupBy { key, group } => {
                 distinct_keys(key.distinct_keys, in0) * group.per_group_output
             }
             PhysicalOp::ReduceByKey { key, .. } => distinct_keys(key.distinct_keys, in0),
             PhysicalOp::GlobalReduce { .. } => 1.0,
             PhysicalOp::HashJoin {
-                left_key,
-                right_key,
-            }
-            | PhysicalOp::SortMergeJoin {
                 left_key,
                 right_key,
             } => {
@@ -193,9 +187,7 @@ pub fn op_work_units(op: &PhysicalOp, ins: &[f64], out: f64) -> f64 {
         | PhysicalOp::FlatMap(_)
         | PhysicalOp::Filter(_)
         | PhysicalOp::Project { .. }
-        | PhysicalOp::Sample { .. }
-        | PhysicalOp::Limit { .. }
-        | PhysicalOp::ZipWithId => in0 + out,
+        | PhysicalOp::Limit { .. } => in0 + out,
         // A fused pipeline is a single pass over the input regardless of
         // how many operators were folded into it — that is the point of
         // fusing (no intermediate materialization between stages).
@@ -204,9 +196,7 @@ pub fn op_work_units(op: &PhysicalOp, ins: &[f64], out: f64) -> f64 {
         PhysicalOp::HashGroupBy { .. } | PhysicalOp::ReduceByKey { .. } => in0 + out,
         PhysicalOp::GlobalReduce { .. } => in0,
         PhysicalOp::Sort { .. } => nlogn(in0),
-        PhysicalOp::Distinct => in0 + out,
         PhysicalOp::HashJoin { .. } => ins.iter().sum::<f64>() + out,
-        PhysicalOp::SortMergeJoin { .. } => nlogn(in0) + nlogn(in1) + out,
         PhysicalOp::NestedLoopJoin { .. } | PhysicalOp::CrossProduct => in0 * in1 + out,
         PhysicalOp::Union => out,
         // Loop work is handled by the optimizer (it recurses into the body);
@@ -734,7 +724,7 @@ mod tests {
         assert_eq!(op_work_units(&PhysicalOp::CrossProduct, &[100.0], 0.0), 0.0);
         assert_eq!(
             op_work_units(
-                &PhysicalOp::SortMergeJoin {
+                &PhysicalOp::HashJoin {
                     left_key: KeyUdf::field(0),
                     right_key: KeyUdf::field(0),
                 },
@@ -750,7 +740,7 @@ mod tests {
         use crate::plan::{NodeId, PhysicalNode, PhysicalPlan};
         let plan = PhysicalPlan::from_nodes(vec![PhysicalNode {
             id: NodeId(0),
-            op: PhysicalOp::Distinct,
+            op: PhysicalOp::Limit { n: 1 },
             inputs: vec![NodeId(42)],
         }]);
         assert!(matches!(

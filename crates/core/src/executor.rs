@@ -11,7 +11,7 @@
 //! Atoms whose inputs are all available are independent and can run
 //! concurrently — the paper's motivation for splitting a plan into task
 //! atoms in the first place. The executor derives the atom dependency DAG
-//! from the plan's boundary edges ([`ExecutionPlan::atom_dependencies`])
+//! from the plan's boundary edges ([`ExecutionPlan::pending_dependencies`])
 //! and partitions it into *waves*: wave 0 holds every atom with no
 //! cross-atom inputs, wave *k+1* every atom whose last dependency sits in
 //! wave *k*. A job has one thread budget
@@ -462,9 +462,15 @@ impl Job<'_> {
     /// Run `plan`, writing the job's record into `stats` as it goes — so a
     /// failed job leaves the record of what it did before failing.
     fn run(&self, plan: &ExecutionPlan, stats: &mut ExecutionStats) -> Result<JobOutputs> {
-        // Validates all cross-atom wiring (producer bounds, assignment
-        // bounds, ownership) up front: scheduling never indexes blindly.
-        plan.atom_dependencies()?;
+        // A submitted plan has dense atom ids; a re-planned job's
+        // `effective_plan` does not, and is refused here. The first
+        // `pending_dependencies` walk below validates the wiring.
+        if let Some((i, atom)) = plan.atoms.iter().enumerate().find(|(i, a)| a.id != *i) {
+            return Err(RheemError::InvalidPlan(format!(
+                "atom at position {i} has id {}; atom ids must be dense",
+                atom.id
+            )));
+        }
         let sinks: HashSet<NodeId> = plan.physical.sinks().into_iter().collect();
         let node_outputs: Mutex<HashMap<NodeId, Dataset>> = Mutex::new(HashMap::new());
 

@@ -136,7 +136,7 @@ pub fn execute_op(
             ctx.storage()?.write(dataset_id, &inputs[0])?;
             (inputs[0].clone(), false)
         }
-        _ => kernels::execute(op, inputs, 0, &ctx.kernel_parallelism)?,
+        _ => kernels::execute(op, inputs, &ctx.kernel_parallelism)?,
     };
     // A cancel that fires *inside* a morsel-parallel kernel truncates the
     // kernel's output (run_ranges collapses the remaining morsels to

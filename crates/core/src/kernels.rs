@@ -25,9 +25,7 @@ use parallel::KernelParallelism;
 ///
 /// Every engine runs an operator through here — the interpreter on whole
 /// datasets, a partitioned engine on each partition once the operator's
-/// [`Layout`](crate::physical::Layout) is in place. `offset` is the global
-/// position of `inputs[0]`'s first row (0 for a whole dataset); `Sample`
-/// and `ZipWithId` decide by it, so partitions answer as the whole would.
+/// [`Layout`](crate::physical::Layout) is in place.
 ///
 /// A declarative operator (expressions, field keys, aggregate specs) whose
 /// inputs have a columnar view runs on its chunk kernel, chunk in and chunk
@@ -43,7 +41,6 @@ use parallel::KernelParallelism;
 pub fn execute(
     op: &PhysicalOp,
     inputs: &[Dataset],
-    offset: usize,
     p: &KernelParallelism,
 ) -> Result<(Dataset, bool)> {
     if let Some(out) = execute_columnar(op, inputs, p) {
@@ -75,18 +72,10 @@ pub fn execute(
         PhysicalOp::ReduceByKey { key, reduce } => parallel::reduce_by_key(in0(), key, reduce, p),
         PhysicalOp::GlobalReduce { reduce } => global_reduce(in0(), reduce),
         PhysicalOp::Sort { key, descending } => parallel::sort(in0(), key, *descending, p),
-        PhysicalOp::Distinct => distinct(in0()),
-        PhysicalOp::Sample { fraction, seed } => sample(in0(), *fraction, *seed, offset as u64)?,
-        // Lossless: a position in an in-memory batch is below `isize::MAX`.
-        PhysicalOp::ZipWithId => zip_with_id(in0(), offset as i64)?,
         PhysicalOp::HashJoin {
             left_key,
             right_key,
         } => parallel::hash_join(in0(), in1(), left_key, right_key, p),
-        PhysicalOp::SortMergeJoin {
-            left_key,
-            right_key,
-        } => parallel::sort_merge_join(in0(), in1(), left_key, right_key, p),
         PhysicalOp::NestedLoopJoin { predicate, .. } => nested_loop_join(in0(), in1(), predicate),
         PhysicalOp::CrossProduct => cross_product(in0(), in1()),
         PhysicalOp::Union => union(in0(), in1()),
@@ -128,14 +117,6 @@ fn execute_columnar(
             left_key.field_index().and(right_key.field_index())?;
             let (left, right) = (inputs[0].chunk()?, inputs[1].chunk()?);
             Ok(chunked::hash_join(left, right, left_key, right_key))
-        }
-        PhysicalOp::SortMergeJoin {
-            left_key,
-            right_key,
-        } => {
-            left_key.field_index().and(right_key.field_index())?;
-            let (left, right) = (inputs[0].chunk()?, inputs[1].chunk()?);
-            Ok(chunked::sort_merge_join(left, right, left_key, right_key))
         }
         _ => {
             let stages = op.pipeline_stages()?;
@@ -258,42 +239,6 @@ pub fn hash_join(
     out
 }
 
-/// Sort-merge equi-join; output records are `left ++ right`.
-pub fn sort_merge_join(
-    left: &[Record],
-    right: &[Record],
-    left_key: &KeyUdf,
-    right_key: &KeyUdf,
-) -> Vec<Record> {
-    let mut l: Vec<(Value, &Record)> = left.iter().map(|r| ((left_key.f)(r), r)).collect();
-    let mut r: Vec<(Value, &Record)> = right.iter().map(|r| ((right_key.f)(r), r)).collect();
-    l.sort_by(|a, b| a.0.cmp(&b.0));
-    r.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < l.len() && j < r.len() {
-        match l[i].0.cmp(&r[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                // Emit the full match rectangle for this key.
-                let key = l[i].0.clone();
-                let i_end = l[i..].iter().take_while(|(k, _)| *k == key).count() + i;
-                let j_end = r[j..].iter().take_while(|(k, _)| *k == key).count() + j;
-                for (_, lrec) in &l[i..i_end] {
-                    for (_, rrec) in &r[j..j_end] {
-                        out.push(lrec.concat(rrec));
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    out
-}
-
 /// Nested-loop theta join with an arbitrary pair predicate.
 pub fn nested_loop_join(
     left: &[Record],
@@ -343,70 +288,6 @@ pub fn distinct(records: &[Record]) -> Vec<Record> {
         }
     }
     out
-}
-
-/// Deterministic Bernoulli sample: record `i` (counting from `offset`) is
-/// kept iff `splitmix64(seed, offset + i) < fraction`.
-///
-/// Indexing by global position (instead of a sequential RNG stream) makes
-/// the decision for each record independent of partitioning, so partitioned
-/// platforms produce exactly the same sample as single-process ones. Kept
-/// dependency-free so the core crate needs no RNG crate.
-///
-/// A non-finite `fraction` (NaN, ±∞) is rejected as
-/// [`RheemError::InvalidPlan`]: NaN in particular slips *both* range guards
-/// (`NaN >= 1.0` and `NaN <= 0.0` are false) and would silently sample with
-/// `u < NaN` — which keeps nothing while looking like a valid fraction.
-pub fn sample(records: &[Record], fraction: f64, seed: u64, offset: u64) -> Result<Vec<Record>> {
-    if !fraction.is_finite() {
-        return Err(crate::error::RheemError::InvalidPlan(format!(
-            "sample fraction must be finite, got {fraction}"
-        )));
-    }
-    if fraction >= 1.0 {
-        return Ok(records.to_vec());
-    }
-    if fraction <= 0.0 {
-        return Ok(Vec::new());
-    }
-    let mut out = Vec::new();
-    for (i, r) in records.iter().enumerate() {
-        let mut z = seed.wrapping_add((offset + i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let u = (z >> 11) as f64 / (1u64 << 53) as f64;
-        if u < fraction {
-            out.push(r.clone());
-        }
-    }
-    Ok(out)
-}
-
-/// Append a unique `Int` id to each record, starting at `offset`.
-///
-/// Partitioned platforms pass disjoint offsets per partition so ids stay
-/// globally unique. Id arithmetic is checked: an `offset` close enough to
-/// `i64::MAX` that `offset + i` would wrap (silently producing negative,
-/// *colliding* ids) is reported as [`RheemError::InvalidPlan`] instead.
-pub fn zip_with_id(records: &[Record], offset: i64) -> Result<Vec<Record>> {
-    records
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let id = i64::try_from(i)
-                .ok()
-                .and_then(|i| offset.checked_add(i))
-                .ok_or_else(|| {
-                    crate::error::RheemError::InvalidPlan(format!(
-                        "zip_with_id overflows i64 at offset {offset} + index {i}"
-                    ))
-                })?;
-            let mut out = r.clone();
-            out.push(Value::Int(id));
-            Ok(out)
-        })
-        .collect()
 }
 
 /// Bag union (concatenation).
@@ -481,11 +362,9 @@ mod tests {
         let right = vec![rec![2i64, "r2"], rec![3i64, "r3"], rec![2i64, "r2b"]];
         let lk = KeyUdf::field(0);
         let rk = KeyUdf::field(0);
-        let mut h = hash_join(&left, &right, &lk, &rk);
-        let mut s = sort_merge_join(&left, &right, &lk, &rk);
-        h.sort();
-        s.sort();
-        assert_eq!(h, s);
+        let h = hash_join(&left, &right, &lk, &rk);
+        let eq: PairPredicateFn = Arc::new(|l, r| l.fields()[0] == r.fields()[0]);
+        assert_eq!(h, nested_loop_join(&left, &right, &eq));
         assert_eq!(h.len(), 4); // 2 left × 2 right matches on key 2
         assert_eq!(h[0].width(), 4);
     }
@@ -519,58 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_is_deterministic_and_bounded() {
-        let data = nums(&(0..1000).collect::<Vec<_>>());
-        let a = sample(&data, 0.3, 42, 0).unwrap();
-        let b = sample(&data, 0.3, 42, 0).unwrap();
-        assert_eq!(a, b);
-        // Loose statistical bound: expect ~300 ± 100.
-        assert!(a.len() > 200 && a.len() < 400, "got {}", a.len());
-        assert!(sample(&data, 0.0, 1, 0).unwrap().is_empty());
-        assert_eq!(sample(&data, 1.0, 1, 0).unwrap().len(), 1000);
-    }
-
-    #[test]
-    fn sample_is_partition_invariant() {
-        let data = nums(&(0..100).collect::<Vec<_>>());
-        let whole = sample(&data, 0.5, 7, 0).unwrap();
-        let mut parts = sample(&data[..40], 0.5, 7, 0).unwrap();
-        parts.extend(sample(&data[40..], 0.5, 7, 40).unwrap());
-        assert_eq!(whole, parts);
-    }
-
-    #[test]
-    fn sample_rejects_non_finite_fractions() {
-        let data = nums(&[1, 2, 3]);
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let err = sample(&data, bad, 1, 0).unwrap_err();
-            assert!(
-                matches!(err, crate::error::RheemError::InvalidPlan(_)),
-                "fraction {bad} gave {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn zip_with_id_numbers_from_the_offset() {
-        let data = nums(&[5, 6, 7]);
-        let z = zip_with_id(&data, 100).unwrap();
-        assert_eq!(z[0], rec![5i64, 100i64]);
-        assert_eq!(z[2], rec![7i64, 102i64]);
-    }
-
-    #[test]
-    fn zip_with_id_checks_overflow_at_the_boundary() {
-        let data = nums(&[5, 6, 7]);
-        // offset + 2 == i64::MAX exactly: last id fits, no error.
-        let z = zip_with_id(&data, i64::MAX - 2).unwrap();
-        assert_eq!(z[2], rec![7i64, i64::MAX]);
-        // offset + 2 wraps past i64::MAX: error, not a negative id.
-        let err = zip_with_id(&data, i64::MAX - 1).unwrap_err();
-        assert!(matches!(err, crate::error::RheemError::InvalidPlan(_)));
-    }
-
-    #[test]
     fn union_concatenates() {
         assert_eq!(union(&nums(&[1]), &nums(&[2, 3])), nums(&[1, 2, 3]));
     }
@@ -595,12 +422,12 @@ mod tests {
                 ],
             ),
         };
-        let (out, columnar) = execute(&declarative, &input, 0, &seq).unwrap();
+        let (out, columnar) = execute(&declarative, &input, &seq).unwrap();
         assert!(columnar && out.has_chunk());
         assert_eq!(out.len(), 5);
         assert_eq!(out.records()[0], rec![0i64, 225i64]);
         // An opaque key, an opaque group map, an operator without a chunk
-        // kernel, and a ragged input all run on rows.
+        // kernel (a flat map), and a ragged input all run on rows.
         let opaque_key = PhysicalOp::Sort {
             key: KeyUdf::new("k", |r| r.fields()[0].clone()),
             descending: false,
@@ -609,47 +436,29 @@ mod tests {
             key: KeyUdf::field(0),
             group: GroupMapUdf::identity(),
         };
-        for op in [&opaque_key, &opaque_group, &PhysicalOp::Distinct] {
-            assert!(!execute(op, &input, 0, &seq).unwrap().1, "{op:?}");
+        let flat_map = PhysicalOp::FlatMap(FlatMapUdf::new("dup", |r| vec![r.clone(); 2]));
+        for op in [&opaque_key, &opaque_group, &flat_map] {
+            assert!(!execute(op, &input, &seq).unwrap().1, "{op:?}");
         }
         let ragged = [Dataset::new(vec![rec![1i64], rec![1i64, 2i64]])];
-        let (grouped, columnar) = execute(&declarative, &ragged, 0, &seq).unwrap();
+        let (grouped, columnar) = execute(&declarative, &ragged, &seq).unwrap();
         assert!(!columnar);
         assert_eq!(grouped.records(), &[rec![1i64, 2i64]]);
         // A prefix is a window of whichever view exists: it touches no row
         // and never converts a batch to keep `n` rows of it.
         let limit = PhysicalOp::Limit { n: 3 };
-        let (prefix, passed) = execute(&limit, &[Dataset::new(rows.clone())], 0, &seq).unwrap();
+        let (prefix, passed) = execute(&limit, &[Dataset::new(rows.clone())], &seq).unwrap();
         assert!(passed && !prefix.has_chunk());
         assert_eq!(prefix.records(), &rows[..3]);
-        let (prefix, passed) = execute(&limit, &[out], 0, &seq).unwrap();
+        let (prefix, passed) = execute(&limit, &[out], &seq).unwrap();
         assert!(passed && prefix.has_chunk() && prefix.len() == 3);
-        assert_eq!(execute(&limit, &ragged, 0, &seq).unwrap().0.len(), 2);
-    }
-
-    #[test]
-    fn the_table_feeds_the_offset_to_positional_operators() {
-        let data = nums(&(0..100).collect::<Vec<_>>());
-        let seq = KernelParallelism::sequential();
-        for op in [
-            PhysicalOp::Sample {
-                fraction: 0.5,
-                seed: 7,
-            },
-            PhysicalOp::ZipWithId,
-        ] {
-            let whole = execute(&op, &[Dataset::new(data.clone())], 0, &seq).unwrap();
-            let head = execute(&op, &[Dataset::new(data[..40].to_vec())], 0, &seq).unwrap();
-            let tail = execute(&op, &[Dataset::new(data[40..].to_vec())], 40, &seq).unwrap();
-            let pieces = [head.0.records(), tail.0.records()].concat();
-            assert_eq!(whole.0.records(), &pieces[..], "{op:?}");
-        }
+        assert_eq!(execute(&limit, &ragged, &seq).unwrap().0.len(), 2);
     }
 
     #[test]
     fn the_table_rejects_context_bound_operators() {
         let seq = KernelParallelism::sequential();
-        let err = execute(&PhysicalOp::LoopInput, &[], 0, &seq).unwrap_err();
+        let err = execute(&PhysicalOp::LoopInput, &[], &seq).unwrap_err();
         assert!(matches!(err, RheemError::InvalidPlan(_)), "{err:?}");
     }
 }

@@ -681,78 +681,6 @@ pub fn hash_join(left: &Chunk, right: &Chunk, left_key: &KeyUdf, right_key: &Key
     join_output(left, right, &li, &ri)
 }
 
-/// Sort-merge equi-join; byte-identical to the row kernel (stable key sort
-/// of both sides, full match rectangles per key).
-pub fn sort_merge_join(
-    left: &Chunk,
-    right: &Chunk,
-    left_key: &KeyUdf,
-    right_key: &KeyUdf,
-) -> Chunk {
-    // Typed i64 lane path: stable index sort on the lanes and an i64 merge
-    // scan — same comparisons as Value::Int's order, no Value built.
-    if let (Keys::Ints(ll), Keys::Ints(rl)) =
-        (extract_keys(left, left_key), extract_keys(right, right_key))
-    {
-        let mut li: Vec<usize> = (0..left.rows()).collect();
-        li.sort_by_key(|&i| ll[i]);
-        let mut ri: Vec<usize> = (0..right.rows()).collect();
-        ri.sort_by_key(|&j| rl[j]);
-        let mut lsel = Vec::new();
-        let mut rsel = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < li.len() && j < ri.len() {
-            let (lk, rk) = (ll[li[i]], rl[ri[j]]);
-            match lk.cmp(&rk) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let i_end = li[i..].iter().take_while(|&&x| ll[x] == lk).count() + i;
-                    let j_end = ri[j..].iter().take_while(|&&x| rl[x] == rk).count() + j;
-                    for &l in &li[i..i_end] {
-                        lsel.extend(std::iter::repeat_n(l, j_end - j));
-                        rsel.extend_from_slice(&ri[j..j_end]);
-                    }
-                    i = i_end;
-                    j = j_end;
-                }
-            }
-        }
-        return join_output(left, right, &lsel, &rsel);
-    }
-    fn sorted_keyed(chunk: &Chunk, key: &KeyUdf) -> (Vec<Value>, Vec<usize>) {
-        let keys = into_values(extract_keys(chunk, key));
-        let mut idx: Vec<usize> = (0..chunk.rows()).collect();
-        idx.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
-        let sorted: Vec<Value> = idx.iter().map(|&i| keys[i].clone()).collect();
-        (sorted, idx)
-    }
-    let (lk, li) = sorted_keyed(left, left_key);
-    let (rk, ri) = sorted_keyed(right, right_key);
-
-    let mut lsel = Vec::new();
-    let mut rsel = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lk.len() && j < rk.len() {
-        match lk[i].cmp(&rk[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let key = &lk[i];
-                let i_end = lk[i..].iter().take_while(|k| *k == key).count() + i;
-                let j_end = rk[j..].iter().take_while(|k| *k == key).count() + j;
-                for &l in &li[i..i_end] {
-                    lsel.extend(std::iter::repeat_n(l, j_end - j));
-                    rsel.extend_from_slice(&ri[j..j_end]);
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    join_output(left, right, &lsel, &rsel)
-}
-
 /// Apply one fused pipeline stage to a chunk.
 pub fn apply_stage(chunk: Chunk, stage: &StageKind) -> Result<Chunk> {
     match stage {
@@ -1027,10 +955,6 @@ mod tests {
         assert_eq!(
             hash_join(&lc, &rc, &lk, &rk).to_records(),
             kernels::hash_join(&left, &right, &lk, &rk)
-        );
-        assert_eq!(
-            sort_merge_join(&lc, &rc, &lk, &rk).to_records(),
-            kernels::sort_merge_join(&left, &right, &lk, &rk)
         );
     }
 

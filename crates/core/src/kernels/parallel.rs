@@ -30,8 +30,8 @@
 //!   bucket's table — concatenated in left order.
 //! - `sort_group` keeps the ordered two-phase merge (its local phase is a
 //!   comparison sort, not a hash build).
-//! - `sort_merge_join` and `sort` sort contiguous chunks in parallel and
-//!   merge them stably (ties resolve to the lower chunk, i.e. earlier
+//! - `sort` sorts contiguous chunks in parallel and
+//!   merges them stably (ties resolve to the lower chunk, i.e. earlier
 //!   input), reproducing the sequential stable sort byte for byte.
 //! - `run_pipeline_chunk` runs a fused stage chain over a chunk: morsels
 //!   yield the rows its filters keep, in morsel order, and the input is
@@ -714,75 +714,6 @@ fn sorted_keyed<'a>(
         .unwrap_or_default()
 }
 
-/// Parallel [`super::sort_merge_join`]: both sides get a parallel partition
-/// sort + stable merge, the match rectangles are located with a sequential
-/// scan (comparisons only), and the clone-heavy rectangle emission runs on
-/// morsels balanced by output size.
-pub fn sort_merge_join(
-    left: &[Record],
-    right: &[Record],
-    left_key: &KeyUdf,
-    right_key: &KeyUdf,
-    p: &KernelParallelism,
-) -> Vec<Record> {
-    let t = p.effective_threads(left.len().max(right.len()));
-    if t <= 1 {
-        return super::sort_merge_join(left, right, left_key, right_key);
-    }
-    let asc: &(dyn Fn(&Value, &Value) -> std::cmp::Ordering + Sync) = &|a, b| a.cmp(b);
-    let l = sorted_keyed(left, left_key, p, asc);
-    let r = sorted_keyed(right, right_key, p, asc);
-
-    // Locate match rectangles (key-equal runs on both sides).
-    let mut rects: Vec<(Range<usize>, Range<usize>)> = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < l.len() && j < r.len() {
-        match l[i].0.cmp(&r[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let key = &l[i].0;
-                let i_end = l[i..].iter().take_while(|(k, _)| k == key).count() + i;
-                let j_end = r[j..].iter().take_while(|(k, _)| k == key).count() + j;
-                rects.push((i..i_end, j..j_end));
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-
-    // Emit rectangles in parallel, grouped into contiguous runs of
-    // roughly equal output size so one hot key does not serialize the
-    // wave. Rectangle order is preserved, so output order is sequential.
-    let total: usize = rects.iter().map(|(a, b)| a.len() * b.len()).sum();
-    let target = total.div_ceil(t).max(1);
-    let mut groups: Vec<Range<usize>> = Vec::new();
-    let mut start = 0;
-    let mut size = 0;
-    for (idx, (a, b)) in rects.iter().enumerate() {
-        size += a.len() * b.len();
-        if size >= target {
-            groups.push(start..idx + 1);
-            start = idx + 1;
-            size = 0;
-        }
-    }
-    if start < rects.len() {
-        groups.push(start..rects.len());
-    }
-    concat(run_ranges(&groups, t, |g| {
-        let mut out = Vec::new();
-        for (li, ri) in &rects[g] {
-            for (_, lrec) in &l[li.clone()] {
-                for (_, rrec) in &r[ri.clone()] {
-                    out.push(lrec.concat(rrec));
-                }
-            }
-        }
-        out
-    }))
-}
-
 /// Morsel-parallel fused-pipeline runner for
 /// [`crate::physical::PhysicalOp::ChunkPipeline`], chunk in and chunk out.
 ///
@@ -936,10 +867,6 @@ mod tests {
             hash_join(&l, &r, &k, &k, &p),
             super::super::hash_join(&l, &r, &k, &k)
         );
-        assert_eq!(
-            sort_merge_join(&l, &r, &k, &k, &p),
-            super::super::sort_merge_join(&l, &r, &k, &k)
-        );
         assert_eq!(sort(&l, &k, false, &p), super::super::sort(&l, &k, false));
         assert_eq!(sort(&l, &k, true, &p), super::super::sort(&l, &k, true));
     }
@@ -1017,6 +944,5 @@ mod tests {
         assert!(hash_group(&[], &k, &p).is_empty());
         assert!(sort_group(&[], &k, &p).is_empty());
         assert!(hash_join(&[], &[], &k, &k, &p).is_empty());
-        assert!(sort_merge_join(&data(10), &[], &k, &k, &p).is_empty());
     }
 }

@@ -13,11 +13,9 @@ use std::sync::Arc;
 
 use crate::data::{Dataset, Record};
 use crate::error::{Result, RheemError};
-use crate::physical::{CustomPhysicalOp, PhysicalOp};
+use crate::physical::PhysicalOp;
 use crate::plan::{NodeId, PhysicalPlan, PlanBuilder};
-use crate::udf::{
-    FilterUdf, FlatMapUdf, GroupMapUdf, KeyUdf, LoopCondUdf, MapUdf, PairPredicateFn, ReduceUdf,
-};
+use crate::udf::{FilterUdf, GroupMapUdf, KeyUdf, LoopCondUdf, MapUdf, ReduceUdf};
 
 /// The algorithmic-needs description a logical operator exposes.
 ///
@@ -41,15 +39,8 @@ pub enum LogicalPayload {
     LoopInput,
     /// One-to-one transformation.
     Map(MapUdf),
-    /// One-to-many transformation.
-    FlatMap(FlatMapUdf),
     /// Selection.
     Filter(FilterUdf),
-    /// Field projection.
-    Project {
-        /// Indices to keep.
-        indices: Vec<usize>,
-    },
     /// Keyed grouping with a per-group transformation.
     Group {
         /// Grouping key.
@@ -64,11 +55,6 @@ pub enum LogicalPayload {
         /// Associative combiner.
         reduce: ReduceUdf,
     },
-    /// Global reduction.
-    GlobalReduce {
-        /// Associative combiner.
-        reduce: ReduceUdf,
-    },
     /// Equality join.
     Join {
         /// Left key.
@@ -76,19 +62,8 @@ pub enum LogicalPayload {
         /// Right key.
         right_key: KeyUdf,
     },
-    /// Theta join.
-    ThetaJoin {
-        /// Display name.
-        name: String,
-        /// Join predicate.
-        predicate: PairPredicateFn,
-        /// Fraction of the cross product kept.
-        selectivity: f64,
-    },
     /// Cross product.
     CrossProduct,
-    /// Bag union.
-    Union,
     /// Sorting.
     Sort {
         /// Sort key.
@@ -96,8 +71,6 @@ pub enum LogicalPayload {
         /// Direction.
         descending: bool,
     },
-    /// Duplicate elimination.
-    Distinct,
     /// Prefix of `n` quanta.
     Limit {
         /// Number of quanta to keep.
@@ -112,17 +85,8 @@ pub enum LogicalPayload {
         /// Iteration cap.
         max_iterations: u64,
     },
-    /// Application-defined physical operator used directly.
-    Custom(Arc<dyn CustomPhysicalOp>),
     /// Materializing sink.
     Collect,
-    /// Counting sink.
-    Count,
-    /// Storage-writing sink.
-    StorageSink {
-        /// Dataset id in the storage layer.
-        dataset_id: String,
-    },
 }
 
 impl LogicalPayload {
@@ -132,11 +96,7 @@ impl LogicalPayload {
             LogicalPayload::Source { .. }
             | LogicalPayload::StorageSource { .. }
             | LogicalPayload::LoopInput => 0,
-            LogicalPayload::Join { .. }
-            | LogicalPayload::ThetaJoin { .. }
-            | LogicalPayload::CrossProduct
-            | LogicalPayload::Union => 2,
-            LogicalPayload::Custom(op) => op.arity(),
+            LogicalPayload::Join { .. } | LogicalPayload::CrossProduct => 2,
             _ => 1,
         }
     }
@@ -148,30 +108,21 @@ impl LogicalPayload {
             LogicalPayload::Source { .. } | LogicalPayload::StorageSource { .. } => "kind:Source",
             LogicalPayload::LoopInput => "kind:LoopInput",
             LogicalPayload::Map(_) => "kind:Map",
-            LogicalPayload::FlatMap(_) => "kind:FlatMap",
             LogicalPayload::Filter(_) => "kind:Filter",
-            LogicalPayload::Project { .. } => "kind:Project",
             LogicalPayload::Group { .. } => "kind:Group",
             LogicalPayload::Reduce { .. } => "kind:Reduce",
-            LogicalPayload::GlobalReduce { .. } => "kind:GlobalReduce",
             LogicalPayload::Join { .. } => "kind:Join",
-            LogicalPayload::ThetaJoin { .. } => "kind:ThetaJoin",
             LogicalPayload::CrossProduct => "kind:CrossProduct",
-            LogicalPayload::Union => "kind:Union",
             LogicalPayload::Sort { .. } => "kind:Sort",
-            LogicalPayload::Distinct => "kind:Distinct",
             LogicalPayload::Limit { .. } => "kind:Limit",
             LogicalPayload::Loop { .. } => "kind:Loop",
-            LogicalPayload::Custom(_) => "kind:Custom",
-            LogicalPayload::Collect
-            | LogicalPayload::Count
-            | LogicalPayload::StorageSink { .. } => "kind:Sink",
+            LogicalPayload::Collect => "kind:Sink",
         }
     }
 
     /// The physical operator this payload lowers to. Grouping and equi-joins
-    /// take their hash variants; `SortGroupBy` and `SortMergeJoin` are built
-    /// with [`PlanBuilder`] directly.
+    /// take their hash variants; `SortGroupBy` is built with [`PlanBuilder`]
+    /// directly.
     fn lower(&self) -> Result<PhysicalOp> {
         let op = match self.clone() {
             LogicalPayload::Source { name, data } => PhysicalOp::CollectionSource { data, name },
@@ -180,12 +131,9 @@ impl LogicalPayload {
             }
             LogicalPayload::LoopInput => PhysicalOp::LoopInput,
             LogicalPayload::Map(u) => PhysicalOp::Map(u),
-            LogicalPayload::FlatMap(u) => PhysicalOp::FlatMap(u),
             LogicalPayload::Filter(u) => PhysicalOp::Filter(u),
-            LogicalPayload::Project { indices } => PhysicalOp::Project { indices },
             LogicalPayload::Group { key, group } => PhysicalOp::HashGroupBy { key, group },
             LogicalPayload::Reduce { key, reduce } => PhysicalOp::ReduceByKey { key, reduce },
-            LogicalPayload::GlobalReduce { reduce } => PhysicalOp::GlobalReduce { reduce },
             LogicalPayload::Join {
                 left_key,
                 right_key,
@@ -193,19 +141,8 @@ impl LogicalPayload {
                 left_key,
                 right_key,
             },
-            LogicalPayload::ThetaJoin {
-                name,
-                predicate,
-                selectivity,
-            } => PhysicalOp::NestedLoopJoin {
-                predicate,
-                name,
-                selectivity,
-            },
             LogicalPayload::CrossProduct => PhysicalOp::CrossProduct,
-            LogicalPayload::Union => PhysicalOp::Union,
             LogicalPayload::Sort { key, descending } => PhysicalOp::Sort { key, descending },
-            LogicalPayload::Distinct => PhysicalOp::Distinct,
             LogicalPayload::Limit { n } => PhysicalOp::Limit { n },
             LogicalPayload::Loop {
                 body,
@@ -217,10 +154,7 @@ impl LogicalPayload {
                 max_iterations,
                 expected_iterations: max_iterations as f64,
             },
-            LogicalPayload::Custom(op) => PhysicalOp::Custom(op),
             LogicalPayload::Collect => PhysicalOp::CollectSink,
-            LogicalPayload::Count => PhysicalOp::CountSink,
-            LogicalPayload::StorageSink { dataset_id } => PhysicalOp::StorageSink { dataset_id },
         };
         Ok(op)
     }
@@ -445,7 +379,7 @@ mod tests {
     #[test]
     fn payload_arity() {
         assert_eq!(LogicalPayload::CrossProduct.arity(), 2);
-        assert_eq!(LogicalPayload::Distinct.arity(), 1);
+        assert_eq!(LogicalPayload::Limit { n: 1 }.arity(), 1);
         assert_eq!(LogicalPayload::LoopInput.arity(), 0);
         assert_eq!(LogicalPayload::Collect.arity(), 1);
     }
@@ -454,8 +388,8 @@ mod tests {
     fn validation_catches_bad_arity() {
         let mut b = LogicalPlanBuilder::new();
         let src = b.source("s", vec![rec![1i64]]);
-        // Union needs two inputs; give it one.
-        b.add("u", LogicalPayload::Union, vec![src]);
+        // A cross product needs two inputs; give it one.
+        b.add("x", LogicalPayload::CrossProduct, vec![src]);
         assert!(b.build().is_err());
     }
 

@@ -24,9 +24,8 @@
 //!
 //! The spliced plan's atoms keep their original id when their node set is
 //! unchanged and get fresh (globally unique, non-dense) ids otherwise —
-//! which is why the executor schedules re-planned suffixes through
-//! [`ExecutionPlan::pending_dependencies`] instead of
-//! [`ExecutionPlan::atom_dependencies`].
+//! which is why the executor schedules by atom position
+//! ([`ExecutionPlan::pending_dependencies`]).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;

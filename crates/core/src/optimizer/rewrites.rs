@@ -182,7 +182,7 @@ fn splice(
         };
         new_ids[m.id.0] = placed;
     }
-    rebuilt.build()
+    rebuilt.build_fragment()
 }
 
 /// A filter whose producer is a `wanted` operator with no other consumer:

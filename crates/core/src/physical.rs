@@ -3,10 +3,11 @@
 //! A physical operator is "a platform-independent implementation of a
 //! logical operator ... representing an algorithmic decision for executing
 //! an analytic task" (§3.1). The pool below covers relational, ML, and
-//! graph workloads; notably it contains *algorithmic alternatives* for the
-//! same semantics (e.g. [`PhysicalOp::SortGroupBy`] vs
-//! [`PhysicalOp::HashGroupBy`], three join algorithms) among which the
-//! optimizer chooses — exactly the paper's Example 2.
+//! graph workloads. Lowering ([`crate::logical::LogicalPlan::lower`]) takes
+//! the hash variants ([`PhysicalOp::HashGroupBy`], [`PhysicalOp::HashJoin`])
+//! and the optimizer assigns platforms, not algorithms;
+//! [`PhysicalOp::SortGroupBy`] is the paper's Example 2 alternative, chosen
+//! by hand in Ablation D.
 //!
 //! Extensibility (§5.2): applications plug new algorithms in via
 //! [`CustomPhysicalOp`] without touching this enum — the data cleaning
@@ -161,22 +162,11 @@ pub enum PhysicalOp {
         /// Sort direction.
         descending: bool,
     },
-    /// Remove duplicate quanta.
-    Distinct,
-    /// Bernoulli sample.
-    Sample {
-        /// Probability of keeping each quantum.
-        fraction: f64,
-        /// RNG seed (kept explicit for reproducibility).
-        seed: u64,
-    },
     /// Keep the first `n` quanta.
     Limit {
         /// Number of quanta to keep.
         n: usize,
     },
-    /// Append a unique `Int` id field to each quantum.
-    ZipWithId,
     /// A fused chain of expression-bearing filter/map/project operators,
     /// evaluated in one pass per columnar chunk (plan-time compilation of
     /// adjacent transparent operators; see `optimizer::fuse`).
@@ -188,13 +178,6 @@ pub enum PhysicalOp {
     // ------------------------------------------------------------ binary ops
     /// Equality join via hashing; output is `left ++ right`.
     HashJoin {
-        /// Key of the left input.
-        left_key: KeyUdf,
-        /// Key of the right input.
-        right_key: KeyUdf,
-    },
-    /// Equality join via sort-merge; output is `left ++ right`.
-    SortMergeJoin {
         /// Key of the left input.
         left_key: KeyUdf,
         /// Key of the right input.
@@ -254,7 +237,6 @@ impl PhysicalOp {
             | PhysicalOp::StorageSource { .. }
             | PhysicalOp::LoopInput => 0,
             PhysicalOp::HashJoin { .. }
-            | PhysicalOp::SortMergeJoin { .. }
             | PhysicalOp::NestedLoopJoin { .. }
             | PhysicalOp::CrossProduct
             | PhysicalOp::Union => 2,
@@ -301,10 +283,7 @@ impl PhysicalOp {
             PhysicalOp::Sort { key, descending } => {
                 format!("Sort(key={}, desc={descending})", key.name)
             }
-            PhysicalOp::Distinct => "Distinct".into(),
-            PhysicalOp::Sample { fraction, .. } => format!("Sample({fraction})"),
             PhysicalOp::Limit { n } => format!("Limit({n})"),
-            PhysicalOp::ZipWithId => "ZipWithId".into(),
             PhysicalOp::ChunkPipeline { stages } => {
                 let names: Vec<&str> = stages.iter().map(|s| s.name.as_str()).collect();
                 format!("ChunkPipeline[{}]", names.join("→"))
@@ -314,12 +293,6 @@ impl PhysicalOp {
                 right_key,
             } => {
                 format!("HashJoin({} = {})", left_key.name, right_key.name)
-            }
-            PhysicalOp::SortMergeJoin {
-                left_key,
-                right_key,
-            } => {
-                format!("SortMergeJoin({} = {})", left_key.name, right_key.name)
             }
             PhysicalOp::NestedLoopJoin { name, .. } => format!("NestedLoopJoin({name})"),
             PhysicalOp::CrossProduct => "CrossProduct".into(),
@@ -392,9 +365,6 @@ pub enum Layout<'a> {
     LoopState,
     /// Every partition on its own.
     Narrow,
-    /// Every partition on its own, told the global position of its first
-    /// row (`Sample` decides by position, `ZipWithId` numbers by it).
-    NarrowWithOffset,
     /// The first `n` rows: leading partitions and a window of the one that
     /// crosses `n`. No row is touched.
     Prefix(usize),
@@ -403,8 +373,6 @@ pub enum Layout<'a> {
     /// Combine per partition, then [`Layout::ByKey`] over the partial
     /// results, then combine again.
     CombineByKey(&'a KeyUdf),
-    /// Equal rows meet in one partition.
-    ByRecord,
     /// Everything in one partition, in order.
     Gather,
     /// Combine per partition, then [`Layout::Gather`] the partial results
@@ -447,7 +415,6 @@ impl Layout<'_> {
             self,
             Layout::ByKey(_)
                 | Layout::CombineByKey(_)
-                | Layout::ByRecord
                 | Layout::Gather
                 | Layout::CombineGather
                 | Layout::CoPartition(..)
@@ -469,20 +436,14 @@ impl PhysicalOp {
             | PhysicalOp::Filter(_)
             | PhysicalOp::Project { .. }
             | PhysicalOp::ChunkPipeline { .. } => Layout::Narrow,
-            PhysicalOp::Sample { .. } | PhysicalOp::ZipWithId => Layout::NarrowWithOffset,
             PhysicalOp::Limit { n } => Layout::Prefix(*n),
             PhysicalOp::SortGroupBy { key, .. } | PhysicalOp::HashGroupBy { key, .. } => {
                 Layout::ByKey(key)
             }
             PhysicalOp::ReduceByKey { key, .. } => Layout::CombineByKey(key),
-            PhysicalOp::Distinct => Layout::ByRecord,
             PhysicalOp::Sort { .. } => Layout::Gather,
             PhysicalOp::GlobalReduce { .. } => Layout::CombineGather,
             PhysicalOp::HashJoin {
-                left_key,
-                right_key,
-            }
-            | PhysicalOp::SortMergeJoin {
                 left_key,
                 right_key,
             } => Layout::CoPartition(left_key, right_key),
@@ -538,7 +499,7 @@ mod tests {
     #[test]
     fn arity_classification() {
         assert_eq!(PhysicalOp::CrossProduct.arity(), 2);
-        assert_eq!(PhysicalOp::Distinct.arity(), 1);
+        assert_eq!(PhysicalOp::Limit { n: 3 }.arity(), 1);
         assert_eq!(PhysicalOp::LoopInput.arity(), 0);
         assert!(PhysicalOp::LoopInput.is_source());
         assert!(PhysicalOp::CollectSink.is_sink());

@@ -450,17 +450,10 @@ fn fingerprint_op(fp: &mut FpHasher, op: &PhysicalOp) {
             fingerprint_key(fp, key);
             fp.tag(*descending as u8);
         }
-        PhysicalOp::Distinct => fp.tag(12),
-        PhysicalOp::Sample { fraction, seed } => {
-            fp.tag(13);
-            fp.f64(*fraction);
-            fp.u64(*seed);
-        }
         PhysicalOp::Limit { n } => {
             fp.tag(14);
             fp.usize(*n);
         }
-        PhysicalOp::ZipWithId => fp.tag(15),
         PhysicalOp::ChunkPipeline { stages } => {
             fp.tag(16);
             fp.usize(stages.len());
@@ -494,14 +487,6 @@ fn fingerprint_op(fp: &mut FpHasher, op: &PhysicalOp) {
             right_key,
         } => {
             fp.tag(17);
-            fingerprint_key(fp, left_key);
-            fingerprint_key(fp, right_key);
-        }
-        PhysicalOp::SortMergeJoin {
-            left_key,
-            right_key,
-        } => {
-            fp.tag(18);
             fingerprint_key(fp, left_key);
             fingerprint_key(fp, right_key);
         }
@@ -693,24 +678,9 @@ impl PlanBuilder {
         self.add(PhysicalOp::Sort { key, descending }, vec![input])
     }
 
-    /// Duplicate elimination.
-    pub fn distinct(&mut self, input: NodeId) -> NodeId {
-        self.add(PhysicalOp::Distinct, vec![input])
-    }
-
-    /// Bernoulli sampling.
-    pub fn sample(&mut self, input: NodeId, fraction: f64, seed: u64) -> NodeId {
-        self.add(PhysicalOp::Sample { fraction, seed }, vec![input])
-    }
-
     /// Prefix of `n` quanta.
     pub fn limit(&mut self, input: NodeId, n: usize) -> NodeId {
         self.add(PhysicalOp::Limit { n }, vec![input])
-    }
-
-    /// Append a unique id field.
-    pub fn zip_with_id(&mut self, input: NodeId) -> NodeId {
-        self.add(PhysicalOp::ZipWithId, vec![input])
     }
 
     /// Hash equi-join.
@@ -723,23 +693,6 @@ impl PlanBuilder {
     ) -> NodeId {
         self.add(
             PhysicalOp::HashJoin {
-                left_key,
-                right_key,
-            },
-            vec![left, right],
-        )
-    }
-
-    /// Sort-merge equi-join.
-    pub fn sort_merge_join(
-        &mut self,
-        left: NodeId,
-        right: NodeId,
-        left_key: KeyUdf,
-        right_key: KeyUdf,
-    ) -> NodeId {
-        self.add(
-            PhysicalOp::SortMergeJoin {
                 left_key,
                 right_key,
             },
@@ -821,9 +774,13 @@ impl PlanBuilder {
         )
     }
 
-    /// Finish and validate the plan.
+    /// Finish and validate the plan, which must have at least one sink.
     pub fn build(self) -> Result<PhysicalPlan> {
-        self.build_fragment()
+        let plan = self.build_fragment()?;
+        if plan.sinks().is_empty() {
+            return Err(RheemError::InvalidPlan("plan has no sink".into()));
+        }
+        Ok(plan)
     }
 
     /// Finish without requiring sinks (used for loop bodies).
@@ -984,72 +941,19 @@ impl ExecutionPlan {
         self.atoms.iter().map(|a| a.inputs.len()).sum()
     }
 
-    /// The atom dependency DAG: for each atom (by index), the sorted,
-    /// deduplicated indices of the atoms whose outputs it consumes.
+    /// The atom dependency DAG over atom *positions*: for each atom, the
+    /// sorted, deduplicated positions of the atoms whose outputs it
+    /// consumes. Positions, not ids, because suffix plans spliced in by
+    /// mid-job re-planning keep globally unique (but gappy) ids.
     ///
-    /// Validates the plan's cross-atom wiring while it walks it, so the
-    /// executor can schedule without any panicking index. Fails with
-    /// [`RheemError::InvalidPlan`] if atom ids are not dense (`atoms[i].id
-    /// != i`), a boundary edge names a producer node outside the physical
-    /// plan or the platform assignments, a producer node is not owned by
-    /// any atom, or an atom consumes its own output across a boundary edge
-    /// (a self-cycle).
-    pub fn atom_dependencies(&self) -> Result<Vec<Vec<usize>>> {
-        for (i, atom) in self.atoms.iter().enumerate() {
-            if atom.id != i {
-                return Err(RheemError::InvalidPlan(format!(
-                    "atom at position {i} has id {}; atom ids must be dense",
-                    atom.id
-                )));
-            }
-        }
-        let atom_of = self.atom_of();
-        let mut deps: Vec<Vec<usize>> = vec![Vec::new(); self.atoms.len()];
-        for atom in &self.atoms {
-            for input in &atom.inputs {
-                let p = input.producer;
-                if p.0 >= self.physical.len() || p.0 >= self.assignments.len() {
-                    return Err(RheemError::InvalidPlan(format!(
-                        "atom {} consumes node {} outside the plan ({} nodes, {} assignments)",
-                        atom.id,
-                        p,
-                        self.physical.len(),
-                        self.assignments.len()
-                    )));
-                }
-                let producer_atom = *atom_of.get(&p).ok_or_else(|| {
-                    RheemError::InvalidPlan(format!(
-                        "atom {} consumes node {} that no atom produces",
-                        atom.id, p
-                    ))
-                })?;
-                if producer_atom == atom.id {
-                    return Err(RheemError::InvalidPlan(format!(
-                        "atom {} consumes its own node {} across an atom boundary",
-                        atom.id, p
-                    )));
-                }
-                deps[atom.id].push(producer_atom);
-            }
-        }
-        for d in &mut deps {
-            d.sort_unstable();
-            d.dedup();
-        }
-        Ok(deps)
-    }
-
-    /// Position-based variant of [`ExecutionPlan::atom_dependencies`] for
-    /// plans whose atom ids are no longer dense — suffix plans spliced in
-    /// by mid-job re-planning keep globally unique (but gappy) ids, so
-    /// dependencies are expressed over atom *positions* instead.
-    ///
-    /// Returns, for each atom position, the sorted, deduplicated positions
-    /// of the atoms whose outputs it consumes. Producer nodes listed in
-    /// `materialized` already have their outputs available (they were
-    /// produced before the re-plan) and contribute no edge; everything
-    /// else gets the same wiring validation as `atom_dependencies`
-    /// (producer bounds, ownership, boundary self-cycles).
+    /// Producer nodes listed in `materialized` already have their outputs
+    /// available (they were produced before the re-plan) and contribute no
+    /// edge. Validates the plan's cross-atom wiring while it walks it, so
+    /// the executor can schedule without any panicking index: fails with
+    /// [`RheemError::InvalidPlan`] if a boundary edge names a producer node
+    /// outside the physical plan or the platform assignments, a producer
+    /// node is neither owned by any atom nor materialized, or an atom
+    /// consumes its own output across a boundary edge (a self-cycle).
     pub fn pending_dependencies(&self, materialized: &HashSet<NodeId>) -> Result<Vec<Vec<usize>>> {
         let mut pos_of: HashMap<NodeId, usize> = HashMap::new();
         for (pos, atom) in self.atoms.iter().enumerate() {
@@ -1417,7 +1321,7 @@ mod tests {
     fn validate_rejects_bad_arity() {
         let plan = PhysicalPlan::from_nodes(vec![PhysicalNode {
             id: NodeId(0),
-            op: PhysicalOp::Distinct,
+            op: PhysicalOp::Limit { n: 1 },
             inputs: vec![],
         }]);
         assert!(matches!(plan.validate(), Err(RheemError::InvalidPlan(_))));
@@ -1428,7 +1332,7 @@ mod tests {
         let plan = PhysicalPlan::from_nodes(vec![
             PhysicalNode {
                 id: NodeId(0),
-                op: PhysicalOp::Distinct,
+                op: PhysicalOp::Limit { n: 1 },
                 inputs: vec![NodeId(1)],
             },
             PhysicalNode {
@@ -1446,6 +1350,21 @@ mod tests {
     #[test]
     fn empty_plan_is_invalid() {
         assert!(PhysicalPlan::default().validate().is_err());
+    }
+
+    #[test]
+    fn build_requires_a_sink_but_a_fragment_does_not() {
+        let sinkless = || {
+            let mut b = PlanBuilder::new();
+            let src = b.collection("s", vec![rec![1i64]]);
+            b.map(src, MapUdf::new("id", |r| r.clone()));
+            b
+        };
+        assert!(matches!(
+            sinkless().build(),
+            Err(RheemError::InvalidPlan(m)) if m.contains("no sink")
+        ));
+        assert_eq!(sinkless().build_fragment().unwrap().len(), 2);
     }
 
     #[test]
@@ -1548,9 +1467,9 @@ mod tests {
     }
 
     #[test]
-    fn atom_dependencies_follow_boundary_edges() {
+    fn pending_dependencies_follow_boundary_edges() {
         let plan = two_atom_exec_plan();
-        let deps = plan.atom_dependencies().unwrap();
+        let deps = plan.pending_dependencies(&HashSet::new()).unwrap();
         assert_eq!(deps, vec![vec![], vec![0]]);
         let counts = plan.boundary_consumer_counts();
         assert_eq!(counts.get(&NodeId(1)), Some(&1));
@@ -1565,38 +1484,30 @@ mod tests {
         let mut plan = two_atom_exec_plan();
         plan.atoms.remove(0);
         plan.atoms[0].id = 7;
-        assert!(plan.atom_dependencies().is_err()); // non-dense ids
         let materialized: HashSet<NodeId> = [NodeId(0), NodeId(1)].into_iter().collect();
         let deps = plan.pending_dependencies(&materialized).unwrap();
         assert_eq!(deps, vec![Vec::<usize>::new()]);
         // Without the materialized set, the dangling producer is an error.
         assert!(plan.pending_dependencies(&HashSet::new()).is_err());
-        // On a dense full plan with nothing materialized, positions match
-        // `atom_dependencies` exactly.
-        let full = two_atom_exec_plan();
-        assert_eq!(
-            full.pending_dependencies(&HashSet::new()).unwrap(),
-            full.atom_dependencies().unwrap()
-        );
     }
 
     #[test]
-    fn atom_dependencies_reject_out_of_range_producers() {
+    fn pending_dependencies_reject_out_of_range_producers() {
         let mut plan = two_atom_exec_plan();
         plan.atoms[1].inputs[0].producer = NodeId(99);
         assert!(matches!(
-            plan.atom_dependencies(),
+            plan.pending_dependencies(&HashSet::new()),
             Err(RheemError::InvalidPlan(_))
         ));
     }
 
     #[test]
-    fn atom_dependencies_reject_unowned_and_truncated_assignments() {
+    fn pending_dependencies_reject_unowned_and_truncated_assignments() {
         // Producer node exists but no atom owns it.
         let mut plan = two_atom_exec_plan();
         plan.atoms[0].nodes = vec![NodeId(0)];
         assert!(matches!(
-            plan.atom_dependencies(),
+            plan.pending_dependencies(&HashSet::new()),
             Err(RheemError::InvalidPlan(_))
         ));
         // Assignments vector shorter than the plan: the old executor would
@@ -1604,20 +1515,16 @@ mod tests {
         let mut plan = two_atom_exec_plan();
         plan.assignments.truncate(1);
         assert!(matches!(
-            plan.atom_dependencies(),
+            plan.pending_dependencies(&HashSet::new()),
             Err(RheemError::InvalidPlan(_))
         ));
     }
 
     #[test]
-    fn atom_dependencies_reject_non_dense_ids_and_self_edges() {
-        let mut plan = two_atom_exec_plan();
-        plan.atoms[1].id = 7;
-        assert!(plan.atom_dependencies().is_err());
-
+    fn pending_dependencies_reject_self_edges() {
         let mut plan = two_atom_exec_plan();
         // Make atom 1 own the node it consumes: a boundary self-edge.
         plan.atoms[1].nodes.push(NodeId(1));
-        assert!(plan.atom_dependencies().is_err());
+        assert!(plan.pending_dependencies(&HashSet::new()).is_err());
     }
 }

@@ -8,25 +8,6 @@ use rand::{Rng, SeedableRng};
 use rheem_core::data::Record;
 use rheem_core::rec;
 
-/// Erdős–Rényi G(n, m): `edges` distinct directed edges among `nodes`
-/// vertices (no self-loops). Deterministic in the seed.
-pub fn erdos_renyi(nodes: usize, edges: usize, seed: u64) -> Vec<Record> {
-    assert!(nodes >= 2, "need at least two nodes");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut seen = std::collections::HashSet::with_capacity(edges);
-    let max_edges = nodes * (nodes - 1);
-    let target = edges.min(max_edges);
-    let mut out = Vec::with_capacity(target);
-    while out.len() < target {
-        let src = rng.gen_range(0..nodes) as i64;
-        let dst = rng.gen_range(0..nodes) as i64;
-        if src != dst && seen.insert((src, dst)) {
-            out.push(rec![src, dst]);
-        }
-    }
-    out
-}
-
 /// A preferential-attachment graph: each new node attaches `m` out-edges to
 /// endpoints sampled from the existing edge list (rich get richer), giving
 /// the skewed degree distribution real web/social graphs show.
@@ -65,27 +46,6 @@ pub fn disjoint_cycles(k: usize, len: usize) -> Vec<Record> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn erdos_renyi_is_deterministic_and_simple() {
-        let a = erdos_renyi(50, 200, 3);
-        let b = erdos_renyi(50, 200, 3);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 200);
-        let mut seen = std::collections::HashSet::new();
-        for e in &a {
-            let (s, d) = (e.int(0).unwrap(), e.int(1).unwrap());
-            assert_ne!(s, d, "self loop");
-            assert!(seen.insert((s, d)), "duplicate edge");
-            assert!((0..50).contains(&s) && (0..50).contains(&d));
-        }
-    }
-
-    #[test]
-    fn erdos_renyi_caps_at_max_edges() {
-        let e = erdos_renyi(3, 100, 1);
-        assert_eq!(e.len(), 6); // 3 × 2 directed edges
-    }
 
     #[test]
     fn preferential_attachment_is_skewed() {

@@ -6,16 +6,13 @@
 //!
 //! * [`pagerank`] — iterative rank propagation (join + reduce loop);
 //! * [`components`] — connected components by label propagation;
-//! * [`sssp`] — single-source shortest paths by iterative relaxation;
 //! * [`triangles`] — triangle counting by cascaded equi-joins.
 
 #![warn(missing_docs)]
 
 pub mod components;
 pub mod pagerank;
-pub mod sssp;
 pub mod triangles;
 
 pub use components::{component_count, ConnectedComponents};
 pub use pagerank::PageRank;
-pub use sssp::ShortestPaths;

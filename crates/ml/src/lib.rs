@@ -9,28 +9,22 @@
 //! * [`gd`] — the Initialize/Process/Loop gradient-descent template
 //!   (paper §3.1, Example 1);
 //! * [`svm`] — hinge-loss SVM (Figure 2's algorithm);
-//! * [`logreg`] / [`linreg`] — logistic and linear regression on the same
-//!   template;
+//! * [`linreg`] — linear regression on the same template;
 //! * [`kmeans`] — K-means built through the *logical* layer with
 //!   `GetCentroid`/`SetCentroids` operators and a grouping enhancer
 //!   (paper §3.2's example), lowered by `LogicalPlan::lower`;
-//! * [`model`] — the shared linear-model representation;
-//! * [`eval`] — scoring plans, train/test splits, cross-validation.
+//! * [`model`] — the shared linear-model representation.
 
 #![warn(missing_docs)]
 
-pub mod eval;
 pub mod gd;
 pub mod kmeans;
 pub mod linreg;
-pub mod logreg;
 pub mod model;
 pub mod svm;
 
-pub use eval::{build_scoring_plan, cross_validate, evaluate, train_test_split};
 pub use gd::{ExampleGradient, GdConfig};
 pub use kmeans::{Clustering, KMeansTrainer};
 pub use linreg::LinRegTrainer;
-pub use logreg::LogRegTrainer;
 pub use model::LinearModel;
 pub use svm::SvmTrainer;

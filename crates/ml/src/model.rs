@@ -41,7 +41,7 @@ impl LinearModel {
     }
 
     /// Raw score for a LIBSVM-layout record `[label, x_1, ..., x_d]`.
-    pub fn score_record(&self, r: &Record) -> Result<f64> {
+    fn score_record(&self, r: &Record) -> Result<f64> {
         if r.width() != self.dims() + 1 {
             return Err(RheemError::Type {
                 expected: format!("record of width {}", self.dims() + 1),

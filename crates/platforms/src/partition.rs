@@ -5,9 +5,6 @@
 //! stage and rows appear only where a task needs them. Keys are routed with
 //! one hash ([`key_hash`]), whichever view a batch is routed on.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-
 use rheem_core::data::{Chunk, Dataset, Record, Value};
 use rheem_core::error::Result;
 use rheem_core::kernels::{chunked, hash};
@@ -50,16 +47,6 @@ pub fn key_hash(key: &KeyUdf, r: &Record) -> u64 {
     }
 }
 
-/// Route every row to the partition `hash(row) % parts`, keeping input
-/// order within each partition.
-fn route_rows(records: &[Record], parts: usize, hash: impl Fn(&Record) -> u64) -> Vec<Dataset> {
-    let mut out = vec![Vec::new(); parts];
-    for r in records {
-        out[(hash(r) % parts as u64) as usize].push(r.clone());
-    }
-    out.into_iter().map(Dataset::new).collect()
-}
-
 /// Shuffle into `parts` partitions by key hash (co-partitioning: equal
 /// keys always land in the same partition index), keeping input order
 /// within each partition. A batch that has a columnar view is routed on its
@@ -72,7 +59,11 @@ pub fn partition_by_key(data: &Dataset, key: &KeyUdf, parts: usize) -> Vec<Datas
         _ => None,
     };
     let Some((chunk, fields)) = columnar else {
-        return route_rows(data.records(), parts, |r| key_hash(key, r));
+        let mut out = vec![Vec::new(); parts];
+        for r in data.records() {
+            out[(key_hash(key, r) % parts as u64) as usize].push(r.clone());
+        }
+        return out.into_iter().map(Dataset::new).collect();
     };
     let mut rows: Vec<Vec<usize>> = vec![Vec::new(); parts];
     for (row, h) in chunked::key_tuple_hashes(chunk, fields)
@@ -84,15 +75,6 @@ pub fn partition_by_key(data: &Dataset, key: &KeyUdf, parts: usize) -> Vec<Datas
     rows.iter()
         .map(|rows| Dataset::from_chunk(chunk.gather(rows)))
         .collect()
-}
-
-/// Shuffle by whole-record hash, so equal rows meet (`Distinct`).
-pub fn partition_by_record(data: &Dataset, parts: usize) -> Vec<Dataset> {
-    route_rows(data.records(), parts.max(1), |r| {
-        let mut h = DefaultHasher::new();
-        r.hash(&mut h);
-        h.finish()
-    })
 }
 
 /// Concatenate partitions back into one batch: chunk to chunk when every
@@ -112,18 +94,6 @@ pub fn concat(mut parts: Vec<Dataset>) -> Dataset {
         rows.extend(p.into_records());
     }
     Dataset::new(rows)
-}
-
-/// Prefix-sum offsets of each partition (for globally unique ids and
-/// position-indexed sampling).
-pub fn offsets(parts: &[Dataset]) -> Vec<usize> {
-    let mut out = Vec::with_capacity(parts.len());
-    let mut acc = 0usize;
-    for p in parts {
-        out.push(acc);
-        acc += p.len();
-    }
-    out
 }
 
 /// Execute `f` over every partition, timing each task individually, and
@@ -200,20 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_by_record_sends_equal_rows_to_one_partition() {
-        let data: Dataset = (0..60).map(|i| rec![i % 6, "x"]).collect();
-        let parts = partition_by_record(&data, 4);
-        assert_eq!(parts.iter().map(Dataset::len).sum::<usize>(), 60);
-        for k in 0..6i64 {
-            let holders = parts
-                .iter()
-                .filter(|p| p.iter().any(|r| r.int(0).unwrap() == k))
-                .count();
-            assert_eq!(holders, 1, "row {k} split across partitions");
-        }
-    }
-
-    #[test]
     fn a_key_meets_itself_whichever_view_was_routed() {
         // One side routed on its columns, the other on its rows: every key
         // still lands in the same partition index on both.
@@ -254,12 +210,6 @@ mod tests {
             assert_eq!(merged.has_chunk(), columnar);
             assert_eq!(merged.records(), &data[..]);
         }
-    }
-
-    #[test]
-    fn offsets_are_prefix_sums() {
-        let parts = [nums(3), nums(0), nums(5)].map(Dataset::new);
-        assert_eq!(offsets(&parts), vec![0, 3, 3]);
     }
 
     #[test]

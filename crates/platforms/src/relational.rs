@@ -9,7 +9,7 @@
 //!   are cheap per record — decades of engine engineering;
 //! * opaque record-level UDFs (`Map`/`FlatMap`) are *expensive* — they
 //!   leave the optimized plan path, like PL/pgSQL functions;
-//! * loops, sampling, and application-defined operators are simply **not
+//! * loops and application-defined operators are simply **not
 //!   supported** — the multi-platform optimizer must place them elsewhere,
 //!   which is what creates genuinely mixed execution plans.
 
@@ -52,7 +52,6 @@ impl PlatformCostModel for RelationalCostModel {
         let per_unit = match op {
             PhysicalOp::Map(_)
             | PhysicalOp::Project { .. }
-            | PhysicalOp::ZipWithId
             | PhysicalOp::ChunkPipeline { .. }
             | PhysicalOp::FlatMap(_)
             | PhysicalOp::Custom(_)
@@ -124,10 +123,7 @@ impl Platform for RelationalPlatform {
     fn supports(&self, op: &PhysicalOp) -> bool {
         !matches!(
             op,
-            PhysicalOp::Loop { .. }
-                | PhysicalOp::Custom(_)
-                | PhysicalOp::Sample { .. }
-                | PhysicalOp::LoopInput
+            PhysicalOp::Loop { .. } | PhysicalOp::Custom(_) | PhysicalOp::LoopInput
         )
     }
 
@@ -203,11 +199,8 @@ mod tests {
             expected_iterations: 1.0,
         };
         assert!(!p.supports(&op));
-        assert!(!p.supports(&PhysicalOp::Sample {
-            fraction: 0.5,
-            seed: 0
-        }));
-        assert!(p.supports(&PhysicalOp::Distinct));
+        assert!(!p.supports(&PhysicalOp::LoopInput));
+        assert!(p.supports(&PhysicalOp::Limit { n: 1 }));
     }
 
     #[test]
@@ -215,11 +208,19 @@ mod tests {
         let ctx = RheemContext::new()
             .with_platform(Arc::new(rel()))
             .force_platform("relational");
+        let mut body = PlanBuilder::new();
+        let li = body.loop_input();
+        body.map(li, MapUdf::new("id", |r| r.clone()));
         let mut b = PlanBuilder::new();
         let src = b.collection("s", vec![rec![1i64]]);
-        let smp = b.sample(src, 0.5, 1);
-        b.collect(smp);
-        // The optimizer has no feasible platform for Sample.
+        let l = b.repeat(
+            src,
+            body.build_fragment().unwrap(),
+            LoopCondUdf::fixed_iterations(1),
+            1,
+        );
+        b.collect(l);
+        // The optimizer has no feasible platform for the loop.
         assert!(ctx.execute(b.build().unwrap()).is_err());
     }
 
@@ -231,12 +232,13 @@ mod tests {
         let udf_cost = m.op_cost(&map, &[1000.0], 1000.0);
         let rel_cost = m.op_cost(&filter, &[1000.0], 1000.0);
         assert!(udf_cost > rel_cost * 5.0);
-        // Row-shaping operators outside the filter/join/group family pay
+        // A row-shaping operator outside the filter/join/group family pays
         // the UDF price too.
         let project = PhysicalOp::Project { indices: vec![0] };
-        for op in [project, PhysicalOp::ZipWithId] {
-            let work = op_work_units(&op, &[1000.0], 1000.0);
-            assert_eq!(m.op_cost(&op, &[1000.0], 1000.0), work * m.udf_per_unit);
-        }
+        let work = op_work_units(&project, &[1000.0], 1000.0);
+        assert_eq!(
+            m.op_cost(&project, &[1000.0], 1000.0),
+            work * m.udf_per_unit
+        );
     }
 }

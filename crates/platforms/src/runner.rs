@@ -32,9 +32,7 @@ use rheem_core::udf::KeyUdf;
 use rheem_core::{interpreter, kernels, KernelParallelism};
 
 use crate::config::OverheadConfig;
-use crate::partition::{
-    concat, offsets, partition_by_key, partition_by_record, run_partitions_timed, split,
-};
+use crate::partition::{concat, partition_by_key, run_partitions_timed, split};
 
 /// A dataset in flight inside an atom: one [`Dataset`] per partition. A
 /// partition is a lazy window of a source, a chunk a columnar task
@@ -157,7 +155,7 @@ fn ms_since(t: Instant) -> f64 {
 
 /// The operator table on gathered inputs, as a single sequential task.
 fn single_task(op: &PhysicalOp, gathered: &[Dataset]) -> Result<(Dataset, bool)> {
-    kernels::execute(op, gathered, 0, &KernelParallelism::sequential())
+    kernels::execute(op, gathered, &KernelParallelism::sequential())
 }
 
 /// One atom execution in flight.
@@ -210,9 +208,8 @@ impl<E: Engine> Run<'_, E> {
 
     /// Run `op` as one stage: the operator table on every partition (the
     /// partition is the parallel unit, so kernels stay sequential), charging
-    /// the critical path. Task `i` is told the global position of its
-    /// partition and given `right(i)` as its second input. The flag is true
-    /// when every task ran without touching rows.
+    /// the critical path. Task `i` is given `right(i)` as its second input.
+    /// The flag is true when every task ran without touching rows.
     fn tasks<'r>(
         &mut self,
         op: &PhysicalOp,
@@ -220,12 +217,11 @@ impl<E: Engine> Run<'_, E> {
         right: impl Fn(usize) -> Option<&'r Dataset>,
     ) -> Result<(Parts, bool)> {
         let sequential = KernelParallelism::sequential();
-        let offsets = offsets(&parts);
         let mut columnar = true;
         let (out, max_ms) = run_partitions_timed(parts, |i, p| {
             let mut inputs = vec![p];
             inputs.extend(right(i).cloned());
-            let (out, took) = kernels::execute(op, &inputs, offsets[i], &sequential)?;
+            let (out, took) = kernels::execute(op, &inputs, &sequential)?;
             columnar &= took;
             Ok(out)
         })?;
@@ -342,7 +338,7 @@ impl<E: Engine> Run<'_, E> {
                 })?;
                 (state.clone(), true)
             }
-            Layout::Narrow | Layout::NarrowWithOffset => self.tasks(op, next(), |_| None)?,
+            Layout::Narrow => self.tasks(op, next(), |_| None)?,
             // Partitions are in order, so a prefix is a prefix of them.
             Layout::Prefix(n) => {
                 let mut wanted = n;
@@ -366,13 +362,6 @@ impl<E: Engine> Run<'_, E> {
             Layout::CombineByKey(key) => {
                 let (local, _) = self.tasks(op, next(), |_| None)?;
                 let parts = self.shuffle_by_key(local, key)?;
-                self.tasks(op, parts, |_| None)?
-            }
-            Layout::ByRecord => {
-                let input = self.stage_one(next())?;
-                let gathered = self.driver(|| concat(input));
-                let n_parts = self.engine.partitions_for(gathered.len());
-                let parts = self.driver(|| partition_by_record(&gathered, n_parts));
                 self.tasks(op, parts, |_| None)?
             }
             // Simplification documented in DESIGN.md: a range-partitioned

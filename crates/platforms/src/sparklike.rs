@@ -7,7 +7,7 @@
 //!
 //! * data lives in `workers` partitions; narrow operators (map, filter, ...)
 //!   run as independent per-partition tasks;
-//! * wide operators (group-by, joins, distinct, sort) first **shuffle** —
+//! * wide operators (group-by, joins, sort) first **shuffle** —
 //!   repartition records by key hash — then run per partition, paying a
 //!   per-stage scheduling overhead;
 //! * every task atom pays a fixed **job-submission** overhead, and every

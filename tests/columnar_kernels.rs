@@ -193,7 +193,7 @@ proptest! {
         }
     }
 
-    /// Joins agree with the row kernels: match order is left-major with
+    /// The join agrees with the row kernel: match order is left-major with
     /// right matches in input order, and keys compare with `Value` equality
     /// (Int(1) never matches Float(1.0)).
     #[test]
@@ -206,10 +206,6 @@ proptest! {
         prop_assert_eq!(
             chunked::hash_join(&lc, &rc, &key, &key).to_records(),
             kernels::hash_join(&left, &right, &key, &key)
-        );
-        prop_assert_eq!(
-            chunked::sort_merge_join(&lc, &rc, &key, &key).to_records(),
-            kernels::sort_merge_join(&left, &right, &key, &key)
         );
     }
 

@@ -128,8 +128,8 @@ proptest! {
         }
     }
 
-    /// Join kernels: partitioned build / parallel probe and partition
-    /// sort + merge preserve the sequential output order exactly.
+    /// The join kernel: partitioned build / parallel probe preserves the
+    /// sequential output order exactly.
     #[test]
     fn prop_join_kernels_match_sequential(
         left in batch_strategy(90),
@@ -141,10 +141,6 @@ proptest! {
             prop_assert_eq!(
                 parallel::hash_join(&left, &right, &lk, &rk, &p),
                 kernels::hash_join(&left, &right, &lk, &rk)
-            );
-            prop_assert_eq!(
-                parallel::sort_merge_join(&left, &right, &lk, &rk, &p),
-                kernels::sort_merge_join(&left, &right, &lk, &rk)
             );
         }
     }
@@ -161,13 +157,12 @@ fn empty_inputs_match_sequential() {
         assert!(parallel::hash_group(&empty, &key, &p).is_empty());
         assert!(parallel::reduce_by_key(&empty, &key, &reduce, &p).is_empty());
         assert!(parallel::hash_join(&empty, &empty, &key, &key, &p).is_empty());
-        assert!(parallel::sort_merge_join(&empty, &empty, &key, &key, &p).is_empty());
         assert!(parallel::sort(&empty, &key, false, &p).is_empty());
     }
 }
 
 /// A multi-operator job exercising maps, filters, grouping, reduction,
-/// both joins, and a sort — everything the morsel layer touches.
+/// two joins, and a sort — everything the morsel layer touches.
 fn workload_plan() -> PhysicalPlan {
     let mut b = PlanBuilder::new();
     let src = b.collection(
@@ -196,8 +191,8 @@ fn workload_plan() -> PhysicalPlan {
     );
     let joined = b.hash_join(filtered, dims, KeyUdf::field(0), KeyUdf::field(0));
     b.collect(joined);
-    let merged = b.sort_merge_join(summed, dims, KeyUdf::field(0), KeyUdf::field(0));
-    let sorted = b.sort(merged, KeyUdf::field(1), true);
+    let enriched = b.hash_join(summed, dims, KeyUdf::field(0), KeyUdf::field(0));
+    let sorted = b.sort(enriched, KeyUdf::field(1), true);
     b.collect(sorted);
     let grouped = b.group_by(
         filtered,

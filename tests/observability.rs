@@ -253,7 +253,6 @@ fn failed_attempts_do_not_pollute_the_calibration_table() {
 enum Step {
     MapAdd(i64),
     FilterMod(i64),
-    Distinct,
     ReduceSum,
     UnionSelf,
 }
@@ -276,7 +275,6 @@ fn apply_step(b: &mut PlanBuilder, input: rheem_core::NodeId, step: &Step) -> rh
                 FilterUdf::new("mod", move |r| r.int(0).unwrap().rem_euclid(m) != 0),
             )
         }
-        Step::Distinct => b.distinct(input),
         Step::ReduceSum => b.reduce_by_key(
             input,
             KeyUdf::new("mod5", |r| (r.int(0).unwrap().rem_euclid(5)).into()),
@@ -295,7 +293,6 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     prop_oneof![
         (-100i64..100).prop_map(Step::MapAdd),
         (1i64..9).prop_map(Step::FilterMod),
-        Just(Step::Distinct),
         Just(Step::ReduceSum),
         Just(Step::UnionSelf),
     ]

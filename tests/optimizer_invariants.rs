@@ -24,7 +24,6 @@ enum GenOp {
     FilterHalf,
     GroupCount,
     Sort,
-    Distinct,
     Union(u8),
     Join(u8),
     Cross(u8),
@@ -37,7 +36,6 @@ fn gen_op() -> impl Strategy<Value = GenOp> {
         Just(GenOp::FilterHalf),
         Just(GenOp::GroupCount),
         Just(GenOp::Sort),
-        Just(GenOp::Distinct),
         any::<u8>().prop_map(GenOp::Union),
         any::<u8>().prop_map(GenOp::Join),
         any::<u8>().prop_map(GenOp::Cross),
@@ -84,10 +82,6 @@ fn build_plan(ops: &[GenOp]) -> PhysicalPlan {
             }
             GenOp::Sort => {
                 let node = b.sort(top, KeyUdf::field(0), false);
-                stack.push(node);
-            }
-            GenOp::Distinct => {
-                let node = b.distinct(top);
                 stack.push(node);
             }
             GenOp::Union(pick) => {
@@ -340,7 +334,6 @@ fn gen_chain_op() -> impl Strategy<Value = GenOp> {
         Just(GenOp::FilterHalf),
         Just(GenOp::GroupCount),
         Just(GenOp::Sort),
-        Just(GenOp::Distinct),
     ]
 }
 
@@ -368,7 +361,6 @@ fn build_chain(ops: &[GenOp]) -> PhysicalPlan {
                 }),
             ),
             GenOp::Sort => b.sort(top, KeyUdf::field(0), false),
-            GenOp::Distinct => b.distinct(top),
             other => unreachable!("non-unary op {other:?} in a chain script"),
         };
     }

@@ -167,7 +167,6 @@ enum Step {
     MapAddConst(i64),
     FilterMod(i64),
     SortAsc,
-    Distinct,
     GroupCount,
     ReduceSum,
     LimitTo(usize),
@@ -193,7 +192,6 @@ fn apply_step(b: &mut PlanBuilder, input: rheem_core::NodeId, step: &Step) -> rh
             )
         }
         Step::SortAsc => b.sort(input, KeyUdf::field(0), false),
-        Step::Distinct => b.distinct(input),
         Step::GroupCount => b.group_by(
             input,
             KeyUdf::new("mod7", |r| (r.int(0).unwrap().rem_euclid(7)).into()),
@@ -230,7 +228,6 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         (-100i64..100).prop_map(Step::MapAddConst),
         (1i64..9).prop_map(Step::FilterMod),
         Just(Step::SortAsc),
-        Just(Step::Distinct),
         Just(Step::GroupCount),
         Just(Step::ReduceSum),
         (1usize..50).prop_map(Step::LimitTo),
@@ -279,7 +276,7 @@ use rheem_core::platform::{MemoryStorageService, StorageService};
 use rheem_core::udf::{AggFunc, Aggregate, GroupOutput};
 use rheem_core::{ExecutionContext, KernelParallelism};
 
-const VARIANTS: usize = 27;
+const VARIANTS: usize = 23;
 
 /// One position per variant, without a wildcard: a new variant does not
 /// compile until it is given a position here, and
@@ -299,21 +296,17 @@ fn position(op: &PhysicalOp) -> usize {
         PhysicalOp::ReduceByKey { .. } => 9,
         PhysicalOp::GlobalReduce { .. } => 10,
         PhysicalOp::Sort { .. } => 11,
-        PhysicalOp::Distinct => 12,
-        PhysicalOp::Sample { .. } => 13,
-        PhysicalOp::Limit { .. } => 14,
-        PhysicalOp::ZipWithId => 15,
-        PhysicalOp::ChunkPipeline { .. } => 16,
-        PhysicalOp::HashJoin { .. } => 17,
-        PhysicalOp::SortMergeJoin { .. } => 18,
-        PhysicalOp::NestedLoopJoin { .. } => 19,
-        PhysicalOp::CrossProduct => 20,
-        PhysicalOp::Union => 21,
-        PhysicalOp::Loop { .. } => 22,
-        PhysicalOp::Custom(_) => 23,
-        PhysicalOp::CollectSink => 24,
-        PhysicalOp::CountSink => 25,
-        PhysicalOp::StorageSink { .. } => 26,
+        PhysicalOp::Limit { .. } => 12,
+        PhysicalOp::ChunkPipeline { .. } => 13,
+        PhysicalOp::HashJoin { .. } => 14,
+        PhysicalOp::NestedLoopJoin { .. } => 15,
+        PhysicalOp::CrossProduct => 16,
+        PhysicalOp::Union => 17,
+        PhysicalOp::Loop { .. } => 18,
+        PhysicalOp::Custom(_) => 19,
+        PhysicalOp::CollectSink => 20,
+        PhysicalOp::CountSink => 21,
+        PhysicalOp::StorageSink { .. } => 22,
     }
 }
 
@@ -322,8 +315,7 @@ fn position(op: &PhysicalOp) -> usize {
 enum Order {
     /// The operator defines no order: equal bags.
     Bag,
-    /// The operator defines the order (a sort, a prefix, positional ids, a
-    /// positional selection): equal sequences.
+    /// The operator defines the order (a sort, a prefix): equal sequences.
     Sequence,
 }
 
@@ -510,19 +502,6 @@ fn group_by_forms(
     ]
 }
 
-/// Both equi-joins in each form, built by `make(left_key, right_key)`.
-fn join_forms(names: [&'static str; 2], make: impl Fn(KeyUdf, KeyUdf) -> PhysicalOp) -> Vec<Form> {
-    let opaque = || KeyUdf::new("key", |r| field(r, KEY));
-    vec![
-        form(
-            names[0],
-            make(KeyUdf::field(KEY), KeyUdf::field(0)),
-            Order::Bag,
-        ),
-        form(names[1], make(opaque(), opaque()), Order::Bag),
-    ]
-}
-
 fn stages_of(ops: &[PhysicalOp]) -> PhysicalOp {
     PhysicalOp::ChunkPipeline {
         stages: ops
@@ -635,17 +614,8 @@ fn forms(left: &[Record]) -> Vec<Form> {
             ]),
             Bag,
         ),
-        // Positional: the selection, the ids and a prefix are defined by
-        // the input's order, which every engine keeps.
-        form(
-            "sample",
-            PhysicalOp::Sample {
-                fraction: 0.4,
-                seed: 11,
-            },
-            Sequence,
-        ),
-        form("zip with id", PhysicalOp::ZipWithId, Sequence),
+        // Positional: a prefix is defined by the input's order, which every
+        // engine keeps.
         form("limit", PhysicalOp::Limit { n: 17 }, Sequence),
         form("limit 0", PhysicalOp::Limit { n: 0 }, Sequence),
         // Keyed and global reductions (associative combiners: partitioned
@@ -699,18 +669,23 @@ fn forms(left: &[Record]) -> Vec<Form> {
             chain: vec![sort(KeyUdf::field(INT), true), PhysicalOp::Limit { n: 9 }],
             order: Sequence,
         },
-        form("distinct", PhysicalOp::Distinct, Bag),
-        Form {
-            label: "distinct over duplicates",
-            chain: vec![
-                PhysicalOp::Project {
-                    indices: vec![KEY, TAG],
-                },
-                PhysicalOp::Distinct,
-            ],
-            order: Bag,
-        },
-        // Binary (the joins follow).
+        // Binary.
+        form(
+            "hash join, field keys",
+            PhysicalOp::HashJoin {
+                left_key: KeyUdf::field(KEY),
+                right_key: KeyUdf::field(0),
+            },
+            Bag,
+        ),
+        form(
+            "hash join, closure keys",
+            PhysicalOp::HashJoin {
+                left_key: KeyUdf::new("key", |r| field(r, KEY)),
+                right_key: KeyUdf::new("key", |r| field(r, KEY)),
+            },
+            Bag,
+        ),
         form(
             "theta join",
             PhysicalOp::NestedLoopJoin {
@@ -772,23 +747,6 @@ fn forms(left: &[Record]) -> Vec<Form> {
             "sort group by, global aggregate",
         ],
         |key, group| PhysicalOp::SortGroupBy { key, group },
-    ));
-    table.extend(join_forms(
-        ["hash join, field keys", "hash join, closure keys"],
-        |left_key, right_key| PhysicalOp::HashJoin {
-            left_key,
-            right_key,
-        },
-    ));
-    table.extend(join_forms(
-        [
-            "sort-merge join, field keys",
-            "sort-merge join, closure keys",
-        ],
-        |left_key, right_key| PhysicalOp::SortMergeJoin {
-            left_key,
-            right_key,
-        },
     ));
     table
 }

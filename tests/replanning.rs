@@ -72,6 +72,16 @@ fn sorted_outputs(result: &JobResult) -> Vec<(NodeId, Vec<Record>)> {
     out
 }
 
+/// Java plus a sparklike engine whose 25 ms job startup makes it a poor
+/// home for a hundred records.
+fn java_and_a_costly_cluster() -> RheemContext {
+    RheemContext::new()
+        .with_platform(Arc::new(JavaPlatform::new()))
+        .with_platform(Arc::new(SparkLikePlatform::new(4).with_overheads(
+            OverheadConfig::accounted_only(Duration::from_millis(25), Duration::from_millis(2)),
+        )))
+}
+
 #[test]
 fn drift_triggers_a_replan_that_flips_the_suffix_platform() {
     // Estimates claim 1M records; the source actually yields 100. At 1M
@@ -79,13 +89,7 @@ fn drift_triggers_a_replan_that_flips_the_suffix_platform() {
     // re-enumeration must bring the suffix home to java (no cluster
     // startup overhead) — without changing the output.
     let exec = misestimated_exec_plan(100, 1e6, "java", "sparklike");
-    let ctx = || {
-        RheemContext::new()
-            .with_platform(Arc::new(JavaPlatform::new()))
-            .with_platform(Arc::new(SparkLikePlatform::new(4).with_overheads(
-                OverheadConfig::accounted_only(Duration::from_millis(25), Duration::from_millis(2)),
-            )))
-    };
+    let ctx = java_and_a_costly_cluster;
 
     let baseline = ctx().execute_plan(&exec).unwrap();
     assert!(baseline.stats.replans.is_empty());
@@ -190,6 +194,31 @@ fn a_single_drift_replans_once_even_with_budget_to_spare() {
     assert_eq!(result.stats.replans.len(), 1);
 }
 
+#[test]
+fn an_effective_plan_with_fresh_atom_ids_is_refused_as_input() {
+    // Source and sink on java, the map between them on the cluster: three
+    // atoms. The re-plan brings the map home, and map and sink become one
+    // atom under a fresh id, so the effective plan's ids are not dense: it
+    // records what ran and is not a plan to run again.
+    let mut exec = misestimated_exec_plan(100, 1e6, "java", "sparklike");
+    exec.assignments[2] = "java".into();
+    exec.atoms = split_into_atoms(&exec.physical, &exec.assignments);
+    assert_eq!(exec.atoms.len(), 3);
+    let ctx = java_and_a_costly_cluster().with_replan_policy(ReplanPolicy::default());
+    let effective = ctx
+        .execute_plan(&exec)
+        .unwrap()
+        .effective_plan
+        .expect("replan happened");
+    let ids: Vec<usize> = effective.atoms.iter().map(|a| a.id).collect();
+    assert!(
+        ids.iter().enumerate().any(|(i, id)| *id != i),
+        "ids {ids:?}"
+    );
+    let err = ctx.execute_plan(&effective).unwrap_err();
+    assert!(matches!(err, RheemError::InvalidPlan(_)), "{err}");
+}
+
 /// A java clone that sleeps before every atom — long enough that a small
 /// job deadline has certainly expired by the first wave boundary.
 struct SluggishJava {
@@ -263,7 +292,6 @@ fn replans_respect_the_job_deadline() {
 enum Step {
     MapAdd(i64),
     FilterMod(i64),
-    Distinct,
     ReduceSum,
     FanoutLie,
 }
@@ -286,7 +314,6 @@ fn apply_step(b: &mut PlanBuilder, input: rheem_core::NodeId, step: &Step) -> rh
                 FilterUdf::new("mod", move |r| r.int(0).unwrap().rem_euclid(m) != 0),
             )
         }
-        Step::Distinct => b.distinct(input),
         Step::ReduceSum => b.reduce_by_key(
             input,
             KeyUdf::new("mod5", |r| (r.int(0).unwrap().rem_euclid(5)).into()),
@@ -309,7 +336,6 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     prop_oneof![
         (-100i64..100).prop_map(Step::MapAdd),
         (1i64..9).prop_map(Step::FilterMod),
-        Just(Step::Distinct),
         Just(Step::ReduceSum),
         Just(Step::FanoutLie),
     ]
