@@ -7,7 +7,7 @@
 //! the per-atom error ratios are visible in the run log.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rheem_bench::calibration::{flip_context, flip_plan, run_calibration_flip};
+use rheem_bench::{flip_context, flip_plan, run_calibration_flip};
 
 fn bench(c: &mut Criterion) {
     let n = 20_000;

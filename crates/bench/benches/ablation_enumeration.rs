@@ -23,14 +23,13 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use rheem_core::data::Record;
 use rheem_core::logical::LogicalPlan;
-use rheem_core::optimizer::{enumerate, rewrites};
-use rheem_core::plan::{NodeId, PhysicalPlan, PlanBuilder};
 use rheem_core::query::QueryCatalog;
-use rheem_core::rec;
 use rheem_core::udf::{FilterUdf, GroupMapUdf, KeyUdf, MapUdf};
-use rheem_core::{enumerate_exhaustive, DataType, EnumerationConfig, EnumerationPath, Schema};
+use rheem_core::{
+    apply_rewrites, enumerate, enumerate_exhaustive, rec, DataType, EnumerationConfig,
+    EnumerationPath, NodeId, PhysicalPlan, PlanBuilder, Record, Schema,
+};
 use rheem_platforms::test_context;
 
 /// Time `f` over `iters` runs; return best milliseconds.
@@ -236,7 +235,7 @@ fn main() {
     });
     small.push((
         "sql_join",
-        rewrites::apply_rewrites(lowered).expect("the join plan rewrites"),
+        apply_rewrites(lowered).expect("the join plan rewrites"),
         Some(cold_optimize_us),
     ));
 

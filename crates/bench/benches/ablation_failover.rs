@@ -6,8 +6,8 @@
 //! re-plan + fallback execution) at thread budgets 1 and 4.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rheem_bench::failover::run_failover_ablation;
-use rheem_bench::replanning::{misestimated_plan, replanning_context};
+use rheem_bench::run_failover_ablation;
+use rheem_bench::{misestimated_plan, replanning_context};
 use rheem_core::{FailureInjector, FaultPolicy, KernelParallelism};
 use std::sync::Arc;
 

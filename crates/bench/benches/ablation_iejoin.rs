@@ -2,7 +2,7 @@
 //! (no plan machinery), across sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rheem_cleaning::iejoin::ie_self_join_canonical;
+use rheem_cleaning::ie_self_join_canonical;
 
 fn brute_force(tuples: &[(i64, f64, f64)]) -> usize {
     let mut n = 0;

@@ -22,15 +22,11 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use rheem_core::data::Chunk;
-use rheem_core::expr::{BinOp, Expr};
 use rheem_core::kernels::{self, chunked, parallel};
-use rheem_core::physical::{PipelineStage, StageKind};
-use rheem_core::rec;
 use rheem_core::udf::{
     AggFunc, Aggregate, FilterUdf, GroupMapUdf, GroupOutput, KeyUdf, MapUdf, ReduceUdf,
 };
-use rheem_core::KernelParallelism;
+use rheem_core::{rec, BinOp, Chunk, Expr, KernelParallelism, PipelineStage, StageKind};
 
 const ITERS: u32 = 3;
 const THREADS: [usize; 3] = [2, 4, 8];

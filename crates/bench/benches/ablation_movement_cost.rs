@@ -2,8 +2,8 @@
 //! movement-aware vs. movement-oblivious optimizer.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rheem_bench::ablations::{mixed_pipeline_plan, movement_context};
-use rheem_core::cost::MovementCostModel;
+use rheem_bench::{mixed_pipeline_plan, movement_context};
+use rheem_core::MovementCostModel;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_movement_cost");

@@ -2,7 +2,7 @@
 //! keyed aggregation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rheem_bench::ablations::aggregation_plan;
+use rheem_bench::aggregation_plan;
 use rheem_platforms::test_context;
 
 fn bench(c: &mut Criterion) {

@@ -4,7 +4,7 @@
 //! boundary once the observed cardinality exposes the fanout lie.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rheem_bench::replanning::{misestimated_plan, replanning_context, run_replanning_ablation};
+use rheem_bench::{misestimated_plan, replanning_context, run_replanning_ablation};
 use rheem_core::ReplanPolicy;
 
 fn bench(c: &mut Criterion) {

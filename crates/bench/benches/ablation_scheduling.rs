@@ -6,11 +6,8 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rheem_core::optimizer::enumerate::split_into_atoms;
-use rheem_core::plan::PlanBuilder;
-use rheem_core::rec;
 use rheem_core::udf::{KeyUdf, MapUdf, ReduceUdf};
-use rheem_core::{ExecutionPlan, KernelParallelism};
+use rheem_core::{rec, split_into_atoms, ExecutionPlan, KernelParallelism, PlanBuilder};
 use rheem_platforms::test_context;
 
 const PLATFORMS: [&str; 3] = ["sparklike", "mapreduce", "java"];

@@ -33,8 +33,7 @@
 
 use std::time::Instant;
 
-use rheem_core::observe::HistogramSnapshot;
-use rheem_core::{DataType, PlanCacheConfig, Record, Schema, Value};
+use rheem_core::{DataType, HistogramSnapshot, PlanCacheConfig, Record, Schema, Value};
 use rheem_server::protocol::encode_rows;
 use rheem_server::{Client, RheemServer, ServerConfig};
 

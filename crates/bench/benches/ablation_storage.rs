@@ -4,17 +4,13 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rheem_core::data::Dataset;
-use rheem_core::platform::StorageService;
-use rheem_core::rec;
+use rheem_core::{rec, Dataset, StorageService};
 use rheem_storage::{SimHdfsConfig, SimHdfsStore, StorageLayer, TransformStep, TransformationPlan};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_storage");
     group.sample_size(10);
-    let data = Dataset::new(rheem_datagen::relational::sensor_readings(
-        20_000, 8, 0.02, 5,
-    ));
+    let data = Dataset::new(rheem_datagen::sensor_readings(20_000, 8, 0.02, 5));
 
     let hdfs = || {
         Arc::new(SimHdfsStore::new(

@@ -14,15 +14,13 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use rheem_cleaning::{DenialConstraint, DetectionStrategy};
-use rheem_core::cost::MovementCostModel;
-use rheem_core::data::{Dataset, Record};
-use rheem_core::plan::{PhysicalPlan, PlanBuilder};
-use rheem_core::platform::StorageService;
-use rheem_core::rec;
+use rheem_cleaning::DetectionStrategy;
 use rheem_core::udf::{FilterUdf, GroupMapUdf, KeyUdf, MapUdf, ReduceUdf};
-use rheem_core::RheemContext;
-use rheem_datagen::tax::{columns, generate, TaxConfig};
+use rheem_core::{
+    rec, Dataset, MovementCostModel, PhysicalPlan, PlanBuilder, Record, RheemContext,
+    StorageService,
+};
+use rheem_datagen::tax::{generate, TaxConfig};
 use rheem_platforms::test_context;
 use rheem_storage::{
     MemStore, SimHdfsConfig, SimHdfsStore, StorageLayer, TransformStep, TransformationPlan,
@@ -93,7 +91,7 @@ pub fn mixed_pipeline_plan() -> PhysicalPlan {
     let clean = b.filter(
         src,
         FilterUdf::new("plausible", |r: &Record| {
-            rheem_datagen::relational::plausible_pressure(r.float(2).unwrap_or(-1.0))
+            rheem_datagen::plausible_pressure(r.float(2).unwrap_or(-1.0))
         })
         .with_selectivity(0.9),
     );
@@ -139,7 +137,7 @@ pub fn movement_context(n: usize) -> RheemContext {
         )))
         .with_store(Arc::new(MemStore::new("mem"))),
     );
-    let readings = rheem_datagen::relational::sensor_readings(n, 16, 0.05, 11);
+    let readings = rheem_datagen::sensor_readings(n, 16, 0.05, 11);
     StorageService::write(storage.as_ref(), "readings", &Dataset::new(readings))
         .expect("seed storage");
     let mut ctx = test_context().with_storage(storage);
@@ -247,7 +245,7 @@ pub fn run_storage(n: usize, reads: usize) -> StorageRow {
             },
         ))
     };
-    let data = Dataset::new(rheem_datagen::relational::sensor_readings(n, 8, 0.02, 5));
+    let data = Dataset::new(rheem_datagen::sensor_readings(n, 8, 0.02, 5));
 
     // Hot buffer on/off.
     let timed_reads = |layer: &StorageLayer| {
@@ -306,11 +304,6 @@ pub fn run_storage(n: usize, reads: usize) -> StorageRow {
         transformed_ms,
         raw_ms,
     }
-}
-
-/// The FD rule reused by benches (re-exported for the criterion targets).
-pub fn fd_rule() -> DenialConstraint {
-    DenialConstraint::functional_dependency("zip-state", columns::ID, columns::ZIP, columns::STATE)
 }
 
 #[cfg(test)]

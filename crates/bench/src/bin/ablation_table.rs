@@ -2,7 +2,9 @@
 //!
 //! Usage: `cargo run -p rheem-bench --bin ablation_table --release [--quick]`
 
-use rheem_bench::ablations;
+use rheem_bench::{
+    run_groupby, run_iejoin_scaling, run_movement_cost, run_platform_choice, run_storage,
+};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -26,7 +28,7 @@ fn main() {
 
     println!("Ablation A — platform selection (group-sum aggregation)");
     println!("rows        chosen      configuration timings (ms)");
-    for row in ablations::run_platform_choice(&a_sizes) {
+    for row in run_platform_choice(&a_sizes) {
         let timings: Vec<String> = row
             .timings
             .iter()
@@ -41,7 +43,7 @@ fn main() {
     }
 
     println!("\nAblation B — movement-cost awareness (mixed HDFS→UDF→aggregate pipeline, n={b_n})");
-    let b = ablations::run_movement_cost(b_n);
+    let b = run_movement_cost(b_n);
     println!(
         "aware:     estimated {:.1} ms, executed movement {:.1} ms, switches {}",
         b.aware.0, b.aware.1, b.switches.0
@@ -53,16 +55,16 @@ fn main() {
 
     println!("\nAblation C — IEJoin vs cross-product detection");
     println!("rows        iejoin_ms   cross_ms    speedup");
-    for (n, ie, cross) in ablations::run_iejoin_scaling(&c_sizes) {
+    for (n, ie, cross) in run_iejoin_scaling(&c_sizes) {
         println!("{n:<10}  {ie:>9.1}  {cross:>9.1}  {:>6.1}x", cross / ie);
     }
 
     println!("\nAblation D — SortGroupBy vs HashGroupBy (n={d_n}, 100 keys)");
-    let (sort_ms, hash_ms) = ablations::run_groupby(d_n, 100);
+    let (sort_ms, hash_ms) = run_groupby(d_n, 100);
     println!("sort-based: {sort_ms:.1} ms   hash-based: {hash_ms:.1} ms");
 
     println!("\nAblation E — storage: hot buffer and Cartilage transformation plans (n={e_n})");
-    let e = ablations::run_storage(e_n, 10);
+    let e = run_storage(e_n, 10);
     println!(
         "repeated reads: hot buffer {:.1} ms vs cold {:.1} ms ({:.1}x)",
         e.hot_ms,

@@ -5,19 +5,16 @@
 //! experiment demonstrates the simplest closed loop: a platform whose
 //! cost model *lies* (it claims to be nearly free) initially wins every
 //! node, one observed run folds real per-operator runtimes into the
-//! [`rheem_core::observe::CostCalibration`] table, and the very next
+//! [`rheem_core::CostCalibration`] table, and the very next
 //! optimization pass flips the plan to the genuinely cheaper platform.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use rheem_core::cost::LinearCostModel;
-use rheem_core::data::Record;
-use rheem_core::observe::Observability;
-use rheem_core::plan::{PhysicalPlan, PlanBuilder};
-use rheem_core::rec;
 use rheem_core::udf::{KeyUdf, ReduceUdf};
-use rheem_core::RheemContext;
+use rheem_core::{
+    rec, LinearCostModel, Observability, PhysicalPlan, PlanBuilder, Record, RheemContext,
+};
 use rheem_platforms::{JavaPlatform, MapReduceLikePlatform, OverheadConfig};
 
 /// What [`run_calibration_flip`] measured across the two optimize+execute

@@ -13,8 +13,9 @@
 
 use std::sync::Arc;
 
-use rheem_core::data::Record;
-use rheem_core::{FailureInjector, FaultPolicy, JobResult, KernelParallelism, RheemContext};
+use rheem_core::{
+    FailureInjector, FaultPolicy, JobResult, KernelParallelism, Record, RheemContext,
+};
 
 use crate::replanning::{misestimated_plan, replanning_context};
 

@@ -64,12 +64,12 @@ impl Default for Fig2Config {
 }
 
 /// A context pinned to the single-process platform.
-pub fn java_only() -> RheemContext {
+pub(crate) fn java_only() -> RheemContext {
     RheemContext::new().with_platform(Arc::new(JavaPlatform::new()))
 }
 
 /// A context pinned to the Spark-like platform with the given overheads.
-pub fn spark_only(config: &Fig2Config) -> RheemContext {
+pub(crate) fn spark_only(config: &Fig2Config) -> RheemContext {
     RheemContext::new().with_platform(Arc::new(
         SparkLikePlatform::new(config.workers).with_overheads(OverheadConfig::accounted_only(
             config.job_startup,

@@ -22,13 +22,13 @@ use rheem_datagen::tax::{columns, generate, TaxConfig};
 use rheem_platforms::{OverheadConfig, SparkLikePlatform};
 
 /// The FD rule of the left subfigure: `zip → state`.
-pub fn fd_rule() -> DenialConstraint {
+pub(crate) fn fd_rule() -> DenialConstraint {
     DenialConstraint::functional_dependency("zip-state", columns::ID, columns::ZIP, columns::STATE)
 }
 
 /// The inequality rule of the right subfigure:
 /// `¬(t1.salary > t2.salary ∧ t1.rate < t2.rate)`.
-pub fn inequality_rule() -> DenialConstraint {
+pub(crate) fn inequality_rule() -> DenialConstraint {
     DenialConstraint::inequality(
         "salary-rate",
         columns::ID,
@@ -38,7 +38,7 @@ pub fn inequality_rule() -> DenialConstraint {
 }
 
 /// A Spark-like context with mild overheads for the detection runs.
-pub fn detection_context(workers: usize) -> RheemContext {
+pub(crate) fn detection_context(workers: usize) -> RheemContext {
     RheemContext::new().with_platform(Arc::new(SparkLikePlatform::new(workers).with_overheads(
         OverheadConfig::accounted_only(Duration::from_millis(5), Duration::from_millis(1)),
     )))

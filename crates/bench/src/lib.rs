@@ -8,27 +8,46 @@
 //! * [`fig3`] — violation detection: single-UDF vs. operator pipeline
 //!   (Figure 3 left) and IEJoin vs. cross-product baseline with a time
 //!   budget (Figure 3 right);
-//! * [`ablations`] — platform selection, movement-cost awareness, IEJoin
-//!   scaling, grouping algorithm choice, and storage (hot buffer +
-//!   transformation plans);
-//! * [`calibration`] — feedback-driven cost-model correction;
-//! * [`replanning`] — adaptive mid-job re-optimization at wave
-//!   boundaries;
-//! * [`failover`] — failover re-planning around a platform outage.
+//! * the ablations — platform selection ([`run_platform_choice`]),
+//!   movement-cost awareness ([`run_movement_cost`]), IEJoin scaling
+//!   ([`run_iejoin_scaling`]), grouping algorithm choice ([`run_groupby`]),
+//!   and storage ([`run_storage`]: hot buffer + transformation plans);
+//! * feedback-driven cost-model correction ([`run_calibration_flip`]);
+//! * adaptive mid-job re-optimization at wave boundaries
+//!   ([`run_replanning_ablation`]);
+//! * failover re-planning around a platform outage
+//!   ([`run_failover_ablation`]).
 //!
 //! Row-printer binaries (`fig2_svm_table`, `fig3_table`,
 //! `ablation_table`) emit the same series the paper plots; the Criterion
 //! benches under `benches/` wrap scaled-down variants for regression
 //! tracking.
+//!
+//! ## Public surface
+//!
+//! Everything here is for the harness's own binaries and benches: the
+//! `run_*` series above, the plans and contexts the benches time
+//! ([`aggregation_plan`], [`mixed_pipeline_plan`], [`movement_context`],
+//! [`flip_plan`], [`flip_context`], [`misestimated_plan`],
+//! [`replanning_context`]) and [`bench_json_path`]. [`fig2`] and [`fig3`]
+//! stay public modules because both export `render`.
 
 #![warn(missing_docs)]
 
-pub mod ablations;
-pub mod calibration;
-pub mod failover;
+mod ablations;
+mod calibration;
+mod failover;
 pub mod fig2;
 pub mod fig3;
-pub mod replanning;
+mod replanning;
+
+pub use ablations::{
+    aggregation_plan, mixed_pipeline_plan, movement_context, run_groupby, run_iejoin_scaling,
+    run_movement_cost, run_platform_choice, run_storage,
+};
+pub use calibration::{flip_context, flip_plan, run_calibration_flip};
+pub use failover::run_failover_ablation;
+pub use replanning::{misestimated_plan, replanning_context, run_replanning_ablation};
 
 /// Where a self-timed bench writes `<name>.json`: the repo root for a full
 /// run (the committed numbers), `target/bench-quick/` for a `*_QUICK` run,

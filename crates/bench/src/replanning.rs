@@ -14,13 +14,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use rheem_core::cost::{op_work_units, requires_shuffle, MovementCostModel, PlatformCostModel};
-use rheem_core::data::Record;
-use rheem_core::plan::{ExecutionPlan, PhysicalPlan, PlanBuilder};
-use rheem_core::platform::{AtomInputs, AtomResult, ExecutionContext, Platform, ProcessingProfile};
-use rheem_core::rec;
 use rheem_core::udf::{FlatMapUdf, KeyUdf};
-use rheem_core::{PhysicalOp, ReplanPolicy, RheemContext, TaskAtom};
+use rheem_core::{
+    op_work_units, rec, requires_shuffle, AtomInputs, AtomResult, ExecutionContext, ExecutionPlan,
+    MovementCostModel, PhysicalOp, PhysicalPlan, PlanBuilder, Platform, PlatformCostModel,
+    ProcessingProfile, Record, ReplanPolicy, RheemContext, TaskAtom,
+};
 use rheem_platforms::{JavaPlatform, OverheadConfig, SparkLikePlatform};
 
 /// Cost model of the [`ClusterPlatform`]: very cheap shuffles (that is
@@ -112,7 +111,7 @@ pub fn misestimated_plan(n: i64) -> PhysicalPlan {
     b.build().unwrap()
 }
 
-/// A context with the single-process engine, the [`ClusterPlatform`], and
+/// A context with the single-process engine, the `ClusterPlatform`, and
 /// cheap per-record movement.
 pub fn replanning_context() -> RheemContext {
     let mut ctx = RheemContext::new()

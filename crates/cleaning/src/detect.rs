@@ -19,12 +19,11 @@
 
 use std::sync::Arc;
 
-use rheem_core::data::{Dataset, Record};
-use rheem_core::error::Result;
-use rheem_core::physical::CustomPhysicalOp;
-use rheem_core::plan::{NodeId, PhysicalPlan, PlanBuilder};
 use rheem_core::udf::{GroupMapUdf, KeyUdf, MapUdf};
-use rheem_core::{JobResult, RheemContext};
+use rheem_core::{
+    CustomPhysicalOp, Dataset, JobResult, NodeId, PhysicalPlan, PlanBuilder, Record, Result,
+    RheemContext,
+};
 
 use crate::iejoin::IeJoinOp;
 use crate::rules::{DenialConstraint, Violation};

@@ -21,9 +21,7 @@
 //!
 //! `O(n log n + output)` instead of the cross product's `O(n²)`.
 
-use rheem_core::data::{Dataset, Record};
-use rheem_core::error::{Result, RheemError};
-use rheem_core::physical::CustomPhysicalOp;
+use rheem_core::{CustomPhysicalOp, Dataset, Record, Result, RheemError};
 
 use crate::rules::{CompOp, DenialConstraint, Violation};
 
@@ -129,7 +127,7 @@ pub fn ie_self_join_canonical(tuples: &[(i64, f64, f64)]) -> Vec<(i64, i64)> {
 
 /// Run an IEJoin-eligible denial constraint over records, returning the
 /// violating id pairs.
-pub fn ie_self_join(records: &[Record], rule: &DenialConstraint) -> Result<Vec<(i64, i64)>> {
+pub(crate) fn ie_self_join(records: &[Record], rule: &DenialConstraint) -> Result<Vec<(i64, i64)>> {
     let (p1, p2) = rule.iejoin_predicates().ok_or_else(|| {
         RheemError::InvalidPlan(format!(
             "rule {} is not IEJoin-eligible (needs exactly two strict inequality predicates)",
@@ -158,7 +156,7 @@ pub struct IeJoinOp {
 
 impl IeJoinOp {
     /// Wrap an IEJoin-eligible rule; errors otherwise.
-    pub fn new(rule: DenialConstraint) -> Result<Self> {
+    pub(crate) fn new(rule: DenialConstraint) -> Result<Self> {
         if rule.iejoin_predicates().is_none() {
             return Err(RheemError::InvalidPlan(format!(
                 "rule {} is not IEJoin-eligible",
@@ -287,15 +285,14 @@ mod tests {
     #[test]
     fn lt_gt_combination_via_negation() {
         // Rule ¬(t1.a < t2.a ∧ t1.b > t2.b) — the mirror image.
-        let rule = DenialConstraint::new(
-            "mirror",
-            0,
-            vec![
+        let rule = DenialConstraint {
+            name: "mirror".into(),
+            id_column: 0,
+            predicates: vec![
                 crate::rules::DcPredicate::new(1, CompOp::Lt, 1),
                 crate::rules::DcPredicate::new(2, CompOp::Gt, 2),
             ],
-        )
-        .unwrap();
+        };
         let records = vec![rec![1i64, 1.0, 9.0], rec![2i64, 2.0, 3.0]];
         // t1=1: a 1<2 and b 9>3 → violation (1,2).
         let pairs = ie_self_join(&records, &rule).unwrap();

@@ -8,8 +8,7 @@
 
 use std::collections::HashMap;
 
-use rheem_core::data::{Record, Value};
-use rheem_core::error::{Result, RheemError};
+use rheem_core::{Record, Result, RheemError, Value};
 
 use crate::rules::{CompOp, DenialConstraint, Fix, Violation};
 
@@ -149,8 +148,7 @@ pub fn repair_fd(data: &[Record], rule: &DenialConstraint) -> Result<Vec<Record>
 mod tests {
     use super::*;
     use crate::detect::{count_violations, detect, DetectionStrategy};
-    use rheem_core::rec;
-    use rheem_core::RheemContext;
+    use rheem_core::{rec, RheemContext};
     use rheem_platforms::JavaPlatform;
     use std::sync::Arc;
 

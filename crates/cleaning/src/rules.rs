@@ -12,8 +12,7 @@
 //! * the FD `zip → state` is `¬(t1.zip = t2.zip ∧ t1.state ≠ t2.state)`;
 //! * the salary rule is `¬(t1.salary > t2.salary ∧ t1.rate < t2.rate)`.
 
-use rheem_core::data::{Record, Value};
-use rheem_core::error::{Result, RheemError};
+use rheem_core::{Record, Result, Value};
 
 /// Comparison operators usable in denial-constraint predicates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,7 +35,7 @@ impl CompOp {
     /// within a comparable class — two numerics (`Int`/`Float` compare
     /// numerically), two strings, or two booleans — and are `false`
     /// otherwise, so a `Null` never satisfies an inequality.
-    pub fn eval(&self, a: &Value, b: &Value) -> bool {
+    pub(crate) fn eval(&self, a: &Value, b: &Value) -> bool {
         use std::cmp::Ordering;
         match self {
             CompOp::Eq => a == b,
@@ -64,12 +63,12 @@ impl CompOp {
     }
 
     /// Whether the operator is an (in)equality usable as a blocking key.
-    pub fn is_equality(&self) -> bool {
+    pub(crate) fn is_equality(&self) -> bool {
         matches!(self, CompOp::Eq)
     }
 
     /// Whether the operator is a strict inequality (IEJoin-eligible).
-    pub fn is_inequality(&self) -> bool {
+    pub(crate) fn is_inequality(&self) -> bool {
         matches!(self, CompOp::Lt | CompOp::Gt)
     }
 }
@@ -87,12 +86,12 @@ pub struct DcPredicate {
 
 impl DcPredicate {
     /// Construct a predicate.
-    pub fn new(left: usize, op: CompOp, right: usize) -> Self {
+    pub(crate) fn new(left: usize, op: CompOp, right: usize) -> Self {
         DcPredicate { left, op, right }
     }
 
     /// Evaluate on a tuple pair.
-    pub fn eval(&self, t1: &Record, t2: &Record) -> Result<bool> {
+    pub(crate) fn eval(&self, t1: &Record, t2: &Record) -> Result<bool> {
         Ok(self.op.eval(t1.get(self.left)?, t2.get(self.right)?))
     }
 }
@@ -110,24 +109,6 @@ pub struct DenialConstraint {
 }
 
 impl DenialConstraint {
-    /// Build a rule; at least one predicate is required.
-    pub fn new(
-        name: impl Into<String>,
-        id_column: usize,
-        predicates: Vec<DcPredicate>,
-    ) -> Result<Self> {
-        if predicates.is_empty() {
-            return Err(RheemError::InvalidPlan(
-                "a denial constraint needs at least one predicate".into(),
-            ));
-        }
-        Ok(DenialConstraint {
-            name: name.into(),
-            id_column,
-            predicates,
-        })
-    }
-
     /// The FD `lhs → rhs` as a denial constraint.
     pub fn functional_dependency(
         name: impl Into<String>,
@@ -158,7 +139,7 @@ impl DenialConstraint {
     }
 
     /// True iff the (ordered) pair violates the rule.
-    pub fn violates(&self, t1: &Record, t2: &Record) -> Result<bool> {
+    pub(crate) fn violates(&self, t1: &Record, t2: &Record) -> Result<bool> {
         if t1.get(self.id_column)? == t2.get(self.id_column)? {
             return Ok(false); // a tuple cannot violate against itself
         }
@@ -172,7 +153,7 @@ impl DenialConstraint {
 
     /// The blocking key column, if some predicate is `t1.c = t2.c`
     /// (violating pairs then necessarily share that attribute).
-    pub fn blocking_column(&self) -> Option<usize> {
+    pub(crate) fn blocking_column(&self) -> Option<usize> {
         self.predicates
             .iter()
             .find(|p| p.op.is_equality() && p.left == p.right)
@@ -181,7 +162,7 @@ impl DenialConstraint {
 
     /// The two strict-inequality predicates, if this rule is IEJoin-eligible
     /// (exactly two predicates, both strict inequalities on numeric columns).
-    pub fn iejoin_predicates(&self) -> Option<(DcPredicate, DcPredicate)> {
+    pub(crate) fn iejoin_predicates(&self) -> Option<(DcPredicate, DcPredicate)> {
         match self.predicates.as_slice() {
             [p1, p2]
                 if p1.op.is_inequality()
@@ -197,7 +178,7 @@ impl DenialConstraint {
 
     /// Columns the rule reads (the `Scope` of the rule): id column plus
     /// every predicate column, deduplicated, in ascending order.
-    pub fn scope_columns(&self) -> Vec<usize> {
+    pub(crate) fn scope_columns(&self) -> Vec<usize> {
         let mut cols = vec![self.id_column];
         for p in &self.predicates {
             cols.push(p.left);
@@ -210,7 +191,7 @@ impl DenialConstraint {
 
     /// Rewrite the rule's column indices for records already projected onto
     /// [`DenialConstraint::scope_columns`].
-    pub fn rebased(&self) -> DenialConstraint {
+    pub(crate) fn rebased(&self) -> DenialConstraint {
         let scope = self.scope_columns();
         let rebase = |col: usize| {
             scope
@@ -243,7 +224,7 @@ pub struct Violation {
 
 impl Violation {
     /// Encode as a record `[rule(Str), t1(Int), t2(Int)]`.
-    pub fn to_record(&self) -> Record {
+    pub(crate) fn to_record(&self) -> Record {
         Record::new(vec![
             Value::str(&self.rule),
             Value::Int(self.t1),
@@ -252,7 +233,7 @@ impl Violation {
     }
 
     /// Decode from the record layout of [`Violation::to_record`].
-    pub fn from_record(r: &Record) -> Result<Self> {
+    pub(crate) fn from_record(r: &Record) -> Result<Self> {
         Ok(Violation {
             rule: r.str(0)?.to_string(),
             t1: r.int(1)?,
@@ -276,27 +257,7 @@ pub struct Fix {
     pub suggestion: Value,
 }
 
-impl Fix {
-    /// Encode as a record `[rule, record_id, column, suggestion]`.
-    pub fn to_record(&self) -> Record {
-        Record::new(vec![
-            Value::str(&self.rule),
-            Value::Int(self.record_id),
-            Value::Int(self.column as i64),
-            self.suggestion.clone(),
-        ])
-    }
-
-    /// Decode from the record layout of [`Fix::to_record`].
-    pub fn from_record(r: &Record) -> Result<Self> {
-        Ok(Fix {
-            rule: r.str(0)?.to_string(),
-            record_id: r.int(1)?,
-            column: r.int(2)? as usize,
-            suggestion: r.get(3)?.clone(),
-        })
-    }
-}
+impl Fix {}
 
 #[cfg(test)]
 mod tests {
@@ -369,18 +330,6 @@ mod tests {
             t2: 9,
         };
         assert_eq!(Violation::from_record(&v.to_record()).unwrap(), v);
-        let f = Fix {
-            rule: "fd".into(),
-            record_id: 3,
-            column: 2,
-            suggestion: Value::str("CA"),
-        };
-        assert_eq!(Fix::from_record(&f.to_record()).unwrap(), f);
-    }
-
-    #[test]
-    fn empty_predicates_rejected() {
-        assert!(DenialConstraint::new("x", 0, vec![]).is_err());
     }
 
     #[test]

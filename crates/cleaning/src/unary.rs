@@ -6,13 +6,10 @@
 //! `Scope → Detect` plan — a `FlatMap` emitting one violation per dirty
 //! record — and complement the two-tuple rules of [`crate::rules`].
 
-use std::sync::Arc;
-
-use rheem_core::data::{Record, Value};
-use rheem_core::error::{Result, RheemError};
-use rheem_core::plan::{NodeId, PhysicalPlan, PlanBuilder};
 use rheem_core::udf::FlatMapUdf;
-use rheem_core::{JobResult, RheemContext};
+use rheem_core::{
+    JobResult, NodeId, PhysicalPlan, PlanBuilder, Record, Result, RheemContext, Value,
+};
 
 use crate::rules::{CompOp, Violation};
 
@@ -29,7 +26,7 @@ pub struct UnaryPredicate {
 
 impl UnaryPredicate {
     /// Construct a predicate.
-    pub fn new(column: usize, op: CompOp, value: impl Into<Value>) -> Self {
+    pub(crate) fn new(column: usize, op: CompOp, value: impl Into<Value>) -> Self {
         UnaryPredicate {
             column,
             op,
@@ -38,7 +35,7 @@ impl UnaryPredicate {
     }
 
     /// Evaluate on one tuple.
-    pub fn eval(&self, t: &Record) -> Result<bool> {
+    pub(crate) fn eval(&self, t: &Record) -> Result<bool> {
         Ok(self.op.eval(t.get(self.column)?, &self.value))
     }
 }
@@ -56,26 +53,8 @@ pub struct UnaryConstraint {
 }
 
 impl UnaryConstraint {
-    /// Build a rule; at least one predicate is required.
-    pub fn new(
-        name: impl Into<String>,
-        id_column: usize,
-        predicates: Vec<UnaryPredicate>,
-    ) -> Result<Self> {
-        if predicates.is_empty() {
-            return Err(RheemError::InvalidPlan(
-                "a unary constraint needs at least one predicate".into(),
-            ));
-        }
-        Ok(UnaryConstraint {
-            name: name.into(),
-            id_column,
-            predicates,
-        })
-    }
-
     /// True iff the tuple violates the rule.
-    pub fn violates(&self, t: &Record) -> Result<bool> {
+    pub(crate) fn violates(&self, t: &Record) -> Result<bool> {
         for p in &self.predicates {
             if !p.eval(t)? {
                 return Ok(false);
@@ -85,7 +64,7 @@ impl UnaryConstraint {
     }
 
     /// Build the detection plan (`Scope → Detect` as a flat map).
-    pub fn build_detection_plan(&self, data: Vec<Record>) -> Result<(PhysicalPlan, NodeId)> {
+    pub(crate) fn build_detection_plan(&self, data: Vec<Record>) -> Result<(PhysicalPlan, NodeId)> {
         let rule = self.clone();
         let mut b = PlanBuilder::new();
         let src = b.collection(format!("{}-input", self.name), data);
@@ -164,12 +143,11 @@ pub fn range_check(
     )
 }
 
-/// The `Arc` alias keeps signatures readable for rule collections.
-pub type SharedUnary = Arc<UnaryConstraint>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use rheem_core::rec;
     use rheem_platforms::JavaPlatform;
 
@@ -189,12 +167,11 @@ mod tests {
 
     #[test]
     fn negative_salary_rule() {
-        let rule = UnaryConstraint::new(
-            "no-negative-salary",
-            0,
-            vec![UnaryPredicate::new(1, CompOp::Lt, 0.0)],
-        )
-        .unwrap();
+        let rule = UnaryConstraint {
+            name: "no-negative-salary".into(),
+            id_column: 0,
+            predicates: vec![UnaryPredicate::new(1, CompOp::Lt, 0.0)],
+        };
         let (violations, _) = rule.detect(&ctx(), data()).unwrap();
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].t1, 1);
@@ -223,21 +200,15 @@ mod tests {
     fn conjunction_requires_all_predicates() {
         // Violation only when salary < 0 AND id > 0 (nonsense rule, tests
         // the conjunction).
-        let rule = UnaryConstraint::new(
-            "conj",
-            0,
-            vec![
+        let rule = UnaryConstraint {
+            name: "conj".into(),
+            id_column: 0,
+            predicates: vec![
                 UnaryPredicate::new(1, CompOp::Lt, 0.0),
                 UnaryPredicate::new(0, CompOp::Gt, 100i64),
             ],
-        )
-        .unwrap();
+        };
         let (violations, _) = rule.detect(&ctx(), data()).unwrap();
         assert!(violations.is_empty());
-    }
-
-    #[test]
-    fn empty_predicates_rejected() {
-        assert!(UnaryConstraint::new("x", 0, vec![]).is_err());
     }
 }

@@ -81,15 +81,9 @@ impl RheemContext {
         self
     }
 
-    /// Attach a storage service (enables `StorageSource`/`StorageSink`).
+    /// Attach a storage service (enables `StorageSource`).
     pub fn with_storage(mut self, storage: Arc<dyn StorageService>) -> Self {
         self.execution.storage = Some(storage);
-        self
-    }
-
-    /// Replace the optimizer (cost models, mappings, config).
-    pub fn with_optimizer(mut self, optimizer: MultiPlatformOptimizer) -> Self {
-        self.optimizer = optimizer;
         self
     }
 
@@ -178,24 +172,14 @@ impl RheemContext {
         self
     }
 
-    /// The attached observability hub, if any.
-    pub fn observability(&self) -> Option<&Arc<Observability>> {
-        self.observability.as_ref()
-    }
-
     /// Attach a plan cache: jobs whose plans share a canonical fingerprint
-    /// reuse each other's enumeration results (see
-    /// [`crate::optimizer::cache`]). Share the same `Arc` across context
+    /// reuse each other's enumeration results (see [`PlanCache`]). Share
+    /// the same `Arc` across context
     /// clones to share the cache — the server does this for all sessions
     /// of one service.
     pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
         self.optimizer.plan_cache = Some(cache);
         self
-    }
-
-    /// The attached plan cache, if any.
-    pub fn plan_cache(&self) -> Option<&Arc<PlanCache>> {
-        self.optimizer.plan_cache.as_ref()
     }
 
     /// Confine this context's opaque (closure-identity) plan fingerprints
@@ -224,11 +208,6 @@ impl RheemContext {
         self
     }
 
-    /// The installed cancel token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.execution.cancel.as_ref()
-    }
-
     /// The registered platforms.
     pub fn platforms(&self) -> &PlatformRegistry {
         &self.platforms
@@ -243,11 +222,6 @@ impl RheemContext {
     /// movement prices, or set enumeration knobs).
     pub fn optimizer_mut(&mut self) -> &mut MultiPlatformOptimizer {
         &mut self.optimizer
-    }
-
-    /// The ambient execution context handed to platforms.
-    pub fn execution_context(&self) -> &ExecutionContext {
-        &self.execution
     }
 
     /// Optimize a physical plan without running it.
@@ -349,7 +323,7 @@ mod tests {
     fn end_to_end_on_a_mock_platform() {
         let ctx = RheemContext::new().with_platform(Arc::new(MockPlatform("m")));
         let result = ctx.execute(tiny_plan()).unwrap();
-        assert_eq!(result.single().unwrap().len(), 2);
+        assert_eq!(result.outputs.values().next().unwrap().len(), 2);
         assert_eq!(result.stats.platforms_used(), vec!["m"]);
         // Stats explain renders without panicking and mentions the platform.
         assert!(result.stats.explain().contains('m'));
@@ -372,21 +346,9 @@ mod tests {
         let ctx = RheemContext::new()
             .with_storage(Arc::new(MemoryStorageService::new()))
             .with_failure_injector(Arc::new(FailureInjector::none()));
-        let ec = ctx.execution_context();
+        let ec = &ctx.execution;
         assert!(ec.storage.is_some());
         assert!(ec.failure_injector.is_some());
-    }
-
-    #[test]
-    fn single_on_multi_sink_job_is_an_error() {
-        let ctx = RheemContext::new().with_platform(Arc::new(MockPlatform("m")));
-        let mut b = PlanBuilder::new();
-        let src = b.collection("s", vec![rec![1i64]]);
-        b.collect(src);
-        b.collect(src);
-        let result = ctx.execute(b.build().unwrap()).unwrap();
-        assert_eq!(result.outputs.len(), 2);
-        assert!(result.single().is_err());
     }
 
     #[test]
@@ -417,7 +379,7 @@ mod tests {
                 reason: CancelReason::Explicit
             }
         ));
-        assert_eq!(err.classify(), crate::ErrorKind::Cancelled);
+        assert_eq!(err.classify(), crate::error::ErrorKind::Cancelled);
         assert_eq!(obs.metrics().counter_value("executor.cancelled"), 1);
     }
 
@@ -464,12 +426,15 @@ mod tests {
             }
             other => panic!("expected Panic, got {other}"),
         }
-        assert_eq!(err.classify(), crate::ErrorKind::Permanent { panic: true });
+        assert_eq!(
+            err.classify(),
+            crate::error::ErrorKind::Permanent { panic: true }
+        );
         assert_eq!(obs.metrics().counter_value("executor.panics_caught"), 1);
         // The caught panic never unwound through the scheduler: the same
         // context immediately runs the next job.
         let ok = ctx.execute(tiny_plan()).unwrap();
-        assert_eq!(ok.single().unwrap().len(), 2);
+        assert_eq!(ok.outputs.values().next().unwrap().len(), 2);
     }
 
     #[test]

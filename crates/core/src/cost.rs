@@ -51,13 +51,13 @@ impl CardinalityEstimator {
     /// Fails with [`RheemError::InvalidPlan`] if a binary operator has
     /// fewer than two wired inputs (a malformed plan must surface as an
     /// error, never as an index panic inside the optimizer).
-    pub fn estimate(&self, plan: &PhysicalPlan) -> Result<Vec<f64>> {
+    pub(crate) fn estimate(&self, plan: &PhysicalPlan) -> Result<Vec<f64>> {
         self.estimate_with_loop_input(plan, 0.0)
     }
 
     /// Like [`CardinalityEstimator::estimate`], binding `LoopInput` nodes to
     /// `loop_card` (used when recursing into loop bodies).
-    pub fn estimate_with_loop_input(
+    pub(crate) fn estimate_with_loop_input(
         &self,
         plan: &PhysicalPlan,
         loop_card: f64,
@@ -143,7 +143,7 @@ impl CardinalityEstimator {
                 terminals.first().map(|t| body_cards[t.0]).unwrap_or(in0)
             }
             PhysicalOp::Custom(c) => c.output_cardinality(ins),
-            PhysicalOp::CollectSink | PhysicalOp::StorageSink { .. } => in0,
+            PhysicalOp::CollectSink => in0,
             PhysicalOp::CountSink => 1.0,
         })
     }
@@ -174,7 +174,7 @@ fn distinct_keys(hint: Option<f64>, card: f64) -> f64 {
 /// Total over any `ins`: missing inputs count as cardinality 0 so that
 /// infallible [`PlatformCostModel::op_cost`] implementations can call this
 /// on partially wired nodes without panicking (plan validity itself is
-/// checked by [`CardinalityEstimator::estimate`]).
+/// checked by `CardinalityEstimator::estimate`).
 pub fn op_work_units(op: &PhysicalOp, ins: &[f64], out: f64) -> f64 {
     let in0 = ins.first().copied().unwrap_or(0.0);
     let in1 = ins.get(1).copied().unwrap_or(0.0);
@@ -203,7 +203,7 @@ pub fn op_work_units(op: &PhysicalOp, ins: &[f64], out: f64) -> f64 {
         // this is only the per-iteration plumbing.
         PhysicalOp::Loop { .. } => in0,
         PhysicalOp::Custom(c) => c.cost_factor() * (ins.iter().sum::<f64>() + out),
-        PhysicalOp::CollectSink | PhysicalOp::CountSink | PhysicalOp::StorageSink { .. } => in0,
+        PhysicalOp::CollectSink | PhysicalOp::CountSink => in0,
     }
 }
 
@@ -233,17 +233,7 @@ pub struct LinearCostModel {
     pub shuffle_surcharge: f64,
 }
 
-impl LinearCostModel {
-    /// A model for a zero-overhead, single-threaded engine.
-    pub fn single_threaded(per_unit: f64) -> Self {
-        LinearCostModel {
-            per_unit,
-            speedup: 1.0,
-            startup: 0.0,
-            shuffle_surcharge: 0.0,
-        }
-    }
-}
+impl LinearCostModel {}
 
 /// Whether an operator requires repartitioning on a partitioned platform
 /// (its [`Layout`](crate::physical::Layout) shuffles, gathers or broadcasts).
@@ -258,7 +248,7 @@ pub fn requires_shuffle(op: &PhysicalOp) -> bool {
 /// estimation: the factor is the EMA of observed/estimated ratios kept by
 /// [`CostCalibration`] (1.0 for never-observed pairs, i.e. a no-op until
 /// the first calibrated job ran).
-pub fn calibrated_op_cost(
+pub(crate) fn calibrated_op_cost(
     model: &dyn PlatformCostModel,
     op: &PhysicalOp,
     input_cards: &[f64],
@@ -306,7 +296,7 @@ pub enum ChannelKind {
 
 impl ChannelKind {
     /// Lower-case display name (used by explain renderers).
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             ChannelKind::Memory => "memory",
             ChannelKind::File => "file",
@@ -338,7 +328,7 @@ pub struct ChannelSpec {
 impl ChannelSpec {
     /// A platform that only speaks in-memory collections (the default for
     /// platforms that declare nothing richer).
-    pub fn memory_only() -> Self {
+    pub(crate) fn memory_only() -> Self {
         ChannelSpec {
             outputs: vec![ChannelKind::Memory],
             inputs: vec![ChannelKind::Memory],
@@ -346,7 +336,7 @@ impl ChannelSpec {
     }
 
     /// A spec with explicit output and input channel kinds.
-    pub fn new(outputs: Vec<ChannelKind>, inputs: Vec<ChannelKind>) -> Self {
+    pub(crate) fn new(outputs: Vec<ChannelKind>, inputs: Vec<ChannelKind>) -> Self {
         ChannelSpec { outputs, inputs }
     }
 }
@@ -361,8 +351,6 @@ impl Default for ChannelSpec {
 /// data from one channel kind into another at a fixed + per-record price.
 #[derive(Clone, Debug)]
 pub struct ConversionOp {
-    /// Display name (e.g. `serialize`), used by explain renderers.
-    pub name: String,
     /// Fixed price of running the conversion at all.
     pub fixed: f64,
     /// Per-record price.
@@ -385,34 +373,14 @@ impl Default for ChannelConversionGraph {
         };
         // Defaults mirror the built-in platforms' relative overheads:
         // touching disk costs more than draining a stream.
-        g.register(
-            ChannelKind::Memory,
-            ChannelKind::File,
-            "serialize",
-            0.5,
-            0.002,
-        );
-        g.register(
-            ChannelKind::File,
-            ChannelKind::Memory,
-            "deserialize",
-            0.5,
-            0.002,
-        );
-        g.register(
-            ChannelKind::Memory,
-            ChannelKind::Stream,
-            "publish",
-            0.2,
-            0.001,
-        );
-        g.register(
-            ChannelKind::Stream,
-            ChannelKind::Memory,
-            "drain",
-            0.2,
-            0.001,
-        );
+        // serialize
+        g.register(ChannelKind::Memory, ChannelKind::File, 0.5, 0.002);
+        // deserialize
+        g.register(ChannelKind::File, ChannelKind::Memory, 0.5, 0.002);
+        // publish
+        g.register(ChannelKind::Memory, ChannelKind::Stream, 0.2, 0.001);
+        // drain
+        g.register(ChannelKind::Stream, ChannelKind::Memory, 0.2, 0.001);
         g
     }
 }
@@ -420,41 +388,29 @@ impl Default for ChannelConversionGraph {
 impl ChannelConversionGraph {
     /// A graph with no conversions at all (only like-for-like channel
     /// hand-offs are possible).
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         ChannelConversionGraph {
             edges: HashMap::new(),
         }
     }
 
     /// Register (or replace) the conversion `from -> to`.
-    pub fn register(
+    pub(crate) fn register(
         &mut self,
         from: ChannelKind,
         to: ChannelKind,
-        name: impl Into<String>,
         fixed: f64,
         per_record: f64,
     ) {
-        self.edges.insert(
-            (from, to),
-            ConversionOp {
-                name: name.into(),
-                fixed,
-                per_record,
-            },
-        );
-    }
-
-    /// The registered direct conversion `from -> to`, if any.
-    pub fn conversion(&self, from: ChannelKind, to: ChannelKind) -> Option<&ConversionOp> {
-        self.edges.get(&(from, to))
+        self.edges
+            .insert((from, to), ConversionOp { fixed, per_record });
     }
 
     /// Cheapest conversion path from any kind in `outs` to any kind in
     /// `ins` for `records` data quanta. Returns the visited channel kinds
     /// (length 1 when producer and consumer share a kind) and the summed
     /// conversion price, or `None` when the sets cannot be connected.
-    pub fn cheapest_path(
+    pub(crate) fn cheapest_path(
         &self,
         outs: &[ChannelKind],
         ins: &[ChannelKind],
@@ -513,7 +469,7 @@ pub struct ChannelRoute {
 
 impl ChannelRoute {
     /// Total price of the route.
-    pub fn total_ms(&self) -> f64 {
+    pub(crate) fn total_ms(&self) -> f64 {
         self.transport_ms + self.conversion_ms
     }
 }
@@ -569,7 +525,7 @@ impl MovementCostModel {
     /// Unconnectable channel sets are charged the transport price alone,
     /// with an empty path — as if a bespoke copy operator existed — so
     /// enumeration never wedges on an exotic platform pair.
-    pub fn route(&self, from: &ChannelSpec, to: &ChannelSpec, records: f64) -> ChannelRoute {
+    pub(crate) fn route(&self, from: &ChannelSpec, to: &ChannelSpec, records: f64) -> ChannelRoute {
         let (path, conversion_ms) = self
             .conversions
             .cheapest_path(&from.outputs, &to.inputs, records)
@@ -610,6 +566,18 @@ mod tests {
     use crate::plan::PlanBuilder;
     use crate::rec;
     use crate::udf::{FilterUdf, FlatMapUdf, GroupMapUdf, KeyUdf, LoopCondUdf, MapUdf};
+
+    impl LinearCostModel {
+        /// A model for a zero-overhead, single-threaded engine.
+        pub(crate) fn single_threaded(per_unit: f64) -> Self {
+            LinearCostModel {
+                per_unit,
+                speedup: 1.0,
+                startup: 0.0,
+                shuffle_surcharge: 0.0,
+            }
+        }
+    }
 
     fn records(n: usize) -> Vec<crate::data::Record> {
         (0..n as i64).map(|i| rec![i]).collect()

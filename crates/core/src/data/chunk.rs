@@ -30,22 +30,12 @@ pub struct Bitmap {
 
 impl Bitmap {
     /// An empty bitmap.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Bitmap::default()
     }
 
-    /// Number of bits.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True iff the bitmap holds no bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Append one bit.
-    pub fn push(&mut self, valid: bool) {
+    pub(crate) fn push(&mut self, valid: bool) {
         let word = self.len / 64;
         if word == self.words.len() {
             self.words.push(0);
@@ -69,26 +59,15 @@ impl Bitmap {
     }
 
     /// Read bit `i`; out-of-range bits read as valid.
-    pub fn get(&self, i: usize) -> bool {
+    pub(crate) fn get(&self, i: usize) -> bool {
         if i >= self.len {
             return true;
         }
         self.words[i / 64] >> (i % 64) & 1 == 1
     }
 
-    /// Number of valid (set) bits.
-    pub fn count_valid(&self) -> usize {
-        let mut n: usize = self.words.iter().map(|w| w.count_ones() as usize).sum();
-        // Bits past `len` are zero by construction, so no mask needed; but
-        // defensively clamp to the logical length.
-        if n > self.len {
-            n = self.len;
-        }
-        n
-    }
-
     /// True iff every bit in `[offset, offset + len)` is valid.
-    pub fn all_valid_in(&self, offset: usize, len: usize) -> bool {
+    pub(crate) fn all_valid_in(&self, offset: usize, len: usize) -> bool {
         (offset..offset + len).all(|i| self.get(i))
     }
 }
@@ -117,23 +96,7 @@ pub enum ColumnData {
     Mixed(Vec<Value>),
 }
 
-impl ColumnData {
-    /// Number of rows stored.
-    pub fn len(&self) -> usize {
-        match self {
-            ColumnData::Int(v) => v.len(),
-            ColumnData::Float(v) => v.len(),
-            ColumnData::Bool(v) => v.len(),
-            ColumnData::Str { codes, .. } => codes.len(),
-            ColumnData::Mixed(v) => v.len(),
-        }
-    }
-
-    /// True iff no rows are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
+impl ColumnData {}
 
 /// Interns strings into a dictionary of distinct entries, in
 /// first-appearance order.
@@ -176,12 +139,12 @@ enum Lane {
 
 /// Builds one [`Column`] a value at a time — the one place a column's layout
 /// is inferred, whether the values come from records
-/// ([`Column::from_value_refs`]) or from bytes a decoder is walking.
+/// (`Column::from_value_refs`) or from bytes a decoder is walking.
 ///
 /// Inference is value-driven: the first non-NULL value picks the typed lane
 /// (NULLs before it are backfilled with the neutral payload), a NULL starts
 /// the validity bitmap, and a value of a second scalar type degrades the
-/// column to [`ColumnData::Mixed`]. A column that only ever saw NULLs is
+/// column to `ColumnData::Mixed`. A column that only ever saw NULLs is
 /// `Int` zeros under an all-null bitmap.
 #[derive(Default)]
 pub struct ColumnBuilder {
@@ -264,7 +227,7 @@ impl ColumnBuilder {
     }
 
     /// Append a borrowed [`Value`] (a string shares the value's allocation).
-    pub fn push_value(&mut self, value: &Value) {
+    pub(crate) fn push_value(&mut self, value: &Value) {
         match value {
             Value::Null => self.push_null(),
             Value::Bool(b) => self.push_bool(*b),
@@ -364,13 +327,13 @@ impl Column {
     /// corresponding typed vector with a validity bitmap (bitmap omitted
     /// when no value is null); anything else falls back to
     /// [`ColumnData::Mixed`].
-    pub fn from_values(values: &[Value]) -> Column {
+    pub(crate) fn from_values(values: &[Value]) -> Column {
         Column::from_value_refs(values.iter())
     }
 
     /// [`Column::from_values`] over borrowed values in place (e.g. one field
     /// of every record of a batch), so callers need no scratch copy.
-    pub fn from_value_refs<'a>(values: impl ExactSizeIterator<Item = &'a Value>) -> Column {
+    pub(crate) fn from_value_refs<'a>(values: impl ExactSizeIterator<Item = &'a Value>) -> Column {
         let mut builder = ColumnBuilder::with_capacity(values.len());
         for value in values {
             builder.push_value(value);
@@ -379,7 +342,7 @@ impl Column {
     }
 
     /// Wrap a ready-made `i64` lane with no nulls.
-    pub fn from_typed_int(lane: Vec<i64>) -> Column {
+    pub(crate) fn from_typed_int(lane: Vec<i64>) -> Column {
         Column {
             len: lane.len(),
             data: Arc::new(ColumnData::Int(lane)),
@@ -389,7 +352,7 @@ impl Column {
     }
 
     /// Wrap a ready-made `f64` lane with no nulls.
-    pub fn from_typed_float(lane: Vec<f64>) -> Column {
+    pub(crate) fn from_typed_float(lane: Vec<f64>) -> Column {
         Column {
             len: lane.len(),
             data: Arc::new(ColumnData::Float(lane)),
@@ -399,7 +362,7 @@ impl Column {
     }
 
     /// Wrap a ready-made `bool` lane with no nulls.
-    pub fn from_typed_bool(lane: Vec<bool>) -> Column {
+    pub(crate) fn from_typed_bool(lane: Vec<bool>) -> Column {
         Column {
             len: lane.len(),
             data: Arc::new(ColumnData::Bool(lane)),
@@ -409,13 +372,8 @@ impl Column {
     }
 
     /// Number of rows in this view.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// True iff the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// True iff row `i` of the view is non-null.
@@ -485,7 +443,7 @@ impl Column {
     /// The dictionary and per-row code lane of the view when the column is
     /// `Str`, else `None`.
     ///
-    /// The dictionary holds *distinct* strings ([`Column::from_values`]
+    /// The dictionary holds *distinct* strings (`Column::from_values`
     /// dedups at construction and gather/slice share the dictionary), so
     /// code equality is string equality within one column — the invariant
     /// the kernels' dict-code fast lane relies on. Codes cover null lanes
@@ -502,7 +460,7 @@ impl Column {
     /// Heap bytes the view holds: its rows' lane entries, its validity bits
     /// and the whole dictionary (views share one). An estimate for `Mixed`
     /// columns, whose strings may share allocations.
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         let lane = match self.data.as_ref() {
             ColumnData::Int(_) | ColumnData::Float(_) => 8 * self.len,
             ColumnData::Bool(_) => self.len,
@@ -519,7 +477,7 @@ impl Column {
     }
 
     /// Zero-copy sub-view `[offset, offset + len)` of this view.
-    pub fn slice(&self, offset: usize, len: usize) -> Column {
+    pub(crate) fn slice(&self, offset: usize, len: usize) -> Column {
         assert!(offset + len <= self.len, "column slice out of range");
         Column {
             data: self.data.clone(),
@@ -534,7 +492,7 @@ impl Column {
     /// The typed layout is preserved: gathering an `Int` column yields an
     /// `Int` column, so downstream kernels keep their fast paths after a
     /// filter.
-    pub fn gather(&self, indices: &[usize]) -> Column {
+    pub(crate) fn gather(&self, indices: &[usize]) -> Column {
         let validity = self.validity.as_ref().map(|bm| {
             let mut out = Bitmap::new();
             for &i in indices {
@@ -722,12 +680,12 @@ impl Chunk {
     }
 
     /// Heap bytes the chunk's columns hold ([`Column::resident_bytes`]).
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         self.columns.iter().map(Column::resident_bytes).sum()
     }
 
     /// Number of columns.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.columns.len()
     }
 
@@ -737,7 +695,7 @@ impl Chunk {
     }
 
     /// Borrow column `c`, if present.
-    pub fn column(&self, c: usize) -> Option<&Column> {
+    pub(crate) fn column(&self, c: usize) -> Option<&Column> {
         self.columns.get(c)
     }
 
@@ -754,7 +712,7 @@ impl Chunk {
     ///
     /// Returns `None` if any index is out of bounds (mirrors the row
     /// kernel's field-out-of-bounds error).
-    pub fn project(&self, indices: &[usize]) -> Option<Chunk> {
+    pub(crate) fn project(&self, indices: &[usize]) -> Option<Chunk> {
         let mut columns = Vec::with_capacity(indices.len());
         for &i in indices {
             columns.push(self.columns.get(i)?.clone());
@@ -802,6 +760,14 @@ impl Chunk {
 mod tests {
     use super::*;
     use crate::rec;
+
+    impl Bitmap {
+        /// Number of valid (set) bits: bits past `len` are zero by
+        /// construction.
+        fn count_valid(&self) -> usize {
+            self.words.iter().map(|w| w.count_ones() as usize).sum()
+        }
+    }
 
     #[test]
     fn round_trip_preserves_exotic_floats_and_nulls() {
@@ -1023,7 +989,7 @@ mod tests {
         for i in 0..130 {
             bm.push(i % 3 != 0);
         }
-        assert_eq!(bm.len(), 130);
+        assert_eq!(bm.len, 130);
         assert!(!bm.get(0));
         assert!(bm.get(1));
         assert!(!bm.get(129));

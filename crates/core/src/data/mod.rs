@@ -14,9 +14,9 @@ use std::sync::{Arc, OnceLock};
 
 use crate::error::{Result, RheemError};
 
-pub mod chunk;
+mod chunk;
 
-pub use chunk::{Bitmap, Chunk, Column, ColumnBuilder, ColumnData};
+pub use chunk::{Chunk, Column, ColumnBuilder};
 
 /// A dynamically typed scalar value — one field of a data quantum.
 ///
@@ -79,22 +79,11 @@ impl Value {
     }
 
     /// Returns the string payload, or a type error.
-    pub fn as_str(&self) -> Result<&str> {
+    pub(crate) fn as_str(&self) -> Result<&str> {
         match self {
             Value::Str(s) => Ok(s),
             other => Err(RheemError::Type {
                 expected: "Str".into(),
-                found: format!("{other:?}"),
-            }),
-        }
-    }
-
-    /// Returns the boolean payload, or a type error.
-    pub fn as_bool(&self) -> Result<bool> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            other => Err(RheemError::Type {
-                expected: "Bool".into(),
                 found: format!("{other:?}"),
             }),
         }
@@ -257,19 +246,9 @@ impl Record {
         self.get(index)?.as_str()
     }
 
-    /// Field as `bool`.
-    pub fn bool(&self, index: usize) -> Result<bool> {
-        self.get(index)?.as_bool()
-    }
-
     /// All fields as a slice.
     pub fn fields(&self) -> &[Value] {
         &self.fields
-    }
-
-    /// Consume the record, yielding its fields.
-    pub fn into_fields(self) -> Vec<Value> {
-        self.fields
     }
 
     /// Append a field in place.
@@ -290,7 +269,7 @@ impl Record {
     }
 
     /// A new record that is the concatenation `self ++ other` (join output).
-    pub fn concat(&self, other: &Record) -> Record {
+    pub(crate) fn concat(&self, other: &Record) -> Record {
         let mut fields = Vec::with_capacity(self.fields.len() + other.fields.len());
         fields.extend_from_slice(&self.fields);
         fields.extend_from_slice(&other.fields);
@@ -327,7 +306,7 @@ impl fmt::Display for Record {
 #[macro_export]
 macro_rules! rec {
     ($($field:expr),* $(,)?) => {
-        $crate::data::Record::new(vec![$($crate::data::Value::from($field)),*])
+        $crate::Record::new(vec![$($crate::Value::from($field)),*])
     };
 }
 
@@ -410,11 +389,6 @@ impl Dataset {
                 window_of: Some((self.clone(), offset)),
             }),
         }
-    }
-
-    /// The empty dataset.
-    pub fn empty() -> Self {
-        Dataset::default()
     }
 
     /// Number of records (the dataset's cardinality).
@@ -509,7 +483,7 @@ impl Dataset {
 
     /// True iff both handles share one allocation (and therefore one set
     /// of cached views) — identity, not content equality.
-    pub fn ptr_eq(&self, other: &Dataset) -> bool {
+    pub(crate) fn ptr_eq(&self, other: &Dataset) -> bool {
         Arc::ptr_eq(&self.views, &other.views)
     }
 }
@@ -577,7 +551,7 @@ impl Schema {
     }
 
     /// Number of attributes.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.fields.len()
     }
 
@@ -585,45 +559,19 @@ impl Schema {
     pub fn fields(&self) -> &[Field] {
         &self.fields
     }
-
-    /// Resolve an attribute name to its index.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|f| f.name == name)
-    }
-
-    /// Check a record's fields against this schema (`Null` matches any type).
-    pub fn check(&self, record: &Record) -> Result<()> {
-        if record.width() != self.width() {
-            return Err(RheemError::Type {
-                expected: format!("record of width {}", self.width()),
-                found: format!("record of width {}", record.width()),
-            });
-        }
-        for (i, field) in self.fields.iter().enumerate() {
-            let v = record.get(i)?;
-            let ok = matches!(
-                (field.dtype, v),
-                (_, Value::Null)
-                    | (DataType::Bool, Value::Bool(_))
-                    | (DataType::Int, Value::Int(_))
-                    | (DataType::Float, Value::Float(_))
-                    | (DataType::Str, Value::Str(_))
-            );
-            if !ok {
-                return Err(RheemError::Type {
-                    expected: format!("{:?} for attribute `{}`", field.dtype, field.name),
-                    found: format!("{v:?}"),
-                });
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::hash_map::DefaultHasher;
+
+    impl Dataset {
+        /// The empty dataset.
+        pub(crate) fn empty() -> Self {
+            Dataset::default()
+        }
+    }
 
     fn hash_of(v: &Value) -> u64 {
         let mut h = DefaultHasher::new();
@@ -678,7 +626,6 @@ mod tests {
         assert!(Value::str("x").as_int().is_err());
         assert!(Value::Int(3).as_str().is_err());
         assert_eq!(Value::Int(3).as_float().unwrap(), 3.0);
-        assert!(Value::Bool(true).as_bool().unwrap());
     }
 
     #[test]
@@ -688,7 +635,7 @@ mod tests {
         assert_eq!(r.int(0).unwrap(), 42);
         assert_eq!(r.str(1).unwrap(), "alice");
         assert_eq!(r.float(2).unwrap(), 2.5);
-        assert!(r.bool(3).unwrap());
+        assert_eq!(r.fields()[3], Value::Bool(true));
         assert!(matches!(
             r.get(9),
             Err(RheemError::FieldOutOfBounds { index: 9, width: 4 })
@@ -790,22 +737,6 @@ mod tests {
         let ragged = Dataset::new(vec![rec![1i64], rec![1i64, 2i64], rec![3i64]]);
         assert!(ragged.slice(0, 1).chunk().is_none());
         assert_eq!(ragged.slice(2, 1).into_records(), vec![rec![3i64]]);
-    }
-
-    #[test]
-    fn schema_check_accepts_matching_and_null() {
-        let s = Schema::new(vec![("id", DataType::Int), ("name", DataType::Str)]);
-        assert_eq!(s.index_of("name"), Some(1));
-        assert!(s.check(&rec![1i64, "x"]).is_ok());
-        let with_null = Record::new(vec![Value::Null, Value::str("x")]);
-        assert!(s.check(&with_null).is_ok());
-    }
-
-    #[test]
-    fn schema_check_rejects_wrong_width_and_type() {
-        let s = Schema::new(vec![("id", DataType::Int)]);
-        assert!(s.check(&rec![1i64, 2i64]).is_err());
-        assert!(s.check(&rec!["oops"]).is_err());
     }
 
     #[test]

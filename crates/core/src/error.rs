@@ -198,7 +198,7 @@ impl RheemError {
     ///   errors, missing mappings/platforms/datasets, query errors) — a
     ///   retry would deterministically fail again. Caught panics are
     ///   `Permanent { panic: true }`.
-    pub fn classify(&self) -> ErrorKind {
+    pub(crate) fn classify(&self) -> ErrorKind {
         match self {
             RheemError::Execution { .. } | RheemError::Storage(_) | RheemError::Io(_) => {
                 ErrorKind::Transient
@@ -221,19 +221,8 @@ impl RheemError {
 
     /// Whether the executor should spend retry budget on this error
     /// (true exactly for [`ErrorKind::Transient`]).
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         self.classify() == ErrorKind::Transient
-    }
-
-    /// The platform this error implicates, when it names one.
-    pub fn platform(&self) -> Option<&str> {
-        match self {
-            RheemError::Execution { platform, .. }
-            | RheemError::PlatformUnavailable { platform, .. }
-            | RheemError::Panic { platform, .. } => Some(platform),
-            RheemError::UnknownPlatform(platform) => Some(platform),
-            _ => None,
-        }
     }
 }
 
@@ -351,7 +340,6 @@ mod tests {
             message: "boom".into(),
         };
         assert_eq!(e.to_string(), "panic on platform sparklike: boom");
-        assert_eq!(e.platform(), Some("sparklike"));
     }
 
     #[test]
@@ -360,9 +348,7 @@ mod tests {
             platform: "spark".into(),
             message: "open".into(),
         };
-        assert_eq!(e.platform(), Some("spark"));
         assert!(e.to_string().contains("spark unavailable"));
-        assert_eq!(RheemError::Query("q".into()).platform(), None);
     }
 
     #[test]

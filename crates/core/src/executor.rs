@@ -91,7 +91,7 @@ use crate::context::RheemContext;
 use crate::data::Dataset;
 use crate::error::{CancelReason, Result, RheemError};
 use crate::fault::{BackoffPolicy, ThreadSleeper};
-use crate::optimizer::replan::worst_drift;
+use crate::optimizer::worst_drift;
 use crate::plan::{ExecutionPlan, NodeId, TaskAtom};
 use crate::platform::{AtomInputs, ExecutionContext, FailureInjector};
 
@@ -173,16 +173,11 @@ impl ExecutionStats {
 
     /// Every atom that gave up: each failover's trigger in order, then the
     /// atom that failed the job.
-    pub fn failed_atoms(&self) -> impl Iterator<Item = &AtomFailure> {
+    pub(crate) fn failed_atoms(&self) -> impl Iterator<Item = &AtomFailure> {
         self.failovers
             .iter()
             .map(|f| &f.failed_atom)
             .chain(self.failed_atom.as_ref())
-    }
-
-    /// Total simulated overhead charged by platforms.
-    pub fn total_simulated_overhead_ms(&self) -> f64 {
-        self.atoms.iter().map(|a| a.simulated_overhead_ms).sum()
     }
 
     /// Total simulated elapsed time of the job: the platforms' critical
@@ -332,19 +327,7 @@ pub struct JobResult {
     pub effective_plan: Option<ExecutionPlan>,
 }
 
-impl JobResult {
-    /// The single output of a single-sink job.
-    pub fn single(&self) -> Result<&Dataset> {
-        if self.outputs.len() == 1 {
-            Ok(self.outputs.values().next().expect("len checked"))
-        } else {
-            Err(RheemError::Execution {
-                platform: "executor".into(),
-                message: format!("expected exactly one sink, found {}", self.outputs.len()),
-            })
-        }
-    }
-}
+impl JobResult {}
 
 /// One atom's completed run, before it is committed to the job state.
 struct AtomRun {
@@ -423,7 +406,7 @@ struct Job<'a> {
 /// A job is reported once, when it ends: its record — partial when it
 /// failed or was cancelled — and its outcome go to the context's
 /// [`Observability`](crate::observe::Observability) hub in one call.
-pub(crate) fn execute(ctx: &RheemContext, plan: &ExecutionPlan) -> Result<JobResult> {
+pub fn execute(ctx: &RheemContext, plan: &ExecutionPlan) -> Result<JobResult> {
     let started = Instant::now();
     let job = Job {
         ctx,
@@ -612,7 +595,7 @@ impl Job<'_> {
         };
         // A re-plan is part of the job: it must respect the deadline.
         check_deadline(self.deadline)?;
-        let new_plan = self.ctx.optimizer.replanner(policy).replan(
+        let new_plan = self.ctx.optimizer.replanner().replan(
             current,
             executed,
             &live,
@@ -693,11 +676,7 @@ impl Job<'_> {
         let live = node_outputs.lock().clone();
         // Failover shares the drift re-planner's machinery but not its
         // budget: `max_failovers` is counted separately.
-        let rp = self
-            .ctx
-            .optimizer
-            .replanner(self.ctx.replan_policy.unwrap_or_default())
-            .excluding(excluded);
+        let rp = self.ctx.optimizer.replanner().excluding(excluded);
         let new_plan = match rp.replan(current, executed, &live, &self.ctx.platforms, next_atom_id)
         {
             Ok(p) => p,

@@ -177,21 +177,6 @@ impl Expr {
         self.bin(BinOp::Add, rhs)
     }
 
-    /// `self - rhs`.
-    pub fn sub(self, rhs: Expr) -> Expr {
-        self.bin(BinOp::Sub, rhs)
-    }
-
-    /// `self * rhs`.
-    pub fn mul(self, rhs: Expr) -> Expr {
-        self.bin(BinOp::Mul, rhs)
-    }
-
-    /// `self / rhs`.
-    pub fn div(self, rhs: Expr) -> Expr {
-        self.bin(BinOp::Div, rhs)
-    }
-
     /// `self % rhs`.
     pub fn rem(self, rhs: Expr) -> Expr {
         self.bin(BinOp::Mod, rhs)
@@ -200,21 +185,6 @@ impl Expr {
     /// `self == rhs`.
     pub fn eq(self, rhs: Expr) -> Expr {
         self.bin(BinOp::Eq, rhs)
-    }
-
-    /// `self != rhs`.
-    pub fn ne(self, rhs: Expr) -> Expr {
-        self.bin(BinOp::Ne, rhs)
-    }
-
-    /// `self < rhs`.
-    pub fn lt(self, rhs: Expr) -> Expr {
-        self.bin(BinOp::Lt, rhs)
-    }
-
-    /// `self <= rhs`.
-    pub fn le(self, rhs: Expr) -> Expr {
-        self.bin(BinOp::Le, rhs)
     }
 
     /// `self > rhs`.
@@ -228,28 +198,23 @@ impl Expr {
     }
 
     /// `self && rhs` (Kleene).
-    pub fn and(self, rhs: Expr) -> Expr {
+    pub(crate) fn and(self, rhs: Expr) -> Expr {
         self.bin(BinOp::And, rhs)
     }
 
     /// `self || rhs` (Kleene).
-    pub fn or(self, rhs: Expr) -> Expr {
+    pub(crate) fn or(self, rhs: Expr) -> Expr {
         self.bin(BinOp::Or, rhs)
     }
 
     /// `!self`.
-    pub fn not(self) -> Expr {
+    pub(crate) fn not(self) -> Expr {
         Expr::Not(Arc::new(self))
     }
 
     /// `-self`.
-    pub fn neg(self) -> Expr {
+    pub(crate) fn neg(self) -> Expr {
         Expr::Neg(Arc::new(self))
-    }
-
-    /// `self IS NULL`.
-    pub fn is_null(self) -> Expr {
-        Expr::IsNull(Arc::new(self))
     }
 
     /// `self IS TRUE`: `Bool(true)` → `true`, anything else → `false`.
@@ -258,7 +223,7 @@ impl Expr {
     }
 
     /// Evaluate over one record (the row path).
-    pub fn eval(&self, r: &Record) -> Value {
+    pub(crate) fn eval(&self, r: &Record) -> Value {
         match self {
             Expr::Field(i) => r.fields().get(*i).cloned().unwrap_or(Value::Null),
             Expr::Lit(v) => v.clone(),
@@ -275,7 +240,7 @@ impl Expr {
     /// Typed columns without nulls take vectorized fast paths (no per-row
     /// [`Value`] boxing); everything else falls back to a scalar loop over
     /// the same functions [`Expr::eval`] uses.
-    pub fn eval_chunk(&self, chunk: &Chunk) -> Column {
+    pub(crate) fn eval_chunk(&self, chunk: &Chunk) -> Column {
         match self.eval_vec(chunk) {
             Ev::Col(c) => c,
             Ev::Lit(v) => {
@@ -328,7 +293,7 @@ impl fmt::Display for Expr {
 }
 
 /// `!v` with `Null` on non-`Bool` operands.
-pub fn scalar_not(v: &Value) -> Value {
+pub(crate) fn scalar_not(v: &Value) -> Value {
     match v {
         Value::Bool(b) => Value::Bool(!b),
         _ => Value::Null,
@@ -336,7 +301,7 @@ pub fn scalar_not(v: &Value) -> Value {
 }
 
 /// `-v` with `Null` on non-numeric operands; wrapping for `Int`.
-pub fn scalar_neg(v: &Value) -> Value {
+pub(crate) fn scalar_neg(v: &Value) -> Value {
     match v {
         Value::Int(i) => Value::Int(i.wrapping_neg()),
         Value::Float(x) => Value::Float(-x),
@@ -346,13 +311,13 @@ pub fn scalar_neg(v: &Value) -> Value {
 
 /// `v IS TRUE`: only `Bool(true)` is true; `Null` and every other value
 /// are false.
-pub fn scalar_is_true(v: &Value) -> Value {
+pub(crate) fn scalar_is_true(v: &Value) -> Value {
     Value::Bool(matches!(v, Value::Bool(true)))
 }
 
 /// Apply a binary operator to two scalars — the single source of truth for
 /// both the row and the vectorized evaluation path.
-pub fn scalar_bin(op: BinOp, a: &Value, b: &Value) -> Value {
+pub(crate) fn scalar_bin(op: BinOp, a: &Value, b: &Value) -> Value {
     match op {
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => scalar_arith(op, a, b),
         BinOp::SqlDiv => match (a, b) {
@@ -396,7 +361,7 @@ fn sql_div(x: f64, y: f64) -> Option<f64> {
 /// The ordering SQL comparisons see: `Int` and `Float` compare numerically
 /// (mixed pairs widen, floats by `total_cmp`), other same-variant pairs by
 /// value; `None` when either side is `Null` or the variants do not mix.
-pub fn sql_ordering(a: &Value, b: &Value) -> Option<std::cmp::Ordering> {
+pub(crate) fn sql_ordering(a: &Value, b: &Value) -> Option<std::cmp::Ordering> {
     Some(match (a, b) {
         (Value::Int(x), Value::Int(y)) => x.cmp(y),
         (Value::Float(_) | Value::Int(_), Value::Float(_) | Value::Int(_)) => {
@@ -697,6 +662,23 @@ mod tests {
     use super::*;
     use crate::rec;
 
+    impl Expr {
+        /// `self * rhs`.
+        pub(crate) fn mul(self, rhs: Expr) -> Expr {
+            self.bin(BinOp::Mul, rhs)
+        }
+
+        /// `self < rhs`.
+        pub(crate) fn lt(self, rhs: Expr) -> Expr {
+            self.bin(BinOp::Lt, rhs)
+        }
+
+        /// `self / rhs`.
+        pub(crate) fn div(self, rhs: Expr) -> Expr {
+            self.bin(BinOp::Div, rhs)
+        }
+    }
+
     fn both(e: &Expr, records: &[Record]) -> (Vec<Value>, Vec<Value>) {
         let row: Vec<Value> = records.iter().map(|r| e.eval(r)).collect();
         let chunk = Chunk::from_records(records).unwrap();
@@ -736,8 +718,8 @@ mod tests {
             Expr::field(0).add(Expr::lit(1i64)),
             Expr::field(0).lt(Expr::lit(2i64)),
             Expr::field(1).eq(Expr::lit("x")),
-            Expr::field(0).is_null(),
-            Expr::field(0).is_null().not(),
+            Expr::IsNull(Arc::new(Expr::field(0))),
+            Expr::IsNull(Arc::new(Expr::field(0))).not(),
             Expr::field(7).eq(Expr::lit(1i64)),
         ] {
             let (row, vec) = both(&e, &records);

@@ -34,7 +34,7 @@ use crate::error::{CancelReason, Result, RheemError};
 /// identifiers (atom id, attempt number) rather than on call order — the
 /// property that keeps injected failures and jittered delays identical
 /// between sequential and parallel schedules.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -42,12 +42,12 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// Map 64 random bits to a uniform `f64` in `[0, 1)`.
-pub(crate) fn unit_f64(bits: u64) -> f64 {
+pub fn unit_f64(bits: u64) -> f64 {
     (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// FNV-1a over a string: stable platform-name seed component.
-pub(crate) fn fnv1a(s: &str) -> u64 {
+pub fn fnv1a(s: &str) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for b in s.bytes() {
         h ^= b as u64;
@@ -64,7 +64,7 @@ pub(crate) fn fnv1a(s: &str) -> u64 {
 /// loop, morsel pulls). The first [`cancel`](CancelToken::cancel) wins —
 /// later calls keep the original reason, so the error the client sees
 /// names whoever abandoned the job first. Cancellation also wakes any
-/// [`wait_timeout`](CancelToken::wait_timeout) in progress, which is what
+/// `wait_timeout` in progress, which is what
 /// makes backoff naps interruptible.
 #[derive(Clone, Default)]
 pub struct CancelToken {
@@ -105,7 +105,7 @@ impl CancelToken {
     }
 
     /// Cancel with `reason`, waking every pending
-    /// [`CancelToken::wait_timeout`]. Returns `true` when this call was
+    /// `CancelToken::wait_timeout`. Returns `true` when this call was
     /// the first — later calls are no-ops that keep the original reason.
     pub fn cancel(&self, reason: CancelReason) -> bool {
         let first = self
@@ -127,13 +127,13 @@ impl CancelToken {
     }
 
     /// The first cancellation reason, if cancelled.
-    pub fn reason(&self) -> Option<CancelReason> {
+    pub(crate) fn reason(&self) -> Option<CancelReason> {
         code_reason(self.inner.state.load(Ordering::Acquire))
     }
 
     /// The checkpoint primitive: `Ok(())` while live,
     /// [`RheemError::Cancelled`] once cancelled.
-    pub fn check(&self) -> Result<()> {
+    pub(crate) fn check(&self) -> Result<()> {
         match self.reason() {
             None => Ok(()),
             Some(reason) => Err(RheemError::Cancelled { reason }),
@@ -143,7 +143,7 @@ impl CancelToken {
     /// Block for up to `d` or until cancelled, whichever comes first.
     /// Returns the cancellation reason if the wait ended early (or the
     /// token was already cancelled).
-    pub fn wait_timeout(&self, d: Duration) -> Option<CancelReason> {
+    pub(crate) fn wait_timeout(&self, d: Duration) -> Option<CancelReason> {
         if let Some(reason) = self.reason() {
             return Some(reason);
         }
@@ -272,7 +272,7 @@ impl Default for BackoffPolicy {
 impl BackoffPolicy {
     /// No backoff at all: every delay is zero. What a context without a
     /// fault policy retries under.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         BackoffPolicy {
             base: Duration::ZERO,
             multiplier: 1.0,
@@ -280,12 +280,6 @@ impl BackoffPolicy {
             jitter: 0.0,
             seed: 0,
         }
-    }
-
-    /// Re-seed the jitter stream.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 
     /// The delay to sleep after the `attempt`-th failed attempt of
@@ -365,7 +359,7 @@ impl PlatformHealth {
     /// breaker whose cooldown has elapsed transitions to half-open and
     /// admits the attempt as the probe; otherwise the attempt is rejected
     /// with [`RheemError::PlatformUnavailable`].
-    pub fn admit(&self, platform: &str) -> Result<()> {
+    pub(crate) fn admit(&self, platform: &str) -> Result<()> {
         let mut states = self.states.lock();
         match states.get(platform).copied() {
             None | Some(BreakerState::Closed { .. }) | Some(BreakerState::HalfOpen) => Ok(()),
@@ -388,13 +382,13 @@ impl PlatformHealth {
 
     /// Record a successful atom execution: closes the breaker and resets
     /// the consecutive-failure run (no entry is a closed breaker).
-    pub fn record_success(&self, platform: &str) {
+    pub(crate) fn record_success(&self, platform: &str) {
         self.states.lock().remove(platform);
     }
 
     /// Record a failed atom attempt. Returns `true` when this failure
     /// opened (or re-opened) the breaker.
-    pub fn record_failure(&self, platform: &str) -> bool {
+    pub(crate) fn record_failure(&self, platform: &str) -> bool {
         let mut states = self.states.lock();
         let state = states
             .entry(platform.to_string())
@@ -424,7 +418,7 @@ impl PlatformHealth {
     /// Force a platform's breaker open (failover marks the platform it
     /// abandoned as down, so subsequent jobs avoid it until the cooldown
     /// admits a probe).
-    pub fn force_open(&self, platform: &str) {
+    pub(crate) fn force_open(&self, platform: &str) {
         self.states.lock().insert(
             platform.to_string(),
             BreakerState::Open {
@@ -443,7 +437,7 @@ impl PlatformHealth {
 
     /// Names of all platforms with open or half-open breakers, sorted —
     /// the exclusion set failover re-planning hands the enumerator.
-    pub fn unavailable(&self) -> Vec<String> {
+    pub(crate) fn unavailable(&self) -> Vec<String> {
         let mut out: Vec<String> = self
             .states
             .lock()
@@ -504,6 +498,14 @@ impl FaultPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BackoffPolicy {
+        /// Re-seed the jitter stream.
+        pub(crate) fn with_seed(mut self, seed: u64) -> Self {
+            self.seed = seed;
+            self
+        }
+    }
 
     #[test]
     fn backoff_is_deterministic_and_bounded() {
@@ -577,10 +579,9 @@ mod tests {
         assert!(h.record_failure("spark"));
         let err = h.admit("spark").unwrap_err();
         assert!(
-            matches!(err, RheemError::PlatformUnavailable { .. }),
+            matches!(&err, RheemError::PlatformUnavailable { platform, .. } if platform == "spark"),
             "{err}"
         );
-        assert_eq!(err.platform(), Some("spark"));
 
         // With zero cooldown the probe is admitted; a probe failure
         // re-opens immediately.
@@ -633,7 +634,7 @@ mod tests {
                 reason: CancelReason::DeadlineExceeded
             }
         ));
-        assert_eq!(err.classify(), crate::ErrorKind::Cancelled);
+        assert_eq!(err.classify(), crate::error::ErrorKind::Cancelled);
 
         // Clones share the flag.
         let clone = t.clone();

@@ -88,7 +88,7 @@ pub fn run_fragment(
 /// two-phase kernels, 1 for everything sequential. On the `columnar` path
 /// only pipelines split into morsels; the keyed chunk kernels run as one
 /// unit.
-pub fn op_morsels(
+pub(crate) fn op_morsels(
     op: &PhysicalOp,
     inputs: &[Dataset],
     p: &KernelParallelism,
@@ -132,10 +132,6 @@ pub fn execute_op(
             let state = run_loop(body, condition, *max_iterations, inputs[0].clone(), ctx)?;
             (state, false)
         }
-        PhysicalOp::StorageSink { dataset_id } => {
-            ctx.storage()?.write(dataset_id, &inputs[0])?;
-            (inputs[0].clone(), false)
-        }
         _ => kernels::execute(op, inputs, &ctx.kernel_parallelism)?,
     };
     // A cancel that fires *inside* a morsel-parallel kernel truncates the
@@ -150,7 +146,7 @@ pub fn execute_op(
 /// Drive a [`PhysicalOp::Loop`]: evaluate the condition before each
 /// iteration, run the body on the current state, and use the body's terminal
 /// output as the next state.
-pub fn run_loop(
+pub(crate) fn run_loop(
     body: &PhysicalPlan,
     condition: &crate::udf::LoopCondUdf,
     max_iterations: u64,
@@ -306,20 +302,19 @@ mod tests {
     }
 
     #[test]
-    fn storage_source_and_sink_round_trip() {
+    fn storage_source_reads_through_the_context() {
         let storage = Arc::new(MemoryStorageService::new());
         storage.write("in", &Dataset::new(nums(4))).unwrap();
-        let ctx = ExecutionContext::new().with_storage(storage.clone());
+        let ctx = ExecutionContext::new().with_storage(storage);
 
         let mut b = PlanBuilder::new();
         let src = b.storage_source("in");
         let m = b.map(src, MapUdf::new("inc", |r| rec![r.int(0).unwrap() + 1]));
-        b.write_storage(m, "out");
+        let sink = b.collect(m);
         let plan = b.build().unwrap();
-        run_plan(&plan, &ctx).unwrap();
-        let out = storage.read("out").unwrap();
+        let out = run_plan(&plan, &ctx).unwrap();
         assert_eq!(
-            out.records(),
+            out[&sink].records(),
             &[rec![1i64], rec![2i64], rec![3i64], rec![4i64]]
         );
     }

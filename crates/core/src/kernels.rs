@@ -8,7 +8,7 @@
 //! simulated overheads — which is where their cost profiles diverge.
 
 pub mod chunked;
-pub mod hash;
+mod hash;
 pub mod parallel;
 
 use std::collections::HashMap;
@@ -20,6 +20,10 @@ use crate::rec;
 use crate::udf::{FilterUdf, FlatMapUdf, GroupMapUdf, KeyUdf, MapUdf, PairPredicateFn, ReduceUdf};
 
 use parallel::KernelParallelism;
+
+// For tests: the engine's `Int` key hash and its radix bucket, so a suite
+// can build key sets that all land in one bucket (the worst case).
+pub use hash::{hash_i64, radix_bucket};
 
 /// The operator table: the one place a [`PhysicalOp`] becomes a kernel call.
 ///
@@ -79,10 +83,7 @@ pub fn execute(
         PhysicalOp::NestedLoopJoin { predicate, .. } => nested_loop_join(in0(), in1(), predicate),
         PhysicalOp::CrossProduct => cross_product(in0(), in1()),
         PhysicalOp::Union => union(in0(), in1()),
-        PhysicalOp::StorageSource { .. }
-        | PhysicalOp::LoopInput
-        | PhysicalOp::Loop { .. }
-        | PhysicalOp::StorageSink { .. } => {
+        PhysicalOp::StorageSource { .. } | PhysicalOp::LoopInput | PhysicalOp::Loop { .. } => {
             return Err(RheemError::InvalidPlan(format!(
                 "{} is bound to an execution context and has no kernel",
                 op.name()
@@ -123,6 +124,23 @@ fn execute_columnar(
             parallel::run_pipeline_chunk(inputs[0].chunk()?, &stages, p)
         }
     })
+}
+
+/// The routing hash of a record's key: for a declarative key, its fields'
+/// engine hashes folded as [`chunked::key_tuple_hashes`] folds them
+/// column-wise, and for an opaque key the engine hash of the closure's
+/// value.
+#[inline]
+pub fn key_hash(key: &KeyUdf, r: &Record) -> u64 {
+    match key.fields.as_deref() {
+        Some(fields) => fields.iter().fold(0, |acc, &i| {
+            hash::combine(
+                acc,
+                hash::hash_value(r.fields().get(i).unwrap_or(&Value::Null)),
+            )
+        }),
+        None => hash::hash_value(&(key.f)(r)),
+    }
 }
 
 /// Apply a map UDF to every record.
@@ -201,7 +219,7 @@ pub fn reduce_by_key(records: &[Record], key: &KeyUdf, reduce: &ReduceUdf) -> Ve
 }
 
 /// Reduce all records into at most one.
-pub fn global_reduce(records: &[Record], reduce: &ReduceUdf) -> Vec<Record> {
+pub(crate) fn global_reduce(records: &[Record], reduce: &ReduceUdf) -> Vec<Record> {
     let mut it = records.iter();
     match it.next() {
         None => Vec::new(),
@@ -240,7 +258,7 @@ pub fn hash_join(
 }
 
 /// Nested-loop theta join with an arbitrary pair predicate.
-pub fn nested_loop_join(
+pub(crate) fn nested_loop_join(
     left: &[Record],
     right: &[Record],
     predicate: &PairPredicateFn,
@@ -257,7 +275,7 @@ pub fn nested_loop_join(
 }
 
 /// Full cross product.
-pub fn cross_product(left: &[Record], right: &[Record]) -> Vec<Record> {
+pub(crate) fn cross_product(left: &[Record], right: &[Record]) -> Vec<Record> {
     let mut out = Vec::with_capacity(left.len() * right.len());
     for l in left {
         for r in right {
@@ -291,7 +309,7 @@ pub fn distinct(records: &[Record]) -> Vec<Record> {
 }
 
 /// Bag union (concatenation).
-pub fn union(left: &[Record], right: &[Record]) -> Vec<Record> {
+pub(crate) fn union(left: &[Record], right: &[Record]) -> Vec<Record> {
     let mut out = Vec::with_capacity(left.len() + right.len());
     out.extend_from_slice(left);
     out.extend_from_slice(right);

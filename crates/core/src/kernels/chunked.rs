@@ -15,7 +15,7 @@
 //! Where the operator carries a declarative form (an [`Expr`] predicate, an
 //! aggregate spec ([`crate::udf::GroupMapUdf::from_aggs`]),
 //! [`KeyUdf::fields`]), kernels run fully columnar: predicates evaluate vectorized and the keyed kernels run on
-//! the vectorized hash engine ([`super::hash`]) — the key column hashes
+//! the vectorized hash engine (`super::hash`) — the key column hashes
 //! once into a hash lane (`i64` fast lane, dict-code lane hashing each
 //! distinct string a single time, generic [`Value`] fallback), an
 //! open-addressing slot table assigns dense group slots, and aggregation
@@ -54,7 +54,7 @@ pub(crate) fn gather_kept(chunk: &Chunk, kept: &[usize]) -> Chunk {
 }
 
 /// Row indices kept by a predicate (the mask form of [`filter`]).
-pub fn filter_indices(chunk: &Chunk, expr: &Expr) -> Vec<usize> {
+pub(crate) fn filter_indices(chunk: &Chunk, expr: &Expr) -> Vec<usize> {
     let mask = expr.eval_chunk(chunk);
     let rows = chunk.rows();
     match mask.bools() {
@@ -187,7 +187,7 @@ fn key_hashes(keys: &Keys<'_>) -> Vec<u64> {
 
 /// One hash per row of the key tuple `key_fields`: per-field engine hashes
 /// (typed lanes, each dictionary string hashed once) folded
-/// with [`hash::combine`] — equal to folding [`hash::hash_value`] over the
+/// with `hash::combine` — equal to folding `hash::hash_value` over the
 /// same fields of the same row. Partitioned platforms route rows by it, so
 /// equal keys meet in one partition whichever view a side was routed on.
 pub fn key_tuple_hashes(chunk: &Chunk, key_fields: &[usize]) -> Vec<u64> {
@@ -682,7 +682,7 @@ pub fn hash_join(left: &Chunk, right: &Chunk, left_key: &KeyUdf, right_key: &Key
 }
 
 /// Apply one fused pipeline stage to a chunk.
-pub fn apply_stage(chunk: Chunk, stage: &StageKind) -> Result<Chunk> {
+pub(crate) fn apply_stage(chunk: Chunk, stage: &StageKind) -> Result<Chunk> {
     match stage {
         StageKind::Filter { expr, .. } => Ok(filter(&chunk, expr)),
         StageKind::Map { exprs } => Ok(map(&chunk, exprs)),

@@ -73,13 +73,13 @@ fn mix(mut x: u64) -> u64 {
 
 /// Hash of `Value::Null`.
 #[inline]
-pub fn hash_null() -> u64 {
+pub(crate) fn hash_null() -> u64 {
     mix(TAG_NULL)
 }
 
 /// Hash of `Value::Bool(b)`.
 #[inline]
-pub fn hash_bool(b: bool) -> u64 {
+pub(crate) fn hash_bool(b: bool) -> u64 {
     mix(TAG_BOOL ^ u64::from(b))
 }
 
@@ -94,7 +94,7 @@ pub fn hash_i64(k: i64) -> u64 {
 /// Hashes the raw bits, matching `Value` equality under `total_cmp`:
 /// `-0.0`/`0.0` and distinct NaN payloads are *different* keys.
 #[inline]
-pub fn hash_f64(x: f64) -> u64 {
+pub(crate) fn hash_f64(x: f64) -> u64 {
     mix(TAG_FLOAT ^ x.to_bits())
 }
 
@@ -104,7 +104,7 @@ pub fn hash_f64(x: f64) -> u64 {
 /// interned dictionary string and an inline `Arc<str>` with equal bytes
 /// hash equal.
 #[inline]
-pub fn hash_str(s: &str) -> u64 {
+pub(crate) fn hash_str(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in s.as_bytes() {
         h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
@@ -116,7 +116,7 @@ pub fn hash_str(s: &str) -> u64 {
 /// `hash_value(&a) == hash_value(&b)`, and each typed helper above equals
 /// this function on the corresponding variant.
 #[inline]
-pub fn hash_value(v: &Value) -> u64 {
+pub(crate) fn hash_value(v: &Value) -> u64 {
     match v {
         Value::Null => hash_null(),
         Value::Bool(b) => hash_bool(*b),
@@ -135,7 +135,7 @@ pub fn combine(acc: u64, field_hash: u64) -> u64 {
     mix(acc.rotate_left(21) ^ field_hash)
 }
 
-/// The radix bucket of a hash: its top [`RADIX_BITS`] bits.
+/// The radix bucket of a hash: its top `RADIX_BITS` bits.
 #[inline]
 pub fn radix_bucket(hash: u64) -> usize {
     (hash >> (64 - RADIX_BITS)) as usize
@@ -167,7 +167,7 @@ impl Default for SlotTable {
 impl SlotTable {
     /// A table pre-sized for about `n` distinct keys (load factor ≤ 1/2 at
     /// `n` inserts; grows past that, so `n` is a hint, not a cap).
-    pub fn with_capacity(n: usize) -> SlotTable {
+    pub(crate) fn with_capacity(n: usize) -> SlotTable {
         let cap = (n.max(1) * 2).next_power_of_two().max(8);
         SlotTable {
             hashes: vec![0; cap],
@@ -175,16 +175,6 @@ impl SlotTable {
             mask: cap - 1,
             len: 0,
         }
-    }
-
-    /// Number of occupied entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True iff no entries are occupied.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     fn grow(&mut self) {
@@ -209,7 +199,7 @@ impl SlotTable {
     /// each candidate slot), or insert `new_slot` and return it. The bool
     /// is `true` iff an insert happened.
     #[inline]
-    pub fn find_or_insert(
+    pub(crate) fn find_or_insert(
         &mut self,
         hash: u64,
         mut is_same: impl FnMut(u32) -> bool,
@@ -236,7 +226,7 @@ impl SlotTable {
 
     /// Find the slot matching `hash` and `is_same` without inserting.
     #[inline]
-    pub fn find(&self, hash: u64, mut is_same: impl FnMut(u32) -> bool) -> Option<u32> {
+    pub(crate) fn find(&self, hash: u64, mut is_same: impl FnMut(u32) -> bool) -> Option<u32> {
         let mut i = (hash as usize) & self.mask;
         loop {
             let s = self.slots[i];
@@ -266,7 +256,7 @@ pub struct GroupIndex {
 
 impl GroupIndex {
     /// Number of distinct keys found.
-    pub fn n_groups(&self) -> usize {
+    pub(crate) fn n_groups(&self) -> usize {
         self.first_row.len()
     }
 
@@ -274,7 +264,7 @@ impl GroupIndex {
     /// candidate slots and compares the probe key against the build key at
     /// `first_row[slot]`.
     #[inline]
-    pub fn lookup(&self, hash: u64, is_same: impl FnMut(u32) -> bool) -> Option<u32> {
+    pub(crate) fn lookup(&self, hash: u64, is_same: impl FnMut(u32) -> bool) -> Option<u32> {
         let b = if self.partitioned {
             radix_bucket(hash)
         } else {
@@ -285,7 +275,7 @@ impl GroupIndex {
 
     /// Drop the probe tables, keeping only the grouping — for callers
     /// (grouping, reduction) that never look keys up again.
-    pub fn into_groups(self) -> DenseGroups {
+    pub(crate) fn into_groups(self) -> DenseGroups {
         DenseGroups {
             slot_of_row: self.slot_of_row,
             first_row: self.first_row,
@@ -307,7 +297,7 @@ pub struct DenseGroups {
 
 impl DenseGroups {
     /// Number of distinct keys found.
-    pub fn n_groups(&self) -> usize {
+    pub(crate) fn n_groups(&self) -> usize {
         self.first_row.len()
     }
 }
@@ -332,7 +322,7 @@ pub struct DenseIndex {
 impl DenseIndex {
     /// The slot of key `k`, if the lane holds it.
     #[inline]
-    pub fn lookup(&self, k: i64) -> Option<u32> {
+    pub(crate) fn lookup(&self, k: i64) -> Option<u32> {
         // Outside `lo..=hi` the wrapped difference is at least the table
         // length (the range is below 2^16), so `get` misses.
         let s = *self
@@ -342,7 +332,7 @@ impl DenseIndex {
     }
 
     /// Drop the key table, keeping only the grouping.
-    pub fn into_groups(self) -> DenseGroups {
+    pub(crate) fn into_groups(self) -> DenseGroups {
         self.groups
     }
 }
@@ -353,7 +343,7 @@ impl DenseIndex {
 /// two paths are interchangeable for grouping and probing. Returns `None`
 /// when the range exceeds `DENSE_MAX_RANGE` (the caller falls back to the
 /// hash path).
-pub fn dense_index_i64(lane: &[i64]) -> Option<DenseIndex> {
+pub(crate) fn dense_index_i64(lane: &[i64]) -> Option<DenseIndex> {
     let (lo, hi) = lane
         .iter()
         .fold((i64::MAX, i64::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)));
@@ -388,7 +378,7 @@ pub fn dense_index_i64(lane: &[i64]) -> Option<DenseIndex> {
 /// Direct-address grouping for a dictionary-code lane: codes are already
 /// dense in `0..n_codes` (distinct code ⇔ distinct string), so the
 /// dictionary *is* the perfect hash — no range check needed.
-pub fn dense_groups_codes(codes: &[u32], n_codes: usize) -> DenseGroups {
+pub(crate) fn dense_groups_codes(codes: &[u32], n_codes: usize) -> DenseGroups {
     let mut slot_of_code = vec![EMPTY; n_codes];
     let mut slot_of_row = vec![0u32; codes.len()];
     let mut first_row: Vec<u32> = Vec::new();
@@ -433,7 +423,10 @@ fn sample_distinct(hashes: &[u64], same_key: &mut impl FnMut(u32, u32) -> bool) 
 /// slot *numbering* differs between the paths, but the induced partition
 /// of rows and each slot's `first_row` are identical, and every caller
 /// orders output by key, not by slot.
-pub fn build_index(hashes: &[u64], mut same_key: impl FnMut(u32, u32) -> bool) -> GroupIndex {
+pub(crate) fn build_index(
+    hashes: &[u64],
+    mut same_key: impl FnMut(u32, u32) -> bool,
+) -> GroupIndex {
     let partitioned = hashes.len() >= RADIX_MIN_ROWS
         && sample_distinct(hashes, &mut same_key) > RADIX_MIN_DISTINCT;
     build_index_with(hashes, same_key, partitioned)
@@ -441,7 +434,7 @@ pub fn build_index(hashes: &[u64], mut same_key: impl FnMut(u32, u32) -> bool) -
 
 /// [`build_index`] with the partitioning decision forced — the test
 /// surface for driving both paths over the same input.
-pub fn build_index_with(
+pub(crate) fn build_index_with(
     hashes: &[u64],
     mut same_key: impl FnMut(u32, u32) -> bool,
     partitioned: bool,
@@ -518,7 +511,7 @@ pub fn build_index_with(
 
 /// CSR member lists: per-slot row lists in input order, as one offsets
 /// array (`n_groups + 1` entries) over one row-id array.
-pub fn member_lists(slot_of_row: &[u32], n_groups: usize) -> (Vec<usize>, Vec<u32>) {
+pub(crate) fn member_lists(slot_of_row: &[u32], n_groups: usize) -> (Vec<usize>, Vec<u32>) {
     let mut offsets = vec![0usize; n_groups + 1];
     for &s in slot_of_row {
         offsets[s as usize + 1] += 1;
@@ -644,7 +637,7 @@ mod tests {
             assert!(inserted);
             assert_eq!(slot, i as u32);
         }
-        assert_eq!(table.len(), 1000);
+        assert_eq!(table.len, 1000);
         for (i, &k) in keys.iter().enumerate() {
             assert_eq!(
                 table.find(hash_i64(k), |s| keys[s as usize] == k),

@@ -11,7 +11,7 @@
 //!   morsels are processed independently and concatenated in morsel order,
 //!   which is input order.
 //! - `hash_group` and `reduce_by_key` run on the vectorized hash engine
-//!   ([`super::hash`]): the local phase per contiguous chunk hashes keys
+//!   (`super::hash`): the local phase per contiguous chunk hashes keys
 //!   once, assigns dense slots through an open-addressing table, and emits
 //!   its groups *scattered by radix bucket* (key-sorted within each
 //!   bucket). The merge phase then folds **per radix bucket** across
@@ -69,7 +69,7 @@ thread_local! {
 /// previous token on exit, panic included. Once `token` fires, every
 /// parallel kernel invoked under the scope degenerates to empty-range
 /// morsels — its (truncated) output must be discarded by a caller-level
-/// [`CancelToken::check`], which the interpreter performs per operator.
+/// `CancelToken::check`, which the interpreter performs per operator.
 pub fn with_cancel_scope<R>(token: &CancelToken, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<CancelToken>);
     impl Drop for Restore {
@@ -100,7 +100,7 @@ fn ambient_check() -> Result<()> {
 /// Lives on [`crate::platform::ExecutionContext`] next to the storage
 /// service. The wave scheduler runs `min(threads, atoms in the wave)` atoms
 /// at once and hands each atom's kernels `threads / width` of the budget
-/// (see [`KernelParallelism::share`]), so `atoms × kernel-threads` never
+/// (see `KernelParallelism::share`), so `atoms × kernel-threads` never
 /// oversubscribes the host; `threads = 1` runs one atom at a time on the
 /// sequential kernels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -161,7 +161,7 @@ impl KernelParallelism {
     /// Divide the thread budget among `workers` concurrently running
     /// atoms, so wave-parallel scheduling and intra-atom parallelism
     /// share one budget instead of multiplying.
-    pub fn share(&self, workers: usize) -> Self {
+    pub(crate) fn share(&self, workers: usize) -> Self {
         KernelParallelism {
             threads: (self.threads / workers.max(1)).max(1),
             ..*self
@@ -171,7 +171,7 @@ impl KernelParallelism {
     /// Worker threads a kernel invocation over `len` records may use:
     /// 1 (sequential) below `min_rows`, otherwise capped by the number of
     /// morsels so tiny inputs never spawn idle threads.
-    pub fn effective_threads(&self, len: usize) -> usize {
+    pub(crate) fn effective_threads(&self, len: usize) -> usize {
         if self.threads <= 1 || len < self.min_rows.max(1) {
             return 1;
         }
@@ -180,7 +180,7 @@ impl KernelParallelism {
 
     /// Morsel count for an embarrassingly-parallel kernel over `len`
     /// records (1 when the sequential path runs).
-    pub fn morsels(&self, len: usize) -> u64 {
+    pub(crate) fn morsels(&self, len: usize) -> u64 {
         if self.effective_threads(len) <= 1 {
             1
         } else {
@@ -190,7 +190,7 @@ impl KernelParallelism {
 
     /// Parallel work units for a two-phase (chunked) kernel over `len`
     /// records (1 when the sequential path runs).
-    pub fn chunks(&self, len: usize) -> u64 {
+    pub(crate) fn chunks(&self, len: usize) -> u64 {
         self.effective_threads(len) as u64
     }
 

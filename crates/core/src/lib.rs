@@ -8,67 +8,137 @@
 //! The three layers (paper Figure 1):
 //!
 //! 1. **Application layer** — [`logical`] operators: application-specific
-//!    UDF templates over *data quanta* ([`data::Record`]).
-//! 2. **Core layer** — [`physical`] operators and [`plan::PhysicalPlan`]s;
-//!    the [`optimizer`] lowers logical plans
-//!    ([`logical::LogicalPlan::lower`]), rewrites them, assigns a platform
-//!    to every operator using pluggable [`cost`] models (including
-//!    inter-platform movement costs), and splits the result into task atoms.
-//! 3. **Platform layer** — [`platform::Platform`] implementations (see the
+//!    UDF templates over *data quanta* ([`Record`]).
+//! 2. **Core layer** — [`PhysicalOp`]s and [`PhysicalPlan`]s; the
+//!    [`MultiPlatformOptimizer`] lowers logical plans
+//!    ([`LogicalPlan::lower`](logical::LogicalPlan::lower)), rewrites them,
+//!    assigns a platform to every operator using pluggable
+//!    [`PlatformCostModel`]s (including inter-platform
+//!    [`MovementCostModel`] costs), and splits the result into task atoms.
+//! 3. **Platform layer** — [`Platform`] implementations (see the
 //!    `rheem-platforms` crate) run task atoms with their own execution
-//!    operators; the [`executor`] schedules atoms, monitors progress,
-//!    retries failures, and aggregates results.
+//!    operators; the executor behind [`RheemContext::execute`] schedules
+//!    atoms, monitors progress, retries failures, and aggregates results.
 //!
-//! Start with [`context::RheemContext`] and [`plan::PlanBuilder`].
+//! Start with [`RheemContext`] and [`PlanBuilder`].
+//!
+//! ## Public surface
+//!
+//! Every module is private; what another crate uses is re-exported here by
+//! name. The compiler holds the rest to `dead_code`.
+//!
+//! **For applications:** [`RheemContext`], [`PlanBuilder`] and
+//! [`PhysicalPlan`] with its [`NodeId`]s, the data model ([`Record`],
+//! [`Value`], [`Dataset`], [`Chunk`], [`Column`], [`ColumnBuilder`],
+//! [`Schema`], [`DataType`], [`rec!`]), the [`udf`] templates, [`Expr`] and
+//! [`BinOp`], SQL through [`query::QueryCatalog`], the [`logical`] layer,
+//! [`JobResult`] with its [`ExecutionStats`] and [`AtomStats`],
+//! [`RheemError`], [`CancelReason`] and [`Result`], the job settings
+//! ([`KernelParallelism`], [`FaultPolicy`] with [`BackoffPolicy`] and
+//! [`BreakerPolicy`], [`ReplanPolicy`], [`CancelToken`],
+//! [`MovementCostModel`], [`EnumerationConfig`]), the plan cache
+//! ([`PlanCache`], [`PlanCacheConfig`], [`PlanCacheStats`]), an
+//! [`ExecutionPlan`] and how it was enumerated ([`EnumerationPath`]), and
+//! the [`Observability`] hub with its metrics ([`MetricsRegistry`],
+//! [`Counter`], [`Gauge`], [`Histogram`], [`HistogramSnapshot`]).
+//!
+//! **For platforms and engines:** the [`Platform`] trait with its
+//! [`ProcessingProfile`], [`ExecutionContext`], [`TaskAtom`],
+//! [`AtomInputs`], [`AtomResult`] and [`NodeObservation`]s; the cost hooks
+//! ([`PlatformCostModel`], [`LinearCostModel`], [`op_work_units`],
+//! [`requires_shuffle`], [`CostCalibration`]); the channels
+//! ([`ChannelKind`], [`ChannelConversionGraph`]); the interpreter
+//! ([`run_fragment`], [`execute_op`], [`read_count`]), the operator table
+//! ([`kernels::execute`]), the [`Layout`] of every [`PhysicalOp`] and the
+//! chunk [`PipelineStage`]s of its [`StageKind`]s; [`CustomPhysicalOp`] for
+//! extension operators; [`StorageService`] for storage layers;
+//! [`WaveGate`] for a scheduler between waves; and the optimizer's steps
+//! for a harness that times them one by one ([`apply_rewrites`],
+//! [`enumerate()`], [`split_into_atoms`]), with [`NodeEstimate`] for a
+//! hand-built [`ExecutionPlan`].
+//!
+//! **For tests:** the references a test compares against — [`run_plan`],
+//! [`enumerate_exhaustive`], [`assignment_cost`],
+//! [`MultiPlatformOptimizer::without_rewrites`],
+//! [`kernels::chunked::run_stages_rows`], [`kernels::flat_map`] and
+//! [`BackoffPolicy::delay`]; the morsel-parallel twins under test
+//! ([`kernels::parallel::map`], [`kernels::parallel::flat_map`],
+//! [`kernels::parallel::sort_group`]); what the platform-independence
+//! oracle builds its plans and contexts with ([`PlanBuilder::add`],
+//! [`PhysicalOp::arity`], [`PhysicalOp::is_sink`],
+//! [`PhysicalOp::pipeline_stages`], [`Record::push`],
+//! [`ExecutionContext::with_storage`],
+//! [`ExecutionContext::with_kernel_parallelism`] and the registry's
+//! platforms through `RheemContext::platforms().all()`); and the seams that
+//! inject a fault, a fake or a worst case — [`FailureInjector`] with its
+//! [`InjectedKind`], [`VirtualSleeper`] through
+//! [`RheemContext::with_sleeper`], [`MemoryStorageService`],
+//! [`KernelParallelism::with_morsel_size`],
+//! [`KernelParallelism::with_min_rows`], [`PlatformHealth::is_open`]
+//! through [`RheemContext::platform_health`], observed costs fed to and read
+//! from a [`CostCalibration`] ([`CostCalibration::observe`],
+//! [`CostCalibration::snapshot`]), and [`kernels::hash_i64`] with
+//! [`kernels::radix_bucket`] (keys that all land in one radix bucket).
+//!
+//! Seven module paths stay public because the standalone `benchmark`
+//! package names items by them:
+//!
+//! * [`kernels`] — the row kernels and the operator table;
+//! * [`kernels::chunked`] — the chunk kernels;
+//! * [`kernels::parallel`] — the morsel-parallel row kernels;
+//! * [`logical`] — the application layer's operators;
+//! * [`query`] — SQL planning;
+//! * [`query::parser`] — the SQL parser;
+//! * [`udf`] — the UDF templates.
 
 #![warn(missing_docs)]
 
-pub mod context;
-pub mod cost;
-pub mod data;
-pub mod error;
-pub mod executor;
-pub mod expr;
-pub mod fault;
-pub mod interpreter;
+mod context;
+mod cost;
+mod data;
+mod error;
+mod executor;
+mod expr;
+mod fault;
+mod interpreter;
 pub mod kernels;
 pub mod logical;
-pub mod observe;
-pub mod optimizer;
-pub mod physical;
-pub mod plan;
-pub mod platform;
+mod observe;
+mod optimizer;
+mod physical;
+mod plan;
+mod platform;
 pub mod query;
 pub mod udf;
 
 pub use context::RheemContext;
-pub use cost::{ChannelConversionGraph, ChannelKind, ChannelRoute, ChannelSpec, MovementCostModel};
-pub use data::{
-    Bitmap, Chunk, Column, ColumnBuilder, ColumnData, DataType, Dataset, Field, Record, Schema,
-    Value,
+pub use cost::{
+    op_work_units, requires_shuffle, ChannelConversionGraph, ChannelKind, LinearCostModel,
+    MovementCostModel, PlatformCostModel,
 };
-pub use error::{CancelReason, ErrorKind, Result, RheemError};
-pub use executor::{
-    AtomFailure, AtomStats, ExecutionStats, FailoverEvent, JobResult, ReplanEvent, WaveGate,
-};
+pub use data::{Chunk, Column, ColumnBuilder, DataType, Dataset, Record, Schema, Value};
+pub use error::{CancelReason, Result, RheemError};
+pub use executor::{AtomStats, ExecutionStats, JobResult, WaveGate};
 pub use expr::{BinOp, Expr};
 pub use fault::{
-    BackoffPolicy, BreakerPolicy, CancelToken, FaultPolicy, PlatformHealth, Sleeper, ThreadSleeper,
-    VirtualSleeper,
+    BackoffPolicy, BreakerPolicy, CancelToken, FaultPolicy, PlatformHealth, VirtualSleeper,
 };
+pub use interpreter::{execute_op, read_count, run_fragment, run_plan};
 pub use kernels::parallel::KernelParallelism;
-pub use logical::{LogicalOperator, LogicalPayload, LogicalPlan, LogicalPlanBuilder};
-pub use observe::{CostCalibration, MetricsRegistry, NodeObservation, Observability};
-pub use optimizer::{
-    assignment_cost, enumerate_exhaustive, EnumerationConfig, MultiPlatformOptimizer, PlanCache,
-    PlanCacheConfig, PlanCacheStats, ReplanPolicy, Replanner,
+pub use observe::{
+    CostCalibration, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
+    NodeObservation, Observability,
 };
-pub use physical::{CustomPhysicalOp, Layout, PhysicalOp};
+pub use optimizer::{
+    apply_rewrites, assignment_cost, enumerate, enumerate_exhaustive, split_into_atoms,
+    EnumerationConfig, MultiPlatformOptimizer, PlanCache, PlanCacheConfig, PlanCacheStats,
+    ReplanPolicy,
+};
+pub use physical::{CustomPhysicalOp, Layout, PhysicalOp, PipelineStage, StageKind};
 pub use plan::{
-    ChannelConversion, EnumerationInfo, EnumerationPath, ExecutionPlan, NodeEstimate, NodeId,
-    PhysicalPlan, PlanBuilder, PlanFingerprint, TaskAtom,
+    EnumerationPath, ExecutionPlan, NodeEstimate, NodeId, PhysicalPlan, PlanBuilder, TaskAtom,
 };
 pub use platform::{
-    AtomInputs, AtomResult, ExecutionContext, FailureInjector, InjectedKind, Platform,
-    PlatformRegistry, ProcessingProfile, StorageService,
+    AtomInputs, AtomResult, ExecutionContext, FailureInjector, InjectedKind, MemoryStorageService,
+    Platform, ProcessingProfile, StorageService,
 };

@@ -30,11 +30,6 @@ pub enum LogicalPayload {
         /// The data.
         data: Dataset,
     },
-    /// Storage-layer data source.
-    StorageSource {
-        /// Dataset id in the storage layer.
-        dataset_id: String,
-    },
     /// Loop-state placeholder inside loop bodies.
     LoopInput,
     /// One-to-one transformation.
@@ -91,11 +86,9 @@ pub enum LogicalPayload {
 
 impl LogicalPayload {
     /// Number of inputs this payload consumes.
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         match self {
-            LogicalPayload::Source { .. }
-            | LogicalPayload::StorageSource { .. }
-            | LogicalPayload::LoopInput => 0,
+            LogicalPayload::Source { .. } | LogicalPayload::LoopInput => 0,
             LogicalPayload::Join { .. } | LogicalPayload::CrossProduct => 2,
             _ => 1,
         }
@@ -103,9 +96,9 @@ impl LogicalPayload {
 
     /// The payload's kind (e.g. `"kind:Group"`), as [`LogicalPlan::explain`]
     /// prints it.
-    pub fn kind_key(&self) -> &'static str {
+    pub(crate) fn kind_key(&self) -> &'static str {
         match self {
-            LogicalPayload::Source { .. } | LogicalPayload::StorageSource { .. } => "kind:Source",
+            LogicalPayload::Source { .. } => "kind:Source",
             LogicalPayload::LoopInput => "kind:LoopInput",
             LogicalPayload::Map(_) => "kind:Map",
             LogicalPayload::Filter(_) => "kind:Filter",
@@ -126,9 +119,6 @@ impl LogicalPayload {
     fn lower(&self) -> Result<PhysicalOp> {
         let op = match self.clone() {
             LogicalPayload::Source { name, data } => PhysicalOp::CollectionSource { data, name },
-            LogicalPayload::StorageSource { dataset_id } => {
-                PhysicalOp::StorageSource { dataset_id }
-            }
             LogicalPayload::LoopInput => PhysicalOp::LoopInput,
             LogicalPayload::Map(u) => PhysicalOp::Map(u),
             LogicalPayload::Filter(u) => PhysicalOp::Filter(u),
@@ -179,11 +169,6 @@ pub struct LogicalOperator {
 }
 
 impl LogicalOperator {
-    /// The operator's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The operator's algorithmic needs.
     pub fn payload(&self) -> LogicalPayload {
         self.payload.clone()
@@ -218,22 +203,12 @@ impl LogicalPlan {
     }
 
     /// Number of nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
     }
 
-    /// True iff the plan has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Access a node by id.
-    pub fn node(&self, id: LogicalNodeId) -> &LogicalNode {
-        &self.nodes[id.0]
-    }
-
     /// Structural validation (arity + edge direction).
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.nodes.is_empty() {
             return Err(RheemError::InvalidPlan("logical plan has no nodes".into()));
         }
@@ -258,22 +233,6 @@ impl LogicalPlan {
             }
         }
         Ok(())
-    }
-
-    /// Textual rendering for debugging.
-    pub fn explain(&self) -> String {
-        let mut s = String::new();
-        for n in &self.nodes {
-            let inputs: Vec<String> = n.inputs.iter().map(|i| format!("l{}", i.0)).collect();
-            s.push_str(&format!(
-                "l{}: {} [{}] <- [{}]\n",
-                n.id.0,
-                n.op.name,
-                n.op.payload.kind_key(),
-                inputs.join(", ")
-            ));
-        }
-        s
     }
 
     /// Translate into a physical plan, node for node (logical ids map 1:1
@@ -356,6 +315,36 @@ impl LogicalPlanBuilder {
 mod tests {
     use super::*;
     use crate::rec;
+
+    impl LogicalPlan {
+        /// Access a node by id.
+        pub(crate) fn node(&self, id: LogicalNodeId) -> &LogicalNode {
+            &self.nodes[id.0]
+        }
+
+        /// Textual rendering for debugging.
+        pub(crate) fn explain(&self) -> String {
+            let mut s = String::new();
+            for n in &self.nodes {
+                let inputs: Vec<String> = n.inputs.iter().map(|i| format!("l{}", i.0)).collect();
+                s.push_str(&format!(
+                    "l{}: {} [{}] <- [{}]\n",
+                    n.id.0,
+                    n.op.name,
+                    n.op.payload.kind_key(),
+                    inputs.join(", ")
+                ));
+            }
+            s
+        }
+    }
+
+    impl LogicalOperator {
+        /// The operator's name.
+        pub(crate) fn name(&self) -> &str {
+            &self.name
+        }
+    }
 
     #[test]
     fn named_operators_plug_in() {

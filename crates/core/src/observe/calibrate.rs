@@ -59,10 +59,10 @@ impl Default for CalibrationEntry {
 /// the table is only touched once per job plus once per candidate during
 /// enumeration, never inside kernel hot loops.
 ///
-/// Concurrency: [`CostCalibration::absorb`] holds the table lock for the
+/// Concurrency: `CostCalibration::absorb` holds the table lock for the
 /// whole job it folds in, so two jobs finishing at the same time serialize
 /// as whole jobs — the result is always one of the two serial orders, never
-/// an interleaving that loses updates mid-EMA. The [`CostCalibration::version`]
+/// an interleaving that loses updates mid-EMA. The `CostCalibration::version`
 /// counter advances once per mutating batch, giving the plan cache a cheap
 /// "did anything change since I last checked?" probe.
 #[derive(Debug)]
@@ -79,8 +79,8 @@ impl Default for CostCalibration {
 }
 
 impl CostCalibration {
-    /// Create an empty table with [`DEFAULT_ALPHA`].
-    pub fn new() -> Self {
+    /// Create an empty table with `DEFAULT_ALPHA`.
+    pub(crate) fn new() -> Self {
         Self::with_alpha(DEFAULT_ALPHA)
     }
 
@@ -89,7 +89,7 @@ impl CostCalibration {
     /// Non-finite alphas fall back to [`DEFAULT_ALPHA`]: `f64::clamp`
     /// propagates NaN, so without the explicit guard a NaN alpha would
     /// poison every subsequent EMA update.
-    pub fn with_alpha(alpha: f64) -> Self {
+    pub(crate) fn with_alpha(alpha: f64) -> Self {
         let alpha = if alpha.is_finite() {
             alpha.clamp(f64::EPSILON, 1.0)
         } else {
@@ -100,11 +100,6 @@ impl CostCalibration {
             entries: Mutex::new(HashMap::new()),
             version: AtomicU64::new(0),
         }
-    }
-
-    /// The configured EMA decay constant.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 
     /// Fold one successful observation into the table.
@@ -181,34 +176,17 @@ impl CostCalibration {
     /// call and once per [`Self::absorb`] that folded anything in. The plan
     /// cache compares versions to skip drift recomputation when the table
     /// has not moved since an entry was last validated.
-    pub fn version(&self) -> u64 {
+    pub(crate) fn version(&self) -> u64 {
         self.version.load(Ordering::Acquire)
     }
 
     /// Multiplier for the static cost of `op` on `platform` (1.0 when the
     /// pair was never observed).
-    pub fn cost_factor(&self, op: &str, platform: &str) -> f64 {
+    pub(crate) fn cost_factor(&self, op: &str, platform: &str) -> f64 {
         self.entries
             .lock()
             .get(&(op.to_string(), platform.to_string()))
             .map_or(1.0, |e| e.cost_factor)
-    }
-
-    /// Multiplier for the estimated output cardinality of `op` on
-    /// `platform` (1.0 when never observed).
-    pub fn card_factor(&self, op: &str, platform: &str) -> f64 {
-        self.entries
-            .lock()
-            .get(&(op.to_string(), platform.to_string()))
-            .map_or(1.0, |e| e.card_factor)
-    }
-
-    /// Full entry for a pair, if any observation was folded in.
-    pub fn entry(&self, op: &str, platform: &str) -> Option<CalibrationEntry> {
-        self.entries
-            .lock()
-            .get(&(op.to_string(), platform.to_string()))
-            .copied()
     }
 
     /// Number of `(operator, platform)` pairs observed so far.
@@ -219,16 +197,6 @@ impl CostCalibration {
     /// True when no observation has been folded in yet.
     pub fn is_empty(&self) -> bool {
         self.entries.lock().is_empty()
-    }
-
-    /// Total samples folded in across all pairs.
-    pub fn total_samples(&self) -> u64 {
-        self.entries.lock().values().map(|e| e.samples).sum()
-    }
-
-    /// Drop all calibration state.
-    pub fn clear(&self) {
-        self.entries.lock().clear();
     }
 
     /// Sorted copy of the table for reporting.
@@ -256,7 +224,7 @@ impl CostCalibration {
     /// up in one of the two serial orders (job A then B, or B then A) —
     /// per-observation interleavings that read a half-updated EMA cannot
     /// happen.
-    pub fn absorb(&self, plan: &ExecutionPlan, stats: &ExecutionStats) {
+    pub(crate) fn absorb(&self, plan: &ExecutionPlan, stats: &ExecutionStats) {
         if plan.estimates.len() != plan.physical.len() {
             return;
         }
@@ -286,18 +254,6 @@ impl CostCalibration {
             self.version.fetch_add(1, Ordering::Release);
         }
     }
-
-    /// Render the table as deterministic `op@platform` rows.
-    pub fn render(&self) -> String {
-        let mut out = String::from("calibration (EMA of observed/estimated):\n");
-        for ((op, platform), e) in self.snapshot() {
-            out.push_str(&format!(
-                "  {op} @{platform}: cost x{:.3}, card x{:.3} ({} samples)\n",
-                e.cost_factor, e.card_factor, e.samples
-            ));
-        }
-        out
-    }
 }
 
 /// `observed / estimated`, clamped, or `None` when either side is unusable.
@@ -311,6 +267,16 @@ fn safe_ratio(observed: f64, estimated: f64) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CostCalibration {
+        /// Full entry for a pair, if any observation was folded in.
+        pub(crate) fn entry(&self, op: &str, platform: &str) -> Option<CalibrationEntry> {
+            self.entries
+                .lock()
+                .get(&(op.to_string(), platform.to_string()))
+                .copied()
+        }
+    }
 
     #[test]
     fn first_sample_seeds_then_ema_decays() {
@@ -357,7 +323,7 @@ mod tests {
         // update into NaN.
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let cal = CostCalibration::with_alpha(bad);
-            assert_eq!(cal.alpha(), DEFAULT_ALPHA, "alpha {bad} not rejected");
+            assert_eq!(cal.alpha, DEFAULT_ALPHA, "alpha {bad} not rejected");
             cal.observe("Map(f)", "java", 10.0, 40.0, 100.0, 100.0);
             cal.observe("Map(f)", "java", 10.0, 20.0, 100.0, 100.0);
             let e = cal.entry("Map(f)", "java").unwrap();

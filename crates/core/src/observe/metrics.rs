@@ -48,7 +48,7 @@ impl Counter {
     }
 }
 
-/// A gauge: a level that is overwritten ([`Gauge::set`], last value wins) or
+/// A gauge: a level that is overwritten (`Gauge::set`, last value wins) or
 /// moved up and down by the holders that share it ([`Gauge::add`] /
 /// [`Gauge::sub`]).
 #[derive(Debug, Default)]
@@ -58,12 +58,12 @@ pub struct Gauge {
 
 impl Gauge {
     /// Create a gauge starting at zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Overwrite the gauge with `value`.
-    pub fn set(&self, value: u64) {
+    pub(crate) fn set(&self, value: u64) {
         self.value.store(value, Ordering::Relaxed);
     }
 
@@ -86,7 +86,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -111,7 +111,7 @@ impl Histogram {
     ///
     /// Bounds are sorted and deduplicated defensively so a sloppy caller
     /// cannot produce out-of-order buckets.
-    pub fn new(bounds: &[u64]) -> Self {
+    pub(crate) fn new(bounds: &[u64]) -> Self {
         let mut bounds = bounds.to_vec();
         bounds.sort_unstable();
         bounds.dedup();
@@ -139,22 +139,22 @@ impl Histogram {
     }
 
     /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.get()
     }
 
     /// Saturating sum of recorded values.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum.get()
     }
 
     /// The configured upper bounds (ascending; overflow bucket implied).
-    pub fn bounds(&self) -> &[u64] {
+    pub(crate) fn bounds(&self) -> &[u64] {
         &self.bounds
     }
 
     /// Per-bucket counts, one more entry than [`Histogram::bounds`].
-    pub fn bucket_counts(&self) -> Vec<u64> {
+    pub(crate) fn bucket_counts(&self) -> Vec<u64> {
         self.buckets
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
@@ -320,12 +320,6 @@ impl MetricsRegistry {
             histograms,
         }
     }
-
-    /// Render every instrument as deterministic text (see
-    /// [`MetricsSnapshot::render`]).
-    pub fn render(&self) -> String {
-        self.snapshot().render()
-    }
 }
 
 /// The registry's one lookup: a hit clones the handle without allocating
@@ -402,6 +396,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let h = reg.histogram("h", &[10, 100, 1000]);
         assert!(reg
+            .snapshot()
             .render()
             .contains("histogram h count=0 sum=0 p50- p99- "));
         for v in [1, 2, 3, 50, 60, 70, 80, 500, 600, 5000] {
@@ -413,7 +408,7 @@ mod tests {
         assert_eq!(snap.quantile_bound(0.5), Some(100));
         assert_eq!(snap.quantile_bound(0.9), Some(1000));
         assert_eq!(snap.quantile_bound(0.99), None);
-        assert!(reg.render().contains(" p50<=100 p99>1000 "));
+        assert!(reg.snapshot().render().contains(" p50<=100 p99>1000 "));
     }
 
     #[test]
@@ -440,6 +435,6 @@ mod tests {
         assert_eq!(snap.gauges, vec![("g".into(), 42)]);
         assert_eq!(snap.histograms[0].1.buckets, vec![0, 1]);
         assert_eq!(reg.counter_value("missing"), 0);
-        assert!(reg.render().contains("counter a.first 7\n"));
+        assert!(reg.snapshot().render().contains("counter a.first 7\n"));
     }
 }

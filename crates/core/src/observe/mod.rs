@@ -16,11 +16,11 @@
 //! job's record once, when the job ends, derives every executor counter
 //! from it, and feeds the calibration table from successful jobs.
 
-pub mod calibrate;
-pub mod metrics;
+mod calibrate;
+mod metrics;
 
-pub use calibrate::{CalibrationEntry, CostCalibration, DEFAULT_ALPHA};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use calibrate::CostCalibration;
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
 
 use std::sync::Arc;
 

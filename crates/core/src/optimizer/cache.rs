@@ -142,11 +142,6 @@ impl PlanCache {
         }
     }
 
-    /// The cache's configuration (after sanitization).
-    pub fn config(&self) -> PlanCacheConfig {
-        self.config
-    }
-
     /// Lifetime counters and current size.
     pub fn stats(&self) -> PlanCacheStats {
         PlanCacheStats {
@@ -155,21 +150,6 @@ impl PlanCache {
             invalidations: self.invalidations.load(Ordering::Relaxed),
             entries: self.entries.lock().len(),
         }
-    }
-
-    /// Number of cached plans.
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
-    }
-
-    /// Drop every cached plan (counters are kept).
-    pub fn clear(&self) {
-        self.entries.lock().clear();
     }
 
     /// Record that a probe ended in a (guard-confirmed) hit.
@@ -290,7 +270,7 @@ fn relative_change(old: f64, new: f64) -> f64 {
 /// whether rewrites run. Mixed into the plan fingerprint to form the cache
 /// key, so e.g. adding a platform or excluding one can never serve stale
 /// assignments.
-pub(crate) fn config_fingerprint(config: &OptimizerConfig, platforms: &PlatformRegistry) -> u64 {
+pub fn config_fingerprint(config: &OptimizerConfig, platforms: &PlatformRegistry) -> u64 {
     let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
     let mut names: Vec<&str> = platforms.names();
     names.sort_unstable();
@@ -316,6 +296,18 @@ mod tests {
     use super::*;
     use crate::plan::EnumerationInfo;
     use std::sync::Arc;
+
+    impl PlanCache {
+        /// Number of cached plans.
+        pub(crate) fn len(&self) -> usize {
+            self.entries.lock().len()
+        }
+
+        /// True when nothing is cached.
+        pub(crate) fn is_empty(&self) -> bool {
+            self.entries.lock().is_empty()
+        }
+    }
 
     fn dummy_exec(cost: f64) -> ExecutionPlan {
         ExecutionPlan {

@@ -47,7 +47,7 @@ use super::rewrites::{consumer_counts, rebuild};
 /// Chains are returned with nodes in dataflow order, sorted by head node
 /// id — a valid topological order of the contracted DAG (a chain's head
 /// always has a larger id than every node of any chain it depends on).
-pub fn contract_chains(plan: &PhysicalPlan) -> Vec<Vec<NodeId>> {
+pub(crate) fn contract_chains(plan: &PhysicalPlan) -> Vec<Vec<NodeId>> {
     let counts = consumer_counts(plan);
     let mut chain_of: Vec<usize> = vec![usize::MAX; plan.len()];
     let mut chains: Vec<Vec<NodeId>> = Vec::new();
@@ -87,7 +87,7 @@ fn has_expr_stage(stages: &[PipelineStage]) -> bool {
 /// single-consumer. The pipeline takes the place of the run's last node and
 /// reads what the run's first node read; the nodes before the last are
 /// dropped. All runs are rewritten in one rebuild of the plan.
-pub fn fuse_pipelines(plan: PhysicalPlan) -> Result<PhysicalPlan> {
+pub(crate) fn fuse_pipelines(plan: PhysicalPlan) -> Result<PhysicalPlan> {
     let mut fused: Vec<Option<PhysicalOp>> = vec![None; plan.len()];
     // Identity for every surviving node; a folded node points at its run's
     // input.
@@ -262,7 +262,7 @@ mod tests {
         let src = b.collection("s", data);
         let f = b.filter(
             src,
-            FilterUdf::from_expr("notnull", Expr::field(0).is_null().not()),
+            FilterUdf::from_expr("notnull", Expr::IsNull(Arc::new(Expr::field(0))).not()),
         );
         let m = b.map(
             f,

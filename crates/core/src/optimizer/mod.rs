@@ -13,11 +13,11 @@
 //! [`MultiPlatformOptimizer`] wires them together: it is the component in
 //! the middle of the paper's Figure 1.
 
-pub mod cache;
-pub mod enumerate;
-pub mod fuse;
-pub mod replan;
-pub mod rewrites;
+mod cache;
+mod enumerate;
+mod fuse;
+mod replan;
+mod rewrites;
 
 use std::sync::Arc;
 
@@ -29,8 +29,12 @@ use crate::plan::{ExecutionPlan, PhysicalPlan};
 use crate::platform::PlatformRegistry;
 
 pub use cache::{PlanCache, PlanCacheConfig, PlanCacheStats};
-pub use enumerate::{assignment_cost, enumerate, enumerate_exhaustive, EnumerationConfig};
+pub use enumerate::{
+    assignment_cost, enumerate, enumerate_exhaustive, split_into_atoms, EnumerationConfig,
+};
+pub(crate) use replan::worst_drift;
 pub use replan::{ReplanPolicy, Replanner};
+pub use rewrites::apply_rewrites;
 
 /// The multi-platform task optimizer (core layer, §4.2).
 #[derive(Clone, Default)]
@@ -50,7 +54,8 @@ pub struct MultiPlatformOptimizer {
     /// observability hub is attached ([`OptimizerMetrics::resolve`]).
     pub(crate) metrics: Option<OptimizerMetrics>,
     /// Optional plan cache: reuse enumeration results for plans with equal
-    /// canonical fingerprints (see [`cache`] for keying and invalidation).
+    /// canonical fingerprints (see [`PlanCache`] for keying and
+    /// invalidation).
     pub plan_cache: Option<Arc<PlanCache>>,
     /// Scope for cache entries whose fingerprint is opaque (closure
     /// identity). The server assigns one scope per session so opaque
@@ -100,13 +105,8 @@ impl Default for OptimizerConfig {
 }
 
 impl MultiPlatformOptimizer {
-    /// An optimizer with default cost models and configuration.
-    pub fn new() -> Self {
-        MultiPlatformOptimizer::default()
-    }
-
     /// Pin every operator to one platform (disables platform selection).
-    pub fn force_platform(mut self, platform: impl Into<String>) -> Self {
+    pub(crate) fn force_platform(mut self, platform: impl Into<String>) -> Self {
         self.config.enumeration.forced_platform = Some(platform.into());
         self
     }
@@ -114,20 +114,6 @@ impl MultiPlatformOptimizer {
     /// Disable algebraic rewrites.
     pub fn without_rewrites(mut self) -> Self {
         self.config.apply_rewrites = false;
-        self
-    }
-
-    /// Attach a plan cache; share the same `Arc` across optimizers (or
-    /// context clones) to share enumeration results.
-    pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
-        self.plan_cache = Some(cache);
-        self
-    }
-
-    /// Set the cache scope confining opaque (closure-identity) plan
-    /// fingerprints; see [`MultiPlatformOptimizer::cache_scope`].
-    pub fn with_cache_scope(mut self, scope: u64) -> Self {
-        self.cache_scope = scope;
         self
     }
 
@@ -212,22 +198,21 @@ impl MultiPlatformOptimizer {
         metrics.calibration_pairs.set(self.calibration.len() as u64);
     }
 
-    /// A [`Replanner`] sharing this optimizer's models, so mid-job
+    /// A `Replanner` sharing this optimizer's models, so mid-job
     /// re-enumeration prices platforms exactly as the original pass did
     /// (same estimator, movement prices, enumeration knobs, and — live —
     /// the same calibration table).
-    pub fn replanner(&self, policy: ReplanPolicy) -> Replanner {
+    pub fn replanner(&self) -> Replanner {
         Replanner {
             estimator: self.estimator.clone(),
             movement: self.movement.clone(),
             enumeration: self.config.enumeration.clone(),
             calibration: self.calibration.clone(),
-            policy,
         }
     }
 
     /// Lower a logical plan and optimize it in one step.
-    pub fn optimize_logical(
+    pub(crate) fn optimize_logical(
         &self,
         plan: &LogicalPlan,
         platforms: &PlatformRegistry,

@@ -44,7 +44,7 @@ use super::enumerate::{enumerate, EnumerationConfig};
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ReplanPolicy {
     /// Smallest estimated-vs-observed cardinality error ratio (symmetric,
-    /// see [`drift_ratio`]) on a live boundary dataset that triggers a
+    /// see `drift_ratio`) on a live boundary dataset that triggers a
     /// re-plan. Must be `> 1.0`; `1.0` would re-plan on any deviation.
     pub threshold: f64,
     /// Upper bound on re-plans per job, so a badly calibrated model
@@ -79,8 +79,6 @@ pub struct Replanner {
     /// Shared calibration table; re-plans see factors learned earlier in
     /// the same process.
     pub calibration: Arc<CostCalibration>,
-    /// Trigger threshold and re-plan budget.
-    pub policy: ReplanPolicy,
 }
 
 /// The live boundary dataset whose cardinality drifted the most beyond
@@ -119,7 +117,7 @@ impl Replanner {
     /// (on top of any exclusions already configured). Failover hands the
     /// executor such a copy so a re-plan cannot route the suffix back
     /// onto a platform that just failed.
-    pub fn excluding(&self, platforms: &[String]) -> Replanner {
+    pub(crate) fn excluding(&self, platforms: &[String]) -> Replanner {
         let mut out = self.clone();
         for p in platforms {
             if !out.enumeration.excluded_platforms.contains(p) {
@@ -143,7 +141,7 @@ impl Replanner {
     /// boundary nodes get their *observed* cardinality so the same drift
     /// cannot re-trigger), and whose `estimated_cost` is the cost of the
     /// remaining work.
-    pub fn replan(
+    pub(crate) fn replan(
         &self,
         plan: &ExecutionPlan,
         executed: &HashSet<usize>,

@@ -34,7 +34,7 @@ use crate::udf::FilterUdf;
 ///
 /// Rewrites renumber nodes but never add, drop or reorder sinks, so the
 /// rewritten plan reports each sink's output under the id that sink had in
-/// the incoming plan ([`PhysicalPlan::output_ids`]).
+/// the incoming plan (`PhysicalPlan::output_ids`).
 pub fn apply_rewrites(plan: PhysicalPlan) -> Result<PhysicalPlan> {
     let reported = plan.output_ids().into_iter().map(|(_, id)| id).collect();
     let mut plan = shared_scans(plan)?;

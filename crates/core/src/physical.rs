@@ -222,11 +222,6 @@ pub enum PhysicalOp {
     CollectSink,
     /// Produce a single quantum holding the input cardinality.
     CountSink,
-    /// Write the input to the storage layer under the given id.
-    StorageSink {
-        /// Dataset id for the storage service.
-        dataset_id: String,
-    },
 }
 
 impl PhysicalOp {
@@ -245,17 +240,9 @@ impl PhysicalOp {
         }
     }
 
-    /// True for arity-0 operators.
-    pub fn is_source(&self) -> bool {
-        self.arity() == 0
-    }
-
     /// True for operators that terminate a plan and surface results.
     pub fn is_sink(&self) -> bool {
-        matches!(
-            self,
-            PhysicalOp::CollectSink | PhysicalOp::CountSink | PhysicalOp::StorageSink { .. }
-        )
+        matches!(self, PhysicalOp::CollectSink | PhysicalOp::CountSink)
     }
 
     /// A short display name, e.g. `Filter(is_adult)`.
@@ -305,7 +292,6 @@ impl PhysicalOp {
             PhysicalOp::Custom(op) => format!("Custom({})", op.name()),
             PhysicalOp::CollectSink => "CollectSink".into(),
             PhysicalOp::CountSink => "CountSink".into(),
-            PhysicalOp::StorageSink { dataset_id } => format!("StorageSink({dataset_id})"),
         }
     }
 
@@ -410,7 +396,7 @@ impl Layout<'_> {
     /// True when laying the input out repartitions it — a shuffle, a
     /// gather or a broadcast, i.e. a stage boundary on a partitioned
     /// engine.
-    pub fn repartitions(&self) -> bool {
+    pub(crate) fn repartitions(&self) -> bool {
         matches!(
             self,
             Layout::ByKey(_)
@@ -462,9 +448,7 @@ impl PhysicalOp {
             PhysicalOp::Custom(c) => Layout::Custom {
                 per_partition: c.partitionable() && c.arity() == 1,
             },
-            PhysicalOp::CollectSink | PhysicalOp::CountSink | PhysicalOp::StorageSink { .. } => {
-                Layout::Sink
-            }
+            PhysicalOp::CollectSink | PhysicalOp::CountSink => Layout::Sink,
         }
     }
 }
@@ -501,7 +485,7 @@ mod tests {
         assert_eq!(PhysicalOp::CrossProduct.arity(), 2);
         assert_eq!(PhysicalOp::Limit { n: 3 }.arity(), 1);
         assert_eq!(PhysicalOp::LoopInput.arity(), 0);
-        assert!(PhysicalOp::LoopInput.is_source());
+        assert_eq!(PhysicalOp::LoopInput.arity(), 0);
         assert!(PhysicalOp::CollectSink.is_sink());
     }
 

@@ -73,7 +73,7 @@ impl PhysicalPlan {
     /// Every sink with the id its output is reported under in a
     /// [`crate::JobResult`]: the sink's own id, unless a rewrite renumbered
     /// the plan — then the id the sink had before.
-    pub fn output_ids(&self) -> Vec<(NodeId, NodeId)> {
+    pub(crate) fn output_ids(&self) -> Vec<(NodeId, NodeId)> {
         let sinks = self.sinks();
         if self.reported_sinks.len() == sinks.len() {
             sinks.into_iter().zip(self.reported_sinks.clone()).collect()
@@ -127,7 +127,7 @@ impl PhysicalPlan {
     }
 
     /// Consumers of each node, indexed by node id.
-    pub fn consumers(&self) -> Vec<Vec<NodeId>> {
+    pub(crate) fn consumers(&self) -> Vec<Vec<NodeId>> {
         let mut out = vec![Vec::new(); self.nodes.len()];
         for n in &self.nodes {
             for &i in &n.inputs {
@@ -138,7 +138,7 @@ impl PhysicalPlan {
     }
 
     /// Structural validation: arity, edge direction, loop-body shape.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.nodes.is_empty() {
             return Err(RheemError::InvalidPlan("plan has no nodes".into()));
         }
@@ -167,21 +167,6 @@ impl PhysicalPlan {
         Ok(())
     }
 
-    /// Multi-line, indentation-free textual rendering for debugging.
-    pub fn explain(&self) -> String {
-        let mut s = String::new();
-        for n in &self.nodes {
-            let inputs: Vec<String> = n.inputs.iter().map(|i| i.to_string()).collect();
-            s.push_str(&format!(
-                "{}: {} <- [{}]\n",
-                n.id,
-                n.op.name(),
-                inputs.join(", ")
-            ));
-        }
-        s
-    }
-
     /// Canonical fingerprint of this plan, for plan-cache keying.
     ///
     /// The fingerprint covers every node in topological order: the operator
@@ -190,7 +175,7 @@ impl PhysicalPlan {
     /// cost hints as exact `f64` bit patterns, source names and
     /// cardinalities), and the input wiring. UDFs that carry no declarative payload — arbitrary
     /// closures, [`CustomPhysicalOp`]s, loop conditions — are fingerprinted
-    /// by `Arc` identity and flip [`PlanFingerprint::opaque`] on: two plans
+    /// by `Arc` identity and flip `PlanFingerprint::opaque` on: two plans
     /// sharing such a fingerprint provably share the very same closure
     /// objects, which is why the plan cache confines opaque fingerprints to
     /// one session and never shares them across sessions.
@@ -522,10 +507,6 @@ fn fingerprint_op(fp: &mut FpHasher, op: &PhysicalOp) {
         }
         PhysicalOp::CollectSink => fp.tag(24),
         PhysicalOp::CountSink => fp.tag(25),
-        PhysicalOp::StorageSink { dataset_id } => {
-            fp.tag(26);
-            fp.str(dataset_id);
-        }
     }
 }
 
@@ -562,7 +543,7 @@ fn validate_loop_body(body: &PhysicalPlan) -> Result<()> {
 /// DAGs (shared sub-plans, multi-sink jobs) can be expressed:
 ///
 /// ```
-/// use rheem_core::plan::PlanBuilder;
+/// use rheem_core::PlanBuilder;
 /// use rheem_core::udf::{FilterUdf, KeyUdf};
 /// use rheem_core::rec;
 ///
@@ -601,17 +582,6 @@ impl PlanBuilder {
         self.add(
             PhysicalOp::CollectionSource {
                 data: Dataset::new(records),
-                name: name.into(),
-            },
-            vec![],
-        )
-    }
-
-    /// Source over an already-wrapped [`Dataset`].
-    pub fn dataset(&mut self, name: impl Into<String>, data: Dataset) -> NodeId {
-        self.add(
-            PhysicalOp::CollectionSource {
-                data,
                 name: name.into(),
             },
             vec![],
@@ -764,16 +734,6 @@ impl PlanBuilder {
         self.add(PhysicalOp::CountSink, vec![input])
     }
 
-    /// Storage-writing sink.
-    pub fn write_storage(&mut self, input: NodeId, dataset_id: impl Into<String>) -> NodeId {
-        self.add(
-            PhysicalOp::StorageSink {
-                dataset_id: dataset_id.into(),
-            },
-            vec![input],
-        )
-    }
-
     /// Finish and validate the plan, which must have at least one sink.
     pub fn build(self) -> Result<PhysicalPlan> {
         let plan = self.build_fragment()?;
@@ -851,7 +811,7 @@ pub enum EnumerationPath {
 
 impl EnumerationPath {
     /// Stable display name (used in stats and explains).
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             EnumerationPath::LatticeV2 => "lattice-v2",
             EnumerationPath::GreedyFallback => "greedy-fallback",
@@ -926,7 +886,7 @@ pub struct ExecutionPlan {
 
 impl ExecutionPlan {
     /// Which atom owns each node.
-    pub fn atom_of(&self) -> HashMap<NodeId, usize> {
+    pub(crate) fn atom_of(&self) -> HashMap<NodeId, usize> {
         let mut m = HashMap::new();
         for atom in &self.atoms {
             for &n in &atom.nodes {
@@ -954,7 +914,10 @@ impl ExecutionPlan {
     /// outside the physical plan or the platform assignments, a producer
     /// node is neither owned by any atom nor materialized, or an atom
     /// consumes its own output across a boundary edge (a self-cycle).
-    pub fn pending_dependencies(&self, materialized: &HashSet<NodeId>) -> Result<Vec<Vec<usize>>> {
+    pub(crate) fn pending_dependencies(
+        &self,
+        materialized: &HashSet<NodeId>,
+    ) -> Result<Vec<Vec<usize>>> {
         let mut pos_of: HashMap<NodeId, usize> = HashMap::new();
         for (pos, atom) in self.atoms.iter().enumerate() {
             for &n in &atom.nodes {
@@ -1005,7 +968,7 @@ impl ExecutionPlan {
     /// The executor decrements these as atoms finish and drops an
     /// intermediate dataset once its last consumer has run (sink outputs
     /// are kept regardless — they are the job's results).
-    pub fn boundary_consumer_counts(&self) -> HashMap<NodeId, usize> {
+    pub(crate) fn boundary_consumer_counts(&self) -> HashMap<NodeId, usize> {
         let mut counts = HashMap::new();
         for atom in &self.atoms {
             for input in &atom.inputs {
@@ -1159,6 +1122,36 @@ mod tests {
     use crate::rec;
     use crate::udf::{FilterUdf, LoopCondUdf, MapUdf};
 
+    impl PlanBuilder {
+        /// Source over an already-wrapped [`Dataset`].
+        pub(crate) fn dataset(&mut self, name: impl Into<String>, data: Dataset) -> NodeId {
+            self.add(
+                PhysicalOp::CollectionSource {
+                    data,
+                    name: name.into(),
+                },
+                vec![],
+            )
+        }
+    }
+
+    impl PhysicalPlan {
+        /// Multi-line, indentation-free textual rendering for debugging.
+        pub(crate) fn explain(&self) -> String {
+            let mut s = String::new();
+            for n in &self.nodes {
+                let inputs: Vec<String> = n.inputs.iter().map(|i| i.to_string()).collect();
+                s.push_str(&format!(
+                    "{}: {} <- [{}]\n",
+                    n.id,
+                    n.op.name(),
+                    inputs.join(", ")
+                ));
+            }
+            s
+        }
+    }
+
     fn simple_plan() -> PhysicalPlan {
         let mut b = PlanBuilder::new();
         let src = b.collection("src", vec![rec![1i64], rec![2i64]]);
@@ -1270,7 +1263,7 @@ mod tests {
         let second = b.count(src);
         let plan = b.build().unwrap();
         assert_eq!(plan.output_ids(), vec![(first, first), (second, second)]);
-        let rewritten = crate::optimizer::rewrites::apply_rewrites(plan).unwrap();
+        let rewritten = crate::optimizer::apply_rewrites(plan).unwrap();
         // Filter and map fused into one pipeline: every later node moved
         // down by one, but the outputs keep the handles the builder gave.
         assert_eq!(rewritten.len(), 4);

@@ -109,7 +109,7 @@ pub enum AggFunc {
 
 impl AggFunc {
     /// Display name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             AggFunc::Count => "count",
             AggFunc::Sum => "sum",
@@ -183,7 +183,7 @@ pub struct Query {
 
 impl Query {
     /// True iff any SELECT item is an aggregate.
-    pub fn has_aggregates(&self) -> bool {
+    pub(crate) fn has_aggregates(&self) -> bool {
         self.select
             .iter()
             .any(|i| matches!(i.expr, SelectExpr::Agg(..)))

@@ -45,7 +45,7 @@ pub enum Token {
 }
 
 /// Tokenize a query string.
-pub fn lex(input: &str) -> Result<Vec<Token>> {
+pub(crate) fn lex(input: &str) -> Result<Vec<Token>> {
     let mut tokens = Vec::new();
     let mut chars = input.chars().peekable();
     while let Some(&c) = chars.peek() {

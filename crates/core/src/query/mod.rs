@@ -11,7 +11,7 @@
 //! mappings, rewrites, multi-platform optimization, task atoms.
 //!
 //! ```
-//! use rheem_core::data::{DataType, Schema};
+//! use rheem_core::{DataType, Schema};
 //! use rheem_core::query::QueryCatalog;
 //! use rheem_core::rec;
 //!
@@ -25,13 +25,13 @@
 //! assert_eq!(planned.schema.fields()[0].name, "name");
 //! ```
 
-pub mod ast;
-pub mod lexer;
+mod ast;
+mod lexer;
 pub mod parser;
-pub mod planner;
+mod planner;
 
 pub use parser::parse;
-pub use planner::{PlannedQuery, QueryCatalog, QueryResult, TableDef, TableSource};
+pub use planner::{PlannedQuery, QueryCatalog, QueryResult};
 
 #[cfg(test)]
 mod tests {
@@ -98,7 +98,7 @@ mod tests {
         let (rows, schema) = run("SELECT * FROM customers");
         assert_eq!(rows.len(), 3);
         assert_eq!(schema.width(), 3);
-        assert_eq!(schema.index_of("region"), Some(2));
+        assert_eq!(schema.fields()[2].name, "region");
     }
 
     #[test]

@@ -25,22 +25,11 @@ use crate::{JobResult, RheemContext};
 use super::ast::*;
 use super::parser::parse;
 
-/// Where a registered table's data comes from.
+/// A registered, queryable table: its column names and types, and its data.
 #[derive(Clone)]
-pub enum TableSource {
-    /// An in-memory collection.
-    Collection(Dataset),
-    /// A dataset in the storage layer.
-    Storage(String),
-}
-
-/// A registered, queryable table.
-#[derive(Clone)]
-pub struct TableDef {
-    /// Column names and types.
-    pub schema: Schema,
-    /// Data location.
-    pub source: TableSource,
+struct TableDef {
+    schema: Schema,
+    data: Dataset,
 }
 
 /// The set of tables a query may reference.
@@ -104,30 +93,7 @@ impl QueryCatalog {
         schema: Schema,
         data: Dataset,
     ) -> &mut Self {
-        self.tables.insert(
-            name.into(),
-            TableDef {
-                schema,
-                source: TableSource::Collection(data),
-            },
-        );
-        self
-    }
-
-    /// Register a table backed by the storage layer.
-    pub fn register_storage(
-        &mut self,
-        name: impl Into<String>,
-        schema: Schema,
-        dataset_id: impl Into<String>,
-    ) -> &mut Self {
-        self.tables.insert(
-            name.into(),
-            TableDef {
-                schema,
-                source: TableSource::Storage(dataset_id.into()),
-            },
-        );
+        self.tables.insert(name.into(), TableDef { schema, data });
         self
     }
 
@@ -320,14 +286,9 @@ fn plan_query(catalog: &QueryCatalog, query: &Query) -> Result<PlannedQuery> {
     let from_def = catalog.table(&query.from)?;
     let mut b = LogicalPlanBuilder::new();
 
-    let source_payload = |def: &TableDef, name: &str| match &def.source {
-        TableSource::Collection(data) => LogicalPayload::Source {
-            name: name.to_string(),
-            data: data.clone(),
-        },
-        TableSource::Storage(id) => LogicalPayload::StorageSource {
-            dataset_id: id.clone(),
-        },
+    let source_payload = |def: &TableDef, name: &str| LogicalPayload::Source {
+        name: name.to_string(),
+        data: def.data.clone(),
     };
 
     let from_node = b.add(

@@ -262,7 +262,7 @@ impl KeyUdf {
     }
 
     /// The single field a declarative key reads, if it reads exactly one.
-    pub fn field_index(&self) -> Option<usize> {
+    pub(crate) fn field_index(&self) -> Option<usize> {
         match self.fields.as_deref() {
             Some([index]) => Some(*index),
             _ => None,
@@ -410,7 +410,7 @@ pub enum AggState {
 
 impl AggState {
     /// The empty state of `func`.
-    pub fn new(func: AggFunc) -> Self {
+    pub(crate) fn new(func: AggFunc) -> Self {
         match func {
             AggFunc::Count => AggState::Count(0),
             AggFunc::Sum => AggState::Sum {
@@ -429,7 +429,7 @@ impl AggState {
 
     /// Fold in one member's input. `Null` (and, for the numeric
     /// aggregates, any non-numeric value) is skipped.
-    pub fn accumulate(&mut self, v: &Value) {
+    pub(crate) fn accumulate(&mut self, v: &Value) {
         match self {
             AggState::Count(n) => *n += i64::from(!v.is_null()),
             AggState::Sum {
@@ -474,7 +474,7 @@ impl AggState {
     }
 
     /// The aggregate's value over everything accumulated.
-    pub fn finalize(self) -> Value {
+    pub(crate) fn finalize(self) -> Value {
         match self {
             AggState::Count(n) => Value::Int(n),
             AggState::Sum { seen: false, .. } => Value::Null,
@@ -589,7 +589,7 @@ pub struct LoopCondUdf {
 
 impl LoopCondUdf {
     /// Wrap a continuation test with a display name.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         f: impl Fn(u64, &[Record]) -> bool + Send + Sync + 'static,
     ) -> Self {

@@ -5,8 +5,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rheem_core::data::Record;
-use rheem_core::rec;
+use rheem_core::{rec, Record};
 
 /// A preferential-attachment graph: each new node attaches `m` out-edges to
 /// endpoints sampled from the existing edge list (rich get richer), giving

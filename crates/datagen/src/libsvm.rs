@@ -1,20 +1,17 @@
-//! LIBSVM-format dataset generation and parsing.
+//! LIBSVM-style dataset generation.
 //!
 //! The paper's Figure 2 runs SVM "on different datasets from LIBSVM with
 //! only one hundred iterations". We cannot ship those datasets, but the
 //! experiment only needs a *size sweep* of binary classification data, so
 //! [`generate`] produces linearly separable (plus label noise) datasets of
-//! any size, and [`to_text`]/[`parse`] speak the actual LIBSVM text format
-//! (`label idx:value idx:value ...`, 1-based indices) for interoperability
-//! with the real files.
+//! any size.
 //!
 //! Record layout: `[label(Float ∈ {-1.0, +1.0}), x_1(Float), ..., x_d(Float)]`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rheem_core::data::{Record, Value};
-use rheem_core::error::{Result, RheemError};
+use rheem_core::{Record, Value};
 
 /// Configuration of the synthetic LIBSVM generator.
 #[derive(Clone, Debug)]
@@ -43,12 +40,6 @@ impl LibsvmConfig {
     /// Override the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Override the label noise.
-    pub fn with_noise(mut self, label_noise: f64) -> Self {
-        self.label_noise = label_noise;
         self
     }
 }
@@ -83,67 +74,6 @@ pub fn generate(config: &LibsvmConfig) -> Vec<Record> {
     out
 }
 
-/// Render records in LIBSVM text format (dense; zero features skipped).
-pub fn to_text(records: &[Record]) -> Result<String> {
-    let mut out = String::new();
-    for r in records {
-        let label = r.float(0)?;
-        out.push_str(&format_number(label));
-        for i in 1..r.width() {
-            let v = r.float(i)?;
-            if v != 0.0 {
-                out.push_str(&format!(" {}:{}", i, format_number(v)));
-            }
-        }
-        out.push('\n');
-    }
-    Ok(out)
-}
-
-fn format_number(x: f64) -> String {
-    if x == x.trunc() && x.abs() < 1e15 {
-        format!("{}", x as i64)
-    } else {
-        format!("{x}")
-    }
-}
-
-/// Parse LIBSVM text into records of width `dims + 1` (absent features 0.0).
-pub fn parse(text: &str, dims: usize) -> Result<Vec<Record>> {
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut tokens = line.split_whitespace();
-        let label: f64 = tokens
-            .next()
-            .expect("non-empty line has a first token")
-            .parse()
-            .map_err(|_| bad(lineno, "label"))?;
-        let mut features = vec![0.0f64; dims];
-        for tok in tokens {
-            let (idx, val) = tok.split_once(':').ok_or_else(|| bad(lineno, "pair"))?;
-            let idx: usize = idx.parse().map_err(|_| bad(lineno, "index"))?;
-            let val: f64 = val.parse().map_err(|_| bad(lineno, "value"))?;
-            if idx == 0 || idx > dims {
-                return Err(bad(lineno, "index range"));
-            }
-            features[idx - 1] = val;
-        }
-        let mut fields = Vec::with_capacity(dims + 1);
-        fields.push(Value::Float(label));
-        fields.extend(features.into_iter().map(Value::Float));
-        out.push(Record::new(fields));
-    }
-    Ok(out)
-}
-
-fn bad(lineno: usize, what: &str) -> RheemError {
-    RheemError::Storage(format!("bad LIBSVM {what} on line {}", lineno + 1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,43 +103,13 @@ mod tests {
     }
 
     #[test]
-    fn text_round_trip() {
-        let records = generate(&LibsvmConfig::new(20, 3));
-        let text = to_text(&records).unwrap();
-        let back = parse(&text, 3).unwrap();
-        assert_eq!(records.len(), back.len());
-        for (r, b) in records.iter().zip(&back) {
-            for i in 0..r.width() {
-                let (x, y) = (r.float(i).unwrap(), b.float(i).unwrap());
-                assert!((x - y).abs() < 1e-12, "field {i}: {x} vs {y}");
-            }
-        }
-    }
-
-    #[test]
-    fn parse_handles_sparse_lines_and_comments() {
-        let text = "# comment\n+1 2:0.5\n-1 1:1.5 3:-2\n\n";
-        let recs = parse(text, 3).unwrap();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].float(0).unwrap(), 1.0);
-        assert_eq!(recs[0].float(1).unwrap(), 0.0);
-        assert_eq!(recs[0].float(2).unwrap(), 0.5);
-        assert_eq!(recs[1].float(3).unwrap(), -2.0);
-    }
-
-    #[test]
-    fn parse_rejects_bad_input() {
-        assert!(parse("x 1:1\n", 2).is_err());
-        assert!(parse("1 0:1\n", 2).is_err()); // 1-based indices
-        assert!(parse("1 5:1\n", 2).is_err()); // out of range
-        assert!(parse("1 nope\n", 2).is_err());
-    }
-
-    #[test]
     fn separable_data_is_mostly_consistent_with_some_linear_model() {
         // With zero noise, the generating hyperplane classifies everything
         // correctly — verify via a weak proxy: a perceptron converges fast.
-        let recs = generate(&LibsvmConfig::new(200, 4).with_noise(0.0));
+        let recs = generate(&LibsvmConfig {
+            label_noise: 0.0,
+            ..LibsvmConfig::new(200, 4)
+        });
         let mut w = [0.0f64; 4];
         for _ in 0..50 {
             for r in &recs {

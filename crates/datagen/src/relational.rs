@@ -4,8 +4,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rheem_core::data::Record;
-use rheem_core::rec;
+use rheem_core::{rec, Record};
 
 /// Customers table: `[customer_id(Int), name(Str), region(Str)]`.
 pub fn customers(n: usize, regions: usize, seed: u64) -> Vec<Record> {

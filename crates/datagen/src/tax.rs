@@ -19,8 +19,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rheem_core::data::Record;
-use rheem_core::rec;
+use rheem_core::{rec, Record};
 
 /// Column indices of the tax-record layout.
 pub mod columns {

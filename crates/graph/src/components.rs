@@ -5,12 +5,10 @@
 //! itself and its in-neighbours. Edges are treated as undirected by
 //! symmetrizing the edge list up front.
 
-use rheem_core::data::{Dataset, Record};
-use rheem_core::error::Result;
-use rheem_core::plan::{NodeId, PhysicalPlan, PlanBuilder};
-use rheem_core::rec;
 use rheem_core::udf::{KeyUdf, LoopCondUdf, MapUdf, ReduceUdf};
-use rheem_core::{JobResult, RheemContext};
+use rheem_core::{
+    rec, Dataset, JobResult, NodeId, PhysicalPlan, PlanBuilder, Record, Result, RheemContext,
+};
 
 use crate::pagerank::nodes_of;
 
@@ -35,7 +33,7 @@ impl ConnectedComponents {
     }
 
     /// Build the plan; returns `(plan, sink)`.
-    pub fn build_plan(&self, edges: Vec<Record>) -> Result<(PhysicalPlan, NodeId)> {
+    pub(crate) fn build_plan(&self, edges: Vec<Record>) -> Result<(PhysicalPlan, NodeId)> {
         let nodes = nodes_of(&edges);
         // Symmetrize: label flows both ways across an edge.
         let mut sym = Vec::with_capacity(edges.len() * 2);
@@ -100,7 +98,7 @@ impl ConnectedComponents {
 }
 
 /// Decode `[node, label]` records, sorted by node.
-pub fn decode_labels(d: &Dataset) -> Result<Vec<(i64, i64)>> {
+pub(crate) fn decode_labels(d: &Dataset) -> Result<Vec<(i64, i64)>> {
     let mut out: Vec<(i64, i64)> = d
         .iter()
         .map(|r| Ok((r.int(0)?, r.int(1)?)))
@@ -129,7 +127,7 @@ mod tests {
 
     #[test]
     fn disjoint_cycles_yield_one_component_each() {
-        let edges = rheem_datagen::graph::disjoint_cycles(4, 5);
+        let edges = rheem_datagen::disjoint_cycles(4, 5);
         let (labels, _) = ConnectedComponents::default()
             .with_iterations(10)
             .run(&ctx(), edges)

@@ -4,15 +4,20 @@
 //! the paper alongside the ML application). Three workloads exercising
 //! different plan shapes:
 //!
-//! * [`pagerank`] — iterative rank propagation (join + reduce loop);
-//! * [`components`] — connected components by label propagation;
-//! * [`triangles`] — triangle counting by cascaded equi-joins.
+//! * [`PageRank`] — iterative rank propagation (join + reduce loop);
+//! * [`ConnectedComponents`] — connected components by label propagation,
+//!   summarized by [`component_count`];
+//! * [`triangle_count`] — triangle counting by cascaded equi-joins.
+//!
+//! All of it is for applications; nothing is for platforms or for tests
+//! only.
 
 #![warn(missing_docs)]
 
-pub mod components;
-pub mod pagerank;
-pub mod triangles;
+mod components;
+mod pagerank;
+mod triangles;
 
 pub use components::{component_count, ConnectedComponents};
 pub use pagerank::PageRank;
+pub use triangles::triangle_count;

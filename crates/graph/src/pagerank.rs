@@ -8,13 +8,11 @@
 //! Layouts: edges `[src(Int), dst(Int)]`; ranks (the loop state)
 //! `[node(Int), rank(Float)]`.
 
-use rheem_core::data::{Dataset, Record};
-use rheem_core::error::Result;
-use rheem_core::kernels;
-use rheem_core::plan::{NodeId, PhysicalPlan, PlanBuilder};
-use rheem_core::rec;
 use rheem_core::udf::{KeyUdf, LoopCondUdf, MapUdf, ReduceUdf};
-use rheem_core::{JobResult, RheemContext};
+use rheem_core::{
+    kernels, rec, Dataset, JobResult, NodeId, PhysicalPlan, PlanBuilder, Record, Result,
+    RheemContext,
+};
 
 /// PageRank configuration.
 #[derive(Clone, Debug)]
@@ -35,7 +33,7 @@ impl Default for PageRank {
 }
 
 /// Distinct node ids of an edge list.
-pub fn nodes_of(edges: &[Record]) -> Vec<i64> {
+pub(crate) fn nodes_of(edges: &[Record]) -> Vec<i64> {
     let mut nodes: Vec<i64> = edges
         .iter()
         .flat_map(|e| [e.int(0).expect("src"), e.int(1).expect("dst")])
@@ -57,7 +55,7 @@ impl PageRank {
     /// Application-side preprocessing computes each source's out-degree so
     /// the loop body can scale contributions — host code preparing static
     /// inputs, as any RHEEM application would.
-    pub fn build_plan(&self, edges: Vec<Record>) -> Result<(PhysicalPlan, NodeId)> {
+    pub(crate) fn build_plan(&self, edges: Vec<Record>) -> Result<(PhysicalPlan, NodeId)> {
         let nodes = nodes_of(&edges);
         let n = nodes.len().max(1) as f64;
         let base = (1.0 - self.damping) / n;
@@ -150,7 +148,7 @@ impl PageRank {
 }
 
 /// Decode `[node, rank]` records, sorted by rank descending.
-pub fn decode_ranks(d: &Dataset) -> Result<Vec<(i64, f64)>> {
+pub(crate) fn decode_ranks(d: &Dataset) -> Result<Vec<(i64, f64)>> {
     let mut out: Vec<(i64, f64)> = d
         .iter()
         .map(|r| Ok((r.int(0)?, r.float(1)?)))
@@ -223,7 +221,7 @@ mod tests {
 
     #[test]
     fn preferential_attachment_hubs_rank_high() {
-        let edges = rheem_datagen::graph::preferential_attachment(120, 2, 9);
+        let edges = rheem_datagen::preferential_attachment(120, 2, 9);
         let (ranks, _) = PageRank::default()
             .with_iterations(15)
             .run(&ctx(), edges)

@@ -5,12 +5,11 @@
 //! by orienting edges canonically (`u < v`) and joining
 //! `(u,v) ⋈ (v,w) ⋈ (u,w)`.
 
-use rheem_core::data::{Record, Value};
-use rheem_core::error::Result;
-use rheem_core::plan::{NodeId, PhysicalPlan, PlanBuilder};
-use rheem_core::rec;
 use rheem_core::udf::{KeyUdf, MapUdf};
-use rheem_core::{interpreter, JobResult, RheemContext};
+use rheem_core::{
+    read_count, rec, JobResult, NodeId, PhysicalPlan, PlanBuilder, Record, Result, RheemContext,
+    Value,
+};
 
 /// Pack a node pair into one scalar key (node ids must fit in 31 bits).
 fn pair_key(u: i64, v: i64) -> Value {
@@ -59,10 +58,10 @@ pub fn build_plan(edges: Vec<Record>) -> Result<(PhysicalPlan, NodeId)> {
 }
 
 /// Count triangles of an undirected edge list.
-pub fn count(ctx: &RheemContext, edges: Vec<Record>) -> Result<(u64, JobResult)> {
+pub fn triangle_count(ctx: &RheemContext, edges: Vec<Record>) -> Result<(u64, JobResult)> {
     let (plan, sink) = build_plan(edges)?;
     let result = ctx.execute(plan)?;
-    let n = interpreter::read_count(&result.outputs[&sink])? as u64;
+    let n = read_count(&result.outputs[&sink])? as u64;
     Ok((n, result))
 }
 
@@ -79,7 +78,7 @@ mod tests {
     #[test]
     fn single_triangle() {
         let edges = vec![rec![0i64, 1i64], rec![1i64, 2i64], rec![2i64, 0i64]];
-        let (n, _) = count(&ctx(), edges).unwrap();
+        let (n, _) = triangle_count(&ctx(), edges).unwrap();
         assert_eq!(n, 1);
     }
 
@@ -93,7 +92,7 @@ mod tests {
                 }
             }
         }
-        let (n, _) = count(&ctx(), edges).unwrap();
+        let (n, _) = triangle_count(&ctx(), edges).unwrap();
         assert_eq!(n, 10); // C(5,3)
     }
 
@@ -101,9 +100,9 @@ mod tests {
     fn triangle_free_graphs_count_zero() {
         // A path and a star are triangle-free.
         let path: Vec<Record> = (0..10i64).map(|v| rec![v, v + 1]).collect();
-        assert_eq!(count(&ctx(), path).unwrap().0, 0);
+        assert_eq!(triangle_count(&ctx(), path).unwrap().0, 0);
         let star: Vec<Record> = (1..10i64).map(|v| rec![0i64, v]).collect();
-        assert_eq!(count(&ctx(), star).unwrap().0, 0);
+        assert_eq!(triangle_count(&ctx(), star).unwrap().0, 0);
     }
 
     #[test]
@@ -114,6 +113,6 @@ mod tests {
             rec![1i64, 2i64],
             rec![2i64, 0i64],
         ];
-        assert_eq!(count(&ctx(), edges).unwrap().0, 1);
+        assert_eq!(triangle_count(&ctx(), edges).unwrap().0, 1);
     }
 }

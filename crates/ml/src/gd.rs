@@ -21,11 +21,10 @@
 
 use std::sync::Arc;
 
-use rheem_core::data::{Record, Value};
-use rheem_core::error::Result;
-use rheem_core::plan::{NodeId, PhysicalPlan, PlanBuilder};
 use rheem_core::udf::{LoopCondUdf, MapUdf, ReduceUdf};
-use rheem_core::{JobResult, RheemContext};
+use rheem_core::{
+    JobResult, NodeId, PhysicalPlan, PlanBuilder, Record, Result, RheemContext, Value,
+};
 
 use crate::model::LinearModel;
 
@@ -48,7 +47,7 @@ pub struct GdConfig {
 
 impl GdConfig {
     /// Defaults matching the paper's experiment: 100 iterations.
-    pub fn new(dims: usize) -> Self {
+    pub(crate) fn new(dims: usize) -> Self {
         GdConfig {
             dims,
             iterations: 100,
@@ -58,13 +57,13 @@ impl GdConfig {
     }
 
     /// Override the iteration count.
-    pub fn with_iterations(mut self, iterations: u64) -> Self {
+    pub(crate) fn with_iterations(mut self, iterations: u64) -> Self {
         self.iterations = iterations;
         self
     }
 
     /// Override the learning rate.
-    pub fn with_learning_rate(mut self, lr: f64) -> Self {
+    pub(crate) fn with_learning_rate(mut self, lr: f64) -> Self {
         self.learning_rate = lr;
         self
     }
@@ -74,7 +73,7 @@ impl GdConfig {
 ///
 /// `data` must be LIBSVM-layout records `[label, x_1, ..., x_d]`. Returns
 /// the plan and the sink node carrying the trained model record.
-pub fn build_training_plan(
+pub(crate) fn build_training_plan(
     data: Vec<Record>,
     config: &GdConfig,
     algorithm: &str,

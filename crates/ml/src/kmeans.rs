@@ -14,12 +14,9 @@
 //! Layouts: points `[pid(Int), x_0..x_{d-1}]`; centroids (the loop state)
 //! `[cid(Int), c_0..c_{d-1}]`.
 
-use rheem_core::data::{Dataset, Record, Value};
-use rheem_core::error::{Result, RheemError};
 use rheem_core::logical::{LogicalPayload, LogicalPlan, LogicalPlanBuilder};
-use rheem_core::plan::NodeId;
 use rheem_core::udf::{GroupMapUdf, KeyUdf, LoopCondUdf, MapUdf, ReduceUdf};
-use rheem_core::{JobResult, RheemContext};
+use rheem_core::{Dataset, JobResult, NodeId, Record, Result, RheemContext, RheemError, Value};
 
 /// Computes, for every (point, centroid) pair, the squared distance.
 /// Input: `[pid, x..., cid, c...]`; output: `[pid, cid, dist, x...]`.
@@ -84,7 +81,7 @@ pub struct Clustering {
 
 impl Clustering {
     /// Decode from the training output dataset.
-    pub fn from_dataset(d: &Dataset, dims: usize) -> Result<Self> {
+    pub(crate) fn from_dataset(d: &Dataset, dims: usize) -> Result<Self> {
         let mut centroids = Vec::with_capacity(d.len());
         for r in d.iter() {
             if r.width() != dims + 1 {
@@ -99,18 +96,6 @@ impl Clustering {
         }
         centroids.sort_by_key(|(cid, _)| *cid);
         Ok(Clustering { centroids })
-    }
-
-    /// Index (into `centroids`) of the nearest centroid.
-    pub fn assign(&self, x: &[f64]) -> usize {
-        let mut best = (0usize, f64::INFINITY);
-        for (i, (_, c)) in self.centroids.iter().enumerate() {
-            let d: f64 = c.iter().zip(x).map(|(a, b)| (a - b) * (a - b)).sum();
-            if d < best.1 {
-                best = (i, d);
-            }
-        }
-        best.0
     }
 }
 
@@ -144,7 +129,7 @@ impl KMeansTrainer {
     /// Build the logical training plan. `points` are `[x_0..x_{d-1}]`
     /// records; returns the plan and the sink position (logical node ids
     /// map 1:1 onto physical node ids during lowering).
-    pub fn build_logical_plan(&self, points: &[Record]) -> Result<(LogicalPlan, NodeId)> {
+    pub(crate) fn build_logical_plan(&self, points: &[Record]) -> Result<(LogicalPlan, NodeId)> {
         if points.len() < self.k {
             return Err(RheemError::InvalidPlan(format!(
                 "k-means needs at least k={} points, got {}",
@@ -216,10 +201,23 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    impl Clustering {
+        /// Index (into `centroids`) of the nearest centroid.
+        fn assign(&self, x: &[f64]) -> usize {
+            let mut best = (0usize, f64::INFINITY);
+            for (i, (_, c)) in self.centroids.iter().enumerate() {
+                let d: f64 = c.iter().zip(x).map(|(a, b)| (a - b) * (a - b)).sum();
+                if d < best.1 {
+                    best = (i, d);
+                }
+            }
+            best.0
+        }
+    }
+
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use rheem_core::rec;
-    use rheem_core::{PlanCache, PlanCacheConfig};
+    use rheem_core::{rec, PlanCache, PlanCacheConfig};
     use rheem_platforms::JavaPlatform;
 
     fn ctx() -> RheemContext {

@@ -6,25 +6,24 @@
 //! plan runs unchanged on any registered platform, which is precisely the
 //! setup of the paper's Figure 2 experiment (SVM on Spark vs. plain Java).
 //!
-//! * [`gd`] — the Initialize/Process/Loop gradient-descent template
-//!   (paper §3.1, Example 1);
-//! * [`svm`] — hinge-loss SVM (Figure 2's algorithm);
-//! * [`linreg`] — linear regression on the same template;
-//! * [`kmeans`] — K-means built through the *logical* layer with
+//! * [`SvmTrainer`] — hinge-loss SVM (Figure 2's algorithm) and
+//!   [`LinRegTrainer`] — linear regression, both on the
+//!   Initialize/Process/Loop gradient-descent template (paper §3.1,
+//!   Example 1) over a shared linear-model representation;
+//! * [`KMeansTrainer`] — K-means built through the *logical* layer with
 //!   `GetCentroid`/`SetCentroids` operators and a grouping enhancer
-//!   (paper §3.2's example), lowered by `LogicalPlan::lower`;
-//! * [`model`] — the shared linear-model representation.
+//!   (paper §3.2's example), lowered by `LogicalPlan::lower`.
+//!
+//! The three trainers are the whole surface, for applications.
 
 #![warn(missing_docs)]
 
-pub mod gd;
-pub mod kmeans;
-pub mod linreg;
-pub mod model;
-pub mod svm;
+mod gd;
+mod kmeans;
+mod linreg;
+mod model;
+mod svm;
 
-pub use gd::{ExampleGradient, GdConfig};
-pub use kmeans::{Clustering, KMeansTrainer};
+pub use kmeans::KMeansTrainer;
 pub use linreg::LinRegTrainer;
-pub use model::LinearModel;
 pub use svm::SvmTrainer;

@@ -5,9 +5,7 @@
 
 use std::sync::Arc;
 
-use rheem_core::data::Record;
-use rheem_core::error::Result;
-use rheem_core::{JobResult, RheemContext};
+use rheem_core::{JobResult, Record, Result, RheemContext};
 
 use crate::gd::{train, ExampleGradient, GdConfig};
 use crate::model::LinearModel;
@@ -67,8 +65,8 @@ mod tests {
                 let y = w.iter().zip(&x).map(|(wi, xi)| wi * xi).sum::<f64>()
                     + b
                     + rng.gen_range(-noise..=noise);
-                let mut fields = vec![rheem_core::data::Value::Float(y)];
-                fields.extend(x.into_iter().map(rheem_core::data::Value::Float));
+                let mut fields = vec![rheem_core::Value::Float(y)];
+                fields.extend(x.into_iter().map(rheem_core::Value::Float));
                 Record::new(fields)
             })
             .collect()

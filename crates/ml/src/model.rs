@@ -4,8 +4,7 @@
 //! single data quantum `[w_0, ..., w_{d-1}, b]` (all `Float`), which is the
 //! loop state of the training plans.
 
-use rheem_core::data::{Dataset, Record, Value};
-use rheem_core::error::{Result, RheemError};
+use rheem_core::{Dataset, Record, Result, RheemError, Value};
 
 /// A linear model `x ↦ w·x + b`.
 #[derive(Clone, Debug, PartialEq)]
@@ -18,7 +17,7 @@ pub struct LinearModel {
 
 impl LinearModel {
     /// The zero model of dimension `dims`.
-    pub fn zeros(dims: usize) -> Self {
+    pub(crate) fn zeros(dims: usize) -> Self {
         LinearModel {
             weights: vec![0.0; dims],
             bias: 0.0,
@@ -26,12 +25,12 @@ impl LinearModel {
     }
 
     /// Dimensionality.
-    pub fn dims(&self) -> usize {
+    pub(crate) fn dims(&self) -> usize {
         self.weights.len()
     }
 
     /// Raw score `w·x + b` for a feature slice.
-    pub fn score(&self, x: &[f64]) -> f64 {
+    pub(crate) fn score(&self, x: &[f64]) -> f64 {
         self.weights
             .iter()
             .zip(x)
@@ -89,14 +88,14 @@ impl LinearModel {
     }
 
     /// Encode as the loop-state record `[w..., b]`.
-    pub fn to_record(&self) -> Record {
+    pub(crate) fn to_record(&self) -> Record {
         let mut fields: Vec<Value> = self.weights.iter().copied().map(Value::Float).collect();
         fields.push(Value::Float(self.bias));
         Record::new(fields)
     }
 
     /// Decode from the loop-state record.
-    pub fn from_record(r: &Record) -> Result<Self> {
+    pub(crate) fn from_record(r: &Record) -> Result<Self> {
         if r.width() == 0 {
             return Err(RheemError::Type {
                 expected: "non-empty model record".into(),
@@ -114,7 +113,7 @@ impl LinearModel {
     }
 
     /// Decode from a single-record training output.
-    pub fn from_dataset(d: &Dataset) -> Result<Self> {
+    pub(crate) fn from_dataset(d: &Dataset) -> Result<Self> {
         match d.records() {
             [r] => LinearModel::from_record(r),
             other => Err(RheemError::Type {

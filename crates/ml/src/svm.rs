@@ -3,10 +3,7 @@
 
 use std::sync::Arc;
 
-use rheem_core::data::Record;
-use rheem_core::error::Result;
-use rheem_core::plan::{NodeId, PhysicalPlan};
-use rheem_core::{JobResult, RheemContext};
+use rheem_core::{JobResult, NodeId, PhysicalPlan, Record, Result, RheemContext};
 
 use crate::gd::{build_training_plan, train, ExampleGradient, GdConfig};
 use crate::model::LinearModel;
@@ -76,7 +73,10 @@ mod tests {
 
     #[test]
     fn svm_learns_separable_data() {
-        let data = generate(&LibsvmConfig::new(400, 6).with_noise(0.0));
+        let data = generate(&LibsvmConfig {
+            label_noise: 0.0,
+            ..LibsvmConfig::new(400, 6)
+        });
         let trainer = SvmTrainer::new(6).with_iterations(60);
         let (model, _) = trainer.train(&java_ctx(), data.clone()).unwrap();
         let acc = model.accuracy(&data).unwrap();
@@ -103,7 +103,10 @@ mod tests {
 
     #[test]
     fn more_iterations_do_not_hurt_training_accuracy_much() {
-        let data = generate(&LibsvmConfig::new(300, 5).with_noise(0.0));
+        let data = generate(&LibsvmConfig {
+            label_noise: 0.0,
+            ..LibsvmConfig::new(300, 5)
+        });
         let short = SvmTrainer::new(5).with_iterations(5);
         let long = SvmTrainer::new(5).with_iterations(80);
         let (m_short, _) = short.train(&java_ctx(), data.clone()).unwrap();

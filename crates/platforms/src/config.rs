@@ -11,7 +11,7 @@
 
 use std::time::Duration;
 
-use rheem_core::cost::ChannelKind;
+use rheem_core::ChannelKind;
 
 /// Fixed-cost knobs of a simulated platform.
 #[derive(Clone, Copy, Debug)]
@@ -46,7 +46,7 @@ impl OverheadConfig {
     }
 
     /// Overheads are slept and accounted (benchmark realism).
-    pub fn slept(job_startup: Duration, stage_overhead: Duration) -> Self {
+    pub(crate) fn slept(job_startup: Duration, stage_overhead: Duration) -> Self {
         OverheadConfig {
             job_startup,
             stage_overhead,
@@ -55,25 +55,25 @@ impl OverheadConfig {
     }
 
     /// Pay the job-startup overhead; returns the charged milliseconds.
-    pub fn pay_startup(&self) -> f64 {
+    pub(crate) fn pay_startup(&self) -> f64 {
         self.pay(self.job_startup)
     }
 
     /// Pay one stage overhead; returns the charged milliseconds.
-    pub fn pay_stage(&self) -> f64 {
+    pub(crate) fn pay_stage(&self) -> f64 {
         self.pay(self.stage_overhead)
     }
 
     /// Simulated cost of ingesting a boundary dataset that arrives on a
     /// given channel (the last hop of the conversion route the optimizer
-    /// chose, see [`rheem_core::plan::AtomInput::channel`]). Memory is
+    /// chose, see [`rheem_core::AtomInput::channel`]). Memory is
     /// free — which keeps plans enumerated without channel information
     /// (the greedy DP defaults every boundary to `Memory`) priced exactly
     /// as before. File pays a deserialize, Stream a drain; the constants
-    /// mirror the default [`rheem_core::cost::ChannelConversionGraph`]
+    /// mirror the default [`rheem_core::ChannelConversionGraph`]
     /// prices so the executor's accounting matches what the optimizer
     /// assumed. Never slept — ingest is accounting, not wall time.
-    pub fn channel_ingest_ms(&self, channel: ChannelKind, records: usize) -> f64 {
+    pub(crate) fn channel_ingest_ms(&self, channel: ChannelKind, records: usize) -> f64 {
         match channel {
             ChannelKind::Memory => 0.0,
             ChannelKind::File => 0.5 + 0.002 * records as f64,

@@ -8,11 +8,10 @@
 
 use std::sync::Arc;
 
-use rheem_core::cost::{LinearCostModel, PlatformCostModel};
-use rheem_core::error::Result;
-use rheem_core::physical::PhysicalOp;
-use rheem_core::plan::{PhysicalPlan, TaskAtom};
-use rheem_core::platform::{AtomInputs, AtomResult, ExecutionContext, Platform, ProcessingProfile};
+use rheem_core::{
+    AtomInputs, AtomResult, ExecutionContext, LinearCostModel, PhysicalOp, PhysicalPlan, Platform,
+    PlatformCostModel, ProcessingProfile, Result, TaskAtom,
+};
 
 use crate::config::OverheadConfig;
 use crate::runner::run_in_process;
@@ -56,12 +55,6 @@ impl JavaPlatform {
         self.overheads = overheads;
         self
     }
-
-    /// Override the cost model.
-    pub fn with_cost_model(mut self, cost: LinearCostModel) -> Self {
-        self.cost = Arc::new(cost);
-        self
-    }
 }
 
 impl Platform for JavaPlatform {
@@ -95,10 +88,8 @@ impl Platform for JavaPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rheem_core::plan::PlanBuilder;
-    use rheem_core::rec;
     use rheem_core::udf::{FilterUdf, KeyUdf, MapUdf, ReduceUdf};
-    use rheem_core::{PlatformRegistry, RheemContext};
+    use rheem_core::{rec, PlanBuilder, RheemContext};
 
     fn ctx() -> RheemContext {
         RheemContext::new().with_platform(Arc::new(JavaPlatform::new()))
@@ -144,7 +135,6 @@ mod tests {
         assert!(p.supports(&PhysicalOp::CrossProduct));
         assert_eq!(p.profile(), ProcessingProfile::SingleProcess);
         assert_eq!(p.name(), "java");
-        let _ = PlatformRegistry::new();
     }
 
     #[test]
@@ -159,6 +149,14 @@ mod tests {
         let plan = b.build().unwrap();
         let ctx = RheemContext::new().with_platform(Arc::new(p));
         let result = ctx.execute(plan).unwrap();
-        assert_eq!(result.stats.total_simulated_overhead_ms(), 9.0);
+        assert_eq!(
+            result
+                .stats
+                .atoms
+                .iter()
+                .map(|a| a.simulated_overhead_ms)
+                .sum::<f64>(),
+            9.0
+        );
     }
 }

@@ -12,25 +12,35 @@
 //! | [`MapReduceLikePlatform`] | Hadoop MapReduce | disk-materialized phases, huge job setup |
 //! | [`RelationalPlatform`] | PostgreSQL | cheap relational ops, expensive UDFs, no loops |
 //!
-//! All four implement `rheem_core::platform::Platform` and produce the same
+//! All four implement `rheem_core::Platform` and produce the same
 //! bag of records for any supported plan — the platform-independence
 //! contract the paper's vision rests on (verified by the cross-platform
 //! equivalence tests in `tests/`).
+//!
+//! ## Public surface
+//!
+//! **For applications:** the four platforms, their [`OverheadConfig`], and
+//! the ready-made contexts [`full_context`] (overheads slept) and
+//! [`num_workers`].
+//!
+//! **For tests:** [`test_context`] — all four platforms with overheads
+//! accounted but not slept — and [`JavaPlatform::with_overheads`] and
+//! [`RelationalPlatform::with_overheads`], which only tests set.
 
 #![warn(missing_docs)]
 
-pub mod config;
-pub mod java;
-pub mod mapreduce;
-pub mod partition;
-pub mod relational;
+mod config;
+mod java;
+mod mapreduce;
+mod partition;
+mod relational;
 mod runner;
-pub mod sparklike;
+mod sparklike;
 
 pub use config::OverheadConfig;
 pub use java::JavaPlatform;
 pub use mapreduce::MapReduceLikePlatform;
-pub use relational::{RelationalCostModel, RelationalPlatform};
+pub use relational::RelationalPlatform;
 pub use sparklike::SparkLikePlatform;
 
 use std::sync::Arc;

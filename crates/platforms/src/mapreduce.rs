@@ -22,13 +22,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rheem_core::cost::{LinearCostModel, PlatformCostModel};
-use rheem_core::data::{Dataset, Record};
-use rheem_core::error::Result;
-use rheem_core::physical::PhysicalOp;
-use rheem_core::plan::{PhysicalPlan, TaskAtom};
-use rheem_core::platform::{AtomInputs, AtomResult, ExecutionContext, Platform, ProcessingProfile};
-use rheem_storage::codec;
+use rheem_core::{
+    AtomInputs, AtomResult, Dataset, ExecutionContext, LinearCostModel, PhysicalOp, PhysicalPlan,
+    Platform, PlatformCostModel, ProcessingProfile, Record, Result, TaskAtom,
+};
 
 use crate::config::OverheadConfig;
 use crate::runner::{self, BoundaryCharge, Engine, Parts};
@@ -97,12 +94,12 @@ impl SpillFile {
         std::fs::create_dir_all(dir)?;
         let id = SPILL_COUNTER.fetch_add(1, Ordering::Relaxed);
         let spill = SpillFile(dir.join(format!("spill_{}_{id}.rrec", std::process::id())));
-        std::fs::write(&spill.0, codec::encode_batch(records))?;
+        std::fs::write(&spill.0, rheem_storage::encode_batch(records))?;
         Ok(spill)
     }
 
     fn read_back(self) -> Result<Vec<Record>> {
-        codec::decode_batch(&std::fs::read_to_string(&self.0)?)
+        rheem_storage::decode_batch(&std::fs::read_to_string(&self.0)?)
     }
 }
 
@@ -177,10 +174,8 @@ impl Engine for MapReduceLikePlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rheem_core::plan::PlanBuilder;
-    use rheem_core::rec;
     use rheem_core::udf::{GroupMapUdf, KeyUdf, LoopCondUdf, MapUdf, ReduceUdf};
-    use rheem_core::RheemContext;
+    use rheem_core::{rec, PlanBuilder, RheemContext};
 
     fn mr() -> MapReduceLikePlatform {
         MapReduceLikePlatform::new(4)
@@ -200,8 +195,7 @@ mod tests {
     }
 
     fn assert_matches_reference(plan: rheem_core::PhysicalPlan) {
-        let reference =
-            rheem_core::interpreter::run_plan(&plan, &rheem_core::ExecutionContext::new()).unwrap();
+        let reference = rheem_core::run_plan(&plan, &rheem_core::ExecutionContext::new()).unwrap();
         let result = ctx().execute(plan).unwrap();
         assert_eq!(result.outputs.len(), reference.len());
         for (sink, data) in &result.outputs {
@@ -255,7 +249,15 @@ mod tests {
         let sink = b.collect(l);
         let result = ctx.execute(b.build().unwrap()).unwrap();
         // 100 startup + 5 iterations × 10 phase.
-        assert_eq!(result.stats.total_simulated_overhead_ms(), 150.0);
+        assert_eq!(
+            result
+                .stats
+                .atoms
+                .iter()
+                .map(|a| a.simulated_overhead_ms)
+                .sum::<f64>(),
+            150.0
+        );
         assert_eq!(
             result.outputs[&sink].records(),
             (5..15i64).map(|i| rec![i]).collect::<Vec<_>>().as_slice()
@@ -285,8 +287,7 @@ mod tests {
     /// cancelled between two phases.
     #[test]
     fn no_spill_file_outlives_its_round_trip() {
-        use rheem_core::error::{CancelReason, RheemError};
-        use rheem_core::fault::CancelToken;
+        use rheem_core::{CancelReason, CancelToken, RheemError};
 
         let dir = std::env::temp_dir().join(format!("rheem_mr_leak_{}", std::process::id()));
         let platform = || {

@@ -3,12 +3,11 @@
 //! A dataset in flight is a list of [`Dataset`] partitions — lazy windows
 //! and chunk-built pieces, so columnar operators hand chunks from stage to
 //! stage and rows appear only where a task needs them. Keys are routed with
-//! one hash ([`key_hash`]), whichever view a batch is routed on.
+//! one hash ([`kernels::key_hash`]), whichever view a batch is routed on.
 
-use rheem_core::data::{Chunk, Dataset, Record, Value};
-use rheem_core::error::Result;
-use rheem_core::kernels::{chunked, hash};
+use rheem_core::kernels::{self, chunked};
 use rheem_core::udf::KeyUdf;
+use rheem_core::{Chunk, Dataset, Result};
 
 /// Balanced contiguous `(offset, len)` ranges covering `0..n` (the first
 /// `n % parts` ranges get one extra row).
@@ -31,28 +30,12 @@ pub fn split(data: &Dataset, parts: usize) -> Vec<Dataset> {
         .collect()
 }
 
-/// The routing hash of a record's key: for a declarative key, its fields'
-/// engine hashes folded with [`hash::combine`] — what
-/// [`chunked::key_tuple_hashes`] computes column-wise — and for an opaque
-/// key the engine hash of the closure's value.
-pub fn key_hash(key: &KeyUdf, r: &Record) -> u64 {
-    match key.fields.as_deref() {
-        Some(fields) => fields.iter().fold(0, |acc, &i| {
-            hash::combine(
-                acc,
-                hash::hash_value(r.fields().get(i).unwrap_or(&Value::Null)),
-            )
-        }),
-        None => hash::hash_value(&(key.f)(r)),
-    }
-}
-
 /// Shuffle into `parts` partitions by key hash (co-partitioning: equal
 /// keys always land in the same partition index), keeping input order
 /// within each partition. A batch that has a columnar view is routed on its
 /// key columns and gathered into chunk-built partitions; otherwise its rows
 /// are. Both ways send a key to the same partition.
-pub fn partition_by_key(data: &Dataset, key: &KeyUdf, parts: usize) -> Vec<Dataset> {
+pub(crate) fn partition_by_key(data: &Dataset, key: &KeyUdf, parts: usize) -> Vec<Dataset> {
     let parts = parts.max(1);
     let columnar = match (key.fields.as_deref(), data.has_chunk()) {
         (Some(fields), true) => data.chunk().map(|chunk| (chunk, fields)),
@@ -61,7 +44,7 @@ pub fn partition_by_key(data: &Dataset, key: &KeyUdf, parts: usize) -> Vec<Datas
     let Some((chunk, fields)) = columnar else {
         let mut out = vec![Vec::new(); parts];
         for r in data.records() {
-            out[(key_hash(key, r) % parts as u64) as usize].push(r.clone());
+            out[(kernels::key_hash(key, r) % parts as u64) as usize].push(r.clone());
         }
         return out.into_iter().map(Dataset::new).collect();
     };
@@ -107,7 +90,7 @@ pub fn concat(mut parts: Vec<Dataset>) -> Dataset {
 /// execution gives exact per-task costs on any machine; the platform then
 /// *simulates* the cluster by charging only the critical path. See
 /// DESIGN.md's substitution table.
-pub fn run_partitions_timed<T>(
+pub(crate) fn run_partitions_timed<T>(
     parts: Vec<T>,
     mut f: impl FnMut(usize, T) -> Result<T>,
 ) -> Result<(Vec<T>, f64)> {
@@ -124,8 +107,7 @@ pub fn run_partitions_timed<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rheem_core::error::RheemError;
-    use rheem_core::rec;
+    use rheem_core::{rec, Record, RheemError};
 
     fn nums(n: i64) -> Vec<Record> {
         (0..n).map(|i| rec![i]).collect()

@@ -16,11 +16,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use rheem_core::cost::{op_work_units, PlatformCostModel};
-use rheem_core::error::{Result, RheemError};
-use rheem_core::physical::PhysicalOp;
-use rheem_core::plan::{PhysicalPlan, TaskAtom};
-use rheem_core::platform::{AtomInputs, AtomResult, ExecutionContext, Platform, ProcessingProfile};
+use rheem_core::{
+    op_work_units, AtomInputs, AtomResult, ExecutionContext, PhysicalOp, PhysicalPlan, Platform,
+    PlatformCostModel, ProcessingProfile, Result, RheemError, TaskAtom,
+};
 
 use crate::config::OverheadConfig;
 use crate::runner::run_in_process;
@@ -103,12 +102,6 @@ impl RelationalPlatform {
         self.overheads = overheads;
         self
     }
-
-    /// Override the cost model.
-    pub fn with_cost_model(mut self, cost: RelationalCostModel) -> Self {
-        self.cost = Arc::new(cost);
-        self
-    }
 }
 
 impl Platform for RelationalPlatform {
@@ -158,10 +151,8 @@ impl Platform for RelationalPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rheem_core::plan::PlanBuilder;
-    use rheem_core::rec;
     use rheem_core::udf::{KeyUdf, LoopCondUdf, MapUdf, ReduceUdf};
-    use rheem_core::RheemContext;
+    use rheem_core::{rec, PlanBuilder, RheemContext};
 
     fn rel() -> RelationalPlatform {
         RelationalPlatform::new().with_overheads(OverheadConfig::none())

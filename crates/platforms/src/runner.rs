@@ -22,14 +22,12 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use rheem_core::data::Dataset;
-use rheem_core::error::{Result, RheemError};
-use rheem_core::observe::NodeObservation;
-use rheem_core::physical::{Layout, PhysicalOp};
-use rheem_core::plan::{NodeId, PhysicalPlan, TaskAtom};
-use rheem_core::platform::{AtomInputs, AtomResult, ExecutionContext};
 use rheem_core::udf::KeyUdf;
-use rheem_core::{interpreter, kernels, KernelParallelism};
+use rheem_core::{
+    execute_op, kernels, run_fragment, AtomInputs, AtomResult, Dataset, ExecutionContext,
+    KernelParallelism, Layout, NodeId, NodeObservation, PhysicalOp, PhysicalPlan, Result,
+    RheemError, TaskAtom,
+};
 
 use crate::config::OverheadConfig;
 use crate::partition::{concat, partition_by_key, run_partitions_timed, split};
@@ -129,7 +127,7 @@ pub(crate) fn run_in_process(
 ) -> Result<AtomResult> {
     let overhead = overheads.pay_startup();
     let started = Instant::now();
-    let run = interpreter::run_fragment(plan, &atom.nodes, inputs, ctx, None)?;
+    let run = run_fragment(plan, &atom.nodes, inputs, ctx, None)?;
     let work_ms = ms_since(started) * efficiency;
     let outputs = atom
         .outputs
@@ -329,7 +327,7 @@ impl<E: Engine> Run<'_, E> {
             // Sources and sinks only hand partitions along: windows of the
             // source dataset, materialized by whoever reads them.
             Layout::Source => {
-                let (data, passed) = interpreter::execute_op(op, &[], self.ctx, None)?;
+                let (data, passed) = execute_op(op, &[], self.ctx, None)?;
                 (split(&data, self.engine.partitions_for(data.len())), passed)
             }
             Layout::LoopState => {
@@ -450,7 +448,7 @@ impl<E: Engine> Run<'_, E> {
             }
             Layout::Sink => {
                 let data = concat(next());
-                let (out, passed) = interpreter::execute_op(op, &[data], self.ctx, None)?;
+                let (out, passed) = execute_op(op, &[data], self.ctx, None)?;
                 (vec![out], passed)
             }
         })

@@ -24,11 +24,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use rheem_core::cost::{LinearCostModel, PlatformCostModel};
-use rheem_core::error::Result;
-use rheem_core::physical::PhysicalOp;
-use rheem_core::plan::{PhysicalPlan, TaskAtom};
-use rheem_core::platform::{AtomInputs, AtomResult, ExecutionContext, Platform, ProcessingProfile};
+use rheem_core::{
+    AtomInputs, AtomResult, ExecutionContext, LinearCostModel, PhysicalOp, PhysicalPlan, Platform,
+    PlatformCostModel, ProcessingProfile, Result, TaskAtom,
+};
 
 use crate::config::OverheadConfig;
 use crate::runner::{self, BoundaryCharge, Engine, Parts};
@@ -69,28 +68,10 @@ impl SparkLikePlatform {
         }
     }
 
-    /// Enable the §4.3 platform-layer tuning: launch at most one task per
-    /// `min` input records (still capped at the worker count).
-    pub fn with_min_records_per_task(mut self, min: usize) -> Self {
-        self.min_records_per_task = min.max(1);
-        self
-    }
-
     /// Override the overhead configuration.
     pub fn with_overheads(mut self, overheads: OverheadConfig) -> Self {
         self.overheads = overheads;
         self
-    }
-
-    /// Override the cost model.
-    pub fn with_cost_model(mut self, cost: LinearCostModel) -> Self {
-        self.cost = Arc::new(cost);
-        self
-    }
-
-    /// The number of task slots.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 }
 
@@ -152,11 +133,8 @@ impl Engine for SparkLikePlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rheem_core::data::{Dataset, Record};
-    use rheem_core::plan::PlanBuilder;
-    use rheem_core::rec;
     use rheem_core::udf::{FilterUdf, GroupMapUdf, KeyUdf, LoopCondUdf, MapUdf};
-    use rheem_core::RheemContext;
+    use rheem_core::{rec, Dataset, PlanBuilder, Record, RheemContext};
 
     fn spark() -> SparkLikePlatform {
         SparkLikePlatform::new(4).with_overheads(OverheadConfig::none())
@@ -194,7 +172,15 @@ mod tests {
         b.collect(l);
         let result = ctx.execute(b.build().unwrap()).unwrap();
         // 50 ms startup + 20 iterations × 3 ms.
-        assert_eq!(result.stats.total_simulated_overhead_ms(), 110.0);
+        assert_eq!(
+            result
+                .stats
+                .atoms
+                .iter()
+                .map(|a| a.simulated_overhead_ms)
+                .sum::<f64>(),
+            110.0
+        );
         // Simulated elapsed includes overheads plus (tiny) measured work.
         let elapsed = result.stats.total_simulated_ms();
         assert!((110.0..250.0).contains(&elapsed), "elapsed {elapsed}");
@@ -234,26 +220,26 @@ mod tests {
 
     #[test]
     fn storage_round_trip_on_spark() {
-        let storage = Arc::new(rheem_core::platform::MemoryStorageService::new());
-        use rheem_core::platform::StorageService;
+        let storage = Arc::new(rheem_core::MemoryStorageService::new());
+        use rheem_core::StorageService;
         storage.write("in", &Dataset::new(nums(50))).unwrap();
         let ctx = RheemContext::new()
             .with_platform(Arc::new(spark()))
-            .with_storage(storage.clone());
+            .with_storage(storage);
         let mut b = PlanBuilder::new();
         let src = b.storage_source("in");
         let m = b.map(src, MapUdf::new("x2", |r| rec![r.int(0).unwrap() * 2]));
-        b.write_storage(m, "out");
-        ctx.execute(b.build().unwrap()).unwrap();
-        assert_eq!(storage.read("out").unwrap().len(), 50);
+        let sink = b.collect(m);
+        let out = ctx.execute(b.build().unwrap()).unwrap();
+        assert_eq!(out.outputs[&sink].len(), 50);
     }
 
     /// A declarative plan stays columnar from the source windows to the
     /// sink: every stage's tasks take the chunk kernels and hand chunks on.
     #[test]
     fn declarative_plans_run_columnar_tasks_end_to_end() {
-        use rheem_core::expr::Expr;
         use rheem_core::udf::{AggFunc, Aggregate, GroupOutput};
+        use rheem_core::Expr;
         let mut b = PlanBuilder::new();
         let l = b.collection("l", (0..400i64).map(|i| rec![i % 16, i]).collect());
         let r = b.collection("r", (0..16i64).map(|i| rec![i, i % 3]).collect());
@@ -280,8 +266,7 @@ mod tests {
         let top = b.limit(sorted, 2);
         let sink = b.collect(top);
         let plan = b.build().unwrap();
-        let reference =
-            rheem_core::interpreter::run_plan(&plan, &rheem_core::ExecutionContext::new()).unwrap();
+        let reference = rheem_core::run_plan(&plan, &rheem_core::ExecutionContext::new()).unwrap();
         let result = ctx().execute(plan).unwrap();
         assert_eq!(result.outputs[&sink], reference[&sink]);
         assert!(result.outputs[&sink].has_chunk(), "the sink got a chunk");
@@ -298,7 +283,7 @@ mod tests {
 
     #[test]
     fn partitionable_custom_op_runs_per_partition() {
-        use rheem_core::physical::CustomPhysicalOp;
+        use rheem_core::CustomPhysicalOp;
         struct PartDoubler;
         impl CustomPhysicalOp for PartDoubler {
             fn name(&self) -> &str {
@@ -332,12 +317,17 @@ mod tests {
 #[cfg(test)]
 mod tuning_tests {
     use super::*;
-    use rheem_core::data::Dataset;
-    use rheem_core::physical::CustomPhysicalOp;
-    use rheem_core::plan::PlanBuilder;
-    use rheem_core::rec;
-    use rheem_core::RheemContext;
+    use rheem_core::{rec, CustomPhysicalOp, Dataset, PlanBuilder, RheemContext};
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    impl SparkLikePlatform {
+        /// Enable the §4.3 platform-layer tuning: launch at most one task per
+        /// `min` input records (still capped at the worker count).
+        fn with_min_records_per_task(mut self, min: usize) -> Self {
+            self.min_records_per_task = min.max(1);
+            self
+        }
+    }
 
     /// A partitionable custom op that counts how many tasks executed it.
     struct TaskCounter(Arc<AtomicUsize>);

@@ -47,7 +47,7 @@ impl Client {
     }
 
     /// Send one request and read one response.
-    pub fn call(&mut self, request: &Request) -> WireResult<Response> {
+    pub(crate) fn call(&mut self, request: &Request) -> WireResult<Response> {
         write_frame(&mut self.stream, &request.encode())?;
         match read_frame_into(&mut self.stream, None, &mut self.body)? {
             FrameRead::Frame => Response::decode(&self.body),

@@ -149,7 +149,7 @@ impl FairShareScheduler {
     }
 
     /// Jobs currently blocked waiting for a wave slot.
-    pub fn waiting_jobs(&self) -> usize {
+    pub(crate) fn waiting_jobs(&self) -> usize {
         self.state.lock().waiting.len()
     }
 
@@ -255,7 +255,7 @@ impl JobGate {
     /// Install (or clear, with `None`) the cancel token of the job about
     /// to run under this gate, so a cancelled job stops waiting for wave
     /// slots instead of queueing dead waves behind live tenants.
-    pub fn set_cancel(&self, token: Option<CancelToken>) {
+    pub(crate) fn set_cancel(&self, token: Option<CancelToken>) {
         *self.cancel.lock() = token;
     }
 }

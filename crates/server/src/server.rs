@@ -61,9 +61,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use rheem_core::observe::{Counter, Gauge, Histogram, MetricsRegistry};
 use rheem_core::query::{PlannedQuery, QueryCatalog};
-use rheem_core::{CancelReason, Dataset, Observability, PlanCache, PlanCacheConfig, RheemContext};
+use rheem_core::{
+    CancelReason, Counter, Dataset, Gauge, Histogram, MetricsRegistry, Observability, PlanCache,
+    PlanCacheConfig, RheemContext,
+};
 
 use crate::protocol::{
     encode_result, read_frame_into, write_frame, FrameRead, Registration, Request, Response,
@@ -96,6 +98,9 @@ const MAX_SESSION_TABLE_BYTES: usize = 256 << 20;
 /// on individual `read()` calls — a slow client mid-frame stays alive.
 const READ_TICK: Duration = Duration::from_millis(25);
 
+/// Concurrent wave slots shared by all jobs (fair-share granularity).
+const WAVE_SLOTS: usize = 2;
+
 /// Knobs for [`RheemServer::start`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -103,8 +108,6 @@ pub struct ServerConfig {
     pub addr: String,
     /// Admission control and worker pool sizing.
     pub service: ServiceConfig,
-    /// Concurrent wave slots shared by all jobs (fair-share granularity).
-    pub wave_slots: usize,
     /// Plan cache sizing and drift threshold.
     pub cache: PlanCacheConfig,
     /// Evict a session after this long without a request *starting*
@@ -120,7 +123,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             service: ServiceConfig::default(),
-            wave_slots: 2,
             cache: PlanCacheConfig::default(),
             idle_timeout: Some(Duration::from_secs(300)),
         }
@@ -192,7 +194,7 @@ impl RheemServer {
     ) -> std::io::Result<ServerHandle> {
         let observability = Arc::new(Observability::new());
         let plan_cache = Arc::new(PlanCache::new(config.cache));
-        let scheduler = FairShareScheduler::new(config.wave_slots);
+        let scheduler = FairShareScheduler::new(WAVE_SLOTS);
         let service = JobService::start(config.service.clone(), observability.metrics().clone());
         let base = base.with_observability(observability.clone());
         let metrics = observability.metrics();

@@ -40,8 +40,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use rheem_core::observe::Counter;
-use rheem_core::{CancelReason, CancelToken, MetricsRegistry};
+use rheem_core::{CancelReason, CancelToken, Counter, MetricsRegistry};
 
 /// Why a submission was refused at the door (or shed before running).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -164,7 +163,7 @@ impl<R> JobHandle<R> {
     /// Wait up to `timeout` for completion; `None` means still running.
     /// The result is *taken*: once this returns `Some`, later waits
     /// would block forever, so stop polling at the first `Some`.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<R, AdmissionError>> {
+    pub(crate) fn wait_timeout(&self, timeout: Duration) -> Option<Result<R, AdmissionError>> {
         let (slot, cv) = &*self.done;
         let mut guard = slot.lock();
         if guard.is_none() {
@@ -299,7 +298,7 @@ impl JobService {
     }
 
     /// Admit `job` for `tenant` and block until it completes, was shed,
-    /// or panicked. The closure receives a [`JobRun`] carrying the job's
+    /// or panicked. The closure receives a `JobRun` carrying the job's
     /// id, cancel token, and — when `deadline` is set — the budget left
     /// after queue wait. A job whose deadline expires while queued is
     /// shed with [`AdmissionError::DeadlineExceeded`] without costing a
@@ -318,10 +317,10 @@ impl JobService {
         self.submit_handle(tenant, deadline, job)?.wait()
     }
 
-    /// Like [`submit_job`](Self::submit_job) but returns a [`JobHandle`]
+    /// Like [`submit_job`](Self::submit_job) but returns a `JobHandle`
     /// instead of blocking, so the caller can poll for completion while
     /// watching for out-of-band events (a client hanging up, say) and
-    /// cancel the job by its [`JobHandle::id`] in the meantime.
+    /// cancel the job by its `JobHandle::id` in the meantime.
     pub fn submit_handle<R, F>(
         &self,
         tenant: &str,
@@ -464,7 +463,7 @@ impl JobService {
 
     /// Cancel every queued-or-running job of `tenant` (client hung up,
     /// or a wire `CANCEL { job: 0 }`). Returns how many tokens tripped.
-    pub fn cancel_tenant(&self, tenant: &str, reason: CancelReason) -> usize {
+    pub(crate) fn cancel_tenant(&self, tenant: &str, reason: CancelReason) -> usize {
         let tokens: Vec<CancelToken> = {
             let st = self.shared.state.lock();
             st.jobs
@@ -480,7 +479,7 @@ impl JobService {
 
     /// Cancel every queued-or-running job of every tenant (shutdown).
     /// Returns how many tokens tripped.
-    pub fn cancel_all(&self, reason: CancelReason) -> usize {
+    pub(crate) fn cancel_all(&self, reason: CancelReason) -> usize {
         let tokens: Vec<CancelToken> = {
             let st = self.shared.state.lock();
             st.jobs.values().map(|j| j.cancel.clone()).collect()

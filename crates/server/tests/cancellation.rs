@@ -74,12 +74,9 @@ fn steady_plan() -> PhysicalPlan {
 }
 
 fn run_steady(ctx: &RheemContext) -> Vec<Record> {
-    ctx.execute(steady_plan())
-        .expect("steady job completes")
-        .single()
-        .expect("one sink")
-        .records()
-        .to_vec()
+    let result = ctx.execute(steady_plan()).expect("steady job completes");
+    let sink = result.outputs.values().next().expect("one sink");
+    sink.records().to_vec()
 }
 
 proptest! {
@@ -138,7 +135,7 @@ proptest! {
                             };
                             let ctx = ctx.with_cancel_token(run.cancel.clone());
                             ctx.execute(chaos_plan(rows, panic_at, nap))
-                                .map(|r| r.single().map(|d| d.records().len()).unwrap_or(0))
+                                .map(|r| r.outputs.values().next().map_or(0, |d| d.records().len()))
                         })
                     })
                 })
@@ -151,7 +148,7 @@ proptest! {
                     .submit_job("steady", None, move |run| {
                         let ctx = ctx.with_cancel_token(run.cancel.clone());
                         ctx.execute(steady_plan())
-                            .map(|r| r.single().map(|d| d.records().to_vec()))
+                            .map(|r| r.outputs.values().next().map(|d| d.records().to_vec()))
                     })
                     .expect("steady admission")
                     .expect("steady execution")

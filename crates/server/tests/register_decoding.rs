@@ -67,8 +67,8 @@ fn assert_registers_what_the_rows_convert_to(frame: &[u8]) {
             assert!(table.data.has_chunk(), "a rectangular frame built rows");
             let chunk = table.data.chunk().expect("has a chunk");
             assert_eq!(
-                (chunk.rows(), chunk.width()),
-                (reference.rows(), reference.width())
+                (chunk.rows(), chunk.columns().len()),
+                (reference.rows(), reference.columns().len())
             );
             for (built, expected) in chunk.columns().iter().zip(reference.columns()) {
                 assert_eq!(layout(built), layout(expected));
@@ -114,7 +114,7 @@ proptest! {
         assert_registers_what_the_rows_convert_to(&register_frame(width, records.clone()));
         // Ragged: one row loses a field, or gains one.
         if rows > 1 {
-            let mut fields = records[rng.below(rows)].clone().into_fields();
+            let mut fields = records[rng.below(rows)].fields().to_vec();
             if fields.pop().is_none() {
                 fields.push(Value::Int(1));
             }

@@ -43,7 +43,7 @@ proptest! {
         let records = dirty_table(&mut rng, rows, width);
         let chunk = Chunk::from_records(&records).expect("rectangular");
         // `from_records` of no rows has no columns either.
-        let width = chunk.width();
+        let width = chunk.columns().len();
 
         // As built.
         let whole = Dataset::from_chunk(chunk.clone());
@@ -72,11 +72,11 @@ proptest! {
 #[test]
 fn rows_without_columns_and_columns_without_rows() {
     let no_columns = Chunk::from_records(&vec![Record::empty(); 3]).expect("rectangular");
-    assert_eq!((no_columns.rows(), no_columns.width()), (3, 0));
+    assert_eq!((no_columns.rows(), no_columns.columns().len()), (3, 0));
     assert_encodes_like_its_rows(&Dataset::from_chunk(no_columns), 0, ResultPath::Columnar);
     let records = vec![Record::new(vec![Value::Int(1), Value::str("x")])];
     let no_rows = Chunk::from_records(&records).unwrap().slice(1, 0);
-    assert_eq!((no_rows.rows(), no_rows.width()), (0, 2));
+    assert_eq!((no_rows.rows(), no_rows.columns().len()), (0, 2));
     assert_encodes_like_its_rows(&Dataset::from_chunk(no_rows), 2, ResultPath::Columnar);
 }
 

@@ -45,7 +45,7 @@ fn two_concurrent_sessions_query_independently_and_shutdown_is_clean() {
             let mut first: Option<Vec<Record>> = None;
             for _ in 0..3 {
                 let (schema, rows) = client.query(sql).expect("query");
-                assert_eq!(schema.width(), 2);
+                assert_eq!(schema.fields().len(), 2);
                 assert_eq!(rows.len(), 2, "east and west groups");
                 assert_eq!(rows[0].str(0).unwrap(), "east");
                 assert_eq!(rows[1].str(0).unwrap(), "west");

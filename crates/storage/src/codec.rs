@@ -10,8 +10,7 @@
 
 use std::sync::Arc;
 
-use rheem_core::data::{Record, Value};
-use rheem_core::error::{Result, RheemError};
+use rheem_core::{Record, Result, RheemError, Value};
 
 /// Field separator in the native format (ASCII unit separator).
 const FIELD_SEP: char = '\u{1f}';

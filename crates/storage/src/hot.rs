@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use parking_lot::Mutex;
-use rheem_core::data::Dataset;
+use rheem_core::Dataset;
 
 /// Cache hit/miss counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -5,27 +5,36 @@
 //! (l-store), a placement catalog binding ids to stores (p-store), and
 //! concrete storage platforms (x-store).
 //!
-//! * [`store`] — the storage platforms: in-memory and simulated HDFS
-//!   (block-based, replicated, latency-charged);
-//! * [`transform`] — Cartilage-style data transformation plans applied as
-//!   raw data is uploaded;
-//! * [`hot`] — a hot-data buffer keeping frequently read datasets in
-//!   memory;
-//! * [`service`] — [`StorageLayer`], which routes dataset ids to stores,
-//!   maintains the hot buffer, and implements the processing side's
-//!   `StorageService` trait;
-//! * [`codec`] — the native record serialization (also the MapReduce-like
-//!   platform's spill format).
+//! * the stores — [`Store`] with [`MemStore`] and the simulated HDFS
+//!   [`SimHdfsStore`] (block-based, replicated, latency-charged);
+//! * [`TransformationPlan`]s of [`TransformStep`]s — Cartilage-style data
+//!   transformation plans applied as raw data is uploaded;
+//! * a hot-data buffer keeping frequently read datasets in memory;
+//! * [`StorageLayer`], which routes dataset ids to stores, maintains the
+//!   hot buffer, and implements the processing side's `StorageService`
+//!   trait;
+//! * the native record codec ([`encode_batch`], [`decode_batch`]).
+//!
+//! ## Public surface
+//!
+//! **For applications:** [`StorageLayer`], the stores above with
+//! [`SimHdfsConfig`], and the transformation plans.
+//!
+//! **For platforms and engines:** the codec, which is also the
+//! MapReduce-like platform's spill format.
+//!
+//! **For tests:** [`StorageLayer::placement`], the p-store lookup the
+//! storage suite checks placements with.
 
 #![warn(missing_docs)]
 
-pub mod codec;
-pub mod hot;
-pub mod service;
-pub mod store;
-pub mod transform;
+mod codec;
+mod hot;
+mod service;
+mod store;
+mod transform;
 
-pub use hot::HotStats;
+pub use codec::{decode_batch, encode_batch};
 pub use service::StorageLayer;
 pub use store::{MemStore, SimHdfsConfig, SimHdfsStore, Store};
 pub use transform::{TransformStep, TransformationPlan};

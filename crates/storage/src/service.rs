@@ -9,17 +9,16 @@
 //!   data.
 //!
 //! [`StorageLayer`] owns the registered stores, the catalog and an optional
-//! hot-data buffer, so `StorageSource`/`WriteStorage` operators work
-//! against it whichever store holds a dataset.
+//! hot-data buffer, so the `StorageSource` operator and
+//! [`StorageService::write`] work against it whichever store holds a
+//! dataset.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use rheem_core::data::Dataset;
-use rheem_core::error::{Result, RheemError};
-use rheem_core::platform::StorageService;
+use rheem_core::{Dataset, Result, RheemError, StorageService};
 
 use crate::hot::{HotDataBuffer, HotStats};
 use crate::store::Store;

@@ -14,8 +14,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use rheem_core::data::Dataset;
-use rheem_core::error::{Result, RheemError};
+use rheem_core::{Dataset, Result, RheemError};
 
 use crate::codec;
 

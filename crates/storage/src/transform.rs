@@ -6,10 +6,8 @@
 //! system." A [`TransformationPlan`] is exactly that: an ordered list of
 //! [`TransformStep`]s applied between the raw input and the stored layout.
 
-use rheem_core::data::{Dataset, Record, Value};
-use rheem_core::error::{Result, RheemError};
-use rheem_core::kernels;
 use rheem_core::udf::{FilterUdf, KeyUdf, MapUdf};
+use rheem_core::{kernels, Dataset, Record, Result, RheemError, Value};
 
 use crate::codec;
 

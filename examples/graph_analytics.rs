@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use rheem::prelude::*;
-use rheem_datagen::graph::{disjoint_cycles, preferential_attachment};
+use rheem_datagen::{disjoint_cycles, preferential_attachment};
 use rheem_graph::{component_count, ConnectedComponents, PageRank};
 
 fn main() -> Result<(), RheemError> {
@@ -47,7 +47,7 @@ fn main() -> Result<(), RheemError> {
     );
 
     // Triangle counting.
-    let (triangles, result) = rheem_graph::triangles::count(&ctx, edges)?;
+    let (triangles, result) = rheem_graph::triangle_count(&ctx, edges)?;
     println!(
         "\ntriangles: {triangles} (counted in {:.1} simulated ms)",
         result.stats.total_simulated_ms()

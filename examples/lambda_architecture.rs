@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use rheem::prelude::*;
 use rheem::rec;
-use rheem_datagen::relational::sensor_readings;
+use rheem_datagen::sensor_readings;
 
 /// The shared aggregation template: per-sensor (count, sum of pressure).
 fn aggregate(b: &mut PlanBuilder, src: rheem_core::NodeId) -> rheem_core::NodeId {

@@ -23,8 +23,8 @@ use std::sync::Arc;
 
 use rheem::prelude::*;
 use rheem::rec;
-use rheem_core::platform::StorageService;
-use rheem_datagen::relational::{plausible_pressure, sensor_readings};
+use rheem_core::StorageService;
+use rheem_datagen::{plausible_pressure, sensor_readings};
 use rheem_ml::LinRegTrainer;
 use rheem_storage::{MemStore, SimHdfsConfig, SimHdfsStore};
 
@@ -67,7 +67,7 @@ fn main() -> Result<(), RheemError> {
     ctx.optimizer_mut().estimator.hint("wells", 24.0);
     // This deployment's engines share a fast interconnect: cheap movement
     // makes genuinely mixed plans attractive.
-    ctx.optimizer_mut().movement = rheem_core::cost::MovementCostModel::new(0.2, 2e-5);
+    ctx.optimizer_mut().movement = rheem_core::MovementCostModel::new(0.2, 2e-5);
 
     // The analytic task, written once against the abstraction.
     let mut b = PlanBuilder::new();

@@ -9,9 +9,9 @@
 use std::sync::Arc;
 
 use rheem::prelude::*;
-use rheem_core::data::DataType;
 use rheem_core::query::QueryCatalog;
-use rheem_datagen::relational::{customers, orders};
+use rheem_core::DataType;
+use rheem_datagen::{customers, orders};
 
 fn main() -> Result<(), RheemError> {
     let ctx = RheemContext::new()

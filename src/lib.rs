@@ -34,13 +34,14 @@ pub use rheem_core::rec;
 
 /// The names most programs need.
 pub mod prelude {
-    pub use rheem_core::data::{DataType, Dataset, Record, Schema, Value};
-    pub use rheem_core::plan::{PhysicalPlan, PlanBuilder};
     pub use rheem_core::query::QueryCatalog;
     pub use rheem_core::udf::{
         FilterUdf, FlatMapUdf, GroupMapUdf, KeyUdf, LoopCondUdf, MapUdf, ReduceUdf,
     };
-    pub use rheem_core::{JobResult, MultiPlatformOptimizer, Platform, RheemContext, RheemError};
+    pub use rheem_core::{
+        DataType, Dataset, JobResult, MultiPlatformOptimizer, PhysicalPlan, PlanBuilder, Platform,
+        Record, RheemContext, RheemError, Schema, Value,
+    };
     pub use rheem_platforms::{
         JavaPlatform, MapReduceLikePlatform, OverheadConfig, RelationalPlatform, SparkLikePlatform,
     };

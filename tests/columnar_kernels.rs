@@ -10,20 +10,18 @@
 //! settings, and drives a fused-pipeline plan through the executor at each
 //! of them. It also holds the join's direct-address probe to the row kernel
 //! across the 65 536-key range boundary, filters to it at every
-//! selectivity, and each typed expression loop to `scalar_bin`, operator by
-//! operator.
+//! selectivity, and each typed expression loop to the row map kernel,
+//! operator by operator.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use rheem::prelude::*;
-use rheem_core::data::{Chunk, Value};
-use rheem_core::expr::{scalar_bin, BinOp, Expr};
-use rheem_core::kernels::parallel::KernelParallelism;
 use rheem_core::kernels::{self, chunked, parallel};
-use rheem_core::optimizer::rewrites::apply_rewrites;
-use rheem_core::physical::{PhysicalOp, PipelineStage, StageKind};
-use rheem_core::{interpreter, ExecutionContext};
+use rheem_core::{
+    apply_rewrites, run_plan, BinOp, Chunk, ExecutionContext, Expr, KernelParallelism, PhysicalOp,
+    PipelineStage, StageKind, Value,
+};
 
 /// One dirty value: every `Value` variant, with the float edge cases
 /// (`NaN`, `-0.0`, infinities) and a deliberately narrow Int range so keys
@@ -77,6 +75,11 @@ fn int_keyed_batch_strategy() -> impl Strategy<Value = Vec<Record>> {
     })
 }
 
+/// `NOT (e IS NULL)`.
+fn not_null(e: Expr) -> Expr {
+    Expr::Not(Arc::new(Expr::IsNull(Arc::new(e))))
+}
+
 fn chunk_of(records: &[Record]) -> Chunk {
     Chunk::from_records(records).expect("rectangular batch")
 }
@@ -104,7 +107,7 @@ fn test_stages() -> Vec<PipelineStage> {
         PipelineStage {
             name: "keep".into(),
             kind: StageKind::Filter {
-                expr: Arc::new(Expr::field(0).is_null().not()),
+                expr: Arc::new(not_null(Expr::field(0))),
                 selectivity: 0.9,
             },
         },
@@ -113,7 +116,7 @@ fn test_stages() -> Vec<PipelineStage> {
             kind: StageKind::Map {
                 exprs: vec![
                     Expr::field(0).add(Expr::field(1)),
-                    Expr::field(0).lt(Expr::field(1)),
+                    Expr::field(0).bin(BinOp::Lt, Expr::field(1)),
                     Expr::field(0),
                 ]
                 .into(),
@@ -139,7 +142,7 @@ proptest! {
         let width = records.first().map(|r| r.width()).unwrap_or(1);
 
         // Filter: expression predicate vs the derived row closure.
-        let pred = Expr::field(0).lt(Expr::lit(1i64));
+        let pred = Expr::field(0).bin(BinOp::Lt, Expr::lit(1i64));
         let row_filter = FilterUdf::from_expr("p", pred.clone());
         prop_assert_eq!(
             chunked::filter(&chunk, &pred).to_records(),
@@ -149,8 +152,8 @@ proptest! {
         // Map: arithmetic + comparison + null probe, row vs vectorized.
         let exprs = vec![
             Expr::field(0).add(Expr::field(width - 1)),
-            Expr::field(0).le(Expr::field(width - 1)),
-            Expr::field(0).is_null(),
+            Expr::field(0).bin(BinOp::Le, Expr::field(width - 1)),
+            Expr::IsNull(Arc::new(Expr::field(0))),
         ];
         let row_map = MapUdf::from_exprs("m", exprs.clone());
         prop_assert_eq!(
@@ -247,7 +250,7 @@ fn fused_plan_matches_reference_at_every_budget() {
         let src = b.collection("s", data.clone());
         let f = b.filter(
             src,
-            FilterUdf::from_expr("keep", Expr::field(0).is_null().not()).with_selectivity(0.9),
+            FilterUdf::from_expr("keep", not_null(Expr::field(0))).with_selectivity(0.9),
         );
         let m = b.map(
             f,
@@ -266,7 +269,7 @@ fn fused_plan_matches_reference_at_every_budget() {
     };
 
     // Reference: the unfused plan on the sequential interpreter.
-    let reference: Vec<Vec<Record>> = interpreter::run_plan(&build(), &ExecutionContext::new())
+    let reference: Vec<Vec<Record>> = run_plan(&build(), &ExecutionContext::new())
         .unwrap()
         .into_values()
         .map(|d| d.records().to_vec())
@@ -280,8 +283,8 @@ fn fused_plan_matches_reference_at_every_budget() {
             .nodes()
             .iter()
             .any(|n| matches!(n.op, PhysicalOp::ChunkPipeline { .. })),
-        "expected a fused pipeline:\n{}",
-        fused.explain()
+        "expected a fused pipeline: {:?}",
+        fused.nodes()
     );
 
     for p in parallelism_settings() {
@@ -310,7 +313,7 @@ fn operators_report_the_path_they_took() {
     let src = b.collection("s", (0..200i64).map(|i| rheem::rec![i % 7, i]).collect());
     let kept = b.filter(
         src,
-        FilterUdf::from_expr("small", Expr::field(1).lt(Expr::lit(150i64))),
+        FilterUdf::from_expr("small", Expr::field(1).bin(BinOp::Lt, Expr::lit(150i64))),
     );
     let grouped = b.group_by(
         kept,
@@ -502,7 +505,7 @@ proptest! {
             prop_assert_eq!(chunked::filter(&chunk, pred).to_records(), expect);
         }
         let all = chunked::filter(&chunk, &cases[2].0);
-        let lane = |chunk: &Chunk, c: usize| chunk.column(c).unwrap().clone();
+        let lane = |chunk: &Chunk, c: usize| chunk.columns()[c].clone();
         prop_assert_eq!(
             lane(&all, 0).ints().unwrap().as_ptr(),
             lane(&chunk, 0).ints().unwrap().as_ptr()
@@ -546,7 +549,10 @@ fn selection_chains() -> Vec<Vec<PipelineStage>> {
         vec![cheap()],
         vec![
             cheap(),
-            map(vec![Expr::field(0), Expr::field(1).mul(Expr::lit(2i64))]),
+            map(vec![
+                Expr::field(0),
+                Expr::field(1).bin(BinOp::Mul, Expr::lit(2i64)),
+            ]),
         ],
         vec![
             map(vec![Expr::field(1), Expr::field(0).rem(Expr::lit(3i64))]),
@@ -554,10 +560,7 @@ fn selection_chains() -> Vec<Vec<PipelineStage>> {
             project(vec![0]),
         ],
         vec![cheap(), filter("flag", Expr::field(2)), project(vec![2, 0])],
-        vec![
-            project(vec![1, 0]),
-            filter("all", Expr::field(0).is_null().not()),
-        ],
+        vec![project(vec![1, 0]), filter("all", not_null(Expr::field(0)))],
         vec![map(vec![Expr::field(0).add(Expr::lit(1i64))])],
     ]
 }
@@ -616,20 +619,20 @@ fn an_all_pass_pipeline_shares_the_input_lanes() {
         let out = parallel::run_pipeline_chunk(&chunk, &stages, &p).unwrap();
         assert_eq!(out.rows(), records.len());
         assert_eq!(
-            out.column(0).unwrap().ints().unwrap().as_ptr(),
-            chunk.column(0).unwrap().ints().unwrap().as_ptr(),
+            out.columns()[0].ints().unwrap().as_ptr(),
+            chunk.columns()[0].ints().unwrap().as_ptr(),
             "{threads} threads copied the Int lane"
         );
         assert_eq!(
-            out.column(1).unwrap().floats().unwrap().as_ptr(),
-            chunk.column(1).unwrap().floats().unwrap().as_ptr(),
+            out.columns()[1].floats().unwrap().as_ptr(),
+            chunk.columns()[1].floats().unwrap().as_ptr(),
             "{threads} threads copied the Float lane"
         );
     }
 }
 
 // ---------------------------------------------------------------------------
-// Typed lanes vs scalar_bin
+// Typed lanes vs the row map kernel
 // ---------------------------------------------------------------------------
 
 /// One operand of a binary expression: a clean lane (one value per row) or
@@ -699,8 +702,9 @@ fn operands_strategy() -> impl Strategy<Value = (Side, Side)> {
     )
 }
 
-/// `op` over the operands through `eval_chunk` (the typed lanes) equals
-/// `scalar_bin` row by row, bit for bit.
+/// `op` over the operands through the chunk map kernel (the typed lanes)
+/// equals the row map kernel (the scalar operator) row by row, bit for
+/// bit.
 fn typed_lane_matches_scalar(op: BinOp, (left, right): &(Side, Side)) -> TestCaseResult {
     let rows = [left, right]
         .iter()
@@ -721,10 +725,12 @@ fn typed_lane_matches_scalar(op: BinOp, (left, right): &(Side, Side)) -> TestCas
         Side::Lit(v) => Expr::Lit(v.clone()),
     };
     let expr = operand(left, 0).bin(op, operand(right, 1));
-    let column = expr.eval_chunk(&chunk_of(&records));
-    for i in 0..rows {
+    let mapped = chunked::map(&chunk_of(&records), std::slice::from_ref(&expr));
+    let column = &mapped.columns()[0];
+    let rows_mapped = kernels::map(&records, &MapUdf::from_exprs("row", vec![expr.clone()]));
+    for (i, row) in rows_mapped.iter().enumerate() {
         let (a, b) = (value(left, i), value(right, i));
-        let (typed, scalar) = (column.value(i), scalar_bin(op, &a, &b));
+        let (typed, scalar) = (column.value(i), row.fields()[0].clone());
         // Rust leaves unspecified which input's payload an operation on two
         // NaNs returns (and the compiler may swap `+` or `*` operands), so
         // there both sides need only be NaN.
@@ -735,7 +741,7 @@ fn typed_lane_matches_scalar(op: BinOp, (left, right): &(Side, Side)) -> TestCas
         }
         prop_assert!(
             typed == scalar,
-            "{} at row {}: {:?} {:?} {:?} gave {:?}, scalar_bin {:?}",
+            "{} at row {}: {:?} {:?} {:?} gave {:?}, row kernel {:?}",
             expr,
             i,
             a,

@@ -104,7 +104,7 @@ fn iejoin_detection_runs_on_all_engines() {
 
 #[test]
 fn pagerank_ranks_agree_across_engines() {
-    let edges = rheem_datagen::graph::preferential_attachment(300, 2, 4);
+    let edges = rheem_datagen::preferential_attachment(300, 2, 4);
     let pr = PageRank::default().with_iterations(10);
     let (r_java, _) = pr.run(&java(), edges.clone()).unwrap();
     let (r_spark, _) = pr.run(&spark(), edges).unwrap();
@@ -117,7 +117,7 @@ fn pagerank_ranks_agree_across_engines() {
 
 #[test]
 fn connected_components_agree_across_engines() {
-    let edges = rheem_datagen::graph::disjoint_cycles(3, 8);
+    let edges = rheem_datagen::disjoint_cycles(3, 8);
     let cc = ConnectedComponents::default().with_iterations(10);
     let (l_java, _) = cc.run(&java(), edges.clone()).unwrap();
     let (l_spark, _) = cc.run(&spark(), edges).unwrap();

@@ -7,9 +7,9 @@
 use proptest::prelude::*;
 use rheem::prelude::*;
 use rheem::rec;
-use rheem_core::plan::NodeId;
 use rheem_core::{
     assignment_cost, enumerate_exhaustive, EnumerationConfig, EnumerationPath, ExecutionPlan,
+    NodeId,
 };
 use rheem_platforms::test_context;
 
@@ -241,7 +241,7 @@ proptest! {
         let exec = ctx.optimize(plan.clone()).expect("optimizes");
         let result = ctx.execute_plan(&exec).expect("executes");
         prop_assert_eq!(result.stats.enumeration_path, EnumerationPath::LatticeV2);
-        let reference = rheem_core::interpreter::run_plan(
+        let reference = rheem_core::run_plan(
             &plan,
             &rheem_core::ExecutionContext::new(),
         ).expect("reference runs");

@@ -13,10 +13,9 @@ use std::time::Duration;
 
 use rheem::prelude::*;
 use rheem::rec;
-use rheem_core::optimizer::enumerate::split_into_atoms;
 use rheem_core::{
-    BackoffPolicy, BreakerPolicy, ExecutionPlan, FailureInjector, FaultPolicy, InjectedKind,
-    JobResult, MetricsRegistry, NodeId, Observability, RheemError, VirtualSleeper,
+    split_into_atoms, BackoffPolicy, BreakerPolicy, ExecutionPlan, FailureInjector, FaultPolicy,
+    InjectedKind, JobResult, MetricsRegistry, NodeId, Observability, RheemError, VirtualSleeper,
 };
 use rheem_platforms::test_context;
 use testkit::budget;
@@ -253,7 +252,6 @@ fn permanent_errors_fail_fast_with_exactly_one_attempt() {
     let err = ctx.execute(tiny_plan()).unwrap_err();
 
     assert!(matches!(err, RheemError::InvalidPlan(_)), "{err}");
-    assert!(!err.is_retryable());
     // One failed attempt, no retry burned, the whole unused budget
     // suppressed, and no failover: permanent errors are not eligible.
     assert_eq!(fault_counters(observe.metrics()), [0, 1, 5, 0]);
@@ -295,10 +293,9 @@ fn breaker_opens_after_consecutive_failures_and_fails_fast_across_jobs() {
     // rejection is its one failure, and its whole budget is suppressed.
     let err = ctx.execute(tiny_plan()).unwrap_err();
     assert!(
-        matches!(err, RheemError::PlatformUnavailable { .. }),
+        matches!(&err, RheemError::PlatformUnavailable { platform, .. } if platform == "java"),
         "{err}"
     );
-    assert_eq!(err.platform(), Some("java"));
     assert_eq!(fault_counters(observe.metrics()), [2, 4, 18, 0]);
     assert_eq!(observe.metrics().counter_value("executor.jobs_failed"), 2);
 }
@@ -341,7 +338,10 @@ fn retry_backoff_is_seeded_exponential_on_the_virtual_clock() {
     let injector = Arc::new(FailureInjector::none());
     injector.fail_atom(0, 3);
     let sleeper = Arc::new(VirtualSleeper::new());
-    let backoff = BackoffPolicy::default().with_seed(99);
+    let backoff = BackoffPolicy {
+        seed: 99,
+        ..BackoffPolicy::default()
+    };
     let policy = FaultPolicy {
         backoff,
         breaker: BreakerPolicy {
@@ -503,7 +503,7 @@ proptest::proptest! {
     ) {
         let plan = prop_plan(shape, n, modulus, None);
         let mut opt_ctx = test_context();
-        opt_ctx.optimizer_mut().movement = rheem_core::cost::MovementCostModel::free();
+        opt_ctx.optimizer_mut().movement = rheem_core::MovementCostModel::free();
         let exec = opt_ctx.optimize(plan).unwrap();
         let baseline = test_context().execute_plan(&exec).unwrap();
 

@@ -73,7 +73,7 @@ fn golden_explain() {
 
 #[test]
 fn golden_explain_observed() {
-    use rheem_core::executor::{AtomStats, ExecutionStats};
+    use rheem_core::{AtomStats, ExecutionStats};
     use std::time::Duration;
 
     let ctx = test_context();
@@ -109,7 +109,7 @@ fn golden_explain_observed() {
 
 #[test]
 fn explain_observed_without_estimates_says_so() {
-    use rheem_core::optimizer::enumerate::split_into_atoms;
+    use rheem_core::split_into_atoms;
     use std::sync::Arc;
 
     let physical = golden_plan();
@@ -167,7 +167,7 @@ fn wide_golden_plan() -> PhysicalPlan {
 
 #[test]
 fn golden_explain_enumeration() {
-    use rheem_core::plan::EnumerationPath;
+    use rheem_core::EnumerationPath;
 
     let mut ctx = test_context();
     let optimizer = std::mem::take(ctx.optimizer_mut());

@@ -1,25 +1,24 @@
-//! Semantics of the vectorized hash engine (`rheem_core::kernels::hash`).
+//! Semantics of the vectorized hash engine, through the two hashes other
+//! crates see: the row routing hash (`kernels::key_hash`) and the
+//! column-wise one (`chunked::key_tuple_hashes`).
 //!
 //! Two contracts are fuzzed and stress-tested here. First, the
 //! hand-rolled hasher must agree with `Value` equality exactly: equal
 //! values hash equal, across every variant and every float edge class
 //! (`-0.0` vs `0.0`, distinct NaN payloads, dictionary vs inline
-//! strings). Second, the engine-backed kernels must stay byte-identical
-//! to their row twins even on *adversarial* keys — whole key sets crafted
-//! to land in one radix bucket, so partitioning degenerates and every
-//! probe chain piles onto the same table region — at every parallelism
-//! setting.
+//! strings), and a typed lane hashes as the row does. Second, the
+//! engine-backed kernels must stay byte-identical to their row twins even
+//! on *adversarial* keys — whole key sets crafted to land in one radix
+//! bucket, so partitioning degenerates and every probe chain piles onto
+//! the same table region — at every parallelism setting.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use rheem::prelude::*;
-use rheem_core::data::{Chunk, Value};
-use rheem_core::expr::Expr;
-use rheem_core::kernels::parallel::KernelParallelism;
-use rheem_core::kernels::{self, chunked, hash, parallel};
+use rheem_core::kernels::{self, chunked, hash_i64, parallel, radix_bucket};
 use rheem_core::udf::{AggFunc, Aggregate, GroupOutput};
-use rheem_core::{interpreter, ExecutionContext};
+use rheem_core::{run_plan, Chunk, ExecutionContext, Expr, KernelParallelism, Value};
 
 /// One dirty value: every variant, with the float edge cases the hasher
 /// must separate exactly as `Value` equality does.
@@ -46,7 +45,7 @@ fn value_strategy() -> impl Strategy<Value = Value> {
 /// bucket, and the other 63 stay empty.
 fn bucket0_keys(n: usize) -> Vec<i64> {
     let keys: Vec<i64> = (0i64..)
-        .filter(|&k| hash::radix_bucket(hash::hash_i64(k)) == 0)
+        .filter(|&k| radix_bucket(hash_i64(k)) == 0)
         .take(n)
         .collect();
     assert_eq!(keys.len(), n, "search space exhausted");
@@ -87,6 +86,20 @@ fn chunk_of(records: &[Record]) -> Chunk {
     Chunk::from_records(records).expect("rectangular batch")
 }
 
+/// The routing hash of a one-field record.
+fn row_hash(v: &Value) -> u64 {
+    kernels::key_hash(&KeyUdf::field(0), &Record::new(vec![v.clone()]))
+}
+
+/// The column-wise hash of row `row` of a one-column chunk of `column`.
+fn lane_hash(column: &[Value], row: usize) -> u64 {
+    let records: Vec<Record> = column
+        .iter()
+        .map(|v| Record::new(vec![v.clone()]))
+        .collect();
+    chunked::key_tuple_hashes(&chunk_of(&records), &[0])[row]
+}
+
 /// Sequential, tiny-morsel, and oversubscribed settings — every
 /// comparison must hold at all of them.
 fn parallelism_settings() -> Vec<KernelParallelism> {
@@ -110,22 +123,22 @@ proptest! {
     /// for every pair the dirty strategy can produce.
     #[test]
     fn prop_equal_values_hash_equal(a in value_strategy(), b in value_strategy()) {
-        prop_assert_eq!(hash::hash_value(&a), hash::hash_value(&a.clone()));
+        prop_assert_eq!(row_hash(&a), row_hash(&a.clone()));
         if a == b {
-            prop_assert_eq!(hash::hash_value(&a), hash::hash_value(&b));
+            prop_assert_eq!(row_hash(&a), row_hash(&b));
         }
     }
 
-    /// Each typed helper lane agrees with the generic `hash_value` on its
-    /// variant — the engine may hash an `i64` lane, a dictionary, or a
+    /// Each typed lane agrees with the row hash on its variant — the
+    /// engine may hash an `i64` lane, a `f64` lane, a dictionary, or a
     /// `Vec<Value>` for the same logical key and must get the same bits.
     #[test]
     fn prop_typed_lanes_agree_with_hash_value(k in any::<i64>(), bits in any::<u64>(), n in any::<u64>()) {
         let x = f64::from_bits(bits);
         let s = format!("{n:x}");
-        prop_assert_eq!(hash::hash_i64(k), hash::hash_value(&Value::Int(k)));
-        prop_assert_eq!(hash::hash_f64(x), hash::hash_value(&Value::Float(x)));
-        prop_assert_eq!(hash::hash_str(&s), hash::hash_value(&Value::from(s.clone())));
+        for v in [Value::Int(k), Value::Float(x), Value::from(s.clone())] {
+            prop_assert_eq!(lane_hash(&[v.clone(), v.clone()], 1), row_hash(&v));
+        }
     }
 }
 
@@ -135,16 +148,17 @@ proptest! {
 /// tagged bits, so the distinctions are exact, not probabilistic.
 #[test]
 fn float_key_classes_match_total_order_equality() {
-    assert_ne!(hash::hash_f64(-0.0), hash::hash_f64(0.0));
-    assert_eq!(hash::hash_f64(-0.0), hash::hash_f64(-0.0));
+    let float = |x: f64| row_hash(&Value::Float(x));
+    assert_ne!(float(-0.0), float(0.0));
+    assert_eq!(float(-0.0), float(-0.0));
 
     let nan_a = f64::NAN;
     let nan_b = f64::from_bits(f64::NAN.to_bits() ^ 1); // payload-tweaked NaN
     let nan_c = -f64::NAN; // sign-flipped NaN
     assert!(nan_b.is_nan() && nan_c.is_nan());
-    assert_eq!(hash::hash_f64(nan_a), hash::hash_f64(f64::NAN));
-    assert_ne!(hash::hash_f64(nan_a), hash::hash_f64(nan_b));
-    assert_ne!(hash::hash_f64(nan_a), hash::hash_f64(nan_c));
+    assert_eq!(float(nan_a), float(f64::NAN));
+    assert_ne!(float(nan_a), float(nan_b));
+    assert_ne!(float(nan_a), float(nan_c));
 
     // And the grouping kernel observes those classes: four float-key
     // classes stay four groups, byte-identical to the row kernel.
@@ -161,18 +175,15 @@ fn float_key_classes_match_total_order_equality() {
 
 /// A dictionary-encoded string column and inline `Value::Str` keys are
 /// the same keys to the engine: the dictionary hashes each distinct
-/// string once, and those hashes match `hash_value` on the inline value.
+/// string once, and those hashes match the row hash of the inline value.
 #[test]
 fn dict_and_inline_strings_hash_alike() {
     let records: Vec<Record> = (0..48)
         .map(|i| Record::new(vec![Value::from(format!("k{}", i % 5)), Value::Int(i)]))
         .collect();
-    for i in 0..5 {
-        let s = format!("k{i}");
-        assert_eq!(
-            hash::hash_str(&s),
-            hash::hash_value(&Value::from(s.clone()))
-        );
+    let lanes = chunked::key_tuple_hashes(&chunk_of(&records), &[0]);
+    for (r, lane) in records.iter().zip(lanes) {
+        assert_eq!(lane, kernels::key_hash(&KeyUdf::field(0), r));
     }
     // Grouping through the dictionary lane equals the row kernel, which
     // compares inline `Value::Str` keys.
@@ -183,24 +194,21 @@ fn dict_and_inline_strings_hash_alike() {
     );
 }
 
-/// Direct and radix-partitioned index builds induce the same partition
-/// of rows: slot numbering may differ, but every row maps to the same
-/// canonical first-row, and the distinct count agrees.
+/// Direct and radix-partitioned builds induce the same grouping: the
+/// morsel-parallel kernel folds its partial groups per radix bucket, the
+/// row kernel builds one direct table, and both give the same groups with
+/// the same members in the same order.
 #[test]
 fn forced_partition_paths_induce_identical_grouping() {
     // Mixed cardinality with collision pressure: 1500 rows, 300 keys.
-    let keys: Vec<i64> = (0..1500).map(|i| (i * 7) % 300).collect();
-    let hashes: Vec<u64> = keys.iter().map(|&k| hash::hash_i64(k)).collect();
-    let eq = |a: u32, b: u32| keys[a as usize] == keys[b as usize];
-    let direct = hash::build_index_with(&hashes, eq, false);
-    let radix = hash::build_index_with(&hashes, eq, true);
-    assert_eq!(direct.n_groups(), radix.n_groups());
-    for row in 0..keys.len() {
-        assert_eq!(
-            direct.first_row[direct.slot_of_row[row] as usize],
-            radix.first_row[radix.slot_of_row[row] as usize],
-            "row {row} maps to different canonical groups across paths"
-        );
+    let records: Vec<Record> = (0..1500i64)
+        .map(|i| Record::new(vec![Value::Int((i * 7) % 300), Value::Int(i)]))
+        .collect();
+    let key = KeyUdf::field(0);
+    let direct = kernels::hash_group(&records, &key);
+    assert_eq!(direct.len(), 300);
+    for p in parallelism_settings() {
+        assert_eq!(parallel::hash_group(&records, &key, &p), direct);
     }
 }
 
@@ -294,7 +302,7 @@ fn adversarial_keys_end_to_end_at_every_budget() {
         b.build().unwrap()
     };
 
-    let reference: Vec<Vec<Record>> = interpreter::run_plan(&build(), &ExecutionContext::new())
+    let reference: Vec<Vec<Record>> = run_plan(&build(), &ExecutionContext::new())
         .unwrap()
         .into_values()
         .map(|d| d.records().to_vec())

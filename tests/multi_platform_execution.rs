@@ -7,9 +7,7 @@ use std::time::Duration;
 
 use rheem::prelude::*;
 use rheem::rec;
-use rheem_core::optimizer::enumerate::split_into_atoms;
-use rheem_core::plan::NodeId;
-use rheem_core::{ExecutionPlan, FailureInjector, JobResult, RheemError};
+use rheem_core::{split_into_atoms, ExecutionPlan, FailureInjector, JobResult, NodeId, RheemError};
 use rheem_platforms::test_context;
 use testkit::budget;
 
@@ -49,7 +47,7 @@ fn optimizer_splits_plans_across_platforms_when_profitable() {
     // Force the situation by making movement cheap and the relational
     // engine drastically better at the aggregation.
     let mut ctx = test_context();
-    ctx.optimizer_mut().movement = rheem_core::cost::MovementCostModel::free();
+    ctx.optimizer_mut().movement = rheem_core::MovementCostModel::free();
     let exec = ctx.optimize(mixed_plan(100_000)).unwrap();
     let platforms: std::collections::HashSet<&str> =
         exec.assignments.iter().map(String::as_str).collect();
@@ -71,7 +69,7 @@ fn optimizer_splits_plans_across_platforms_when_profitable() {
     // And it runs correctly end to end.
     let result = ctx.execute_plan(&exec).unwrap();
     assert!(result.stats.platforms_used().len() >= 2);
-    let out = result.single().unwrap();
+    let out = result.outputs.values().next().unwrap();
     assert_eq!(out.len(), 50);
     // 0.9^5 decay applied to each aggregate.
     let first = out
@@ -91,7 +89,7 @@ fn movement_costs_steer_the_optimizer_away_from_switching() {
     // With free movement the optimizer splits (previous test); with
     // punitive movement pricing it must consolidate.
     let mut ctx = test_context();
-    ctx.optimizer_mut().movement = rheem_core::cost::MovementCostModel::new(1e9, 1e9);
+    ctx.optimizer_mut().movement = rheem_core::MovementCostModel::new(1e9, 1e9);
     let exec = ctx.optimize(mixed_plan(100_000)).unwrap();
     let platforms: std::collections::HashSet<&str> =
         exec.assignments.iter().map(String::as_str).collect();
@@ -118,7 +116,7 @@ fn executor_retries_injected_failures_and_records_them() {
     assert_eq!(result.stats.retries, 2);
     assert_eq!(result.stats.atoms[0].attempts, 3);
     assert_eq!(
-        rheem_core::interpreter::read_count(result.single().unwrap()).unwrap(),
+        rheem_core::read_count(result.outputs.values().next().unwrap()).unwrap(),
         10
     );
 }
@@ -502,7 +500,7 @@ proptest::proptest! {
         };
 
         let mut ctx = test_context();
-        ctx.optimizer_mut().movement = rheem_core::cost::MovementCostModel::free();
+        ctx.optimizer_mut().movement = rheem_core::MovementCostModel::free();
         let exec = ctx.optimize(build(shape)).unwrap();
 
         let at = |threads| {

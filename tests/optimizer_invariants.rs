@@ -5,13 +5,12 @@
 //! order with same-platform nodes per atom, and (d) execute to the same
 //! bag of records as the reference interpreter.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 use rheem::prelude::*;
 use rheem::rec;
-use rheem_core::plan::{NodeId, PhysicalPlan};
-use rheem_core::ExecutionPlan;
+use rheem_core::{ExecutionPlan, NodeId, PhysicalPlan};
 use rheem_platforms::test_context;
 
 /// Operations of the random plan generator. Unary ops apply to the newest
@@ -126,8 +125,10 @@ fn check_invariants(exec: &ExecutionPlan, ctx: &RheemContext) {
         let name = &exec.assignments[node.id.0];
         let platform = ctx
             .platforms()
-            .get(name)
-            .unwrap_or_else(|_| panic!("assignment to unregistered platform {name}"));
+            .all()
+            .iter()
+            .find(|p| p.name() == name)
+            .unwrap_or_else(|| panic!("assignment to unregistered platform {name}"));
         assert!(
             platform.supports(&node.op),
             "platform {name} does not support {}",
@@ -145,7 +146,11 @@ fn check_invariants(exec: &ExecutionPlan, ctx: &RheemContext) {
     assert_eq!(seen.len(), plan.len(), "atoms must cover every node");
 
     // (c) Same platform within an atom; schedule order respects deps.
-    let atom_of = exec.atom_of();
+    let atom_of: HashMap<NodeId, usize> = exec
+        .atoms
+        .iter()
+        .flat_map(|a| a.nodes.iter().map(move |&n| (n, a.id)))
+        .collect();
     for atom in &exec.atoms {
         for &n in &atom.nodes {
             assert_eq!(exec.assignments[n.0], atom.platform);
@@ -183,13 +188,13 @@ proptest! {
         check_invariants(&exec, &ctx);
 
         // Execution agrees with the reference interpreter (bag semantics).
-        let reference = rheem_core::interpreter::run_plan(
+        let reference = rheem_core::run_plan(
             &plan,
             &rheem_core::ExecutionContext::new(),
         )
         .expect("reference runs");
         let result = ctx.execute_plan(&exec).expect("executes");
-        let norm = |outs: std::collections::HashMap<NodeId, Dataset>| {
+        let norm = |outs: HashMap<NodeId, Dataset>| {
             let mut bags: Vec<Vec<Record>> = outs
                 .into_values()
                 .map(|d| {
@@ -213,7 +218,7 @@ proptest! {
         let free_result = free.execute(plan.clone()).expect("free choice runs");
         let forced = test_context().force_platform("sparklike");
         let forced_result = forced.execute(plan).expect("forced runs");
-        let norm = |outs: std::collections::HashMap<NodeId, Dataset>| {
+        let norm = |outs: HashMap<NodeId, Dataset>| {
             let mut bags: Vec<Vec<Record>> = outs
                 .into_values()
                 .map(|d| {

@@ -12,9 +12,11 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rheem_core::plan::{PhysicalPlan, PlanBuilder};
 use rheem_core::udf::{FilterUdf, MapUdf};
-use rheem_core::{Expr, JobResult, Observability, PlanCache, PlanCacheConfig, Record, Value};
+use rheem_core::{
+    Expr, JobResult, Observability, PhysicalPlan, PlanBuilder, PlanCache, PlanCacheConfig, Record,
+    Value,
+};
 use rheem_platforms::test_context;
 
 /// Canonical byte encoding of job outputs: sink ids ascending, then per

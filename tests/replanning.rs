@@ -14,9 +14,9 @@ use std::time::Duration;
 use proptest::prelude::*;
 use rheem::prelude::*;
 use rheem::rec;
-use rheem_core::optimizer::enumerate::split_into_atoms;
-use rheem_core::plan::NodeId;
-use rheem_core::{ExecutionPlan, JobResult, NodeEstimate, Observability, ReplanPolicy};
+use rheem_core::{
+    split_into_atoms, ExecutionPlan, JobResult, NodeEstimate, NodeId, Observability, ReplanPolicy,
+};
 use rheem_platforms::test_context;
 use testkit::work;
 
@@ -235,7 +235,7 @@ impl Platform for SluggishJava {
     fn supports(&self, op: &rheem_core::PhysicalOp) -> bool {
         self.inner.supports(op)
     }
-    fn cost_model(&self) -> Arc<dyn rheem_core::cost::PlatformCostModel> {
+    fn cost_model(&self) -> Arc<dyn rheem_core::PlatformCostModel> {
         self.inner.cost_model()
     }
     fn execute_atom(

@@ -25,9 +25,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use rheem::prelude::*;
-use rheem_core::data::Chunk;
-use rheem_core::physical::PhysicalOp;
-use rheem_core::{KernelParallelism, PlanCache, PlanCacheConfig};
+use rheem_core::{Chunk, KernelParallelism, PhysicalOp, PlanCache, PlanCacheConfig};
 use rheem_server::protocol::Response;
 use rheem_server::{Client, RheemServer, ServerConfig};
 use testkit::{budget, Rng};
@@ -480,7 +478,7 @@ fn ragged_twin(rows: Vec<Record>) -> Vec<Record> {
     let twin: Vec<Record> = rows
         .into_iter()
         .map(|row| {
-            let mut fields = row.into_fields();
+            let mut fields = row.fields().to_vec();
             while fields.last() == Some(&N) {
                 fields.pop();
             }

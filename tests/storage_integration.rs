@@ -1,14 +1,15 @@
-//! Processing ↔ storage integration (paper §6): plans read and write
-//! through the storage abstraction, the placement catalog decides which
-//! store serves an id, Cartilage plans shape layouts, and hot buffers
-//! absorb repeated access — all through the same `StorageSource`/
-//! `WriteStorage` operators regardless of which store holds the data.
+//! Processing ↔ storage integration (paper §6): plans read through the
+//! storage abstraction and results are written back by id, the placement
+//! catalog decides which store serves an id, Cartilage plans shape layouts,
+//! and hot buffers absorb repeated access — all through the same
+//! `StorageSource` operator and `StorageService::write` regardless of
+//! which store holds the data.
 
 use std::sync::Arc;
 
 use rheem::prelude::*;
 use rheem::rec;
-use rheem_core::platform::StorageService;
+use rheem_core::StorageService;
 use rheem_storage::{MemStore, SimHdfsConfig, SimHdfsStore, TransformStep, TransformationPlan};
 
 fn layer() -> Arc<StorageLayer> {
@@ -36,7 +37,7 @@ fn count_of(ctx: &RheemContext, dataset_id: &str) -> i64 {
     let src = b.storage_source(dataset_id);
     let sink = b.count(src);
     let result = ctx.execute(b.build().unwrap()).unwrap();
-    rheem_core::interpreter::read_count(&result.outputs[&sink]).unwrap()
+    rheem_core::read_count(&result.outputs[&sink]).unwrap()
 }
 
 #[test]
@@ -53,13 +54,15 @@ fn plans_read_and_write_across_stores() {
         .write("input", &Dataset::new(input))
         .unwrap();
 
-    // Process it and write the result back; the derived dataset lands on
-    // the default store (mem) because it is not placed.
+    // Process it and write the result back through the l-store; the
+    // derived dataset lands on the default store (mem) because it is not
+    // placed.
     let mut b = PlanBuilder::new();
     let src = b.storage_source("input");
     let f = b.filter(src, FilterUdf::new("even", |r| r.int(0).unwrap() % 2 == 0));
-    b.write_storage(f, "derived");
-    ctx.execute(b.build().unwrap()).unwrap();
+    let sink = b.collect(f);
+    let result = ctx.execute(b.build().unwrap()).unwrap();
+    StorageService::write(storage.as_ref(), "derived", &result.outputs[&sink]).unwrap();
 
     assert_eq!(storage.placement("derived"), "mem");
     assert_eq!(
