@@ -151,6 +151,12 @@ cargo test --workspace -q --release
 echo "==> fault-injection stress pass (PROPTEST_CASES=64)"
 PROPTEST_CASES=64 cargo test -q --release --test fault_tolerance
 
+# The same for the SQL oracle: more generated statements over dirty tables,
+# each also run over a copy of its table with unread columns ahead of the
+# read ones, which moves every lane a scan binds.
+echo "==> SQL oracle stress pass (PROPTEST_CASES=256)"
+PROPTEST_CASES=256 cargo test -q --release --test sql_lowering
+
 # The committed kernel-ablation numbers must carry the columnar join and
 # hash-aggregate entries, the served filter and join shapes, and the
 # timer-resolution honesty flag (sub-resolution timings are flagged, never

@@ -32,6 +32,36 @@ struct TableDef {
     data: Dataset,
 }
 
+impl TableDef {
+    /// The table narrowed to `lanes` (ascending, deduplicated): a zero-copy
+    /// window of its chunk over exactly those lanes, with the matching
+    /// schema. The whole table when `lanes` is every lane, or when the table
+    /// has no columnar layout as wide as its schema — a ragged table has no
+    /// chunk, an empty one a chunk of no columns.
+    fn window(&self, lanes: &[usize]) -> TableDef {
+        if lanes.len() == self.schema.width() {
+            return self.clone();
+        }
+        match self.data.chunk() {
+            Some(chunk) if chunk.width() == self.schema.width() => {
+                let fields = self.schema.fields();
+                TableDef {
+                    schema: Schema::new(
+                        lanes
+                            .iter()
+                            .map(|&i| (fields[i].name.clone(), fields[i].dtype))
+                            .collect(),
+                    ),
+                    data: Dataset::from_chunk(
+                        chunk.project(lanes).expect("the lanes are the schema's"),
+                    ),
+                }
+            }
+            _ => self.clone(),
+        }
+    }
+}
+
 /// The set of tables a query may reference.
 #[derive(Clone, Default)]
 pub struct QueryCatalog {
@@ -283,51 +313,48 @@ fn infer_type(expr: &Expr, binding: &RowBinding) -> DataType {
 // ---------------------------------------------------------------------------
 
 fn plan_query(catalog: &QueryCatalog, query: &Query) -> Result<PlannedQuery> {
-    let from_def = catalog.table(&query.from)?;
-    let mut b = LogicalPlanBuilder::new();
-
-    let source_payload = |def: &TableDef, name: &str| LogicalPayload::Source {
-        name: name.to_string(),
-        data: def.data.clone(),
+    let mut from_def = catalog.table(&query.from)?.clone();
+    let mut join = match &query.join {
+        Some(clause) => Some((clause, catalog.table(&clause.table)?.clone())),
+        None => None,
     };
 
-    let from_node = b.add(
-        format!("scan-{}", query.from),
-        source_payload(from_def, &query.from),
-        vec![],
+    // Bind each scan to the lanes the statement reads; every clause below
+    // resolves against the narrowed tables.
+    let lanes = read_sets(
+        query,
+        &RowBinding::from_table(&query.from, &from_def.schema),
+        join.as_ref()
+            .map(|(clause, def)| RowBinding::from_table(&clause.table, &def.schema))
+            .as_ref(),
     );
+    if let Some((from_lanes, right_lanes)) = lanes {
+        from_def = from_def.window(&from_lanes);
+        if let Some((_, def)) = &mut join {
+            *def = def.window(&right_lanes);
+        }
+    }
+
+    let mut b = LogicalPlanBuilder::new();
+    let mut scan = |name: &str, def: &TableDef| {
+        b.add(
+            format!("scan-{name}"),
+            LogicalPayload::Source {
+                name: name.to_string(),
+                data: def.data.clone(),
+            },
+            vec![],
+        )
+    };
+    let from_node = scan(&query.from, &from_def);
     let from_binding = RowBinding::from_table(&query.from, &from_def.schema);
 
-    // JOIN: resolve each key against the side it belongs to (accepting
-    // either order in the ON clause).
-    let (mut node, binding) = match &query.join {
+    let (mut node, binding) = match &join {
         None => (from_node, from_binding),
-        Some(join) => {
-            let right_def = catalog.table(&join.table)?;
-            let right_node = b.add(
-                format!("scan-{}", join.table),
-                source_payload(right_def, &join.table),
-                vec![],
-            );
-            let right_binding = RowBinding::from_table(&join.table, &right_def.schema);
-            let (lk, rk) = match (
-                from_binding.resolve(&join.left),
-                right_binding.resolve(&join.right),
-            ) {
-                (Ok(l), Ok(r)) => (l, r),
-                _ => {
-                    // Try the reversed orientation.
-                    let l = from_binding.resolve(&join.right).map_err(|_| {
-                        RheemError::Query(format!(
-                            "join keys `{}` / `{}` do not match the joined tables",
-                            render_col(&join.left),
-                            render_col(&join.right)
-                        ))
-                    })?;
-                    let r = right_binding.resolve(&join.left)?;
-                    (l, r)
-                }
-            };
+        Some((clause, right_def)) => {
+            let right_node = scan(&clause.table, right_def);
+            let right_binding = RowBinding::from_table(&clause.table, &right_def.schema);
+            let (lk, rk) = join_keys(clause, &from_binding, &right_binding)?;
             let joined = b.add(
                 "join",
                 LogicalPayload::Join {
@@ -404,6 +431,87 @@ fn plan_query(catalog: &QueryCatalog, query: &Query) -> Result<PlannedQuery> {
         schema: out_schema,
         sink: NodeId(sink.0),
     })
+}
+
+/// JOIN: resolve each key against the side it belongs to (accepting either
+/// order in the ON clause).
+fn join_keys(join: &JoinClause, left: &RowBinding, right: &RowBinding) -> Result<(usize, usize)> {
+    if let (Ok(l), Ok(r)) = (left.resolve(&join.left), right.resolve(&join.right)) {
+        return Ok((l, r));
+    }
+    // Try the reversed orientation.
+    let l = left.resolve(&join.right).map_err(|_| {
+        RheemError::Query(format!(
+            "join keys `{}` / `{}` do not match the joined tables",
+            render_col(&join.left),
+            render_col(&join.right)
+        ))
+    })?;
+    let r = right.resolve(&join.left)?;
+    Ok((l, r))
+}
+
+/// The lanes of the FROM table and of the JOIN table (empty without one)
+/// that the statement reads, ascending: every column a SELECT item, an
+/// aggregate argument, a JOIN key, WHERE or GROUP BY names. HAVING and
+/// ORDER BY name output columns. `None` binds both tables whole: for
+/// `SELECT *`, and when a name does not resolve, so the planner reports it
+/// as it would have.
+fn read_sets(
+    query: &Query,
+    from: &RowBinding,
+    right: Option<&RowBinding>,
+) -> Option<(Vec<usize>, Vec<usize>)> {
+    let mut names: Vec<&ColumnRef> = query.group_by.iter().collect();
+    for item in &query.select {
+        match &item.expr {
+            SelectExpr::Star => return None,
+            SelectExpr::Expr(e) | SelectExpr::Agg(_, Some(e)) => columns_of(e, &mut names),
+            SelectExpr::Agg(_, None) => {}
+        }
+    }
+    if let Some(filter) = &query.filter {
+        columns_of(filter, &mut names);
+    }
+
+    let mut from_lanes = Vec::new();
+    let mut right_lanes = Vec::new();
+    let joined;
+    let binding = match (&query.join, right) {
+        (Some(join), Some(right)) => {
+            let (l, r) = join_keys(join, from, right).ok()?;
+            from_lanes.push(l);
+            right_lanes.push(r);
+            joined = RowBinding::joined(from, right);
+            &joined
+        }
+        _ => from,
+    };
+    let width = from.fields.len();
+    for name in names {
+        match binding.resolve(name).ok()? {
+            i if i < width => from_lanes.push(i),
+            i => right_lanes.push(i - width),
+        }
+    }
+    for lanes in [&mut from_lanes, &mut right_lanes] {
+        lanes.sort_unstable();
+        lanes.dedup();
+    }
+    Some((from_lanes, right_lanes))
+}
+
+/// Push every column `e` names onto `out`.
+fn columns_of<'a>(e: &'a Expr, out: &mut Vec<&'a ColumnRef>) {
+    match e {
+        Expr::Column(c) => out.push(c),
+        Expr::Literal(_) => {}
+        Expr::Cmp(l, _, r) | Expr::Arith(l, _, r) | Expr::And(l, r) | Expr::Or(l, r) => {
+            columns_of(l, out);
+            columns_of(r, out);
+        }
+        Expr::Not(e) | Expr::Neg(e) => columns_of(e, out),
+    }
 }
 
 /// Output column name for an item (alias > column name > function name),

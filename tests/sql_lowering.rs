@@ -2,7 +2,7 @@
 //!
 //! The planner hands the core declarative forms only — `Expr` predicates and
 //! projections, field-tuple keys, aggregate specs — and the executor runs
-//! them on chunks. SQL's semantics are the contract; three layers of tests
+//! them on chunks. SQL's semantics are the contract; four layers of tests
 //! hold the engine to it:
 //!
 //! * **(a)** a literal table of expected rows pinning every semantic trap:
@@ -15,17 +15,21 @@
 //!   result however they run: row-at-a-time through the UDFs' derived
 //!   closures, on each platform forced, through the full optimizer at
 //!   thread budgets 1 and 4, at kernel parallelism 1 and N, with the plan cache
-//!   cold and hit, within and past the enumerator's budget, and through
-//!   the wire codec;
+//!   cold and hit, within and past the enumerator's budget, through the
+//!   wire codec, and over a copy of the table with unread columns ahead of
+//!   the read ones;
 //! * **(c)** `Float` `SUM` / `AVG` over 0.1-step data — where addition is
 //!   not associative — are bit-identical across all of those, because every
-//!   group folds in row order wherever it runs.
+//!   group folds in row order wherever it runs;
+//! * **(d)** each scan binds exactly the lanes its statement reads, as the
+//!   catalog's own lanes, however its table was registered.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use rheem::prelude::*;
-use rheem_core::{Chunk, KernelParallelism, PhysicalOp, PlanCache, PlanCacheConfig};
+use rheem_core::logical::LogicalPayload;
+use rheem_core::{Chunk, Column, KernelParallelism, PhysicalOp, PlanCache, PlanCacheConfig};
 use rheem_server::protocol::Response;
 use rheem_server::{Client, RheemServer, ServerConfig};
 use testkit::{budget, Rng};
@@ -111,11 +115,20 @@ fn o_schema() -> Schema {
     Schema::new(vec![("k", DataType::Str), ("v", DataType::Int)])
 }
 
+/// `r(k, v)`: `o` with its trailing NULL cut off, so it has no columnar
+/// layout wherever it is registered.
+fn trap_r() -> Vec<Record> {
+    ragged_twin(trap_o())
+}
+
+/// The trap tables, plus `e(k, v)`, which has no rows, and the ragged `r`.
 fn catalog_of(t: Vec<Record>, d: Vec<Record>) -> QueryCatalog {
     let mut catalog = QueryCatalog::new();
     catalog.register("t", t_schema(), t);
     catalog.register("d", d_schema(), d);
     catalog.register("o", o_schema(), trap_o());
+    catalog.register("e", o_schema(), Vec::new());
+    catalog.register("r", o_schema(), trap_r());
     catalog
 }
 
@@ -419,7 +432,98 @@ fn traps() -> Vec<(&'static str, Vec<Vec<Value>>)> {
             "SELECT x, g FROM t ORDER BY g DESC LIMIT 2",
             vec![vec![N, i(2)], vec![i(40), i(2)]],
         ),
+        // A scan binds only the columns the statement names; what it does
+        // not bind must not change an answer. No column at all still
+        // counts every row.
+        ("SELECT COUNT(*) AS n FROM t", vec![vec![i(7)]]),
+        // `x` is read by WHERE alone, `g` by GROUP BY alone.
+        (
+            "SELECT k, g FROM t WHERE x > 35",
+            vec![vec![N, i(2)], vec![s("b"), N], vec![s("a"), i(2)]],
+        ),
+        ("SELECT COUNT(*) AS n FROM t WHERE x > 35", vec![vec![i(3)]]),
+        (
+            "SELECT COUNT(*) AS n FROM t GROUP BY g",
+            vec![vec![i(1)], vec![i(3)], vec![i(3)]],
+        ),
+        // Both `k`s are read by the join keys alone.
+        (
+            "SELECT w FROM t JOIN d ON t.k = d.k ORDER BY w",
+            vec![
+                vec![i(100)],
+                vec![i(100)],
+                vec![i(100)],
+                vec![i(200)],
+                vec![i(300)],
+                vec![i(300)],
+                vec![i(400)],
+                vec![i(400)],
+                vec![i(400)],
+            ],
+        ),
+        // The ON clause names the joined table first.
+        (
+            "SELECT COUNT(*) AS n, SUM(x) AS sx, SUM(w) AS sw FROM t JOIN d ON d.k = t.k",
+            vec![vec![i(9), i(290), i(2300)]],
+        ),
+        (
+            "SELECT d.k, SUM(x) AS sx FROM t JOIN d ON d.k = t.k GROUP BY d.k",
+            vec![vec![N, i(40)], vec![s("a"), i(200)], vec![s("b"), i(50)]],
+        ),
+        // `*` over a join is every column of both sides, left first.
+        (
+            "SELECT * FROM o JOIN d ON o.k = d.k ORDER BY w",
+            vec![
+                vec![s("a"), i(i64::MAX), s("a"), i(100)],
+                vec![s("a"), i(1), s("a"), i(100)],
+                vec![s("b"), N, s("b"), i(300)],
+                vec![s("b"), i(5), s("b"), i(300)],
+                vec![s("a"), i(i64::MAX), s("a"), i(400)],
+                vec![s("a"), i(1), s("a"), i(400)],
+            ],
+        ),
+        // A table with no rows, and a ragged one (a missing field is NULL).
+        (
+            "SELECT COUNT(*) AS n, SUM(v) AS s FROM e",
+            vec![vec![i(0), N]],
+        ),
+        ("SELECT COUNT(*) AS n FROM e WHERE v > 0", vec![vec![i(0)]]),
+        ("SELECT COUNT(*) AS n FROM r", vec![vec![i(4)]]),
+        (
+            "SELECT SUM(v) AS s FROM r WHERE v > 1",
+            vec![vec![i(i64::MIN + 4)]],
+        ),
     ]
+}
+
+/// A statement whose names do not resolve reports the error it always did,
+/// whichever columns its scans would have bound.
+#[test]
+fn name_errors_read_as_they_did() {
+    let catalog = catalog_of(trap_t(), trap_d());
+    for (sql, error) in [
+        (
+            "SELECT k FROM t JOIN d ON t.k = d.k",
+            "query error: ambiguous column `k` (qualify it with a table name)",
+        ),
+        (
+            "SELECT w FROM t JOIN d ON t.k = d.k WHERE k = 'a'",
+            "query error: ambiguous column `k` (qualify it with a table name)",
+        ),
+        (
+            "SELECT k FROM t WHERE nope > 1",
+            "query error: unknown column `nope`",
+        ),
+        (
+            "SELECT x FROM t JOIN d ON t.k = d.nope",
+            "query error: join keys `t.k` / `d.nope` do not match the joined tables",
+        ),
+    ] {
+        match catalog.plan(sql) {
+            Ok(_) => panic!("`{sql}` planned"),
+            Err(e) => assert_eq!(e.to_string(), error, "`{sql}`"),
+        }
+    }
 }
 
 fn records(rows: Vec<Vec<Value>>) -> Vec<Record> {
@@ -461,6 +565,12 @@ fn every_semantic_trap_answers_its_pinned_rows_over_the_wire() {
     client
         .register("o", o_schema(), trap_o())
         .expect("o registers");
+    client
+        .register("e", o_schema(), Vec::new())
+        .expect("e registers");
+    client
+        .register("r", o_schema(), trap_r())
+        .expect("r registers");
     for (sql, expected) in traps() {
         let (_, rows) = client.query(sql).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
         // Only statements with a total order pin row order across
@@ -881,11 +991,48 @@ proptest! {
     #[test]
     fn generated_queries_give_one_result_however_they_run(seed in any::<u64>()) {
         let mut rng = Rng(seed);
-        let catalog = catalog_of(dirty_t(&mut rng), trap_d());
+        let t = dirty_t(&mut rng);
+        let catalog = catalog_of(t.clone(), trap_d());
+        let padded = catalog_with_padded_t(t);
         for _ in 0..3 {
-            assert_one_result(&catalog, &statement(&mut rng));
+            let statement = statement(&mut rng);
+            assert_one_result(&catalog, &statement);
+            assert_eq!(
+                sorted(run(&padded, &java(), &statement.sql)),
+                sorted(run(&catalog, &java(), &statement.sql)),
+                "unread columns ahead of `t`'s change `{}`",
+                statement.sql
+            );
         }
     }
+}
+
+/// The catalog with two columns no generated statement names placed ahead
+/// of `t`'s own, so every column a statement reads sits at another index
+/// than in `t` — a scan that binds the wrong lanes changes the answer.
+fn catalog_with_padded_t(t: Vec<Record>) -> QueryCatalog {
+    let mut fields = vec![
+        ("u0".to_string(), DataType::Int),
+        ("u1".to_string(), DataType::Str),
+    ];
+    fields.extend(
+        t_schema()
+            .fields()
+            .iter()
+            .map(|field| (field.name.clone(), field.dtype)),
+    );
+    let rows = t
+        .into_iter()
+        .enumerate()
+        .map(|(n, row)| {
+            let mut padded = vec![i(n as i64 * 1_000 + 7), s("pad")];
+            padded.extend_from_slice(row.fields());
+            Record::new(padded)
+        })
+        .collect();
+    let mut catalog = catalog_of(Vec::new(), trap_d());
+    catalog.register("t", Schema::new(fields), rows);
+    catalog
 }
 
 // ---------------------------------------------------------------------------
@@ -942,4 +1089,190 @@ fn float_sums_over_tenth_steps_are_bit_identical_everywhere() {
         "SELECT SUM(f) AS total FROM t",
     );
     assert_eq!(total, vec![Record::new(vec![f(forward)])]);
+}
+
+// ---------------------------------------------------------------------------
+// (d) a scan binds the lanes its statement reads, and copies none
+// ---------------------------------------------------------------------------
+
+/// The benchmark's seven statements over its two tables, each with the
+/// lanes of `orders` (`region, amount, price, cust`) and of `customers`
+/// (`id, seg`) it reads.
+const BENCHMARK_SHAPED: [(&str, &[usize], &[usize]); 7] = [
+    (
+        "SELECT region, SUM(amount) AS total, COUNT(*) AS n FROM orders \
+         GROUP BY region ORDER BY region",
+        &[0, 1],
+        &[],
+    ),
+    (
+        "SELECT cust, SUM(price) AS spend FROM orders GROUP BY cust ORDER BY cust LIMIT 10",
+        &[2, 3],
+        &[],
+    ),
+    (
+        "SELECT AVG(price) AS avg_price, COUNT(*) AS n FROM orders WHERE price < 500",
+        &[2],
+        &[],
+    ),
+    (
+        "SELECT seg, COUNT(*) AS n, SUM(amount) AS total FROM orders \
+         JOIN customers ON orders.cust = customers.id GROUP BY seg ORDER BY seg",
+        &[1, 3],
+        &[0, 1],
+    ),
+    (
+        "SELECT region, amount, price FROM orders WHERE price > 900 \
+         ORDER BY amount LIMIT 25",
+        &[0, 1, 2],
+        &[],
+    ),
+    (
+        "SELECT region, amount, price FROM orders WHERE price > -1",
+        &[0, 1, 2],
+        &[],
+    ),
+    ("SELECT amount, cust FROM orders", &[1, 3], &[]),
+];
+
+fn benchmark_tables() -> (Schema, Vec<Record>, Schema, Vec<Record>) {
+    let regions = ["east", "north", "south", "west", "centre"];
+    let orders = (0..500i64)
+        .map(|n| {
+            rheem::rec![
+                regions[(n * 7 % 5) as usize],
+                n,
+                (n * 13 % 4_000) as f64 * 0.25,
+                n * 31 % 100
+            ]
+        })
+        .collect();
+    let segments = ["consumer", "corporate", "public", "smb"];
+    let customers = (0..100i64)
+        .map(|id| rheem::rec![id, segments[(id % 4) as usize]])
+        .collect();
+    (
+        Schema::new(vec![
+            ("region", DataType::Str),
+            ("amount", DataType::Int),
+            ("price", DataType::Float),
+            ("cust", DataType::Int),
+        ]),
+        orders,
+        Schema::new(vec![("id", DataType::Int), ("seg", DataType::Str)]),
+        customers,
+    )
+}
+
+/// Where a lane's values live: equal for two columns only when they share
+/// one allocation.
+fn lane_address(column: &Column) -> *const u8 {
+    column
+        .ints()
+        .map(|v| v.as_ptr().cast())
+        .or_else(|| column.floats().map(|v| v.as_ptr().cast()))
+        .or_else(|| column.dict_codes().map(|(_, codes)| codes.as_ptr().cast()))
+        .expect("the benchmark tables have typed lanes only")
+}
+
+/// The dataset each scan of `sql` binds, by table name.
+fn scans(catalog: &QueryCatalog, sql: &str) -> Vec<(String, Dataset)> {
+    let planned = catalog.plan(sql).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
+    planned
+        .logical
+        .nodes()
+        .iter()
+        .filter_map(|node| match node.op.payload() {
+            LogicalPayload::Source { name, data } => Some((name, data)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Each scan of the benchmark's statements binds exactly the lanes the
+/// statement reads, in table order, as the catalog's own lanes — whether
+/// the table was registered as a chunk (as REGISTER does) or as rows.
+#[test]
+fn scans_bind_exactly_the_lanes_their_statement_reads() {
+    let (orders_schema, orders, customers_schema, customers) = benchmark_tables();
+    for registered_as_rows in [false, true] {
+        let dataset = |rows: &[Record]| {
+            if registered_as_rows {
+                Dataset::new(rows.to_vec())
+            } else {
+                Dataset::from_chunk(Chunk::from_records(rows).expect("rectangular"))
+            }
+        };
+        let (orders_data, customers_data) = (dataset(&orders), dataset(&customers));
+        let mut catalog = QueryCatalog::new();
+        catalog.register_dataset("orders", orders_schema.clone(), orders_data.clone());
+        catalog.register_dataset(
+            "customers",
+            customers_schema.clone(),
+            customers_data.clone(),
+        );
+        for (sql, orders_lanes, customers_lanes) in BENCHMARK_SHAPED {
+            for (name, bound) in scans(&catalog, sql) {
+                let (table, lanes) = match name.as_str() {
+                    "orders" => (&orders_data, orders_lanes),
+                    "customers" => (&customers_data, customers_lanes),
+                    other => panic!("`{sql}` scans `{other}`"),
+                };
+                let catalog_lanes = table.chunk().expect("rectangular").columns();
+                let bound_lanes = bound.chunk().expect("a window is a chunk").columns();
+                assert_eq!(
+                    bound_lanes.iter().map(lane_address).collect::<Vec<_>>(),
+                    lanes
+                        .iter()
+                        .map(|&lane| lane_address(&catalog_lanes[lane]))
+                        .collect::<Vec<_>>(),
+                    "`{sql}` binds other lanes of `{name}` than {lanes:?}, or copies them \
+                     (registered as rows: {registered_as_rows})"
+                );
+                assert_eq!(bound.len(), table.len(), "`{sql}` drops rows of `{name}`");
+            }
+        }
+        // A statement that reads no column binds a chunk of none, which
+        // keeps the row count (the `COUNT(*)` trap pins the answer).
+        let [(_, bound)] = &scans(&catalog, "SELECT COUNT(*) AS n FROM orders")[..] else {
+            panic!("one scan");
+        };
+        let chunk = bound.chunk().expect("a window is a chunk");
+        assert_eq!((chunk.columns().len(), chunk.rows()), (0, orders.len()));
+    }
+}
+
+/// A row-registered table is windowed by its layout, not by whether an
+/// earlier statement happened to convert it: the first statement planned
+/// over it binds as many lanes as the same statement after another has run.
+#[test]
+fn a_row_registered_table_binds_the_same_lanes_before_and_after_a_run() {
+    let row_catalog = || {
+        let (orders_schema, orders, customers_schema, customers) = benchmark_tables();
+        let mut catalog = QueryCatalog::new();
+        catalog.register("orders", orders_schema, orders);
+        catalog.register("customers", customers_schema, customers);
+        catalog
+    };
+    let widths = |catalog: &QueryCatalog, sql: &str| -> Vec<usize> {
+        scans(catalog, sql)
+            .iter()
+            .map(|(_, data)| data.chunk().map_or(0, |chunk| chunk.columns().len()))
+            .collect()
+    };
+    let warmed = row_catalog();
+    run(
+        &warmed,
+        &java(),
+        "SELECT * FROM orders JOIN customers ON orders.cust = customers.id",
+    );
+    for (sql, orders_lanes, customers_lanes) in BENCHMARK_SHAPED {
+        let first = widths(&row_catalog(), sql);
+        assert_eq!(first, widths(&warmed, sql), "`{sql}`");
+        let read: Vec<usize> = [orders_lanes.len(), customers_lanes.len()]
+            .into_iter()
+            .filter(|&lanes| lanes > 0)
+            .collect();
+        assert_eq!(first, read, "`{sql}`");
+    }
 }
