@@ -157,6 +157,11 @@ PROPTEST_CASES=64 cargo test -q --release --test fault_tolerance
 echo "==> SQL oracle stress pass (PROPTEST_CASES=256)"
 PROPTEST_CASES=256 cargo test -q --release --test sql_lowering
 
+# The same for REGISTER decoding: generated dirty tables, truncations and
+# corruptions through the slice, row and stream decoders.
+echo "==> REGISTER decoding stress pass (PROPTEST_CASES=256)"
+PROPTEST_CASES=256 cargo test -q --release -p rheem-server --test register_decoding
+
 # The committed kernel-ablation numbers must carry the columnar join and
 # hash-aggregate entries, the served filter and join shapes, and the
 # timer-resolution honesty flag (sub-resolution timings are flagged, never
@@ -204,10 +209,12 @@ cargo test -q --release -p rheem-server --test server_smoke
 # row walks for chunk-less results and ragged frames live in protocol.rs,
 # next to the one value encoding and the one row grammar). Both directions
 # are held to the row form byte for byte over generated dirty tables — chunk
-# vs rows on the way out, column sink vs row sink (and their verdicts on
-# truncated and corrupted frames) on the way in — every other frame gets a
+# vs rows on the way out, column sink vs row sink vs the session's stream
+# decode (and their verdicts on truncated, corrupted and cut-off frames) on
+# the way in — every other frame gets a
 # typed verdict within bounded allocation however it is cut or corrupted, and
-# the footprint of a registered table is counted with a counting allocator.
+# the footprint of a registered table, and of one in flight, is counted
+# with a counting allocator.
 # Release mode.
 echo "==> session data path: no rows in server.rs + codec equivalence + footprint"
 if nontest crates/server/src/server.rs \

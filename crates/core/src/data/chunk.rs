@@ -169,6 +169,23 @@ impl ColumnBuilder {
         }
     }
 
+    /// Expect `rows` values in all from now on: a started lane is grown to
+    /// exactly that, one not started yet is started at that size. A decoder
+    /// that learns its row count as the bytes arrive renews the estimate
+    /// [`ColumnBuilder::with_capacity`] made.
+    pub fn reserve(&mut self, rows: usize) {
+        self.capacity = rows;
+        let more = rows.saturating_sub(self.len);
+        match &mut self.lane {
+            Lane::Unknown => {}
+            Lane::Int(lane) => lane.reserve_exact(more),
+            Lane::Float(lane) => lane.reserve_exact(more),
+            Lane::Bool(lane) => lane.reserve_exact(more),
+            Lane::Str(codes) => codes.reserve_exact(more),
+            Lane::Mixed(values) => values.reserve_exact(more),
+        }
+    }
+
     /// Append a NULL.
     pub fn push_null(&mut self) {
         match &mut self.lane {

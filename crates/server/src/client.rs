@@ -10,13 +10,19 @@
 //! delayed ACK of the prefix — the half of the transport stall that the
 //! server's `TCP_NODELAY` on accepted sockets cannot remove, tracked in
 //! ROADMAP item 1.
+//!
+//! [`Client::register`] never holds its frame whole: it sizes the body in one
+//! pass over the rows, writes the length prefix, then encodes and writes the
+//! body 1 MiB at a time, and lets go of the rows before it waits for the
+//! server's answer. The bytes on the wire are [`Request::Register`]'s.
 
 use std::net::{TcpStream, ToSocketAddrs};
 
 use rheem_core::{Record, Schema};
 
 use crate::protocol::{
-    read_frame_into, write_frame, FrameRead, Request, Response, WireError, WireResult,
+    read_frame_into, write_frame, write_register, FrameRead, Request, Response, WireError,
+    WireResult,
 };
 
 /// A blocking protocol client holding one session.
@@ -47,8 +53,13 @@ impl Client {
     }
 
     /// Send one request and read one response.
-    pub(crate) fn call(&mut self, request: &Request) -> WireResult<Response> {
+    fn call(&mut self, request: &Request) -> WireResult<Response> {
         write_frame(&mut self.stream, &request.encode())?;
+        self.response()
+    }
+
+    /// Read one response.
+    fn response(&mut self) -> WireResult<Response> {
         match read_frame_into(&mut self.stream, None, &mut self.body)? {
             FrameRead::Frame => Response::decode(&self.body),
             FrameRead::Eof | FrameRead::Idle => {
@@ -57,13 +68,13 @@ impl Client {
         }
     }
 
-    /// Register (or replace) an in-memory table.
+    /// Register (or replace) an in-memory table. The rows are encoded
+    /// straight onto the socket a slice at a time, and dropped once they
+    /// are written: a large table is not held while the server decodes it.
     pub fn register(&mut self, name: &str, schema: Schema, rows: Vec<Record>) -> WireResult<()> {
-        match self.call(&Request::Register {
-            name: name.to_string(),
-            schema,
-            rows,
-        })? {
+        write_register(&mut self.stream, name, &schema, &rows)?;
+        drop(rows);
+        match self.response()? {
             Response::Ok => Ok(()),
             Response::Err { message } => Err(WireError::Malformed(message)),
             other => Err(WireError::Malformed(format!(

@@ -10,8 +10,8 @@
 //! * [`protocol`] — framing and message codec (`u32` big-endian length
 //!   prefix, one opcode byte, flat payload encodings for schemas, rows, and
 //!   values); one row writer, fed from a result's chunk or from rows, and
-//!   one row reader, feeding rows or — for a session's `REGISTER` — column
-//!   builders;
+//!   one row reader, feeding rows or — for a session's `REGISTER`, decoded
+//!   through a fixed window as it arrives — column builders;
 //! * the scheduler — [`FairShareScheduler`]: fair-share scheduling of
 //!   *waves* across concurrently running jobs. The executor's wave boundary
 //!   is the natural preemption point (no task is ever interrupted
@@ -40,7 +40,8 @@
 //!
 //! **For tests:** the codec's paths the equivalence suites hold to the row
 //! form ([`protocol::encode_result`] with its [`protocol::ResultPath`],
-//! [`protocol::Registration::decode`]), [`RheemServer::start_with_context`]
+//! [`protocol::Registration::decode`], and [`protocol::read_incoming`], the
+//! session's frame reader), [`RheemServer::start_with_context`]
 //! to serve a caller-built context, [`Client::stats`] for the counters a
 //! test reads back, and the service's job API the chaos suite drives
 //! ([`JobService::submit_job`], [`JobService::inflight_ids`],

@@ -25,9 +25,10 @@
 //!   of its jobs into the server-wide fair-share scheduler.
 //!
 //! A table arrives as it will be computed on: the session decodes a
-//! `REGISTER` frame straight into column builders ([`Registration`]) and the
-//! catalog holds the resulting chunk — once, and never as rows, unless the
-//! frame has no columnar layout. `server.register.path.{columnar,row}` count
+//! `REGISTER` frame as its bytes arrive, through a fixed window, straight
+//! into column builders ([`read_incoming`]), and the catalog holds the
+//! resulting chunk — once, and never as rows, unless the frame has no
+//! columnar layout. `server.register.path.{columnar,row}` count
 //! which form each table was registered in. What a session may hold is
 //! bounded (`MAX_SESSION_TABLES`, `MAX_SESSION_TABLE_BYTES`); an
 //! over-quota `REGISTER` is refused with an error and the session goes on.
@@ -43,8 +44,9 @@
 //! a response is two writes ([`write_frame`]: length prefix, then body), and
 //! with Nagle on the body would wait for the peer's delayed ACK of the prefix
 //! (≈ 40 ms on Linux). What a request costs *inside* the server is clocked by
-//! the session itself, from the moment its frame is complete to the moment
-//! its response is written: `server.request_us`, and beside it the six stages
+//! the session itself, from the moment its frame is complete (a `REGISTER`'s:
+//! its opcode byte read) to the moment its response is written:
+//! `server.request_us`, and beside it the six stages
 //! that tile that interval, `server.stage.{decode, plan, queue_wait, run,
 //! encode, write}_us` (the `Stage` enum). `STATS` renders them, so wire
 //! latency a client measures can be set against the server's own share of it.
@@ -68,8 +70,8 @@ use rheem_core::{
 };
 
 use crate::protocol::{
-    encode_result, read_frame_into, write_frame, FrameRead, Registration, Request, Response,
-    ResultPath, WireError, WireResult,
+    encode_result, read_frame_into, read_incoming, write_frame, FrameRead, Incoming, Registration,
+    Request, Response, ResultPath, WireError, WireResult,
 };
 use crate::scheduler::{FairShareScheduler, JobGate};
 use crate::service::{JobService, ServiceConfig};
@@ -360,8 +362,9 @@ fn join_finished(sessions: &mut Vec<std::thread::JoinHandle<()>>) {
 /// `server.request_us`'s.
 #[derive(Clone, Copy)]
 enum Stage {
-    /// Request frame complete → request decoded (a `REGISTER`: its table
-    /// decoded into the chunk the catalog will hold).
+    /// Request frame complete → request decoded. A `REGISTER` is decoded as
+    /// it arrives: from its opcode byte to its table received and decoded
+    /// into the chunk the catalog will hold.
     Decode,
     /// Statement-cache lookup; on a miss, SQL parse, bind and logical plan.
     Plan,
@@ -404,7 +407,8 @@ impl RequestHistograms {
     }
 }
 
-/// One request's clock, started when its frame is complete. Stage times are
+/// One request's clock, started when its frame is complete (a `REGISTER`'s
+/// when its opcode byte is read). Stage times are
 /// differences of whole microseconds since the start, so they add up to the
 /// request's time exactly.
 struct RequestClock {
@@ -416,8 +420,12 @@ struct RequestClock {
 
 impl RequestClock {
     fn start() -> Self {
+        Self::start_at(Instant::now())
+    }
+
+    fn start_at(start: Instant) -> Self {
         RequestClock {
-            start: Instant::now(),
+            start,
             lapped_us: 0,
             stage_us: [0; 6],
         }
@@ -522,79 +530,84 @@ fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
 
     loop {
         // A fresh buffer per request: a kept one would pin the session's
-        // largest REGISTER for as long as the session lives.
-        let mut body = Vec::new();
-        match read_frame_into(&mut stream, shared.idle_timeout, &mut body)? {
-            FrameRead::Frame => {}
-            FrameRead::Eof => break,
-            FrameRead::Idle => {
+        // largest frame for as long as the session lives. A REGISTER is not
+        // held as a frame at all: it comes decoded, read through a window.
+        let incoming = read_incoming(&mut stream, shared.idle_timeout)?;
+        let mut clock = match &incoming {
+            Incoming::Register(_, opened) => RequestClock::start_at(*opened),
+            Incoming::Body(_) => RequestClock::start(),
+            Incoming::Eof => break,
+            Incoming::Idle => {
                 // Idle session: no request *started* within the timeout.
                 evict_idle(shared, &mut stream);
                 break;
             }
-        }
-        let mut clock = RequestClock::start();
+        };
         if shared.shutdown.load(Ordering::Acquire) {
             break;
         }
         // Every arm yields an encoded response body; a query's is written
         // straight from the job's sink dataset, never built as a `Response`.
-        // A REGISTER is decoded apart from the rest: into a chunk, not rows.
         let mut goodbye = false;
-        let reply = if let Some(table) = Registration::decode(&body)? {
-            clock.lap(Stage::Decode);
-            let reply = register_table(shared, &mut catalog, &mut tables, &mut statements, table);
-            clock.lap(Stage::Run);
-            reply
-        } else {
-            let request = Request::decode(&body)?;
-            clock.lap(Stage::Decode);
-            match request {
-                Request::Hello { .. } => Response::Err {
-                    message: "session already open".into(),
-                }
-                .encode(),
-                Request::Register { .. } => {
-                    unreachable!("`Registration::decode` takes every REGISTER")
-                }
-                Request::Query { sql, deadline_ms } => handle_query(
-                    shared,
-                    &tenant,
-                    &ctx,
-                    &gate,
-                    &stream,
-                    &catalog,
-                    &mut statements,
-                    &sql,
-                    deadline_ms,
-                    &mut clock,
-                ),
-                Request::Cancel { job } => {
-                    // Cancels land from a *second* session of the same tenant
-                    // (a session is blocked while its own query runs). Job 0
-                    // means "everything of mine"; idempotent either way.
-                    if job == 0 {
-                        shared
-                            .service
-                            .cancel_tenant(&tenant, CancelReason::Explicit);
-                    } else {
-                        shared
-                            .service
-                            .cancel_job(&tenant, job, CancelReason::Explicit);
+        let reply = match incoming {
+            Incoming::Register(table, _) => {
+                clock.lap(Stage::Decode);
+                let reply =
+                    register_table(shared, &mut catalog, &mut tables, &mut statements, table);
+                clock.lap(Stage::Run);
+                reply
+            }
+            Incoming::Body(body) => {
+                let request = Request::decode(&body)?;
+                clock.lap(Stage::Decode);
+                match request {
+                    Request::Hello { .. } => Response::Err {
+                        message: "session already open".into(),
                     }
-                    clock.lap(Stage::Run);
-                    Response::Ok.encode()
-                }
-                Request::Stats => {
-                    let text = render_stats(shared, &tenant);
-                    clock.lap(Stage::Run);
-                    Response::Stats { text }.encode()
-                }
-                Request::Goodbye => {
-                    goodbye = true;
-                    Response::Ok.encode()
+                    .encode(),
+                    Request::Register { .. } => {
+                        unreachable!("`read_incoming` takes every REGISTER")
+                    }
+                    Request::Query { sql, deadline_ms } => handle_query(
+                        shared,
+                        &tenant,
+                        &ctx,
+                        &gate,
+                        &stream,
+                        &catalog,
+                        &mut statements,
+                        &sql,
+                        deadline_ms,
+                        &mut clock,
+                    ),
+                    Request::Cancel { job } => {
+                        // Cancels land from a *second* session of the same tenant
+                        // (a session is blocked while its own query runs). Job 0
+                        // means "everything of mine"; idempotent either way.
+                        if job == 0 {
+                            shared
+                                .service
+                                .cancel_tenant(&tenant, CancelReason::Explicit);
+                        } else {
+                            shared
+                                .service
+                                .cancel_job(&tenant, job, CancelReason::Explicit);
+                        }
+                        clock.lap(Stage::Run);
+                        Response::Ok.encode()
+                    }
+                    Request::Stats => {
+                        let text = render_stats(shared, &tenant);
+                        clock.lap(Stage::Run);
+                        Response::Stats { text }.encode()
+                    }
+                    Request::Goodbye => {
+                        goodbye = true;
+                        Response::Ok.encode()
+                    }
                 }
             }
+            Incoming::Eof | Incoming::Idle => unreachable!("the loop ended at the clock"),
         };
         respond(shared, &mut stream, &reply, clock, tenant_request_us)?;
         if goodbye {

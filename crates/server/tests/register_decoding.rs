@@ -9,11 +9,21 @@
 //! bit for bit. A frame without a columnar layout registers rows. And over
 //! every truncation and random corruption of a valid frame the two sinks
 //! must reach the same verdict, with the same message, without a panic.
+//!
+//! A session decodes a `REGISTER` as it arrives, through a window
+//! ([`read_incoming`]): the same walk over a stream instead of a slice. Every
+//! frame above also goes through that path, delivered in short reads with
+//! read-timeout ticks between them, and must give the same table or the same
+//! refusal as the slice; a frame the peer hangs up inside is refused as one.
+
+use std::time::Duration;
 
 use proptest::prelude::*;
 use rheem_core::{Chunk, Column, DataType, Record, Schema, Value};
-use rheem_server::protocol::{encode_rows, Registration, Request, WireError};
-use testkit::{dirty_table, Rng};
+use rheem_server::protocol::{
+    encode_rows, read_incoming, Incoming, Registration, Request, WireError, WireResult,
+};
+use testkit::{dirty_table, CutReader, Rng};
 
 /// The `REGISTER` frame a client sends for `rows`; the schema says `Int`
 /// throughout, as no decoder reads it.
@@ -49,6 +59,74 @@ fn layout(column: &Column) -> String {
         "Mixed".to_string()
     };
     format!("{lane} no_nulls={}", column.no_nulls())
+}
+
+/// Everything a decode of a frame says, comparable across decodes: the
+/// table's name, schema, form, lane layouts and values bit for bit — or the
+/// refusal's message.
+fn verdict(decoded: WireResult<Option<Registration>>) -> String {
+    let table = match decoded {
+        Ok(Some(table)) => table,
+        Ok(None) => return "not a REGISTER".into(),
+        Err(WireError::Malformed(m)) => return format!("malformed: {m}"),
+        Err(WireError::Io(e)) => panic!("i/o error from an in-memory peer: {e}"),
+    };
+    let (form, rows) = match table.data.has_chunk() {
+        true => {
+            let chunk = table.data.chunk().expect("has a chunk");
+            let layouts: Vec<String> = chunk.columns().iter().map(layout).collect();
+            (format!("chunk {layouts:?}"), chunk.to_records())
+        }
+        false => ("rows".to_string(), table.data.records().to_vec()),
+    };
+    format!(
+        "{} {:?} {form} {:?}",
+        table.name,
+        table.schema,
+        encode_rows(&rows)
+    )
+}
+
+/// What a session makes of `body` sent as a frame and cut off after `cut`
+/// bytes of the stream (prefix included): short reads of 1 to 9 bytes, with
+/// read-timeout ticks between them, then EOF.
+fn streamed(body: &[u8], cut: usize, seed: u64) -> WireResult<Option<Registration>> {
+    let mut stream = (body.len() as u32).to_be_bytes().to_vec();
+    stream.extend_from_slice(body);
+    let mut peer = CutReader::new(&stream, cut.min(stream.len()), seed);
+    match read_incoming(&mut peer, Some(Duration::from_secs(60)))? {
+        Incoming::Register(table, _) => Ok(Some(table)),
+        Incoming::Body(whole) => {
+            assert_eq!(whole, body, "a frame read whole is its body");
+            Ok(None)
+        }
+        Incoming::Eof => {
+            assert_eq!(cut, 0, "EOF after bytes");
+            Ok(None)
+        }
+        Incoming::Idle => panic!("idle inside a 60 s timeout"),
+    }
+}
+
+/// The stream path must agree with the slice: the whole frame gives the
+/// slice's verdict, and a frame the peer hangs up inside is refused — with
+/// the slice's message when the walk got to the fault first, else as cut.
+fn assert_streams_as_it_decodes(body: &[u8], rng: &mut Rng, cuts: usize) {
+    let whole = verdict(Registration::decode(body));
+    let full = 4 + body.len();
+    assert_eq!(verdict(streamed(body, full, rng.next())), whole);
+    for _ in 0..cuts {
+        let cut = 4 + rng.below(body.len().max(1));
+        if cut >= full {
+            continue;
+        }
+        let got = verdict(streamed(body, cut, rng.next()));
+        assert!(
+            got == "malformed: EOF inside frame body"
+                || (got == whole && got.starts_with("malformed")),
+            "cut at {cut} of {full}: {got}, whole: {whole}"
+        );
+    }
 }
 
 /// The column sink's table for `frame` must be the chunk of the row sink's
@@ -111,7 +189,9 @@ proptest! {
         let mut rng = Rng(seed);
         let (rows, width) = (rng.below(40), rng.below(6));
         let mut records = dirty_table(&mut rng, rows, width);
-        assert_registers_what_the_rows_convert_to(&register_frame(width, records.clone()));
+        let frame = register_frame(width, records.clone());
+        assert_registers_what_the_rows_convert_to(&frame);
+        assert_streams_as_it_decodes(&frame, &mut rng, 8);
         // Ragged: one row loses a field, or gains one.
         if rows > 1 {
             let mut fields = records[rng.below(rows)].fields().to_vec();
@@ -122,6 +202,7 @@ proptest! {
             records[at] = Record::new(fields);
             let frame = register_frame(width, records);
             assert_registers_what_the_rows_convert_to(&frame);
+            assert_streams_as_it_decodes(&frame, &mut rng, 8);
             let table = Registration::decode(&frame).unwrap().unwrap();
             prop_assert!(!table.data.has_chunk());
         }
@@ -140,6 +221,9 @@ proptest! {
             assert_one_verdict(short);
             // A cut frame is never valid: the decoders demand every byte.
             prop_assert!(Request::decode(short).is_err());
+            // Sent as a frame of its own, it streams to the same verdict.
+            let streamed = verdict(streamed(short, 4 + cut, rng.next()));
+            prop_assert_eq!(streamed, verdict(Registration::decode(short)));
         }
         for _ in 0..64 {
             let mut hit = frame.clone();
@@ -148,6 +232,7 @@ proptest! {
                 hit[at] ^= 1 << rng.below(8);
             }
             assert_one_verdict(&hit);
+            assert_streams_as_it_decodes(&hit, &mut rng, 1);
         }
         // Counts the frame cannot hold: of rows, and of a row's values.
         for at in [rows_at, rows_at + 4] {
@@ -155,6 +240,7 @@ proptest! {
                 let mut hostile = frame.clone();
                 hostile[at..at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
                 assert_one_verdict(&hostile);
+                assert_streams_as_it_decodes(&hostile, &mut rng, 1);
                 prop_assert!(Registration::decode(&hostile).is_err());
             }
         }
@@ -233,4 +319,74 @@ fn invalid_utf8_is_refused_by_both_sinks_wherever_it_sits() {
             Err(WireError::Malformed(m)) if m.contains("UTF-8")
         ));
     }
+}
+
+/// Frames past the session's 64 KiB window, and the shapes that turn its
+/// walk around: a row that breaks the columnar layout at row 0, 1 or n − 1
+/// (the rows so far come out of the builders), a frame too wide for columns,
+/// a string across a window boundary and strings longer than a window.
+#[test]
+fn frames_past_the_window_stream_to_what_the_slice_decodes() {
+    let mut rng = Rng(20_161_017);
+    let row = |i: usize, width: usize| {
+        Record::new(
+            (0..width)
+                .map(|c| match c % 4 {
+                    0 => Value::str(["east", "north", "south"][i % 3]),
+                    1 => Value::Int(i as i64),
+                    2 => Value::Float(i as f64 * 0.25),
+                    _ => Value::Int((i * 7 % 1000) as i64),
+                })
+                .collect(),
+        )
+    };
+    let mut frames = Vec::new();
+    for n in [5, 4_000] {
+        for broken in [0, 1, n - 1] {
+            let rows: Vec<Record> = (0..n)
+                .map(|i| row(i, if i == broken { 3 } else { 4 }))
+                .collect();
+            frames.push(register_frame(4, rows));
+        }
+        frames.push(register_frame(4, (0..n).map(|i| row(i, 4)).collect()));
+    }
+    // 1 000-byte strings, one row each: the first window boundary falls
+    // inside one of them (byte 65 536 after the opcode is inside row 64's).
+    let long = |len: usize, i: usize| Value::str(format!("{}{i}", "0".repeat(len)));
+    frames.push(register_frame(
+        1,
+        (0..200)
+            .map(|i| Record::new(vec![long(1_000, i)]))
+            .collect(),
+    ));
+    // Strings longer than the window, between short rows.
+    frames.push(register_frame(
+        2,
+        (0..6)
+            .map(|i| {
+                Record::new(vec![
+                    long([3, 100_000, 9, 200_000, 1, 70_000][i], i),
+                    Value::Int(1),
+                ])
+            })
+            .collect(),
+    ));
+    for frame in &frames {
+        assert_registers_what_the_rows_convert_to(frame);
+        assert_streams_as_it_decodes(frame, &mut rng, 3);
+    }
+    // 4 097 columns: rows from the first row on.
+    let wide = register_frame(0, (0..3).map(|i| row(i, 4_097)).collect());
+    assert!(!Registration::decode(&wide)
+        .unwrap()
+        .unwrap()
+        .data
+        .has_chunk());
+    assert_streams_as_it_decodes(&wide, &mut rng, 3);
+    // The straddling string, checked where it sits.
+    let straddler = &frames[frames.len() - 2];
+    let after_opcode = 65_536 + 1;
+    assert!(straddler[after_opcode - 100..after_opcode + 100]
+        .iter()
+        .all(|b| b.is_ascii_digit()));
 }

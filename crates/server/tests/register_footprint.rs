@@ -6,17 +6,29 @@
 //! turn a small frame into a large allocation: a row of one-byte NULLs costs
 //! the column sink no more than it costs the row sink.
 //!
+//! Nor does a table in flight cost a frame: the client writes a REGISTER in
+//! slices and the session decodes it through a window, so neither end holds
+//! the frame whole, and a length prefix sent alone pins a window, not what
+//! it declares.
+//!
 //! A counting global allocator tracks the process's live heap bytes (every
-//! thread: the server's sessions and workers run in this process) and the
-//! bytes one thread requests while it is being watched.
+//! thread: the server's sessions and workers run in this process), their
+//! high-water mark, and the bytes one thread requests while it is being
+//! watched.
 
-use std::net::TcpStream;
+use std::io::Write;
+use std::net::{Shutdown, TcpStream};
 use std::sync::Mutex;
+use std::time::Duration;
 
 use rheem_core::{DataType, Record, Schema, Value};
-use rheem_server::protocol::{read_frame, write_frame, Registration, Request, Response};
-use rheem_server::{RheemServer, ServerConfig};
-use testkit::{counted_during, live_bytes, CountingAllocator, STATEMENTS};
+use rheem_server::protocol::{
+    read_frame, read_incoming, write_frame, Registration, Request, Response, WireError, MAX_FRAME,
+};
+use rheem_server::{Client, RheemServer, ServerConfig};
+use testkit::{
+    counted_during, live_bytes, peak_bytes, reset_peak, CountingAllocator, CutReader, STATEMENTS,
+};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -26,7 +38,8 @@ static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 const ROWS: usize = 50_000;
 
-fn orders() -> Request {
+/// An `orders`-shaped table of `rows` rows, 41 bytes each on the wire.
+fn orders_of(rows: usize) -> Request {
     Request::Register {
         name: "orders".into(),
         schema: Schema::new(vec![
@@ -35,7 +48,7 @@ fn orders() -> Request {
             ("price", DataType::Float),
             ("cust", DataType::Int),
         ]),
-        rows: (0..ROWS as i64)
+        rows: (0..rows as i64)
             .map(|i| {
                 Record::new(vec![
                     Value::str(["east", "north", "south", "west", "centre"][(i % 5) as usize]),
@@ -83,7 +96,7 @@ fn a_session_holds_its_table_once_as_a_chunk() {
     };
     assert_eq!(call(&mut stream, &hello), Response::Ok);
     // The client's copies of the tables live through both measurements.
-    let (orders, customers) = (orders(), customers());
+    let (orders, customers) = (orders_of(ROWS), customers());
 
     let before = live_bytes();
     assert_eq!(call(&mut stream, &orders), Response::Ok);
@@ -151,4 +164,145 @@ fn a_row_of_nulls_costs_the_column_sink_no_more_than_the_row_sink() {
         counted_during(|| Registration::decode(&frame_of(width)).expect("decodes"));
     assert!(table.expect("a REGISTER").data.has_chunk());
     assert!(by_columns < 512 * width, "{by_columns}");
+}
+
+/// The session's window, as `protocol` sizes it.
+const WINDOW: isize = 64 << 10;
+
+#[test]
+fn a_table_in_flight_is_held_by_neither_end_as_a_frame() {
+    let _turn = ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|failed| failed.into_inner());
+    let mut server = RheemServer::start(ServerConfig::default()).expect("server starts");
+    let mut client = Client::connect(server.addr(), "in-flight").expect("connect");
+    let empty = live_bytes();
+    let request = orders_of(120_000);
+    let frame = request.encode().len() as isize;
+    assert!(frame >= 4 << 20, "a {frame}-byte frame");
+    let Request::Register { name, schema, rows } = request else {
+        unreachable!()
+    };
+    let before = live_bytes();
+    let caller_rows = before - empty;
+    reset_peak();
+    client.register(&name, schema, rows).expect("registered");
+    let held = live_bytes() - (before - caller_rows);
+    let in_flight = peak_bytes() - before;
+    // What the session holds afterwards is the table's chunk, and the
+    // client let go of its rows.
+    assert!(
+        held > 0 && held < caller_rows / 3,
+        "{held} B held for {caller_rows} B of rows"
+    );
+    // On top of the caller's rows: the session's chunk and less than half
+    // a frame of slices, window and lanes not yet filled. Holding the frame
+    // whole on either end would be a frame more.
+    assert!(
+        in_flight < held + frame / 2,
+        "{in_flight} B in flight on top of the rows; the chunk is {held} B, the frame {frame} B"
+    );
+    client.goodbye().expect("goodbye");
+    server.shutdown();
+}
+
+#[test]
+fn a_wide_frame_that_overstates_its_rows_reserves_what_its_bytes_can_hold() {
+    let _turn = ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|failed| failed.into_inner());
+    // One row of ints starts 64 int lanes; every row after it is NULLs, a
+    // byte a value on the wire and 8 B in a lane. The prefix declares 1 MiB,
+    // which holds about 15 000 rows this wide, and the header 64 Ki rows;
+    // the peer sends 12 288 of them and stalls until it hangs up. All but a
+    // window of them are decoded, lanes that double pass half of those, and
+    // 16 x that reaches the declared count: the lanes take it at once
+    // unless it is capped by what the frame can hold.
+    let (width, len, sent, declared) = (64, 1 << 20, 12_288, 65_536u32);
+    let mut rows = vec![Record::new(vec![Value::Int(1); width])];
+    rows.extend((1..sent).map(|_| Record::new(vec![Value::Null; width])));
+    let mut body = Request::Register {
+        name: "t".into(),
+        schema: Schema::new(Vec::<(String, DataType)>::new()),
+        rows,
+    }
+    .encode();
+    // After the opcode, the name `t` and an empty schema.
+    let count_at = 1 + 5 + 4;
+    body[count_at..count_at + 4].copy_from_slice(&declared.to_be_bytes());
+    let mut stream = (len as u32).to_be_bytes().to_vec();
+    stream.extend_from_slice(&body);
+    // This row's tags, then a width and the tags of each later one.
+    let holds = 1 + (len - count_at - 8) / (4 + width);
+    let before = live_bytes();
+    reset_peak();
+    let mut peer = CutReader::new(&stream, stream.len(), 5);
+    assert!(matches!(
+        read_incoming(&mut peer, Some(Duration::from_secs(60))),
+        Err(WireError::Malformed(m)) if m == "EOF inside frame body"
+    ));
+    let grown = peak_bytes() - before;
+    // Lanes for the rows the frame can hold (8 B and a validity bit each)
+    // and a window; lanes for the declared count would be four times that.
+    let lanes = (holds * width * 8 + holds.div_ceil(8) * width) as isize;
+    assert!(
+        grown <= lanes + WINDOW + 64 * 1024,
+        "{grown} B for {sent} rows sent of {declared} declared; {holds} fit, in {lanes} B of lanes"
+    );
+}
+
+#[test]
+fn a_prefix_sent_alone_pins_a_window_and_stalls_without_eviction() {
+    let _turn = ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|failed| failed.into_inner());
+    let config = ServerConfig {
+        idle_timeout: Some(Duration::from_millis(100)),
+        ..ServerConfig::default()
+    };
+    let mut server = RheemServer::start(config).expect("server starts");
+    let metrics = server.observability().metrics().clone();
+    let registered = || {
+        let text = metrics.snapshot().render();
+        let line = text
+            .lines()
+            .find_map(|l| l.strip_prefix("gauge server.registered_bytes "));
+        line.expect("the gauge").parse::<u64>().expect("a value")
+    };
+    let evicted = || metrics.counter_value("server.sessions.idle_evicted");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let hello = Request::Hello {
+        tenant: "stalling".into(),
+    };
+    assert_eq!(call(&mut stream, &hello), Response::Ok);
+    // A prefix declaring 16 MiB, then the header of an `orders` REGISTER
+    // whose row count says 3 M, and not one row.
+    let mut header = orders_of(0).encode();
+    let count_at = header.len() - 4;
+    header[count_at..].copy_from_slice(&3_000_000u32.to_be_bytes());
+    let mut sent = (MAX_FRAME as u32).to_be_bytes().to_vec();
+    sent.extend_from_slice(&header);
+    let (registered_before, evicted_before) = (registered(), evicted());
+    let before = live_bytes();
+    reset_peak();
+    stream.write_all(&sent).expect("sent");
+    // Sixteen read ticks and four idle timeouts inside the frame.
+    std::thread::sleep(Duration::from_millis(400));
+    let grown = peak_bytes() - before;
+    assert!(
+        grown <= WINDOW + 1024,
+        "{grown} B for a prefix, a header and no row"
+    );
+    assert_eq!(evicted(), evicted_before, "evicted mid-frame");
+    // EOF inside the frame ends the session, and it registered nothing.
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    assert!(read_frame(&mut stream).expect("a clean close").is_none());
+    assert_eq!(registered(), registered_before);
+    server.shutdown();
+    // What the session ended on, for the same bytes.
+    let mut peer = CutReader::new(&sent, sent.len(), 7);
+    assert!(matches!(
+        read_incoming(&mut peer, Some(Duration::from_secs(60))),
+        Err(WireError::Malformed(m)) if m == "EOF inside frame body"
+    ));
 }

@@ -1,5 +1,6 @@
 //! Dev-only plumbing the integration tests share: a seeded RNG and the
-//! dirty tables built on it, a counting global allocator, the benchmark's
+//! dirty tables built on it, a counting global allocator with a high-water
+//! mark, a peer that delivers a byte stream cut short, the benchmark's
 //! statement list, the thread-budget shorthand and the replay projection of
 //! a job's stats. A `[dev-dependencies]` entry only — no shipped crate
 //! depends on this.
@@ -123,6 +124,8 @@ pub fn dirty_table(rng: &mut Rng, rows: usize, width: usize) -> Vec<Record> {
 
 /// Heap bytes currently allocated, by any thread.
 static LIVE: AtomicIsize = AtomicIsize::new(0);
+/// The most `LIVE` has been since the last [`reset_peak`].
+static PEAK: AtomicIsize = AtomicIsize::new(0);
 /// Allocator calls and bytes requested by the watched thread.
 static CALLS: AtomicUsize = AtomicUsize::new(0);
 static REQUESTED: AtomicUsize = AtomicUsize::new(0);
@@ -135,12 +138,16 @@ thread_local! {
 
 /// A global allocator that counts: install it in a test binary with
 /// `#[global_allocator] static A: CountingAllocator = CountingAllocator;`,
-/// then read [`live_bytes`] (every thread) and [`counted_during`] (one).
+/// then read [`live_bytes`] and [`peak_bytes`] (every thread) and
+/// [`counted_during`] (one).
 pub struct CountingAllocator;
 
 impl CountingAllocator {
     fn count(grown_by: isize, requested: usize) {
-        LIVE.fetch_add(grown_by, Ordering::Relaxed);
+        let live = LIVE.fetch_add(grown_by, Ordering::Relaxed) + grown_by;
+        if grown_by > 0 {
+            PEAK.fetch_max(live, Ordering::Relaxed);
+        }
         if requested > 0 && WATCHED.with(Cell::get) {
             CALLS.fetch_add(1, Ordering::Relaxed);
             REQUESTED.fetch_add(requested, Ordering::Relaxed);
@@ -182,6 +189,17 @@ pub fn live_bytes() -> isize {
     LIVE.load(Ordering::Relaxed)
 }
 
+/// The most heap bytes the whole process held at once since the last
+/// [`reset_peak`] (a `realloc` counts as growing in place).
+pub fn peak_bytes() -> isize {
+    PEAK.load(Ordering::Relaxed)
+}
+
+/// Start a new high-water mark for [`peak_bytes`] at what is live now.
+pub fn reset_peak() {
+    PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
+}
+
 /// `(allocator calls, bytes requested)` by the calling thread while `f`
 /// runs, and what `f` returned.
 pub fn counted_during<T>(f: impl FnOnce() -> T) -> ((usize, usize), T) {
@@ -195,4 +213,51 @@ pub fn counted_during<T>(f: impl FnOnce() -> T) -> ((usize, usize), T) {
     let calls = CALLS.load(Ordering::Relaxed) - before.0;
     let bytes = REQUESTED.load(Ordering::Relaxed) - before.1;
     ((calls, bytes), out)
+}
+
+/// A peer that hands out the first `cut` bytes of `stream` in pieces of 1
+/// to 9 bytes, answering some reads with a `WouldBlock` tick (what a socket
+/// with a read timeout returns) instead, and after the cut ticks
+/// `then_ticks` more times before EOF. Its choices come from `rng`.
+pub struct CutReader<'a> {
+    pub stream: &'a [u8],
+    pub cut: usize,
+    /// Bytes handed out so far.
+    pub delivered: usize,
+    pub then_ticks: usize,
+    pub rng: Rng,
+}
+
+impl<'a> CutReader<'a> {
+    /// A peer delivering `stream[..cut]`, seeded by `seed`, which also
+    /// picks 0 to 2 ticks after the cut.
+    pub fn new(stream: &'a [u8], cut: usize, seed: u64) -> Self {
+        CutReader {
+            stream,
+            cut,
+            delivered: 0,
+            then_ticks: (seed % 3) as usize,
+            rng: Rng(seed),
+        }
+    }
+}
+
+impl std::io::Read for CutReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.delivered == self.cut {
+            if self.then_ticks == 0 {
+                return Ok(0);
+            }
+            self.then_ticks -= 1;
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        if self.rng.chance(4) {
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        let piece = 1 + self.rng.below(9);
+        let n = piece.min(self.cut - self.delivered).min(buf.len());
+        buf[..n].copy_from_slice(&self.stream[self.delivered..self.delivered + n]);
+        self.delivered += n;
+        Ok(n)
+    }
 }
