@@ -230,9 +230,12 @@ cargo test -q --release -p rheem-server --test register_footprint
 # stream (a response never waits out the peer's delayed ACK), a session's
 # stream clone released when the session ends, and the session's own clock
 # (server.request_us + server.stage.*_us) accounting for every request.
-# Nothing here pins the client's two writes per request — that half goes as
-# soon as the harness allows (ROADMAP item 1).
-echo "==> transport: NODELAY on accept, stream clone released, stage clocks"
+# On the client's side, a REGISTER leaves as one write stream, so a table
+# upload never waits out the server's delayed ACK (transport.rs's real-Client
+# twin of the one-write test). Still open: every other request, QUERY among
+# them, is two writes with Nagle on — that goes as soon as the harness allows
+# (ROADMAP item 1).
+echo "==> transport: NODELAY on accept, one-write REGISTER, stream clone released, stage clocks"
 # (`> /dev/null`, not `-q`: under pipefail a grep that stops at its first
 # match fails the pipeline when `sed` is cut off mid-write.)
 nontest crates/server/src/server.rs | grep -F 'set_nodelay(true)' > /dev/null \

@@ -5,16 +5,18 @@
 //! integration tests, by `ablation_server` and by the end-to-end benchmark in
 //! `benchmark/`.
 //!
-//! A request leaves as two segments (`write_frame`: length prefix, then body)
-//! on a socket with Nagle on, so its body waits ≈ 40 ms for the server's
-//! delayed ACK of the prefix — the half of the transport stall that the
-//! server's `TCP_NODELAY` on accepted sockets cannot remove, tracked in
-//! ROADMAP item 1.
+//! Every request but `REGISTER` leaves as two segments (`write_frame`: length
+//! prefix, then body) on a socket with Nagle on, so its body waits ≈ 40 ms
+//! for the server's delayed ACK of the prefix — the half of the transport
+//! stall that the server's `TCP_NODELAY` on accepted sockets cannot remove,
+//! tracked in ROADMAP item 1.
 //!
-//! [`Client::register`] never holds its frame whole: it sizes the body in one
-//! pass over the rows, writes the length prefix, then encodes and writes the
-//! body 1 MiB at a time, and lets go of the rows before it waits for the
-//! server's answer. The bytes on the wire are [`Request::Register`]'s.
+//! [`Client::register`] leaves as one write stream and never holds its frame
+//! whole: it sizes the body in one pass over the rows, then encodes and
+//! writes the frame 1 MiB at a time with the length prefix at the front of
+//! the first slice — a table of up to 1 MiB is one write, so it waits out no
+//! delayed ACK — and lets go of the rows before it waits for the server's
+//! answer. The bytes on the wire are [`Request::Register`]'s.
 
 use std::net::{TcpStream, ToSocketAddrs};
 

@@ -12,12 +12,12 @@
 //! [`Response::Stats`] (key/value lines).
 //!
 //! A `REGISTER` frame is the one that can be large, and neither end holds
-//! it whole: [`crate::Client`] sizes its body in one pass over the rows,
-//! writes the length prefix and then the body in 1 MiB slices (`SLICE`),
-//! and a session ([`read_incoming`]) decodes it as it arrives, through a
-//! window of at most 64 KiB (`WINDOW`), straight into the column builders of
-//! the chunk it registers ([`Registration`]). Every other frame is read
-//! whole.
+//! it whole: [`crate::Client`] sizes its body in one pass over the rows and
+//! writes the frame in 1 MiB slices (`SLICE`), the length prefix at the
+//! front of the first, and a session ([`read_incoming`]) decodes it as it
+//! arrives, through a window of at most 64 KiB (`WINDOW`), straight into the
+//! column builders of the chunk it registers ([`Registration`]). Every other
+//! frame is read whole.
 //!
 //! Values are tagged: `0` null, `1` bool (+1 byte), `2` int (+8 bytes),
 //! `3` float (+8 bytes, IEEE bits), `4` string (+length-prefixed UTF-8).
@@ -368,11 +368,11 @@ pub fn encode_result(schema: &Schema, data: &Dataset) -> (Vec<u8>, ResultPath) {
     (buf, path)
 }
 
-/// Bytes a slice of a `REGISTER` body reaches before [`write_register`]
-/// writes it out. Measured with `scan-200k` (two REGISTERs per set-up) on a
-/// 2-core Linux host: in 64 KiB slices one set-up in 18 took ≈ 55 ms longer —
-/// the body's last segment waiting out the server's delayed ACK — and in
-/// 1 MiB slices none of 18.
+/// Bytes a slice of a `REGISTER` frame (the first one's length prefix
+/// included) reaches before [`write_register`] writes it out. Measured with
+/// `scan-200k` (two REGISTERs per set-up) on a 2-core Linux host: in 64 KiB
+/// slices one set-up in 18 took ≈ 55 ms longer — the body's last segment
+/// waiting out the server's delayed ACK — and in 1 MiB slices none of 18.
 const SLICE: usize = 1 << 20;
 
 /// The one `REGISTER` body writer: opcode, name, schema, then the rows
@@ -411,11 +411,13 @@ fn register_len(name: &str, schema: &Schema, rows: &[Record]) -> usize {
 }
 
 /// Write a `REGISTER` frame without holding its body: the length prefix —
-/// the body's exact size ([`register_len`]) — as a write of its own, as
-/// [`write_frame`] does, then the body in slices of about [`SLICE`] bytes.
-/// A body past [`MAX_FRAME`] is refused before anything is written, and one
-/// that does not come to the size its prefix declared is an error: no slice
-/// past it is written, and the call fails once the body ends short of it.
+/// the body's exact size ([`register_len`]) — at the front of the first
+/// slice, then the body in slices of about [`SLICE`] bytes, so a frame of at
+/// most `SLICE` bytes is one write and never waits out the peer's delayed
+/// ACK of a prefix sent alone. A body past [`MAX_FRAME`] is refused before
+/// anything is written, and one that does not come to the size its prefix
+/// declared is an error: no slice past it is written, and the call fails
+/// once the body ends short of it.
 pub(crate) fn write_register(
     w: &mut impl Write,
     name: &str,
@@ -433,11 +435,16 @@ pub(crate) fn write_register(
             "REGISTER body of {written} bytes under a prefix of {len}"
         ))
     };
-    w.write_all(&(len as u32).to_be_bytes())?;
-    let mut buf = Vec::with_capacity(len.min(SLICE));
+    let framed = 4 + len;
+    // A frame that fits one slice is one write, whatever its rows' sizes.
+    let limit = if framed <= SLICE { usize::MAX } else { SLICE };
+    let mut buf = Vec::with_capacity(framed.min(SLICE));
+    buf.extend_from_slice(&(len as u32).to_be_bytes());
+    // The prefix counts toward the first slice's bytes, not the body's.
+    let mut prefix = buf.len();
     let mut written = 0;
-    put_register(&mut buf, name, schema, rows, SLICE, |slice| {
-        written += slice.len();
+    put_register(&mut buf, name, schema, rows, limit, |slice| {
+        written += slice.len() - std::mem::take(&mut prefix);
         if written > len {
             return Err(mismatch(written));
         }
@@ -1045,6 +1052,11 @@ impl Response {
 // ---------------------------------------------------------------------------
 
 /// Write one frame (length prefix + body) to a stream.
+///
+/// Two writes: every request but `REGISTER` (`write_register`) leaves the
+/// client this way, so on its Nagle-on socket the body waits out the
+/// server's delayed ACK of the prefix — the request-side stall that ROADMAP
+/// item 1 removes once the benchmark harness can hold the query rate.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> WireResult<()> {
     if body.len() > MAX_FRAME {
         return Err(WireError::Malformed(format!(
@@ -1618,13 +1630,44 @@ mod tests {
         }
     }
 
+    /// A one-column string table whose `REGISTER` frame, length prefix
+    /// included, is exactly `framed` bytes: rows of 1 009 bytes, and one
+    /// longer row before the last, so the row-size guess of `put_register`
+    /// would cut a slice before the last row.
+    fn table_framed_to(framed: usize) -> (Schema, Vec<Record>) {
+        let schema = Schema::new(vec![("s", DataType::Str)]);
+        let frame_len = |rows: &[Record]| {
+            let request = Request::Register {
+                name: "tbl".into(),
+                schema: schema.clone(),
+                rows: rows.to_vec(),
+            };
+            4 + request.encode().len()
+        };
+        // A row: width, tag, string length, then the string.
+        let row = |bytes: usize| Record::new(vec![Value::str("x".repeat(bytes - 9))]);
+        let rest = framed - frame_len(&[]);
+        let mut rows = vec![row(1009); rest / 1009 - 2];
+        rows.insert(rows.len() - 1, row(2 * 1009 + rest % 1009));
+        assert_eq!(frame_len(&rows), framed);
+        (schema, rows)
+    }
+
     #[test]
     fn a_register_frame_leaves_in_slices_as_the_bytes_it_encodes_to() {
         let mut rng = testkit::Rng(33);
-        for (rows, width) in [(0, 0), (0, 3), (5, 0), (40, 6), (60_000, 4)] {
-            let table = testkit::dirty_table(&mut rng, rows, width);
-            let fields = (0..width).map(|c| (format!("c{c}"), DataType::Str));
-            let schema = Schema::new(fields.collect());
+        let mut tables: Vec<(Schema, Vec<Record>)> = [(0, 0), (0, 3), (5, 0), (40, 6), (60_000, 4)]
+            .into_iter()
+            .map(|(rows, width)| {
+                let fields = (0..width).map(|c| (format!("c{c}"), DataType::Str));
+                let table = testkit::dirty_table(&mut rng, rows, width);
+                (Schema::new(fields.collect()), table)
+            })
+            .collect();
+        // On `SLICE` and one byte past it: the prefix counts toward the first
+        // slice's bytes, and not toward the body its prefix declares.
+        tables.extend([SLICE, SLICE + 1].map(table_framed_to));
+        for (schema, table) in tables {
             let request = Request::Register {
                 name: "tbl".into(),
                 schema: schema.clone(),
@@ -1634,14 +1677,18 @@ mod tests {
             write_frame(&mut expected, &request.encode()).unwrap();
             let mut writes = Writes::default();
             write_register(&mut writes, "tbl", &schema, &table).unwrap();
-            // The prefix is a write of its own, as `write_frame` makes it.
-            assert_eq!(writes.0[0], expected[..4]);
+            // The first write is the prefix and then the body's opcode, and
+            // a frame that fits one slice leaves in exactly one write.
+            assert_eq!(writes.0[0][..5], expected[..5]);
+            assert_eq!(expected[4], OP_REGISTER);
+            if expected.len() <= SLICE {
+                assert_eq!(writes.0.len(), 1, "{} bytes", expected.len());
+            }
             assert_eq!(writes.0.concat(), expected);
             // A slice stops before the row that would take it past `SLICE`,
             // judged by the size of the row before.
-            let body = &writes.0[1..];
-            assert!(body.iter().all(|slice| slice.len() <= SLICE + 64));
-            assert!(body.len() >= (expected.len() - 4).div_ceil(SLICE));
+            assert!(writes.0.iter().all(|slice| slice.len() <= SLICE + 64));
+            assert!(writes.0.len() >= expected.len().div_ceil(SLICE));
         }
         // Past `MAX_FRAME`: refused before anything is written.
         let huge = vec![Record::new(vec![Value::str("x".repeat(MAX_FRAME))])];
