@@ -45,11 +45,13 @@ if grep -rnE 'EnumerationStrategy|with_enumeration_v2|enumerate_with_config|max_
   echo "a deleted enumeration option or entry point is named again"; exit 1
 fi
 
-# One fusion pass, one declarative fold, one way to price a kernel: the
-# closure-composing map/filter fusion, the per-field reduce spec, the
-# declared kernel-thread speedup and the `observe-json` feature stay deleted.
-echo "==> closed forks: no second fusion, reduce spec, declared speedup or observe feature"
-if grep -rnE 'FieldReduce|ReduceUdf::from_spec|fn fuse_maps|fn fuse_filters|\bkernel_threads\b|observe-json' \
+# One fusion pass, one declarative fold, one way to price a kernel, one
+# shape of a registered table: the closure-composing map/filter fusion, the
+# per-field reduce spec, the declared kernel-thread speedup, the
+# `observe-json` feature and the REGISTER row fallback's path counters stay
+# deleted.
+echo "==> closed forks: no second fusion, reduce spec, declared speedup, observe feature or row-registered table"
+if grep -rnE 'FieldReduce|ReduceUdf::from_spec|fn fuse_maps|fn fuse_filters|\bkernel_threads\b|observe-json|server\.register\.path' \
     crates src tests examples; then
   echo "a deleted fork is named again"; exit 1
 fi
@@ -157,8 +159,9 @@ PROPTEST_CASES=64 cargo test -q --release --test fault_tolerance
 echo "==> SQL oracle stress pass (PROPTEST_CASES=256)"
 PROPTEST_CASES=256 cargo test -q --release --test sql_lowering
 
-# The same for REGISTER decoding: generated dirty tables, truncations and
-# corruptions through the slice, row and stream decoders.
+# The same for REGISTER decoding: generated dirty tables, truncations,
+# corruptions and tables not as wide as their schema, from a slice and from a
+# stream.
 echo "==> REGISTER decoding stress pass (PROPTEST_CASES=256)"
 PROPTEST_CASES=256 cargo test -q --release -p rheem-server --test register_decoding
 
@@ -206,15 +209,15 @@ cargo test -q --release -p rheem-server --test server_smoke
 # Data path in and out of a session: it encodes a response from the sink's
 # chunk and decodes a REGISTER into the chunk the catalog holds, so server.rs
 # must not ask a dataset for its rows nor hand the catalog decoded rows (the
-# row walks for chunk-less results and ragged frames live in protocol.rs,
-# next to the one value encoding and the one row grammar). Both directions
-# are held to the row form byte for byte over generated dirty tables — chunk
-# vs rows on the way out, column sink vs row sink vs the session's stream
-# decode (and their verdicts on truncated, corrupted and cut-off frames) on
-# the way in — every other frame gets a
-# typed verdict within bounded allocation however it is cut or corrupted, and
-# the footprint of a registered table, and of one in flight, is counted
-# with a counting allocator.
+# row walk for chunk-less results lives in protocol.rs, next to the one value
+# encoding and the one row grammar). Both directions are held to the row
+# form byte for byte over generated dirty tables — chunk vs rows on the way
+# out, the REGISTER decoder's chunk vs the table's rows on the way in, from a
+# slice and from a stream (with one verdict on truncated, corrupted, cut-off
+# and misshapen frames) — every other frame gets a typed verdict within
+# bounded allocation however it is cut or corrupted, and the footprint of a
+# registered table, and of one in flight, is counted with a counting
+# allocator.
 # Release mode.
 echo "==> session data path: no rows in server.rs + codec equivalence + footprint"
 if nontest crates/server/src/server.rs \

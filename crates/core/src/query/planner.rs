@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 
-use crate::data::{DataType, Dataset, Record, Schema, Value};
+use crate::data::{Chunk, Column, DataType, Dataset, Record, Schema, Value};
 use crate::error::{Result, RheemError};
 use crate::expr::{self, BinOp};
 use crate::logical::{LogicalPayload, LogicalPlan, LogicalPlanBuilder};
@@ -35,29 +35,19 @@ struct TableDef {
 impl TableDef {
     /// The table narrowed to `lanes` (ascending, deduplicated): a zero-copy
     /// window of its chunk over exactly those lanes, with the matching
-    /// schema. The whole table when `lanes` is every lane, or when the table
-    /// has no columnar layout as wide as its schema — a ragged table has no
-    /// chunk, an empty one a chunk of no columns.
+    /// schema; the whole table when `lanes` is every lane.
     fn window(&self, lanes: &[usize]) -> TableDef {
         if lanes.len() == self.schema.width() {
             return self.clone();
         }
-        match self.data.chunk() {
-            Some(chunk) if chunk.width() == self.schema.width() => {
-                let fields = self.schema.fields();
-                TableDef {
-                    schema: Schema::new(
-                        lanes
-                            .iter()
-                            .map(|&i| (fields[i].name.clone(), fields[i].dtype))
-                            .collect(),
-                    ),
-                    data: Dataset::from_chunk(
-                        chunk.project(lanes).expect("the lanes are the schema's"),
-                    ),
-                }
-            }
-            _ => self.clone(),
+        let chunk = self.data.chunk().expect("a table is schema-wide");
+        let fields = self.schema.fields();
+        let named = lanes
+            .iter()
+            .map(|&i| (fields[i].name.clone(), fields[i].dtype));
+        TableDef {
+            schema: Schema::new(named.collect()),
+            data: Dataset::from_chunk(chunk.project(lanes).expect("the lanes are the schema's")),
         }
     }
 }
@@ -115,14 +105,31 @@ impl QueryCatalog {
         self.register_dataset(name, schema, Dataset::new(records))
     }
 
-    /// Register an in-memory table in whichever view it already has — a
-    /// chunk-built dataset is scanned as that chunk, and no row is built.
+    /// Register an in-memory table exactly as wide as its schema. A dataset
+    /// whose chunk already is — every table a server session registers — is
+    /// kept as it is and scanned as that chunk; any other becomes a chunk of
+    /// its rows resized to the schema: a missing field is NULL, and a field
+    /// past the schema is dropped. A table with no rows is a chunk of
+    /// schema-many empty columns.
     pub fn register_dataset(
         &mut self,
         name: impl Into<String>,
         schema: Schema,
         data: Dataset,
     ) -> &mut Self {
+        let width = schema.width();
+        let data = match data.chunk() {
+            Some(chunk) if chunk.width() == width => data,
+            _ => {
+                let (null, rows) = (&Value::Null, data.records());
+                let field = |c| {
+                    rows.iter()
+                        .map(move |row| row.fields().get(c).unwrap_or(null))
+                };
+                let columns = (0..width).map(field).map(Column::from_value_refs);
+                Dataset::from_chunk(Chunk::new(columns.collect(), rows.len()))
+            }
+        };
         self.tables.insert(name.into(), TableDef { schema, data });
         self
     }

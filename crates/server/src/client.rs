@@ -73,6 +73,8 @@ impl Client {
     /// Register (or replace) an in-memory table. The rows are encoded
     /// straight onto the socket a slice at a time, and dropped once they
     /// are written: a large table is not held while the server decodes it.
+    /// A row not as wide as the schema is refused before a byte is written,
+    /// and the session goes on.
     pub fn register(&mut self, name: &str, schema: Schema, rows: Vec<Record>) -> WireResult<()> {
         write_register(&mut self.stream, name, &schema, &rows)?;
         drop(rows);

@@ -19,6 +19,12 @@
 //! column builders of the chunk it registers ([`Registration`]). Every other
 //! frame is read whole.
 //!
+//! A table is exactly as wide as its schema: every `REGISTER` row must have
+//! one value per schema column, and the schema at most 4 096 columns. The
+//! decoder refuses any other table as `Malformed`, naming the row and both
+//! widths for a misshapen row, and the client refuses such a row before it
+//! writes a byte.
+//!
 //! Values are tagged: `0` null, `1` bool (+1 byte), `2` int (+8 bytes),
 //! `3` float (+8 bytes, IEEE bits), `4` string (+length-prefixed UTF-8).
 //! The encoding is canonical — equal rows encode to equal bytes — which the
@@ -404,27 +410,35 @@ fn put_register<E>(
 }
 
 /// Bytes of the `REGISTER` body [`put_register`] writes for a table, from
-/// one pass over its rows with nothing encoded.
-fn register_len(name: &str, schema: &Schema, rows: &[Record]) -> usize {
-    let rows: usize = rows.iter().map(record_len).sum();
-    1 + str_len(name) + schema_len(schema) + 4 + rows
+/// one pass over its rows with nothing encoded — or the decoder's refusal of
+/// a row that is not as wide as the schema.
+fn register_len(name: &str, schema: &Schema, rows: &[Record]) -> WireResult<usize> {
+    let columns = schema.fields().len();
+    let mut len = 1 + str_len(name) + schema_len(schema) + 4;
+    for (i, row) in rows.iter().enumerate() {
+        if row.width() != columns {
+            return Err(not_schema_wide(i, row.width(), columns));
+        }
+        len += record_len(row);
+    }
+    Ok(len)
 }
 
 /// Write a `REGISTER` frame without holding its body: the length prefix —
 /// the body's exact size ([`register_len`]) — at the front of the first
 /// slice, then the body in slices of about [`SLICE`] bytes, so a frame of at
 /// most `SLICE` bytes is one write and never waits out the peer's delayed
-/// ACK of a prefix sent alone. A body past [`MAX_FRAME`] is refused before
-/// anything is written, and one that does not come to the size its prefix
-/// declared is an error: no slice past it is written, and the call fails
-/// once the body ends short of it.
+/// ACK of a prefix sent alone. A row not as wide as the schema and a body
+/// past [`MAX_FRAME`] are refused before anything is written, and a body
+/// that does not come to the size its prefix declared is an error: no slice
+/// past it is written, and the call fails once the body ends short of it.
 pub(crate) fn write_register(
     w: &mut impl Write,
     name: &str,
     schema: &Schema,
     rows: &[Record],
 ) -> WireResult<()> {
-    let len = register_len(name, schema, rows);
+    let len = register_len(name, schema, rows)?;
     if len > MAX_FRAME {
         return Err(WireError::Malformed(format!(
             "frame of {len} bytes exceeds MAX_FRAME"
@@ -527,14 +541,13 @@ fn utf8(bytes: &[u8]) -> WireResult<&str> {
 }
 
 /// Where the one walk over the row grammar ([`Cursor::rows`]) puts what it
-/// reads — the mirror image of [`RowSource`]: rows for a client and for
-/// [`Request::decode`], column builders for a session's `REGISTER`.
+/// reads — the mirror image of [`RowSource`]: rows for a client's result,
+/// column builders for a `REGISTER`.
 trait RowSink {
-    /// A row of `width` values follows, with `remaining` bytes of the frame
-    /// left for it and every later row, `in_hand` of them in hand
-    /// ([`Cursor::in_hand`]). `false` stops the walk: this sink cannot take
-    /// the row.
-    fn begin_row(&mut self, width: usize, remaining: usize, in_hand: usize) -> bool;
+    /// A row of `width` values follows, with `in_hand` bytes of the frame in
+    /// hand for it and every later row ([`Cursor::in_hand`]). An error stops
+    /// the walk before any of the row's values is read.
+    fn begin_row(&mut self, width: usize, in_hand: usize) -> WireResult<()>;
     fn null(&mut self);
     fn bool(&mut self, b: bool);
     fn int(&mut self, i: i64);
@@ -559,11 +572,6 @@ struct RecordSink {
 }
 
 impl RecordSink {
-    /// Room for `rows` more rows.
-    fn reserve(&mut self, rows: usize) {
-        self.rows.reserve_exact(rows);
-    }
-
     /// A string value: one allocation per string, and none for one this
     /// frame already carried (a 5-value column of 100 000 rows costs 5). The
     /// table is direct-mapped, so it is bounded by construction: a string
@@ -589,10 +597,10 @@ impl RecordSink {
 }
 
 impl RowSink for RecordSink {
-    fn begin_row(&mut self, width: usize, _: usize, in_hand: usize) -> bool {
+    fn begin_row(&mut self, width: usize, in_hand: usize) -> WireResult<()> {
         // A value is at least its tag.
         self.fields = Vec::with_capacity(width.min(in_hand));
-        true
+        Ok(())
     }
     fn null(&mut self) {
         self.fields.push(Value::Null);
@@ -617,12 +625,18 @@ impl RowSink for RecordSink {
     }
 }
 
-/// Widest frame the column sink takes. A column costs a fixed ≈ 300 bytes
-/// (its builder, its `Column`, its shared lane and bitmap) whatever it holds,
-/// where a row costs 24 per value: a frame of one row of millions of
-/// one-byte NULLs would cost ten times as columns what it costs as rows.
-/// Under this width the fixed part stays near 1 MiB per table.
+/// Most columns a `REGISTER` schema may have. A column costs a fixed ≈ 300
+/// bytes (its builder, its `Column`, its shared lane and bitmap) whatever it
+/// holds, so under this width the fixed part of a table stays near 1 MiB.
 const MAX_COLUMNAR_WIDTH: usize = 4096;
+
+/// The refusal of a `REGISTER` row that is not as wide as the table's schema:
+/// the one message the decoder and [`write_register`] give.
+fn not_schema_wide(row: usize, width: usize, columns: usize) -> WireError {
+    WireError::Malformed(format!(
+        "REGISTER row {row} has {width} values under a schema of {columns} columns"
+    ))
+}
 
 /// How far past the rows it has read the column sink grows its lanes in one
 /// step to reach a frame's declared row count: past the first reservation,
@@ -635,15 +649,13 @@ const MAX_COLUMNAR_WIDTH: usize = 4096;
 /// in one step from 16 000 rows measured 84.2–89.8.
 const LANE_REACH: usize = 16;
 
-/// The column sink: one [`ColumnBuilder`] per column, which infers the
-/// column's layout from the values as [`Chunk::from_records`] would from
-/// the decoded rows. Takes rows of the first row's width, up to
-/// [`MAX_COLUMNAR_WIDTH`].
+/// The column sink: one [`ColumnBuilder`] per column of the schema, which
+/// infers the column's layout from the values as [`Chunk::from_records`]
+/// would from the decoded rows. Takes rows exactly as wide as the schema.
 #[derive(Default)]
 struct ColumnSink {
     builders: Vec<ColumnBuilder>,
-    /// Rows the frame may hold: its row count, capped by its length and,
-    /// from the first row on, by its width.
+    /// Rows the frame may hold: its row count, capped by its length.
     declared: usize,
     /// Rows the lanes have room for.
     reserved: usize,
@@ -666,19 +678,9 @@ impl ColumnSink {
 }
 
 impl RowSink for ColumnSink {
-    fn begin_row(&mut self, width: usize, remaining: usize, in_hand: usize) -> bool {
-        if self.rows == 0 {
-            if width > MAX_COLUMNAR_WIDTH {
-                return false;
-            }
-            // No more rows than a frame of this width can hold: this row's
-            // tags, then a 4-byte width and the tags of each later one. A
-            // cap, not a size: what is reserved below still follows the
-            // bytes that arrive.
-            self.declared = self.declared.min(1 + remaining / (4 + width));
-            self.builders = (0..width).map(|_| ColumnBuilder::default()).collect();
-        } else if width != self.builders.len() {
-            return false;
+    fn begin_row(&mut self, width: usize, in_hand: usize) -> WireResult<()> {
+        if width != self.builders.len() {
+            return Err(not_schema_wide(self.rows, width, self.builders.len()));
         }
         if self.rows == self.reserved {
             // First, room for the rows the bytes in hand can hold (this
@@ -698,7 +700,7 @@ impl RowSink for ColumnSink {
             }
         }
         self.column = 0;
-        true
+        Ok(())
     }
     fn null(&mut self) {
         self.builder().push_null();
@@ -864,6 +866,11 @@ impl<S: Source> Cursor<S> {
 
     fn schema(&mut self) -> WireResult<Schema> {
         let n = self.u32()? as usize;
+        self.fields(n)
+    }
+
+    /// A schema's `n` fields, after its field count.
+    fn fields(&mut self, n: usize) -> WireResult<Schema> {
         // Never more than the bytes in hand can hold: a field is at least
         // its 4-byte name length and its type tag.
         let mut fields = Vec::with_capacity(n.min(self.in_hand() / 5));
@@ -882,26 +889,16 @@ impl<S: Source> Cursor<S> {
     }
 
     /// The one walk over the row grammar, after the row count: `count` rows,
-    /// each a `u32` width and its tagged values, into `sink`. `Some(width)`:
-    /// the sink refused the row after the ones it took
-    /// ([`RowSink::begin_row`]); its width has been read, its values not.
-    fn rows(&mut self, count: usize, sink: &mut impl RowSink) -> WireResult<Option<usize>> {
+    /// each a `u32` width and its tagged values, into `sink`.
+    fn rows(&mut self, count: usize, sink: &mut impl RowSink) -> WireResult<()> {
         for _ in 0..count {
             let width = self.u32()? as usize;
-            if !sink.begin_row(width, self.remaining(), self.in_hand()) {
-                return Ok(Some(width));
+            sink.begin_row(width, self.in_hand())?;
+            for _ in 0..width {
+                self.value(sink)?;
             }
-            self.values(width, sink)?;
+            sink.end_row();
         }
-        Ok(None)
-    }
-
-    /// The `width` values of a row `sink` has begun, and its end.
-    fn values(&mut self, width: usize, sink: &mut impl RowSink) -> WireResult<()> {
-        for _ in 0..width {
-            self.value(sink)?;
-        }
-        sink.end_row();
         Ok(())
     }
 
@@ -911,7 +908,7 @@ impl<S: Source> Cursor<S> {
         let mut sink = RecordSink::default();
         // What the frame says, but never more than the bytes in hand can
         // hold: a row is at least its 4-byte width.
-        sink.reserve(count.min(self.in_hand() / 4));
+        sink.rows.reserve_exact(count.min(self.in_hand() / 4));
         self.rows(count, &mut sink)?;
         Ok(sink.rows)
     }
@@ -926,19 +923,18 @@ impl<S: Source> Cursor<S> {
 }
 
 /// A `REGISTER` frame as a session takes it: the table in the form the
-/// catalog holds it in. The rows of the frame are decoded straight into
-/// column builders, so `data` is a chunk laid out exactly as
-/// `Chunk::from_records` would lay out the rows [`Request::decode`] returns
-/// for the same frame, and no [`Record`] is built — unless the frame has no
-/// columnar layout (rows of differing widths) or is wider than a few
-/// thousand columns, in which case `data` holds those rows.
+/// catalog holds it in. The rows of the frame are decoded straight into one
+/// column builder per column of its schema, so `data` is a chunk exactly as
+/// wide as `schema`, laid out as `Chunk::from_records` would lay out the
+/// frame's rows, and no [`Record`] is built. A frame whose schema has more
+/// than 4 096 columns, or with a row not as wide as its schema, is refused.
 pub struct Registration {
     /// Table name as referenced from SQL.
     pub name: String,
     /// Column names and types.
     pub schema: Schema,
     /// The table.
-    pub data: Dataset,
+    pub data: Chunk,
 }
 
 impl Registration {
@@ -952,37 +948,33 @@ impl Registration {
         }
     }
 
-    /// The frame after its opcode, from a slice or from a stream alike.
+    /// The frame after its opcode, from a slice or from a stream alike: the
+    /// one decoder of a `REGISTER`, which [`Request::decode`] calls too.
     fn read(c: &mut Cursor<impl Source>) -> WireResult<Self> {
         let name = c.str()?;
-        let schema = c.schema()?;
+        let columns = c.u32()? as usize;
+        if columns > MAX_COLUMNAR_WIDTH {
+            return Err(WireError::Malformed(format!(
+                "REGISTER schema of {columns} columns exceeds the {MAX_COLUMNAR_WIDTH} a table may have"
+            )));
+        }
+        let schema = c.fields(columns)?;
         let count = c.u32()? as usize;
-        // A row is at least its 4-byte width.
-        let declared = count.min(c.remaining() / 4);
-        let mut columns = ColumnSink {
-            declared,
+        // No more rows than the frame can hold: a row is at least its 4-byte
+        // width and a tag per column. A cap, not a size: what the sink
+        // reserves still follows the bytes that arrive.
+        let mut sink = ColumnSink {
+            builders: (0..columns).map(|_| ColumnBuilder::default()).collect(),
+            declared: count.min(c.remaining() / (4 + columns)),
             ..ColumnSink::default()
         };
-        let data = match c.rows(count, &mut columns)? {
-            None => Dataset::from_chunk(columns.finish()),
-            // A row broke the columnar layout: the rows before it come out
-            // of the builders, and the walk goes on into rows from its
-            // values on.
-            Some(width) => {
-                let taken = columns.rows;
-                let mut rows = RecordSink {
-                    rows: columns.finish().to_records(),
-                    ..RecordSink::default()
-                };
-                rows.reserve(declared.saturating_sub(taken).min(c.in_hand() / 4));
-                rows.begin_row(width, c.remaining(), c.in_hand());
-                c.values(width, &mut rows)?;
-                c.rows(count - taken - 1, &mut rows)?;
-                Dataset::new(rows.rows)
-            }
-        };
+        c.rows(count, &mut sink)?;
         c.finished()?;
-        Ok(Registration { name, schema, data })
+        Ok(Registration {
+            name,
+            schema,
+            data: sink.finish(),
+        })
     }
 }
 
@@ -992,11 +984,14 @@ impl Request {
         let mut c = Cursor::new(body);
         let req = match c.u8()? {
             OP_HELLO => Request::Hello { tenant: c.str()? },
-            OP_REGISTER => Request::Register {
-                name: c.str()?,
-                schema: c.schema()?,
-                rows: c.records()?,
-            },
+            OP_REGISTER => {
+                let Registration { name, schema, data } = Registration::read(&mut c)?;
+                Request::Register {
+                    name,
+                    schema,
+                    rows: data.to_records(),
+                }
+            }
             OP_QUERY => {
                 let sql = c.str()?;
                 let deadline_ms = match c.u8()? {
@@ -1359,8 +1354,7 @@ mod tests {
             .expect("decodes")
             .expect("a REGISTER");
         assert_eq!((table.name, table.schema), (name, schema));
-        assert!(table.data.has_chunk());
-        assert_eq!(table.data.records(), &rows[..]);
+        assert_eq!(table.data.to_records(), rows);
         // Any other frame is `Request::decode`'s, malformed ones included.
         assert!(Registration::decode(&Request::Stats.encode())
             .expect("not an error")
@@ -1597,7 +1591,11 @@ mod tests {
         };
         let body = Request::Register {
             name: "t".into(),
-            schema: Schema::new(vec![("s", DataType::Str)]),
+            schema: Schema::new(vec![
+                ("s", DataType::Str),
+                ("i", DataType::Int),
+                ("n", DataType::Int),
+            ]),
             rows: (0..4_000).map(row).collect(),
         }
         .encode();
@@ -1612,8 +1610,7 @@ mod tests {
         // Grown for the long string, and back to a window after it.
         assert!(c.src.window.capacity() <= WINDOW);
         let whole = Registration::decode(&body).unwrap().unwrap();
-        assert!(streamed.data.has_chunk());
-        assert_eq!(streamed.data.records(), whole.data.records());
+        assert_eq!(streamed.data.to_records(), whole.data.to_records());
     }
 
     /// A writer that keeps the bytes of each `write` apart.

@@ -26,10 +26,10 @@
 //!
 //! A table arrives as it will be computed on: the session decodes a
 //! `REGISTER` frame as its bytes arrive, through a fixed window, straight
-//! into column builders ([`read_incoming`]), and the catalog holds the
-//! resulting chunk — once, and never as rows, unless the frame has no
-//! columnar layout. `server.register.path.{columnar,row}` count
-//! which form each table was registered in. What a session may hold is
+//! into one column builder per schema column ([`read_incoming`]), and the
+//! catalog holds the resulting chunk — once, and never as rows. A frame with
+//! a row not as wide as its schema is malformed and ends the session, as any
+//! malformed frame does. What a session may hold is
 //! bounded (`MAX_SESSION_TABLES`, `MAX_SESSION_TABLE_BYTES`); an
 //! over-quota `REGISTER` is refused with an error and the session goes on.
 //! `server.registered_bytes` is the server-wide total, and falls back when a
@@ -100,7 +100,10 @@ const MAX_SESSION_TABLE_BYTES: usize = 256 << 20;
 /// on individual `read()` calls — a slow client mid-frame stays alive.
 const READ_TICK: Duration = Duration::from_millis(25);
 
-/// Concurrent wave slots shared by all jobs (fair-share granularity).
+/// Concurrent wave slots shared by all jobs (fair-share granularity). A job
+/// holds at most one at a time, and the default pool runs 2 jobs at once
+/// (`ServiceConfig::workers`), so with the default pool no wave ever waits
+/// for a slot: the grant order is the order the jobs' waves arrive in.
 const WAVE_SLOTS: usize = 2;
 
 /// Knobs for [`RheemServer::start`].
@@ -143,11 +146,6 @@ struct ServerShared {
     /// a zero).
     result_columnar: Arc<Counter>,
     result_row: Arc<Counter>,
-    /// `server.register.path.columnar` / `.row`: tables registered as the
-    /// chunk their frame was decoded into / as rows (a frame with no
-    /// columnar layout).
-    register_columnar: Arc<Counter>,
-    register_row: Arc<Counter>,
     /// `server.registered_bytes`: what the registered tables of all live
     /// sessions hold.
     registered_bytes: Arc<Gauge>,
@@ -202,8 +200,6 @@ impl RheemServer {
         let metrics = observability.metrics();
         let result_columnar = metrics.counter("server.result.path.columnar");
         let result_row = metrics.counter("server.result.path.row");
-        let register_columnar = metrics.counter("server.register.path.columnar");
-        let register_row = metrics.counter("server.register.path.row");
         let registered_bytes = metrics.gauge("server.registered_bytes");
         let statements_evicted = metrics.counter("server.session.statements_evicted");
         let request_clocks = RequestHistograms::new(metrics);
@@ -215,8 +211,6 @@ impl RheemServer {
             service,
             result_columnar,
             result_row,
-            register_columnar,
-            register_row,
             registered_bytes,
             statements_evicted,
             next_scope: AtomicU64::new(1),
@@ -552,8 +546,7 @@ fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
         let reply = match incoming {
             Incoming::Register(table, _) => {
                 clock.lap(Stage::Decode);
-                let reply =
-                    register_table(shared, &mut catalog, &mut tables, &mut statements, table);
+                let reply = register_table(&mut catalog, &mut tables, &mut statements, table);
                 clock.lap(Stage::Run);
                 reply
             }
@@ -620,21 +613,16 @@ fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
 /// Put a decoded table into the session's catalog if the session's quotas
 /// allow it, and encode the response.
 fn register_table(
-    shared: &ServerShared,
     catalog: &mut QueryCatalog,
     tables: &mut SessionTables<'_>,
     statements: &mut StatementCache,
     table: Registration,
 ) -> Vec<u8> {
-    if let Err(message) = tables.admit(&table.name, table.data.resident_bytes()) {
+    let data = Dataset::from_chunk(table.data);
+    if let Err(message) = tables.admit(&table.name, data.resident_bytes()) {
         return Response::Err { message }.encode();
     }
-    if table.data.has_chunk() {
-        shared.register_columnar.inc();
-    } else {
-        shared.register_row.inc();
-    }
-    catalog.register_dataset(table.name, table.schema, table.data);
+    catalog.register_dataset(table.name, table.schema, data);
     // Cached statements captured the replaced table's data.
     statements.clear();
     Response::Ok.encode()

@@ -4,14 +4,9 @@
 //! closure, and executing them over the socket runs no row-at-a-time kernel
 //! — `kernel.path.row` in `STATS` stays 0 while `kernel.path.columnar`
 //! counts every operator — and every result leaves the server encoded from
-//! its chunk: `server.result.path.row` stays 0 too. A table with no columnar
-//! layout (ragged rows) shows the fallback: its result is counted under
-//! `.row` and is just as right. The tables arrive the same way: a `REGISTER`
-//! frame is decoded into the chunk the catalog holds
-//! (`server.register.path.columnar`), and only a frame with no columnar
-//! layout registers rows (`.row`). Which path an operator took is decided in
-//! one place (`kernels::execute`), so the counts are the same whichever
-//! engine is forced to run the statements.
+//! its chunk: `server.result.path.row` stays 0 too. Which path an operator
+//! took is decided in one place (`kernels::execute`), so the counts are the
+//! same whichever engine is forced to run the statements.
 
 use rheem_core::query::QueryCatalog;
 use rheem_core::{DataType, Record, Schema, Value};
@@ -113,14 +108,6 @@ fn the_benchmark_statements_run_on_columnar_kernels_only() {
         assert!(!rows.is_empty(), "`{sql}` answered nothing");
     }
     let stats = client.stats().expect("stats");
-    // Both tables went into the catalog as the chunks their frames decoded
-    // to; no row was built to register them.
-    assert_eq!(
-        counter(&stats, "server.register.path.columnar"),
-        2,
-        "{stats}"
-    );
-    assert_eq!(counter(&stats, "server.register.path.row"), 0, "{stats}");
     // Every operator of every statement — scans, fused pipelines, hash
     // aggregates, the join, sorts, limits, sinks — stayed off the rows; an
     // opaque closure or a row-path keyed kernel would have counted here.
@@ -139,39 +126,9 @@ fn the_benchmark_statements_run_on_columnar_kernels_only() {
     server.shutdown();
 }
 
-#[test]
-fn a_result_without_a_chunk_leaves_by_the_row_walk() {
-    let mut server = RheemServer::start(ServerConfig::default()).expect("server starts");
-    let mut client = Client::connect(server.addr(), "ragged").expect("connect");
-    // The second row is a field short of its schema: no columnar layout.
-    let rows = vec![
-        Record::new(vec![Value::Int(1), Value::str("x")]),
-        Record::new(vec![Value::Int(2)]),
-        Record::new(vec![Value::Int(3), Value::Null]),
-    ];
-    let schema = Schema::new(vec![("a", DataType::Int), ("s", DataType::Str)]);
-    client
-        .register("t", schema.clone(), rows.clone())
-        .expect("registers");
-    let (answered, answer) = client.query("SELECT * FROM t").expect("answers");
-    assert_eq!((answered, answer), (schema, rows));
-    let stats = client.stats().expect("stats");
-    assert_eq!(counter(&stats, "server.register.path.row"), 1, "{stats}");
-    assert_eq!(
-        counter(&stats, "server.register.path.columnar"),
-        0,
-        "{stats}"
-    );
-    assert_eq!(counter(&stats, "server.result.path.row"), 1, "{stats}");
-    assert_eq!(counter(&stats, "server.result.path.columnar"), 0, "{stats}");
-    client.goodbye().expect("goodbye");
-    server.shutdown();
-}
-
 /// `(kernel.path.columnar, kernel.path.row)` after the seven statements,
-/// and what a `LIMIT` over a ragged table adds to each, with every atom
-/// forced onto `platform`.
-fn kernel_paths_on(platform: &str) -> [(u64, u64); 2] {
+/// with every atom forced onto `platform`.
+fn kernel_paths_on(platform: &str) -> (u64, u64) {
     let ctx = rheem_platforms::test_context().force_platform(platform);
     let mut server =
         RheemServer::start_with_context(ServerConfig::default(), ctx).expect("server starts");
@@ -182,50 +139,28 @@ fn kernel_paths_on(platform: &str) -> [(u64, u64); 2] {
     client
         .register("customers", customers_schema(), customers())
         .expect("customers registers");
-    let paths = |client: &mut Client| {
-        let stats = client.stats().expect("stats");
-        (
-            counter(&stats, "kernel.path.columnar"),
-            counter(&stats, "kernel.path.row"),
-        )
-    };
     for sql in STATEMENTS {
         let (_, rows) = client.query(sql).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
         assert!(!rows.is_empty(), "`{sql}` answered nothing on {platform}");
     }
-    let seven = paths(&mut client);
-    // The second row is a field short of its schema: no columnar layout.
-    let ragged = vec![
-        Record::new(vec![Value::Int(1), Value::str("x")]),
-        Record::new(vec![Value::Int(2)]),
-        Record::new(vec![Value::Int(3), Value::Null]),
-    ];
-    let schema = Schema::new(vec![("a", DataType::Int), ("s", DataType::Str)]);
-    client.register("t", schema, ragged).expect("registers");
-    let (_, rows) = client.query("SELECT a FROM t LIMIT 2").expect("answers");
-    assert_eq!(
-        rows,
-        [Value::Int(1), Value::Int(2)].map(|a| Record::new(vec![a])),
-        "on {platform}"
-    );
-    let after = paths(&mut client);
+    let stats = client.stats().expect("stats");
     client.goodbye().expect("goodbye");
     server.shutdown();
-    [seven, (after.0 - seven.0, after.1 - seven.1)]
+    (
+        counter(&stats, "kernel.path.columnar"),
+        counter(&stats, "kernel.path.row"),
+    )
 }
 
 #[test]
 fn every_engine_reports_the_same_kernel_paths() {
-    let [seven, ragged] = kernel_paths_on("java");
+    let seven = kernel_paths_on("java");
     assert_eq!(seven.1, 0, "a benchmark statement ran a row kernel");
     assert!(
         seven.0 >= 21,
         "7 statements of at least scan + operator + sink"
     );
-    // The projection of a ragged table runs on rows; the scan, the prefix
-    // and the sink only pass their dataset along.
-    assert_eq!(ragged, (3, 1));
     for platform in ["sparklike", "mapreduce"] {
-        assert_eq!(kernel_paths_on(platform), [seven, ragged], "{platform}");
+        assert_eq!(kernel_paths_on(platform), seven, "{platform}");
     }
 }

@@ -1,14 +1,17 @@
-//! One row grammar, two sinks: a session decodes a `REGISTER` frame straight
-//! into column builders ([`Registration::decode`]), everyone else decodes it
-//! into rows ([`Request::decode`]). Over generated dirty tables — NULLs in
-//! every position, all-NULL columns, NaN payloads, signed zeros, empty and
-//! non-ASCII strings, a schema-`Int` column carrying a `Float`, `Bool`
-//! columns, no rows, no columns, rows of no width — the column sink must
-//! yield the chunk `Chunk::from_records` builds from the row sink's rows:
-//! same lane per column, same NULL lanes, same dictionary order, same values
-//! bit for bit. A frame without a columnar layout registers rows. And over
-//! every truncation and random corruption of a valid frame the two sinks
-//! must reach the same verdict, with the same message, without a panic.
+//! One row grammar, one `REGISTER` decoder: a session decodes a frame
+//! straight into one column builder per schema column
+//! ([`Registration::decode`]), and [`Request::decode`] hands back the rows of
+//! the same chunk. Over generated dirty tables — NULLs in every position,
+//! all-NULL columns, NaN payloads, signed zeros, empty and non-ASCII
+//! strings, a schema-`Int` column carrying a `Float`, `Bool` columns, no
+//! rows, no columns, rows of no width — the decoder must yield the chunk
+//! `Chunk::from_records` builds from the table's rows: same lane per column,
+//! same NULL lanes, same dictionary order, same values bit for bit. A table
+//! is exactly as wide as its schema: a frame with a row narrower or wider
+//! than the schema, or a schema past 4 096 columns, is refused by both
+//! decoders with one message naming the row and both widths. And over every
+//! truncation and random corruption of a valid frame the two decoders must
+//! reach the same verdict, with the same message, without a panic.
 //!
 //! A session decodes a `REGISTER` as it arrives, through a window
 //! ([`read_incoming`]): the same walk over a stream instead of a slice. Every
@@ -25,8 +28,8 @@ use rheem_server::protocol::{
 };
 use testkit::{dirty_table, CutReader, Rng};
 
-/// The `REGISTER` frame a client sends for `rows`; the schema says `Int`
-/// throughout, as no decoder reads it.
+/// The `REGISTER` frame a client sends for `rows` under a schema of `width`
+/// columns; the schema says `Int` throughout, as no decoder reads the types.
 fn register_frame(width: usize, rows: Vec<Record>) -> Vec<u8> {
     Request::Register {
         name: "t".into(),
@@ -62,7 +65,7 @@ fn layout(column: &Column) -> String {
 }
 
 /// Everything a decode of a frame says, comparable across decodes: the
-/// table's name, schema, form, lane layouts and values bit for bit — or the
+/// table's name, schema, lane layouts and values bit for bit — or the
 /// refusal's message.
 fn verdict(decoded: WireResult<Option<Registration>>) -> String {
     let table = match decoded {
@@ -71,19 +74,12 @@ fn verdict(decoded: WireResult<Option<Registration>>) -> String {
         Err(WireError::Malformed(m)) => return format!("malformed: {m}"),
         Err(WireError::Io(e)) => panic!("i/o error from an in-memory peer: {e}"),
     };
-    let (form, rows) = match table.data.has_chunk() {
-        true => {
-            let chunk = table.data.chunk().expect("has a chunk");
-            let layouts: Vec<String> = chunk.columns().iter().map(layout).collect();
-            (format!("chunk {layouts:?}"), chunk.to_records())
-        }
-        false => ("rows".to_string(), table.data.records().to_vec()),
-    };
+    let layouts: Vec<String> = table.data.columns().iter().map(layout).collect();
     format!(
-        "{} {:?} {form} {:?}",
+        "{} {:?} {layouts:?} {:?}",
         table.name,
         table.schema,
-        encode_rows(&rows)
+        encode_rows(&table.data.to_records())
     )
 }
 
@@ -129,44 +125,58 @@ fn assert_streams_as_it_decodes(body: &[u8], rng: &mut Rng, cuts: usize) {
     }
 }
 
-/// The column sink's table for `frame` must be the chunk of the row sink's
-/// rows, or those rows when they have no chunk.
-fn assert_registers_what_the_rows_convert_to(frame: &[u8]) {
-    let Ok(Request::Register { name, schema, rows }) = Request::decode(frame) else {
-        panic!("not a valid REGISTER frame");
-    };
+/// `frame`, made from `rows`, must register the chunk of those rows,
+/// exactly as wide as its schema, and decode to those rows as a request.
+fn assert_registers_its_rows(frame: &[u8], rows: &[Record]) {
     let table = Registration::decode(frame)
-        .expect("the column sink takes what the row sink takes")
+        .expect("a schema-wide frame decodes")
         .expect("a REGISTER frame");
-    assert_eq!((&table.name, &table.schema), (&name, &schema));
-    assert_eq!(table.data.len(), rows.len());
-    match Chunk::from_records(&rows) {
-        Some(reference) => {
-            assert!(table.data.has_chunk(), "a rectangular frame built rows");
-            let chunk = table.data.chunk().expect("has a chunk");
-            assert_eq!(
-                (chunk.rows(), chunk.columns().len()),
-                (reference.rows(), reference.columns().len())
-            );
-            for (built, expected) in chunk.columns().iter().zip(reference.columns()) {
-                assert_eq!(layout(built), layout(expected));
-            }
-            // Through the wire encoding, so NaN payload bits count.
-            assert_eq!(encode_rows(&chunk.to_records()), encode_rows(&rows));
-        }
-        None => {
-            assert!(!table.data.has_chunk(), "a ragged frame built a chunk");
-            assert_eq!(encode_rows(table.data.records()), encode_rows(&rows));
+    let chunk = &table.data;
+    assert_eq!(
+        (chunk.rows(), chunk.columns().len()),
+        (rows.len(), table.schema.fields().len())
+    );
+    // A table with no rows has no lanes to compare.
+    if !rows.is_empty() {
+        let reference = Chunk::from_records(rows).expect("rows as wide as their schema");
+        for (built, expected) in chunk.columns().iter().zip(reference.columns()) {
+            assert_eq!(layout(built), layout(expected));
         }
     }
+    // Through the wire encoding, so NaN payload bits count.
+    assert_eq!(encode_rows(&chunk.to_records()), encode_rows(rows));
+    let Ok(Request::Register {
+        name,
+        schema,
+        rows: decoded,
+    }) = Request::decode(frame)
+    else {
+        panic!("not a valid REGISTER frame");
+    };
+    assert_eq!((&table.name, &table.schema), (&name, &schema));
+    assert_eq!(encode_rows(&decoded), encode_rows(rows));
+}
+
+/// Both decoders must refuse `frame` with `refusal`, on a slice and on a
+/// stream.
+fn assert_refused(frame: &[u8], refusal: &str, rng: &mut Rng) {
+    let message = |decoded: WireResult<_>| match decoded {
+        Err(WireError::Malformed(m)) => m,
+        Ok(_) => panic!("decoded a frame that should be refused with `{refusal}`"),
+        Err(WireError::Io(e)) => panic!("i/o error from an in-memory peer: {e}"),
+    };
+    assert_eq!(message(Registration::decode(frame).map(|_| ())), refusal);
+    assert_eq!(message(Request::decode(frame).map(|_| ())), refusal);
+    assert_streams_as_it_decodes(frame, rng, 3);
 }
 
 /// Both decoders must say the same about `frame`: the same table, or the
 /// same refusal.
 fn assert_one_verdict(frame: &[u8]) {
     match (Request::decode(frame), Registration::decode(frame)) {
-        (Ok(Request::Register { .. }), Ok(Some(_))) => {
-            assert_registers_what_the_rows_convert_to(frame)
+        (Ok(Request::Register { name, schema, rows }), Ok(Some(table))) => {
+            assert_eq!((name, schema), (table.name, table.schema));
+            assert_eq!(encode_rows(&rows), encode_rows(&table.data.to_records()));
         }
         (Err(WireError::Malformed(rows)), Err(WireError::Malformed(columns))) => {
             assert_eq!(rows, columns)
@@ -174,37 +184,55 @@ fn assert_one_verdict(frame: &[u8]) {
         // The opcode itself was hit: no longer a REGISTER, whatever else.
         (_, Ok(None)) => assert_ne!(frame.first(), Some(&0x02)),
         (rows, columns) => panic!(
-            "the sinks disagree: rows {:?}, columns {:?}",
+            "the decoders disagree: request {:?}, registration {:?}",
             rows.map(|_| "decoded"),
             columns.map(|t| t.map(|_| "decoded"))
         ),
     }
 }
 
+/// The refusal of row `row`, `width` values wide, under `columns` columns.
+fn not_schema_wide(row: usize, width: usize, columns: usize) -> String {
+    format!("REGISTER row {row} has {width} values under a schema of {columns} columns")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
     #[test]
-    fn the_column_sink_builds_the_chunk_of_the_row_sinks_rows(seed in any::<u64>()) {
+    fn the_decoder_builds_the_chunk_of_the_rows(seed in any::<u64>()) {
         let mut rng = Rng(seed);
         let (rows, width) = (rng.below(40), rng.below(6));
         let mut records = dirty_table(&mut rng, rows, width);
         let frame = register_frame(width, records.clone());
-        assert_registers_what_the_rows_convert_to(&frame);
+        assert_registers_its_rows(&frame, &records);
         assert_streams_as_it_decodes(&frame, &mut rng, 8);
-        // Ragged: one row loses a field, or gains one.
+        if rows > 0 {
+            // Rectangular, but narrower or wider than the schema: refused
+            // at the first row.
+            assert_refused(
+                &register_frame(width + 1, records.clone()),
+                &not_schema_wide(0, width, width + 1),
+                &mut rng,
+            );
+            if width > 0 {
+                assert_refused(
+                    &register_frame(width - 1, records.clone()),
+                    &not_schema_wide(0, width, width - 1),
+                    &mut rng,
+                );
+            }
+        }
+        // Ragged: one row loses a field, or gains one, and is refused.
         if rows > 1 {
             let mut fields = records[rng.below(rows)].fields().to_vec();
             if fields.pop().is_none() {
                 fields.push(Value::Int(1));
             }
-            let at = rng.below(rows);
+            let (at, short) = (rng.below(rows), fields.len());
             records[at] = Record::new(fields);
             let frame = register_frame(width, records);
-            assert_registers_what_the_rows_convert_to(&frame);
-            assert_streams_as_it_decodes(&frame, &mut rng, 8);
-            let table = Registration::decode(&frame).unwrap().unwrap();
-            prop_assert!(!table.data.has_chunk());
+            assert_refused(&frame, &not_schema_wide(at, short, width), &mut rng);
         }
     }
 
@@ -255,12 +283,11 @@ fn tables_without_rows_without_columns_and_without_either() {
         (0, vec![Record::empty(); 5]),
         (2, vec![Record::new(vec![Value::Null, Value::Null])]),
     ] {
-        let count = rows.len();
-        let frame = register_frame(width, rows);
-        assert_registers_what_the_rows_convert_to(&frame);
+        let frame = register_frame(width, rows.clone());
+        assert_registers_its_rows(&frame, &rows);
         let table = Registration::decode(&frame).unwrap().unwrap();
-        assert!(table.data.has_chunk());
-        assert_eq!(table.data.len(), count);
+        assert_eq!(table.data.columns().len(), width);
+        assert_eq!(table.data.rows(), rows.len());
     }
 }
 
@@ -278,26 +305,25 @@ fn more_distinct_strings_than_any_table_of_the_decoder_holds() {
                 ])
             })
             .collect();
-        let frame = register_frame(2, rows);
-        assert_registers_what_the_rows_convert_to(&frame);
+        let frame = register_frame(2, rows.clone());
+        assert_registers_its_rows(&frame, &rows);
         let table = Registration::decode(&frame).unwrap().unwrap();
-        let (dict, _) = table.data.chunk().unwrap().columns()[0]
-            .dict_codes()
-            .expect("a dictionary");
+        let (dict, _) = table.data.columns()[0].dict_codes().expect("a dictionary");
         assert_eq!(dict.len(), distinct);
         assert_eq!((&*dict[0], &*dict[1]), ("value-0", "value-7"));
     }
 }
 
 #[test]
-fn a_frame_wider_than_the_column_sink_takes_registers_rows() {
-    // One row of 5 000 NULLs: a column costs far more than a NULL does.
-    let frame = register_frame(0, vec![Record::new(vec![Value::Null; 5_000])]);
-    let table = Registration::decode(&frame).unwrap().unwrap();
-    assert!(!table.data.has_chunk());
-    assert_eq!(table.data.records()[0].width(), 5_000);
-    let frame = register_frame(0, vec![Record::new(vec![Value::Null; 4_096])]);
-    assert_registers_what_the_rows_convert_to(&frame);
+fn a_schema_of_more_than_4096_columns_is_refused() {
+    let nulls = |width: usize| vec![Record::new(vec![Value::Null; width])];
+    let mut rng = Rng(4_097);
+    assert_refused(
+        &register_frame(4_097, nulls(4_097)),
+        "REGISTER schema of 4097 columns exceeds the 4096 a table may have",
+        &mut rng,
+    );
+    assert_registers_its_rows(&register_frame(4_096, nulls(4_096)), &nulls(4_096));
 }
 
 #[test]
@@ -321,10 +347,10 @@ fn invalid_utf8_is_refused_by_both_sinks_wherever_it_sits() {
     }
 }
 
-/// Frames past the session's 64 KiB window, and the shapes that turn its
-/// walk around: a row that breaks the columnar layout at row 0, 1 or n − 1
-/// (the rows so far come out of the builders), a frame too wide for columns,
-/// a string across a window boundary and strings longer than a window.
+/// Frames past the session's 64 KiB window, and the shapes that stop its
+/// walk: a row narrower than the schema at row 0, 1 or n − 1, a schema too
+/// wide for a table, a string across a window boundary and strings longer
+/// than a window.
 #[test]
 fn frames_past_the_window_stream_to_what_the_slice_decodes() {
     let mut rng = Rng(20_161_017);
@@ -340,27 +366,31 @@ fn frames_past_the_window_stream_to_what_the_slice_decodes() {
                 .collect(),
         )
     };
-    let mut frames = Vec::new();
+    let mut tables = Vec::new();
     for n in [5, 4_000] {
         for broken in [0, 1, n - 1] {
             let rows: Vec<Record> = (0..n)
                 .map(|i| row(i, if i == broken { 3 } else { 4 }))
                 .collect();
-            frames.push(register_frame(4, rows));
+            assert_refused(
+                &register_frame(4, rows),
+                &not_schema_wide(broken, 3, 4),
+                &mut rng,
+            );
         }
-        frames.push(register_frame(4, (0..n).map(|i| row(i, 4)).collect()));
+        tables.push((4, (0..n).map(|i| row(i, 4)).collect::<Vec<_>>()));
     }
     // 1 000-byte strings, one row each: the first window boundary falls
     // inside one of them (byte 65 536 after the opcode is inside row 64's).
     let long = |len: usize, i: usize| Value::str(format!("{}{i}", "0".repeat(len)));
-    frames.push(register_frame(
+    tables.push((
         1,
         (0..200)
             .map(|i| Record::new(vec![long(1_000, i)]))
             .collect(),
     ));
     // Strings longer than the window, between short rows.
-    frames.push(register_frame(
+    tables.push((
         2,
         (0..6)
             .map(|i| {
@@ -371,18 +401,19 @@ fn frames_past_the_window_stream_to_what_the_slice_decodes() {
             })
             .collect(),
     ));
-    for frame in &frames {
-        assert_registers_what_the_rows_convert_to(frame);
-        assert_streams_as_it_decodes(frame, &mut rng, 3);
+    let mut frames = Vec::new();
+    for (width, rows) in &tables {
+        let frame = register_frame(*width, rows.clone());
+        assert_registers_its_rows(&frame, rows);
+        assert_streams_as_it_decodes(&frame, &mut rng, 3);
+        frames.push(frame);
     }
-    // 4 097 columns: rows from the first row on.
-    let wide = register_frame(0, (0..3).map(|i| row(i, 4_097)).collect());
-    assert!(!Registration::decode(&wide)
-        .unwrap()
-        .unwrap()
-        .data
-        .has_chunk());
-    assert_streams_as_it_decodes(&wide, &mut rng, 3);
+    // 4 097 columns: refused before the first row.
+    assert_refused(
+        &register_frame(4_097, (0..3).map(|i| row(i, 4_097)).collect()),
+        "REGISTER schema of 4097 columns exceeds the 4096 a table may have",
+        &mut rng,
+    );
     // The straddling string, checked where it sits.
     let straddler = &frames[frames.len() - 2];
     let after_opcode = 65_536 + 1;

@@ -3,8 +3,9 @@
 //! decoded into (28 B/row for an `orders`-shaped table), and never as rows
 //! (more than 120 B/row) — not after the REGISTER, and not after the
 //! benchmark's seven statements have run over it. And the decoder must not
-//! turn a small frame into a large allocation: a row of one-byte NULLs costs
-//! the column sink no more than it costs the row sink.
+//! turn a small frame into a large allocation: a row of one-byte NULLs wider
+//! than its schema, or a schema wider than a table may be, is refused before
+//! it costs a column.
 //!
 //! Nor does a table in flight cost a frame: the client writes a REGISTER in
 //! slices and the session decodes it through a window, so neither end holds
@@ -131,38 +132,43 @@ fn a_session_holds_its_table_once_as_a_chunk() {
 }
 
 #[test]
-fn a_row_of_nulls_costs_the_column_sink_no_more_than_the_row_sink() {
+fn a_row_of_nulls_too_wide_for_its_table_is_refused_before_it_allocates() {
     let _turn = ONE_AT_A_TIME
         .lock()
         .unwrap_or_else(|failed| failed.into_inner());
-    let frame_of = |width: usize| {
+    let frame_of = |columns: usize, width: usize| {
         Request::Register {
             name: "t".into(),
-            schema: Schema::new(Vec::<(String, DataType)>::new()),
+            schema: Schema::new(
+                (0..columns)
+                    .map(|c| (format!("c{c}"), DataType::Int))
+                    .collect(),
+            ),
             rows: vec![Record::new(vec![Value::Null; width])],
         }
         .encode()
     };
     // The shape of a 16 MiB frame's worst case, at a sixteenth of it: every
-    // value is one byte on the wire.
-    let width = 1 << 20;
-    let frame = frame_of(width);
-    let ((_, by_rows), _) = counted_during(|| Request::decode(&frame).expect("decodes"));
+    // value is one byte on the wire, in a row far wider than its schema.
+    // And a schema one column past what a table may have, whose fields
+    // would cost ≈ 40 B each to read.
+    for frame in [frame_of(1, 1 << 20), frame_of(4_097, 4_097)] {
+        let ((_, by_request), refused) = counted_during(|| Request::decode(&frame));
+        assert!(matches!(refused, Err(WireError::Malformed(_))));
+        let ((_, by_session), refused) = counted_during(|| Registration::decode(&frame));
+        assert!(matches!(refused, Err(WireError::Malformed(_))));
+        assert!(
+            by_request <= 1024 && by_session <= 1024,
+            "{by_request} B / {by_session} B to refuse a {} B frame",
+            frame.len()
+        );
+    }
+    // The widest table: a few hundred bytes a column, its schema included.
+    let width = 4_096;
+    let frame = frame_of(width, width);
     let ((_, by_columns), table) =
         counted_during(|| Registration::decode(&frame).expect("decodes"));
-    assert!(!table.expect("a REGISTER").data.has_chunk());
-    // 24 B per value and some change, as before; the change includes the
-    // `Dataset` the session's decoder wraps the rows in.
-    assert!(by_rows >= 24 * width && by_rows < 25 * width, "{by_rows}");
-    assert!(
-        by_columns <= by_rows + 1024,
-        "{by_columns} B as columns, {by_rows} B as rows"
-    );
-    // The widest frame that is built as columns: a few hundred bytes each.
-    let width = 4_096;
-    let ((_, by_columns), table) =
-        counted_during(|| Registration::decode(&frame_of(width)).expect("decodes"));
-    assert!(table.expect("a REGISTER").data.has_chunk());
+    assert_eq!(table.expect("a REGISTER").data.columns().len(), width);
     assert!(by_columns < 512 * width, "{by_columns}");
 }
 
@@ -221,19 +227,23 @@ fn a_wide_frame_that_overstates_its_rows_reserves_what_its_bytes_can_hold() {
     let (width, len, sent, declared) = (64, 1 << 20, 12_288, 65_536u32);
     let mut rows = vec![Record::new(vec![Value::Int(1); width])];
     rows.extend((1..sent).map(|_| Record::new(vec![Value::Null; width])));
-    let mut body = Request::Register {
+    let register = |rows| Request::Register {
         name: "t".into(),
-        schema: Schema::new(Vec::<(String, DataType)>::new()),
+        schema: Schema::new(
+            (0..width)
+                .map(|c| (format!("c{c}"), DataType::Int))
+                .collect(),
+        ),
         rows,
-    }
-    .encode();
-    // After the opcode, the name `t` and an empty schema.
-    let count_at = 1 + 5 + 4;
+    };
+    let mut body = register(rows).encode();
+    // After the opcode, the name `t` and the schema.
+    let count_at = register(vec![]).encode().len() - 4;
     body[count_at..count_at + 4].copy_from_slice(&declared.to_be_bytes());
     let mut stream = (len as u32).to_be_bytes().to_vec();
     stream.extend_from_slice(&body);
-    // This row's tags, then a width and the tags of each later one.
-    let holds = 1 + (len - count_at - 8) / (4 + width);
+    // A width and a tag per column for each row after the count.
+    let holds = (len - count_at - 4) / (4 + width);
     let before = live_bytes();
     reset_peak();
     let mut peer = CutReader::new(&stream, stream.len(), 5);

@@ -63,13 +63,18 @@ fn the_65th_table_is_refused_and_the_session_goes_on() {
     server.shutdown();
 }
 
-/// A REGISTER frame of `rows` rows of `width` NULLs, written without building
-/// the rows: the header as `Request::encode` writes it for no rows, then the
-/// row count and, per row, its width and that many one-byte NULL tags.
+/// A REGISTER frame of `rows` rows of `width` NULLs under a schema of `width`
+/// `Int` columns, written without building the rows: the header as
+/// `Request::encode` writes it for no rows, then the row count and, per row,
+/// its width and that many one-byte NULL tags.
 fn null_table_frame(name: &str, rows: u32, width: u32) -> Vec<u8> {
     let mut frame = Request::Register {
         name: name.into(),
-        schema: small_schema(),
+        schema: Schema::new(
+            (0..width)
+                .map(|c| (format!("c{c}"), DataType::Int))
+                .collect(),
+        ),
         rows: vec![],
     }
     .encode();
