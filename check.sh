@@ -159,6 +159,13 @@ PROPTEST_CASES=64 cargo test -q --release --test fault_tolerance
 echo "==> SQL oracle stress pass (PROPTEST_CASES=256)"
 PROPTEST_CASES=256 cargo test -q --release --test sql_lowering
 
+# The same for the chunk join's twin: generated probe and build windows
+# whose join shares the probe side and key lane or gathers them (unique and
+# repeated keys, every row matched or a first miss at row 0, mid or last,
+# empty sides, typed and generic key lanes).
+echo "==> join twin stress pass (PROPTEST_CASES=256)"
+PROPTEST_CASES=256 cargo test -q --release --test columnar_kernels prop_join_twin
+
 # The same for REGISTER decoding: generated dirty tables, truncations,
 # corruptions and tables not as wide as their schema, from a slice and from a
 # stream.

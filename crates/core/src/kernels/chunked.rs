@@ -23,7 +23,9 @@
 //! gathering a `Vec<Record>` per group first. Joins drive the same engine:
 //! the right side is indexed once (direct-address slots for a small-range
 //! `i64` key, else pre-sized partitioned slot tables), the left side
-//! probes it, and each side is gathered once at the selection vectors.
+//! probes it, and the output gathers only what it cannot share: a fully
+//! matched left side of a unique-key join passes through, and a typed
+//! right key lane is the left key lane.
 //! Filters build their selection without a branch per row, and one that
 //! keeps every row hands its input on uncopied. Opaque closures fall back
 //! to materializing rows — correct, but without the columnar speedup.
@@ -544,9 +546,20 @@ pub fn sort(chunk: &Chunk, key: &KeyUdf, descending: bool) -> Chunk {
     chunk.gather(&indices)
 }
 
-/// Selection vectors of a hash equi-join: matching `(left_rows, right_rows)`
-/// row indices, in the row kernel's output order (left-major, right matches
-/// in right input order within a key).
+/// The rows of a hash equi-join as selection vectors, in the row kernel's
+/// output order: left-major, right matches in right input order within a
+/// key.
+struct JoinRows {
+    /// The left row of each output row; `None` when that is every left row
+    /// once, in order, so the left side passes through uncopied.
+    left: Option<Vec<usize>>,
+    /// The right row of each output row.
+    right: Vec<usize>,
+}
+
+/// The rows of a hash equi-join, and whether both key lanes are typed and
+/// null-free (`Int`/`Int` or dictionary/dictionary), so that every output
+/// row's right key equals its left key exactly.
 ///
 /// The right side is indexed once — direct-address slots for an `i64` lane
 /// of small range ([`hash::dense_index_i64`]), else a [`hash::GroupIndex`]
@@ -560,27 +573,30 @@ fn equi_join_select(
     right: &Chunk,
     left_key: &KeyUdf,
     right_key: &KeyUdf,
-) -> (Vec<usize>, Vec<usize>) {
+) -> (JoinRows, bool) {
     let lkeys = extract_keys(left, left_key);
     let rkeys = extract_keys(right, right_key);
     match (&lkeys, &rkeys) {
-        (Keys::Ints(ll), Keys::Ints(rl)) => match hash::dense_index_i64(rl) {
-            Some(index) => emit_matches(
-                ll.len(),
-                &index.groups.slot_of_row,
-                &index.groups.first_row,
-                |i| index.lookup(ll[i]),
-            ),
-            None => {
-                let index = int_lane_index(rl);
-                emit_matches(ll.len(), &index.slot_of_row, &index.first_row, |i| {
-                    let k = ll[i];
-                    index.lookup(hash::hash_i64(k), |s| {
-                        rl[index.first_row[s as usize] as usize] == k
+        (Keys::Ints(ll), Keys::Ints(rl)) => {
+            let rows = match hash::dense_index_i64(rl) {
+                Some(index) => emit_matches(
+                    ll.len(),
+                    &index.groups.slot_of_row,
+                    &index.groups.first_row,
+                    |i| index.lookup(ll[i]),
+                ),
+                None => {
+                    let index = int_lane_index(rl);
+                    emit_matches(ll.len(), &index.slot_of_row, &index.first_row, |i| {
+                        let k = ll[i];
+                        index.lookup(hash::hash_i64(k), |s| {
+                            rl[index.first_row[s as usize] as usize] == k
+                        })
                     })
-                })
-            }
-        },
+                }
+            };
+            (rows, true)
+        }
         (
             Keys::Dict {
                 dict: ld,
@@ -598,7 +614,7 @@ fn equi_join_select(
             // distinct, so one string-compared lookup per entry covers
             // every row carrying its code.
             let mut memo: Vec<Option<Option<u32>>> = vec![None; ld.len()];
-            emit_matches(lc.len(), &index.slot_of_row, &index.first_row, |i| {
+            let rows = emit_matches(lc.len(), &index.slot_of_row, &index.first_row, |i| {
                 let c = lc[i] as usize;
                 *memo[c].get_or_insert_with(|| {
                     let key: &str = &ld[c];
@@ -607,7 +623,8 @@ fn equi_join_select(
                         *rd[rc[r] as usize] == *key
                     })
                 })
-            })
+            });
+            (rows, true)
         }
         _ => {
             // Mixed or generic keys: compare as Values (Value::eq is
@@ -617,11 +634,12 @@ fn equi_join_select(
             let rhashes: Vec<u64> = rv.iter().map(hash::hash_value).collect();
             let index = hash::build_index(&rhashes, |a, b| rv[a as usize] == rv[b as usize]);
             let lv = into_values(lkeys);
-            emit_matches(lv.len(), &index.slot_of_row, &index.first_row, |i| {
+            let rows = emit_matches(lv.len(), &index.slot_of_row, &index.first_row, |i| {
                 index.lookup(hash::hash_value(&lv[i]), |s| {
                     rv[index.first_row[s as usize] as usize] == lv[i]
                 })
-            })
+            });
+            (rows, false)
         }
     }
 }
@@ -629,29 +647,23 @@ fn equi_join_select(
 /// The match rectangles of a probe, left-major with each key's right rows
 /// in input order: `probe(i)` is the build slot left row `i` hits, if any,
 /// and `slot_of_row` / `first_row` are the build side's grouping. Pairs are
-/// pushed one at a time. With unique build keys a left row meets at most
-/// one right row — its slot's first row — so no member list is built, and
-/// a non-empty build side reserves both vectors for the left side up front.
+/// pushed one at a time.
+///
+/// With unique build keys a left row meets at most one right row — its
+/// slot's first row — so no member list is built, a non-empty build side
+/// reserves the right selection for the left side up front, and only the
+/// right rows are recorded. The left selection is started at the first
+/// left row that misses, as every row before it; a probe that never misses
+/// keeps every left row once, in order, and has no left selection at all.
 fn emit_matches(
     n_left: usize,
     slot_of_row: &[u32],
     first_row: &[u32],
     mut probe: impl FnMut(usize) -> Option<u32>,
-) -> (Vec<usize>, Vec<usize>) {
-    let (mut li, mut ri) = (Vec::new(), Vec::new());
-    if first_row.len() == slot_of_row.len() {
-        if !first_row.is_empty() {
-            li.reserve(n_left);
-            ri.reserve(n_left);
-        }
-        for i in 0..n_left {
-            if let Some(s) = probe(i) {
-                li.push(i);
-                ri.push(first_row[s as usize] as usize);
-            }
-        }
-    } else {
+) -> JoinRows {
+    if first_row.len() != slot_of_row.len() {
         let (offsets, rows) = hash::member_lists(slot_of_row, first_row.len());
+        let (mut li, mut ri) = (Vec::new(), Vec::new());
         for i in 0..n_left {
             if let Some(s) = probe(i) {
                 for &r in &rows[offsets[s as usize]..offsets[s as usize + 1]] {
@@ -660,25 +672,80 @@ fn emit_matches(
                 }
             }
         }
+        return JoinRows {
+            left: Some(li),
+            right: ri,
+        };
     }
-    (li, ri)
+    let mut ri = Vec::new();
+    if !first_row.is_empty() {
+        ri.reserve(n_left);
+    }
+    let mut li: Option<Vec<usize>> = None;
+    for i in 0..n_left {
+        let Some(s) = probe(i) else {
+            li.get_or_insert_with(|| {
+                let mut kept = Vec::with_capacity(ri.capacity());
+                kept.extend(0..i);
+                kept
+            });
+            continue;
+        };
+        if let Some(li) = &mut li {
+            li.push(i);
+        }
+        ri.push(first_row[s as usize] as usize);
+    }
+    JoinRows {
+        left: li,
+        right: ri,
+    }
 }
 
-/// Build the `left ++ right` output chunk from selection vectors: one
-/// gather per side, columns concatenated — no per-row record assembly.
-fn join_output(left: &Chunk, right: &Chunk, li: &[usize], ri: &[usize]) -> Chunk {
-    debug_assert_eq!(li.len(), ri.len());
-    let l = left.gather(li);
-    let r = right.gather(ri);
-    let mut columns = l.columns().to_vec();
-    columns.extend_from_slice(r.columns());
-    Chunk::new(columns, li.len())
+/// Build the `left ++ right` output chunk of a join's rows, columns
+/// concatenated — no per-row record assembly. The left side is gathered at
+/// its selection, or passes through as it is (windows included) when it has
+/// none. The right side is gathered at its selection, all but its key lane
+/// when `shared_key` names the `(left, right)` key lanes of typed,
+/// null-free keys: every output row's right key then equals its left key,
+/// so the output's right key column is its left key column.
+fn join_output(
+    left: &Chunk,
+    right: &Chunk,
+    rows: &JoinRows,
+    shared_key: Option<(usize, usize)>,
+) -> Chunk {
+    let left = match &rows.left {
+        Some(li) => left.gather(li),
+        None => left.clone(),
+    };
+    let mut columns = left.columns().to_vec();
+    for (c, column) in right.columns().iter().enumerate() {
+        columns.push(match shared_key {
+            Some((lk, rk)) if rk == c => left.columns()[lk].clone(),
+            _ => column.gather(&rows.right),
+        });
+    }
+    Chunk::new(columns, rows.right.len())
 }
 
 /// Hash equi-join; output rows are `left ++ right`, left-major.
+///
+/// It copies only what it cannot share. When the build keys are unique and
+/// every left row matches, the output's left columns are the input's (an
+/// `Arc` clone); a left row that misses starts a left selection, and the
+/// left side is gathered at it. When both key lanes are typed and null-free
+/// (`Int` or dictionary strings, whose equality is exact), the output's
+/// right key column is its left key column, whatever the key multiplicity;
+/// any other key lane (mixed types, NULLs, floats) is gathered.
 pub fn hash_join(left: &Chunk, right: &Chunk, left_key: &KeyUdf, right_key: &KeyUdf) -> Chunk {
-    let (li, ri) = equi_join_select(left, right, left_key, right_key);
-    join_output(left, right, &li, &ri)
+    let (rows, exact_keys) = equi_join_select(left, right, left_key, right_key);
+    let shared_key = if exact_keys {
+        left_key.field_index().zip(right_key.field_index())
+    } else {
+        None
+    };
+    join_output(left, right, &rows, shared_key)
 }
 
 /// Apply one fused pipeline stage to a chunk.

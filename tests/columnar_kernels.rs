@@ -9,7 +9,8 @@
 //! mixed-type columns, skewed keys) at several [`KernelParallelism`]
 //! settings, and drives a fused-pipeline plan through the executor at each
 //! of them. It also holds the join's direct-address probe to the row kernel
-//! across the 65 536-key range boundary, filters to it at every
+//! across the 65 536-key range boundary, the join's shared and gathered
+//! lanes to it over generated probe and build windows, filters to it at every
 //! selectivity, and each typed expression loop to the row map kernel,
 //! operator by operator.
 
@@ -444,6 +445,162 @@ proptest! {
         prop_assert_eq!(
             chunked::hash_join(&chunk_of(&left), &chunk_of(&right), &key, &key).to_records(),
             kernels::hash_join(&left, &right, &key, &key)
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Join twin: what the chunk join shares and what it gathers
+// ---------------------------------------------------------------------------
+
+/// The key lanes a generated join runs on.
+#[derive(Clone, Copy, Debug)]
+enum JoinKeys {
+    /// `Int` on both sides (the typed lanes).
+    Int,
+    /// Dictionary strings on both sides (the typed lanes).
+    Dict,
+    /// `Int` with NULLs and `Float`s among them (the generic `Value` lanes).
+    Dirty,
+    /// `Int` probe keys against `Float` build keys: nothing matches.
+    IntVsFloat,
+}
+
+impl JoinKeys {
+    fn probe(self, n: i64) -> Value {
+        match self {
+            JoinKeys::Int | JoinKeys::IntVsFloat => Value::Int(n),
+            JoinKeys::Dict => Value::from(format!("k{n}")),
+            JoinKeys::Dirty => match n.rem_euclid(5) {
+                0 => Value::Null,
+                1 => Value::Float(n as f64),
+                _ => Value::Int(n),
+            },
+        }
+    }
+
+    fn build(self, n: i64) -> Value {
+        match self {
+            JoinKeys::IntVsFloat => Value::Float(n as f64),
+            keys => keys.probe(n),
+        }
+    }
+}
+
+/// One generated join: `[payload, key, tag]` probe rows and `[key, payload]`
+/// build rows, each with the rows before and after its window (`(rows,
+/// offset, len)`).
+#[derive(Debug)]
+struct JoinCase {
+    probe: (Vec<Record>, usize, usize),
+    build: (Vec<Record>, usize, usize),
+}
+
+impl JoinCase {
+    /// The rows a side's window holds, and the window itself.
+    fn side(rows: &(Vec<Record>, usize, usize)) -> (Vec<Record>, Chunk) {
+        let (all, offset, len) = rows;
+        let window = all[*offset..offset + len].to_vec();
+        (window, chunk_of(all).slice(*offset, *len))
+    }
+}
+
+/// Build keys unique or repeated, a probe side that matches every row or
+/// first misses at row 0, in the middle or at the last row (or misses at
+/// random), either side possibly empty, and each side an offset window of
+/// a larger chunk.
+fn join_case_strategy() -> impl Strategy<Value = JoinCase> {
+    (
+        0usize..4,
+        prop_oneof![Just(0usize), 1usize..40],
+        prop_oneof![Just(0usize), 1usize..60],
+        0usize..5,
+        any::<u64>(),
+    )
+        .prop_map(|(kind, build_rows, probe_rows, miss, seed)| {
+            let keys = [
+                JoinKeys::Int,
+                JoinKeys::Dict,
+                JoinKeys::Dirty,
+                JoinKeys::IntVsFloat,
+            ][kind];
+            let mut rng = seed;
+            let unique = next(&mut rng).is_multiple_of(2);
+            let build_keys: Vec<i64> = (0..build_rows as i64)
+                .map(|i| {
+                    if unique {
+                        i * 3
+                    } else {
+                        (next(&mut rng) % (build_rows as u64 / 2 + 1)) as i64 * 3
+                    }
+                })
+                .collect();
+            let first_miss = match miss {
+                1 => Some(0),
+                2 => Some(probe_rows / 2),
+                3 => Some(probe_rows.saturating_sub(1)),
+                _ => None,
+            };
+            let probe_keys: Vec<i64> = (0..probe_rows)
+                .map(|i| {
+                    let misses = Some(i) == first_miss
+                        || (miss == 4 && next(&mut rng).is_multiple_of(4))
+                        || build_keys.is_empty();
+                    if misses {
+                        -1 - 3 * (next(&mut rng) % 4) as i64
+                    } else {
+                        build_keys[next(&mut rng) as usize % build_keys.len()]
+                    }
+                })
+                .collect();
+            let mut pad = |keys: Vec<i64>| {
+                let (before, after) =
+                    ((next(&mut rng) % 3) as usize, (next(&mut rng) % 3) as usize);
+                let len = keys.len();
+                let padded: Vec<i64> = std::iter::repeat_n(0, before)
+                    .chain(keys)
+                    .chain(std::iter::repeat_n(0, after))
+                    .collect();
+                (padded, before, len)
+            };
+            let (probe_keys, probe_at, probe_len) = pad(probe_keys);
+            let (build_keys, build_at, build_len) = pad(build_keys);
+            let probe = probe_keys
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| {
+                    let tag = Value::from(format!("t{}", i % 3));
+                    Record::new(vec![Value::Int(i as i64), keys.probe(k), tag])
+                })
+                .collect();
+            let build = build_keys
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| Record::new(vec![keys.build(k), Value::Int(-(i as i64))]))
+                .collect();
+            JoinCase {
+                probe: (probe, probe_at, probe_len),
+                build: (build, build_at, build_len),
+            }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// The chunk join equals the row kernel whether it shares the probe
+    /// side and the probe key lane or gathers them: over unique and
+    /// repeated build keys, probes that match every row or miss first at
+    /// row 0, in the middle or last, empty sides, typed and generic key
+    /// lanes, and windows of larger chunks.
+    #[test]
+    fn prop_join_twin_shares_only_what_it_may(case in join_case_strategy()) {
+        let (probe, probe_chunk) = JoinCase::side(&case.probe);
+        let (build, build_chunk) = JoinCase::side(&case.build);
+        let (lk, rk) = (KeyUdf::field(1), KeyUdf::field(0));
+        prop_assert_eq!(
+            chunked::hash_join(&probe_chunk, &build_chunk, &lk, &rk).to_records(),
+            kernels::hash_join(&probe, &build, &lk, &rk)
         );
     }
 }
