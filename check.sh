@@ -56,6 +56,17 @@ if grep -rnE 'FieldReduce|ReduceUdf::from_spec|fn fuse_maps|fn fuse_filters|\bke
   echo "a deleted fork is named again"; exit 1
 fi
 
+# One way to price an operator: a platform states its clock, and the
+# optimizer applies it to the one kernel-rate table the runner's observed
+# kernel work fits; no per-platform cost prior, (operator, platform) EMA,
+# unread cardinality fold, unpriced channel-ingest charge or task-size knob
+# comes back.
+echo "==> one way to price an operator: no cost-model priors, EMA or unpriced charges"
+if grep -rnE 'LinearCostModel|RelationalCostModel|PlatformCostModel|calibrated_op_cost|DEFAULT_ALPHA|with_alpha|card_factor|channel_ingest_ms|min_records_per_task|with_cost_model' \
+    crates src tests examples; then
+  echo "a deleted pricing mechanism is named again"; exit 1
+fi
+
 # A job's settings are stated once: the context is the only owner (no
 # `Executor` builder, no schedule mode, no second width), the thread budget
 # is one number with no environment override, a platform's channels are asked
@@ -146,6 +157,13 @@ cargo test --workspace -q
 
 echo "==> cargo test --workspace --release"
 cargo test --workspace -q --release
+
+# The optimizer's choice against forced runs, in release (the seeded kernel
+# rates describe release-built kernels): regret <= 1.05 on the served
+# statements at three sizes and on Figure 2's crossover rows, cold and
+# after a warm-up, and no served plan on mapreduce.
+echo "==> platform choice vs forced runs (release)"
+cargo test -q --release --test platform_choice
 
 # Seeded fault-injection stress pass: the vendored proptest stub derives
 # each case's RNG from the test name + case index, so elevating the case

@@ -12,8 +12,10 @@
 //!    lists + closure vs. typed accumulator lanes); the `pipeline` entry
 //!    is the fused stage chain on the chunk against the equivalent row
 //!    operator chain. `filter_selective` / `filter_all_pass` are the served
-//!    WHERE shape at 10 % and 100 % selectivity, and `hash_join_dense_key`
-//!    is the served join (200 000 orders × 1 000 customers on `cust = id`).
+//!    WHERE shape at 10 % and 100 % selectivity, `sort` sorts an Int lane in
+//!    no order and `sort_served` the served ORDER BY (an Int lane already in
+//!    key order), and `hash_join_dense_key` is the served join (200 000
+//!    orders × 1 000 customers on `cust = id`).
 //!
 //! Determinism is asserted inline: every morsel or chunk run must be
 //! byte-equal to the row run it is compared against, so the numbers can
@@ -244,6 +246,34 @@ fn columnar_experiment(entries: &mut Vec<ColEntry>, resolution_ms: f64, rows: us
             },
             &mut || {
                 chunked::filter(&priced_chunk, &pred);
+            },
+        );
+    }
+
+    // Sort on the typed path: an Int lane in no order, and the served
+    // ORDER BY — `amount`, the row index, already in key order.
+    let shuffled: Vec<_> = (0..rows as u64)
+        .map(|i| rec![(spread(i) >> 1) as i64, i as i64])
+        .collect();
+    for (kernel, table, key) in [
+        ("sort", &shuffled, KeyUdf::field(0)),
+        ("sort_served", &shuffled, KeyUdf::field(1)),
+    ] {
+        let chunk = Chunk::from_records(table).expect("rectangular");
+        assert_eq!(
+            chunked::sort(&chunk, &key, false).to_records(),
+            kernels::sort(table, &key, false)
+        );
+        col_sweep(
+            entries,
+            resolution_ms,
+            kernel,
+            rows,
+            &mut || {
+                kernels::sort(table, &key, false);
+            },
+            &mut || {
+                chunked::sort(&chunk, &key, false);
             },
         );
     }

@@ -69,7 +69,7 @@ pub fn run_platform_choice(sizes: &[usize]) -> Vec<PlatformChoiceRow> {
             let mut timings = Vec::new();
             let run = free.execute_plan(&exec).expect("runs");
             timings.push(("optimizer".to_string(), run.stats.total_simulated_ms()));
-            for platform in ["java", "sparklike", "mapreduce"] {
+            for platform in ["java", "sparklike", "mapreduce", "relational"] {
                 let ctx = test_context().force_platform(platform);
                 let run = ctx.execute(plan.clone()).expect("forced run succeeds");
                 timings.push((platform.to_string(), run.stats.total_simulated_ms()));

@@ -1,104 +1,143 @@
-//! Ablation F — cost-model calibration (the observability feedback loop).
+//! Ablation F — the kernel-rate table converges (the observability
+//! feedback loop).
 //!
-//! The optimizer is only as good as its cost models, and the paper's §8
-//! lists "zero-knowledge" cost learning among the open challenges. This
-//! experiment demonstrates the simplest closed loop: a platform whose
-//! cost model *lies* (it claims to be nearly free) initially wins every
-//! node, one observed run folds real per-operator runtimes into the
-//! [`rheem_core::CostCalibration`] table, and the very next
-//! optimization pass flips the plan to the genuinely cheaper platform.
+//! The optimizer prices a plan as each platform's clock applied to the
+//! kernel time its rate table estimates, and the table starts from
+//! constants measured on simple kernels. This experiment runs a map whose
+//! closure costs about 100× the seeded rate of a row map: cold, the
+//! optimizer believes the map is cheap and keeps it in process; one
+//! observed job later the fitted rate matches what the kernel really does,
+//! and the next plan moves to the partitioned engine, where the work is
+//! spread over the workers.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use rheem_core::udf::{KeyUdf, ReduceUdf};
+use rheem_core::udf::MapUdf;
 use rheem_core::{
-    rec, LinearCostModel, Observability, PhysicalPlan, PlanBuilder, Record, RheemContext,
+    rec, KernelKey, KernelParallelism, Observability, PhysicalPlan, PlanBuilder, Record,
+    RheemContext,
 };
-use rheem_platforms::{JavaPlatform, MapReduceLikePlatform, OverheadConfig};
+use rheem_platforms::{JavaPlatform, OverheadConfig, SparkLikePlatform};
 
-/// What [`run_calibration_flip`] measured across the two optimize+execute
-/// rounds.
-pub struct CalibrationFlipReport {
-    /// Per-node platform assignments of the first (uncalibrated) plan.
-    pub first_assignments: Vec<String>,
-    /// Per-node platform assignments of the second (calibrated) plan.
-    pub second_assignments: Vec<String>,
-    /// Total observed simulated time of the first run (ms).
-    pub first_observed_ms: f64,
-    /// Total observed simulated time of the second run (ms).
-    pub second_observed_ms: f64,
-    /// `explain --observed` view of the first run: estimated vs observed
-    /// cost and cardinality per atom, with error ratios.
-    pub first_explain_observed: String,
-    /// Same view for the second (calibrated) run.
-    pub second_explain_observed: String,
-    /// `(operator, platform)` pairs the calibration table learned.
-    pub calibration_pairs: usize,
+/// The rate table's key for the workload's map: an opaque closure, so the
+/// row kernel.
+const MAP_ROWS: KernelKey = KernelKey {
+    kernel: "Map",
+    columnar: false,
+};
+
+/// One job of the convergence run.
+#[derive(Clone, Debug)]
+pub struct ConvergenceStep {
+    /// The platform the optimizer put the map on.
+    pub platform: String,
+    /// µs per work unit the table priced the map at before the job.
+    pub priced_us_per_unit: f64,
+    /// µs per work unit the job's map kernel actually did.
+    pub observed_us_per_unit: f64,
+    /// Simulated ms of the whole job.
+    pub simulated_ms: f64,
 }
 
-/// The aggregation workload: `group by key, sum` over `n` `[key, value]`
-/// records with 64 distinct keys — a shuffle-heavy shape whose real cost
-/// on the disk-phased engine is dominated by overheads its lying cost
-/// model does not admit to.
+impl ConvergenceStep {
+    /// `max(priced / observed, observed / priced)`: 1.0 is a perfect price.
+    pub fn error(&self) -> f64 {
+        let r = self.priced_us_per_unit / self.observed_us_per_unit;
+        r.max(1.0 / r)
+    }
+}
+
+/// The workload: `n` rows through a map whose closure spins, so its kernel
+/// costs far more per row than the simple map the seed was measured on.
 pub fn flip_plan(n: usize) -> PhysicalPlan {
-    let data: Vec<Record> = (0..n as i64).map(|i| rec![i % 64, i]).collect();
+    let data: Vec<Record> = (0..n as i64).map(|i| rec![i]).collect();
     let mut b = PlanBuilder::new();
-    let src = b.collection("pairs", data);
-    let red = b.reduce_by_key(
+    let src = b.collection("rows", data);
+    let spun = b.map(
         src,
-        KeyUdf::field(0).with_distinct_keys(64.0),
-        ReduceUdf::new("sum", |a, x| {
-            rec![a.int(0).unwrap(), a.int(1).unwrap() + x.int(1).unwrap()]
+        MapUdf::new("spin", |r| {
+            let mut acc = r.int(0).unwrap_or(0);
+            for i in 0..10_000 {
+                acc = std::hint::black_box(acc.wrapping_mul(31).wrapping_add(i));
+            }
+            rec![acc]
         }),
     );
-    b.collect(red);
+    b.collect(spun);
     b.build().unwrap()
 }
 
-/// A context where the MapReduce-like engine's cost model claims near-zero
-/// prices while its execution charges real (accounted) startup and phase
-/// overheads — the mismatch calibration exists to correct.
+/// The single-process engine and an 8-worker Spark-like engine with its
+/// default overheads (accounted, not slept), one kernel thread per task so
+/// every engine measures the same sequential kernel, and a fresh rate
+/// table.
 pub fn flip_context() -> (RheemContext, Arc<Observability>) {
     let observe = Arc::new(Observability::new());
-    let liar = MapReduceLikePlatform::new(4)
-        .with_overheads(OverheadConfig::accounted_only(
-            Duration::from_millis(30),
-            Duration::from_millis(10),
-        ))
-        .with_spill_dir(std::env::temp_dir().join(format!("rheem_cal_{}", std::process::id())))
-        .with_cost_model(LinearCostModel {
-            per_unit: 1e-6, // claims ~100× cheaper than it is
-            speedup: 1.0,
-            startup: 0.0, // claims free job setup; reality charges 30 ms
-            shuffle_surcharge: 0.0,
-        });
+    let spark = SparkLikePlatform::new(8).with_overheads(OverheadConfig::accounted_only(
+        Duration::from_millis(25),
+        Duration::from_millis(2),
+    ));
     let ctx = RheemContext::new()
         .with_platform(Arc::new(JavaPlatform::new()))
-        .with_platform(Arc::new(liar))
+        .with_platform(Arc::new(spark))
+        .with_kernel_parallelism(KernelParallelism::sequential())
         .with_observability(observe.clone());
     (ctx, observe)
 }
 
-/// Optimize + execute the workload twice on [`flip_context`] and report
-/// how the plan changed once the calibration table saw real runtimes.
-pub fn run_calibration_flip(n: usize) -> CalibrationFlipReport {
+/// Optimize and execute the workload `jobs` times on one [`flip_context`],
+/// reporting how the map was priced and placed before each job and what
+/// its kernel really did.
+pub fn run_calibration_flip(n: usize, jobs: usize) -> Vec<ConvergenceStep> {
     let (ctx, observe) = flip_context();
+    (0..jobs)
+        .map(|_| {
+            let priced = observe.calibration().rate(MAP_ROWS);
+            let plan = ctx.optimize(flip_plan(n)).unwrap();
+            let map = plan
+                .physical
+                .nodes()
+                .iter()
+                .position(|node| node.op.kernel() == "Map")
+                .expect("the plan maps");
+            let run = ctx.execute_plan(&plan).unwrap();
+            let obs = run
+                .stats
+                .atoms
+                .iter()
+                .flat_map(|a| &a.node_observations)
+                .find(|o| o.node.0 == map)
+                .expect("the map was observed");
+            let units = 2.0 * n as f64;
+            ConvergenceStep {
+                platform: plan.assignments[map].clone(),
+                priced_us_per_unit: priced.us(units) / units,
+                observed_us_per_unit: obs.work_ms * 1e3 / units,
+                simulated_ms: run.stats.total_simulated_ms(),
+            }
+        })
+        .collect()
+}
 
-    let first_plan = ctx.optimize(flip_plan(n)).unwrap();
-    let first = ctx.execute_plan(&first_plan).unwrap();
-    let second_plan = ctx.optimize(flip_plan(n)).unwrap();
-    let second = ctx.execute_plan(&second_plan).unwrap();
-
-    CalibrationFlipReport {
-        first_assignments: first_plan.assignments.clone(),
-        second_assignments: second_plan.assignments.clone(),
-        first_observed_ms: first.stats.total_simulated_ms(),
-        second_observed_ms: second.stats.total_simulated_ms(),
-        first_explain_observed: first_plan.explain_observed(&first.stats),
-        second_explain_observed: second_plan.explain_observed(&second.stats),
-        calibration_pairs: observe.calibration().len(),
+/// Render a convergence run.
+pub fn render_convergence(n: usize, steps: &[ConvergenceStep]) -> String {
+    let mut s = format!(
+        "Ablation F — kernel-rate convergence ({n} rows through a spinning map)\n\
+         job  platform    priced_us/unit  observed_us/unit  error  simulated_ms\n"
+    );
+    for (i, st) in steps.iter().enumerate() {
+        s.push_str(&format!(
+            "{:<3}  {:<10}  {:>14.4}  {:>16.4}  {:>4.2}x  {:>12.1}\n",
+            i + 1,
+            st.platform,
+            st.priced_us_per_unit,
+            st.observed_us_per_unit,
+            st.error(),
+            st.simulated_ms
+        ));
     }
+    s
 }
 
 #[cfg(test)]
@@ -106,28 +145,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn one_calibrated_run_flips_the_plan() {
-        let report = run_calibration_flip(20_000);
+    fn one_observed_job_fits_the_rate_and_flips_the_plan() {
+        let steps = run_calibration_flip(5_000, 5);
+        eprintln!("{}", render_convergence(5_000, &steps));
+        assert_eq!(steps[0].platform, "java", "the seed prices the map cheap");
         assert!(
-            report.first_assignments.iter().all(|p| p == "mapreduce"),
-            "the lying cost model should win every node at first: {:?}",
-            report.first_assignments
+            steps[0].error() > 10.0,
+            "the seed is far off the spinning map: {:?}",
+            steps[0]
         );
         assert!(
-            report.second_assignments.iter().all(|p| p == "java"),
-            "calibration should flip the whole plan to java: {:?}",
-            report.second_assignments
+            steps[1..].iter().all(|s| s.platform == "sparklike"),
+            "the fitted rate moves the map: {steps:?}"
         );
+        // From the second job on, the price is within 1.25x of what the
+        // job's kernel did — in the median of four jobs, as one job's
+        // timing can swing further on a loaded host.
+        let mut errors: Vec<f64> = steps[1..].iter().map(ConvergenceStep::error).collect();
+        errors.sort_by(f64::total_cmp);
+        assert!(errors[errors.len() / 2] <= 1.25, "{steps:?}");
         assert!(
-            report.second_observed_ms < report.first_observed_ms,
-            "the calibrated plan must actually be cheaper: {} vs {}",
-            report.second_observed_ms,
-            report.first_observed_ms
+            steps[1].simulated_ms < steps[0].simulated_ms,
+            "the flipped plan is cheaper: {steps:?}"
         );
-        assert!(report.calibration_pairs >= 3, "source, reduce, and sink");
-        // The observed view carries per-atom error ratios for both runs.
-        assert!(report.first_explain_observed.contains("ms_ratio"));
-        assert!(report.first_explain_observed.contains('x'));
-        assert!(!report.second_explain_observed.contains("mapreduce"));
     }
 }

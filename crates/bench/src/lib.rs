@@ -12,7 +12,8 @@
 //!   movement-cost awareness ([`run_movement_cost`]), IEJoin scaling
 //!   ([`run_iejoin_scaling`]), grouping algorithm choice ([`run_groupby`]),
 //!   and storage ([`run_storage`]: hot buffer + transformation plans);
-//! * feedback-driven cost-model correction ([`run_calibration_flip`]);
+//! * the kernel-rate table's convergence from a seed far off the truth
+//!   ([`run_calibration_flip`]);
 //! * adaptive mid-job re-optimization at wave boundaries
 //!   ([`run_replanning_ablation`]);
 //! * failover re-planning around a platform outage
@@ -45,7 +46,7 @@ pub use ablations::{
     aggregation_plan, mixed_pipeline_plan, movement_context, run_groupby, run_iejoin_scaling,
     run_movement_cost, run_platform_choice, run_storage,
 };
-pub use calibration::{flip_context, flip_plan, run_calibration_flip};
+pub use calibration::{flip_context, flip_plan, render_convergence, run_calibration_flip};
 pub use failover::run_failover_ablation;
 pub use replanning::{misestimated_plan, replanning_context, run_replanning_ablation};
 

@@ -16,34 +16,20 @@ use std::time::Duration;
 
 use rheem_core::udf::{FlatMapUdf, KeyUdf};
 use rheem_core::{
-    op_work_units, rec, requires_shuffle, AtomInputs, AtomResult, ExecutionContext, ExecutionPlan,
-    MovementCostModel, PhysicalOp, PhysicalPlan, PlanBuilder, Platform, PlatformCostModel,
-    ProcessingProfile, Record, ReplanPolicy, RheemContext, TaskAtom,
+    rec, AtomInputs, AtomResult, Clock, ExecutionContext, ExecutionPlan, MovementCostModel,
+    PhysicalOp, PhysicalPlan, PlanBuilder, Platform, ProcessingProfile, Record, ReplanPolicy,
+    RheemContext, TaskAtom,
 };
 use rheem_platforms::{JavaPlatform, OverheadConfig, SparkLikePlatform};
 
-/// Cost model of the [`ClusterPlatform`]: very cheap shuffles (that is
-/// what the cluster is for), pricier per-record linear work than plain
-/// Java, and a hefty per-atom startup that only pays off at scale.
-struct ClusterCostModel;
-
-impl PlatformCostModel for ClusterCostModel {
-    fn op_cost(&self, op: &PhysicalOp, input_cards: &[f64], output_card: f64) -> f64 {
-        let work = op_work_units(op, input_cards, output_card);
-        let per_unit = if requires_shuffle(op) { 2e-5 } else { 1.5e-4 };
-        work * per_unit
-    }
-
-    fn atom_startup_cost(&self) -> f64 {
-        50.0
-    }
-}
-
-/// A Spark-like engine re-priced for this experiment: execution is
-/// delegated verbatim to [`SparkLikePlatform`], but the cost model is
-/// `ClusterCostModel` so the optimizer sees a shuffle specialist with a
-/// serious startup bill — the profile that makes sort-at-a-million-rows
-/// attractive and sort-at-two-thousand-rows a blunder.
+/// A Spark-like engine re-clocked for this experiment: a stage costs next
+/// to nothing (shuffles are what the cluster is for) and an atom costs a
+/// hefty 60 ms startup that only pays off at scale — the profile that
+/// makes sort-at-a-million-rows attractive and sort-at-two-thousand-rows a
+/// blunder. It leaves record expansion (flat-maps) to the driver, so a
+/// plan reaches it only past one. Execution is [`SparkLikePlatform`]'s,
+/// under the same overheads, so the clock the optimizer prices with is the
+/// one the engine charges.
 pub struct ClusterPlatform {
     inner: SparkLikePlatform,
 }
@@ -54,8 +40,8 @@ impl ClusterPlatform {
     pub fn new() -> Self {
         ClusterPlatform {
             inner: SparkLikePlatform::new(8).with_overheads(OverheadConfig::accounted_only(
-                Duration::from_millis(25),
-                Duration::from_millis(2),
+                Duration::from_millis(60),
+                Duration::from_micros(500),
             )),
         }
     }
@@ -75,10 +61,10 @@ impl Platform for ClusterPlatform {
         self.inner.profile()
     }
     fn supports(&self, op: &PhysicalOp) -> bool {
-        self.inner.supports(op)
+        !matches!(op, PhysicalOp::FlatMap(_)) && self.inner.supports(op)
     }
-    fn cost_model(&self) -> Arc<dyn PlatformCostModel> {
-        Arc::new(ClusterCostModel)
+    fn clock(&self) -> Clock {
+        self.inner.clock()
     }
     fn execute_atom(
         &self,
@@ -93,8 +79,8 @@ impl Platform for ClusterPlatform {
 
 /// The mis-estimated workload: `n` records through a flat-map that
 /// *declares* a fanout of 500 (so the optimizer prices the sort at
-/// `500·n` rows) but actually emits one record per input, then a sort and
-/// a collect.
+/// `500·n` rows) but actually emits one record per input, then a sort by
+/// a key closure (the row kernel) and a collect.
 pub fn misestimated_plan(n: i64) -> PhysicalPlan {
     let mut b = PlanBuilder::new();
     let src = b.collection(
@@ -106,7 +92,8 @@ pub fn misestimated_plan(n: i64) -> PhysicalPlan {
         // The hint models a historic worst case that never materializes.
         FlatMapUdf::new("expand", |r| vec![r.clone()]).with_fanout(500.0),
     );
-    let sorted = b.sort(expanded, KeyUdf::field(0), false);
+    let bucket = KeyUdf::new("bucket", |r: &Record| r.fields()[0].clone());
+    let sorted = b.sort(expanded, bucket, false);
     b.collect(sorted);
     b.build().unwrap()
 }

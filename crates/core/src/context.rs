@@ -161,10 +161,9 @@ impl RheemContext {
 
     /// Attach an [`Observability`] hub: every job this context runs is
     /// reported to it once, when it ends, and it derives its counters from
-    /// the job's record. Observed per-operator runtimes and cardinalities
-    /// of each successful job are folded into the optimizer's
-    /// [`crate::observe::CostCalibration`] table (the calibration feedback
-    /// loop), correcting cost estimates on the next optimization pass.
+    /// the job's record. The kernel work each successful job observed is
+    /// fitted into the optimizer's [`crate::observe::CostCalibration`] rate
+    /// table, which prices the next optimization pass on every platform.
     pub fn with_observability(mut self, observe: Arc<Observability>) -> Self {
         self.optimizer.metrics = Some(OptimizerMetrics::resolve(observe.metrics()));
         self.optimizer.calibration = observe.calibration().clone();
@@ -272,8 +271,8 @@ mod tests {
         fn supports(&self, _op: &crate::PhysicalOp) -> bool {
             true
         }
-        fn cost_model(&self) -> Arc<dyn crate::cost::PlatformCostModel> {
-            Arc::new(crate::cost::LinearCostModel::single_threaded(1e-4))
+        fn clock(&self) -> crate::cost::Clock {
+            crate::cost::Clock::in_process(0.0, 1.0)
         }
         fn execute_atom(
             &self,

@@ -1,4 +1,4 @@
-//! Cost estimation: cardinalities, platform cost models, movement costs.
+//! Cost estimation: cardinalities, platform clocks, movement costs.
 //!
 //! The paper requires that "rules and cost models \[be\] plugins and not
 //! hard-coded as in traditional database optimizers" (§4.2, second aspect)
@@ -6,20 +6,20 @@
 //! effectively take into account the cost of moving data and computation
 //! across underlying processing platforms" (third aspect). Accordingly:
 //!
-//! * every platform ships its own [`PlatformCostModel`] implementation,
-//!   registered together with the platform;
+//! * every platform states its own [`Clock`] — what it charges on top of
+//!   kernel time — registered together with the platform; an operator's
+//!   price is that clock applied to the kernel time the learned rate table
+//!   ([`CostCalibration`](crate::observe::CostCalibration)) estimates;
 //! * cross-platform transfer prices live in a [`MovementCostModel`] that the
 //!   optimizer consults for every candidate platform switch;
 //! * the [`CardinalityEstimator`] feeds both with dataset-size estimates.
 //!
-//! All costs are in *abstract milliseconds*: platform models are calibrated
-//! relative to each other, which is all plan comparison needs.
+//! Costs are in simulated milliseconds, the unit engines charge.
 
 use std::collections::HashMap;
 
 use crate::error::{Result, RheemError};
-use crate::observe::CostCalibration;
-use crate::physical::PhysicalOp;
+use crate::physical::{Layout, PhysicalOp};
 use crate::plan::PhysicalPlan;
 
 /// Estimates output cardinality for every node of a plan.
@@ -168,12 +168,11 @@ fn distinct_keys(hint: Option<f64>, card: f64) -> f64 {
 }
 
 /// Platform-independent work estimate for an operator, in abstract
-/// record-touch units. Platform cost models typically scale this by their
-/// per-record price and parallelism.
+/// record-touch units: the axis the kernel-rate table
+/// ([`CostCalibration`](crate::observe::CostCalibration)) prices in µs.
 ///
-/// Total over any `ins`: missing inputs count as cardinality 0 so that
-/// infallible [`PlatformCostModel::op_cost`] implementations can call this
-/// on partially wired nodes without panicking (plan validity itself is
+/// Total over any `ins`: missing inputs count as cardinality 0, so a
+/// partially wired node prices without panicking (plan validity itself is
 /// checked by `CardinalityEstimator::estimate`).
 pub fn op_work_units(op: &PhysicalOp, ins: &[f64], out: f64) -> f64 {
     let in0 = ins.first().copied().unwrap_or(0.0);
@@ -199,78 +198,106 @@ pub fn op_work_units(op: &PhysicalOp, ins: &[f64], out: f64) -> f64 {
         PhysicalOp::HashJoin { .. } => ins.iter().sum::<f64>() + out,
         PhysicalOp::NestedLoopJoin { .. } | PhysicalOp::CrossProduct => in0 * in1 + out,
         PhysicalOp::Union => out,
-        // Loop work is handled by the optimizer (it recurses into the body);
-        // this is only the per-iteration plumbing.
+        // A loop is priced through its body; this is only the per-iteration
+        // plumbing.
         PhysicalOp::Loop { .. } => in0,
         PhysicalOp::Custom(c) => c.cost_factor() * (ins.iter().sum::<f64>() + out),
         PhysicalOp::CollectSink | PhysicalOp::CountSink => in0,
     }
 }
 
-/// A platform's pluggable cost model (abstract milliseconds).
-pub trait PlatformCostModel: Send + Sync {
-    /// Cost of executing `op` on this platform.
-    fn op_cost(&self, op: &PhysicalOp, input_cards: &[f64], output_card: f64) -> f64;
-
-    /// Fixed overhead charged once per task atom scheduled on this platform
-    /// (job submission, container spin-up, connection setup, ...).
-    fn atom_startup_cost(&self) -> f64;
-}
-
-/// A simple linear cost model: `startup + work_units · per_unit / speedup`.
+/// How a platform turns kernel time into simulated time: the platform half
+/// of every price, stated once by the platform
+/// ([`Platform::clock`](crate::platform::Platform::clock)).
 ///
-/// Good enough for the built-in platforms; applications may implement
-/// [`PlatformCostModel`] directly for anything richer.
-#[derive(Clone, Debug)]
-pub struct LinearCostModel {
-    /// Price per work unit in abstract ms.
-    pub per_unit: f64,
-    /// Effective parallel speedup (1.0 for single-threaded platforms).
-    pub speedup: f64,
-    /// Fixed per-atom overhead in abstract ms.
-    pub startup: f64,
-    /// Extra per-unit price for operators that force a shuffle/barrier.
-    pub shuffle_surcharge: f64,
+/// The engine charges a job by this clock, and the optimizer prices a plan
+/// by it: [`Clock::price`] applied to the kernel-rate table's estimate is
+/// the charge the engine would make for that kernel time. The kernel half
+/// is the same on every platform, because every engine runs the same
+/// operator table.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Clock {
+    /// Charged once per task atom (job submission, connection setup).
+    pub startup_ms: f64,
+    /// Charged per stage boundary: every repartitioning operator and every
+    /// loop iteration (task scheduling, barrier).
+    pub stage_ms: f64,
+    /// Task slots: a stage runs as at most this many partitions, whose
+    /// critical path is charged. 1 for an in-process engine.
+    pub workers: usize,
+    /// Share of driver-side wall time charged (gathering, routing a
+    /// shuffle, a gathered sort): `1 / workers` when the driver's work is
+    /// spread over the cluster, 1 when it is not.
+    pub driver_share: f64,
+    /// Measured kernel time is charged at this factor: the modeled engine's
+    /// speed relative to the shared kernels (1.0: the kernels' own).
+    pub efficiency: f64,
+    /// A disk-phased engine's boundary: every input of a stage is written
+    /// to local disk and read back, at this many µs per row, and every
+    /// phase runs one task per worker. 0 for in-memory engines.
+    pub spill_us_per_row: f64,
 }
 
-impl LinearCostModel {}
-
-/// Whether an operator requires repartitioning on a partitioned platform
-/// (its [`Layout`](crate::physical::Layout) shuffles, gathers or broadcasts).
-pub fn requires_shuffle(op: &PhysicalOp) -> bool {
-    op.layout().repartitions()
-}
-
-/// A platform's static operator cost, corrected by the runtime-observed
-/// calibration factor for the `(operator, platform)` pair.
-///
-/// This is where the observe layer's feedback loop touches cost
-/// estimation: the factor is the EMA of observed/estimated ratios kept by
-/// [`CostCalibration`] (1.0 for never-observed pairs, i.e. a no-op until
-/// the first calibrated job ran).
-pub(crate) fn calibrated_op_cost(
-    model: &dyn PlatformCostModel,
-    op: &PhysicalOp,
-    input_cards: &[f64],
-    output_card: f64,
-    platform_name: &str,
-    calibration: &CostCalibration,
-) -> f64 {
-    model.op_cost(op, input_cards, output_card) * calibration.cost_factor(&op.name(), platform_name)
-}
-
-impl PlatformCostModel for LinearCostModel {
-    fn op_cost(&self, op: &PhysicalOp, input_cards: &[f64], output_card: f64) -> f64 {
-        let work = op_work_units(op, input_cards, output_card);
-        let mut per_unit = self.per_unit;
-        if requires_shuffle(op) {
-            per_unit += self.shuffle_surcharge;
+impl Clock {
+    /// An engine that runs a fragment in one process: `startup_ms` per atom
+    /// and kernel time at `efficiency`.
+    pub fn in_process(startup_ms: f64, efficiency: f64) -> Clock {
+        Clock {
+            startup_ms,
+            stage_ms: 0.0,
+            workers: 1,
+            driver_share: 1.0,
+            efficiency,
+            spill_us_per_row: 0.0,
         }
-        work * per_unit / self.speedup.max(1.0)
     }
 
-    fn atom_startup_cost(&self) -> f64 {
-        self.startup
+    /// Tasks a stage over `rows` input rows runs as: one per row up to the
+    /// worker count, or every worker on a disk-phased engine.
+    pub fn partitions_for(&self, rows: usize) -> usize {
+        if self.spill_us_per_row > 0.0 {
+            self.workers.max(1)
+        } else {
+            rows.clamp(1, self.workers.max(1))
+        }
+    }
+
+    /// Simulated ms this clock charges for `op` over inputs of `ins` rows
+    /// whose kernel work — summed over every task, as if one thread ran
+    /// them all — is `kernel_ms`. A loop is priced by its body
+    /// (`enumerate::node_cost`); here it is one stage.
+    pub fn price(&self, op: &PhysicalOp, kernel_ms: f64, ins: &[f64]) -> f64 {
+        let in0 = ins.first().copied().unwrap_or(0.0);
+        let tasks = self.partitions_for(in0 as usize) as f64;
+        let layout = op.layout();
+        let work = match layout {
+            Layout::Gather => kernel_ms * self.driver_share,
+            Layout::Custom {
+                per_partition: false,
+            } => kernel_ms,
+            _ => kernel_ms / tasks,
+        };
+        let crosses = layout.repartitions()
+            || matches!(
+                layout,
+                Layout::Custom {
+                    per_partition: false
+                }
+            );
+        let boundary = if crosses { self.boundary_ms(ins) } else { 0.0 };
+        boundary + self.efficiency * work
+    }
+
+    /// One stage boundary crossed by inputs of `ins` rows: a stage charge —
+    /// per input on a disk-phased engine, which spills each — and the
+    /// spill itself.
+    pub(crate) fn boundary_ms(&self, ins: &[f64]) -> f64 {
+        if self.spill_us_per_row > 0.0 {
+            let rows: f64 = ins.iter().sum();
+            self.stage_ms * ins.len().max(1) as f64 + self.spill_us_per_row * rows / 1e3
+        } else {
+            self.stage_ms
+        }
     }
 }
 
@@ -469,7 +496,7 @@ pub struct ChannelRoute {
 
 impl ChannelRoute {
     /// Total price of the route.
-    pub(crate) fn total_ms(&self) -> f64 {
+    pub fn total_ms(&self) -> f64 {
         self.transport_ms + self.conversion_ms
     }
 }
@@ -525,7 +552,7 @@ impl MovementCostModel {
     /// Unconnectable channel sets are charged the transport price alone,
     /// with an empty path — as if a bespoke copy operator existed — so
     /// enumeration never wedges on an exotic platform pair.
-    pub(crate) fn route(&self, from: &ChannelSpec, to: &ChannelSpec, records: f64) -> ChannelRoute {
+    pub fn route(&self, from: &ChannelSpec, to: &ChannelSpec, records: f64) -> ChannelRoute {
         let (path, conversion_ms) = self
             .conversions
             .cheapest_path(&from.outputs, &to.inputs, records)
@@ -566,18 +593,6 @@ mod tests {
     use crate::plan::PlanBuilder;
     use crate::rec;
     use crate::udf::{FilterUdf, FlatMapUdf, GroupMapUdf, KeyUdf, LoopCondUdf, MapUdf};
-
-    impl LinearCostModel {
-        /// A model for a zero-overhead, single-threaded engine.
-        pub(crate) fn single_threaded(per_unit: f64) -> Self {
-            LinearCostModel {
-                per_unit,
-                speedup: 1.0,
-                startup: 0.0,
-                shuffle_surcharge: 0.0,
-            }
-        }
-    }
 
     fn records(n: usize) -> Vec<crate::data::Record> {
         (0..n as i64).map(|i| rec![i]).collect()
@@ -730,53 +745,48 @@ mod tests {
     }
 
     #[test]
-    fn linear_cost_model_scales_with_parallelism() {
-        let single = LinearCostModel::single_threaded(1.0);
-        let parallel = LinearCostModel {
-            per_unit: 1.0,
-            speedup: 8.0,
-            startup: 100.0,
-            shuffle_surcharge: 0.0,
-        };
-        let op = PhysicalOp::Map(MapUdf::new("id", |r| r.clone()));
-        let c1 = single.op_cost(&op, &[1000.0], 1000.0);
-        let c2 = parallel.op_cost(&op, &[1000.0], 1000.0);
-        assert!((c1 / c2 - 8.0).abs() < 1e-9);
-        assert_eq!(single.atom_startup_cost(), 0.0);
-        assert_eq!(parallel.atom_startup_cost(), 100.0);
-    }
-
-    #[test]
-    fn shuffle_surcharge_applies_to_wide_ops() {
-        let m = LinearCostModel {
-            per_unit: 1.0,
-            speedup: 1.0,
-            startup: 0.0,
-            shuffle_surcharge: 1.0,
-        };
-        let narrow = PhysicalOp::Map(MapUdf::new("id", |r| r.clone()));
-        let wide = PhysicalOp::ReduceByKey {
+    fn a_clock_charges_stages_partitions_driver_share_and_spills() {
+        let map = PhysicalOp::Map(MapUdf::new("id", |r| r.clone()));
+        let sort = PhysicalOp::Sort {
             key: KeyUdf::field(0),
-            reduce: crate::udf::ReduceUdf::new("sum", |a, _| a),
+            descending: false,
         };
-        assert!(requires_shuffle(&wide));
-        assert!(!requires_shuffle(&narrow));
-        assert!(m.op_cost(&wide, &[100.0], 10.0) > m.op_cost(&narrow, &[100.0], 100.0));
-    }
-
-    #[test]
-    fn calibrated_cost_applies_observed_factor() {
-        let m = LinearCostModel::single_threaded(1.0);
-        let op = PhysicalOp::Map(MapUdf::new("id", |r| r.clone()));
-        let cal = CostCalibration::new();
-        let base = calibrated_op_cost(&m, &op, &[100.0], 100.0, "java", &cal);
-        assert_eq!(base, m.op_cost(&op, &[100.0], 100.0));
-        cal.observe(&op.name(), "java", 1.0, 3.0, 1.0, 1.0);
-        let scaled = calibrated_op_cost(&m, &op, &[100.0], 100.0, "java", &cal);
-        assert!((scaled / base - 3.0).abs() < 1e-9);
-        // Other platforms are unaffected.
-        let other = calibrated_op_cost(&m, &op, &[100.0], 100.0, "spark", &cal);
-        assert_eq!(other, base);
+        let join = PhysicalOp::HashJoin {
+            left_key: KeyUdf::field(0),
+            right_key: KeyUdf::field(0),
+        };
+        // In process: kernel time at the engine's efficiency, nothing else.
+        let relational = Clock::in_process(5.0, 0.5);
+        assert_eq!(relational.price(&map, 8.0, &[1e5]), 4.0);
+        assert_eq!(relational.price(&join, 8.0, &[1e5, 1e3]), 4.0);
+        assert_eq!(relational.partitions_for(1_000_000), 1);
+        // Partitioned: a narrow operator's critical path is its share of
+        // the work; a repartitioning one also pays a stage; a gathered sort
+        // runs in the driver, at the driver's share.
+        let spark = Clock {
+            startup_ms: 25.0,
+            stage_ms: 2.0,
+            workers: 8,
+            driver_share: 1.0 / 8.0,
+            efficiency: 1.0,
+            spill_us_per_row: 0.0,
+        };
+        assert_eq!(spark.price(&map, 8.0, &[1e5]), 1.0);
+        assert_eq!(spark.price(&join, 8.0, &[1e5, 1e3]), 3.0);
+        assert_eq!(spark.price(&sort, 8.0, &[1e5]), 3.0);
+        // Fewer rows than workers: one task per row.
+        assert_eq!(spark.partitions_for(3), 3);
+        assert_eq!(spark.price(&map, 6.0, &[3.0]), 2.0);
+        // Disk-phased: every worker runs, and each input of a stage pays a
+        // stage and its spill.
+        let mr = Clock {
+            spill_us_per_row: 1.0,
+            stage_ms: 8.0,
+            driver_share: 1.0,
+            ..spark
+        };
+        assert_eq!(mr.partitions_for(3), 8);
+        assert_eq!(mr.price(&join, 8.0, &[1e4, 1e3]), 16.0 + 11.0 + 1.0);
     }
 
     #[test]

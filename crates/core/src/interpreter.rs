@@ -68,11 +68,13 @@ pub fn run_fragment(
         let kernel_started = std::time::Instant::now();
         let (out, columnar) = execute_op(&node.op, &inputs, ctx, loop_state)?;
         if loop_state.is_none() {
+            let kernel_ms = kernel_started.elapsed().as_secs_f64() * 1e3;
             run.observations.push(crate::observe::NodeObservation {
                 node: id,
                 op: node.op.name(),
                 records_out: out.len() as u64,
-                elapsed_ms: kernel_started.elapsed().as_secs_f64() * 1e3,
+                elapsed_ms: kernel_ms,
+                work_ms: kernel_ms,
                 morsels: op_morsels(&node.op, &inputs, &ctx.kernel_parallelism, columnar),
                 columnar,
             });

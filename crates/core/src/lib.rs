@@ -12,9 +12,10 @@
 //! 2. **Core layer** — [`PhysicalOp`]s and [`PhysicalPlan`]s; the
 //!    [`MultiPlatformOptimizer`] lowers logical plans
 //!    ([`LogicalPlan::lower`](logical::LogicalPlan::lower)), rewrites them,
-//!    assigns a platform to every operator using pluggable
-//!    [`PlatformCostModel`]s (including inter-platform
-//!    [`MovementCostModel`] costs), and splits the result into task atoms.
+//!    assigns a platform to every operator by pricing it through each
+//!    platform's [`Clock`] over a learned kernel-rate table
+//!    ([`CostCalibration`]) plus inter-platform [`MovementCostModel`]
+//!    costs, and splits the result into task atoms.
 //! 3. **Platform layer** — [`Platform`] implementations (see the
 //!    `rheem-platforms` crate) run task atoms with their own execution
 //!    operators; the executor behind [`RheemContext::execute`] schedules
@@ -44,9 +45,8 @@
 //!
 //! **For platforms and engines:** the [`Platform`] trait with its
 //! [`ProcessingProfile`], [`ExecutionContext`], [`TaskAtom`],
-//! [`AtomInputs`], [`AtomResult`] and [`NodeObservation`]s; the cost hooks
-//! ([`PlatformCostModel`], [`LinearCostModel`], [`op_work_units`],
-//! [`requires_shuffle`], [`CostCalibration`]); the channels
+//! [`AtomInputs`], [`AtomResult`] and [`NodeObservation`]s; the [`Clock`] a
+//! platform states; the channels
 //! ([`ChannelKind`], [`ChannelConversionGraph`]); the interpreter
 //! ([`run_fragment`], [`execute_op`], [`read_count`]), the operator table
 //! ([`kernels::execute`]), the [`Layout`] of every [`PhysicalOp`] and the
@@ -58,7 +58,8 @@
 //! hand-built [`ExecutionPlan`].
 //!
 //! **For tests:** the references a test compares against — [`run_plan`],
-//! [`enumerate_exhaustive`], [`assignment_cost`],
+//! [`enumerate_exhaustive`], [`assignment_cost`], the price
+//! [`MovementCostModel::route`] puts on a boundary,
 //! [`MultiPlatformOptimizer::without_rewrites`],
 //! [`kernels::chunked::run_stages_rows`], [`kernels::flat_map`] and
 //! [`BackoffPolicy::delay`]; the morsel-parallel twins under test
@@ -75,9 +76,10 @@
 //! [`RheemContext::with_sleeper`], [`MemoryStorageService`],
 //! [`KernelParallelism::with_morsel_size`],
 //! [`KernelParallelism::with_min_rows`], [`PlatformHealth::is_open`]
-//! through [`RheemContext::platform_health`], observed costs fed to and read
-//! from a [`CostCalibration`] ([`CostCalibration::observe`],
-//! [`CostCalibration::snapshot`]), and [`kernels::hash_i64`] with
+//! through [`RheemContext::platform_health`], observed kernel work fed to
+//! and read from the [`CostCalibration`] rate table
+//! ([`CostCalibration::observe`], [`CostCalibration::rate`],
+//! [`CostCalibration::snapshot`], [`KernelKey`], [`Rate`]), and [`kernels::hash_i64`] with
 //! [`kernels::radix_bucket`] (keys that all land in one radix bucket).
 //!
 //! Seven module paths stay public because the standalone `benchmark`
@@ -112,10 +114,7 @@ pub mod query;
 pub mod udf;
 
 pub use context::RheemContext;
-pub use cost::{
-    op_work_units, requires_shuffle, ChannelConversionGraph, ChannelKind, LinearCostModel,
-    MovementCostModel, PlatformCostModel,
-};
+pub use cost::{ChannelConversionGraph, ChannelKind, Clock, MovementCostModel};
 pub use data::{Chunk, Column, ColumnBuilder, DataType, Dataset, Record, Schema, Value};
 pub use error::{CancelReason, Result, RheemError};
 pub use executor::{AtomStats, ExecutionStats, JobResult, WaveGate};
@@ -126,8 +125,8 @@ pub use fault::{
 pub use interpreter::{execute_op, read_count, run_fragment, run_plan};
 pub use kernels::parallel::KernelParallelism;
 pub use observe::{
-    CostCalibration, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
-    NodeObservation, Observability,
+    CostCalibration, Counter, Gauge, Histogram, HistogramSnapshot, KernelKey, MetricsRegistry,
+    NodeObservation, Observability, Rate,
 };
 pub use optimizer::{
     apply_rewrites, assignment_cost, enumerate, enumerate_exhaustive, split_into_atoms,

@@ -1,195 +1,229 @@
-//! Cost-model calibration: fold observed runtimes and cardinalities back
-//! into the optimizer's estimates.
+//! The kernel-rate table: what an operator's kernel costs, learned from
+//! every job.
 //!
-//! The optimizer's cost models are static guesses; after a job runs we
-//! know, per operator and platform, how long the kernel actually took and
-//! how many records it actually produced. [`CostCalibration`] keeps an
-//! exponential moving average of the *ratio* observed/estimated per
-//! `(operator, platform)` pair. `cost.rs` multiplies its static estimate
-//! by that factor on the next optimization pass, so a platform whose cost
-//! model flattered it loses work to its honest competitors.
+//! A platform's price for an operator has two halves. The platform half —
+//! startup, stage boundaries, partitions, driver share, efficiency, disk —
+//! is the platform's [`Clock`](crate::cost::Clock), stated by the platform
+//! and charged by its engine. The kernel half is the same on every engine,
+//! because every engine runs the same operator table. [`CostCalibration`]
+//! estimates that half: one [`Rate`] per [`KernelKey`] — the operator's
+//! kernel and whether it runs on chunks or rows — as a fixed µs plus µs per
+//! work unit ([`crate::cost::op_work_units`]).
 //!
-//! The EMA decay constant is [`DEFAULT_ALPHA`] = 0.5: the newest job
-//! contributes half of the factor, the entire history the other half. The
-//! first sample seeds the factor directly (no pull toward the prior 1.0),
-//! so a single calibrated run is enough to correct a grossly wrong model —
-//! the property the `ablation_calibration` bench demonstrates.
+//! Each rate starts at a constant taken from `BENCH_kernels.json`'s full
+//! run and is then a least-squares fit over every observation folded in:
+//! every committed node of every job, whichever platform ran it, timed as
+//! the kernel work the engine did before its clock was applied
+//! ([`NodeObservation::work_ms`]). The fit weighs all observations alike;
+//! no decay constant can be set. An observation on one platform therefore
+//! prices that kernel on all of them.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
+use crate::cost::op_work_units;
 use crate::executor::ExecutionStats;
+use crate::physical::PhysicalOp;
 use crate::plan::ExecutionPlan;
 
-/// Default EMA decay constant: weight of the newest observation.
-pub const DEFAULT_ALPHA: f64 = 0.5;
+#[cfg(doc)]
+use super::NodeObservation;
 
-/// Ratios are clamped to this range before entering the EMA so a single
-/// absurd measurement (clock glitch, near-zero estimate) cannot poison the
-/// table beyond recovery.
-pub const RATIO_CLAMP: (f64, f64) = (1e-4, 1e4);
-
-/// Calibration state for one `(operator, platform)` pair.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CalibrationEntry {
-    /// EMA of observed/estimated cost (multiplies the static cost model).
-    pub cost_factor: f64,
-    /// EMA of observed/estimated output cardinality.
-    pub card_factor: f64,
-    /// Number of successful observations folded in.
-    pub samples: u64,
+/// What the rate table is keyed by: an operator's kernel (its
+/// [`PhysicalOp::kernel`] name) and the path it runs on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct KernelKey {
+    /// The operator's kernel, e.g. `"HashJoin"`.
+    pub kernel: &'static str,
+    /// True for the chunk kernel, false for the row kernel.
+    pub columnar: bool,
 }
 
-impl Default for CalibrationEntry {
-    fn default() -> Self {
-        Self {
-            cost_factor: 1.0,
-            card_factor: 1.0,
-            samples: 0,
+impl KernelKey {
+    /// The key `op` is priced under: the chunk path when the operator has
+    /// a chunk kernel ([`PhysicalOp::runs_columnar`]).
+    pub fn of(op: &PhysicalOp) -> KernelKey {
+        KernelKey {
+            kernel: op.kernel(),
+            columnar: op.runs_columnar(),
         }
     }
 }
 
-/// EMA table of observed/estimated ratios per `(operator, platform)`.
+/// One kernel's cost: `fixed_us + per_unit_us · work units`.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Rate {
+    /// Cost of running the kernel at all, in µs.
+    pub fixed_us: f64,
+    /// Cost per work unit, in µs.
+    pub per_unit_us: f64,
+    /// Observations the rate is fitted to (0: the seed).
+    pub samples: u64,
+    /// Mean work units of those observations (0 for the seed).
+    pub mean_units: f64,
+}
+
+impl Rate {
+    /// Estimated kernel µs over `units` work units.
+    pub fn us(&self, units: f64) -> f64 {
+        self.fixed_us + self.per_unit_us * units
+    }
+}
+
+/// The seed of `key`, in µs per work unit: `BENCH_kernels.json`'s full
+/// `ablation_kernels` run at 10^6 rows (the served join at its 200 000),
+/// divided by the kernel's work units there. Where the bench times the
+/// shape the server runs, the seed is that entry — the served WHERE
+/// (`filter_selective`), GROUP BY (the mean of `hash_aggregate_int_key` and
+/// `_dict_key`), join (`hash_join_dense_key`) and ORDER BY (`sort_served`);
+/// a row reduce is `reduce_by_key`'s sequential run. Sources, sinks and a
+/// limit hand a dataset along and start free; a kernel the bench does not
+/// time starts at its path's filter rate.
+pub(crate) fn seed(key: KernelKey) -> Rate {
+    let per_unit_us = match (key.kernel, key.columnar) {
+        ("CollectionSource" | "StorageSource" | "LoopInput" | "Limit", _)
+        | ("CollectSink" | "CountSink", _) => 0.0,
+        ("Map", true) => 0.00086,
+        ("Project", true) => 0.0,
+        ("ChunkPipeline", true) => 0.00593,
+        ("HashGroupBy" | "SortGroupBy", true) => 0.0119,
+        ("HashJoin", true) => 0.0019,
+        ("Sort", true) => 0.000355,
+        (_, true) => 0.00529,
+        ("Map" | "FlatMap", false) => 0.0573,
+        ("Project", false) => 0.0337,
+        ("ChunkPipeline", false) => 0.0831,
+        ("HashGroupBy" | "SortGroupBy", false) => 0.376,
+        ("ReduceByKey" | "GlobalReduce", false) => 0.0884,
+        ("HashJoin", false) => 0.0846,
+        ("Sort", false) => 0.00625,
+        (_, false) => 0.0406,
+    };
+    Rate {
+        per_unit_us,
+        ..Rate::default()
+    }
+}
+
+/// A rate's running least-squares fit (Welford's update, so large work
+/// counts lose no precision).
+#[derive(Clone, Copy, Debug, Default)]
+struct Fit {
+    n: u64,
+    mean_x: f64,
+    mean_y: f64,
+    /// Σ (x − mean_x)².
+    m2x: f64,
+    /// Σ (x − mean_x)(y − mean_y).
+    cxy: f64,
+    /// The rate the observations so far fit to.
+    rate: Rate,
+}
+
+impl Fit {
+    /// Fold in `y` µs over `x` work units and refit.
+    fn add(&mut self, x: f64, y: f64) {
+        self.n += 1;
+        let n = self.n as f64;
+        let dx = x - self.mean_x;
+        self.mean_x += dx / n;
+        self.mean_y += (y - self.mean_y) / n;
+        self.m2x += dx * (x - self.mean_x);
+        self.cxy += dx * (y - self.mean_y);
+        let (fixed_us, per_unit_us) = self.solve();
+        self.rate = Rate {
+            fixed_us,
+            per_unit_us,
+            samples: self.n,
+            mean_units: self.mean_x,
+        };
+    }
+
+    /// Intercept and slope. A line through one work size, or one that
+    /// would price some size below zero, becomes a line through the origin
+    /// — the seeds' shape.
+    fn solve(&self) -> (f64, f64) {
+        let (n, mx, my) = (self.n as f64, self.mean_x, self.mean_y);
+        if self.m2x > 1e-9 * n * mx * mx {
+            let slope = self.cxy / self.m2x;
+            let intercept = my - slope * mx;
+            if slope >= 0.0 && intercept >= 0.0 {
+                return (intercept, slope);
+            }
+        }
+        if mx > 0.0 {
+            (0.0, (self.cxy + n * mx * my) / (self.m2x + n * mx * mx))
+        } else {
+            (my, 0.0)
+        }
+    }
+}
+
+/// The kernel-rate table (see the module docs).
 ///
 /// Interior mutability (a `Mutex` around the map) lets the optimizer hold
 /// the table in an `Arc` and fold observations in from `&self` contexts;
-/// the table is only touched once per job plus once per candidate during
-/// enumeration, never inside kernel hot loops.
+/// it is read once per plan node during enumeration and written once per
+/// job, never inside a kernel.
 ///
 /// Concurrency: `CostCalibration::absorb` holds the table lock for the
 /// whole job it folds in, so two jobs finishing at the same time serialize
-/// as whole jobs — the result is always one of the two serial orders, never
-/// an interleaving that loses updates mid-EMA. The `CostCalibration::version`
-/// counter advances once per mutating batch, giving the plan cache a cheap
-/// "did anything change since I last checked?" probe.
-#[derive(Debug)]
+/// as whole jobs. The `CostCalibration::version` counter advances once per
+/// mutating batch, giving the plan cache a cheap "did anything change since
+/// I last checked?" probe.
+#[derive(Debug, Default)]
 pub struct CostCalibration {
-    alpha: f64,
-    entries: Mutex<HashMap<(String, String), CalibrationEntry>>,
+    entries: Mutex<HashMap<KernelKey, Fit>>,
     version: AtomicU64,
 }
 
-impl Default for CostCalibration {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl CostCalibration {
-    /// Create an empty table with `DEFAULT_ALPHA`.
+    /// A table holding only the seeds.
     pub(crate) fn new() -> Self {
-        Self::with_alpha(DEFAULT_ALPHA)
+        Self::default()
     }
 
-    /// Create an empty table with a custom decay constant in `(0, 1]`.
-    ///
-    /// Non-finite alphas fall back to [`DEFAULT_ALPHA`]: `f64::clamp`
-    /// propagates NaN, so without the explicit guard a NaN alpha would
-    /// poison every subsequent EMA update.
-    pub(crate) fn with_alpha(alpha: f64) -> Self {
-        let alpha = if alpha.is_finite() {
-            alpha.clamp(f64::EPSILON, 1.0)
-        } else {
-            DEFAULT_ALPHA
-        };
-        Self {
-            alpha,
-            entries: Mutex::new(HashMap::new()),
-            version: AtomicU64::new(0),
-        }
-    }
-
-    /// Fold one successful observation into the table.
-    ///
-    /// Non-finite or non-positive estimates/observations are discarded:
-    /// a ratio cannot be formed from them, and failed attempts (which are
-    /// the usual source of garbage) must not pollute the table.
-    pub fn observe(
-        &self,
-        op: &str,
-        platform: &str,
-        estimated_cost_ms: f64,
-        observed_cost_ms: f64,
-        estimated_card: f64,
-        observed_card: f64,
-    ) {
-        let mut entries = self.entries.lock();
-        if Self::fold_one(
-            self.alpha,
-            &mut entries,
-            op,
-            platform,
-            estimated_cost_ms,
-            observed_cost_ms,
-            estimated_card,
-            observed_card,
-        ) {
+    /// Fold in one observation: `key`'s kernel did `work_ms` of work over
+    /// `units` work units. Non-finite or negative values are discarded.
+    pub fn observe(&self, key: KernelKey, units: f64, work_ms: f64) {
+        if Self::fold(&mut self.entries.lock(), key, units, work_ms) {
             self.version.fetch_add(1, Ordering::Release);
         }
     }
 
-    /// Fold one observation into an already-locked table; returns whether
-    /// anything changed. Shared by [`Self::observe`] (one lock per call)
-    /// and [`Self::absorb`] (one lock per *job*).
-    #[allow(clippy::too_many_arguments)]
-    fn fold_one(
-        alpha: f64,
-        entries: &mut HashMap<(String, String), CalibrationEntry>,
-        op: &str,
-        platform: &str,
-        estimated_cost_ms: f64,
-        observed_cost_ms: f64,
-        estimated_card: f64,
-        observed_card: f64,
-    ) -> bool {
-        let cost_ratio = safe_ratio(observed_cost_ms, estimated_cost_ms);
-        let card_ratio = safe_ratio(observed_card, estimated_card);
-        if cost_ratio.is_none() && card_ratio.is_none() {
+    fn fold(entries: &mut HashMap<KernelKey, Fit>, key: KernelKey, x: f64, ms: f64) -> bool {
+        if !(x.is_finite() && ms.is_finite() && x >= 0.0 && ms >= 0.0) {
             return false;
         }
-        let entry = entries
-            .entry((op.to_string(), platform.to_string()))
-            .or_default();
-        let first = entry.samples == 0;
-        if let Some(r) = cost_ratio {
-            entry.cost_factor = if first {
-                r
-            } else {
-                alpha * r + (1.0 - alpha) * entry.cost_factor
-            };
-        }
-        if let Some(r) = card_ratio {
-            entry.card_factor = if first {
-                r
-            } else {
-                alpha * r + (1.0 - alpha) * entry.card_factor
-            };
-        }
-        entry.samples = entry.samples.saturating_add(1);
+        entries.entry(key).or_default().add(x, ms * 1e3);
         true
     }
 
-    /// Monotone mutation counter: advances once per mutating [`Self::observe`]
-    /// call and once per [`Self::absorb`] that folded anything in. The plan
-    /// cache compares versions to skip drift recomputation when the table
-    /// has not moved since an entry was last validated.
+    /// Monotone mutation counter: advances once per mutating
+    /// [`Self::observe`] and once per [`Self::absorb`] that folded anything
+    /// in. The plan cache compares versions to skip its drift check when
+    /// the table has not moved since an entry was last validated.
     pub(crate) fn version(&self) -> u64 {
         self.version.load(Ordering::Acquire)
     }
 
-    /// Multiplier for the static cost of `op` on `platform` (1.0 when the
-    /// pair was never observed).
-    pub(crate) fn cost_factor(&self, op: &str, platform: &str) -> f64 {
+    /// The current rate of `key`: fitted, or the seed if never observed.
+    pub fn rate(&self, key: KernelKey) -> Rate {
         self.entries
             .lock()
-            .get(&(op.to_string(), platform.to_string()))
-            .map_or(1.0, |e| e.cost_factor)
+            .get(&key)
+            .map_or_else(|| seed(key), |f| f.rate)
     }
 
-    /// Number of `(operator, platform)` pairs observed so far.
+    /// Estimated kernel work of `op` over inputs of `ins` rows producing
+    /// `out`, in ms — summed over every task, before any clock.
+    pub(crate) fn kernel_ms(&self, op: &PhysicalOp, ins: &[f64], out: f64) -> f64 {
+        self.rate(KernelKey::of(op)).us(op_work_units(op, ins, out)) / 1e3
+    }
+
+    /// Number of keys observed so far.
     pub fn len(&self) -> usize {
         self.entries.lock().len()
     }
@@ -199,56 +233,57 @@ impl CostCalibration {
         self.entries.lock().is_empty()
     }
 
-    /// Sorted copy of the table for reporting.
-    pub fn snapshot(&self) -> Vec<((String, String), CalibrationEntry)> {
+    /// The observed keys and their rates, sorted by key.
+    pub fn snapshot(&self) -> Vec<(KernelKey, Rate)> {
         let mut rows: Vec<_> = self
             .entries
             .lock()
             .iter()
-            .map(|(k, v)| (k.clone(), *v))
+            .map(|(k, f)| (*k, f.rate))
             .collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        rows.sort_by_key(|(k, _)| *k);
         rows
     }
 
-    /// Fold every per-kernel observation of a finished job into the table.
+    /// Fold every node observation of a finished job into the table.
     ///
-    /// Requires the plan to carry optimizer estimates (plans hand-built in
-    /// tests have none — those are skipped). Only observations attached to
-    /// committed atom stats reach this point: a failed attempt's outputs
-    /// are discarded by the executor's retry loop, so failures can never
-    /// pollute the table.
-    ///
-    /// The whole job is folded under one table lock, so absorption is
-    /// merge-safe: when two jobs finish concurrently the table always ends
-    /// up in one of the two serial orders (job A then B, or B then A) —
-    /// per-observation interleavings that read a half-updated EMA cannot
-    /// happen.
+    /// A node's work units are counted on what it actually saw: its
+    /// producers' observed output (the plan's estimate where a producer
+    /// was not observed) and its own observed output. A loop is priced
+    /// through its body, so its own observation is not folded in. Only
+    /// observations attached to committed atom stats reach this point: a
+    /// failed attempt's are discarded by the executor's retry loop.
     pub(crate) fn absorb(&self, plan: &ExecutionPlan, stats: &ExecutionStats) {
-        if plan.estimates.len() != plan.physical.len() {
-            return;
-        }
+        let observations = || stats.atoms.iter().flat_map(|a| &a.node_observations);
+        let observed: HashMap<_, f64> = observations()
+            .map(|o| (o.node, o.records_out as f64))
+            .collect();
+        let nodes = plan.physical.nodes();
         let mut entries = self.entries.lock();
         let mut changed = false;
-        for atom in &stats.atoms {
-            for obs in &atom.node_observations {
-                let Some(est) = plan.estimates.get(obs.node.0) else {
-                    continue;
-                };
-                let Some(platform) = plan.assignments.get(obs.node.0) else {
-                    continue;
-                };
-                changed |= Self::fold_one(
-                    self.alpha,
-                    &mut entries,
-                    &obs.op,
-                    platform,
-                    est.cost_ms,
-                    obs.elapsed_ms,
-                    est.card,
-                    obs.records_out as f64,
-                );
+        for obs in observations() {
+            let Some(node) = nodes.get(obs.node.0) else {
+                continue;
+            };
+            if matches!(node.op, PhysicalOp::Loop { .. }) {
+                continue;
             }
+            let ins: Vec<f64> = node
+                .inputs
+                .iter()
+                .map(|i| {
+                    observed
+                        .get(i)
+                        .copied()
+                        .unwrap_or_else(|| plan.estimates.get(i.0).map_or(0.0, |e| e.card))
+                })
+                .collect();
+            let key = KernelKey {
+                kernel: node.op.kernel(),
+                columnar: obs.columnar,
+            };
+            let units = op_work_units(&node.op, &ins, obs.records_out as f64);
+            changed |= Self::fold(&mut entries, key, units, obs.work_ms);
         }
         if changed {
             self.version.fetch_add(1, Ordering::Release);
@@ -256,98 +291,99 @@ impl CostCalibration {
     }
 }
 
-/// `observed / estimated`, clamped, or `None` when either side is unusable.
-fn safe_ratio(observed: f64, estimated: f64) -> Option<f64> {
-    if !observed.is_finite() || !estimated.is_finite() || observed <= 0.0 || estimated <= 0.0 {
-        return None;
-    }
-    Some((observed / estimated).clamp(RATIO_CLAMP.0, RATIO_CLAMP.1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    impl CostCalibration {
-        /// Full entry for a pair, if any observation was folded in.
-        pub(crate) fn entry(&self, op: &str, platform: &str) -> Option<CalibrationEntry> {
-            self.entries
-                .lock()
-                .get(&(op.to_string(), platform.to_string()))
-                .copied()
-        }
-    }
+    const MAP_ROWS: KernelKey = KernelKey {
+        kernel: "Map",
+        columnar: false,
+    };
 
     #[test]
-    fn first_sample_seeds_then_ema_decays() {
-        let cal = CostCalibration::with_alpha(0.5);
-        assert_eq!(cal.cost_factor("Map(f)", "java"), 1.0);
-        cal.observe("Map(f)", "java", 10.0, 40.0, 100.0, 100.0);
-        // First sample seeds directly: 40/10 = 4.
-        assert!((cal.cost_factor("Map(f)", "java") - 4.0).abs() < 1e-9);
-        cal.observe("Map(f)", "java", 10.0, 20.0, 100.0, 100.0);
-        // EMA: 0.5*2 + 0.5*4 = 3.
-        assert!((cal.cost_factor("Map(f)", "java") - 3.0).abs() < 1e-9);
-        assert_eq!(cal.entry("Map(f)", "java").unwrap().samples, 2);
+    fn the_seed_prices_until_an_observation_and_one_size_fits_a_slope() {
+        let cal = CostCalibration::new();
+        let seeded = cal.rate(MAP_ROWS);
+        assert_eq!(seeded.samples, 0);
+        assert!(seeded.per_unit_us > 0.0);
+        // One observation at one size: a line through the origin.
+        cal.observe(MAP_ROWS, 1_000.0, 1.0);
+        let rate = cal.rate(MAP_ROWS);
+        assert_eq!(rate.samples, 1);
+        assert!((rate.us(1_000.0) - 1_000.0).abs() < 1e-6);
+        assert!((rate.us(2_000.0) - 2_000.0).abs() < 1e-6);
         assert_eq!(cal.len(), 1);
     }
 
     #[test]
-    fn garbage_observations_are_discarded() {
+    fn two_sizes_fit_a_fixed_cost_and_a_slope() {
         let cal = CostCalibration::new();
-        cal.observe("Map(f)", "java", 0.0, 5.0, 0.0, 5.0);
-        cal.observe("Map(f)", "java", f64::NAN, 5.0, -1.0, 5.0);
-        cal.observe("Map(f)", "java", 10.0, f64::INFINITY, 10.0, -3.0);
-        assert!(cal.is_empty());
-        // A usable cost ratio with garbage cardinality still lands, but
-        // leaves the cardinality factor untouched.
-        cal.observe("Map(f)", "java", 10.0, 30.0, f64::NAN, 5.0);
-        let e = cal.entry("Map(f)", "java").unwrap();
-        assert!((e.cost_factor - 3.0).abs() < 1e-9);
-        assert!((e.card_factor - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ratios_are_clamped() {
-        let cal = CostCalibration::new();
-        cal.observe("Map(f)", "java", 1e-12, 1e12, 1.0, 1.0);
-        assert!((cal.cost_factor("Map(f)", "java") - RATIO_CLAMP.1).abs() < 1e-9);
-        cal.observe("Filter(g)", "java", 1e12, 1e-12, 1.0, 1.0);
-        assert!((cal.cost_factor("Filter(g)", "java") - RATIO_CLAMP.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn with_alpha_rejects_non_finite_alpha() {
-        // Regression: NaN propagates through `f64::clamp`, so a NaN alpha
-        // used to survive the `(EPSILON, 1.0)` guard and turn every EMA
-        // update into NaN.
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let cal = CostCalibration::with_alpha(bad);
-            assert_eq!(cal.alpha, DEFAULT_ALPHA, "alpha {bad} not rejected");
-            cal.observe("Map(f)", "java", 10.0, 40.0, 100.0, 100.0);
-            cal.observe("Map(f)", "java", 10.0, 20.0, 100.0, 100.0);
-            let e = cal.entry("Map(f)", "java").unwrap();
-            assert!(e.cost_factor.is_finite());
-            // Seed 4.0, then EMA with DEFAULT_ALPHA: 0.5*2 + 0.5*4 = 3.
-            assert!((e.cost_factor - 3.0).abs() < 1e-9);
+        // 50 µs + 0.1 µs per unit, observed alternately at two sizes.
+        for _ in 0..3 {
+            cal.observe(MAP_ROWS, 1_000.0, 0.15);
+            cal.observe(MAP_ROWS, 100_000.0, 10.05);
+        }
+        let rate = cal.rate(MAP_ROWS);
+        assert!((rate.fixed_us - 50.0).abs() < 1e-6, "{rate:?}");
+        assert!((rate.per_unit_us - 0.1).abs() < 1e-9, "{rate:?}");
+        assert_eq!(rate.samples, 6);
+        assert!((rate.mean_units - 50_500.0).abs() < 1e-6);
+        // A negative intercept or slope is refitted through the origin
+        // (Σxy / Σxx): no rate ever prices a size below zero.
+        for (first_ms, second_ms, slope) in [(0.0, 0.2, 0.8), (0.2, 0.1, 0.8)] {
+            let cal = CostCalibration::new();
+            cal.observe(MAP_ROWS, 100.0, first_ms);
+            cal.observe(MAP_ROWS, 200.0, second_ms);
+            let r = cal.rate(MAP_ROWS);
+            assert_eq!(r.fixed_us, 0.0);
+            assert!((r.per_unit_us - slope).abs() < 1e-9, "{r:?}");
         }
     }
 
     #[test]
-    fn version_advances_only_on_mutation() {
+    fn garbage_observations_are_discarded_and_leave_the_version() {
         let cal = CostCalibration::new();
+        cal.observe(MAP_ROWS, f64::NAN, 5.0);
+        cal.observe(MAP_ROWS, 10.0, f64::INFINITY);
+        cal.observe(MAP_ROWS, -1.0, 5.0);
+        cal.observe(MAP_ROWS, 10.0, -3.0);
+        assert!(cal.is_empty());
         assert_eq!(cal.version(), 0);
-        cal.observe("Map(f)", "java", 0.0, 0.0, 0.0, 0.0); // garbage: discarded
-        assert_eq!(cal.version(), 0);
-        cal.observe("Map(f)", "java", 10.0, 20.0, 100.0, 100.0);
+        cal.observe(MAP_ROWS, 10.0, 0.02);
         assert_eq!(cal.version(), 1);
     }
 
+    #[test]
+    fn keys_follow_the_operator_table() {
+        use crate::expr::Expr;
+        use crate::udf::{FilterUdf, MapUdf};
+        let opaque = PhysicalOp::Map(MapUdf::new("f", |r| r.clone()));
+        assert_eq!(KernelKey::of(&opaque), MAP_ROWS);
+        let declarative = PhysicalOp::Filter(FilterUdf::from_expr(
+            "p",
+            Expr::field(0).ge(Expr::lit(1i64)),
+        ));
+        assert_eq!(
+            KernelKey::of(&declarative),
+            KernelKey {
+                kernel: "Filter",
+                columnar: true
+            }
+        );
+        // A chunk kernel is priced below its row twin.
+        let cal = CostCalibration::new();
+        let map_chunk = KernelKey {
+            kernel: "Map",
+            columnar: true,
+        };
+        assert!(cal.rate(map_chunk).us(1e6) < cal.rate(MAP_ROWS).us(1e6));
+    }
+
     /// A one-job (plan, stats) pair whose absorption folds `observed_ms`
-    /// ratios into `Map(f)@java`, in order.
+    /// into the row `Map` rate, in order, over 100 → 100 rows.
     fn absorb_job(observed_ms: &[f64]) -> (ExecutionPlan, ExecutionStats) {
         use crate::observe::NodeObservation;
-        use crate::plan::{EnumerationInfo, NodeEstimate, NodeId, PlanBuilder};
+        use crate::plan::{EnumerationInfo, NodeId, PlanBuilder};
         use crate::rec;
         use crate::udf::MapUdf;
         use std::sync::Arc;
@@ -364,14 +400,17 @@ mod tests {
             assignments: vec!["java".into(); n],
             atoms: vec![],
             estimated_cost: 0.0,
-            estimates: vec![
-                NodeEstimate {
-                    cost_ms: 10.0,
-                    card: 100.0
-                };
-                n
-            ],
+            estimates: vec![],
             enumeration: EnumerationInfo::default(),
+        };
+        let observation = |node: usize, op: &str, ms: f64| NodeObservation {
+            node: NodeId(node),
+            op: op.into(),
+            records_out: 100,
+            elapsed_ms: ms,
+            work_ms: ms,
+            morsels: 1,
+            columnar: false,
         };
         let mut stats = ExecutionStats::default();
         stats.atoms.push(crate::executor::AtomStats {
@@ -385,45 +424,41 @@ mod tests {
             simulated_overhead_ms: 0.0,
             simulated_elapsed_ms: 0.0,
             movement_cost_ms: 0.0,
-            node_observations: observed_ms
-                .iter()
-                .map(|ms| NodeObservation {
-                    node: NodeId(1),
-                    op: "Map(f)".into(),
-                    records_out: 100,
-                    elapsed_ms: *ms,
-                    morsels: 1,
-                    columnar: false,
-                })
+            node_observations: std::iter::once(observation(0, "source", 0.0))
+                .chain(observed_ms.iter().map(|ms| observation(1, "Map(f)", *ms)))
                 .collect(),
         });
         (plan, stats)
     }
 
     #[test]
+    fn absorption_counts_work_on_what_each_node_saw() {
+        let (plan, stats) = absorb_job(&[0.2, 0.4]);
+        let cal = CostCalibration::new();
+        cal.absorb(&plan, &stats);
+        assert_eq!(cal.version(), 1, "one job, one version step");
+        // 100 rows in (the source's observed output) + 100 out = 200 units.
+        let rate = cal.rate(MAP_ROWS);
+        assert_eq!(rate.samples, 2);
+        assert!((rate.mean_units - 200.0).abs() < 1e-9);
+        assert!((rate.us(200.0) - 300.0).abs() < 1e-6, "{rate:?}");
+    }
+
+    #[test]
     fn concurrent_absorption_is_merge_safe() {
-        // Regression: `absorb` used to take the table lock once per
-        // observation, so two jobs finishing concurrently could interleave
-        // mid-EMA and land on a state reachable by no serial order. With
-        // the whole-job critical section, the result is always exactly
-        // serial(A;B) or serial(B;A).
+        // `absorb` takes the table lock once per job, so two jobs finishing
+        // concurrently land on the state of one of the two serial orders.
         let (plan_a, stats_a) = absorb_job(&[20.0, 40.0, 80.0]);
         let (plan_b, stats_b) = absorb_job(&[30.0, 50.0, 90.0]);
-
         let serial = |first: (&ExecutionPlan, &ExecutionStats),
                       second: (&ExecutionPlan, &ExecutionStats)| {
             let cal = CostCalibration::new();
             cal.absorb(first.0, first.1);
             cal.absorb(second.0, second.1);
-            cal.entry("Map(f)", "java").unwrap()
+            cal.rate(MAP_ROWS)
         };
         let ab = serial((&plan_a, &stats_a), (&plan_b, &stats_b));
         let ba = serial((&plan_b, &stats_b), (&plan_a, &stats_a));
-        assert_ne!(
-            ab.cost_factor, ba.cost_factor,
-            "orders must be distinguishable"
-        );
-
         for _ in 0..100 {
             let cal = CostCalibration::new();
             let barrier = std::sync::Barrier::new(2);
@@ -437,7 +472,7 @@ mod tests {
                     cal.absorb(&plan_b, &stats_b);
                 });
             });
-            let got = cal.entry("Map(f)", "java").unwrap();
+            let got = cal.rate(MAP_ROWS);
             assert!(
                 got == ab || got == ba,
                 "concurrent absorb produced a non-serializable state: {got:?} \

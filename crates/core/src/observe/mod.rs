@@ -7,9 +7,9 @@
 //! - [`metrics`] — a lock-cheap [`MetricsRegistry`] of counters, gauges,
 //!   and fixed-bound histograms. The executor, optimizer, and the storage
 //!   hot buffer all report into one registry; hot paths only touch atomics.
-//! - [`calibrate`] — a [`CostCalibration`] table folding observed kernel
-//!   runtimes and true cardinalities back into the optimizer's estimates
-//!   as an EMA per `(operator, platform)` pair.
+//! - [`calibrate`] — the [`CostCalibration`] kernel-rate table, fitted to
+//!   every job's observed kernel work, which the optimizer prices through
+//!   each platform's clock.
 //!
 //! [`Observability`] ties them together: attached to a
 //! [`crate::RheemContext`] (via `with_observability`), it is handed each
@@ -19,7 +19,8 @@
 mod calibrate;
 mod metrics;
 
-pub use calibrate::CostCalibration;
+pub(crate) use calibrate::seed as seed_rate;
+pub use calibrate::{CostCalibration, KernelKey, Rate};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
 
 use std::sync::Arc;
@@ -42,8 +43,14 @@ pub struct NodeObservation {
     pub op: String,
     /// Records the kernel actually produced.
     pub records_out: u64,
-    /// Observed kernel runtime in (possibly simulated) milliseconds.
+    /// Simulated milliseconds the engine charged for the node: its kernel
+    /// work through the platform's clock (critical path, stage and
+    /// boundary charges, efficiency).
     pub elapsed_ms: f64,
+    /// The kernel work itself, before the clock: the sum of the node's
+    /// task times, as if one thread ran them all. What the kernel-rate
+    /// table is fitted to.
+    pub work_ms: f64,
     /// Parallel work units (morsels or chunks) the kernel ran on; 1 for
     /// a sequential kernel. Deterministic for a fixed
     /// [`crate::KernelParallelism`] setting but not across settings, so a
@@ -237,6 +244,7 @@ mod tests {
                 op: "Map(f)".into(),
                 records_out: 20,
                 elapsed_ms: 2.0,
+                work_ms: 2.0,
                 morsels: 4,
                 columnar: false,
             }],

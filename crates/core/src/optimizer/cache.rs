@@ -7,11 +7,10 @@
 //! ([`crate::plan::PlanFingerprint`]), the platform set, the enumeration
 //! configuration, and the calibration table. The cache keys on the first
 //! three and *validates* against the fourth: an entry remembers the
-//! calibration cost factors it was enumerated under, and is invalidated
-//! when any factor has since drifted past
-//! [`PlanCacheConfig::drift_threshold`] — the cached platform choices were
-//! made under cost assumptions that no longer hold, so the plan must be
-//! re-enumerated.
+//! kernel rates it was enumerated under, and is invalidated when any rate
+//! has since drifted past [`PlanCacheConfig::drift_threshold`] — the cached
+//! platform choices were made under prices that no longer hold, so the
+//! plan must be re-enumerated.
 //!
 //! A cache hit never reuses the cached *physical plan* (it embeds the old
 //! job's source data and closures); only the scheduling artifacts are
@@ -31,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 
 use crate::fault::{fnv1a, splitmix64};
-use crate::observe::CostCalibration;
+use crate::observe::{seed_rate, CostCalibration, KernelKey, Rate};
 use crate::plan::{EnumerationInfo, ExecutionPlan, NodeEstimate, TaskAtom};
 use crate::platform::PlatformRegistry;
 
@@ -43,9 +42,9 @@ pub struct PlanCacheConfig {
     /// Maximum number of cached plans; least-recently-used entries are
     /// evicted past this.
     pub capacity: usize,
-    /// Maximum relative change of any calibration cost factor (missing
-    /// factors count as 1.0) before a cached entry is invalidated. E.g.
-    /// `0.5` invalidates when some factor grew or shrank by more than 50%.
+    /// Maximum relative change of any kernel rate — priced at the work it
+    /// was observed at — before a cached entry is invalidated. E.g. `0.5`
+    /// invalidates when some rate grew or shrank by more than 50%.
     pub drift_threshold: f64,
 }
 
@@ -65,7 +64,7 @@ pub struct PlanCacheStats {
     pub hits: u64,
     /// Lookups that fell through to a fresh enumeration.
     pub misses: u64,
-    /// Entries dropped because calibration drifted past the threshold.
+    /// Entries dropped because a kernel rate drifted past the threshold.
     pub invalidations: u64,
     /// Entries currently cached.
     pub entries: usize,
@@ -99,8 +98,8 @@ struct CachedEntry {
     /// [`CostCalibration::version`] at the last drift validation — when
     /// unchanged, the drift check is skipped entirely.
     calib_version: u64,
-    /// Cost factors the entry was enumerated under (full-table snapshot).
-    calib_costs: Vec<((String, String), f64)>,
+    /// Rates the entry was enumerated under (every observed key).
+    calib_rates: Vec<(KernelKey, Rate)>,
     /// LRU tick of the last hit (or the insert).
     last_used: u64,
 }
@@ -176,16 +175,16 @@ impl PlanCache {
         let entry = entries.get_mut(&key)?;
         let version = calibration.version();
         if entry.calib_version != version {
-            let drift = max_cost_drift(&entry.calib_costs, calibration);
+            let drift = max_rate_drift(&entry.calib_rates, calibration);
             if drift > self.config.drift_threshold {
                 entries.remove(&key);
                 self.invalidations.fetch_add(1, Ordering::Relaxed);
                 return None;
             }
             // Within tolerance: remember the version so the drift scan is
-            // skipped until the table moves again. The reference factors
-            // stay pinned at enumeration time — drift accumulates against
-            // what the cached plan was actually costed with.
+            // skipped until the table moves again. The reference rates stay
+            // pinned at enumeration time — drift accumulates against what
+            // the cached plan was actually priced with.
             entry.calib_version = version;
         }
         entry.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
@@ -212,11 +211,7 @@ impl PlanCache {
         let entry = CachedEntry {
             parts,
             calib_version: calibration.version(),
-            calib_costs: calibration
-                .snapshot()
-                .into_iter()
-                .map(|(k, e)| (k, e.cost_factor))
-                .collect(),
+            calib_rates: calibration.snapshot(),
             last_used: self.tick.fetch_add(1, Ordering::Relaxed),
         };
         let mut entries = self.entries.lock();
@@ -235,30 +230,33 @@ impl PlanCache {
     }
 }
 
-/// Largest relative change between the cost factors an entry was
-/// enumerated under and the current table (factors missing on either side
-/// count as the neutral 1.0).
-fn max_cost_drift(reference: &[((String, String), f64)], calibration: &CostCalibration) -> f64 {
-    let current = calibration.snapshot();
+/// Largest relative change between the rates an entry was enumerated
+/// under and the current table, each priced at the mean work it was
+/// observed at (a key observed only since then is compared with its seed).
+fn max_rate_drift(reference: &[(KernelKey, Rate)], calibration: &CostCalibration) -> f64 {
     let mut max_drift = 0.0f64;
-    let mut seen: HashMap<&(String, String), f64> = HashMap::new();
-    for (k, old) in reference {
-        seen.insert(k, *old);
-    }
-    for (k, entry) in &current {
-        let old = seen.remove(k).unwrap_or(1.0);
-        max_drift = max_drift.max(relative_change(old, entry.cost_factor));
-    }
-    for old in seen.into_values() {
-        // Pairs that vanished (e.g. a `clear()`): drift back toward 1.0.
-        max_drift = max_drift.max(relative_change(old, 1.0));
+    for (key, now) in calibration.snapshot() {
+        let then = reference
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map_or_else(|| seed_rate(key), |(_, r)| *r);
+        let units = if then.samples > 0 {
+            then.mean_units
+        } else {
+            now.mean_units
+        };
+        max_drift = max_drift.max(relative_change(then.us(units), now.us(units)));
     }
     max_drift
 }
 
 /// `max(new/old, old/new) - 1`, i.e. 0.0 for no change, 0.5 for a 50%
-/// grow *or* shrink; saturates for non-positive or non-finite factors.
+/// grow *or* shrink; saturates when exactly one side is zero or either is
+/// non-finite.
 fn relative_change(old: f64, new: f64) -> f64 {
+    if old == new {
+        return 0.0;
+    }
     if !(old.is_finite() && new.is_finite()) || old <= 0.0 || new <= 0.0 {
         return f64::INFINITY;
     }
@@ -331,35 +329,43 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
+    const MAP_ROWS: KernelKey = KernelKey {
+        kernel: "Map",
+        columnar: false,
+    };
+
     #[test]
     fn drift_past_threshold_invalidates() {
         let cache = PlanCache::new(PlanCacheConfig {
             capacity: 8,
             drift_threshold: 0.5,
         });
-        let cal = CostCalibration::with_alpha(1.0);
-        cal.observe("Map(f)", "java", 10.0, 10.0, 1.0, 1.0); // factor 1.0
+        let cal = CostCalibration::new();
+        cal.observe(MAP_ROWS, 1_000.0, 1.0);
         cache.insert(7, 0, 99, &dummy_exec(5.0), &cal);
-        // Small drift: 1.0 -> 1.2 (20% < 50%), still a hit.
-        cal.observe("Map(f)", "java", 10.0, 12.0, 1.0, 1.0);
+        // Small drift: the mean at 1 000 units goes 1.0 -> 1.2 ms (20% <
+        // 50%), still a hit.
+        cal.observe(MAP_ROWS, 1_000.0, 1.4);
         assert!(cache.lookup(7, 0, &cal).is_some());
-        // Large drift: 1.2 -> 4.0 vs reference 1.0 => 300% > 50%.
-        cal.observe("Map(f)", "java", 10.0, 40.0, 1.0, 1.0);
+        // Large drift: the mean goes to 4.0 ms vs the reference 1.0.
+        cal.observe(MAP_ROWS, 1_000.0, 9.6);
         assert!(cache.lookup(7, 0, &cal).is_none());
         assert_eq!(cache.stats().invalidations, 1);
         assert!(cache.is_empty());
     }
 
     #[test]
-    fn drift_counts_pairs_unknown_at_insert() {
+    fn drift_counts_keys_unknown_at_insert() {
         let cache = PlanCache::new(PlanCacheConfig {
             capacity: 8,
             drift_threshold: 0.5,
         });
-        let cal = CostCalibration::with_alpha(1.0);
+        let cal = CostCalibration::new();
         cache.insert(7, 0, 99, &dummy_exec(5.0), &cal);
-        // A pair first observed after the insert drifts from the implicit 1.0.
-        cal.observe("Map(f)", "java", 10.0, 40.0, 1.0, 1.0);
+        // A key first observed after the insert drifts from its seed: here
+        // 100× the seeded rate.
+        let seeded = cal.rate(MAP_ROWS).us(1_000.0);
+        cal.observe(MAP_ROWS, 1_000.0, seeded * 100.0 / 1e3);
         assert!(cache.lookup(7, 0, &cal).is_none());
         assert_eq!(cache.stats().invalidations, 1);
     }

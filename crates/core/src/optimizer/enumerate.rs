@@ -51,7 +51,7 @@
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
-use crate::cost::{calibrated_op_cost, CardinalityEstimator, ChannelSpec, MovementCostModel};
+use crate::cost::{CardinalityEstimator, ChannelSpec, Clock, MovementCostModel};
 use crate::error::{Result, RheemError};
 use crate::observe::CostCalibration;
 use crate::physical::PhysicalOp;
@@ -93,10 +93,10 @@ impl Default for EnumerationConfig {
 
 /// Assign platforms to every node and split the plan into task atoms.
 ///
-/// `calibration` scales each platform's static operator cost by the EMA of
-/// previously observed/estimated ratios (1.0 when nothing was observed),
-/// closing the feedback loop described in `observe::calibrate`. See the
-/// module docs for the search and its budget.
+/// Every operator is priced on every platform as that platform's
+/// [`Clock`] applied to the kernel time `calibration`'s rate table
+/// estimates (see `observe::calibrate`). See the module docs for the search
+/// and its budget.
 pub fn enumerate(
     plan: Arc<PhysicalPlan>,
     registry: &PlatformRegistry,
@@ -146,7 +146,7 @@ struct Priced {
     platforms: Vec<Arc<dyn Platform>>,
     /// [`Platform::channels`] per platform.
     channels: Vec<ChannelSpec>,
-    /// `atom_startup_cost` per platform.
+    /// [`Clock::startup_ms`] per platform.
     startup: Vec<f64>,
     cards: Vec<f64>,
     /// `[node · P + p]`: operator cost of `node` on `p`, `INF` where the
@@ -181,10 +181,8 @@ impl Priced {
             ));
         }
         let n_plats = platforms.len();
-        let startup: Vec<f64> = platforms
-            .iter()
-            .map(|p| p.cost_model().atom_startup_cost())
-            .collect();
+        let clocks: Vec<Clock> = platforms.iter().map(|p| p.clock()).collect();
+        let startup: Vec<f64> = clocks.iter().map(|c| c.startup_ms).collect();
         let cards = estimator.estimate(plan)?;
 
         let mut op = vec![INF; plan.len() * n_plats];
@@ -192,13 +190,13 @@ impl Priced {
         for node in plan.nodes() {
             let ins: Vec<f64> = node.inputs.iter().map(|i| cards[i.0]).collect();
             let row = &mut op[node.id.0 * n_plats..][..n_plats];
-            for (cost, platform) in row.iter_mut().zip(&platforms) {
+            for ((cost, platform), clock) in row.iter_mut().zip(&platforms).zip(&clocks) {
                 if supports_deep(platform.as_ref(), &node.op) {
                     *cost = node_cost(
                         &node.op,
                         &ins,
                         cards[node.id.0],
-                        platform.as_ref(),
+                        clock,
                         estimator,
                         calibration,
                     )?;
@@ -819,17 +817,18 @@ pub fn assignment_cost(
     let mut total = 0.0;
     for node in plan.nodes() {
         let p = registry.get(&assignments[node.id.0])?;
+        let clock = p.clock();
         let ins: Vec<f64> = node.inputs.iter().map(|i| cards[i.0]).collect();
         total += node_cost(
             &node.op,
             &ins,
             cards[node.id.0],
-            p.as_ref(),
+            &clock,
             estimator,
             calibration,
         )?;
         if node.inputs.is_empty() {
-            total += p.cost_model().atom_startup_cost();
+            total += clock.startup_ms;
         }
         for input in &node.inputs {
             let q = &assignments[input.0];
@@ -838,7 +837,7 @@ pub fn assignment_cost(
                 total += movement
                     .route(&from, &p.channels(), cards[input.0])
                     .total_ms()
-                    + p.cost_model().atom_startup_cost();
+                    + clock.startup_ms;
             }
         }
     }
@@ -918,57 +917,42 @@ pub fn enumerate_exhaustive(
     }
 }
 
-/// Cost of one operator on one platform; loops recurse into the body.
-/// Static model costs are scaled by the calibration factor learned for
-/// the `(operator, platform)` pair.
+/// Price of one operator on the platform of `clock`: the clock applied to
+/// the kernel time the rate table estimates. A loop is priced per
+/// iteration — one stage boundary plus its body, on the same clock — so a
+/// platform's per-stage charge grows with the iteration count (Figure 2's
+/// "gap gets bigger with the number of iterations").
 pub(crate) fn node_cost(
     op: &PhysicalOp,
     ins: &[f64],
     out: f64,
-    platform: &dyn crate::platform::Platform,
+    clock: &Clock,
     estimator: &CardinalityEstimator,
     calibration: &CostCalibration,
 ) -> Result<f64> {
-    let model = platform.cost_model();
-    match op {
-        PhysicalOp::Loop {
-            body,
-            expected_iterations,
-            ..
-        } => {
-            let loop_card = ins.first().copied().unwrap_or(0.0);
-            let body_cards = estimator.estimate_with_loop_input(body, loop_card)?;
-            let mut body_cost = 0.0;
-            for bn in body.nodes() {
-                let bins: Vec<f64> = bn.inputs.iter().map(|i| body_cards[i.0]).collect();
-                body_cost += node_cost(
-                    &bn.op,
-                    &bins,
-                    body_cards[bn.id.0],
-                    platform,
-                    estimator,
-                    calibration,
-                )?;
-            }
-            // Each iteration re-dispatches the body: platforms with high
-            // scheduling overhead pay it per iteration. This is precisely
-            // the mechanism behind Figure 2's "gap gets bigger with the
-            // number of iterations".
-            let per_iter = body_cost + model.atom_startup_cost() * 0.1;
-            let raw = *expected_iterations * per_iter;
-            // The Loop node itself is also a calibratable kernel: its
-            // observation covers all iterations.
-            Ok(raw * calibration.cost_factor(&op.name(), platform.name()))
-        }
-        _ => Ok(calibrated_op_cost(
-            model.as_ref(),
-            op,
-            ins,
-            out,
-            platform.name(),
+    let PhysicalOp::Loop {
+        body,
+        expected_iterations,
+        ..
+    } = op
+    else {
+        return Ok(clock.price(op, calibration.kernel_ms(op, ins, out), ins));
+    };
+    let loop_card = ins.first().copied().unwrap_or(0.0);
+    let body_cards = estimator.estimate_with_loop_input(body, loop_card)?;
+    let mut per_iteration = clock.boundary_ms(&[loop_card]);
+    for bn in body.nodes() {
+        let bins: Vec<f64> = bn.inputs.iter().map(|i| body_cards[i.0]).collect();
+        per_iteration += node_cost(
+            &bn.op,
+            &bins,
+            body_cards[bn.id.0],
+            clock,
+            estimator,
             calibration,
-        )),
+        )?;
     }
+    Ok(expected_iterations * per_iteration)
 }
 
 /// `supports` extended through loop bodies.

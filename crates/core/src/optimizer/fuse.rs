@@ -20,8 +20,8 @@
 //! * opaque (closure-only) UDFs never fuse, so plans written before the
 //!   expression IR existed — and their golden explains — are untouched.
 //!
-//! Cost-wise the fused operator is priced by the same
-//! [`crate::cost::LinearCostModel`] as everything else: its cardinality is
+//! Cost-wise the fused operator is priced like everything else, by its
+//! platform's clock over its kernel rate: its cardinality is
 //! the product-fold of the stage selectivities and its work units are
 //! `input + output` (a single pass), which is exactly the saving the
 //! rewrite claims.

@@ -4,8 +4,9 @@
 //! * [`rewrites`] — sound UDF-algebra rewrites (§4.1/§4.2 "traditional
 //!   physical optimizations");
 //! * [`enumerate`](mod@enumerate) — platform assignment over a subplan
-//!   lattice with pluggable cost models and channel-aware inter-platform
-//!   movement costs, plus task-atom splitting (§4.2);
+//!   lattice, pricing each operator by its platform's clock over the
+//!   learned kernel rates plus channel-aware inter-platform movement
+//!   costs, and task-atom splitting (§4.2);
 //! * [`replan`] — adaptive mid-job re-optimization: the executor's hook
 //!   for re-enumerating the unexecuted suffix of a running job when
 //!   observed cardinalities drift from the estimates.
@@ -45,10 +46,9 @@ pub struct MultiPlatformOptimizer {
     pub movement: MovementCostModel,
     /// Enumeration knobs.
     pub config: OptimizerConfig,
-    /// Runtime feedback: EMA correction factors per (operator, platform),
-    /// consulted on every enumeration pass and fed by
-    /// [`crate::RheemContext`] after each observed job. Shared via `Arc`
-    /// so cloning the optimizer keeps one table.
+    /// The kernel-rate table every enumeration pass prices with, fitted by
+    /// [`crate::RheemContext`] to each observed job. Shared via `Arc` so
+    /// cloning the optimizer keeps one table.
     pub calibration: Arc<CostCalibration>,
     /// Counter handles the optimizer reports into, resolved once when an
     /// observability hub is attached ([`OptimizerMetrics::resolve`]).

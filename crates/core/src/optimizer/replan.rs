@@ -15,7 +15,7 @@
 //!    `replan:nX`), so the enumerator sees its true size;
 //! 2. the pending nodes are copied into a temporary suffix plan wired to
 //!    those pseudo-sources, and [`enumerate`](super::enumerate())
-//!    re-runs over it with the live [`CostCalibration`] factors;
+//!    re-runs over it with the live [`CostCalibration`] rates;
 //! 3. the result is translated back into the original node-id space: the
 //!    physical plan and the assignments/estimates of executed nodes are
 //!    kept, pseudo-nodes are dropped, and their in-atom edges become
@@ -66,7 +66,7 @@ impl Default for ReplanPolicy {
 /// Built from the optimizer's own models (see
 /// [`MultiPlatformOptimizer::replanner`](super::MultiPlatformOptimizer::replanner))
 /// so a re-plan prices platforms exactly as the original enumeration did —
-/// except with true cardinalities and the latest calibration factors.
+/// except with true cardinalities and the latest kernel rates.
 #[derive(Clone)]
 pub struct Replanner {
     /// Cardinality estimation for the suffix (pseudo-sources carry exact
@@ -76,8 +76,8 @@ pub struct Replanner {
     pub movement: MovementCostModel,
     /// Enumeration knobs (forced / excluded platforms, expansion budget).
     pub enumeration: EnumerationConfig,
-    /// Shared calibration table; re-plans see factors learned earlier in
-    /// the same process.
+    /// Shared kernel-rate table; re-plans see rates learned earlier in the
+    /// same process.
     pub calibration: Arc<CostCalibration>,
 }
 

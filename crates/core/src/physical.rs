@@ -245,6 +245,63 @@ impl PhysicalOp {
         matches!(self, PhysicalOp::CollectSink | PhysicalOp::CountSink)
     }
 
+    /// The kernel this operator runs — its variant's name, e.g.
+    /// `"HashJoin"`: what the kernel-rate table keys on.
+    pub fn kernel(&self) -> &'static str {
+        match self {
+            PhysicalOp::CollectionSource { .. } => "CollectionSource",
+            PhysicalOp::StorageSource { .. } => "StorageSource",
+            PhysicalOp::LoopInput => "LoopInput",
+            PhysicalOp::Map(_) => "Map",
+            PhysicalOp::FlatMap(_) => "FlatMap",
+            PhysicalOp::Filter(_) => "Filter",
+            PhysicalOp::Project { .. } => "Project",
+            PhysicalOp::SortGroupBy { .. } => "SortGroupBy",
+            PhysicalOp::HashGroupBy { .. } => "HashGroupBy",
+            PhysicalOp::ReduceByKey { .. } => "ReduceByKey",
+            PhysicalOp::GlobalReduce { .. } => "GlobalReduce",
+            PhysicalOp::Sort { .. } => "Sort",
+            PhysicalOp::Limit { .. } => "Limit",
+            PhysicalOp::ChunkPipeline { .. } => "ChunkPipeline",
+            PhysicalOp::HashJoin { .. } => "HashJoin",
+            PhysicalOp::NestedLoopJoin { .. } => "NestedLoopJoin",
+            PhysicalOp::CrossProduct => "CrossProduct",
+            PhysicalOp::Union => "Union",
+            PhysicalOp::Loop { .. } => "Loop",
+            PhysicalOp::Custom(_) => "Custom",
+            PhysicalOp::CollectSink => "CollectSink",
+            PhysicalOp::CountSink => "CountSink",
+        }
+    }
+
+    /// Whether the operator table runs this operator without touching
+    /// rows when its inputs have a columnar view: it has a chunk kernel
+    /// (the capability `kernels::execute` checks first), or it only hands
+    /// a dataset along, as a collection, the loop state, sinks and a limit
+    /// do.
+    pub fn runs_columnar(&self) -> bool {
+        match self {
+            PhysicalOp::CollectionSource { .. }
+            | PhysicalOp::LoopInput
+            | PhysicalOp::Limit { .. }
+            | PhysicalOp::Project { .. }
+            | PhysicalOp::ChunkPipeline { .. }
+            | PhysicalOp::CollectSink
+            | PhysicalOp::CountSink => true,
+            PhysicalOp::Filter(u) => u.expr.is_some(),
+            PhysicalOp::Map(u) => u.exprs.is_some(),
+            PhysicalOp::SortGroupBy { key, group } | PhysicalOp::HashGroupBy { key, group } => {
+                key.fields.is_some() && group.aggs.is_some()
+            }
+            PhysicalOp::Sort { key, .. } => key.field_index().is_some(),
+            PhysicalOp::HashJoin {
+                left_key,
+                right_key,
+            } => left_key.field_index().is_some() && right_key.field_index().is_some(),
+            _ => false,
+        }
+    }
+
     /// A short display name, e.g. `Filter(is_adult)`.
     pub fn name(&self) -> String {
         match self {
@@ -340,7 +397,7 @@ impl PhysicalOp {
 /// How an operator's input must be laid out across partitions before the
 /// kernel runs on each of them ([`crate::kernels::execute`]) — the one
 /// classification a partitioned engine's exchange step, the shuffle
-/// surcharge of the cost models and the interpreter's morsel accounting
+/// charges of a platform's clock and the interpreter's morsel accounting
 /// read. Variants carry what the exchange needs from the operator.
 #[derive(Clone, Copy)]
 pub enum Layout<'a> {

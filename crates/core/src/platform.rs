@@ -4,8 +4,9 @@
 //! underlying processing platform" (§3.1). A [`Platform`] is an engine that
 //! can run task atoms; its execution operators are the engine's internal
 //! implementations of the physical operators it [`Platform::supports`].
-//! Platforms also surrender a [`PlatformCostModel`] so the multi-platform
-//! optimizer can price plans, and declare a [`ProcessingProfile`] — the
+//! Platforms also state their [`Clock`] — what they charge on top of kernel
+//! time — so the multi-platform optimizer can price plans the way the
+//! engine will charge them, and declare a [`ProcessingProfile`] — the
 //! paper's "data processing profile" (§8 challenge 2).
 
 use std::collections::{HashMap, HashSet};
@@ -13,7 +14,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::cost::{ChannelKind, ChannelSpec, PlatformCostModel};
+use crate::cost::{ChannelKind, ChannelSpec, Clock};
 use crate::data::Dataset;
 use crate::error::{Result, RheemError};
 use crate::kernels::parallel::KernelParallelism;
@@ -97,8 +98,9 @@ pub trait Platform: Send + Sync {
     /// Whether this platform has an execution operator for `op`.
     fn supports(&self, op: &PhysicalOp) -> bool;
 
-    /// The platform's cost model plugin.
-    fn cost_model(&self) -> Arc<dyn PlatformCostModel>;
+    /// The platform's clock: how its engine turns kernel time into
+    /// simulated time. The optimizer prices every operator by it.
+    fn clock(&self) -> Clock;
 
     /// Execute one task atom: run `atom.nodes` (a topologically ordered
     /// fragment of `plan`) given boundary `inputs`, returning datasets for

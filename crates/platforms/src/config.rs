@@ -5,13 +5,12 @@
 //! setup and disk-materialized phase boundaries. [`OverheadConfig`] makes
 //! those costs explicit, scaled down ~100× from cluster-typical constants
 //! so benchmarks finish in seconds while preserving the *relative* shape of
-//! the paper's figures. Each overhead is both (optionally) slept — so
-//! wall-clock benchmarks feel it — and reported as deterministic simulated
+//! the paper's figures. They are the fixed half of a platform's
+//! [`Clock`](rheem_core::Clock); each is both (optionally) slept — so
+//! wall-clock benchmarks feel it — and charged as deterministic simulated
 //! milliseconds — so unit tests can assert on it exactly.
 
 use std::time::Duration;
-
-use rheem_core::ChannelKind;
 
 /// Fixed-cost knobs of a simulated platform.
 #[derive(Clone, Copy, Debug)]
@@ -54,38 +53,25 @@ impl OverheadConfig {
         }
     }
 
-    /// Pay the job-startup overhead; returns the charged milliseconds.
-    pub(crate) fn pay_startup(&self) -> f64 {
-        self.pay(self.job_startup)
+    /// The job-startup overhead in ms: a platform's
+    /// [`Clock::startup_ms`](rheem_core::Clock::startup_ms).
+    pub(crate) fn startup_ms(&self) -> f64 {
+        self.job_startup.as_secs_f64() * 1e3
     }
 
-    /// Pay one stage overhead; returns the charged milliseconds.
-    pub(crate) fn pay_stage(&self) -> f64 {
-        self.pay(self.stage_overhead)
+    /// The per-stage overhead in ms: a platform's
+    /// [`Clock::stage_ms`](rheem_core::Clock::stage_ms).
+    pub(crate) fn stage_ms(&self) -> f64 {
+        self.stage_overhead.as_secs_f64() * 1e3
     }
 
-    /// Simulated cost of ingesting a boundary dataset that arrives on a
-    /// given channel (the last hop of the conversion route the optimizer
-    /// chose, see [`rheem_core::AtomInput::channel`]). Memory is
-    /// free — which keeps plans enumerated without channel information
-    /// (the greedy DP defaults every boundary to `Memory`) priced exactly
-    /// as before. File pays a deserialize, Stream a drain; the constants
-    /// mirror the default [`rheem_core::ChannelConversionGraph`]
-    /// prices so the executor's accounting matches what the optimizer
-    /// assumed. Never slept — ingest is accounting, not wall time.
-    pub(crate) fn channel_ingest_ms(&self, channel: ChannelKind, records: usize) -> f64 {
-        match channel {
-            ChannelKind::Memory => 0.0,
-            ChannelKind::File => 0.5 + 0.002 * records as f64,
-            ChannelKind::Stream => 0.2 + 0.001 * records as f64,
+    /// Pay `ms` of the platform clock's fixed overhead — slept when this
+    /// configuration sleeps; returns the charged milliseconds.
+    pub(crate) fn pay(&self, ms: f64) -> f64 {
+        if self.sleep && ms > 0.0 {
+            std::thread::sleep(Duration::from_secs_f64(ms / 1e3));
         }
-    }
-
-    fn pay(&self, d: Duration) -> f64 {
-        if self.sleep && !d.is_zero() {
-            std::thread::sleep(d);
-        }
-        d.as_secs_f64() * 1e3
+        ms
     }
 }
 
@@ -96,8 +82,8 @@ mod tests {
     #[test]
     fn none_charges_nothing() {
         let c = OverheadConfig::none();
-        assert_eq!(c.pay_startup(), 0.0);
-        assert_eq!(c.pay_stage(), 0.0);
+        assert_eq!(c.pay(c.startup_ms()), 0.0);
+        assert_eq!(c.pay(c.stage_ms()), 0.0);
     }
 
     #[test]
@@ -105,8 +91,8 @@ mod tests {
         let c =
             OverheadConfig::accounted_only(Duration::from_millis(100), Duration::from_millis(7));
         let t = std::time::Instant::now();
-        assert_eq!(c.pay_startup(), 100.0);
-        assert_eq!(c.pay_stage(), 7.0);
+        assert_eq!(c.pay(c.startup_ms()), 100.0);
+        assert_eq!(c.pay(c.stage_ms()), 7.0);
         // No sleeping: far less than the 107 ms charged.
         assert!(t.elapsed() < Duration::from_millis(50));
     }
@@ -115,7 +101,7 @@ mod tests {
     fn slept_actually_sleeps() {
         let c = OverheadConfig::slept(Duration::from_millis(20), Duration::ZERO);
         let t = std::time::Instant::now();
-        assert_eq!(c.pay_startup(), 20.0);
+        assert_eq!(c.pay(c.startup_ms()), 20.0);
         assert!(t.elapsed() >= Duration::from_millis(18));
     }
 }

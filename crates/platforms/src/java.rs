@@ -6,11 +6,9 @@
 //! reproduces that profile: straight-line, single-threaded evaluation via
 //! the core's reference interpreter, with (near-)zero fixed costs.
 
-use std::sync::Arc;
-
 use rheem_core::{
-    AtomInputs, AtomResult, ExecutionContext, LinearCostModel, PhysicalOp, PhysicalPlan, Platform,
-    PlatformCostModel, ProcessingProfile, Result, TaskAtom,
+    AtomInputs, AtomResult, Clock, ExecutionContext, PhysicalOp, PhysicalPlan, Platform,
+    ProcessingProfile, Result, TaskAtom,
 };
 
 use crate::config::OverheadConfig;
@@ -22,11 +20,10 @@ use crate::runner::run_in_process;
 /// partitioning, no shuffles). Kernels inside an atom still run on the
 /// morsel threads of the ambient
 /// [`ExecutionContext::kernel_parallelism`]; what that gains reaches the
-/// optimizer as learned prices ([`rheem_core::CostCalibration`]), never as
-/// a declared speedup.
+/// optimizer as learned kernel rates ([`rheem_core::CostCalibration`]),
+/// never as a declared speedup.
 pub struct JavaPlatform {
     overheads: OverheadConfig,
-    cost: Arc<LinearCostModel>,
 }
 
 impl Default for JavaPlatform {
@@ -36,17 +33,10 @@ impl Default for JavaPlatform {
 }
 
 impl JavaPlatform {
-    /// A platform with zero overheads and the default cost model.
+    /// A platform with zero overheads.
     pub fn new() -> Self {
         JavaPlatform {
             overheads: OverheadConfig::none(),
-            cost: Arc::new(LinearCostModel {
-                // ~10 M simple record-touches per second.
-                per_unit: 1e-4,
-                speedup: 1.0,
-                startup: 0.5,
-                shuffle_surcharge: 0.0,
-            }),
         }
     }
 
@@ -70,8 +60,8 @@ impl Platform for JavaPlatform {
         true // the reference interpreter implements the full algebra
     }
 
-    fn cost_model(&self) -> Arc<dyn PlatformCostModel> {
-        self.cost.clone()
+    fn clock(&self) -> Clock {
+        Clock::in_process(self.overheads.startup_ms(), 1.0)
     }
 
     fn execute_atom(
@@ -81,7 +71,7 @@ impl Platform for JavaPlatform {
         inputs: &AtomInputs,
         ctx: &ExecutionContext,
     ) -> Result<AtomResult> {
-        run_in_process(&self.overheads, 1.0, plan, atom, inputs, ctx)
+        run_in_process(&self.overheads, &self.clock(), plan, atom, inputs, ctx)
     }
 }
 
@@ -90,6 +80,7 @@ mod tests {
     use super::*;
     use rheem_core::udf::{FilterUdf, KeyUdf, MapUdf, ReduceUdf};
     use rheem_core::{rec, PlanBuilder, RheemContext};
+    use std::sync::Arc;
 
     fn ctx() -> RheemContext {
         RheemContext::new().with_platform(Arc::new(JavaPlatform::new()))

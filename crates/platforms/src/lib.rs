@@ -7,10 +7,14 @@
 //!
 //! | Platform | Stands in for | Cost profile |
 //! |---|---|---|
-//! | [`JavaPlatform`] | plain Java program | single-threaded, zero overhead |
-//! | [`SparkLikePlatform`] | Apache Spark | partitioned + threaded, job & stage overheads, real shuffles |
+//! | [`JavaPlatform`] | plain Java program | in process, zero overhead |
+//! | [`SparkLikePlatform`] | Apache Spark | partitioned, job & stage overheads, real shuffles |
 //! | [`MapReduceLikePlatform`] | Hadoop MapReduce | disk-materialized phases, huge job setup |
-//! | [`RelationalPlatform`] | PostgreSQL | cheap relational ops, expensive UDFs, no loops |
+//! | [`RelationalPlatform`] | PostgreSQL | in process, connection overhead, kernels at half time, no loops |
+//!
+//! Each states its profile once, as a [`Clock`](rheem_core::Clock): what
+//! its engine charges on top of the kernel time, and what the optimizer
+//! prices it by.
 //!
 //! All four implement `rheem_core::Platform` and produce the same
 //! bag of records for any supported plan — the platform-independence
@@ -58,7 +62,8 @@ pub fn full_context() -> RheemContext {
 }
 
 /// A context with all four platforms and *accounted-but-not-slept*
-/// overheads — fast and deterministic, for tests.
+/// overheads — fast and deterministic, for tests. Relational keeps its
+/// default 5 ms connection overhead, which is accounted only.
 pub fn test_context() -> RheemContext {
     RheemContext::new()
         .with_platform(Arc::new(JavaPlatform::new()))
@@ -74,9 +79,7 @@ pub fn test_context() -> RheemContext {
                 std::time::Duration::from_millis(8),
             ),
         )))
-        .with_platform(Arc::new(
-            RelationalPlatform::new().with_overheads(OverheadConfig::none()),
-        ))
+        .with_platform(Arc::new(RelationalPlatform::new()))
 }
 
 /// Simulated cluster width: 8 task slots, independent of the host's core

@@ -19,25 +19,29 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rheem_core::{
-    AtomInputs, AtomResult, Dataset, ExecutionContext, LinearCostModel, PhysicalOp, PhysicalPlan,
-    Platform, PlatformCostModel, ProcessingProfile, Record, Result, TaskAtom,
+    AtomInputs, AtomResult, Clock, Dataset, ExecutionContext, PhysicalOp, PhysicalPlan, Platform,
+    ProcessingProfile, Record, Result, TaskAtom,
 };
 
 use crate::config::OverheadConfig;
-use crate::runner::{self, BoundaryCharge, Engine, Parts};
+use crate::runner::{self, Engine, Parts};
 
 static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// What a row's round trip through a spill file costs — encode, write,
+/// read back, decode in the native codec — in µs: the clock's disk
+/// boundary, measured on a 200 000-row, four-field table on the 2-CPU
+/// x86_64 host of `BENCH_kernels.json`.
+const SPILL_US_PER_ROW: f64 = 0.84;
 
 /// Disk-phased batch execution engine.
 pub struct MapReduceLikePlatform {
     workers: usize,
     overheads: OverheadConfig,
     spill_dir: PathBuf,
-    cost: Arc<LinearCostModel>,
 }
 
 impl MapReduceLikePlatform {
@@ -50,12 +54,6 @@ impl MapReduceLikePlatform {
             workers,
             overheads: OverheadConfig::slept(Duration::from_millis(120), Duration::from_millis(8)),
             spill_dir: std::env::temp_dir().join("rheem_mr_spills"),
-            cost: Arc::new(LinearCostModel {
-                per_unit: 3e-4,
-                speedup: (workers as f64 / 2.0).max(1.0),
-                startup: 1500.0,
-                shuffle_surcharge: 2e-3, // disk write + read per record
-            }),
         }
     }
 
@@ -68,12 +66,6 @@ impl MapReduceLikePlatform {
     /// Override the spill directory.
     pub fn with_spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = dir.into();
-        self
-    }
-
-    /// Override the cost model.
-    pub fn with_cost_model(mut self, cost: LinearCostModel) -> Self {
-        self.cost = Arc::new(cost);
         self
     }
 
@@ -122,8 +114,18 @@ impl Platform for MapReduceLikePlatform {
         true
     }
 
-    fn cost_model(&self) -> Arc<dyn PlatformCostModel> {
-        self.cost.clone()
+    /// Every phase runs one task per worker, every input of a phase
+    /// boundary pays the phase overhead and its spill, and the job
+    /// tracker's plumbing is not spread over the workers.
+    fn clock(&self) -> Clock {
+        Clock {
+            startup_ms: self.overheads.startup_ms(),
+            stage_ms: self.overheads.stage_ms(),
+            workers: self.workers,
+            driver_share: 1.0,
+            efficiency: 1.0,
+            spill_us_per_row: SPILL_US_PER_ROW,
+        }
     }
 
     fn execute_atom(
@@ -133,41 +135,18 @@ impl Platform for MapReduceLikePlatform {
         inputs: &AtomInputs,
         ctx: &ExecutionContext,
     ) -> Result<AtomResult> {
-        runner::run_atom(self, self.name(), &self.overheads, plan, atom, inputs, ctx)
+        runner::run_atom(self, &self.overheads, plan, atom, inputs, ctx)
     }
 }
 
 impl Engine for MapReduceLikePlatform {
-    fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Every phase runs one task per worker.
-    fn partitions_for(&self, _rows: usize) -> usize {
-        self.workers
-    }
-
     /// A phase boundary per input (each join side, each loop iteration's
-    /// state): the phase overhead, and every partition round-trips through
-    /// disk. Disk I/O is charged serially — HDFS-era clusters were
-    /// I/O-bound at phase boundaries, which is exactly the profile this
-    /// platform models.
-    fn boundary(&self, inputs: &mut [Parts]) -> Result<BoundaryCharge> {
-        let mut charge = BoundaryCharge::default();
-        for parts in inputs {
-            charge.overhead_ms += self.overheads.pay_stage();
-            let t = Instant::now();
-            for part in parts.iter_mut() {
-                *part = self.spill_round_trip(part)?;
-            }
-            charge.io_ms += t.elapsed().as_secs_f64() * 1e3;
+    /// state): every partition round-trips through disk.
+    fn spill(&self, inputs: &mut [Parts]) -> Result<()> {
+        for part in inputs.iter_mut().flatten() {
+            *part = self.spill_round_trip(part)?;
         }
-        Ok(charge)
-    }
-
-    /// The job tracker's plumbing is not spread over the workers.
-    fn driver_ms(&self, wall_ms: f64) -> f64 {
-        wall_ms
+        Ok(())
     }
 }
 
@@ -176,6 +155,7 @@ mod tests {
     use super::*;
     use rheem_core::udf::{GroupMapUdf, KeyUdf, LoopCondUdf, MapUdf, ReduceUdf};
     use rheem_core::{rec, PlanBuilder, RheemContext};
+    use std::sync::Arc;
 
     fn mr() -> MapReduceLikePlatform {
         MapReduceLikePlatform::new(4)

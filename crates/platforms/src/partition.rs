@@ -81,8 +81,8 @@ pub fn concat(mut parts: Vec<Dataset>) -> Dataset {
 
 /// Execute `f` over every partition, timing each task individually, and
 /// return the transformed partitions together with the **simulated parallel
-/// elapsed time**: the maximum per-partition duration, as if every
-/// partition had its own core.
+/// elapsed time** — the maximum per-partition duration, as if every
+/// partition had its own core — and the tasks' summed time, the work.
 ///
 /// Tasks run sequentially on purpose: measuring per-task time under real
 /// thread oversubscription (e.g. a single-core CI host) would inflate every
@@ -93,15 +93,17 @@ pub fn concat(mut parts: Vec<Dataset>) -> Dataset {
 pub(crate) fn run_partitions_timed<T>(
     parts: Vec<T>,
     mut f: impl FnMut(usize, T) -> Result<T>,
-) -> Result<(Vec<T>, f64)> {
+) -> Result<(Vec<T>, f64, f64)> {
     let mut out = Vec::with_capacity(parts.len());
-    let mut max_ms = 0.0f64;
+    let (mut max_ms, mut sum_ms) = (0.0f64, 0.0f64);
     for (i, part) in parts.into_iter().enumerate() {
         let t = std::time::Instant::now();
         out.push(f(i, part)?);
-        max_ms = max_ms.max(t.elapsed().as_secs_f64() * 1e3);
+        let ms = t.elapsed().as_secs_f64() * 1e3;
+        max_ms = max_ms.max(ms);
+        sum_ms += ms;
     }
-    Ok((out, max_ms))
+    Ok((out, max_ms, sum_ms))
 }
 
 #[cfg(test)]
@@ -197,16 +199,19 @@ mod tests {
     #[test]
     fn run_partitions_timed_reports_critical_path() {
         let parts = vec![nums(1), nums(2)];
-        let (out, max_ms) = run_partitions_timed(parts, |i, p| {
-            if i == 1 {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
+        let (out, max_ms, sum_ms) = run_partitions_timed(parts, |i, p| {
+            std::thread::sleep(std::time::Duration::from_millis(if i == 1 {
+                20
+            } else {
+                10
+            }));
             Ok(p)
         })
         .unwrap();
         assert_eq!(out.iter().map(Vec::len).sum::<usize>(), 3);
-        // Critical path is the slow task, not the sum.
+        // Critical path is the slow task; the work is the sum.
         assert!((18.0..45.0).contains(&max_ms), "max {max_ms}");
+        assert!(sum_ms >= max_ms + 9.0, "sum {sum_ms}, max {max_ms}");
     }
 
     #[test]

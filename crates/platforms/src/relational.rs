@@ -3,75 +3,31 @@
 //! Substitution for the paper's relational DBMS (§1: "one may aggregate
 //! large datasets with traditional queries on top of a relational database
 //! such as PostgreSQL, but ML tasks might be much faster if executed on
-//! Spark"). The cost profile reproduced here:
+//! Spark"). The profile reproduced here:
 //!
-//! * relational operators (scan, filter, project, joins, grouping, sort)
-//!   are cheap per record — decades of engine engineering;
-//! * opaque record-level UDFs (`Map`/`FlatMap`) are *expensive* — they
-//!   leave the optimized plan path, like PL/pgSQL functions;
+//! * a per-query connection overhead, and kernel work charged at half its
+//!   measured time — decades of engine engineering;
 //! * loops and application-defined operators are simply **not
 //!   supported** — the multi-platform optimizer must place them elsewhere,
 //!   which is what creates genuinely mixed execution plans.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use rheem_core::{
-    op_work_units, AtomInputs, AtomResult, ExecutionContext, PhysicalOp, PhysicalPlan, Platform,
-    PlatformCostModel, ProcessingProfile, Result, RheemError, TaskAtom,
+    AtomInputs, AtomResult, Clock, ExecutionContext, PhysicalOp, PhysicalPlan, Platform,
+    ProcessingProfile, Result, RheemError, TaskAtom,
 };
 
 use crate::config::OverheadConfig;
 use crate::runner::run_in_process;
 
-/// Cost model with differentiated relational-vs-UDF prices.
-#[derive(Clone, Debug)]
-pub struct RelationalCostModel {
-    /// Per-unit price for native relational operators.
-    pub relational_per_unit: f64,
-    /// Per-unit price for opaque UDF operators.
-    pub udf_per_unit: f64,
-    /// Per-atom connection/parse/plan overhead.
-    pub startup: f64,
-}
-
-impl Default for RelationalCostModel {
-    fn default() -> Self {
-        RelationalCostModel {
-            relational_per_unit: 5e-5,
-            udf_per_unit: 5e-4,
-            startup: 10.0,
-        }
-    }
-}
-
-impl PlatformCostModel for RelationalCostModel {
-    fn op_cost(&self, op: &PhysicalOp, input_cards: &[f64], output_card: f64) -> f64 {
-        let work = op_work_units(op, input_cards, output_card);
-        let per_unit = match op {
-            PhysicalOp::Map(_)
-            | PhysicalOp::Project { .. }
-            | PhysicalOp::ChunkPipeline { .. }
-            | PhysicalOp::FlatMap(_)
-            | PhysicalOp::Custom(_)
-            | PhysicalOp::Loop { .. } => self.udf_per_unit,
-            _ => self.relational_per_unit,
-        };
-        work * per_unit
-    }
-
-    fn atom_startup_cost(&self) -> f64 {
-        self.startup
-    }
-}
-
 /// Single-node relational execution engine.
 pub struct RelationalPlatform {
     overheads: OverheadConfig,
-    cost: Arc<RelationalCostModel>,
 }
 
-/// Simulated engine-efficiency factor applied to measured work time.
+/// The clock's engine-efficiency factor: measured kernel work is charged
+/// at this share.
 ///
 /// The reference interpreter executes relational operators with generic
 /// record handling; a real DBMS executes them with decades of
@@ -93,7 +49,6 @@ impl RelationalPlatform {
     pub fn new() -> Self {
         RelationalPlatform {
             overheads: OverheadConfig::accounted_only(Duration::from_millis(5), Duration::ZERO),
-            cost: Arc::new(RelationalCostModel::default()),
         }
     }
 
@@ -120,8 +75,8 @@ impl Platform for RelationalPlatform {
         )
     }
 
-    fn cost_model(&self) -> Arc<dyn PlatformCostModel> {
-        self.cost.clone()
+    fn clock(&self) -> Clock {
+        Clock::in_process(self.overheads.startup_ms(), EFFICIENCY)
     }
 
     fn execute_atom(
@@ -142,9 +97,7 @@ impl Platform for RelationalPlatform {
                 });
             }
         }
-        // Kernels are scaled like the atom total, so calibration sees the
-        // modeled engine's speed.
-        run_in_process(&self.overheads, EFFICIENCY, plan, atom, inputs, ctx)
+        run_in_process(&self.overheads, &self.clock(), plan, atom, inputs, ctx)
     }
 }
 
@@ -153,6 +106,7 @@ mod tests {
     use super::*;
     use rheem_core::udf::{KeyUdf, LoopCondUdf, MapUdf, ReduceUdf};
     use rheem_core::{rec, PlanBuilder, RheemContext};
+    use std::sync::Arc;
 
     fn rel() -> RelationalPlatform {
         RelationalPlatform::new().with_overheads(OverheadConfig::none())
@@ -213,23 +167,5 @@ mod tests {
         b.collect(l);
         // The optimizer has no feasible platform for the loop.
         assert!(ctx.execute(b.build().unwrap()).is_err());
-    }
-
-    #[test]
-    fn cost_model_penalizes_udfs() {
-        let m = RelationalCostModel::default();
-        let map = PhysicalOp::Map(MapUdf::new("udf", |r| r.clone()));
-        let filter = PhysicalOp::Filter(rheem_core::udf::FilterUdf::new("p", |_| true));
-        let udf_cost = m.op_cost(&map, &[1000.0], 1000.0);
-        let rel_cost = m.op_cost(&filter, &[1000.0], 1000.0);
-        assert!(udf_cost > rel_cost * 5.0);
-        // A row-shaping operator outside the filter/join/group family pays
-        // the UDF price too.
-        let project = PhysicalOp::Project { indices: vec![0] };
-        let work = op_work_units(&project, &[1000.0], 1000.0);
-        assert_eq!(
-            m.op_cost(&project, &[1000.0], 1000.0),
-            work * m.udf_per_unit
-        );
     }
 }

@@ -7,25 +7,28 @@
 //! spread over partitions — left as it is, shuffled by key, gathered,
 //! broadcast — and the runner's exchange step puts it there; then the
 //! operator table ([`kernels::execute`]) runs on every partition, chunk
-//! kernel or row kernel as the partition allows. An [`Engine`] contributes
-//! only what differs between engines: how many partitions, what a stage
-//! boundary costs and whether the data goes through disk there, and how
-//! driver-side time is charged.
+//! kernel or row kernel as the partition allows. What differs between
+//! engines is their [`Clock`] — how many partitions, what a stage boundary
+//! costs, how driver-side time and kernel time are charged — and, for an
+//! [`Engine`], whether the data goes through disk at a stage boundary.
 //!
 //! **Time accounting.** Each per-partition task is timed individually and
 //! a stage is charged its *critical path* — `max` across its tasks — plus
-//! the engine's overheads, plus driver-side plumbing at the engine's rate.
-//! Tasks execute sequentially so the per-task measurements are exact even
-//! on single-core hosts; the figures in the paper are reproduced on
-//! *simulated* elapsed time (see DESIGN.md's substitution table).
+//! the clock's overheads, plus driver-side plumbing at the clock's driver
+//! share. Tasks execute sequentially so the per-task measurements are exact
+//! even on single-core hosts; the figures in the paper are reproduced on
+//! *simulated* elapsed time (see DESIGN.md's substitution table). Next to
+//! each node's charge the runner records its kernel work — the sum of its
+//! task times, before the critical path or the efficiency is applied —
+//! which is what the optimizer's kernel-rate table learns from.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
 use rheem_core::udf::KeyUdf;
 use rheem_core::{
-    execute_op, kernels, run_fragment, AtomInputs, AtomResult, Dataset, ExecutionContext,
-    KernelParallelism, Layout, NodeId, NodeObservation, PhysicalOp, PhysicalPlan, Result,
+    execute_op, kernels, run_fragment, AtomInputs, AtomResult, Clock, Dataset, ExecutionContext,
+    KernelParallelism, Layout, NodeId, NodeObservation, PhysicalOp, PhysicalPlan, Platform, Result,
     RheemError, TaskAtom,
 };
 
@@ -38,68 +41,44 @@ use crate::partition::{concat, partition_by_key, run_partitions_timed, split};
 /// task asks it for the view it needs.
 pub(crate) type Parts = Vec<Dataset>;
 
-/// What crossing a stage boundary cost.
-#[derive(Default)]
-pub(crate) struct BoundaryCharge {
-    /// Fixed scheduling overhead (also reported as overhead).
-    pub overhead_ms: f64,
-    /// Serial time moving the data (disk round trips).
-    pub io_ms: f64,
+/// A partitioned engine: its [`Clock`] (through [`Platform::clock`]) and,
+/// on a disk-phased clock, what happens to the data at a stage boundary.
+pub(crate) trait Engine: Platform {
+    /// Round-trip every partition of a stage's inputs through disk, leaving
+    /// each as the next stage reads it. In-memory engines keep the data.
+    fn spill(&self, _inputs: &mut [Parts]) -> Result<()> {
+        Ok(())
+    }
 }
 
-/// The plumbing an engine puts around the shared execution operators.
-pub(crate) trait Engine {
-    /// Task slots: the partition count of a full-width exchange.
-    fn workers(&self) -> usize;
-
-    /// Tasks a stage over `rows` input rows runs as (at most `workers`).
-    fn partitions_for(&self, rows: usize) -> usize;
-
-    /// The inputs of one operator (or a loop iteration's state) cross a
-    /// stage boundary: charge it, and leave each input as the next stage
-    /// reads it — partition for partition.
-    fn boundary(&self, inputs: &mut [Parts]) -> Result<BoundaryCharge>;
-
-    /// The simulated charge for `wall_ms` of driver-side plumbing
-    /// (gathering, routing a shuffle).
-    fn driver_ms(&self, wall_ms: f64) -> f64;
-}
-
-/// Execute `atom` on `engine`: pay the job startup and the channel ingest
-/// of its boundary inputs, run its nodes, gather its outputs.
+/// Execute `atom` on `engine`: pay the job startup, run its nodes, gather
+/// its outputs.
 pub(crate) fn run_atom<E: Engine>(
     engine: &E,
-    name: &str,
     overheads: &OverheadConfig,
     plan: &PhysicalPlan,
     atom: &TaskAtom,
     inputs: &AtomInputs,
     ctx: &ExecutionContext,
 ) -> Result<AtomResult> {
-    let startup = overheads.pay_startup();
+    let clock = engine.clock();
+    let startup = overheads.pay(clock.startup_ms);
     let mut run = Run {
         engine,
+        clock,
+        overheads,
         ctx,
         overhead_ms: startup,
         elapsed_ms: startup,
+        work_ms: 0.0,
         records_processed: 0,
         observations: Vec::new(),
     };
-    // Channel-aware boundary ingest: datasets arriving on a non-memory
-    // channel (the optimizer's chosen conversion route) pay a simulated
-    // materialization cost before any task reads them.
-    for bi in &atom.inputs {
-        if let Some(d) = inputs.get(&(bi.consumer, bi.slot)) {
-            let ms = overheads.channel_ingest_ms(bi.channel, d.len());
-            run.overhead_ms += ms;
-            run.elapsed_ms += ms;
-        }
-    }
     let mut parts = run.run_nodes(plan, &atom.nodes, Some(inputs), None, &atom.outputs)?;
     let mut outputs = HashMap::new();
     for n in &atom.outputs {
         let parts = parts.remove(n).ok_or_else(|| RheemError::Execution {
-            platform: name.into(),
+            platform: engine.name().into(),
             message: format!("atom output node {n} was not produced"),
         })?;
         outputs.insert(*n, concat(parts));
@@ -114,21 +93,21 @@ pub(crate) fn run_atom<E: Engine>(
 }
 
 /// Execute `atom` in one process, through the core's interpreter: pay the
-/// job startup, run its nodes, hand back its outputs. `efficiency` scales
-/// the measured work — the atom's and every kernel's — to the modeled
-/// engine's speed (1.0: the interpreter's own).
+/// job startup, run its nodes, hand back its outputs. The measured work —
+/// the atom's and every kernel's — is charged at the clock's efficiency;
+/// each kernel's own work is kept as measured.
 pub(crate) fn run_in_process(
     overheads: &OverheadConfig,
-    efficiency: f64,
+    clock: &Clock,
     plan: &PhysicalPlan,
     atom: &TaskAtom,
     inputs: &AtomInputs,
     ctx: &ExecutionContext,
 ) -> Result<AtomResult> {
-    let overhead = overheads.pay_startup();
+    let overhead = overheads.pay(clock.startup_ms);
     let started = Instant::now();
     let run = run_fragment(plan, &atom.nodes, inputs, ctx, None)?;
-    let work_ms = ms_since(started) * efficiency;
+    let work_ms = ms_since(started) * clock.efficiency;
     let outputs = atom
         .outputs
         .iter()
@@ -136,7 +115,7 @@ pub(crate) fn run_in_process(
         .collect();
     let mut node_observations = run.observations;
     for o in &mut node_observations {
-        o.elapsed_ms *= efficiency;
+        o.elapsed_ms *= clock.efficiency;
     }
     Ok(AtomResult {
         outputs,
@@ -151,20 +130,19 @@ fn ms_since(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
 }
 
-/// The operator table on gathered inputs, as a single sequential task.
-fn single_task(op: &PhysicalOp, gathered: &[Dataset]) -> Result<(Dataset, bool)> {
-    kernels::execute(op, gathered, &KernelParallelism::sequential())
-}
-
 /// One atom execution in flight.
 struct Run<'a, E> {
     engine: &'a E,
+    clock: Clock,
+    overheads: &'a OverheadConfig,
     ctx: &'a ExecutionContext,
     /// Charged fixed overheads (job startup, stage scheduling).
     overhead_ms: f64,
     /// Simulated elapsed time: overheads + boundary I/O + the critical
     /// path of every stage + driver-side plumbing.
     elapsed_ms: f64,
+    /// Kernel work: every task's time, summed.
+    work_ms: f64,
     records_processed: u64,
     /// Per-kernel observations (top-level nodes only; loop bodies are
     /// charged to their `Loop` node).
@@ -172,11 +150,21 @@ struct Run<'a, E> {
 }
 
 impl<E: Engine> Run<'_, E> {
-    /// Cross a stage boundary with one operator's inputs.
+    /// Cross a stage boundary with one operator's inputs: the clock's
+    /// stage charge — per input on a disk-phased clock, whose engine then
+    /// spills each, the disk I/O charged serially.
     fn stage(&mut self, inputs: &mut [Parts]) -> Result<()> {
-        let charge = self.engine.boundary(inputs)?;
-        self.overhead_ms += charge.overhead_ms;
-        self.elapsed_ms += charge.overhead_ms + charge.io_ms;
+        let disk = self.clock.spill_us_per_row > 0.0;
+        for _ in 0..if disk { inputs.len() } else { 1 } {
+            let ms = self.overheads.pay(self.clock.stage_ms);
+            self.overhead_ms += ms;
+            self.elapsed_ms += ms;
+        }
+        if disk {
+            let t = Instant::now();
+            self.engine.spill(inputs)?;
+            self.elapsed_ms += ms_since(t);
+        }
         Ok(())
     }
 
@@ -188,20 +176,33 @@ impl<E: Engine> Run<'_, E> {
         Ok(input)
     }
 
-    /// Time driver-side plumbing, charged at the engine's rate.
+    /// Time driver-side plumbing, charged at the clock's driver share.
     fn driver<T>(&mut self, f: impl FnOnce() -> T) -> T {
         let t = Instant::now();
         let out = f();
-        self.elapsed_ms += self.engine.driver_ms(ms_since(t));
+        self.elapsed_ms += ms_since(t) * self.clock.driver_share;
         out
     }
 
-    /// Time work that is genuinely serial (a single gathered task).
-    fn serial<T>(&mut self, f: impl FnOnce() -> T) -> T {
+    /// Run `op` as one task on gathered inputs: kernel work, charged in
+    /// full when `serial` (genuinely one task) and at the driver share when
+    /// the driver runs it.
+    fn single_task(
+        &mut self,
+        op: &PhysicalOp,
+        gathered: &[Dataset],
+        serial: bool,
+    ) -> Result<(Dataset, bool)> {
         let t = Instant::now();
-        let out = f();
-        self.elapsed_ms += ms_since(t);
-        out
+        let out = kernels::execute(op, gathered, &KernelParallelism::sequential())?;
+        let ms = ms_since(t);
+        self.work_ms += ms;
+        self.elapsed_ms += if serial {
+            ms
+        } else {
+            ms * self.clock.driver_share
+        };
+        Ok(out)
     }
 
     /// Run `op` as one stage: the operator table on every partition (the
@@ -216,7 +217,7 @@ impl<E: Engine> Run<'_, E> {
     ) -> Result<(Parts, bool)> {
         let sequential = KernelParallelism::sequential();
         let mut columnar = true;
-        let (out, max_ms) = run_partitions_timed(parts, |i, p| {
+        let (out, max_ms, sum_ms) = run_partitions_timed(parts, |i, p| {
             let mut inputs = vec![p];
             inputs.extend(right(i).cloned());
             let (out, took) = kernels::execute(op, &inputs, &sequential)?;
@@ -224,6 +225,7 @@ impl<E: Engine> Run<'_, E> {
             Ok(out)
         })?;
         self.elapsed_ms += max_ms;
+        self.work_ms += sum_ms;
         Ok((out, columnar))
     }
 
@@ -235,7 +237,7 @@ impl<E: Engine> Run<'_, E> {
         // task, which emits its one row even over no input.
         let n_parts = match key.fields.as_deref() {
             Some([]) => 1,
-            _ => self.engine.partitions_for(gathered.len()),
+            _ => self.clock.partitions_for(gathered.len()),
         };
         Ok(self.driver(|| partition_by_key(&gathered, key, n_parts)))
     }
@@ -278,7 +280,7 @@ impl<E: Engine> Run<'_, E> {
                         results[producer].clone()
                     }
                 } else if let Some(d) = boundary.and_then(|b| b.get(&(id, slot))) {
-                    split(d, self.engine.partitions_for(d.len()))
+                    split(d, self.clock.partitions_for(d.len()))
                 } else {
                     return Err(RheemError::InvalidPlan(format!(
                         "node {id} input slot {slot} is not available"
@@ -286,7 +288,7 @@ impl<E: Engine> Run<'_, E> {
                 };
                 inputs.push(parts);
             }
-            let before_ms = self.elapsed_ms;
+            let (before_ms, before_work_ms) = (self.elapsed_ms, self.work_ms);
             let (out, columnar) = self.exec_op(&node.op, inputs, loop_state)?;
             // A cancel that fired inside a kernel truncated its output:
             // never hand that on as this node's result.
@@ -301,6 +303,7 @@ impl<E: Engine> Run<'_, E> {
                     op: node.op.name(),
                     records_out: out_records,
                     elapsed_ms: self.elapsed_ms - before_ms,
+                    work_ms: self.work_ms - before_work_ms,
                     // Partitions are the parallel unit; per-partition
                     // kernels stay sequential.
                     morsels: 1,
@@ -320,7 +323,7 @@ impl<E: Engine> Run<'_, E> {
         inputs: Vec<Parts>,
         loop_state: Option<&Parts>,
     ) -> Result<(Parts, bool)> {
-        let workers = self.engine.workers();
+        let workers = self.clock.workers;
         let mut inputs = inputs.into_iter();
         let mut next = || inputs.next().expect("plan validation checked the arity");
         Ok(match op.layout() {
@@ -328,7 +331,7 @@ impl<E: Engine> Run<'_, E> {
             // source dataset, materialized by whoever reads them.
             Layout::Source => {
                 let (data, passed) = execute_op(op, &[], self.ctx, None)?;
-                (split(&data, self.engine.partitions_for(data.len())), passed)
+                (split(&data, self.clock.partitions_for(data.len())), passed)
             }
             Layout::LoopState => {
                 let state = loop_state.ok_or_else(|| {
@@ -363,17 +366,18 @@ impl<E: Engine> Run<'_, E> {
                 self.tasks(op, parts, |_| None)?
             }
             // Simplification documented in DESIGN.md: a range-partitioned
-            // distributed sort is modeled as gather + sort + re-split; the
-            // cost model prices it as a shuffle either way.
+            // distributed sort is modeled as gather + sort + re-split, the
+            // sort charged at the driver share.
             Layout::Gather => {
                 let input = self.stage_one(next())?;
-                let (sorted, columnar) = self.driver(|| single_task(op, &[concat(input)]))?;
+                let gathered = self.driver(|| concat(input));
+                let (sorted, columnar) = self.single_task(op, &[gathered], false)?;
                 (split(&sorted, workers), columnar)
             }
             Layout::CombineGather => {
                 let (local, _) = self.tasks(op, next(), |_| None)?;
                 let local = self.stage_one(local)?;
-                let (reduced, columnar) = self.serial(|| single_task(op, &[concat(local)]))?;
+                let (reduced, columnar) = self.single_task(op, &[concat(local)], true)?;
                 (vec![reduced], columnar)
             }
             Layout::CoPartition(left_key, right_key) => {
@@ -443,7 +447,7 @@ impl<E: Engine> Run<'_, E> {
                 let mut inputs: Vec<Parts> = inputs.collect();
                 self.stage(&mut inputs)?;
                 let gathered: Vec<Dataset> = inputs.into_iter().map(concat).collect();
-                let (result, columnar) = self.serial(|| single_task(op, &gathered))?;
+                let (result, columnar) = self.single_task(op, &gathered, true)?;
                 (split(&result, workers), columnar)
             }
             Layout::Sink => {

@@ -16,32 +16,25 @@
 //!   the number of iterations" on small data, while parallelism wins on
 //!   big data.
 //!
-//! What this file holds is the engine's plumbing — task counts, the stage
+//! What this file holds is the engine's clock — task slots, the stage
 //! charge, driver time spread over the workers. The execution operators
 //! themselves (layout, exchange, per-partition kernel calls, time
 //! accounting) are the shared `crate::runner`'s.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use rheem_core::{
-    AtomInputs, AtomResult, ExecutionContext, LinearCostModel, PhysicalOp, PhysicalPlan, Platform,
-    PlatformCostModel, ProcessingProfile, Result, TaskAtom,
+    AtomInputs, AtomResult, Clock, ExecutionContext, PhysicalOp, PhysicalPlan, Platform,
+    ProcessingProfile, Result, TaskAtom,
 };
 
 use crate::config::OverheadConfig;
-use crate::runner::{self, BoundaryCharge, Engine, Parts};
+use crate::runner::{self, Engine};
 
 /// Partitioned parallel (simulated) in-memory execution engine.
 pub struct SparkLikePlatform {
     workers: usize,
     overheads: OverheadConfig,
-    cost: Arc<LinearCostModel>,
-    /// Platform-layer optimization (§4.3, Starfish-style tuning): when set,
-    /// each stage launches `ceil(records / min_records_per_task)` tasks
-    /// (capped at `workers`) instead of always `workers` — tiny inputs then
-    /// avoid paying per-task dispatch for near-empty partitions.
-    min_records_per_task: usize,
 }
 
 impl SparkLikePlatform {
@@ -56,15 +49,6 @@ impl SparkLikePlatform {
                 Duration::from_millis(25),
                 Duration::from_millis(2),
             ),
-            cost: Arc::new(LinearCostModel {
-                // Slightly pricier per record than plain Java (serialization
-                // and task dispatch), but divided across the workers.
-                per_unit: 2e-4,
-                speedup: workers as f64,
-                startup: 100.0,
-                shuffle_surcharge: 2e-4,
-            }),
-            min_records_per_task: 1,
         }
     }
 
@@ -88,8 +72,18 @@ impl Platform for SparkLikePlatform {
         true
     }
 
-    fn cost_model(&self) -> Arc<dyn PlatformCostModel> {
-        self.cost.clone()
+    /// One task per row up to the worker count, one stage charge per wide
+    /// operator and per loop iteration, and driver-side work (gathering,
+    /// shuffle routing) spread over the workers, as in a real cluster.
+    fn clock(&self) -> Clock {
+        Clock {
+            startup_ms: self.overheads.startup_ms(),
+            stage_ms: self.overheads.stage_ms(),
+            workers: self.workers,
+            driver_share: 1.0 / self.workers as f64,
+            efficiency: 1.0,
+            spill_us_per_row: 0.0,
+        }
     }
 
     fn execute_atom(
@@ -99,42 +93,18 @@ impl Platform for SparkLikePlatform {
         inputs: &AtomInputs,
         ctx: &ExecutionContext,
     ) -> Result<AtomResult> {
-        runner::run_atom(self, self.name(), &self.overheads, plan, atom, inputs, ctx)
+        runner::run_atom(self, &self.overheads, plan, atom, inputs, ctx)
     }
 }
 
-impl Engine for SparkLikePlatform {
-    fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Task count for a stage over `rows` inputs (§4.3 tuning).
-    fn partitions_for(&self, rows: usize) -> usize {
-        rows.div_ceil(self.min_records_per_task)
-            .clamp(1, self.workers)
-    }
-
-    /// One stage-scheduling overhead per wide operator and per loop
-    /// iteration; the data stays in memory.
-    fn boundary(&self, _inputs: &mut [Parts]) -> Result<BoundaryCharge> {
-        Ok(BoundaryCharge {
-            overhead_ms: self.overheads.pay_stage(),
-            io_ms: 0.0,
-        })
-    }
-
-    /// Gathering and shuffle routing are distributed work in a real
-    /// cluster, so the simulated charge is scaled by `1/workers`.
-    fn driver_ms(&self, wall_ms: f64) -> f64 {
-        wall_ms / self.workers as f64
-    }
-}
+impl Engine for SparkLikePlatform {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rheem_core::udf::{FilterUdf, GroupMapUdf, KeyUdf, LoopCondUdf, MapUdf};
     use rheem_core::{rec, Dataset, PlanBuilder, Record, RheemContext};
+    use std::sync::Arc;
 
     fn spark() -> SparkLikePlatform {
         SparkLikePlatform::new(4).with_overheads(OverheadConfig::none())
@@ -311,72 +281,5 @@ mod tests {
             sorted(result.outputs[&sink].records().to_vec()),
             sorted((0..100i64).map(|i| rec![i * 2]).collect())
         );
-    }
-}
-
-#[cfg(test)]
-mod tuning_tests {
-    use super::*;
-    use rheem_core::{rec, CustomPhysicalOp, Dataset, PlanBuilder, RheemContext};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    impl SparkLikePlatform {
-        /// Enable the §4.3 platform-layer tuning: launch at most one task per
-        /// `min` input records (still capped at the worker count).
-        fn with_min_records_per_task(mut self, min: usize) -> Self {
-            self.min_records_per_task = min.max(1);
-            self
-        }
-    }
-
-    /// A partitionable custom op that counts how many tasks executed it.
-    struct TaskCounter(Arc<AtomicUsize>);
-    impl CustomPhysicalOp for TaskCounter {
-        fn name(&self) -> &str {
-            "TaskCounter"
-        }
-        fn arity(&self) -> usize {
-            1
-        }
-        fn partitionable(&self) -> bool {
-            true
-        }
-        fn execute(&self, inputs: &[Dataset]) -> Result<Dataset> {
-            self.0.fetch_add(1, Ordering::Relaxed);
-            Ok(inputs[0].clone())
-        }
-    }
-
-    fn count_tasks(platform: SparkLikePlatform, records: i64) -> usize {
-        let counter = Arc::new(AtomicUsize::new(0));
-        let ctx = RheemContext::new().with_platform(Arc::new(platform));
-        let mut b = PlanBuilder::new();
-        let src = b.collection("s", (0..records).map(|i| rec![i]).collect());
-        let c = b.custom(Arc::new(TaskCounter(counter.clone())), vec![src]);
-        b.collect(c);
-        ctx.execute(b.build().unwrap()).unwrap();
-        counter.load(Ordering::Relaxed)
-    }
-
-    #[test]
-    fn adaptive_task_sizing_reduces_tasks_on_tiny_inputs() {
-        let untuned = SparkLikePlatform::new(4).with_overheads(OverheadConfig::none());
-        assert_eq!(count_tasks(untuned, 100), 4);
-
-        let tuned = SparkLikePlatform::new(4)
-            .with_overheads(OverheadConfig::none())
-            .with_min_records_per_task(1_000);
-        assert_eq!(count_tasks(tuned, 100), 1, "100 records fit one task");
-
-        let tuned = SparkLikePlatform::new(4)
-            .with_overheads(OverheadConfig::none())
-            .with_min_records_per_task(1_000);
-        assert_eq!(count_tasks(tuned, 2_500), 3, "2500 records need 3 tasks");
-
-        // Big inputs still use every worker.
-        let tuned = SparkLikePlatform::new(4)
-            .with_overheads(OverheadConfig::none())
-            .with_min_records_per_task(1_000);
-        assert_eq!(count_tasks(tuned, 100_000), 4);
     }
 }

@@ -454,26 +454,35 @@ fn a_vanished_client_gets_its_job_cancelled() {
         ("region", rheem_core::DataType::Str),
         ("amount", rheem_core::DataType::Int),
     ]);
-    let rows: Vec<Record> = (0..120_000i64)
-        .map(|i| {
-            Record::new(vec![
-                rheem_core::Value::str(format!("r{:06}", (i * 7919) % 99_991)),
-                rheem_core::Value::Int(i),
-            ])
-        })
-        .collect();
-    // A full string sort: tens of milliseconds even in release.
+    let table = |n: i64| -> Vec<Record> {
+        (0..n)
+            .map(|i| {
+                Record::new(vec![
+                    rheem_core::Value::str(format!("r{:06}", (i * 7919) % 99_991)),
+                    rheem_core::Value::Int(i),
+                ])
+            })
+            .collect()
+    };
+    let rows = table(120_000);
+    // A full string sort: tens of milliseconds even in release — over the
+    // blockers' four times larger tables, longer than the disconnect poll
+    // however the optimizer places it.
     let heavy = "SELECT region, amount FROM orders ORDER BY region LIMIT 50";
+    let blocker_rows = table(480_000);
+    let registered = std::sync::Barrier::new(3);
 
     let blockers = std::thread::scope(|s| {
         let slow: Vec<_> = (0..2)
             .map(|i| {
-                let (schema, rows) = (schema.clone(), rows.clone());
+                let (schema, rows) = (schema.clone(), blocker_rows.clone());
+                let registered = &registered;
                 s.spawn(move || {
                     let mut client =
                         Client::connect(addr, if i == 0 { "block-a" } else { "block-b" })
                             .expect("connect blocker");
                     client.register("orders", schema, rows).expect("register");
+                    registered.wait();
                     let out = client.query(heavy);
                     client.goodbye().expect("goodbye");
                     out
@@ -481,10 +490,12 @@ fn a_vanished_client_gets_its_job_cancelled() {
             })
             .collect();
 
-        // Give the blockers a head start so the single worker is busy,
-        // then submit from a raw stream and hang up without reading the
-        // response.
-        std::thread::sleep(Duration::from_millis(50));
+        // Once both blockers hold their tables, give their queries a head
+        // start (a request waits out the server's delayed ACK), so the
+        // single worker is busy; then submit from a raw stream and hang up
+        // without reading the response.
+        registered.wait();
+        std::thread::sleep(Duration::from_millis(60));
         {
             let mut stream = std::net::TcpStream::connect(addr).expect("connect");
             for request in [

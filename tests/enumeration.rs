@@ -152,24 +152,18 @@ fn build_plan(ops: &[GenOp]) -> rheem_core::PhysicalPlan {
     b.build().expect("generated plan is valid")
 }
 
-/// Calibration-table injections: (op-name, platform, cost factor). Names
+/// Rate-table injections: (kernel, chunk path, µs per work unit). Kernels
 /// that match nothing in a particular plan simply have no effect.
-fn gen_calibration() -> impl Strategy<Value = Vec<(&'static str, &'static str, f64)>> {
-    let op = prop_oneof![
-        Just("Map(inc)"),
-        Just("Filter(even)"),
-        Just("HashGroupBy(key=field#0, group=count)"),
-        Just("HashJoin(field#0 = field#0)"),
+fn gen_calibration() -> impl Strategy<Value = Vec<(&'static str, bool, f64)>> {
+    let kernel = prop_oneof![
+        Just("Map"),
+        Just("Filter"),
+        Just("HashGroupBy"),
+        Just("HashJoin"),
         Just("Union"),
         Just("CollectSink"),
     ];
-    let platform = prop_oneof![
-        Just("java"),
-        Just("sparklike"),
-        Just("mapreduce"),
-        Just("relational"),
-    ];
-    proptest::collection::vec((op, platform, 0.25f64..4.0), 0..4)
+    proptest::collection::vec((kernel, any::<bool>(), 0.001f64..1.0), 0..4)
 }
 
 /// EnumerationConfig variations the oracle comparison sweeps over.
@@ -205,9 +199,10 @@ proptest! {
         let plan = build_plan(&ops);
 
         let mut ctx = v2_context();
-        for (op, platform, factor) in &calib {
-            // estimated 1.0 / observed `factor` ⇒ cost_factor == factor.
-            ctx.optimizer().calibration.observe(op, platform, 1.0, *factor, 1.0, 1.0);
+        for (kernel, columnar, us_per_unit) in &calib {
+            // One observation at one size: the rate becomes `us_per_unit`.
+            let key = rheem_core::KernelKey { kernel, columnar: *columnar };
+            ctx.optimizer().calibration.observe(key, 1_000.0, *us_per_unit);
         }
         if !movement_on {
             ctx.optimizer_mut().movement = rheem_core::MovementCostModel::free();

@@ -165,35 +165,62 @@ fn wide_golden_plan() -> PhysicalPlan {
     b.build().unwrap()
 }
 
+/// Mapreduce as a group-by service: the engine and its clock, but it takes
+/// no operator other than a group-by, so the map chains cannot follow a
+/// group-by onto it — with one rate table, an engine that divides every
+/// kernel over its workers would otherwise host whole branches.
+struct GroupByMapReduce(rheem_platforms::MapReduceLikePlatform);
+
+impl Platform for GroupByMapReduce {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn profile(&self) -> rheem_core::ProcessingProfile {
+        self.0.profile()
+    }
+    fn supports(&self, op: &rheem_core::PhysicalOp) -> bool {
+        matches!(op, rheem_core::PhysicalOp::HashGroupBy { .. })
+    }
+    fn clock(&self) -> rheem_core::Clock {
+        self.0.clock()
+    }
+    fn execute_atom(
+        &self,
+        plan: &PhysicalPlan,
+        atom: &rheem_core::TaskAtom,
+        inputs: &rheem_core::AtomInputs,
+        ctx: &rheem_core::ExecutionContext,
+    ) -> rheem_core::Result<rheem_core::AtomResult> {
+        self.0.execute_atom(plan, atom, inputs, ctx)
+    }
+}
+
 #[test]
 fn golden_explain_enumeration() {
     use rheem_core::EnumerationPath;
+    use rheem_platforms::{JavaPlatform, MapReduceLikePlatform, OverheadConfig};
+    use std::time::Duration;
 
-    let mut ctx = test_context();
+    let mapreduce = MapReduceLikePlatform::new(4).with_overheads(OverheadConfig::accounted_only(
+        Duration::from_millis(120),
+        Duration::from_millis(8),
+    ));
+    let mut ctx = RheemContext::new()
+        .with_platform(std::sync::Arc::new(JavaPlatform::new()))
+        .with_platform(std::sync::Arc::new(GroupByMapReduce(mapreduce)));
     let optimizer = std::mem::take(ctx.optimizer_mut());
     *ctx.optimizer_mut() = optimizer.without_rewrites();
-    // Deterministic calibration pressure: make the group-by ruinous on
-    // every platform except mapreduce (relational, whose group-by is too
-    // cheap for the clamped factor to deter, is excluded outright), so the
-    // chosen plan crosses into mapreduce's File channels and the view
-    // shows real conversion routes — serialize on the way in, deserialize
-    // on the way out — not just free memory-to-memory hops.
-    let group_op = "HashGroupBy(key=field#0, group=tally)";
-    for platform in ["java", "sparklike"] {
-        ctx.optimizer()
-            .calibration
-            .observe(group_op, platform, 1.0, 1.0e6, 1.0, 1.0);
-    }
-    // …and keep the map chains OFF mapreduce, so the crossing happens at
-    // the group boundary instead of the whole branch migrating.
-    ctx.optimizer()
-        .calibration
-        .observe("Map(inc)", "mapreduce", 1.0, 1.0e6, 1.0, 1.0);
-    ctx.optimizer_mut()
-        .config
-        .enumeration
-        .excluded_platforms
-        .push("relational".into());
+    // Deterministic rate pressure: a row group-by whose kernel is ruinous,
+    // so it is worth spreading over mapreduce's workers despite the job
+    // setup, while the map chains stay in process. The chosen plan crosses
+    // into mapreduce's File channels and back, and the view shows real
+    // conversion routes — serialize on the way in, deserialize on the way
+    // out — not just free memory-to-memory hops.
+    let group = rheem_core::KernelKey {
+        kernel: "HashGroupBy",
+        columnar: false,
+    };
+    ctx.optimizer().calibration.observe(group, 2_000.0, 1.0e6);
 
     let plan = wide_golden_plan();
     assert!(plan.len() >= 100, "plan has {} nodes", plan.len());

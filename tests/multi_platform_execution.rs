@@ -7,7 +7,9 @@ use std::time::Duration;
 
 use rheem::prelude::*;
 use rheem::rec;
-use rheem_core::{split_into_atoms, ExecutionPlan, FailureInjector, JobResult, NodeId, RheemError};
+use rheem_core::{
+    split_into_atoms, ChannelKind, ExecutionPlan, FailureInjector, JobResult, NodeId, RheemError,
+};
 use rheem_platforms::test_context;
 use testkit::budget;
 
@@ -44,10 +46,18 @@ fn mixed_plan(n: i64) -> rheem_core::PhysicalPlan {
 
 #[test]
 fn optimizer_splits_plans_across_platforms_when_profitable() {
-    // Force the situation by making movement cheap and the relational
-    // engine drastically better at the aggregation.
+    // Force the situation by making movement free and the aggregation's
+    // kernel heavy enough (100 ms) that an engine which spreads or discounts
+    // it pays for its own startup, while the loop after it stays in process.
     let mut ctx = test_context();
     ctx.optimizer_mut().movement = rheem_core::MovementCostModel::free();
+    let reduce = rheem_core::KernelKey {
+        kernel: "ReduceByKey",
+        columnar: false,
+    };
+    ctx.optimizer()
+        .calibration
+        .observe(reduce, 100_050.0, 100.0);
     let exec = ctx.optimize(mixed_plan(100_000)).unwrap();
     let platforms: std::collections::HashSet<&str> =
         exec.assignments.iter().map(String::as_str).collect();
@@ -263,6 +273,77 @@ fn fanout_exec_plan() -> ExecutionPlan {
         estimates: vec![],
         enumeration: Default::default(),
     }
+}
+
+/// A java → mapreduce boundary whose route is Memory → File, so the
+/// mapreduce consumer reads a File: the boundary is charged exactly the
+/// optimizer's price for that route, once, as movement — and nothing for
+/// it inside the mapreduce atom, whose overhead is its job setup and one
+/// phase.
+#[test]
+fn a_file_boundary_is_charged_its_route_once_as_movement() {
+    let n = 5_000usize;
+    let mut b = PlanBuilder::new();
+    let src = b.collection("s", (0..n as i64).map(|i| rec![i % 10, i]).collect());
+    let summed = b.reduce_by_key(
+        src,
+        KeyUdf::field(0).with_distinct_keys(10.0),
+        ReduceUdf::new("sum", |a, x| {
+            rec![a.int(0).unwrap(), a.int(1).unwrap() + x.int(1).unwrap()]
+        }),
+    );
+    let sink = b.collect(summed);
+    let physical = b.build().unwrap();
+    let assignments: Vec<String> = ["java", "mapreduce", "mapreduce"]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    let mut atoms = split_into_atoms(&physical, &assignments);
+    assert_eq!(atoms.len(), 2);
+    atoms[1].inputs[0].channel = ChannelKind::File;
+    let exec = ExecutionPlan {
+        physical: Arc::new(physical),
+        assignments,
+        atoms,
+        estimated_cost: 0.0,
+        estimates: vec![],
+        enumeration: Default::default(),
+    };
+    let ctx = test_context();
+    let platform = |name: &str| {
+        ctx.platforms()
+            .all()
+            .iter()
+            .find(|p| p.name() == name)
+            .unwrap()
+            .clone()
+    };
+    let (java, mapreduce) = (platform("java"), platform("mapreduce"));
+    let route = ctx
+        .optimizer()
+        .movement
+        .route(&java.channels(), &mapreduce.channels(), n as f64);
+    assert_eq!(route.path, vec![ChannelKind::Memory, ChannelKind::File]);
+
+    let result = ctx.execute_plan(&exec).unwrap();
+    assert_eq!(result.outputs[&sink].len(), 10);
+    let atom = |name: &str| {
+        result
+            .stats
+            .atoms
+            .iter()
+            .find(|a| a.platform == name)
+            .unwrap()
+    };
+    assert_eq!(atom("java").movement_cost_ms, 0.0);
+    assert!((atom("mapreduce").movement_cost_ms - route.total_ms()).abs() < 1e-9);
+    assert!((result.stats.total_movement_ms - route.total_ms()).abs() < 1e-9);
+    let clock = mapreduce.clock();
+    assert_eq!(
+        atom("mapreduce").simulated_overhead_ms,
+        clock.startup_ms + clock.stage_ms,
+        "the boundary adds nothing inside the mapreduce atom"
+    );
 }
 
 fn sorted_outputs(result: &JobResult) -> Vec<(NodeId, Vec<Record>)> {

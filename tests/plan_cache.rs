@@ -14,8 +14,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rheem_core::udf::{FilterUdf, MapUdf};
 use rheem_core::{
-    Expr, JobResult, Observability, PhysicalPlan, PlanBuilder, PlanCache, PlanCacheConfig, Record,
-    Value,
+    Expr, JobResult, KernelKey, Observability, PhysicalPlan, PlanBuilder, PlanCache,
+    PlanCacheConfig, Record, Value,
 };
 use rheem_platforms::test_context;
 
@@ -144,17 +144,23 @@ fn drift_past_threshold_flips_hit_to_miss_via_metrics() {
     ctx.optimize(declarative_plan(&rows, 3, 1)).unwrap();
     assert_eq!(counts(), (1, 1, 0));
 
-    // Drift a cost factor by 100× — far past the 0.5 threshold.
+    // Drift the fused pipeline's kernel rate by 100× — far past the 0.5
+    // threshold.
+    let pipeline = KernelKey {
+        kernel: "ChunkPipeline",
+        columnar: true,
+    };
+    let seeded_us = observe.calibration().rate(pipeline).us(1_000.0);
     observe
         .calibration()
-        .observe("Map(shift)", "java", 10.0, 1000.0, 100.0, 100.0);
+        .observe(pipeline, 1_000.0, seeded_us * 100.0 / 1e3);
 
     // Past-threshold drift: the entry is invalidated, the lookup is a
     // miss, and the plan is re-enumerated and re-inserted.
     ctx.optimize(declarative_plan(&rows, 3, 1)).unwrap();
     assert_eq!(counts(), (1, 2, 1));
 
-    // The re-inserted entry pins the drifted factors: stable again → hit.
+    // The re-inserted entry pins the drifted rates: stable again → hit.
     ctx.optimize(declarative_plan(&rows, 3, 1)).unwrap();
     assert_eq!(counts(), (2, 2, 1));
     // The optimizer still counts its runs into the attached registry.

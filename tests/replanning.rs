@@ -235,8 +235,8 @@ impl Platform for SluggishJava {
     fn supports(&self, op: &rheem_core::PhysicalOp) -> bool {
         self.inner.supports(op)
     }
-    fn cost_model(&self) -> Arc<dyn rheem_core::PlatformCostModel> {
-        self.inner.cost_model()
+    fn clock(&self) -> rheem_core::Clock {
+        self.inner.clock()
     }
     fn execute_atom(
         &self,
