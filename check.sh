@@ -155,15 +155,11 @@ done
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+# The release pass also holds the optimizer's choice against forced runs
+# (tests/platform_choice.rs, ignored in debug: the seeded kernel rates
+# describe release-built kernels).
 echo "==> cargo test --workspace --release"
 cargo test --workspace -q --release
-
-# The optimizer's choice against forced runs, in release (the seeded kernel
-# rates describe release-built kernels): regret <= 1.05 on the served
-# statements at three sizes and on Figure 2's crossover rows, cold and
-# after a warm-up, and no served plan on mapreduce.
-echo "==> platform choice vs forced runs (release)"
-cargo test -q --release --test platform_choice
 
 # Seeded fault-injection stress pass: the vendored proptest stub derives
 # each case's RNG from the test name + case index, so elevating the case

@@ -19,6 +19,7 @@
 use std::collections::HashMap;
 
 use crate::error::{Result, RheemError};
+use crate::observe::{CostCalibration, KernelKey};
 use crate::physical::{Layout, PhysicalOp};
 use crate::plan::PhysicalPlan;
 
@@ -206,15 +207,23 @@ pub fn op_work_units(op: &PhysicalOp, ins: &[f64], out: f64) -> f64 {
     }
 }
 
-/// How a platform turns kernel time into simulated time: the platform half
-/// of every price, stated once by the platform
-/// ([`Platform::clock`](crate::platform::Platform::clock)).
-///
-/// The engine charges a job by this clock, and the optimizer prices a plan
-/// by it: [`Clock::price`] applied to the kernel-rate table's estimate is
-/// the charge the engine would make for that kernel time. The kernel half
-/// is the same on every platform, because every engine runs the same
-/// operator table.
+/// How an engine hands a dataset from one operator to the next.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Exchange {
+    /// Whole datasets in one process; kernels at the job's thread budget.
+    InProcess,
+    /// Partitions, each a sequential task, exchanged in memory.
+    Memory,
+    /// Partitions spilled to disk and read back at every stage input (a
+    /// phase boundary); every phase runs one task per worker.
+    Disk,
+}
+
+/// How a platform turns kernel time into simulated time, stated once by
+/// the platform ([`Platform::clock`](crate::platform::Platform::clock)):
+/// its engine charges by it, and the optimizer prices by it —
+/// [`Clock::price`] is the charge for the kernel time the rate table
+/// estimates.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Clock {
     /// Charged once per task atom (job submission, connection setup).
@@ -232,10 +241,8 @@ pub struct Clock {
     /// Measured kernel time is charged at this factor: the modeled engine's
     /// speed relative to the shared kernels (1.0: the kernels' own).
     pub efficiency: f64,
-    /// A disk-phased engine's boundary: every input of a stage is written
-    /// to local disk and read back, at this many µs per row, and every
-    /// phase runs one task per worker. 0 for in-memory engines.
-    pub spill_us_per_row: f64,
+    /// How the engine moves data between operators.
+    pub exchange: Exchange,
 }
 
 impl Clock {
@@ -248,25 +255,30 @@ impl Clock {
             workers: 1,
             driver_share: 1.0,
             efficiency,
-            spill_us_per_row: 0.0,
+            exchange: Exchange::InProcess,
         }
     }
 
-    /// Tasks a stage over `rows` input rows runs as: one per row up to the
-    /// worker count, or every worker on a disk-phased engine.
+    /// The engine runs a kernel on each partition.
+    pub fn partitioned(&self) -> bool {
+        self.exchange != Exchange::InProcess
+    }
+
+    /// Tasks a stage over `rows` input rows runs as (one per row, at most
+    /// one per worker; every worker on disk).
     pub fn partitions_for(&self, rows: usize) -> usize {
-        if self.spill_us_per_row > 0.0 {
-            self.workers.max(1)
-        } else {
-            rows.clamp(1, self.workers.max(1))
+        match self.exchange {
+            Exchange::Disk => self.workers.max(1),
+            _ => rows.clamp(1, self.workers.max(1)),
         }
     }
 
     /// Simulated ms this clock charges for `op` over inputs of `ins` rows
-    /// whose kernel work — summed over every task, as if one thread ran
-    /// them all — is `kernel_ms`. A loop is priced by its body
-    /// (`enumerate::node_cost`); here it is one stage.
-    pub fn price(&self, op: &PhysicalOp, kernel_ms: f64, ins: &[f64]) -> f64 {
+    /// producing `out`, at the kernel work and spills `rates` estimates. A
+    /// loop is priced by its body (`enumerate::node_cost`); here one stage.
+    pub fn price(&self, op: &PhysicalOp, ins: &[f64], out: f64, rates: &CostCalibration) -> f64 {
+        let key = KernelKey::of(op, self.partitioned());
+        let kernel_ms = rates.rate(key).us(op_work_units(op, ins, out)) / 1e3;
         let in0 = ins.first().copied().unwrap_or(0.0);
         let tasks = self.partitions_for(in0 as usize) as f64;
         let layout = op.layout();
@@ -277,26 +289,19 @@ impl Clock {
             } => kernel_ms,
             _ => kernel_ms / tasks,
         };
-        let crosses = layout.repartitions()
-            || matches!(
-                layout,
-                Layout::Custom {
-                    per_partition: false
-                }
-            );
-        let boundary = if crosses { self.boundary_ms(ins) } else { 0.0 };
-        boundary + self.efficiency * work
+        let boundary = layout.repartitions().then(|| self.boundary_ms(ins, rates));
+        boundary.unwrap_or(0.0) + self.efficiency * work
     }
 
-    /// One stage boundary crossed by inputs of `ins` rows: a stage charge —
-    /// per input on a disk-phased engine, which spills each — and the
-    /// spill itself.
-    pub(crate) fn boundary_ms(&self, ins: &[f64]) -> f64 {
-        if self.spill_us_per_row > 0.0 {
-            let rows: f64 = ins.iter().sum();
-            self.stage_ms * ins.len().max(1) as f64 + self.spill_us_per_row * rows / 1e3
-        } else {
-            self.stage_ms
+    /// One stage boundary crossed by inputs of `ins` rows: a stage charge,
+    /// on disk per input and with its spill.
+    pub(crate) fn boundary_ms(&self, ins: &[f64], rates: &CostCalibration) -> f64 {
+        match self.exchange {
+            Exchange::Disk => {
+                let spill_us = rates.rate(KernelKey::SPILL).us(ins.iter().sum());
+                self.stage_ms * ins.len().max(1) as f64 + spill_us / 1e3
+            }
+            _ => self.stage_ms,
         }
     }
 }
@@ -755,10 +760,26 @@ mod tests {
             left_key: KeyUdf::field(0),
             right_key: KeyUdf::field(0),
         };
+        // Rates fitted so that each kernel below costs what it says, on
+        // either kind of engine, and a spill costs 1 µs per row.
+        let rates = CostCalibration::new();
+        let costs = |op: &PhysicalOp, ins: &[f64], out: f64, ms: f64| {
+            for partitioned in [false, true] {
+                let key = KernelKey::of(op, partitioned);
+                rates.observe(key, op_work_units(op, ins, out), ms);
+            }
+        };
+        costs(&map, &[1e5], 1e5, 8.0);
+        costs(&map, &[3.0], 3.0, 6.0);
+        costs(&join, &[1e5, 1e3], 1e3, 8.0);
+        costs(&join, &[1e4, 1e3], 1e3, 8.0);
+        costs(&sort, &[1e5], 1e5, 8.0);
+        rates.observe(KernelKey::SPILL, 11_000.0, 11.0);
+        let close = |a: f64, b: f64| assert!((a - b).abs() < 1e-9, "{a} != {b}");
         // In process: kernel time at the engine's efficiency, nothing else.
         let relational = Clock::in_process(5.0, 0.5);
-        assert_eq!(relational.price(&map, 8.0, &[1e5]), 4.0);
-        assert_eq!(relational.price(&join, 8.0, &[1e5, 1e3]), 4.0);
+        close(relational.price(&map, &[1e5], 1e5, &rates), 4.0);
+        close(relational.price(&join, &[1e5, 1e3], 1e3, &rates), 4.0);
         assert_eq!(relational.partitions_for(1_000_000), 1);
         // Partitioned: a narrow operator's critical path is its share of
         // the work; a repartitioning one also pays a stage; a gathered sort
@@ -769,24 +790,24 @@ mod tests {
             workers: 8,
             driver_share: 1.0 / 8.0,
             efficiency: 1.0,
-            spill_us_per_row: 0.0,
+            exchange: Exchange::Memory,
         };
-        assert_eq!(spark.price(&map, 8.0, &[1e5]), 1.0);
-        assert_eq!(spark.price(&join, 8.0, &[1e5, 1e3]), 3.0);
-        assert_eq!(spark.price(&sort, 8.0, &[1e5]), 3.0);
+        close(spark.price(&map, &[1e5], 1e5, &rates), 1.0);
+        close(spark.price(&join, &[1e5, 1e3], 1e3, &rates), 3.0);
+        close(spark.price(&sort, &[1e5], 1e5, &rates), 3.0);
         // Fewer rows than workers: one task per row.
         assert_eq!(spark.partitions_for(3), 3);
-        assert_eq!(spark.price(&map, 6.0, &[3.0]), 2.0);
+        close(spark.price(&map, &[3.0], 3.0, &rates), 2.0);
         // Disk-phased: every worker runs, and each input of a stage pays a
         // stage and its spill.
         let mr = Clock {
-            spill_us_per_row: 1.0,
+            exchange: Exchange::Disk,
             stage_ms: 8.0,
             driver_share: 1.0,
             ..spark
         };
         assert_eq!(mr.partitions_for(3), 8);
-        assert_eq!(mr.price(&join, 8.0, &[1e4, 1e3]), 16.0 + 11.0 + 1.0);
+        close(mr.price(&join, &[1e4, 1e3], 1e3, &rates), 16.0 + 11.0 + 1.0);
     }
 
     #[test]

@@ -401,22 +401,25 @@ impl Dataset {
         self.views.len == 0
     }
 
-    /// The row view, materialized on first use: from this dataset's chunk,
-    /// or — for a window — from the parent's rows (its chunk, if the
-    /// parent has no rows yet).
+    /// The row view: a window borrows its range of the parent's rows (and
+    /// converts its slice of a chunk-only parent); any other dataset
+    /// materializes its chunk's rows on first use.
     pub fn records(&self) -> &[Record] {
-        self.views.records.get_or_init(|| {
-            let views = &self.views;
+        let views = &self.views;
+        if let (None, Some((parent, offset))) = (views.records.get(), &views.window_of) {
+            let chunk_only = parent.views.records.get().is_none()
+                && parent.views.chunk.get().is_some_and(Option::is_some);
+            if !chunk_only {
+                return &parent.records()[*offset..*offset + views.len];
+            }
+        }
+        views.records.get_or_init(|| {
             if let Some(chunk) = views.chunk.get().and_then(Option::as_ref) {
                 return chunk.to_records();
             }
             let (parent, offset) = views.window_of.as_ref().expect("one view is always set");
-            match parent.views.chunk.get().and_then(Option::as_ref) {
-                Some(chunk) if parent.views.records.get().is_none() => {
-                    chunk.slice(*offset, views.len).to_records()
-                }
-                _ => parent.records()[*offset..*offset + views.len].to_vec(),
-            }
+            let chunk = parent.chunk().expect("a chunk-only parent has a chunk");
+            chunk.slice(*offset, views.len).to_records()
         })
     }
 
@@ -469,10 +472,12 @@ impl Dataset {
     /// when the dataset is shared; either way the rows are materialized
     /// first if they have not been.
     pub fn into_records(self) -> Vec<Record> {
-        self.records();
         match Arc::try_unwrap(self.views) {
-            Ok(views) => views.records.into_inner().expect("just materialized"),
-            Err(views) => views.records.get().expect("just materialized").clone(),
+            Ok(views) if views.records.get().is_some() => views.records.into_inner().unwrap(),
+            views => {
+                let views = views.map_or_else(|shared| shared, Arc::new);
+                Dataset { views }.records().to_vec()
+            }
         }
     }
 

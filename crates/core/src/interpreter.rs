@@ -77,6 +77,9 @@ pub fn run_fragment(
                 work_ms: kernel_ms,
                 morsels: op_morsels(&node.op, &inputs, &ctx.kernel_parallelism, columnar),
                 columnar,
+                partitioned: false,
+                spilled_rows: 0,
+                spill_ms: 0.0,
             });
         }
         run.records_processed += out.len() as u64;

@@ -46,7 +46,7 @@
 //! **For platforms and engines:** the [`Platform`] trait with its
 //! [`ProcessingProfile`], [`ExecutionContext`], [`TaskAtom`],
 //! [`AtomInputs`], [`AtomResult`] and [`NodeObservation`]s; the [`Clock`] a
-//! platform states; the channels
+//! platform states, with its [`Exchange`]; the channels
 //! ([`ChannelKind`], [`ChannelConversionGraph`]); the interpreter
 //! ([`run_fragment`], [`execute_op`], [`read_count`]), the operator table
 //! ([`kernels::execute`]), the [`Layout`] of every [`PhysicalOp`] and the
@@ -114,7 +114,7 @@ pub mod query;
 pub mod udf;
 
 pub use context::RheemContext;
-pub use cost::{ChannelConversionGraph, ChannelKind, Clock, MovementCostModel};
+pub use cost::{ChannelConversionGraph, ChannelKind, Clock, Exchange, MovementCostModel};
 pub use data::{Chunk, Column, ColumnBuilder, DataType, Dataset, Record, Schema, Value};
 pub use error::{CancelReason, Result, RheemError};
 pub use executor::{AtomStats, ExecutionStats, JobResult, WaveGate};

@@ -1,24 +1,21 @@
 //! The kernel-rate table: what an operator's kernel costs, learned from
 //! every job.
 //!
-//! A platform's price for an operator has two halves. The platform half —
-//! startup, stage boundaries, partitions, driver share, efficiency, disk —
-//! is the platform's [`Clock`](crate::cost::Clock), stated by the platform
-//! and charged by its engine. The kernel half is the same on every engine,
-//! because every engine runs the same operator table. [`CostCalibration`]
-//! estimates that half: one [`Rate`] per [`KernelKey`] — the operator's
-//! kernel and whether it runs on chunks or rows — as a fixed µs plus µs per
-//! work unit ([`crate::cost::op_work_units`]).
-//!
-//! Each rate starts at a constant taken from `BENCH_kernels.json`'s full
-//! run and is then a least-squares fit over every observation folded in:
-//! every committed node of every job, whichever platform ran it, timed as
-//! the kernel work the engine did before its clock was applied
-//! ([`NodeObservation::work_ms`]). The fit weighs all observations alike;
-//! no decay constant can be set. An observation on one platform therefore
-//! prices that kernel on all of them.
+//! A platform's price for an operator has two halves: the platform's
+//! [`Clock`](crate::cost::Clock), and the kernel time, which depends on the
+//! operator and on the kind of engine — in process, on the whole dataset at
+//! the job's thread budget, or partitioned, as sequential tasks — never on
+//! the platform. [`CostCalibration`] estimates the kernel half: one
+//! [`Rate`] per [`KernelKey`], a fixed µs plus µs per work unit
+//! ([`crate::cost::op_work_units`]). Each rate starts at a constant from
+//! `BENCH_kernels.json`'s full run, then is a least-squares fit over every
+//! observation folded in — each node's kernel work before its clock
+//! ([`NodeObservation::work_ms`]), each spill a disk-phased engine made —
+//! with no decay, and no observation farther than [`RATIO_CLAMP`] from its
+//! seed.
 
 use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -31,23 +28,48 @@ use crate::plan::ExecutionPlan;
 #[cfg(doc)]
 use super::NodeObservation;
 
-/// What the rate table is keyed by: an operator's kernel (its
-/// [`PhysicalOp::kernel`] name) and the path it runs on.
+/// No observation enters a fit farther than this factor above or below its
+/// key's seed: one timing outlier moves a rate a bounded way.
+pub const RATIO_CLAMP: f64 = 1e4;
+
+/// What the rate table is keyed by.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct KernelKey {
     /// The operator's kernel, e.g. `"HashJoin"`.
     pub kernel: &'static str,
     /// True for the chunk kernel, false for the row kernel.
     pub columnar: bool,
+    /// A partitioned engine runs the kernel, not an in-process one.
+    pub partitioned: bool,
+    /// On the row path, a hash of the operator's name (its UDFs: one
+    /// closure's cost says nothing of another's); 0 otherwise.
+    pub udf: u64,
 }
 
 impl KernelKey {
-    /// The key `op` is priced under: the chunk path when the operator has
-    /// a chunk kernel ([`PhysicalOp::runs_columnar`]).
-    pub fn of(op: &PhysicalOp) -> KernelKey {
+    /// One row's round trip through a disk-phased engine's spill file.
+    pub const SPILL: KernelKey = KernelKey::new("Spill", false, true);
+
+    /// The key of `kernel` on a path and an engine kind, for no UDF.
+    pub const fn new(kernel: &'static str, columnar: bool, partitioned: bool) -> KernelKey {
         KernelKey {
-            kernel: op.kernel(),
-            columnar: op.runs_columnar(),
+            kernel,
+            columnar,
+            partitioned,
+            udf: 0,
+        }
+    }
+
+    /// The key `op` is priced under on an engine of the given kind.
+    pub fn of(op: &PhysicalOp, partitioned: bool) -> KernelKey {
+        let columnar = op.runs_columnar();
+        let mut udf = DefaultHasher::new();
+        if !columnar {
+            op.name().hash(&mut udf);
+        }
+        KernelKey {
+            udf: if columnar { 0 } else { udf.finish() },
+            ..KernelKey::new(op.kernel(), columnar, partitioned)
         }
     }
 }
@@ -73,18 +95,20 @@ impl Rate {
 }
 
 /// The seed of `key`, in µs per work unit: `BENCH_kernels.json`'s full
-/// `ablation_kernels` run at 10^6 rows (the served join at its 200 000),
-/// divided by the kernel's work units there. Where the bench times the
-/// shape the server runs, the seed is that entry — the served WHERE
-/// (`filter_selective`), GROUP BY (the mean of `hash_aggregate_int_key` and
-/// `_dict_key`), join (`hash_join_dense_key`) and ORDER BY (`sort_served`);
-/// a row reduce is `reduce_by_key`'s sequential run. Sources, sinks and a
-/// limit hand a dataset along and start free; a kernel the bench does not
-/// time starts at its path's filter rate.
+/// `ablation_kernels` run at 10^6 rows (the served join at 200 000) over
+/// the kernel's work units there, on its 2-CPU host — the served shapes
+/// where timed (`filter_selective`, the two `hash_aggregate_*_key`,
+/// `hash_join_dense_key`, `sort_served`); in process, a row reduce or join
+/// at 2 threads (45.0 of 88.4 ms, 265.5 of 397.8 ms). Sources, sinks and a
+/// limit start free; an untimed kernel at its path's filter rate. A spill
+/// round trip was timed on a 200 000-row, four-field table.
 pub(crate) fn seed(key: KernelKey) -> Rate {
     let per_unit_us = match (key.kernel, key.columnar) {
         ("CollectionSource" | "StorageSource" | "LoopInput" | "Limit", _)
         | ("CollectSink" | "CountSink", _) => 0.0,
+        ("Spill", _) => 0.84,
+        ("ReduceByKey", false) if !key.partitioned => 0.0450,
+        ("HashJoin", false) if !key.partitioned => 0.0565,
         ("Map", true) => 0.00086,
         ("Project", true) => 0.0,
         ("ChunkPipeline", true) => 0.00593,
@@ -107,8 +131,8 @@ pub(crate) fn seed(key: KernelKey) -> Rate {
     }
 }
 
-/// A rate's running least-squares fit (Welford's update, so large work
-/// counts lose no precision).
+/// A rate's running least-squares fit (Welford's update: no precision lost
+/// at large work counts).
 #[derive(Clone, Copy, Debug, Default)]
 struct Fit {
     n: u64,
@@ -161,18 +185,11 @@ impl Fit {
     }
 }
 
-/// The kernel-rate table (see the module docs).
-///
-/// Interior mutability (a `Mutex` around the map) lets the optimizer hold
-/// the table in an `Arc` and fold observations in from `&self` contexts;
-/// it is read once per plan node during enumeration and written once per
-/// job, never inside a kernel.
-///
-/// Concurrency: `CostCalibration::absorb` holds the table lock for the
-/// whole job it folds in, so two jobs finishing at the same time serialize
-/// as whole jobs. The `CostCalibration::version` counter advances once per
-/// mutating batch, giving the plan cache a cheap "did anything change since
-/// I last checked?" probe.
+/// The kernel-rate table (see the module docs), shared in an `Arc`: read
+/// per plan node during enumeration, written once per job under one lock,
+/// so two jobs finishing together serialize as whole jobs. `version`
+/// advances once per mutating batch: the plan cache's "did anything
+/// change?" probe.
 #[derive(Debug, Default)]
 pub struct CostCalibration {
     entries: Mutex<HashMap<KernelKey, Fit>>,
@@ -197,7 +214,10 @@ impl CostCalibration {
         if !(x.is_finite() && ms.is_finite() && x >= 0.0 && ms >= 0.0) {
             return false;
         }
-        entries.entry(key).or_default().add(x, ms * 1e3);
+        // A free seed is bounded as if it cost 1 µs.
+        let seeded = seed(key).us(x).max(1.0);
+        let us = (ms * 1e3).clamp(seeded / RATIO_CLAMP, seeded * RATIO_CLAMP);
+        entries.entry(key).or_default().add(x, us);
         true
     }
 
@@ -215,12 +235,6 @@ impl CostCalibration {
             .lock()
             .get(&key)
             .map_or_else(|| seed(key), |f| f.rate)
-    }
-
-    /// Estimated kernel work of `op` over inputs of `ins` rows producing
-    /// `out`, in ms — summed over every task, before any clock.
-    pub(crate) fn kernel_ms(&self, op: &PhysicalOp, ins: &[f64], out: f64) -> f64 {
-        self.rate(KernelKey::of(op)).us(op_work_units(op, ins, out)) / 1e3
     }
 
     /// Number of keys observed so far.
@@ -248,11 +262,11 @@ impl CostCalibration {
     /// Fold every node observation of a finished job into the table.
     ///
     /// A node's work units are counted on what it actually saw: its
-    /// producers' observed output (the plan's estimate where a producer
-    /// was not observed) and its own observed output. A loop is priced
-    /// through its body, so its own observation is not folded in. Only
-    /// observations attached to committed atom stats reach this point: a
-    /// failed attempt's are discarded by the executor's retry loop.
+    /// producers' observed output (else the plan's estimate) and its own.
+    /// A loop is priced through its body, and an operator seeded free only
+    /// hands a dataset along: neither kernel is fitted. Every node's spills
+    /// are, under [`KernelKey::SPILL`]. A failed attempt's observations
+    /// never reach this point.
     pub(crate) fn absorb(&self, plan: &ExecutionPlan, stats: &ExecutionStats) {
         let observations = || stats.atoms.iter().flat_map(|a| &a.node_observations);
         let observed: HashMap<_, f64> = observations()
@@ -265,7 +279,15 @@ impl CostCalibration {
             let Some(node) = nodes.get(obs.node.0) else {
                 continue;
             };
-            if matches!(node.op, PhysicalOp::Loop { .. }) {
+            if obs.spilled_rows > 0 {
+                let rows = obs.spilled_rows as f64;
+                changed |= Self::fold(&mut entries, KernelKey::SPILL, rows, obs.spill_ms);
+            }
+            let key = KernelKey {
+                columnar: obs.columnar,
+                ..KernelKey::of(&node.op, obs.partitioned)
+            };
+            if matches!(node.op, PhysicalOp::Loop { .. }) || seed(key) == Rate::default() {
                 continue;
             }
             let ins: Vec<f64> = node
@@ -278,10 +300,6 @@ impl CostCalibration {
                         .unwrap_or_else(|| plan.estimates.get(i.0).map_or(0.0, |e| e.card))
                 })
                 .collect();
-            let key = KernelKey {
-                kernel: node.op.kernel(),
-                columnar: obs.columnar,
-            };
             let units = op_work_units(&node.op, &ins, obs.records_out as f64);
             changed |= Self::fold(&mut entries, key, units, obs.work_ms);
         }
@@ -295,10 +313,7 @@ impl CostCalibration {
 mod tests {
     use super::*;
 
-    const MAP_ROWS: KernelKey = KernelKey {
-        kernel: "Map",
-        columnar: false,
-    };
+    const MAP_ROWS: KernelKey = KernelKey::new("Map", false, false);
 
     #[test]
     fn the_seed_prices_until_an_observation_and_one_size_fits_a_slope() {
@@ -330,7 +345,7 @@ mod tests {
         assert!((rate.mean_units - 50_500.0).abs() < 1e-6);
         // A negative intercept or slope is refitted through the origin
         // (Σxy / Σxx): no rate ever prices a size below zero.
-        for (first_ms, second_ms, slope) in [(0.0, 0.2, 0.8), (0.2, 0.1, 0.8)] {
+        for (first_ms, second_ms, slope) in [(0.01, 0.2, 0.82), (0.2, 0.1, 0.8)] {
             let cal = CostCalibration::new();
             cal.observe(MAP_ROWS, 100.0, first_ms);
             cal.observe(MAP_ROWS, 200.0, second_ms);
@@ -358,29 +373,56 @@ mod tests {
         use crate::expr::Expr;
         use crate::udf::{FilterUdf, MapUdf};
         let opaque = PhysicalOp::Map(MapUdf::new("f", |r| r.clone()));
-        assert_eq!(KernelKey::of(&opaque), MAP_ROWS);
+        let other = PhysicalOp::Map(MapUdf::new("g", |r| r.clone()));
+        let key = KernelKey::of(&opaque, true);
+        assert_eq!(
+            (key.kernel, key.columnar, key.partitioned),
+            ("Map", false, true)
+        );
+        // A row kernel is keyed by its operator: two closures, two rates.
+        assert_ne!(key, KernelKey::of(&other, true));
+        assert_eq!(key, KernelKey::of(&opaque, true));
         let declarative = PhysicalOp::Filter(FilterUdf::from_expr(
             "p",
             Expr::field(0).ge(Expr::lit(1i64)),
         ));
         assert_eq!(
-            KernelKey::of(&declarative),
-            KernelKey {
-                kernel: "Filter",
-                columnar: true
-            }
+            KernelKey::of(&declarative, false),
+            KernelKey::new("Filter", true, false)
         );
-        // A chunk kernel is priced below its row twin.
+        // A chunk kernel is priced below its row twin, and an unobserved
+        // operator at its kernel's seed.
         let cal = CostCalibration::new();
-        let map_chunk = KernelKey {
-            kernel: "Map",
-            columnar: true,
-        };
+        let map_chunk = KernelKey::new("Map", true, false);
         assert!(cal.rate(map_chunk).us(1e6) < cal.rate(MAP_ROWS).us(1e6));
+        assert_eq!(cal.rate(KernelKey::of(&opaque, false)), seed(MAP_ROWS));
+    }
+
+    #[test]
+    fn one_observation_moves_its_rate_a_bounded_way() {
+        let cal = CostCalibration::new();
+        let seeded = cal.rate(MAP_ROWS).us(1_000.0);
+        // A page-fault storm: a billion times the seed.
+        cal.observe(MAP_ROWS, 1_000.0, seeded * 1e9 / 1e3);
+        let bound = seeded * RATIO_CLAMP;
+        assert!((cal.rate(MAP_ROWS).us(1_000.0) - bound).abs() < 1e-6 * bound);
+        // …and a kernel that took no time at all.
+        let cal = CostCalibration::new();
+        cal.observe(MAP_ROWS, 1_000.0, 0.0);
+        assert!(cal.rate(MAP_ROWS).us(1_000.0) > 0.0);
+    }
+
+    /// The key an in-process engine's `Map(f)` is fitted under.
+    fn map_f() -> KernelKey {
+        KernelKey::of(
+            &PhysicalOp::Map(crate::udf::MapUdf::new("f", |r| r.clone())),
+            false,
+        )
     }
 
     /// A one-job (plan, stats) pair whose absorption folds `observed_ms`
-    /// into the row `Map` rate, in order, over 100 → 100 rows.
+    /// into the in-process row `Map(f)` rate, in order, over 100 → 100
+    /// rows.
     fn absorb_job(observed_ms: &[f64]) -> (ExecutionPlan, ExecutionStats) {
         use crate::observe::NodeObservation;
         use crate::plan::{EnumerationInfo, NodeId, PlanBuilder};
@@ -411,6 +453,9 @@ mod tests {
             work_ms: ms,
             morsels: 1,
             columnar: false,
+            partitioned: false,
+            spilled_rows: 0,
+            spill_ms: 0.0,
         };
         let mut stats = ExecutionStats::default();
         stats.atoms.push(crate::executor::AtomStats {
@@ -438,7 +483,7 @@ mod tests {
         cal.absorb(&plan, &stats);
         assert_eq!(cal.version(), 1, "one job, one version step");
         // 100 rows in (the source's observed output) + 100 out = 200 units.
-        let rate = cal.rate(MAP_ROWS);
+        let rate = cal.rate(map_f());
         assert_eq!(rate.samples, 2);
         assert!((rate.mean_units - 200.0).abs() < 1e-9);
         assert!((rate.us(200.0) - 300.0).abs() < 1e-6, "{rate:?}");
@@ -455,7 +500,7 @@ mod tests {
             let cal = CostCalibration::new();
             cal.absorb(first.0, first.1);
             cal.absorb(second.0, second.1);
-            cal.rate(MAP_ROWS)
+            cal.rate(map_f())
         };
         let ab = serial((&plan_a, &stats_a), (&plan_b, &stats_b));
         let ba = serial((&plan_b, &stats_b), (&plan_a, &stats_a));
@@ -472,7 +517,7 @@ mod tests {
                     cal.absorb(&plan_b, &stats_b);
                 });
             });
-            let got = cal.rate(MAP_ROWS);
+            let got = cal.rate(map_f());
             assert!(
                 got == ab || got == ba,
                 "concurrent absorb produced a non-serializable state: {got:?} \

@@ -47,9 +47,9 @@ pub struct NodeObservation {
     /// work through the platform's clock (critical path, stage and
     /// boundary charges, efficiency).
     pub elapsed_ms: f64,
-    /// The kernel work itself, before the clock: the sum of the node's
-    /// task times, as if one thread ran them all. What the kernel-rate
-    /// table is fitted to.
+    /// The kernel work before the clock — partitioned: the sum of the
+    /// node's task times; in process: the kernel's time at the job's
+    /// thread budget. What the kernel-rate table is fitted to.
     pub work_ms: f64,
     /// Parallel work units (morsels or chunks) the kernel ran on; 1 for
     /// a sequential kernel. Deterministic for a fixed
@@ -61,6 +61,12 @@ pub struct NodeObservation {
     /// row-at-a-time kernel ran — an opaque UDF, an operator without a
     /// chunk kernel, or a ragged input.
     pub columnar: bool,
+    /// A partitioned engine ran the kernel, not an in-process one.
+    pub partitioned: bool,
+    /// Rows the node's stage boundaries spilled to disk and read back.
+    pub spilled_rows: u64,
+    /// Milliseconds those spills took (in `elapsed_ms`, not `work_ms`).
+    pub spill_ms: f64,
 }
 
 /// Upper bounds (microseconds) for the per-atom runtime histogram.
@@ -247,6 +253,9 @@ mod tests {
                 work_ms: 2.0,
                 morsels: 4,
                 columnar: false,
+                partitioned: false,
+                spilled_rows: 0,
+                spill_ms: 0.0,
             }],
         }
     }

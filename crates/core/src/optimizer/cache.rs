@@ -329,10 +329,7 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
-    const MAP_ROWS: KernelKey = KernelKey {
-        kernel: "Map",
-        columnar: false,
-    };
+    const MAP_ROWS: KernelKey = KernelKey::new("Map", false, false);
 
     #[test]
     fn drift_past_threshold_invalidates() {

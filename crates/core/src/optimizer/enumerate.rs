@@ -936,11 +936,11 @@ pub(crate) fn node_cost(
         ..
     } = op
     else {
-        return Ok(clock.price(op, calibration.kernel_ms(op, ins, out), ins));
+        return Ok(clock.price(op, ins, out, calibration));
     };
     let loop_card = ins.first().copied().unwrap_or(0.0);
     let body_cards = estimator.estimate_with_loop_input(body, loop_card)?;
-    let mut per_iteration = clock.boundary_ms(&[loop_card]);
+    let mut per_iteration = clock.boundary_ms(&[loop_card], calibration);
     for bn in body.nodes() {
         let bins: Vec<f64> = bn.inputs.iter().map(|i| body_cards[i.0]).collect();
         per_iteration += node_cost(

@@ -451,8 +451,8 @@ pub enum Layout<'a> {
 
 impl Layout<'_> {
     /// True when laying the input out repartitions it — a shuffle, a
-    /// gather or a broadcast, i.e. a stage boundary on a partitioned
-    /// engine.
+    /// gather (of a gathered custom operator too) or a broadcast, i.e. a
+    /// stage boundary on a partitioned engine.
     pub(crate) fn repartitions(&self) -> bool {
         matches!(
             self,
@@ -462,6 +462,9 @@ impl Layout<'_> {
                 | Layout::CombineGather
                 | Layout::CoPartition(..)
                 | Layout::BroadcastRight
+                | Layout::Custom {
+                    per_partition: false
+                }
         )
     }
 }

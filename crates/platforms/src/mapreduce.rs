@@ -22,20 +22,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use rheem_core::{
-    AtomInputs, AtomResult, Clock, Dataset, ExecutionContext, PhysicalOp, PhysicalPlan, Platform,
-    ProcessingProfile, Record, Result, TaskAtom,
+    AtomInputs, AtomResult, Clock, Dataset, Exchange, ExecutionContext, PhysicalOp, PhysicalPlan,
+    Platform, ProcessingProfile, Record, Result, TaskAtom,
 };
 
 use crate::config::OverheadConfig;
 use crate::runner::{self, Engine, Parts};
 
 static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// What a row's round trip through a spill file costs — encode, write,
-/// read back, decode in the native codec — in µs: the clock's disk
-/// boundary, measured on a 200 000-row, four-field table on the 2-CPU
-/// x86_64 host of `BENCH_kernels.json`.
-const SPILL_US_PER_ROW: f64 = 0.84;
 
 /// Disk-phased batch execution engine.
 pub struct MapReduceLikePlatform {
@@ -115,8 +109,9 @@ impl Platform for MapReduceLikePlatform {
     }
 
     /// Every phase runs one task per worker, every input of a phase
-    /// boundary pays the phase overhead and its spill, and the job
-    /// tracker's plumbing is not spread over the workers.
+    /// boundary pays the phase overhead and its spill (priced by the rate
+    /// table, charged as measured), and the job tracker's plumbing is not
+    /// spread over the workers.
     fn clock(&self) -> Clock {
         Clock {
             startup_ms: self.overheads.startup_ms(),
@@ -124,7 +119,7 @@ impl Platform for MapReduceLikePlatform {
             workers: self.workers,
             driver_share: 1.0,
             efficiency: 1.0,
-            spill_us_per_row: SPILL_US_PER_ROW,
+            exchange: Exchange::Disk,
         }
     }
 

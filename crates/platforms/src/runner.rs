@@ -8,28 +8,24 @@
 //! broadcast — and the runner's exchange step puts it there; then the
 //! operator table ([`kernels::execute`]) runs on every partition, chunk
 //! kernel or row kernel as the partition allows. What differs between
-//! engines is their [`Clock`] — how many partitions, what a stage boundary
-//! costs, how driver-side time and kernel time are charged — and, for an
-//! [`Engine`], whether the data goes through disk at a stage boundary.
+//! engines is their [`Clock`] and, for an [`Engine`] on disk, the spill.
 //!
 //! **Time accounting.** Each per-partition task is timed individually and
 //! a stage is charged its *critical path* — `max` across its tasks — plus
 //! the clock's overheads, plus driver-side plumbing at the clock's driver
 //! share. Tasks execute sequentially so the per-task measurements are exact
-//! even on single-core hosts; the figures in the paper are reproduced on
-//! *simulated* elapsed time (see DESIGN.md's substitution table). Next to
-//! each node's charge the runner records its kernel work — the sum of its
-//! task times, before the critical path or the efficiency is applied —
-//! which is what the optimizer's kernel-rate table learns from.
+//! even on single-core hosts (DESIGN.md's substitution table). Each node
+//! also records its kernel work (the sum of its task times) and its spills:
+//! what the optimizer's kernel-rate table learns from.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
 use rheem_core::udf::KeyUdf;
 use rheem_core::{
-    execute_op, kernels, run_fragment, AtomInputs, AtomResult, Clock, Dataset, ExecutionContext,
-    KernelParallelism, Layout, NodeId, NodeObservation, PhysicalOp, PhysicalPlan, Platform, Result,
-    RheemError, TaskAtom,
+    execute_op, kernels, run_fragment, AtomInputs, AtomResult, Clock, Dataset, Exchange,
+    ExecutionContext, KernelParallelism, Layout, NodeId, NodeObservation, PhysicalOp, PhysicalPlan,
+    Platform, Result, RheemError, TaskAtom,
 };
 
 use crate::config::OverheadConfig;
@@ -71,6 +67,8 @@ pub(crate) fn run_atom<E: Engine>(
         overhead_ms: startup,
         elapsed_ms: startup,
         work_ms: 0.0,
+        spilled_rows: 0,
+        spill_ms: 0.0,
         records_processed: 0,
         observations: Vec::new(),
     };
@@ -143,6 +141,9 @@ struct Run<'a, E> {
     elapsed_ms: f64,
     /// Kernel work: every task's time, summed.
     work_ms: f64,
+    /// Rows spilled at stage boundaries, and the time that took.
+    spilled_rows: u64,
+    spill_ms: f64,
     records_processed: u64,
     /// Per-kernel observations (top-level nodes only; loop bodies are
     /// charged to their `Loop` node).
@@ -154,7 +155,7 @@ impl<E: Engine> Run<'_, E> {
     /// stage charge — per input on a disk-phased clock, whose engine then
     /// spills each, the disk I/O charged serially.
     fn stage(&mut self, inputs: &mut [Parts]) -> Result<()> {
-        let disk = self.clock.spill_us_per_row > 0.0;
+        let disk = self.clock.exchange == Exchange::Disk;
         for _ in 0..if disk { inputs.len() } else { 1 } {
             let ms = self.overheads.pay(self.clock.stage_ms);
             self.overhead_ms += ms;
@@ -163,7 +164,10 @@ impl<E: Engine> Run<'_, E> {
         if disk {
             let t = Instant::now();
             self.engine.spill(inputs)?;
-            self.elapsed_ms += ms_since(t);
+            let ms = ms_since(t);
+            self.elapsed_ms += ms;
+            self.spill_ms += ms;
+            self.spilled_rows += inputs.iter().flatten().map(|p| p.len() as u64).sum::<u64>();
         }
         Ok(())
     }
@@ -288,7 +292,12 @@ impl<E: Engine> Run<'_, E> {
                 };
                 inputs.push(parts);
             }
-            let (before_ms, before_work_ms) = (self.elapsed_ms, self.work_ms);
+            let before = (
+                self.elapsed_ms,
+                self.work_ms,
+                self.spilled_rows,
+                self.spill_ms,
+            );
             let (out, columnar) = self.exec_op(&node.op, inputs, loop_state)?;
             // A cancel that fired inside a kernel truncated its output:
             // never hand that on as this node's result.
@@ -302,12 +311,15 @@ impl<E: Engine> Run<'_, E> {
                     node: id,
                     op: node.op.name(),
                     records_out: out_records,
-                    elapsed_ms: self.elapsed_ms - before_ms,
-                    work_ms: self.work_ms - before_work_ms,
+                    elapsed_ms: self.elapsed_ms - before.0,
+                    work_ms: self.work_ms - before.1,
                     // Partitions are the parallel unit; per-partition
                     // kernels stay sequential.
                     morsels: 1,
                     columnar,
+                    partitioned: true,
+                    spilled_rows: self.spilled_rows - before.2,
+                    spill_ms: self.spill_ms - before.3,
                 });
             }
             results.insert(id, out);

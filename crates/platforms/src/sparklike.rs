@@ -24,7 +24,7 @@
 use std::time::Duration;
 
 use rheem_core::{
-    AtomInputs, AtomResult, Clock, ExecutionContext, PhysicalOp, PhysicalPlan, Platform,
+    AtomInputs, AtomResult, Clock, Exchange, ExecutionContext, PhysicalOp, PhysicalPlan, Platform,
     ProcessingProfile, Result, TaskAtom,
 };
 
@@ -82,7 +82,7 @@ impl Platform for SparkLikePlatform {
             workers: self.workers,
             driver_share: 1.0 / self.workers as f64,
             efficiency: 1.0,
-            spill_us_per_row: 0.0,
+            exchange: Exchange::Memory,
         }
     }
 

@@ -152,8 +152,9 @@ fn build_plan(ops: &[GenOp]) -> rheem_core::PhysicalPlan {
     b.build().expect("generated plan is valid")
 }
 
-/// Rate-table injections: (kernel, chunk path, µs per work unit). Kernels
-/// that match nothing in a particular plan simply have no effect.
+/// Rate-table injections: (kernel, partitioned engines, µs per work unit),
+/// applied to every node of that kernel. Kernels that match nothing in a
+/// particular plan simply have no effect.
 fn gen_calibration() -> impl Strategy<Value = Vec<(&'static str, bool, f64)>> {
     let kernel = prop_oneof![
         Just("Map"),
@@ -199,10 +200,12 @@ proptest! {
         let plan = build_plan(&ops);
 
         let mut ctx = v2_context();
-        for (kernel, columnar, us_per_unit) in &calib {
+        for (kernel, partitioned, us_per_unit) in &calib {
             // One observation at one size: the rate becomes `us_per_unit`.
-            let key = rheem_core::KernelKey { kernel, columnar: *columnar };
-            ctx.optimizer().calibration.observe(key, 1_000.0, *us_per_unit);
+            for node in plan.nodes().iter().filter(|n| n.op.kernel() == *kernel) {
+                let key = rheem_core::KernelKey::of(&node.op, *partitioned);
+                ctx.optimizer().calibration.observe(key, 1_000.0, *us_per_unit);
+            }
         }
         if !movement_on {
             ctx.optimizer_mut().movement = rheem_core::MovementCostModel::free();

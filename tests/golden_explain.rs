@@ -165,64 +165,36 @@ fn wide_golden_plan() -> PhysicalPlan {
     b.build().unwrap()
 }
 
-/// Mapreduce as a group-by service: the engine and its clock, but it takes
-/// no operator other than a group-by, so the map chains cannot follow a
-/// group-by onto it — with one rate table, an engine that divides every
-/// kernel over its workers would otherwise host whole branches.
-struct GroupByMapReduce(rheem_platforms::MapReduceLikePlatform);
-
-impl Platform for GroupByMapReduce {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-    fn profile(&self) -> rheem_core::ProcessingProfile {
-        self.0.profile()
-    }
-    fn supports(&self, op: &rheem_core::PhysicalOp) -> bool {
-        matches!(op, rheem_core::PhysicalOp::HashGroupBy { .. })
-    }
-    fn clock(&self) -> rheem_core::Clock {
-        self.0.clock()
-    }
-    fn execute_atom(
-        &self,
-        plan: &PhysicalPlan,
-        atom: &rheem_core::TaskAtom,
-        inputs: &rheem_core::AtomInputs,
-        ctx: &rheem_core::ExecutionContext,
-    ) -> rheem_core::Result<rheem_core::AtomResult> {
-        self.0.execute_atom(plan, atom, inputs, ctx)
-    }
-}
-
 #[test]
 fn golden_explain_enumeration() {
-    use rheem_core::EnumerationPath;
-    use rheem_platforms::{JavaPlatform, MapReduceLikePlatform, OverheadConfig};
-    use std::time::Duration;
+    use rheem_core::{EnumerationPath, KernelKey};
 
-    let mapreduce = MapReduceLikePlatform::new(4).with_overheads(OverheadConfig::accounted_only(
-        Duration::from_millis(120),
-        Duration::from_millis(8),
-    ));
-    let mut ctx = RheemContext::new()
-        .with_platform(std::sync::Arc::new(JavaPlatform::new()))
-        .with_platform(std::sync::Arc::new(GroupByMapReduce(mapreduce)));
+    let mut ctx = test_context();
     let optimizer = std::mem::take(ctx.optimizer_mut());
     *ctx.optimizer_mut() = optimizer.without_rewrites();
-    // Deterministic rate pressure: a row group-by whose kernel is ruinous,
-    // so it is worth spreading over mapreduce's workers despite the job
-    // setup, while the map chains stay in process. The chosen plan crosses
-    // into mapreduce's File channels and back, and the view shows real
-    // conversion routes — serialize on the way in, deserialize on the way
-    // out — not just free memory-to-memory hops.
-    let group = rheem_core::KernelKey {
-        kernel: "HashGroupBy",
-        columnar: false,
-    };
-    ctx.optimizer().calibration.observe(group, 2_000.0, 1.0e6);
-
+    // Deterministic rate pressure: make the group-by ruinous in process,
+    // so it is worth spreading over a partitioned engine despite the job
+    // setup, and keep the map chains off the partitioned engines, so the
+    // crossing happens at the group boundary instead of the whole branch
+    // migrating. Sparklike (memory channels, the cheaper partitioned
+    // engine) and relational (which writes files itself) are excluded, so
+    // the chosen plan crosses from java into mapreduce's File channels and
+    // back, and the view shows real conversion routes — serialize on the
+    // way in, deserialize on the way out — not just free hand-offs.
     let plan = wide_golden_plan();
+    let op = |kernel: &str| {
+        let node = plan.nodes().iter().find(|n| n.op.kernel() == kernel);
+        node.expect("the plan has the kernel").op.clone()
+    };
+    let calibration = &ctx.optimizer().calibration;
+    calibration.observe(KernelKey::of(&op("HashGroupBy"), false), 2_000.0, 1_000.0);
+    calibration.observe(KernelKey::of(&op("Map"), true), 2_000.0, 500.0);
+    ctx.optimizer_mut()
+        .config
+        .enumeration
+        .excluded_platforms
+        .extend(["sparklike".into(), "relational".into()]);
+
     assert!(plan.len() >= 100, "plan has {} nodes", plan.len());
     let exec = ctx.optimize(plan).unwrap();
     assert_eq!(exec.enumeration.path, EnumerationPath::LatticeV2);

@@ -278,3 +278,30 @@ fn parallel_counters_replay_at_one_budget() {
     assert!(first > 0);
     assert_eq!(first, second);
 }
+
+/// An in-process engine's kernel time is wall time at the job's thread
+/// budget: a morsel-parallel job teaches the in-process engines' rates only,
+/// never the partitioned engines', whose tasks run sequentially and would
+/// otherwise be priced by a time the morsels already divided.
+#[test]
+fn a_morsel_parallel_job_fits_only_in_process_rates() {
+    let observe = Arc::new(Observability::new());
+    let p = KernelParallelism::sequential()
+        .with_threads(4)
+        .with_morsel_size(16)
+        .with_min_rows(1);
+    let ctx = test_context()
+        .with_kernel_parallelism(p)
+        .with_observability(observe.clone())
+        .force_platform("java");
+    ctx.execute(workload_plan()).unwrap();
+    assert!(
+        observe
+            .metrics()
+            .counter_value("kernel.parallel.invocations")
+            > 0
+    );
+    let rates = observe.calibration().snapshot();
+    assert!(!rates.is_empty());
+    assert!(rates.iter().all(|(key, _)| !key.partitioned), "{rates:?}");
+}

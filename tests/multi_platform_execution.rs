@@ -51,14 +51,17 @@ fn optimizer_splits_plans_across_platforms_when_profitable() {
     // it pays for its own startup, while the loop after it stays in process.
     let mut ctx = test_context();
     ctx.optimizer_mut().movement = rheem_core::MovementCostModel::free();
-    let reduce = rheem_core::KernelKey {
-        kernel: "ReduceByKey",
-        columnar: false,
-    };
-    ctx.optimizer()
-        .calibration
-        .observe(reduce, 100_050.0, 100.0);
-    let exec = ctx.optimize(mixed_plan(100_000)).unwrap();
+    let plan = mixed_plan(100_000);
+    let reduce = plan
+        .nodes()
+        .iter()
+        .find(|n| n.op.kernel() == "ReduceByKey")
+        .unwrap();
+    for partitioned in [false, true] {
+        let key = rheem_core::KernelKey::of(&reduce.op, partitioned);
+        ctx.optimizer().calibration.observe(key, 100_050.0, 100.0);
+    }
+    let exec = ctx.optimize(plan).unwrap();
     let platforms: std::collections::HashSet<&str> =
         exec.assignments.iter().map(String::as_str).collect();
     assert!(
@@ -92,6 +95,59 @@ fn optimizer_splits_plans_across_platforms_when_profitable() {
         .sum::<f64>()
         * 0.9f64.powi(5);
     assert!((first.float(1).unwrap() - expected).abs() < 1e-6);
+}
+
+/// `n` rows through one map whose closure spins `spin` times per row.
+fn map_plan(n: i64, name: &'static str, spin: i64) -> rheem_core::PhysicalPlan {
+    let mut b = PlanBuilder::new();
+    let src = b.collection("rows", (0..n).map(|i| rec![i]).collect());
+    let mapped = b.map(
+        src,
+        MapUdf::new(name, move |r| {
+            let mut acc = r.int(0).unwrap();
+            for i in 0..spin {
+                acc = std::hint::black_box(acc.wrapping_mul(31).wrapping_add(i));
+            }
+            rec![acc]
+        }),
+    );
+    b.collect(mapped);
+    b.build().unwrap()
+}
+
+#[test]
+fn a_slow_closure_does_not_reprice_another_map() {
+    // A cheap map over 200 000 rows stays in process; a map whose kernel
+    // cost 100x more per row would move to the partitioned engine.
+    let observe = Arc::new(rheem_core::Observability::new());
+    let ctx = test_context()
+        .with_observability(observe.clone())
+        .force_platform("java");
+    let free = test_context().with_observability(observe.clone());
+    let cheap = || map_plan(200_000, "inc", 0);
+    let before = free.optimize(cheap()).unwrap().assignments;
+    assert!(!before.iter().any(|p| p == "sparklike"), "{before:?}");
+    // A tenant's slow closure, observed in process, job after job.
+    for _ in 0..5 {
+        ctx.execute(map_plan(2_000, "spin", 20_000)).unwrap();
+    }
+    let spin = map_plan(1, "spin", 0);
+    let spin_map = &spin.nodes()[1].op;
+    let fitted = observe
+        .calibration()
+        .rate(rheem_core::KernelKey::of(spin_map, false));
+    assert_eq!(fitted.samples, 5);
+    let seeded = observe
+        .calibration()
+        .rate(rheem_core::KernelKey::new("Map", false, false));
+    assert!(
+        fitted.us(4_000.0) > 100.0 * seeded.us(4_000.0),
+        "{fitted:?}"
+    );
+    let slow = free.optimize(map_plan(200_000, "spin", 0)).unwrap();
+    assert_eq!(slow.assignments[1], "sparklike");
+    // The cheap map is still priced at its own rate: same plan.
+    assert_eq!(free.optimize(cheap()).unwrap().assignments, before);
 }
 
 #[test]

@@ -146,10 +146,7 @@ fn drift_past_threshold_flips_hit_to_miss_via_metrics() {
 
     // Drift the fused pipeline's kernel rate by 100× — far past the 0.5
     // threshold.
-    let pipeline = KernelKey {
-        kernel: "ChunkPipeline",
-        columnar: true,
-    };
+    let pipeline = KernelKey::new("ChunkPipeline", true, false);
     let seeded_us = observe.calibration().rate(pipeline).us(1_000.0);
     observe
         .calibration()
