@@ -77,6 +77,17 @@ if grep -rnE 'ScheduleMode|max_parallel_atoms|RHEEM_KERNEL_THREADS|ExecutorConfi
   echo "a deleted setting, builder or injection mode is named again"; exit 1
 fi
 
+# A platform states itself once: its clock carries the channels it reads
+# and writes, a boundary is priced from one fixed conversion table without
+# allocating, and re-planning runs on the optimizer's own models; no
+# processing-profile enum, channel accessor, general conversion graph or
+# re-planner holding copies of those models comes back.
+echo "==> a platform states itself once: no profile enum, conversion graph or replanner"
+if grep -rnE 'ProcessingProfile|ChannelConversionGraph|cheapest_path|Replanner|fn replanner|fn profile\(|fn channels\(' \
+    crates src tests examples; then
+  echo "a deleted platform statement, conversion graph or replanner is named again"; exit 1
+fi
+
 # One owner per operator choice: `LogicalPlan::lower` maps logical to
 # physical operators, `Platform::supports` + `kernels::execute` map physical
 # to execution operators; no hint table, triple store or batch driver comes
@@ -134,7 +145,7 @@ fi
 # optimizer's metrics are attached) and a served query touches atomics only.
 echo "==> per-query paths name no metric"
 for spec in 'crates/server/src/service.rs:pub fn submit_handle<:pub fn cancel_job(' \
-    'crates/core/src/optimizer/mod.rs:pub fn optimize(:pub fn replanner('; do
+    'crates/core/src/optimizer/mod.rs:pub fn optimize(:fn optimize_logical('; do
   IFS=: read -r file from to <<< "$spec"
   if awk -v from="$from" -v to="$to" 'index($0, from) { on = 1 } index($0, to) { on = 0 } on' "$file" \
       | grep -nE '\.(counter|gauge|histogram)\('; then

@@ -17,8 +17,7 @@ use std::time::Duration;
 use rheem_core::udf::{FlatMapUdf, KeyUdf};
 use rheem_core::{
     rec, AtomInputs, AtomResult, Clock, ExecutionContext, ExecutionPlan, MovementCostModel,
-    PhysicalOp, PhysicalPlan, PlanBuilder, Platform, ProcessingProfile, Record, ReplanPolicy,
-    RheemContext, TaskAtom,
+    PhysicalOp, PhysicalPlan, PlanBuilder, Platform, Record, ReplanPolicy, RheemContext, TaskAtom,
 };
 use rheem_platforms::{JavaPlatform, OverheadConfig, SparkLikePlatform};
 
@@ -56,9 +55,6 @@ impl Default for ClusterPlatform {
 impl Platform for ClusterPlatform {
     fn name(&self) -> &str {
         "cluster"
-    }
-    fn profile(&self) -> ProcessingProfile {
-        self.inner.profile()
     }
     fn supports(&self, op: &PhysicalOp) -> bool {
         !matches!(op, PhysicalOp::FlatMap(_)) && self.inner.supports(op)

@@ -256,7 +256,7 @@ mod tests {
     use super::*;
     use crate::data::Record;
     use crate::plan::PlanBuilder;
-    use crate::platform::{AtomInputs, AtomResult, ProcessingProfile};
+    use crate::platform::{AtomInputs, AtomResult};
     use crate::rec;
 
     /// A minimal interpreter-backed platform for core-only tests.
@@ -265,14 +265,12 @@ mod tests {
         fn name(&self) -> &str {
             self.0
         }
-        fn profile(&self) -> ProcessingProfile {
-            ProcessingProfile::SingleProcess
-        }
         fn supports(&self, _op: &crate::PhysicalOp) -> bool {
             true
         }
         fn clock(&self) -> crate::cost::Clock {
-            crate::cost::Clock::in_process(0.0, 1.0)
+            use crate::cost::{ChannelKind, ChannelSet, Clock};
+            Clock::in_process(0.0, 1.0, ChannelSet::of(&[ChannelKind::Memory]))
         }
         fn execute_atom(
             &self,

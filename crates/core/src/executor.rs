@@ -595,11 +595,12 @@ impl Job<'_> {
         };
         // A re-plan is part of the job: it must respect the deadline.
         check_deadline(self.deadline)?;
-        let new_plan = self.ctx.optimizer.replanner().replan(
+        let new_plan = self.ctx.optimizer.replan(
             current,
             executed,
             &live,
             &self.ctx.platforms,
+            &[],
             next_atom_id,
         )?;
         stats.replans.push(ReplanEvent {
@@ -676,9 +677,14 @@ impl Job<'_> {
         let live = node_outputs.lock().clone();
         // Failover shares the drift re-planner's machinery but not its
         // budget: `max_failovers` is counted separately.
-        let rp = self.ctx.optimizer.replanner().excluding(excluded);
-        let new_plan = match rp.replan(current, executed, &live, &self.ctx.platforms, next_atom_id)
-        {
+        let new_plan = match self.ctx.optimizer.replan(
+            current,
+            executed,
+            &live,
+            &self.ctx.platforms,
+            excluded,
+            next_atom_id,
+        ) {
             Ok(p) => p,
             // No alternative mapping for some pending operator: the job
             // fails with the original error.
@@ -820,15 +826,11 @@ impl Job<'_> {
                     ))
                 })?;
                 if *from != atom.platform {
-                    movement_cost_ms += ctx
-                        .optimizer
-                        .movement
-                        .route(
-                            &ctx.platforms.get(from)?.channels(),
-                            &platform.channels(),
-                            data.len() as f64,
-                        )
-                        .total_ms();
+                    movement_cost_ms += ctx.optimizer.movement.price(
+                        ctx.platforms.get(from)?.clock().channels,
+                        platform.clock().channels,
+                        data.len() as f64,
+                    );
                 }
                 inputs.insert((edge.consumer, edge.slot), data.clone());
             }

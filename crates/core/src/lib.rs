@@ -44,10 +44,10 @@
 //! [`Counter`], [`Gauge`], [`Histogram`], [`HistogramSnapshot`]).
 //!
 //! **For platforms and engines:** the [`Platform`] trait with its
-//! [`ProcessingProfile`], [`ExecutionContext`], [`TaskAtom`],
-//! [`AtomInputs`], [`AtomResult`] and [`NodeObservation`]s; the [`Clock`] a
-//! platform states, with its [`Exchange`]; the channels
-//! ([`ChannelKind`], [`ChannelConversionGraph`]); the interpreter
+//! [`ExecutionContext`], [`TaskAtom`], [`AtomInputs`], [`AtomResult`] and
+//! [`NodeObservation`]s; the [`Clock`] a platform states itself by, with its
+//! [`Exchange`] and the [`ChannelSet`] of [`ChannelKind`]s it reads and
+//! writes; the interpreter
 //! ([`run_fragment`], [`execute_op`], [`read_count`]), the operator table
 //! ([`kernels::execute`]), the [`Layout`] of every [`PhysicalOp`] and the
 //! chunk [`PipelineStage`]s of its [`StageKind`]s; [`CustomPhysicalOp`] for
@@ -58,7 +58,7 @@
 //! hand-built [`ExecutionPlan`].
 //!
 //! **For tests:** the references a test compares against — [`run_plan`],
-//! [`enumerate_exhaustive`], [`assignment_cost`], the price
+//! [`enumerate_exhaustive`], [`assignment_cost`], the route and price
 //! [`MovementCostModel::route`] puts on a boundary,
 //! [`MultiPlatformOptimizer::without_rewrites`],
 //! [`kernels::chunked::run_stages_rows`], [`kernels::flat_map`] and
@@ -114,7 +114,7 @@ pub mod query;
 pub mod udf;
 
 pub use context::RheemContext;
-pub use cost::{ChannelConversionGraph, ChannelKind, Clock, Exchange, MovementCostModel};
+pub use cost::{ChannelKind, ChannelSet, Clock, Exchange, MovementCostModel};
 pub use data::{Chunk, Column, ColumnBuilder, DataType, Dataset, Record, Schema, Value};
 pub use error::{CancelReason, Result, RheemError};
 pub use executor::{AtomStats, ExecutionStats, JobResult, WaveGate};
@@ -139,5 +139,5 @@ pub use plan::{
 };
 pub use platform::{
     AtomInputs, AtomResult, ExecutionContext, FailureInjector, InjectedKind, MemoryStorageService,
-    Platform, ProcessingProfile, StorageService,
+    Platform, StorageService,
 };

@@ -18,9 +18,10 @@
 //!
 //! 1. **One price table** — every `(node, platform)` operator cost and
 //!    every `(producer, from, to)` edge cost is computed once, up front
-//!    (`Priced`); edges go through [`MovementCostModel::route`] over the
-//!    two platforms' own [`Platform::channels`]. The search, the fallback,
-//!    plan assembly and the exhaustive oracle all read that table.
+//!    (`Priced`); edges go through [`MovementCostModel::price`] over the
+//!    channels of the two platforms' own [`Clock`]s. The search, the
+//!    fallback, plan assembly and the exhaustive oracle all read that
+//!    table.
 //! 2. **Chain contraction** — maximal linear operator chains (single
 //!    consumer feeding a single-input node) are contracted into
 //!    super-nodes before the search ([`super::fuse::contract_chains`]).
@@ -45,13 +46,13 @@
 //!
 //! Whichever way the assignment was found, the plan is assembled the same
 //! way: `estimated_cost` is the objective above evaluated on the returned
-//! assignment, and every cross-platform edge carries its conversion route
-//! ([`EnumerationInfo::conversions`], [`AtomInput::channel`]).
+//! assignment, and every cross-platform edge it crosses is recorded with its
+//! conversion route ([`EnumerationInfo::conversions`]).
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
-use crate::cost::{CardinalityEstimator, ChannelSpec, Clock, MovementCostModel};
+use crate::cost::{CardinalityEstimator, ChannelSet, Clock, MovementCostModel};
 use crate::error::{Result, RheemError};
 use crate::observe::CostCalibration;
 use crate::physical::PhysicalOp;
@@ -105,7 +106,38 @@ pub fn enumerate(
     config: &EnumerationConfig,
     calibration: &CostCalibration,
 ) -> Result<ExecutionPlan> {
-    let priced = Priced::new(&plan, registry, estimator, movement, config, calibration)?;
+    enumerate_excluding(
+        plan,
+        registry,
+        estimator,
+        movement,
+        config,
+        calibration,
+        &[],
+    )
+}
+
+/// [`enumerate`] with `excluded` platforms left out of the search on top of
+/// the config's own exclusions: how failover keeps a re-plan off the
+/// platforms that just failed.
+pub(crate) fn enumerate_excluding(
+    plan: Arc<PhysicalPlan>,
+    registry: &PlatformRegistry,
+    estimator: &CardinalityEstimator,
+    movement: &MovementCostModel,
+    config: &EnumerationConfig,
+    calibration: &CostCalibration,
+    excluded: &[String],
+) -> Result<ExecutionPlan> {
+    let priced = Priced::new(
+        &plan,
+        registry,
+        estimator,
+        movement,
+        config,
+        calibration,
+        excluded,
+    )?;
     let mut expansions = 0usize;
     let found = lattice_search(&plan, &priced, config.max_expansions, &mut expansions)?;
     let minimized = found.as_ref().map(|f| f.total_cost);
@@ -144,8 +176,8 @@ pub fn enumerate(
 /// the price of every operator and every edge on every platform (pair).
 struct Priced {
     platforms: Vec<Arc<dyn Platform>>,
-    /// [`Platform::channels`] per platform.
-    channels: Vec<ChannelSpec>,
+    /// [`Clock::channels`] per platform.
+    channels: Vec<ChannelSet>,
     /// [`Clock::startup_ms`] per platform.
     startup: Vec<f64>,
     cards: Vec<f64>,
@@ -166,6 +198,7 @@ impl Priced {
         movement: &MovementCostModel,
         config: &EnumerationConfig,
         calibration: &CostCalibration,
+        excluded: &[String],
     ) -> Result<Priced> {
         if registry.is_empty() {
             return Err(RheemError::Optimizer("no platforms registered".into()));
@@ -174,7 +207,8 @@ impl Priced {
             Some(name) => vec![registry.get(name)?],
             None => registry.all().to_vec(),
         };
-        platforms.retain(|p| !config.excluded_platforms.iter().any(|x| x == p.name()));
+        let excluded = config.excluded_platforms.iter().chain(excluded);
+        platforms.retain(|p| !excluded.clone().any(|x| x == p.name()));
         if platforms.is_empty() {
             return Err(RheemError::Optimizer(
                 "every registered platform is excluded from enumeration".into(),
@@ -183,6 +217,7 @@ impl Priced {
         let n_plats = platforms.len();
         let clocks: Vec<Clock> = platforms.iter().map(|p| p.clock()).collect();
         let startup: Vec<f64> = clocks.iter().map(|c| c.startup_ms).collect();
+        let channels: Vec<ChannelSet> = clocks.iter().map(|c| c.channels).collect();
         let cards = estimator.estimate(plan)?;
 
         let mut op = vec![INF; plan.len() * n_plats];
@@ -217,14 +252,13 @@ impl Priced {
 
         // Route each producer's output once per platform pair; every
         // consumer edge of that producer reads the same entry.
-        let channels: Vec<ChannelSpec> = platforms.iter().map(|p| p.channels()).collect();
         let mut edge = vec![0.0; plan.len() * n_plats * n_plats];
         for (producer, _) in consumed.iter().enumerate().filter(|(_, c)| **c) {
-            for (q, from) in channels.iter().enumerate() {
-                for (r, to) in channels.iter().enumerate() {
+            for (q, &from) in channels.iter().enumerate() {
+                for (r, &to) in channels.iter().enumerate() {
                     if q != r {
                         edge[(producer * n_plats + q) * n_plats + r] =
-                            movement.route(from, to, cards[producer]).total_ms() + startup[r];
+                            movement.price(from, to, cards[producer]) + startup[r];
                     }
                 }
             }
@@ -722,8 +756,7 @@ fn greedy_dp(plan: &PhysicalPlan, priced: &Priced) -> Result<Vec<usize>> {
 
 /// Turn a platform-per-node assignment into an [`ExecutionPlan`]: string
 /// assignments, per-node estimates, the objective's value, the conversion
-/// route of every cross-platform edge, and task atoms whose boundary
-/// inputs carry the landing channel of their route.
+/// route of every cross-platform edge, and task atoms.
 fn assemble(
     plan: Arc<PhysicalPlan>,
     priced: &Priced,
@@ -755,8 +788,8 @@ fn assemble(
             if q != p {
                 let (from, to) = (&assignments[input.0], &assignments[node.id.0]);
                 let route = movement.route(
-                    &priced.channels[q],
-                    &priced.channels[p],
+                    priced.channels[q],
+                    priced.channels[p],
                     priced.cards[input.0],
                 );
                 enumeration.conversions.push(ChannelConversion {
@@ -772,16 +805,7 @@ fn assemble(
         }
     }
 
-    let mut atoms = split_into_atoms(&plan, &assignments);
-    for atom in &mut atoms {
-        for input in &mut atom.inputs {
-            if let Some(conv) = enumeration.conversions.iter().find(|c| {
-                c.producer == input.producer && c.consumer == input.consumer && c.slot == input.slot
-            }) {
-                input.channel = conv.path.last().copied().unwrap_or_default();
-            }
-        }
-    }
+    let atoms = split_into_atoms(&plan, &assignments);
 
     ExecutionPlan {
         physical: plan,
@@ -833,11 +857,8 @@ pub fn assignment_cost(
         for input in &node.inputs {
             let q = &assignments[input.0];
             if q != p.name() {
-                let from = registry.get(q)?.channels();
-                total += movement
-                    .route(&from, &p.channels(), cards[input.0])
-                    .total_ms()
-                    + clock.startup_ms;
+                let from = registry.get(q)?.clock().channels;
+                total += movement.price(from, clock.channels, cards[input.0]) + clock.startup_ms;
             }
         }
     }
@@ -864,7 +885,15 @@ pub fn enumerate_exhaustive(
             "exhaustive oracle is capped at 12 nodes (got {n})"
         )));
     }
-    let priced = Priced::new(plan, registry, estimator, movement, config, calibration)?;
+    let priced = Priced::new(
+        plan,
+        registry,
+        estimator,
+        movement,
+        config,
+        calibration,
+        &[],
+    )?;
     let supported: Vec<Vec<usize>> = plan
         .nodes()
         .iter()
@@ -1074,7 +1103,6 @@ pub fn split_into_atoms(plan: &PhysicalPlan, assignments: &[String]) -> Vec<Task
                         consumer: n,
                         slot,
                         producer: *producer,
-                        channel: Default::default(),
                     });
                 }
             }

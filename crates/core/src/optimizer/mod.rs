@@ -7,9 +7,10 @@
 //!   lattice, pricing each operator by its platform's clock over the
 //!   learned kernel rates plus channel-aware inter-platform movement
 //!   costs, and task-atom splitting (§4.2);
-//! * [`replan`] — adaptive mid-job re-optimization: the executor's hook
-//!   for re-enumerating the unexecuted suffix of a running job when
-//!   observed cardinalities drift from the estimates.
+//! * [`replan`] — adaptive mid-job re-optimization:
+//!   [`MultiPlatformOptimizer::replan`] re-enumerates the unexecuted suffix
+//!   of a running job with the optimizer's own models when observed
+//!   cardinalities drift from the estimates or a platform fails.
 //!
 //! [`MultiPlatformOptimizer`] wires them together: it is the component in
 //! the middle of the paper's Figure 1.
@@ -34,7 +35,7 @@ pub use enumerate::{
     assignment_cost, enumerate, enumerate_exhaustive, split_into_atoms, EnumerationConfig,
 };
 pub(crate) use replan::worst_drift;
-pub use replan::{ReplanPolicy, Replanner};
+pub use replan::ReplanPolicy;
 pub use rewrites::apply_rewrites;
 
 /// The multi-platform task optimizer (core layer, §4.2).
@@ -196,19 +197,6 @@ impl MultiPlatformOptimizer {
         metrics.runs.inc();
         metrics.nodes_assigned.add(exec.assignments.len() as u64);
         metrics.calibration_pairs.set(self.calibration.len() as u64);
-    }
-
-    /// A `Replanner` sharing this optimizer's models, so mid-job
-    /// re-enumeration prices platforms exactly as the original pass did
-    /// (same estimator, movement prices, enumeration knobs, and — live —
-    /// the same calibration table).
-    pub fn replanner(&self) -> Replanner {
-        Replanner {
-            estimator: self.estimator.clone(),
-            movement: self.movement.clone(),
-            enumeration: self.config.enumeration.clone(),
-            calibration: self.calibration.clone(),
-        }
     }
 
     /// Lower a logical plan and optimize it in one step.

@@ -7,15 +7,16 @@
 //! compares the observed sizes of live boundary datasets against the
 //! plan's [`NodeEstimate`](crate::plan::NodeEstimate)s; when the error
 //! ratio on any of them exceeds
-//! [`ReplanPolicy::threshold`], the [`Replanner`] rebuilds the remaining
-//! work:
+//! [`ReplanPolicy::threshold`],
+//! [`MultiPlatformOptimizer::replan`] rebuilds the remaining work:
 //!
 //! 1. every materialized boundary dataset a pending atom consumes becomes
 //!    a fixed-cardinality `CollectionSource` *pseudo-node* (named
 //!    `replan:nX`), so the enumerator sees its true size;
 //! 2. the pending nodes are copied into a temporary suffix plan wired to
 //!    those pseudo-sources, and [`enumerate`](super::enumerate())
-//!    re-runs over it with the live [`CostCalibration`] rates;
+//!    re-runs over it with the optimizer's own models and the live
+//!    [`CostCalibration`](crate::observe::CostCalibration) rates;
 //! 3. the result is translated back into the original node-id space: the
 //!    physical plan and the assignments/estimates of executed nodes are
 //!    kept, pseudo-nodes are dropped, and their in-atom edges become
@@ -30,15 +31,15 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use crate::cost::{drift_ratio, CardinalityEstimator, MovementCostModel};
+use crate::cost::drift_ratio;
 use crate::data::Dataset;
 use crate::error::{Result, RheemError};
-use crate::observe::CostCalibration;
 use crate::physical::PhysicalOp;
 use crate::plan::{AtomInput, ExecutionPlan, NodeId, PhysicalNode, PhysicalPlan, TaskAtom};
 use crate::platform::PlatformRegistry;
 
-use super::enumerate::{enumerate, EnumerationConfig};
+use super::enumerate::enumerate_excluding;
+use super::MultiPlatformOptimizer;
 
 /// When and how often the executor may re-optimize a running job.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -59,26 +60,6 @@ impl Default for ReplanPolicy {
             max_replans: 2,
         }
     }
-}
-
-/// Re-enumerates the unexecuted suffix of a job mid-flight.
-///
-/// Built from the optimizer's own models (see
-/// [`MultiPlatformOptimizer::replanner`](super::MultiPlatformOptimizer::replanner))
-/// so a re-plan prices platforms exactly as the original enumeration did —
-/// except with true cardinalities and the latest kernel rates.
-#[derive(Clone)]
-pub struct Replanner {
-    /// Cardinality estimation for the suffix (pseudo-sources carry exact
-    /// sizes, so estimates downstream of them start from the truth).
-    pub estimator: CardinalityEstimator,
-    /// Inter-platform movement prices.
-    pub movement: MovementCostModel,
-    /// Enumeration knobs (forced / excluded platforms, expansion budget).
-    pub enumeration: EnumerationConfig,
-    /// Shared kernel-rate table; re-plans see rates learned earlier in the
-    /// same process.
-    pub calibration: Arc<CostCalibration>,
 }
 
 /// The live boundary dataset whose cardinality drifted the most beyond
@@ -112,27 +93,17 @@ pub fn worst_drift(
     worst
 }
 
-impl Replanner {
-    /// A copy of this replanner whose enumeration excludes `platforms`
-    /// (on top of any exclusions already configured). Failover hands the
-    /// executor such a copy so a re-plan cannot route the suffix back
-    /// onto a platform that just failed.
-    pub(crate) fn excluding(&self, platforms: &[String]) -> Replanner {
-        let mut out = self.clone();
-        for p in platforms {
-            if !out.enumeration.excluded_platforms.contains(p) {
-                out.enumeration.excluded_platforms.push(p.clone());
-            }
-        }
-        out
-    }
-
-    /// Re-enumerate the pending suffix of `plan`.
+impl MultiPlatformOptimizer {
+    /// Re-enumerate the pending suffix of `plan` with this optimizer's own
+    /// models, so a re-plan prices platforms exactly as the original pass
+    /// did — except with true cardinalities and the latest kernel rates.
     ///
     /// `executed` holds the *positions* (indices into `plan.atoms`) of
     /// atoms that already committed; `live` maps materialized boundary
-    /// nodes to their actual outputs; `next_atom_id` is the executor's
-    /// id fountain for atoms whose node set changed.
+    /// nodes to their actual outputs; `excluded` names platforms the suffix
+    /// must avoid on top of the configured exclusions (failover passes the
+    /// platforms that failed, a drift re-plan none); `next_atom_id` is the
+    /// executor's id fountain for atoms whose node set changed.
     ///
     /// Returns a plan over the same physical DAG whose `atoms` are only
     /// the (re-partitioned) pending atoms, whose `assignments` and
@@ -147,6 +118,7 @@ impl Replanner {
         executed: &HashSet<usize>,
         live: &HashMap<NodeId, Dataset>,
         registry: &PlatformRegistry,
+        excluded: &[String],
         next_atom_id: &mut usize,
     ) -> Result<ExecutionPlan> {
         let pending: Vec<&TaskAtom> = plan
@@ -220,13 +192,14 @@ impl Replanner {
         }
         let temp = PhysicalPlan::from_nodes(temp_nodes);
         temp.validate()?;
-        let suffix = enumerate(
+        let suffix = enumerate_excluding(
             Arc::new(temp),
             registry,
             &self.estimator,
             &self.movement,
-            &self.enumeration,
+            &self.config.enumeration,
             &self.calibration,
+            excluded,
         )?;
 
         // 3: translate back to the original node-id space.
@@ -267,7 +240,6 @@ impl Replanner {
                     consumer: back[&i.consumer],
                     slot: i.slot,
                     producer: back[&i.producer],
-                    channel: i.channel,
                 })
                 .collect();
             // Pseudo-sources merged *into* this atom vanish in the
@@ -283,7 +255,6 @@ impl Replanner {
                             consumer: back[&t],
                             slot,
                             producer: back[tin],
-                            channel: Default::default(),
                         });
                     }
                 }

@@ -764,10 +764,6 @@ pub struct AtomInput {
     pub slot: usize,
     /// The producing node (inside another atom).
     pub producer: NodeId,
-    /// The channel kind the consumer reads this input from (the last hop
-    /// of the chosen conversion route). [`ChannelKind::Memory`] for plans
-    /// enumerated without channel information.
-    pub channel: ChannelKind,
 }
 
 /// A maximal same-platform fragment of the plan — the paper's *task atom*.
@@ -1441,7 +1437,6 @@ mod tests {
                         consumer: NodeId(2),
                         slot: 0,
                         producer: NodeId(1),
-                        channel: ChannelKind::Memory,
                     }],
                     outputs: vec![NodeId(2)],
                 },

@@ -4,60 +4,23 @@
 //! underlying processing platform" (§3.1). A [`Platform`] is an engine that
 //! can run task atoms; its execution operators are the engine's internal
 //! implementations of the physical operators it [`Platform::supports`].
-//! Platforms also state their [`Clock`] — what they charge on top of kernel
-//! time — so the multi-platform optimizer can price plans the way the
-//! engine will charge them, and declare a [`ProcessingProfile`] — the
-//! paper's "data processing profile" (§8 challenge 2).
+//! A platform states itself once, as its [`Clock`] — its "data processing
+//! profile" (§8 challenge 2): what its engine charges on top of kernel time
+//! and which data channels it reads and writes at atom boundaries — so the
+//! multi-platform optimizer prices operators and platform switches the way
+//! the engines will charge them.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::cost::{ChannelKind, ChannelSpec, Clock};
+use crate::cost::Clock;
 use crate::data::Dataset;
 use crate::error::{Result, RheemError};
 use crate::kernels::parallel::KernelParallelism;
 use crate::physical::PhysicalOp;
 use crate::plan::{NodeId, PhysicalPlan, TaskAtom};
-
-/// The type of data processing a platform supports (§8 challenge 2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ProcessingProfile {
-    /// Single-process, in-memory execution (the paper's "plain Java").
-    SingleProcess,
-    /// Parallel, partitioned, in-memory batch execution (Spark-like).
-    ParallelBatch,
-    /// Batch execution with disk-materialized phase boundaries (Hadoop-like).
-    DiskBatch,
-    /// Declarative relational execution over managed tables (DBMS-like).
-    Relational,
-}
-
-impl ProcessingProfile {
-    /// The data channels a platform of this profile typically speaks —
-    /// the default for [`Platform::channels`]. Single-process engines
-    /// hand over in-memory collections; Spark-like engines can also
-    /// stream between running stages; Hadoop-like engines materialize
-    /// every boundary on disk; relational stores can bulk-load files or
-    /// exchange result sets in memory.
-    pub(crate) fn default_channels(&self) -> ChannelSpec {
-        match self {
-            ProcessingProfile::SingleProcess => ChannelSpec::memory_only(),
-            ProcessingProfile::ParallelBatch => ChannelSpec::new(
-                vec![ChannelKind::Memory, ChannelKind::Stream],
-                vec![ChannelKind::Memory, ChannelKind::Stream],
-            ),
-            ProcessingProfile::DiskBatch => {
-                ChannelSpec::new(vec![ChannelKind::File], vec![ChannelKind::File])
-            }
-            ProcessingProfile::Relational => ChannelSpec::new(
-                vec![ChannelKind::Memory, ChannelKind::File],
-                vec![ChannelKind::Memory, ChannelKind::File],
-            ),
-        }
-    }
-}
 
 /// Boundary inputs of an atom: dataset per `(consumer node, input slot)`.
 pub type AtomInputs = HashMap<(NodeId, usize), Dataset>;
@@ -92,14 +55,12 @@ pub trait Platform: Send + Sync {
     /// Unique platform name (used in plans, mappings, and movement costs).
     fn name(&self) -> &str;
 
-    /// The platform's processing profile.
-    fn profile(&self) -> ProcessingProfile;
-
     /// Whether this platform has an execution operator for `op`.
     fn supports(&self, op: &PhysicalOp) -> bool;
 
     /// The platform's clock: how its engine turns kernel time into
-    /// simulated time. The optimizer prices every operator by it.
+    /// simulated time, and the channels it moves data over. The optimizer
+    /// prices every operator and every platform switch by it.
     fn clock(&self) -> Clock;
 
     /// Execute one task atom: run `atom.nodes` (a topologically ordered
@@ -112,16 +73,6 @@ pub trait Platform: Send + Sync {
         inputs: &AtomInputs,
         ctx: &ExecutionContext,
     ) -> Result<AtomResult>;
-
-    /// The data channels this platform produces and consumes at atom
-    /// boundaries. Defaults follow the platform's
-    /// [`ProcessingProfile`]; platforms with richer connectivity may
-    /// override. The optimizer's [`crate::cost::MovementCostModel`]
-    /// prices cross-platform edges through the channel conversion graph
-    /// these specs span.
-    fn channels(&self) -> ChannelSpec {
-        self.profile().default_channels()
-    }
 }
 
 /// Registry of available platforms, in registration order.

@@ -7,8 +7,8 @@
 //! the core's reference interpreter, with (near-)zero fixed costs.
 
 use rheem_core::{
-    AtomInputs, AtomResult, Clock, ExecutionContext, PhysicalOp, PhysicalPlan, Platform,
-    ProcessingProfile, Result, TaskAtom,
+    AtomInputs, AtomResult, ChannelKind, ChannelSet, Clock, ExecutionContext, PhysicalOp,
+    PhysicalPlan, Platform, Result, TaskAtom,
 };
 
 use crate::config::OverheadConfig;
@@ -52,16 +52,17 @@ impl Platform for JavaPlatform {
         "java"
     }
 
-    fn profile(&self) -> ProcessingProfile {
-        ProcessingProfile::SingleProcess
-    }
-
     fn supports(&self, _op: &PhysicalOp) -> bool {
         true // the reference interpreter implements the full algebra
     }
 
+    /// In process, handing over in-memory collections.
     fn clock(&self) -> Clock {
-        Clock::in_process(self.overheads.startup_ms(), 1.0)
+        Clock::in_process(
+            self.overheads.startup_ms(),
+            1.0,
+            ChannelSet::of(&[ChannelKind::Memory]),
+        )
     }
 
     fn execute_atom(
@@ -121,10 +122,10 @@ mod tests {
     }
 
     #[test]
-    fn supports_everything_and_reports_profile() {
+    fn supports_everything_and_reports_its_channels() {
         let p = JavaPlatform::new();
         assert!(p.supports(&PhysicalOp::CrossProduct));
-        assert_eq!(p.profile(), ProcessingProfile::SingleProcess);
+        assert_eq!(p.clock().channels, ChannelSet::of(&[ChannelKind::Memory]));
         assert_eq!(p.name(), "java");
     }
 

@@ -13,8 +13,9 @@
 //! | [`RelationalPlatform`] | PostgreSQL | in process, connection overhead, kernels at half time, no loops |
 //!
 //! Each states its profile once, as a [`Clock`](rheem_core::Clock): what
-//! its engine charges on top of the kernel time, and what the optimizer
-//! prices it by.
+//! its engine charges on top of the kernel time and which data channels it
+//! reads and writes at atom boundaries — what the optimizer prices its
+//! operators and every switch to or from it by.
 //!
 //! All four implement `rheem_core::Platform` and produce the same
 //! bag of records for any supported plan — the platform-independence

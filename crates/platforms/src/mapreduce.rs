@@ -22,8 +22,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use rheem_core::{
-    AtomInputs, AtomResult, Clock, Dataset, Exchange, ExecutionContext, PhysicalOp, PhysicalPlan,
-    Platform, ProcessingProfile, Record, Result, TaskAtom,
+    AtomInputs, AtomResult, ChannelKind, ChannelSet, Clock, Dataset, Exchange, ExecutionContext,
+    PhysicalOp, PhysicalPlan, Platform, Record, Result, TaskAtom,
 };
 
 use crate::config::OverheadConfig;
@@ -100,10 +100,6 @@ impl Platform for MapReduceLikePlatform {
         "mapreduce"
     }
 
-    fn profile(&self) -> ProcessingProfile {
-        ProcessingProfile::DiskBatch
-    }
-
     fn supports(&self, _op: &PhysicalOp) -> bool {
         true
     }
@@ -111,7 +107,7 @@ impl Platform for MapReduceLikePlatform {
     /// Every phase runs one task per worker, every input of a phase
     /// boundary pays the phase overhead and its spill (priced by the rate
     /// table, charged as measured), and the job tracker's plumbing is not
-    /// spread over the workers.
+    /// spread over the workers; every atom boundary is a file.
     fn clock(&self) -> Clock {
         Clock {
             startup_ms: self.overheads.startup_ms(),
@@ -120,6 +116,7 @@ impl Platform for MapReduceLikePlatform {
             driver_share: 1.0,
             efficiency: 1.0,
             exchange: Exchange::Disk,
+            channels: ChannelSet::of(&[ChannelKind::File]),
         }
     }
 

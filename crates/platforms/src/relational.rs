@@ -14,8 +14,8 @@
 use std::time::Duration;
 
 use rheem_core::{
-    AtomInputs, AtomResult, Clock, ExecutionContext, PhysicalOp, PhysicalPlan, Platform,
-    ProcessingProfile, Result, RheemError, TaskAtom,
+    AtomInputs, AtomResult, ChannelKind, ChannelSet, Clock, ExecutionContext, PhysicalOp,
+    PhysicalPlan, Platform, Result, RheemError, TaskAtom,
 };
 
 use crate::config::OverheadConfig;
@@ -64,10 +64,6 @@ impl Platform for RelationalPlatform {
         "relational"
     }
 
-    fn profile(&self) -> ProcessingProfile {
-        ProcessingProfile::Relational
-    }
-
     fn supports(&self, op: &PhysicalOp) -> bool {
         !matches!(
             op,
@@ -75,8 +71,13 @@ impl Platform for RelationalPlatform {
         )
     }
 
+    /// In process; bulk-loads files or exchanges result sets in memory.
     fn clock(&self) -> Clock {
-        Clock::in_process(self.overheads.startup_ms(), EFFICIENCY)
+        Clock::in_process(
+            self.overheads.startup_ms(),
+            EFFICIENCY,
+            ChannelSet::of(&[ChannelKind::Memory, ChannelKind::File]),
+        )
     }
 
     fn execute_atom(

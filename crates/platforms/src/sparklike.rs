@@ -24,8 +24,8 @@
 use std::time::Duration;
 
 use rheem_core::{
-    AtomInputs, AtomResult, Clock, Exchange, ExecutionContext, PhysicalOp, PhysicalPlan, Platform,
-    ProcessingProfile, Result, TaskAtom,
+    AtomInputs, AtomResult, ChannelKind, ChannelSet, Clock, Exchange, ExecutionContext, PhysicalOp,
+    PhysicalPlan, Platform, Result, TaskAtom,
 };
 
 use crate::config::OverheadConfig;
@@ -64,17 +64,14 @@ impl Platform for SparkLikePlatform {
         "sparklike"
     }
 
-    fn profile(&self) -> ProcessingProfile {
-        ProcessingProfile::ParallelBatch
-    }
-
     fn supports(&self, _op: &PhysicalOp) -> bool {
         true
     }
 
     /// One task per row up to the worker count, one stage charge per wide
     /// operator and per loop iteration, and driver-side work (gathering,
-    /// shuffle routing) spread over the workers, as in a real cluster.
+    /// shuffle routing) spread over the workers, as in a real cluster;
+    /// boundaries in memory or streamed between running stages.
     fn clock(&self) -> Clock {
         Clock {
             startup_ms: self.overheads.startup_ms(),
@@ -83,6 +80,7 @@ impl Platform for SparkLikePlatform {
             driver_share: 1.0 / self.workers as f64,
             efficiency: 1.0,
             exchange: Exchange::Memory,
+            channels: ChannelSet::of(&[ChannelKind::Memory, ChannelKind::Stream]),
         }
     }
 

@@ -308,19 +308,16 @@ fn v2_contracts_chains_and_records_conversions() {
         exec.enumeration.groups
     );
     // Every cross-platform boundary in the chosen plan is recorded with
-    // its conversion route, and the atom boundary carries the landing
-    // channel of that route.
+    // its conversion route.
     for atom in &exec.atoms {
         for input in &atom.inputs {
             let from = &exec.assignments[input.producer.0];
             if from != &atom.platform {
-                let conv = exec
-                    .enumeration
+                exec.enumeration
                     .conversions
                     .iter()
                     .find(|c| c.producer == input.producer && c.consumer == input.consumer)
                     .unwrap_or_else(|| panic!("missing conversion for {:?}", input));
-                assert_eq!(conv.path.last().copied().unwrap_or_default(), input.channel);
             }
         }
     }

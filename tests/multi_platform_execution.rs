@@ -354,9 +354,8 @@ fn a_file_boundary_is_charged_its_route_once_as_movement() {
         .iter()
         .map(|s| s.to_string())
         .collect();
-    let mut atoms = split_into_atoms(&physical, &assignments);
+    let atoms = split_into_atoms(&physical, &assignments);
     assert_eq!(atoms.len(), 2);
-    atoms[1].inputs[0].channel = ChannelKind::File;
     let exec = ExecutionPlan {
         physical: Arc::new(physical),
         assignments,
@@ -375,10 +374,10 @@ fn a_file_boundary_is_charged_its_route_once_as_movement() {
             .clone()
     };
     let (java, mapreduce) = (platform("java"), platform("mapreduce"));
-    let route = ctx
-        .optimizer()
-        .movement
-        .route(&java.channels(), &mapreduce.channels(), n as f64);
+    let route =
+        ctx.optimizer()
+            .movement
+            .route(java.clock().channels, mapreduce.clock().channels, n as f64);
     assert_eq!(route.path, vec![ChannelKind::Memory, ChannelKind::File]);
 
     let result = ctx.execute_plan(&exec).unwrap();

@@ -101,7 +101,7 @@ proptest! {
         // Warm: first optimization populates the cache, the second must hit.
         let cache = Arc::new(PlanCache::new(PlanCacheConfig {
             capacity: 8,
-            drift_threshold: 1e12,
+            ..PlanCacheConfig::default()
         }));
         let warm_ctx = test_context().with_plan_cache(cache.clone());
         let first = warm_ctx.optimize(declarative_plan(&rows, threshold, addend)).unwrap();
@@ -172,7 +172,7 @@ fn opaque_entries_are_scope_isolated_but_declarative_entries_are_shared() {
     let rows: Vec<(i64, i64)> = (0..20).map(|i| (i, 1)).collect();
     let cache = Arc::new(PlanCache::new(PlanCacheConfig {
         capacity: 16,
-        drift_threshold: 1e12,
+        ..PlanCacheConfig::default()
     }));
     let session_a = test_context()
         .with_plan_cache(cache.clone())

@@ -229,9 +229,6 @@ impl Platform for SluggishJava {
     fn name(&self) -> &str {
         "java"
     }
-    fn profile(&self) -> rheem_core::ProcessingProfile {
-        self.inner.profile()
-    }
     fn supports(&self, op: &rheem_core::PhysicalOp) -> bool {
         self.inner.supports(op)
     }
