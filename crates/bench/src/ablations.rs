@@ -10,6 +10,8 @@
 //!   alternative the mapping hints switch between.
 //! * **E — storage**: hot-buffer on/off (§6 "embracing hot data") and
 //!   Cartilage transformation plans vs. raw re-parsing.
+//! * **Scheduling**: how many atoms and waves the executor runs a fan-out
+//!   of independent branches in.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -17,8 +19,8 @@ use std::time::Instant;
 use rheem_cleaning::DetectionStrategy;
 use rheem_core::udf::{FilterUdf, GroupMapUdf, KeyUdf, MapUdf, ReduceUdf};
 use rheem_core::{
-    rec, Dataset, MovementCostModel, PhysicalPlan, PlanBuilder, Record, RheemContext,
-    StorageService,
+    rec, split_into_atoms, Dataset, ExecutionPlan, MovementCostModel, PhysicalPlan, PlanBuilder,
+    Record, RheemContext, StorageService,
 };
 use rheem_datagen::tax::{generate, TaxConfig};
 use rheem_platforms::test_context;
@@ -29,7 +31,7 @@ use rheem_storage::{
 /// Ablation A: the aggregation task used for platform selection.
 ///
 /// `group by key, sum values` over `[key(Int), value(Int)]` records.
-pub fn aggregation_plan(n: usize, keys: usize) -> PhysicalPlan {
+fn aggregation_plan(n: usize, keys: usize) -> PhysicalPlan {
     let data: Vec<Record> = (0..n as i64)
         .map(|i| rec![i % keys.max(1) as i64, i])
         .collect();
@@ -85,7 +87,7 @@ pub fn run_platform_choice(sizes: &[usize]) -> Vec<PlatformChoiceRow> {
 
 /// Ablation B: a mixed pipeline whose data starts in simulated HDFS, gets a
 /// UDF transformation, then a relational-friendly aggregation.
-pub fn mixed_pipeline_plan() -> PhysicalPlan {
+fn mixed_pipeline_plan() -> PhysicalPlan {
     let mut b = PlanBuilder::new();
     let src = b.storage_source("readings");
     let clean = b.filter(
@@ -129,7 +131,7 @@ pub struct MovementCostRow {
 }
 
 /// Build a context whose storage holds the sensor readings.
-pub fn movement_context(n: usize) -> RheemContext {
+fn movement_context(n: usize) -> RheemContext {
     let storage = Arc::new(
         StorageLayer::new(Arc::new(SimHdfsStore::new(
             "hdfs",
@@ -306,6 +308,57 @@ pub fn run_storage(n: usize, reads: usize) -> StorageRow {
     }
 }
 
+/// Scheduling: one shared source on java fanning out to `branches`
+/// independent aggregation branches, each pinned to a platform round-robin.
+fn fanout_plan(branches: usize) -> ExecutionPlan {
+    const PLATFORMS: [&str; 3] = ["sparklike", "mapreduce", "java"];
+    let mut b = PlanBuilder::new();
+    let mut assignments = vec!["java".to_string()];
+    let src = b.collection("s", (0..1_000i64).map(|i| rec![i % 64, i]).collect());
+    for branch in 0..branches {
+        let platform = PLATFORMS[branch % PLATFORMS.len()];
+        let shift = branch as i64;
+        let m = b.map(
+            src,
+            MapUdf::new("shift", move |r| {
+                rec![r.int(0).unwrap(), r.int(1).unwrap() + shift]
+            }),
+        );
+        let agg = b.reduce_by_key(
+            m,
+            KeyUdf::field(0).with_distinct_keys(64.0),
+            ReduceUdf::new("sum", |a, x| {
+                rec![a.int(0).unwrap(), a.int(1).unwrap() + x.int(1).unwrap()]
+            }),
+        );
+        b.collect(agg);
+        assignments.extend(std::iter::repeat_n(platform.to_string(), 3));
+    }
+    let physical = b.build().expect("valid plan");
+    let atoms = split_into_atoms(&physical, &assignments);
+    ExecutionPlan {
+        physical: Arc::new(physical),
+        assignments,
+        atoms,
+        estimated_cost: 0.0,
+        estimates: vec![],
+        enumeration: Default::default(),
+    }
+}
+
+/// Run the scheduling fan-out at each branch count: `(branches, atoms,
+/// waves)`.
+pub fn run_scheduling(branch_counts: &[usize]) -> Vec<(usize, usize, usize)> {
+    branch_counts
+        .iter()
+        .map(|&branches| {
+            let run = test_context().execute_plan(&fanout_plan(branches));
+            let stats = run.expect("runs").stats;
+            (branches, stats.atoms.len(), stats.waves)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,6 +404,13 @@ mod tests {
     fn groupby_variants_both_run() {
         let (sort_ms, hash_ms) = run_groupby(20_000, 100);
         assert!(sort_ms > 0.0 && hash_ms > 0.0);
+    }
+
+    #[test]
+    fn every_branch_of_a_fan_out_runs_in_one_wave() {
+        // The java branches join the source's atom; each other branch is
+        // an atom of its own, and all of them follow the source at once.
+        assert_eq!(run_scheduling(&[3, 6]), vec![(3, 3, 2), (6, 5, 2)]);
     }
 
     #[test]

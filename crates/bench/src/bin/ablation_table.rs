@@ -1,20 +1,24 @@
-//! Prints every ablation series (A–E, see DESIGN.md §5).
+//! Prints every ablation (A–F, see DESIGN.md §5) and the scheduling,
+//! re-planning and failover reports.
 //!
 //! Usage: `cargo run -p rheem-bench --bin ablation_table --release [--quick]`
 
 use rheem_bench::{
-    run_groupby, run_iejoin_scaling, run_movement_cost, run_platform_choice, run_storage,
+    render_convergence, run_calibration_flip, run_failover_ablation, run_groupby,
+    run_iejoin_scaling, run_movement_cost, run_platform_choice, run_replanning_ablation,
+    run_scheduling, run_storage,
 };
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let (a_sizes, b_n, c_sizes, d_n, e_n) = if quick {
+    let (a_sizes, b_n, c_sizes, d_n, e_n, replan_sizes) = if quick {
         (
             vec![1_000, 100_000],
             20_000,
             vec![1_000, 3_000],
             50_000,
             5_000,
+            vec![2_000],
         )
     } else {
         (
@@ -23,6 +27,7 @@ fn main() {
             vec![1_000, 4_000, 16_000],
             500_000,
             20_000,
+            vec![2_000, 8_000],
         )
     };
 
@@ -77,4 +82,48 @@ fn main() {
         e.raw_ms,
         e.raw_ms / e.transformed_ms
     );
+
+    let f_n = 5_000;
+    print!(
+        "\n{}",
+        render_convergence(f_n, &run_calibration_flip(f_n, 5))
+    );
+
+    // Atoms and waves only: a 2-core host draws no thread-scaling curve.
+    println!("\nScheduling — independent branches on distinct platforms");
+    for (branches, atoms, waves) in run_scheduling(&[3, 6]) {
+        println!("branches {branches}: {atoms} atoms in {waves} waves");
+    }
+
+    println!("\nRe-planning — a fanout hint 500x reality, static vs adaptive");
+    for &n in &replan_sizes {
+        let r = run_replanning_ablation(n);
+        println!(
+            "n {n}: static {:.2} ms → adaptive {:.2} ms ({} replan(s), outputs identical: {}), \
+             {:?} → {:?}",
+            r.static_simulated_ms,
+            r.adaptive_simulated_ms,
+            r.replans,
+            r.outputs_identical,
+            r.initial_assignments,
+            r.effective_assignments,
+        );
+    }
+
+    println!("\nFailover — the cluster engine is down, rigid vs failover");
+    for threads in [1, 4] {
+        for &n in &replan_sizes {
+            let r = run_failover_ablation(n, threads);
+            println!(
+                "threads {threads} n {n}: rigid failed: {}, failovers: {}, recommitted: {}, \
+                 outputs identical: {}, {:?} → {:?}",
+                r.rigid_run_failed,
+                r.failovers,
+                r.recommitted_atoms,
+                r.outputs_identical,
+                r.initial_assignments,
+                r.effective_assignments,
+            );
+        }
+    }
 }

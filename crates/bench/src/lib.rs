@@ -11,7 +11,8 @@
 //! * the ablations — platform selection ([`run_platform_choice`]),
 //!   movement-cost awareness ([`run_movement_cost`]), IEJoin scaling
 //!   ([`run_iejoin_scaling`]), grouping algorithm choice ([`run_groupby`]),
-//!   and storage ([`run_storage`]: hot buffer + transformation plans);
+//!   storage ([`run_storage`]: hot buffer + transformation plans) and the
+//!   wave schedule of a fan-out ([`run_scheduling`]);
 //! * the kernel-rate table's convergence from a seed far off the truth
 //!   ([`run_calibration_flip`]);
 //! * adaptive mid-job re-optimization at wave boundaries
@@ -19,19 +20,16 @@
 //! * failover re-planning around a platform outage
 //!   ([`run_failover_ablation`]).
 //!
-//! Row-printer binaries (`fig2_svm_table`, `fig3_table`,
-//! `ablation_table`) emit the same series the paper plots; the Criterion
-//! benches under `benches/` wrap scaled-down variants for regression
-//! tracking.
+//! One binary prints each experiment's tables: `fig2_svm_table`,
+//! `fig3_table` and `ablation_table`. The benches under `benches/`
+//! (`ablation_kernels`, `ablation_enumeration`) time themselves and write
+//! the committed `BENCH_*.json`.
 //!
 //! ## Public surface
 //!
 //! Everything here is for the harness's own binaries and benches: the
-//! `run_*` series above, the plans and contexts the benches time
-//! ([`aggregation_plan`], [`mixed_pipeline_plan`], [`movement_context`],
-//! [`flip_plan`], [`flip_context`], [`misestimated_plan`],
-//! [`replanning_context`]) and [`bench_json_path`]. [`fig2`] and [`fig3`]
-//! stay public modules because both export `render`.
+//! `run_*` series above, [`render_convergence`] and [`bench_json_path`].
+//! [`fig2`] and [`fig3`] stay public modules because both export `render`.
 
 #![warn(missing_docs)]
 
@@ -43,12 +41,12 @@ pub mod fig3;
 mod replanning;
 
 pub use ablations::{
-    aggregation_plan, mixed_pipeline_plan, movement_context, run_groupby, run_iejoin_scaling,
-    run_movement_cost, run_platform_choice, run_storage,
+    run_groupby, run_iejoin_scaling, run_movement_cost, run_platform_choice, run_scheduling,
+    run_storage,
 };
-pub use calibration::{flip_context, flip_plan, render_convergence, run_calibration_flip};
+pub use calibration::{render_convergence, run_calibration_flip};
 pub use failover::run_failover_ablation;
-pub use replanning::{misestimated_plan, replanning_context, run_replanning_ablation};
+pub use replanning::run_replanning_ablation;
 
 /// Where a self-timed bench writes `<name>.json`: the repo root for a full
 /// run (the committed numbers), `target/bench-quick/` for a `*_QUICK` run,

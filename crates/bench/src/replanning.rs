@@ -77,7 +77,7 @@ impl Platform for ClusterPlatform {
 /// *declares* a fanout of 500 (so the optimizer prices the sort at
 /// `500·n` rows) but actually emits one record per input, then a sort by
 /// a key closure (the row kernel) and a collect.
-pub fn misestimated_plan(n: i64) -> PhysicalPlan {
+pub(crate) fn misestimated_plan(n: i64) -> PhysicalPlan {
     let mut b = PlanBuilder::new();
     let src = b.collection(
         "events",
@@ -96,7 +96,7 @@ pub fn misestimated_plan(n: i64) -> PhysicalPlan {
 
 /// A context with the single-process engine, the `ClusterPlatform`, and
 /// cheap per-record movement.
-pub fn replanning_context() -> RheemContext {
+pub(crate) fn replanning_context() -> RheemContext {
     let mut ctx = RheemContext::new()
         .with_platform(Arc::new(JavaPlatform::new()))
         .with_platform(Arc::new(ClusterPlatform::new()));

@@ -2,8 +2,7 @@
 //!
 //! One [`Client`] is one session: connect, `hello`, then any number of
 //! `register`/`query`/`stats` calls, then `goodbye`. Used by the
-//! integration tests, by `ablation_server` and by the end-to-end benchmark in
-//! `benchmark/`.
+//! integration tests and by the end-to-end benchmark in `benchmark/`.
 //!
 //! Every request but `REGISTER` leaves as two segments (`write_frame`: length
 //! prefix, then body) on a socket with Nagle on, so its body waits ≈ 40 ms

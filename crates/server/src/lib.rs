@@ -27,7 +27,7 @@
 //!   closure-identity cache entries are never shared across sessions, and
 //!   responses encoded straight from the job's sink dataset;
 //! * [`Client`] — a small blocking client used by the tests and the
-//!   closed-loop load generators.
+//!   closed-loop load generator in `benchmark/`.
 //!
 //! ## Public surface
 //!

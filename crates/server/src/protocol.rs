@@ -298,23 +298,29 @@ fn record_len(row: &Record) -> usize {
 }
 
 /// The one row writer: a `u32` row count, then per row a `u32` width and its
-/// tagged values, appended to the caller's buffer.
-fn put_rows(buf: &mut Vec<u8>, source: RowSource<'_>) {
+/// tagged values, appended to the caller's buffer. It stops after the first
+/// row that takes the buffer past `limit` bytes, and returns how many rows
+/// it wrote.
+fn put_rows(buf: &mut Vec<u8>, source: RowSource<'_>, limit: usize) -> usize {
     match source {
         RowSource::Records(rows) => {
             put_u32(buf, rows.len() as u32);
-            for row in rows {
+            for (i, row) in rows.iter().enumerate() {
                 put_record(buf, row);
+                if buf.len() > limit {
+                    return i + 1;
+                }
             }
+            rows.len()
         }
         RowSource::Chunk(chunk) => {
             let lanes: Vec<_> = chunk.columns().iter().map(Lane::of).collect();
             let rows = chunk.rows();
             put_u32(buf, rows as u32);
-            // Sized before the loop (a frame `write_frame` would refuse
-            // anyway is not reserved for): the buffer does not grow.
+            // Sized before the loop (past the limit the writer stops): the
+            // buffer does not grow.
             let values: usize = lanes.iter().map(|(l, _)| l.encoded_bytes(rows)).sum();
-            buf.reserve((4 * rows + values).min(MAX_FRAME));
+            buf.reserve((4 * rows + values).min(limit));
             for i in 0..rows {
                 put_u32(buf, lanes.len() as u32);
                 for (lane, nulls) in &lanes {
@@ -330,7 +336,11 @@ fn put_rows(buf: &mut Vec<u8>, source: RowSource<'_>) {
                         Lane::Values(column) => put_value(buf, &column.value(i)),
                     }
                 }
+                if buf.len() > limit {
+                    return i + 1;
+                }
             }
+            rows
         }
     }
 }
@@ -339,14 +349,19 @@ fn put_rows(buf: &mut Vec<u8>, source: RowSource<'_>) {
 /// byte-identical output comparison).
 pub fn encode_rows(rows: &[Record]) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_rows(&mut buf, RowSource::Records(rows));
+    put_rows(&mut buf, RowSource::Records(rows), usize::MAX);
     buf
 }
 
-fn put_rows_response(buf: &mut Vec<u8>, schema: &Schema, source: RowSource<'_>) {
+fn put_rows_response(
+    buf: &mut Vec<u8>,
+    schema: &Schema,
+    source: RowSource<'_>,
+    limit: usize,
+) -> usize {
     buf.push(OP_ROWS);
     put_schema(buf, schema);
-    put_rows(buf, source);
+    put_rows(buf, source, limit)
 }
 
 /// Which view of a result dataset [`encode_result`] wrote the rows from.
@@ -362,16 +377,26 @@ pub enum ResultPath {
 /// The body of the `Rows` response for a job's sink, written straight from
 /// the view the dataset already has — the same bytes as
 /// `Response::Rows { schema, rows: data.records().to_vec() }.encode()`
-/// without building the other view.
-pub fn encode_result(schema: &Schema, data: &Dataset) -> (Vec<u8>, ResultPath) {
+/// without building the other view. A body that would pass [`MAX_FRAME`]
+/// is not written past it: the error names the result's rows, the bytes
+/// they had reached and the limit.
+pub fn encode_result(schema: &Schema, data: &Dataset) -> Result<(Vec<u8>, ResultPath), String> {
     // `has_chunk` first: `chunk()` alone would convert a row-built result.
     let (source, path) = match data.has_chunk().then(|| data.chunk()).flatten() {
         Some(chunk) => (RowSource::Chunk(chunk), ResultPath::Columnar),
         None => (RowSource::Records(data.records()), ResultPath::Row),
     };
     let mut buf = Vec::new();
-    put_rows_response(&mut buf, schema, source);
-    (buf, path)
+    let written = put_rows_response(&mut buf, schema, source, MAX_FRAME);
+    if written < data.len() {
+        return Err(format!(
+            "result of {} rows too large: {} bytes after {written} rows, \
+             past MAX_FRAME ({MAX_FRAME} bytes)",
+            data.len(),
+            buf.len()
+        ));
+    }
+    Ok((buf, path))
 }
 
 /// Bytes a slice of a `REGISTER` frame (the first one's length prefix
@@ -521,7 +546,7 @@ impl Response {
                 put_str(&mut buf, message);
             }
             Response::Rows { schema, rows } => {
-                put_rows_response(&mut buf, schema, RowSource::Records(rows));
+                put_rows_response(&mut buf, schema, RowSource::Records(rows), usize::MAX);
             }
             Response::Stats { text } => {
                 buf.push(OP_STATS_REPLY);
@@ -1333,7 +1358,7 @@ mod tests {
             (Lane::Str(..), None)
         ));
         let mut from_chunk = Vec::new();
-        put_rows(&mut from_chunk, RowSource::Chunk(&chunk));
+        put_rows(&mut from_chunk, RowSource::Chunk(&chunk), usize::MAX);
         assert_eq!(from_chunk, encode_rows(&rows));
     }
 

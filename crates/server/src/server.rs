@@ -39,6 +39,8 @@
 //! sink [`Dataset`], and [`encode_result`] writes the response body from the
 //! chunk the columnar kernels built — no row is materialized on the way out.
 //! `server.result.path.{columnar,row}` count which view each result left by.
+//! A result larger than a frame is answered with an error naming its size
+//! and `MAX_FRAME` (its encoding stops at the limit), and the session goes on.
 //!
 //! Every accepted socket has `TCP_NODELAY` set before its first frame is read:
 //! a response is two writes ([`write_frame`]: length prefix, then body), and
@@ -855,14 +857,17 @@ fn handle_query(
     clock.lap(Stage::Run);
     match sink {
         Err(exec) => error(format!("execution failed: {exec}")),
-        Ok(sink) => {
-            let (body, path) = encode_result(&planned.schema, &sink);
-            match path {
-                ResultPath::Columnar => shared.result_columnar.inc(),
-                ResultPath::Row => shared.result_row.inc(),
+        Ok(sink) => match encode_result(&planned.schema, &sink) {
+            Ok((body, path)) => {
+                match path {
+                    ResultPath::Columnar => shared.result_columnar.inc(),
+                    ResultPath::Row => shared.result_row.inc(),
+                }
+                body
             }
-            body
-        }
+            // Larger than a frame: the session answers and goes on.
+            Err(too_large) => error(too_large),
+        },
     }
 }
 

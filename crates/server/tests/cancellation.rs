@@ -306,6 +306,87 @@ fn cancel_requests_are_idempotent_and_stats_lists_inflight_ids() {
     handle.shutdown();
 }
 
+/// Over the wire, a cancel storm: one session alternates zero-deadline and
+/// plain QUERYs while a second session of the same tenant sends `CANCEL 0`
+/// without pause. Every reply is rows, a deadline shed or a cancellation; at
+/// least one request is shed; and afterwards the server serves the storm's
+/// session and a fresh tenant in full.
+#[test]
+fn a_cancel_storm_over_the_wire_leaves_the_server_serving() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    const STATEMENTS: [&str; 3] = [
+        "SELECT g, SUM(v) AS s FROM t GROUP BY g ORDER BY g",
+        "SELECT g, v FROM t WHERE v > 100 ORDER BY v LIMIT 25",
+        "SELECT COUNT(*) AS n FROM t",
+    ];
+    let mut handle = RheemServer::start(ServerConfig::default()).expect("server starts");
+    let addr = handle.addr();
+    let metrics = handle.observability().metrics().clone();
+    let shed_before = metrics.counter_value("server.jobs.shed_deadline");
+    let session = |tenant: &str| {
+        let mut client = Client::connect(addr, tenant).expect("connect");
+        let schema = rheem_core::Schema::new(vec![
+            ("g", rheem_core::DataType::Int),
+            ("v", rheem_core::DataType::Int),
+        ]);
+        let rows = (0..300i64).map(|i| rec![i % 3, i]).collect();
+        client.register("t", schema, rows).expect("register");
+        client
+    };
+    let mut client = session("storm");
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut canceller = Client::connect(addr, "storm").expect("connect canceller");
+            while !stop.load(Ordering::SeqCst) {
+                canceller.cancel(0).expect("cancel-all");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            canceller.goodbye().expect("goodbye");
+        });
+        for (i, sql) in STATEMENTS.iter().cycle().take(12).enumerate() {
+            let outcome = if i % 3 == 0 {
+                client.query_with_deadline(sql, Duration::ZERO)
+            } else {
+                client.query(sql)
+            };
+            match outcome {
+                Ok((_, rows)) => assert!(!rows.is_empty(), "`{sql}` returned no rows"),
+                // The storm's own doing only: never a protocol error or a
+                // lost worker.
+                Err(err) => {
+                    let message = err.to_string();
+                    assert!(
+                        message.contains("deadline") || message.contains("cancelled"),
+                        "failed for a reason not the storm's: {message}"
+                    );
+                }
+            }
+        }
+        stop.store(true, Ordering::SeqCst);
+    });
+    // Inside the storm a zero-deadline request may be cancelled in the
+    // queue before a worker sheds it; with the canceller gone, one is shed.
+    let shed = client
+        .query_with_deadline(STATEMENTS[0], Duration::ZERO)
+        .expect_err("a zero deadline cannot be met");
+    assert!(shed.to_string().contains("deadline"), "{shed}");
+    assert!(metrics.counter_value("server.jobs.shed_deadline") > shed_before);
+    for sql in STATEMENTS {
+        let (_, rows) = client.query(sql).expect("post-storm query");
+        assert!(!rows.is_empty(), "post-storm `{sql}` returned no rows");
+    }
+    client.goodbye().expect("goodbye");
+    let mut fresh = session("aftermath");
+    let (_, rows) = fresh
+        .query(STATEMENTS[0])
+        .expect("a fresh tenant after the storm");
+    assert_eq!(rows.len(), 3);
+    fresh.goodbye().expect("goodbye");
+    handle.shutdown();
+}
+
 /// A session that goes quiet past the idle timeout is evicted and counted
 /// under `server.sessions.idle_evicted`; active sessions are untouched.
 #[test]

@@ -131,6 +131,46 @@ fn a_session_holds_its_table_once_as_a_chunk() {
     server.shutdown();
 }
 
+/// Nor does a session's heap grow with the requests it serves: once its
+/// plans are cached and its buffers have their size, 2 000 more requests
+/// over the same tables leave the process's live heap where it was.
+#[test]
+fn a_sessions_heap_does_not_grow_with_its_requests() {
+    let _turn = ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|failed| failed.into_inner());
+    let mut server = RheemServer::start(ServerConfig::default()).expect("server starts");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    // `write_frame` sends a prefix and a body: with Nagle on, every body
+    // would wait out the server's delayed ACK of its prefix (≈ 40 ms).
+    stream.set_nodelay(true).expect("nodelay");
+    let hello = Request::Hello {
+        tenant: "steady".into(),
+    };
+    assert_eq!(call(&mut stream, &hello), Response::Ok);
+    assert_eq!(call(&mut stream, &orders_of(500)), Response::Ok);
+    assert_eq!(call(&mut stream, &customers()), Response::Ok);
+    let mut serve = |requests: usize| {
+        for sql in STATEMENTS.iter().cycle().take(requests) {
+            let query = Request::Query {
+                sql: sql.to_string(),
+                deadline_ms: None,
+            };
+            match call(&mut stream, &query) {
+                Response::Rows { .. } => {}
+                other => panic!("`{sql}`: {other:?}"),
+            }
+        }
+    };
+    serve(500);
+    let before = live_bytes();
+    serve(2_000);
+    let grown = live_bytes() - before;
+    assert!(grown < 64 << 10, "{grown} B more live after 2 000 requests");
+    assert_eq!(call(&mut stream, &Request::Goodbye), Response::Ok);
+    server.shutdown();
+}
+
 #[test]
 fn a_row_of_nulls_too_wide_for_its_table_is_refused_before_it_allocates() {
     let _turn = ONE_AT_A_TIME

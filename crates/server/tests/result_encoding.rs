@@ -4,11 +4,14 @@
 //! bitmaps, mixed-type columns, NaN payloads, signed zeros, empty and
 //! non-ASCII strings, dictionaries with unused entries, windows with an
 //! offset, no rows, no columns — and the decoder must give the rows back.
-//! Decoder cases a hostile or merely large frame raises sit at the end.
+//! A result larger than a frame is an error its session answers and
+//! survives. Decoder cases a hostile or merely large frame raises sit at the
+//! end.
 
 use proptest::prelude::*;
 use rheem_core::{Chunk, DataType, Dataset, Record, Schema, Value};
 use rheem_server::protocol::{encode_result, Response, ResultPath, WireError};
+use rheem_server::{Client, RheemServer, ServerConfig};
 use testkit::{dirty_table, Rng};
 
 fn schema(width: usize) -> Schema {
@@ -23,7 +26,7 @@ fn schema(width: usize) -> Schema {
 /// its rows, and those bytes must decode to the rows again.
 fn assert_encodes_like_its_rows(data: &Dataset, width: usize, path: ResultPath) {
     let schema = schema(width);
-    let (bytes, took) = encode_result(&schema, data);
+    let (bytes, took) = encode_result(&schema, data).expect("fits a frame");
     assert_eq!(took, path);
     let reference = Response::Rows {
         schema,
@@ -91,6 +94,35 @@ fn ragged_rows_fall_back_to_the_row_walk() {
     // Asking for the chunk (there is none) does not change the path.
     assert!(ragged.chunk().is_none());
     assert_encodes_like_its_rows(&ragged, 2, ResultPath::Row);
+}
+
+#[test]
+fn a_result_larger_than_a_frame_is_an_error_and_the_session_goes_on() {
+    let mut server = RheemServer::start(ServerConfig::default()).expect("server starts");
+    let mut client = Client::connect(server.addr(), "large").expect("connect");
+    let table: Vec<Record> = (0..700)
+        .map(|i| Record::new(vec![Value::Int(0), Value::Int(i)]))
+        .collect();
+    for name in ["a", "b"] {
+        let schema = Schema::new(vec![("k", DataType::Int), ("v", DataType::Int)]);
+        client
+            .register(name, schema, table.clone())
+            .expect("register");
+    }
+    // One key on both sides: 490 000 rows of four ints, 40 B each on the
+    // wire, about 19.6 MB against a 16 MiB frame.
+    let refused = client.query("SELECT * FROM a JOIN b ON a.k = b.k");
+    assert!(
+        matches!(&refused, Err(WireError::Malformed(m))
+            if m.contains("490000 rows") && m.contains("MAX_FRAME")),
+        "{refused:?}"
+    );
+    let (_, rows) = client
+        .query("SELECT COUNT(*) AS n FROM a")
+        .expect("the session answers after the refusal");
+    assert_eq!(rows, vec![Record::new(vec![Value::Int(700)])]);
+    client.goodbye().expect("goodbye");
+    server.shutdown();
 }
 
 fn rows_frame(rows: Vec<Record>) -> Vec<u8> {

@@ -87,7 +87,33 @@ fn two_concurrent_sessions_query_independently_and_shutdown_is_clean() {
         "expected >= 4 plan-cache hits (2 per session), got {cache:?}"
     );
 
+    // The grant log interleaves the tenants.
+    let log = handle.scheduler().grant_log();
+    assert!(
+        log.windows(2).any(|pair| pair[0].tenant != pair[1].tenant),
+        "{log:?}"
+    );
+
     handle.shutdown();
+    // With every session ended, each stage that tiles a request has
+    // counted every request the sessions served.
+    let histograms = handle.observability().metrics().snapshot().histograms;
+    let count = |name: &str| {
+        let found = histograms.iter().find(|(n, _)| n == name);
+        found
+            .unwrap_or_else(|| panic!("no `{name}` histogram"))
+            .1
+            .count
+    };
+    let served = count("server.request_us");
+    assert!(served > 0);
+    for stage in ["decode", "plan", "queue_wait", "run", "encode", "write"] {
+        assert_eq!(
+            count(&format!("server.stage.{stage}_us")),
+            served,
+            "{stage}"
+        );
+    }
     // Idempotent and clean: a second shutdown is a no-op, and new
     // connections are refused or dropped without a session.
     handle.shutdown();
