@@ -123,11 +123,13 @@ pub fn run_calibration_flip(n: usize, jobs: usize) -> Vec<ConvergenceStep> {
 pub fn render_convergence(n: usize, steps: &[ConvergenceStep]) -> String {
     let mut s = format!(
         "Ablation F — kernel-rate convergence ({n} rows through a spinning map)\n\
-         job  platform    priced_us/unit  observed_us/unit  error  simulated_ms\n"
+         job  platform    priced_us/unit  observed_us/unit     error  simulated_ms\n"
     );
     for (i, st) in steps.iter().enumerate() {
+        // `error` holds up to `9999.99x`, so a mispriced first job does not
+        // push `simulated_ms` out of its column.
         s.push_str(&format!(
-            "{:<3}  {:<10}  {:>14.4}  {:>16.4}  {:>4.2}x  {:>12.1}\n",
+            "{:<3}  {:<10}  {:>14.4}  {:>16.4}  {:>7.2}x  {:>12.1}\n",
             i + 1,
             st.platform,
             st.priced_us_per_unit,
@@ -137,4 +139,27 @@ pub fn render_convergence(n: usize, steps: &[ConvergenceStep]) -> String {
         ));
     }
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_row_keeps_simulated_ms_in_its_column() {
+        let step = |priced: f64, observed: f64, simulated_ms: f64| ConvergenceStep {
+            platform: "sparklike".into(),
+            priced_us_per_unit: priced,
+            observed_us_per_unit: observed,
+            simulated_ms,
+        };
+        let steps = [step(7.227, 7.443, 42.1), step(0.0573, 7.227, 34.8)];
+        assert_eq!(format!("{:.2}", steps[0].error()), "1.03");
+        assert_eq!(format!("{:.2}", steps[1].error()), "126.13");
+        let text = render_convergence(5_000, &steps);
+        // Right-aligned: `simulated_ms` ends where the header's name ends.
+        let widths: Vec<usize> = text.lines().skip(1).map(|l| l.chars().count()).collect();
+        assert_eq!(widths.len(), 3);
+        assert!(widths.iter().all(|&w| w == widths[0]), "{text}");
+    }
 }

@@ -146,7 +146,6 @@ impl CardinalityEstimator {
             }
             PhysicalOp::Custom(c) => c.output_cardinality(ins),
             PhysicalOp::CollectSink => in0,
-            PhysicalOp::CountSink => 1.0,
         })
     }
 }
@@ -204,7 +203,7 @@ pub fn op_work_units(op: &PhysicalOp, ins: &[f64], out: f64) -> f64 {
         // plumbing.
         PhysicalOp::Loop { .. } => in0,
         PhysicalOp::Custom(c) => c.cost_factor() * (ins.iter().sum::<f64>() + out),
-        PhysicalOp::CollectSink | PhysicalOp::CountSink => in0,
+        PhysicalOp::CollectSink => in0,
     }
 }
 
@@ -606,13 +605,13 @@ mod tests {
     fn storage_source_uses_hints() {
         let mut b = PlanBuilder::new();
         let src = b.storage_source("big");
-        b.count(src);
+        b.collect(src);
         let plan = b.build().unwrap();
         let mut est = CardinalityEstimator::default();
         assert_eq!(est.estimate(&plan).unwrap()[0], 1000.0); // default
         est.hint("big", 5e6);
         assert_eq!(est.estimate(&plan).unwrap()[0], 5e6);
-        assert_eq!(est.estimate(&plan).unwrap()[1], 1.0); // CountSink
+        assert_eq!(est.estimate(&plan).unwrap()[1], 5e6); // CollectSink
     }
 
     #[test]

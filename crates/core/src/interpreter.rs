@@ -178,17 +178,6 @@ pub(crate) fn run_loop(
     Ok(state)
 }
 
-/// Helper: extract the single integer a `CountSink` produced.
-pub fn read_count(d: &Dataset) -> Result<i64> {
-    match d.records() {
-        [r] => r.int(0),
-        other => Err(RheemError::Type {
-            expected: "a single count record".into(),
-            found: format!("{} records", other.len()),
-        }),
-    }
-}
-
 /// Convenience for tests and docs: execute a whole plan on the reference
 /// interpreter and return the outputs of its sink nodes.
 pub fn run_plan(plan: &PhysicalPlan, ctx: &ExecutionContext) -> Result<HashMap<NodeId, Dataset>> {
@@ -322,16 +311,6 @@ mod tests {
             out[&sink].records(),
             &[rec![1i64], rec![2i64], rec![3i64], rec![4i64]]
         );
-    }
-
-    #[test]
-    fn count_sink_counts() {
-        let mut b = PlanBuilder::new();
-        let src = b.collection("s", nums(7));
-        let sink = b.count(src);
-        let plan = b.build().unwrap();
-        let out = run_plan(&plan, &ExecutionContext::new()).unwrap();
-        assert_eq!(read_count(&out[&sink]).unwrap(), 7);
     }
 
     /// A cancel fired *inside* the kernel of a fragment's last node must

@@ -16,7 +16,6 @@ use std::collections::HashMap;
 use crate::data::{Chunk, Dataset, Record, Value};
 use crate::error::{Result, RheemError};
 use crate::physical::PhysicalOp;
-use crate::rec;
 use crate::udf::{FilterUdf, FlatMapUdf, GroupMapUdf, KeyUdf, MapUdf, PairPredicateFn, ReduceUdf};
 
 use parallel::KernelParallelism;
@@ -55,9 +54,6 @@ pub fn execute(
     let rows = match op {
         PhysicalOp::CollectionSource { data, .. } => return Ok((data.clone(), true)),
         PhysicalOp::CollectSink => return Ok((inputs[0].clone(), true)),
-        PhysicalOp::CountSink => {
-            return Ok((Dataset::new(vec![rec![inputs[0].len() as i64]]), true))
-        }
         // A prefix is a window on whichever view exists.
         PhysicalOp::Limit { n } => return Ok((inputs[0].slice(0, inputs[0].len().min(*n)), true)),
         PhysicalOp::Custom(c) => return Ok((c.execute(inputs)?, false)),

@@ -48,7 +48,7 @@
 //! [`NodeObservation`]s; the [`Clock`] a platform states itself by, with its
 //! [`Exchange`] and the [`ChannelSet`] of [`ChannelKind`]s it reads and
 //! writes; the interpreter
-//! ([`run_fragment`], [`execute_op`], [`read_count`]), the operator table
+//! ([`run_fragment`], [`execute_op`]), the operator table
 //! ([`kernels::execute`]), the [`Layout`] of every [`PhysicalOp`] and the
 //! chunk [`PipelineStage`]s of its [`StageKind`]s; [`CustomPhysicalOp`] for
 //! extension operators; [`StorageService`] for storage layers;
@@ -122,7 +122,7 @@ pub use expr::{BinOp, Expr};
 pub use fault::{
     BackoffPolicy, BreakerPolicy, CancelToken, FaultPolicy, PlatformHealth, VirtualSleeper,
 };
-pub use interpreter::{execute_op, read_count, run_fragment, run_plan};
+pub use interpreter::{execute_op, run_fragment, run_plan};
 pub use kernels::parallel::KernelParallelism;
 pub use observe::{
     CostCalibration, Counter, Gauge, Histogram, HistogramSnapshot, KernelKey, MetricsRegistry,

@@ -2,20 +2,18 @@
 //!
 //! "A logical operator is an abstract UDF that acts as an
 //! application-specific unit of data processing ... a template where users
-//! provide the logic of their tasks" (§3.1). Applications (the ML, cleaning,
-//! and graph crates) name their operators and hand over a
-//! [`LogicalPayload`] — the UDFs plus enough structure for
-//! [`LogicalPlan::lower`] to wrap each one in its physical operator (the
-//! "wrapper operator" of §3.2).
+//! provide the logic of their tasks" (§3.1). The SQL planner names its
+//! operators and hands over a [`LogicalPayload`] — the UDFs plus enough
+//! structure for [`LogicalPlan::lower`] to wrap each one in its physical
+//! operator (the "wrapper operator" of §3.2).
 
 use std::fmt;
-use std::sync::Arc;
 
-use crate::data::{Dataset, Record};
+use crate::data::Dataset;
 use crate::error::{Result, RheemError};
 use crate::physical::PhysicalOp;
 use crate::plan::{NodeId, PhysicalPlan, PlanBuilder};
-use crate::udf::{FilterUdf, GroupMapUdf, KeyUdf, LoopCondUdf, MapUdf, ReduceUdf};
+use crate::udf::{FilterUdf, GroupMapUdf, KeyUdf, MapUdf};
 
 /// The algorithmic-needs description a logical operator exposes.
 ///
@@ -30,8 +28,6 @@ pub enum LogicalPayload {
         /// The data.
         data: Dataset,
     },
-    /// Loop-state placeholder inside loop bodies.
-    LoopInput,
     /// One-to-one transformation.
     Map(MapUdf),
     /// Selection.
@@ -43,13 +39,6 @@ pub enum LogicalPayload {
         /// Per-group transformation.
         group: GroupMapUdf,
     },
-    /// Keyed incremental reduction.
-    Reduce {
-        /// Grouping key.
-        key: KeyUdf,
-        /// Associative combiner.
-        reduce: ReduceUdf,
-    },
     /// Equality join.
     Join {
         /// Left key.
@@ -57,8 +46,6 @@ pub enum LogicalPayload {
         /// Right key.
         right_key: KeyUdf,
     },
-    /// Cross product.
-    CrossProduct,
     /// Sorting.
     Sort {
         /// Sort key.
@@ -71,15 +58,6 @@ pub enum LogicalPayload {
         /// Number of quanta to keep.
         n: usize,
     },
-    /// Iteration over a logical sub-plan.
-    Loop {
-        /// The loop body (must contain exactly one `LoopInput` node).
-        body: LogicalPlan,
-        /// Continuation test.
-        condition: LoopCondUdf,
-        /// Iteration cap.
-        max_iterations: u64,
-    },
     /// Materializing sink.
     Collect,
 }
@@ -88,8 +66,8 @@ impl LogicalPayload {
     /// Number of inputs this payload consumes.
     pub(crate) fn arity(&self) -> usize {
         match self {
-            LogicalPayload::Source { .. } | LogicalPayload::LoopInput => 0,
-            LogicalPayload::Join { .. } | LogicalPayload::CrossProduct => 2,
+            LogicalPayload::Source { .. } => 0,
+            LogicalPayload::Join { .. } => 2,
             _ => 1,
         }
     }
@@ -99,16 +77,12 @@ impl LogicalPayload {
     pub(crate) fn kind_key(&self) -> &'static str {
         match self {
             LogicalPayload::Source { .. } => "kind:Source",
-            LogicalPayload::LoopInput => "kind:LoopInput",
             LogicalPayload::Map(_) => "kind:Map",
             LogicalPayload::Filter(_) => "kind:Filter",
             LogicalPayload::Group { .. } => "kind:Group",
-            LogicalPayload::Reduce { .. } => "kind:Reduce",
             LogicalPayload::Join { .. } => "kind:Join",
-            LogicalPayload::CrossProduct => "kind:CrossProduct",
             LogicalPayload::Sort { .. } => "kind:Sort",
             LogicalPayload::Limit { .. } => "kind:Limit",
-            LogicalPayload::Loop { .. } => "kind:Loop",
             LogicalPayload::Collect => "kind:Sink",
         }
     }
@@ -116,14 +90,12 @@ impl LogicalPayload {
     /// The physical operator this payload lowers to. Grouping and equi-joins
     /// take their hash variants; `SortGroupBy` is built with [`PlanBuilder`]
     /// directly.
-    fn lower(&self) -> Result<PhysicalOp> {
-        let op = match self.clone() {
+    fn lower(&self) -> PhysicalOp {
+        match self.clone() {
             LogicalPayload::Source { name, data } => PhysicalOp::CollectionSource { data, name },
-            LogicalPayload::LoopInput => PhysicalOp::LoopInput,
             LogicalPayload::Map(u) => PhysicalOp::Map(u),
             LogicalPayload::Filter(u) => PhysicalOp::Filter(u),
             LogicalPayload::Group { key, group } => PhysicalOp::HashGroupBy { key, group },
-            LogicalPayload::Reduce { key, reduce } => PhysicalOp::ReduceByKey { key, reduce },
             LogicalPayload::Join {
                 left_key,
                 right_key,
@@ -131,22 +103,10 @@ impl LogicalPayload {
                 left_key,
                 right_key,
             },
-            LogicalPayload::CrossProduct => PhysicalOp::CrossProduct,
             LogicalPayload::Sort { key, descending } => PhysicalOp::Sort { key, descending },
             LogicalPayload::Limit { n } => PhysicalOp::Limit { n },
-            LogicalPayload::Loop {
-                body,
-                condition,
-                max_iterations,
-            } => PhysicalOp::Loop {
-                body: Arc::new(body.lower()?),
-                condition,
-                max_iterations,
-                expected_iterations: max_iterations as f64,
-            },
             LogicalPayload::Collect => PhysicalOp::CollectSink,
-        };
-        Ok(op)
+        }
     }
 }
 
@@ -243,11 +203,9 @@ impl LogicalPlan {
         let mut physical_ids: Vec<NodeId> = Vec::with_capacity(self.len());
         for node in &self.nodes {
             let inputs = node.inputs.iter().map(|i| physical_ids[i.0]).collect();
-            physical_ids.push(b.add(node.op.payload.lower()?, inputs));
+            physical_ids.push(b.add(node.op.payload.lower(), inputs));
         }
-        // `build_fragment` skips the sink requirement: loop bodies are also
-        // lowered through this path.
-        b.build_fragment()
+        b.build()
     }
 }
 
@@ -285,24 +243,6 @@ impl LogicalPlanBuilder {
         id
     }
 
-    /// In-memory source.
-    pub fn source(&mut self, name: impl Into<String>, records: Vec<Record>) -> LogicalNodeId {
-        let name = name.into();
-        self.add(
-            name.clone(),
-            LogicalPayload::Source {
-                name,
-                data: Dataset::new(records),
-            },
-            vec![],
-        )
-    }
-
-    /// Materializing sink.
-    pub fn collect(&mut self, input: LogicalNodeId) -> LogicalNodeId {
-        self.add("collect", LogicalPayload::Collect, vec![input])
-    }
-
     /// Finish and validate.
     pub fn build(self) -> Result<LogicalPlan> {
         let plan = LogicalPlan { nodes: self.nodes };
@@ -314,6 +254,7 @@ impl LogicalPlanBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::Record;
     use crate::rec;
 
     impl LogicalPlan {
@@ -346,6 +287,27 @@ mod tests {
         }
     }
 
+    impl LogicalPlanBuilder {
+        /// In-memory source.
+        fn source(&mut self, name: &str, records: Vec<Record>) -> LogicalNodeId {
+            let data = Dataset::new(records);
+            let name = name.to_string();
+            self.add(name.clone(), LogicalPayload::Source { name, data }, vec![])
+        }
+
+        /// Materializing sink.
+        fn collect(&mut self, input: LogicalNodeId) -> LogicalNodeId {
+            self.add("collect", LogicalPayload::Collect, vec![input])
+        }
+    }
+
+    fn join_on_first_fields() -> LogicalPayload {
+        LogicalPayload::Join {
+            left_key: KeyUdf::field(0),
+            right_key: KeyUdf::field(0),
+        }
+    }
+
     #[test]
     fn named_operators_plug_in() {
         let mut b = LogicalPlanBuilder::new();
@@ -367,9 +329,11 @@ mod tests {
 
     #[test]
     fn payload_arity() {
-        assert_eq!(LogicalPayload::CrossProduct.arity(), 2);
+        assert_eq!(join_on_first_fields().arity(), 2);
         assert_eq!(LogicalPayload::Limit { n: 1 }.arity(), 1);
-        assert_eq!(LogicalPayload::LoopInput.arity(), 0);
+        let data = Dataset::new(vec![]);
+        let name = "s".to_string();
+        assert_eq!(LogicalPayload::Source { name, data }.arity(), 0);
         assert_eq!(LogicalPayload::Collect.arity(), 1);
     }
 
@@ -377,8 +341,8 @@ mod tests {
     fn validation_catches_bad_arity() {
         let mut b = LogicalPlanBuilder::new();
         let src = b.source("s", vec![rec![1i64]]);
-        // A cross product needs two inputs; give it one.
-        b.add("x", LogicalPayload::CrossProduct, vec![src]);
+        // A join needs two inputs; give it one.
+        b.add("x", join_on_first_fields(), vec![src]);
         assert!(b.build().is_err());
     }
 
@@ -413,36 +377,9 @@ mod tests {
     }
 
     #[test]
-    fn logical_loop_lowers_recursively() {
-        let mut body = LogicalPlanBuilder::new();
-        let li = body.add("state", LogicalPayload::LoopInput, vec![]);
-        body.add(
-            "step",
-            LogicalPayload::Map(MapUdf::new("inc", |r| rec![r.int(0).unwrap() + 1])),
-            vec![li],
-        );
-        let body = body.build().unwrap();
-
+    fn lowering_requires_a_sink() {
         let mut b = LogicalPlanBuilder::new();
-        let src = b.source("s", vec![rec![0i64]]);
-        let l = b.add(
-            "train",
-            LogicalPayload::Loop {
-                body,
-                condition: LoopCondUdf::fixed_iterations(2),
-                max_iterations: 2,
-            },
-            vec![src],
-        );
-        b.collect(l);
-        let physical = b.build().unwrap().lower().unwrap();
-        physical.validate().unwrap();
-        assert!(matches!(physical.nodes()[1].op, PhysicalOp::Loop { .. }));
-
-        // And it runs end to end on the reference interpreter.
-        let out =
-            crate::interpreter::run_plan(&physical, &crate::platform::ExecutionContext::new())
-                .unwrap();
-        assert_eq!(out.values().next().unwrap().records(), &[rec![2i64]]);
+        b.source("s", vec![rec![1i64]]);
+        assert!(b.build().unwrap().lower().is_err());
     }
 }

@@ -104,8 +104,7 @@ impl Rate {
 /// round trip was timed on a 200 000-row, four-field table.
 pub(crate) fn seed(key: KernelKey) -> Rate {
     let per_unit_us = match (key.kernel, key.columnar) {
-        ("CollectionSource" | "StorageSource" | "LoopInput" | "Limit", _)
-        | ("CollectSink" | "CountSink", _) => 0.0,
+        ("CollectionSource" | "StorageSource" | "LoopInput" | "Limit" | "CollectSink", _) => 0.0,
         ("Spill", _) => 0.84,
         ("ReduceByKey", false) if !key.partitioned => 0.0450,
         ("HashJoin", false) if !key.partitioned => 0.0565,

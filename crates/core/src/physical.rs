@@ -3,7 +3,7 @@
 //! A physical operator is "a platform-independent implementation of a
 //! logical operator ... representing an algorithmic decision for executing
 //! an analytic task" (§3.1). The pool below covers relational, ML, and
-//! graph workloads. Lowering ([`crate::logical::LogicalPlan::lower`]) takes
+//! cleaning workloads. Lowering ([`crate::logical::LogicalPlan::lower`]) takes
 //! the hash variants ([`PhysicalOp::HashGroupBy`], [`PhysicalOp::HashJoin`])
 //! and the optimizer assigns platforms, not algorithms;
 //! [`PhysicalOp::SortGroupBy`] is the paper's Example 2 alternative, chosen
@@ -220,8 +220,6 @@ pub enum PhysicalOp {
     // ----------------------------------------------------------------- sinks
     /// Materialize the input as a job result.
     CollectSink,
-    /// Produce a single quantum holding the input cardinality.
-    CountSink,
 }
 
 impl PhysicalOp {
@@ -242,7 +240,7 @@ impl PhysicalOp {
 
     /// True for operators that terminate a plan and surface results.
     pub fn is_sink(&self) -> bool {
-        matches!(self, PhysicalOp::CollectSink | PhysicalOp::CountSink)
+        matches!(self, PhysicalOp::CollectSink)
     }
 
     /// The kernel this operator runs — its variant's name, e.g.
@@ -270,7 +268,6 @@ impl PhysicalOp {
             PhysicalOp::Loop { .. } => "Loop",
             PhysicalOp::Custom(_) => "Custom",
             PhysicalOp::CollectSink => "CollectSink",
-            PhysicalOp::CountSink => "CountSink",
         }
     }
 
@@ -286,8 +283,7 @@ impl PhysicalOp {
             | PhysicalOp::Limit { .. }
             | PhysicalOp::Project { .. }
             | PhysicalOp::ChunkPipeline { .. }
-            | PhysicalOp::CollectSink
-            | PhysicalOp::CountSink => true,
+            | PhysicalOp::CollectSink => true,
             PhysicalOp::Filter(u) => u.expr.is_some(),
             PhysicalOp::Map(u) => u.exprs.is_some(),
             PhysicalOp::SortGroupBy { key, group } | PhysicalOp::HashGroupBy { key, group } => {
@@ -348,7 +344,6 @@ impl PhysicalOp {
             } => format!("Loop(cond={}, max={max_iterations})", condition.name),
             PhysicalOp::Custom(op) => format!("Custom({})", op.name()),
             PhysicalOp::CollectSink => "CollectSink".into(),
-            PhysicalOp::CountSink => "CountSink".into(),
         }
     }
 
@@ -508,7 +503,7 @@ impl PhysicalOp {
             PhysicalOp::Custom(c) => Layout::Custom {
                 per_partition: c.partitionable() && c.arity() == 1,
             },
-            PhysicalOp::CollectSink | PhysicalOp::CountSink => Layout::Sink,
+            PhysicalOp::CollectSink => Layout::Sink,
         }
     }
 }

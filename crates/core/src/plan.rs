@@ -506,7 +506,6 @@ fn fingerprint_op(fp: &mut FpHasher, op: &PhysicalOp) {
             fp.ptr(Arc::as_ptr(op));
         }
         PhysicalOp::CollectSink => fp.tag(24),
-        PhysicalOp::CountSink => fp.tag(25),
     }
 }
 
@@ -727,11 +726,6 @@ impl PlanBuilder {
     /// Materializing sink.
     pub fn collect(&mut self, input: NodeId) -> NodeId {
         self.add(PhysicalOp::CollectSink, vec![input])
-    }
-
-    /// Counting sink.
-    pub fn count(&mut self, input: NodeId) -> NodeId {
-        self.add(PhysicalOp::CountSink, vec![input])
     }
 
     /// Finish and validate the plan, which must have at least one sink.
@@ -1256,7 +1250,7 @@ mod tests {
             MapUdf::from_exprs("twice", vec![Expr::field(0).mul(Expr::lit(2i64))]),
         );
         let first = b.collect(m);
-        let second = b.count(src);
+        let second = b.collect(src);
         let plan = b.build().unwrap();
         assert_eq!(plan.output_ids(), vec![(first, first), (second, second)]);
         let rewritten = crate::optimizer::apply_rewrites(plan).unwrap();

@@ -3,14 +3,13 @@
 //! Synthetic workload generators for the RHEEM reproduction. Every
 //! evaluation input the paper uses but we cannot ship is substituted here
 //! (see DESIGN.md): LIBSVM classification data (Figure 2), dirty tax
-//! records (Figure 3 / BigDansing), random graphs, and the relational +
-//! sensor tables of the §1 Oil & Gas scenario. All generators are
-//! deterministic in their seeds.
+//! records (Figure 3 / BigDansing), and the relational + sensor tables of
+//! the §1 Oil & Gas scenario. All generators are deterministic in their
+//! seeds.
 //!
 //! ## Public surface
 //!
-//! **For applications:** graphs ([`preferential_attachment`],
-//! [`disjoint_cycles`]), relational and sensor tables ([`customers`],
+//! **For applications:** relational and sensor tables ([`customers`],
 //! [`orders`], [`sensor_readings`], [`plausible_pressure`]), and the two
 //! modules below. Nothing here is for platforms or for tests only.
 //!
@@ -21,10 +20,8 @@
 
 #![warn(missing_docs)]
 
-mod graph;
 pub mod libsvm;
 mod relational;
 pub mod tax;
 
-pub use graph::{disjoint_cycles, preferential_attachment};
 pub use relational::{customers, orders, plausible_pressure, sensor_readings};

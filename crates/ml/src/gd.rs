@@ -6,8 +6,8 @@
 //! computations required by the ML algorithm, (iii) Loop, for specifying
 //! the stopping condition. Users implement algorithms such as SVM, K-means,
 //! and linear/logistic regression with them." [`build_training_plan`] is
-//! that template for linear models: SVM, logistic regression, and linear
-//! regression instantiate it with nothing but a per-example gradient UDF.
+//! that template for linear models: SVM and linear regression instantiate
+//! it with nothing but a per-example gradient UDF.
 //!
 //! The loop body (executed once per iteration, on whichever platform the
 //! optimizer picked for the whole loop):

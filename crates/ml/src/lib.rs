@@ -6,24 +6,20 @@
 //! plan runs unchanged on any registered platform, which is precisely the
 //! setup of the paper's Figure 2 experiment (SVM on Spark vs. plain Java).
 //!
-//! * [`SvmTrainer`] — hinge-loss SVM (Figure 2's algorithm) and
-//!   [`LinRegTrainer`] — linear regression, both on the
-//!   Initialize/Process/Loop gradient-descent template (paper §3.1,
-//!   Example 1) over a shared linear-model representation;
-//! * [`KMeansTrainer`] — K-means built through the *logical* layer with
-//!   `GetCentroid`/`SetCentroids` operators and a grouping enhancer
-//!   (paper §3.2's example), lowered by `LogicalPlan::lower`.
+//! * [`SvmTrainer`] — hinge-loss SVM (Figure 2's algorithm);
+//! * [`LinRegTrainer`] — linear regression, which the §1 Oil & Gas
+//!   scenario uses to verify sensor readings.
 //!
-//! The three trainers are the whole surface, for applications.
+//! Both run on the Initialize/Process/Loop gradient-descent template (paper
+//! §3.1, Example 1) over a shared linear-model representation. The two
+//! trainers are the whole surface, for applications.
 
 #![warn(missing_docs)]
 
 mod gd;
-mod kmeans;
 mod linreg;
 mod model;
 mod svm;
 
-pub use kmeans::KMeansTrainer;
 pub use linreg::LinRegTrainer;
 pub use svm::SvmTrainer;

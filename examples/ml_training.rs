@@ -1,17 +1,15 @@
 //! Platform-independent machine learning (paper §3.1 Example 1 and
 //! Figure 2): the same SVM training plan runs unchanged on the
-//! single-process engine and the Spark-like engine; K-means is built from
-//! `GetCentroid`/`SetCentroids` logical operators and lowered to physical
-//! operators.
+//! single-process engine and the Spark-like engine, and with both
+//! registered the optimizer picks one per input size.
 //!
 //! Run with: `cargo run --example ml_training --release`
 
 use std::sync::Arc;
 
 use rheem::prelude::*;
-use rheem::rec;
 use rheem_datagen::libsvm::{generate, LibsvmConfig};
-use rheem_ml::{KMeansTrainer, SvmTrainer};
+use rheem_ml::SvmTrainer;
 
 fn main() -> Result<(), RheemError> {
     // ------------------------------------------------------------------ SVM
@@ -50,24 +48,5 @@ fn main() -> Result<(), RheemError> {
         );
     }
 
-    // --------------------------------------------------------------- K-means
-    println!("\nK-means via logical operators (paper §3.2 example):");
-    let mut points = Vec::new();
-    for (cx, cy) in [(0.0, 0.0), (8.0, 8.0), (-8.0, 6.0)] {
-        for i in 0..200 {
-            let jitter = (i as f64 * 0.618).fract() - 0.5;
-            points.push(rec![cx + jitter, cy - jitter]);
-        }
-    }
-    let kmeans = KMeansTrainer::new(3, 2).with_iterations(15);
-    let (clustering, result) = kmeans.train(&both, &points)?;
-    for (cid, c) in &clustering.centroids {
-        println!("  centroid {cid}: ({:+.2}, {:+.2})", c[0], c[1]);
-    }
-    println!(
-        "  trained on {:?} in {:.1} simulated ms",
-        result.stats.platforms_used(),
-        result.stats.total_simulated_ms()
-    );
     Ok(())
 }

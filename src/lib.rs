@@ -25,7 +25,6 @@
 pub use rheem_cleaning as cleaning;
 pub use rheem_core as core;
 pub use rheem_datagen as datagen;
-pub use rheem_graph as graph;
 pub use rheem_ml as ml;
 pub use rheem_platforms as platforms;
 pub use rheem_storage as storage;

@@ -1,17 +1,16 @@
-//! End-to-end application runs spanning crates: the ML, cleaning, and
-//! graph applications each execute on multiple platforms and must produce
+//! End-to-end application runs spanning crates: the paper's two
+//! applications, SVM training (Figure 2) and BigDansing cleaning
+//! (Figure 3), each execute on multiple platforms and must produce
 //! equivalent results — the cross-application face of platform
 //! independence.
 
 use std::sync::Arc;
 
 use rheem::prelude::*;
-use rheem::rec;
 use rheem_cleaning::{detect, repair_fd, DenialConstraint, DetectionStrategy};
 use rheem_datagen::libsvm::{generate, LibsvmConfig};
 use rheem_datagen::tax::{columns, TaxConfig};
-use rheem_graph::{ConnectedComponents, PageRank};
-use rheem_ml::{KMeansTrainer, SvmTrainer};
+use rheem_ml::SvmTrainer;
 
 fn java() -> RheemContext {
     RheemContext::new().with_platform(Arc::new(JavaPlatform::new()))
@@ -100,49 +99,6 @@ fn iejoin_detection_runs_on_all_engines() {
     assert_eq!(v_java, v_spark);
     assert_eq!(v_java, v_mr);
     assert!(!v_java.is_empty());
-}
-
-#[test]
-fn pagerank_ranks_agree_across_engines() {
-    let edges = rheem_datagen::preferential_attachment(300, 2, 4);
-    let pr = PageRank::default().with_iterations(10);
-    let (r_java, _) = pr.run(&java(), edges.clone()).unwrap();
-    let (r_spark, _) = pr.run(&spark(), edges).unwrap();
-    assert_eq!(r_java.len(), r_spark.len());
-    for ((n1, v1), (n2, v2)) in r_java.iter().zip(&r_spark) {
-        assert_eq!(n1, n2);
-        assert!((v1 - v2).abs() < 1e-9);
-    }
-}
-
-#[test]
-fn connected_components_agree_across_engines() {
-    let edges = rheem_datagen::disjoint_cycles(3, 8);
-    let cc = ConnectedComponents::default().with_iterations(10);
-    let (l_java, _) = cc.run(&java(), edges.clone()).unwrap();
-    let (l_spark, _) = cc.run(&spark(), edges).unwrap();
-    assert_eq!(l_java, l_spark);
-}
-
-#[test]
-fn kmeans_through_logical_layer_runs_on_spark() {
-    let mut points = Vec::new();
-    for (cx, cy) in [(0.0, 0.0), (20.0, 20.0)] {
-        for i in 0..30 {
-            let d = i as f64 * 0.01;
-            points.push(rec![cx + d, cy - d]);
-        }
-    }
-    let trainer = KMeansTrainer::new(2, 2).with_iterations(8);
-    let (c_java, _) = trainer.train(&java(), &points).unwrap();
-    let (c_spark, _) = trainer.train(&spark(), &points).unwrap();
-    assert_eq!(c_java.centroids.len(), 2);
-    for ((id1, a), (id2, b)) in c_java.centroids.iter().zip(&c_spark.centroids) {
-        assert_eq!(id1, id2);
-        for (x, y) in a.iter().zip(b) {
-            assert!((x - y).abs() < 1e-9);
-        }
-    }
 }
 
 #[test]

@@ -32,12 +32,12 @@ fn ctx_with(storage: Arc<StorageLayer>) -> RheemContext {
         .with_storage(storage)
 }
 
-fn count_of(ctx: &RheemContext, dataset_id: &str) -> i64 {
+fn count_of(ctx: &RheemContext, dataset_id: &str) -> usize {
     let mut b = PlanBuilder::new();
     let src = b.storage_source(dataset_id);
-    let sink = b.count(src);
+    let sink = b.collect(src);
     let result = ctx.execute(b.build().unwrap()).unwrap();
-    rheem_core::read_count(&result.outputs[&sink]).unwrap()
+    result.outputs[&sink].len()
 }
 
 #[test]
@@ -151,7 +151,7 @@ fn repeated_plan_runs_hit_the_hot_buffer() {
     for _ in 0..5 {
         let mut b = PlanBuilder::new();
         let src = b.storage_source("hot");
-        b.count(src);
+        b.collect(src);
         ctx.execute(b.build().unwrap()).unwrap();
     }
     let stats = storage.hot_stats().unwrap();
