@@ -67,14 +67,22 @@ if grep -rnE 'FieldReduce|ReduceUdf::from_spec|fn fuse_maps|fn fuse_filters|\bke
 fi
 
 # One way to price an operator: a platform states its clock, and the
-# optimizer applies it to the one kernel-rate table the runner's observed
-# kernel work fits; no per-platform cost prior, (operator, platform) EMA,
-# unread cardinality fold, unpriced channel-ingest charge or task-size knob
-# comes back.
+# optimizer applies it to the one kernel-rate table every engine's observed
+# sequential kernel work fits; no per-platform cost prior, (operator,
+# platform) EMA, unread cardinality fold, unpriced channel-ingest charge,
+# task-size knob or per-engine-kind rate key comes back.
 echo "==> one way to price an operator: no cost-model priors, EMA or unpriced charges"
 if grep -rnE 'LinearCostModel|RelationalCostModel|PlatformCostModel|calibrated_op_cost|DEFAULT_ALPHA|with_alpha|card_factor|channel_ingest_ms|min_records_per_task|with_cost_model' \
     crates src tests examples; then
   echo "a deleted pricing mechanism is named again"; exit 1
+fi
+# One rate per kernel: every engine records sequential work, so the rate
+# table, the clocks and the calibration run key no rate by engine kind; no
+# code line of theirs names `partitioned` (comments may; the hash engine's
+# radix-partition flag in kernels/hash.rs is another matter).
+if grep -rnw 'partitioned' crates/core/src/observe crates/core/src/cost.rs crates/bench/src \
+    | grep -vE '^[^:]+:[0-9]+:\s*//'; then
+  echo "a rate is keyed by engine kind again"; exit 1
 fi
 
 # A job's settings are stated once: the context is the only owner (no

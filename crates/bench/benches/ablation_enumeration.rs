@@ -249,6 +249,7 @@ fn main() {
                 &opt.movement,
                 &config,
                 &opt.calibration,
+                ctx.kernel_parallelism(),
             )
             .expect("oracle enumerates")
         });
@@ -261,6 +262,7 @@ fn main() {
                 &opt.movement,
                 &config,
                 &opt.calibration,
+                ctx.kernel_parallelism(),
             )
             .expect("the plan enumerates")
         });
@@ -305,6 +307,7 @@ fn main() {
             &opt.movement,
             &config,
             &opt.calibration,
+            ctx.kernel_parallelism(),
         )
         .expect("the large plan enumerates")
     });

@@ -2,15 +2,15 @@
 //! feedback loop).
 //!
 //! The optimizer prices a plan as each platform's clock applied to the
-//! kernel time its rate table estimates, and the table starts from
-//! constants measured on simple kernels. This experiment runs a map whose
-//! closure costs about 100× the seeded rate of a row map: cold, the
+//! sequential kernel work its rate table estimates, and the table starts
+//! from constants measured on simple kernels. This experiment runs a map
+//! whose closure costs about 100× the seeded rate of a row map: cold, the
 //! optimizer believes the map is cheap and keeps it in process; one
-//! observed job later the in-process rate matches what the kernel really
+//! observed job later the map's one rate matches what the kernel really
 //! does, and the next plan moves to the partitioned engine, where the work
-//! is spread over the workers. A partitioned engine's rate is fitted apart
-//! (its tasks run sequentially on partitions), so that job is still priced
-//! from the seed, and the one after it from its own fit.
+//! is spread over the workers. Every engine records the kernel's
+//! sequential work, so that job is priced from what the in-process job
+//! taught the table.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,10 +24,11 @@ use rheem_platforms::{JavaPlatform, OverheadConfig, SparkLikePlatform};
 pub struct ConvergenceStep {
     /// The platform the optimizer put the map on.
     pub platform: String,
-    /// µs per work unit the table priced the map at before the job, on
-    /// the kind of engine it was placed on.
+    /// µs per work unit the table priced the map's sequential work at
+    /// before the job.
     pub priced_us_per_unit: f64,
-    /// µs per work unit the job's map kernel actually did.
+    /// µs per work unit of sequential work the job's map kernel actually
+    /// did.
     pub observed_us_per_unit: f64,
     /// Simulated ms of the whole job.
     pub simulated_ms: f64,
@@ -91,14 +92,7 @@ pub fn run_calibration_flip(n: usize, jobs: usize) -> Vec<ConvergenceStep> {
                 .position(|node| node.op.kernel() == "Map")
                 .expect("the plan maps");
             let platform = &plan.assignments[map];
-            let clock = ctx
-                .platforms()
-                .all()
-                .iter()
-                .find(|p| p.name() == platform)
-                .expect("a registered platform")
-                .clock();
-            let key = KernelKey::of(&plan.physical.nodes()[map].op, clock.partitioned());
+            let key = KernelKey::of(&plan.physical.nodes()[map].op);
             let priced = observe.calibration().rate(key);
             let run = ctx.execute_plan(&plan).unwrap();
             let obs = run

@@ -223,14 +223,22 @@ impl RheemContext {
         &mut self.optimizer
     }
 
-    /// Optimize a physical plan without running it.
+    /// The job's thread budget (see [`Self::with_kernel_parallelism`]).
+    pub fn kernel_parallelism(&self) -> &KernelParallelism {
+        &self.execution.kernel_parallelism
+    }
+
+    /// Optimize a physical plan without running it, priced at the job's
+    /// thread budget.
     pub fn optimize(&self, plan: PhysicalPlan) -> Result<ExecutionPlan> {
-        self.optimizer.optimize(plan, &self.platforms)
+        self.optimizer
+            .optimize(plan, &self.platforms, self.kernel_parallelism())
     }
 
     /// Optimize a logical plan without running it.
     pub fn optimize_logical(&self, plan: &LogicalPlan) -> Result<ExecutionPlan> {
-        self.optimizer.optimize_logical(plan, &self.platforms)
+        self.optimizer
+            .optimize_logical(plan, &self.platforms, self.kernel_parallelism())
     }
 
     /// Run an already-optimized execution plan.

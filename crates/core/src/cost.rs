@@ -20,6 +20,7 @@
 use std::collections::HashMap;
 
 use crate::error::{Result, RheemError};
+use crate::kernels::parallel::KernelParallelism;
 use crate::observe::{CostCalibration, KernelKey};
 use crate::physical::{Layout, PhysicalOp};
 use crate::plan::PhysicalPlan;
@@ -210,7 +211,8 @@ pub fn op_work_units(op: &PhysicalOp, ins: &[f64], out: f64) -> f64 {
 /// How an engine hands a dataset from one operator to the next.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Exchange {
-    /// Whole datasets in one process; kernels at the job's thread budget.
+    /// Whole datasets in one process; kernels split into morsels at the
+    /// job's thread budget.
     InProcess,
     /// Partitions, each a sequential task, exchanged in memory.
     Memory,
@@ -266,11 +268,6 @@ impl Clock {
         }
     }
 
-    /// The engine runs a kernel on each partition.
-    pub fn partitioned(&self) -> bool {
-        self.exchange != Exchange::InProcess
-    }
-
     /// Tasks a stage over `rows` input rows runs as (one per row, at most
     /// one per worker; every worker on disk).
     pub fn partitions_for(&self, rows: usize) -> usize {
@@ -281,20 +278,35 @@ impl Clock {
     }
 
     /// Simulated ms this clock charges for `op` over inputs of `ins` rows
-    /// producing `out`, at the kernel work and spills `rates` estimates. A
-    /// loop is priced by its body (`enumerate::node_cost`); here one stage.
-    pub fn price(&self, op: &PhysicalOp, ins: &[f64], out: f64, rates: &CostCalibration) -> f64 {
-        let key = KernelKey::of(op, self.partitioned());
-        let kernel_ms = rates.rate(key).us(op_work_units(op, ins, out)) / 1e3;
-        let in0 = ins.first().copied().unwrap_or(0.0);
-        let tasks = self.partitions_for(in0 as usize) as f64;
+    /// producing `out`, at the sequential kernel work and spills `rates`
+    /// estimates, in a job whose thread budget is `budget`. In process, the
+    /// work is divided by the speedup the budget's morsel schedule allows
+    /// (`KernelParallelism::speedup`); partitioned, by the stage's tasks.
+    /// A loop is priced by its body (`enumerate::node_cost`); here one
+    /// stage.
+    pub fn price(
+        &self,
+        op: &PhysicalOp,
+        ins: &[f64],
+        out: f64,
+        rates: &CostCalibration,
+        budget: &KernelParallelism,
+    ) -> f64 {
+        let kernel_ms = rates
+            .rate(KernelKey::of(op))
+            .us(op_work_units(op, ins, out))
+            / 1e3;
+        let rows = |slot: usize| ins.get(slot).map_or(0, |&card| card.max(0.0) as usize);
         let layout = op.layout();
         let work = match layout {
+            _ if self.exchange == Exchange::InProcess => {
+                kernel_ms / budget.speedup(op, [rows(0), rows(1)], op.runs_columnar())
+            }
             Layout::Gather => kernel_ms * self.driver_share,
             Layout::Custom {
                 per_partition: false,
             } => kernel_ms,
-            _ => kernel_ms / tasks,
+            _ => kernel_ms / self.partitions_for(rows(0)) as f64,
         };
         let boundary = layout.repartitions().then(|| self.boundary_ms(ins, rates));
         boundary.unwrap_or(0.0) + self.efficiency * work
@@ -723,14 +735,11 @@ mod tests {
             left_key: KeyUdf::field(0),
             right_key: KeyUdf::field(0),
         };
-        // Rates fitted so that each kernel below costs what it says, on
-        // either kind of engine, and a spill costs 1 µs per row.
+        // Rates fitted so that each kernel below costs what it says, and a
+        // spill costs 1 µs per row.
         let rates = CostCalibration::new();
         let costs = |op: &PhysicalOp, ins: &[f64], out: f64, ms: f64| {
-            for partitioned in [false, true] {
-                let key = KernelKey::of(op, partitioned);
-                rates.observe(key, op_work_units(op, ins, out), ms);
-            }
+            rates.observe(KernelKey::of(op), op_work_units(op, ins, out), ms);
         };
         costs(&map, &[1e5], 1e5, 8.0);
         costs(&map, &[3.0], 3.0, 6.0);
@@ -739,10 +748,12 @@ mod tests {
         costs(&sort, &[1e5], 1e5, 8.0);
         rates.observe(KernelKey::SPILL, 11_000.0, 11.0);
         let close = |a: f64, b: f64| assert!((a - b).abs() < 1e-9, "{a} != {b}");
-        // In process: kernel time at the engine's efficiency, nothing else.
+        // In process, on one thread: kernel time at the engine's
+        // efficiency, nothing else.
+        let one = KernelParallelism::sequential();
         let relational = Clock::in_process(5.0, 0.5, ChannelSet::default());
-        close(relational.price(&map, &[1e5], 1e5, &rates), 4.0);
-        close(relational.price(&join, &[1e5, 1e3], 1e3, &rates), 4.0);
+        close(relational.price(&map, &[1e5], 1e5, &rates, &one), 4.0);
+        close(relational.price(&join, &[1e5, 1e3], 1e3, &rates, &one), 4.0);
         assert_eq!(relational.partitions_for(1_000_000), 1);
         // Partitioned: a narrow operator's critical path is its share of
         // the work; a repartitioning one also pays a stage; a gathered sort
@@ -756,12 +767,12 @@ mod tests {
             exchange: Exchange::Memory,
             channels: ChannelSet::default(),
         };
-        close(spark.price(&map, &[1e5], 1e5, &rates), 1.0);
-        close(spark.price(&join, &[1e5, 1e3], 1e3, &rates), 3.0);
-        close(spark.price(&sort, &[1e5], 1e5, &rates), 3.0);
+        close(spark.price(&map, &[1e5], 1e5, &rates, &one), 1.0);
+        close(spark.price(&join, &[1e5, 1e3], 1e3, &rates, &one), 3.0);
+        close(spark.price(&sort, &[1e5], 1e5, &rates, &one), 3.0);
         // Fewer rows than workers: one task per row.
         assert_eq!(spark.partitions_for(3), 3);
-        close(spark.price(&map, &[3.0], 3.0, &rates), 2.0);
+        close(spark.price(&map, &[3.0], 3.0, &rates, &one), 2.0);
         // Disk-phased: every worker runs, and each input of a stage pays a
         // stage and its spill.
         let mr = Clock {
@@ -771,7 +782,52 @@ mod tests {
             ..spark
         };
         assert_eq!(mr.partitions_for(3), 8);
-        close(mr.price(&join, &[1e4, 1e3], 1e3, &rates), 16.0 + 11.0 + 1.0);
+        close(
+            mr.price(&join, &[1e4, 1e3], 1e3, &rates, &one),
+            16.0 + 11.0 + 1.0,
+        );
+        // A partitioned clock's tasks are its parallelism: the job's thread
+        // budget does not change its price.
+        let four = KernelParallelism::sequential().with_threads(4);
+        close(spark.price(&map, &[1e5], 1e5, &rates, &four), 1.0);
+    }
+
+    /// An in-process clock divides the kernel's sequential work by the
+    /// speedup the budget's morsel schedule allows: the rows over the rows
+    /// on the busiest worker.
+    #[test]
+    fn an_in_process_clock_divides_by_the_morsel_schedules_speedup() {
+        let map = PhysicalOp::Map(MapUdf::new("id", |r| r.clone()));
+        let group = PhysicalOp::HashGroupBy {
+            key: KeyUdf::field(0),
+            group: GroupMapUdf::identity(),
+        };
+        let rates = CostCalibration::new();
+        let java = Clock::in_process(0.0, 1.0, ChannelSet::default());
+        let budget = |threads| KernelParallelism::sequential().with_threads(threads);
+        let speedup = |op: &PhysicalOp, rows: f64, threads: usize| {
+            let sequential = java.price(op, &[rows], rows, &rates, &budget(1));
+            sequential / java.price(op, &[rows], rows, &rates, &budget(threads))
+        };
+        let close = |a: f64, b: f64| assert!((a - b).abs() < 1e-9, "{a} != {b}");
+        // 40 960 rows are ten 4 096-row morsels: 2 threads run five each,
+        // 4 threads three on the busiest.
+        close(speedup(&map, 40_960.0, 1), 1.0);
+        close(speedup(&map, 40_960.0, 2), 2.0);
+        close(speedup(&map, 40_960.0, 4), 10.0 / 3.0);
+        // 5 000 rows are a full morsel and a short one: the busiest worker
+        // runs 4 096 rows, at any budget above one.
+        for threads in [2, 4] {
+            close(speedup(&map, 5_000.0, threads), 5_000.0 / 4_096.0);
+        }
+        // Below `min_rows` the sequential kernel runs.
+        for threads in [2, 4] {
+            close(speedup(&map, 4_000.0, threads), 1.0);
+        }
+        // A row kernel keyed by a closure splits into one chunk per thread.
+        for threads in [1, 2, 4] {
+            close(speedup(&group, 40_000.0, threads), threads as f64);
+        }
     }
 
     /// The routes no shipped platform pair takes (`tests/channel_routes.rs`

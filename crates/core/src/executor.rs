@@ -595,14 +595,9 @@ impl Job<'_> {
         };
         // A re-plan is part of the job: it must respect the deadline.
         check_deadline(self.deadline)?;
-        let new_plan = self.ctx.optimizer.replan(
-            current,
-            executed,
-            &live,
-            &self.ctx.platforms,
-            &[],
-            next_atom_id,
-        )?;
+        let new_plan = self
+            .ctx
+            .replan(current, executed, &live, &[], next_atom_id)?;
         stats.replans.push(ReplanEvent {
             trigger_node: node,
             estimated_card: current.estimates[node.0].card,
@@ -677,14 +672,10 @@ impl Job<'_> {
         let live = node_outputs.lock().clone();
         // Failover shares the drift re-planner's machinery but not its
         // budget: `max_failovers` is counted separately.
-        let new_plan = match self.ctx.optimizer.replan(
-            current,
-            executed,
-            &live,
-            &self.ctx.platforms,
-            excluded,
-            next_atom_id,
-        ) {
+        let new_plan = match self
+            .ctx
+            .replan(current, executed, &live, excluded, next_atom_id)
+        {
             Ok(p) => p,
             // No alternative mapping for some pending operator: the job
             // fails with the original error.

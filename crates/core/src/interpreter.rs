@@ -13,8 +13,8 @@ use std::collections::HashMap;
 use crate::data::Dataset;
 use crate::error::{Result, RheemError};
 use crate::kernels;
-use crate::kernels::parallel::KernelParallelism;
-use crate::physical::{Layout, PhysicalOp};
+use crate::kernels::parallel::metered;
+use crate::physical::PhysicalOp;
 use crate::plan::{NodeId, PhysicalPlan};
 use crate::platform::{AtomInputs, ExecutionContext};
 
@@ -64,20 +64,23 @@ pub fn run_fragment(
             };
             inputs.push(ds);
         }
-        // Two clock reads per operator, outside any kernel hot loop.
+        // Two clock reads per operator, outside any kernel hot loop. The
+        // kernel's work is its wall time plus what its morsels ran beyond
+        // it on other threads: its time at one thread.
         let kernel_started = std::time::Instant::now();
-        let (out, columnar) = execute_op(&node.op, &inputs, ctx, loop_state)?;
+        let (out, surplus_ms) = metered(|| execute_op(&node.op, &inputs, ctx, loop_state));
+        let (out, columnar) = out?;
         if loop_state.is_none() {
             let kernel_ms = kernel_started.elapsed().as_secs_f64() * 1e3;
+            let lens = [0, 1].map(|slot| inputs.get(slot).map_or(0, Dataset::len));
             run.observations.push(crate::observe::NodeObservation {
                 node: id,
                 op: node.op.name(),
                 records_out: out.len() as u64,
                 elapsed_ms: kernel_ms,
-                work_ms: kernel_ms,
-                morsels: op_morsels(&node.op, &inputs, &ctx.kernel_parallelism, columnar),
+                work_ms: kernel_ms + surplus_ms,
+                morsels: ctx.kernel_parallelism.units(&node.op, lens, columnar),
                 columnar,
-                partitioned: false,
                 spilled_rows: 0,
                 spill_ms: 0.0,
             });
@@ -86,28 +89,6 @@ pub fn run_fragment(
         run.outputs.insert(id, out);
     }
     Ok(run)
-}
-
-/// Parallel work units the operator table uses for `op` under knob `p`:
-/// morsel count for embarrassingly-parallel kernels, chunk count for
-/// two-phase kernels, 1 for everything sequential. On the `columnar` path
-/// only pipelines split into morsels; the keyed chunk kernels run as one
-/// unit.
-pub(crate) fn op_morsels(
-    op: &PhysicalOp,
-    inputs: &[Dataset],
-    p: &KernelParallelism,
-    columnar: bool,
-) -> u64 {
-    let len = |slot: usize| inputs.get(slot).map_or(0, Dataset::len);
-    match op.layout() {
-        Layout::Narrow => p.morsels(len(0)),
-        Layout::ByKey(_) | Layout::CombineByKey(_) | Layout::Gather if !columnar => {
-            p.chunks(len(0))
-        }
-        Layout::CoPartition(..) if !columnar => p.chunks(len(0).max(len(1))),
-        _ => 1,
-    }
 }
 
 /// Execute a single physical operator on gathered inputs, reporting

@@ -40,17 +40,22 @@
 //! No `unsafe`: workers are `std::thread::scope` threads pulling morsel
 //! indices off an atomic cursor and parking results in per-slot mutexed
 //! cells — the same pattern the wave executor uses.
+//!
+//! `KernelParallelism::units` and `KernelParallelism::speedup` read one
+//! statement of which operators split and how: what a kernel ran on, and
+//! what the optimizer expects its split to save.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
 use crate::data::{Chunk, Record, Value};
 use crate::error::Result;
 use crate::fault::CancelToken;
-use crate::physical::PipelineStage;
+use crate::physical::{Layout, PhysicalOp, PipelineStage};
 use crate::udf::{FilterUdf, FlatMapUdf, KeyUdf, MapUdf, ReduceUdf};
 
 use super::{chunked, hash};
@@ -62,6 +67,11 @@ thread_local! {
     /// around each atom invocation; [`run_ranges`] picks it up at entry
     /// and checks it before every morsel pull.
     static CANCEL_SCOPE: RefCell<Option<CancelToken>> = const { RefCell::new(None) };
+
+    /// The ambient work meter: milliseconds the morsels of this thread's
+    /// [`run_ranges`] calls ran beyond those calls' wall time, while
+    /// [`metered`] is measuring; `None` otherwise.
+    static WORK_METER: Cell<Option<f64>> = const { Cell::new(None) };
 }
 
 /// Install `token` as the ambient morsel-cancellation scope while `f`
@@ -79,6 +89,32 @@ pub fn with_cancel_scope<R>(token: &CancelToken, f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(CANCEL_SCOPE.with(|c| c.borrow_mut().replace(token.clone())));
     f()
+}
+
+/// Run `f` with a work meter installed on this thread (as
+/// [`with_cancel_scope`] installs its token), returning its result and the
+/// surplus: the milliseconds its parallel kernels' morsels ran beyond their
+/// wall time. A kernel's sequential work is its wall time plus that
+/// surplus; a sequential kernel has none. A nested meter's surplus also
+/// counts toward the enclosing one.
+pub(crate) fn metered<R>(f: impl FnOnce() -> R) -> (R, f64) {
+    struct Restore(Option<f64>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            WORK_METER.with(|m| m.set(self.0));
+        }
+    }
+    let restore = Restore(WORK_METER.with(|m| m.replace(Some(0.0))));
+    let out = f();
+    let surplus = WORK_METER.with(Cell::get).unwrap_or(0.0);
+    drop(restore);
+    add_work(surplus);
+    (out, surplus)
+}
+
+/// Add `ms` to this thread's work meter, if one is installed.
+fn add_work(ms: f64) {
+    WORK_METER.with(|m| m.set(m.get().map(|w| w + ms)));
 }
 
 /// The token installed by [`with_cancel_scope`] on this thread, if any.
@@ -178,20 +214,49 @@ impl KernelParallelism {
         self.threads.min(len.div_ceil(self.morsel_size.max(1)))
     }
 
-    /// Morsel count for an embarrassingly-parallel kernel over `len`
-    /// records (1 when the sequential path runs).
-    pub(crate) fn morsels(&self, len: usize) -> u64 {
-        if self.effective_threads(len) <= 1 {
-            1
-        } else {
-            len.div_ceil(self.morsel_size.max(1)) as u64
+    /// The one statement of which kernels run in parallel: the ranges the
+    /// operator table ([`super::execute`]) splits `op` into over inputs of
+    /// `lens` rows, on the chunk path when `columnar`, and the threads that
+    /// run them. A narrow operator splits into morsels on either path; on
+    /// the row path a keyed, gathered or co-partitioned kernel splits its
+    /// (larger) input into one chunk per thread; everything else, every
+    /// keyed chunk kernel and any input below `min_rows` runs whole, as no
+    /// ranges on one thread.
+    fn split(
+        &self,
+        op: &PhysicalOp,
+        lens: [usize; 2],
+        columnar: bool,
+    ) -> (Vec<Range<usize>>, usize) {
+        let (len, morsels) = match op.layout() {
+            Layout::Narrow => (lens[0], true),
+            Layout::ByKey(_) | Layout::CombineByKey(_) | Layout::Gather if !columnar => {
+                (lens[0], false)
+            }
+            Layout::CoPartition(..) if !columnar => (lens[0].max(lens[1]), false),
+            _ => return (Vec::new(), 1),
+        };
+        let threads = self.effective_threads(len);
+        match threads {
+            1 => (Vec::new(), 1),
+            _ if morsels => (self.morsel_ranges(len), threads),
+            _ => (self.chunk_ranges(len, threads), threads),
         }
     }
 
-    /// Parallel work units for a two-phase (chunked) kernel over `len`
-    /// records (1 when the sequential path runs).
-    pub(crate) fn chunks(&self, len: usize) -> u64 {
-        self.effective_threads(len) as u64
+    /// Parallel work units `op`'s kernel runs on over inputs of `lens`
+    /// rows: its morsel or chunk count, 1 for a sequential kernel.
+    pub(crate) fn units(&self, op: &PhysicalOp, lens: [usize; 2], columnar: bool) -> u64 {
+        self.split(op, lens, columnar).0.len().max(1) as u64
+    }
+
+    /// How much faster than sequential the split lets `op`'s kernel run
+    /// over inputs of `lens` rows: the [`dealt_speedup`] of its ranges, so
+    /// 5 000 rows in 4 096-row morsels on 2 threads speed up 5 000 / 4 096,
+    /// not 2.
+    pub(crate) fn speedup(&self, op: &PhysicalOp, lens: [usize; 2], columnar: bool) -> f64 {
+        let (ranges, threads) = self.split(op, lens, columnar);
+        dealt_speedup(&ranges, threads)
     }
 
     /// Fixed-size morsel ranges covering `0..len`.
@@ -219,6 +284,31 @@ impl KernelParallelism {
     }
 }
 
+/// How much faster than one thread `threads` threads run `ranges` dealt
+/// round them in order (worker `w` runs ranges `w`, `w + t`, …: the
+/// cursor's order when every row takes as long): their rows over the rows
+/// on the busiest worker.
+fn dealt_speedup(ranges: &[Range<usize>], threads: usize) -> f64 {
+    let workers = threads.clamp(1, ranges.len().max(1));
+    let busiest = (0..workers)
+        .map(|w| {
+            ranges
+                .iter()
+                .skip(w)
+                .step_by(workers)
+                .map(Range::len)
+                .sum::<usize>()
+        })
+        .max()
+        .unwrap_or(0);
+    let rows: usize = ranges.iter().map(Range::len).sum();
+    if busiest == 0 {
+        1.0
+    } else {
+        rows as f64 / busiest as f64
+    }
+}
+
 /// Run `f` over each range on up to `threads` scoped worker threads,
 /// returning results in range order. Ranges are handed out through an
 /// atomic cursor; each result lands in its own mutexed slot, so output
@@ -230,6 +320,12 @@ impl KernelParallelism {
 /// value at near-zero cost and the kernel returns within one morsel of
 /// the cancel point. The truncated result is garbage by construction —
 /// callers surface [`crate::RheemError::Cancelled`] before consuming it.
+///
+/// On worker threads, every range is timed, and what the ranges' times add
+/// up to beyond this call's wall time goes to the ambient work meter
+/// ([`metered`]) — up to what the schedule lets them overlap
+/// (the wall time times the ranges' [`dealt_speedup`], less one): beyond
+/// that, ranges were slowed by sharing a core, which is not work.
 fn run_ranges<T, F>(ranges: &[Range<usize>], threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -249,6 +345,8 @@ where
     }
     let cursor = AtomicUsize::new(0);
     let cells: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let ran_ns = AtomicU64::new(0);
+    let started = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..threads.min(n) {
             scope.spawn(|| loop {
@@ -256,11 +354,16 @@ where
                 if i >= n {
                     return;
                 }
+                let t = Instant::now();
                 let out = f(pick(&ranges[i]));
+                ran_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 *cells[i].lock() = Some(out);
             });
         }
     });
+    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    let overlap_ms = wall_ms * (dealt_speedup(ranges, threads) - 1.0);
+    add_work((ran_ns.into_inner() as f64 / 1e6 - wall_ms).clamp(0.0, overlap_ms));
     cells
         .into_iter()
         .map(|c| c.into_inner().expect("every morsel slot is filled"))
@@ -817,7 +920,9 @@ mod tests {
             min_rows: 100,
         };
         assert_eq!(p.effective_threads(99), 1);
-        assert_eq!(p.morsels(99), 1);
+        let map = PhysicalOp::Map(MapUdf::new("id", |r| r.clone()));
+        assert_eq!(p.units(&map, [99, 0], false), 1);
+        assert_eq!(p.units(&map, [100, 0], false), 25);
         assert!(p.effective_threads(100) > 1);
     }
 

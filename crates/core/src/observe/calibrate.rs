@@ -2,17 +2,18 @@
 //! every job.
 //!
 //! A platform's price for an operator has two halves: the platform's
-//! [`Clock`](crate::cost::Clock), and the kernel time, which depends on the
-//! operator and on the kind of engine — in process, on the whole dataset at
-//! the job's thread budget, or partitioned, as sequential tasks — never on
-//! the platform. [`CostCalibration`] estimates the kernel half: one
-//! [`Rate`] per [`KernelKey`], a fixed µs plus µs per work unit
-//! ([`crate::cost::op_work_units`]). Each rate starts at a constant from
-//! `BENCH_kernels.json`'s full run, then is a least-squares fit over every
-//! observation folded in — each node's kernel work before its clock
-//! ([`NodeObservation::work_ms`]), each spill a disk-phased engine made —
-//! with no decay, and no observation farther than [`RATIO_CLAMP`] from its
-//! seed.
+//! [`Clock`](crate::cost::Clock), which says how the engine spreads a
+//! kernel's work — over the morsels the job's thread budget runs at once,
+//! or over its tasks — and the kernel's sequential work, which depends on
+//! the operator alone, never on the platform or the kind of engine.
+//! [`CostCalibration`] estimates the work: one [`Rate`] per [`KernelKey`],
+//! a fixed µs plus µs per work unit ([`crate::cost::op_work_units`]). Each
+//! rate starts at a constant from `BENCH_kernels.json`'s full run, then is
+//! a least-squares fit over every observation folded in — each node's
+//! sequential kernel work ([`NodeObservation::work_ms`]), whichever engine
+//! ran it, and each spill a disk-phased engine made — with no decay, and no
+//! observation farther than [`RATIO_CLAMP`] from its seed. What one engine
+//! learns prices every other.
 
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -39,8 +40,6 @@ pub struct KernelKey {
     pub kernel: &'static str,
     /// True for the chunk kernel, false for the row kernel.
     pub columnar: bool,
-    /// A partitioned engine runs the kernel, not an in-process one.
-    pub partitioned: bool,
     /// On the row path, a hash of the operator's name (its UDFs: one
     /// closure's cost says nothing of another's); 0 otherwise.
     pub udf: u64,
@@ -48,20 +47,19 @@ pub struct KernelKey {
 
 impl KernelKey {
     /// One row's round trip through a disk-phased engine's spill file.
-    pub const SPILL: KernelKey = KernelKey::new("Spill", false, true);
+    pub const SPILL: KernelKey = KernelKey::new("Spill", false);
 
-    /// The key of `kernel` on a path and an engine kind, for no UDF.
-    pub const fn new(kernel: &'static str, columnar: bool, partitioned: bool) -> KernelKey {
+    /// The key of `kernel` on a path, for no UDF.
+    pub const fn new(kernel: &'static str, columnar: bool) -> KernelKey {
         KernelKey {
             kernel,
             columnar,
-            partitioned,
             udf: 0,
         }
     }
 
-    /// The key `op` is priced under on an engine of the given kind.
-    pub fn of(op: &PhysicalOp, partitioned: bool) -> KernelKey {
+    /// The key `op` is priced under.
+    pub fn of(op: &PhysicalOp) -> KernelKey {
         let columnar = op.runs_columnar();
         let mut udf = DefaultHasher::new();
         if !columnar {
@@ -69,7 +67,7 @@ impl KernelKey {
         }
         KernelKey {
             udf: if columnar { 0 } else { udf.finish() },
-            ..KernelKey::new(op.kernel(), columnar, partitioned)
+            ..KernelKey::new(op.kernel(), columnar)
         }
     }
 }
@@ -95,19 +93,18 @@ impl Rate {
 }
 
 /// The seed of `key`, in µs per work unit: `BENCH_kernels.json`'s full
-/// `ablation_kernels` run at 10^6 rows (the served join at 200 000) over
-/// the kernel's work units there, on its 2-CPU host — the served shapes
-/// where timed (`filter_selective`, the two `hash_aggregate_*_key`,
-/// `hash_join_dense_key`, `sort_served`); in process, a row reduce or join
-/// at 2 threads (45.0 of 88.4 ms, 265.5 of 397.8 ms). Sources, sinks and a
-/// limit start free; an untimed kernel at its path's filter rate. A spill
-/// round trip was timed on a 200 000-row, four-field table.
+/// `ablation_kernels` run of the sequential kernel at 10^6 rows (the served
+/// join at 200 000) over the kernel's work units there, on its 2-CPU host —
+/// the served shapes where timed (`filter_selective`, the two
+/// `hash_aggregate_*_key`, `hash_join_dense_key`, `sort_served`). Sources,
+/// sinks and a limit start free; a cross product, which concatenates one
+/// record per output as a join does, at the row join's rate; any other
+/// untimed kernel at its path's filter rate. A spill round trip was timed
+/// on a 200 000-row, four-field table.
 pub(crate) fn seed(key: KernelKey) -> Rate {
     let per_unit_us = match (key.kernel, key.columnar) {
         ("CollectionSource" | "StorageSource" | "LoopInput" | "Limit" | "CollectSink", _) => 0.0,
         ("Spill", _) => 0.84,
-        ("ReduceByKey", false) if !key.partitioned => 0.0450,
-        ("HashJoin", false) if !key.partitioned => 0.0565,
         ("Map", true) => 0.00086,
         ("Project", true) => 0.0,
         ("ChunkPipeline", true) => 0.00593,
@@ -120,7 +117,7 @@ pub(crate) fn seed(key: KernelKey) -> Rate {
         ("ChunkPipeline", false) => 0.0831,
         ("HashGroupBy" | "SortGroupBy", false) => 0.376,
         ("ReduceByKey" | "GlobalReduce", false) => 0.0884,
-        ("HashJoin", false) => 0.0846,
+        ("HashJoin" | "CrossProduct", false) => 0.0846,
         ("Sort", false) => 0.00625,
         (_, false) => 0.0406,
     };
@@ -284,7 +281,7 @@ impl CostCalibration {
             }
             let key = KernelKey {
                 columnar: obs.columnar,
-                ..KernelKey::of(&node.op, obs.partitioned)
+                ..KernelKey::of(&node.op)
             };
             if matches!(node.op, PhysicalOp::Loop { .. }) || seed(key) == Rate::default() {
                 continue;
@@ -312,7 +309,7 @@ impl CostCalibration {
 mod tests {
     use super::*;
 
-    const MAP_ROWS: KernelKey = KernelKey::new("Map", false, false);
+    const MAP_ROWS: KernelKey = KernelKey::new("Map", false);
 
     #[test]
     fn the_seed_prices_until_an_observation_and_one_size_fits_a_slope() {
@@ -373,28 +370,22 @@ mod tests {
         use crate::udf::{FilterUdf, MapUdf};
         let opaque = PhysicalOp::Map(MapUdf::new("f", |r| r.clone()));
         let other = PhysicalOp::Map(MapUdf::new("g", |r| r.clone()));
-        let key = KernelKey::of(&opaque, true);
-        assert_eq!(
-            (key.kernel, key.columnar, key.partitioned),
-            ("Map", false, true)
-        );
+        let key = KernelKey::of(&opaque);
+        assert_eq!((key.kernel, key.columnar), ("Map", false));
         // A row kernel is keyed by its operator: two closures, two rates.
-        assert_ne!(key, KernelKey::of(&other, true));
-        assert_eq!(key, KernelKey::of(&opaque, true));
+        assert_ne!(key, KernelKey::of(&other));
+        assert_eq!(key, KernelKey::of(&opaque));
         let declarative = PhysicalOp::Filter(FilterUdf::from_expr(
             "p",
             Expr::field(0).ge(Expr::lit(1i64)),
         ));
-        assert_eq!(
-            KernelKey::of(&declarative, false),
-            KernelKey::new("Filter", true, false)
-        );
+        assert_eq!(KernelKey::of(&declarative), KernelKey::new("Filter", true));
         // A chunk kernel is priced below its row twin, and an unobserved
         // operator at its kernel's seed.
         let cal = CostCalibration::new();
-        let map_chunk = KernelKey::new("Map", true, false);
+        let map_chunk = KernelKey::new("Map", true);
         assert!(cal.rate(map_chunk).us(1e6) < cal.rate(MAP_ROWS).us(1e6));
-        assert_eq!(cal.rate(KernelKey::of(&opaque, false)), seed(MAP_ROWS));
+        assert_eq!(cal.rate(KernelKey::of(&opaque)), seed(MAP_ROWS));
     }
 
     #[test]
@@ -411,17 +402,15 @@ mod tests {
         assert!(cal.rate(MAP_ROWS).us(1_000.0) > 0.0);
     }
 
-    /// The key an in-process engine's `Map(f)` is fitted under.
+    /// The key `Map(f)` is fitted under.
     fn map_f() -> KernelKey {
-        KernelKey::of(
-            &PhysicalOp::Map(crate::udf::MapUdf::new("f", |r| r.clone())),
-            false,
-        )
+        KernelKey::of(&PhysicalOp::Map(crate::udf::MapUdf::new("f", |r| {
+            r.clone()
+        })))
     }
 
     /// A one-job (plan, stats) pair whose absorption folds `observed_ms`
-    /// into the in-process row `Map(f)` rate, in order, over 100 → 100
-    /// rows.
+    /// into the row `Map(f)` rate, in order, over 100 → 100 rows.
     fn absorb_job(observed_ms: &[f64]) -> (ExecutionPlan, ExecutionStats) {
         use crate::observe::NodeObservation;
         use crate::plan::{EnumerationInfo, NodeId, PlanBuilder};
@@ -452,7 +441,6 @@ mod tests {
             work_ms: ms,
             morsels: 1,
             columnar: false,
-            partitioned: false,
             spilled_rows: 0,
             spill_ms: 0.0,
         };

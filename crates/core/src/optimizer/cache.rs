@@ -30,6 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 
 use crate::fault::{fnv1a, splitmix64};
+use crate::kernels::parallel::KernelParallelism;
 use crate::observe::{seed_rate, CostCalibration, KernelKey, Rate};
 use crate::plan::{EnumerationInfo, ExecutionPlan, NodeEstimate, TaskAtom};
 use crate::platform::PlatformRegistry;
@@ -264,11 +265,16 @@ fn relative_change(old: f64, new: f64) -> f64 {
 }
 
 /// Hash of everything besides the plan that determines an enumeration
-/// result: the registered platform set, the enumeration configuration, and
-/// whether rewrites run. Mixed into the plan fingerprint to form the cache
-/// key, so e.g. adding a platform or excluding one can never serve stale
-/// assignments.
-pub fn config_fingerprint(config: &OptimizerConfig, platforms: &PlatformRegistry) -> u64 {
+/// result: the registered platform set, the enumeration configuration,
+/// whether rewrites run, and the job's thread budget (an in-process price
+/// divides by it). Mixed into the plan fingerprint to form the cache key,
+/// so e.g. adding a platform, excluding one or changing the budget can
+/// never serve stale assignments.
+pub fn config_fingerprint(
+    config: &OptimizerConfig,
+    platforms: &PlatformRegistry,
+    budget: &KernelParallelism,
+) -> u64 {
     let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
     let mut names: Vec<&str> = platforms.names();
     names.sort_unstable();
@@ -286,6 +292,7 @@ pub fn config_fingerprint(config: &OptimizerConfig, platforms: &PlatformRegistry
         h = splitmix64(h ^ fnv1a(x).wrapping_add(1));
     }
     h = splitmix64(h ^ e.max_expansions as u64);
+    h = splitmix64(h ^ budget.threads as u64);
     h
 }
 
@@ -329,7 +336,7 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
-    const MAP_ROWS: KernelKey = KernelKey::new("Map", false, false);
+    const MAP_ROWS: KernelKey = KernelKey::new("Map", false);
 
     #[test]
     fn drift_past_threshold_invalidates() {

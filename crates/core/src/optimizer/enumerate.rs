@@ -54,6 +54,7 @@ use std::sync::Arc;
 
 use crate::cost::{CardinalityEstimator, ChannelSet, Clock, MovementCostModel};
 use crate::error::{Result, RheemError};
+use crate::kernels::parallel::KernelParallelism;
 use crate::observe::CostCalibration;
 use crate::physical::PhysicalOp;
 use crate::plan::{
@@ -95,9 +96,9 @@ impl Default for EnumerationConfig {
 /// Assign platforms to every node and split the plan into task atoms.
 ///
 /// Every operator is priced on every platform as that platform's
-/// [`Clock`] applied to the kernel time `calibration`'s rate table
-/// estimates (see `observe::calibrate`). See the module docs for the search
-/// and its budget.
+/// [`Clock`] applied to the sequential kernel work `calibration`'s rate
+/// table estimates (see `observe::calibrate`), in a job whose thread budget
+/// is `budget`. See the module docs for the search and its budget.
 pub fn enumerate(
     plan: Arc<PhysicalPlan>,
     registry: &PlatformRegistry,
@@ -105,29 +106,7 @@ pub fn enumerate(
     movement: &MovementCostModel,
     config: &EnumerationConfig,
     calibration: &CostCalibration,
-) -> Result<ExecutionPlan> {
-    enumerate_excluding(
-        plan,
-        registry,
-        estimator,
-        movement,
-        config,
-        calibration,
-        &[],
-    )
-}
-
-/// [`enumerate`] with `excluded` platforms left out of the search on top of
-/// the config's own exclusions: how failover keeps a re-plan off the
-/// platforms that just failed.
-pub(crate) fn enumerate_excluding(
-    plan: Arc<PhysicalPlan>,
-    registry: &PlatformRegistry,
-    estimator: &CardinalityEstimator,
-    movement: &MovementCostModel,
-    config: &EnumerationConfig,
-    calibration: &CostCalibration,
-    excluded: &[String],
+    budget: &KernelParallelism,
 ) -> Result<ExecutionPlan> {
     let priced = Priced::new(
         &plan,
@@ -136,7 +115,7 @@ pub(crate) fn enumerate_excluding(
         movement,
         config,
         calibration,
-        excluded,
+        budget,
     )?;
     let mut expansions = 0usize;
     let found = lattice_search(&plan, &priced, config.max_expansions, &mut expansions)?;
@@ -198,7 +177,7 @@ impl Priced {
         movement: &MovementCostModel,
         config: &EnumerationConfig,
         calibration: &CostCalibration,
-        excluded: &[String],
+        budget: &KernelParallelism,
     ) -> Result<Priced> {
         if registry.is_empty() {
             return Err(RheemError::Optimizer("no platforms registered".into()));
@@ -207,8 +186,7 @@ impl Priced {
             Some(name) => vec![registry.get(name)?],
             None => registry.all().to_vec(),
         };
-        let excluded = config.excluded_platforms.iter().chain(excluded);
-        platforms.retain(|p| !excluded.clone().any(|x| x == p.name()));
+        platforms.retain(|p| !config.excluded_platforms.iter().any(|x| x == p.name()));
         if platforms.is_empty() {
             return Err(RheemError::Optimizer(
                 "every registered platform is excluded from enumeration".into(),
@@ -234,6 +212,7 @@ impl Priced {
                         clock,
                         estimator,
                         calibration,
+                        budget,
                     )?;
                 }
             }
@@ -829,6 +808,7 @@ pub fn assignment_cost(
     estimator: &CardinalityEstimator,
     movement: &MovementCostModel,
     calibration: &CostCalibration,
+    budget: &KernelParallelism,
 ) -> Result<f64> {
     if assignments.len() != plan.len() {
         return Err(RheemError::Optimizer(format!(
@@ -850,6 +830,7 @@ pub fn assignment_cost(
             &clock,
             estimator,
             calibration,
+            budget,
         )?;
         if node.inputs.is_empty() {
             total += clock.startup_ms;
@@ -878,6 +859,7 @@ pub fn enumerate_exhaustive(
     movement: &MovementCostModel,
     config: &EnumerationConfig,
     calibration: &CostCalibration,
+    budget: &KernelParallelism,
 ) -> Result<(Vec<String>, f64)> {
     let n = plan.len();
     if n > 12 {
@@ -892,7 +874,7 @@ pub fn enumerate_exhaustive(
         movement,
         config,
         calibration,
-        &[],
+        budget,
     )?;
     let supported: Vec<Vec<usize>> = plan
         .nodes()
@@ -947,7 +929,8 @@ pub fn enumerate_exhaustive(
 }
 
 /// Price of one operator on the platform of `clock`: the clock applied to
-/// the kernel time the rate table estimates. A loop is priced per
+/// the sequential kernel work the rate table estimates, at the job's thread
+/// `budget`. A loop is priced per
 /// iteration — one stage boundary plus its body, on the same clock — so a
 /// platform's per-stage charge grows with the iteration count (Figure 2's
 /// "gap gets bigger with the number of iterations").
@@ -958,6 +941,7 @@ pub(crate) fn node_cost(
     clock: &Clock,
     estimator: &CardinalityEstimator,
     calibration: &CostCalibration,
+    budget: &KernelParallelism,
 ) -> Result<f64> {
     let PhysicalOp::Loop {
         body,
@@ -965,7 +949,7 @@ pub(crate) fn node_cost(
         ..
     } = op
     else {
-        return Ok(clock.price(op, ins, out, calibration));
+        return Ok(clock.price(op, ins, out, calibration, budget));
     };
     let loop_card = ins.first().copied().unwrap_or(0.0);
     let body_cards = estimator.estimate_with_loop_input(body, loop_card)?;
@@ -979,6 +963,7 @@ pub(crate) fn node_cost(
             clock,
             estimator,
             calibration,
+            budget,
         )?;
     }
     Ok(expected_iterations * per_iteration)

@@ -8,7 +8,7 @@
 //!   learned kernel rates plus channel-aware inter-platform movement
 //!   costs, and task-atom splitting (§4.2);
 //! * [`replan`] — adaptive mid-job re-optimization:
-//!   [`MultiPlatformOptimizer::replan`] re-enumerates the unexecuted suffix
+//!   `RheemContext::replan` re-enumerates the unexecuted suffix
 //!   of a running job with the optimizer's own models when observed
 //!   cardinalities drift from the estimates or a platform fails.
 //!
@@ -25,6 +25,7 @@ use std::sync::Arc;
 
 use crate::cost::{CardinalityEstimator, MovementCostModel};
 use crate::error::Result;
+use crate::kernels::parallel::KernelParallelism;
 use crate::logical::LogicalPlan;
 use crate::observe::{CostCalibration, Counter, Gauge, MetricsRegistry};
 use crate::plan::{ExecutionPlan, PhysicalPlan};
@@ -118,7 +119,8 @@ impl MultiPlatformOptimizer {
         self
     }
 
-    /// Optimize a physical plan into an execution plan.
+    /// Optimize a physical plan into an execution plan for a job whose
+    /// thread budget is `budget`.
     ///
     /// When a [`PlanCache`] is attached, the incoming plan is fingerprinted
     /// *before* rewrites (rewrites mint fresh closure `Arc`s, so post-
@@ -131,12 +133,13 @@ impl MultiPlatformOptimizer {
         &self,
         plan: PhysicalPlan,
         platforms: &PlatformRegistry,
+        budget: &KernelParallelism,
     ) -> Result<ExecutionPlan> {
         plan.validate()?;
         let probe = self.plan_cache.as_ref().map(|cache| {
             let fp = plan.fingerprint();
             let key = crate::fault::splitmix64(
-                fp.hash ^ cache::config_fingerprint(&self.config, platforms),
+                fp.hash ^ cache::config_fingerprint(&self.config, platforms, budget),
             );
             let scope = if fp.opaque { self.cache_scope } else { 0 };
             (cache, key, scope)
@@ -179,6 +182,7 @@ impl MultiPlatformOptimizer {
             &self.movement,
             &self.config.enumeration,
             &self.calibration,
+            budget,
         );
         if let Ok(exec) = &result {
             if let Some((cache, key, scope)) = &probe {
@@ -204,7 +208,8 @@ impl MultiPlatformOptimizer {
         &self,
         plan: &LogicalPlan,
         platforms: &PlatformRegistry,
+        budget: &KernelParallelism,
     ) -> Result<ExecutionPlan> {
-        self.optimize(plan.lower()?, platforms)
+        self.optimize(plan.lower()?, platforms, budget)
     }
 }

@@ -8,15 +8,16 @@
 //! plan's [`NodeEstimate`](crate::plan::NodeEstimate)s; when the error
 //! ratio on any of them exceeds
 //! [`ReplanPolicy::threshold`],
-//! [`MultiPlatformOptimizer::replan`] rebuilds the remaining work:
+//! `RheemContext::replan` rebuilds the remaining work:
 //!
 //! 1. every materialized boundary dataset a pending atom consumes becomes
 //!    a fixed-cardinality `CollectionSource` *pseudo-node* (named
 //!    `replan:nX`), so the enumerator sees its true size;
 //! 2. the pending nodes are copied into a temporary suffix plan wired to
 //!    those pseudo-sources, and [`enumerate`](super::enumerate())
-//!    re-runs over it with the optimizer's own models and the live
-//!    [`CostCalibration`](crate::observe::CostCalibration) rates;
+//!    re-runs over it with the optimizer's own models, the live
+//!    [`CostCalibration`](crate::observe::CostCalibration) rates and the
+//!    job's thread budget;
 //! 3. the result is translated back into the original node-id space: the
 //!    physical plan and the assignments/estimates of executed nodes are
 //!    kept, pseudo-nodes are dropped, and their in-atom edges become
@@ -31,15 +32,14 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use crate::context::RheemContext;
 use crate::cost::drift_ratio;
 use crate::data::Dataset;
 use crate::error::{Result, RheemError};
 use crate::physical::PhysicalOp;
 use crate::plan::{AtomInput, ExecutionPlan, NodeId, PhysicalNode, PhysicalPlan, TaskAtom};
-use crate::platform::PlatformRegistry;
 
-use super::enumerate::enumerate_excluding;
-use super::MultiPlatformOptimizer;
+use super::enumerate::{enumerate, EnumerationConfig};
 
 /// When and how often the executor may re-optimize a running job.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -93,10 +93,11 @@ pub fn worst_drift(
     worst
 }
 
-impl MultiPlatformOptimizer {
-    /// Re-enumerate the pending suffix of `plan` with this optimizer's own
-    /// models, so a re-plan prices platforms exactly as the original pass
-    /// did — except with true cardinalities and the latest kernel rates.
+impl RheemContext {
+    /// Re-enumerate the pending suffix of `plan` with the optimizer's own
+    /// models and the job's thread budget, so a re-plan prices platforms
+    /// exactly as the original pass did — except with true cardinalities
+    /// and the latest kernel rates.
     ///
     /// `executed` holds the *positions* (indices into `plan.atoms`) of
     /// atoms that already committed; `live` maps materialized boundary
@@ -117,7 +118,6 @@ impl MultiPlatformOptimizer {
         plan: &ExecutionPlan,
         executed: &HashSet<usize>,
         live: &HashMap<NodeId, Dataset>,
-        registry: &PlatformRegistry,
         excluded: &[String],
         next_atom_id: &mut usize,
     ) -> Result<ExecutionPlan> {
@@ -192,14 +192,25 @@ impl MultiPlatformOptimizer {
         }
         let temp = PhysicalPlan::from_nodes(temp_nodes);
         temp.validate()?;
-        let suffix = enumerate_excluding(
+        let optimizer = &self.optimizer;
+        let configured = &optimizer.config.enumeration;
+        let config = EnumerationConfig {
+            excluded_platforms: configured
+                .excluded_platforms
+                .iter()
+                .chain(excluded)
+                .cloned()
+                .collect(),
+            ..configured.clone()
+        };
+        let suffix = enumerate(
             Arc::new(temp),
-            registry,
-            &self.estimator,
-            &self.movement,
-            &self.config.enumeration,
-            &self.calibration,
-            excluded,
+            &self.platforms,
+            &optimizer.estimator,
+            &optimizer.movement,
+            &config,
+            &optimizer.calibration,
+            &self.execution.kernel_parallelism,
         )?;
 
         // 3: translate back to the original node-id space.

@@ -317,7 +317,6 @@ impl<E: Engine> Run<'_, E> {
                     // kernels stay sequential.
                     morsels: 1,
                     columnar,
-                    partitioned: true,
                     spilled_rows: self.spilled_rows - before.2,
                     spill_ms: self.spill_ms - before.3,
                 });

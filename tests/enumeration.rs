@@ -58,6 +58,7 @@ fn oracle_cost(ctx: &RheemContext, plan: &rheem_core::PhysicalPlan) -> (Vec<Stri
         &opt.movement,
         &opt.config.enumeration,
         &opt.calibration,
+        ctx.kernel_parallelism(),
     )
     .expect("oracle enumerates")
 }
@@ -71,6 +72,7 @@ fn canonical_assignment_cost(ctx: &RheemContext, exec: &ExecutionPlan) -> f64 {
         &opt.estimator,
         &opt.movement,
         &opt.calibration,
+        ctx.kernel_parallelism(),
     )
     .expect("assignment prices")
 }
@@ -152,10 +154,10 @@ fn build_plan(ops: &[GenOp]) -> rheem_core::PhysicalPlan {
     b.build().expect("generated plan is valid")
 }
 
-/// Rate-table injections: (kernel, partitioned engines, µs per work unit),
-/// applied to every node of that kernel. Kernels that match nothing in a
-/// particular plan simply have no effect.
-fn gen_calibration() -> impl Strategy<Value = Vec<(&'static str, bool, f64)>> {
+/// Rate-table injections: (kernel, µs per work unit), applied to every
+/// node of that kernel. Kernels that match nothing in a particular plan
+/// simply have no effect.
+fn gen_calibration() -> impl Strategy<Value = Vec<(&'static str, f64)>> {
     let kernel = prop_oneof![
         Just("Map"),
         Just("Filter"),
@@ -164,7 +166,7 @@ fn gen_calibration() -> impl Strategy<Value = Vec<(&'static str, bool, f64)>> {
         Just("Union"),
         Just("CollectSink"),
     ];
-    proptest::collection::vec((kernel, any::<bool>(), 0.001f64..1.0), 0..4)
+    proptest::collection::vec((kernel, 0.001f64..1.0), 0..4)
 }
 
 /// EnumerationConfig variations the oracle comparison sweeps over.
@@ -200,10 +202,10 @@ proptest! {
         let plan = build_plan(&ops);
 
         let mut ctx = v2_context();
-        for (kernel, partitioned, us_per_unit) in &calib {
+        for (kernel, us_per_unit) in &calib {
             // One observation at one size: the rate becomes `us_per_unit`.
             for node in plan.nodes().iter().filter(|n| n.op.kernel() == *kernel) {
-                let key = rheem_core::KernelKey::of(&node.op, *partitioned);
+                let key = rheem_core::KernelKey::of(&node.op);
                 ctx.optimizer().calibration.observe(key, 1_000.0, *us_per_unit);
             }
         }
@@ -288,6 +290,7 @@ fn v2_matches_oracle_on_fixed_plan() {
         &opt.estimator,
         &opt.movement,
         &opt.calibration,
+        ctx.kernel_parallelism(),
     )
     .unwrap();
     assert_close(oracle_priced, oracle, "oracle self-consistency");
@@ -511,6 +514,7 @@ fn oracle_rejects_oversized_plans() {
         &opt.movement,
         &EnumerationConfig::default(),
         &opt.calibration,
+        ctx.kernel_parallelism(),
     )
     .unwrap_err();
     assert!(matches!(err, RheemError::Optimizer(_)), "{err}");

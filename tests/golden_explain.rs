@@ -130,10 +130,11 @@ fn explain_observed_without_estimates_says_so() {
 }
 
 /// A ~100-operator plan for the enumeration view: four 24-node linear
-/// branches (source → 22 maps → group-by) merged by a union tree into one
-/// sink. Large enough that only a contracted enumeration can handle it,
-/// regular enough that the rendering stays reviewable.
+/// branches (source → 22 maps → a counting group-by) merged by a union
+/// tree into one sink. Large enough that only a contracted enumeration can
+/// handle it, regular enough that the rendering stays reviewable.
 fn wide_golden_plan() -> PhysicalPlan {
+    use rheem_core::udf::{AggFunc, Aggregate, GroupOutput};
     let mut b = PlanBuilder::new();
     let mut branches = Vec::new();
     for br in 0..4 {
@@ -149,12 +150,14 @@ fn wide_golden_plan() -> PhysicalPlan {
                 }),
             );
         }
+        let count = GroupOutput::Agg(Aggregate {
+            func: AggFunc::Count,
+            arg: None,
+        });
         cur = b.group_by(
             cur,
             KeyUdf::field(0),
-            GroupMapUdf::new("tally", |k, members| {
-                vec![Record::new(vec![k.clone(), (members.len() as i64).into()])]
-            }),
+            GroupMapUdf::from_aggs("tally", vec![GroupOutput::First(0), count]),
         );
         branches.push(cur);
     }
@@ -167,28 +170,36 @@ fn wide_golden_plan() -> PhysicalPlan {
 
 #[test]
 fn golden_explain_enumeration() {
-    use rheem_core::{EnumerationPath, KernelKey};
+    use rheem_core::{EnumerationPath, KernelKey, KernelParallelism};
 
-    let mut ctx = test_context();
+    // Eight kernel threads over 250-row morsels: java runs a 2 000-row
+    // row map eight morsels at once, faster than mapreduce's four workers,
+    // while the counting group-by runs on its chunk kernel, whole.
+    let mut ctx = test_context().with_kernel_parallelism(
+        KernelParallelism::sequential()
+            .with_threads(8)
+            .with_morsel_size(250)
+            .with_min_rows(1),
+    );
     let optimizer = std::mem::take(ctx.optimizer_mut());
     *ctx.optimizer_mut() = optimizer.without_rewrites();
-    // Deterministic rate pressure: make the group-by ruinous in process,
-    // so it is worth spreading over a partitioned engine despite the job
-    // setup, and keep the map chains off the partitioned engines, so the
-    // crossing happens at the group boundary instead of the whole branch
-    // migrating. Sparklike (memory channels, the cheaper partitioned
-    // engine) and relational (which writes files itself) are excluded, so
-    // the chosen plan crosses from java into mapreduce's File channels and
-    // back, and the view shows real conversion routes — serialize on the
-    // way in, deserialize on the way out — not just free hand-offs.
+    // Deterministic rate pressure: make the maps dear enough that they stay
+    // where they split most, in process, and the group-by ruinous, so it is
+    // worth spreading over a partitioned engine despite the job setup:
+    // the crossing happens at the group boundary instead of the whole
+    // branch migrating. Sparklike (memory channels, the cheaper
+    // partitioned engine) and relational (which writes files itself) are
+    // excluded, so the chosen plan crosses from java into mapreduce's File
+    // channels, and the view shows real conversion routes — serialize on
+    // the way in — not just free hand-offs.
     let plan = wide_golden_plan();
     let op = |kernel: &str| {
         let node = plan.nodes().iter().find(|n| n.op.kernel() == kernel);
         node.expect("the plan has the kernel").op.clone()
     };
     let calibration = &ctx.optimizer().calibration;
-    calibration.observe(KernelKey::of(&op("HashGroupBy"), false), 2_000.0, 1_000.0);
-    calibration.observe(KernelKey::of(&op("Map"), true), 2_000.0, 500.0);
+    calibration.observe(KernelKey::of(&op("HashGroupBy")), 2_000.0, 1_000.0);
+    calibration.observe(KernelKey::of(&op("Map")), 2_000.0, 4.0);
     ctx.optimizer_mut()
         .config
         .enumeration

@@ -279,29 +279,39 @@ fn parallel_counters_replay_at_one_budget() {
     assert_eq!(first, second);
 }
 
-/// An in-process engine's kernel time is wall time at the job's thread
-/// budget: a morsel-parallel job teaches the in-process engines' rates only,
-/// never the partitioned engines', whose tasks run sequentially and would
-/// otherwise be priced by a time the morsels already divided.
+/// An in-process kernel records its sequential work: its wall time plus
+/// what its morsels ran beyond it on other threads. A map that sleeps 1 ms
+/// a row, over 64 rows in four 16-row morsels on 4 threads, sleeps 64 ms in
+/// all, in about a quarter of that wall time. A sleep never runs short, so
+/// neither bound can flake.
 #[test]
-fn a_morsel_parallel_job_fits_only_in_process_rates() {
-    let observe = Arc::new(Observability::new());
+fn an_in_process_kernel_records_its_sequential_work() {
     let p = KernelParallelism::sequential()
         .with_threads(4)
         .with_morsel_size(16)
         .with_min_rows(1);
+    let mut b = PlanBuilder::new();
+    let src = b.collection("s", (0..64i64).map(|i| rec![i]).collect::<Vec<_>>());
+    let slept = b.map(
+        src,
+        MapUdf::new("sleep", |r| {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            r.clone()
+        }),
+    );
+    b.collect(slept);
     let ctx = test_context()
         .with_kernel_parallelism(p)
-        .with_observability(observe.clone())
         .force_platform("java");
-    ctx.execute(workload_plan()).unwrap();
-    assert!(
-        observe
-            .metrics()
-            .counter_value("kernel.parallel.invocations")
-            > 0
-    );
-    let rates = observe.calibration().snapshot();
-    assert!(!rates.is_empty());
-    assert!(rates.iter().all(|(key, _)| !key.partitioned), "{rates:?}");
+    let result = ctx.execute(b.build().unwrap()).unwrap();
+    let map = result
+        .stats
+        .atoms
+        .iter()
+        .flat_map(|a| &a.node_observations)
+        .find(|o| o.op.starts_with("Map"))
+        .expect("the map was observed");
+    assert_eq!(map.morsels, 4, "{map:?}");
+    assert!(map.work_ms >= 64.0, "{map:?}");
+    assert!(map.work_ms >= 2.0 * map.elapsed_ms, "{map:?}");
 }

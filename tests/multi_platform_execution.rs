@@ -57,10 +57,8 @@ fn optimizer_splits_plans_across_platforms_when_profitable() {
         .iter()
         .find(|n| n.op.kernel() == "ReduceByKey")
         .unwrap();
-    for partitioned in [false, true] {
-        let key = rheem_core::KernelKey::of(&reduce.op, partitioned);
-        ctx.optimizer().calibration.observe(key, 100_050.0, 100.0);
-    }
+    let key = rheem_core::KernelKey::of(&reduce.op);
+    ctx.optimizer().calibration.observe(key, 100_050.0, 100.0);
     let exec = ctx.optimize(plan).unwrap();
     let platforms: std::collections::HashSet<&str> =
         exec.assignments.iter().map(String::as_str).collect();
@@ -135,11 +133,11 @@ fn a_slow_closure_does_not_reprice_another_map() {
     let spin_map = &spin.nodes()[1].op;
     let fitted = observe
         .calibration()
-        .rate(rheem_core::KernelKey::of(spin_map, false));
+        .rate(rheem_core::KernelKey::of(spin_map));
     assert_eq!(fitted.samples, 5);
     let seeded = observe
         .calibration()
-        .rate(rheem_core::KernelKey::new("Map", false, false));
+        .rate(rheem_core::KernelKey::new("Map", false));
     assert!(
         fitted.us(4_000.0) > 100.0 * seeded.us(4_000.0),
         "{fitted:?}"

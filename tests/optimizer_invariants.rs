@@ -249,6 +249,7 @@ fn canonical_cost(ctx: &RheemContext, exec: &ExecutionPlan) -> f64 {
         &opt.estimator,
         &opt.movement,
         &opt.calibration,
+        ctx.kernel_parallelism(),
     )
     .expect("assignment prices")
 }

@@ -14,8 +14,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rheem_core::udf::{FilterUdf, MapUdf};
 use rheem_core::{
-    Expr, JobResult, KernelKey, Observability, PhysicalPlan, PlanBuilder, PlanCache,
-    PlanCacheConfig, Record, Value,
+    Expr, JobResult, KernelKey, KernelParallelism, Observability, PhysicalPlan, PlanBuilder,
+    PlanCache, PlanCacheConfig, Record, Value,
 };
 use rheem_platforms::test_context;
 
@@ -146,7 +146,7 @@ fn drift_past_threshold_flips_hit_to_miss_via_metrics() {
 
     // Drift the fused pipeline's kernel rate by 100× — far past the 0.5
     // threshold.
-    let pipeline = KernelKey::new("ChunkPipeline", true, false);
+    let pipeline = KernelKey::new("ChunkPipeline", true);
     let seeded_us = observe.calibration().rate(pipeline).us(1_000.0);
     observe
         .calibration()
@@ -213,4 +213,16 @@ fn opaque_entries_are_scope_isolated_but_declarative_entries_are_shared() {
         stats.hits + 1,
         "declarative entry did not share"
     );
+
+    // ...but not across thread budgets: an in-process price divides by the
+    // budget's morsel speedup.
+    let threads = session_a.kernel_parallelism().threads + 1;
+    let session_c = test_context()
+        .with_plan_cache(cache.clone())
+        .with_kernel_parallelism(KernelParallelism::sequential().with_threads(threads));
+    let stats = cache.stats();
+    session_c.optimize(declarative_plan(&rows, 3, 1)).unwrap();
+    let after = cache.stats();
+    assert_eq!(after.hits, stats.hits, "an entry leaked across budgets");
+    assert_eq!(after.misses, stats.misses + 1);
 }

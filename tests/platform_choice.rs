@@ -4,12 +4,13 @@
 //! For every row — the five statements the served benchmark repeats, at
 //! 1 000, 20 000 and 200 000 rows, and the two Figure 2 SVM sizes that
 //! bracket its Java/Spark crossover — the free optimizer's plan on
-//! `full_context()` is run against every platform forced in turn, and
-//! `regret = chosen / best forced` simulated ms (medians of the same build)
-//! must stay ≤ 1.05: once from a cold context, whose kernel rates are the
-//! seeds, and once after a warm-up at mixed sizes has fitted them. A plan
-//! never lands on mapreduce, whose overheads `full_context()` really
-//! sleeps.
+//! `full_context()` is run against every platform forced in turn, at the
+//! same thread budget, and `regret = chosen / best forced` simulated ms
+//! (medians of the same build) must stay ≤ 1.05: at budgets of 1 and 2
+//! threads (an in-process price divides by the budget's morsel speedup),
+//! once from a cold context, whose kernel rates are the seeds, and once
+//! after a warm-up at mixed sizes has fitted them. A plan never lands on
+//! mapreduce, whose overheads `full_context()` really sleeps.
 //!
 //! Regret is a statement about release-built kernels, whose speed the
 //! seeded rates describe; a debug build's kernels are an order of magnitude
@@ -18,7 +19,7 @@
 use std::sync::Arc;
 
 use rheem::prelude::*;
-use rheem_core::{ExecutionPlan, Observability};
+use rheem_core::{ExecutionPlan, KernelParallelism, Observability};
 use rheem_datagen::libsvm::{generate, LibsvmConfig};
 use rheem_ml::SvmTrainer;
 use rheem_platforms::full_context;
@@ -46,6 +47,14 @@ const FORCED: [&str; 3] = ["java", "sparklike", "relational"];
 const RUNS: usize = 3;
 
 const MAX_REGRET: f64 = 1.05;
+
+/// The thread budgets every row is checked at.
+const BUDGETS: [usize; 2] = [1, 2];
+
+/// `full_context()` at a budget of `threads`.
+fn budget_context(threads: usize) -> RheemContext {
+    full_context().with_kernel_parallelism(KernelParallelism::sequential().with_threads(threads))
+}
 
 /// splitmix64, so the tables need no crate.
 fn splitmix(state: &mut u64) -> u64 {
@@ -137,14 +146,15 @@ fn best_forced(forced: &[(&str, f64)]) -> f64 {
 }
 
 /// Regret of the plan `ctx` chooses for `sql`: its median simulated ms
-/// over the best forced platform's. A plan wholly on one platform is the
-/// plan forcing that platform gives, so it is charged that platform's
-/// forced median; any other plan is run and timed itself.
+/// over the best forced platform's, at `ctx`'s thread budget. A plan wholly
+/// on one platform is the plan forcing that platform gives, so it is
+/// charged that platform's forced median; any other plan is run and timed
+/// itself.
 fn statement_regret(catalog: &QueryCatalog, ctx: &RheemContext, sql: &str) -> (Vec<String>, f64) {
     let forced: Vec<(&str, f64)> = FORCED
         .iter()
         .map(|&p| {
-            let forced = full_context().force_platform(p);
+            let forced = budget_context(ctx.kernel_parallelism().threads).force_platform(p);
             let runs = (0..RUNS)
                 .map(|_| {
                     catalog
@@ -176,9 +186,10 @@ fn statement_regret(catalog: &QueryCatalog, ctx: &RheemContext, sql: &str) -> (V
     (chosen.assignments, chosen_ms / best_forced(&forced))
 }
 
-/// A context with the rate table fed by every job it runs, as a server's.
-fn observed_context() -> RheemContext {
-    full_context().with_observability(Arc::new(Observability::new()))
+/// A context at a budget of `threads` with the rate table fed by every job
+/// it runs, as a server's.
+fn observed_context(threads: usize) -> RheemContext {
+    budget_context(threads).with_observability(Arc::new(Observability::new()))
 }
 
 fn check_statements(ctx: &RheemContext, label: &str) {
@@ -211,7 +222,12 @@ fn check_statements(ctx: &RheemContext, label: &str) {
     ignore = "regret is a claim about release-built kernels"
 )]
 fn served_statements_pick_the_cheapest_platform_from_a_cold_context() {
-    check_statements(&observed_context(), "cold");
+    for threads in BUDGETS {
+        check_statements(
+            &observed_context(threads),
+            &format!("cold, {threads} thread(s)"),
+        );
+    }
 }
 
 #[test]
@@ -220,16 +236,18 @@ fn served_statements_pick_the_cheapest_platform_from_a_cold_context() {
     ignore = "regret is a claim about release-built kernels"
 )]
 fn served_statements_pick_the_cheapest_platform_after_a_mixed_size_warm_up() {
-    let ctx = observed_context();
     let catalogs: Vec<QueryCatalog> = SIZES.iter().map(|&rows| catalog(rows)).collect();
-    for _ in 0..3 {
-        for catalog in &catalogs {
-            for sql in FIVE {
-                catalog.execute(&ctx, sql).unwrap();
+    for threads in BUDGETS {
+        let ctx = observed_context(threads);
+        for _ in 0..3 {
+            for catalog in &catalogs {
+                for sql in FIVE {
+                    catalog.execute(&ctx, sql).unwrap();
+                }
             }
         }
+        check_statements(&ctx, &format!("warm, {threads} thread(s)"));
     }
-    check_statements(&ctx, "warm");
 }
 
 /// Figure 2's SVM, shortened to 10 iterations, at two of its sizes: the
@@ -284,37 +302,41 @@ fn svm_regret(
     ignore = "regret is a claim about release-built kernels"
 )]
 fn figure_2_rows_around_the_crossover_pick_the_cheapest_platform() {
-    let warm = observed_context();
-    for rows in [1_000, 10_000, 50_000] {
-        svm_ms(&warm, rows);
-    }
-    for rows in SVM_ROWS {
-        // Relational runs no loop; mapreduce sleeps its overheads, so it
-        // is timed once.
-        let forced: Vec<(&str, f64)> = [("java", RUNS), ("sparklike", RUNS), ("mapreduce", 1)]
-            .into_iter()
-            .map(|(p, runs)| {
-                let ms = (0..runs)
-                    .map(|_| svm_ms(&full_context().force_platform(p), rows).1)
-                    .collect();
-                (p, median(ms))
-            })
-            .collect();
-        let contexts: [(&str, &dyn Fn() -> RheemContext); 2] =
-            [("cold", &observed_context), ("warm", &|| warm.clone())];
-        for (label, ctx_for_run) in contexts {
-            let (platforms, regret) = svm_regret(rows, &forced, &ctx_for_run);
-            eprintln!(
-                "{label}: SVM at {rows} rows on {platforms:?}: regret {regret:.3} ({forced:?})"
-            );
-            assert!(
-                !platforms.iter().any(|p| p == "mapreduce"),
-                "{label}: SVM at {rows} rows lands on mapreduce"
-            );
-            assert!(
-                regret <= MAX_REGRET,
-                "{label}: SVM at {rows} rows on {platforms:?}: regret {regret:.3}"
-            );
+    for threads in BUDGETS {
+        let warm = observed_context(threads);
+        for rows in [1_000, 10_000, 50_000] {
+            svm_ms(&warm, rows);
+        }
+        for rows in SVM_ROWS {
+            // Relational runs no loop; mapreduce sleeps its overheads, so
+            // it is timed once.
+            let forced: Vec<(&str, f64)> = [("java", RUNS), ("sparklike", RUNS), ("mapreduce", 1)]
+                .into_iter()
+                .map(|(p, runs)| {
+                    let ms = (0..runs)
+                        .map(|_| svm_ms(&budget_context(threads).force_platform(p), rows).1)
+                        .collect();
+                    (p, median(ms))
+                })
+                .collect();
+            let cold = || observed_context(threads);
+            let contexts: [(&str, &dyn Fn() -> RheemContext); 2] =
+                [("cold", &cold), ("warm", &|| warm.clone())];
+            for (label, ctx_for_run) in contexts {
+                let label = format!("{label}, {threads} thread(s)");
+                let (platforms, regret) = svm_regret(rows, &forced, &ctx_for_run);
+                eprintln!(
+                    "{label}: SVM at {rows} rows on {platforms:?}: regret {regret:.3} ({forced:?})"
+                );
+                assert!(
+                    !platforms.iter().any(|p| p == "mapreduce"),
+                    "{label}: SVM at {rows} rows lands on mapreduce"
+                );
+                assert!(
+                    regret <= MAX_REGRET,
+                    "{label}: SVM at {rows} rows on {platforms:?}: regret {regret:.3}"
+                );
+            }
         }
     }
 }
