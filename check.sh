@@ -56,12 +56,13 @@ if grep -rnE 'EnumerationStrategy|with_enumeration_v2|enumerate_with_config|max_
 fi
 
 # One fusion pass, one declarative fold, one way to price a kernel, one
-# shape of a registered table: the closure-composing map/filter fusion, the
-# per-field reduce spec, the declared kernel-thread speedup, the
-# `observe-json` feature and the REGISTER row fallback's path counters stay
-# deleted.
-echo "==> closed forks: no second fusion, reduce spec, declared speedup, observe feature or row-registered table"
-if grep -rnE 'FieldReduce|ReduceUdf::from_spec|fn fuse_maps|fn fuse_filters|\bkernel_threads\b|observe-json|server\.register\.path' \
+# shape of a registered table, one comparison semantics: the
+# closure-composing map/filter fusion, the per-field reduce spec, the
+# declared kernel-thread speedup, the `observe-json` feature, the REGISTER
+# row fallback's path counters, and the expression IR's total-order
+# comparisons and non-SQL division stay deleted.
+echo "==> closed forks: no second fusion, reduce spec, declared speedup, observe feature, row-registered table or comparison family"
+if grep -rnE 'FieldReduce|ReduceUdf::from_spec|fn fuse_maps|fn fuse_filters|\bkernel_threads\b|observe-json|server\.register\.path|BinOp::(Eq|Ne|Lt|Le|Gt|Ge|Div)\b' \
     crates src tests examples; then
   echo "a deleted fork is named again"; exit 1
 fi
@@ -171,6 +172,27 @@ for spec in 'crates/server/src/service.rs:pub fn submit_handle<:pub fn cancel_jo
     echo "$file resolves a metric by name between '$from' and '$to'"; exit 1
   fi
 done
+
+# The system is described once: DESIGN.md as it stands, in at most
+# 40 000 B and with no per-change history (that is CHANGES.md's), README.md
+# in at most 12 000 B, pointing to it; and every `DESIGN.md §N` reference
+# names one of its `## N.` headings.
+echo "==> docs: sizes, no change history in DESIGN.md, section references resolve"
+design_bytes=$(wc -c < DESIGN.md)
+readme_bytes=$(wc -c < README.md)
+if [ "$design_bytes" -gt 40000 ] || [ "$readme_bytes" -gt 12000 ]; then
+  echo "DESIGN.md is $design_bytes B (at most 40000), README.md $readme_bytes B (at most 12000)"; exit 1
+fi
+if grep -nE 'PR [0-9]+' DESIGN.md; then
+  echo "DESIGN.md names a change; history belongs in CHANGES.md"; exit 1
+fi
+unresolved=0
+while IFS= read -r ref; do
+  if ! grep -qE "^## ${ref##*§}\. " DESIGN.md; then
+    echo "$ref: DESIGN.md has no section ${ref##*§}"; unresolved=1
+  fi
+done < <(grep -rnoE 'DESIGN\.md`? §[0-9]+' crates src tests examples README.md EXPERIMENTS.md .claude)
+[ "$unresolved" = 0 ] || exit 1
 
 echo "==> cargo build --release"
 cargo build --release

@@ -1,4 +1,4 @@
-//! Prints every ablation (A–F, see DESIGN.md §5) and the scheduling,
+//! Prints every ablation (A–F, see DESIGN.md §1) and the scheduling,
 //! re-planning and failover reports.
 //!
 //! Usage: `cargo run -p rheem-bench --bin ablation_table --release [--quick]`

@@ -1,7 +1,7 @@
 //! # rheem-bench
 //!
 //! The benchmark harness regenerating every evaluation artifact of the
-//! paper (see DESIGN.md §5 for the experiment index):
+//! paper (see DESIGN.md §1 for the experiment index):
 //!
 //! * [`fig2`] — SVM on the Spark-like engine vs. the single-process engine
 //!   across dataset sizes (paper Figure 2);

@@ -107,7 +107,7 @@ impl RheemContext {
 
     /// Set a job's thread budget (defaults to the host's available
     /// parallelism). A wave runs `min(threads, atoms in the wave)` atoms
-    /// at once and each atom's morsel-driven kernels (`DESIGN.md` §10) get
+    /// at once and each atom's morsel-driven kernels (`DESIGN.md` §5) get
     /// `threads / width`, so the two never multiply; `threads = 1` runs one
     /// atom at a time on the sequential kernels. Outputs and the work stats
     /// record are identical at any setting.
@@ -126,7 +126,7 @@ impl RheemContext {
         self
     }
 
-    /// Install fault tolerance (see `DESIGN.md` §9): backoff between
+    /// Install fault tolerance (see `DESIGN.md` §4): backoff between
     /// retry attempts, per-platform circuit breakers shared across this
     /// context's jobs, and — when `policy.failover` is set — failover
     /// re-planning that re-routes the unexecuted suffix of a job around
@@ -200,7 +200,7 @@ impl RheemContext {
     /// Install a cooperative [`CancelToken`] observed by every job this
     /// context runs: checked at wave boundaries, between retry attempts,
     /// between interpreted operators, and at morsel granularity inside
-    /// parallel kernels (see `DESIGN.md` §14). Cancelling the token makes
+    /// parallel kernels (see `DESIGN.md` §4). Cancelling the token makes
     /// in-flight jobs fail with [`crate::RheemError::Cancelled`].
     pub fn with_cancel_token(mut self, cancel: CancelToken) -> Self {
         self.execution.cancel = Some(cancel);

@@ -16,7 +16,7 @@ use std::fmt;
 use crate::plan::NodeId;
 
 /// Coarse failure taxonomy driving the executor's retry policy (§4.2 duty
-/// iii — see `DESIGN.md` §9).
+/// iii — see `DESIGN.md` §4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ErrorKind {
     /// The operation may succeed if simply retried on the same platform
@@ -27,7 +27,7 @@ pub enum ErrorKind {
     /// (type errors, invalid plans, unknown platforms). The executor fails
     /// fast after exactly one attempt. `panic: true` marks the subclass
     /// caught by the executor's unwind barrier — a UDF or kernel panicked
-    /// rather than returning an error (see `DESIGN.md` §14).
+    /// rather than returning an error (see `DESIGN.md` §4).
     Permanent {
         /// The failure was a caught panic, not a returned error.
         panic: bool,

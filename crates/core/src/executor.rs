@@ -1009,7 +1009,7 @@ fn compute_waves(deps: &[Vec<usize>]) -> Result<Vec<Vec<usize>>> {
 /// poisoned closure fails its job with a clean error instead of
 /// unwinding through the wave scheduler and taking the worker thread
 /// down. Platforms and UDFs are wrapped in `AssertUnwindSafe` under the
-/// unwind-safety contract of `DESIGN.md` §14: a failed atom's inputs
+/// unwind-safety contract of `DESIGN.md` §4: a failed atom's inputs
 /// and outputs are discarded wholesale and never re-observed, so
 /// partially mutated state cannot leak.
 fn run_guarded(

@@ -1,6 +1,6 @@
 //! Fault tolerance: retry backoff, per-platform circuit breakers, and the
 //! policy knobs behind the executor's failover re-planning (§4.2 duty iii,
-//! `DESIGN.md` §9).
+//! `DESIGN.md` §4).
 //!
 //! Three cooperating pieces:
 //!
@@ -57,7 +57,7 @@ pub fn fnv1a(s: &str) -> u64 {
 }
 
 /// A shared, cooperative cancellation flag threaded from the server edge
-/// down to the morsel loop (see `DESIGN.md` §14).
+/// down to the morsel loop (see `DESIGN.md` §4).
 ///
 /// Cloning shares the flag: the server keeps one clone per in-flight job,
 /// the executor checks another at its checkpoints (wave boundaries, retry

@@ -2,7 +2,7 @@
 //! open-addressing slot tables shared by the keyed chunk kernels
 //! ([`super::chunked`]) and the morsel layer ([`super::parallel`]).
 //!
-//! Three pieces compose (see `DESIGN.md` §11):
+//! Three pieces compose (see `DESIGN.md` §5):
 //!
 //! 1. **Hashing** — a hand-rolled non-cryptographic hasher (FNV-1a over
 //!    string bytes, a splitmix64-style finalizer over scalar payloads; no

@@ -75,7 +75,7 @@ thread_local! {
 }
 
 /// Install `token` as the ambient morsel-cancellation scope while `f`
-/// runs on this thread (see `DESIGN.md` §14). Nested scopes restore the
+/// runs on this thread (see `DESIGN.md` §4). Nested scopes restore the
 /// previous token on exit, panic included. Once `token` fires, every
 /// parallel kernel invoked under the scope degenerates to empty-range
 /// morsels — its (truncated) output must be discarded by a caller-level

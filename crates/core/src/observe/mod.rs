@@ -2,7 +2,7 @@
 //!
 //! A job's own record is the [`ExecutionStats`] returned with its
 //! `JobResult` — per atom, per operator kernel — which
-//! `ExecutionPlan::explain_observed` renders. Around it (see `DESIGN.md` §7):
+//! `ExecutionPlan::explain_observed` renders. Around it (see `DESIGN.md` §8):
 //!
 //! - [`metrics`] — a lock-cheap [`MetricsRegistry`] of counters, gauges,
 //!   and fixed-bound histograms. The executor, optimizer, and the storage

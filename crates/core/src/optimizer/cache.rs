@@ -1,5 +1,5 @@
 //! Plan cache: reuse enumeration results across jobs that submit the same
-//! plan (RHEEMix-style; see `DESIGN.md` §13).
+//! plan (RHEEMix-style; see `DESIGN.md` §4).
 //!
 //! With the lattice enumerator, producing an [`ExecutionPlan`] is expensive
 //! but the result is a reusable artifact: the assignments, atoms, and

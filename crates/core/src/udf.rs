@@ -731,8 +731,8 @@ mod tests {
         let udf = FilterUdf::from_expr("lt10", Expr::field(0).lt(Expr::lit(10i64)));
         assert!((udf.f)(&rec![5i64]));
         assert!(!(udf.f)(&rec![15i64]));
-        // Null comparison follows Value::cmp: Null < Int(10) is true.
-        assert!((udf.f)(&Record::new(vec![Value::Null])));
+        // `Null < 10` is unknown, and a filter keeps only `true`.
+        assert!(!(udf.f)(&Record::new(vec![Value::Null])));
         assert!(udf.expr.is_some());
     }
 

@@ -46,7 +46,6 @@ impl Client {
             tenant: tenant.to_string(),
         })? {
             Response::Ok => Ok(client),
-            Response::Err { message } => Err(WireError::Malformed(message)),
             other => Err(WireError::Malformed(format!(
                 "unexpected HELLO reply: {other:?}"
             ))),
@@ -59,10 +58,13 @@ impl Client {
         self.response()
     }
 
-    /// Read one response.
+    /// Read one response; an ERR answer is [`WireError::Server`].
     fn response(&mut self) -> WireResult<Response> {
         match read_frame_into(&mut self.stream, None, &mut self.body)? {
-            FrameRead::Frame => Response::decode(&self.body),
+            FrameRead::Frame => match Response::decode(&self.body)? {
+                Response::Err { message } => Err(WireError::Server(message)),
+                response => Ok(response),
+            },
             FrameRead::Eof | FrameRead::Idle => {
                 Err(WireError::Malformed("server closed the connection".into()))
             }
@@ -79,14 +81,13 @@ impl Client {
         drop(rows);
         match self.response()? {
             Response::Ok => Ok(()),
-            Response::Err { message } => Err(WireError::Malformed(message)),
             other => Err(WireError::Malformed(format!(
                 "unexpected REGISTER reply: {other:?}"
             ))),
         }
     }
 
-    /// Execute a query; `Err(Malformed)` carries server-side errors
+    /// Execute a query; `Err(Server)` carries server-side errors
     /// (planning failures, admission rejections, execution failures).
     pub fn query(&mut self, sql: &str) -> WireResult<(Schema, Vec<Record>)> {
         self.query_request(sql, None)
@@ -94,7 +95,7 @@ impl Client {
 
     /// Execute a query with a wall-clock deadline. Queue wait counts
     /// against it: a request that ages out before reaching a worker is
-    /// shed server-side and comes back as `Err(Malformed)` mentioning
+    /// shed server-side and comes back as `Err(Server)` mentioning
     /// the deadline, as does one cancelled mid-execution.
     pub fn query_with_deadline(
         &mut self,
@@ -114,7 +115,6 @@ impl Client {
             deadline_ms,
         })? {
             Response::Rows { schema, rows } => Ok((schema, rows)),
-            Response::Err { message } => Err(WireError::Malformed(message)),
             other => Err(WireError::Malformed(format!(
                 "unexpected QUERY reply: {other:?}"
             ))),
@@ -129,7 +129,6 @@ impl Client {
     pub fn cancel(&mut self, job: u64) -> WireResult<()> {
         match self.call(&Request::Cancel { job })? {
             Response::Ok => Ok(()),
-            Response::Err { message } => Err(WireError::Malformed(message)),
             other => Err(WireError::Malformed(format!(
                 "unexpected CANCEL reply: {other:?}"
             ))),
@@ -140,7 +139,6 @@ impl Client {
     pub fn stats(&mut self) -> WireResult<String> {
         match self.call(&Request::Stats)? {
             Response::Stats { text } => Ok(text),
-            Response::Err { message } => Err(WireError::Malformed(message)),
             other => Err(WireError::Malformed(format!(
                 "unexpected STATS reply: {other:?}"
             ))),

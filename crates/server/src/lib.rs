@@ -1,4 +1,4 @@
-//! Multi-tenant job service over the RHEEM core (DESIGN.md §13).
+//! Multi-tenant job service over the RHEEM core (DESIGN.md §7).
 //!
 //! The embedded [`rheem_core::RheemContext`] is a library: one process, one
 //! job at a time, full trust. This crate turns it into a *service*: a

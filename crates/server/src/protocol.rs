@@ -44,13 +44,18 @@ use rheem_core::{Chunk, Column, ColumnBuilder, DataType, Dataset, Record, Schema
 /// prefix must not make the server attempt an unbounded allocation.
 pub const MAX_FRAME: usize = 16 << 20;
 
-/// A protocol-level error (I/O or malformed frame).
+/// A protocol-level error: I/O, a malformed frame, or the server's answer.
 #[derive(Debug)]
 pub enum WireError {
     /// Underlying socket error.
     Io(std::io::Error),
-    /// Frame violated the encoding (bad opcode, bad tag, overlong, ...).
+    /// Frame violated the encoding (bad opcode, bad tag, overlong, ...), or
+    /// the server closed the connection.
     Malformed(String),
+    /// The server answered the request with an error (a planning or
+    /// execution failure, an admission rejection, a refused table or
+    /// result); the session goes on.
+    Server(String),
 }
 
 impl std::fmt::Display for WireError {
@@ -58,6 +63,7 @@ impl std::fmt::Display for WireError {
         match self {
             WireError::Io(e) => write!(f, "wire i/o error: {e}"),
             WireError::Malformed(m) => write!(f, "malformed frame: {m}"),
+            WireError::Server(m) => write!(f, "server error: {m}"),
         }
     }
 }
@@ -1558,6 +1564,7 @@ mod tests {
             Err(WireError::Io(e)) => {
                 assert!(idle.is_none() && is_read_timeout(&e), "{e} at cut {cut}")
             }
+            Err(e @ WireError::Server(_)) => panic!("a frame read answered {e}"),
         }
         assert!(
             body.capacity() <= WINDOW + peer.delivered,

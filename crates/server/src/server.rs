@@ -56,7 +56,7 @@
 //! Every session's jobs report into one shared `Observability` hub. It holds
 //! no per-job state and its metrics path is atomics-only, which is what
 //! makes concurrent jobs on one hub safe; a job's own record is the
-//! `ExecutionStats` it returns (see DESIGN.md §13).
+//! `ExecutionStats` it returns (see DESIGN.md §8).
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{Shutdown, TcpListener, TcpStream};

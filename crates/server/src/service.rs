@@ -16,7 +16,7 @@
 //! the client's connection thread, so per-session jobs are naturally
 //! serial while cross-session jobs are concurrent).
 //!
-//! # Deadlines, cancellation, and panic containment (`DESIGN.md` §14)
+//! # Deadlines, cancellation, and panic containment (`DESIGN.md` §7)
 //!
 //! Every admitted job gets a server-assigned id and a
 //! [`CancelToken`], both exposed to the job closure through [`JobRun`].

@@ -1,5 +1,5 @@
 //! Chaos tests for cancellation, deadlines, and panic isolation
-//! (DESIGN.md §14).
+//! (DESIGN.md §7).
 //!
 //! The property under storm: whatever mix of panicking UDFs, pre- and
 //! mid-flight cancels one tenant throws at the service, (a) every

@@ -48,7 +48,7 @@ fn count(client: &mut Client) -> Vec<Record> {
 
 fn refused(client: &mut Client, sql: &str) -> String {
     match client.query(sql) {
-        Err(WireError::Malformed(message)) => message,
+        Err(WireError::Server(message)) => message,
         other => panic!("a statement past the limit answered {other:?}"),
     }
 }

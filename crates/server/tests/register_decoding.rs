@@ -72,7 +72,7 @@ fn verdict(decoded: WireResult<Option<Registration>>) -> String {
         Ok(Some(table)) => table,
         Ok(None) => return "not a REGISTER".into(),
         Err(WireError::Malformed(m)) => return format!("malformed: {m}"),
-        Err(WireError::Io(e)) => panic!("i/o error from an in-memory peer: {e}"),
+        Err(other) => panic!("an in-memory decode answered {other}"),
     };
     let layouts: Vec<String> = table.data.columns().iter().map(layout).collect();
     format!(
@@ -163,7 +163,7 @@ fn assert_refused(frame: &[u8], refusal: &str, rng: &mut Rng) {
     let message = |decoded: WireResult<_>| match decoded {
         Err(WireError::Malformed(m)) => m,
         Ok(_) => panic!("decoded a frame that should be refused with `{refusal}`"),
-        Err(WireError::Io(e)) => panic!("i/o error from an in-memory peer: {e}"),
+        Err(other) => panic!("an in-memory decode answered {other}"),
     };
     assert_eq!(message(Registration::decode(frame).map(|_| ())), refusal);
     assert_eq!(message(Request::decode(frame).map(|_| ())), refusal);

@@ -117,7 +117,7 @@ fn test_stages() -> Vec<PipelineStage> {
             kind: StageKind::Map {
                 exprs: vec![
                     Expr::field(0).add(Expr::field(1)),
-                    Expr::field(0).bin(BinOp::Lt, Expr::field(1)),
+                    Expr::field(0).bin(BinOp::SqlLt, Expr::field(1)),
                     Expr::field(0),
                 ]
                 .into(),
@@ -143,7 +143,7 @@ proptest! {
         let width = records.first().map(|r| r.width()).unwrap_or(1);
 
         // Filter: expression predicate vs the derived row closure.
-        let pred = Expr::field(0).bin(BinOp::Lt, Expr::lit(1i64));
+        let pred = Expr::field(0).bin(BinOp::SqlLt, Expr::lit(1i64));
         let row_filter = FilterUdf::from_expr("p", pred.clone());
         prop_assert_eq!(
             chunked::filter(&chunk, &pred).to_records(),
@@ -153,7 +153,7 @@ proptest! {
         // Map: arithmetic + comparison + null probe, row vs vectorized.
         let exprs = vec![
             Expr::field(0).add(Expr::field(width - 1)),
-            Expr::field(0).bin(BinOp::Le, Expr::field(width - 1)),
+            Expr::field(0).bin(BinOp::SqlLe, Expr::field(width - 1)),
             Expr::IsNull(Arc::new(Expr::field(0))),
         ];
         let row_map = MapUdf::from_exprs("m", exprs.clone());
@@ -314,7 +314,7 @@ fn operators_report_the_path_they_took() {
     let src = b.collection("s", (0..200i64).map(|i| rheem::rec![i % 7, i]).collect());
     let kept = b.filter(
         src,
-        FilterUdf::from_expr("small", Expr::field(1).bin(BinOp::Lt, Expr::lit(150i64))),
+        FilterUdf::from_expr("small", Expr::field(1).bin(BinOp::SqlLt, Expr::lit(150i64))),
     );
     let grouped = b.group_by(
         kept,
@@ -911,7 +911,9 @@ fn typed_lane_matches_scalar(op: BinOp, (left, right): &(Side, Side)) -> TestCas
     Ok(())
 }
 
-/// One property per comparison and arithmetic operator, plain and SQL.
+/// One property per arithmetic operator and two per SQL division and
+/// comparison: the proptest stub seeds a case from its test's name, so the
+/// two names of an operator sample different operands.
 macro_rules! typed_lane_props {
     ($($name:ident => $op:ident),* $(,)?) => {
         proptest! {
@@ -930,14 +932,14 @@ typed_lane_props! {
     prop_typed_add_matches_scalar => Add,
     prop_typed_sub_matches_scalar => Sub,
     prop_typed_mul_matches_scalar => Mul,
-    prop_typed_div_matches_scalar => Div,
+    prop_typed_div_matches_scalar => SqlDiv,
     prop_typed_mod_matches_scalar => Mod,
-    prop_typed_eq_matches_scalar => Eq,
-    prop_typed_ne_matches_scalar => Ne,
-    prop_typed_lt_matches_scalar => Lt,
-    prop_typed_le_matches_scalar => Le,
-    prop_typed_gt_matches_scalar => Gt,
-    prop_typed_ge_matches_scalar => Ge,
+    prop_typed_eq_matches_scalar => SqlEq,
+    prop_typed_ne_matches_scalar => SqlNe,
+    prop_typed_lt_matches_scalar => SqlLt,
+    prop_typed_le_matches_scalar => SqlLe,
+    prop_typed_gt_matches_scalar => SqlGt,
+    prop_typed_ge_matches_scalar => SqlGe,
     prop_typed_sql_div_matches_scalar => SqlDiv,
     prop_typed_sql_eq_matches_scalar => SqlEq,
     prop_typed_sql_ne_matches_scalar => SqlNe,

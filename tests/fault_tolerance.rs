@@ -1,4 +1,4 @@
-//! Fault tolerance end to end (§4.2 duty iii, DESIGN.md §9): classified
+//! Fault tolerance end to end (§4.2 duty iii, DESIGN.md §4): classified
 //! retries with seeded backoff, per-platform circuit breakers, and
 //! failover re-planning around injected platform outages.
 //!

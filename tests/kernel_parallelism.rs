@@ -1,4 +1,4 @@
-//! Morsel-driven kernel parallelism (DESIGN.md §10): every parallel
+//! Morsel-driven kernel parallelism (DESIGN.md §5): every parallel
 //! kernel must be **byte-identical** to its sequential twin at any thread
 //! count and any morsel size, and whole jobs must replay identically —
 //! same outputs, same recorded work ([`testkit::work`]) — across

@@ -543,7 +543,7 @@ fn stages_of(ops: &[PhysicalOp]) -> PhysicalOp {
 /// Every operator in every form it can be written in, over `left`.
 fn forms(left: &[Record]) -> Vec<Form> {
     use Order::{Bag, Sequence};
-    let int_is_small = || Expr::field(INT).bin(BinOp::Lt, Expr::lit(40i64));
+    let int_is_small = || Expr::field(INT).bin(BinOp::SqlLt, Expr::lit(40i64));
     let filter = || PhysicalOp::Filter(FilterUdf::from_expr("small", int_is_small()));
     let map = || {
         PhysicalOp::Map(MapUdf::from_exprs(
