@@ -85,6 +85,14 @@ if grep -rnw 'partitioned' crates/core/src/observe crates/core/src/cost.rs crate
     | grep -vE '^[^:]+:[0-9]+:\s*//'; then
   echo "a rate is keyed by engine kind again"; exit 1
 fi
+# One string type: a value's string, a dictionary entry, a key lane and a
+# decoded wire or storage string are all `Text` (one 8-byte pointer, so a
+# `Value` is 16 bytes and an entry and the values read from it share one
+# allocation); no fat `Arc` of `str` comes back beside it.
+if grep -rnE 'Arc<\s*str\s*>' \
+    crates/core/src/data crates/core/src/kernels crates/server/src/protocol.rs crates/storage/src; then
+  echo "a second string type is back in values, dictionaries, kernels, the wire or storage"; exit 1
+fi
 
 # A job's settings are stated once: the context is the only owner (no
 # `Executor` builder, no schedule mode, no second width), the thread budget

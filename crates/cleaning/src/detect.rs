@@ -22,7 +22,7 @@ use std::sync::Arc;
 use rheem_core::udf::{GroupMapUdf, KeyUdf, MapUdf};
 use rheem_core::{
     CustomPhysicalOp, Dataset, JobResult, NodeId, PhysicalPlan, PlanBuilder, Record, Result,
-    RheemContext,
+    RheemContext, Text,
 };
 
 use crate::iejoin::IeJoinOp;
@@ -43,20 +43,18 @@ pub enum DetectionStrategy {
 }
 
 /// Enumerate violations among a block's members (the `Iterate` + `Detect`
-/// operators fused, as BigDansing's physical plan does).
-fn detect_within(rule: &DenialConstraint, members: &[Record]) -> Vec<Record> {
+/// operators fused, as BigDansing's physical plan does); `name` is the
+/// rule's name, shared by every violation record.
+fn detect_within(rule: &DenialConstraint, name: &Text, members: &[Record]) -> Vec<Record> {
     let mut out = Vec::new();
     for t1 in members {
         for t2 in members {
             if rule.violates(t1, t2).unwrap_or(false) {
-                out.push(
-                    Violation {
-                        rule: rule.name.clone(),
-                        t1: t1.int(rule.id_column).expect("id column"),
-                        t2: t2.int(rule.id_column).expect("id column"),
-                    }
-                    .to_record(),
-                );
+                out.push(Violation::record(
+                    name,
+                    t1.int(rule.id_column).expect("id column"),
+                    t2.int(rule.id_column).expect("id column"),
+                ));
             }
         }
     }
@@ -81,15 +79,16 @@ impl CustomPhysicalOp for MonolithicDetect {
     fn execute(&self, inputs: &[Dataset]) -> Result<Dataset> {
         // Same blocking as the pipeline — but sequential and indivisible.
         let records = inputs[0].records();
+        let name = Text::from(self.rule.name.as_str());
         let mut out = Vec::new();
         match self.rule.blocking_column() {
             Some(col) => {
                 let key = KeyUdf::field(col);
                 for (_, members) in rheem_core::kernels::hash_group(records, &key) {
-                    out.extend(detect_within(&self.rule, &members));
+                    out.extend(detect_within(&self.rule, &name, &members));
                 }
             }
-            None => out.extend(detect_within(&self.rule, records)),
+            None => out.extend(detect_within(&self.rule, &name, records)),
         }
         Ok(Dataset::new(out))
     }
@@ -126,11 +125,12 @@ pub fn build_detection_plan(
                 Some(col) => {
                     // Block + Iterate + Detect.
                     let rule = rebased;
+                    let name = Text::from(rule.name.as_str());
                     b.group_by(
                         scoped,
                         KeyUdf::field(col),
                         GroupMapUdf::new(format!("detect-{}", rule.name), move |_, members| {
-                            detect_within(&rule, members)
+                            detect_within(&rule, &name, members)
                         })
                         .with_per_group_output(2.0),
                     )
@@ -177,15 +177,15 @@ fn theta_pairs(
         Arc::new(move |t1: &Record, t2: &Record| rule_for_join.violates(t1, t2).unwrap_or(false)),
     );
     let width = rule.scope_columns().len();
+    let name = Text::from(rule.name.as_str());
     b.map(
         joined,
         MapUdf::new("to-violation", move |pair: &Record| {
-            Violation {
-                rule: rule.name.clone(),
-                t1: pair.int(rule.id_column).expect("id"),
-                t2: pair.int(width + rule.id_column).expect("id"),
-            }
-            .to_record()
+            Violation::record(
+                &name,
+                pair.int(rule.id_column).expect("id"),
+                pair.int(width + rule.id_column).expect("id"),
+            )
         }),
     )
 }

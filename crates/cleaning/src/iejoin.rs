@@ -21,7 +21,7 @@
 //!
 //! `O(n log n + output)` instead of the cross product's `O(n²)`.
 
-use rheem_core::{CustomPhysicalOp, Dataset, Record, Result, RheemError};
+use rheem_core::{CustomPhysicalOp, Dataset, Record, Result, RheemError, Text};
 
 use crate::rules::{CompOp, DenialConstraint, Violation};
 
@@ -178,16 +178,10 @@ impl CustomPhysicalOp for IeJoinOp {
 
     fn execute(&self, inputs: &[Dataset]) -> Result<Dataset> {
         let pairs = ie_self_join(inputs[0].records(), &self.rule)?;
+        let name = Text::from(self.rule.name.as_str());
         Ok(pairs
             .into_iter()
-            .map(|(t1, t2)| {
-                Violation {
-                    rule: self.rule.name.clone(),
-                    t1,
-                    t2,
-                }
-                .to_record()
-            })
+            .map(|(t1, t2)| Violation::record(&name, t1, t2))
             .collect())
     }
 

@@ -12,7 +12,7 @@
 //! * the FD `zip → state` is `¬(t1.zip = t2.zip ∧ t1.state ≠ t2.state)`;
 //! * the salary rule is `¬(t1.salary > t2.salary ∧ t1.rate < t2.rate)`.
 
-use rheem_core::{Record, Result, Value};
+use rheem_core::{Record, Result, Text, Value};
 
 /// Comparison operators usable in denial-constraint predicates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,7 +49,7 @@ impl CompOp {
                         );
                         x.total_cmp(&y)
                     }
-                    (Value::Str(x), Value::Str(y)) => x.as_ref().cmp(y.as_ref()),
+                    (Value::Str(x), Value::Str(y)) => x.cmp(y),
                     (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
                     _ => return false,
                 };
@@ -223,12 +223,14 @@ pub struct Violation {
 }
 
 impl Violation {
-    /// Encode as a record `[rule(Str), t1(Int), t2(Int)]`.
-    pub(crate) fn to_record(&self) -> Record {
+    /// Encode a violation of the rule named `rule` as a record
+    /// `[rule(Str), t1(Int), t2(Int)]`. A detector builds the name's `Text`
+    /// once, so its violation records share one string.
+    pub(crate) fn record(rule: &Text, t1: i64, t2: i64) -> Record {
         Record::new(vec![
-            Value::str(&self.rule),
-            Value::Int(self.t1),
-            Value::Int(self.t2),
+            Value::Str(rule.clone()),
+            Value::Int(t1),
+            Value::Int(t2),
         ])
     }
 
@@ -329,7 +331,8 @@ mod tests {
             t1: 3,
             t2: 9,
         };
-        assert_eq!(Violation::from_record(&v.to_record()).unwrap(), v);
+        let record = Violation::record(&Text::from("fd"), v.t1, v.t2);
+        assert_eq!(Violation::from_record(&record).unwrap(), v);
     }
 
     #[test]

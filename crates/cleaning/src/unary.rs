@@ -8,7 +8,7 @@
 
 use rheem_core::udf::FlatMapUdf;
 use rheem_core::{
-    JobResult, NodeId, PhysicalPlan, PlanBuilder, Record, Result, RheemContext, Value,
+    JobResult, NodeId, PhysicalPlan, PlanBuilder, Record, Result, RheemContext, Text, Value,
 };
 
 use crate::rules::{CompOp, Violation};
@@ -66,18 +66,14 @@ impl UnaryConstraint {
     /// Build the detection plan (`Scope → Detect` as a flat map).
     pub(crate) fn build_detection_plan(&self, data: Vec<Record>) -> Result<(PhysicalPlan, NodeId)> {
         let rule = self.clone();
+        let name = Text::from(self.name.as_str());
         let mut b = PlanBuilder::new();
         let src = b.collection(format!("{}-input", self.name), data);
         let detected = b.flat_map(
             src,
             FlatMapUdf::new(format!("detect-{}", self.name), move |t: &Record| {
                 match (rule.violates(t), t.int(rule.id_column)) {
-                    (Ok(true), Ok(id)) => vec![Violation {
-                        rule: rule.name.clone(),
-                        t1: id,
-                        t2: id,
-                    }
-                    .to_record()],
+                    (Ok(true), Ok(id)) => vec![Violation::record(&name, id, id)],
                     _ => Vec::new(),
                 }
             })

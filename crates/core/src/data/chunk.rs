@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use super::{str_bytes, value_bytes, Record, Value};
+use super::{str_bytes, value_bytes, Record, Text, Value};
 
 /// A validity bitmap: one bit per row, `1` = valid, `0` = null.
 ///
@@ -88,7 +88,7 @@ pub enum ColumnData {
     /// All values are `Str` (or `Null`), dictionary-encoded.
     Str {
         /// Distinct strings, in first-appearance order.
-        dict: Vec<Arc<str>>,
+        dict: Vec<Text>,
         /// Per-row index into `dict` (0 for null lanes).
         codes: Vec<u32>,
     },
@@ -102,15 +102,15 @@ impl ColumnData {}
 /// first-appearance order.
 #[derive(Default)]
 struct DictBuilder {
-    entries: Vec<Arc<str>>,
-    codes: HashMap<Arc<str>, u32>,
+    entries: Vec<Text>,
+    codes: HashMap<Text, u32>,
 }
 
 impl DictBuilder {
     /// The code of `s`; a new string is appended to the dictionary as the
-    /// allocation `share` hands over (a clone of the caller's `Arc`, or a
+    /// allocation `share` hands over (a clone of the caller's [`Text`], or a
     /// fresh one when the caller only has bytes).
-    fn code(&mut self, s: &str, share: impl FnOnce() -> Arc<str>) -> u32 {
+    fn code(&mut self, s: &str, share: impl FnOnce() -> Text) -> u32 {
         if let Some(&code) = self.codes.get(s) {
             return code;
         }
@@ -240,7 +240,7 @@ impl ColumnBuilder {
     /// Append a string by its characters: a string the column already holds
     /// costs a dictionary lookup and no allocation.
     pub fn push_str(&mut self, s: &str) {
-        self.push_shared_str(s, || Arc::from(s));
+        self.push_shared_str(s, || Text::from(s));
     }
 
     /// Append a borrowed [`Value`] (a string shares the value's allocation).
@@ -254,7 +254,7 @@ impl ColumnBuilder {
         }
     }
 
-    fn push_shared_str(&mut self, s: &str, share: impl FnOnce() -> Arc<str>) {
+    fn push_shared_str(&mut self, s: &str, share: impl FnOnce() -> Text) {
         let code = self.dict.code(s, share);
         match &mut self.lane {
             Lane::Str(codes) => codes.push(code),
@@ -465,7 +465,7 @@ impl Column {
     /// code equality is string equality within one column — the invariant
     /// the kernels' dict-code fast lane relies on. Codes cover null lanes
     /// too (they read as 0); combine with [`Column::no_nulls`].
-    pub fn dict_codes(&self) -> Option<(&[Arc<str>], &[u32])> {
+    pub fn dict_codes(&self) -> Option<(&[Text], &[u32])> {
         match self.data.as_ref() {
             ColumnData::Str { dict, codes } => {
                 Some((&dict[..], &codes[self.offset..self.offset + self.len]))
@@ -482,7 +482,7 @@ impl Column {
             ColumnData::Int(_) | ColumnData::Float(_) => 8 * self.len,
             ColumnData::Bool(_) => self.len,
             ColumnData::Str { dict, .. } => {
-                let entry = |s| std::mem::size_of::<Arc<str>>() + str_bytes(s);
+                let entry = |s| std::mem::size_of::<Text>() + str_bytes(s);
                 4 * self.len + dict.iter().map(entry).sum::<usize>()
             }
             ColumnData::Mixed(values) => values[self.offset..self.offset + self.len]

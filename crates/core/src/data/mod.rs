@@ -2,10 +2,11 @@
 //!
 //! The paper defines a *data quantum* as "the smallest unit of data elements
 //! from the input datasets", e.g. a tuple or a matrix row (§3.1). We model a
-//! data quantum as a [`Record`] — a small vector of dynamically typed
-//! [`Value`]s. Logical operators conceptually process one data quantum at a
-//! time; execution operators process batches of them ([`Dataset`]), exactly
-//! as the paper prescribes for the platform layer.
+//! data quantum as a [`Record`] — a boxed slice of dynamically typed
+//! [`Value`]s (16 bytes each; a string is a shared [`Text`]). Logical
+//! operators conceptually process one data quantum at a time; execution
+//! operators process batches of them ([`Dataset`]), exactly as the paper
+//! prescribes for the platform layer.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -15,8 +16,10 @@ use std::sync::{Arc, OnceLock};
 use crate::error::{Result, RheemError};
 
 mod chunk;
+mod text;
 
 pub use chunk::{Chunk, Column, ColumnBuilder};
+pub use text::Text;
 
 /// A dynamically typed scalar value — one field of a data quantum.
 ///
@@ -35,7 +38,7 @@ pub enum Value {
     /// A 64-bit IEEE float.
     Float(f64),
     /// An immutable, cheaply clonable string.
-    Str(Arc<str>),
+    Str(Text),
 }
 
 impl Value {
@@ -52,7 +55,7 @@ impl Value {
 
     /// Build a string value from anything string-like.
     pub fn str(s: impl AsRef<str>) -> Self {
-        Value::Str(Arc::from(s.as_ref()))
+        Value::Str(Text::from(s.as_ref()))
     }
 
     /// Returns the integer payload, or a type error.
@@ -116,7 +119,7 @@ impl Ord for Value {
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
             (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
-            (Value::Str(a), Value::Str(b)) => a.as_ref().cmp(b.as_ref()),
+            (Value::Str(a), Value::Str(b)) => a.cmp(b),
             (a, b) => a.rank().cmp(&b.rank()),
         }
     }
@@ -181,14 +184,15 @@ impl From<&str> for Value {
 }
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::Str(Arc::from(s.as_str()))
+        Value::Str(Text::from(s))
     }
 }
 
-/// Heap bytes of one string allocation: the characters and the `Arc`'s two
-/// counters (the pointer to it belongs to whatever holds it).
-fn str_bytes(s: &Arc<str>) -> usize {
-    s.len() + 2 * std::mem::size_of::<usize>()
+/// Heap bytes of one [`Text`]'s allocations: the `Arc`'s two counters and
+/// the `Box<str>` they guard, then the characters (the pointer to it belongs
+/// to whatever holds it).
+fn str_bytes(s: &Text) -> usize {
+    2 * std::mem::size_of::<usize>() + std::mem::size_of::<Box<str>>() + s.len()
 }
 
 /// Bytes one [`Value`] occupies in a row or a `Mixed` lane, counting a
@@ -201,21 +205,24 @@ fn value_bytes(value: &Value) -> usize {
         }
 }
 
-/// A *data quantum*: one tuple flowing through the system.
+/// A *data quantum*: one tuple flowing through the system, its fields in a
+/// boxed slice (16 bytes, and no spare capacity: a record is built whole).
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Record {
-    fields: Vec<Value>,
+    fields: Box<[Value]>,
 }
 
 impl Record {
     /// Create a record from its fields.
     pub fn new(fields: Vec<Value>) -> Self {
-        Record { fields }
+        Record {
+            fields: fields.into_boxed_slice(),
+        }
     }
 
     /// An empty record (width 0).
     pub fn empty() -> Self {
-        Record { fields: Vec::new() }
+        Record::default()
     }
 
     /// Number of fields.
@@ -251,11 +258,6 @@ impl Record {
         &self.fields
     }
 
-    /// Append a field in place.
-    pub fn push(&mut self, v: impl Into<Value>) {
-        self.fields.push(v.into());
-    }
-
     /// A new record keeping only the given field indices, in order.
     ///
     /// This is the kernel of the `Project` physical operator and of the
@@ -265,21 +267,18 @@ impl Record {
         for &i in indices {
             fields.push(self.get(i)?.clone());
         }
-        Ok(Record { fields })
+        Ok(Record::new(fields))
     }
 
     /// A new record that is the concatenation `self ++ other` (join output).
     pub(crate) fn concat(&self, other: &Record) -> Record {
-        let mut fields = Vec::with_capacity(self.fields.len() + other.fields.len());
-        fields.extend_from_slice(&self.fields);
-        fields.extend_from_slice(&other.fields);
-        Record { fields }
+        Record::new([&self.fields[..], &other.fields[..]].concat())
     }
 }
 
 impl From<Vec<Value>> for Record {
     fn from(fields: Vec<Value>) -> Self {
-        Record { fields }
+        Record::new(fields)
     }
 }
 
@@ -742,6 +741,44 @@ mod tests {
         let ragged = Dataset::new(vec![rec![1i64], rec![1i64, 2i64], rec![3i64]]);
         assert!(ragged.slice(0, 1).chunk().is_none());
         assert_eq!(ragged.slice(2, 1).into_records(), vec![rec![3i64]]);
+    }
+
+    #[test]
+    fn a_value_and_a_record_are_two_words() {
+        // A string is one pointer, so no variant is wider than 8 bytes.
+        assert_eq!(std::mem::size_of::<Text>(), 8);
+        assert_eq!(std::mem::size_of::<Value>(), 16);
+        // A pointer and a length: a record's width is fixed once built.
+        assert_eq!(std::mem::size_of::<Record>(), 16);
+    }
+
+    #[test]
+    fn resident_bytes_count_rows_strings_and_dictionaries() {
+        assert_eq!(std::mem::size_of::<usize>(), 8, "a 64-bit target's figures");
+        // A `Text` is two allocations: the `Arc`'s two counters beside the
+        // `Box<str>` (2 × 8 + 16 = 32 bytes), then the characters.
+        assert_eq!(str_bytes(&Text::from("abc")), 32 + 3);
+        // A row is its 16-byte record, 16 bytes a field, and each string's
+        // allocations as its own (two rows sharing one string count it
+        // twice).
+        let abc = Value::str("abc");
+        let rows = Dataset::new(vec![
+            Record::new(vec![Value::Int(1), abc.clone()]),
+            Record::new(vec![Value::Int(2), abc]),
+        ]);
+        let row = 16 + 2 * 16 + (32 + 3);
+        assert_eq!(rows.resident_bytes(), 2 * row);
+        // Its chunk adds an 8-byte lane entry a row for the ints, a 4-byte
+        // code a row for the strings, and one dictionary entry: the 8-byte
+        // `Text` and its allocations.
+        rows.chunk().expect("rectangular");
+        assert_eq!(
+            rows.resident_bytes(),
+            2 * row + 2 * 8 + 2 * 4 + (8 + 32 + 3)
+        );
+        // A `Mixed` lane holds its values as a row does.
+        let mixed = Dataset::from_chunk(Chunk::from_records(&[rec![1i64], rec!["ab"]]).unwrap());
+        assert_eq!(mixed.resident_bytes(), 16 + 16 + (32 + 2));
     }
 
     #[test]

@@ -324,7 +324,7 @@ pub(crate) fn sql_ordering(a: &Value, b: &Value) -> Option<std::cmp::Ordering> {
         (Value::Float(_) | Value::Int(_), Value::Float(_) | Value::Int(_)) => {
             to_f64(a).total_cmp(&to_f64(b))
         }
-        (Value::Str(x), Value::Str(y)) => x.as_ref().cmp(y.as_ref()),
+        (Value::Str(x), Value::Str(y)) => x.cmp(y),
         (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
         _ => return None,
     })

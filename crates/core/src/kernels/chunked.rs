@@ -30,9 +30,7 @@
 //! keeps every row hands its input on uncopied. Opaque closures fall back
 //! to materializing rows — correct, but without the columnar speedup.
 
-use std::sync::Arc;
-
-use crate::data::{Chunk, Column, Record, Value};
+use crate::data::{Chunk, Column, Record, Text, Value};
 use crate::error::{Result, RheemError};
 use crate::expr::Expr;
 use crate::physical::{PipelineStage, StageKind};
@@ -123,7 +121,7 @@ enum Keys<'a> {
     /// string equality and each distinct string hashes once.
     Dict {
         /// Distinct dictionary strings.
-        dict: &'a [Arc<str>],
+        dict: &'a [Text],
         /// Per-row dictionary codes.
         codes: &'a [u32],
     },
@@ -525,8 +523,8 @@ pub fn sort(chunk: &Chunk, key: &KeyUdf, descending: bool) -> Chunk {
                 indices.sort_by(|&a, &b| lane[a].cmp(&lane[b]));
             }
         }
-        // Arc<str> ordering is byte ordering, identical to Value::Str cmp,
-        // so the lane can sort without materializing Values.
+        // `Text` orders by its bytes, as `Value::Str` does, so the lane
+        // sorts by its dictionary entries without materializing Values.
         Keys::Dict { dict, codes } => {
             let k = |i: usize| &dict[codes[i] as usize];
             if descending {

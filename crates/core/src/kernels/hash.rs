@@ -100,9 +100,9 @@ pub(crate) fn hash_f64(x: f64) -> u64 {
 
 /// Hash of `Value::Str(s)` — and of a dictionary entry.
 ///
-/// FNV-1a over the bytes, then finalized; content-addressed, so an
-/// interned dictionary string and an inline `Arc<str>` with equal bytes
-/// hash equal.
+/// FNV-1a over the bytes, then finalized; content-addressed, so a
+/// dictionary entry and a value's [`Text`](crate::Text) with equal bytes
+/// hash equal whether or not they share an allocation.
 #[inline]
 pub(crate) fn hash_str(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -67,8 +67,7 @@
 //! [`kernels::parallel::sort_group`]); what the platform-independence
 //! oracle builds its plans and contexts with ([`PlanBuilder::add`],
 //! [`PhysicalOp::arity`], [`PhysicalOp::is_sink`],
-//! [`PhysicalOp::pipeline_stages`], [`Record::push`],
-//! [`ExecutionContext::with_storage`],
+//! [`PhysicalOp::pipeline_stages`], [`ExecutionContext::with_storage`],
 //! [`ExecutionContext::with_kernel_parallelism`] and the registry's
 //! platforms through `RheemContext::platforms().all()`); and the seams that
 //! inject a fault, a fake or a worst case — [`FailureInjector`] with its
@@ -115,7 +114,7 @@ pub mod udf;
 
 pub use context::RheemContext;
 pub use cost::{ChannelKind, ChannelSet, Clock, Exchange, MovementCostModel};
-pub use data::{Chunk, Column, ColumnBuilder, DataType, Dataset, Record, Schema, Value};
+pub use data::{Chunk, Column, ColumnBuilder, DataType, Dataset, Record, Schema, Text, Value};
 pub use error::{CancelReason, Result, RheemError};
 pub use executor::{AtomStats, ExecutionStats, JobResult, WaveGate};
 pub use expr::{BinOp, Expr};

@@ -4,15 +4,19 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rheem_core::{rec, Record};
+use rheem_core::{rec, Record, Value};
 
 /// Customers table: `[customer_id(Int), name(Str), region(Str)]`.
 pub fn customers(n: usize, regions: usize, seed: u64) -> Vec<Record> {
     let mut rng = StdRng::seed_from_u64(seed);
+    // The rows share one string per region.
+    let names: Vec<Value> = (0..regions.max(1))
+        .map(|r| Value::from(format!("region_{r}")))
+        .collect();
     (0..n as i64)
         .map(|id| {
-            let region = rng.gen_range(0..regions.max(1));
-            rec![id, format!("customer_{id}"), format!("region_{region}")]
+            let region = rng.gen_range(0..names.len());
+            rec![id, format!("customer_{id}"), names[region].clone()]
         })
         .collect()
 }

@@ -19,7 +19,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rheem_core::{rec, Record};
+use rheem_core::{rec, Record, Value};
 
 /// Column indices of the tax-record layout.
 pub mod columns {
@@ -106,6 +106,11 @@ pub fn generate(config: &TaxConfig) -> (Vec<Record>, InjectedErrors) {
     // Canonical state per zip.
     let zip_state: Vec<usize> = (0..zips).map(|_| rng.gen_range(0..STATES.len())).collect();
 
+    // One value per state and city, cloned into the rows: they share ten
+    // strings of each instead of holding two allocations apiece.
+    let states: Vec<Value> = STATES.iter().copied().map(Value::str).collect();
+    let cities: Vec<Value> = CITIES.iter().copied().map(Value::str).collect();
+
     let mut records = Vec::with_capacity(config.rows);
     let mut injected = InjectedErrors::default();
     for id in 0..config.rows {
@@ -124,12 +129,11 @@ pub fn generate(config: &TaxConfig) -> (Vec<Record>, InjectedErrors) {
             injected.ineq_dirty_records += 1;
         }
         let name = format!("p{:06}", rng.gen_range(0..config.rows * 10));
-        let city = CITIES[state_idx];
         records.push(rec![
             id as i64,
             name,
-            city,
-            STATES[state_idx],
+            cities[state_idx].clone(),
+            states[state_idx].clone(),
             (10_000 + zip_idx) as i64,
             salary,
             (tax_rate * 100.0).round() / 100.0
@@ -192,6 +196,21 @@ mod tests {
         assert!(injected.fd_dirty_records > 10);
         assert!(injected.ineq_dirty_records > 10);
         assert_eq!(records.len(), 1000);
+    }
+
+    #[test]
+    fn rows_share_one_string_per_city_and_state() {
+        let (records, _) = generate(&TaxConfig::new(200));
+        let text = |r: &Record, c: usize| match &r.fields()[c] {
+            Value::Str(s) => s.clone(),
+            other => panic!("expected a string, got {other:?}"),
+        };
+        for c in [columns::CITY, columns::STATE] {
+            for pair in records.windows(2) {
+                let (a, b) = (text(&pair[0], c), text(&pair[1], c));
+                assert_eq!(rheem_core::Text::ptr_eq(&a, &b), a == b);
+            }
+        }
     }
 
     #[test]

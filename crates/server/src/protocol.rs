@@ -35,10 +35,9 @@
 use std::convert::Infallible;
 use std::io::{Read, Write};
 use std::ops::ControlFlow;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rheem_core::{Chunk, Column, ColumnBuilder, DataType, Dataset, Record, Schema, Value};
+use rheem_core::{Chunk, Column, ColumnBuilder, DataType, Dataset, Record, Schema, Text, Value};
 
 /// Largest frame body accepted (16 MiB): a malformed or malicious length
 /// prefix must not make the server attempt an unbounded allocation.
@@ -251,7 +250,7 @@ enum Lane<'a> {
     Int(&'a [i64]),
     Float(&'a [f64]),
     Bool(&'a [bool]),
-    Str(&'a [Arc<str>], &'a [u32]),
+    Str(&'a [Text], &'a [u32]),
     Values(&'a Column),
 }
 
@@ -281,6 +280,12 @@ impl<'a> Lane<'a> {
     fn encoded_bytes(&self, rows: usize) -> usize {
         match self {
             Lane::Bool(_) => rows * value_len(&Value::Bool(false)),
+            // A view keeps its column's whole dictionary, so each entry's
+            // size is taken once only when the codes outnumber the entries.
+            Lane::Str(dict, codes) if codes.len() > dict.len() => {
+                let entry: Vec<usize> = dict.iter().map(|s| str_value_len(s)).collect();
+                codes.iter().map(|&c| entry[c as usize]).sum()
+            }
             Lane::Str(dict, codes) => codes
                 .iter()
                 .map(|&c| str_value_len(&dict[c as usize]))
@@ -599,15 +604,15 @@ struct RecordSink {
     fields: Vec<Value>,
     /// String values seen in this frame, direct-mapped by a hash of their
     /// bytes; empty until the first string value.
-    interned: Vec<Option<Arc<str>>>,
+    interned: Vec<Option<Text>>,
 }
 
 impl RecordSink {
-    /// A string value: one allocation per string, and none for one this
-    /// frame already carried (a 5-value column of 100 000 rows costs 5). The
-    /// table is direct-mapped, so it is bounded by construction: a string
-    /// whose slot holds another one replaces it.
-    fn intern(&mut self, bytes: &[u8]) -> WireResult<Arc<str>> {
+    /// A string value: one `Text` (two allocations) per string, and none
+    /// for one this frame already carried (a 5-value column of 100 000 rows
+    /// costs 5). The table is direct-mapped, so it is bounded by
+    /// construction: a string whose slot holds another one replaces it.
+    fn intern(&mut self, bytes: &[u8]) -> WireResult<Text> {
         if self.interned.is_empty() {
             self.interned.resize(INTERN_SLOTS, None);
         }
@@ -622,7 +627,7 @@ impl RecordSink {
         match slot {
             // Equal to a string that was checked: no need to check again.
             Some(seen) if seen.as_bytes() == bytes => Ok(seen.clone()),
-            _ => Ok(slot.insert(Arc::from(utf8(bytes)?)).clone()),
+            _ => Ok(slot.insert(Text::from(utf8(bytes)?)).clone()),
         }
     }
 }
@@ -1316,6 +1321,39 @@ mod tests {
             let body = resp.encode();
             assert_eq!(Response::decode(&body).unwrap(), resp);
         }
+    }
+
+    #[test]
+    fn the_repeated_strings_of_a_rows_frame_share_one_allocation() {
+        // Each row brings its own allocation of "east"; the decoder
+        // interns them, so the decoded rows hold one `Text` between them.
+        let rows: Vec<Record> = (0..6)
+            .map(|i| Record::new(vec![Value::Int(i), Value::str("east"), Value::str("west")]))
+            .collect();
+        let body = Response::Rows {
+            schema: Schema::new(vec![
+                ("i", DataType::Int),
+                ("a", DataType::Str),
+                ("b", DataType::Str),
+            ]),
+            rows: rows.clone(),
+        }
+        .encode();
+        let Response::Rows { rows: decoded, .. } = Response::decode(&body).unwrap() else {
+            panic!("a Rows frame decodes to rows")
+        };
+        assert_eq!(decoded, rows);
+        let text = |row: &Record, c: usize| match &row.fields()[c] {
+            Value::Str(s) => s.clone(),
+            other => panic!("expected a string, got {other:?}"),
+        };
+        for c in [1, 2] {
+            let first = text(&decoded[0], c);
+            assert!(decoded
+                .iter()
+                .all(|row| Text::ptr_eq(&text(row, c), &first)));
+        }
+        assert!(!Text::ptr_eq(&text(&decoded[0], 1), &text(&decoded[0], 2)));
     }
 
     #[test]

@@ -118,7 +118,7 @@ fn a_session_holds_its_table_once_as_a_chunk() {
     }
     let queried = per_row(live_bytes());
     // The chunk is 28 B/row (4 B of dictionary codes and three 8 B lanes);
-    // the rows alone would be 24 B of `Record` and 4 x 24 B of `Value`.
+    // the rows alone would be 16 B of `Record` and 4 x 16 B of `Value`.
     assert!(
         (28.0..48.0).contains(&registered),
         "{registered:.1} B/row live after REGISTER"

@@ -8,8 +8,6 @@
 //! * a **CSV reader** — for Cartilage's `ParseCsv` step (values are
 //!   inferred as `Int`, then `Float`, then `Str`).
 
-use std::sync::Arc;
-
 use rheem_core::{Record, Result, RheemError, Value};
 
 /// Field separator in the native format (ASCII unit separator).
@@ -72,7 +70,7 @@ fn decode_record(line: &str) -> Result<Record> {
                     u64::from_str_radix(payload, 16).map_err(|_| bad(token, "float payload"))?;
                 Value::Float(f64::from_bits(bits))
             }
-            'S' => Value::Str(Arc::from(unescape(payload)?.as_str())),
+            'S' => Value::Str(unescape(payload)?.into()),
             _ => return Err(bad(token, "unknown tag")),
         };
         fields.push(v);

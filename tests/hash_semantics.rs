@@ -12,13 +12,15 @@
 //! bucket, so partitioning degenerates and every probe chain piles onto
 //! the same table region — at every parallelism setting.
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use rheem::prelude::*;
 use rheem_core::kernels::{self, chunked, hash_i64, parallel, radix_bucket};
 use rheem_core::udf::{AggFunc, Aggregate, GroupOutput};
-use rheem_core::{run_plan, Chunk, ExecutionContext, Expr, KernelParallelism, Value};
+use rheem_core::{run_plan, Chunk, ExecutionContext, Expr, KernelParallelism, Text, Value};
 
 /// One dirty value: every variant, with the float edge cases the hasher
 /// must separate exactly as `Value` equality does.
@@ -192,6 +194,51 @@ fn dict_and_inline_strings_hash_alike() {
         chunked::hash_group(&chunk_of(&records), &key),
         kernels::hash_group(&records, &key)
     );
+}
+
+/// A string is one type however it was built — from `&str`, from a
+/// `String`'s buffer, or read back from a dictionary lane: equal bytes
+/// compare, order and hash alike, on the row path, the column path and
+/// through `std::hash` (where a `Text` hashes as its `str`, so maps keyed
+/// by it are looked up by `&str`). The values a lane hands out share its
+/// entry's allocation.
+#[test]
+fn strings_built_three_ways_hash_compare_and_order_alike() {
+    let std_hash = |h: &dyn Fn(&mut DefaultHasher)| {
+        let mut hasher = DefaultHasher::new();
+        h(&mut hasher);
+        hasher.finish()
+    };
+    let words = ["", "a", "ab", "b", "é", "a"];
+    let column: Vec<Value> = words.iter().map(Value::str).collect();
+    let records: Vec<Record> = column
+        .iter()
+        .map(|v| Record::new(vec![v.clone()]))
+        .collect();
+    let chunk = chunk_of(&records);
+    let lane = &chunk.columns()[0];
+    let (dict, codes) = lane.dict_codes().expect("a dictionary lane");
+    for (i, &w) in words.iter().enumerate() {
+        let borrowed = Value::str(w);
+        let owned = Value::from(w.to_string());
+        let read = lane.value(i);
+        for v in [&owned, &read] {
+            assert_eq!(v, &borrowed);
+            assert_eq!(row_hash(v), row_hash(&borrowed));
+            assert_eq!(std_hash(&|h| v.hash(h)), std_hash(&|h| borrowed.hash(h)));
+            for (j, &u) in words.iter().enumerate() {
+                assert_eq!(v.cmp(&lane.value(j)), w.cmp(u), "{w:?} against {u:?}");
+            }
+        }
+        assert_eq!(lane_hash(&column, i), row_hash(&borrowed));
+        let Value::Str(text) = read else {
+            panic!("a dictionary lane reads back strings")
+        };
+        let entry = &dict[codes[i] as usize];
+        assert!(Text::ptr_eq(&text, entry), "a value shares its entry");
+        assert_eq!(std_hash(&|h| text.hash(h)), std_hash(&|h| w.hash(h)));
+    }
+    assert_eq!(dict.len(), 5, "the repeated \"a\" is one entry");
 }
 
 /// Direct and radix-partitioned builds induce the same grouping: the

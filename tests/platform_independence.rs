@@ -418,7 +418,9 @@ fn dirty_rows(n: i64) -> Vec<Record> {
 fn ragged_rows(n: i64) -> Vec<Record> {
     let mut rows = clean_rows(n);
     for r in rows.iter_mut().step_by(7) {
-        r.push(Value::Bool(true));
+        let mut fields = r.fields().to_vec();
+        fields.push(Value::Bool(true));
+        *r = Record::new(fields);
     }
     rows
 }
