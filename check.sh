@@ -94,6 +94,19 @@ if grep -rnE 'Arc<\s*str\s*>' \
   echo "a second string type is back in values, dictionaries, kernels, the wire or storage"; exit 1
 fi
 
+# One work clock: a kernel's work — an interpreted node, a morsel worker's
+# share, a partitioned task — and an engine's simulated time are read on
+# `observe::WorkClock` (wall time less run-queue wait); no wall-clock
+# `Instant` times a kernel or an atom, and no summed or overlap-capped
+# morsel time comes back.
+echo "==> one work clock: kernel work is read on the WorkClock only"
+if grep -rn 'Instant::now' crates/core/src/kernels.rs crates/core/src/kernels \
+    crates/core/src/interpreter.rs crates/platforms/src/partition.rs \
+    crates/platforms/src/runner.rs \
+    || grep -rnE 'ran_ns|overlap_ms' crates; then
+  echo "kernel work is timed off the work clock again"; exit 1
+fi
+
 # A job's settings are stated once: the context is the only owner (no
 # `Executor` builder, no schedule mode, no second width), the thread budget
 # is one number with no environment override, a platform's channels are asked

@@ -1,7 +1,11 @@
 //! Ablation F's claim: one observed job fits the map's kernel rate and flips
-//! the plan. A test binary of its own, because it compares the timed kernel
-//! work of consecutive jobs, which the crate's other tests, running beside it
-//! on the same cores, would perturb.
+//! the plan. It compares the measured kernel work of consecutive jobs. The
+//! work clock leaves out the time a thread waits for a core, so threads
+//! running beside it no longer count as work; it cannot leave out a core
+//! that runs slower while shared (caches, memory bandwidth, a hypervisor's
+//! other guests). So it is still a test binary of its own: the crate's
+//! other tests, starting and stopping beside it, would slow one job and
+//! not the next.
 
 use rheem_bench::{render_convergence, run_calibration_flip};
 

@@ -64,21 +64,18 @@ pub fn run_fragment(
             };
             inputs.push(ds);
         }
-        // Two clock reads per operator, outside any kernel hot loop. The
-        // kernel's work is its wall time plus what its morsels ran beyond
-        // it on other threads: its time at one thread.
-        let kernel_started = std::time::Instant::now();
-        let (out, surplus_ms) = metered(|| execute_op(&node.op, &inputs, ctx, loop_state));
+        // One clock reading per operator, outside any kernel hot loop: its
+        // time at one thread.
+        let (out, took) = metered(|| execute_op(&node.op, &inputs, ctx, loop_state));
         let (out, columnar) = out?;
         if loop_state.is_none() {
-            let kernel_ms = kernel_started.elapsed().as_secs_f64() * 1e3;
             let lens = [0, 1].map(|slot| inputs.get(slot).map_or(0, Dataset::len));
             run.observations.push(crate::observe::NodeObservation {
                 node: id,
                 op: node.op.name(),
                 records_out: out.len() as u64,
-                elapsed_ms: kernel_ms,
-                work_ms: kernel_ms + surplus_ms,
+                elapsed_ms: took.wall_ms,
+                work_ms: took.work_ms,
                 morsels: ctx.kernel_parallelism.units(&node.op, lens, columnar),
                 columnar,
                 spilled_rows: 0,

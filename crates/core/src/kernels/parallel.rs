@@ -47,14 +47,14 @@
 
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Instant;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
 use crate::data::{Chunk, Record, Value};
 use crate::error::Result;
 use crate::fault::CancelToken;
+use crate::observe::{Timing, WorkClock};
 use crate::physical::{Layout, PhysicalOp, PipelineStage};
 use crate::udf::{FilterUdf, FlatMapUdf, KeyUdf, MapUdf, ReduceUdf};
 
@@ -68,9 +68,10 @@ thread_local! {
     /// and checks it before every morsel pull.
     static CANCEL_SCOPE: RefCell<Option<CancelToken>> = const { RefCell::new(None) };
 
-    /// The ambient work meter: milliseconds the morsels of this thread's
-    /// [`run_ranges`] calls ran beyond those calls' wall time, while
-    /// [`metered`] is measuring; `None` otherwise.
+    /// The ambient work meter: milliseconds the worker threads of this
+    /// thread's [`run_ranges`] calls worked beyond what this thread's clock
+    /// read while it waited for them, while [`metered`] is measuring;
+    /// `None` otherwise.
     static WORK_METER: Cell<Option<f64>> = const { Cell::new(None) };
 }
 
@@ -91,25 +92,28 @@ pub fn with_cancel_scope<R>(token: &CancelToken, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Run `f` with a work meter installed on this thread (as
-/// [`with_cancel_scope`] installs its token), returning its result and the
-/// surplus: the milliseconds its parallel kernels' morsels ran beyond their
-/// wall time. A kernel's sequential work is its wall time plus that
-/// surplus; a sequential kernel has none. A nested meter's surplus also
-/// counts toward the enclosing one.
-pub(crate) fn metered<R>(f: impl FnOnce() -> R) -> (R, f64) {
+/// Run `f` on this thread's [`WorkClock`] with a work meter installed (as
+/// [`with_cancel_scope`] installs its token), returning its result, its
+/// wall time and its sequential work: this thread's work plus what the
+/// worker threads of its parallel kernels worked beyond the time this
+/// thread waited for them. A nested meter's extra work also counts toward
+/// the enclosing one.
+pub(crate) fn metered<R>(f: impl FnOnce() -> R) -> (R, Timing) {
     struct Restore(Option<f64>);
     impl Drop for Restore {
         fn drop(&mut self) {
             WORK_METER.with(|m| m.set(self.0));
         }
     }
+    let clock = WorkClock::start();
     let restore = Restore(WORK_METER.with(|m| m.replace(Some(0.0))));
     let out = f();
-    let surplus = WORK_METER.with(Cell::get).unwrap_or(0.0);
+    let extra = WORK_METER.with(Cell::get).unwrap_or(0.0);
     drop(restore);
-    add_work(surplus);
-    (out, surplus)
+    let mut took = clock.stop();
+    took.work_ms += extra;
+    add_work(extra);
+    (out, took)
 }
 
 /// Add `ms` to this thread's work meter, if one is installed.
@@ -321,11 +325,10 @@ fn dealt_speedup(ranges: &[Range<usize>], threads: usize) -> f64 {
 /// the cancel point. The truncated result is garbage by construction —
 /// callers surface [`crate::RheemError::Cancelled`] before consuming it.
 ///
-/// On worker threads, every range is timed, and what the ranges' times add
-/// up to beyond this call's wall time goes to the ambient work meter
-/// ([`metered`]) — up to what the schedule lets them overlap
-/// (the wall time times the ranges' [`dealt_speedup`], less one): beyond
-/// that, ranges were slowed by sharing a core, which is not work.
+/// On worker threads, each worker's [`WorkClock`] is read once around all
+/// the ranges it runs; what the workers worked, less what this thread's
+/// clock read while it waited for them, goes to the ambient work meter
+/// ([`metered`]).
 fn run_ranges<T, F>(ranges: &[Range<usize>], threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -345,25 +348,23 @@ where
     }
     let cursor = AtomicUsize::new(0);
     let cells: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let ran_ns = AtomicU64::new(0);
-    let started = Instant::now();
+    let worked_ms = Mutex::new(0.0);
+    let waited = WorkClock::start();
     std::thread::scope(|scope| {
         for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                let t = Instant::now();
-                let out = f(pick(&ranges[i]));
-                ran_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                *cells[i].lock() = Some(out);
+            scope.spawn(|| {
+                let ((), took) = metered(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        return;
+                    }
+                    *cells[i].lock() = Some(f(pick(&ranges[i])));
+                });
+                *worked_ms.lock() += took.work_ms;
             });
         }
     });
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    let overlap_ms = wall_ms * (dealt_speedup(ranges, threads) - 1.0);
-    add_work((ran_ns.into_inner() as f64 / 1e6 - wall_ms).clamp(0.0, overlap_ms));
+    add_work(worked_ms.into_inner() - waited.stop().work_ms);
     cells
         .into_iter()
         .map(|c| c.into_inner().expect("every morsel slot is filled"))

@@ -125,7 +125,7 @@ pub use interpreter::{execute_op, run_fragment, run_plan};
 pub use kernels::parallel::KernelParallelism;
 pub use observe::{
     CostCalibration, Counter, Gauge, Histogram, HistogramSnapshot, KernelKey, MetricsRegistry,
-    NodeObservation, Observability, Rate,
+    NodeObservation, Observability, Rate, Timing, WorkClock,
 };
 pub use optimizer::{
     apply_rewrites, assignment_cost, enumerate, enumerate_exhaustive, split_into_atoms,

@@ -10,6 +10,8 @@
 //! - [`calibrate`] — the [`CostCalibration`] kernel-rate table, fitted to
 //!   every job's observed kernel work, which the optimizer prices through
 //!   each platform's clock.
+//! - [`clock`] — the [`WorkClock`] every kernel's work is measured with:
+//!   wall time less the thread's run-queue wait.
 //!
 //! [`Observability`] ties them together: attached to a
 //! [`crate::RheemContext`] (via `with_observability`), it is handed each
@@ -17,10 +19,12 @@
 //! from it, and feeds the calibration table from successful jobs.
 
 mod calibrate;
+mod clock;
 mod metrics;
 
 pub(crate) use calibrate::seed as seed_rate;
 pub use calibrate::{CostCalibration, KernelKey, Rate};
+pub use clock::{Timing, WorkClock};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
 
 use std::sync::Arc;
@@ -47,9 +51,11 @@ pub struct NodeObservation {
     /// work through the platform's clock (critical path, stage and
     /// boundary charges, efficiency).
     pub elapsed_ms: f64,
-    /// The kernel's sequential work, before the clock: partitioned, the sum
-    /// of the node's task times; in process, the kernel's wall time plus
-    /// what its morsels ran beyond it on other threads. What the
+    /// The kernel's sequential work, before the clock: what the threads
+    /// that ran it worked, each read on the [`WorkClock`] (wall time less
+    /// run-queue wait). Partitioned, the sum of the node's task times; in
+    /// process, the calling thread's work plus what its morsels' worker
+    /// threads worked beyond the time it waited for them. What the
     /// kernel-rate table is fitted to.
     pub work_ms: f64,
     /// Parallel work units (morsels or chunks) the kernel ran on; 1 for

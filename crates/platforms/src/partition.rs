@@ -7,7 +7,7 @@
 
 use rheem_core::kernels::{self, chunked};
 use rheem_core::udf::KeyUdf;
-use rheem_core::{Chunk, Dataset, Result};
+use rheem_core::{Chunk, Dataset, Result, WorkClock};
 
 /// Balanced contiguous `(offset, len)` ranges covering `0..n` (the first
 /// `n % parts` ranges get one extra row).
@@ -79,17 +79,18 @@ pub fn concat(mut parts: Vec<Dataset>) -> Dataset {
     Dataset::new(rows)
 }
 
-/// Execute `f` over every partition, timing each task individually, and
-/// return the transformed partitions together with the **simulated parallel
-/// elapsed time** — the maximum per-partition duration, as if every
-/// partition had its own core — and the tasks' summed time, the work.
+/// Execute `f` over every partition, timing each task's work on the
+/// [`WorkClock`] (wall time less run-queue wait), and return the transformed
+/// partitions together with the **simulated parallel elapsed time** — the
+/// largest task's work, as if every partition had its own core — and the
+/// tasks' summed work.
 ///
 /// Tasks run sequentially on purpose: measuring per-task time under real
-/// thread oversubscription (e.g. a single-core CI host) would inflate every
-/// task by time-sharing and erase the parallelism signal. Sequential
-/// execution gives exact per-task costs on any machine; the platform then
-/// *simulates* the cluster by charging only the critical path. See
-/// DESIGN.md's substitution table.
+/// thread oversubscription (e.g. a single-core CI host) would slow every
+/// task by sharing cores and caches and erase the parallelism signal.
+/// Sequential execution gives exact per-task costs on any machine; the
+/// platform then *simulates* the cluster by charging only the critical
+/// path. See DESIGN.md's substitution table.
 pub(crate) fn run_partitions_timed<T>(
     parts: Vec<T>,
     mut f: impl FnMut(usize, T) -> Result<T>,
@@ -97,9 +98,9 @@ pub(crate) fn run_partitions_timed<T>(
     let mut out = Vec::with_capacity(parts.len());
     let (mut max_ms, mut sum_ms) = (0.0f64, 0.0f64);
     for (i, part) in parts.into_iter().enumerate() {
-        let t = std::time::Instant::now();
+        let clock = WorkClock::start();
         out.push(f(i, part)?);
-        let ms = t.elapsed().as_secs_f64() * 1e3;
+        let ms = clock.stop().work_ms;
         max_ms = max_ms.max(ms);
         sum_ms += ms;
     }

@@ -10,22 +10,22 @@
 //! kernel or row kernel as the partition allows. What differs between
 //! engines is their [`Clock`] and, for an [`Engine`] on disk, the spill.
 //!
-//! **Time accounting.** Each per-partition task is timed individually and
-//! a stage is charged its *critical path* — `max` across its tasks — plus
-//! the clock's overheads, plus driver-side plumbing at the clock's driver
-//! share. Tasks execute sequentially so the per-task measurements are exact
+//! **Time accounting.** Every measured span — a per-partition task, a
+//! spill, driver-side plumbing, an in-process atom — is read on the
+//! [`WorkClock`] (wall time less run-queue wait), and a stage is charged
+//! its *critical path* — `max` across its tasks — plus the clock's
+//! overheads, plus driver-side plumbing at the clock's driver share. Tasks execute sequentially so the per-task measurements are exact
 //! even on single-core hosts (DESIGN.md's substitution table). Each node
 //! also records its kernel work (the sum of its task times) and its spills:
 //! what the optimizer's kernel-rate table learns from.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use rheem_core::udf::KeyUdf;
 use rheem_core::{
     execute_op, kernels, run_fragment, AtomInputs, AtomResult, Clock, Dataset, Exchange,
     ExecutionContext, KernelParallelism, Layout, NodeId, NodeObservation, PhysicalOp, PhysicalPlan,
-    Platform, Result, RheemError, TaskAtom,
+    Platform, Result, RheemError, TaskAtom, WorkClock,
 };
 
 use crate::config::OverheadConfig;
@@ -103,9 +103,9 @@ pub(crate) fn run_in_process(
     ctx: &ExecutionContext,
 ) -> Result<AtomResult> {
     let overhead = overheads.pay(clock.startup_ms);
-    let started = Instant::now();
+    let timer = WorkClock::start();
     let run = run_fragment(plan, &atom.nodes, inputs, ctx, None)?;
-    let work_ms = ms_since(started) * clock.efficiency;
+    let work_ms = timer.stop().work_ms * clock.efficiency;
     let outputs = atom
         .outputs
         .iter()
@@ -122,10 +122,6 @@ pub(crate) fn run_in_process(
         simulated_elapsed_ms: overhead + work_ms,
         node_observations,
     })
-}
-
-fn ms_since(t: Instant) -> f64 {
-    t.elapsed().as_secs_f64() * 1e3
 }
 
 /// One atom execution in flight.
@@ -162,9 +158,9 @@ impl<E: Engine> Run<'_, E> {
             self.elapsed_ms += ms;
         }
         if disk {
-            let t = Instant::now();
+            let clock = WorkClock::start();
             self.engine.spill(inputs)?;
-            let ms = ms_since(t);
+            let ms = clock.stop().work_ms;
             self.elapsed_ms += ms;
             self.spill_ms += ms;
             self.spilled_rows += inputs.iter().flatten().map(|p| p.len() as u64).sum::<u64>();
@@ -182,9 +178,9 @@ impl<E: Engine> Run<'_, E> {
 
     /// Time driver-side plumbing, charged at the clock's driver share.
     fn driver<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        let t = Instant::now();
+        let clock = WorkClock::start();
         let out = f();
-        self.elapsed_ms += ms_since(t) * self.clock.driver_share;
+        self.elapsed_ms += clock.stop().work_ms * self.clock.driver_share;
         out
     }
 
@@ -197,9 +193,9 @@ impl<E: Engine> Run<'_, E> {
         gathered: &[Dataset],
         serial: bool,
     ) -> Result<(Dataset, bool)> {
-        let t = Instant::now();
+        let clock = WorkClock::start();
         let out = kernels::execute(op, gathered, &KernelParallelism::sequential())?;
-        let ms = ms_since(t);
+        let ms = clock.stop().work_ms;
         self.work_ms += ms;
         self.elapsed_ms += if serial {
             ms

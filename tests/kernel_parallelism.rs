@@ -279,8 +279,9 @@ fn parallel_counters_replay_at_one_budget() {
     assert_eq!(first, second);
 }
 
-/// An in-process kernel records its sequential work: its wall time plus
-/// what its morsels ran beyond it on other threads. A map that sleeps 1 ms
+/// An in-process kernel records its sequential work: what its threads
+/// worked, the caller's work plus what its morsel workers worked beyond the
+/// caller's wait for them (a sleep is work). A map that sleeps 1 ms
 /// a row, over 64 rows in four 16-row morsels on 4 threads, sleeps 64 ms in
 /// all, in about a quarter of that wall time. A sleep never runs short, so
 /// neither bound can flake.

@@ -95,18 +95,18 @@ fn optimizer_splits_plans_across_platforms_when_profitable() {
     assert!((first.float(1).unwrap() - expected).abs() < 1e-6);
 }
 
-/// `n` rows through one map whose closure spins `spin` times per row.
-fn map_plan(n: i64, name: &'static str, spin: i64) -> rheem_core::PhysicalPlan {
+/// `n` rows through one map whose closure sleeps `nap` per row: a cost
+/// that does not depend on the host's speed, since a sleep never runs short.
+fn map_plan(n: i64, name: &'static str, nap: Duration) -> rheem_core::PhysicalPlan {
     let mut b = PlanBuilder::new();
     let src = b.collection("rows", (0..n).map(|i| rec![i]).collect());
     let mapped = b.map(
         src,
         MapUdf::new(name, move |r| {
-            let mut acc = r.int(0).unwrap();
-            for i in 0..spin {
-                acc = std::hint::black_box(acc.wrapping_mul(31).wrapping_add(i));
+            if !nap.is_zero() {
+                std::thread::sleep(nap);
             }
-            rec![acc]
+            rec![r.int(0).unwrap() + 1]
         }),
     );
     b.collect(mapped);
@@ -122,14 +122,17 @@ fn a_slow_closure_does_not_reprice_another_map() {
         .with_observability(observe.clone())
         .force_platform("java");
     let free = test_context().with_observability(observe.clone());
-    let cheap = || map_plan(200_000, "inc", 0);
+    let cheap = || map_plan(200_000, "inc", Duration::ZERO);
     let before = free.optimize(cheap()).unwrap().assignments;
     assert!(!before.iter().any(|p| p == "sparklike"), "{before:?}");
-    // A tenant's slow closure, observed in process, job after job.
+    // A tenant's slow closure, observed in process, job after job: at least
+    // 100 µs a row, so 50 µs a work unit (a row in, a row out), over 4x the
+    // ≈ 11–12 µs a unit at which the 200 000-row map moves.
     for _ in 0..5 {
-        ctx.execute(map_plan(2_000, "spin", 20_000)).unwrap();
+        ctx.execute(map_plan(2_000, "spin", Duration::from_micros(100)))
+            .unwrap();
     }
-    let spin = map_plan(1, "spin", 0);
+    let spin = map_plan(1, "spin", Duration::ZERO);
     let spin_map = &spin.nodes()[1].op;
     let fitted = observe
         .calibration()
@@ -142,7 +145,9 @@ fn a_slow_closure_does_not_reprice_another_map() {
         fitted.us(4_000.0) > 100.0 * seeded.us(4_000.0),
         "{fitted:?}"
     );
-    let slow = free.optimize(map_plan(200_000, "spin", 0)).unwrap();
+    let slow = free
+        .optimize(map_plan(200_000, "spin", Duration::ZERO))
+        .unwrap();
     assert_eq!(slow.assignments[1], "sparklike");
     // The cheap map is still priced at its own rate: same plan.
     assert_eq!(free.optimize(cheap()).unwrap().assignments, before);
