@@ -214,6 +214,14 @@ while IFS= read -r ref; do
   fi
 done < <(grep -rnoE 'DESIGN\.md`? §[0-9]+' crates src tests examples README.md EXPERIMENTS.md .claude)
 [ "$unresolved" = 0 ] || exit 1
+# Each CHANGES.md entry of the newest change (a line that begins
+# `- **PR <n>` for the largest <n>) is at most 1 500 B; tables and detail go
+# on lines of their own.
+newest=$(grep -oE '^- \*\*PR [0-9]+' CHANGES.md | grep -oE '[0-9]+$' | sort -n | tail -1)
+if grep -E "^- \*\*PR ${newest}([^0-9]|$)" CHANGES.md \
+    | LC_ALL=C awk 'length($0) > 1500 { print length($0) " B: " substr($0, 1, 72); long = 1 } END { exit !long }'; then
+  echo "a CHANGES.md entry of PR $newest is over 1500 B"; exit 1
+fi
 
 echo "==> cargo build --release"
 cargo build --release

@@ -450,6 +450,12 @@ impl Dataset {
         }
     }
 
+    /// True iff this is a window ([`Dataset::slice`]), whose views derive
+    /// from its parent's: a chunk of it is a slice of the parent's chunk.
+    pub(crate) fn is_window(&self) -> bool {
+        self.views.window_of.is_some()
+    }
+
     /// Heap bytes of the views materialized so far (a window that has
     /// derived neither view holds none of its own): what holding this
     /// dataset costs, for quotas. Allocator overhead is not counted, and a

@@ -95,7 +95,9 @@ impl QueryCatalog {
         QueryCatalog::default()
     }
 
-    /// Register an in-memory table given as rows.
+    /// Register an in-memory table given as rows: they are converted to
+    /// one chunk ([`QueryCatalog::register_dataset`]) and dropped before
+    /// this returns.
     pub fn register(
         &mut self,
         name: impl Into<String>,
@@ -105,12 +107,16 @@ impl QueryCatalog {
         self.register_dataset(name, schema, Dataset::new(records))
     }
 
-    /// Register an in-memory table exactly as wide as its schema. A dataset
-    /// whose chunk already is — every table a server session registers — is
-    /// kept as it is and scanned as that chunk; any other becomes a chunk of
-    /// its rows resized to the schema: a missing field is NULL, and a field
-    /// past the schema is dropped. A table with no rows is a chunk of
-    /// schema-many empty columns.
+    /// Register an in-memory table, held as one chunk exactly as wide as
+    /// its schema and nothing else: a table's rows beside its chunk would
+    /// cost it four times the bytes. A dataset's chunk of that width is
+    /// held as it is: one at hand ([`Dataset::has_chunk`]; a window's, as
+    /// its slice), or the one [`Dataset::chunk`] converts from schema-wide
+    /// rows and caches for every clone of the dataset, so a caller who
+    /// keeps one shares the catalog's lanes. The rows of any other — a
+    /// window's own rows only — are converted once, resized to the schema:
+    /// a missing field is NULL, and a field past the schema is dropped. A
+    /// table with no rows is a chunk of schema-many empty columns.
     pub fn register_dataset(
         &mut self,
         name: impl Into<String>,
@@ -118,8 +124,14 @@ impl QueryCatalog {
         data: Dataset,
     ) -> &mut Self {
         let width = schema.width();
-        let data = match data.chunk() {
-            Some(chunk) if chunk.width() == width => data,
+        // Not `Dataset::chunk` for a window of rows, which would convert
+        // all of its parent, nor for rows of another width, which would
+        // become a chunk of their own width first.
+        let schema_wide = |row: &Record| row.width() == width;
+        let own =
+            data.has_chunk() || (!data.is_window() && data.iter().next().is_some_and(schema_wide));
+        let chunk = match own.then(|| data.chunk()).flatten() {
+            Some(chunk) if chunk.width() == width => chunk.clone(),
             _ => {
                 let (null, rows) = (&Value::Null, data.records());
                 let field = |c| {
@@ -127,9 +139,10 @@ impl QueryCatalog {
                         .map(move |row| row.fields().get(c).unwrap_or(null))
                 };
                 let columns = (0..width).map(field).map(Column::from_value_refs);
-                Dataset::from_chunk(Chunk::new(columns.collect(), rows.len()))
+                Chunk::new(columns.collect(), rows.len())
             }
         };
+        let data = Dataset::from_chunk(chunk);
         self.tables.insert(name.into(), TableDef { schema, data });
         self
     }

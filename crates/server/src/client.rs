@@ -61,7 +61,7 @@ impl Client {
     /// Read one response; an ERR answer is [`WireError::Server`].
     fn response(&mut self) -> WireResult<Response> {
         match read_frame_into(&mut self.stream, None, &mut self.body)? {
-            FrameRead::Frame => match Response::decode(&self.body)? {
+            FrameRead::Frame(_) => match Response::decode(&self.body)? {
                 Response::Err { message } => Err(WireError::Server(message)),
                 response => Ok(response),
             },

@@ -1112,8 +1112,9 @@ const WINDOW: usize = 64 << 10;
 
 /// Outcome of one frame read ([`read_frame_into`]).
 pub(crate) enum FrameRead {
-    /// A complete frame; its body is in the caller's buffer.
-    Frame,
+    /// A complete frame; its body is in the caller's buffer. The instant
+    /// its length prefix completed.
+    Frame(Instant),
     /// Clean EOF at a frame boundary: the peer hung up between messages.
     Eof,
     /// No frame started within the idle timeout.
@@ -1122,11 +1123,22 @@ pub(crate) enum FrameRead {
 
 /// Outcome of one frame read as a session reads it ([`read_incoming`]).
 pub enum Incoming {
-    /// A `REGISTER` frame, its table decoded as the frame arrived, and the
-    /// instant its opcode byte was read.
-    Register(Registration, Instant),
+    /// A `REGISTER` frame, its table decoded as the frame arrived.
+    Register {
+        /// The table.
+        table: Registration,
+        /// The instant the frame's length prefix completed.
+        prefixed: Instant,
+        /// The instant its opcode byte was read.
+        opened: Instant,
+    },
     /// Any other frame's body, read whole.
-    Body(Vec<u8>),
+    Body {
+        /// The body.
+        body: Vec<u8>,
+        /// The instant the frame's length prefix completed.
+        prefixed: Instant,
+    },
     /// Clean EOF at a frame boundary: the peer hung up between messages.
     Eof,
     /// No frame started within the idle timeout.
@@ -1143,8 +1155,9 @@ fn is_read_timeout(e: &std::io::Error) -> bool {
 }
 
 /// A frame's length prefix, checked against [`MAX_FRAME`] before any body
-/// byte is read — or how the read ended without one ([`FrameRead::Eof`] or
-/// [`FrameRead::Idle`]). `idle` says what a timed-out `read` means. `None`:
+/// byte is read, and the instant it completed — or how the read ended
+/// without one ([`FrameRead::Eof`] or [`FrameRead::Idle`]). `idle` says
+/// what a timed-out `read` means. `None`:
 /// the stream's error, passed on.
 /// `Some(idle)`: a tick of a stream whose read timeout the caller set to a
 /// short interval — waiting for a frame's *first byte* the ticks add up to
@@ -1154,7 +1167,7 @@ fn is_read_timeout(e: &std::io::Error) -> bool {
 fn read_prefix(
     r: &mut impl Read,
     idle: Option<Duration>,
-) -> WireResult<ControlFlow<FrameRead, usize>> {
+) -> WireResult<ControlFlow<FrameRead, (usize, Instant)>> {
     let boundary = Instant::now();
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
@@ -1179,7 +1192,7 @@ fn read_prefix(
             "declared frame of {len} bytes exceeds MAX_FRAME"
         )));
     }
-    Ok(ControlFlow::Continue(len))
+    Ok(ControlFlow::Continue((len, Instant::now())))
 }
 
 /// Read one frame into `body` (cleared first; a caller that keeps the buffer
@@ -1191,12 +1204,12 @@ pub(crate) fn read_frame_into(
     body: &mut Vec<u8>,
 ) -> WireResult<FrameRead> {
     body.clear();
-    let len = match read_prefix(r, idle)? {
-        ControlFlow::Continue(len) => len,
+    let (len, prefixed) = match read_prefix(r, idle)? {
+        ControlFlow::Continue(prefix) => prefix,
         ControlFlow::Break(end) => return Ok(end),
     };
     read_body(r, len, idle.is_some(), body)?;
-    Ok(FrameRead::Frame)
+    Ok(FrameRead::Frame(prefixed))
 }
 
 /// Read one frame as a session does. A `REGISTER` is decoded as its bytes
@@ -1208,8 +1221,8 @@ pub(crate) fn read_frame_into(
 /// with [`Registration::decode`]'s message for its bytes, or — when the peer
 /// hangs up inside it first — with `EOF inside frame body`.
 pub fn read_incoming(r: &mut impl Read, idle: Option<Duration>) -> WireResult<Incoming> {
-    let len = match read_prefix(r, idle)? {
-        ControlFlow::Continue(len) => len,
+    let (len, prefixed) = match read_prefix(r, idle)? {
+        ControlFlow::Continue(prefix) => prefix,
         ControlFlow::Break(FrameRead::Idle) => return Ok(Incoming::Idle),
         ControlFlow::Break(_) => return Ok(Incoming::Eof),
     };
@@ -1228,10 +1241,17 @@ pub fn read_incoming(r: &mut impl Read, idle: Option<Duration>) -> WireResult<In
             ticking,
         });
         let table = Registration::read(&mut c)?;
-        return Ok(Incoming::Register(table, opened));
+        return Ok(Incoming::Register {
+            table,
+            prefixed,
+            opened,
+        });
     }
     read_body(r, len - buf.len(), ticking, &mut buf)?;
-    Ok(Incoming::Body(buf))
+    Ok(Incoming::Body {
+        body: buf,
+        prefixed,
+    })
 }
 
 /// Append `len` bytes of a frame body to `body`, growing it as they arrive
@@ -1259,7 +1279,7 @@ fn read_body(r: &mut impl Read, len: usize, ticking: bool, body: &mut Vec<u8>) -
 pub fn read_frame(r: &mut impl Read) -> WireResult<Option<Vec<u8>>> {
     let mut body = Vec::new();
     Ok(match read_frame_into(r, None, &mut body)? {
-        FrameRead::Frame => Some(body),
+        FrameRead::Frame(_) => Some(body),
         FrameRead::Eof | FrameRead::Idle => None,
     })
 }
@@ -1533,7 +1553,7 @@ mod tests {
         let mut body = vec![9; 3];
         assert!(matches!(
             read_frame_into(&mut slow, Some(Duration::ZERO), &mut body),
-            Ok(FrameRead::Frame)
+            Ok(FrameRead::Frame(_))
         ));
         assert_eq!(body, Request::Stats.encode());
     }
@@ -1586,7 +1606,7 @@ mod tests {
             .get(..4)
             .map(|p| u32::from_be_bytes(p.try_into().unwrap()) as usize);
         match outcome {
-            Ok(FrameRead::Frame) => {
+            Ok(FrameRead::Frame(_)) => {
                 let len = declared.expect("a frame has a prefix");
                 assert_eq!(body, stream[4..4 + len], "cut {cut}");
             }

@@ -29,9 +29,10 @@
 //! into one column builder per schema column ([`read_incoming`]), and the
 //! catalog holds the resulting chunk — once, and never as rows. A frame with
 //! a row not as wide as its schema is malformed and ends the session, as any
-//! malformed frame does. What a session may hold is
-//! bounded (`MAX_SESSION_TABLES`, `MAX_SESSION_TABLE_BYTES`); an
-//! over-quota `REGISTER` is refused with an error and the session goes on.
+//! malformed frame does. What a session may hold is bounded
+//! (`MAX_SESSION_TABLES`), and so is what a tenant's sessions hold between
+//! them (`MAX_TENANT_TABLE_BYTES`); an over-quota `REGISTER` is refused with
+//! an error and the session goes on.
 //! `server.registered_bytes` is the server-wide total, and falls back when a
 //! session ends.
 //!
@@ -46,12 +47,13 @@
 //! a response is two writes ([`write_frame`]: length prefix, then body), and
 //! with Nagle on the body would wait for the peer's delayed ACK of the prefix
 //! (≈ 40 ms on Linux). What a request costs *inside* the server is clocked by
-//! the session itself, from the moment its frame is complete (a `REGISTER`'s:
-//! its opcode byte read) to the moment its response is written:
-//! `server.request_us`, and beside it the six stages
-//! that tile that interval, `server.stage.{decode, plan, queue_wait, run,
-//! encode, write}_us` (the `Stage` enum). `STATS` renders them, so wire
-//! latency a client measures can be set against the server's own share of it.
+//! the session itself, from the moment its length prefix is complete to the
+//! moment its response is written: `server.request_us`, and beside it the
+//! seven stages that tile that interval, `server.stage.{read, decode, plan,
+//! queue_wait, run, encode, write}_us` (the `Stage` enum) — `read` is the
+//! wait for a body its client sends after its prefix. `STATS` renders them,
+//! so wire latency a client measures can be set against the server's own
+//! share of it.
 //!
 //! Every session's jobs report into one shared `Observability` hub. It holds
 //! no per-job state and its metrics path is atomics-only, which is what
@@ -89,12 +91,13 @@ const MAX_SESSION_STATEMENTS: usize = 256;
 /// Most tables one session may have registered at a time.
 const MAX_SESSION_TABLES: usize = 64;
 
-/// Most bytes one session's registered tables may hold
-/// ([`Dataset::resident_bytes`]): room for a dozen and more tables of the
-/// largest frame a client can send ([`crate::protocol::MAX_FRAME`], ≈ 13 MiB
-/// as a chunk of numbers), and a bound on what a frame of values that cost
-/// more in memory than on the wire can pin.
-const MAX_SESSION_TABLE_BYTES: usize = 256 << 20;
+/// Most bytes the registered tables of one tenant's live sessions may hold
+/// between them ([`Dataset::resident_bytes`]), however many sessions it
+/// opens: room for a dozen and more tables of the largest frame a client can
+/// send ([`crate::protocol::MAX_FRAME`], ≈ 13 MiB as a chunk of numbers),
+/// and a bound on what a frame of values that cost more in memory than on
+/// the wire can pin.
+const MAX_TENANT_TABLE_BYTES: usize = 256 << 20;
 
 /// Per-read socket timeout for sessions with an idle timeout configured.
 /// Reads tick at this granularity so idleness can be judged at frame
@@ -151,6 +154,9 @@ struct ServerShared {
     /// `server.registered_bytes`: what the registered tables of all live
     /// sessions hold.
     registered_bytes: Arc<Gauge>,
+    /// What the registered tables of each tenant's live sessions hold, by
+    /// tenant; a tenant holding nothing has no entry.
+    tenant_bytes: Mutex<HashMap<String, usize>>,
     /// `server.session.statements_evicted`: plans dropped from session
     /// statement caches at [`MAX_SESSION_STATEMENTS`].
     statements_evicted: Arc<Counter>,
@@ -214,6 +220,7 @@ impl RheemServer {
             result_columnar,
             result_row,
             registered_bytes,
+            tenant_bytes: Mutex::new(HashMap::new()),
             statements_evicted,
             next_scope: AtomicU64::new(1),
             request_clocks,
@@ -354,13 +361,16 @@ fn join_finished(sessions: &mut Vec<std::thread::JoinHandle<()>>) {
 /// The stages that tile a request's time in the session, in the order a
 /// query passes them. The time up to a [`RequestClock::lap`] belongs to the
 /// stage it names; a stage a request does not pass is recorded as 0, so all
-/// six histograms count every request and their sums add up to
+/// seven histograms count every request and their sums add up to
 /// `server.request_us`'s.
 #[derive(Clone, Copy)]
 enum Stage {
-    /// Request frame complete → request decoded. A `REGISTER` is decoded as
-    /// it arrives: from its opcode byte to its table received and decoded
-    /// into the chunk the catalog will hold.
+    /// Length prefix complete → body in hand: a body the peer is slow to
+    /// send is waited for here. A `REGISTER`'s: prefix → opcode byte.
+    Read,
+    /// Request body → request decoded. A `REGISTER` is decoded as it
+    /// arrives: from its opcode byte to its table received and decoded into
+    /// the chunk the catalog will hold.
     Decode,
     /// Statement-cache lookup; on a miss, SQL parse, bind and logical plan.
     Plan,
@@ -377,7 +387,15 @@ enum Stage {
     Write,
 }
 
-const STAGE_NAMES: [&str; 6] = ["decode", "plan", "queue_wait", "run", "encode", "write"];
+const STAGE_NAMES: [&str; 7] = [
+    "read",
+    "decode",
+    "plan",
+    "queue_wait",
+    "run",
+    "encode",
+    "write",
+];
 
 /// Upper bounds (microseconds) of the request and stage histograms: 1-2-5
 /// steps from 10 µs to 10 s.
@@ -389,7 +407,7 @@ const REQUEST_US_BOUNDS: [u64; 19] = [
 /// `server.request_us` and `server.stage.<stage>_us`, resolved once.
 struct RequestHistograms {
     request: Arc<Histogram>,
-    stages: [Arc<Histogram>; 6],
+    stages: [Arc<Histogram>; 7],
 }
 
 impl RequestHistograms {
@@ -403,28 +421,27 @@ impl RequestHistograms {
     }
 }
 
-/// One request's clock, started when its frame is complete (a `REGISTER`'s
-/// when its opcode byte is read). Stage times are
-/// differences of whole microseconds since the start, so they add up to the
-/// request's time exactly.
+/// One request's clock, started when its frame's length prefix is complete.
+/// Stage times are differences of whole microseconds since the start, so
+/// they add up to the request's time exactly.
 struct RequestClock {
     start: Instant,
     /// Microseconds since `start` at the last lap.
     lapped_us: u64,
-    stage_us: [u64; 6],
+    stage_us: [u64; 7],
 }
 
 impl RequestClock {
-    fn start() -> Self {
-        Self::start_at(Instant::now())
-    }
-
-    fn start_at(start: Instant) -> Self {
-        RequestClock {
-            start,
+    /// The clock of a request whose length prefix completed at `prefixed`
+    /// and whose [`Stage::Read`] ended at `read`.
+    fn read(prefixed: Instant, read: Instant) -> Self {
+        let mut clock = RequestClock {
+            start: prefixed,
             lapped_us: 0,
-            stage_us: [0; 6],
-        }
+            stage_us: [0; 7],
+        };
+        clock.lap_at(Stage::Read, read);
+        clock
     }
 
     /// Give `stage` the time since the last lap.
@@ -484,15 +501,15 @@ fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
 
     // First frame must be HELLO.
     let mut body = Vec::new();
-    match read_frame_into(&mut stream, shared.idle_timeout, &mut body)? {
-        FrameRead::Frame => {}
+    let prefixed = match read_frame_into(&mut stream, shared.idle_timeout, &mut body)? {
+        FrameRead::Frame(prefixed) => prefixed,
         FrameRead::Eof => return Ok(()),
         FrameRead::Idle => {
             evict_idle(shared, &mut stream);
             return Ok(());
         }
-    }
-    let mut clock = RequestClock::start();
+    };
+    let mut clock = RequestClock::read(prefixed, Instant::now());
     let hello = Request::decode(&body)?;
     clock.lap(Stage::Decode);
     let tenant = match hello {
@@ -521,7 +538,7 @@ fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
         .with_cache_scope(scope)
         .with_wave_gate(gate.clone());
     let mut catalog = QueryCatalog::new();
-    let mut tables = SessionTables::new(&shared.registered_bytes);
+    let mut tables = SessionTables::new(shared, &tenant);
     let mut statements = StatementCache::default();
 
     loop {
@@ -530,8 +547,10 @@ fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
         // held as a frame at all: it comes decoded, read through a window.
         let incoming = read_incoming(&mut stream, shared.idle_timeout)?;
         let mut clock = match &incoming {
-            Incoming::Register(_, opened) => RequestClock::start_at(*opened),
-            Incoming::Body(_) => RequestClock::start(),
+            Incoming::Register {
+                prefixed, opened, ..
+            } => RequestClock::read(*prefixed, *opened),
+            Incoming::Body { prefixed, .. } => RequestClock::read(*prefixed, Instant::now()),
             Incoming::Eof => break,
             Incoming::Idle => {
                 // Idle session: no request *started* within the timeout.
@@ -546,13 +565,13 @@ fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
         // straight from the job's sink dataset, never built as a `Response`.
         let mut goodbye = false;
         let reply = match incoming {
-            Incoming::Register(table, _) => {
+            Incoming::Register { table, .. } => {
                 clock.lap(Stage::Decode);
                 let reply = register_table(&mut catalog, &mut tables, &mut statements, table);
                 clock.lap(Stage::Run);
                 reply
             }
-            Incoming::Body(body) => {
+            Incoming::Body { body, .. } => {
                 let request = Request::decode(&body)?;
                 clock.lap(Stage::Decode);
                 match request {
@@ -630,24 +649,26 @@ fn register_table(
     Response::Ok.encode()
 }
 
-/// What a session's registered tables hold, kept under the two session
-/// quotas. The bytes are part of the server-wide gauge for as long as the
-/// session lives: dropping this takes them out again, however the session
-/// ends.
+/// What a session's registered tables hold, kept under the session's table
+/// quota and its tenant's byte quota. The bytes are part of the tenant's
+/// total and the server-wide gauge for as long as the session lives:
+/// dropping this takes them out again, however the session ends.
 struct SessionTables<'a> {
     /// Resident bytes by table name.
     tables: HashMap<String, usize>,
     /// The sum of `tables`.
     resident: usize,
-    server_wide: &'a Gauge,
+    shared: &'a ServerShared,
+    tenant: &'a str,
 }
 
 impl<'a> SessionTables<'a> {
-    fn new(server_wide: &'a Gauge) -> Self {
+    fn new(shared: &'a ServerShared, tenant: &'a str) -> Self {
         SessionTables {
             tables: HashMap::new(),
             resident: 0,
-            server_wide,
+            shared,
+            tenant,
         }
     }
 
@@ -661,25 +682,36 @@ impl<'a> SessionTables<'a> {
                 "session table quota exceeded: {MAX_SESSION_TABLES} tables are registered"
             ));
         }
-        let held = self.resident - replaced.unwrap_or(0);
-        if bytes > MAX_SESSION_TABLE_BYTES - held {
+        let replaced = replaced.unwrap_or(0);
+        let mut tenants = self.shared.tenant_bytes.lock();
+        let held = tenants.get(self.tenant).map_or(0, |held| held - replaced);
+        if bytes > MAX_TENANT_TABLE_BYTES - held {
             return Err(format!(
-                "session byte quota exceeded: `{name}` holds {bytes} bytes and {} of \
-                 {MAX_SESSION_TABLE_BYTES} are free",
-                MAX_SESSION_TABLE_BYTES - held
+                "tenant byte quota exceeded: `{name}` holds {bytes} bytes and {} of \
+                 {MAX_TENANT_TABLE_BYTES} are free to tenant `{}`'s sessions",
+                MAX_TENANT_TABLE_BYTES - held,
+                self.tenant
             ));
         }
+        tenants.insert(self.tenant.to_string(), held + bytes);
         self.tables.insert(name.to_string(), bytes);
-        self.resident = held + bytes;
-        self.server_wide.sub(replaced.unwrap_or(0) as u64);
-        self.server_wide.add(bytes as u64);
+        self.resident = self.resident - replaced + bytes;
+        self.shared.registered_bytes.sub(replaced as u64);
+        self.shared.registered_bytes.add(bytes as u64);
         Ok(())
     }
 }
 
 impl Drop for SessionTables<'_> {
     fn drop(&mut self) {
-        self.server_wide.sub(self.resident as u64);
+        let mut tenants = self.shared.tenant_bytes.lock();
+        if let Some(held) = tenants.get_mut(self.tenant) {
+            *held = held.saturating_sub(self.resident);
+            if *held == 0 {
+                tenants.remove(self.tenant);
+            }
+        }
+        self.shared.registered_bytes.sub(self.resident as u64);
     }
 }
 
@@ -905,9 +937,10 @@ mod tests {
 
     #[test]
     fn a_request_clock_gives_every_microsecond_to_exactly_one_stage() {
-        let mut clock = RequestClock::start();
-        let at = |us: u64| clock.start + Duration::from_micros(us);
-        let (decoded, picked_up, early, done) = (at(7), at(40), at(25), at(1_040));
+        let prefixed = Instant::now();
+        let at = |us: u64| prefixed + Duration::from_micros(us);
+        let mut clock = RequestClock::read(prefixed, at(60_000));
+        let (decoded, picked_up, early, done) = (at(60_007), at(60_040), at(60_025), at(61_040));
         clock.lap_at(Stage::Decode, decoded);
         // Sub-microsecond remainders carry over to the next stage.
         clock.lap_at(Stage::Plan, decoded + Duration::from_nanos(900));
@@ -915,8 +948,8 @@ mod tests {
         // An instant from before the last lap (another thread's) takes nothing.
         clock.lap_at(Stage::Encode, early);
         clock.lap_at(Stage::Run, done);
-        assert_eq!(clock.stage_us, [7, 0, 33, 1_000, 0, 0]);
-        assert_eq!(clock.lapped_us, 1_040);
+        assert_eq!(clock.stage_us, [60_000, 7, 0, 33, 1_000, 0, 0]);
+        assert_eq!(clock.lapped_us, 61_040);
         assert_eq!(clock.stage_us.iter().sum::<u64>(), clock.lapped_us);
     }
 

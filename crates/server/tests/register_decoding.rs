@@ -91,8 +91,8 @@ fn streamed(body: &[u8], cut: usize, seed: u64) -> WireResult<Option<Registratio
     stream.extend_from_slice(body);
     let mut peer = CutReader::new(&stream, cut.min(stream.len()), seed);
     match read_incoming(&mut peer, Some(Duration::from_secs(60)))? {
-        Incoming::Register(table, _) => Ok(Some(table)),
-        Incoming::Body(whole) => {
+        Incoming::Register { table, .. } => Ok(Some(table)),
+        Incoming::Body { body: whole, .. } => {
             assert_eq!(whole, body, "a frame read whole is its body");
             Ok(None)
         }

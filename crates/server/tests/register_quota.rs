@@ -1,10 +1,12 @@
-//! What one session may register is bounded: at most 64 tables, at most
-//! 256 MiB of them. A REGISTER past either bound is refused with an error
-//! that names the quota, the session stays usable, replacing a table counts
-//! the replaced one as released, and `server.registered_bytes` in `STATS`
-//! follows what live sessions hold — back to where it was once they close.
+//! What a client may register is bounded: at most 64 tables a session, and
+//! at most 256 MiB of them between the live sessions of one tenant. A
+//! REGISTER past either bound is refused with an error that names the quota,
+//! the session stays usable, replacing a table counts the replaced one as
+//! released, and `server.registered_bytes` in `STATS` follows what live
+//! sessions hold — back to where it was once they close.
 
 use std::net::TcpStream;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use rheem_core::{DataType, Record, Schema, Value};
@@ -87,6 +89,19 @@ fn null_table_frame(name: &str, rows: u32, width: u32) -> Vec<u8> {
     frame
 }
 
+/// The tests that hold hundreds of MB of tables take turns.
+static ONE_LARGE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+/// A session of `tenant` over a raw socket, past its HELLO.
+fn session(server: &rheem_server::ServerHandle, tenant: &str) -> TcpStream {
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let hello = Request::Hello {
+        tenant: tenant.into(),
+    };
+    assert_eq!(call(&mut stream, &hello.encode()), Response::Ok);
+    stream
+}
+
 fn call(stream: &mut TcpStream, body: &[u8]) -> Response {
     write_frame(stream, body).expect("request written");
     let body = read_frame(stream).expect("response read").expect("a frame");
@@ -95,15 +110,14 @@ fn call(stream: &mut TcpStream, body: &[u8]) -> Response {
 
 #[test]
 fn registered_bytes_are_bounded_per_session_and_gauged_server_wide() {
+    let _turn = ONE_LARGE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|failed| failed.into_inner());
     let mut server = RheemServer::start(ServerConfig::default()).expect("server starts");
     let mut observer = Client::connect(server.addr(), "observer").expect("connect");
     let baseline = registered_bytes(&mut observer);
 
-    let mut stream = TcpStream::connect(server.addr()).expect("connect");
-    let hello = Request::Hello {
-        tenant: "big-tables".into(),
-    };
-    assert_eq!(call(&mut stream, &hello.encode()), Response::Ok);
+    let mut stream = session(&server, "big-tables");
     let small = Request::Register {
         name: "small".into(),
         schema: small_schema(),
@@ -172,5 +186,62 @@ fn registered_bytes_are_bounded_per_session_and_gauged_server_wide() {
         );
     }
     observer.goodbye().expect("goodbye");
+    server.shutdown();
+}
+
+/// The byte quota is the tenant's, not the session's: a second session of a
+/// tenant whose first holds most of it is refused a table that a session of
+/// another tenant is not, and the refused session goes on.
+#[test]
+fn the_byte_quota_is_shared_by_a_tenants_sessions() {
+    let _turn = ONE_LARGE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|failed| failed.into_inner());
+    let mut server = RheemServer::start(ServerConfig::default()).expect("server starts");
+    // Two 90 MB tables, as above: a third passes 256 MiB.
+    let (rows, width) = (1_390_000u32, 8u32);
+    let mut first = session(&server, "shared");
+    for name in ["n0", "n1"] {
+        assert_eq!(
+            call(&mut first, &null_table_frame(name, rows, width)),
+            Response::Ok
+        );
+    }
+    let mut second = session(&server, "shared");
+    match call(&mut second, &null_table_frame("n2", rows, width)) {
+        Response::Err { message } => assert!(message.contains("byte quota"), "{message}"),
+        other => panic!("a second session took the tenant past its quota: {other:?}"),
+    }
+    let mut other = session(&server, "other");
+    assert_eq!(
+        call(&mut other, &null_table_frame("n2", rows, width)),
+        Response::Ok,
+        "another tenant's quota is its own"
+    );
+    drop(other);
+    // The refused session goes on, within what its tenant has left.
+    let small = Request::Register {
+        name: "small".into(),
+        schema: small_schema(),
+        rows: small_rows(),
+    };
+    assert_eq!(call(&mut second, &small.encode()), Response::Ok);
+    let query = Request::Query {
+        sql: "SELECT a FROM small WHERE a >= 8".into(),
+        deadline_ms: None,
+    };
+    match call(&mut second, &query.encode()) {
+        Response::Rows { rows, .. } => assert_eq!(rows.len(), 2),
+        other => panic!("{other:?}"),
+    }
+    // Once the first session ends, its bytes go back to the tenant.
+    drop(first);
+    let waited = Instant::now();
+    while call(&mut second, &null_table_frame("n2", rows, width)) != Response::Ok {
+        assert!(
+            waited.elapsed() < Duration::from_secs(10),
+            "the closed session's bytes stayed charged to its tenant"
+        );
+    }
     server.shutdown();
 }

@@ -107,7 +107,15 @@ fn two_concurrent_sessions_query_independently_and_shutdown_is_clean() {
     };
     let served = count("server.request_us");
     assert!(served > 0);
-    for stage in ["decode", "plan", "queue_wait", "run", "encode", "write"] {
+    for stage in [
+        "read",
+        "decode",
+        "plan",
+        "queue_wait",
+        "run",
+        "encode",
+        "write",
+    ] {
         assert_eq!(
             count(&format!("server.stage.{stage}_us")),
             served,

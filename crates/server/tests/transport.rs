@@ -230,14 +230,26 @@ fn histogram(stats: &str, name: &str) -> (u64, u64) {
     (field("count="), field("sum="))
 }
 
-/// The session clocks every request it serves: `server.request_us`, the six
-/// stages that tile it, and the tenant's own `request_us`.
+/// The stages that tile a request's time in the session.
+const STAGES: [&str; 7] = [
+    "read",
+    "decode",
+    "plan",
+    "queue_wait",
+    "run",
+    "encode",
+    "write",
+];
+
+/// The session clocks every request it serves: `server.request_us`, the
+/// seven stages that tile it, and the tenant's own `request_us`.
 #[test]
 fn stats_account_for_every_request_stage_by_stage() {
     let _serial = serial();
     let mut handle = RheemServer::start(ServerConfig::default()).expect("server starts");
-    // The two-write `Client`, as the benchmark drives it: its requests still
-    // meet the server's delayed ACK, which the server's clock must not show.
+    // The two-write `Client`, as the benchmark drives it: each request's body
+    // waits out the server's delayed ACK of its prefix, and the server's
+    // clock shows that wait as `read`.
     let mut client = Client::connect(handle.addr(), "probe").expect("connect");
     client
         .register("t", schema(), rows(1000))
@@ -267,7 +279,7 @@ fn stats_account_for_every_request_stage_by_stage() {
         served
     );
     let mut stage_us = 0;
-    for stage in ["decode", "plan", "queue_wait", "run", "encode", "write"] {
+    for stage in STAGES {
         let (count, sum) = histogram(&stats, &format!("server.stage.{stage}_us"));
         assert_eq!(
             count, served,
@@ -286,7 +298,60 @@ fn stats_account_for_every_request_stage_by_stage() {
         wire[wire.len() / 2],
         request_us / served
     );
+    let read = stats
+        .lines()
+        .find(|l| l.starts_with("histogram server.stage.read_us "));
+    eprintln!("{}", read.expect("the read stage"));
 
     client.goodbye().expect("goodbye");
+    handle.shutdown();
+}
+
+/// A body sent 80 ms after its length prefix is waited for in the server's
+/// `read` stage, and the stages still tile the request. The stage is
+/// asserted at 60 ms only: it starts when the server wakes for the prefix,
+/// which may be late on a loaded host.
+#[test]
+fn a_body_sent_after_its_prefix_is_clocked_as_read() {
+    let _serial = serial();
+    let mut handle = RheemServer::start(ServerConfig::default()).expect("server starts");
+    let mut client = OneWriteClient::connect(handle.addr());
+    client.0.set_nodelay(true).expect("nodelay");
+    client.hello("slow-body");
+    let stats_of = |reply: Response| match reply {
+        Response::Stats { text } => text,
+        other => panic!("{other:?}"),
+    };
+
+    let body = Request::Stats.encode();
+    client
+        .0
+        .write_all(&(body.len() as u32).to_be_bytes())
+        .expect("prefix");
+    std::thread::sleep(Duration::from_millis(80));
+    client.0.write_all(&body).expect("body");
+    let before = stats_of(client.read().expect("a response"));
+    // This STATS is rendered after the slow one was recorded.
+    let after = stats_of(client.call(&Request::Stats));
+
+    let delta = |name: &str| {
+        let ((count0, sum0), (count1, sum1)) = (histogram(&before, name), histogram(&after, name));
+        assert_eq!(count1, count0 + 1, "{name} counts the slow request");
+        sum1 - sum0
+    };
+    let read_us = delta("server.stage.read_us");
+    assert!(
+        read_us >= 60_000,
+        "{read_us} us read for a body sent 80 ms late"
+    );
+    let request_us = delta("server.request_us");
+    let stage_us: u64 = STAGES
+        .iter()
+        .map(|stage| delta(&format!("server.stage.{stage}_us")))
+        .sum();
+    assert!(
+        stage_us.abs_diff(request_us) * 10 <= request_us,
+        "stages sum to {stage_us} us, the request to {request_us} us"
+    );
     handle.shutdown();
 }
