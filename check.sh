@@ -79,8 +79,7 @@ if grep -rnE 'LinearCostModel|RelationalCostModel|PlatformCostModel|calibrated_o
 fi
 # One rate per kernel: every engine records sequential work, so the rate
 # table, the clocks and the calibration run key no rate by engine kind; no
-# code line of theirs names `partitioned` (comments may; the hash engine's
-# radix-partition flag in kernels/hash.rs is another matter).
+# code line of theirs names `partitioned` (comments may).
 if grep -rnw 'partitioned' crates/core/src/observe crates/core/src/cost.rs crates/bench/src \
     | grep -vE '^[^:]+:[0-9]+:\s*//'; then
   echo "a rate is keyed by engine kind again"; exit 1
@@ -92,6 +91,22 @@ fi
 if grep -rnE 'Arc<\s*str\s*>' \
     crates/core/src/data crates/core/src/kernels crates/server/src/protocol.rs crates/storage/src; then
   echo "a second string type is back in values, dictionaries, kernels, the wire or storage"; exit 1
+fi
+
+# Keyed kernels run whole: only a narrow operator splits into morsels, on
+# either path, so no keyed morsel twin, per-bucket merge or radix-partitioned
+# index build comes back, and only the standalone `benchmark` package calls
+# the three row-kernel names `kernels::parallel` keeps for it (ROADMAP item
+# 4(b) deletes them). One plan cache has no scopes: a hit reuses scheduling
+# only, and only `benchmark/` calls the no-op `with_cache_scope`.
+echo "==> keyed kernels run whole: no keyed morsel twin, bucket merge, radix build or cache scope"
+if grep -rnE 'chunk_ranges|fold_buckets|by_bucket|local_(group|reduce|build)_buckets|radix_bucket|RADIX_|build_index_with|sample_distinct' \
+    crates src tests examples; then
+  echo "a deleted keyed twin, bucket merge or radix build is named again"; exit 1
+fi
+if grep -rnE 'parallel::(sort|hash_group|hash_join|sort_group|reduce_by_key)\(|[^_]cache_scope|next_scope|CacheKey|\.with_cache_scope\(' \
+    crates src tests examples; then
+  echo "a keyed kernel runs through kernels::parallel, or a plan-cache scope is back"; exit 1
 fi
 
 # One work clock: a kernel's work — an interpreted node, a morsel worker's
@@ -280,6 +295,10 @@ for key in '"bench": "ablation_kernels"' '"timer_resolution_ms"' \
   grep -qF "$key" BENCH_kernels.json \
     || { echo "BENCH_kernels.json missing $key"; exit 1; }
 done
+# Every kernel there runs on one thread: no thread axis comes back.
+if grep -qF '"threads":' BENCH_kernels.json; then
+  echo "BENCH_kernels.json has a thread axis again"; exit 1
+fi
 
 # Enumeration oracle smoke: the enumerator must match the exhaustive
 # optimum on every sampled plan (seeded vendored proptest — reproducible),

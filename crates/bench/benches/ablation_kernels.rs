@@ -1,37 +1,30 @@
-//! Ablation (self-timed), two experiments emitting one machine-readable
-//! `BENCH_kernels.json` at the repo root with host metadata:
+//! Ablation (self-timed): row (pre) vs. chunk (post) kernels at 10^5 and
+//! 10^6 rows, emitting one machine-readable `BENCH_kernels.json` at the
+//! repo root with host metadata. Each entry carries both timings side by
+//! side, both sides representation-native (records in/out vs. chunk
+//! in/out). The `hash_aggregate_*` entries are what a SQL GROUP BY runs
+//! (member lists + closure vs. typed accumulator lanes); the `pipeline`
+//! entry is the fused stage chain on the chunk against the equivalent row
+//! operator chain. `filter_selective` / `filter_all_pass` are the served
+//! WHERE shape at 10 % and 100 % selectivity, `sort` sorts an Int lane in
+//! no order and `sort_served` the served ORDER BY (an Int lane already in
+//! key order), and `hash_join_dense_key` is the served join (200 000
+//! orders × 1 000 customers on `cust = id`). Every kernel here runs on one
+//! thread: only a narrow operator splits into morsels, and its split is
+//! timed end to end (`tests/kernel_parallelism.rs` holds its outputs).
 //!
-//! 1. **morsel** — sequential vs. morsel-parallel kernels on groupby and
-//!    join workloads at 10^5–10^6 rows across 2/4/8 kernel threads (one
-//!    thread *is* the sequential kernel: `effective_threads` ≤ 1 returns
-//!    it before any morsel is cut, so there is no such row);
-//! 2. **columnar** — row (pre) vs. chunk (post) kernels on the same row
-//!    counts: each entry carries both timings side by side, both sides
-//!    representation-native (records in/out vs. chunk in/out). The
-//!    `hash_aggregate_*` entries are what a SQL GROUP BY runs (member
-//!    lists + closure vs. typed accumulator lanes); the `pipeline` entry
-//!    is the fused stage chain on the chunk against the equivalent row
-//!    operator chain. `filter_selective` / `filter_all_pass` are the served
-//!    WHERE shape at 10 % and 100 % selectivity, `sort` sorts an Int lane in
-//!    no order and `sort_served` the served ORDER BY (an Int lane already in
-//!    key order), and `hash_join_dense_key` is the served join (200 000
-//!    orders × 1 000 customers on `cust = id`).
-//!
-//! Determinism is asserted inline: every morsel or chunk run must be
-//! byte-equal to the row run it is compared against, so the numbers can
-//! never come from a kernel that cheated on its equivalence contract.
+//! Determinism is asserted inline: every chunk run must be byte-equal to
+//! the row run it is compared against, so the numbers can never come from
+//! a kernel that cheated on its equivalence contract.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use rheem_core::kernels::{self, chunked, parallel};
-use rheem_core::udf::{
-    AggFunc, Aggregate, FilterUdf, GroupMapUdf, GroupOutput, KeyUdf, MapUdf, ReduceUdf,
-};
+use rheem_core::udf::{AggFunc, Aggregate, FilterUdf, GroupMapUdf, GroupOutput, KeyUdf, MapUdf};
 use rheem_core::{rec, BinOp, Chunk, Expr, KernelParallelism, PipelineStage, StageKind};
 
 const ITERS: u32 = 3;
-const THREADS: [usize; 3] = [2, 4, 8];
 
 /// Smallest nonzero interval the monotonic clock can report, in ms, with
 /// a 1 µs floor. Speedup denominators are clamped here: a timing below
@@ -54,87 +47,15 @@ fn timer_resolution_ms() -> f64 {
     res.max(1e-3)
 }
 
-/// Time `f` over `ITERS` runs; return (best_ms, mean_ms).
-fn time<F: FnMut()>(mut f: F) -> (f64, f64) {
+/// Time `f` over `ITERS` runs; return the best, in ms.
+fn best_ms<F: FnMut()>(mut f: F) -> f64 {
     let mut best = f64::INFINITY;
-    let mut total = 0.0;
     for _ in 0..ITERS {
         let t = Instant::now();
         f();
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        best = best.min(ms);
-        total += ms;
+        best = best.min(t.elapsed().as_secs_f64() * 1e3);
     }
-    (best, total / ITERS as f64)
-}
-
-struct Entry {
-    workload: &'static str,
-    kernel: &'static str,
-    rows: usize,
-    threads: usize,
-    best_ms: f64,
-    mean_ms: f64,
-    speedup: f64,
-    below_timer_resolution: bool,
-}
-
-impl Entry {
-    fn json(&self) -> String {
-        format!(
-            "{{\"workload\":\"{}\",\"kernel\":\"{}\",\"rows\":{},\"threads\":{},\
-             \"best_ms\":{:.3},\"mean_ms\":{:.3},\"speedup_vs_sequential\":{:.3},\
-             \"below_timer_resolution\":{}}}",
-            self.workload,
-            self.kernel,
-            self.rows,
-            self.threads,
-            self.best_ms,
-            self.mean_ms,
-            self.speedup,
-            self.below_timer_resolution
-        )
-    }
-}
-
-/// Benchmark one kernel: a sequential baseline entry (threads = 0 marks
-/// the non-morsel code path) plus one morsel entry per thread count.
-fn sweep(
-    entries: &mut Vec<Entry>,
-    resolution_ms: f64,
-    workload: &'static str,
-    kernel: &'static str,
-    rows: usize,
-    sequential: &mut dyn FnMut(),
-    morsel: &mut dyn FnMut(&KernelParallelism),
-) {
-    let (best, mean) = time(&mut *sequential);
-    entries.push(Entry {
-        workload,
-        kernel,
-        rows,
-        threads: 0,
-        best_ms: best,
-        mean_ms: mean,
-        speedup: 1.0,
-        below_timer_resolution: best < resolution_ms,
-    });
-    let baseline = best;
-    for t in THREADS {
-        let p = KernelParallelism::sequential().with_threads(t);
-        let (best, mean) = time(|| morsel(&p));
-        entries.push(Entry {
-            workload,
-            kernel,
-            rows,
-            threads: t,
-            best_ms: best,
-            mean_ms: mean,
-            speedup: baseline / best.max(resolution_ms),
-            below_timer_resolution: best < resolution_ms,
-        });
-        eprintln!("{workload}/{kernel} rows={rows} threads={t}: best {best:.1} ms");
-    }
+    best
 }
 
 /// One row-vs-chunk comparison: `row_ms` is the pre-columnar (row kernel)
@@ -176,8 +97,8 @@ fn col_sweep(
     row: &mut dyn FnMut(),
     chunk: &mut dyn FnMut(),
 ) {
-    let (row_best, _) = time(&mut *row);
-    let (chunk_best, _) = time(&mut *chunk);
+    let row_best = best_ms(&mut *row);
+    let chunk_best = best_ms(&mut *chunk);
     let entry = ColEntry {
         kernel,
         rows,
@@ -537,7 +458,6 @@ fn served_join(entries: &mut Vec<ColEntry>, resolution_ms: f64) {
 }
 
 fn main() {
-    let mut entries: Vec<Entry> = Vec::new();
     let mut col_entries: Vec<ColEntry> = Vec::new();
     let resolution_ms = timer_resolution_ms();
     eprintln!("timer resolution: {resolution_ms:.6} ms");
@@ -545,59 +465,6 @@ fn main() {
         columnar_experiment(&mut col_entries, resolution_ms, rows);
     }
     served_join(&mut col_entries, resolution_ms);
-    for rows in [100_000usize, 1_000_000] {
-        let keys = 64i64;
-        let data: Vec<_> = (0..rows as i64).map(|i| rec![i % keys, i]).collect();
-        let key = KeyUdf::field(0);
-        let reduce = ReduceUdf::new("sum", |a, x| {
-            rec![a.int(0).unwrap(), a.int(1).unwrap() + x.int(1).unwrap()]
-        });
-
-        let expect = kernels::hash_group(&data, &key);
-        sweep(
-            &mut entries,
-            resolution_ms,
-            "groupby",
-            "hash_group",
-            rows,
-            &mut || {
-                kernels::hash_group(&data, &key);
-            },
-            &mut |p| assert_eq!(parallel::hash_group(&data, &key, p), expect),
-        );
-        let expect = kernels::reduce_by_key(&data, &key, &reduce);
-        sweep(
-            &mut entries,
-            resolution_ms,
-            "groupby",
-            "reduce_by_key",
-            rows,
-            &mut || {
-                kernels::reduce_by_key(&data, &key, &reduce);
-            },
-            &mut |p| assert_eq!(parallel::reduce_by_key(&data, &key, &reduce, p), expect),
-        );
-
-        // Dimension-style equi-join: unique right keys covering every left
-        // key exactly once, so the output stays linear in `rows` (a shared
-        // key domain as small as the group-by's would make the match
-        // rectangles — and the output — quadratic).
-        let dim_keys = (rows / 10) as i64;
-        let fact: Vec<_> = (0..rows as i64).map(|i| rec![i % dim_keys, i]).collect();
-        let dims: Vec<_> = (0..dim_keys).map(|i| rec![i, i * 7]).collect();
-        let expect = kernels::hash_join(&fact, &dims, &key, &key);
-        sweep(
-            &mut entries,
-            resolution_ms,
-            "join",
-            "hash_join",
-            rows,
-            &mut || {
-                kernels::hash_join(&fact, &dims, &key, &key);
-            },
-            &mut |p| assert_eq!(parallel::hash_join(&fact, &dims, &key, &key, p), expect),
-        );
-    }
 
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -609,16 +476,14 @@ fn main() {
     let body: Vec<String> = col_entries
         .iter()
         .map(|e| format!("    {}", e.json()))
-        .chain(entries.iter().map(|e| format!("    {}", e.json())))
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"ablation_kernels\",\n  \"unix_time\": {stamp},\n  \"iters\": {ITERS},\
          \n  \"host\": {{\"cpus\": {cpus}, \"os\": \"{}\", \"arch\": \"{}\", \
          \"timer_resolution_ms\": {resolution_ms:.6}}},\n  \"note\": \
          \"columnar entries carry pre (row_ms) and post (chunk_ms) columns, both sides \
-         representation-native (records in/out vs. chunk in/out). \
-         threads=0 rows are the sequential (non-morsel) baseline; morsel speedups are \
-         physically bounded by host cpus. speedup denominators clamp to timer_resolution_ms; \
+         representation-native (records in/out vs. chunk in/out), each on one thread. \
+         speedup denominators clamp to timer_resolution_ms; \
          entries with below_timer_resolution=true have untrustworthy ratios\",\
          \n  \"entries\": [\n{}\n  ]\n}}\n",
         std::env::consts::OS,
@@ -629,6 +494,6 @@ fn main() {
     std::fs::write(path, &json).expect("write BENCH_kernels.json");
     eprintln!(
         "wrote {path} ({} entries, {cpus} cpu(s))",
-        entries.len() + col_entries.len()
+        col_entries.len()
     );
 }

@@ -181,12 +181,11 @@ impl RheemContext {
         self
     }
 
-    /// Confine this context's opaque (closure-identity) plan fingerprints
-    /// to `scope`. The server allocates one scope per session, which is
-    /// what keeps opaque cache entries from ever being shared across
-    /// sessions; `0` (the default) is the embedded single-tenant scope.
-    pub fn with_cache_scope(mut self, scope: u64) -> Self {
-        self.optimizer.cache_scope = scope;
+    /// This context, unchanged. Kept only because the standalone
+    /// `benchmark` package names it (`benchmark/src/replay.rs`); ROADMAP
+    /// item 4(b) deletes it together with that file. A plan cache has no
+    /// scopes: a hit reuses scheduling artifacts only (see [`PlanCache`]).
+    pub fn with_cache_scope(self, _scope: u64) -> Self {
         self
     }
 

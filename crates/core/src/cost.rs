@@ -281,7 +281,8 @@ impl Clock {
     /// producing `out`, at the sequential kernel work and spills `rates`
     /// estimates, in a job whose thread budget is `budget`. In process, the
     /// work is divided by the speedup the budget's morsel schedule allows
-    /// (`KernelParallelism::speedup`); partitioned, by the stage's tasks.
+    /// (`KernelParallelism::speedup`: a narrow operator's morsels; every
+    /// other kernel runs whole); partitioned, by the stage's tasks.
     /// A loop is priced by its body (`enumerate::node_cost`); here one
     /// stage.
     pub fn price(
@@ -299,9 +300,7 @@ impl Clock {
         let rows = |slot: usize| ins.get(slot).map_or(0, |&card| card.max(0.0) as usize);
         let layout = op.layout();
         let work = match layout {
-            _ if self.exchange == Exchange::InProcess => {
-                kernel_ms / budget.speedup(op, [rows(0), rows(1)], op.runs_columnar())
-            }
+            _ if self.exchange == Exchange::InProcess => kernel_ms / budget.speedup(op, rows(0)),
             Layout::Gather => kernel_ms * self.driver_share,
             Layout::Custom {
                 per_partition: false,
@@ -824,9 +823,9 @@ mod tests {
         for threads in [2, 4] {
             close(speedup(&map, 4_000.0, threads), 1.0);
         }
-        // A row kernel keyed by a closure splits into one chunk per thread.
+        // A keyed kernel runs whole, on rows as on a chunk.
         for threads in [1, 2, 4] {
-            close(speedup(&group, 40_000.0, threads), threads as f64);
+            close(speedup(&group, 40_000.0, threads), 1.0);
         }
     }
 

@@ -69,14 +69,14 @@ pub fn run_fragment(
         let (out, took) = metered(|| execute_op(&node.op, &inputs, ctx, loop_state));
         let (out, columnar) = out?;
         if loop_state.is_none() {
-            let lens = [0, 1].map(|slot| inputs.get(slot).map_or(0, Dataset::len));
+            let rows = inputs.first().map_or(0, Dataset::len);
             run.observations.push(crate::observe::NodeObservation {
                 node: id,
                 op: node.op.name(),
                 records_out: out.len() as u64,
                 elapsed_ms: took.wall_ms,
                 work_ms: took.work_ms,
-                morsels: ctx.kernel_parallelism.units(&node.op, lens, columnar),
+                morsels: ctx.kernel_parallelism.units(&node.op, rows),
                 columnar,
                 spilled_rows: 0,
                 spill_ms: 0.0,

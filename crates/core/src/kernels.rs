@@ -6,6 +6,14 @@
 //! shuffle (parallel platform). Platforms compose these kernels with their
 //! own orchestration — partitioning, threading, disk materialization,
 //! simulated overheads — which is where their cost profiles diverge.
+//!
+//! Three layers: the row kernels here (the reference every other kernel is
+//! tested against), their columnar twins over a [`Chunk`] ([`chunked`], on
+//! the vectorized hash engine for keyed operators), and the operator table
+//! ([`execute`]) that picks between them. Inside one kernel call only a
+//! narrow operator splits, into morsels on worker threads ([`parallel`]);
+//! every other kernel runs whole, and a partitioned engine's tasks are its
+//! only parallelism.
 
 pub mod chunked;
 mod hash;
@@ -20,9 +28,9 @@ use crate::udf::{FilterUdf, FlatMapUdf, GroupMapUdf, KeyUdf, MapUdf, PairPredica
 
 use parallel::KernelParallelism;
 
-// For tests: the engine's `Int` key hash and its radix bucket, so a suite
-// can build key sets that all land in one bucket (the worst case).
-pub use hash::{hash_i64, radix_bucket};
+// For tests: the engine's `Int` key hash, so a suite can build key sets
+// that all land on one probe sequence of a slot table (the worst case).
+pub use hash::hash_i64;
 
 /// The operator table: the one place a [`PhysicalOp`] becomes a kernel call.
 ///
@@ -32,9 +40,10 @@ pub use hash::{hash_i64, radix_bucket};
 ///
 /// A declarative operator (expressions, field keys, aggregate specs) whose
 /// inputs have a columnar view runs on its chunk kernel, chunk in and chunk
-/// out; everything else runs on the row kernels, morsel-parallel under `p`
-/// where a kernel has such a twin. Outputs are byte-identical on either
-/// path and at any thread count. The flag is the one definition of
+/// out; everything else runs on the row kernels. Either way, a narrow
+/// operator splits into morsels under `p` and every other kernel runs whole
+/// ([`KernelParallelism`]). Outputs are byte-identical on either path and
+/// at any thread count. The flag is the one definition of
 /// [`NodeObservation::columnar`](crate::observe::NodeObservation): `true`
 /// when no row was touched — a chunk kernel ran, or the operator only hands
 /// its dataset (or a window of it) along.
@@ -63,19 +72,15 @@ pub fn execute(
         // Only a ragged batch gets these two here: the row-at-a-time reference.
         PhysicalOp::Project { indices } => project(in0(), indices)?,
         PhysicalOp::ChunkPipeline { stages } => chunked::run_stages_rows(in0(), stages)?,
-        PhysicalOp::SortGroupBy { key, group } => {
-            apply_group_map(&parallel::sort_group(in0(), key, p), group)
-        }
-        PhysicalOp::HashGroupBy { key, group } => {
-            apply_group_map(&parallel::hash_group(in0(), key, p), group)
-        }
-        PhysicalOp::ReduceByKey { key, reduce } => parallel::reduce_by_key(in0(), key, reduce, p),
+        PhysicalOp::SortGroupBy { key, group } => apply_group_map(&sort_group(in0(), key), group),
+        PhysicalOp::HashGroupBy { key, group } => apply_group_map(&hash_group(in0(), key), group),
+        PhysicalOp::ReduceByKey { key, reduce } => reduce_by_key(in0(), key, reduce),
         PhysicalOp::GlobalReduce { reduce } => global_reduce(in0(), reduce),
-        PhysicalOp::Sort { key, descending } => parallel::sort(in0(), key, *descending, p),
+        PhysicalOp::Sort { key, descending } => sort(in0(), key, *descending),
         PhysicalOp::HashJoin {
             left_key,
             right_key,
-        } => parallel::hash_join(in0(), in1(), left_key, right_key, p),
+        } => hash_join(in0(), in1(), left_key, right_key),
         PhysicalOp::NestedLoopJoin { predicate, .. } => nested_loop_join(in0(), in1(), predicate),
         PhysicalOp::CrossProduct => cross_product(in0(), in1()),
         PhysicalOp::Union => union(in0(), in1()),

@@ -22,7 +22,7 @@
 //! folds into typed accumulator lanes (or per-slot accumulators) without
 //! gathering a `Vec<Record>` per group first. Joins drive the same engine:
 //! the right side is indexed once (direct-address slots for a small-range
-//! `i64` key, else pre-sized partitioned slot tables), the left side
+//! `i64` key, else one pre-sized slot table), the left side
 //! probes it, and the output gathers only what it cannot share: a fully
 //! matched left side of a unique-key join passes through, and a typed
 //! right key lane is the left key lane.
@@ -275,7 +275,7 @@ fn grouped_keys(keys: Keys<'_>) -> GroupedKeys {
 /// writes into one destination at a time, no per-push reload of a
 /// scattered `Vec` header. Member rows sit in the CSR in input order, so
 /// the contract holds; the final sort is over *groups* (by key), so hash
-/// and radix choices never reach the output.
+/// choices never reach the output.
 pub fn hash_group(chunk: &Chunk, key: &KeyUdf) -> Vec<(Value, Vec<Record>)> {
     let GroupedKeys { groups, keys } = group_slots(chunk, key);
     let (offsets, rows) = hash::member_lists(&groups.slot_of_row, groups.n_groups());
@@ -561,7 +561,7 @@ struct JoinRows {
 ///
 /// The right side is indexed once — direct-address slots for an `i64` lane
 /// of small range ([`hash::dense_index_i64`]), else a [`hash::GroupIndex`]
-/// (pre-sized, radix-partitioned when large) — and the left side probes
+/// (one pre-sized slot table) — and the left side probes
 /// it: a subtraction and a load per row, or one hash per row. When both
 /// key lanes are dictionary-encoded the probe is memoized per distinct
 /// *left* dictionary entry, so string comparison happens at most once per

@@ -1,8 +1,7 @@
-//! The vectorized hash engine: key hashing, radix partitioning, and
-//! open-addressing slot tables shared by the keyed chunk kernels
-//! ([`super::chunked`]) and the morsel layer ([`super::parallel`]).
+//! The vectorized hash engine: key hashing and open-addressing slot tables
+//! shared by the keyed chunk kernels ([`super::chunked`]).
 //!
-//! Three pieces compose (see `DESIGN.md` §5):
+//! Two pieces compose (see `DESIGN.md` §5):
 //!
 //! 1. **Hashing** — a hand-rolled non-cryptographic hasher (FNV-1a over
 //!    string bytes, a splitmix64-style finalizer over scalar payloads; no
@@ -18,41 +17,26 @@
 //!    `Value` key always agree — which is what lets a dictionary-encoded
 //!    string lane hash each distinct string once and join against an
 //!    inline `Value::Str` probe.
-//! 2. **Radix partitioning** — the top [`RADIX_BITS`] bits of each hash
-//!    pick one of [`RADIX_BUCKETS`] buckets, so a large build splits into
-//!    cache-sized sub-tables and parallel merges can fold per bucket. A
-//!    key's bucket is a pure function of the key, and rows keep input
-//!    order within a bucket, so partitioning can never change output
-//!    bytes — only locality.
-//! 3. **Slot tables** — power-of-two open-addressing tables
-//!    ([`SlotTable`]) mapping hashes to dense `u32` group slots, pre-sized
-//!    from input lengths and compared through caller-supplied closures so
-//!    one table serves `i64` lanes, dict-code lanes, and generic `Value`
-//!    keys without boxing. An `i64` lane of small range skips hashing:
-//!    [`dense_index_i64`] addresses its slots by key, for grouping and join
-//!    probes alike.
+//! 2. **Slot tables** — power-of-two open-addressing tables
+//!    ([`SlotTable`]) mapping hashes to dense `u32` group slots, compared
+//!    through caller-supplied closures so one table serves `i64` lanes,
+//!    dict-code lanes, and generic `Value` keys without boxing.
+//!    [`build_index`] runs one table over a whole key column. An `i64`
+//!    lane of small range skips hashing: [`dense_index_i64`] addresses its
+//!    slots by key, for grouping and join probes alike.
 //!
-//! Determinism: hash values and bucket choices only ever decide *where a
-//! key's state lives*, never what is emitted. Group membership comes from
-//! key equality, member order from input-order scans of
-//! [`GroupIndex::slot_of_row`], and output order from a final key sort —
-//! so a different hash function, bucket count, or thread count yields
-//! byte-identical results (the collision tests drive every key into one
-//! bucket to prove it).
+//! Determinism: hash values only ever decide *where a key's state lives*,
+//! never what is emitted. Group membership comes from key equality,
+//! member order from input-order scans of [`GroupIndex::slot_of_row`], and
+//! output order from a final key sort — so a different hash function
+//! yields byte-identical results (the collision tests drive every key onto
+//! one probe sequence to prove it).
 
 use crate::data::Value;
 
-/// Radix bits taken from the top of each 64-bit hash.
-pub const RADIX_BITS: u32 = 6;
-/// Number of radix buckets (`2^RADIX_BITS`).
-pub const RADIX_BUCKETS: usize = 1 << RADIX_BITS;
-
-/// Inputs below this row count never take the partitioned path.
-const RADIX_MIN_ROWS: usize = 1 << 16;
-/// Sampled-distinct threshold above which a large input partitions.
-const RADIX_MIN_DISTINCT: usize = 1024;
-/// Rows probed by the cardinality sample that picks the path.
-const SAMPLE_ROWS: usize = 4096;
+/// Distinct keys a [`build_index`] table is first sized for, at most; it
+/// grows past that as keys arrive.
+const PRESIZE_KEYS: usize = 8192;
 
 // Per-variant seeds folded into the payload before mixing, so values of
 // different variants live in unrelated hash families (variant-exact
@@ -135,12 +119,6 @@ pub fn combine(acc: u64, field_hash: u64) -> u64 {
     mix(acc.rotate_left(21) ^ field_hash)
 }
 
-/// The radix bucket of a hash: its top `RADIX_BITS` bits.
-#[inline]
-pub fn radix_bucket(hash: u64) -> usize {
-    (hash >> (64 - RADIX_BITS)) as usize
-}
-
 /// An open-addressing hash table mapping 64-bit hashes to dense `u32`
 /// slots, with linear probing over a power-of-two array.
 ///
@@ -157,12 +135,6 @@ pub struct SlotTable {
 }
 
 const EMPTY: u32 = u32::MAX;
-
-impl Default for SlotTable {
-    fn default() -> Self {
-        SlotTable::with_capacity(0)
-    }
-}
 
 impl SlotTable {
     /// A table pre-sized for about `n` distinct keys (load factor ≤ 1/2 at
@@ -243,11 +215,10 @@ impl SlotTable {
 
 /// The result of hashing one key column into dense group slots: a slot id
 /// per row plus, per slot, the first input row carrying that key. Retains
-/// its tables so joins can probe it after the build.
+/// its table so joins can probe it after the build.
 #[derive(Debug)]
 pub struct GroupIndex {
-    tables: Vec<SlotTable>,
-    partitioned: bool,
+    table: SlotTable,
     /// Group slot of each input row.
     pub slot_of_row: Vec<u32>,
     /// First input row of each slot's key (slot-indexed).
@@ -255,25 +226,15 @@ pub struct GroupIndex {
 }
 
 impl GroupIndex {
-    /// Number of distinct keys found.
-    pub(crate) fn n_groups(&self) -> usize {
-        self.first_row.len()
-    }
-
     /// Probe for the slot of a key with hash `hash`; `is_same` receives
     /// candidate slots and compares the probe key against the build key at
     /// `first_row[slot]`.
     #[inline]
     pub(crate) fn lookup(&self, hash: u64, is_same: impl FnMut(u32) -> bool) -> Option<u32> {
-        let b = if self.partitioned {
-            radix_bucket(hash)
-        } else {
-            0
-        };
-        self.tables[b].find(hash, is_same)
+        self.table.find(hash, is_same)
     }
 
-    /// Drop the probe tables, keeping only the grouping — for callers
+    /// Drop the probe table, keeping only the grouping — for callers
     /// (grouping, reduction) that never look keys up again.
     pub(crate) fn into_groups(self) -> DenseGroups {
         DenseGroups {
@@ -283,7 +244,7 @@ impl GroupIndex {
     }
 }
 
-/// The grouping a [`GroupIndex`] induces, without the probe tables: each
+/// The grouping a [`GroupIndex`] induces, without the probe table: each
 /// row's dense group slot and each slot's canonical first row. This is
 /// all `hash_group` / `reduce_by_key` consume — and what the hash-free
 /// direct-address builders below produce.
@@ -397,113 +358,37 @@ pub(crate) fn dense_groups_codes(codes: &[u32], n_codes: usize) -> DenseGroups {
     }
 }
 
-/// Distinct keys among the first [`SAMPLE_ROWS`] rows — the cheap
-/// cardinality probe that picks direct vs. partitioned.
-fn sample_distinct(hashes: &[u64], same_key: &mut impl FnMut(u32, u32) -> bool) -> usize {
-    let n = hashes.len().min(SAMPLE_ROWS);
-    let mut table = SlotTable::with_capacity(n);
-    let mut first = Vec::new();
-    for (row, &h) in hashes.iter().take(n).enumerate() {
-        let row = row as u32;
-        let (_, inserted) =
-            table.find_or_insert(h, |s| same_key(first[s as usize], row), first.len() as u32);
-        if inserted {
-            first.push(row);
-        }
-    }
-    first.len()
-}
-
-/// Assign every row a dense group slot by key.
+/// Assign every row a dense group slot by key, in first-encounter order,
+/// through one slot table.
 ///
 /// `hashes[i]` must be the key hash of row `i`; `same_key(a, b)` decides
 /// whether rows `a` and `b` carry equal keys (it is only called on rows
-/// whose hashes collide). Large high-cardinality inputs take the radix-
-/// partitioned path automatically; the choice affects locality only —
-/// slot *numbering* differs between the paths, but the induced partition
-/// of rows and each slot's `first_row` are identical, and every caller
-/// orders output by key, not by slot.
+/// whose hashes collide).
 pub(crate) fn build_index(
     hashes: &[u64],
     mut same_key: impl FnMut(u32, u32) -> bool,
 ) -> GroupIndex {
-    let partitioned = hashes.len() >= RADIX_MIN_ROWS
-        && sample_distinct(hashes, &mut same_key) > RADIX_MIN_DISTINCT;
-    build_index_with(hashes, same_key, partitioned)
-}
-
-/// [`build_index`] with the partitioning decision forced — the test
-/// surface for driving both paths over the same input.
-pub(crate) fn build_index_with(
-    hashes: &[u64],
-    mut same_key: impl FnMut(u32, u32) -> bool,
-    partitioned: bool,
-) -> GroupIndex {
-    let n = hashes.len();
-    debug_assert!(u32::try_from(n).is_ok(), "chunk exceeds u32 rows");
-    let mut slot_of_row = vec![0u32; n];
+    debug_assert!(
+        u32::try_from(hashes.len()).is_ok(),
+        "chunk exceeds u32 rows"
+    );
+    let mut table = SlotTable::with_capacity(hashes.len().min(PRESIZE_KEYS));
+    let mut slot_of_row = vec![0u32; hashes.len()];
     let mut first_row: Vec<u32> = Vec::new();
-    if !partitioned {
-        let mut table = SlotTable::with_capacity(n.min(SAMPLE_ROWS * 2));
-        for (row, &h) in hashes.iter().enumerate() {
-            let row = row as u32;
-            let (slot, inserted) = table.find_or_insert(
-                h,
-                |s| same_key(first_row[s as usize], row),
-                first_row.len() as u32,
-            );
-            if inserted {
-                first_row.push(row);
-            }
-            slot_of_row[row as usize] = slot;
-        }
-        return GroupIndex {
-            tables: vec![table],
-            partitioned: false,
-            slot_of_row,
-            first_row,
-        };
-    }
-    // Stable counting sort of row ids by radix bucket: rows keep input
-    // order within each bucket, so a key's first visit below is its first
-    // input row.
-    let mut counts = [0usize; RADIX_BUCKETS];
-    for &h in hashes {
-        counts[radix_bucket(h)] += 1;
-    }
-    let mut starts = [0usize; RADIX_BUCKETS];
-    let mut acc = 0;
-    for (b, &c) in counts.iter().enumerate() {
-        starts[b] = acc;
-        acc += c;
-    }
-    let mut rows_by_bucket = vec![0u32; n];
-    let mut cursors = starts;
     for (row, &h) in hashes.iter().enumerate() {
-        let b = radix_bucket(h);
-        rows_by_bucket[cursors[b]] = row as u32;
-        cursors[b] += 1;
-    }
-    let mut tables: Vec<SlotTable> = Vec::with_capacity(RADIX_BUCKETS);
-    for (b, &c) in counts.iter().enumerate() {
-        let mut table = SlotTable::with_capacity(c);
-        for &row in &rows_by_bucket[starts[b]..starts[b] + c] {
-            let h = hashes[row as usize];
-            let (slot, inserted) = table.find_or_insert(
-                h,
-                |s| same_key(first_row[s as usize], row),
-                first_row.len() as u32,
-            );
-            if inserted {
-                first_row.push(row);
-            }
-            slot_of_row[row as usize] = slot;
+        let row = row as u32;
+        let (slot, inserted) = table.find_or_insert(
+            h,
+            |s| same_key(first_row[s as usize], row),
+            first_row.len() as u32,
+        );
+        if inserted {
+            first_row.push(row);
         }
-        tables.push(table);
+        slot_of_row[row as usize] = slot;
     }
     GroupIndex {
-        tables,
-        partitioned: true,
+        table,
         slot_of_row,
         first_row,
     }
@@ -573,11 +458,11 @@ mod tests {
         let keys = [3i64, 1, 3, 2, 1, 3];
         let hashes: Vec<u64> = keys.iter().map(|&k| hash_i64(k)).collect();
         let idx = build_index(&hashes, |a, b| keys[a as usize] == keys[b as usize]);
-        assert_eq!(idx.n_groups(), 3);
+        assert_eq!(idx.first_row.len(), 3);
         // First-appearance slots: 3 → 0, 1 → 1, 2 → 2.
         assert_eq!(idx.slot_of_row, vec![0, 1, 0, 2, 1, 0]);
         assert_eq!(idx.first_row, vec![0, 1, 3]);
-        let (offsets, rows) = member_lists(&idx.slot_of_row, idx.n_groups());
+        let (offsets, rows) = member_lists(&idx.slot_of_row, idx.first_row.len());
         assert_eq!(offsets, vec![0, 3, 5, 6]);
         assert_eq!(rows, vec![0, 2, 5, 1, 4, 3]);
         // Probing finds the same slots.
@@ -591,39 +476,15 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_and_direct_paths_induce_the_same_grouping() {
-        let keys: Vec<i64> = (0..10_000).map(|i| (i * 37) % 501).collect();
-        let hashes: Vec<u64> = keys.iter().map(|&k| hash_i64(k)).collect();
-        let eq = |a: u32, b: u32| keys[a as usize] == keys[b as usize];
-        let direct = build_index_with(&hashes, eq, false);
-        let radix = build_index_with(&hashes, eq, true);
-        assert_eq!(direct.n_groups(), radix.n_groups());
-        // Slot numbering may differ; the induced row partition may not:
-        // rows map to the same canonical representative (their key's first
-        // input row) on both paths.
-        let canon = |idx: &GroupIndex| -> Vec<u32> {
-            idx.slot_of_row
-                .iter()
-                .map(|&s| idx.first_row[s as usize])
-                .collect()
-        };
-        assert_eq!(canon(&direct), canon(&radix));
-    }
-
-    #[test]
     fn collision_pileup_stays_correct() {
-        // Degenerate hash column: every row collides into one probe chain
-        // (and one radix bucket). Grouping must fall back to key equality
-        // and still be exact.
+        // Degenerate hash column: every row collides into one probe chain.
+        // Grouping must fall back to key equality and still be exact.
         let keys: Vec<i64> = (0..500).map(|i| i % 17).collect();
         let hashes = vec![0u64; keys.len()];
-        for forced in [false, true] {
-            let idx =
-                build_index_with(&hashes, |a, b| keys[a as usize] == keys[b as usize], forced);
-            assert_eq!(idx.n_groups(), 17);
-            for (row, &s) in idx.slot_of_row.iter().enumerate() {
-                assert_eq!(keys[idx.first_row[s as usize] as usize], keys[row]);
-            }
+        let idx = build_index(&hashes, |a, b| keys[a as usize] == keys[b as usize]);
+        assert_eq!(idx.first_row.len(), 17);
+        for (row, &s) in idx.slot_of_row.iter().enumerate() {
+            assert_eq!(keys[idx.first_row[s as usize] as usize], keys[row]);
         }
     }
 
@@ -663,7 +524,7 @@ mod tests {
         let dense = dense.into_groups();
         assert_eq!(dense.first_row, hashed.first_row);
         assert_eq!(dense.slot_of_row, hashed.slot_of_row);
-        assert_eq!(dense.n_groups(), hashed.n_groups());
+        assert_eq!(dense.n_groups(), hashed.first_row.len());
     }
 
     #[test]

@@ -1,41 +1,23 @@
-//! Morsel-driven intra-atom parallel kernels with deterministic merge.
+//! Morsel-driven parallelism inside one atom, for narrow operators only.
 //!
-//! PR 1 parallelized *across* task atoms (wave scheduling); this module
-//! parallelizes *inside* one atom: the input batch is split into fixed-size
-//! **morsels** that run on scoped worker threads, and the per-morsel results
-//! are merged back in a canonical order. Every kernel here is a drop-in
-//! twin of a sequential kernel in [`super`] (the parent `kernels` module)
-//! and produces **byte-identical output at any thread count**:
+//! The wave scheduler parallelizes *across* task atoms; this module
+//! parallelizes *inside* one: a narrow operator's input
+//! ([`Layout::Narrow`]: map, flat-map, filter, a fused chunk pipeline) is
+//! split into fixed-size **morsels** that run on scoped worker threads, and
+//! the per-morsel results are concatenated in morsel order, which is input
+//! order. So every kernel here produces **byte-identical output at any
+//! thread count**:
 //!
-//! - `map` / `flat_map` / `filter` are embarrassingly parallel:
-//!   morsels are processed independently and concatenated in morsel order,
-//!   which is input order.
-//! - `hash_group` and `reduce_by_key` run on the vectorized hash engine
-//!   (`super::hash`): the local phase per contiguous chunk hashes keys
-//!   once, assigns dense slots through an open-addressing table, and emits
-//!   its groups *scattered by radix bucket* (key-sorted within each
-//!   bucket). The merge phase then folds **per radix bucket** across
-//!   chunks — a key lives wholly in one bucket, so the 64 bucket folds are
-//!   independent and run on worker threads, while each fold still walks
-//!   chunks left-to-right so group members (and reduce application order)
-//!   follow input order — exactly the sequential kernels' contract. A
-//!   final key sort over the folded groups erases bucket order from the
-//!   output. `reduce_by_key` merges chunk accumulators with the reduce UDF
-//!   itself, relying on the associativity contract
-//!   [`crate::udf::ReduceUdf`] already demands for partitioned platforms.
-//! - `hash_join` uses the same engine for a radix-partitioned build
-//!   (per-chunk group indexes scattered by bucket, folded per bucket in
-//!   chunk order so each key's match list is in right-input order) and a
-//!   morsel-parallel probe — each probe key hashed once, routed to its
-//!   bucket's table — concatenated in left order.
-//! - `sort_group` keeps the ordered two-phase merge (its local phase is a
-//!   comparison sort, not a hash build).
-//! - `sort` sorts contiguous chunks in parallel and
-//!   merges them stably (ties resolve to the lower chunk, i.e. earlier
-//!   input), reproducing the sequential stable sort byte for byte.
+//! - `map` / `flat_map` / `filter` are the morsel twins of the sequential
+//!   row kernels in [`super`] (the parent `kernels` module).
 //! - `run_pipeline_chunk` runs a fused stage chain over a chunk: morsels
 //!   yield the rows its filters keep, in morsel order, and the input is
 //!   gathered once.
+//!
+//! Every other operator's kernel runs whole, on either path: a keyed or
+//! gathered operator is one sequential kernel call in process, and a
+//! partitioned engine runs it once per partition. Parallelism for those is
+//! the platform's, not the kernel's.
 //!
 //! No `unsafe`: workers are `std::thread::scope` threads pulling morsel
 //! indices off an atomic cursor and parking results in per-slot mutexed
@@ -56,9 +38,9 @@ use crate::error::Result;
 use crate::fault::CancelToken;
 use crate::observe::{Timing, WorkClock};
 use crate::physical::{Layout, PhysicalOp, PipelineStage};
-use crate::udf::{FilterUdf, FlatMapUdf, KeyUdf, MapUdf, ReduceUdf};
+use crate::udf::{FilterUdf, FlatMapUdf, KeyUdf, MapUdf};
 
-use super::{chunked, hash};
+use super::chunked;
 
 thread_local! {
     /// The ambient morsel-loop cancellation scope. Kernels have no
@@ -218,48 +200,30 @@ impl KernelParallelism {
         self.threads.min(len.div_ceil(self.morsel_size.max(1)))
     }
 
-    /// The one statement of which kernels run in parallel: the ranges the
-    /// operator table ([`super::execute`]) splits `op` into over inputs of
-    /// `lens` rows, on the chunk path when `columnar`, and the threads that
-    /// run them. A narrow operator splits into morsels on either path; on
-    /// the row path a keyed, gathered or co-partitioned kernel splits its
-    /// (larger) input into one chunk per thread; everything else, every
-    /// keyed chunk kernel and any input below `min_rows` runs whole, as no
-    /// ranges on one thread.
-    fn split(
-        &self,
-        op: &PhysicalOp,
-        lens: [usize; 2],
-        columnar: bool,
-    ) -> (Vec<Range<usize>>, usize) {
-        let (len, morsels) = match op.layout() {
-            Layout::Narrow => (lens[0], true),
-            Layout::ByKey(_) | Layout::CombineByKey(_) | Layout::Gather if !columnar => {
-                (lens[0], false)
-            }
-            Layout::CoPartition(..) if !columnar => (lens[0].max(lens[1]), false),
-            _ => return (Vec::new(), 1),
-        };
-        let threads = self.effective_threads(len);
-        match threads {
-            1 => (Vec::new(), 1),
-            _ if morsels => (self.morsel_ranges(len), threads),
-            _ => (self.chunk_ranges(len, threads), threads),
+    /// The one statement of which kernels run in parallel: the morsels the
+    /// operator table ([`super::execute`]) splits `op` into over an input of
+    /// `rows` rows, and the threads that run them. A narrow operator splits
+    /// into morsels on either path; every other operator, and a narrow one
+    /// below `min_rows`, runs whole, as no ranges on one thread.
+    fn split(&self, op: &PhysicalOp, rows: usize) -> (Vec<Range<usize>>, usize) {
+        match (op.layout(), self.effective_threads(rows)) {
+            (Layout::Narrow, threads) if threads > 1 => (self.morsel_ranges(rows), threads),
+            _ => (Vec::new(), 1),
         }
     }
 
-    /// Parallel work units `op`'s kernel runs on over inputs of `lens`
-    /// rows: its morsel or chunk count, 1 for a sequential kernel.
-    pub(crate) fn units(&self, op: &PhysicalOp, lens: [usize; 2], columnar: bool) -> u64 {
-        self.split(op, lens, columnar).0.len().max(1) as u64
+    /// Morsels `op`'s kernel runs on over an input of `rows` rows: 1 for a
+    /// kernel that runs whole.
+    pub(crate) fn units(&self, op: &PhysicalOp, rows: usize) -> u64 {
+        self.split(op, rows).0.len().max(1) as u64
     }
 
     /// How much faster than sequential the split lets `op`'s kernel run
-    /// over inputs of `lens` rows: the [`dealt_speedup`] of its ranges, so
-    /// 5 000 rows in 4 096-row morsels on 2 threads speed up 5 000 / 4 096,
-    /// not 2.
-    pub(crate) fn speedup(&self, op: &PhysicalOp, lens: [usize; 2], columnar: bool) -> f64 {
-        let (ranges, threads) = self.split(op, lens, columnar);
+    /// over an input of `rows` rows: the [`dealt_speedup`] of its morsels,
+    /// so 5 000 rows in 4 096-row morsels on 2 threads speed up
+    /// 5 000 / 4 096, not 2.
+    pub(crate) fn speedup(&self, op: &PhysicalOp, rows: usize) -> f64 {
+        let (ranges, threads) = self.split(op, rows);
         dealt_speedup(&ranges, threads)
     }
 
@@ -269,22 +233,6 @@ impl KernelParallelism {
         (0..len.div_ceil(size))
             .map(|i| i * size..((i + 1) * size).min(len))
             .collect()
-    }
-
-    /// `parts` balanced contiguous ranges covering `0..len` (first
-    /// `len % parts` ranges get one extra record, like partition chunking).
-    fn chunk_ranges(&self, len: usize, parts: usize) -> Vec<Range<usize>> {
-        let parts = parts.max(1).min(len.max(1));
-        let base = len / parts;
-        let extra = len % parts;
-        let mut ranges = Vec::with_capacity(parts);
-        let mut start = 0;
-        for i in 0..parts {
-            let size = base + usize::from(i < extra);
-            ranges.push(start..start + size);
-            start += size;
-        }
-        ranges
     }
 }
 
@@ -421,403 +369,6 @@ pub fn filter(records: &[Record], udf: &FilterUdf, p: &KernelParallelism) -> Vec
     }))
 }
 
-/// Merge two key-sorted group lists; equal keys concatenate members with
-/// `a`'s first (chunk order = input order).
-fn merge_groups(
-    a: Vec<(Value, Vec<Record>)>,
-    b: Vec<(Value, Vec<Record>)>,
-) -> Vec<(Value, Vec<Record>)> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let mut bi = b.into_iter().peekable();
-    for (ka, mut va) in a {
-        while bi.peek().is_some_and(|(kb, _)| *kb < ka) {
-            out.push(bi.next().expect("peeked"));
-        }
-        if bi.peek().is_some_and(|(kb, _)| *kb == ka) {
-            va.extend(bi.next().expect("peeked").1);
-        }
-        out.push((ka, va));
-    }
-    out.extend(bi);
-    out
-}
-
-/// Two-phase parallel grouping: run `local` (a sequential grouping kernel
-/// with the canonical key-sorted output contract) per contiguous chunk,
-/// then merge the chunk results in order.
-fn group_two_phase(
-    records: &[Record],
-    key: &KeyUdf,
-    p: &KernelParallelism,
-    t: usize,
-    local: impl Fn(&[Record], &KeyUdf) -> Vec<(Value, Vec<Record>)> + Sync,
-) -> Vec<(Value, Vec<Record>)> {
-    let locals = run_ranges(&p.chunk_ranges(records.len(), t), t, |r| {
-        local(&records[r], key)
-    });
-    locals.into_iter().reduce(merge_groups).unwrap_or_default()
-}
-
-/// One chunk's keys hashed through the engine into dense slots: the
-/// materialized key column, its hash column (computed once), and the slot
-/// assignment.
-fn keyed_slots(records: &[Record], key: &KeyUdf) -> (Vec<Value>, Vec<u64>, hash::GroupIndex) {
-    let keys: Vec<Value> = records.iter().map(|r| (key.f)(r)).collect();
-    let hashes: Vec<u64> = keys.iter().map(hash::hash_value).collect();
-    let index = hash::build_index(&hashes, |a, b| keys[a as usize] == keys[b as usize]);
-    (keys, hashes, index)
-}
-
-/// Fold each radix bucket's chunk-ordered parts on up to `threads` worker
-/// threads. A key lives wholly in one bucket (its bucket is a function of
-/// its hash), so the [`hash::RADIX_BUCKETS`] folds are independent and
-/// parallelize freely; each fold receives its bucket's parts in chunk
-/// order, preserving the left-to-right merge contract. A fired cancel
-/// token collapses a bucket to `U::default()` — type-correct garbage the
-/// caller-level cancellation check discards.
-fn fold_buckets<T, U>(
-    by_bucket: Vec<Vec<T>>,
-    threads: usize,
-    fold: impl Fn(Vec<T>) -> U + Sync,
-) -> Vec<U>
-where
-    T: Send,
-    U: Send + Default,
-{
-    let cells: Vec<Mutex<Option<Vec<T>>>> = by_bucket
-        .into_iter()
-        .map(|parts| Mutex::new(Some(parts)))
-        .collect();
-    let ranges: Vec<Range<usize>> = (0..cells.len()).map(|b| b..b + 1).collect();
-    run_ranges(&ranges, threads, |r| {
-        if r.is_empty() {
-            return U::default();
-        }
-        let parts = cells[r.start]
-            .lock()
-            .take()
-            .expect("each bucket folds once");
-        fold(parts)
-    })
-}
-
-/// Transpose per-chunk bucket scatters into per-bucket chunk-ordered part
-/// lists (empty parts dropped — they are no-op merges).
-fn by_bucket<T>(locals: Vec<Vec<Vec<T>>>) -> Vec<Vec<Vec<T>>> {
-    let mut out: Vec<Vec<Vec<T>>> = std::iter::repeat_with(Vec::new)
-        .take(hash::RADIX_BUCKETS)
-        .collect();
-    for chunk in locals {
-        for (b, part) in chunk.into_iter().enumerate() {
-            if !part.is_empty() {
-                out[b].push(part);
-            }
-        }
-    }
-    out
-}
-
-/// Local grouping phase: engine slots over one chunk, groups emitted
-/// scattered by radix bucket and key-sorted within each bucket. Group
-/// member `Vec`s are exactly pre-sized and filled in input order.
-fn local_group_buckets(records: &[Record], key: &KeyUdf) -> Vec<Vec<(Value, Vec<Record>)>> {
-    let (keys, hashes, index) = keyed_slots(records, key);
-    let n = index.n_groups();
-    let mut counts = vec![0usize; n];
-    for &s in &index.slot_of_row {
-        counts[s as usize] += 1;
-    }
-    let mut groups: Vec<(Value, Vec<Record>)> = index
-        .first_row
-        .iter()
-        .zip(&counts)
-        .map(|(&r, &c)| (keys[r as usize].clone(), Vec::with_capacity(c)))
-        .collect();
-    for (row, &s) in index.slot_of_row.iter().enumerate() {
-        groups[s as usize].1.push(records[row].clone());
-    }
-    let mut buckets: Vec<Vec<(Value, Vec<Record>)>> = std::iter::repeat_with(Vec::new)
-        .take(hash::RADIX_BUCKETS)
-        .collect();
-    for (s, g) in groups.into_iter().enumerate() {
-        buckets[hash::radix_bucket(hashes[index.first_row[s] as usize])].push(g);
-    }
-    for b in &mut buckets {
-        b.sort_by(|x, y| x.0.cmp(&y.0));
-    }
-    buckets
-}
-
-/// Morsel-parallel [`super::hash_group`]: engine-hashed local grouping per
-/// chunk, per-radix-bucket merge folds, and a final key sort. Byte-
-/// identical to the sequential kernel (and to [`sort_group`]: both share
-/// one output contract — keys ascending, members in input order).
-pub fn hash_group(
-    records: &[Record],
-    key: &KeyUdf,
-    p: &KernelParallelism,
-) -> Vec<(Value, Vec<Record>)> {
-    let t = p.effective_threads(records.len());
-    if t <= 1 {
-        return super::hash_group(records, key);
-    }
-    let locals = run_ranges(&p.chunk_ranges(records.len(), t), t, |r| {
-        local_group_buckets(&records[r], key)
-    });
-    let folded = fold_buckets(by_bucket(locals), t, |parts| {
-        parts.into_iter().reduce(merge_groups).unwrap_or_default()
-    });
-    let mut out: Vec<(Value, Vec<Record>)> = folded.into_iter().flatten().collect();
-    // Keys are distinct across buckets, so this sort fully determines the
-    // output order regardless of bucket or thread scheduling.
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-/// Morsel-parallel [`super::sort_group`]: per-chunk sort grouping + merge.
-pub fn sort_group(
-    records: &[Record],
-    key: &KeyUdf,
-    p: &KernelParallelism,
-) -> Vec<(Value, Vec<Record>)> {
-    let t = p.effective_threads(records.len());
-    if t <= 1 {
-        return super::sort_group(records, key);
-    }
-    group_two_phase(records, key, p, t, super::sort_group)
-}
-
-/// Local reduce phase: engine slots over one chunk, accumulators folded in
-/// input order, emitted scattered by radix bucket and key-sorted within
-/// each bucket.
-fn local_reduce_buckets(
-    records: &[Record],
-    key: &KeyUdf,
-    reduce: &ReduceUdf,
-) -> Vec<Vec<(Value, Record)>> {
-    let (keys, hashes, index) = keyed_slots(records, key);
-    let mut accs: Vec<Option<Record>> = vec![None; index.n_groups()];
-    for (row, &s) in index.slot_of_row.iter().enumerate() {
-        match &mut accs[s as usize] {
-            slot @ None => *slot = Some(records[row].clone()),
-            Some(a) => *a = (reduce.f)(std::mem::take(a), &records[row]),
-        }
-    }
-    let mut buckets: Vec<Vec<(Value, Record)>> = std::iter::repeat_with(Vec::new)
-        .take(hash::RADIX_BUCKETS)
-        .collect();
-    for (s, acc) in accs.into_iter().enumerate() {
-        let first = index.first_row[s] as usize;
-        buckets[hash::radix_bucket(hashes[first])]
-            .push((keys[first].clone(), acc.expect("every slot has rows")));
-    }
-    for b in &mut buckets {
-        b.sort_by(|x, y| x.0.cmp(&y.0));
-    }
-    buckets
-}
-
-/// Merge two key-sorted accumulator lists, combining equal keys with the
-/// reduce UDF (`a` is the earlier chunk, so it is the left operand).
-fn merge_reduced(
-    a: Vec<(Value, Record)>,
-    b: Vec<(Value, Record)>,
-    reduce: &ReduceUdf,
-) -> Vec<(Value, Record)> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let mut bi = b.into_iter().peekable();
-    for (ka, mut va) in a {
-        while bi.peek().is_some_and(|(kb, _)| *kb < ka) {
-            out.push(bi.next().expect("peeked"));
-        }
-        if bi.peek().is_some_and(|(kb, _)| *kb == ka) {
-            va = (reduce.f)(va, &bi.next().expect("peeked").1);
-        }
-        out.push((ka, va));
-    }
-    out.extend(bi);
-    out
-}
-
-/// Two-phase parallel [`super::reduce_by_key`]: engine-slotted local
-/// accumulation per chunk, then per-radix-bucket merge folds combining
-/// chunk accumulators with the (associative, per the
-/// [`crate::udf::ReduceUdf`] contract) reduce UDF, and a final key sort.
-pub fn reduce_by_key(
-    records: &[Record],
-    key: &KeyUdf,
-    reduce: &ReduceUdf,
-    p: &KernelParallelism,
-) -> Vec<Record> {
-    let t = p.effective_threads(records.len());
-    if t <= 1 {
-        return super::reduce_by_key(records, key, reduce);
-    }
-    let locals = run_ranges(&p.chunk_ranges(records.len(), t), t, |r| {
-        local_reduce_buckets(&records[r], key, reduce)
-    });
-    let folded = fold_buckets(by_bucket(locals), t, |parts| {
-        parts
-            .into_iter()
-            .reduce(|a, b| merge_reduced(a, b, reduce))
-            .unwrap_or_default()
-    });
-    let mut keyed: Vec<(Value, Record)> = folded.into_iter().flatten().collect();
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
-    keyed.into_iter().map(|(_, r)| r).collect()
-}
-
-/// One radix bucket of a join build: an engine slot table over the
-/// bucket's distinct keys plus, per key, its match list in right-input
-/// order.
-#[derive(Default)]
-struct BuildBucket<'a> {
-    table: hash::SlotTable,
-    keys: Vec<Value>,
-    matches: Vec<Vec<&'a Record>>,
-}
-
-/// Local join-build phase: engine slots over one right-side chunk, one
-/// `(hash, key, members)` entry per distinct key, scattered by radix
-/// bucket. Member lists are in input order (CSR scatter).
-fn local_build_buckets<'a>(
-    records: &'a [Record],
-    key: &KeyUdf,
-) -> Vec<Vec<(u64, Value, Vec<&'a Record>)>> {
-    let (keys, hashes, index) = keyed_slots(records, key);
-    let (offsets, rows) = hash::member_lists(&index.slot_of_row, index.n_groups());
-    let mut buckets: Vec<Vec<(u64, Value, Vec<&Record>)>> = std::iter::repeat_with(Vec::new)
-        .take(hash::RADIX_BUCKETS)
-        .collect();
-    for s in 0..index.n_groups() {
-        let first = index.first_row[s] as usize;
-        let members: Vec<&Record> = rows[offsets[s]..offsets[s + 1]]
-            .iter()
-            .map(|&r| &records[r as usize])
-            .collect();
-        buckets[hash::radix_bucket(hashes[first])].push((
-            hashes[first],
-            keys[first].clone(),
-            members,
-        ));
-    }
-    buckets
-}
-
-/// Radix-partitioned build + parallel hash-memoized probe
-/// [`super::hash_join`].
-///
-/// Build: each chunk of the right input assigns engine slots and scatters
-/// its per-key match lists by radix bucket; each bucket folds its chunks
-/// in order into one pre-sized `BuildBucket`, so every key's match list
-/// is in right-input order (the sequential build order) and the 64 folds
-/// run on worker threads. Probe: the left input is probed per morsel —
-/// each probe key hashed once, routed to its bucket's table — and
-/// concatenated in left order.
-pub fn hash_join(
-    left: &[Record],
-    right: &[Record],
-    left_key: &KeyUdf,
-    right_key: &KeyUdf,
-    p: &KernelParallelism,
-) -> Vec<Record> {
-    let t = p.effective_threads(left.len().max(right.len()));
-    if t <= 1 {
-        return super::hash_join(left, right, left_key, right_key);
-    }
-    let bt = p.effective_threads(right.len());
-    let locals = run_ranges(&p.chunk_ranges(right.len(), bt), bt, |rng| {
-        local_build_buckets(&right[rng], right_key)
-    });
-    let buckets: Vec<BuildBucket> = fold_buckets(by_bucket(locals), t, |parts| {
-        let total: usize = parts.iter().map(Vec::len).sum();
-        let mut table = hash::SlotTable::with_capacity(total);
-        let mut keys: Vec<Value> = Vec::with_capacity(total);
-        let mut matches: Vec<Vec<&Record>> = Vec::with_capacity(total);
-        for part in parts {
-            for (h, k, members) in part {
-                let (slot, inserted) =
-                    table.find_or_insert(h, |s| keys[s as usize] == k, keys.len() as u32);
-                if inserted {
-                    keys.push(k);
-                    matches.push(members);
-                } else {
-                    matches[slot as usize].extend(members);
-                }
-            }
-        }
-        BuildBucket {
-            table,
-            keys,
-            matches,
-        }
-    });
-    let pt = p.effective_threads(left.len()).max(1);
-    concat(run_ranges(&p.morsel_ranges(left.len()), pt, |rng| {
-        let mut out = Vec::new();
-        for l in &left[rng] {
-            let k = (left_key.f)(l);
-            let h = hash::hash_value(&k);
-            let b = &buckets[hash::radix_bucket(h)];
-            if let Some(s) = b.table.find(h, |s| b.keys[s as usize] == k) {
-                for r in &b.matches[s as usize] {
-                    out.push(l.concat(r));
-                }
-            }
-        }
-        out
-    }))
-}
-
-/// Stable merge of two key-sorted keyed slices under `cmp`; ties take from
-/// `a` first (the earlier chunk), preserving input order like the
-/// sequential stable sort.
-fn merge_keyed<'a>(
-    a: Vec<(Value, &'a Record)>,
-    b: Vec<(Value, &'a Record)>,
-    cmp: &(dyn Fn(&Value, &Value) -> std::cmp::Ordering + Sync),
-) -> Vec<(Value, &'a Record)> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let mut ai = a.into_iter().peekable();
-    let mut bi = b.into_iter().peekable();
-    loop {
-        match (ai.peek(), bi.peek()) {
-            (Some((ka, _)), Some((kb, _))) => {
-                if cmp(ka, kb) == std::cmp::Ordering::Greater {
-                    out.push(bi.next().expect("peeked"));
-                } else {
-                    out.push(ai.next().expect("peeked"));
-                }
-            }
-            (Some(_), None) => out.push(ai.next().expect("peeked")),
-            (None, Some(_)) => out.push(bi.next().expect("peeked")),
-            (None, None) => break,
-        }
-    }
-    out
-}
-
-/// Parallel partition sort + k-way merge: extract keys, sort contiguous
-/// chunks on worker threads, and fold-merge in chunk order (stable).
-fn sorted_keyed<'a>(
-    records: &'a [Record],
-    key: &KeyUdf,
-    p: &KernelParallelism,
-    cmp: &(dyn Fn(&Value, &Value) -> std::cmp::Ordering + Sync),
-) -> Vec<(Value, &'a Record)> {
-    let t = p.effective_threads(records.len());
-    let chunks = run_ranges(&p.chunk_ranges(records.len(), t), t, |rng| {
-        let mut keyed: Vec<(Value, &Record)> =
-            records[rng].iter().map(|r| ((key.f)(r), r)).collect();
-        keyed.sort_by(|a, b| cmp(&a.0, &b.0));
-        keyed
-    });
-    chunks
-        .into_iter()
-        .reduce(|a, b| merge_keyed(a, b, cmp))
-        .unwrap_or_default()
-}
-
 /// Morsel-parallel fused-pipeline runner for
 /// [`crate::physical::PhysicalOp::ChunkPipeline`], chunk in and chunk out.
 ///
@@ -842,8 +393,8 @@ pub fn run_pipeline_chunk(
     let mut out = chunk.clone();
     if stages.iter().any(chunked::is_filter) {
         let t = p.effective_threads(chunk.rows());
-        let ranges = if t <= 1 {
-            p.chunk_ranges(chunk.rows(), 1)
+        let ranges: Vec<Range<usize>> = if t <= 1 {
+            std::iter::once(0..chunk.rows()).collect()
         } else {
             p.morsel_ranges(chunk.rows())
         };
@@ -873,27 +424,43 @@ pub fn run_pipeline_chunk(
     Ok(out)
 }
 
-/// Parallel [`super::sort`]: partition sort + stable k-way merge, then a
-/// single materialization pass.
+/// The sequential [`super::hash_group`]: a keyed kernel runs whole. Kept
+/// only because the standalone `benchmark` package names it
+/// (`benchmark/src/replay.rs`); ROADMAP item 4(b) deletes it together with
+/// that file. Nothing else calls it.
+pub fn hash_group(
+    records: &[Record],
+    key: &KeyUdf,
+    _p: &KernelParallelism,
+) -> Vec<(Value, Vec<Record>)> {
+    super::hash_group(records, key)
+}
+
+/// The sequential [`super::hash_join`]: a keyed kernel runs whole. Kept
+/// only because the standalone `benchmark` package names it
+/// (`benchmark/src/replay.rs`); ROADMAP item 4(b) deletes it together with
+/// that file. Nothing else calls it.
+pub fn hash_join(
+    left: &[Record],
+    right: &[Record],
+    left_key: &KeyUdf,
+    right_key: &KeyUdf,
+    _p: &KernelParallelism,
+) -> Vec<Record> {
+    super::hash_join(left, right, left_key, right_key)
+}
+
+/// The sequential [`super::sort`]: a gathered kernel runs whole. Kept only
+/// because the standalone `benchmark` package names it
+/// (`benchmark/src/replay.rs`); ROADMAP item 4(b) deletes it together with
+/// that file. Nothing else calls it.
 pub fn sort(
     records: &[Record],
     key: &KeyUdf,
     descending: bool,
-    p: &KernelParallelism,
+    _p: &KernelParallelism,
 ) -> Vec<Record> {
-    let t = p.effective_threads(records.len());
-    if t <= 1 {
-        return super::sort(records, key, descending);
-    }
-    let cmp: &(dyn Fn(&Value, &Value) -> std::cmp::Ordering + Sync) = if descending {
-        &|a, b| b.cmp(a)
-    } else {
-        &|a, b| a.cmp(b)
-    };
-    sorted_keyed(records, key, p, cmp)
-        .into_iter()
-        .map(|(_, r)| r.clone())
-        .collect()
+    super::sort(records, key, descending)
 }
 
 #[cfg(test)]
@@ -922,8 +489,8 @@ mod tests {
         };
         assert_eq!(p.effective_threads(99), 1);
         let map = PhysicalOp::Map(MapUdf::new("id", |r| r.clone()));
-        assert_eq!(p.units(&map, [99, 0], false), 1);
-        assert_eq!(p.units(&map, [100, 0], false), 25);
+        assert_eq!(p.units(&map, 99), 1);
+        assert_eq!(p.units(&map, 100), 25);
         assert!(p.effective_threads(100) > 1);
     }
 
@@ -947,34 +514,134 @@ mod tests {
         assert_eq!(flat_map(&d, &fm, &p), super::super::flat_map(&d, &fm));
     }
 
+    /// The one rule, for every [`Layout`]: a narrow operator splits into
+    /// morsels above `min_rows`, whether it runs on rows or on a chunk, and
+    /// every other operator runs whole, at every budget.
     #[test]
-    fn group_and_reduce_match_sequential() {
-        let d = data(1003);
-        let p = par(7, 11);
-        let k = KeyUdf::field(0);
-        assert_eq!(sort_group(&d, &k, &p), super::super::sort_group(&d, &k));
-        assert_eq!(hash_group(&d, &k, &p), super::super::hash_group(&d, &k));
-        let sum = ReduceUdf::new("sum", |a, b| {
-            rec![a.int(0).unwrap(), a.int(1).unwrap() + b.int(1).unwrap()]
-        });
-        assert_eq!(
-            reduce_by_key(&d, &k, &sum, &p),
-            super::super::reduce_by_key(&d, &k, &sum)
-        );
-    }
+    fn only_a_narrow_operator_splits_into_morsels() {
+        use crate::data::Dataset;
+        use crate::expr::Expr;
+        use crate::physical::CustomPhysicalOp;
+        use crate::plan::PlanBuilder;
+        use crate::udf::{GroupMapUdf, LoopCondUdf, ReduceUdf};
+        use std::sync::Arc;
 
-    #[test]
-    fn joins_and_sort_match_sequential() {
-        let l = data(500);
-        let r = data(311);
-        let p = par(3, 17);
-        let k = KeyUdf::field(0);
-        assert_eq!(
-            hash_join(&l, &r, &k, &k, &p),
-            super::super::hash_join(&l, &r, &k, &k)
-        );
-        assert_eq!(sort(&l, &k, false, &p), super::super::sort(&l, &k, false));
-        assert_eq!(sort(&l, &k, true, &p), super::super::sort(&l, &k, true));
+        struct Whole;
+        impl CustomPhysicalOp for Whole {
+            fn name(&self) -> &str {
+                "whole"
+            }
+            fn arity(&self) -> usize {
+                1
+            }
+            fn execute(&self, inputs: &[Dataset]) -> Result<Dataset> {
+                Ok(inputs[0].clone())
+            }
+        }
+        let opaque = KeyUdf::new("k", |r| r.fields()[0].clone());
+        let field = KeyUdf::field(0);
+        let kept = Expr::field(0).gt(Expr::lit(0i64));
+        let declarative_filter = PhysicalOp::Filter(FilterUdf::from_expr("pos", kept));
+        let stages = declarative_filter
+            .pipeline_stages()
+            .expect("an expression filter");
+        let sum = ReduceUdf::new("sum", |a, _| a);
+        let mut body = PlanBuilder::new();
+        let state = body.loop_input();
+        body.map(state, MapUdf::new("id", |r| r.clone()));
+        // Row-path and chunk-path operators of every layout.
+        let ops = [
+            PhysicalOp::CollectionSource {
+                data: Dataset::new(Vec::new()),
+                name: "s".into(),
+            },
+            PhysicalOp::LoopInput,
+            PhysicalOp::Map(MapUdf::new("id", |r| r.clone())),
+            PhysicalOp::FlatMap(FlatMapUdf::new("one", |r| vec![r.clone()])),
+            PhysicalOp::Filter(FilterUdf::new("all", |_| true)),
+            declarative_filter,
+            PhysicalOp::Project { indices: vec![0] },
+            PhysicalOp::ChunkPipeline {
+                stages: stages.into(),
+            },
+            PhysicalOp::Limit { n: 10 },
+            PhysicalOp::HashGroupBy {
+                key: opaque.clone(),
+                group: GroupMapUdf::identity(),
+            },
+            PhysicalOp::SortGroupBy {
+                key: field.clone(),
+                group: GroupMapUdf::from_aggs("first", vec![crate::udf::GroupOutput::First(0)]),
+            },
+            PhysicalOp::ReduceByKey {
+                key: opaque.clone(),
+                reduce: sum.clone(),
+            },
+            PhysicalOp::Sort {
+                key: opaque.clone(),
+                descending: false,
+            },
+            PhysicalOp::Sort {
+                key: field.clone(),
+                descending: true,
+            },
+            PhysicalOp::GlobalReduce { reduce: sum },
+            PhysicalOp::HashJoin {
+                left_key: opaque.clone(),
+                right_key: opaque,
+            },
+            PhysicalOp::HashJoin {
+                left_key: field.clone(),
+                right_key: field,
+            },
+            PhysicalOp::CrossProduct,
+            PhysicalOp::Union,
+            PhysicalOp::Loop {
+                body: Arc::new(body.build_fragment().unwrap()),
+                condition: LoopCondUdf::fixed_iterations(2),
+                max_iterations: 2,
+                expected_iterations: 2.0,
+            },
+            PhysicalOp::Custom(Arc::new(Whole)),
+            PhysicalOp::CollectSink,
+        ];
+        let mut layouts = std::collections::BTreeSet::new();
+        for op in &ops {
+            let (layout, narrow) = match op.layout() {
+                Layout::Narrow => ("narrow", true),
+                Layout::Source => ("source", false),
+                Layout::LoopState => ("loop state", false),
+                Layout::Prefix(_) => ("prefix", false),
+                Layout::ByKey(_) => ("by key", false),
+                Layout::CombineByKey(_) => ("combine by key", false),
+                Layout::Gather => ("gather", false),
+                Layout::CombineGather => ("combine gather", false),
+                Layout::CoPartition(..) => ("co-partition", false),
+                Layout::BroadcastRight => ("broadcast right", false),
+                Layout::Concat => ("concat", false),
+                Layout::Loop { .. } => ("loop", false),
+                Layout::Custom { .. } => ("custom", false),
+                Layout::Sink => ("sink", false),
+            };
+            layouts.insert(layout);
+            for threads in [1, 2, 4] {
+                let p = KernelParallelism::sequential().with_threads(threads);
+                for rows in [p.min_rows - 1, 10 * p.morsel_size + 1] {
+                    let morsels = if threads > 1 && rows >= p.min_rows {
+                        rows.div_ceil(p.morsel_size) as u64
+                    } else {
+                        1
+                    };
+                    let expect = if narrow { morsels } else { 1 };
+                    assert_eq!(
+                        p.units(op, rows),
+                        expect,
+                        "{op:?}, {threads} threads, {rows} rows"
+                    );
+                }
+            }
+        }
+        assert_eq!(layouts.len(), 14, "every layout is in the table");
     }
 
     #[test]
@@ -1046,9 +713,8 @@ mod tests {
     #[test]
     fn empty_inputs_are_fine() {
         let p = par(8, 1);
-        let k = KeyUdf::field(0);
-        assert!(hash_group(&[], &k, &p).is_empty());
-        assert!(sort_group(&[], &k, &p).is_empty());
-        assert!(hash_join(&[], &[], &k, &k, &p).is_empty());
+        assert!(map(&[], &MapUdf::new("id", |r| r.clone()), &p).is_empty());
+        assert!(filter(&[], &FilterUdf::new("all", |_| true), &p).is_empty());
+        assert!(flat_map(&[], &FlatMapUdf::new("one", |r| vec![r.clone()]), &p).is_empty());
     }
 }

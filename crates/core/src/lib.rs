@@ -62,9 +62,9 @@
 //! [`MovementCostModel::route`] puts on a boundary,
 //! [`MultiPlatformOptimizer::without_rewrites`],
 //! [`kernels::chunked::run_stages_rows`], [`kernels::flat_map`] and
-//! [`BackoffPolicy::delay`]; the morsel-parallel twins under test
+//! [`BackoffPolicy::delay`]; the morsel twins under test
 //! ([`kernels::parallel::map`], [`kernels::parallel::flat_map`],
-//! [`kernels::parallel::sort_group`]); what the platform-independence
+//! [`kernels::parallel::filter`]); what the platform-independence
 //! oracle builds its plans and contexts with ([`PlanBuilder::add`],
 //! [`PhysicalOp::arity`], [`PhysicalOp::is_sink`],
 //! [`PhysicalOp::pipeline_stages`], [`ExecutionContext::with_storage`],
@@ -78,15 +78,15 @@
 //! through [`RheemContext::platform_health`], observed kernel work fed to
 //! and read from the [`CostCalibration`] rate table
 //! ([`CostCalibration::observe`], [`CostCalibration::rate`],
-//! [`CostCalibration::snapshot`], [`KernelKey`], [`Rate`]), and [`kernels::hash_i64`] with
-//! [`kernels::radix_bucket`] (keys that all land in one radix bucket).
+//! [`CostCalibration::snapshot`], [`KernelKey`], [`Rate`]), and [`kernels::hash_i64`] (keys that
+//! all start probing at one slot of a slot table).
 //!
 //! Seven module paths stay public because the standalone `benchmark`
 //! package names items by them:
 //!
 //! * [`kernels`] — the row kernels and the operator table;
 //! * [`kernels::chunked`] — the chunk kernels;
-//! * [`kernels::parallel`] — the morsel-parallel row kernels;
+//! * [`kernels::parallel`] — the morsel kernels of narrow operators;
 //! * [`logical`] — the application layer's operators;
 //! * [`query`] — SQL planning;
 //! * [`query::parser`] — the SQL parser;

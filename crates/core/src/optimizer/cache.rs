@@ -14,10 +14,10 @@
 //!
 //! A cache hit never reuses the cached *physical plan* (it embeds the old
 //! job's source data and closures); only the scheduling artifacts are
-//! reused, re-targeted at the freshly rewritten incoming plan. Entries
-//! whose fingerprint is opaque (closure identity) are additionally confined
-//! to one cache scope — the server gives every session its own scope, so
-//! opaque fingerprints are never shared across sessions.
+//! reused, re-targeted at the freshly rewritten incoming plan. So an entry
+//! may be shared by any two plans of one fingerprint, opaque (closure
+//! identity) or not: a stale match between two opaque plans of one shape
+//! can cost a platform pick, never a row.
 //!
 //! Sharing caveat: the key does not cover the optimizer's cost models
 //! (estimator, movement prices). One cache must only be shared by
@@ -71,14 +71,6 @@ pub struct PlanCacheStats {
     pub entries: usize,
 }
 
-/// Full cache key: canonical plan hash mixed with the optimizer/platform
-/// configuration hash, plus the session scope for opaque fingerprints.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct CacheKey {
-    hash: u64,
-    scope: u64,
-}
-
 /// The reusable part of an [`ExecutionPlan`] (everything except the
 /// physical plan itself, which embeds job-specific data).
 #[derive(Clone)]
@@ -109,7 +101,9 @@ struct CachedEntry {
 /// fingerprints. See the module docs for the invalidation rules.
 pub struct PlanCache {
     config: PlanCacheConfig,
-    entries: Mutex<HashMap<CacheKey, CachedEntry>>,
+    /// Keyed by the canonical plan hash mixed with the optimizer/platform
+    /// configuration hash.
+    entries: Mutex<HashMap<u64, CachedEntry>>,
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -167,11 +161,9 @@ impl PlanCache {
     /// structural guards, so a demoted hit counts as a miss.
     pub(crate) fn lookup(
         &self,
-        hash: u64,
-        scope: u64,
+        key: u64,
         calibration: &CostCalibration,
     ) -> Option<CachedPlanParts> {
-        let key = CacheKey { hash, scope };
         let mut entries = self.entries.lock();
         let entry = entries.get_mut(&key)?;
         let version = calibration.version();
@@ -195,8 +187,7 @@ impl PlanCache {
     /// Insert the reusable parts of a freshly enumerated plan.
     pub(crate) fn insert(
         &self,
-        hash: u64,
-        scope: u64,
+        key: u64,
         rewritten_hash: u64,
         exec: &ExecutionPlan,
         calibration: &CostCalibration,
@@ -216,8 +207,7 @@ impl PlanCache {
             last_used: self.tick.fetch_add(1, Ordering::Relaxed),
         };
         let mut entries = self.entries.lock();
-        if entries.len() >= self.config.capacity && !entries.contains_key(&CacheKey { hash, scope })
-        {
+        if entries.len() >= self.config.capacity && !entries.contains_key(&key) {
             // Evict the least-recently-used entry.
             if let Some(victim) = entries
                 .iter()
@@ -227,7 +217,7 @@ impl PlanCache {
                 entries.remove(&victim);
             }
         }
-        entries.insert(CacheKey { hash, scope }, entry);
+        entries.insert(key, entry);
     }
 }
 
@@ -326,13 +316,12 @@ mod tests {
     }
 
     #[test]
-    fn hit_after_insert_and_scope_isolation() {
+    fn hit_after_insert() {
         let cache = PlanCache::default();
         let cal = CostCalibration::new();
-        cache.insert(7, 1, 99, &dummy_exec(5.0), &cal);
-        assert!(cache.lookup(7, 1, &cal).is_some());
-        // Same hash in another scope is invisible.
-        assert!(cache.lookup(7, 2, &cal).is_none());
+        cache.insert(7, 99, &dummy_exec(5.0), &cal);
+        assert!(cache.lookup(7, &cal).is_some());
+        assert!(cache.lookup(8, &cal).is_none());
         assert_eq!(cache.len(), 1);
     }
 
@@ -346,14 +335,14 @@ mod tests {
         });
         let cal = CostCalibration::new();
         cal.observe(MAP_ROWS, 1_000.0, 1.0);
-        cache.insert(7, 0, 99, &dummy_exec(5.0), &cal);
+        cache.insert(7, 99, &dummy_exec(5.0), &cal);
         // Small drift: the mean at 1 000 units goes 1.0 -> 1.2 ms (20% <
         // 50%), still a hit.
         cal.observe(MAP_ROWS, 1_000.0, 1.4);
-        assert!(cache.lookup(7, 0, &cal).is_some());
+        assert!(cache.lookup(7, &cal).is_some());
         // Large drift: the mean goes to 4.0 ms vs the reference 1.0.
         cal.observe(MAP_ROWS, 1_000.0, 9.6);
-        assert!(cache.lookup(7, 0, &cal).is_none());
+        assert!(cache.lookup(7, &cal).is_none());
         assert_eq!(cache.stats().invalidations, 1);
         assert!(cache.is_empty());
     }
@@ -365,12 +354,12 @@ mod tests {
             drift_threshold: 0.5,
         });
         let cal = CostCalibration::new();
-        cache.insert(7, 0, 99, &dummy_exec(5.0), &cal);
+        cache.insert(7, 99, &dummy_exec(5.0), &cal);
         // A key first observed after the insert drifts from its seed: here
         // 100× the seeded rate.
         let seeded = cal.rate(MAP_ROWS).us(1_000.0);
         cal.observe(MAP_ROWS, 1_000.0, seeded * 100.0 / 1e3);
-        assert!(cache.lookup(7, 0, &cal).is_none());
+        assert!(cache.lookup(7, &cal).is_none());
         assert_eq!(cache.stats().invalidations, 1);
     }
 
@@ -381,14 +370,14 @@ mod tests {
             drift_threshold: 0.5,
         });
         let cal = CostCalibration::new();
-        cache.insert(1, 0, 0, &dummy_exec(1.0), &cal);
-        cache.insert(2, 0, 0, &dummy_exec(2.0), &cal);
+        cache.insert(1, 0, &dummy_exec(1.0), &cal);
+        cache.insert(2, 0, &dummy_exec(2.0), &cal);
         // Touch 1 so 2 becomes the LRU victim.
-        assert!(cache.lookup(1, 0, &cal).is_some());
-        cache.insert(3, 0, 0, &dummy_exec(3.0), &cal);
+        assert!(cache.lookup(1, &cal).is_some());
+        cache.insert(3, 0, &dummy_exec(3.0), &cal);
         assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(1, 0, &cal).is_some());
-        assert!(cache.lookup(2, 0, &cal).is_none());
-        assert!(cache.lookup(3, 0, &cal).is_some());
+        assert!(cache.lookup(1, &cal).is_some());
+        assert!(cache.lookup(2, &cal).is_none());
+        assert!(cache.lookup(3, &cal).is_some());
     }
 }

@@ -59,11 +59,6 @@ pub struct MultiPlatformOptimizer {
     /// canonical fingerprints (see [`PlanCache`] for keying and
     /// invalidation).
     pub plan_cache: Option<Arc<PlanCache>>,
-    /// Scope for cache entries whose fingerprint is opaque (closure
-    /// identity). The server assigns one scope per session so opaque
-    /// fingerprints are never shared across sessions; `0` (the default)
-    /// is the embedded single-tenant scope.
-    pub cache_scope: u64,
 }
 
 /// The optimizer's instruments, resolved from a registry once so an
@@ -137,12 +132,11 @@ impl MultiPlatformOptimizer {
     ) -> Result<ExecutionPlan> {
         plan.validate()?;
         let probe = self.plan_cache.as_ref().map(|cache| {
-            let fp = plan.fingerprint();
             let key = crate::fault::splitmix64(
-                fp.hash ^ cache::config_fingerprint(&self.config, platforms, budget),
+                plan.fingerprint().hash
+                    ^ cache::config_fingerprint(&self.config, platforms, budget),
             );
-            let scope = if fp.opaque { self.cache_scope } else { 0 };
-            (cache, key, scope)
+            (cache, key)
         });
         let plan = if self.config.apply_rewrites {
             rewrites::apply_rewrites(plan)?
@@ -150,9 +144,9 @@ impl MultiPlatformOptimizer {
             plan
         };
         let mut rewritten_hash = 0u64;
-        if let Some((cache, key, scope)) = &probe {
+        if let Some((cache, key)) = &probe {
             rewritten_hash = plan.fingerprint().hash;
-            let hit = cache.lookup(*key, *scope, &self.calibration);
+            let hit = cache.lookup(*key, &self.calibration);
             // Structural guards: a hash collision (or a rewrite divergence)
             // is demoted to a plain miss rather than executing a
             // mis-targeted schedule.
@@ -185,8 +179,8 @@ impl MultiPlatformOptimizer {
             budget,
         );
         if let Ok(exec) = &result {
-            if let Some((cache, key, scope)) = &probe {
-                cache.insert(*key, *scope, rewritten_hash, exec, &self.calibration);
+            if let Some((cache, key)) = &probe {
+                cache.insert(*key, rewritten_hash, exec, &self.calibration);
             }
             self.report_metrics(exec);
         }

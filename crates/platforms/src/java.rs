@@ -17,9 +17,10 @@ use crate::runner::run_in_process;
 /// Single-threaded in-process execution engine.
 ///
 /// "Single-threaded" describes the orchestration (one process, no
-/// partitioning, no shuffles). Kernels inside an atom still run on the
-/// morsel threads of the ambient
-/// [`ExecutionContext::kernel_parallelism`]; what that gains reaches the
+/// partitioning, no shuffles). A narrow operator's kernel inside an atom
+/// still splits into morsels on the threads of the ambient
+/// [`ExecutionContext::kernel_parallelism`], and every other kernel runs
+/// whole; what the morsels gain reaches the
 /// optimizer as learned kernel rates ([`rheem_core::CostCalibration`]),
 /// never as a declared speedup.
 pub struct JavaPlatform {

@@ -23,9 +23,9 @@
 //!   backpressure), never silently queued without bound;
 //! * the server — [`RheemServer`]: per-session `QueryCatalog` holding each
 //!   registered table once, as a chunk, under per-session quotas; a bounded
-//!   statement cache (SQL text → planned query), per-session cache scopes so
-//!   closure-identity cache entries are never shared across sessions, and
-//!   responses encoded straight from the job's sink dataset;
+//!   statement cache (SQL text → planned query), one plan cache shared by
+//!   every session, and responses encoded straight from the job's sink
+//!   dataset;
 //! * [`Client`] — a small blocking client used by the tests and the
 //!   closed-loop load generator in `benchmark/`.
 //!

@@ -13,14 +13,11 @@
 //!   repeated statement skips parsing and planning. SQL lowers to fully
 //!   declarative plans (expressions, field keys, aggregate specs), so their
 //!   fingerprints are transparent and equal statements over equally sized
-//!   tables share one plan-cache entry server-wide (scope 0). The statement
+//!   tables share one plan-cache entry server-wide. The statement
 //!   cache is cleared whenever the session re-registers a table, since the
 //!   old plans capture the old data, and holds at most
 //!   `MAX_SESSION_STATEMENTS` plans (oldest out first), so a client that
 //!   inlines literals cannot grow it without limit;
-//! * a unique cache scope, so opaque (closure-identity) plan-cache entries
-//!   — which only hand-built plans produce — are never shared across
-//!   sessions;
 //! * a [`scheduler::JobGate`](crate::scheduler::JobGate) tying every wave
 //!   of its jobs into the server-wide fair-share scheduler.
 //!
@@ -62,7 +59,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -140,7 +137,8 @@ impl Default for ServerConfig {
 }
 
 struct ServerShared {
-    /// Template context: every session clones this and re-scopes it.
+    /// Template context: every session clones this and adds the shared
+    /// plan cache and its own wave gate.
     base: RheemContext,
     observability: Arc<Observability>,
     plan_cache: Arc<PlanCache>,
@@ -160,9 +158,6 @@ struct ServerShared {
     /// `server.session.statements_evicted`: plans dropped from session
     /// statement caches at [`MAX_SESSION_STATEMENTS`].
     statements_evicted: Arc<Counter>,
-    /// Next session cache scope; 0 is reserved for transparent
-    /// (fully declarative) fingerprints shared server-wide.
-    next_scope: AtomicU64,
     /// `server.request_us` and `server.stage.*_us`.
     request_clocks: RequestHistograms,
     idle_timeout: Option<Duration>,
@@ -222,7 +217,6 @@ impl RheemServer {
             registered_bytes,
             tenant_bytes: Mutex::new(HashMap::new()),
             statements_evicted,
-            next_scope: AtomicU64::new(1),
             request_clocks,
             idle_timeout: config.idle_timeout,
             shutdown: AtomicBool::new(false),
@@ -529,13 +523,11 @@ fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
     let ok = Response::Ok.encode();
     respond(shared, &mut stream, &ok, clock, tenant_request_us)?;
 
-    let scope = shared.next_scope.fetch_add(1, Ordering::Relaxed);
     let gate = shared.scheduler.gate(&tenant);
     let ctx = shared
         .base
         .clone()
         .with_plan_cache(shared.plan_cache.clone())
-        .with_cache_scope(scope)
         .with_wave_gate(gate.clone());
     let mut catalog = QueryCatalog::new();
     let mut tables = SessionTables::new(shared, &tenant);

@@ -8,17 +8,18 @@
 //! (`-0.0` vs `0.0`, distinct NaN payloads, dictionary vs inline
 //! strings), and a typed lane hashes as the row does. Second, the
 //! engine-backed kernels must stay byte-identical to their row twins even
-//! on *adversarial* keys — whole key sets crafted to land in one radix
-//! bucket, so partitioning degenerates and every probe chain piles onto
-//! the same table region — at every parallelism setting.
+//! on *adversarial* keys — whole key sets crafted so that every key starts
+//! its probe at the same slot of a slot table, and every probe chain piles
+//! onto one table region — and whole plans over them at every thread
+//! budget.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use rheem::prelude::*;
-use rheem_core::kernels::{self, chunked, hash_i64, parallel, radix_bucket};
+use rheem_core::kernels::{self, chunked, hash_i64};
 use rheem_core::udf::{AggFunc, Aggregate, GroupOutput};
 use rheem_core::{run_plan, Chunk, ExecutionContext, Expr, KernelParallelism, Text, Value};
 
@@ -42,23 +43,29 @@ fn value_strategy() -> impl Strategy<Value = Value> {
     ]
 }
 
-/// `n` distinct `i64` keys that all hash into radix bucket 0 — the
-/// engine's worst case: the partition pass puts *every* key in one
-/// bucket, and the other 63 stay empty.
-fn bucket0_keys(n: usize) -> Vec<i64> {
-    let keys: Vec<i64> = (0i64..)
-        .filter(|&k| radix_bucket(hash_i64(k)) == 0)
-        .take(n)
-        .collect();
-    assert_eq!(keys.len(), n, "search space exhausted");
-    keys
+/// `n` (at most 160) distinct `i64` keys whose hashes share their low 16
+/// bits — the engine's worst case: a slot table indexes by the low bits of
+/// a hash, so in every table of up to 2^16 entries (all the tables these
+/// tests build) every key starts probing at the same slot and each insert
+/// or probe walks the chain of all the keys before it. The keys also span
+/// far more than 2^16, so an `Int` lane of them takes the hash path, not
+/// direct addressing.
+fn colliding_keys(n: usize) -> &'static [i64] {
+    static KEYS: OnceLock<Vec<i64>> = OnceLock::new();
+    let keys = KEYS.get_or_init(|| {
+        (0i64..)
+            .filter(|&k| hash_i64(k) & 0xffff == 0)
+            .take(160)
+            .collect()
+    });
+    &keys[..n]
 }
 
 /// An adversarial batch: `rows` records whose keys cycle through
-/// `distinct` bucket-0 keys, with an input-position payload so member
+/// `distinct` colliding keys, with an input-position payload so member
 /// order and accumulator folds are observable.
 fn adversarial_batch(rows: usize, distinct: usize) -> Vec<Record> {
-    let keys = bucket0_keys(distinct);
+    let keys = colliding_keys(distinct);
     (0..rows)
         .map(|i| {
             let payload = match i % 5 {
@@ -241,41 +248,24 @@ fn strings_built_three_ways_hash_compare_and_order_alike() {
     assert_eq!(dict.len(), 5, "the repeated \"a\" is one entry");
 }
 
-/// Direct and radix-partitioned builds induce the same grouping: the
-/// morsel-parallel kernel folds its partial groups per radix bucket, the
-/// row kernel builds one direct table, and both give the same groups with
-/// the same members in the same order.
+/// A large, high-cardinality key column: 70 000 rows over 20 011 keys
+/// spread far past the direct-address range, so one slot table holds them
+/// all and grows twice past its first size. Grouping stays byte-identical
+/// to the row kernel.
 #[test]
-fn forced_partition_paths_induce_identical_grouping() {
-    // Mixed cardinality with collision pressure: 1500 rows, 300 keys.
-    let records: Vec<Record> = (0..1500i64)
-        .map(|i| Record::new(vec![Value::Int((i * 7) % 300), Value::Int(i)]))
-        .collect();
-    let key = KeyUdf::field(0);
-    let direct = kernels::hash_group(&records, &key);
-    assert_eq!(direct.len(), 300);
-    for p in parallelism_settings() {
-        assert_eq!(parallel::hash_group(&records, &key, &p), direct);
-    }
-}
-
-/// Above the adaptive thresholds (≥ 65536 rows, > 1024 sampled-distinct
-/// keys) `build_index` flips to the partitioned path on its own; the
-/// grouping kernel must stay byte-identical to the row twin there too.
-#[test]
-fn auto_radix_path_above_threshold_matches_row_kernel() {
+fn large_high_cardinality_keys_match_row_kernel() {
     let records: Vec<Record> = (0..70_000i64)
-        .map(|i| Record::new(vec![Value::Int(i % 4099), Value::Int(i)]))
+        .map(|i| Record::new(vec![Value::Int((i % 20_011) * 7_919), Value::Int(i)]))
         .collect();
     let key = KeyUdf::field(0);
     let grouped = chunked::hash_group(&chunk_of(&records), &key);
-    assert_eq!(grouped.len(), 4099);
+    assert_eq!(grouped.len(), 20_011);
     assert_eq!(grouped, kernels::hash_group(&records, &key));
 }
 
-/// Collision pileup: hundreds of distinct keys all in radix bucket 0.
-/// Grouping, typed aggregation, reduction, and the join must remain byte-identical
-/// to the row kernels — sequentially and at every morsel setting.
+/// Collision pileup: 160 distinct keys on one probe sequence. Grouping,
+/// typed aggregation and the join must remain byte-identical to the row
+/// kernels.
 #[test]
 fn collision_heavy_kernels_match_row_twins() {
     let records = adversarial_batch(1200, 160);
@@ -297,14 +287,11 @@ fn collision_heavy_kernels_match_row_twins() {
         kernels::apply_group_map(&row_groups, &GroupMapUdf::from_aggs("agg", outputs.clone()))
     );
 
-    let reduce = first_and_float_sum();
-    let row_reduced = kernels::reduce_by_key(&records, &key, &reduce);
-
     // Join against a probe side that hits and misses: half the build keys
-    // plus keys from *other* buckets that must not false-match.
-    let mut right: Vec<Record> = bucket0_keys(80)
-        .into_iter()
-        .map(|k| Record::new(vec![Value::Int(k), Value::from("hit")]))
+    // plus keys off the colliding sequence that must not false-match.
+    let mut right: Vec<Record> = colliding_keys(80)
+        .iter()
+        .map(|&k| Record::new(vec![Value::Int(k), Value::from("hit")]))
         .collect();
     right.extend((1..40i64).map(|k| Record::new(vec![Value::Int(-k), Value::from("miss")])));
     let rchunk = chunk_of(&right);
@@ -314,18 +301,6 @@ fn collision_heavy_kernels_match_row_twins() {
         chunked::hash_join(&chunk, &rchunk, &key, &key).to_records(),
         row_joined
     );
-
-    for p in parallelism_settings() {
-        assert_eq!(parallel::hash_group(&records, &key, &p), row_groups.clone());
-        assert_eq!(
-            parallel::reduce_by_key(&records, &key, &reduce, &p),
-            row_reduced.clone()
-        );
-        assert_eq!(
-            parallel::hash_join(&records, &right, &key, &key, &p),
-            row_joined.clone()
-        );
-    }
 }
 
 /// End to end: an adversarial-keyed plan — group-by feeding a hash join —
@@ -333,10 +308,10 @@ fn collision_heavy_kernels_match_row_twins() {
 #[test]
 fn adversarial_keys_end_to_end_at_every_budget() {
     let facts = adversarial_batch(2000, 120);
-    let dims: Vec<Record> = bucket0_keys(120)
-        .into_iter()
+    let dims: Vec<Record> = colliding_keys(120)
+        .iter()
         .enumerate()
-        .map(|(i, k)| Record::new(vec![Value::Int(k), Value::Int(i as i64 * 10)]))
+        .map(|(i, &k)| Record::new(vec![Value::Int(k), Value::Int(i as i64 * 10)]))
         .collect();
 
     let build = || {

@@ -164,27 +164,25 @@ fn drift_past_threshold_flips_hit_to_miss_via_metrics() {
     assert_eq!(observe.metrics().counter_value("optimizer.runs"), 4);
 }
 
-/// Opaque (closure-identity) fingerprints are confined to their cache
-/// scope: two contexts with different scopes never share entries for
-/// closure-built plans, while declarative plans share through scope 0.
+/// One cache serves every context it is handed to, with no scope between
+/// them: a plan of one fingerprint hits whichever context enumerated it —
+/// a closure-built plan when it carries the same closures, a declarative
+/// plan always — but an entry never crosses thread budgets.
 #[test]
-fn opaque_entries_are_scope_isolated_but_declarative_entries_are_shared() {
+fn contexts_share_one_cache_but_not_across_budgets() {
     let rows: Vec<(i64, i64)> = (0..20).map(|i| (i, 1)).collect();
     let cache = Arc::new(PlanCache::new(PlanCacheConfig {
         capacity: 16,
         ..PlanCacheConfig::default()
     }));
-    let session_a = test_context()
-        .with_plan_cache(cache.clone())
-        .with_cache_scope(1);
-    let session_b = test_context()
-        .with_plan_cache(cache.clone())
-        .with_cache_scope(2);
+    let session_a = test_context().with_plan_cache(cache.clone());
+    let session_b = test_context().with_plan_cache(cache.clone());
 
-    // Closure-built plan: opaque fingerprint. The UDF Arcs are shared so
-    // both sessions see the *same* fingerprint — but different scopes.
+    // Closure-built plan: opaque fingerprint, by closure identity. Shared
+    // UDF `Arc`s give both sessions the same fingerprint, so the second
+    // reuses the first's enumeration; a fresh closure is another plan.
     let filter = FilterUdf::new("keep", |r: &Record| r.int(0).unwrap() > 3);
-    let closure_plan = || {
+    let closure_plan = |filter: &FilterUdf| {
         let mut b = PlanBuilder::new();
         let src = b.collection(
             "t",
@@ -196,12 +194,16 @@ fn opaque_entries_are_scope_isolated_but_declarative_entries_are_shared() {
         b.collect(f);
         b.build().unwrap()
     };
-    session_a.optimize(closure_plan()).unwrap();
+    session_a.optimize(closure_plan(&filter)).unwrap();
     let stats = cache.stats();
-    session_b.optimize(closure_plan()).unwrap();
+    session_b.optimize(closure_plan(&filter)).unwrap();
     let after = cache.stats();
-    assert_eq!(after.hits, stats.hits, "opaque entry leaked across scopes");
-    assert_eq!(after.misses, stats.misses + 1);
+    assert_eq!(after.hits, stats.hits + 1, "an opaque entry did not share");
+    let fresh = FilterUdf::new("keep", |r: &Record| r.int(0).unwrap() > 3);
+    session_b.optimize(closure_plan(&fresh)).unwrap();
+    let last = cache.stats();
+    assert_eq!(last.hits, after.hits, "another closure hit the entry");
+    assert_eq!(last.misses, after.misses + 1);
 
     // Declarative plan: transparent fingerprint, shared across sessions.
     session_a.optimize(declarative_plan(&rows, 3, 1)).unwrap();
