@@ -66,6 +66,12 @@ if grep -rnE 'FieldReduce|ReduceUdf::from_spec|fn fuse_maps|fn fuse_filters|\bke
     crates src tests examples; then
   echo "a deleted fork is named again"; exit 1
 fi
+# One sliced frame writer: a result is sized first and leaves a slice at a
+# time, so no whole-frame result encoder and no row writer that stops at a
+# byte limit come back in the server.
+if grep -rnE 'encode_result|fn put_rows[^)]*limit' crates/server/src; then
+  echo "a whole-frame result encoder is back"; exit 1
+fi
 
 # One way to price an operator: a platform states its clock, and the
 # optimizer applies it to the one kernel-rate table every engine's observed

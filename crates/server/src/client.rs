@@ -7,8 +7,14 @@
 //! Every request but `REGISTER` leaves as two segments (`write_frame`: length
 //! prefix, then body) on a socket with Nagle on, so its body waits ≈ 40 ms
 //! for the server's delayed ACK of the prefix — the half of the transport
-//! stall that the server's `TCP_NODELAY` on accepted sockets cannot remove,
-//! tracked in ROADMAP item 1.
+//! stall that the server (one write per response that fits a slice, and
+//! `TCP_NODELAY` on accepted sockets) cannot remove. It stays until the
+//! benchmark harness can hold the query rate that removing it would bring
+//! (ROADMAP item 1: its per-query samples would grow with it).
+//!
+//! A response is read whole into the buffer the client keeps between
+//! responses; decoding a large result through a small window instead cost
+//! more page faults and throughput than the buffer's memory.
 //!
 //! [`Client::register`] leaves as one write stream and never holds its frame
 //! whole: it sizes the body in one pass over the rows, then encodes and

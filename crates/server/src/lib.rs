@@ -9,9 +9,11 @@
 //!
 //! * [`protocol`] — framing and message codec (`u32` big-endian length
 //!   prefix, one opcode byte, flat payload encodings for schemas, rows, and
-//!   values); one row writer, fed from a result's chunk or from rows, and
-//!   one row reader, feeding rows or — for a session's `REGISTER`, decoded
-//!   through a fixed window as it arrives — column builders;
+//!   values); one row writer, fed from a result's chunk or from rows, behind
+//!   one sliced frame writer that sizes a body first and never holds a large
+//!   one whole, and one row reader, feeding rows or — for a session's
+//!   `REGISTER`, decoded through a fixed window as it arrives — column
+//!   builders;
 //! * the scheduler — [`FairShareScheduler`]: fair-share scheduling of
 //!   *waves* across concurrently running jobs. The executor's wave boundary
 //!   is the natural preemption point (no task is ever interrupted
@@ -24,8 +26,8 @@
 //! * the server — [`RheemServer`]: per-session `QueryCatalog` holding each
 //!   registered table once, as a chunk, under per-session quotas; a bounded
 //!   statement cache (SQL text → planned query), one plan cache shared by
-//!   every session, and responses encoded straight from the job's sink
-//!   dataset;
+//!   every session, and results written to the socket in slices straight
+//!   from the job's sink dataset;
 //! * [`Client`] — a small blocking client used by the tests and the
 //!   closed-loop load generator in `benchmark/`.
 //!
@@ -39,7 +41,7 @@
 //! [`FairShareScheduler`] a service's jobs share.
 //!
 //! **For tests:** the codec's paths the equivalence suites hold to the row
-//! form ([`protocol::encode_result`] with its [`protocol::ResultPath`],
+//! form ([`protocol::ResultFrame`] with its [`protocol::ResultPath`],
 //! [`protocol::Registration::decode`], and [`protocol::read_incoming`], the
 //! session's frame reader), [`RheemServer::start_with_context`]
 //! to serve a caller-built context, [`Client::stats`] for the counters a

@@ -11,13 +11,17 @@
 //! [`Response::Err`] (message), [`Response::Rows`] (schema + rows),
 //! [`Response::Stats`] (key/value lines).
 //!
-//! A `REGISTER` frame is the one that can be large, and neither end holds
-//! it whole: [`crate::Client`] sizes its body in one pass over the rows and
-//! writes the frame in 1 MiB slices (`SLICE`), the length prefix at the
-//! front of the first, and a session ([`read_incoming`]) decodes it as it
-//! arrives, through a window of at most 64 KiB (`WINDOW`), straight into the
-//! column builders of the chunk it registers ([`Registration`]). Every other
-//! frame is read whole.
+//! A `REGISTER` frame and a query's `ROWS` frame are the ones that can be
+//! large, and their writers do not hold them whole: [`crate::Client`]'s
+//! table and a session's result ([`ResultFrame`]) are sized in one pass with
+//! nothing encoded, then encoded and written in 1 MiB slices (`SLICE`), the
+//! length prefix at the front of the first — one sliced writer for both, and
+//! for a session's every other response too, so a response that fits a
+//! slice is one write. A session ([`read_incoming`]) decodes a `REGISTER` as
+//! it arrives, through a window of at most 64 KiB (`WINDOW`), straight into
+//! the column builders of the chunk it registers ([`Registration`]). Every
+//! other frame is read whole: [`crate::Client`] reads a result into the
+//! buffer it keeps between responses.
 //!
 //! A table is exactly as wide as its schema: every `REGISTER` row must have
 //! one value per schema column, and the schema at most 4 096 columns. The
@@ -29,8 +33,8 @@
 //! `3` float (+8 bytes, IEEE bits), `4` string (+length-prefixed UTF-8).
 //! The encoding is canonical — equal rows encode to equal bytes — which the
 //! byte-identical plan-cache acceptance checks rely on. It does not depend
-//! on where the rows come from either: [`encode_result`] writes a result
-//! dataset's chunk view to exactly the bytes its row view encodes to.
+//! on where the rows come from either: [`ResultFrame`] writes a result
+//! dataset's chunk view as exactly the bytes its row view encodes to.
 
 use std::convert::Infallible;
 use std::io::{Read, Write};
@@ -173,18 +177,22 @@ fn put_bool(buf: &mut Vec<u8>, b: bool) {
 }
 
 fn put_int(buf: &mut Vec<u8>, i: i64) {
-    buf.push(2);
-    buf.extend_from_slice(&i.to_be_bytes());
+    let mut value = [2; 9];
+    value[1..].copy_from_slice(&i.to_be_bytes());
+    buf.extend_from_slice(&value);
 }
 
 fn put_float(buf: &mut Vec<u8>, x: f64) {
-    buf.push(3);
-    buf.extend_from_slice(&x.to_bits().to_be_bytes());
+    let mut value = [3; 9];
+    value[1..].copy_from_slice(&x.to_bits().to_be_bytes());
+    buf.extend_from_slice(&value);
 }
 
 fn put_str_value(buf: &mut Vec<u8>, s: &str) {
-    buf.push(4);
-    put_str(buf, s);
+    let mut head = [4; 5];
+    head[1..].copy_from_slice(&(s.len() as u32).to_be_bytes());
+    buf.extend_from_slice(&head);
+    buf.extend_from_slice(s.as_bytes());
 }
 
 fn put_value(buf: &mut Vec<u8>, v: &Value) {
@@ -239,6 +247,7 @@ fn put_schema(buf: &mut Vec<u8>, schema: &Schema) {
 
 /// Where the rows of a frame come from: a row view or a chunk view. Both
 /// encode to the same bytes ([`put_rows`]).
+#[derive(Clone, Copy)]
 enum RowSource<'a> {
     Records(&'a [Record]),
     Chunk(&'a Chunk),
@@ -273,24 +282,21 @@ impl<'a> Lane<'a> {
         (lane, (!column.no_nulls()).then_some(column))
     }
 
-    /// Bytes this column's `rows` values encode to at most: exact for a
-    /// typed lane without NULLs (strings summed through the dictionary; a
-    /// NULL is one byte, less than any value), an estimate for a mixed one
-    /// — only the buffer's reservation depends on it.
-    fn encoded_bytes(&self, rows: usize) -> usize {
+    /// Bytes this column's `rows` values encode to: a NULL's one byte
+    /// (`nulls`, as [`Lane::of`] gives it, says which rows are), a typed
+    /// value's fixed size, a string's through the dictionary, and a mixed
+    /// column's value by value.
+    fn encoded_bytes(&self, rows: usize, nulls: Option<&Column>) -> usize {
+        let value = |i: usize| match self {
+            _ if nulls.is_some_and(|column| !column.is_valid(i)) => 1,
+            Lane::Bool(_) => value_len(&Value::Bool(false)),
+            Lane::Int(_) | Lane::Float(_) => value_len(&Value::Int(0)),
+            Lane::Str(dict, codes) => str_value_len(&dict[codes[i] as usize]),
+            Lane::Values(column) => value_len(&column.value(i)),
+        };
         match self {
-            Lane::Bool(_) => rows * value_len(&Value::Bool(false)),
-            // A view keeps its column's whole dictionary, so each entry's
-            // size is taken once only when the codes outnumber the entries.
-            Lane::Str(dict, codes) if codes.len() > dict.len() => {
-                let entry: Vec<usize> = dict.iter().map(|s| str_value_len(s)).collect();
-                codes.iter().map(|&c| entry[c as usize]).sum()
-            }
-            Lane::Str(dict, codes) => codes
-                .iter()
-                .map(|&c| str_value_len(&dict[c as usize]))
-                .sum(),
-            _ => rows * value_len(&Value::Int(0)),
+            Lane::Bool(_) | Lane::Int(_) | Lane::Float(_) if nulls.is_none() => rows * value(0),
+            _ => (0..rows).map(value).sum(),
         }
     }
 }
@@ -308,31 +314,48 @@ fn record_len(row: &Record) -> usize {
     4 + row.fields().iter().map(value_len).sum::<usize>()
 }
 
+/// Where the encoders put a frame body: a buffer that keeps it whole
+/// (`Vec<u8>`), or [`Slices`], which hands it on a slice at a time.
+trait Out {
+    /// What handing a slice on may fail with.
+    type Error;
+    /// The buffer the body is appended to.
+    fn buf(&mut self) -> &mut Vec<u8>;
+    /// A row of `row` bytes has just been appended: the point between rows
+    /// where a slice may leave.
+    fn row_end(&mut self, row: usize) -> Result<(), Self::Error>;
+}
+
+impl Out for Vec<u8> {
+    type Error = Infallible;
+    fn buf(&mut self) -> &mut Vec<u8> {
+        self
+    }
+    fn row_end(&mut self, _: usize) -> Result<(), Infallible> {
+        Ok(())
+    }
+}
+
 /// The one row writer: a `u32` row count, then per row a `u32` width and its
-/// tagged values, appended to the caller's buffer. It stops after the first
-/// row that takes the buffer past `limit` bytes, and returns how many rows
-/// it wrote.
-fn put_rows(buf: &mut Vec<u8>, source: RowSource<'_>, limit: usize) -> usize {
+/// tagged values.
+fn put_rows<O: Out>(out: &mut O, source: RowSource<'_>) -> Result<(), O::Error> {
     match source {
         RowSource::Records(rows) => {
-            put_u32(buf, rows.len() as u32);
-            for (i, row) in rows.iter().enumerate() {
+            put_u32(out.buf(), rows.len() as u32);
+            for row in rows {
+                let buf = out.buf();
+                let before = buf.len();
                 put_record(buf, row);
-                if buf.len() > limit {
-                    return i + 1;
-                }
+                let row = buf.len() - before;
+                out.row_end(row)?;
             }
-            rows.len()
         }
         RowSource::Chunk(chunk) => {
             let lanes: Vec<_> = chunk.columns().iter().map(Lane::of).collect();
-            let rows = chunk.rows();
-            put_u32(buf, rows as u32);
-            // Sized before the loop (past the limit the writer stops): the
-            // buffer does not grow.
-            let values: usize = lanes.iter().map(|(l, _)| l.encoded_bytes(rows)).sum();
-            buf.reserve((4 * rows + values).min(limit));
-            for i in 0..rows {
+            put_u32(out.buf(), chunk.rows() as u32);
+            for i in 0..chunk.rows() {
+                let buf = out.buf();
+                let before = buf.len();
                 put_u32(buf, lanes.len() as u32);
                 for (lane, nulls) in &lanes {
                     if nulls.is_some_and(|column| !column.is_valid(i)) {
@@ -347,11 +370,26 @@ fn put_rows(buf: &mut Vec<u8>, source: RowSource<'_>, limit: usize) -> usize {
                         Lane::Values(column) => put_value(buf, &column.value(i)),
                     }
                 }
-                if buf.len() > limit {
-                    return i + 1;
-                }
+                let row = buf.len() - before;
+                out.row_end(row)?;
             }
-            rows
+        }
+    }
+    Ok(())
+}
+
+/// Bytes [`put_rows`] writes for `source`, from one pass over it with
+/// nothing encoded.
+fn rows_len(source: RowSource<'_>) -> usize {
+    4 + match source {
+        RowSource::Records(rows) => rows.iter().map(record_len).sum::<usize>(),
+        RowSource::Chunk(chunk) => {
+            let rows = chunk.rows();
+            let lanes = chunk.columns().iter().map(Lane::of);
+            let values: usize = lanes
+                .map(|(lane, nulls)| lane.encoded_bytes(rows, nulls))
+                .sum();
+            4 * rows + values
         }
     }
 }
@@ -360,22 +398,11 @@ fn put_rows(buf: &mut Vec<u8>, source: RowSource<'_>, limit: usize) -> usize {
 /// byte-identical output comparison).
 pub fn encode_rows(rows: &[Record]) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_rows(&mut buf, RowSource::Records(rows), usize::MAX);
+    let Ok(()) = put_rows(&mut buf, RowSource::Records(rows));
     buf
 }
 
-fn put_rows_response(
-    buf: &mut Vec<u8>,
-    schema: &Schema,
-    source: RowSource<'_>,
-    limit: usize,
-) -> usize {
-    buf.push(OP_ROWS);
-    put_schema(buf, schema);
-    put_rows(buf, source, limit)
-}
-
-/// Which view of a result dataset [`encode_result`] wrote the rows from.
+/// Which view of a result dataset a [`ResultFrame`] writes the rows from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ResultPath {
     /// The chunk view: typed lanes walked row-major, no row built.
@@ -385,64 +412,171 @@ pub enum ResultPath {
     Row,
 }
 
-/// The body of the `Rows` response for a job's sink, written straight from
-/// the view the dataset already has — the same bytes as
-/// `Response::Rows { schema, rows: data.records().to_vec() }.encode()`
-/// without building the other view. A body that would pass [`MAX_FRAME`]
-/// is not written past it: the error names the result's rows, the bytes
-/// they had reached and the limit.
-pub fn encode_result(schema: &Schema, data: &Dataset) -> Result<(Vec<u8>, ResultPath), String> {
-    // `has_chunk` first: `chunk()` alone would convert a row-built result.
-    let (source, path) = match data.has_chunk().then(|| data.chunk()).flatten() {
-        Some(chunk) => (RowSource::Chunk(chunk), ResultPath::Columnar),
-        None => (RowSource::Records(data.records()), ResultPath::Row),
-    };
-    let mut buf = Vec::new();
-    let written = put_rows_response(&mut buf, schema, source, MAX_FRAME);
-    if written < data.len() {
-        return Err(format!(
-            "result of {} rows too large: {} bytes after {written} rows, \
-             past MAX_FRAME ({MAX_FRAME} bytes)",
-            data.len(),
-            buf.len()
-        ));
-    }
-    Ok((buf, path))
+/// The `ROWS` frame of a job's sink, sized and ready to leave: it is written
+/// straight from the view the dataset already has — the same bytes as
+/// `write_frame(w, &Response::Rows { schema, rows: data.records().to_vec() }.encode())`
+/// without building the other view, and without holding the body whole
+/// ([`ResultFrame::write`]).
+pub struct ResultFrame<'a> {
+    schema: &'a Schema,
+    source: RowSource<'a>,
+    /// The body's exact size.
+    len: usize,
 }
 
-/// Bytes a slice of a `REGISTER` frame (the first one's length prefix
-/// included) reaches before [`write_register`] writes it out. Measured with
-/// `scan-200k` (two REGISTERs per set-up) on a 2-core Linux host: in 64 KiB
-/// slices one set-up in 18 took ≈ 55 ms longer — the body's last segment
-/// waiting out the server's delayed ACK — and in 1 MiB slices none of 18.
+impl<'a> ResultFrame<'a> {
+    /// Size the frame of `data` under `schema` in one pass over its view,
+    /// with nothing encoded. A body past [`MAX_FRAME`] is refused from its
+    /// size alone: the error names the result's rows, its bytes and the
+    /// limit.
+    pub fn new(schema: &'a Schema, data: &'a Dataset) -> Result<Self, String> {
+        // `has_chunk` first: `chunk()` alone would convert a row-built result.
+        let source = match data.has_chunk().then(|| data.chunk()).flatten() {
+            Some(chunk) => RowSource::Chunk(chunk),
+            None => RowSource::Records(data.records()),
+        };
+        let len = 1 + schema_len(schema) + rows_len(source);
+        if len > MAX_FRAME {
+            return Err(format!(
+                "result of {} rows too large: {len} bytes, past MAX_FRAME ({MAX_FRAME} bytes)",
+                data.len()
+            ));
+        }
+        Ok(ResultFrame {
+            schema,
+            source,
+            len,
+        })
+    }
+
+    /// The view the rows are written from.
+    pub fn path(&self) -> ResultPath {
+        match self.source {
+            RowSource::Chunk(_) => ResultPath::Columnar,
+            RowSource::Records(_) => ResultPath::Row,
+        }
+    }
+
+    /// Write the frame in slices of about 1 MiB, the length prefix at the
+    /// front of the first: at most a slice of it is encoded at a time, and a
+    /// frame that fits a slice is one write.
+    pub fn write(self, w: &mut impl Write) -> WireResult<()> {
+        write_sliced(w, self.len, |out| {
+            out.buf.push(OP_ROWS);
+            put_schema(&mut out.buf, self.schema);
+            put_rows(out, self.source)
+        })
+    }
+}
+
+/// Bytes a slice of a sliced frame (the first one's length prefix included)
+/// reaches before [`write_sliced`] writes it out. Measured with `scan-200k`
+/// (two REGISTERs per set-up) on a 2-core Linux host: in 64 KiB slices one
+/// set-up in 18 took ≈ 55 ms longer — the body's last segment waiting out
+/// the server's delayed ACK — and in 1 MiB slices none of 18.
 const SLICE: usize = 1 << 20;
 
+/// A frame leaving in slices ([`write_sliced`]): the buffer the encoders
+/// fill, and how much of the frame its length prefix declared is still to go.
+struct Slices<'w, W> {
+    w: &'w mut W,
+    buf: Vec<u8>,
+    /// Bytes of the frame, prefix included, not yet written.
+    unwritten: usize,
+    /// [`SLICE`], or no limit for a frame that fits one slice.
+    limit: usize,
+}
+
+impl<W: Write> Slices<'_, W> {
+    /// Hand the buffer to the stream and clear it — unless it would take
+    /// the body past its declared size.
+    fn emit(&mut self) -> WireResult<()> {
+        self.unwritten = (self.unwritten.checked_sub(self.buf.len()))
+            .ok_or_else(|| WireError::Malformed("frame body past its declared size".into()))?;
+        self.w.write_all(&self.buf)?;
+        self.buf.clear();
+        Ok(())
+    }
+}
+
+impl<W: Write> Out for Slices<'_, W> {
+    type Error = WireError;
+    fn buf(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+    /// A slice leaves when the next row may take it past the limit, judged
+    /// by the row just written.
+    fn row_end(&mut self, row: usize) -> WireResult<()> {
+        if self.buf.len() > self.limit.saturating_sub(row) {
+            self.emit()?;
+        }
+        Ok(())
+    }
+}
+
+/// The one sliced frame writer, for a body of exactly `len` bytes that `put`
+/// encodes: the length prefix at the front of the first slice, then the
+/// body in slices of about [`SLICE`] bytes, so a frame of at most `SLICE`
+/// bytes is one write and never waits out the peer's delayed ACK of a prefix
+/// sent alone. A body past [`MAX_FRAME`] is refused before anything is
+/// written, and a body that does not come to the size its prefix declared is
+/// an error: no slice past it is written, and the call fails once the body
+/// ends short of it.
+fn write_sliced<W: Write>(
+    w: &mut W,
+    len: usize,
+    put: impl FnOnce(&mut Slices<'_, W>) -> WireResult<()>,
+) -> WireResult<()> {
+    if len > MAX_FRAME {
+        return Err(WireError::Malformed(format!(
+            "frame of {len} bytes exceeds MAX_FRAME"
+        )));
+    }
+    let framed = 4 + len;
+    // A frame that fits one slice is one write, whatever its rows' sizes.
+    let mut out = Slices {
+        w,
+        buf: Vec::with_capacity(framed.min(SLICE)),
+        unwritten: framed,
+        limit: if framed <= SLICE { usize::MAX } else { SLICE },
+    };
+    put_u32(&mut out.buf, len as u32);
+    put(&mut out)?;
+    out.emit()?;
+    if out.unwritten > 0 {
+        return Err(WireError::Malformed(format!(
+            "frame body {} bytes short of its declared {len}",
+            out.unwritten
+        )));
+    }
+    out.w.flush()?;
+    Ok(())
+}
+
+/// Write a frame whose body is in hand through [`write_sliced`]: a server
+/// response that fits a slice leaves in one write, its length prefix at the
+/// front.
+pub(crate) fn write_body(w: &mut impl Write, body: &[u8]) -> WireResult<()> {
+    write_sliced(w, body.len(), |out| {
+        out.buf.extend_from_slice(body);
+        Ok(())
+    })
+}
+
 /// The one `REGISTER` body writer: opcode, name, schema, then the rows
-/// through [`put_record`], handing `buf` to `emit` whenever the next row may
-/// take it past `slice` bytes (judged by the row just written), and once at
-/// the end. `emit` passes the bytes on and clears the buffer — or, with a
-/// `slice` no frame reaches, leaves the whole body in it
-/// ([`Request::encode`]).
-fn put_register<E>(
-    buf: &mut Vec<u8>,
+/// through [`put_record`], into a buffer that holds the whole body
+/// ([`Request::encode`]) or into [`Slices`] ([`write_register`]).
+fn put_register<O: Out>(
+    out: &mut O,
     name: &str,
     schema: &Schema,
     rows: &[Record],
-    slice: usize,
-    mut emit: impl FnMut(&mut Vec<u8>) -> Result<(), E>,
-) -> Result<(), E> {
+) -> Result<(), O::Error> {
+    let buf = out.buf();
     buf.push(OP_REGISTER);
     put_str(buf, name);
     put_schema(buf, schema);
-    put_u32(buf, rows.len() as u32);
-    for row in rows {
-        let before = buf.len();
-        put_record(buf, row);
-        if buf.len() > slice.saturating_sub(buf.len() - before) {
-            emit(buf)?;
-        }
-    }
-    emit(buf)
+    put_rows(out, RowSource::Records(rows))
 }
 
 /// Bytes of the `REGISTER` body [`put_register`] writes for a table, from
@@ -450,24 +584,15 @@ fn put_register<E>(
 /// a row that is not as wide as the schema.
 fn register_len(name: &str, schema: &Schema, rows: &[Record]) -> WireResult<usize> {
     let columns = schema.fields().len();
-    let mut len = 1 + str_len(name) + schema_len(schema) + 4;
-    for (i, row) in rows.iter().enumerate() {
-        if row.width() != columns {
-            return Err(not_schema_wide(i, row.width(), columns));
-        }
-        len += record_len(row);
+    if let Some(i) = rows.iter().position(|row| row.width() != columns) {
+        return Err(not_schema_wide(i, rows[i].width(), columns));
     }
-    Ok(len)
+    Ok(1 + str_len(name) + schema_len(schema) + rows_len(RowSource::Records(rows)))
 }
 
-/// Write a `REGISTER` frame without holding its body: the length prefix —
-/// the body's exact size ([`register_len`]) — at the front of the first
-/// slice, then the body in slices of about [`SLICE`] bytes, so a frame of at
-/// most `SLICE` bytes is one write and never waits out the peer's delayed
-/// ACK of a prefix sent alone. A row not as wide as the schema and a body
-/// past [`MAX_FRAME`] are refused before anything is written, and a body
-/// that does not come to the size its prefix declared is an error: no slice
-/// past it is written, and the call fails once the body ends short of it.
+/// Write a `REGISTER` frame without holding its body, through
+/// [`write_sliced`]. A row not as wide as the schema is refused before
+/// anything is written.
 pub(crate) fn write_register(
     w: &mut impl Write,
     name: &str,
@@ -475,38 +600,7 @@ pub(crate) fn write_register(
     rows: &[Record],
 ) -> WireResult<()> {
     let len = register_len(name, schema, rows)?;
-    if len > MAX_FRAME {
-        return Err(WireError::Malformed(format!(
-            "frame of {len} bytes exceeds MAX_FRAME"
-        )));
-    }
-    let mismatch = |written: usize| {
-        WireError::Malformed(format!(
-            "REGISTER body of {written} bytes under a prefix of {len}"
-        ))
-    };
-    let framed = 4 + len;
-    // A frame that fits one slice is one write, whatever its rows' sizes.
-    let limit = if framed <= SLICE { usize::MAX } else { SLICE };
-    let mut buf = Vec::with_capacity(framed.min(SLICE));
-    buf.extend_from_slice(&(len as u32).to_be_bytes());
-    // The prefix counts toward the first slice's bytes, not the body's.
-    let mut prefix = buf.len();
-    let mut written = 0;
-    put_register(&mut buf, name, schema, rows, limit, |slice| {
-        written += slice.len() - std::mem::take(&mut prefix);
-        if written > len {
-            return Err(mismatch(written));
-        }
-        w.write_all(slice)?;
-        slice.clear();
-        Ok(())
-    })?;
-    if written != len {
-        return Err(mismatch(written));
-    }
-    w.flush()?;
-    Ok(())
+    write_sliced(w, len, |out| put_register(out, name, schema, rows))
 }
 
 impl Request {
@@ -519,8 +613,7 @@ impl Request {
                 put_str(&mut buf, tenant);
             }
             Request::Register { name, schema, rows } => {
-                let whole = |_: &mut Vec<u8>| Ok::<_, Infallible>(());
-                let Ok(()) = put_register(&mut buf, name, schema, rows, usize::MAX, whole);
+                let Ok(()) = put_register(&mut buf, name, schema, rows);
             }
             Request::Query { sql, deadline_ms } => {
                 buf.push(OP_QUERY);
@@ -557,7 +650,9 @@ impl Response {
                 put_str(&mut buf, message);
             }
             Response::Rows { schema, rows } => {
-                put_rows_response(&mut buf, schema, RowSource::Records(rows), usize::MAX);
+                buf.push(OP_ROWS);
+                put_schema(&mut buf, schema);
+                let Ok(()) = put_rows(&mut buf, RowSource::Records(rows));
             }
             Response::Stats { text } => {
                 buf.push(OP_STATS_REPLY);
@@ -1087,7 +1182,9 @@ impl Response {
 /// Two writes: every request but `REGISTER` (`write_register`) leaves the
 /// client this way, so on its Nagle-on socket the body waits out the
 /// server's delayed ACK of the prefix — the request-side stall that ROADMAP
-/// item 1 removes once the benchmark harness can hold the query rate.
+/// item 1 removes once the benchmark harness can hold the query rate (its
+/// per-query samples would grow with it). A server response leaves through
+/// the sliced writer instead (`write_body`, [`ResultFrame::write`]).
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> WireResult<()> {
     if body.len() > MAX_FRAME {
         return Err(WireError::Malformed(format!(
@@ -1422,8 +1519,10 @@ mod tests {
             (Lane::Str(..), None)
         ));
         let mut from_chunk = Vec::new();
-        put_rows(&mut from_chunk, RowSource::Chunk(&chunk), usize::MAX);
+        let Ok(()) = put_rows(&mut from_chunk, RowSource::Chunk(&chunk));
         assert_eq!(from_chunk, encode_rows(&rows));
+        // Sized exactly, NULLs and the mixed column included.
+        assert_eq!(rows_len(RowSource::Chunk(&chunk)), from_chunk.len());
     }
 
     #[test]
@@ -1786,6 +1885,95 @@ mod tests {
             Err(WireError::Malformed(m)) if m.contains("exceeds MAX_FRAME")
         ));
         assert!(writes.0.is_empty());
+    }
+
+    #[test]
+    fn a_result_frame_leaves_in_slices_as_the_bytes_its_rows_encode_to() {
+        let mut rng = testkit::Rng(49);
+        let dirty = |rng: &mut testkit::Rng, rows, width| {
+            let records = testkit::dirty_table(rng, rows, width);
+            Chunk::from_records(&records).expect("rectangular")
+        };
+        // Views with NULLs and `Mixed` lanes, as built and as windows (a
+        // short one keeps more dictionary entries than it has codes), no
+        // rows, no columns, and rows with no chunk; the last two pass
+        // `SLICE` several times over.
+        let wide = dirty(&mut rng, 40, 6);
+        let large = dirty(&mut rng, 60_000, 5);
+        let mut results = vec![
+            Dataset::from_chunk(wide.clone()),
+            Dataset::from_chunk(wide.slice(30, 3)),
+            Dataset::from_chunk(wide.slice(7, 0)),
+            Dataset::from_chunk(Chunk::from_records(&[Record::empty(), Record::empty()]).unwrap()),
+            Dataset::new(wide.to_records()),
+            Dataset::from_chunk(large.slice(1_000, 50_000)),
+            Dataset::new(large.to_records()),
+        ];
+        // One past `SLICE` by a byte: the prefix counts toward the first
+        // slice, as for a REGISTER.
+        let (_, rows) = table_framed_to(SLICE + 1);
+        results.push(Dataset::from_chunk(Chunk::from_records(&rows).unwrap()));
+        for data in results {
+            let width = data.records().first().map_or(6, Record::width);
+            let fields = (0..width).map(|c| (format!("c{c}"), DataType::Int));
+            let schema = Schema::new(fields.collect());
+            let frame = ResultFrame::new(&schema, &data).expect("fits a frame");
+            let path = frame.path();
+            let mut writes = Writes::default();
+            frame.write(&mut writes).unwrap();
+            let rows = data.records().to_vec();
+            let longest = rows.iter().map(record_len).max().unwrap_or(0);
+            let response = Response::Rows { schema, rows };
+            let mut expected = Vec::new();
+            write_frame(&mut expected, &response.encode()).unwrap();
+            assert_eq!(path == ResultPath::Columnar, data.has_chunk());
+            assert_eq!(writes.0.concat(), expected);
+            assert_eq!(writes.0[0][..5], expected[..5]);
+            assert_eq!(expected[4], OP_ROWS);
+            if expected.len() <= SLICE {
+                assert_eq!(writes.0.len(), 1, "{} bytes", expected.len());
+            }
+            // A slice passes `SLICE` by less than a row.
+            assert!(writes.0.iter().all(|slice| slice.len() <= SLICE + longest));
+            assert!(writes.0.len() >= expected.len().div_ceil(SLICE));
+        }
+        // Past `MAX_FRAME`: refused from its size, so nothing is encoded or
+        // written — here 17 rows of one 1 MiB dictionary entry.
+        let long = Record::new(vec![Value::str("x".repeat(1 << 20))]);
+        let chunk = Chunk::from_records(&vec![long; 17]).unwrap();
+        let schema = Schema::new(vec![("s", DataType::Str)]);
+        for data in [Dataset::new(chunk.to_records()), Dataset::from_chunk(chunk)] {
+            assert!(matches!(
+                ResultFrame::new(&schema, &data),
+                Err(m) if m.contains("17 rows") && m.contains("MAX_FRAME")
+            ));
+        }
+    }
+
+    #[test]
+    fn a_body_that_misses_its_declared_size_is_an_error() {
+        let five = |out: &mut Slices<'_, Writes>| {
+            out.buf.extend_from_slice(&[7; 5]);
+            Ok(())
+        };
+        // Short of it: written, then refused.
+        let mut writes = Writes::default();
+        assert!(matches!(
+            write_sliced(&mut writes, 6, five),
+            Err(WireError::Malformed(m)) if m.contains("1 bytes short")
+        ));
+        assert_eq!(writes.0.concat(), [0, 0, 0, 6, 7, 7, 7, 7, 7]);
+        // Past it: nothing is written.
+        let mut writes = Writes::default();
+        assert!(matches!(
+            write_sliced(&mut writes, 4, five),
+            Err(WireError::Malformed(m)) if m.contains("past its declared size")
+        ));
+        assert!(writes.0.is_empty());
+        // A body in hand leaves in one write, its prefix at the front.
+        let mut writes = Writes::default();
+        write_body(&mut writes, &Response::Ok.encode()).unwrap();
+        assert_eq!(writes.0, [vec![0, 0, 0, 1, OP_OK]]);
     }
 
     #[test]

@@ -34,18 +34,21 @@
 //! session ends.
 //!
 //! A query's result leaves as it was computed: the job hands the session its
-//! sink [`Dataset`], and [`encode_result`] writes the response body from the
-//! chunk the columnar kernels built — no row is materialized on the way out.
-//! `server.result.path.{columnar,row}` count which view each result left by.
-//! A result larger than a frame is answered with an error naming its size
-//! and `MAX_FRAME` (its encoding stops at the limit), and the session goes on.
+//! sink [`Dataset`], and a [`ResultFrame`] sizes the response from the chunk
+//! the columnar kernels built, then encodes it onto the socket a 1 MiB slice
+//! at a time — no row is materialized and no whole frame is held on the way
+//! out. `server.result.path.{columnar,row}` count which view each result
+//! left by. A result larger than a frame is refused from its size alone,
+//! before a byte is encoded: it is answered with an error naming its size and
+//! `MAX_FRAME`, and the session goes on.
 //!
-//! Every accepted socket has `TCP_NODELAY` set before its first frame is read:
-//! a response is two writes ([`write_frame`]: length prefix, then body), and
-//! with Nagle on the body would wait for the peer's delayed ACK of the prefix
-//! (≈ 40 ms on Linux). What a request costs *inside* the server is clocked by
-//! the session itself, from the moment its length prefix is complete to the
-//! moment its response is written: `server.request_us`, and beside it the
+//! Every response is one write when it fits a slice, its length prefix at
+//! the front ([`write_body`]), and every accepted socket has `TCP_NODELAY`
+//! set before its first frame is read, so neither a response nor the last
+//! slice of a large one waits for the peer's delayed ACK (≈ 40 ms on Linux).
+//! What a request costs *inside* the server is clocked by the session
+//! itself, from the moment its length prefix is complete to the moment its
+//! response's last slice is written: `server.request_us`, and beside it the
 //! seven stages that tile that interval, `server.stage.{read, decode, plan,
 //! queue_wait, run, encode, write}_us` (the `Stage` enum) — `read` is the
 //! wait for a body its client sends after its prefix. `STATS` renders them,
@@ -71,8 +74,8 @@ use rheem_core::{
 };
 
 use crate::protocol::{
-    encode_result, read_frame_into, read_incoming, write_frame, FrameRead, Incoming, Registration,
-    Request, Response, ResultPath, WireError, WireResult,
+    read_frame_into, read_incoming, write_body, FrameRead, Incoming, Registration, Request,
+    Response, ResultFrame, ResultPath, WireError, WireResult,
 };
 use crate::scheduler::{FairShareScheduler, JobGate};
 use crate::service::{JobService, ServiceConfig};
@@ -375,9 +378,9 @@ enum Stage {
     /// without a job: the request's own work (catalog insert, stats render,
     /// cancel).
     Run,
-    /// Response body encoded.
+    /// Response body encoded; for a query's result, its frame sized.
     Encode,
-    /// [`write_frame`] returned: the response is in the socket's send buffer.
+    /// The response's last slice is in the socket's send buffer.
     Write,
 }
 
@@ -453,18 +456,47 @@ impl RequestClock {
     }
 }
 
+/// What a request is answered with.
+enum Reply {
+    /// A response body, encoded.
+    Body(Vec<u8>),
+    /// A query's result: its plan (for the schema) and the job's sink
+    /// dataset, to be written straight to the socket from the view it has.
+    Rows(Arc<PlannedQuery>, Dataset),
+}
+
 /// Write a request's response and record the request: the time since the
-/// clock's last lap is the response's encoding, the write is clocked here.
-/// `tenant` is the session's `server.tenant.<t>.request_us`, once it has one.
+/// clock's last lap is the response's encoding — a result's is its size
+/// pass, for it is encoded only as its slices leave — and its write, to the
+/// last slice, is clocked here. `tenant` is the session's
+/// `server.tenant.<t>.request_us`, once it has one.
 fn respond(
     shared: &ServerShared,
     stream: &mut TcpStream,
-    reply: &[u8],
+    reply: Reply,
     mut clock: RequestClock,
     tenant: Option<&Histogram>,
 ) -> WireResult<()> {
-    clock.lap(Stage::Encode);
-    write_frame(stream, reply)?;
+    let body = match reply {
+        Reply::Body(body) => Some(body),
+        Reply::Rows(planned, sink) => match ResultFrame::new(&planned.schema, &sink) {
+            Ok(frame) => {
+                clock.lap(Stage::Encode);
+                match frame.path() {
+                    ResultPath::Columnar => shared.result_columnar.inc(),
+                    ResultPath::Row => shared.result_row.inc(),
+                }
+                frame.write(stream)?;
+                None
+            }
+            // Larger than a frame: the session answers and goes on.
+            Err(message) => Some(Response::Err { message }.encode()),
+        },
+    };
+    if let Some(body) = body {
+        clock.lap(Stage::Encode);
+        write_body(stream, &body)?;
+    }
     clock.lap(Stage::Write);
     let clocks = &shared.request_clocks;
     for (histogram, us) in clocks.stages.iter().zip(clock.stage_us) {
@@ -480,8 +512,8 @@ fn respond(
 /// One session: HELLO, then a request/response loop until GOODBYE, EOF,
 /// or the idle timeout evicts it.
 fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
-    // Before the first frame is read: no response of this session may sit in
-    // the kernel waiting for the peer's delayed ACK of its length prefix.
+    // Before the first frame is read: no slice of this session's responses
+    // may sit in the kernel waiting for the peer's delayed ACK of the last.
     stream.set_nodelay(true).map_err(WireError::Io)?;
     // Reads tick at `READ_TICK` so `read_frame_into` can tell "no
     // request started within the idle timeout" (idleness, judged at frame
@@ -512,7 +544,7 @@ fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
             let resp = Response::Err {
                 message: "expected HELLO with a non-empty tenant".into(),
             };
-            return respond(shared, &mut stream, &resp.encode(), clock, None);
+            return respond(shared, &mut stream, Reply::Body(resp.encode()), clock, None);
         }
     };
     let tenant_request_us = shared.observability.metrics().histogram(
@@ -520,8 +552,8 @@ fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
         &REQUEST_US_BOUNDS,
     );
     let tenant_request_us = Some(&*tenant_request_us);
-    let ok = Response::Ok.encode();
-    respond(shared, &mut stream, &ok, clock, tenant_request_us)?;
+    let ok = Reply::Body(Response::Ok.encode());
+    respond(shared, &mut stream, ok, clock, tenant_request_us)?;
 
     let gate = shared.scheduler.gate(&tenant);
     let ctx = shared
@@ -553,24 +585,27 @@ fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
         if shared.shutdown.load(Ordering::Acquire) {
             break;
         }
-        // Every arm yields an encoded response body; a query's is written
-        // straight from the job's sink dataset, never built as a `Response`.
+        // Every arm yields an encoded response body, but a query's result:
+        // it is written straight from the job's sink dataset, never built as
+        // a `Response` nor held as a frame.
         let mut goodbye = false;
         let reply = match incoming {
             Incoming::Register { table, .. } => {
                 clock.lap(Stage::Decode);
                 let reply = register_table(&mut catalog, &mut tables, &mut statements, table);
                 clock.lap(Stage::Run);
-                reply
+                Reply::Body(reply)
             }
             Incoming::Body { body, .. } => {
                 let request = Request::decode(&body)?;
                 clock.lap(Stage::Decode);
                 match request {
-                    Request::Hello { .. } => Response::Err {
-                        message: "session already open".into(),
-                    }
-                    .encode(),
+                    Request::Hello { .. } => Reply::Body(
+                        Response::Err {
+                            message: "session already open".into(),
+                        }
+                        .encode(),
+                    ),
                     Request::Register { .. } => {
                         unreachable!("`read_incoming` takes every REGISTER")
                     }
@@ -600,22 +635,22 @@ fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
                                 .cancel_job(&tenant, job, CancelReason::Explicit);
                         }
                         clock.lap(Stage::Run);
-                        Response::Ok.encode()
+                        Reply::Body(Response::Ok.encode())
                     }
                     Request::Stats => {
                         let text = render_stats(shared, &tenant);
                         clock.lap(Stage::Run);
-                        Response::Stats { text }.encode()
+                        Reply::Body(Response::Stats { text }.encode())
                     }
                     Request::Goodbye => {
                         goodbye = true;
-                        Response::Ok.encode()
+                        Reply::Body(Response::Ok.encode())
                     }
                 }
             }
             Incoming::Eof | Incoming::Idle => unreachable!("the loop ended at the clock"),
         };
-        respond(shared, &mut stream, &reply, clock, tenant_request_us)?;
+        respond(shared, &mut stream, reply, clock, tenant_request_us)?;
         if goodbye {
             break;
         }
@@ -760,7 +795,7 @@ fn evict_idle(shared: &ServerShared, stream: &mut TcpStream) {
     let resp = Response::Err {
         message: "session evicted: idle timeout".into(),
     };
-    let _ = write_frame(stream, &resp.encode());
+    let _ = write_body(stream, &resp.encode());
 }
 
 /// Drop guard that removes the cancel token installed on a session's
@@ -793,7 +828,7 @@ fn client_disconnected(stream: &TcpStream) -> bool {
 }
 
 /// Plan (or reuse) and execute one query through admission control, and
-/// encode the response body.
+/// hand back its sink to write, or an error's encoded body.
 ///
 /// The session thread polls the job handle instead of blocking blindly:
 /// between polls it peeks the client socket, and on a hang-up cancels
@@ -811,8 +846,8 @@ fn handle_query(
     sql: &str,
     deadline_ms: Option<u64>,
     clock: &mut RequestClock,
-) -> Vec<u8> {
-    let error = |message: String| Response::Err { message }.encode();
+) -> Reply {
+    let error = |message: String| Reply::Body(Response::Err { message }.encode());
     let planned = statements.get_or_plan(catalog, sql, &shared.statements_evicted);
     clock.lap(Stage::Plan);
     let planned = match planned {
@@ -881,17 +916,7 @@ fn handle_query(
     clock.lap(Stage::Run);
     match sink {
         Err(exec) => error(format!("execution failed: {exec}")),
-        Ok(sink) => match encode_result(&planned.schema, &sink) {
-            Ok((body, path)) => {
-                match path {
-                    ResultPath::Columnar => shared.result_columnar.inc(),
-                    ResultPath::Row => shared.result_row.inc(),
-                }
-                body
-            }
-            // Larger than a frame: the session answers and goes on.
-            Err(too_large) => error(too_large),
-        },
+        Ok(sink) => Reply::Rows(planned, sink),
     }
 }
 

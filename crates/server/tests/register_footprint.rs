@@ -10,14 +10,15 @@
 //! Nor does a table in flight cost a frame: the client writes a REGISTER in
 //! slices and the session decodes it through a window, so neither end holds
 //! the frame whole, and a length prefix sent alone pins a window, not what
-//! it declares.
+//! it declares. A result in flight does not either: the session writes it
+//! from the sink's chunk a slice at a time.
 //!
 //! A counting global allocator tracks the process's live heap bytes (every
 //! thread: the server's sessions and workers run in this process), their
 //! high-water mark, and the bytes one thread requests while it is being
 //! watched.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -355,4 +356,98 @@ fn a_prefix_sent_alone_pins_a_window_and_stalls_without_eviction() {
         read_incoming(&mut peer, Some(Duration::from_secs(60))),
         Err(WireError::Malformed(m)) if m == "EOF inside frame body"
     ));
+}
+
+/// Most bytes a slice of a frame holds (`protocol`'s `SLICE`).
+const SLICE: isize = 1 << 20;
+
+/// Nor does a result in flight cost a frame: a session writes a query's
+/// `ROWS` frame from the sink's chunk a slice at a time, so answering a
+/// 99 999-row, 3-column result holds that chunk, one slice and a little
+/// transient heap — not the ≈ 3.4 MB frame as well.
+///
+/// Not named `a_*`: the harness starts tests in name order, and run beside
+/// the first one this test made it fail now and then by a few hundred bytes
+/// — that test's heap peak counts every thread, the harness's too.
+#[test]
+fn result_in_flight_is_held_by_the_session_as_a_chunk_and_a_slice() {
+    let _turn = ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|failed| failed.into_inner());
+    let schema = Schema::new(vec![
+        ("a", DataType::Int),
+        ("s", DataType::Str),
+        ("f", DataType::Float),
+    ]);
+    let rows: Vec<Record> = (0..100_000i64)
+        .map(|i| {
+            Record::new(vec![
+                Value::Int(i),
+                Value::str(format!("region-{}", i % 7)),
+                Value::Float(i as f64 * 0.5),
+            ])
+        })
+        .collect();
+    // A filter that drops one row gathers a chunk of its own.
+    let sql = "SELECT a, s, f FROM t WHERE a > 0";
+    // That chunk, as the same statement builds it in process.
+    let mut catalog = rheem_core::query::QueryCatalog::new();
+    catalog.register("t", schema.clone(), rows.clone());
+    let planned = catalog.plan(sql).expect("plans");
+    let mut job = rheem_platforms::full_context()
+        .execute_logical(&planned.logical)
+        .expect("runs");
+    let chunk = job.outputs.remove(&planned.sink).expect("a sink");
+    let chunk_bytes = chunk.resident_bytes() as isize;
+    drop((catalog, job, chunk));
+
+    let mut server = RheemServer::start(ServerConfig::default()).expect("server starts");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let hello = Request::Hello {
+        tenant: "result".into(),
+    };
+    assert_eq!(call(&mut stream, &hello), Response::Ok);
+    let register = Request::Register {
+        name: "t".into(),
+        schema,
+        rows,
+    };
+    assert_eq!(call(&mut stream, &register), Response::Ok);
+    let query = Request::Query {
+        sql: sql.into(),
+        deadline_ms: None,
+    };
+    // Once to plan and warm the caches; the second answer is measured.
+    let Response::Rows { rows: first, .. } = call(&mut stream, &query) else {
+        panic!("a result")
+    };
+    // The response is read into a buffer reserved before the count starts.
+    let mut body = Vec::with_capacity(4 << 20);
+    let before = live_bytes();
+    reset_peak();
+    write_frame(&mut stream, &query.encode()).expect("request written");
+    let mut prefix = [0; 4];
+    stream.read_exact(&mut prefix).expect("prefix");
+    let frame = u32::from_be_bytes(prefix) as usize;
+    assert!(frame <= body.capacity(), "a {frame}-byte frame");
+    body.resize(frame, 0);
+    stream.read_exact(&mut body).expect("body");
+    let in_flight = peak_bytes() - before;
+    // The slack: the job's plan, stats and per-operator buffers.
+    let slack = 256 << 10;
+    assert!(
+        frame as isize > chunk_bytes + SLICE,
+        "a {frame}-byte frame for a {chunk_bytes}-byte chunk"
+    );
+    assert!(
+        in_flight <= chunk_bytes + SLICE + slack,
+        "{in_flight} B in flight for a {chunk_bytes}-byte chunk and a {frame}-byte frame"
+    );
+    match Response::decode(&body).expect("decodes") {
+        Response::Rows { rows, .. } => assert!(rows.len() == 99_999 && rows == first),
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(call(&mut stream, &Request::Goodbye), Response::Ok);
+    server.shutdown();
 }

@@ -1,6 +1,6 @@
-//! One wire encoding, two sources: a result's chunk view must encode to
-//! exactly the bytes its row view encodes to (`Response::Rows{..}.encode()`
-//! is the reference), over generated dirty chunks — NULLs behind validity
+//! One wire encoding, two sources: a result's chunk view must leave as
+//! exactly the frame its row view encodes to (`Response::Rows{..}.encode()`
+//! behind its length prefix is the reference), over generated dirty chunks — NULLs behind validity
 //! bitmaps, mixed-type columns, NaN payloads, signed zeros, empty and
 //! non-ASCII strings, dictionaries with unused entries, windows with an
 //! offset, no rows, no columns — and the decoder must give the rows back.
@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use rheem_core::{Chunk, DataType, Dataset, Record, Schema, Value};
-use rheem_server::protocol::{encode_result, Response, ResultPath, WireError};
+use rheem_server::protocol::{write_frame, Response, ResultFrame, ResultPath, WireError};
 use rheem_server::{Client, RheemServer, ServerConfig};
 use testkit::{dirty_table, Rng};
 
@@ -22,18 +22,22 @@ fn schema(width: usize) -> Schema {
     )
 }
 
-/// `data` must leave by `path` as the bytes of the reference encoding of
-/// its rows, and those bytes must decode to the rows again.
+/// `data` must leave by `path` as the frame of the reference encoding of
+/// its rows, and its body must decode to the rows again.
 fn assert_encodes_like_its_rows(data: &Dataset, width: usize, path: ResultPath) {
     let schema = schema(width);
-    let (bytes, took) = encode_result(&schema, data).expect("fits a frame");
-    assert_eq!(took, path);
+    let frame = ResultFrame::new(&schema, data).expect("fits a frame");
+    assert_eq!(frame.path(), path);
+    let mut bytes = Vec::new();
+    frame.write(&mut bytes).expect("written");
     let reference = Response::Rows {
         schema,
         rows: data.records().to_vec(),
     };
-    assert_eq!(bytes, reference.encode());
-    assert_eq!(Response::decode(&bytes).expect("decodes"), reference);
+    let mut framed = Vec::new();
+    write_frame(&mut framed, &reference.encode()).expect("framed");
+    assert_eq!(bytes, framed);
+    assert_eq!(Response::decode(&bytes[4..]).expect("decodes"), reference);
 }
 
 proptest! {
