@@ -99,27 +99,32 @@ if grep -rnE 'Arc<\s*str\s*>' \
   echo "a second string type is back in values, dictionaries, kernels, the wire or storage"; exit 1
 fi
 
-# Keyed kernels run whole: only a narrow operator splits into morsels, on
-# either path, so no keyed morsel twin, per-bucket merge or radix-partitioned
-# index build comes back, and only the standalone `benchmark` package calls
-# the three row-kernel names `kernels::parallel` keeps for it (ROADMAP item
-# 4(b) deletes them). One plan cache has no scopes: a hit reuses scheduling
-# only, and only `benchmark/` calls the no-op `with_cache_scope`.
-echo "==> keyed kernels run whole: no keyed morsel twin, bucket merge, radix build or cache scope"
+# Every in-process kernel runs whole on its atom's thread, so no morsel
+# split, keyed twin, per-bucket merge or radix-partitioned index build comes
+# back, and only the standalone `benchmark` package calls the four
+# sequential shims `kernels::parallel` keeps for it (ROADMAP item 4(b)
+# deletes them). The thread budget is the wave width: no morsel knob, priced
+# speedup, work meter, budget share or morsel counter comes back either. One
+# plan cache has no scopes: a hit reuses scheduling only, and only
+# `benchmark/` calls the no-op `with_cache_scope`.
+echo "==> kernels run whole: no morsel split, keyed twin, bucket merge, radix build or cache scope"
 if grep -rnE 'chunk_ranges|fold_buckets|by_bucket|local_(group|reduce|build)_buckets|radix_bucket|RADIX_|build_index_with|sample_distinct' \
     crates src tests examples; then
   echo "a deleted keyed twin, bucket merge or radix build is named again"; exit 1
 fi
-if grep -rnE 'parallel::(sort|hash_group|hash_join|sort_group|reduce_by_key)\(|[^_]cache_scope|next_scope|CacheKey|\.with_cache_scope\(' \
+if grep -rnE 'morsel_size|min_rows|with_morsel_size|with_min_rows|run_ranges|dealt_speedup|WORK_METER|fn metered|share_kernel_threads|kernel\.parallel\.' \
     crates src tests examples; then
-  echo "a keyed kernel runs through kernels::parallel, or a plan-cache scope is back"; exit 1
+  echo "a deleted morsel knob, priced speedup, work meter, budget share or morsel counter is named again"; exit 1
+fi
+if grep -rnE 'parallel::(sort|hash_group|hash_join|sort_group|reduce_by_key|filter|map|flat_map|run_pipeline_chunk)\(|[^_]cache_scope|next_scope|CacheKey|\.with_cache_scope\(' \
+    crates src tests examples; then
+  echo "a kernel runs through kernels::parallel, or a plan-cache scope is back"; exit 1
 fi
 
-# One work clock: a kernel's work — an interpreted node, a morsel worker's
-# share, a partitioned task — and an engine's simulated time are read on
-# `observe::WorkClock` (wall time less run-queue wait); no wall-clock
-# `Instant` times a kernel or an atom, and no summed or overlap-capped
-# morsel time comes back.
+# One work clock: a kernel's work — an interpreted node, a partitioned
+# task — and an engine's simulated time are read on `observe::WorkClock`
+# (wall time less run-queue wait); no wall-clock `Instant` times a kernel or
+# an atom, and no summed or overlap-capped task time comes back.
 echo "==> one work clock: kernel work is read on the WorkClock only"
 if grep -rn 'Instant::now' crates/core/src/kernels.rs crates/core/src/kernels \
     crates/core/src/interpreter.rs crates/platforms/src/partition.rs \
@@ -382,7 +387,7 @@ cargo test -q --release -p rheem-server --test transport
 # panicking UDFs against the shared job service (thread budgets 1 and 4 via
 # the proptest strategy; the vendored proptest stub seeds each case from
 # the test name, so the sweep is reproducible), plus the deterministic
-# mid-morsel cancel, deadline-shed, idle-eviction, and bounded-shutdown
+# mid-kernel cancel, deadline-shed, idle-eviction, and bounded-shutdown
 # integration tests.
 echo "==> cancellation/panic chaos smoke (PROPTEST_CASES=16)"
 PROPTEST_CASES=16 cargo test -q --release -p rheem-server --test cancellation

@@ -249,7 +249,6 @@ fn main() {
                 &opt.movement,
                 &config,
                 &opt.calibration,
-                ctx.kernel_parallelism(),
             )
             .expect("oracle enumerates")
         });
@@ -262,7 +261,6 @@ fn main() {
                 &opt.movement,
                 &config,
                 &opt.calibration,
-                ctx.kernel_parallelism(),
             )
             .expect("the plan enumerates")
         });
@@ -307,7 +305,6 @@ fn main() {
             &opt.movement,
             &config,
             &opt.calibration,
-            ctx.kernel_parallelism(),
         )
         .expect("the large plan enumerates")
     });

@@ -10,8 +10,7 @@
 //! no order and `sort_served` the served ORDER BY (an Int lane already in
 //! key order), and `hash_join_dense_key` is the served join (200 000
 //! orders × 1 000 customers on `cust = id`). Every kernel here runs on one
-//! thread: only a narrow operator splits into morsels, and its split is
-//! timed end to end (`tests/kernel_parallelism.rs` holds its outputs).
+//! thread, as every in-process kernel does.
 //!
 //! Determinism is asserted inline: every chunk run must be byte-equal to
 //! the row run it is compared against, so the numbers can never come from
@@ -20,9 +19,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use rheem_core::kernels::{self, chunked, parallel};
+use rheem_core::kernels::{self, chunked};
 use rheem_core::udf::{AggFunc, Aggregate, FilterUdf, GroupMapUdf, GroupOutput, KeyUdf, MapUdf};
-use rheem_core::{rec, BinOp, Chunk, Expr, KernelParallelism, PipelineStage, StageKind};
+use rheem_core::{rec, BinOp, Chunk, Expr, PipelineStage, StageKind};
 
 const ITERS: u32 = 3;
 
@@ -380,14 +379,13 @@ fn columnar_experiment(entries: &mut Vec<ColEntry>, resolution_ms: f64, rows: us
             },
         },
     ];
-    let seq = KernelParallelism::sequential();
     let expect = {
         let f = kernels::filter(&data, &filter_udf);
         let m = kernels::map(&f, &map_udf);
         kernels::project(&m, &[0]).unwrap()
     };
     assert_eq!(
-        parallel::run_pipeline_chunk(&chunk, &stages, &seq)
+        chunked::run_pipeline_chunk(&chunk, &stages)
             .unwrap()
             .to_records(),
         expect
@@ -403,7 +401,7 @@ fn columnar_experiment(entries: &mut Vec<ColEntry>, resolution_ms: f64, rows: us
             kernels::project(&m, &[0]).unwrap();
         },
         &mut || {
-            parallel::run_pipeline_chunk(&chunk, &stages, &seq).unwrap();
+            chunked::run_pipeline_chunk(&chunk, &stages).unwrap();
         },
     );
 }

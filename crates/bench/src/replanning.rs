@@ -16,9 +16,8 @@ use std::time::Duration;
 
 use rheem_core::udf::{FlatMapUdf, KeyUdf};
 use rheem_core::{
-    rec, AtomInputs, AtomResult, Clock, ExecutionContext, ExecutionPlan, KernelParallelism,
-    MovementCostModel, PhysicalOp, PhysicalPlan, PlanBuilder, Platform, Record, ReplanPolicy,
-    RheemContext, TaskAtom,
+    rec, AtomInputs, AtomResult, Clock, ExecutionContext, ExecutionPlan, MovementCostModel,
+    PhysicalOp, PhysicalPlan, PlanBuilder, Platform, Record, ReplanPolicy, RheemContext, TaskAtom,
 };
 use rheem_platforms::{JavaPlatform, OverheadConfig, SparkLikePlatform};
 
@@ -96,14 +95,11 @@ pub(crate) fn misestimated_plan(n: i64) -> PhysicalPlan {
 }
 
 /// A context with the single-process engine, the `ClusterPlatform`, and
-/// cheap per-record movement, at a one-thread budget: an in-process price
-/// divides by the budget's morsel speedup, so the staged plan would
-/// otherwise depend on the host's core count.
+/// cheap per-record movement.
 pub(crate) fn replanning_context() -> RheemContext {
     let mut ctx = RheemContext::new()
         .with_platform(Arc::new(JavaPlatform::new()))
-        .with_platform(Arc::new(ClusterPlatform::new()))
-        .with_kernel_parallelism(KernelParallelism::sequential());
+        .with_platform(Arc::new(ClusterPlatform::new()));
     ctx.optimizer_mut().movement = MovementCostModel::new(0.0, 1e-5);
     ctx
 }

@@ -19,11 +19,11 @@ use std::time::Duration;
 use crate::error::Result;
 use crate::executor::{self, JobResult, WaveGate};
 use crate::fault::{CancelToken, FaultPolicy, PlatformHealth, Sleeper};
-use crate::kernels::parallel::KernelParallelism;
 use crate::logical::LogicalPlan;
 use crate::observe::Observability;
 use crate::optimizer::{MultiPlatformOptimizer, OptimizerMetrics, PlanCache, ReplanPolicy};
 use crate::plan::{ExecutionPlan, PhysicalPlan};
+use crate::platform::KernelParallelism;
 use crate::platform::{
     ExecutionContext, FailureInjector, Platform, PlatformRegistry, StorageService,
 };
@@ -105,12 +105,12 @@ impl RheemContext {
         self
     }
 
-    /// Set a job's thread budget (defaults to the host's available
-    /// parallelism). A wave runs `min(threads, atoms in the wave)` atoms
-    /// at once and each atom's morsel-driven kernels (`DESIGN.md` §5) get
-    /// `threads / width`, so the two never multiply; `threads = 1` runs one
-    /// atom at a time on the sequential kernels. Outputs and the work stats
-    /// record are identical at any setting.
+    /// Set a job's thread budget, the wave width (defaults to the host's
+    /// available parallelism): a wave runs `min(threads, atoms in the
+    /// wave)` atoms at once, and every in-process kernel runs whole on its
+    /// atom's thread (`DESIGN.md` §5); `threads = 1` runs one atom at a
+    /// time. Outputs, the work stats record and every price are identical
+    /// at any setting.
     pub fn with_kernel_parallelism(mut self, parallelism: KernelParallelism) -> Self {
         self.execution.kernel_parallelism = parallelism;
         self
@@ -198,8 +198,8 @@ impl RheemContext {
 
     /// Install a cooperative [`CancelToken`] observed by every job this
     /// context runs: checked at wave boundaries, between retry attempts,
-    /// between interpreted operators, and at morsel granularity inside
-    /// parallel kernels (see `DESIGN.md` §4). Cancelling the token makes
+    /// between interpreted operators, and before each row of a closure
+    /// kernel (see `DESIGN.md` §4). Cancelling the token makes
     /// in-flight jobs fail with [`crate::RheemError::Cancelled`].
     pub fn with_cancel_token(mut self, cancel: CancelToken) -> Self {
         self.execution.cancel = Some(cancel);
@@ -227,17 +227,14 @@ impl RheemContext {
         &self.execution.kernel_parallelism
     }
 
-    /// Optimize a physical plan without running it, priced at the job's
-    /// thread budget.
+    /// Optimize a physical plan without running it.
     pub fn optimize(&self, plan: PhysicalPlan) -> Result<ExecutionPlan> {
-        self.optimizer
-            .optimize(plan, &self.platforms, self.kernel_parallelism())
+        self.optimizer.optimize(plan, &self.platforms)
     }
 
     /// Optimize a logical plan without running it.
     pub fn optimize_logical(&self, plan: &LogicalPlan) -> Result<ExecutionPlan> {
-        self.optimizer
-            .optimize_logical(plan, &self.platforms, self.kernel_parallelism())
+        self.optimizer.optimize_logical(plan, &self.platforms)
     }
 
     /// Run an already-optimized execution plan.
@@ -398,7 +395,7 @@ mod tests {
             .with_timeout(Duration::ZERO);
         let err = ctx.execute(tiny_plan()).unwrap_err();
         assert!(matches!(err, crate::RheemError::BudgetExceeded(_)));
-        // The deadline gate also trips the token, so morsel loops of any
+        // The deadline gate also trips the token, so the kernels of any
         // in-flight sibling atoms would stop promptly.
         assert_eq!(token.reason(), Some(CancelReason::DeadlineExceeded));
     }

@@ -20,7 +20,6 @@
 use std::collections::HashMap;
 
 use crate::error::{Result, RheemError};
-use crate::kernels::parallel::KernelParallelism;
 use crate::observe::{CostCalibration, KernelKey};
 use crate::physical::{Layout, PhysicalOp};
 use crate::plan::PhysicalPlan;
@@ -211,8 +210,8 @@ pub fn op_work_units(op: &PhysicalOp, ins: &[f64], out: f64) -> f64 {
 /// How an engine hands a dataset from one operator to the next.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Exchange {
-    /// Whole datasets in one process; kernels split into morsels at the
-    /// job's thread budget.
+    /// Whole datasets in one process; every kernel runs whole on one
+    /// thread.
     InProcess,
     /// Partitions, each a sequential task, exchanged in memory.
     Memory,
@@ -279,20 +278,11 @@ impl Clock {
 
     /// Simulated ms this clock charges for `op` over inputs of `ins` rows
     /// producing `out`, at the sequential kernel work and spills `rates`
-    /// estimates, in a job whose thread budget is `budget`. In process, the
-    /// work is divided by the speedup the budget's morsel schedule allows
-    /// (`KernelParallelism::speedup`: a narrow operator's morsels; every
-    /// other kernel runs whole); partitioned, by the stage's tasks.
-    /// A loop is priced by its body (`enumerate::node_cost`); here one
-    /// stage.
-    pub fn price(
-        &self,
-        op: &PhysicalOp,
-        ins: &[f64],
-        out: f64,
-        rates: &CostCalibration,
-        budget: &KernelParallelism,
-    ) -> f64 {
+    /// estimates. In process, the whole work (the kernel runs on one
+    /// thread, at any thread budget); partitioned, divided over the
+    /// stage's tasks. A loop is priced by its body (`enumerate::node_cost`);
+    /// here one stage.
+    pub fn price(&self, op: &PhysicalOp, ins: &[f64], out: f64, rates: &CostCalibration) -> f64 {
         let kernel_ms = rates
             .rate(KernelKey::of(op))
             .us(op_work_units(op, ins, out))
@@ -300,7 +290,7 @@ impl Clock {
         let rows = |slot: usize| ins.get(slot).map_or(0, |&card| card.max(0.0) as usize);
         let layout = op.layout();
         let work = match layout {
-            _ if self.exchange == Exchange::InProcess => kernel_ms / budget.speedup(op, rows(0)),
+            _ if self.exchange == Exchange::InProcess => kernel_ms,
             Layout::Gather => kernel_ms * self.driver_share,
             Layout::Custom {
                 per_partition: false,
@@ -749,10 +739,9 @@ mod tests {
         let close = |a: f64, b: f64| assert!((a - b).abs() < 1e-9, "{a} != {b}");
         // In process, on one thread: kernel time at the engine's
         // efficiency, nothing else.
-        let one = KernelParallelism::sequential();
         let relational = Clock::in_process(5.0, 0.5, ChannelSet::default());
-        close(relational.price(&map, &[1e5], 1e5, &rates, &one), 4.0);
-        close(relational.price(&join, &[1e5, 1e3], 1e3, &rates, &one), 4.0);
+        close(relational.price(&map, &[1e5], 1e5, &rates), 4.0);
+        close(relational.price(&join, &[1e5, 1e3], 1e3, &rates), 4.0);
         assert_eq!(relational.partitions_for(1_000_000), 1);
         // Partitioned: a narrow operator's critical path is its share of
         // the work; a repartitioning one also pays a stage; a gathered sort
@@ -766,12 +755,12 @@ mod tests {
             exchange: Exchange::Memory,
             channels: ChannelSet::default(),
         };
-        close(spark.price(&map, &[1e5], 1e5, &rates, &one), 1.0);
-        close(spark.price(&join, &[1e5, 1e3], 1e3, &rates, &one), 3.0);
-        close(spark.price(&sort, &[1e5], 1e5, &rates, &one), 3.0);
+        close(spark.price(&map, &[1e5], 1e5, &rates), 1.0);
+        close(spark.price(&join, &[1e5, 1e3], 1e3, &rates), 3.0);
+        close(spark.price(&sort, &[1e5], 1e5, &rates), 3.0);
         // Fewer rows than workers: one task per row.
         assert_eq!(spark.partitions_for(3), 3);
-        close(spark.price(&map, &[3.0], 3.0, &rates, &one), 2.0);
+        close(spark.price(&map, &[3.0], 3.0, &rates), 2.0);
         // Disk-phased: every worker runs, and each input of a stage pays a
         // stage and its spill.
         let mr = Clock {
@@ -781,51 +770,66 @@ mod tests {
             ..spark
         };
         assert_eq!(mr.partitions_for(3), 8);
-        close(
-            mr.price(&join, &[1e4, 1e3], 1e3, &rates, &one),
-            16.0 + 11.0 + 1.0,
-        );
-        // A partitioned clock's tasks are its parallelism: the job's thread
-        // budget does not change its price.
-        let four = KernelParallelism::sequential().with_threads(4);
-        close(spark.price(&map, &[1e5], 1e5, &rates, &four), 1.0);
+        close(mr.price(&join, &[1e4, 1e3], 1e3, &rates), 16.0 + 11.0 + 1.0);
     }
 
-    /// An in-process clock divides the kernel's sequential work by the
-    /// speedup the budget's morsel schedule allows: the rows over the rows
-    /// on the busiest worker.
+    /// An in-process kernel runs whole on one thread, so its price is its
+    /// sequential work at the engine's efficiency, and a plan's estimated
+    /// cost is equal at thread budgets 1, 2 and 8.
     #[test]
-    fn an_in_process_clock_divides_by_the_morsel_schedules_speedup() {
+    fn an_in_process_price_is_equal_at_every_budget() {
+        use crate::plan::TaskAtom;
+        use crate::platform::{
+            AtomInputs, AtomResult, ExecutionContext, KernelParallelism, Platform,
+        };
+        use std::sync::Arc;
+
         let map = PhysicalOp::Map(MapUdf::new("id", |r| r.clone()));
-        let group = PhysicalOp::HashGroupBy {
-            key: KeyUdf::field(0),
-            group: GroupMapUdf::identity(),
-        };
         let rates = CostCalibration::new();
-        let java = Clock::in_process(0.0, 1.0, ChannelSet::default());
-        let budget = |threads| KernelParallelism::sequential().with_threads(threads);
-        let speedup = |op: &PhysicalOp, rows: f64, threads: usize| {
-            let sequential = java.price(op, &[rows], rows, &rates, &budget(1));
-            sequential / java.price(op, &[rows], rows, &rates, &budget(threads))
+        rates.observe(KernelKey::of(&map), op_work_units(&map, &[4e4], 4e4), 8.0);
+        let half = Clock::in_process(0.0, 0.5, ChannelSet::default());
+        assert!((half.price(&map, &[4e4], 4e4, &rates) - 4.0).abs() < 1e-9);
+
+        struct InProcess;
+        impl Platform for InProcess {
+            fn name(&self) -> &str {
+                "in-process"
+            }
+            fn supports(&self, _op: &PhysicalOp) -> bool {
+                true
+            }
+            fn clock(&self) -> Clock {
+                Clock::in_process(0.0, 1.0, ChannelSet::default())
+            }
+            fn execute_atom(
+                &self,
+                _: &PhysicalPlan,
+                _: &TaskAtom,
+                _: &AtomInputs,
+                _: &ExecutionContext,
+            ) -> Result<AtomResult> {
+                unreachable!("only priced")
+            }
+        }
+        let estimated_cost = |threads| {
+            let mut b = PlanBuilder::new();
+            let src = b.collection("s", (0..40_000i64).map(|i| rec![i % 7, i]).collect());
+            let mapped = b.map(src, MapUdf::new("id", |r| r.clone()));
+            let grouped = b.group_by(mapped, KeyUdf::field(0), GroupMapUdf::identity());
+            b.collect(grouped);
+            crate::RheemContext::new()
+                .with_platform(Arc::new(InProcess))
+                .with_kernel_parallelism(KernelParallelism::sequential().with_threads(threads))
+                .optimize(b.build().unwrap())
+                .unwrap()
+                .estimated_cost
         };
-        let close = |a: f64, b: f64| assert!((a - b).abs() < 1e-9, "{a} != {b}");
-        // 40 960 rows are ten 4 096-row morsels: 2 threads run five each,
-        // 4 threads three on the busiest.
-        close(speedup(&map, 40_960.0, 1), 1.0);
-        close(speedup(&map, 40_960.0, 2), 2.0);
-        close(speedup(&map, 40_960.0, 4), 10.0 / 3.0);
-        // 5 000 rows are a full morsel and a short one: the busiest worker
-        // runs 4 096 rows, at any budget above one.
-        for threads in [2, 4] {
-            close(speedup(&map, 5_000.0, threads), 5_000.0 / 4_096.0);
-        }
-        // Below `min_rows` the sequential kernel runs.
-        for threads in [2, 4] {
-            close(speedup(&map, 4_000.0, threads), 1.0);
-        }
-        // A keyed kernel runs whole, on rows as on a chunk.
-        for threads in [1, 2, 4] {
-            close(speedup(&group, 40_000.0, threads), 1.0);
+        for threads in [2, 8] {
+            assert_eq!(
+                estimated_cost(threads),
+                estimated_cost(1),
+                "budget {threads}"
+            );
         }
     }
 

@@ -4,8 +4,8 @@
 //! (§3.1): execution operators process *batches* of data quanta, not one
 //! quantum at a time. This module provides the batch layout: a [`Chunk`] is
 //! a set of typed column vectors ([`Column`]) with validity bitmaps
-//! ([`Bitmap`]) and cheap zero-copy slicing, so morsel-parallel kernels
-//! operate on *views* of shared column storage instead of cloned rows.
+//! ([`Bitmap`]) and cheap zero-copy slicing, so partitions and windows are
+//! *views* of shared column storage instead of cloned rows.
 //!
 //! The row-oriented [`Record`] API remains the conversion boundary:
 //! [`Chunk::from_records`] / [`Chunk::to_records`] round-trip exactly
@@ -328,7 +328,8 @@ impl ColumnBuilder {
 /// A column *view*: shared storage plus an `(offset, len)` window.
 ///
 /// Cloning and slicing are O(1) — they bump the [`Arc`]s and adjust the
-/// window — which is what makes morsels views instead of clones.
+/// window — which is what makes a partition or a prefix a view instead of
+/// a clone.
 #[derive(Clone, Debug)]
 pub struct Column {
     data: Arc<ColumnData>,
@@ -648,7 +649,7 @@ impl Column {
 ///
 /// All columns share the same row count. `Chunk` is the unit the vectorized
 /// kernels in [`crate::kernels::chunked`] operate on; [`Chunk::slice`]
-/// produces zero-copy morsel views for intra-atom parallelism.
+/// produces zero-copy views (a partition, a window).
 #[derive(Clone, Debug)]
 pub struct Chunk {
     columns: Vec<Column>,
@@ -716,7 +717,7 @@ impl Chunk {
         self.columns.get(c)
     }
 
-    /// Zero-copy row window `[offset, offset + len)` — the morsel view.
+    /// Zero-copy row window `[offset, offset + len)`.
     pub fn slice(&self, offset: usize, len: usize) -> Chunk {
         assert!(offset + len <= self.rows, "chunk slice out of range");
         Chunk {
@@ -751,7 +752,8 @@ impl Chunk {
     /// Concatenate row-compatible chunks (same width), typed lane to typed
     /// lane where the parts agree on a column's layout.
     ///
-    /// Used to merge per-morsel outputs; returns `None` on width mismatch.
+    /// Used to merge per-partition outputs; returns `None` on width
+    /// mismatch.
     pub fn concat(chunks: &[Chunk]) -> Option<Chunk> {
         let non_empty: Vec<&Chunk> = chunks.iter().filter(|c| c.rows > 0).collect();
         let first = match non_empty.first() {
@@ -952,7 +954,7 @@ mod tests {
     }
 
     #[test]
-    fn concat_merges_morsel_outputs() {
+    fn concat_merges_partition_outputs() {
         let records: Vec<Record> = (0..10i64).map(|i| rec![i]).collect();
         let chunk = Chunk::from_records(&records).unwrap();
         let merged = Chunk::concat(&[chunk.slice(0, 4), chunk.slice(4, 6)]).unwrap();

@@ -126,7 +126,7 @@ pub enum RheemError {
     /// A declarative query failed to parse or plan.
     Query(String),
     /// The job was cooperatively cancelled at a checkpoint (wave boundary,
-    /// retry loop, morsel pull). Carries the first cancellation reason
+    /// retry loop, operator boundary, a closure kernel's row). Carries the first cancellation reason
     /// recorded on the job's [`crate::fault::CancelToken`].
     Cancelled {
         /// Who abandoned the job.

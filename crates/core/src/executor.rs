@@ -16,9 +16,9 @@
 //! cross-atom inputs, wave *k+1* every atom whose last dependency sits in
 //! wave *k*. A job has one thread budget
 //! ([`KernelParallelism::threads`](crate::KernelParallelism), set with
-//! [`RheemContext::with_kernel_parallelism`]): a wave runs
+//! [`RheemContext::with_kernel_parallelism`]), the wave width: a wave runs
 //! `min(threads, atoms in the wave)` atoms at once on scoped worker
-//! threads, each atom's kernels get `threads / width` of the budget, and
+//! threads, every in-process kernel runs whole on its atom's thread, and
 //! the next wave starts once the whole wave finished.
 //!
 //! A budget of 1 runs exactly the same waves one atom at a time on the
@@ -435,8 +435,7 @@ pub fn execute(ctx: &RheemContext, plan: &ExecutionPlan) -> Result<JobResult> {
 }
 
 /// Atoms of an `atoms`-wide wave that run at once under a budget of
-/// `threads`; each then gets `threads / width` kernel threads
-/// ([`crate::KernelParallelism::share`]).
+/// `threads`.
 fn wave_width(threads: usize, atoms: usize) -> usize {
     threads.min(atoms).max(1)
 }
@@ -546,7 +545,7 @@ impl Job<'_> {
 
         // Final cancellation gate: a cancel that fires during the last
         // kernel of the final wave may have truncated that kernel's output
-        // (morsel loops collapse remaining morsels once the token fires)
+        // (a closure kernel stops before its next row once the token fires)
         // after every earlier checkpoint already passed. Never commit a
         // cancelled job's sink datasets as a successful result.
         self.ctx.execution.check_cancelled()?;
@@ -715,12 +714,10 @@ impl Job<'_> {
         node_outputs: &Mutex<HashMap<NodeId, Dataset>>,
     ) -> WaveOutcome {
         let n = wave.len();
-        // One budget: `width` atoms at once, `threads / width` kernel
-        // threads each, so atoms × kernel-threads never oversubscribes it.
+        // One budget: `width` atoms at once, each kernel whole on its
+        // atom's thread.
         let width = wave_width(self.ctx.execution.kernel_parallelism.threads, n);
-        let exec = &self.ctx.execution.share_kernel_threads(width);
-        let run =
-            |i: usize| self.run_atom(plan, &plan.atoms[wave[i]], wave_idx, node_outputs, exec);
+        let run = |i: usize| self.run_atom(plan, &plan.atoms[wave[i]], wave_idx, node_outputs);
         type Slot = Option<std::result::Result<AtomRun, AtomError>>;
         let mut slots: Vec<Slot> = (0..n).map(|_| None).collect();
 
@@ -774,17 +771,16 @@ impl Job<'_> {
     }
 
     /// Gather one atom's inputs and run it with classified, bounded
-    /// retries under the job deadline. `exec` is the job's execution
-    /// context with this wave's share of the thread budget.
+    /// retries under the job deadline.
     fn run_atom(
         &self,
         plan: &ExecutionPlan,
         atom: &TaskAtom,
         wave: usize,
         node_outputs: &Mutex<HashMap<NodeId, Dataset>>,
-        exec: &ExecutionContext,
     ) -> std::result::Result<AtomRun, AtomError> {
         let ctx = self.ctx;
+        let exec = &ctx.execution;
         self.check_gates()?;
         // An open circuit breaker rejects the atom before any work: no
         // inputs gathered, no retry budget burned — straight to the
@@ -919,8 +915,8 @@ impl Job<'_> {
 
     /// The cancellation + deadline gate shared by wave boundaries and
     /// retry attempts. An expired deadline also trips the job's cancel
-    /// token (reason [`CancelReason::DeadlineExceeded`]) so morsel loops
-    /// inside in-flight sibling atoms stop promptly instead of running
+    /// token (reason [`CancelReason::DeadlineExceeded`]) so the kernels
+    /// of in-flight sibling atoms stop promptly instead of running
     /// their fragments to completion.
     fn check_gates(&self) -> Result<()> {
         let exec = &self.ctx.execution;
@@ -1001,7 +997,7 @@ fn compute_waves(deps: &[Vec<usize>]) -> Result<Vec<Vec<usize>>> {
 }
 
 /// Run one atom invocation with panic isolation and the ambient cancel
-/// scope installed for morsel-level checkpoints.
+/// scope installed for a closure kernel's per-row checks.
 ///
 /// A panic anywhere below the platform boundary (typically a user UDF)
 /// is caught and converted into [`RheemError::Panic`] — classified
@@ -1031,7 +1027,7 @@ fn run_guarded(
         })
     };
     match &ctx.cancel {
-        Some(token) => crate::kernels::parallel::with_cancel_scope(token, guarded),
+        Some(token) => crate::fault::with_cancel_scope(token, guarded),
         None => guarded(),
     }
 }
@@ -1109,13 +1105,10 @@ mod tests {
     }
 
     #[test]
-    fn wave_width_and_kernel_threads_split_one_budget() {
-        use crate::KernelParallelism;
-        // A 3-atom wave at budgets 1 / 2 / 8: width, then threads per atom.
-        for (budget, width, per_atom) in [(1, 1, 1), (2, 2, 1), (8, 3, 2)] {
+    fn the_budget_is_the_wave_width() {
+        // A 3-atom wave at budgets 1 / 2 / 8.
+        for (budget, width) in [(1, 1), (2, 2), (8, 3)] {
             assert_eq!(wave_width(budget, 3), width, "budget {budget}");
-            let p = KernelParallelism::sequential().with_threads(budget);
-            assert_eq!(p.share(width).threads, per_atom, "budget {budget}");
         }
     }
 }

@@ -20,6 +20,7 @@
 //!   `with_fault_policy`: backoff, breaker, and the failover re-planning
 //!   budget.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -57,13 +58,14 @@ pub fn fnv1a(s: &str) -> u64 {
 }
 
 /// A shared, cooperative cancellation flag threaded from the server edge
-/// down to the morsel loop (see `DESIGN.md` §4).
+/// down to a kernel's row loop (see `DESIGN.md` §4).
 ///
 /// Cloning shares the flag: the server keeps one clone per in-flight job,
 /// the executor checks another at its checkpoints (wave boundaries, retry
-/// loop, morsel pulls). The first [`cancel`](CancelToken::cancel) wins —
-/// later calls keep the original reason, so the error the client sees
-/// names whoever abandoned the job first. Cancellation also wakes any
+/// loop, every operator), and a closure kernel before each row. The first
+/// [`cancel`](CancelToken::cancel) wins — later calls keep the original
+/// reason, so the error the client sees names whoever abandoned the job
+/// first. Cancellation also wakes any
 /// `wait_timeout` in progress, which is what
 /// makes backoff naps interruptible.
 #[derive(Clone, Default)]
@@ -120,8 +122,8 @@ impl CancelToken {
         first
     }
 
-    /// Whether the token has been cancelled. The fast path for morsel
-    /// loops: one relaxed-ish atomic load, no lock.
+    /// Whether the token has been cancelled. The fast path for a
+    /// kernel's row loop: one atomic load, no lock.
     pub fn is_cancelled(&self) -> bool {
         self.inner.state.load(Ordering::Acquire) != 0
     }
@@ -164,6 +166,43 @@ impl CancelToken {
             }
         }
     }
+}
+
+thread_local! {
+    /// The ambient cancellation scope. Kernels have no `ExecutionContext`
+    /// parameter, so the executor installs the job's token here around each
+    /// atom invocation ([`with_cancel_scope`]).
+    static CANCEL_SCOPE: RefCell<Option<CancelToken>> = const { RefCell::new(None) };
+}
+
+/// Install `token` as this thread's ambient cancellation scope while `f`
+/// runs. Nested scopes restore the previous token on exit, panic included.
+/// Once `token` fires, a closure kernel run under the scope stops before
+/// its next row; its truncated output must be discarded by a caller-level
+/// `CancelToken::check`, which the interpreter performs per operator.
+pub(crate) fn with_cancel_scope<R>(token: &CancelToken, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<CancelToken>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CANCEL_SCOPE.with(|c| *c.borrow_mut() = self.0.take());
+        }
+    }
+    let _restore = Restore(CANCEL_SCOPE.with(|c| c.borrow_mut().replace(token.clone())));
+    f()
+}
+
+/// The ambient scope, read once: a check that is `true` until the scope's
+/// token fires (always `true` outside a scope). A kernel reads it at entry
+/// and calls it before each row.
+pub(crate) fn live() -> impl Fn() -> bool {
+    let token = CANCEL_SCOPE.with(|c| c.borrow().clone());
+    move || !token.as_ref().is_some_and(CancelToken::is_cancelled)
+}
+
+/// Checkpoint against the ambient scope: `Err(Cancelled)` once the
+/// installed token has fired.
+pub(crate) fn ambient_check() -> Result<()> {
+    CANCEL_SCOPE.with(|c| c.borrow().as_ref().map_or(Ok(()), CancelToken::check))
 }
 
 /// Something that can pause the current thread. The executor sleeps

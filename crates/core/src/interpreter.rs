@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use crate::data::Dataset;
 use crate::error::{Result, RheemError};
 use crate::kernels;
-use crate::kernels::parallel::metered;
+use crate::observe::WorkClock;
 use crate::physical::PhysicalOp;
 use crate::plan::{NodeId, PhysicalPlan};
 use crate::platform::{AtomInputs, ExecutionContext};
@@ -47,8 +47,8 @@ pub fn run_fragment(
 ) -> Result<FragmentRun> {
     let mut run = FragmentRun::default();
     for &id in nodes {
-        // Cancellation checkpoint: between operators, so a cancelled job
-        // stops within one node + one morsel of the cancel point.
+        // Cancellation checkpoint: between operators; inside one, a closure
+        // kernel stops before its next row.
         ctx.check_cancelled()?;
         let node = plan.node(id);
         let mut inputs: Vec<Dataset> = Vec::with_capacity(node.inputs.len());
@@ -64,19 +64,19 @@ pub fn run_fragment(
             };
             inputs.push(ds);
         }
-        // One clock reading per operator, outside any kernel hot loop: its
-        // time at one thread.
-        let (out, took) = metered(|| execute_op(&node.op, &inputs, ctx, loop_state));
+        // One clock reading per operator, outside any kernel hot loop: the
+        // kernel runs whole on this thread, so this is its work.
+        let clock = WorkClock::start();
+        let out = execute_op(&node.op, &inputs, ctx, loop_state);
+        let work_ms = clock.stop().work_ms;
         let (out, columnar) = out?;
         if loop_state.is_none() {
-            let rows = inputs.first().map_or(0, Dataset::len);
             run.observations.push(crate::observe::NodeObservation {
                 node: id,
                 op: node.op.name(),
                 records_out: out.len() as u64,
-                elapsed_ms: took.wall_ms,
-                work_ms: took.work_ms,
-                morsels: ctx.kernel_parallelism.units(&node.op, rows),
+                elapsed_ms: work_ms,
+                work_ms,
                 columnar,
                 spilled_rows: 0,
                 spill_ms: 0.0,
@@ -115,13 +115,13 @@ pub fn execute_op(
             let state = run_loop(body, condition, *max_iterations, inputs[0].clone(), ctx)?;
             (state, false)
         }
-        _ => kernels::execute(op, inputs, &ctx.kernel_parallelism)?,
+        _ => kernels::execute(op, inputs)?,
     };
-    // A cancel that fires *inside* a morsel-parallel kernel truncates the
-    // kernel's output (run_ranges collapses the remaining morsels to
-    // empty). The pre-node checkpoint in `run_fragment` only covers nodes
-    // that have a successor, so re-check here: a truncated result must
-    // never be returned as this operator's (and possibly the job's) output.
+    // A cancel that fires *inside* a closure kernel truncates its output
+    // (it stops before the next row). The pre-node checkpoint in
+    // `run_fragment` only covers nodes that have a successor, so re-check
+    // here: a truncated result must never be returned as this operator's
+    // (and possibly the job's) output.
     ctx.check_cancelled()?;
     Ok(out)
 }
@@ -294,7 +294,7 @@ mod tests {
     /// A cancel fired *inside* the kernel of a fragment's last node must
     /// surface as `Cancelled`, not as a silently truncated `Ok` — there is
     /// no later node whose pre-check could catch the fired token, and the
-    /// morsel loop truncates the kernel output once the token fires.
+    /// map stops before its next row once the token fires.
     #[test]
     fn cancel_mid_kernel_of_the_last_node_surfaces_cancelled() {
         use crate::error::CancelReason;
@@ -319,7 +319,7 @@ mod tests {
         // Run only up to the map: the fragment *ends* on the truncating
         // kernel, exactly the shape of an atom whose terminal node is a
         // map/flat_map/filter.
-        let result = crate::kernels::parallel::with_cancel_scope(&token, || {
+        let result = crate::fault::with_cancel_scope(&token, || {
             run_fragment(&plan, &[src, m], &HashMap::new(), &ctx, None)
         });
         assert!(

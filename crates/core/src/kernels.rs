@@ -10,10 +10,11 @@
 //! Three layers: the row kernels here (the reference every other kernel is
 //! tested against), their columnar twins over a [`Chunk`] ([`chunked`], on
 //! the vectorized hash engine for keyed operators), and the operator table
-//! ([`execute`]) that picks between them. Inside one kernel call only a
-//! narrow operator splits, into morsels on worker threads ([`parallel`]);
-//! every other kernel runs whole, and a partitioned engine's tasks are its
-//! only parallelism.
+//! ([`execute`]) that picks between them. Every kernel call runs whole on
+//! its caller's thread; a partitioned engine's tasks are its only
+//! parallelism. A closure kernel (map, flat-map, filter) checks the
+//! ambient cancel scope before each row. [`parallel`] keeps four
+//! sequential shims the standalone `benchmark` package calls.
 
 pub mod chunked;
 mod hash;
@@ -23,10 +24,9 @@ use std::collections::HashMap;
 
 use crate::data::{Chunk, Dataset, Record, Value};
 use crate::error::{Result, RheemError};
+use crate::fault;
 use crate::physical::PhysicalOp;
 use crate::udf::{FilterUdf, FlatMapUdf, GroupMapUdf, KeyUdf, MapUdf, PairPredicateFn, ReduceUdf};
-
-use parallel::KernelParallelism;
 
 // For tests: the engine's `Int` key hash, so a suite can build key sets
 // that all land on one probe sequence of a slot table (the worst case).
@@ -40,22 +40,17 @@ pub use hash::hash_i64;
 ///
 /// A declarative operator (expressions, field keys, aggregate specs) whose
 /// inputs have a columnar view runs on its chunk kernel, chunk in and chunk
-/// out; everything else runs on the row kernels. Either way, a narrow
-/// operator splits into morsels under `p` and every other kernel runs whole
-/// ([`KernelParallelism`]). Outputs are byte-identical on either path and
-/// at any thread count. The flag is the one definition of
+/// out; everything else runs on the row kernels. Either way the kernel
+/// runs whole, and outputs are byte-identical on either path. The flag is
+/// the one definition of
 /// [`NodeObservation::columnar`](crate::observe::NodeObservation): `true`
 /// when no row was touched — a chunk kernel ran, or the operator only hands
 /// its dataset (or a window of it) along.
 ///
 /// Operators bound to an execution context (storage, loop state) are the
 /// fragment runners' to resolve and are rejected here.
-pub fn execute(
-    op: &PhysicalOp,
-    inputs: &[Dataset],
-    p: &KernelParallelism,
-) -> Result<(Dataset, bool)> {
-    if let Some(out) = execute_columnar(op, inputs, p) {
+pub fn execute(op: &PhysicalOp, inputs: &[Dataset]) -> Result<(Dataset, bool)> {
+    if let Some(out) = execute_columnar(op, inputs) {
         return Ok((Dataset::from_chunk(out?), true));
     }
     let in0 = || inputs[0].records();
@@ -66,9 +61,9 @@ pub fn execute(
         // A prefix is a window on whichever view exists.
         PhysicalOp::Limit { n } => return Ok((inputs[0].slice(0, inputs[0].len().min(*n)), true)),
         PhysicalOp::Custom(c) => return Ok((c.execute(inputs)?, false)),
-        PhysicalOp::Map(u) => parallel::map(in0(), u, p),
-        PhysicalOp::FlatMap(u) => parallel::flat_map(in0(), u, p),
-        PhysicalOp::Filter(u) => parallel::filter(in0(), u, p),
+        PhysicalOp::Map(u) => map(in0(), u),
+        PhysicalOp::FlatMap(u) => flat_map(in0(), u),
+        PhysicalOp::Filter(u) => filter(in0(), u),
         // Only a ragged batch gets these two here: the row-at-a-time reference.
         PhysicalOp::Project { indices } => project(in0(), indices)?,
         PhysicalOp::ChunkPipeline { stages } => chunked::run_stages_rows(in0(), stages)?,
@@ -98,11 +93,7 @@ pub fn execute(
 /// view; `None` sends the operator to the row kernels (an opaque closure,
 /// no chunk kernel, or a ragged input). The capability check comes first,
 /// so inputs are only converted for operators that will use the conversion.
-fn execute_columnar(
-    op: &PhysicalOp,
-    inputs: &[Dataset],
-    p: &KernelParallelism,
-) -> Option<Result<Chunk>> {
+fn execute_columnar(op: &PhysicalOp, inputs: &[Dataset]) -> Option<Result<Chunk>> {
     Some(match op {
         PhysicalOp::SortGroupBy { key, group } | PhysicalOp::HashGroupBy { key, group } => {
             let (fields, aggs) = (key.fields.as_deref()?, group.aggs.as_deref()?);
@@ -122,7 +113,7 @@ fn execute_columnar(
         }
         _ => {
             let stages = op.pipeline_stages()?;
-            parallel::run_pipeline_chunk(inputs[0].chunk()?, &stages, p)
+            chunked::run_pipeline_chunk(inputs[0].chunk()?, &stages)
         }
     })
 }
@@ -144,15 +135,22 @@ pub fn key_hash(key: &KeyUdf, r: &Record) -> u64 {
     }
 }
 
-/// Apply a map UDF to every record.
+/// Apply a map UDF to every record. Under a cancel scope that fires, it
+/// stops before the next record (so do [`flat_map`] and [`filter`]).
 pub fn map(records: &[Record], udf: &MapUdf) -> Vec<Record> {
-    records.iter().map(|r| (udf.f)(r)).collect()
+    let live = fault::live();
+    let mut out = Vec::with_capacity(records.len());
+    for r in records.iter().take_while(|_| live()) {
+        out.push((udf.f)(r));
+    }
+    out
 }
 
 /// Apply a flat-map UDF to every record.
 pub fn flat_map(records: &[Record], udf: &FlatMapUdf) -> Vec<Record> {
+    let live = fault::live();
     let mut out = Vec::with_capacity(records.len());
-    for r in records {
+    for r in records.iter().take_while(|_| live()) {
         out.extend((udf.f)(r));
     }
     out
@@ -160,7 +158,9 @@ pub fn flat_map(records: &[Record], udf: &FlatMapUdf) -> Vec<Record> {
 
 /// Keep records satisfying the predicate.
 pub fn filter(records: &[Record], udf: &FilterUdf) -> Vec<Record> {
-    records.iter().filter(|r| (udf.f)(r)).cloned().collect()
+    let live = fault::live();
+    let kept = records.iter().take_while(|_| live());
+    kept.filter(|r| (udf.f)(r)).cloned().collect()
 }
 
 /// Project every record onto the given field indices.
@@ -427,7 +427,6 @@ mod tests {
         use crate::udf::{AggFunc, Aggregate, GroupOutput};
         let rows: Vec<Record> = (0..50i64).map(|i| rec![i % 5, i]).collect();
         let input = [Dataset::new(rows.clone())];
-        let seq = KernelParallelism::sequential();
         let declarative = PhysicalOp::HashGroupBy {
             key: KeyUdf::field(0),
             group: GroupMapUdf::from_aggs(
@@ -441,7 +440,7 @@ mod tests {
                 ],
             ),
         };
-        let (out, columnar) = execute(&declarative, &input, &seq).unwrap();
+        let (out, columnar) = execute(&declarative, &input).unwrap();
         assert!(columnar && out.has_chunk());
         assert_eq!(out.len(), 5);
         assert_eq!(out.records()[0], rec![0i64, 225i64]);
@@ -457,27 +456,66 @@ mod tests {
         };
         let flat_map = PhysicalOp::FlatMap(FlatMapUdf::new("dup", |r| vec![r.clone(); 2]));
         for op in [&opaque_key, &opaque_group, &flat_map] {
-            assert!(!execute(op, &input, &seq).unwrap().1, "{op:?}");
+            assert!(!execute(op, &input).unwrap().1, "{op:?}");
         }
         let ragged = [Dataset::new(vec![rec![1i64], rec![1i64, 2i64]])];
-        let (grouped, columnar) = execute(&declarative, &ragged, &seq).unwrap();
+        let (grouped, columnar) = execute(&declarative, &ragged).unwrap();
         assert!(!columnar);
         assert_eq!(grouped.records(), &[rec![1i64, 2i64]]);
         // A prefix is a window of whichever view exists: it touches no row
         // and never converts a batch to keep `n` rows of it.
         let limit = PhysicalOp::Limit { n: 3 };
-        let (prefix, passed) = execute(&limit, &[Dataset::new(rows.clone())], &seq).unwrap();
+        let (prefix, passed) = execute(&limit, &[Dataset::new(rows.clone())]).unwrap();
         assert!(passed && !prefix.has_chunk());
         assert_eq!(prefix.records(), &rows[..3]);
-        let (prefix, passed) = execute(&limit, &[out], &seq).unwrap();
+        let (prefix, passed) = execute(&limit, &[out]).unwrap();
         assert!(passed && prefix.has_chunk() && prefix.len() == 3);
-        assert_eq!(execute(&limit, &ragged, &seq).unwrap().0.len(), 2);
+        assert_eq!(execute(&limit, &ragged).unwrap().0.len(), 2);
+    }
+
+    /// A fired cancel stops a closure kernel within one row: a map over
+    /// 1 000 rows whose token fires at row 100 calls its closure at most
+    /// 101 times, and a pre-cancelled one never; the chunk pipeline
+    /// surfaces the cancel as an error. The scope restores the previous
+    /// token on exit.
+    #[test]
+    fn cancel_scope_stops_a_closure_kernel_within_one_row() {
+        use crate::error::CancelReason;
+        use crate::fault::{live, with_cancel_scope, CancelToken};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        let rows: Vec<Record> = (0..1_000i64).map(|i| rec![i]).collect();
+        let token = CancelToken::new();
+        let calls = Arc::new(AtomicUsize::new(0));
+        let udf = MapUdf::new("cancel-at-100", {
+            let (token, calls) = (token.clone(), calls.clone());
+            move |r| {
+                if calls.fetch_add(1, Ordering::SeqCst) == 100 {
+                    token.cancel(CancelReason::Explicit);
+                }
+                r.clone()
+            }
+        });
+        let out = with_cancel_scope(&token, || map(&rows, &udf));
+        assert!(calls.load(Ordering::SeqCst) <= 101, "{calls:?}");
+        assert_eq!(out.len(), calls.load(Ordering::SeqCst));
+
+        let kept = FilterUdf::new("never", |_| panic!("ran after the cancel"));
+        let spread = FlatMapUdf::new("never", |_| panic!("ran after the cancel"));
+        with_cancel_scope(&token, || {
+            assert!(filter(&rows, &kept).is_empty());
+            assert!(flat_map(&rows, &spread).is_empty());
+        });
+
+        let chunk = Chunk::from_records(&rows).unwrap();
+        let err = with_cancel_scope(&token, || chunked::run_pipeline_chunk(&chunk, &[]));
+        assert!(matches!(err, Err(RheemError::Cancelled { .. })), "{err:?}");
+        assert!(live()());
     }
 
     #[test]
     fn the_table_rejects_context_bound_operators() {
-        let seq = KernelParallelism::sequential();
-        let err = execute(&PhysicalOp::LoopInput, &[], &seq).unwrap_err();
+        let err = execute(&PhysicalOp::LoopInput, &[]).unwrap_err();
         assert!(matches!(err, RheemError::InvalidPlan(_)), "{err:?}");
     }
 }

@@ -33,6 +33,7 @@
 use crate::data::{Chunk, Column, Record, Text, Value};
 use crate::error::{Result, RheemError};
 use crate::expr::Expr;
+use crate::fault;
 use crate::physical::{PipelineStage, StageKind};
 use crate::udf::{AggFunc, AggState, GroupOutput, KeyUdf};
 
@@ -45,7 +46,7 @@ pub fn filter(chunk: &Chunk, expr: &Expr) -> Chunk {
 
 /// The rows at `kept`, an ascending selection of `chunk`'s rows: the chunk
 /// itself — `Arc` bumps, no copy — when the selection is every row.
-pub(crate) fn gather_kept(chunk: &Chunk, kept: &[usize]) -> Chunk {
+fn gather_kept(chunk: &Chunk, kept: &[usize]) -> Chunk {
     if kept.len() == chunk.rows() {
         chunk.clone()
     } else {
@@ -747,7 +748,7 @@ pub fn hash_join(left: &Chunk, right: &Chunk, left_key: &KeyUdf, right_key: &Key
 }
 
 /// Apply one fused pipeline stage to a chunk.
-pub(crate) fn apply_stage(chunk: Chunk, stage: &StageKind) -> Result<Chunk> {
+fn apply_stage(chunk: Chunk, stage: &StageKind) -> Result<Chunk> {
     match stage {
         StageKind::Filter { expr, .. } => Ok(filter(&chunk, expr)),
         StageKind::Map { exprs } => Ok(map(&chunk, exprs)),
@@ -762,8 +763,8 @@ pub(crate) fn apply_stage(chunk: Chunk, stage: &StageKind) -> Result<Chunk> {
 /// row. No map or projection drops a row, and each computes an output row
 /// from its input row alone, so a chain equals its filter-free stages run
 /// over [`gather_kept`] of this selection — which is how
-/// [`super::parallel::run_pipeline_chunk`] gathers a chain's input once.
-pub(crate) fn stage_selection(chunk: Chunk, stages: &[PipelineStage]) -> Result<Vec<usize>> {
+/// [`run_pipeline_chunk`] gathers a chain's input once.
+fn stage_selection(chunk: Chunk, stages: &[PipelineStage]) -> Result<Vec<usize>> {
     let last = stages.iter().rposition(is_filter).map_or(0, |i| i + 1);
     let mut chunk = chunk;
     let mut kept: Option<Vec<usize>> = None;
@@ -785,8 +786,33 @@ pub(crate) fn stage_selection(chunk: Chunk, stages: &[PipelineStage]) -> Result<
 }
 
 /// True for a stage that may drop rows.
-pub(crate) fn is_filter(stage: &PipelineStage) -> bool {
+fn is_filter(stage: &PipelineStage) -> bool {
     matches!(stage.kind, StageKind::Filter { .. })
+}
+
+/// The fused-pipeline runner for
+/// [`crate::physical::PhysicalOp::ChunkPipeline`], chunk in and chunk out.
+///
+/// Filters select, then the rest computes: one `stage_selection` over
+/// the whole chunk yields the rows the chain's filters keep, the input is
+/// gathered at them once — not at all when every row is kept — and the
+/// chain's maps and projections run over the result. That equals running
+/// the chain, so the output is byte-identical to the row-at-a-time
+/// reference ([`run_stages_rows`]). A map ahead of a filter runs twice: for
+/// the selection, and over the kept rows. Stages evaluate expressions, not
+/// user code, so a fired cancel is seen before and after the selection.
+pub fn run_pipeline_chunk(chunk: &Chunk, stages: &[PipelineStage]) -> Result<Chunk> {
+    fault::ambient_check()?;
+    let mut out = chunk.clone();
+    if stages.iter().any(is_filter) {
+        let kept = stage_selection(chunk.clone(), stages)?;
+        fault::ambient_check()?;
+        out = gather_kept(chunk, &kept);
+    }
+    for stage in stages.iter().filter(|s| !is_filter(s)) {
+        out = apply_stage(out, &stage.kind)?;
+    }
+    Ok(out)
 }
 
 /// Row-at-a-time reference semantics of a stage chain.
@@ -1067,10 +1093,7 @@ mod tests {
             },
         ];
         let chunk = Chunk::from_records(&rows).unwrap();
-        let sequential = kernels::parallel::KernelParallelism::sequential();
-        let chunked = kernels::parallel::run_pipeline_chunk(&chunk, &stages, &sequential)
-            .unwrap()
-            .to_records();
+        let chunked = run_pipeline_chunk(&chunk, &stages).unwrap().to_records();
         let by_rows = run_stages_rows(&rows, &stages).unwrap();
         assert_eq!(chunked, by_rows);
         assert!(chunked.iter().all(|r| r.width() == 2));

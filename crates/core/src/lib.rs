@@ -62,9 +62,8 @@
 //! [`MovementCostModel::route`] puts on a boundary,
 //! [`MultiPlatformOptimizer::without_rewrites`],
 //! [`kernels::chunked::run_stages_rows`], [`kernels::flat_map`] and
-//! [`BackoffPolicy::delay`]; the morsel twins under test
-//! ([`kernels::parallel::map`], [`kernels::parallel::flat_map`],
-//! [`kernels::parallel::filter`]); what the platform-independence
+//! [`BackoffPolicy::delay`]; the fused chain under test
+//! ([`kernels::chunked::run_pipeline_chunk`]); what the platform-independence
 //! oracle builds its plans and contexts with ([`PlanBuilder::add`],
 //! [`PhysicalOp::arity`], [`PhysicalOp::is_sink`],
 //! [`PhysicalOp::pipeline_stages`], [`ExecutionContext::with_storage`],
@@ -73,8 +72,7 @@
 //! inject a fault, a fake or a worst case — [`FailureInjector`] with its
 //! [`InjectedKind`], [`VirtualSleeper`] through
 //! [`RheemContext::with_sleeper`], [`MemoryStorageService`],
-//! [`KernelParallelism::with_morsel_size`],
-//! [`KernelParallelism::with_min_rows`], [`PlatformHealth::is_open`]
+//! [`PlatformHealth::is_open`]
 //! through [`RheemContext::platform_health`], observed kernel work fed to
 //! and read from the [`CostCalibration`] rate table
 //! ([`CostCalibration::observe`], [`CostCalibration::rate`],
@@ -86,7 +84,7 @@
 //!
 //! * [`kernels`] — the row kernels and the operator table;
 //! * [`kernels::chunked`] — the chunk kernels;
-//! * [`kernels::parallel`] — the morsel kernels of narrow operators;
+//! * [`kernels::parallel`] — sequential shims of four row kernels;
 //! * [`logical`] — the application layer's operators;
 //! * [`query`] — SQL planning;
 //! * [`query::parser`] — the SQL parser;
@@ -122,7 +120,6 @@ pub use fault::{
     BackoffPolicy, BreakerPolicy, CancelToken, FaultPolicy, PlatformHealth, VirtualSleeper,
 };
 pub use interpreter::{execute_op, run_fragment, run_plan};
-pub use kernels::parallel::KernelParallelism;
 pub use observe::{
     CostCalibration, Counter, Gauge, Histogram, HistogramSnapshot, KernelKey, MetricsRegistry,
     NodeObservation, Observability, Rate, Timing, WorkClock,
@@ -137,6 +134,6 @@ pub use plan::{
     EnumerationPath, ExecutionPlan, NodeEstimate, NodeId, PhysicalPlan, PlanBuilder, TaskAtom,
 };
 pub use platform::{
-    AtomInputs, AtomResult, ExecutionContext, FailureInjector, InjectedKind, MemoryStorageService,
-    Platform, StorageService,
+    AtomInputs, AtomResult, ExecutionContext, FailureInjector, InjectedKind, KernelParallelism,
+    MemoryStorageService, Platform, StorageService,
 };

@@ -3,8 +3,8 @@
 //!
 //! A platform's price for an operator has two halves: the platform's
 //! [`Clock`](crate::cost::Clock), which says how the engine spreads a
-//! kernel's work — over the morsels the job's thread budget runs at once,
-//! or over its tasks — and the kernel's sequential work, which depends on
+//! kernel's work — on one thread in process, or over its tasks — and the
+//! kernel's sequential work, which depends on
 //! the operator alone, never on the platform or the kind of engine.
 //! [`CostCalibration`] estimates the work: one [`Rate`] per [`KernelKey`],
 //! a fixed µs plus µs per work unit ([`crate::cost::op_work_units`]). Each
@@ -439,7 +439,6 @@ mod tests {
             records_out: 100,
             elapsed_ms: ms,
             work_ms: ms,
-            morsels: 1,
             columnar: false,
             spilled_rows: 0,
             spill_ms: 0.0,

@@ -51,18 +51,11 @@ pub struct NodeObservation {
     /// work through the platform's clock (critical path, stage and
     /// boundary charges, efficiency).
     pub elapsed_ms: f64,
-    /// The kernel's sequential work, before the clock: what the threads
-    /// that ran it worked, each read on the [`WorkClock`] (wall time less
-    /// run-queue wait). Partitioned, the sum of the node's task times; in
-    /// process, the calling thread's work plus what its morsels' worker
-    /// threads worked beyond the time it waited for them. What the
+    /// The kernel's sequential work, before the clock, read on the
+    /// [`WorkClock`] (wall time less run-queue wait): partitioned, the sum
+    /// of the node's task times; in process, the one thread's. What the
     /// kernel-rate table is fitted to.
     pub work_ms: f64,
-    /// Parallel work units (morsels or chunks) the kernel ran on; 1 for
-    /// a sequential kernel. Deterministic for a fixed
-    /// [`crate::KernelParallelism`] setting but not across settings, so a
-    /// comparison of the work two runs did leaves it out, like timing.
-    pub morsels: u64,
     /// The kernel never touched rows: it ran on the columnar view (or only
     /// passed its dataset along, as sources and sinks do). `false` means a
     /// row-at-a-time kernel ran — an opaque UDF, an operator without a
@@ -158,7 +151,7 @@ impl Observability {
 }
 
 /// Counters a job's report moves; the length of [`job_counts`].
-const JOB_COUNTERS: usize = 19;
+const JOB_COUNTERS: usize = 16;
 
 /// Every executor, kernel and re-plan counter, and what one job adds to
 /// it: the fold of its record and of the error it ended with, if any.
@@ -199,21 +192,6 @@ fn job_counts(
         (
             "executor.movement_us",
             sum(|a| (a.movement_cost_ms * 1_000.0).max(0.0) as u64),
-        ),
-        // Morsel counts are pure functions of input sizes and the
-        // KernelParallelism setting, so these replay identically for a
-        // fixed setting.
-        (
-            "kernel.parallel.invocations",
-            kernels().filter(|k| k.morsels > 1).count() as u64,
-        ),
-        (
-            "kernel.parallel.morsels",
-            kernels().filter(|k| k.morsels > 1).map(|k| k.morsels).sum(),
-        ),
-        (
-            "kernel.parallel.sequential",
-            kernels().filter(|k| k.morsels <= 1).count() as u64,
         ),
         (
             "kernel.path.columnar",
@@ -256,7 +234,6 @@ mod tests {
                 records_out: 20,
                 elapsed_ms: 2.0,
                 work_ms: 2.0,
-                morsels: 4,
                 columnar: false,
                 spilled_rows: 0,
                 spill_ms: 0.0,
@@ -294,8 +271,6 @@ mod tests {
         assert_eq!(m.counter_value("executor.records_out"), 40);
         assert_eq!(m.counter_value("executor.movement_us"), 3000);
         assert_eq!(m.counter_value("executor.jobs_completed"), 1);
-        assert_eq!(m.counter_value("kernel.parallel.invocations"), 2);
-        assert_eq!(m.counter_value("kernel.parallel.morsels"), 8);
         assert_eq!(m.counter_value("kernel.path.row"), 2);
 
         // A failed job: its partial record counts, the job lands in

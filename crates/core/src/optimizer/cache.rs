@@ -30,7 +30,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 
 use crate::fault::{fnv1a, splitmix64};
-use crate::kernels::parallel::KernelParallelism;
 use crate::observe::{seed_rate, CostCalibration, KernelKey, Rate};
 use crate::plan::{EnumerationInfo, ExecutionPlan, NodeEstimate, TaskAtom};
 use crate::platform::PlatformRegistry;
@@ -256,15 +255,11 @@ fn relative_change(old: f64, new: f64) -> f64 {
 
 /// Hash of everything besides the plan that determines an enumeration
 /// result: the registered platform set, the enumeration configuration,
-/// whether rewrites run, and the job's thread budget (an in-process price
-/// divides by it). Mixed into the plan fingerprint to form the cache key,
-/// so e.g. adding a platform, excluding one or changing the budget can
-/// never serve stale assignments.
-pub fn config_fingerprint(
-    config: &OptimizerConfig,
-    platforms: &PlatformRegistry,
-    budget: &KernelParallelism,
-) -> u64 {
+/// and whether rewrites run. Mixed into the plan fingerprint to form the
+/// cache key, so e.g. adding a platform or excluding one can never serve
+/// stale assignments. The job's thread budget is not in it: no price
+/// depends on it, so contexts at any budget share a plan.
+pub fn config_fingerprint(config: &OptimizerConfig, platforms: &PlatformRegistry) -> u64 {
     let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
     let mut names: Vec<&str> = platforms.names();
     names.sort_unstable();
@@ -282,7 +277,6 @@ pub fn config_fingerprint(
         h = splitmix64(h ^ fnv1a(x).wrapping_add(1));
     }
     h = splitmix64(h ^ e.max_expansions as u64);
-    h = splitmix64(h ^ budget.threads as u64);
     h
 }
 

@@ -54,7 +54,6 @@ use std::sync::Arc;
 
 use crate::cost::{CardinalityEstimator, ChannelSet, Clock, MovementCostModel};
 use crate::error::{Result, RheemError};
-use crate::kernels::parallel::KernelParallelism;
 use crate::observe::CostCalibration;
 use crate::physical::PhysicalOp;
 use crate::plan::{
@@ -97,8 +96,8 @@ impl Default for EnumerationConfig {
 ///
 /// Every operator is priced on every platform as that platform's
 /// [`Clock`] applied to the sequential kernel work `calibration`'s rate
-/// table estimates (see `observe::calibrate`), in a job whose thread budget
-/// is `budget`. See the module docs for the search and its budget.
+/// table estimates (see `observe::calibrate`). See the module docs for the
+/// search and its budget.
 pub fn enumerate(
     plan: Arc<PhysicalPlan>,
     registry: &PlatformRegistry,
@@ -106,17 +105,8 @@ pub fn enumerate(
     movement: &MovementCostModel,
     config: &EnumerationConfig,
     calibration: &CostCalibration,
-    budget: &KernelParallelism,
 ) -> Result<ExecutionPlan> {
-    let priced = Priced::new(
-        &plan,
-        registry,
-        estimator,
-        movement,
-        config,
-        calibration,
-        budget,
-    )?;
+    let priced = Priced::new(&plan, registry, estimator, movement, config, calibration)?;
     let mut expansions = 0usize;
     let found = lattice_search(&plan, &priced, config.max_expansions, &mut expansions)?;
     let minimized = found.as_ref().map(|f| f.total_cost);
@@ -177,7 +167,6 @@ impl Priced {
         movement: &MovementCostModel,
         config: &EnumerationConfig,
         calibration: &CostCalibration,
-        budget: &KernelParallelism,
     ) -> Result<Priced> {
         if registry.is_empty() {
             return Err(RheemError::Optimizer("no platforms registered".into()));
@@ -212,7 +201,6 @@ impl Priced {
                         clock,
                         estimator,
                         calibration,
-                        budget,
                     )?;
                 }
             }
@@ -808,7 +796,6 @@ pub fn assignment_cost(
     estimator: &CardinalityEstimator,
     movement: &MovementCostModel,
     calibration: &CostCalibration,
-    budget: &KernelParallelism,
 ) -> Result<f64> {
     if assignments.len() != plan.len() {
         return Err(RheemError::Optimizer(format!(
@@ -830,7 +817,6 @@ pub fn assignment_cost(
             &clock,
             estimator,
             calibration,
-            budget,
         )?;
         if node.inputs.is_empty() {
             total += clock.startup_ms;
@@ -859,7 +845,6 @@ pub fn enumerate_exhaustive(
     movement: &MovementCostModel,
     config: &EnumerationConfig,
     calibration: &CostCalibration,
-    budget: &KernelParallelism,
 ) -> Result<(Vec<String>, f64)> {
     let n = plan.len();
     if n > 12 {
@@ -867,15 +852,7 @@ pub fn enumerate_exhaustive(
             "exhaustive oracle is capped at 12 nodes (got {n})"
         )));
     }
-    let priced = Priced::new(
-        plan,
-        registry,
-        estimator,
-        movement,
-        config,
-        calibration,
-        budget,
-    )?;
+    let priced = Priced::new(plan, registry, estimator, movement, config, calibration)?;
     let supported: Vec<Vec<usize>> = plan
         .nodes()
         .iter()
@@ -929,8 +906,7 @@ pub fn enumerate_exhaustive(
 }
 
 /// Price of one operator on the platform of `clock`: the clock applied to
-/// the sequential kernel work the rate table estimates, at the job's thread
-/// `budget`. A loop is priced per
+/// the sequential kernel work the rate table estimates. A loop is priced per
 /// iteration — one stage boundary plus its body, on the same clock — so a
 /// platform's per-stage charge grows with the iteration count (Figure 2's
 /// "gap gets bigger with the number of iterations").
@@ -941,7 +917,6 @@ pub(crate) fn node_cost(
     clock: &Clock,
     estimator: &CardinalityEstimator,
     calibration: &CostCalibration,
-    budget: &KernelParallelism,
 ) -> Result<f64> {
     let PhysicalOp::Loop {
         body,
@@ -949,7 +924,7 @@ pub(crate) fn node_cost(
         ..
     } = op
     else {
-        return Ok(clock.price(op, ins, out, calibration, budget));
+        return Ok(clock.price(op, ins, out, calibration));
     };
     let loop_card = ins.first().copied().unwrap_or(0.0);
     let body_cards = estimator.estimate_with_loop_input(body, loop_card)?;
@@ -963,7 +938,6 @@ pub(crate) fn node_cost(
             clock,
             estimator,
             calibration,
-            budget,
         )?;
     }
     Ok(expected_iterations * per_iteration)

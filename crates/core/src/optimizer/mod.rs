@@ -25,7 +25,6 @@ use std::sync::Arc;
 
 use crate::cost::{CardinalityEstimator, MovementCostModel};
 use crate::error::Result;
-use crate::kernels::parallel::KernelParallelism;
 use crate::logical::LogicalPlan;
 use crate::observe::{CostCalibration, Counter, Gauge, MetricsRegistry};
 use crate::plan::{ExecutionPlan, PhysicalPlan};
@@ -114,8 +113,7 @@ impl MultiPlatformOptimizer {
         self
     }
 
-    /// Optimize a physical plan into an execution plan for a job whose
-    /// thread budget is `budget`.
+    /// Optimize a physical plan into an execution plan.
     ///
     /// When a [`PlanCache`] is attached, the incoming plan is fingerprinted
     /// *before* rewrites (rewrites mint fresh closure `Arc`s, so post-
@@ -128,13 +126,11 @@ impl MultiPlatformOptimizer {
         &self,
         plan: PhysicalPlan,
         platforms: &PlatformRegistry,
-        budget: &KernelParallelism,
     ) -> Result<ExecutionPlan> {
         plan.validate()?;
         let probe = self.plan_cache.as_ref().map(|cache| {
             let key = crate::fault::splitmix64(
-                plan.fingerprint().hash
-                    ^ cache::config_fingerprint(&self.config, platforms, budget),
+                plan.fingerprint().hash ^ cache::config_fingerprint(&self.config, platforms),
             );
             (cache, key)
         });
@@ -176,7 +172,6 @@ impl MultiPlatformOptimizer {
             &self.movement,
             &self.config.enumeration,
             &self.calibration,
-            budget,
         );
         if let Ok(exec) = &result {
             if let Some((cache, key)) = &probe {
@@ -202,8 +197,7 @@ impl MultiPlatformOptimizer {
         &self,
         plan: &LogicalPlan,
         platforms: &PlatformRegistry,
-        budget: &KernelParallelism,
     ) -> Result<ExecutionPlan> {
-        self.optimize(plan.lower()?, platforms, budget)
+        self.optimize(plan.lower()?, platforms)
     }
 }

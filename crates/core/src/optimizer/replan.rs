@@ -15,9 +15,8 @@
 //!    `replan:nX`), so the enumerator sees its true size;
 //! 2. the pending nodes are copied into a temporary suffix plan wired to
 //!    those pseudo-sources, and [`enumerate`](super::enumerate())
-//!    re-runs over it with the optimizer's own models, the live
-//!    [`CostCalibration`](crate::observe::CostCalibration) rates and the
-//!    job's thread budget;
+//!    re-runs over it with the optimizer's own models and the live
+//!    [`CostCalibration`](crate::observe::CostCalibration) rates;
 //! 3. the result is translated back into the original node-id space: the
 //!    physical plan and the assignments/estimates of executed nodes are
 //!    kept, pseudo-nodes are dropped, and their in-atom edges become
@@ -95,7 +94,7 @@ pub fn worst_drift(
 
 impl RheemContext {
     /// Re-enumerate the pending suffix of `plan` with the optimizer's own
-    /// models and the job's thread budget, so a re-plan prices platforms
+    /// models, so a re-plan prices platforms
     /// exactly as the original pass did — except with true cardinalities
     /// and the latest kernel rates.
     ///
@@ -210,7 +209,6 @@ impl RheemContext {
             &optimizer.movement,
             &config,
             &optimizer.calibration,
-            &self.execution.kernel_parallelism,
         )?;
 
         // 3: translate back to the original node-id space.

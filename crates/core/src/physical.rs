@@ -392,8 +392,7 @@ impl PhysicalOp {
 /// How an operator's input must be laid out across partitions before the
 /// kernel runs on each of them ([`crate::kernels::execute`]) — the one
 /// classification a partitioned engine's exchange step, the shuffle
-/// charges of a platform's clock and the interpreter's morsel accounting
-/// read. Variants carry what the exchange needs from the operator.
+/// charges of a platform's clock read. Variants carry what the exchange needs from the operator.
 #[derive(Clone, Copy)]
 pub enum Layout<'a> {
     /// Arity 0: the operator brings its dataset (a collection, a stored

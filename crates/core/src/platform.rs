@@ -18,7 +18,6 @@ use parking_lot::Mutex;
 use crate::cost::Clock;
 use crate::data::Dataset;
 use crate::error::{Result, RheemError};
-use crate::kernels::parallel::KernelParallelism;
 use crate::physical::PhysicalOp;
 use crate::plan::{NodeId, PhysicalPlan, TaskAtom};
 
@@ -304,6 +303,43 @@ impl FailureInjector {
     }
 }
 
+/// The one thread budget of a job: the wave width.
+///
+/// Lives on [`ExecutionContext`] next to the storage service. The wave
+/// scheduler runs `min(threads, atoms in the wave)` atoms at once, each on
+/// its own thread; an in-process kernel runs whole on its atom's thread,
+/// and a partitioned engine's tasks are its own. `threads = 1` runs one
+/// atom at a time. No price depends on it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct KernelParallelism {
+    /// Atoms of one wave the job may run at once.
+    pub threads: usize,
+}
+
+impl Default for KernelParallelism {
+    /// The host's available parallelism.
+    fn default() -> Self {
+        KernelParallelism::sequential().with_threads(
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+        )
+    }
+}
+
+impl KernelParallelism {
+    /// A budget of one thread: one atom at a time.
+    pub fn sequential() -> Self {
+        KernelParallelism { threads: 1 }
+    }
+
+    /// Set the thread budget (min 1).
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
+    }
+}
+
 /// Ambient services available to platforms while executing atoms.
 #[derive(Clone, Default)]
 pub struct ExecutionContext {
@@ -311,17 +347,15 @@ pub struct ExecutionContext {
     pub storage: Option<Arc<dyn StorageService>>,
     /// Failure injection used by the executor (None in production).
     pub failure_injector: Option<Arc<FailureInjector>>,
-    /// The job's thread budget (see [`KernelParallelism`]; defaults to
-    /// the host's available parallelism). The wave scheduler divides it
-    /// by the number of concurrently running atoms before handing the
-    /// context to platforms.
+    /// The job's thread budget: the wave width (see [`KernelParallelism`];
+    /// defaults to the host's available parallelism).
     pub kernel_parallelism: KernelParallelism,
     /// Cooperative cancellation flag for the job this atom belongs to
     /// (None in embedded single-job use). Platforms and the interpreter
     /// check it between operators / partitions via
     /// [`check_cancelled`](ExecutionContext::check_cancelled); the
-    /// executor additionally installs it as the ambient morsel-loop
-    /// cancel scope around every atom invocation.
+    /// executor additionally installs it as the ambient cancel scope a
+    /// closure kernel checks before each row.
     pub cancel: Option<crate::fault::CancelToken>,
 }
 
@@ -355,16 +389,6 @@ impl ExecutionContext {
         match &self.cancel {
             Some(token) => token.check(),
             None => Ok(()),
-        }
-    }
-
-    /// A copy of this context whose kernel thread budget is divided by
-    /// `workers` concurrently running atoms, so wave scheduling and
-    /// intra-atom parallelism share one budget.
-    pub(crate) fn share_kernel_threads(&self, workers: usize) -> ExecutionContext {
-        ExecutionContext {
-            kernel_parallelism: self.kernel_parallelism.share(workers),
-            ..self.clone()
         }
     }
 

@@ -16,13 +16,11 @@ use crate::runner::run_in_process;
 
 /// Single-threaded in-process execution engine.
 ///
-/// "Single-threaded" describes the orchestration (one process, no
-/// partitioning, no shuffles). A narrow operator's kernel inside an atom
-/// still splits into morsels on the threads of the ambient
-/// [`ExecutionContext::kernel_parallelism`], and every other kernel runs
-/// whole; what the morsels gain reaches the
-/// optimizer as learned kernel rates ([`rheem_core::CostCalibration`]),
-/// never as a declared speedup.
+/// One process, no partitioning, no shuffles, and one thread: every kernel
+/// of an atom runs whole on the atom's thread, at any thread budget (the
+/// budget is only the wave width). The optimizer prices it at the
+/// sequential kernel work the learned rates estimate
+/// ([`rheem_core::CostCalibration`]).
 pub struct JavaPlatform {
     overheads: OverheadConfig,
 }

@@ -24,8 +24,8 @@ use std::collections::HashMap;
 use rheem_core::udf::KeyUdf;
 use rheem_core::{
     execute_op, kernels, run_fragment, AtomInputs, AtomResult, Clock, Dataset, Exchange,
-    ExecutionContext, KernelParallelism, Layout, NodeId, NodeObservation, PhysicalOp, PhysicalPlan,
-    Platform, Result, RheemError, TaskAtom, WorkClock,
+    ExecutionContext, Layout, NodeId, NodeObservation, PhysicalOp, PhysicalPlan, Platform, Result,
+    RheemError, TaskAtom, WorkClock,
 };
 
 use crate::config::OverheadConfig;
@@ -194,7 +194,7 @@ impl<E: Engine> Run<'_, E> {
         serial: bool,
     ) -> Result<(Dataset, bool)> {
         let clock = WorkClock::start();
-        let out = kernels::execute(op, gathered, &KernelParallelism::sequential())?;
+        let out = kernels::execute(op, gathered)?;
         let ms = clock.stop().work_ms;
         self.work_ms += ms;
         self.elapsed_ms += if serial {
@@ -206,7 +206,7 @@ impl<E: Engine> Run<'_, E> {
     }
 
     /// Run `op` as one stage: the operator table on every partition (the
-    /// partition is the parallel unit, so kernels stay sequential), charging
+    /// partition is the parallel unit; each kernel runs whole), charging
     /// the critical path. Task `i` is given `right(i)` as its second input.
     /// The flag is true when every task ran without touching rows.
     fn tasks<'r>(
@@ -215,12 +215,11 @@ impl<E: Engine> Run<'_, E> {
         parts: Parts,
         right: impl Fn(usize) -> Option<&'r Dataset>,
     ) -> Result<(Parts, bool)> {
-        let sequential = KernelParallelism::sequential();
         let mut columnar = true;
         let (out, max_ms, sum_ms) = run_partitions_timed(parts, |i, p| {
             let mut inputs = vec![p];
             inputs.extend(right(i).cloned());
-            let (out, took) = kernels::execute(op, &inputs, &sequential)?;
+            let (out, took) = kernels::execute(op, &inputs)?;
             columnar &= took;
             Ok(out)
         })?;
@@ -309,9 +308,6 @@ impl<E: Engine> Run<'_, E> {
                     records_out: out_records,
                     elapsed_ms: self.elapsed_ms - before.0,
                     work_ms: self.work_ms - before.1,
-                    // Partitions are the parallel unit; per-partition
-                    // kernels stay sequential.
-                    morsels: 1,
                     columnar,
                     spilled_rows: self.spilled_rows - before.2,
                     spill_ms: self.spill_ms - before.3,

@@ -75,8 +75,8 @@ const LOG_CAP: usize = 4096;
 /// Fair-share wave scheduler shared by every session of one server.
 ///
 /// `slots` bounds how many waves execute concurrently across *all* jobs;
-/// the intra-wave morsel parallelism of each wave still uses the worker
-/// pool it always did. With `slots == 1` jobs strictly interleave at wave
+/// each wave still runs its atoms on as many threads as its job's budget
+/// allows. With `slots == 1` jobs strictly interleave at wave
 /// granularity, which the deterministic scheduling tests exploit.
 pub struct FairShareScheduler {
     slots: usize,

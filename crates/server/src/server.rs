@@ -833,7 +833,7 @@ fn client_disconnected(stream: &TcpStream) -> bool {
 /// The session thread polls the job handle instead of blocking blindly:
 /// between polls it peeks the client socket, and on a hang-up cancels
 /// the job with [`CancelReason::ClientDisconnect`] — a dead client's
-/// query stops costing workers within one wave and one morsel.
+/// query stops costing workers within one wave and one row.
 #[allow(clippy::too_many_arguments)]
 fn handle_query(
     shared: &ServerShared,

@@ -18,8 +18,7 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 use rheem_core::udf::MapUdf;
 use rheem_core::{
-    rec, CancelReason, KernelParallelism, MetricsRegistry, PhysicalPlan, PlanBuilder, Record,
-    RheemContext, RheemError,
+    rec, CancelReason, MetricsRegistry, PhysicalPlan, PlanBuilder, Record, RheemContext, RheemError,
 };
 use rheem_server::{AdmissionError, Client, JobService, RheemServer, ServerConfig, ServiceConfig};
 
@@ -210,17 +209,11 @@ proptest! {
 }
 
 /// A running job cancelled by id returns `Cancelled` within one wave +
-/// one morsel — long before its uncancelled runtime — and frees its slot.
+/// one row — long before its uncancelled runtime — and frees its slot.
 #[test]
-fn cancelling_a_running_job_stops_it_within_a_morsel() {
+fn cancelling_a_running_job_stops_it_within_a_row() {
     let (svc, metrics) = chaos_service(1);
-    // Small morsels so "within one morsel" is a tight bound (with the
-    // default 4096-record morsels the whole 400-row input is one morsel).
-    let ctx = rheem_platforms::full_context().with_kernel_parallelism(KernelParallelism {
-        threads: 2,
-        morsel_size: 16,
-        min_rows: 0,
-    });
+    let ctx = rheem_platforms::full_context().with_kernel_parallelism(testkit::budget(2));
     // 400 rows × 5 ms/row ≈ 2 s uncancelled.
     let full_runtime = Duration::from_secs(2);
     let started = Instant::now();
@@ -232,7 +225,7 @@ fn cancelling_a_running_job_stops_it_within_a_morsel() {
         })
         .expect("admitted");
     // Wait until the job is registered and has had a moment to start
-    // chewing morsels, then cancel it by its public id.
+    // chewing rows, then cancel it by its public id.
     while svc.inflight_ids("t").is_empty() {
         std::thread::yield_now();
     }
@@ -478,11 +471,7 @@ fn a_slow_mid_frame_client_is_not_idle_evicted() {
 #[test]
 fn shutdown_cancels_in_flight_jobs_and_drains_bounded() {
     let (svc, _metrics) = chaos_service(1);
-    let ctx = rheem_platforms::full_context().with_kernel_parallelism(KernelParallelism {
-        threads: 2,
-        morsel_size: 16,
-        min_rows: 0,
-    });
+    let ctx = rheem_platforms::full_context().with_kernel_parallelism(testkit::budget(2));
     let job_ctx = ctx.clone();
     // ~2 s of work if never cancelled.
     let handle = svc

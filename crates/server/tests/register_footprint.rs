@@ -16,11 +16,12 @@
 //! A counting global allocator tracks the process's live heap bytes (every
 //! thread: the server's sessions and workers run in this process), their
 //! high-water mark, and the bytes one thread requests while it is being
-//! watched.
+//! watched. So the cases run one after another on the main thread, with no
+//! test harness (`harness = false`): no thread but the servers' allocates
+//! while a case counts.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use rheem_core::{DataType, Record, Schema, Value};
@@ -34,9 +35,6 @@ use testkit::{
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// `live_bytes` is process-wide: the tests of this file take turns.
-static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 const ROWS: usize = 50_000;
 
@@ -86,11 +84,7 @@ fn call(stream: &mut TcpStream, request: &Request) -> Response {
     Response::decode(&body).expect("response decodes")
 }
 
-#[test]
 fn a_session_holds_its_table_once_as_a_chunk() {
-    let _turn = ONE_AT_A_TIME
-        .lock()
-        .unwrap_or_else(|failed| failed.into_inner());
     let mut server = RheemServer::start(ServerConfig::default()).expect("server starts");
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     let hello = Request::Hello {
@@ -135,11 +129,7 @@ fn a_session_holds_its_table_once_as_a_chunk() {
 /// Nor does a session's heap grow with the requests it serves: once its
 /// plans are cached and its buffers have their size, 2 000 more requests
 /// over the same tables leave the process's live heap where it was.
-#[test]
 fn a_sessions_heap_does_not_grow_with_its_requests() {
-    let _turn = ONE_AT_A_TIME
-        .lock()
-        .unwrap_or_else(|failed| failed.into_inner());
     let mut server = RheemServer::start(ServerConfig::default()).expect("server starts");
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     // `write_frame` sends a prefix and a body: with Nagle on, every body
@@ -172,11 +162,7 @@ fn a_sessions_heap_does_not_grow_with_its_requests() {
     server.shutdown();
 }
 
-#[test]
 fn a_row_of_nulls_too_wide_for_its_table_is_refused_before_it_allocates() {
-    let _turn = ONE_AT_A_TIME
-        .lock()
-        .unwrap_or_else(|failed| failed.into_inner());
     let frame_of = |columns: usize, width: usize| {
         Request::Register {
             name: "t".into(),
@@ -216,11 +202,7 @@ fn a_row_of_nulls_too_wide_for_its_table_is_refused_before_it_allocates() {
 /// The session's window, as `protocol` sizes it.
 const WINDOW: isize = 64 << 10;
 
-#[test]
 fn a_table_in_flight_is_held_by_neither_end_as_a_frame() {
-    let _turn = ONE_AT_A_TIME
-        .lock()
-        .unwrap_or_else(|failed| failed.into_inner());
     let mut server = RheemServer::start(ServerConfig::default()).expect("server starts");
     let mut client = Client::connect(server.addr(), "in-flight").expect("connect");
     let empty = live_bytes();
@@ -253,11 +235,7 @@ fn a_table_in_flight_is_held_by_neither_end_as_a_frame() {
     server.shutdown();
 }
 
-#[test]
 fn a_wide_frame_that_overstates_its_rows_reserves_what_its_bytes_can_hold() {
-    let _turn = ONE_AT_A_TIME
-        .lock()
-        .unwrap_or_else(|failed| failed.into_inner());
     // One row of ints starts 64 int lanes; every row after it is NULLs, a
     // byte a value on the wire and 8 B in a lane. The prefix declares 1 MiB,
     // which holds about 15 000 rows this wide, and the header 64 Ki rows;
@@ -302,11 +280,7 @@ fn a_wide_frame_that_overstates_its_rows_reserves_what_its_bytes_can_hold() {
     );
 }
 
-#[test]
 fn a_prefix_sent_alone_pins_a_window_and_stalls_without_eviction() {
-    let _turn = ONE_AT_A_TIME
-        .lock()
-        .unwrap_or_else(|failed| failed.into_inner());
     let config = ServerConfig {
         idle_timeout: Some(Duration::from_millis(100)),
         ..ServerConfig::default()
@@ -365,15 +339,7 @@ const SLICE: isize = 1 << 20;
 /// `ROWS` frame from the sink's chunk a slice at a time, so answering a
 /// 99 999-row, 3-column result holds that chunk, one slice and a little
 /// transient heap — not the ≈ 3.4 MB frame as well.
-///
-/// Not named `a_*`: the harness starts tests in name order, and run beside
-/// the first one this test made it fail now and then by a few hundred bytes
-/// — that test's heap peak counts every thread, the harness's too.
-#[test]
 fn result_in_flight_is_held_by_the_session_as_a_chunk_and_a_slice() {
-    let _turn = ONE_AT_A_TIME
-        .lock()
-        .unwrap_or_else(|failed| failed.into_inner());
     let schema = Schema::new(vec![
         ("a", DataType::Int),
         ("s", DataType::Str),
@@ -450,4 +416,43 @@ fn result_in_flight_is_held_by_the_session_as_a_chunk_and_a_slice() {
     }
     assert_eq!(call(&mut stream, &Request::Goodbye), Response::Ok);
     server.shutdown();
+}
+
+/// Every case, in order, on this thread.
+macro_rules! cases {
+    ($($case:ident),* $(,)?) => {
+        [$((stringify!($case), $case as fn())),*]
+    };
+}
+
+const CASES: [(&str, fn()); 7] = cases![
+    a_session_holds_its_table_once_as_a_chunk,
+    a_sessions_heap_does_not_grow_with_its_requests,
+    a_row_of_nulls_too_wide_for_its_table_is_refused_before_it_allocates,
+    a_table_in_flight_is_held_by_neither_end_as_a_frame,
+    a_wide_frame_that_overstates_its_rows_reserves_what_its_bytes_can_hold,
+    a_prefix_sent_alone_pins_a_window_and_stalls_without_eviction,
+    result_in_flight_is_held_by_the_session_as_a_chunk_and_a_slice,
+];
+
+/// Run the cases whose names contain a filter argument (all without one),
+/// reporting as the libtest harness does. A failing case panics, which
+/// fails the run.
+fn main() {
+    let filters: Vec<String> = std::env::args()
+        .skip(1)
+        .filter(|a| !a.starts_with('-'))
+        .collect();
+    let mut passed = 0;
+    for (name, case) in CASES {
+        if filters.is_empty() || filters.iter().any(|f| name.contains(f.as_str())) {
+            case();
+            println!("test {name} ... ok");
+            passed += 1;
+        }
+    }
+    println!(
+        "\ntest result: ok. {passed} passed; 0 failed; 0 ignored; 0 measured; {} filtered out\n",
+        CASES.len() - passed
+    );
 }

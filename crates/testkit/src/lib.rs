@@ -11,8 +11,8 @@ use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 
 use rheem_core::{ExecutionStats, KernelParallelism, NodeId, Record, Value};
 
-/// A job thread budget of `threads` (see `KernelParallelism`): suites run
-/// at 1 (one atom at a time, sequential kernels) and at 4.
+/// A job thread budget of `threads`, the wave width (see
+/// `KernelParallelism`): suites run at 1 (one atom at a time) and at 4.
 pub fn budget(threads: usize) -> KernelParallelism {
     KernelParallelism::sequential().with_threads(threads)
 }
@@ -22,8 +22,8 @@ pub fn budget(threads: usize) -> KernelParallelism {
 pub type AtomWork = (usize, String, u64, Vec<(NodeId, String, u64)>);
 
 /// What a job did, and not when or how wide: per atom, by ascending atom
-/// id, where it ran and what it and each of its kernels produced. Waves,
-/// timings and morsel counts are left out, so runs of one plan at any
+/// id, where it ran and what it and each of its kernels produced. Waves
+/// and timings are left out, so runs of one plan at any
 /// thread budget — or with a re-plan that kept every assignment — must
 /// give equal values: the replay oracle.
 pub fn work(stats: &ExecutionStats) -> Vec<AtomWork> {

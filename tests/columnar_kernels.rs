@@ -1,28 +1,28 @@
 //! Byte-identity of the columnar chunk kernels against their row-based
 //! twins.
 //!
-//! The columnar execution path (`rheem_core::kernels::chunked` and the
-//! morsel-parallel `parallel::run_pipeline_chunk`) claims *exact* equivalence
-//! with the record-at-a-time kernels — not just bag equality: the same
-//! records, in the same order, with the same float bit patterns. This
-//! suite fuzzes that contract over dirty data (`Null`, `NaN`, `-0.0`,
-//! mixed-type columns, skewed keys) at several [`KernelParallelism`]
-//! settings, and drives a fused-pipeline plan through the executor at each
-//! of them. It also holds the join's direct-address probe to the row kernel
-//! across the 65 536-key range boundary, the join's shared and gathered
-//! lanes to it over generated probe and build windows, filters to it at every
-//! selectivity, and each typed expression loop to the row map kernel,
-//! operator by operator.
+//! The columnar execution path (`rheem_core::kernels::chunked`, its fused
+//! `run_pipeline_chunk` included) claims *exact* equivalence with the
+//! record-at-a-time kernels — not just bag equality: the same records, in
+//! the same order, with the same float bit patterns. This suite fuzzes that
+//! contract over dirty data (`Null`, `NaN`, `-0.0`, mixed-type columns,
+//! skewed keys), and drives a fused-pipeline plan through the executor at
+//! several thread budgets. It also holds the join's direct-address probe to
+//! the row kernel across the 65 536-key range boundary, the join's shared
+//! and gathered lanes to it over generated probe and build windows, filters
+//! to it at every selectivity, and each typed expression loop to the row
+//! map kernel, operator by operator.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use rheem::prelude::*;
-use rheem_core::kernels::{self, chunked, parallel};
+use rheem_core::kernels::{self, chunked};
 use rheem_core::{
     apply_rewrites, run_plan, BinOp, Chunk, ExecutionContext, Expr, KernelParallelism, PhysicalOp,
     PipelineStage, StageKind, Value,
 };
+use testkit::budget;
 
 /// One dirty value: every `Value` variant, with the float edge cases
 /// (`NaN`, `-0.0`, infinities) and a deliberately narrow Int range so keys
@@ -85,20 +85,10 @@ fn chunk_of(records: &[Record]) -> Chunk {
     Chunk::from_records(records).expect("rectangular batch")
 }
 
-/// The parallelism settings every comparison runs at: sequential, tiny
-/// morsels, and an oversubscribed thread count.
+/// The thread budgets the executor comparison runs at: one atom at a
+/// time, an odd width, and an oversubscribed one.
 fn parallelism_settings() -> Vec<KernelParallelism> {
-    vec![
-        KernelParallelism::sequential(),
-        KernelParallelism::sequential()
-            .with_threads(3)
-            .with_morsel_size(7)
-            .with_min_rows(0),
-        KernelParallelism::sequential()
-            .with_threads(16)
-            .with_morsel_size(1)
-            .with_min_rows(0),
-    ]
+    vec![budget(1), budget(3), budget(16)]
 }
 
 /// A pipeline touching every stage kind: filter on field 0, a map that
@@ -213,19 +203,16 @@ proptest! {
         );
     }
 
-    /// The morsel-parallel fused-pipeline runner equals the row-at-a-time
-    /// reference at every parallelism setting (zero-copy slices included).
+    /// The fused-pipeline runner equals the row-at-a-time reference.
     #[test]
     fn prop_run_pipeline_matches_row_reference(records in batch_strategy()) {
         let stages = test_stages();
         let reference = chunked::run_stages_rows(&records, &stages).unwrap();
         let chunk = chunk_of(&records);
-        for p in parallelism_settings() {
-            prop_assert_eq!(
-                parallel::run_pipeline_chunk(&chunk, &stages, &p).unwrap().to_records(),
-                reference.clone()
-            );
-        }
+        prop_assert_eq!(
+            chunked::run_pipeline_chunk(&chunk, &stages).unwrap().to_records(),
+            reference
+        );
     }
 }
 
@@ -725,36 +712,25 @@ fn selection_chains() -> Vec<Vec<PipelineStage>> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// Per-morsel selections gathered once from the parent chunk give the
-    /// row reference's rows at 1, 2, 7 and 8 threads, with morsels small
-    /// enough that every thread count cuts several.
+    /// One selection gathered once from the parent chunk gives the row
+    /// reference's rows, for every chain of filters, maps and projections.
     #[test]
-    fn prop_single_gather_pipeline_matches_row_reference(
-        records in priced_batch_strategy(),
-        morsel in 1usize..40,
-    ) {
+    fn prop_single_gather_pipeline_matches_row_reference(records in priced_batch_strategy()) {
         let chunk = chunk_of(&records);
         for stages in selection_chains() {
             let reference = chunked::run_stages_rows(&records, &stages).unwrap();
-            for threads in [1, 2, 7, 8] {
-                let p = KernelParallelism::sequential()
-                    .with_threads(threads)
-                    .with_morsel_size(morsel)
-                    .with_min_rows(0);
-                let out = parallel::run_pipeline_chunk(&chunk, &stages, &p).unwrap();
-                prop_assert!(
-                    out.to_records() == reference,
-                    "{} threads over {:?}",
-                    threads,
-                    stages.iter().map(|s| s.name.as_str()).collect::<Vec<_>>()
-                );
-            }
+            let out = chunked::run_pipeline_chunk(&chunk, &stages).unwrap();
+            prop_assert!(
+                out.to_records() == reference,
+                "over {:?}",
+                stages.iter().map(|s| s.name.as_str()).collect::<Vec<_>>()
+            );
         }
     }
 }
 
 /// A pipeline whose filters keep every row gathers nothing: its output
-/// reads the input's lanes at every thread count.
+/// reads the input's lanes.
 #[test]
 fn an_all_pass_pipeline_shares_the_input_lanes() {
     let records: Vec<Record> = (0..5_000i64)
@@ -768,24 +744,18 @@ fn an_all_pass_pipeline_shares_the_input_lanes() {
             selectivity: 1.0,
         },
     }];
-    for threads in [1, 2, 7, 8] {
-        let p = KernelParallelism::sequential()
-            .with_threads(threads)
-            .with_morsel_size(64)
-            .with_min_rows(0);
-        let out = parallel::run_pipeline_chunk(&chunk, &stages, &p).unwrap();
-        assert_eq!(out.rows(), records.len());
-        assert_eq!(
-            out.columns()[0].ints().unwrap().as_ptr(),
-            chunk.columns()[0].ints().unwrap().as_ptr(),
-            "{threads} threads copied the Int lane"
-        );
-        assert_eq!(
-            out.columns()[1].floats().unwrap().as_ptr(),
-            chunk.columns()[1].floats().unwrap().as_ptr(),
-            "{threads} threads copied the Float lane"
-        );
-    }
+    let out = chunked::run_pipeline_chunk(&chunk, &stages).unwrap();
+    assert_eq!(out.rows(), records.len());
+    assert_eq!(
+        out.columns()[0].ints().unwrap().as_ptr(),
+        chunk.columns()[0].ints().unwrap().as_ptr(),
+        "the Int lane was copied"
+    );
+    assert_eq!(
+        out.columns()[1].floats().unwrap().as_ptr(),
+        chunk.columns()[1].floats().unwrap().as_ptr(),
+        "the Float lane was copied"
+    );
 }
 
 // ---------------------------------------------------------------------------

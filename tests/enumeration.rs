@@ -58,7 +58,6 @@ fn oracle_cost(ctx: &RheemContext, plan: &rheem_core::PhysicalPlan) -> (Vec<Stri
         &opt.movement,
         &opt.config.enumeration,
         &opt.calibration,
-        ctx.kernel_parallelism(),
     )
     .expect("oracle enumerates")
 }
@@ -72,7 +71,6 @@ fn canonical_assignment_cost(ctx: &RheemContext, exec: &ExecutionPlan) -> f64 {
         &opt.estimator,
         &opt.movement,
         &opt.calibration,
-        ctx.kernel_parallelism(),
     )
     .expect("assignment prices")
 }
@@ -290,7 +288,6 @@ fn v2_matches_oracle_on_fixed_plan() {
         &opt.estimator,
         &opt.movement,
         &opt.calibration,
-        ctx.kernel_parallelism(),
     )
     .unwrap();
     assert_close(oracle_priced, oracle, "oracle self-consistency");
@@ -514,7 +511,6 @@ fn oracle_rejects_oversized_plans() {
         &opt.movement,
         &EnumerationConfig::default(),
         &opt.calibration,
-        ctx.kernel_parallelism(),
     )
     .unwrap_err();
     assert!(matches!(err, RheemError::Optimizer(_)), "{err}");

@@ -556,7 +556,7 @@ fn counters(metrics: &MetricsRegistry) -> BTreeMap<String, u64> {
 /// record only the hub sees) the job is counted failed, every failed
 /// attempt but the retried ones is an atom that gave up — one per failover
 /// plus the one that failed the job — and a panic is counted as such.
-/// Returns the deltas that do not depend on the thread budget.
+/// Returns every counter's delta: none depends on the thread budget.
 fn checked_job(
     ctx: &RheemContext,
     observe: &Observability,
@@ -615,11 +615,7 @@ fn checked_job(
             );
         }
     }
-    // Kernel morsel counts follow the thread budget; nothing else may.
-    Ok(delta
-        .into_iter()
-        .filter(|(name, _)| !name.starts_with("kernel.parallel."))
-        .collect())
+    Ok(delta)
 }
 
 proptest::proptest! {

@@ -170,36 +170,29 @@ fn wide_golden_plan() -> PhysicalPlan {
 
 #[test]
 fn golden_explain_enumeration() {
-    use rheem_core::{EnumerationPath, KernelKey, KernelParallelism};
+    use rheem_core::{EnumerationPath, KernelKey};
 
-    // Eight kernel threads over 250-row morsels: java runs a 2 000-row
-    // row map eight morsels at once, faster than mapreduce's four workers,
-    // while the counting group-by runs on its chunk kernel, whole.
-    let mut ctx = test_context().with_kernel_parallelism(
-        KernelParallelism::sequential()
-            .with_threads(8)
-            .with_morsel_size(250)
-            .with_min_rows(1),
-    );
+    let mut ctx = test_context();
     let optimizer = std::mem::take(ctx.optimizer_mut());
     *ctx.optimizer_mut() = optimizer.without_rewrites();
-    // Deterministic rate pressure: make the maps dear enough that they stay
-    // where they split most, in process, and the group-by ruinous, so it is
-    // worth spreading over a partitioned engine despite the job setup:
+    // Deterministic rate pressure: make the maps dear enough that they are
+    // worth spreading over a partitioned engine's workers despite its job
+    // setup, and the group-by cheap enough that the engine's phase boundary
+    // (a stage and a spill) costs more than running it whole in process:
     // the crossing happens at the group boundary instead of the whole
-    // branch migrating. Sparklike (memory channels, the cheaper
-    // partitioned engine) and relational (which writes files itself) are
-    // excluded, so the chosen plan crosses from java into mapreduce's File
-    // channels, and the view shows real conversion routes — serialize on
-    // the way in — not just free hand-offs.
+    // branch staying put. Sparklike (memory channels, the cheaper
+    // partitioned engine) and relational (which reads files itself) are
+    // excluded, so the chosen plan crosses from mapreduce's File channels
+    // into java, and the view shows real conversion routes — deserialize
+    // on the way out — not just free hand-offs.
     let plan = wide_golden_plan();
     let op = |kernel: &str| {
         let node = plan.nodes().iter().find(|n| n.op.kernel() == kernel);
         node.expect("the plan has the kernel").op.clone()
     };
     let calibration = &ctx.optimizer().calibration;
-    calibration.observe(KernelKey::of(&op("HashGroupBy")), 2_000.0, 1_000.0);
-    calibration.observe(KernelKey::of(&op("Map")), 2_000.0, 4.0);
+    calibration.observe(KernelKey::of(&op("HashGroupBy")), 2_000.0, 0.5);
+    calibration.observe(KernelKey::of(&op("Map")), 2_000.0, 10.0);
     ctx.optimizer_mut()
         .config
         .enumeration

@@ -22,6 +22,7 @@ use rheem::prelude::*;
 use rheem_core::kernels::{self, chunked, hash_i64};
 use rheem_core::udf::{AggFunc, Aggregate, GroupOutput};
 use rheem_core::{run_plan, Chunk, ExecutionContext, Expr, KernelParallelism, Text, Value};
+use testkit::budget;
 
 /// One dirty value: every variant, with the float edge cases the hasher
 /// must separate exactly as `Value` equality does.
@@ -109,20 +110,10 @@ fn lane_hash(column: &[Value], row: usize) -> u64 {
     chunked::key_tuple_hashes(&chunk_of(&records), &[0])[row]
 }
 
-/// Sequential, tiny-morsel, and oversubscribed settings — every
+/// One atom at a time, an odd width and an oversubscribed one — every
 /// comparison must hold at all of them.
 fn parallelism_settings() -> Vec<KernelParallelism> {
-    vec![
-        KernelParallelism::sequential(),
-        KernelParallelism::sequential()
-            .with_threads(3)
-            .with_morsel_size(7)
-            .with_min_rows(0),
-        KernelParallelism::sequential()
-            .with_threads(16)
-            .with_morsel_size(1)
-            .with_min_rows(0),
-    ]
+    vec![budget(1), budget(3), budget(16)]
 }
 
 proptest! {

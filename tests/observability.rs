@@ -3,8 +3,8 @@
 //!
 //! The replay contract: executing the same plan at thread budgets 1 and 4
 //! must record the same work in the job's `ExecutionStats`
-//! ([`testkit::work`] leaves out waves, timings and morsels, which are
-//! scheduling artifacts) and identical deterministic counters — parallelism
+//! ([`testkit::work`] leaves out waves and timings, which are scheduling
+//! artifacts) and identical deterministic counters — parallelism
 //! may reorder work, but never change what happened.
 
 use std::sync::Arc;

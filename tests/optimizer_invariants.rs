@@ -249,7 +249,6 @@ fn canonical_cost(ctx: &RheemContext, exec: &ExecutionPlan) -> f64 {
         &opt.estimator,
         &opt.movement,
         &opt.calibration,
-        ctx.kernel_parallelism(),
     )
     .expect("assignment prices")
 }

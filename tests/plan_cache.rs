@@ -14,8 +14,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rheem_core::udf::{FilterUdf, MapUdf};
 use rheem_core::{
-    Expr, JobResult, KernelKey, KernelParallelism, Observability, PhysicalPlan, PlanBuilder,
-    PlanCache, PlanCacheConfig, Record, Value,
+    Expr, JobResult, KernelKey, Observability, PhysicalPlan, PlanBuilder, PlanCache,
+    PlanCacheConfig, Record, Value,
 };
 use rheem_platforms::test_context;
 
@@ -167,9 +167,9 @@ fn drift_past_threshold_flips_hit_to_miss_via_metrics() {
 /// One cache serves every context it is handed to, with no scope between
 /// them: a plan of one fingerprint hits whichever context enumerated it —
 /// a closure-built plan when it carries the same closures, a declarative
-/// plan always — but an entry never crosses thread budgets.
+/// plan always — and across thread budgets, since no price depends on one.
 #[test]
-fn contexts_share_one_cache_but_not_across_budgets() {
+fn contexts_share_one_cache_across_budgets() {
     let rows: Vec<(i64, i64)> = (0..20).map(|i| (i, 1)).collect();
     let cache = Arc::new(PlanCache::new(PlanCacheConfig {
         capacity: 16,
@@ -216,15 +216,19 @@ fn contexts_share_one_cache_but_not_across_budgets() {
         "declarative entry did not share"
     );
 
-    // ...but not across thread budgets: an in-process price divides by the
-    // budget's morsel speedup.
+    // ...and across thread budgets: the budget is the wave width, and no
+    // price depends on it.
     let threads = session_a.kernel_parallelism().threads + 1;
     let session_c = test_context()
         .with_plan_cache(cache.clone())
-        .with_kernel_parallelism(KernelParallelism::sequential().with_threads(threads));
+        .with_kernel_parallelism(testkit::budget(threads));
     let stats = cache.stats();
     session_c.optimize(declarative_plan(&rows, 3, 1)).unwrap();
     let after = cache.stats();
-    assert_eq!(after.hits, stats.hits, "an entry leaked across budgets");
-    assert_eq!(after.misses, stats.misses + 1);
+    assert_eq!(
+        after.hits,
+        stats.hits + 1,
+        "the entry did not cross budgets"
+    );
+    assert_eq!(after.misses, stats.misses);
 }

@@ -7,8 +7,7 @@
 //! `full_context()` is run against every platform forced in turn, at the
 //! same thread budget, and `regret = chosen / best forced` simulated ms
 //! (medians of the same build) must stay ≤ 1.05: at budgets of 1 and 2
-//! threads (an in-process price divides by the budget's morsel speedup),
-//! once from a cold context, whose kernel rates are the seeds, and once
+//! threads, once from a cold context, whose kernel rates are the seeds, and once
 //! after a warm-up at mixed sizes has fitted them. A plan never lands on
 //! mapreduce, whose overheads `full_context()` really sleeps.
 //!

@@ -303,8 +303,8 @@ use std::collections::HashMap;
 
 use rheem_core::udf::{AggFunc, Aggregate, GroupOutput};
 use rheem_core::{
-    BinOp, CustomPhysicalOp, ExecutionContext, Expr, KernelParallelism, MemoryStorageService,
-    PhysicalOp, StorageService, TaskAtom,
+    BinOp, CustomPhysicalOp, ExecutionContext, Expr, MemoryStorageService, PhysicalOp,
+    StorageService, TaskAtom,
 };
 
 const VARIANTS: usize = 21;
@@ -798,8 +798,8 @@ fn plan_of(form: &Form, left: &[Record], right: &[Record]) -> PhysicalPlan {
     b.build().expect("the form is a valid plan")
 }
 
-/// A context whose storage holds `stored` and whose morsel layer, at a
-/// budget of `threads`, engages on the table's small inputs.
+/// A context whose storage holds `stored`, at a thread budget of
+/// `threads`.
 fn table_context(stored: &[Record], threads: usize) -> ExecutionContext {
     let storage = Arc::new(MemoryStorageService::new());
     storage
@@ -807,12 +807,7 @@ fn table_context(stored: &[Record], threads: usize) -> ExecutionContext {
         .expect("stores");
     ExecutionContext::new()
         .with_storage(storage)
-        .with_kernel_parallelism(
-            KernelParallelism::sequential()
-                .with_threads(threads)
-                .with_morsel_size(16)
-                .with_min_rows(1),
-        )
+        .with_kernel_parallelism(testkit::budget(threads))
 }
 
 fn mark_positions(plan: &PhysicalPlan, seen: &mut [bool; VARIANTS]) {

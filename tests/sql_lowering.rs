@@ -14,8 +14,8 @@
 //! * **(b)** generated queries over generated dirty tables must give one
 //!   result however they run: row-at-a-time through the UDFs' derived
 //!   closures, on each platform forced, through the full optimizer at
-//!   thread budgets 1 and 4, at kernel parallelism 1 and N, with the plan cache
-//!   cold and hit, within and past the enumerator's budget, through the
+//!   thread budgets 1 and 4, on one engine at budgets 1 and N, with the
+//!   plan cache cold and hit, within and past the enumerator's budget, through the
 //!   wire codec, and over a copy of the table with unread columns ahead of
 //!   the read ones;
 //! * **(c)** `Float` `SUM` / `AVG` over 0.1-step data — where addition is
@@ -29,7 +29,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rheem::prelude::*;
 use rheem_core::logical::LogicalPayload;
-use rheem_core::{Chunk, Column, KernelParallelism, PhysicalOp, PlanCache, PlanCacheConfig};
+use rheem_core::{Chunk, Column, PhysicalOp, PlanCache, PlanCacheConfig};
 use rheem_server::protocol::Response;
 use rheem_server::{Client, RheemServer, ServerConfig};
 use testkit::{budget, Rng};
@@ -908,14 +908,9 @@ fn assert_one_result(catalog: &QueryCatalog, statement: &Generated) {
         );
     }
 
-    // Kernel parallelism 1 vs N (tiny morsels, so even 10 rows split).
-    let one = java().with_kernel_parallelism(KernelParallelism::sequential());
-    let many = java().with_kernel_parallelism(
-        KernelParallelism::sequential()
-            .with_threads(4)
-            .with_morsel_size(3)
-            .with_min_rows(0),
-    );
+    // Thread budget 1 vs N on one engine.
+    let one = java().with_kernel_parallelism(budget(1));
+    let many = java().with_kernel_parallelism(budget(4));
     assert_eq!(
         run(catalog, &one, &sql),
         reference,
